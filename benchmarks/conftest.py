@@ -1,7 +1,9 @@
 """Shared fixtures for the benchmark harnesses.
 
 Every benchmark regenerates one table or figure of the paper: it prints the
-paper-style rows, writes them to ``benchmarks/results/`` and uses
+paper-style rows, writes them to ``benchmarks/results/`` (deterministic
+tables, tracked) or ``benchmarks/out/`` (anything carrying a wall-clock
+number, git-ignored, so a test run leaves the tree clean) and uses
 pytest-benchmark to time the operation that the experiment is really about
 (pipeline construction, a latency sweep, a serving simulation, ...).
 
@@ -12,6 +14,7 @@ default so the full suite finishes in minutes on a CPU; set
 
 from __future__ import annotations
 
+import functools
 import os
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -27,6 +30,7 @@ from repro.data import CalibrationSampler
 from repro.train.pretrain import get_dataset_for, get_pretrained
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+TIMINGS_DIR = Path(__file__).resolve().parent / "out"
 
 # Models exercised by the accuracy benchmarks when REPRO_FULL_EVAL is unset.
 DEFAULT_ACCURACY_MODELS = ["resnet18", "resnet50", "vit_small", "swin_small"]
@@ -50,10 +54,10 @@ def accuracy_models() -> List[str]:
     return list(DEFAULT_ACCURACY_MODELS)
 
 
-def write_result(name: str, text: str) -> Path:
-    """Persist a rendered table under benchmarks/results and echo it."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
+def write_result(name: str, text: str, directory: Path = RESULTS_DIR) -> Path:
+    """Persist a rendered table under ``directory`` and echo it."""
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{name}.txt"
     path.write_text(text + "\n")
     print("\n" + text)
     return path
@@ -62,6 +66,12 @@ def write_result(name: str, text: str) -> Path:
 @pytest.fixture(scope="session")
 def results_writer():
     return write_result
+
+
+@pytest.fixture(scope="session")
+def timings_writer():
+    """Like ``results_writer`` for tables that contain measured host time."""
+    return functools.partial(write_result, directory=TIMINGS_DIR)
 
 
 class ModelBundle:

@@ -62,8 +62,8 @@ Run it directly (finishes well under 60 s with a warm pretrain cache)::
     PYTHONPATH=src python benchmarks/perf_smoke.py
 
 It prints a summary table, verifies that prepared and uncached outputs are
-bit-exact, and writes ``benchmarks/results/BENCH_prepared_kernels.json`` so
-the perf trajectory is tracked from this PR onward.
+bit-exact, and writes ``benchmarks/out/BENCH_prepared_kernels.json`` (not
+tracked: the repo's perf record is ``bench/`` + ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ from repro.serving import (
 from repro.tensor import Tensor
 from repro.train.pretrain import get_dataset_for, get_pretrained
 
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "BENCH_prepared_kernels.json"
+# Wall-clock numbers: a git-ignored directory, so a run leaves the tree clean.
+RESULTS_PATH = Path(__file__).resolve().parent / "out" / "BENCH_prepared_kernels.json"
 
 MODELS = ("resnet18", "vit_small")
 BENCH_RATIO = 0.5

@@ -10,8 +10,8 @@ the float weights on every forward call; the prepared-kernel cache
 This bench drives ResNet-18 and ViT-small runtimes through repeated
 quantized forwards with the cache on and off, verifies the outputs are
 bit-exact, asserts the ResNet-18 quantized-inference speedup target (>= 3x)
-and records the trajectory in ``benchmarks/results/BENCH_prepared_kernels
-.json`` via the standalone :mod:`perf_smoke` runner.
+and writes the numbers to ``benchmarks/out/BENCH_prepared_kernels.json``
+(git-ignored) via the standalone :mod:`perf_smoke` runner.
 
 It also gates the serving hot path: the unified ``ServingEngine`` serves a
 prepared ResNet-18 runtime through ``RuntimeExecutor`` at batch 8 with
@@ -85,7 +85,7 @@ def _serving_floor(result: dict) -> float:
     return 1.2 * batch1_rps
 
 
-def test_prepared_kernel_speedup(benchmark, results_writer):
+def test_prepared_kernel_speedup(benchmark):
     results = benchmark.pedantic(perf_smoke.main, rounds=1, iterations=1)
     if (
         results["resnet18"]["quantized"]["speedup"] < 3.0
@@ -246,7 +246,7 @@ def test_prepared_kernel_speedup(benchmark, results_writer):
     assert obs["spans"] > 0 and obs["sampled_requests"] > 0
     assert obs["trace_events"] >= obs["spans"]
 
-    # The JSON artifact tracks the perf trajectory from this PR onward.
+    # The JSON artifact carries every section.
     stored = json.loads(perf_smoke.RESULTS_PATH.read_text())
     assert stored["meta"]["benchmark"] == "prepared_kernels"
     assert "heterogeneous_placement" in stored
@@ -255,4 +255,3 @@ def test_prepared_kernel_speedup(benchmark, results_writer):
     assert "continuous_batching" in stored
     assert "cluster_day" in stored
     assert "observability" in stored
-    results_writer("prepared_kernels", perf_smoke.render(results))

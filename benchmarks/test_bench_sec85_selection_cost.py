@@ -21,7 +21,7 @@ from repro.hardware.npu import NpuLatencyModel
 
 
 def test_sec85_selection_and_switch_cost(
-    benchmark, bundles, flexiq_runtimes, results_writer
+    benchmark, bundles, flexiq_runtimes, timings_writer
 ):
     model_name = "vit_small"
     runtime = flexiq_runtimes[(model_name, "evolutionary", False)]
@@ -57,7 +57,7 @@ def test_sec85_selection_and_switch_cost(
         ["quantity", "value"], rows, precision=4,
         title="Section 8.5 -- selection cost and runtime ratio-switch overhead (ViT-S family)",
     )
-    results_writer("sec85_selection_cost", text)
+    timings_writer("sec85_selection_cost", text)
 
     # Score estimation is a matter of seconds (paper: 2-10 s at full scale).
     assert scoring_seconds < 10.0

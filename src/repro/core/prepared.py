@@ -16,18 +16,31 @@ and extraction plan at prepare time, in *original* (unpermuted) column order:
   * 2**weight_shift``, also transposed/float64 and GEMM-ready;
 * per-boundary *combined* plane matrices: running at boundary ``b`` uses a
   matrix whose rows are the 4-bit planes for the ``b`` leading channels of
-  the layout order and the 8-bit rows for the rest, together with per-column
-  ``2**act_shift`` factor tables and clip bounds (built with :func:`np.ldexp`
-  -- exact powers of two, no ``np.power`` on float64 in the hot path).
+  the layout order and the 8-bit rows for the rest, together with float32
+  lowering tables: per-column ``2**-act_shift`` factors (built with
+  :func:`np.ldexp` -- exact powers of two) and clip bounds.
 
 Because an integer GEMM is a sum over columns, folding the layout
 permutation into the weight rows is exact: activations are never permuted at
-inference time.  A forward pass is one fused element-wise lowering pass over
-the activations followed by a single GEMM.  Every operand is a small integer
-times an exact power of two, so all float64 products and sums are exactly
-representable and the result is **bit-exact identical** to the uncached
-reference path (``_FlexiQMixin._mixed_precision_matmul``) regardless of
-BLAS summation order.
+inference time.  A forward pass is one element-wise lowering pass over the
+activations (:meth:`PreparedKernel.lower`, in float32, before the single
+cast to the GEMM dtype) followed by a single GEMM.  Every operand is a small
+integer times an exact power of two, so all float64 products and sums are
+exactly representable and the result is **bit-exact identical** to the
+uncached reference path (``_FlexiQMixin._mixed_precision_matmul``)
+regardless of BLAS summation order.
+
+The activation clip is merged into the lowering clip.  The reference computes
+``clip(round(clip(r, qmin, qmax) / 2**s), lo4, hi4)`` with ``r = round(x /
+scale)``; the kernel takes the *unclipped* ``r`` and clips once, to ``[lo4,
+hi4]`` on prefix columns and ``[qmin, qmax]`` elsewhere.  That is exact as
+long as ``(qmax + 1) / 2**s >= hi4 + 1``, i.e. every shift lies in ``[0,
+act_bits - low_bits]``: an out-of-range ``r`` then still lands at or beyond
+the 4-bit bound.  Extraction plans produce such shifts;
+:meth:`PreparedKernel.build` checks them against the plan's ``high_bits`` and
+the tables against the activation quantizer.  On the 8-bit plane (boundary
+0) the pass is the plain clip, so 4-bit channels cost two extra ufunc calls
+per layer (multiply, rint) over 8-bit ones.
 
 Prepare/invalidate lifecycle
 ----------------------------
@@ -74,6 +87,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _MAX_BOUNDARY_PLANES = 16
 
 
+def _scale_round_clip(q: np.ndarray, inv, lo, hi) -> None:
+    """``q = clip(rint(q * inv), lo, hi)`` in place, one ufunc per step."""
+    np.multiply(q, inv, out=q)
+    np.rint(q, out=q)
+    np.maximum(q, lo, out=q)
+    np.minimum(q, hi, out=q)
+
+
 class PreparedKernel:
     """Precomputed weight-side and plan-side state for one FlexiQ layer.
 
@@ -93,7 +114,7 @@ class PreparedKernel:
     #: planes, channel tables, prefix indices).  These are cheap relative to
     #: :meth:`build` but are exactly the plane-lowering work the O(1) switch
     #: claim excludes — if a workload cycles through more boundaries than
-    #: ``_MAX_BOUNDARY_PLANES`` the LRU thrashes and this counter keeps
+    #: ``_MAX_BOUNDARY_PLANES`` the caches thrash and this counter keeps
     #: rising per batch, so serving gates assert it stays flat after warmup.
     plane_build_count: int = 0
 
@@ -108,6 +129,7 @@ class PreparedKernel:
         high_bits: int,
         low_bits: int,
         weight_src: np.ndarray,
+        act_qparams_src,
         weight_qparams_src=None,
     ) -> None:
         self.order = order                # layout order: position -> channel
@@ -123,6 +145,9 @@ class PreparedKernel:
         self.qmin_low, self.qmax_low = int_range(low_bits)
         self.weight_src = weight_src
         self.weight_qparams_src = weight_qparams_src
+        # The activation clip merged into the tables is this quantizer's.
+        self.act_qparams_src = act_qparams_src
+        self.act_qmin, self.act_qmax = act_qparams_src.qmin, act_qparams_src.qmax
         self._act_shift_cols = np.repeat(act_shift, taps) if taps > 1 else act_shift
         # boundary -> (combined plane, inv factors, lo, hi), column domain
         self._boundary_planes: "OrderedDict[int, Tuple[np.ndarray, ...]]" = (
@@ -152,6 +177,12 @@ class PreparedKernel:
         weight_shift[order] = plan.weight_shift
         act_shift = np.empty_like(plan.act_shift)
         act_shift[order] = plan.act_shift
+        if act_shift.size and not (
+            0 <= act_shift.min() and act_shift.max() <= plan.high_bits - layer.low_bits
+        ):
+            raise ValueError(
+                "activation extraction shifts must lie in [0, high_bits - low_bits]"
+            )
 
         PreparedKernel.build_count += 1
         w8_t = layer._gemm_weight_t()  # shared, cached (channels * taps, out)
@@ -169,6 +200,7 @@ class PreparedKernel:
             low_bits=layer.low_bits,
             weight_src=layer._weight_reference().data,
             weight_qparams_src=layer.weight_qparams,
+            act_qparams_src=layer.act_qparams,
         )
 
     def matches(self, layer: "_FlexiQMixin", taps: int) -> bool:
@@ -177,6 +209,7 @@ class PreparedKernel:
             self.taps == taps
             and self.weight_src is layer._weight_reference().data
             and self.weight_qparams_src is layer.weight_qparams
+            and self.act_qparams_src is layer.act_qparams
         )
 
     # ------------------------------------------------------------------
@@ -207,14 +240,40 @@ class PreparedKernel:
         return entry
 
     def prepare_boundaries(self, boundaries: Iterable[int]) -> None:
-        """Eagerly build the combined planes for a set of boundaries."""
+        """Eagerly build the planes and lowering tables for some boundaries."""
         for boundary in boundaries:
             self._boundary_plane(int(boundary))
+            if self.taps > 1:
+                self._image_tables(int(boundary))
+
+    def _lowering_tables(
+        self, prefix: np.ndarray, shifts: np.ndarray, size: int
+    ) -> Tuple[np.ndarray, ...]:
+        """Float32 (inv, lo, hi) over ``size`` positions, ``prefix`` lowered.
+
+        Prefix positions are scaled by ``2**-shift`` and clipped to the low
+        range, the 8-bit remainder passes through (factor 1; rint is exact
+        on integers) and is clipped to the activation range: the merged clip
+        of the module docstring.  Analysis code may rebind the activation
+        quantizer to fewer bits than the plan was made for; lowering is then
+        refused rather than silently inexact (the 8-bit plane stays usable).
+        """
+        if shifts.size and (self.qmax_low + 1) << int(shifts.max()) > self.act_qmax + 1:
+            raise ValueError(
+                "activations are quantized to fewer bits than the extraction "
+                "plan's shifts assume; the merged clip would not be exact"
+            )
+        inv = np.ones(size, dtype=np.float32)
+        inv[prefix] = np.ldexp(np.float32(1.0), -shifts)
+        lo = np.full(size, self.act_qmin, dtype=np.float32)
+        lo[prefix] = self.qmin_low
+        hi = np.full(size, self.act_qmax, dtype=np.float32)
+        hi[prefix] = self.qmax_low
+        return inv, lo, hi
 
     def _boundary_plane(self, boundary: int) -> Tuple[np.ndarray, ...]:
         cached = self._boundary_planes.get(boundary)
         if cached is not None:
-            self._boundary_planes.move_to_end(boundary)
             return cached
         PreparedKernel.plane_build_count += 1
         total = self.channels * self.taps
@@ -230,46 +289,54 @@ class PreparedKernel:
             # element-wise pass disappears.  Exact: the rows are small
             # integers scaled by powers of two.
             combined[prefix_cols] *= np.ldexp(1.0, shift_cols)[:, None]
-        # Element-wise lowering tables: prefix columns are lowered, the 8-bit
-        # remainder passes through untouched (factor 1, unbounded clip
-        # window; round() is exact on integer-valued floats).
-        inv = np.ones(total)
-        inv[prefix_cols] = np.ldexp(1.0, -shift_cols)
-        lo = np.full(total, -np.inf)
-        lo[prefix_cols] = self.qmin_low
-        hi = np.full(total, np.inf)
-        hi[prefix_cols] = self.qmax_low
+        inv, lo, hi = self._lowering_tables(prefix_cols, shift_cols, total)
         entry = (combined, inv[None, :], lo[None, :], hi[None, :])
         self._boundary_planes[boundary] = entry
         while len(self._boundary_planes) > _MAX_BOUNDARY_PLANES:
             self._boundary_planes.popitem(last=False)
         return entry
 
-    def channel_tables(self, boundary: int) -> Tuple[np.ndarray, ...]:
-        """Per-*channel* lowering tables (float32) for image-domain lowering.
+    def _image_tables(self, boundary: int) -> Tuple[np.ndarray, ...]:
+        """Per-*channel* lowering tables, shaped for an (N, C, H, W) image.
 
         The extraction shift is shared by all taps of a feature channel, so a
         convolution can lower the quantized *image* (k*k times less data than
         the unfolded columns) and hand :meth:`gemm_lowered` activations that
-        need no further element-wise work.  Exact: the factors are powers of
-        two and every intermediate is exactly representable in float32.
+        need no further element-wise work.
         """
         cached = self._channel_tables.get(boundary)
         if cached is not None:
             return cached
         PreparedKernel.plane_build_count += 1
         prefix = self.order[:boundary]
-        inv = np.ones(self.channels, dtype=np.float32)
-        inv[prefix] = np.ldexp(1.0, -self.act_shift[prefix]).astype(np.float32)
-        lo = np.full(self.channels, -np.inf, dtype=np.float32)
-        lo[prefix] = self.qmin_low
-        hi = np.full(self.channels, np.inf, dtype=np.float32)
-        hi[prefix] = self.qmax_low
-        entry = (inv, lo, hi)
+        entry = tuple(
+            table.reshape(1, -1, 1, 1)
+            for table in self._lowering_tables(
+                prefix, self.act_shift[prefix], self.channels
+            )
+        )
         self._channel_tables[boundary] = entry
         while len(self._channel_tables) > _MAX_BOUNDARY_PLANES:
             self._channel_tables.popitem(last=False)
         return entry
+
+    def lower(self, q: np.ndarray, boundary: int, image: bool = False) -> None:
+        """Clip and bit-lower rounded, *unclipped* activations in place.
+
+        ``q`` holds ``rint(x / scale)`` (float32 on the hot path): either
+        (rows, channels * taps) GEMM rows or, with ``image``, the (N, C, H,
+        W) input of a convolution before unfolding.  Afterwards it is what
+        :meth:`gemm_lowered` consumes.  Uses the static extraction shifts.
+        """
+        if boundary <= 0:
+            np.maximum(q, self.act_qmin, out=q)
+            np.minimum(q, self.act_qmax, out=q)
+            return
+        if image:
+            inv, lo, hi = self._image_tables(boundary)
+        else:
+            _, inv, lo, hi = self._boundary_plane(boundary)
+        _scale_round_clip(q, inv, lo, hi)
 
     def gemm_lowered(self, q_x: np.ndarray, boundary: int) -> np.ndarray:
         """GEMM against the combined plane for already-lowered activations."""
@@ -285,26 +352,30 @@ class PreparedKernel:
     ) -> np.ndarray:
         """``q_x @ q_w.T`` with a 4-bit prefix of ``boundary`` layout channels.
 
-        ``q_x`` is (rows, channels * taps) in *original* column order,
-        integer-valued float64, and is modified in place (callers pass a
-        freshly quantized buffer).  The layout permutation is folded into the
+        ``q_x`` is (rows, channels * taps) in *original* column order and
+        holds the rounded activations ``rint(x / scale)``; they need not be
+        clipped yet (see :meth:`lower`) and are modified in place (callers
+        pass a fresh buffer).  The layout permutation is folded into the
         prepared weight rows, so no activation permutation happens here: one
-        fused element-wise lowering pass, then a single GEMM.
+        element-wise lowering pass in ``q_x``'s dtype, one cast to the GEMM
+        dtype, a single GEMM.
         """
-        if boundary <= 0:
-            return q_x @ self.w8_t
-        combined, inv, lo, hi = self._boundary_plane(boundary)
-        fac = None
-        if dynamic:
+        if dynamic and boundary > 0:
+            # Dynamic shifts are derived from the clipped activations, so
+            # this path clips first and lowers with per-batch factors.
+            self.lower(q_x, 0)
             inv, fac = self._dynamic_tables(q_x, boundary)
-        np.multiply(q_x, inv, out=q_x)
-        np.round(q_x, out=q_x)
-        np.clip(q_x, lo, hi, out=q_x)
-        if fac is not None:
+            _, _, lo, hi = self._boundary_plane(boundary)
+            _scale_round_clip(q_x, inv, lo, hi)
             # Dynamic shifts replace the static ones folded into the plane:
             # rescale by 2**(dynamic - static), an exact power of two.
             np.multiply(q_x, fac, out=q_x)
-        return q_x @ combined
+        else:
+            self.lower(q_x, boundary)
+        q_x = q_x.astype(np.float64, copy=False)
+        if boundary <= 0:
+            return q_x @ self.w8_t
+        return q_x @ self._boundary_plane(boundary)[0]
 
     def _dynamic_tables(
         self, q_x: np.ndarray, boundary: int
@@ -320,10 +391,11 @@ class PreparedKernel:
         shifts = self.dynamic_act_shift(q_x, boundary)
         shift_cols = np.repeat(shifts, self.taps)
         total = self.channels * self.taps
-        inv = np.ones(total)
-        inv[prefix_cols] = np.ldexp(1.0, -shift_cols)
-        fac = np.ones(total)
-        fac[prefix_cols] = np.ldexp(1.0, shift_cols - static_cols)
+        one = np.float32(1.0)
+        inv = np.ones(total, dtype=np.float32)
+        inv[prefix_cols] = np.ldexp(one, -shift_cols)
+        fac = np.ones(total, dtype=np.float32)
+        fac[prefix_cols] = np.ldexp(one, shift_cols - static_cols)
         return inv[None, :], fac[None, :]
 
     def dynamic_act_shift(self, q_x: np.ndarray, boundary: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from repro.core.prepared import PreparedKernel, prepare_model
 from repro.nn.layers import Conv2d, Linear
 from repro.nn.module import Module
 from repro.quant.qmodules import QuantConv2d, QuantLinear, QuantizedLayer
-from repro.quant.quantizers import quantize, quantize_cast
+from repro.quant.quantizers import quantize, quantize_unclipped
 from repro.tensor import Tensor
 from repro.tensor.functional import im2col, im2col_cast
 
@@ -297,26 +297,24 @@ class FlexiQLinear(_FlexiQMixin, QuantLinear):
         super().__init__(source, weight_bits=weight_bits, act_bits=act_bits)
         self._init_flexiq_state()
 
-    def _quantized_forward(self, x: Tensor) -> Tensor:
+    def _quantized_forward(self, x: np.ndarray) -> np.ndarray:
         if self._uses_prepared():
-            # Fast path: fused quantize+cast, no activation permutation (the
-            # layout is folded into the prepared weight planes), one GEMM,
-            # in-place rescale.  Bit-exact with the reference branch below.
-            rows = quantize_cast(x.data, self.act_qparams, np.float64).reshape(
-                -1, self.in_features
-            )
+            # Fast path: round in float32, no activation permutation (the
+            # layout is folded into the prepared weight planes), clip + lower
+            # + one GEMM in the kernel, in-place rescale.  Bit-exact with the
+            # reference branch below.
+            rows = quantize_unclipped(x, self.act_qparams).reshape(-1, self.in_features)
             prepared = self._get_prepared(1)
             acc = prepared.matmul(rows, self.max_4bit_ch, dynamic=self.dynamic_extract)
-            np.multiply(acc, self._output_scale().reshape(1, -1), out=acc)
+            acc *= self._output_scale()
             if self.bias is not None:
-                np.add(acc, self.bias.data.reshape(1, -1), out=acc)
-            out = acc.astype(np.float32).reshape(x.shape[:-1] + (self.out_features,))
-            return Tensor(out)
+                acc += self.bias.data
+            return acc.astype(np.float32).reshape(x.shape[:-1] + (self.out_features,))
         if self.use_prepared and self.layout is None:
             # Unconfigured layers (e.g. first/last kept at 8 bits) still use
             # the cached integer weights of the uniform path.
             return super()._quantized_forward(x)
-        q_x = quantize(x.data, self.act_qparams).astype(np.float64)
+        q_x = quantize(x, self.act_qparams).astype(np.float64)
         rows = q_x.reshape(-1, self.in_features)
         acc = self._flexiq_matmul(rows, taps=1)
         scale = self.act_qparams.scale * self.weight_qparams.scale
@@ -324,7 +322,7 @@ class FlexiQLinear(_FlexiQMixin, QuantLinear):
         if self.bias is not None:
             out = out + self.bias.data.reshape(1, -1)
         out = out.reshape(x.shape[:-1] + (self.out_features,))
-        return Tensor(out.astype(np.float32))
+        return out.astype(np.float32)
 
     def __repr__(self) -> str:
         return (
@@ -349,7 +347,7 @@ class FlexiQConv2d(_FlexiQMixin, QuantConv2d):
         # Grouped/depthwise convolutions run the uniform quantized path.
         return self.groups == 1
 
-    def _quantized_forward(self, x: Tensor) -> Tensor:
+    def _quantized_forward(self, x: np.ndarray) -> np.ndarray:
         if self.groups != 1:
             # Depthwise/grouped convolutions follow the uniform quantized path;
             # FlexiQ channel selection targets dense convolutions and linears.
@@ -357,7 +355,7 @@ class FlexiQConv2d(_FlexiQMixin, QuantConv2d):
         n = x.shape[0]
         k = self.kernel_size
         if self._uses_prepared():
-            # Fast path: quantize and bit-lower in the *image* domain (k*k
+            # Fast path: round, clip and bit-lower in the *image* domain (k*k
             # times less data than the unfolded columns; the extraction
             # shift is shared by all taps of a channel and every element-wise
             # step maps quantized/padded zero to zero, so this commutes with
@@ -366,39 +364,35 @@ class FlexiQConv2d(_FlexiQMixin, QuantConv2d):
             # rescale.  Bit-exact with the reference ordering below.
             prepared = self._get_prepared(k * k)
             boundary = self.max_4bit_ch
-            q_img = quantize_cast(x.data, self.act_qparams, np.float32)
+            q_img = quantize_unclipped(x, self.act_qparams)
             if self.dynamic_extract:
                 # Dynamic extraction derives shifts from the unfolded window
                 # values, so lowering stays in the column domain.
                 q_cols, (out_h, out_w) = im2col_cast(
-                    q_img, (k, k), self.stride, self.padding
+                    q_img, (k, k), self.stride, self.padding, dtype=np.float32
                 )
                 rows = q_cols.reshape(-1, q_cols.shape[-1])
                 acc = prepared.matmul(rows, boundary, dynamic=True)
             else:
-                if boundary > 0:
-                    inv, lo, hi = prepared.channel_tables(boundary)
-                    np.multiply(q_img, inv.reshape(1, -1, 1, 1), out=q_img)
-                    np.round(q_img, out=q_img)
-                    np.clip(q_img, lo.reshape(1, -1, 1, 1), hi.reshape(1, -1, 1, 1), out=q_img)
+                prepared.lower(q_img, boundary, image=True)
                 q_cols, (out_h, out_w) = im2col_cast(
                     q_img, (k, k), self.stride, self.padding
                 )
                 rows = q_cols.reshape(-1, q_cols.shape[-1])
                 acc = prepared.gemm_lowered(rows, boundary)
             acc = acc.reshape(n, out_h * out_w, self.out_channels)
-            np.multiply(acc, self._output_scale().reshape(1, 1, -1), out=acc)
+            acc *= self._output_scale()
             if self.bias is not None:
-                np.add(acc, self.bias.data.reshape(1, 1, -1), out=acc)
+                acc += self.bias.data
             # Fused transpose + downcast: astype(order="C") gathers the
             # (N, out, P) layout and converts in a single pass.
             out = acc.transpose(0, 2, 1).astype(np.float32, order="C")
-            return Tensor(out.reshape(n, self.out_channels, out_h, out_w))
+            return out.reshape(n, self.out_channels, out_h, out_w)
         if self.use_prepared and self.layout is None:
             # Unconfigured layers (e.g. first/last kept at 8 bits) still use
             # the cached integer weights of the uniform path.
             return super()._quantized_forward(x)
-        cols, (out_h, out_w) = im2col(x.data, (k, k), self.stride, self.padding)
+        cols, (out_h, out_w) = im2col(x, (k, k), self.stride, self.padding)
         q_cols = quantize(cols, self.act_qparams).astype(np.float64)
         rows = q_cols.reshape(-1, q_cols.shape[-1])
         acc = self._flexiq_matmul(rows, taps=k * k)
@@ -407,7 +401,7 @@ class FlexiQConv2d(_FlexiQMixin, QuantConv2d):
         if self.bias is not None:
             out = out + self.bias.data.reshape(1, 1, -1)
         out = out.transpose(0, 2, 1).reshape(n, self.out_channels, out_h, out_w)
-        return Tensor(out.astype(np.float32))
+        return out.astype(np.float32)
 
     def __repr__(self) -> str:
         return (
@@ -442,6 +436,11 @@ class FlexiQModel:
             for name, module in model.named_modules()
             if isinstance(module, (FlexiQLinear, FlexiQConv2d))
         ]
+        # Whether the whole tree takes a raw array (repro.nn.module's rule);
+        # otherwise forward_batch hands it a Tensor.
+        self._ndarray_tree: bool = all(
+            module.ndarray_forward for _, module in model.named_modules()
+        )
 
     # ------------------------------------------------------------------
     # Ratio control
@@ -506,7 +505,14 @@ class FlexiQModel:
         batch): the ratio switch is the O(1) per-layer variable update, the
         forward runs on the prepared kernels, and the returned wall-clock
         seconds stand in for the accelerator's batch service time.
+
+        An array batch is served without autograd: it flows through the
+        module tree as a raw float32 ``ndarray`` and only the logits are
+        wrapped in a ``Tensor``.  A ``Tensor`` batch records a graph as
+        usual; both give bit-identical values.
         """
+        if len(x) == 0:
+            raise ValueError("forward_batch needs at least one sample, got an empty batch")
         if ratio is not None:
             if float(ratio) != self.current_ratio:
                 self.ratio_switches += 1
@@ -517,10 +523,15 @@ class FlexiQModel:
             # current_ratio was never materialized).
             self.set_ratio(ratio)
         if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=np.float32))
+            x = np.asarray(x, dtype=np.float32)
+            if not self._ndarray_tree:
+                x = Tensor(x)
         start = time.perf_counter()
         output = self.model(x)
-        return output, time.perf_counter() - start
+        seconds = time.perf_counter() - start
+        if not isinstance(output, Tensor):
+            output = Tensor(output)
+        return output, seconds
 
     # ------------------------------------------------------------------
     # Reporting

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.nn.layers import Dropout, GELU, LayerNorm, Linear
 from repro.nn.module import Module
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor, TensorOrArray, functional as F
 
 
 class MultiHeadAttention(Module):
@@ -18,6 +18,8 @@ class MultiHeadAttention(Module):
     than one fused QKV matrix) because FlexiQ's channel selection and the
     Table 6 layer-error analysis address the Q/K/V projections individually.
     """
+
+    ndarray_forward = True
 
     def __init__(
         self,
@@ -36,29 +38,35 @@ class MultiHeadAttention(Module):
         self.v_proj = Linear(embed_dim, embed_dim, rng=rng)
         self.out_proj = Linear(embed_dim, embed_dim, rng=rng)
 
-    def _split_heads(self, x: Tensor) -> Tensor:
+    def _split_heads(self, x: TensorOrArray) -> TensorOrArray:
         """(N, T, D) -> (N, heads, T, head_dim)."""
         n, t, _ = x.shape
         return x.reshape(n, t, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
 
-    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+    def forward(
+        self, x: TensorOrArray, mask: Optional[np.ndarray] = None
+    ) -> TensorOrArray:
+        # Written with operators both kinds define, so one body serves a
+        # Tensor (graph recorded) and an ndarray (same values, no graph).
         n, t, _ = x.shape
         q = self._split_heads(self.q_proj(x))
         k = self._split_heads(self.k_proj(x))
         v = self._split_heads(self.v_proj(x))
 
         scale = 1.0 / float(np.sqrt(self.head_dim))
-        scores = q.matmul(k.transpose(0, 1, 3, 2)) * scale
+        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
         if mask is not None:
-            scores = scores + Tensor(mask.astype(np.float32))
+            scores = scores + mask.astype(np.float32)
         attn = F.softmax(scores, axis=-1)
-        context = attn.matmul(v)  # (N, heads, T, head_dim)
+        context = attn @ v  # (N, heads, T, head_dim)
         context = context.transpose(0, 2, 1, 3).reshape(n, t, self.embed_dim)
         return self.out_proj(context)
 
 
 class MLP(Module):
     """Transformer feed-forward block: Linear -> GELU -> Linear."""
+
+    ndarray_forward = True
 
     def __init__(
         self,
@@ -71,12 +79,14 @@ class MLP(Module):
         self.act = GELU()
         self.fc2 = Linear(hidden_dim, embed_dim, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         return self.fc2(self.act(self.fc1(x)))
 
 
 class TransformerBlock(Module):
     """Pre-norm transformer encoder block (as in ViT/DeiT)."""
+
+    ndarray_forward = True
 
     def __init__(
         self,
@@ -93,7 +103,9 @@ class TransformerBlock(Module):
         self.mlp = MLP(embed_dim, int(embed_dim * mlp_ratio), rng=rng)
         self.drop = Dropout(dropout)
 
-    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+    def forward(
+        self, x: TensorOrArray, mask: Optional[np.ndarray] = None
+    ) -> TensorOrArray:
         x = x + self.drop(self.attn(self.norm1(x), mask=mask))
         x = x + self.drop(self.mlp(self.norm2(x)))
         return x

@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor, TensorOrArray, functional as F
 
 
 def _kaiming_uniform(shape, fan_in: int, rng: np.random.Generator) -> np.ndarray:
@@ -114,6 +114,8 @@ class Conv2d(Module):
 class BatchNorm2d(Module):
     """Batch normalisation over the channel dimension of (N, C, H, W)."""
 
+    ndarray_forward = True
+
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
         super().__init__()
         self.num_features = num_features
@@ -148,8 +150,10 @@ class BatchNorm2d(Module):
             self._inference_src = src
         return self._inference_cache
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         if self.training:
+            if isinstance(x, np.ndarray):
+                x = Tensor(x)  # batch statistics belong to the autograd path
             mean = x.mean(axis=(0, 2, 3), keepdims=True)
             var = x.var(axis=(0, 2, 3), keepdims=True)
             with np.errstate(all="ignore"):
@@ -165,6 +169,12 @@ class BatchNorm2d(Module):
             self.update_buffer("running_var", new_var)
         else:
             mean, std = self._inference_constants()
+            if isinstance(x, np.ndarray):
+                out = x - mean.data
+                out /= std.data
+                out *= self.weight.data.reshape(1, -1, 1, 1)
+                out += self.bias.data.reshape(1, -1, 1, 1)
+                return out
             weight = self.weight.reshape(1, self.num_features, 1, 1)
             bias = self.bias.reshape(1, self.num_features, 1, 1)
             return (x - mean) / std * weight + bias
@@ -177,6 +187,8 @@ class BatchNorm2d(Module):
 class LayerNorm(Module):
     """Layer normalisation over the last dimension."""
 
+    ndarray_forward = True
+
     def __init__(self, normalized_shape: int, eps: float = 1e-5) -> None:
         super().__init__()
         self.normalized_shape = normalized_shape
@@ -184,64 +196,82 @@ class LayerNorm(Module):
         self.weight = Parameter(np.ones(normalized_shape, dtype=np.float32))
         self.bias = Parameter(np.zeros(normalized_shape, dtype=np.float32))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         return F.layer_norm(x, self.weight, self.bias, eps=self.eps)
 
 
 class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
+    ndarray_forward = True
+
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
+        return F.relu(x)
 
 
 class ReLU6(Module):
-    def forward(self, x: Tensor) -> Tensor:
+    ndarray_forward = True
+
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         return F.relu6(x)
 
 
 class GELU(Module):
-    def forward(self, x: Tensor) -> Tensor:
+    ndarray_forward = True
+
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         return F.gelu(x)
 
 
 class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
+    ndarray_forward = True
+
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         return x
 
 
 class Flatten(Module):
     """Flatten all dimensions after the batch dimension."""
 
-    def forward(self, x: Tensor) -> Tensor:
+    ndarray_forward = True
+
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         return x.reshape(x.shape[0], -1)
 
 
 class GlobalAvgPool2d(Module):
-    def forward(self, x: Tensor) -> Tensor:
+    ndarray_forward = True
+
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         return F.global_avg_pool2d(x)
 
 
 class AvgPool2d(Module):
+    ndarray_forward = True
+
     def __init__(self, kernel: int, stride: Optional[int] = None) -> None:
         super().__init__()
         self.kernel = kernel
         self.stride = stride or kernel
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         return F.avg_pool2d(x, self.kernel, self.stride)
 
 
 class MaxPool2d(Module):
+    ndarray_forward = True
+
     def __init__(self, kernel: int, stride: Optional[int] = None) -> None:
         super().__init__()
         self.kernel = kernel
         self.stride = stride or kernel
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         return F.max_pool2d(x, self.kernel, self.stride)
 
 
 class Dropout(Module):
     """Inverted dropout; a no-op in eval mode."""
+
+    ndarray_forward = True
 
     def __init__(self, p: float = 0.1) -> None:
         super().__init__()
@@ -250,8 +280,8 @@ class Dropout(Module):
         self.p = p
         self._rng = np.random.default_rng(0)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         if not self.training or self.p == 0.0:
             return x
         mask = (self._rng.random(x.shape) >= self.p).astype(np.float32) / (1.0 - self.p)
-        return x * Tensor(mask)
+        return x * Tensor(mask)  # a Tensor even for an array: training is autograd

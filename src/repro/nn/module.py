@@ -1,4 +1,16 @@
-"""Module/Parameter containers mirroring the familiar torch.nn structure."""
+"""Module/Parameter containers mirroring the familiar torch.nn structure.
+
+One rule decides how a forward runs: **``np.ndarray`` in => inference,
+``Tensor`` in => autograd.**  A module whose :attr:`Module.ndarray_forward` is
+true also accepts a raw float32 array; it then computes the same per-element
+operations in the same order as for a :class:`Tensor` (bit-identical values),
+builds no graph and returns an ``ndarray``.  Containers just pass whatever
+they were given on to their children through ``child(x)``, so hooks and
+wrappers on ``forward`` see both kinds.  A tree in which any module lacks the
+capability is handed a ``Tensor`` by
+:meth:`repro.core.runtime.FlexiQModel.forward_batch`, as before.  Training,
+calibration and evaluation pass ``Tensor`` and are unaffected.
+"""
 
 from __future__ import annotations
 
@@ -26,6 +38,9 @@ class Module:
     replacement -- the hook the quantization passes use to swap float layers
     for quantized ones.
     """
+
+    #: Whether ``forward`` accepts a raw ``np.ndarray`` (see module docstring).
+    ndarray_forward = False
 
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
@@ -182,6 +197,8 @@ class ModuleList(Module):
     immediately.
     """
 
+    ndarray_forward = True  # never called itself; its elements decide
+
     def __init__(self, modules: Optional[List[Module]] = None) -> None:
         super().__init__()
         for module in modules or []:
@@ -202,6 +219,8 @@ class ModuleList(Module):
 
 class Sequential(Module):
     """Chain of modules applied in order."""
+
+    ndarray_forward = True
 
     def __init__(self, *modules: Module) -> None:
         super().__init__()

@@ -22,7 +22,7 @@ from repro.nn.layers import (
     ReLU,
 )
 from repro.nn.module import Module, ModuleList, Sequential
-from repro.tensor import Tensor
+from repro.tensor import TensorOrArray
 
 
 def conv_bn_relu(
@@ -45,6 +45,7 @@ class BasicBlock(Module):
     """Two 3x3 convolutions with a residual connection (ResNet-18/20/34)."""
 
     expansion = 1
+    ndarray_forward = True
 
     def __init__(
         self,
@@ -67,7 +68,7 @@ class BasicBlock(Module):
         else:
             self.downsample = Identity()
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         identity = self.downsample(x)
         out = self.relu(self.bn1(self.conv1(x)))
         out = self.bn2(self.conv2(out))
@@ -78,6 +79,7 @@ class BottleneckBlock(Module):
     """1x1 -> 3x3 -> 1x1 bottleneck with expansion (ResNet-50)."""
 
     expansion = 4
+    ndarray_forward = True
 
     def __init__(
         self,
@@ -103,7 +105,7 @@ class BottleneckBlock(Module):
         else:
             self.downsample = Identity()
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         identity = self.downsample(x)
         out = self.relu(self.bn1(self.conv1(x)))
         out = self.relu(self.bn2(self.conv2(out)))
@@ -125,6 +127,8 @@ class ResNet(Module):
     num_classes, in_channels, image_size:
         Input/output dimensions of the classifier.
     """
+
+    ndarray_forward = True
 
     def __init__(
         self,
@@ -155,14 +159,14 @@ class ResNet(Module):
         self.head = Linear(in_ch, num_classes, rng=rng)
         self.num_classes = num_classes
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         x = self.stem(x)
         for stage in self.stages:
             x = stage(x)
         x = self.pool(x)
         return self.head(x)
 
-    def features(self, x: Tensor) -> Tensor:
+    def features(self, x: TensorOrArray) -> TensorOrArray:
         """Return pooled features before the classification head."""
         x = self.stem(x)
         for stage in self.stages:

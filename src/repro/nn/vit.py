@@ -9,7 +9,7 @@ import numpy as np
 from repro.nn.attention import SwinBlock, TransformerBlock
 from repro.nn.layers import Conv2d, LayerNorm, Linear
 from repro.nn.module import Module, ModuleList, Parameter
-from repro.tensor import Tensor
+from repro.tensor import Tensor, TensorOrArray, functional as F
 
 
 class PatchEmbedding(Module):
@@ -19,6 +19,8 @@ class PatchEmbedding(Module):
     the patch projection a quantizable conv layer -- in the paper the first
     layer stays 8-bit, and the quantization passes here follow the same rule.
     """
+
+    ndarray_forward = True
 
     def __init__(
         self,
@@ -39,7 +41,7 @@ class PatchEmbedding(Module):
             in_channels, embed_dim, patch_size, stride=patch_size, rng=rng
         )
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         n = x.shape[0]
         patches = self.proj(x)  # (N, D, g, g)
         d = patches.shape[1]
@@ -54,6 +56,8 @@ class VisionTransformer(Module):
     via configuration (depth/width/heads) in the registry, mirroring how the
     paper treats them as separate checkpoints of the same architecture.
     """
+
+    ndarray_forward = True
 
     def __init__(
         self,
@@ -93,21 +97,27 @@ class VisionTransformer(Module):
         self.head = Linear(embed_dim, num_classes, rng=rng)
         self.num_classes = num_classes
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         tokens = self.patch_embed(x)
         n = tokens.shape[0]
+        inference = isinstance(tokens, np.ndarray)
         if self.use_cls_token:
-            cls = Tensor(np.broadcast_to(self.cls_token.data, (n, 1, self.embed_dim)).copy())
-            cls = cls + (self.cls_token - self.cls_token.detach())
-            tokens = Tensor.concatenate([cls, tokens], axis=1)
-        tokens = tokens + self.pos_embed
+            cls = np.broadcast_to(self.cls_token.data, (n, 1, self.embed_dim))
+            if inference:
+                tokens = np.concatenate([cls, tokens], axis=1)
+            else:
+                # Adds an exact zero whose only purpose is to route the
+                # gradient of every row back to the one cls_token.
+                cls = Tensor(cls.copy()) + (self.cls_token - self.cls_token.detach())
+                tokens = Tensor.concatenate([cls, tokens], axis=1)
+        tokens = tokens + (self.pos_embed.data if inference else self.pos_embed)
         for block in self.blocks:
             tokens = block(tokens)
         tokens = self.norm(tokens)
         if self.use_cls_token:
             pooled = tokens[:, 0]
         else:
-            pooled = tokens.mean(axis=1)
+            pooled = F.mean(tokens, axis=1)
         return self.head(pooled)
 
 

@@ -12,7 +12,10 @@ Each quantized layer goes through three phases:
    cached integer weights are reused, and the matrix multiplication is
    carried out on integer values (stored in float64 so NumPy uses BLAS; the
    arithmetic is exact because all operands are small integers), then
-   rescaled back to float.
+   rescaled back to float.  This phase has one kernel body per layer,
+   ``_quantized_forward``, from ``ndarray`` to ``ndarray``: ``forward`` hands
+   it a raw array as is (inference, see :mod:`repro.nn.module`) and unwraps /
+   rewraps a ``Tensor`` around it.
 
 The FlexiQ mixed-precision layers in :mod:`repro.core.runtime` subclass these
 and override only the integer kernel.
@@ -27,8 +30,15 @@ import numpy as np
 from repro.nn.layers import Conv2d, Linear
 from repro.nn.module import Module, Parameter
 from repro.quant.observers import EmaMinMaxObserver, MinMaxObserver, TensorRange
-from repro.quant.quantizers import QuantParams, compute_qparams, fake_quantize, quantize
-from repro.tensor import Tensor
+from repro.quant.quantizers import (
+    QuantParams,
+    compute_qparams,
+    dequantize,
+    fake_quantize,
+    quantize,
+    quantize_cast,
+)
+from repro.tensor import Tensor, TensorOrArray, functional as F
 from repro.tensor.functional import col2im, im2col_cast
 
 
@@ -75,7 +85,7 @@ class QuantizedLayer(Module):
     def _observe_input(self, x: np.ndarray) -> None:
         raise NotImplementedError
 
-    def _quantized_forward(self, x: Tensor) -> Tensor:
+    def _quantized_forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     # -- calibration ----------------------------------------------------
@@ -145,7 +155,11 @@ class QuantizedLayer(Module):
         """Hook for subclasses holding derived state (prepared kernels)."""
 
     # -- inference ------------------------------------------------------
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
+        inference = isinstance(x, np.ndarray)
+        if inference and (self.calibrating or self.qat_bits is not None):
+            # The float and fake-quantized phases exist for their graph.
+            x, inference = Tensor(x), False
         if self.calibrating:
             self._observe_input(x.data)
             return self._float_forward(x)
@@ -153,7 +167,9 @@ class QuantizedLayer(Module):
             raise RuntimeError("freeze() must be called before quantized inference")
         if self.qat_bits is not None:
             return self.qat_forward(x, weight_bits=self.qat_bits, act_bits=self.qat_bits)
-        return self._quantized_forward(x)
+        if inference:
+            return self._quantized_forward(x)
+        return Tensor(self._quantized_forward(x.data))
 
     def reset_calibration(self) -> None:
         """Discard observer state and re-enter calibration mode.
@@ -216,6 +232,8 @@ class QuantizedLayer(Module):
 class QuantLinear(QuantizedLayer):
     """Uniform symmetric quantized fully connected layer."""
 
+    ndarray_forward = True
+
     def __init__(self, source: Linear, weight_bits: int = 8, act_bits: int = 8) -> None:
         super().__init__(weight_bits, act_bits)
         self.in_features = source.in_features
@@ -250,14 +268,12 @@ class QuantLinear(QuantizedLayer):
             out = out + self.bias
         return out
 
-    def _quantized_forward(self, x: Tensor) -> Tensor:
-        q_x = quantize(x.data, self.act_qparams).astype(np.float64)
-        acc = q_x @ self._gemm_weight_t()
-        scale = self.act_qparams.scale * self.weight_qparams.scale  # (out,)
-        out = acc * scale.reshape((1,) * (acc.ndim - 1) + (-1,))
+    def _quantized_forward(self, x: np.ndarray) -> np.ndarray:
+        acc = quantize_cast(x, self.act_qparams) @ self._gemm_weight_t()
+        acc *= self.act_qparams.scale * self.weight_qparams.scale  # (out,)
         if self.bias is not None:
-            out = out + self.bias.data
-        return Tensor(out.astype(np.float32))
+            acc += self.bias.data
+        return acc.astype(np.float32)
 
     def __repr__(self) -> str:
         return (
@@ -268,6 +284,8 @@ class QuantLinear(QuantizedLayer):
 
 class QuantConv2d(QuantizedLayer):
     """Uniform symmetric quantized 2D convolution (via im2col GEMM)."""
+
+    ndarray_forward = True
 
     def __init__(self, source: Conv2d, weight_bits: int = 8, act_bits: int = 8) -> None:
         super().__init__(weight_bits, act_bits)
@@ -316,8 +334,6 @@ class QuantConv2d(QuantizedLayer):
         self.act_channel_observer.observe(per_channel)
 
     def _float_forward(self, x: Tensor) -> Tensor:
-        from repro.tensor import functional as F
-
         weight = Tensor(self.weight.data)
         bias = Tensor(self.bias.data) if self.bias is not None else None
         return F.conv2d(
@@ -325,14 +341,12 @@ class QuantConv2d(QuantizedLayer):
         )
 
     def _apply(self, x: Tensor, weight: Tensor) -> Tensor:
-        from repro.tensor import functional as F
-
         return F.conv2d(
             x, weight, self.bias, stride=self.stride, padding=self.padding,
             groups=self.groups,
         )
 
-    def _quantized_forward(self, x: Tensor) -> Tensor:
+    def _quantized_forward(self, x: np.ndarray) -> np.ndarray:
         if self.groups != 1:
             return self._simulated_quantized_forward(x)
         n = x.shape[0]
@@ -341,17 +355,18 @@ class QuantConv2d(QuantizedLayer):
         # quantizing the columns); zero padding maps to quantized zero, so
         # this commutes with im2col.  The gather doubles as the cast to the
         # float64 GEMM dtype.
-        q_img = quantize(x.data, self.act_qparams)
+        q_img = quantize_cast(x, self.act_qparams, np.float32)
         q_cols, (out_h, out_w) = im2col_cast(q_img, (k, k), self.stride, self.padding)
         acc = q_cols @ self._gemm_weight_t()  # (N, P, out)
-        scale = self.act_qparams.scale * self.weight_qparams.scale
-        out = acc * scale.reshape(1, 1, -1)
+        acc *= self.act_qparams.scale * self.weight_qparams.scale
         if self.bias is not None:
-            out = out + self.bias.data.reshape(1, 1, -1)
-        out = out.transpose(0, 2, 1).reshape(n, self.out_channels, out_h, out_w)
-        return Tensor(out.astype(np.float32))
+            acc += self.bias.data
+        # Fused transpose + downcast: astype(order="C") gathers the
+        # (N, out, P) layout and converts in a single pass.
+        out = acc.transpose(0, 2, 1).astype(np.float32, order="C")
+        return out.reshape(n, self.out_channels, out_h, out_w)
 
-    def _simulated_quantized_forward(self, x: Tensor) -> Tensor:
+    def _simulated_quantized_forward(self, x: np.ndarray) -> np.ndarray:
         """Quantize-dequantize both operands and convolve in float.
 
         For symmetric quantization this is numerically equivalent to the
@@ -359,16 +374,13 @@ class QuantConv2d(QuantizedLayer):
         S_x S_w (q_x q_w)``); it is used for grouped/depthwise convolutions
         where the im2col integer path would be needlessly slow.
         """
-        from repro.quant.quantizers import dequantize
-        from repro.tensor import functional as F
-
-        dq_x = dequantize(quantize(x.data, self.act_qparams), self.act_qparams)
+        dq_x = dequantize(quantize(x, self.act_qparams), self.act_qparams)
         dq_w = dequantize(self.quantized_weight(), self.weight_qparams)
         bias = Tensor(self.bias.data) if self.bias is not None else None
         return F.conv2d(
             Tensor(dq_x), Tensor(dq_w), bias,
             stride=self.stride, padding=self.padding, groups=self.groups,
-        )
+        ).data
 
     def __repr__(self) -> str:
         return (

@@ -74,6 +74,18 @@ def quantize(values: np.ndarray, qparams: QuantParams) -> np.ndarray:
     return np.clip(q, qparams.qmin, qparams.qmax).astype(np.int32)
 
 
+def quantize_unclipped(values: np.ndarray, qparams: QuantParams) -> np.ndarray:
+    """``rint(values / scale)`` as a fresh float32 array, *not* clipped.
+
+    The first half of :func:`quantize`, for callers that merge the clip into
+    a later pass (:meth:`repro.core.prepared.PreparedKernel.lower`).
+    """
+    values = np.asarray(values, dtype=np.float32)
+    q = values / qparams.broadcast_scale(values.ndim)
+    np.rint(q, out=q)
+    return q
+
+
 def quantize_cast(
     values: np.ndarray, qparams: QuantParams, dtype=np.float64
 ) -> np.ndarray:
@@ -83,14 +95,12 @@ def quantize_cast(
     while remaining bit-exact with it: the division and rounding happen in
     float32 exactly as in :func:`quantize`, and the rounded, clipped values
     are small integers representable exactly in every float dtype.  Used by
-    the prepared-kernel hot path, which quantizes activations on every
+    the uniform quantized kernels, which quantize activations on every
     forward but must never pay avoidable extra passes.
     """
-    values = np.asarray(values, dtype=np.float32)
-    scale = qparams.broadcast_scale(values.ndim)
-    q = values / scale
-    np.round(q, out=q)
-    np.clip(q, qparams.qmin, qparams.qmax, out=q)
+    q = quantize_unclipped(values, qparams)
+    np.maximum(q, qparams.qmin, out=q)
+    np.minimum(q, qparams.qmax, out=q)
     if dtype == np.float32:
         return q
     return q.astype(dtype)

@@ -92,8 +92,17 @@ class RuntimeExecutor:
                 raise ValueError(
                     "request has no payload and RuntimeExecutor has no default_input"
                 )
-            samples.append(np.asarray(payload, dtype=np.float32))
-        return np.stack(samples, axis=0)
+            shape = np.shape(payload)
+            if not samples:
+                first_shape = shape
+            elif shape != first_shape:
+                raise ValueError(
+                    f"payload at batch position {position} has shape {shape}, "
+                    f"but position 0 has shape {first_shape}; "
+                    "a batch is stacked into one array"
+                )
+            samples.append(payload)
+        return np.asarray(samples, dtype=np.float32)
 
     def execute(self, batch: Batch, mode: str, ratio: float) -> BatchExecution:
         if mode == "int8":

@@ -4,6 +4,12 @@ Convolution is implemented with the classic im2col/col2im transformation so
 both the forward and backward passes are expressed as matrix multiplies --
 the same structure the quantized kernels in :mod:`repro.hardware.kernels`
 use, which keeps the float and integer paths directly comparable.
+
+The pooling, activation and normalisation helpers also accept a raw float32
+``np.ndarray`` (the inference rule of :mod:`repro.nn.module`): they then run
+the *same per-element operations in the same order* as the ``Tensor`` branch
+-- so the result is bit-identical -- but on temporaries updated in place,
+with no graph, and return an ``ndarray``.  The input array is never written.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, TensorOrArray
 
 
 # ----------------------------------------------------------------------
@@ -189,16 +195,28 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 # ----------------------------------------------------------------------
 # Pooling
 # ----------------------------------------------------------------------
-def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
+def mean(x: TensorOrArray, axis, keepdims: bool = False) -> TensorOrArray:
+    """:meth:`Tensor.mean` for a tensor or an array: sum times ``1 / count``."""
+    if isinstance(x, Tensor):
+        return x.mean(axis=axis, keepdims=keepdims)
+    out = x.sum(axis=axis, keepdims=keepdims)
+    out *= np.float32(1.0 / (x.size // out.size))
+    return out
+
+
+def avg_pool2d(
+    x: TensorOrArray, kernel: int, stride: Optional[int] = None
+) -> TensorOrArray:
     """Average pooling with square window."""
     stride = stride or kernel
-    n, c, h, w = x.shape
+    data = x if isinstance(x, np.ndarray) else x.data
+    n, c, h, w = data.shape
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
-    cols, _ = im2col(
-        x.data.reshape(n * c, 1, h, w), (kernel, kernel), stride, 0
-    )
+    cols, _ = im2col(data.reshape(n * c, 1, h, w), (kernel, kernel), stride, 0)
     out = cols.mean(axis=2).reshape(n, c, out_h, out_w)
+    if data is x:
+        return out
 
     def backward(grad: np.ndarray):
         grad_cols = np.repeat(
@@ -210,21 +228,26 @@ def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     return Tensor._make(out, (x,), backward)
 
 
-def global_avg_pool2d(x: Tensor) -> Tensor:
+def global_avg_pool2d(x: TensorOrArray) -> TensorOrArray:
     """Pool each (H, W) plane down to a single value: (N, C, H, W) -> (N, C)."""
-    return x.mean(axis=(2, 3))
+    return mean(x, axis=(2, 3))
 
 
-def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
+def max_pool2d(
+    x: TensorOrArray, kernel: int, stride: Optional[int] = None
+) -> TensorOrArray:
     """Max pooling with square window."""
     stride = stride or kernel
-    n, c, h, w = x.shape
+    data = x if isinstance(x, np.ndarray) else x.data
+    n, c, h, w = data.shape
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
-    cols, _ = im2col(x.data.reshape(n * c, 1, h, w), (kernel, kernel), stride, 0)
+    cols, _ = im2col(data.reshape(n * c, 1, h, w), (kernel, kernel), stride, 0)
     argmax = cols.argmax(axis=2)
     out = np.take_along_axis(cols, argmax[:, :, None], axis=2)[:, :, 0]
     out = out.reshape(n, c, out_h, out_w)
+    if data is x:
+        return out
 
     def backward(grad: np.ndarray):
         grad_cols = np.zeros_like(cols)
@@ -241,14 +264,29 @@ def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
 # ----------------------------------------------------------------------
 # Activations and normalisation helpers
 # ----------------------------------------------------------------------
-def relu(x: Tensor) -> Tensor:
+def relu(x: TensorOrArray) -> TensorOrArray:
+    if isinstance(x, np.ndarray):
+        return x * (x > 0)
     return x.relu()
 
 
-def gelu(x: Tensor) -> Tensor:
+_GELU_C = float(np.sqrt(2.0 / np.pi))
+
+
+def gelu(x: TensorOrArray) -> TensorOrArray:
     """GELU with the tanh approximation used by most vision transformers."""
-    c = float(np.sqrt(2.0 / np.pi))
-    inner = (x + x * x * x * 0.044715) * c
+    if isinstance(x, np.ndarray):
+        inner = x * x
+        inner *= x
+        inner *= np.float32(0.044715)
+        inner += x
+        inner *= np.float32(_GELU_C)
+        np.tanh(inner, out=inner)
+        inner += np.float32(1.0)
+        out = x * np.float32(0.5)
+        out *= inner
+        return out
+    inner = (x + x * x * x * 0.044715) * _GELU_C
     return x * 0.5 * (inner.tanh() + 1.0)
 
 
@@ -256,11 +294,18 @@ def silu(x: Tensor) -> Tensor:
     return x * x.sigmoid()
 
 
-def relu6(x: Tensor) -> Tensor:
+def relu6(x: TensorOrArray) -> TensorOrArray:
+    if isinstance(x, np.ndarray):
+        return np.clip(x, 0.0, 6.0)
     return x.clip(0.0, 6.0)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
+def softmax(x: TensorOrArray, axis: int = -1) -> TensorOrArray:
+    if isinstance(x, np.ndarray):
+        out = x - x.max(axis=axis, keepdims=True)
+        np.exp(out, out=out)
+        out /= out.sum(axis=axis, keepdims=True)
+        return out
     shifted = x - x.max(axis=axis, keepdims=True).detach()
     exp = shifted.exp()
     return exp / exp.sum(axis=axis, keepdims=True)
@@ -272,9 +317,22 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(
-    x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5
-) -> Tensor:
+    x: TensorOrArray, weight: Tensor, bias: Tensor, eps: float = 1e-5
+) -> TensorOrArray:
     """Layer normalisation over the last dimension."""
+    if isinstance(x, np.ndarray):
+        inv_count = np.float32(1.0 / x.shape[-1])
+        mu = x.sum(axis=-1, keepdims=True)
+        mu *= inv_count
+        out = x - mu
+        var = (out * out).sum(axis=-1, keepdims=True)
+        var *= inv_count
+        var += np.float32(eps)
+        np.sqrt(var, out=var)
+        out /= var
+        out *= weight.data
+        out += bias.data
+        return out
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     normalized = (x - mean) / (var + eps).sqrt()

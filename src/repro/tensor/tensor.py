@@ -17,6 +17,9 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
+#: What an inference-capable forward takes and returns: a ``Tensor`` (autograd)
+#: or a raw float32 array (inference, see :mod:`repro.nn.module`).
+TensorOrArray = Union["Tensor", np.ndarray]
 
 _GRAD_ENABLED = True
 
@@ -365,29 +368,26 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        data = self.data * mask
+        data = self.data * (self.data > 0)
 
         def backward(grad: np.ndarray):
-            return (grad * mask,)
+            return (grad * (self.data > 0),)
 
         return Tensor._make(data, (self,), backward)
 
     def clip(self, low: float, high: float) -> "Tensor":
         data = np.clip(self.data, low, high)
-        mask = (self.data >= low) & (self.data <= high)
 
         def backward(grad: np.ndarray):
-            return (grad * mask,)
+            return (grad * ((self.data >= low) & (self.data <= high)),)
 
         return Tensor._make(data, (self,), backward)
 
     def abs(self) -> "Tensor":
         data = np.abs(self.data)
-        sign = np.sign(self.data)
 
         def backward(grad: np.ndarray):
-            return (grad * sign,)
+            return (grad * np.sign(self.data),)
 
         return Tensor._make(data, (self,), backward)
 

@@ -284,3 +284,22 @@ class TestPreparedKernelInternals:
             layer.set_boundary(boundary)
             layer(Tensor(data[:2]))
         assert len(prepared._boundary_planes) <= _MAX_BOUNDARY_PLANES
+
+    def test_merged_clip_is_refused_when_it_would_not_be_exact(self):
+        """Rebinding the activation quantizer to 4 bits (as the uniform-INT4
+        analysis does) leaves the 8-bit plane exact; lowering with the 8-bit
+        plan's shifts is refused, never silently inexact."""
+        layer, data = calibrated_linear()
+        plan = plan_for(layer)
+        assert plan.act_shift.max() > 0
+        layer.configure(shuffled_layout(16), plan, group_size=4)
+        layer.act_qparams = layer.act_qparams.with_bits(4)
+        x = Tensor(data[:8])
+        layer.set_boundary(0)
+        fast = layer(x).data
+        layer.use_prepared = False
+        np.testing.assert_array_equal(fast, layer(x).data)
+        layer.use_prepared = True
+        layer.set_boundary(16)
+        with pytest.raises(ValueError, match="merged clip"):
+            layer(x)

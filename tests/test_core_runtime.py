@@ -244,3 +244,121 @@ class TestFlexiQModelWrapper:
             assert out.shape == (4, 4)
             assert np.isfinite(out.data).all()
         flexiq_runtime.set_ratio(0.0)
+
+
+# ----------------------------------------------------------------------
+# Inference on raw arrays: ndarray path == Tensor path == uncached reference
+# ----------------------------------------------------------------------
+def _grouped_conv_net():
+    """A small tree whose first layer is a grouped convolution (it stays at
+    8 bits and runs the uniform kernel, which wraps ``F.conv2d``)."""
+    from repro.nn.layers import (
+        AvgPool2d, BatchNorm2d, Flatten, GlobalAvgPool2d, MaxPool2d, ReLU6,
+    )
+    from repro.nn.module import Sequential
+
+    rng = np.random.default_rng(0)
+    return Sequential(
+        Conv2d(3, 6, 3, padding=1, groups=3, rng=rng), BatchNorm2d(6), ReLU6(),
+        Conv2d(6, 8, 3, padding=1, rng=rng), MaxPool2d(2), ReLU6(),
+        Conv2d(8, 8, 3, padding=1, bias=False, rng=rng), AvgPool2d(2),
+        GlobalAvgPool2d(), Flatten(), Linear(8, 10, rng=rng),
+    )
+
+
+@pytest.fixture(scope="module")
+def zoo_runtimes():
+    """name -> (runtime, test images), built once per name on first use."""
+    from repro.core import FlexiQConfig, FlexiQPipeline
+    from repro.core.selection import SelectionConfig
+    from repro.nn.registry import build_model
+    from repro.train.pretrain import get_dataset_for
+
+    class _Zoo(dict):
+        def __missing__(self, name):
+            grouped = name == "grouped_conv"
+            dataset = get_dataset_for("resnet18" if grouped else name)
+            model = _grouped_conv_net() if grouped else build_model(name, seed=0)
+            runtime = FlexiQPipeline(
+                model.eval(),
+                dataset.train_images[:32],
+                FlexiQConfig(
+                    ratios=(0.25, 0.5, 1.0), group_size=4, selection="greedy",
+                    selection_config=SelectionConfig(group_size=4),
+                ),
+            ).run()
+            self[name] = runtime, dataset.test_images
+            return self[name]
+
+    return _Zoo()
+
+
+class TestNdarrayInference:
+    #: (model, whether the whole tree takes a raw array)
+    MODELS = [
+        ("resnet18", True),
+        ("vit_small", True),
+        ("grouped_conv", True),
+        ("swin_small", False),  # _roll and PatchMerging need a Tensor: fall back
+    ]
+
+    @pytest.mark.parametrize("dynamic", [False, True])
+    @pytest.mark.parametrize("name,ndarray_tree", MODELS)
+    def test_parity_matrix(self, zoo_runtimes, name, ndarray_tree, dynamic):
+        runtime, images = zoo_runtimes[name]
+        assert runtime._ndarray_tree is ndarray_tree
+        runtime.set_dynamic_extraction(dynamic)
+        try:
+            for ratio in runtime.available_ratios:
+                for batch in (1, 8):
+                    x = images[:batch]
+                    runtime.prepare(use_prepared=True)
+                    served, _ = runtime.forward_batch(x, ratio=ratio)
+                    graphed, _ = runtime.forward_batch(Tensor(x), ratio=ratio)
+                    runtime.prepare(use_prepared=False)
+                    reference = runtime(Tensor(x))
+                    assert isinstance(served, Tensor) and served.shape[0] == batch
+                    where = f"{name} ratio={ratio} batch={batch} dynamic={dynamic}"
+                    assert np.array_equal(served.data, graphed.data), where
+                    assert np.array_equal(served.data, reference.data), where
+        finally:
+            runtime.set_dynamic_extraction(False)
+            runtime.prepare(use_prepared=True)
+            runtime.set_ratio(0.0)
+
+    @pytest.mark.parametrize("name", ["vit_small", "resnet18"])
+    def test_served_forward_builds_no_intermediate_tensor(
+        self, zoo_runtimes, name, monkeypatch
+    ):
+        from repro.core.prepared import PreparedKernel
+
+        runtime, images = zoo_runtimes[name]
+        runtime.prepare(use_prepared=True)
+        for ratio in runtime.available_ratios:  # warm caches at every boundary
+            runtime.forward_batch(images[:2], ratio=ratio)
+
+        constructed = []
+        original = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            constructed.append(1)
+            original(self, *args, **kwargs)
+
+        builds = (PreparedKernel.build_count, PreparedKernel.plane_build_count)
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        for batch in (1, 8):
+            for ratio in runtime.available_ratios:
+                del constructed[:]
+                output, _ = runtime.forward_batch(images[:batch], ratio=ratio)
+                assert len(constructed) == 1  # the output wrap, nothing else
+                assert type(output) is Tensor and output.dtype == np.float32
+        monkeypatch.undo()
+        assert builds == (PreparedKernel.build_count, PreparedKernel.plane_build_count)
+        runtime.set_ratio(0.0)
+
+    def test_empty_batch_is_rejected(self, zoo_runtimes):
+        runtime, images = zoo_runtimes["vit_small"]
+        with pytest.raises(ValueError, match="empty batch"):
+            runtime.forward_batch(images[:0], ratio=0.0)
+        with pytest.raises(ValueError, match="empty batch"):
+            runtime.forward_batch(Tensor(images[:0]))

@@ -14,6 +14,8 @@ from repro.nn.attention import (
     _roll,
 )
 from repro.nn.llm import causal_mask
+from repro.nn.vit import PatchEmbedding, VisionTransformer
+from repro.quant.qmodel import quantize_model
 from repro.tensor import Tensor, no_grad
 
 
@@ -114,3 +116,62 @@ class TestWindowAttention:
         rolled.backward(grad)
         assert x.grad[0, 3, 0, 0] == 1.0
         assert x.grad.sum() == 1.0
+
+
+class TestNdarrayForward:
+    """ndarray in => inference, Tensor in => autograd (repro.nn.module).
+
+    The containers are type-agnostic once their projections accept arrays,
+    which the quantized layers do; the float module stays the autograd
+    reference.
+    """
+
+    CASES = {
+        "attention": (lambda rng: MultiHeadAttention(16, 4, rng=rng), {}),
+        "attention_masked": (
+            lambda rng: MultiHeadAttention(16, 4, rng=rng), {"mask": causal_mask(8)}
+        ),
+        "mlp": (lambda rng: MLP(16, 32, rng=rng), {}),
+        "block": (lambda rng: TransformerBlock(16, 4, rng=rng), {}),
+        "block_masked": (
+            lambda rng: TransformerBlock(16, 4, rng=rng), {"mask": causal_mask(8)}
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_array_in_array_out_equals_tensor_path(self, name):
+        factory, kwargs = self.CASES[name]
+        float_module = factory(np.random.default_rng(0)).eval()
+        x = tokens().data
+        quantized = quantize_model(
+            float_module, calibration_batches=[x],
+            forward_fn=lambda m, batch: m(Tensor(batch), **kwargs),
+        )
+        assert quantized.ndarray_forward
+        out = quantized(x, **kwargs)
+        reference = quantized(Tensor(x), **kwargs)
+        assert type(out) is np.ndarray and out.dtype == np.float32
+        assert np.array_equal(out, reference.data)
+
+        graphed = Tensor(x, requires_grad=True)
+        float_module(graphed, **kwargs).sum().backward()
+        assert graphed.grad is not None
+        assert all(p.grad is not None for p in float_module.parameters())
+
+    @pytest.mark.parametrize("use_cls_token", [True, False])
+    def test_vision_transformer(self, use_cls_token):
+        vit = VisionTransformer(
+            image_size=8, patch_size=4, embed_dim=16, depth=1, num_heads=2,
+            num_classes=5, use_cls_token=use_cls_token,
+            rng=np.random.default_rng(0),
+        ).eval()
+        x = np.random.default_rng(1).normal(size=(3, 3, 8, 8)).astype(np.float32)
+        quantized = quantize_model(vit, calibration_batches=[x])
+        for module in (quantized, quantized.patch_embed):
+            out = module(x)
+            assert type(out) is np.ndarray and out.dtype == np.float32
+            assert np.array_equal(out, module(Tensor(x)).data)
+        assert isinstance(quantized.patch_embed, PatchEmbedding)
+
+        vit(Tensor(x)).sum().backward()
+        assert all(p.grad is not None for p in vit.parameters())

@@ -20,6 +20,9 @@ from repro.nn.layers import (
     ReLU,
     ReLU6,
 )
+from repro.nn.module import Sequential
+from repro.nn.resnet import BasicBlock, BottleneckBlock
+from repro.quant.qmodel import quantize_model
 from repro.tensor import Tensor
 
 
@@ -158,3 +161,102 @@ class TestSimpleLayers:
     def test_dropout_invalid_probability(self):
         with pytest.raises(ValueError):
             Dropout(1.5)
+
+
+# ----------------------------------------------------------------------
+# ndarray in => inference, Tensor in => autograd (repro.nn.module)
+# ----------------------------------------------------------------------
+def _eval_batchnorm():
+    bn = BatchNorm2d(3)
+    rng = np.random.default_rng(3)
+    bn.update_buffer("running_mean", rng.normal(size=3).astype(np.float32))
+    bn.update_buffer("running_var", rng.uniform(0.5, 2.0, size=3).astype(np.float32))
+    bn.weight.data[:] = rng.normal(size=3)
+    bn.bias.data[:] = rng.normal(size=3)
+    return bn.eval()
+
+
+def _layernorm():
+    ln = LayerNorm(6)
+    rng = np.random.default_rng(4)
+    ln.weight.data[:] = rng.normal(size=6)
+    ln.bias.data[:] = rng.normal(size=6)
+    return ln
+
+
+IMAGE, TOKENS = (2, 3, 6, 6), (2, 5, 6)
+
+#: (module factory, input shape) for every leaf with an ndarray branch.
+NDARRAY_LEAVES = {
+    "batchnorm_eval": (_eval_batchnorm, IMAGE),
+    "layernorm": (_layernorm, TOKENS),
+    "relu": (ReLU, IMAGE),
+    "relu6": (ReLU6, IMAGE),
+    "gelu": (GELU, TOKENS),
+    "identity": (Identity, TOKENS),
+    "flatten": (Flatten, IMAGE),
+    "global_avg_pool": (GlobalAvgPool2d, IMAGE),
+    "avg_pool": (lambda: AvgPool2d(2), IMAGE),
+    "max_pool": (lambda: MaxPool2d(3, stride=2), IMAGE),
+    "dropout_eval": (lambda: Dropout(0.5).eval(), TOKENS),
+    "sequential": (
+        lambda: Sequential(_eval_batchnorm(), ReLU6(), MaxPool2d(2), Flatten()), IMAGE
+    ),
+}
+
+
+def _input(shape, seed=0):
+    # Wide enough to hit both sides of ReLU6's clip and GELU's tails.
+    return (np.random.default_rng(seed).normal(size=shape) * 4.0).astype(np.float32)
+
+
+class TestNdarrayForward:
+    @pytest.mark.parametrize("name", sorted(NDARRAY_LEAVES))
+    def test_array_in_array_out_equals_tensor_path(self, name):
+        factory, shape = NDARRAY_LEAVES[name]
+        module, x = factory(), _input(shape)
+        assert module.ndarray_forward
+        kept = x.copy()
+        out = module(x)
+        reference = module(Tensor(x))
+        assert type(out) is np.ndarray and type(reference) is Tensor
+        assert out.dtype == reference.data.dtype == np.float32
+        assert np.array_equal(out, reference.data)
+        assert np.array_equal(x, kept)  # the input is never written
+
+    @pytest.mark.parametrize("name", sorted(NDARRAY_LEAVES))
+    def test_tensor_requiring_grad_still_records_a_graph(self, name):
+        factory, shape = NDARRAY_LEAVES[name]
+        module, x = factory(), Tensor(_input(shape), requires_grad=True)
+        module(x).sum().backward()
+        assert x.grad is not None and x.grad.shape == x.shape
+        assert all(p.grad is not None for p in module.parameters())
+
+    def test_training_mode_hands_an_array_to_autograd(self):
+        """Batch statistics and dropout masks belong to the autograd path: a
+        training-mode module given an array answers with a Tensor."""
+        x = _input(IMAGE)
+        bn = BatchNorm2d(3).train()
+        out = bn(x)
+        assert type(out) is Tensor
+        assert np.array_equal(out.data, BatchNorm2d(3).train()(Tensor(x)).data)
+        assert type(Dropout(0.5).train()(x)) is Tensor
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            lambda rng: BasicBlock(3, 3, rng=rng),
+            lambda rng: BasicBlock(3, 8, stride=2, rng=rng),
+            lambda rng: BottleneckBlock(3, 2, stride=2, rng=rng),
+        ],
+    )
+    def test_resnet_blocks_are_type_agnostic(self, block):
+        float_block = block(np.random.default_rng(0)).eval()
+        x = _input(IMAGE)
+        quantized = quantize_model(float_block, calibration_batches=[x])
+        out = quantized(x)
+        assert type(out) is np.ndarray
+        assert np.array_equal(out, quantized(Tensor(x)).data)
+        # The float block is the autograd reference and still differentiates.
+        float_block(Tensor(x, requires_grad=True)).sum().backward()
+        assert all(p.grad is not None for p in float_block.parameters())

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bit_extraction import extraction_shift
+from repro.core.bit_extraction import extraction_shift, lower_bits
 from repro.core.layout import ChannelLayout, build_layout_plan
+from repro.core.prepared import PreparedKernel
 from repro.core.selection import SelectionConfig, greedy_selection, random_selection
 from repro.hardware.kernels import (
     MixedPrecisionGemm,
     mixed_gemm_reference,
     uniform_gemm_reference,
 )
+from repro.quant.quantizers import QuantParams, quantize, quantize_unclipped
 from tests.test_core_selection import make_scores
 
 
@@ -78,6 +80,60 @@ class TestMixedGemmProperties:
                 + step[c] ** 2
             )
         assert (np.abs(exact - mixed) <= bound + 1e-6).all()
+
+
+class TestMergedClipLowering:
+    #: Values well inside, at the edges of, and far outside the int8 range
+    #: (in units of the scale), rounding ties and both infinities.
+    VALUES = st.one_of(
+        st.floats(-300.0, 300.0, width=32),
+        st.floats(-(2.0 ** 100), 2.0 ** 100, width=32),
+        st.integers(-260, 260).map(lambda k: k / 2.0),
+        st.sampled_from([np.inf, -np.inf, 127.5, -128.5, 128.0, -129.0]),
+    )
+
+    @given(
+        values=st.lists(VALUES, min_size=8, max_size=8),
+        shifts=st.lists(st.integers(0, 4), min_size=8, max_size=8),
+        boundary=st.integers(0, 8),
+        seed=st.integers(0, 100),
+        taps=st.sampled_from([1, 4]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lower_equals_clip_then_lower_bits(self, values, shifts, boundary, seed, taps):
+        """PreparedKernel.lower on unclipped float32 roundings == the reference
+        ``lower_bits(clip(round(x / scale)))`` on the 4-bit prefix and the plain
+        clip elsewhere, in the column and in the image domain."""
+        rng = np.random.default_rng(seed)
+        channels = len(shifts)
+        order = rng.permutation(channels)
+        act_shift = np.asarray(shifts)
+        qparams = QuantParams(np.float32(0.5), 8)
+        planes = np.zeros((channels * taps, 1))
+        kernel = PreparedKernel(
+            order=order, w8_t=planes, w4_t=planes, act_shift=act_shift, taps=taps,
+            group_size=1, high_bits=8, low_bits=4, weight_src=None,
+            act_qparams_src=qparams,
+        )
+        # One row per rotation, so every value meets every channel's shift.
+        rows = np.stack([np.roll(values, k) for k in range(channels)])
+        x = (rows * qparams.scale).astype(np.float32)
+
+        expected = quantize(x, qparams)
+        prefix = order[:boundary]
+        expected[:, prefix] = lower_bits(expected[:, prefix], act_shift[prefix], 4)
+
+        if taps == 1:
+            q = quantize_unclipped(x, qparams)
+            kernel.lower(q, boundary)
+        else:  # an (N, C, 2, 2) image whose every pixel of a channel agrees
+            x = np.broadcast_to(x[:, :, None, None], x.shape + (2, 2))
+            q = quantize_unclipped(x, qparams)
+            kernel.lower(q, boundary, image=True)
+            assert (q == q[:, :, :1, :1]).all()
+            q = q[:, :, 0, 0]
+        assert q.dtype == np.float32
+        np.testing.assert_array_equal(q, expected)
 
 
 class TestSelectionLayoutProperties:

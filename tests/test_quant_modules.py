@@ -142,9 +142,9 @@ class TestQuantConv2d:
     def test_integer_path_equals_simulated_path(self):
         """The explicit integer GEMM and quantize-dequantize float conv agree."""
         _, qlayer, data = self._calibrated()
-        x = Tensor(data[:4])
-        integer = qlayer._quantized_forward(x).data
-        simulated = qlayer._simulated_quantized_forward(x).data
+        x = data[:4]  # the kernel bodies run from ndarray to ndarray
+        integer = qlayer._quantized_forward(x)
+        simulated = qlayer._simulated_quantized_forward(x)
         np.testing.assert_allclose(integer, simulated, atol=1e-3, rtol=1e-3)
 
     def test_depthwise_conv_supported(self):
@@ -162,6 +162,32 @@ class TestQuantConv2d:
     def test_feature_channels(self):
         _, qlayer, _ = self._calibrated()
         assert qlayer.feature_channels == 4
+
+
+class TestNdarrayForward:
+    """ndarray in => inference, Tensor in => autograd (repro.nn.module)."""
+
+    @pytest.mark.parametrize("groups", [1, 4])
+    def test_frozen_layers_serve_arrays(self, groups):
+        _, qlinear, rows = calibrated_qlinear()
+        _, qconv, images = TestQuantConv2d()._calibrated(groups=groups)
+        for layer, x in ((qlinear, rows[:4]), (qconv, images[:4])):
+            out = layer(x)
+            assert type(out) is np.ndarray and out.dtype == np.float32
+            assert np.array_equal(out, layer(Tensor(x)).data)
+
+    def test_calibration_and_qat_phases_take_the_autograd_path(self):
+        source = make_linear()
+        qlayer = QuantLinear(source)
+        x = np.random.default_rng(0).normal(size=(4, 16)).astype(np.float32)
+        assert type(qlayer(x)) is Tensor  # calibrating: observed, float forward
+        assert qlayer.act_observer.initialized
+        qlayer.freeze()
+        qlayer.qat_bits = 4
+        out = qlayer(x)
+        assert type(out) is Tensor
+        out.sum().backward()
+        assert qlayer.weight.grad is not None
 
 
 class SmallNet:

@@ -25,6 +25,7 @@ from repro.core.prepared import PreparedKernel
 from repro.data.traces import FluctuatingTrace, PoissonTrace, RequestTrace
 from repro.serving.adaptation import AdaptiveServingSimulator, _effective_accuracy
 from repro.serving.engine import (
+    Batch,
     BatchingConfig,
     Request,
     ServingEngine,
@@ -463,6 +464,35 @@ class TestRuntimeExecutor:
         engine.register("mlp", executor)
         with pytest.raises(ValueError):
             engine.run(requests=[Request(0.0, model="mlp")])
+
+    def test_mismatched_payload_shapes_name_the_position(self, flexiq_runtime, mlp_dataset):
+        image = mlp_dataset.test_images[0]
+        executor = RuntimeExecutor(flexiq_runtime, default_input=image)
+        engine = ServingEngine(BatchingConfig(max_batch=4))
+        engine.register("mlp", executor)
+        requests = [
+            Request(0.0, model="mlp", payload=image),
+            Request(0.0, model="mlp"),  # default_input: same shape
+            Request(0.0, model="mlp", payload=image[:, :-1]),
+        ]
+        with pytest.raises(ValueError) as raised:
+            engine.run(requests=requests)
+        message = str(raised.value)
+        assert "position 2" in message
+        assert str(image.shape) in message and str(image[:, :-1].shape) in message
+
+    def test_batch_is_stacked_and_cast_once(self, flexiq_runtime, mlp_dataset):
+        image = mlp_dataset.test_images[0]
+        executor = RuntimeExecutor(flexiq_runtime, default_input=image)
+        requests = [
+            Request(0.0, model="mlp", payload=image.astype(np.float64)),
+            Request(0.0, model="mlp", payload=image.tolist()),
+        ]
+        x = executor._batch_input(
+            Batch("mlp", 0.0, size=2, indices=np.arange(2), requests=requests)
+        )
+        assert x.dtype == np.float32 and x.shape == (2,) + image.shape
+        assert np.array_equal(x[0], image) and np.array_equal(x[1], image)
 
     def test_multi_model_registry_real_execution(
         self, flexiq_runtime, flexiq_conv_runtime, mlp_dataset, tiny_dataset
