@@ -1,85 +1,32 @@
 """Inference serving: one engine for modeled *and* real batched execution.
 
-The package is organised around :mod:`repro.serving.engine`:
+The public surface, by module (each module's own docstring has the detail,
+CHANGES.md the history):
 
-* :class:`~repro.serving.engine.ServingEngine` owns admission, batching
-  across ``num_servers`` shared accelerators (each with its own clock and,
-  optionally, its own executor), per-batch 4-bit-ratio selection and
-  metrics, with :class:`~repro.serving.engine.Request` /
-  :class:`~repro.serving.engine.Response` dataclasses as the
-  request/response surface and a multi-model registry (one endpoint per
-  model, batches never mix models).  Admission is incremental:
-  ``start()`` / ``submit()`` / ``step()`` / ``finish()`` stream requests
-  through a live engine, and ``run()`` is a thin batch driver over them.
-* **Columnar core** (:mod:`repro.serving.core`): the vectorized,
-  event-driven hot path — :class:`~repro.serving.core.RequestStore` keeps
-  request metadata as columns (``Request`` objects become lazy views),
-  :class:`~repro.serving.core.EventCalendar` orders the control plane's
-  typed events in O(log n), and the FIFO fast sweep +
-  streaming-percentile digests let a million-request day clear in
-  seconds, bit-identical to the object loop (see the gated
-  ``cluster_day`` benchmark).
-* **Schedulers** (:mod:`repro.serving.schedulers`) order the queue: FIFO
-  (the default, bit-identical to the seed simulator), strict priority, or
-  earliest-deadline-first for SLO-aware serving, driven by per-request
-  ``priority``/``deadline`` fields.
-* **Executors** (:mod:`repro.serving.executors`) decide what a batch costs:
-  :class:`~repro.serving.executors.ModeledExecutor` uses the analytic
-  :class:`~repro.serving.simulator.ServiceTimeModel` latency tables, while
-  :class:`~repro.serving.executors.RuntimeExecutor` runs real forwards
-  through a prepared :class:`~repro.core.runtime.FlexiQModel` and measures
-  wall-clock batch latencies — switching the 4-bit ratio per batch is an
-  O(1) variable update thanks to the prepared-kernel cache.
-* **Policies** (:mod:`repro.serving.policies`) pick the ratio per batch:
-  fixed, schedule-driven, round-robin, queue-depth-aware (via the
-  :class:`~repro.serving.policies.PolicyContext` signature), or the paper's
-  :class:`~repro.core.controller.AdaptiveRatioController` adapted through
-  :class:`~repro.serving.policies.AdaptiveRatioPolicy`.
-
-* **Resilience** (:mod:`repro.serving.resilience`): a fault-injection plane
-  (:class:`~repro.serving.resilience.FaultSchedule` of crash / slowdown /
-  recover :class:`~repro.serving.resilience.FaultEvent`\\ s applied at
-  window boundaries, per-server health in :class:`~repro.serving.cluster.
-  ServerSpec`, slowdowns through :class:`~repro.serving.resilience.
-  DegradableExecutor`), request **preemption & migration** (
-  :meth:`~repro.serving.engine.ServingEngine.preempt_server` rewinds a
-  failed server's unfinished batches; a :class:`~repro.serving.resilience.
-  MigrationPolicy` — requeue-at-head / redistribute-by-placer /
-  drop-if-past-deadline — requeues the victims through the scheduler with
-  explicit migration latency, counted in :attr:`~repro.serving.engine.
-  Response.migrations`), and **predictive placement**
-  (:class:`~repro.serving.placement.PredictivePlacer` forecasting per-server
-  capacity and congestion from telemetry windows instead of instantaneous
-  free clocks).  On top of it sit **failure domains** (zone/rack identity on
-  specs, :class:`~repro.serving.cluster.ClusterTopology`, domain-scoped
-  faults, :class:`~repro.serving.placement.SpreadPlacer`), **warm spares**
-  (:class:`~repro.serving.resilience.WarmSparePool` promoted on crashes
-  without provisioning lag), **predictive fault-aware autoscaling**
-  (:class:`~repro.serving.cluster.PredictiveFaultAutoscaler`) and
-  **partial-batch checkpointing**
-  (:class:`~repro.serving.resilience.StepCheckpoint` — migrants resume with
-  residual demand).
-
-* **Cluster control plane** (:mod:`repro.serving.placement`,
-  :mod:`repro.serving.telemetry`, :mod:`repro.serving.cluster`): pluggable
-  server **placement** (free-clock / least-outstanding-work /
-  weighted-by-speed / model-affinity) replacing the hard-coded argmin
-  dispatch, **heterogeneous server profiles** (:class:`~repro.serving.
-  cluster.ServerSpec` built from the GPU/NPU hardware models via
-  :func:`~repro.serving.cluster.gpu_server` / :func:`~repro.serving.cluster.
-  npu_server`), a windowed per-server **telemetry bus** policies consume
-  through :class:`~repro.serving.policies.PolicyContext` (enabling
-  :class:`~repro.serving.policies.PerServerAdaptiveRatioPolicy`), and
-  **elastic autoscaling** (:class:`~repro.serving.cluster.ClusterEngine`
-  with queue-depth / latency-SLO autoscalers applying hysteresis decisions
-  at window boundaries, recorded as scale events).
-
-The Figure 8 experiment (latency vs Poisson request rate) is a
-``ModeledExecutor`` + ``FixedRatioPolicy`` run; Figure 9 (fluctuating load
-with per-window adaptation) is ``ModeledExecutor`` + ``AdaptiveRatioPolicy``.
-:class:`~repro.serving.simulator.ServingSimulator` and
-:class:`~repro.serving.adaptation.AdaptiveServingSimulator` remain as thin,
-bit-identical compatibility wrappers running exactly those configurations.
+* :mod:`~repro.serving.engine` -- :class:`ServingEngine` (admission,
+  batching over ``num_servers`` clocks, per-batch ratio selection;
+  ``run()`` or ``start``/``submit``/``step``/``finish``),
+  :class:`Request`/:class:`Response`, :func:`requests_from_trace`.
+* :mod:`~repro.serving.core` -- columnar :class:`RequestStore`, typed
+  :class:`EventCalendar`, streaming percentile digests.
+* :mod:`~repro.serving.schedulers` -- queue order: FIFO, priority, EDF.
+* :mod:`~repro.serving.executors` -- what a batch costs:
+  :class:`ModeledExecutor` (analytic) or :class:`RuntimeExecutor` (real
+  prepared-kernel forwards).
+* :mod:`~repro.serving.policies` -- the 4-bit ratio per batch or per
+  generation step.
+* :mod:`~repro.serving.placement`, :mod:`~repro.serving.telemetry`,
+  :mod:`~repro.serving.cluster` -- server choice, windowed telemetry,
+  :class:`ClusterEngine` over heterogeneous :class:`ServerSpec` servers,
+  topology and autoscalers.
+* :mod:`~repro.serving.resilience` -- fault schedules, preemption and
+  migration policies, warm spares, step checkpoints.
+* :mod:`~repro.serving.generation` -- :class:`IterationScheduler`
+  (continuous batching), admission policies, generation backends,
+  :func:`run_to_completion`.
+* :mod:`~repro.serving.simulator`, :mod:`~repro.serving.adaptation` --
+  :class:`ServiceTimeModel` and the Figure 8/9 compatibility wrappers.
+* :mod:`~repro.serving.metrics` -- latency and token-stream summaries.
 """
 
 from repro.serving.core import (

@@ -18,6 +18,18 @@ and queued requests join it (continuous batching), under a pluggable
 * :class:`TokenBudgetAdmission` — cap the batch's token footprint
   (prompt + generated tokens per sequence), the KV-cache-bound regime.
 
+The iteration loop costs O(running batch + queue depth) per iteration,
+whatever the length of the trace.  A sequence that has not reached its
+ready time sits on an :class:`~repro.serving.core.EventCalendar`; each
+iteration pops the heads with ``time <= start`` into the *arrived queue*,
+which is kept sorted by :func:`~repro.serving.schedulers.admission_key`
+(computed once per entry) and handed to the admission policy as it stands.
+Joiners leave the queue, migrants go back on the calendar at their new
+ready time, and the next iteration is the earliest over the server clocks,
+the queue and the calendar head.  The specification this is tested against
+is the naive one: scan every waiting sequence, keep ``ready <= start``,
+sort (``tests/test_serving_generation.py``).
+
 Requests opt in through the :class:`~repro.serving.engine.Request`
 generation profile: ``prefill_tokens`` (prompt length) and
 ``max_new_tokens`` (tokens to generate, counting the one the prefill
@@ -56,8 +68,11 @@ removes (see ``examples/continuous_batching.py``).
 
 from __future__ import annotations
 
+import heapq
+import math
+from bisect import insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -163,10 +178,14 @@ class PrefillPriorityAdmission:
         running: Sequence[SequenceState],
         slots: int,
     ) -> Sequence[SequenceState]:
-        ranked = sorted(
-            range(len(waiting)), key=lambda i: (waiting[i].prompt_tokens, i)
+        if slots <= 0:
+            return []
+        ranked = heapq.nsmallest(
+            int(slots),
+            range(len(waiting)),
+            key=lambda i: (waiting[i].prompt_tokens, i),
         )
-        return [waiting[i] for i in ranked[: max(0, int(slots))]]
+        return [waiting[i] for i in ranked]
 
 
 class TokenBudgetAdmission:
@@ -388,6 +407,16 @@ class GenerationResult:
         return self.streaming((percentile,))[f"ttft_p{percentile:g}"]
 
 
+def _check_arrivals(requests: Sequence[Request]) -> None:
+    """Refuse a NaN/inf arrival: it sorts anywhere and is never ready."""
+    for index, request in enumerate(requests):
+        if not math.isfinite(request.arrival_time):
+            raise ValueError(
+                f"request {index} has a non-finite arrival_time "
+                f"({request.arrival_time!r})"
+            )
+
+
 # ----------------------------------------------------------------------
 # Session state
 # ----------------------------------------------------------------------
@@ -396,6 +425,7 @@ class _IterationUndo:
     """Exact inverse of one iteration (for preemption rewind)."""
 
     record: IterationRecord
+    free_at: float  # the server's clock before the iteration
     prefilled: List[Tuple[int, float]]  # (slot, prior prefill_progress)
     decoded: List[int]
     retired: List[int]
@@ -406,20 +436,39 @@ class _IterationUndo:
 
 
 class _GenSession:
-    """Mutable state of one generation run."""
+    """Mutable state of one generation run.
+
+    A sequence that is neither running nor finished is in exactly one of
+    two places:
+
+    * ``ready_events`` — the calendar of *future* sequences, one
+      ``ARRIVAL_CHUNK`` event each at the sequence's ready time (arrival
+      for a fresh request, ``time + delay + transfer`` for a migrant);
+    * ``arrived`` — the sequences an iteration start has reached, as
+      ``(admission_key, sequence)`` entries sorted in admission order.  The
+      key is computed once, when the sequence leaves the calendar, as the
+      engine's own queues do.
+
+    Each iteration drains the calendar heads with ``time <= start`` into
+    ``arrived`` and hands that queue to the admission policy, so one
+    iteration costs O(running batch + queue depth) whatever the length of
+    the trace.  Joiners leave ``arrived`` when they join.  A migrant was
+    running, so it is in neither place until ``preempt_server`` schedules
+    it at its new ready time: nothing is ever held twice and the calendar
+    has no stale entries.
+
+    ``preempt_server``/``activate_server`` can make an iteration start
+    *before* an earlier one, so ``arrived`` may hold entries with ``ready >
+    start``.  Readers compare ``ready`` with the start at hand instead of
+    assuming that every drained entry has arrived.
+    """
 
     def __init__(self, sequences: List[SequenceState], num_servers: int) -> None:
         self.sequences = sequences
-        self.waiting: Set[int] = {seq.slot for seq in sequences}
-        # Ready-ordered view of the waiting set, as ARRIVAL_CHUNK events.
-        # Entries are never removed in place: a slot that joined a batch
-        # (left ``waiting``) or migrated (new ``ready``) leaves its old
-        # entry stale, and readers discard any head entry whose payload no
-        # longer matches the live state (lazy deletion) — so the earliest
-        # ready time is an O(log n) peek instead of a full-queue scan.
         self.ready_events = EventCalendar()
         for seq in sequences:
-            self.ready_events.schedule(seq.ready, ARRIVAL_CHUNK, seq.slot)
+            self.ready_events.schedule(seq.ready, ARRIVAL_CHUNK, seq)
+        self.arrived: List[Tuple[Tuple, SequenceState]] = []
         self.running: List[List[int]] = [[] for _ in range(num_servers)]
         self.free_at: List[float] = [0.0] * num_servers
         self.busy: List[float] = [0.0] * num_servers
@@ -504,6 +553,7 @@ class IterationScheduler:
         """Open a generation session over ``requests`` (admitted up front)."""
         if self._session is not None:
             raise RuntimeError("a generation session is already open; finish() it")
+        _check_arrivals(requests)
         order = sorted(range(len(requests)), key=lambda i: requests[i].arrival_time)
         sequences = []
         for slot, index in enumerate(order):
@@ -616,6 +666,7 @@ class IterationScheduler:
             raise ValueError("delay must be >= 0")
 
         killed = 0
+        free_at = time
         # Iterations are sequential per server, so at most one is in
         # flight at ``time`` — the last one this server started.
         for index in range(len(s.iterations) - 1, -1, -1):
@@ -670,11 +721,11 @@ class IterationScheduler:
             del s.undo[index]
             s.iter_count[server] -= 1
             killed = 1
+            # The clock the killed iteration started from (every earlier
+            # iteration of this server finished by then).
+            free_at = max(time, undo.free_at)
             break
-        s.free_at[server] = max(
-            [time]
-            + [r.finish for r in s.iterations if r.server == server]
-        )
+        s.free_at[server] = free_at
 
         restore = getattr(checkpoint, "restore_seconds", None)
         victims = list(s.running[server])
@@ -699,13 +750,10 @@ class IterationScheduler:
                 transfer = float(restore(progress))
             seq.ready = time + delay + transfer
             s.migrated += 1
+            # A victim was running, so neither the calendar nor the arrived
+            # queue holds it: this is its only entry.
+            s.ready_events.schedule(seq.ready, ARRIVAL_CHUNK, seq)
         s.running[server] = []
-        s.waiting.update(victims)
-        for slot in victims:
-            # Fresh calendar entry at the migrant's new ready time; the
-            # pre-migration entry (if any) is now stale and will be lazily
-            # discarded on peek.
-            s.ready_events.schedule(s.sequences[slot].ready, ARRIVAL_CHUNK, slot)
         if server in s.active:
             s.active.remove(server)
         return GenerationPreemption(iterations=killed, migrated=len(victims))
@@ -713,33 +761,12 @@ class IterationScheduler:
     # ------------------------------------------------------------------
     # The iteration loop
     # ------------------------------------------------------------------
-    def _admission_order(self, s: _GenSession, slots: List[int]) -> List[int]:
-        return sorted(
-            slots,
-            key=lambda slot: admission_key(
-                self.scheduler,
-                s.sequences[slot].request,
-                s.sequences[slot].arrival,
-                slot,
-            ),
-        )
-
     def _min_ready(self, s: _GenSession) -> Optional[float]:
-        """Earliest ready time over the waiting set (calendar peek).
-
-        Discards stale calendar heads — slots that joined a batch, or whose
-        migration moved their ready time — until the head matches a live
-        waiting sequence.  Amortized O(log n): every entry is discarded at
-        most once across the whole run.
-        """
-        calendar = s.ready_events
-        while calendar:
-            event = calendar.peek()
-            slot = event.payload
-            if slot in s.waiting and s.sequences[slot].ready == event.time:
-                return event.time
-            calendar.pop()
-        return None
+        """Earliest ready time over the arrived queue and the calendar."""
+        ready = [seq.ready for _, seq in s.arrived]
+        if s.ready_events:
+            ready.append(s.ready_events.peek_time())
+        return min(ready, default=None)
 
     def _next_server(self, s: _GenSession) -> Optional[Tuple[int, float]]:
         """(server, iteration start) of the earliest next iteration."""
@@ -758,20 +785,33 @@ class IterationScheduler:
             return None
         return best[1], best[0]
 
+    def _candidates(self, s: _GenSession, start: float) -> List[SequenceState]:
+        """The sequences ready by ``start``, in admission order.
+
+        Drains the calendar up to ``start`` into the arrived queue first.
+        The ``ready`` filter matters only when ``start`` is earlier than a
+        previous iteration's (see :class:`_GenSession`).
+        """
+        for event in s.ready_events.pop_due(start):
+            seq = event.payload
+            insort(
+                s.arrived,
+                (admission_key(self.scheduler, seq.request, seq.arrival, seq.slot), seq),
+            )
+        return [seq for _, seq in s.arrived if seq.ready <= start]
+
     def _iterate(
         self, s: _GenSession, server: int, start: float
     ) -> IterationRecord:
         backend = self.backends[server]
-        arrived = self._admission_order(
-            s, [slot for slot in s.waiting if s.sequences[slot].ready <= start]
-        )
+        free_at = s.free_at[server]
+        candidates = self._candidates(s, start)
         running = [s.sequences[slot] for slot in s.running[server]]
         free_slots = self.max_batch - len(running)
-        candidates = [s.sequences[slot] for slot in arrived]
         joiners: List[SequenceState] = []
         if free_slots > 0 and candidates:
             joiners = list(self.admission.admit(candidates, running, free_slots))
-            allowed = set(arrived)
+            allowed = {seq.slot for seq in candidates}
             seen: set = set()
             for seq in joiners:
                 if seq.slot not in allowed or seq.slot in seen:
@@ -816,8 +856,10 @@ class IterationScheduler:
         )
         ratio = float(self._select(context))
 
+        if joiners:
+            joined = {seq.slot for seq in joiners}
+            s.arrived = [entry for entry in s.arrived if entry[1].slot not in joined]
         for seq in joiners:
-            s.waiting.remove(seq.slot)
             s.running[server].append(seq.slot)
             seq.server = server
 
@@ -883,6 +925,7 @@ class IterationScheduler:
         s.undo.append(
             _IterationUndo(
                 record=record,
+                free_at=free_at,
                 prefilled=prefilled,
                 decoded=[seq.slot for seq in decoders],
                 retired=retired,
@@ -991,6 +1034,7 @@ def run_to_completion(
     if num_servers < 1:
         raise ValueError("num_servers must be >= 1")
     policy = policy if policy is not None else FixedRatioPolicy(0.0)
+    _check_arrivals(requests)
     ordered = sorted(requests, key=lambda request: request.arrival_time)
     for request in ordered:
         if request.max_new_tokens < 1:

@@ -75,17 +75,17 @@ class ServiceTimeModel:
         if decode_token_fraction <= 0:
             raise ValueError("decode_token_fraction must be > 0")
         self.decode_token_fraction = float(decode_token_fraction)
-        self._cache: Dict[str, np.ndarray] = {}
-        self._exact: Dict[Tuple[str, int], float] = {}
-
-    def _key(self, mode: str, ratio: float) -> str:
-        # repr() round-trips the float exactly; rounding (the seed used
-        # ``f"{ratio:.3f}"``) made distinct ratios within 5e-4 collide in
-        # the cache and return each other's latencies.
-        return f"{mode}:{float(ratio)!r}"
+        # Anchor latencies per (mode, ratio).  The ratio is keyed as the
+        # float itself: rounding it (the seed used ``f"{ratio:.3f}"``) made
+        # distinct ratios within 5e-4 return each other's latencies.
+        self._cache: Dict[Tuple[str, float], np.ndarray] = {}
+        # batch_latency results.  The anchors above never change once
+        # built, so a latency is a pure function of its arguments.  One
+        # entry per distinct (batch_size, mode, ratio) asked for.
+        self._latencies: Dict[Tuple[int, str, float], float] = {}
 
     def _anchor_latencies(self, mode: str, ratio: float) -> np.ndarray:
-        key = self._key(mode, ratio)
+        key = (mode, ratio)
         if key not in self._cache:
             values = []
             for batch in self.anchor_batches:
@@ -96,24 +96,24 @@ class ServiceTimeModel:
             self._cache[key] = np.asarray(values)
         return self._cache[key]
 
-    def _exact_latency(self, batch_size: int, mode: str, ratio: float) -> float:
-        """Exact (non-interpolated) hardware-model latency, cached on demand."""
-        key = (self._key(mode, ratio), batch_size)
-        if key not in self._exact:
-            ops = model_ops(self.model_name, batch_size)
-            self._exact[key] = float(
-                self.latency_model.model_latency(ops, mode, four_bit_ratio=ratio)
-            )
-        return self._exact[key]
-
     def batch_latency(self, batch_size: int, mode: str, ratio: float = 0.0) -> float:
         """Service time (seconds) for one batch."""
         if batch_size <= 0:
             return 0.0
-        if batch_size > self.anchor_batches[-1]:
-            return self._exact_latency(int(batch_size), mode, ratio)
-        anchors = self._anchor_latencies(mode, ratio)
-        return float(np.interp(batch_size, self.anchor_batches, anchors))
+        key = (batch_size, mode, ratio)
+        latency = self._latencies.get(key)
+        if latency is None:
+            if batch_size > self.anchor_batches[-1]:
+                # Exact (non-interpolated) hardware-model latency.
+                ops = model_ops(self.model_name, int(batch_size))
+                latency = float(
+                    self.latency_model.model_latency(ops, mode, four_bit_ratio=ratio)
+                )
+            else:
+                anchors = self._anchor_latencies(mode, ratio)
+                latency = float(np.interp(batch_size, self.anchor_batches, anchors))
+            self._latencies[key] = latency
+        return latency
 
     def prefill_latency(
         self, prompt_tokens: int, mode: str, ratio: float = 0.0

@@ -196,6 +196,41 @@ class TestServiceTimeModelRegressions:
         # Exactly equal ratios still share one cache entry.
         assert service_model.batch_latency(32, "flexiq", 0.5) == a
 
+    def test_batch_latency_interpolates_once_per_distinct_lookup(self, monkeypatch):
+        # The anchors never change once built, so a latency is a pure
+        # function of (batch_size, mode, ratio): repeated lookups (one per
+        # generation step, one per modeled batch) must not pay np.interp.
+        model = ServiceTimeModel("vit_base", gpu="a6000")
+        calls = []
+        interp = np.interp
+
+        def counting(x, xp, fp):
+            calls.append(x)
+            return interp(x, xp, fp)
+
+        monkeypatch.setattr(np, "interp", counting)
+        lookups = [
+            (batch, mode, ratio)
+            for batch in (1, 3, 8, 100)
+            for mode, ratio in (("int8", 0.0), ("flexiq", 0.5), ("flexiq", 0.5003))
+        ]
+        first = [model.batch_latency(*lookup) for lookup in lookups]
+        assert len(calls) == len(lookups)
+        for _ in range(3):
+            assert [model.batch_latency(*lookup) for lookup in lookups] == first
+            assert [model.decode_latency(b, m, r) for b, m, r in lookups] == [
+                value * model.decode_token_fraction for value in first
+            ]
+        assert len(calls) == len(lookups)
+        # Ratios within 5e-4 stay apart in the memo, as in the anchor cache.
+        by_lookup = dict(zip(lookups, first))
+        for batch in (1, 3, 8, 100):
+            assert by_lookup[batch, "flexiq", 0.5003] < by_lookup[batch, "flexiq", 0.5]
+        # Bit-identical to a model that has never memoised anything.
+        monkeypatch.setattr(np, "interp", interp)
+        for lookup, value in by_lookup.items():
+            assert ServiceTimeModel("vit_base", gpu="a6000").batch_latency(*lookup) == value
+
 
 class TestMetricsRegressions:
     def test_empty_sample_count_is_zero(self):

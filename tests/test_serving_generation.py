@@ -10,6 +10,11 @@ in-flight sequences with generated-token progress (composing with
 ``StepCheckpoint`` salvage and transfer pricing), real execution through
 ``RuntimeExecutor.execute_step``, and the ``streaming_summary`` edge cases
 (prefill-only, single-token, all-dropped, empty percentile lists).
+
+The ready queue (calendar of future sequences + arrived queue in admission
+order) is checked against its specification, the naive scan of the whole
+waiting set, on generated configurations (``TestReadyQueueAgainstSpec``),
+and its cost is gated by counts, not wall-clock (``TestScaleIndependence``).
 """
 
 from __future__ import annotations
@@ -18,11 +23,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data.traces import PoissonTrace
 from repro.serving import (
     DecodePressureRatioPolicy,
+    EdfScheduler,
     FcfsAdmission,
+    FifoScheduler,
     IterationScheduler,
     ModeledGenerationBackend,
     PolicyContext,
@@ -39,6 +47,8 @@ from repro.serving import (
     run_to_completion,
     streaming_summary,
 )
+from repro.serving.generation import SequenceState
+from repro.serving.schedulers import admission_key
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +195,19 @@ class TestIterationScheduler:
         with pytest.raises(ValueError, match="max_new_tokens"):
             IterationScheduler(backend).run(gen_requests([(0.0, 64, 0)]))
 
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_arrival_rejected(self, backend, arrival):
+        # A NaN arrival used to be silently never served: run() returned
+        # with that response at 0 tokens and no error.
+        requests = gen_requests([(0.0, 64, 2), (arrival, 64, 2), (0.1, 64, 2)])
+        scheduler = IterationScheduler(backend)
+        with pytest.raises(ValueError, match="request 1 .*arrival_time"):
+            scheduler.start(requests)
+        # The refused start left no session behind.
+        assert scheduler.run(gen_requests([(0.0, 64, 2)])).responses[0].finished
+        with pytest.raises(ValueError, match="request 1 .*arrival_time"):
+            run_to_completion(requests, backend)
+
     def test_run_to_completion_pads_full_width(self, backend, gen_model):
         # Static batching decodes at full width until the longest member
         # finishes; the 2-token member's slot is padded for the rest.
@@ -246,6 +269,22 @@ class TestAdmission:
         assert spf.responses[1].ttft < spf.responses[0].ttft
         # The short prompt's first token arrives far earlier under SPF.
         assert spf.responses[1].ttft < fcfs.responses[1].ttft
+
+    def test_prefill_priority_ranks_only_the_free_slots(self):
+        def seq(slot, prompt):
+            return SequenceState(
+                request=None, slot=slot, arrival=0.0, prompt_tokens=prompt,
+                max_new_tokens=2, ready=0.0,
+            )
+
+        waiting = [seq(slot, prompt) for slot, prompt in enumerate([96, 32, 512, 32, 96, 8])]
+        policy = PrefillPriorityAdmission()
+        full = sorted(range(len(waiting)), key=lambda i: (waiting[i].prompt_tokens, i))
+        for slots in range(1, len(waiting) + 2):
+            # Same (prompt_tokens, queue position) order as a full sort.
+            assert [s.slot for s in policy.admit(waiting, [], slots)] == full[:slots]
+        assert policy.admit(waiting, [], 0) == []
+        assert policy.admit(waiting, [], -3) == []
 
     def test_token_budget_caps_batch_footprint(self, backend):
         # Budget fits one 64-token sequence (+ its generated tokens) but
@@ -495,6 +534,39 @@ class TestGenerationPreemption:
         # Exact inverse accounting: rewound iterations left no residue.
         assert windowed == pytest.approx(result.tokens)
 
+    def test_preemption_restores_the_server_clock(self, backend):
+        # Server 1 crashes, recovers at 0.05 and starts an iteration there.
+        # A second crash reported for an earlier time rewinds that
+        # iteration; the clock goes back to what it was before it (the
+        # recovery time), not to the crash time.
+        def step_to(server):
+            for record in iter(scheduler.step, None):
+                if record.server == server:
+                    return record
+            raise AssertionError(f"server {server} took no iteration")
+
+        scheduler = IterationScheduler(backend, max_batch=1, num_servers=2)
+        scheduler.start(gen_requests([(0.0, 64, 400), (0.0, 64, 400)]))
+        session = scheduler._session
+        first = step_to(1)
+        scheduler.preempt_server(1, first.finish)
+        scheduler.activate_server(1, available_from=0.05)
+        record = step_to(1)
+        assert record.start == 0.05
+        report = scheduler.preempt_server(1, 0.025)
+        assert report.iterations == 1
+        assert session.free_at[1] == 0.05
+        # A crash after the iteration started moves the clock to the crash.
+        scheduler.activate_server(1)
+        record = step_to(1)
+        kill_time = (record.start + record.finish) / 2
+        scheduler.preempt_server(1, kill_time)
+        assert session.free_at[1] == kill_time
+        scheduler.activate_server(1)
+        result = scheduler.finish()
+        assert all(r.finished for r in result.responses)
+        assert result.tokens == 800
+
     def test_inactive_server_takes_no_more_iterations(self, backend):
         scheduler = IterationScheduler(backend, num_servers=2)
         scheduler.start(gen_requests([(0.0, 64, 10)] * 2))
@@ -504,6 +576,310 @@ class TestGenerationPreemption:
         result = scheduler.finish()
         post_kill = [r for r in result.iterations if r.start > 0.001]
         assert post_kill and all(r.server == 1 for r in post_kill)
+
+
+# ----------------------------------------------------------------------
+# The ready queue against its specification (the naive scan)
+# ----------------------------------------------------------------------
+class _WatchedScheduler(IterationScheduler):
+    """Remembers the candidate list each iteration handed to admission."""
+
+    def _candidates(self, s, start):
+        self.candidates = super()._candidates(s, start)
+        return self.candidates
+
+
+def spec_waiting(session):
+    """Every sequence that is neither finished nor running, by full scan."""
+    running = {slot for members in session.running for slot in members}
+    return [
+        seq for seq in session.sequences
+        if seq.finish_time is None and seq.slot not in running
+    ]
+
+
+def spec_next_iteration(session):
+    """(server, start) of the next iteration, from the whole waiting set."""
+    min_ready = min((seq.ready for seq in spec_waiting(session)), default=None)
+    starts = []
+    for server in session.active:
+        if session.running[server]:
+            starts.append((session.free_at[server], server))
+        elif min_ready is not None:
+            starts.append((max(session.free_at[server], min_ready), server))
+    if not starts:
+        return None
+    start, server = min(starts)
+    return server, start
+
+
+def spec_candidates(session, scheduler, start):
+    """The specification: filter the whole waiting set, then sort it."""
+    return sorted(
+        (seq for seq in spec_waiting(session) if seq.ready <= start),
+        key=lambda seq: admission_key(scheduler, seq.request, seq.arrival, seq.slot),
+    )
+
+
+ADMISSIONS = {
+    "fcfs": FcfsAdmission,
+    "prefill": PrefillPriorityAdmission,
+    "budget": lambda: TokenBudgetAdmission(700),
+    "budget_prefill": lambda: TokenBudgetAdmission(700, within=PrefillPriorityAdmission()),
+}
+SCHEDULERS = {"fifo": FifoScheduler, "priority": PriorityScheduler, "edf": EdfScheduler}
+
+
+def run_against_spec(backend, profiles, num_servers, max_batch, admission, scheduler, actions):
+    """Step a run, checking every iteration against the naive scan.
+
+    ``profiles`` are (arrival, prompt, new tokens, priority, slo or None);
+    ``actions`` are (steps before it, kind, server pick, time pick, delay,
+    checkpointed) control calls made between steps.  Returns the result and
+    whether some iteration started before an earlier one.
+    """
+    requests = [
+        Request(
+            float(arrival), "m", request_id=i, priority=priority,
+            deadline=None if slo is None else float(arrival) + slo,
+            prefill_tokens=prompt, max_new_tokens=new,
+        )
+        for i, (arrival, prompt, new, priority, slo) in enumerate(profiles)
+    ]
+    discipline = SCHEDULERS[scheduler]()
+    watched = _WatchedScheduler(
+        backend, max_batch=max_batch, num_servers=num_servers,
+        admission=ADMISSIONS[admission](), scheduler=discipline,
+    )
+    watched.start(requests)
+    session = watched._session
+    crashed_at = {}
+    latest_start = -math.inf
+    went_back = False
+
+    def step():
+        nonlocal latest_start, went_back
+        expected = spec_next_iteration(session)
+        if expected is None:
+            assert watched.step() is None
+            return None
+        server, start = expected
+        candidates = spec_candidates(session, discipline, start)
+        record = watched.step()
+        assert (record.server, record.start) == (server, start)
+        assert [seq.slot for seq in watched.candidates] == [seq.slot for seq in candidates]
+        assert record.queue_depth == len(candidates)
+        # Held once: nothing both arrived and still on the calendar.
+        held = [seq.slot for _, seq in session.arrived] + [
+            event.payload.slot for _, _, event in session.ready_events._heap
+        ]
+        assert sorted(held) == sorted(seq.slot for seq in spec_waiting(session))
+        went_back = went_back or start < latest_start
+        latest_start = max(latest_start, start)
+        return record
+
+    for steps, kind, pick, when, delay, checkpointed in actions:
+        for _ in range(steps):
+            if step() is None:
+                break
+        down = [k for k in range(num_servers) if k not in session.active]
+        if kind == "activate" and down:
+            server = down[pick % len(down)]
+            mine = [r for r in session.iterations if r.server == server]
+            available = {
+                "before": 0.0,
+                "during": None,
+                "after": mine[-1].finish + 0.01 if mine else None,
+            }[when]
+            watched.activate_server(server, available_from=available)
+        elif kind == "preempt" and session.active:
+            server = session.active[pick % len(session.active)]
+            mine = [r for r in session.iterations if r.server == server]
+            # A crash time at which at most the server's latest iteration
+            # is in flight: not before its previous one finished, nor
+            # before its previous crash.
+            floor = max(
+                crashed_at.get(server, 0.0), mine[-2].finish if len(mine) > 1 else 0.0
+            )
+            if not mine:
+                time = floor
+            else:
+                time = {
+                    "before": max(floor, mine[-1].start / 2),
+                    "during": max(floor, (mine[-1].start + mine[-1].finish) / 2),
+                    "after": max(floor, mine[-1].finish + 0.01),
+                }[when]
+            crashed_at[server] = time
+            checkpoint = (
+                StepCheckpoint(steps=4, transfer_cost=0.004, transfer_per_step=0.001)
+                if checkpointed else None
+            )
+            watched.preempt_server(server, time, delay=delay, checkpoint=checkpoint)
+    for server in range(num_servers):
+        watched.activate_server(server)
+    while step() is not None:
+        pass
+    result = watched.finish()
+    assert all(response.finished for response in result.responses)
+    assert result.tokens == sum(request.max_new_tokens for request in requests)
+    return result, went_back
+
+
+@st.composite
+def generation_runs(draw):
+    count = draw(st.integers(1, 40))
+    if draw(st.booleans()):  # Poisson
+        arrivals = PoissonTrace(
+            400, duration=1.0, seed=draw(st.integers(0, 2**16))
+        ).generate().arrival_times[:count]
+        arrivals = list(arrivals) or [0.0]
+    else:  # bursts: several requests at the same instant
+        gaps = draw(st.lists(
+            st.sampled_from([0.0, 0.0, 0.0, 0.002, 0.03]), min_size=count, max_size=count,
+        ))
+        arrivals = list(np.cumsum(gaps))
+    profile = st.tuples(
+        st.sampled_from([0, 32, 96, 512]),
+        st.sampled_from([1, 2, 6, 20]),
+        st.integers(0, 2),
+        st.one_of(st.none(), st.sampled_from([0.01, 0.05, 0.5])),
+    )
+    shapes = draw(st.lists(profile, min_size=len(arrivals), max_size=len(arrivals)))
+    action = st.tuples(
+        st.integers(0, 25),
+        st.sampled_from(["preempt", "activate"]),
+        st.integers(0, 2),
+        st.sampled_from(["before", "during", "after"]),
+        st.sampled_from([0.0, 0.02]),
+        st.booleans(),
+    )
+    return dict(
+        profiles=[(arrival, *shape) for arrival, shape in zip(arrivals, shapes)],
+        num_servers=draw(st.integers(1, 3)),
+        max_batch=draw(st.integers(1, 4)),
+        admission=draw(st.sampled_from(sorted(ADMISSIONS))),
+        scheduler=draw(st.sampled_from(sorted(SCHEDULERS))),
+        actions=draw(st.lists(action, max_size=3)),
+    )
+
+
+class TestReadyQueueAgainstSpec:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(run=generation_runs())
+    def test_every_iteration_matches_the_naive_scan(self, backend, run):
+        run_against_spec(backend, **run)
+
+    def test_start_that_moves_backwards(self, backend):
+        # Server 1 is down while server 0 runs ahead and drains arrivals up
+        # to its own clock.  Reactivated, server 1 starts *before* server
+        # 0's latest iteration: sequences already in the arrived queue with
+        # a later ready time are not candidates for it.
+        profiles = [(0.002 * i, 96, 6, 0, None) for i in range(30)]
+        _, went_back = run_against_spec(
+            backend, profiles, num_servers=2, max_batch=1,
+            admission="fcfs", scheduler="fifo",
+            actions=[
+                (3, "preempt", 1, "before", 0.0, False),
+                (12, "activate", 0, "before", 0.0, False),
+            ],
+        )
+        assert went_back
+
+    def test_earliest_ready_is_not_the_queue_head(self, backend):
+        # Shrunk from the generated test against a variant that read the
+        # earliest ready time off the head of the arrived queue: under a
+        # priority discipline the head is the most urgent entry, not the
+        # one that has waited longest, and an idle server starts from the
+        # earliest ready time of the whole queue.
+        profiles = [
+            (0.0017, 512, 1, 0, None), (0.0042, 0, 1, 0, None), (0.0043, 0, 1, 0, None),
+            (0.0044, 0, 6, 0, None), (0.0057, 0, 1, 0, None), (0.0098, 0, 1, 1, None),
+        ]
+        run_against_spec(
+            backend, profiles, num_servers=2, max_batch=1,
+            admission="budget", scheduler="priority",
+            actions=[
+                (0, "preempt", 0, "before", 0.0, False),
+                (6, "preempt", 0, "before", 0.0, False),
+            ],
+        )
+
+    def test_migrant_is_queued_once(self, backend):
+        # A victim that was admitted from the arrived queue, rewound and
+        # requeued with a delay re-enters through the calendar only.
+        profiles = [(0.0, 32, 20, p % 3, 0.05) for p in range(12)]
+        result, _ = run_against_spec(
+            backend, profiles, num_servers=3, max_batch=2,
+            admission="budget_prefill", scheduler="edf",
+            actions=[
+                (4, "preempt", 0, "during", 0.02, True),
+                (2, "preempt", 1, "after", 0.0, False),
+                (5, "activate", 0, "during", 0.0, False),
+            ],
+        )
+        assert result.migrated >= 2
+
+
+class _CountingScheduler(PriorityScheduler):
+    def __init__(self):
+        self.calls = 0
+
+    def key(self, request):
+        self.calls += 1
+        return super().key(request)
+
+
+class TestScaleIndependence:
+    """Cost gates by counting, so they hold on any machine."""
+
+    def test_discipline_key_computed_once_per_queue_entry(self, backend):
+        requests = [
+            Request(r.arrival_time, "m", request_id=i, priority=i % 3,
+                    prefill_tokens=r.prefill_tokens, max_new_tokens=r.max_new_tokens)
+            for i, r in enumerate(mixed_trace(rate=300, duration=1.0))
+        ]
+        counting = _CountingScheduler()
+        scheduler = IterationScheduler(
+            backend, max_batch=4, num_servers=2, scheduler=counting
+        )
+        scheduler.start(requests)
+        for _ in range(200):
+            scheduler.step()
+        scheduler.preempt_server(1, scheduler._session.free_at[1] - 1e-4)
+        for _ in range(200):
+            scheduler.step()
+        scheduler.activate_server(1)
+        result = scheduler.finish()
+        assert result.migrated > 0
+        # The queue was deep enough for a per-iteration sort to show.
+        assert max(record.queue_depth for record in result.iterations) > 10
+        assert 0 < counting.calls <= len(requests) + result.migrated
+
+    def test_far_future_requests_leave_the_horizon_untouched(self, backend):
+        base = mixed_trace(rate=200, duration=0.5)
+        policy = dict(pressure_threshold=900, waiting_weight=64.0)
+
+        def run(requests):
+            counting = _CountingScheduler()
+            result = IterationScheduler(
+                backend, max_batch=4, scheduler=counting,
+                admission=PrefillPriorityAdmission(),
+                policy=DecodePressureRatioPolicy(**policy),
+            ).run(requests)
+            return result, counting.calls
+
+        alone, alone_calls = run(base)
+        tail = [
+            Request(1000.0 + i, "m", prefill_tokens=64, max_new_tokens=2)
+            for i in range(10 * len(base))
+        ]
+        longer, longer_calls = run(list(base) + tail)
+        horizon = len(alone.iterations)
+        assert longer.iterations[:horizon] == alone.iterations
+        assert longer.iterations[horizon].start >= 1000.0
+        for before, after in zip(alone.responses, longer.responses):
+            assert after.token_times == before.token_times
+        assert longer_calls == alone_calls + len(tail)
 
 
 # ----------------------------------------------------------------------
