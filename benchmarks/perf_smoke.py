@@ -98,7 +98,6 @@ from repro.serving import (
     RuntimeExecutor,
     ServiceTimeModel,
     ServingEngine,
-    ServingSimulator,
     gpu_server,
     npu_server,
     requests_from_trace,
@@ -562,7 +561,8 @@ def bench_cluster_day() -> dict:
     * speedup of the columnar core over the pre-refactor object loop on the
       first ``DAY_SLICE`` requests (min-of-2 each; target >= 10x);
     * ``fifo_bit_identical`` — the unbreakable invariant: a K=1 FIFO run of
-      the slice through the columnar core reproduces the seed simulator's
+      the slice through the columnar core reproduces the object loop's (and
+      so, by ``tests/test_serving_engine.py``, the seed simulator's)
       latencies, batch sizes and drop count bit-for-bit.
     """
     import resource
@@ -608,10 +608,9 @@ def bench_cluster_day() -> dict:
             best = min(best, time.perf_counter() - start)
         timings[label] = best
 
-    seed_result = ServingSimulator(
-        ServiceTimeModel(),
-        BatchingConfig(max_batch=DAY_MAX_BATCH, drop_after=DAY_DROP_AFTER),
-    ).run(slice_trace, "flexiq", ratio=0.5)
+    seed_result = _day_engine(columnar=False, num_servers=1).run(
+        slice_trace, model="m"
+    )
     k1_result = _day_engine(num_servers=1).run(slice_trace, model="m")
     fifo_bit_identical = bool(
         np.array_equal(seed_result.latencies, k1_result.latencies)

@@ -12,7 +12,13 @@ import pytest
 
 from repro.analysis.reports import format_table
 from repro.data.traces import PoissonTrace
-from repro.serving.simulator import BatchingConfig, ServiceTimeModel, ServingSimulator
+from repro.serving import (
+    BatchingConfig,
+    FixedRatioPolicy,
+    ModeledExecutor,
+    ServiceTimeModel,
+    ServingEngine,
+)
 
 RATES = (100, 500, 1000, 1500, 2000, 2500, 3000)
 CONFIGS = [
@@ -32,8 +38,15 @@ def _label(mode, ratio):
 @pytest.mark.parametrize("model_name", ["vit_base", "swin_small"])
 def test_fig8_latency_vs_request_rate(benchmark, results_writer, model_name):
     service = ServiceTimeModel(model_name, gpu="a6000", anchor_batches=(1, 16, 64, 128))
-    simulator = ServingSimulator(service, BatchingConfig(max_batch=128))
     duration = 4.0
+
+    def serve(trace, mode, ratio):
+        engine = ServingEngine(BatchingConfig(max_batch=128))
+        engine.register(
+            model_name, ModeledExecutor(service), policy=FixedRatioPolicy(ratio),
+            mode=mode,
+        )
+        return engine.run(trace)
 
     def run_sweep():
         table = {}
@@ -41,7 +54,7 @@ def test_fig8_latency_vs_request_rate(benchmark, results_writer, model_name):
             medians, p90s = [], []
             for rate in RATES:
                 trace = PoissonTrace(rate, duration, seed=17).generate()
-                result = simulator.run(trace, mode, ratio=ratio)
+                result = serve(trace, mode, ratio)
                 medians.append(result.median_latency * 1e3)
                 p90s.append(result.p90_latency * 1e3)
             table[_label(mode, ratio)] = (medians, p90s)

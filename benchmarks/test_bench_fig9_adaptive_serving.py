@@ -16,8 +16,14 @@ import pytest
 from repro.analysis.reports import format_table
 from repro.core.controller import AdaptiveRatioController, build_profile_from_latency_fn
 from repro.data.traces import FluctuatingTrace, PoissonTrace
-from repro.serving.adaptation import AdaptiveServingSimulator
-from repro.serving.simulator import BatchingConfig, ServiceTimeModel, ServingSimulator
+from repro.serving import (
+    BatchingConfig,
+    FixedRatioPolicy,
+    ModeledExecutor,
+    ServiceTimeModel,
+    ServingEngine,
+)
+from repro.serving.adaptation import _effective_accuracy
 
 # Accuracy of ViT-Base at each ratio, as reported in the paper's Table 2
 # (finetuned row); used to compute the effective accuracy of adaptation.
@@ -26,13 +32,19 @@ PAPER_VIT_B_ACCURACY = {0.0: 84.72, 0.25: 84.63, 0.5: 84.67, 0.75: 84.42, 1.0: 8
 
 def test_fig9_adaptive_ratio_under_fluctuating_load(benchmark, results_writer):
     service = ServiceTimeModel("vit_base", gpu="a6000", anchor_batches=(1, 16, 64, 128))
-    simulator = ServingSimulator(service, BatchingConfig(max_batch=128))
+
+    def serve(trace, policy, mode="flexiq", max_batch=128):
+        # The profile and the fixed deployments batch up to 128; the adaptive
+        # deployment runs at the engine's default cap.
+        engine = ServingEngine(BatchingConfig(max_batch=max_batch))
+        engine.register("vit_base", ModeledExecutor(service), policy=policy, mode=mode)
+        return engine.run(trace)
 
     profile_rates = [200, 600, 1000, 1400, 1800, 2200, 2600, 3000]
 
     def profiled_latency(ratio, rate):
         trace = PoissonTrace(max(rate, 1), duration=2.0, seed=3).generate()
-        return simulator.run(trace, "flexiq", ratio=ratio).median_latency
+        return serve(trace, FixedRatioPolicy(ratio)).median_latency
 
     profile = build_profile_from_latency_fn(
         profile_rates, [0.0, 0.25, 0.5, 0.75, 1.0], profiled_latency
@@ -41,16 +53,16 @@ def test_fig9_adaptive_ratio_under_fluctuating_load(benchmark, results_writer):
 
     def run_adaptive():
         controller = AdaptiveRatioController(profile, latency_threshold=0.040)
-        adaptive = AdaptiveServingSimulator(service, controller, control_window=1.0)
-        return adaptive.run(trace, accuracy_by_ratio=PAPER_VIT_B_ACCURACY)
+        policy = controller.as_policy(control_window=1.0)
+        return serve(trace, policy, max_batch=BatchingConfig().max_batch), policy
 
-    adaptive_result = benchmark.pedantic(run_adaptive, rounds=1, iterations=1)
-    int8_result = simulator.run(trace, "int8")
-    int4_result = simulator.run(trace, "int4")
+    adaptive_result, policy = benchmark.pedantic(run_adaptive, rounds=1, iterations=1)
+    effective_accuracy = _effective_accuracy(policy.window_ratios, PAPER_VIT_B_ACCURACY)
+    int8_result = serve(trace, FixedRatioPolicy(0.0), mode="int8")
+    int4_result = serve(trace, FixedRatioPolicy(0.0), mode="int4")
 
     rows = [
-        ["FlexiQ adaptive", adaptive_result.median_latency * 1e3,
-         adaptive_result.effective_accuracy],
+        ["FlexiQ adaptive", adaptive_result.median_latency * 1e3, effective_accuracy],
         ["INT8 fixed", int8_result.median_latency * 1e3, PAPER_VIT_B_ACCURACY[0.0]],
         ["INT4 fixed", int4_result.median_latency * 1e3, PAPER_VIT_B_ACCURACY[1.0]],
     ]
@@ -58,17 +70,17 @@ def test_fig9_adaptive_ratio_under_fluctuating_load(benchmark, results_writer):
         ["deployment", "median latency (ms)", "effective accuracy (%)"], rows, precision=2,
         title=(
             "Figure 9 -- fluctuating trace (min 800 rps, peak 3x), ViT-Base on A6000\n"
-            f"average 4-bit ratio under adaptation: {adaptive_result.average_ratio:.2f}"
+            f"average 4-bit ratio under adaptation: {policy.average_ratio:.2f}"
         ),
     )
     results_writer("fig9_adaptive_serving", text)
 
     # The controller actually adapted (used more than one ratio).
-    assert len({entry["ratio"] for entry in adaptive_result.ratio_timeline}) > 1
+    assert len({entry["ratio"] for entry in policy.timeline}) > 1
     # Adaptive FlexiQ keeps latency well below the fixed INT8 deployment...
     assert adaptive_result.median_latency < 0.5 * int8_result.median_latency
     # ...while staying within reach of the INT4 deployment.
     assert adaptive_result.median_latency <= int4_result.median_latency * 3.0
     # Effective accuracy stays close to the INT8 accuracy (within ~0.5%).
-    assert adaptive_result.effective_accuracy >= PAPER_VIT_B_ACCURACY[1.0]
-    assert adaptive_result.effective_accuracy >= PAPER_VIT_B_ACCURACY[0.0] - 0.5
+    assert effective_accuracy >= PAPER_VIT_B_ACCURACY[1.0]
+    assert effective_accuracy >= PAPER_VIT_B_ACCURACY[0.0] - 0.5

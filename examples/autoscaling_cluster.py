@@ -172,10 +172,12 @@ def main() -> None:
 
     def latency_fn(ratio, rate):
         from repro.data.traces import PoissonTrace
-        from repro.serving import ServingSimulator
+        from repro.serving import FixedRatioPolicy, ModeledExecutor, ServingEngine
 
         probe = PoissonTrace(max(rate, 1), duration=2.0, seed=11).generate()
-        return ServingSimulator(service).run(probe, "flexiq", ratio=ratio).median_latency
+        engine = ServingEngine()
+        engine.register("m", ModeledExecutor(service), policy=FixedRatioPolicy(ratio))
+        return engine.run(probe).median_latency
 
     profile = build_profile_from_latency_fn(
         [200, 600, 1000, 1600, 2200, 2800], [0.0, 0.25, 0.5, 0.75, 1.0], latency_fn

@@ -344,7 +344,9 @@ def registry_from_engine(
     served = registry.counter(
         "repro_requests_served_total", "Requests completed."
     )
-    served.inc(len(result.request_latencies))
+    # ``latencies`` holds the served requests only; ``request_latencies``
+    # keeps a nan slot per dropped one.
+    served.inc(len(result.latencies))
     dropped = registry.counter(
         "repro_requests_dropped_total", "Requests dropped before service."
     )
@@ -368,7 +370,7 @@ def registry_from_engine(
         "End-to-end request latency.",
         buckets=buckets,
     )
-    values = np.asarray(result.request_latencies, dtype=np.float64)
+    values = np.asarray(result.latencies, dtype=np.float64)
     if len(values):
         latency._observe_many((), values)
     else:

@@ -5,10 +5,13 @@ CHANGES.md the history):
 
 * :mod:`~repro.serving.engine` -- :class:`ServingEngine` (admission,
   batching over ``num_servers`` clocks, per-batch ratio selection;
-  ``run()`` or ``start``/``submit``/``step``/``finish``),
-  :class:`Request`/:class:`Response`, :func:`requests_from_trace`.
-* :mod:`~repro.serving.core` -- columnar :class:`RequestStore`, typed
-  :class:`EventCalendar`, streaming percentile digests.
+  ``run()`` or ``start``/``submit``/``step``/``finish``; a trace, a
+  request list, a lazy view and streamed submissions all become the
+  session's one :class:`RequestStore`), :class:`Request`/:class:`Response`,
+  :func:`requests_from_trace`.
+* :mod:`~repro.serving.core` -- columnar :class:`RequestStore` and its
+  :class:`LazyRequests` view, typed :class:`EventCalendar`, streaming
+  percentile digests.
 * :mod:`~repro.serving.schedulers` -- queue order: FIFO, priority, EDF.
 * :mod:`~repro.serving.executors` -- what a batch costs:
   :class:`ModeledExecutor` (analytic) or :class:`RuntimeExecutor` (real
@@ -24,8 +27,10 @@ CHANGES.md the history):
 * :mod:`~repro.serving.generation` -- :class:`IterationScheduler`
   (continuous batching), admission policies, generation backends,
   :func:`run_to_completion`.
-* :mod:`~repro.serving.simulator`, :mod:`~repro.serving.adaptation` --
-  :class:`ServiceTimeModel` and the Figure 8/9 compatibility wrappers.
+* :mod:`~repro.serving.simulator` -- :class:`ServiceTimeModel`, the
+  analytic batch cost behind :class:`ModeledExecutor` (Figures 8/9 run on
+  the engine itself; :mod:`~repro.serving.adaptation` scores an adaptive
+  run's effective accuracy).
 * :mod:`~repro.serving.metrics` -- latency and token-stream summaries.
 """
 
@@ -128,11 +133,7 @@ from repro.serving.schedulers import (
     Scheduler,
     admission_key,
 )
-from repro.serving.simulator import (
-    ServiceTimeModel,
-    ServingResult,
-    ServingSimulator,
-)
+from repro.serving.simulator import ServiceTimeModel
 from repro.serving.metrics import (
     attainment_within,
     latency_percentiles,
@@ -142,12 +143,9 @@ from repro.serving.metrics import (
     summarize_latencies,
     summarize_migrations,
 )
-from repro.serving.adaptation import AdaptiveServingSimulator, AdaptiveServingResult
 
 __all__ = [
     "AdaptiveRatioPolicy",
-    "AdaptiveServingResult",
-    "AdaptiveServingSimulator",
     "AdmissionPolicy",
     "Autoscaler",
     "Batch",
@@ -217,8 +215,6 @@ __all__ = [
     "ServerWindowStats",
     "ServiceTimeModel",
     "ServingEngine",
-    "ServingResult",
-    "ServingSimulator",
     "SloLatencyAutoscaler",
     "SpreadPlacer",
     "StepCheckpoint",

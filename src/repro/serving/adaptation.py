@@ -2,20 +2,15 @@
 
 The engine divides time into control windows; at every window boundary the
 :class:`~repro.core.controller.AdaptiveRatioController` observes the request
-rate of the previous window and picks the 4-bit ratio for the next one.  The
-resulting latency distribution is compared against fixed INT8 and INT4
-deployments, and the effective accuracy is the ratio-weighted average of the
-per-ratio accuracies measured offline (Table 2).
-
-:class:`AdaptiveServingSimulator` is a compatibility wrapper over
-:class:`~repro.serving.engine.ServingEngine`: the controller rides in an
+rate of the previous window and picks the 4-bit ratio for the next one.  On a
+:class:`~repro.serving.engine.ServingEngine` the controller rides in an
 :class:`~repro.serving.policies.AdaptiveRatioPolicy` (via
-:meth:`~repro.core.controller.AdaptiveRatioController.as_policy`), execution
-goes through a :class:`~repro.serving.executors.ModeledExecutor`, and the
-window/timeline bookkeeping that used to live here is read back off the
-policy.  Results are bit-identical to the seed implementation.
+:meth:`~repro.core.controller.AdaptiveRatioController.as_policy`), which
+keeps the window/timeline bookkeeping; the effective accuracy of the run is
+the ratio-weighted average of the per-ratio accuracies measured offline
+(Table 2), computed here from the policy's ``window_ratios``.
 
-This wrapper (like the paper's Figure 9 setup) adapts on the **global**
+That policy (like the paper's Figure 9 setup) adapts on the **global**
 window rate of one accelerator's trace.  Multi-server deployments should
 prefer :class:`~repro.serving.policies.PerServerAdaptiveRatioPolicy`, which
 runs one controller per server on per-server telemetry signals (see
@@ -24,88 +19,9 @@ runs one controller per server on per-server telemetry signals (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
-
-from repro.core.controller import AdaptiveRatioController
-from repro.data.traces import RequestTrace
-from repro.serving.engine import BatchingConfig, ServingEngine
-from repro.serving.executors import ModeledExecutor
-from repro.serving.metrics import latency_percentiles, summarize_latencies
-from repro.serving.simulator import ServiceTimeModel
-
-
-@dataclass
-class AdaptiveServingResult:
-    """Outcome of an adaptive serving simulation."""
-
-    latencies: np.ndarray
-    ratio_timeline: List[Dict[str, float]]   # window start, observed rate, ratio
-    average_ratio: float
-    effective_accuracy: Optional[float]
-    duration: float
-
-    def summary(self) -> Dict[str, float]:
-        return summarize_latencies(self.latencies)
-
-    @property
-    def median_latency(self) -> float:
-        return latency_percentiles(self.latencies, (50,))["p50"]
-
-
-class AdaptiveServingSimulator:
-    """Serving simulator driven by the FlexiQ ratio controller."""
-
-    def __init__(
-        self,
-        service_model: ServiceTimeModel,
-        controller: AdaptiveRatioController,
-        batching: Optional[BatchingConfig] = None,
-        control_window: float = 1.0,
-        num_servers: int = 1,
-    ) -> None:
-        self.service_model = service_model
-        self.controller = controller
-        # A fresh config per instance: a shared mutable default would leak
-        # max_batch/drop_after edits across simulators.
-        self.batching = batching if batching is not None else BatchingConfig()
-        self.control_window = float(control_window)
-        self.num_servers = int(num_servers)
-
-    def run(
-        self,
-        trace: RequestTrace,
-        accuracy_by_ratio: Optional[Dict[float, float]] = None,
-    ) -> AdaptiveServingResult:
-        """Simulate the trace with per-window ratio adaptation.
-
-        ``accuracy_by_ratio`` (e.g. the Table 2 sweep) lets the result report
-        the time-averaged effective accuracy of the adaptive deployment.
-        """
-        policy = self.controller.as_policy(control_window=self.control_window)
-        engine = ServingEngine(batching=self.batching, num_servers=self.num_servers)
-        engine.register(
-            self.service_model.model_name,
-            ModeledExecutor(self.service_model),
-            policy=policy,
-            mode="flexiq",
-        )
-        outcome = engine.run(trace=trace)
-
-        window_ratios = policy.window_ratios
-        effective_accuracy = None
-        if accuracy_by_ratio:
-            effective_accuracy = _effective_accuracy(window_ratios, accuracy_by_ratio)
-
-        return AdaptiveServingResult(
-            latencies=outcome.latencies,
-            ratio_timeline=policy.timeline,
-            average_ratio=policy.average_ratio,
-            effective_accuracy=effective_accuracy,
-            duration=trace.duration,
-        )
 
 
 def _effective_accuracy(

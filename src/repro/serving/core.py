@@ -37,9 +37,12 @@ Views vs. copies
 ================
 * :class:`RequestStore` owns the columns (one contiguous ``float64``/
   integer array per field).  ``store.arrivals`` *is* the engine's arrival
-  array — no copy is taken on ``start()``.
+  array — no copy is taken on ``start()``.  Every engine session holds
+  exactly one store, whichever way its requests were handed in.
 * :class:`LazyRequests` is a zero-copy ``Sequence[Request]`` view over a
-  store; indexing materializes a single transient :class:`Request`.
+  store, or over some of its rows (a batch); indexing hands back the
+  caller's :class:`Request` where the store was built from objects and
+  materializes a transient one otherwise.
 * :class:`BatchLedger` is a columnar ``Sequence[BatchRecord]``: the batch
   arrays are owned, each ``ledger[i]`` materializes one record on demand.
 * Per-request latencies are computed once, vectorized, as
@@ -59,9 +62,10 @@ from __future__ import annotations
 
 import bisect
 import heapq
+from itertools import repeat
 from collections.abc import Sequence as _SequenceABC
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,6 +83,7 @@ __all__ = [
     "ColumnarFifoRun",
     "run_fifo_columnar",
     "per_request_latencies",
+    "check_arrivals",
     "P2Quantile",
     "ReservoirSample",
 ]
@@ -167,19 +172,100 @@ def _roundrobin_column(values: Sequence, n: int, dtype) -> np.ndarray:
     return np.tile(pool, reps)[:n]
 
 
+def check_arrivals(arrivals: Sequence[float], ascending: bool = False) -> None:
+    """Refuse a NaN/inf arrival: it sorts anywhere and is never served.
+
+    The one arrival-time check of the serving plane — every
+    :class:`RequestStore` passes through it when it is built or appended
+    to, and the generation scheduler calls it on its request list.
+    ``ascending`` additionally requires the order a store bisects.
+    """
+    column = np.asarray(arrivals, dtype=np.float64)
+    finite = np.isfinite(column)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise ValueError(
+            f"request {index} has a non-finite arrival_time "
+            f"({float(column[index])!r})"
+        )
+    if ascending and len(column) > 1:
+        backwards = column[1:] < column[:-1]
+        if backwards.any():
+            index = int(np.argmax(backwards)) + 1
+            raise ValueError(
+                f"arrivals must be sorted ascending: request {index} arrives "
+                f"at {float(column[index])!r}, before request {index - 1} "
+                f"({float(column[index - 1])!r})"
+            )
+
+
+# The columns a store may leave implicit (``None``): dtype and the value
+# every row then holds, as a Request spells it.  ``request_ids`` -1 is
+# "named no id": such a request is known by its row, which is what an
+# implicit column reads as.  A ``None`` deadline is ``nan`` in the column
+# (numpy converts).
+_IMPLICIT = {
+    "model_ids": (np.int32, 0),
+    "request_ids": (np.int64, -1),
+    "priorities": (np.int64, 0),
+    "deadlines": (np.float64, None),
+    "prefill_tokens": (np.int64, 0),
+    "max_new_tokens": (np.int64, 0),
+}
+
+
+def _request_columns(
+    requests: Sequence, model_names: Sequence[str]
+) -> Tuple[Dict[str, np.ndarray], List[str]]:
+    """The store columns of ``requests``, in the given order.
+
+    ``arrivals`` always; any other column only if some request departs from
+    its default, so plain requests cost one array.  Also returns
+    ``model_names`` extended by the models seen here for the first time, in
+    order of appearance (``model_ids`` index that list).
+    """
+    name_ids = {name: index for index, name in enumerate(model_names)}
+    fields = {
+        "model_ids": [name_ids.setdefault(r.model, len(name_ids)) for r in requests],
+        "request_ids": [r.request_id for r in requests],
+        "priorities": [r.priority for r in requests],
+        "deadlines": [r.deadline for r in requests],
+        "prefill_tokens": [r.prefill_tokens for r in requests],
+        "max_new_tokens": [r.max_new_tokens for r in requests],
+    }
+    columns = {
+        "arrivals": np.asarray([r.arrival_time for r in requests], dtype=np.float64)
+    }
+    for name, values in fields.items():
+        dtype, default = _IMPLICIT[name]
+        if values.count(default) < len(values):
+            columns[name] = np.asarray(values, dtype=dtype)
+    return columns, list(name_ids)
+
+
 class RequestStore:
     """Columnar storage for a cohort of requests (structure-of-arrays).
 
-    One contiguous array per field; :class:`Request` objects exist only as
-    transient views built by :meth:`request`.  ``arrivals`` must be sorted
-    ascending (both constructors guarantee it) — the engine's admission
-    arithmetic bisects it directly, zero-copy.
+    One contiguous array per field.  A store built from columns or a trace
+    hands out :class:`Request` objects only as transient views built by
+    :meth:`request`; one built by :meth:`from_requests` keeps the caller's
+    objects and hands those back.  ``arrivals`` must be finite and sorted
+    ascending (checked here, once) — the engine's admission arithmetic
+    bisects it directly, zero-copy.
+
+    A column that is ``None`` is *implicit* — every row holds the field's
+    default and nothing is allocated for it: ``model_ids`` (every row
+    targets ``model_names[0]``), ``request_ids`` (the row index),
+    ``priorities`` (0), ``deadlines`` (none), ``prefill_tokens`` and
+    ``max_new_tokens`` (0).  ``RequestStore(arrivals, [model])`` is
+    therefore all a bare arrival trace costs.
 
     ``deadlines`` uses ``nan`` as the "no deadline" sentinel so the column
     stays a dense ``float64`` array; :meth:`request` converts back to
     ``None`` at the view boundary.  ``status`` tracks request outcomes
-    (``PENDING`` / ``SERVED`` / ``DROPPED``) and is maintained by the
-    columnar fast core; the legacy object loop leaves it ``PENDING``.
+    (``PENDING`` / ``SERVED`` / ``DROPPED``): the engine resets it at
+    ``start()``, writes it on every path as batches execute and requests
+    drop, and rewinds it on preemption.
     """
 
     __slots__ = (
@@ -193,7 +279,8 @@ class RequestStore:
         "max_new_tokens",
         "status",
         "payload_pool",
-        "payload_list",
+        "_objects",
+        "_buffers",
     )
 
     def __init__(
@@ -207,44 +294,30 @@ class RequestStore:
         prefill_tokens: Optional[np.ndarray] = None,
         max_new_tokens: Optional[np.ndarray] = None,
         payload_pool: Optional[Sequence] = None,
-        payload_list: Optional[Sequence] = None,
     ) -> None:
+        def column(values, dtype):
+            return None if values is None else np.asarray(values, dtype=dtype)
+
         self.arrivals = np.asarray(arrivals, dtype=np.float64)
+        check_arrivals(self.arrivals, ascending=True)
         n = len(self.arrivals)
         self.model_names = list(model_names)
-        if not self.model_names:
+        if n and not self.model_names:
             raise ValueError("model_names must name at least one model")
-        self.model_ids = (
-            np.zeros(n, dtype=np.int32)
-            if model_ids is None
-            else np.asarray(model_ids, dtype=np.int32)
-        )
-        self.request_ids = (
-            np.arange(n, dtype=np.int64)
-            if request_ids is None
-            else np.asarray(request_ids, dtype=np.int64)
-        )
-        self.priorities = (
-            None if priorities is None else np.asarray(priorities, dtype=np.int64)
-        )
-        self.deadlines = (
-            None if deadlines is None else np.asarray(deadlines, dtype=np.float64)
-        )
-        self.prefill_tokens = (
-            None
-            if prefill_tokens is None
-            else np.asarray(prefill_tokens, dtype=np.int64)
-        )
-        self.max_new_tokens = (
-            None
-            if max_new_tokens is None
-            else np.asarray(max_new_tokens, dtype=np.int64)
-        )
+        self.model_ids = column(model_ids, np.int32)
+        self.request_ids = column(request_ids, np.int64)
+        self.priorities = column(priorities, np.int64)
+        self.deadlines = column(deadlines, np.float64)
+        self.prefill_tokens = column(prefill_tokens, np.int64)
+        self.max_new_tokens = column(max_new_tokens, np.int64)
         self.status = np.full(n, PENDING, dtype=np.int8)
         # Payloads: a round-robin pool (trace convention, request i gets
-        # pool[i % len(pool)]) or a full per-request list — never both.
+        # pool[i % len(pool)]); a store built from objects reads theirs.
         self.payload_pool = list(payload_pool) if payload_pool is not None else None
-        self.payload_list = list(payload_list) if payload_list is not None else None
+        # The caller's Request objects, row for row (from_requests/append),
+        # and the over-allocated arrays append() grows the columns within.
+        self._objects: Optional[List] = None
+        self._buffers: Dict[str, np.ndarray] = {}
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -312,41 +385,61 @@ class RequestStore:
 
     @classmethod
     def from_requests(cls, requests: Sequence) -> "RequestStore":
-        """Columnarize explicit :class:`Request` objects (arrival-sorted)."""
+        """Columnarize explicit :class:`Request` objects (arrival-sorted).
+
+        The store keeps the objects: ``store.request(i)`` is the caller's
+        own ``Request`` for row ``i``, payload included.
+        """
+        # Checked before sorting, by the caller's index: a nan sorts anywhere.
+        check_arrivals([request.arrival_time for request in requests])
         order = sorted(range(len(requests)), key=lambda i: requests[i].arrival_time)
         ordered = [requests[i] for i in order]
-        names: List[str] = []
-        name_ids: Dict[str, int] = {}
-        model_ids = np.empty(len(ordered), dtype=np.int32)
-        for i, request in enumerate(ordered):
-            model_id = name_ids.get(request.model)
-            if model_id is None:
-                model_id = name_ids[request.model] = len(names)
-                names.append(request.model)
-            model_ids[i] = model_id
-        payload_list = None
-        if any(request.payload is not None for request in ordered):
-            payload_list = [request.payload for request in ordered]
-        return cls(
-            np.asarray([r.arrival_time for r in ordered], dtype=np.float64),
-            model_names=names,
-            model_ids=model_ids,
-            request_ids=np.asarray(
-                [r.request_id for r in ordered], dtype=np.int64
-            ),
-            priorities=np.asarray([r.priority for r in ordered], dtype=np.int64),
-            deadlines=np.asarray(
-                [np.nan if r.deadline is None else float(r.deadline) for r in ordered],
-                dtype=np.float64,
-            ),
-            prefill_tokens=np.asarray(
-                [r.prefill_tokens for r in ordered], dtype=np.int64
-            ),
-            max_new_tokens=np.asarray(
-                [r.max_new_tokens for r in ordered], dtype=np.int64
-            ),
-            payload_list=payload_list,
-        )
+        columns, names = _request_columns(ordered, [])
+        store = cls(model_names=names, **columns)
+        store._objects = ordered
+        return store
+
+    def append(self, requests: Sequence) -> int:
+        """Add ``requests`` as new rows behind the existing ones, in order.
+
+        Streaming admission for a store built by :meth:`from_requests` (the
+        objects are kept).  Returns the first new row.  Rows keep the order
+        they were appended in, so an appended-to store is arrival-sorted
+        only run by run: the session that owns it orders admission itself.
+        A column stays implicit until a request departs from its default;
+        the rows before it are then filled in with that default.
+        """
+        if self._objects is None:
+            raise ValueError("append() needs a store built by from_requests()")
+        first = len(self)
+        count = len(requests)
+        columns, names = _request_columns(requests, self.model_names)
+        check_arrivals(columns["arrivals"])
+        self._grow("arrivals", self.arrivals, count)[:] = columns["arrivals"]
+        self._grow("status", self.status, count)[:] = PENDING
+        for name, (dtype, default) in _IMPLICIT.items():
+            column, values = getattr(self, name), columns.get(name)
+            if column is None and values is None:
+                continue
+            if column is None:
+                column = np.full(first, default, dtype=dtype)
+            self._grow(name, column, count)[:] = default if values is None else values
+        self.model_names = names
+        self._objects.extend(requests)
+        return first
+
+    def _grow(self, name: str, column: np.ndarray, count: int) -> np.ndarray:
+        """Lengthen column ``name`` by ``count`` rows; returns them, unset."""
+        first = len(column)
+        total = first + count
+        buffer = self._buffers.get(name, column)
+        if len(buffer) < total:
+            # Doubling: a run of appends costs O(rows added), not O(rows
+            # held) each.
+            spare = np.empty(max(total, 2 * len(buffer)) - first, column.dtype)
+            buffer = self._buffers[name] = np.concatenate([column, spare])
+        setattr(self, name, buffer[:total])
+        return buffer[first:total]
 
     # -- column access --------------------------------------------------
     def __len__(self) -> int:
@@ -355,11 +448,15 @@ class RequestStore:
     @property
     def single_model(self) -> Optional[str]:
         """The one model every request targets, or ``None`` if mixed."""
-        if len(self.model_names) == 1:
+        if self.model_names and (
+            self.model_ids is None or len(self.model_names) == 1
+        ):
             return self.model_names[0]
         return None
 
     def model_name(self, i: int) -> str:
+        if self.model_ids is None:
+            return self.model_names[0]
         return self.model_names[int(self.model_ids[i])]
 
     def model_mask(self, name: str) -> np.ndarray:
@@ -368,33 +465,53 @@ class RequestStore:
             model_id = self.model_names.index(name)
         except ValueError:
             return np.zeros(len(self), dtype=bool)
-        if len(self.model_names) == 1:
+        if name == self.single_model:
             return np.ones(len(self), dtype=bool)
+        if self.model_ids is None:
+            return np.zeros(len(self), dtype=bool)
         return self.model_ids == model_id
+
+    def values(self, name: str, rows: np.ndarray) -> Iterable:
+        """Column ``name`` at ``rows``, as Python values in row order.
+
+        Values are as a :class:`Request` spells them (a deadline that is
+        ``nan`` in the column reads ``None``).  An implicit column reads as
+        an endless run of its default, so a caller zips it with the rows and
+        never asks whether it is there.
+        """
+        column = getattr(self, name)
+        if column is None:
+            return repeat(_IMPLICIT[name][1])
+        values = column[rows].tolist()
+        if name == "deadlines":
+            values = [None if d != d else d for d in values]
+        return values
 
     def model_name_list(self) -> List[str]:
         """Per-request model names (materializes one list of shared strings)."""
+        if self.model_ids is None:
+            return self.model_names[:1] * len(self)
         return [self.model_names[model_id] for model_id in self.model_ids.tolist()]
 
-    def deadline_flags(self) -> Optional[np.ndarray]:
-        """Boolean mask of deadline-carrying requests (None when no column)."""
-        if self.deadlines is None:
-            return None
-        return ~np.isnan(self.deadlines)
-
     def payload(self, i: int):
+        if self._objects is not None:
+            return self._objects[i].payload
         if self.payload_pool is not None:
             return self.payload_pool[i % len(self.payload_pool)]
-        if self.payload_list is not None:
-            return self.payload_list[i]
         return None
 
     # -- view materialization -------------------------------------------
     def request(self, i: int):
-        """Materialize the :class:`~repro.serving.engine.Request` view of row ``i``."""
+        """The :class:`~repro.serving.engine.Request` of row ``i``.
+
+        The caller's own object where the store kept it, a freshly
+        materialized view of the columns otherwise.
+        """
+        i = int(i)
+        if self._objects is not None:
+            return self._objects[i]
         from repro.serving.engine import Request
 
-        i = int(i)
         deadline = None
         if self.deadlines is not None:
             value = self.deadlines[i]
@@ -402,8 +519,8 @@ class RequestStore:
                 deadline = float(value)
         return Request(
             arrival_time=float(self.arrivals[i]),
-            model=self.model_names[int(self.model_ids[i])],
-            request_id=int(self.request_ids[i]),
+            model=self.model_name(i),
+            request_id=i if self.request_ids is None else int(self.request_ids[i]),
             payload=self.payload(i),
             priority=int(self.priorities[i]) if self.priorities is not None else 0,
             deadline=deadline,
@@ -419,30 +536,37 @@ class RequestStore:
 class LazyRequests(_SequenceABC):
     """Zero-copy ``Sequence[Request]`` view over a :class:`RequestStore`.
 
-    Rows are arrival-sorted (the store invariant), so the engine skips the
-    admission re-sort and aliases ``store.arrivals`` directly.  Indexing
-    materializes one transient :class:`~repro.serving.engine.Request`;
-    nothing holds the views alive, so peak RSS stays O(columns) instead of
-    O(requests x object overhead).
+    Without ``rows`` the view spans the store: rows are arrival-sorted (the
+    store invariant), so the engine adopts the store as the session's own —
+    no object walk, no sort, no copies.  With ``rows`` (an index array) it
+    spans just those, in that order — what the engine hands an executor as
+    ``Batch.requests``.  Indexing goes through :meth:`RequestStore.request`;
+    nothing holds materialized views alive, so peak RSS stays O(columns)
+    instead of O(requests x object overhead).
     """
 
-    __slots__ = ("store",)
+    __slots__ = ("store", "rows")
 
-    def __init__(self, store: RequestStore) -> None:
+    def __init__(self, store: RequestStore, rows: Optional[np.ndarray] = None) -> None:
         self.store = store
+        self.rows = rows
 
     def __len__(self) -> int:
-        return len(self.store)
+        return len(self.store) if self.rows is None else len(self.rows)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self.store.request(i) for i in range(*index.indices(len(self)))]
+            return [self[i] for i in range(*index.indices(len(self)))]
         i = int(index)
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(i)
-        return self.store.request(i)
+        return self.store.request(i if self.rows is None else self.rows[i])
+
+    def __iter__(self):
+        rows = range(len(self.store)) if self.rows is None else self.rows.tolist()
+        return map(self.store.request, rows)
 
 
 # ----------------------------------------------------------------------
@@ -522,23 +646,6 @@ class BatchLedger(_SequenceABC):
         return NotImplemented
 
     __hash__ = None  # mutable container semantics, like list
-
-    def append(self, record) -> None:
-        """Grow the ledger by one (already-materialized) record.
-
-        Rare slow path — only control-plane code appends after a fast run
-        (the hot loop never does); O(n) per call, so callers batching many
-        appends should rebuild the arrays instead.
-        """
-        if record.model != self.model or record.mode != self.mode or (
-            float(record.ratio) != self.ratio
-        ):
-            raise ValueError("BatchLedger holds a single model/mode/ratio cohort")
-        self.starts = np.append(self.starts, float(record.start))
-        self.finishes = np.append(self.finishes, float(record.finish))
-        self.sizes = np.append(self.sizes, int(record.size))
-        self.servers = np.append(self.servers, int(record.server))
-        self.queue_depths = np.append(self.queue_depths, int(record.queue_depth))
 
 
 # ----------------------------------------------------------------------
@@ -733,7 +840,7 @@ def per_request_latencies(
     """Per-request latencies from segment columns, vectorized.
 
     ``repeat(finish, size) - arrival`` performs the identical elementwise
-    IEEE subtraction the object loop's ``finish - slot_arrivals[slots]``
+    IEEE subtraction the object loop's ``finish - arrivals[slots]``
     does per batch; drop segments carry ``nan`` finishes, which propagate
     to the dropped requests exactly like the object path's ``nan`` store.
     """

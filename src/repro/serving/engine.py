@@ -51,11 +51,18 @@ executor(s) and policy — with a :class:`~repro.serving.executors.
 RuntimeExecutor` per model and server that means one prepared-kernel cache
 each, and a per-batch ``set_ratio()`` that stays an O(1) variable update.
 
-The discrete-event loop reproduces the seed ``ServingSimulator`` semantics
-exactly for single-server FIFO runs (same admission, batch-cap and float
-arithmetic), so the compatibility wrappers in :mod:`repro.serving.simulator`
-and :mod:`repro.serving.adaptation` return bit-identical latencies for the
-Figure 8/9 reproductions.  One deliberate deviation from the seed: when
+However requests are handed in — a trace, a list of :class:`Request`
+objects, a :class:`~repro.serving.core.LazyRequests` view, streaming
+``submit()`` — a session holds them as one columnar
+:class:`~repro.serving.core.RequestStore`; scheduler keys, deadline counts,
+model names, payloads and :class:`Response` fields are all read from its
+columns, a batch at a time.
+
+The discrete-event loop reproduces the seed simulator's semantics exactly
+for single-server FIFO runs (same admission, batch-cap and float
+arithmetic), so the Figure 8/9 reproductions are bit-identical to the seed
+(the seed loops are kept as references in ``tests/test_serving_engine.py``).
+One deliberate deviation from the seed: when
 ``drop_after`` expires requests, the batch is backfilled from the queue
 after the expired prefix is dropped, so drops no longer waste batch slots
 (the seed computed the batch window before filtering, leaving batches
@@ -67,6 +74,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass
+from itertools import repeat
 from typing import (
     Any,
     Callable,
@@ -115,6 +123,19 @@ class BatchingConfig:
     # queue; ``drop_after`` (seconds) optionally drops requests that waited
     # longer than this (disabled by default, as in the paper).
     drop_after: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.max_batch, (int, np.integer)) or self.max_batch < 1:
+            raise ValueError(
+                f"max_batch must be an integer >= 1 (got {self.max_batch!r})"
+            )
+        if self.drop_after is not None and not (
+            np.isfinite(self.drop_after) and self.drop_after >= 0
+        ):
+            raise ValueError(
+                "drop_after must be None or a finite number >= 0 "
+                f"(got {self.drop_after!r})"
+            )
 
 
 @dataclass
@@ -189,9 +210,10 @@ class Response:
 class Batch:
     """One batch handed to an :class:`Executor`.
 
-    ``requests`` is populated when the engine was given explicit
-    :class:`Request` objects (so executors can read payloads); trace-driven
-    runs pass only the size, which is all modeled execution needs.
+    ``requests`` is a lazy view over the session's store: an executor that
+    indexes it gets the caller's :class:`Request` (or, for rows that never
+    were objects, one materialized on the spot) and can read its payload;
+    modeled execution reads only ``size`` and materializes nothing.
     ``server`` is the accelerator the batch runs on (0-based).
     """
 
@@ -302,7 +324,6 @@ class EngineResult:
     duration: float
     busy_time: float
     responses: Optional[List[Response]] = None
-    _single_model: Optional[str] = None
     num_servers: int = 1
     server_busy_times: Optional[List[float]] = None
     migrated: int = 0
@@ -375,7 +396,9 @@ class EngineResult:
         """Served latencies of one registered model, in admission order."""
         served = ~np.isnan(self.request_latencies)
         if self.request_models is None:
-            if self._single_model is not None and name != self._single_model:
+            # A trace session: one model ran every batch there is.
+            records = self.batch_records
+            if len(records) and records[0].model != name:
                 return np.zeros(0, dtype=np.float64)
             return self.request_latencies[served]
         mask = served & (np.asarray(self.request_models) == name)
@@ -500,28 +523,28 @@ def _expired_prefix_end(
 
 
 class _Session:
-    """Mutable state of one serving run (batch or streaming)."""
+    """Mutable state of one serving run (batch or streaming).
+
+    The requests are ``store`` — one :class:`RequestStore`, whichever way
+    they were handed in; a request's *slot* is its row.  ``origin`` records
+    that way (``"trace"``, ``"view"``, ``"list"``) for the two things it
+    still decides: only a ``"list"`` session created its store and may
+    append to it on :meth:`ServingEngine.submit`, and a ``"trace"`` result
+    lists no per-request models.
+    """
 
     def __init__(
         self,
         num_servers: int,
-        slot_arrivals: np.ndarray,
-        request_objs: Optional[List[Request]],
-        single_model: Optional[str],
-        trace: Optional[RequestTrace],
+        store: RequestStore,
         duration: Optional[float],
         record_responses: bool,
+        origin: str,
     ) -> None:
-        num_requests = len(slot_arrivals)
-        self.slot_arrivals = slot_arrivals
-        self.request_objs = request_objs
-        # Columnar backing store when request_objs is a LazyRequests view
-        # (store-backed sessions read metadata from columns, not objects).
-        self.store = getattr(request_objs, "store", None)
-        self.single_model = single_model
-        self.trace = trace
+        num_requests = len(store)
+        self.store = store
         self.duration = duration
-        self.record_responses = record_responses
+        self.origin = origin
         self.latencies = np.zeros(num_requests, dtype=np.float64)
         self.responses: Optional[List[Optional[Response]]] = (
             [None] * num_requests if record_responses else None
@@ -554,24 +577,21 @@ class _Session:
         # Pending admission, sorted by arrival: positions >= ``pos`` are not
         # yet served (FIFO path) / not yet admitted to the queue (scheduled
         # path).  ``pend_slots[p]`` maps a pending position back to the
-        # stable per-request slot index.
-        self.pend_arrivals = slot_arrivals
+        # stable per-request slot index.  Until something is merged in
+        # (submit, migration) the queue *is* the store's arrival column.
+        self.pend_arrivals = store.arrivals
         self.pend_slots = np.arange(num_requests, dtype=np.intp)
         self.pos = 0
-        # Scheduled path only: admitted-but-unserved requests, a heap
-        # ordered by (scheduler key, arrival, slot) — arrival then
-        # admission slot are the FIFO tie-breakers behind the discipline's
-        # key.  ``arrival_heap`` (lazily cleaned against ``queued_slots``)
-        # answers "earliest queued arrival" without scanning the queue.
-        self.queue: List[Tuple[Tuple, float, int]] = []
+        # Scheduled path only: admitted-but-unserved requests, a heap of
+        # (scheduler key, arrival, slot, model id) — arrival then admission
+        # slot are the FIFO tie-breakers behind the discipline's key (slots
+        # are unique, so the model id never orders anything; it rides along
+        # for same-model batching).  ``arrival_heap`` (lazily cleaned
+        # against ``queued_slots``) answers "earliest queued arrival"
+        # without scanning the queue.
+        self.queue: List[Tuple[Tuple, float, int, int]] = []
         self.arrival_heap: List[Tuple[float, int]] = []
         self.queued_slots: set = set()
-
-    def model_name(self, slot: int) -> str:
-        """Model of one slot, without materializing a store-backed Request."""
-        if self.store is not None:
-            return self.store.model_name(int(slot))
-        return self.request_objs[int(slot)].model
 
 
 class ServingEngine:
@@ -579,10 +599,12 @@ class ServingEngine:
 
     Register one endpoint per model with :meth:`register`, then either
     :meth:`run` a :class:`~repro.data.traces.RequestTrace` (single-model,
-    modeled runs — no per-request objects are materialized, keeping
-    million-request sweeps cheap) or an explicit list of :class:`Request`
-    objects (multi-model, scheduler-aware and real execution) — or drive the
-    engine incrementally::
+    arrivals only — the session's store aliases the trace's sorted arrivals
+    and allocates no other request column, keeping million-request sweeps
+    cheap) or explicit :class:`Request` objects (multi-model, scheduler-
+    aware and real execution; a list, or a
+    :class:`~repro.serving.core.LazyRequests` view) — or drive the engine
+    incrementally::
 
         engine.start()                  # open a streaming session
         engine.submit(first_requests)   # admission while the engine runs
@@ -591,8 +613,8 @@ class ServingEngine:
         result = engine.finish()        # drain the queue, close the session
 
     ``scheduler`` selects the queue discipline (default FIFO); non-FIFO
-    schedulers read per-request ``priority``/``deadline`` fields and
-    therefore require explicit request lists (see
+    schedulers read per-request ``priority``/``deadline`` fields, which a
+    trace does not carry, and therefore require explicit requests (see
     :func:`requests_from_trace`).
     """
 
@@ -748,84 +770,65 @@ class ServingEngine:
                 model = next(iter(self._endpoints))
             if model not in self._endpoints:
                 raise KeyError(f"model {model!r} is not registered")
-            if hasattr(trace, "sorted_arrivals"):
-                # Sorted once per (trace, arrival array) and cached on the
-                # trace — repeated runs over a million-request trace stop
-                # paying an O(n log n) re-sort per entry.
-                arrivals = trace.sorted_arrivals()
-            else:
-                arrivals = np.sort(
-                    np.asarray(trace.arrival_times, dtype=np.float64)
-                )
-            request_objs: Optional[Sequence[Request]] = None
-            single_model: Optional[str] = model
+            # The trace's sorted arrivals (sorted once, cached on the trace)
+            # are aliased, and every other column stays implicit: a trace
+            # session allocates no per-request metadata.
+            store = RequestStore.from_trace(trace, model=model)
+            origin = "trace"
             run_duration = trace.duration if duration is None else float(duration)
         else:
-            if requests is None:
-                requests = []
             if model is not None and model not in self._endpoints:
                 raise KeyError(f"model {model!r} is not registered")
-            store = getattr(requests, "store", None)
-            if store is not None:
-                # Store-backed lazy view (LazyRequests): rows are already
-                # arrival-sorted, so alias the arrival column directly —
+            if isinstance(requests, LazyRequests) and requests.rows is None:
+                # Rows are already arrival-sorted: adopt the view's store —
                 # no object walk, no sort, no copies.
-                request_objs = requests
-                for name in store.model_names:
-                    if name not in self._endpoints:
-                        raise KeyError(f"model {name!r} is not registered")
-                    if model is not None and name != model:
-                        raise ValueError(
-                            f"model={model!r} conflicts with a request for "
-                            f"{name!r}; omit model= for multi-model "
-                            "request lists"
-                        )
-                arrivals = store.arrivals
-                single_model = store.single_model
+                store = requests.store
+                origin = "view"
             else:
-                order = sorted(
-                    range(len(requests)), key=lambda i: requests[i].arrival_time
+                store = RequestStore.from_requests(
+                    requests if requests is not None else []
                 )
-                request_objs = [requests[i] for i in order]
-                for request in request_objs:
-                    if request.model not in self._endpoints:
-                        raise KeyError(
-                            f"model {request.model!r} is not registered"
-                        )
-                    if model is not None and request.model != model:
-                        raise ValueError(
-                            f"model={model!r} conflicts with a request for "
-                            f"{request.model!r}; omit model= for multi-model "
-                            "request lists"
-                        )
-                arrivals = np.asarray(
-                    [request.arrival_time for request in request_objs],
-                    dtype=np.float64,
-                )
-                models_present = {request.model for request in request_objs}
-                single_model = (
-                    models_present.pop() if len(models_present) == 1 else None
-                )
+                origin = "list"
+            for name in store.model_names:
+                if name not in self._endpoints:
+                    raise KeyError(f"model {name!r} is not registered")
+                if model is not None and name != model:
+                    raise ValueError(
+                        f"model={model!r} conflicts with a request for "
+                        f"{name!r}; omit model= for multi-model "
+                        "request lists"
+                    )
             # Without an explicit duration the run spans until the last batch
             # finishes (makespan, filled in by finish()); policies windowing
             # over admissions see the arrival horizon.
             run_duration = float(duration) if duration is not None else None
 
         if record_responses is None:
-            record_responses = request_objs is not None
+            record_responses = trace is None
 
+        arrivals = store.arrivals
         policy_horizon = run_duration
         if policy_horizon is None:
             policy_horizon = float(arrivals[-1]) if len(arrivals) else 0.0
-        self._start_policies(arrivals, request_objs, single_model, trace, policy_horizon)
+        # Show every involved policy its model's admitted trace.
+        for name, endpoint in self._endpoints.items():
+            if trace is not None:
+                if name != model:
+                    continue
+                sub = trace
+            else:
+                mask = store.model_mask(name)
+                if not mask.any():
+                    continue
+                sub = RequestTrace(
+                    arrivals if store.single_model is not None else arrivals[mask],
+                    policy_horizon,
+                )
+            endpoint.policy.on_run_start(sub)
+        # A store served before (or aborted mid-run) starts over.
+        store.status[:] = PENDING
         self._session = _Session(
-            self.num_servers,
-            arrivals,
-            request_objs,
-            single_model,
-            trace,
-            run_duration,
-            record_responses,
+            self.num_servers, store, run_duration, record_responses, origin
         )
 
     def submit(self, requests: Union[Request, Sequence[Request]]) -> None:
@@ -836,12 +839,12 @@ class ServingEngine:
         current simulated time is simply served at the next opportunity.
         """
         session = self._require_session()
-        if session.request_objs is None:
+        if session.origin == "trace":
             raise RuntimeError(
                 "trace sessions are fixed at start(); open a request session "
                 "(start() or start(requests=...)) for streaming admission"
             )
-        if session.store is not None:
+        if session.origin == "view":
             raise RuntimeError(
                 "store-backed sessions (LazyRequests) are fixed at start(); "
                 "open a plain request-list session for streaming admission"
@@ -854,17 +857,14 @@ class ServingEngine:
         for request in new:
             if request.model not in self._endpoints:
                 raise KeyError(f"model {request.model!r} is not registered")
-        first_slot = len(session.request_objs)
-        session.request_objs.extend(new)
-        new_arrivals = np.asarray([r.arrival_time for r in new], dtype=np.float64)
-        session.slot_arrivals = np.concatenate([session.slot_arrivals, new_arrivals])
+        first_slot = session.store.append(new)
         session.latencies = np.concatenate(
             [session.latencies, np.zeros(len(new), dtype=np.float64)]
         )
         if session.responses is not None:
             session.responses.extend([None] * len(new))
         new_slots = np.arange(first_slot, first_slot + len(new), dtype=np.intp)
-        self._merge_pending(session, new_arrivals, new_slots)
+        self._merge_pending(session, session.store.arrivals[first_slot:], new_slots)
 
     def step(self) -> Optional[BatchRecord]:
         """Execute the next batch; ``None`` when no admitted work remains."""
@@ -1052,21 +1052,19 @@ class ServingEngine:
                 )
                 self.telemetry.unrecord_batch(
                     record,
-                    latencies=record.finish - s.slot_arrivals[slots],
+                    latencies=record.finish - s.store.arrivals[slots],
                     deadline_total=deadline_total,
                     deadline_met=deadline_met,
                     kill_time=time,
                 )
             if self.tracer is not None:
                 self.tracer.on_preempt(record, slots, time)
-            for slot in slots:
-                slot = int(slot)
-                s.latencies[slot] = 0.0
-                if s.store is not None:
-                    s.store.status[slot] = PENDING
-                if s.responses is not None:
+            s.latencies[slots] = 0.0
+            s.store.status[slots] = PENDING
+            if s.responses is not None:
+                for slot in slots.tolist():
                     s.responses[slot] = None
-                migrant_slots.append(slot)
+            migrant_slots.extend(slots.tolist())
         # The server's clock rewinds to the preemption point (or the finish
         # of a still-running batch it was allowed to drain).
         s.free_at[server] = max(
@@ -1087,22 +1085,21 @@ class ServingEngine:
             ]
             heapq.heapify(s.arrival_heap)
 
+        rows = np.asarray(migrant_slots, dtype=np.intp)
         migrants = [
             Migrant(
                 slot=slot,
-                arrival=float(s.slot_arrivals[slot]),
-                deadline=(
-                    s.request_objs[slot].deadline
-                    if s.request_objs is not None
-                    else None
-                ),
-                request=(
-                    s.request_objs[slot] if s.request_objs is not None else None
-                ),
+                arrival=arrival,
+                deadline=deadline,
+                request=s.store.request(slot),
                 migrations=s.migrations.get(slot, 0),
                 progress=s.checkpoints.get(slot, 0.0),
             )
-            for slot in migrant_slots
+            for slot, arrival, deadline in zip(
+                migrant_slots,
+                s.store.arrivals[rows].tolist(),
+                s.store.values("deadlines", rows),
+            )
         ]
         if policy is None:
             keys: List[Optional[float]] = [None] * len(migrants)
@@ -1144,9 +1141,9 @@ class ServingEngine:
             dropped=len(drop_slots),
         )
 
-    @staticmethod
+    @classmethod
     def _deadline_counts(
-        s: _Session, slots: np.ndarray, finish: float
+        cls, s: _Session, slots: np.ndarray, finish: float
     ) -> Tuple[int, int]:
         """(deadline-carrying, met-by-``finish``) counts for a batch's slots.
 
@@ -1155,46 +1152,23 @@ class ServingEngine:
         rewound batch would leave phantom attainment in its window.
         """
         total = met = 0
-        if s.store is not None:
-            column = s.store.deadlines
-            if column is not None:
-                batch = column[np.asarray(slots, dtype=np.int64)]
-                carrying = ~np.isnan(batch)
-                total = int(np.count_nonzero(carrying))
-                if total:
-                    met = int(np.count_nonzero(finish <= batch[carrying]))
-        elif s.request_objs is not None:
-            for slot in slots:
-                deadline = s.request_objs[int(slot)].deadline
-                if deadline is not None:
-                    total += 1
-                    if finish <= deadline:
-                        met += 1
+        batch = cls._slot_deadlines(s, slots)
+        if batch is not None:
+            carrying = ~np.isnan(batch)
+            total = int(np.count_nonzero(carrying))
+            if total:
+                met = int(np.count_nonzero(finish <= batch[carrying]))
         return total, met
 
     @staticmethod
     def _slot_deadlines(s: _Session, slots: np.ndarray) -> Optional[np.ndarray]:
         """Absolute deadlines for ``slots`` (``nan`` = none), or ``None``.
 
-        Only materialized when a tracer wants deadline-forced sampling —
-        the common traced path (sample_rate=1.0) never pays for it.
+        ``None`` when no request of the session carries one, so the common
+        paths never pay for the lookup.
         """
-        if s.store is not None:
-            column = s.store.deadlines
-            if column is None:
-                return None
-            return column[np.asarray(slots, dtype=np.int64)]
-        if s.request_objs is not None:
-            return np.asarray(
-                [
-                    float("nan")
-                    if s.request_objs[int(slot)].deadline is None
-                    else float(s.request_objs[int(slot)].deadline)
-                    for slot in slots
-                ],
-                dtype=np.float64,
-            )
-        return None
+        column = s.store.deadlines
+        return None if column is None else column[slots]
 
     @staticmethod
     def _merge_pending(s: _Session, keys: np.ndarray, slots: np.ndarray) -> None:
@@ -1234,33 +1208,6 @@ class ServingEngine:
             )
         return server
 
-    def _start_policies(
-        self,
-        arrivals: np.ndarray,
-        request_objs: Optional[List[Request]],
-        single_model: Optional[str],
-        trace: Optional[RequestTrace],
-        duration: float,
-    ) -> None:
-        """Show every involved policy its model's admitted trace."""
-        for name, endpoint in self._endpoints.items():
-            if single_model is not None:
-                if name != single_model:
-                    continue
-                sub = trace if trace is not None else RequestTrace(arrivals, duration)
-            else:
-                store = getattr(request_objs, "store", None)
-                if store is not None:
-                    mask = store.model_mask(name)
-                else:
-                    mask = np.asarray(
-                        [r.model == name for r in request_objs], dtype=bool
-                    )
-                if not mask.any():
-                    continue
-                sub = RequestTrace(arrivals[mask], duration)
-            endpoint.policy.on_run_start(sub)
-
     # ------------------------------------------------------------------
     # Columnar fast core (vectorized whole-session FIFO drain)
     # ------------------------------------------------------------------
@@ -1271,10 +1218,10 @@ class ServingEngine:
         anything else falls back to the object loop (identical results,
         slower).  Eligible: a columnar-enabled engine, FIFO discipline with
         the seed argmin-free-clock dispatch, an untouched single-model
-        session (no steps taken, no queue, no checkpoints, no response
-        recording) whose requests come from a trace or a store-backed view
-        (plain object lists may still stream more via submit()), served by
-        stateless modeled executors under a fixed-ratio policy.
+        session (no steps taken, nothing merged into the pending queue by
+        submit() or a migration, no queue, no checkpoints, no response
+        recording), served by stateless modeled executors under a
+        fixed-ratio policy.
         """
         from repro.serving.executors import ModeledExecutor
         from repro.serving.policies import FixedRatioPolicy
@@ -1287,14 +1234,12 @@ class ServingEngine:
             return False
         if len(s.pend_arrivals) == 0 or not s.active:
             return False
-        if s.request_objs is not None and s.store is None:
-            return False
-        model = s.store.single_model if s.store is not None else s.single_model
+        if s.pend_arrivals is not s.store.arrivals:
+            return False  # merged: pending positions are no longer the rows
+        model = s.store.single_model
         if model is None:
             return False
-        endpoint = self._endpoints.get(model)
-        if endpoint is None:
-            return False
+        endpoint = self._endpoints[model]
         if type(endpoint.policy) is not FixedRatioPolicy:
             return False
         return all(
@@ -1314,7 +1259,7 @@ class ServingEngine:
         server clocks — and bulk-ingests telemetry.  Bit-identical to
         stepping the object loop over the same session.
         """
-        model = s.store.single_model if s.store is not None else s.single_model
+        model = s.store.single_model
         endpoint = self._endpoints[model]
         arrivals = s.pend_arrivals
         num_requests = len(arrivals)
@@ -1356,11 +1301,10 @@ class ServingEngine:
             run.servers, run.queue_depths,
         )
         s.pos = num_requests
-        if s.store is not None:
-            status = s.store.status
-            status[:num_requests] = SERVED
-            for lo, hi in zip(run.drop_los.tolist(), run.drop_his.tolist()):
-                status[lo:hi] = DROPPED
+        status = s.store.status
+        status[:] = SERVED
+        for lo, hi in zip(run.drop_los.tolist(), run.drop_his.tolist()):
+            status[lo:hi] = DROPPED
         if self.tracer is not None:
             # Bulk span ingestion mirrors the object loop's spans; the
             # position axis is the slot axis on an untouched session.
@@ -1368,9 +1312,7 @@ class ServingEngine:
                 run,
                 arrivals,
                 deadlines=(
-                    (s.store.deadlines if s.store is not None else None)
-                    if self.tracer.wants_deadlines
-                    else None
+                    s.store.deadlines if self.tracer.wants_deadlines else None
                 ),
             )
         if self.telemetry is None:
@@ -1389,7 +1331,7 @@ class ServingEngine:
             served_sel = None
             served_latencies = latencies
         deadline_flags = deadline_met = drop_misses = None
-        deadlines = s.store.deadlines if s.store is not None else None
+        deadlines = s.store.deadlines
         if deadlines is not None:
             flags_all = ~np.isnan(deadlines)
             # nan on either side compares False: dropped requests never
@@ -1426,7 +1368,7 @@ class ServingEngine:
         max_batch = self.batching.max_batch
         drop_after = self.batching.drop_after
         arrivals = s.pend_arrivals
-        request_objs = s.request_objs
+        store = s.store
 
         while True:
             num_requests = len(arrivals)
@@ -1438,11 +1380,7 @@ class ServingEngine:
                 # The seed dispatch rule, inlined (bit-identical fast path).
                 server = min(s.active, key=s.free_at.__getitem__)
             else:
-                head_model = (
-                    s.single_model
-                    if request_objs is None
-                    else s.model_name(s.pend_slots[index])
-                )
+                head_model = store.model_name(s.pend_slots[index])
                 # Size hint: arrivals by the *earliest possible* service
                 # start (the earliest-free active clock), not by the head's
                 # arrival — under backlog the batch really forms then, and
@@ -1480,24 +1418,16 @@ class ServingEngine:
             if limit == index:
                 limit = index + 1  # serve at least the request that triggered us
 
-            if request_objs is None:
-                head_model = s.single_model
-                batch_end = limit
-            elif s.store is not None and s.store.single_model is not None:
-                # Store-backed sessions are fixed at start(): single-model
-                # stores can never see another model, so skip the walk.
-                head_model = s.store.single_model
-                batch_end = limit
-            else:
+            head_model = store.single_model
+            batch_end = limit
+            if head_model is None:
                 # Same-model batching: a batch is a FIFO run of consecutive
                 # requests for one model (batches never mix models).
-                head_model = s.model_name(s.pend_slots[index])
-                batch_end = index + 1
-                while (
-                    batch_end < limit
-                    and s.model_name(s.pend_slots[batch_end]) == head_model
-                ):
-                    batch_end += 1
+                model_ids = store.model_ids[s.pend_slots[index:limit]]
+                head_model = store.model_names[model_ids[0]]
+                others = np.flatnonzero(model_ids != model_ids[0])
+                if len(others):
+                    batch_end = index + int(others[0])
 
             slots = s.pend_slots[index:batch_end]
             record = self._execute(
@@ -1512,8 +1442,7 @@ class ServingEngine:
     def _step_scheduled(self, s: _Session) -> Optional[BatchRecord]:
         max_batch = self.batching.max_batch
         drop_after = self.batching.drop_after
-        request_objs = s.request_objs
-        scheduler = self.scheduler
+        store = s.store
 
         while True:
             if not s.queue and s.pos >= len(s.pend_arrivals):
@@ -1540,22 +1469,19 @@ class ServingEngine:
             end_index = bisect.bisect_right(s.pend_arrivals, start, lo=s.pos)
             if end_index > s.pos:
                 chunk_slots = s.pend_slots[s.pos:end_index]
-                if s.store is not None:
-                    # Vectorized key extraction over the columnar store —
-                    # same key values as scheduler.key on the object views.
-                    keys = store_keys(scheduler, s.store, chunk_slots)
-                else:
-                    keys = [
-                        scheduler.key(request_objs[slot])
-                        for slot in chunk_slots.tolist()
-                    ]
+                # Key extraction over the store's columns — the same key
+                # values scheduler.key gives on the Request views.
+                keys = store_keys(self.scheduler, store, chunk_slots)
                 chunk_arrivals = s.pend_arrivals[s.pos:end_index].tolist()
-                for key, arrival, slot in zip(
-                    keys, chunk_arrivals, chunk_slots.tolist()
+                for entry in zip(
+                    keys,
+                    chunk_arrivals,
+                    chunk_slots.tolist(),
+                    store.values("model_ids", chunk_slots),
                 ):
-                    heapq.heappush(s.queue, (key, arrival, slot))
-                    heapq.heappush(s.arrival_heap, (arrival, slot))
-                    s.queued_slots.add(slot)
+                    heapq.heappush(s.queue, entry)
+                    heapq.heappush(s.arrival_heap, entry[1:3])
+                    s.queued_slots.add(entry[2])
             s.pos = end_index
 
             # Expiry restarts the loop after dropping: the queue head (and
@@ -1573,7 +1499,8 @@ class ServingEngine:
             # (admission stays anchored to the earliest-free clock, so a
             # batch never contains a request that has not arrived by its
             # service start).
-            head_model = s.model_name(s.queue[0][2])
+            head_id = s.queue[0][3]
+            head_model = store.model_names[head_id]
             if self.placer is None:
                 server = min(s.active, key=s.free_at.__getitem__)
             else:
@@ -1594,11 +1521,11 @@ class ServingEngine:
             # Pop same-model requests in scheduler order; requests of other
             # models encountered along the way go back on the heap.
             queue_depth = len(s.queue)
-            batch_entries: List[Tuple[Tuple, float, int]] = []
-            stash: List[Tuple[Tuple, float, int]] = []
+            batch_entries: List[Tuple[Tuple, float, int, int]] = []
+            stash: List[Tuple[Tuple, float, int, int]] = []
             while s.queue and len(batch_entries) < max_batch:
                 entry = heapq.heappop(s.queue)
-                if s.model_name(entry[2]) == head_model:
+                if entry[3] == head_id:
                     batch_entries.append(entry)
                 else:
                     stash.append(entry)
@@ -1670,11 +1597,7 @@ class ServingEngine:
             start_time=start,
             size=batch_size,
             indices=slots,
-            requests=(
-                [s.request_objs[int(slot)] for slot in slots]
-                if s.request_objs is not None
-                else None
-            ),
+            requests=LazyRequests(s.store, slots),
             server=server,
         )
         execution = endpoint.executors[server].execute(batch, endpoint.mode, ratio)
@@ -1711,9 +1634,10 @@ class ServingEngine:
         if execution.ratio is not None:
             ratio = float(execution.ratio)
         finish = start + service_time
-        s.latencies[slots] = finish - s.slot_arrivals[slots]
-        if s.store is not None:
-            s.store.status[slots] = SERVED
+        arrivals = s.store.arrivals[slots]
+        latencies = finish - arrivals
+        s.latencies[slots] = latencies
+        s.store.status[slots] = SERVED
         record = BatchRecord(
             head_model, start, finish, batch_size, ratio, endpoint.mode, server,
             queue_depth,
@@ -1728,7 +1652,7 @@ class ServingEngine:
             self.telemetry.record_batch(
                 record,
                 queue_depth=queue_depth,
-                latencies=finish - s.slot_arrivals[slots],
+                latencies=latencies,
                 deadline_total=deadline_total,
                 deadline_met=deadline_met,
             )
@@ -1736,7 +1660,7 @@ class ServingEngine:
             self.tracer.on_batch(
                 record,
                 slots,
-                s.slot_arrivals[slots],
+                arrivals,
                 deadlines=(
                     self._slot_deadlines(s, slots)
                     if self.tracer.wants_deadlines
@@ -1744,13 +1668,10 @@ class ServingEngine:
                 ),
             )
         if s.responses is not None:
-            outputs = execution.outputs
-            for position, slot in enumerate(slots):
-                s.responses[int(slot)] = self._response(
-                    s, int(slot), head_model, start, finish, batch_size, ratio,
-                    mode=endpoint.mode, server=server,
-                    output=outputs[position] if outputs is not None else None,
-                )
+            self._respond(
+                s, slots, arrivals, start, finish, batch_size, ratio,
+                server=server, outputs=execution.outputs,
+            )
         s.busy[server] += service_time
         s.free_at[server] = finish
         return record
@@ -1759,39 +1680,26 @@ class ServingEngine:
         """Expire ``slots`` (waited beyond ``drop_after``) at time ``start``."""
         s.dropped += len(slots)
         s.latencies[slots] = np.nan
-        if s.store is not None:
-            s.store.status[slots] = DROPPED
+        s.store.status[slots] = DROPPED
         if s.checkpoints or s.transfer_costs:
             for slot in slots:
                 s.checkpoints.pop(int(slot), None)
                 s.transfer_costs.pop(int(slot), None)
         if self.telemetry is not None:
-            misses = 0
-            if s.store is not None:
-                if s.store.deadlines is not None:
-                    misses = int(np.count_nonzero(
-                        ~np.isnan(s.store.deadlines[np.asarray(slots, dtype=np.int64)])
-                    ))
-            elif s.request_objs is not None:
-                misses = sum(
-                    1 for slot in slots
-                    if s.request_objs[int(slot)].deadline is not None
-                )
+            deadlines = self._slot_deadlines(s, slots)
+            misses = (
+                0 if deadlines is None
+                else int(np.count_nonzero(~np.isnan(deadlines)))
+            )
             self.telemetry.record_drops(start, len(slots), deadline_misses=misses)
+        arrivals = s.store.arrivals[slots]
         if self.tracer is not None:
-            self.tracer.on_drop(slots, s.slot_arrivals[slots], start)
+            self.tracer.on_drop(slots, arrivals, start)
         if s.responses is not None:
-            for slot in slots:
-                slot = int(slot)
-                model = (
-                    s.model_name(slot)
-                    if s.request_objs is not None or s.store is not None
-                    else s.single_model
-                )
-                s.responses[slot] = self._response(
-                    s, slot, model, start, float("nan"), 0, float("nan"),
-                    mode=self._endpoints[model].mode, dropped=True,
-                )
+            self._respond(
+                s, slots, arrivals, start, float("nan"), 0, float("nan"),
+                dropped=True,
+            )
 
     # ------------------------------------------------------------------
     # Finalization
@@ -1801,72 +1709,68 @@ class ServingEngine:
         if duration is None:
             # Makespan: from time zero until the last accelerator went idle
             # (or the last arrival, if everything after it was dropped).
-            last_arrival = float(s.slot_arrivals[-1]) if len(s.slot_arrivals) else 0.0
+            arrivals = s.store.arrivals
+            last_arrival = float(arrivals[-1]) if len(arrivals) else 0.0
             duration = max(max(s.free_at), last_arrival)
         valid = s.latencies[~np.isnan(s.latencies)]
-        if s.store is not None:
-            # Columnar sessions answer both questions from the store's
-            # columns without materializing Request views.
-            request_models = s.store.model_name_list()
-            single_model = s.store.single_model
-        elif s.request_objs is not None:
-            request_models = [request.model for request in s.request_objs]
-            models_present = {request.model for request in s.request_objs}
-            single_model = models_present.pop() if len(models_present) == 1 else None
-        else:
-            request_models = None
-            single_model = s.single_model
         return EngineResult(
             latencies=valid,
             request_latencies=s.latencies,
-            request_models=request_models,
+            request_models=(
+                None if s.origin == "trace" else s.store.model_name_list()
+            ),
             batch_records=s.records,
             dropped=s.dropped,
             duration=duration,
             busy_time=float(sum(s.busy)),
             responses=s.responses,
-            _single_model=single_model,
             num_servers=self.num_servers,
             server_busy_times=list(s.busy),
             migrated=s.migrated,
         )
 
-    def _response(
+    def _respond(
         self,
         s: _Session,
-        slot: int,
-        model: str,
+        slots: np.ndarray,
+        arrivals: np.ndarray,
         start: float,
         finish: float,
         batch_size: int,
         ratio: float,
-        mode: str = "",
-        dropped: bool = False,
-        output: Any = None,
         server: int = 0,
-    ) -> Response:
-        request = s.request_objs[slot] if s.request_objs is not None else None
-        request_id = slot
-        priority = 0
-        deadline = None
-        if request is not None:
-            if request.request_id >= 0:
-                request_id = request.request_id
-            priority = request.priority
-            deadline = request.deadline
-        return Response(
-            request_id=request_id,
-            model=model,
-            arrival_time=float(s.slot_arrivals[slot]),
-            start_time=start,
-            finish_time=finish,
-            batch_size=batch_size,
-            ratio=ratio,
-            mode=mode,
-            dropped=dropped,
-            output=output,
-            priority=priority,
-            deadline=deadline,
-            server=server,
-            migrations=s.migrations.get(slot, 0),
+        dropped: bool = False,
+        outputs: Optional[Sequence[Any]] = None,
+    ) -> None:
+        """Record one :class:`Response` per slot, fields read off the columns."""
+        store = s.store
+        fields = zip(
+            slots.tolist(),
+            store.values("request_ids", slots),
+            store.values("model_ids", slots),
+            arrivals.tolist(),
+            store.values("priorities", slots),
+            store.values("deadlines", slots),
+            repeat(None) if outputs is None else outputs,
         )
+        names = store.model_names
+        migrations = s.migrations
+        for slot, request_id, model_id, arrival, priority, deadline, output in fields:
+            model = names[model_id]
+            s.responses[slot] = Response(
+                # A request that named no id is known by its admission slot.
+                request_id=request_id if request_id >= 0 else slot,
+                model=model,
+                arrival_time=arrival,
+                start_time=start,
+                finish_time=finish,
+                batch_size=batch_size,
+                ratio=ratio,
+                mode=self._endpoints[model].mode,
+                dropped=dropped,
+                output=output,
+                priority=priority,
+                deadline=deadline,
+                server=server,
+                migrations=migrations.get(slot, 0) if migrations else 0,
+            )

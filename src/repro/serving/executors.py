@@ -83,8 +83,8 @@ class RuntimeExecutor:
 
     def _batch_input(self, batch: Batch) -> np.ndarray:
         samples = []
-        for position in range(batch.size):
-            request = batch.requests[position] if batch.requests is not None else None
+        requests = batch.requests if batch.requests is not None else [None] * batch.size
+        for position, request in enumerate(requests):
             payload = request.payload if request is not None else None
             if payload is None:
                 payload = self.default_input

@@ -77,7 +77,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
 import numpy as np
 
 from repro.data.traces import RequestTrace
-from repro.serving.core import ARRIVAL_CHUNK, EventCalendar
+from repro.serving.core import ARRIVAL_CHUNK, EventCalendar, check_arrivals
 from repro.serving.engine import Batch, Request
 from repro.serving.metrics import streaming_summary
 from repro.serving.policies import (
@@ -409,12 +409,7 @@ class GenerationResult:
 
 def _check_arrivals(requests: Sequence[Request]) -> None:
     """Refuse a NaN/inf arrival: it sorts anywhere and is never ready."""
-    for index, request in enumerate(requests):
-        if not math.isfinite(request.arrival_time):
-            raise ValueError(
-                f"request {index} has a non-finite arrival_time "
-                f"({request.arrival_time!r})"
-            )
+    check_arrivals([request.arrival_time for request in requests])
 
 
 # ----------------------------------------------------------------------
@@ -476,6 +471,9 @@ class _GenSession:
         self.iterations: List[IterationRecord] = []
         self.undo: List[_IterationUndo] = []
         self.iter_count: List[int] = [0] * num_servers
+        # When each server last crashed (preempt_server refuses to go back
+        # past it).
+        self.crashed_at: List[float] = [-math.inf] * num_servers
         self.migrated = 0
 
 
@@ -664,6 +662,23 @@ class IterationScheduler:
             raise ValueError(f"server {server} out of range")
         if delay < 0:
             raise ValueError("delay must be >= 0")
+        # Only the server's latest iteration can still be in flight: its
+        # history up to the previous one's finish, and up to its previous
+        # crash, is settled — those sequences have since moved on, and
+        # rewinding them would corrupt their token counts.
+        mine = (r for r in reversed(s.iterations) if r.server == server)
+        next(mine, None)  # the latest: the one that may be in flight
+        previous = next(mine, None)
+        settled = max(
+            s.crashed_at[server], -math.inf if previous is None else previous.finish
+        )
+        if time < settled:
+            raise ValueError(
+                f"server {server} cannot be preempted at {time!r}: its history "
+                f"is settled up to {settled!r} (the finish of its previous "
+                "iteration, or its previous crash)"
+            )
+        s.crashed_at[server] = time
 
         killed = 0
         free_at = time

@@ -4,9 +4,9 @@ Every policy implements the :class:`~repro.serving.engine.RatioPolicy`
 protocol: the engine shows it the model's admitted trace once per run
 (:meth:`on_run_start`) and then asks for a ratio per batch
 (:meth:`select`).  Fixed-ratio, schedule-driven and controller-driven
-deployments are thereby interchangeable under one engine — the API
-consolidation that used to be spread across ``ServingSimulator`` arguments
-(``ratio`` vs ``ratio_schedule``) and ``AdaptiveServingSimulator``.
+deployments are thereby interchangeable under one engine — what the seed
+spread across its simulator's ``ratio`` vs ``ratio_schedule`` arguments and
+a second, adaptive simulator.
 
 **Signature migration (PR 3).**  Policies historically saw only the batch
 start time: ``select(time: float) -> float``.  The engine now builds a
@@ -258,8 +258,8 @@ class DecodePressureRatioPolicy:
 class AdaptiveRatioPolicy:
     """Per-window adaptation driven by an :class:`AdaptiveRatioController`.
 
-    Reproduces the Figure 9 control loop exactly as the seed
-    ``AdaptiveServingSimulator`` did: the trace is divided into control
+    Reproduces the Figure 9 control loop exactly as the seed's adaptive
+    simulator did: the trace is divided into control
     windows; at every window boundary the controller observes the window's
     request rate and picks the ratio for that window.  ``window_ratios`` and
     ``timeline`` expose the resulting plan for reporting (average ratio,

@@ -391,10 +391,11 @@ class Migrant:
 
     ``slot`` is the engine's stable admission slot, ``arrival`` the original
     arrival time (latency is always charged from it — migration shows up as
-    response time, never hides), ``deadline``/``request`` carry scheduler
-    metadata when the session has explicit requests (trace sessions migrate
-    too, with ``request=None``), and ``migrations`` counts moves *before*
-    this preemption.  ``progress`` is the fraction of the request's service
+    response time, never hides), ``deadline``/``request`` carry the
+    request's scheduler metadata (``request`` is the caller's object where
+    there is one, a view materialized from the session's store otherwise —
+    a bare trace's request has only its arrival), and ``migrations`` counts
+    moves *before* this preemption.  ``progress`` is the fraction of the request's service
     already completed and checkpointed (0.0 without a
     :class:`CheckpointPolicy`): a migrant with ``progress > 0`` resumes with
     only ``1 - progress`` of its service demand, which migration policies

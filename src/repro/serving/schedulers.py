@@ -8,7 +8,11 @@ already arrived when service starts, and at most ``max_batch`` ride
 together).
 
 A scheduler is a pure ordering: :meth:`Scheduler.key` maps a queued
-:class:`~repro.serving.engine.Request` to a sortable key; the engine
+:class:`~repro.serving.engine.Request` to a sortable key (and, for the
+built-in disciplines, ``keys(store, slots)`` computes the same keys for a
+whole admitted chunk straight from the columns of the session's
+:class:`~repro.serving.core.RequestStore`, which is the only form the
+engine calls — see :func:`store_keys`); the engine
 appends ``(arrival_time, admission index)`` as the final tie-breakers, so
 requests with equal keys always serve FIFO by arrival (regardless of the
 order they were pushed through streaming ``submit()``).  Three
@@ -28,9 +32,9 @@ disciplines ship with the engine:
   ``tests/test_serving_engine.py::TestSchedulers``).
 
 Every scheduler other than FIFO requires explicit
-:class:`~repro.serving.engine.Request` lists: the trace-only fast path
-carries arrival times and nothing else, and the engine's scheduled loop
-reads the queued ``Request`` objects to form same-model batches.
+:class:`~repro.serving.engine.Request` objects (a list, a lazy view,
+streamed submissions): a bare trace carries arrival times and no priority or
+deadline to order by, so the engine refuses the combination.
 
 Scheduling is orthogonal to *placement*: a scheduler orders **which
 request** serves next, a :class:`~repro.serving.placement.Placer` picks
@@ -99,10 +103,10 @@ def store_keys(
 
     Dispatches to the scheduler's ``keys(store, slots)`` when it defines
     one (the built-in disciplines do — key extraction runs over the
-    store's columns, no ``Request`` objects); custom schedulers without a
-    vectorized form fall back to materializing each request view through
-    :meth:`~repro.serving.core.RequestStore.request`, which yields exactly
-    the same keys as the object path.
+    store's columns, no ``Request`` objects); custom schedulers that only
+    define :meth:`Scheduler.key` are handed each row's request through
+    :meth:`~repro.serving.core.RequestStore.request` — the caller's own
+    object where the store kept it.
     """
     vectorized = getattr(scheduler, "keys", None)
     if vectorized is not None:

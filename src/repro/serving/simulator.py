@@ -1,36 +1,23 @@
-"""Modeled FIFO-batching serving (Figure 8) on top of the serving engine.
+"""Modeled batch service times (Figure 8): the analytic cost of one batch.
 
-This module keeps the seed's public surface — :class:`ServiceTimeModel`,
-:class:`BatchingConfig`, :class:`ServingResult`, :class:`ServingSimulator` —
-but the discrete-event loop now lives in :class:`~repro.serving.engine.
-ServingEngine`; :class:`ServingSimulator` is a thin compatibility wrapper
-that registers a :class:`~repro.serving.executors.ModeledExecutor` and the
-matching ratio policy.  The wrapper is bit-identical to the seed simulator:
-same admission, batch-cap, drop and float arithmetic (asserted by the
-equivalence tests in ``tests/test_serving_engine.py``).
-
-The simulated system matches the setup behind Figure 8: an open-loop request
-stream hits a single accelerator; whenever the accelerator is idle it takes
-up to ``max_batch`` queued requests and serves them as one batch whose
-duration comes from a :class:`ServiceTimeModel` (built on the analytic GPU or
-NPU latency models).  The response time of a request is queueing delay plus
-the service time of the batch it rode in.
+:class:`ServiceTimeModel` maps (mode, 4-bit ratio, batch size) to seconds on
+the analytic GPU or NPU latency models.  Wrapped in a
+:class:`~repro.serving.executors.ModeledExecutor` it is what a
+:class:`~repro.serving.engine.ServingEngine` serves the Figure 8/9
+reproductions with: an open-loop request stream hits an accelerator, which
+takes up to ``max_batch`` queued requests whenever it is idle and serves
+them as one batch of this duration.  The response time of a request is
+queueing delay plus the service time of the batch it rode in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.traces import RequestTrace
 from repro.hardware.gpu import GpuLatencyModel
-from repro.hardware.workloads import LayerOp, model_ops
-from repro.serving.engine import BatchingConfig, ServingEngine
-from repro.serving.executors import ModeledExecutor
-from repro.serving.metrics import latency_percentiles, summarize_latencies
-from repro.serving.policies import FixedRatioPolicy, RatioSchedulePolicy
+from repro.hardware.workloads import model_ops
 
 
 class ServiceTimeModel:
@@ -141,115 +128,3 @@ class ServiceTimeModel:
         if width <= 0:
             return 0.0
         return self.batch_latency(int(width), mode, ratio) * self.decode_token_fraction
-
-
-@dataclass
-class ServingResult:
-    """Outcome of one serving simulation.
-
-    ``ratio`` reports the 4-bit ratio the run *executed*: the fixed ratio
-    for fixed-ratio runs, or the batch-weighted mean of the per-batch
-    executed ratios when a ``ratio_schedule`` drove the run (``nan`` if no
-    batch was served).  The seed reported the fixed ``ratio`` argument even
-    when a schedule overrode it for every batch.
-    """
-
-    latencies: np.ndarray          # per-request response times (seconds)
-    batch_sizes: List[int]
-    dropped: int
-    duration: float
-    mode: str
-    ratio: float
-
-    def summary(self) -> Dict[str, float]:
-        return summarize_latencies(self.latencies)
-
-    @property
-    def median_latency(self) -> float:
-        return latency_percentiles(self.latencies, (50,))["p50"]
-
-    @property
-    def p90_latency(self) -> float:
-        return latency_percentiles(self.latencies, (90,))["p90"]
-
-    @property
-    def throughput(self) -> float:
-        if self.duration <= 0:
-            return 0.0
-        return len(self.latencies) / self.duration
-
-
-class ServingSimulator:
-    """FIFO-batching discrete-event simulator for a single accelerator.
-
-    Compatibility wrapper over :class:`~repro.serving.engine.ServingEngine`:
-    each :meth:`run` registers the service model behind a
-    :class:`ModeledExecutor` with a fixed-ratio or schedule policy and
-    returns the engine outcome as a classic :class:`ServingResult`.
-    """
-
-    def __init__(
-        self,
-        service_model: ServiceTimeModel,
-        batching: Optional[BatchingConfig] = None,
-        num_servers: int = 1,
-    ) -> None:
-        self.service_model = service_model
-        # A fresh config per instance: a shared mutable default would leak
-        # max_batch/drop_after edits across simulators.
-        self.batching = batching if batching is not None else BatchingConfig()
-        self.num_servers = int(num_servers)
-
-    def run(
-        self,
-        trace: RequestTrace,
-        mode: str,
-        ratio: float = 0.0,
-        ratio_schedule: Optional[Callable[[float], float]] = None,
-    ) -> ServingResult:
-        """Simulate the trace and return per-request latencies.
-
-        ``ratio_schedule`` optionally maps simulation time to a 4-bit ratio
-        (used by the adaptive experiments); when provided it overrides the
-        fixed ``ratio`` and the result reports the batch-weighted mean of
-        the ratios that actually executed.
-        """
-        if ratio_schedule is not None:
-            policy = RatioSchedulePolicy(ratio_schedule)
-        else:
-            policy = FixedRatioPolicy(ratio)
-        engine = ServingEngine(batching=self.batching, num_servers=self.num_servers)
-        engine.register(
-            self.service_model.model_name,
-            ModeledExecutor(self.service_model),
-            policy=policy,
-            mode=mode,
-        )
-        outcome = engine.run(trace=trace)
-        if ratio_schedule is not None:
-            ratio = outcome.mean_executed_ratio
-        return ServingResult(
-            latencies=outcome.latencies,
-            batch_sizes=outcome.batch_sizes,
-            dropped=outcome.dropped,
-            duration=trace.duration,
-            mode=mode,
-            ratio=ratio,
-        )
-
-    def latency_vs_rate(
-        self,
-        rates: Sequence[float],
-        mode: str,
-        ratio: float = 0.0,
-        duration: float = 10.0,
-        seed: int = 0,
-    ) -> Dict[float, ServingResult]:
-        """Sweep Poisson request rates (the Figure 8 experiment)."""
-        from repro.data.traces import PoissonTrace
-
-        results: Dict[float, ServingResult] = {}
-        for rate in rates:
-            trace = PoissonTrace(rate, duration, seed=seed).generate()
-            results[float(rate)] = self.run(trace, mode, ratio=ratio)
-        return results

@@ -17,8 +17,11 @@ from repro.hardware.gpu import GpuLatencyModel
 from repro.hardware.memory import flexiq_footprint, uniform_footprint
 from repro.hardware.npu import NpuLatencyModel
 from repro.hardware.workloads import model_ops
-from repro.serving.adaptation import AdaptiveServingSimulator
-from repro.serving.simulator import BatchingConfig, ServiceTimeModel, ServingSimulator
+from repro.serving.adaptation import _effective_accuracy
+from repro.serving.engine import BatchingConfig, ServingEngine
+from repro.serving.executors import ModeledExecutor
+from repro.serving.policies import FixedRatioPolicy
+from repro.serving.simulator import ServiceTimeModel
 from repro.tensor import Tensor, no_grad
 from repro.train.loop import evaluate_accuracy
 
@@ -80,23 +83,28 @@ class TestAccuracyLatencyTradeoff:
         accuracy_by_ratio = evaluate_ratio_sweep(flexiq_runtime, mlp_dataset)
 
         service = ServiceTimeModel("vit_small", gpu="a6000", anchor_batches=(1, 16, 64))
-        simulator = ServingSimulator(service, BatchingConfig(max_batch=64))
         rates = [500, 1500, 3000, 4500]
+
+        def serve(trace, policy):
+            engine = ServingEngine(BatchingConfig(max_batch=64))
+            engine.register(service.model_name, ModeledExecutor(service), policy=policy)
+            return engine.run(trace)
 
         def latency_fn(ratio, rate):
             trace = PoissonTrace(rate, duration=1.5, seed=5).generate()
-            return simulator.run(trace, "flexiq", ratio=ratio).median_latency
+            return serve(trace, FixedRatioPolicy(ratio)).median_latency
 
         profile = build_profile_from_latency_fn(
             rates, sorted(accuracy_by_ratio), latency_fn
         )
         controller = AdaptiveRatioController(profile, latency_threshold=0.02)
-        adaptive = AdaptiveServingSimulator(service, controller, control_window=1.0)
+        policy = controller.as_policy(control_window=1.0)
         trace = FluctuatingTrace(min_rate=1200, peak_ratio=3.0, duration=12.0, seed=7).generate()
-        result = adaptive.run(trace, accuracy_by_ratio=accuracy_by_ratio)
+        result = serve(trace, policy)
+        effective_accuracy = _effective_accuracy(policy.window_ratios, accuracy_by_ratio)
 
         accuracies = list(accuracy_by_ratio.values())
-        assert min(accuracies) - 1e-6 <= result.effective_accuracy <= max(accuracies) + 1e-6
+        assert min(accuracies) - 1e-6 <= effective_accuracy <= max(accuracies) + 1e-6
         assert result.latencies.size == len(trace)
 
     def test_quantized_models_share_float_interface(self, flexiq_runtime, trained_mlp,

@@ -49,9 +49,10 @@ from repro.serving.resilience import (
     FaultSchedule,
     RequeueAtHeadMigration,
 )
-from repro.serving.simulator import ServiceTimeModel, ServingSimulator
+from repro.serving.simulator import ServiceTimeModel
 from repro.serving.telemetry import ScaleEvent, TelemetryBus
 from repro.serving.core import P2Quantile, ReservoirSample
+from test_serving_engine import seed_serving_run
 
 
 def _engine(tracer=None, columnar=True, num_servers=2, drop_after=None):
@@ -140,13 +141,11 @@ class TestTracer:
     def test_engine_off_path_matches_seed_simulator(self):
         # K=1 FIFO with observability off stays bit-identical to the seed.
         trace = _trace()
-        seed_result = ServingSimulator(
-            ServiceTimeModel(), BatchingConfig(max_batch=8)
-        ).run(trace, "flexiq", ratio=0.5)
-        engine_result = _engine(None, num_servers=1).run(trace, model="m")
-        np.testing.assert_array_equal(
-            seed_result.latencies, engine_result.latencies
+        seed_latencies, _, _ = seed_serving_run(
+            ServiceTimeModel(), BatchingConfig(max_batch=8), trace, "flexiq", ratio=0.5
         )
+        engine_result = _engine(None, num_servers=1).run(trace, model="m")
+        np.testing.assert_array_equal(seed_latencies, engine_result.latencies)
 
     def test_preemption_rewrites_spans_and_retracts_terminals(self):
         tracer = Tracer()
@@ -355,6 +354,17 @@ class TestMetricsRegistry:
         report = json.loads(json.dumps(result.to_json()))
         assert report["served"] == len(result.latencies)
         assert report["latency"]["count"] == float(len(result.latencies))
+
+        # A dropped request is not a served one, and has no latency.
+        trace = _trace(rate=4000, duration=1.0)
+        result = _engine(None, num_servers=1, drop_after=0.05).run(trace, model="m")
+        assert result.dropped > len(result.latencies) > 0
+        metrics = _parse_exposition(prometheus_exposition(registry_from_engine(result)))
+        served_total = metrics[("repro_requests_served_total", ())]
+        assert served_total == len(result.latencies)
+        assert served_total + metrics[("repro_requests_dropped_total", ())] == len(trace)
+        assert metrics[("repro_request_latency_seconds_count", ())] == served_total
+        assert np.isfinite(metrics[("repro_request_latency_seconds_sum", ())])
 
 
 def _parse_exposition(text: str):

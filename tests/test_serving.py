@@ -1,4 +1,4 @@
-"""Tests for the serving simulator, metrics and adaptive ratio control."""
+"""Tests for modeled serving on the engine, metrics and adaptive ratio control."""
 
 from __future__ import annotations
 
@@ -7,14 +7,17 @@ import pytest
 
 from repro.core.controller import AdaptiveRatioController, build_profile_from_latency_fn
 from repro.data.traces import FluctuatingTrace, PoissonTrace, RequestTrace
-from repro.serving.adaptation import AdaptiveServingSimulator
+from repro.serving.adaptation import _effective_accuracy
+from repro.serving.engine import BatchingConfig, ServingEngine
+from repro.serving.executors import ModeledExecutor
 from repro.serving.metrics import (
     attainment_within,
     latency_percentiles,
     slo_attainment,
     summarize_latencies,
 )
-from repro.serving.simulator import BatchingConfig, ServiceTimeModel, ServingSimulator
+from repro.serving.policies import FixedRatioPolicy, RatioSchedulePolicy
+from repro.serving.simulator import ServiceTimeModel
 
 
 @pytest.fixture(scope="module")
@@ -22,9 +25,16 @@ def service_model():
     return ServiceTimeModel("vit_base", gpu="a6000", anchor_batches=(1, 16, 64, 128))
 
 
-@pytest.fixture(scope="module")
-def simulator(service_model):
-    return ServingSimulator(service_model, BatchingConfig(max_batch=128))
+def serve(service_model, trace, mode, ratio=0.0, policy=None, batching=None):
+    """One accelerator, FIFO batching, modeled service times (Figure 8)."""
+    engine = ServingEngine(batching or BatchingConfig(max_batch=128))
+    engine.register(
+        service_model.model_name,
+        ModeledExecutor(service_model),
+        policy=policy or FixedRatioPolicy(ratio),
+        mode=mode,
+    )
+    return engine.run(trace)
 
 
 class TestMetrics:
@@ -70,99 +80,112 @@ class TestServiceTimeModel:
         assert a == b
 
 
-class TestServingSimulator:
-    def test_latency_at_least_service_time(self, simulator, service_model):
+class TestServingSimulator:  # the id the tier-1 floor knows these tests by
+    def test_latency_at_least_service_time(self, service_model):
         trace = PoissonTrace(100, duration=3.0, seed=0).generate()
-        result = simulator.run(trace, "int8")
+        result = serve(service_model, trace, "int8")
         min_service = service_model.batch_latency(1, "int8")
         assert result.latencies.min() >= min_service * 0.99
         assert len(result.latencies) == len(trace)
 
-    def test_latency_grows_with_request_rate(self, simulator):
-        results = simulator.latency_vs_rate([200, 2000], "int8", duration=3.0)
+    def test_latency_grows_with_request_rate(self, service_model):
+        results = {
+            rate: serve(
+                service_model, PoissonTrace(rate, 3.0, seed=0).generate(), "int8"
+            )
+            for rate in (200.0, 2000.0)
+        }
         assert results[2000.0].median_latency > results[200.0].median_latency
 
-    def test_int8_saturates_before_int4(self, simulator):
+    def test_int8_saturates_before_int4(self, service_model):
         """The Figure 8 effect: at high rates INT8 queues blow up, INT4 holds."""
         trace = PoissonTrace(2500, duration=4.0, seed=1).generate()
-        int8 = simulator.run(trace, "int8")
-        int4 = simulator.run(trace, "int4")
+        int8 = serve(service_model, trace, "int8")
+        int4 = serve(service_model, trace, "int4")
         assert int8.median_latency > 3 * int4.median_latency
 
-    def test_flexiq_ratio_improves_latency_under_load(self, simulator):
+    def test_flexiq_ratio_improves_latency_under_load(self, service_model):
         trace = PoissonTrace(2200, duration=4.0, seed=2).generate()
-        low = simulator.run(trace, "flexiq", ratio=0.25)
-        high = simulator.run(trace, "flexiq", ratio=1.0)
+        low = serve(service_model, trace, "flexiq", ratio=0.25)
+        high = serve(service_model, trace, "flexiq", ratio=1.0)
         assert high.median_latency < low.median_latency
 
     def test_batch_cap_respected(self, service_model):
-        simulator = ServingSimulator(service_model, BatchingConfig(max_batch=16))
         trace = PoissonTrace(2000, duration=2.0, seed=3).generate()
-        result = simulator.run(trace, "int4")
+        result = serve(
+            service_model, trace, "int4", batching=BatchingConfig(max_batch=16)
+        )
         assert max(result.batch_sizes) <= 16
 
     def test_drop_after_discards_stale_requests(self, service_model):
-        simulator = ServingSimulator(
-            service_model, BatchingConfig(max_batch=8, drop_after=0.05)
-        )
         trace = PoissonTrace(3000, duration=2.0, seed=4).generate()
-        result = simulator.run(trace, "int8")
+        result = serve(
+            service_model, trace, "int8",
+            batching=BatchingConfig(max_batch=8, drop_after=0.05),
+        )
         assert result.dropped > 0
         assert len(result.latencies) + result.dropped == len(trace)
 
-    def test_throughput_reported(self, simulator):
+    def test_throughput_reported(self, service_model):
         trace = PoissonTrace(500, duration=3.0, seed=5).generate()
-        result = simulator.run(trace, "int8")
+        result = serve(service_model, trace, "int8")
         assert result.throughput == pytest.approx(len(trace) / trace.duration, rel=1e-6)
 
-    def test_ratio_schedule_used(self, simulator, service_model):
+    def test_ratio_schedule_used(self, service_model):
         trace = PoissonTrace(1500, duration=3.0, seed=6).generate()
-        always_full = simulator.run(trace, "flexiq", ratio_schedule=lambda t: 1.0)
-        always_high_precision = simulator.run(trace, "flexiq", ratio_schedule=lambda t: 0.0)
+        always_full = serve(
+            service_model, trace, "flexiq", policy=RatioSchedulePolicy(lambda t: 1.0)
+        )
+        always_high_precision = serve(
+            service_model, trace, "flexiq", policy=RatioSchedulePolicy(lambda t: 0.0)
+        )
         assert always_full.median_latency < always_high_precision.median_latency
 
-    def test_summary_consistent(self, simulator):
+    def test_summary_consistent(self, service_model):
         trace = PoissonTrace(300, duration=2.0, seed=7).generate()
-        result = simulator.run(trace, "int8")
+        result = serve(service_model, trace, "int8")
         summary = result.summary()
         assert summary["median"] == pytest.approx(result.median_latency)
         assert summary["p90"] == pytest.approx(result.p90_latency)
 
 
 class TestAdaptiveServing:
-    def _controller(self, simulator, threshold=0.05):
+    def _controller(self, service_model, threshold=0.05):
         rates = [200, 600, 1000, 1600, 2200, 2800]
 
         def latency_fn(ratio, rate):
             trace = PoissonTrace(max(rate, 1), duration=2.0, seed=11).generate()
-            return simulator.run(trace, "flexiq", ratio=ratio).median_latency
+            return serve(service_model, trace, "flexiq", ratio=ratio).median_latency
 
         profile = build_profile_from_latency_fn(rates, [0.0, 0.25, 0.5, 0.75, 1.0], latency_fn)
         return AdaptiveRatioController(profile, latency_threshold=threshold)
 
-    def test_adaptive_raises_ratio_at_peak_and_tracks_latency(self, simulator, service_model):
-        controller = self._controller(simulator)
-        adaptive = AdaptiveServingSimulator(service_model, controller, control_window=1.0)
+    def test_adaptive_raises_ratio_at_peak_and_tracks_latency(self, service_model):
+        policy = self._controller(service_model).as_policy(control_window=1.0)
         trace = FluctuatingTrace(min_rate=800, peak_ratio=3.0, duration=20.0, seed=5).generate()
-        result = adaptive.run(
-            trace, accuracy_by_ratio={0.0: 84.7, 0.25: 84.6, 0.5: 84.5, 0.75: 84.4, 1.0: 83.8}
+        result = serve(
+            service_model, trace, "flexiq", policy=policy, batching=BatchingConfig()
         )
         # The controller must have used higher ratios during the peak.
-        assert result.average_ratio > 0.0
-        ratios_used = {entry["ratio"] for entry in result.ratio_timeline}
+        assert policy.average_ratio > 0.0
+        ratios_used = {entry["ratio"] for entry in policy.timeline}
         assert len(ratios_used) > 1
         # Effective accuracy sits between the 100% 4-bit and 8-bit accuracies.
-        assert 83.8 <= result.effective_accuracy <= 84.7
+        effective_accuracy = _effective_accuracy(
+            policy.window_ratios,
+            {0.0: 84.7, 0.25: 84.6, 0.5: 84.5, 0.75: 84.4, 1.0: 83.8},
+        )
+        assert 83.8 <= effective_accuracy <= 84.7
         # Latency stays far below a fixed INT8 deployment at the same trace.
-        int8 = ServingSimulator(service_model, BatchingConfig(max_batch=128)).run(trace, "int8")
+        int8 = serve(service_model, trace, "int8")
         assert result.median_latency < int8.median_latency
 
-    def test_without_accuracy_table(self, simulator, service_model):
-        controller = self._controller(simulator)
-        adaptive = AdaptiveServingSimulator(service_model, controller)
+    def test_without_accuracy_table(self, service_model):
+        policy = self._controller(service_model).as_policy()
         trace = FluctuatingTrace(min_rate=300, peak_ratio=2.0, duration=5.0, seed=6).generate()
-        result = adaptive.run(trace)
-        assert result.effective_accuracy is None
+        result = serve(
+            service_model, trace, "flexiq", policy=policy, batching=BatchingConfig()
+        )
         assert result.duration == pytest.approx(5.0)
 
 
@@ -296,22 +319,22 @@ class TestSloAttainmentEdgeCases:
 
 
 class TestExecutedRatioReporting:
-    def test_fixed_ratio_reported_verbatim(self, simulator):
+    def test_fixed_ratio_reported_verbatim(self, service_model):
         trace = PoissonTrace(500, duration=1.0, seed=8).generate()
-        result = simulator.run(trace, "flexiq", ratio=0.25)
-        assert result.ratio == 0.25
+        result = serve(service_model, trace, "flexiq", ratio=0.25)
+        assert result.mean_executed_ratio == 0.25
 
-    def test_schedule_reports_batch_weighted_executed_ratio(self, simulator):
+    def test_schedule_reports_batch_weighted_executed_ratio(self, service_model):
         """PR 3 bugfix: the seed reported the (unused) fixed ``ratio``
         argument even when ``ratio_schedule`` overrode it on every batch."""
         trace = PoissonTrace(1500, duration=2.0, seed=8).generate()
-        result = simulator.run(
-            trace, "flexiq", ratio=0.0, ratio_schedule=lambda t: 1.0
+        result = serve(
+            service_model, trace, "flexiq", policy=RatioSchedulePolicy(lambda t: 1.0)
         )
-        assert result.ratio == pytest.approx(1.0)  # seed reported 0.0
+        assert result.mean_executed_ratio == pytest.approx(1.0)  # seed reported 0.0
 
-        mixed = simulator.run(
-            trace, "flexiq", ratio=0.0,
-            ratio_schedule=lambda t: 1.0 if t > 1.0 else 0.0,
+        mixed = serve(
+            service_model, trace, "flexiq",
+            policy=RatioSchedulePolicy(lambda t: 1.0 if t > 1.0 else 0.0),
         )
-        assert 0.0 < mixed.ratio < 1.0
+        assert 0.0 < mixed.mean_executed_ratio < 1.0

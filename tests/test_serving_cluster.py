@@ -27,6 +27,7 @@ from repro.hardware.npu import NpuConfig, NpuLatencyModel, NpuServiceAdapter
 from repro.serving import (
     BatchingConfig,
     ClusterEngine,
+    FixedRatioPolicy,
     FreeClockPlacer,
     LeastOutstandingWorkPlacer,
     ModelAffinityPlacer,
@@ -36,7 +37,6 @@ from repro.serving import (
     QueueDepthAutoscaler,
     Request,
     ServingEngine,
-    ServingSimulator,
     SloLatencyAutoscaler,
     TelemetryBus,
     WeightedSpeedPlacer,
@@ -46,6 +46,7 @@ from repro.serving import (
 )
 from repro.serving.simulator import ServiceTimeModel
 from repro.serving.telemetry import CLUSTER, ScaleEvent
+from test_serving_engine import seed_serving_run
 
 
 NPU_BIG = NpuConfig(array_rows=64, array_cols=64, clock_mhz=800.0)
@@ -143,11 +144,13 @@ class TestPlacement:
         cluster = ClusterEngine([spec], BatchingConfig(max_batch=128))
         cluster.register("m", mode="int8")
         outcome = cluster.run(trace=trace)
-        seed = ServingSimulator(
+        seed_latencies, _, _ = seed_serving_run(
             ServiceTimeModel("vit_base", gpu="a6000", anchor_batches=(1, 16, 64, 128)),
             BatchingConfig(max_batch=128),
-        ).run(trace, "int8")
-        np.testing.assert_array_equal(outcome.latencies, seed.latencies)
+            trace,
+            "int8",
+        )
+        np.testing.assert_array_equal(outcome.latencies, seed_latencies)
 
     def test_speed_aware_placers_beat_free_clock_on_mixed_cluster(self, mixed_specs):
         """The tentpole property: smarter-than-argmin placement wins on
@@ -475,11 +478,13 @@ class TestTelemetry:
 # ----------------------------------------------------------------------
 class TestPerServerAdaptation:
     def _profile(self, service_model):
-        simulator = ServingSimulator(service_model, BatchingConfig(max_batch=128))
-
         def latency_fn(ratio, rate):
             trace = PoissonTrace(max(rate, 1), duration=2.0, seed=11).generate()
-            return simulator.run(trace, "flexiq", ratio=ratio).median_latency
+            engine = ServingEngine(BatchingConfig(max_batch=128))
+            engine.register(
+                "m", ModeledExecutor(service_model), policy=FixedRatioPolicy(ratio)
+            )
+            return engine.run(trace).median_latency
 
         return build_profile_from_latency_fn(
             [200, 600, 1000, 1600, 2200, 2800], [0.0, 0.5, 1.0], latency_fn

@@ -6,8 +6,11 @@ The contract under test: every result the columnar fast path produces —
 the K=1 FIFO run stays bit-identical to the seed simulator.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data.traces import DiurnalTrace, PoissonTrace, RequestTrace
 from repro.serving.cluster import ClusterEngine, ServerSpec
@@ -32,10 +35,15 @@ from repro.serving.engine import (
 from repro.serving.executors import ModeledExecutor
 from repro.serving.metrics import streaming_percentile
 from repro.serving.policies import FixedRatioPolicy
-from repro.serving.resilience import FaultSchedule
-from repro.serving.schedulers import EdfScheduler, PriorityScheduler
-from repro.serving.simulator import ServiceTimeModel, ServingSimulator
+from repro.serving.resilience import (
+    DropExpiredMigration,
+    FaultSchedule,
+    RequeueAtHeadMigration,
+)
+from repro.serving.schedulers import EdfScheduler, FifoScheduler, PriorityScheduler
+from repro.serving.simulator import ServiceTimeModel
 from repro.serving.telemetry import TelemetryBus
+from test_serving_engine import seed_serving_run
 
 
 SERVICE_MODEL = ServiceTimeModel()
@@ -73,6 +81,11 @@ def _assert_results_identical(fast, slow):
     assert len(fast.batch_records) == len(slow.batch_records)
     for a, b in zip(fast.batch_records, slow.batch_records):
         assert a == b
+
+
+def _assert_results_identical_but_duration(got, want):
+    """A trace session's duration is the trace's; everything else agrees."""
+    _assert_results_identical(dataclasses.replace(got, duration=want.duration), want)
 
 
 class TestEventCalendar:
@@ -177,13 +190,13 @@ class TestColumnarParity:
     def test_k1_fifo_matches_seed_simulator(self):
         """The unbreakable invariant: columnar K=1 FIFO == seed simulator."""
         trace = _trace()
-        seed = ServingSimulator(
-            SERVICE_MODEL, BatchingConfig(max_batch=8)
-        ).run(trace, "flexiq", ratio=0.5)
+        latencies, batch_sizes, dropped = seed_serving_run(
+            SERVICE_MODEL, BatchingConfig(max_batch=8), trace, "flexiq", ratio=0.5
+        )
         fast = _engine(True).run(trace, model="m")
-        assert np.array_equal(seed.latencies, fast.latencies)
-        assert seed.batch_sizes == fast.batch_sizes
-        assert seed.dropped == fast.dropped
+        assert np.array_equal(latencies, fast.latencies)
+        assert batch_sizes == fast.batch_sizes
+        assert dropped == fast.dropped
 
     def test_lazy_requests_fifo(self):
         trace = _trace()
@@ -218,6 +231,163 @@ class TestColumnarParity:
         with pytest.raises(RuntimeError, match="store-backed"):
             engine.submit(Request(arrival_time=9.0, model="m"))
         engine.finish()
+
+
+@st.composite
+def _sessions(draw):
+    """One generated serving scenario: requests, engine shape, one fault."""
+    count = draw(st.integers(0, 36))
+    # A coarse grid makes equal arrivals (the tie-break cases) common.
+    arrivals = sorted(
+        draw(st.lists(st.integers(0, 60), min_size=count, max_size=count))
+    )
+    pool = st.lists  # the round-robin pools requests_from_trace takes
+    return dict(
+        arrivals=[tick * 1e-3 for tick in arrivals],
+        models=draw(pool(st.sampled_from(["m", "n"]), min_size=1, max_size=3)),
+        priorities=draw(pool(st.integers(0, 2), min_size=1, max_size=3)),
+        deadlines=draw(
+            pool(st.sampled_from([None, 0.004, 0.02, 0.05]), min_size=1, max_size=3)
+        ),
+        scheduler=draw(
+            st.sampled_from([FifoScheduler, PriorityScheduler, EdfScheduler])
+        ),
+        num_servers=draw(st.integers(1, 3)),
+        max_batch=draw(st.integers(1, 4)),
+        drop_after=draw(st.sampled_from([None, 0.01])),
+        telemetry=draw(st.booleans()),
+        record_responses=draw(st.booleans()),
+        chunk=draw(st.integers(1, 9)),
+        # The fault: after `steps` batches, kill the server of one of them
+        # part-way through it and hand its requests to `migration`.
+        steps=draw(st.integers(0, 6)),
+        victim=draw(st.integers(0, 5)),
+        fraction=draw(st.sampled_from([0.0, 0.5])),
+        migration=draw(
+            st.sampled_from(
+                [None, RequeueAtHeadMigration(delay=0.001), DropExpiredMigration()]
+            )
+        ),
+    )
+
+
+class TestOneRequestRepresentation:
+    """The same requests give the same result however they were handed in."""
+
+    @staticmethod
+    def _requests(case):
+        return [
+            Request(
+                arrival_time=arrival,
+                model=case["models"][index % len(case["models"])],
+                request_id=index,
+                priority=case["priorities"][index % len(case["priorities"])],
+                deadline=(
+                    None
+                    if case["deadlines"][index % len(case["deadlines"])] is None
+                    else arrival + case["deadlines"][index % len(case["deadlines"])]
+                ),
+            )
+            for index, arrival in enumerate(case["arrivals"])
+        ]
+
+    @staticmethod
+    def _serve(case, open_session):
+        engine = ServingEngine(
+            batching=BatchingConfig(case["max_batch"], case["drop_after"]),
+            num_servers=case["num_servers"],
+            scheduler=case["scheduler"](),
+            telemetry=(
+                TelemetryBus(window=0.02, num_servers=case["num_servers"])
+                if case["telemetry"]
+                else None
+            ),
+        )
+        for name in ("m", "n"):
+            engine.register(
+                name, ModeledExecutor(SERVICE_MODEL), policy=FixedRatioPolicy(0.5)
+            )
+        open_session(engine)
+        stepped = []
+        for _ in range(case["steps"]):
+            record = engine.step()
+            if record is None:
+                break
+            stepped.append(record)
+        if stepped:
+            victim = stepped[case["victim"] % len(stepped)]
+            engine.preempt_server(
+                victim.server,
+                victim.start + case["fraction"] * (victim.finish - victim.start),
+                policy=case["migration"],
+            )
+        store = engine._session.store
+        result = engine.finish()
+        status = (
+            int(np.count_nonzero(store.status == SERVED)),
+            int(np.count_nonzero(store.status == DROPPED)),
+        )
+        return result, status
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(_sessions())
+    def test_every_way_in_gives_the_same_result(self, case):
+        requests = self._requests(case)
+        recording = dict(record_responses=case["record_responses"])
+
+        def as_list(engine):
+            engine.start(requests=list(requests), **recording)
+
+        def as_view(engine):
+            view = LazyRequests(RequestStore.from_requests(requests))
+            engine.start(requests=view, **recording)
+
+        def as_submissions(engine):
+            engine.start(**recording)
+            for lo in range(0, len(requests), case["chunk"]):
+                engine.submit(requests[lo:lo + case["chunk"]])
+
+        forms = {"list": as_list, "submit": as_submissions}
+        if requests:
+            forms["view"] = as_view
+        if len(set(case["models"])) == 1:
+            trace = RequestTrace(np.asarray(case["arrivals"]), duration=0.1)
+            kwargs = dict(
+                model=case["models"][0],
+                priorities=case["priorities"],
+                deadlines=case["deadlines"],
+            )
+            if requests:
+                forms["from_trace"] = lambda engine: engine.start(
+                    requests=requests_from_trace(trace, **kwargs), **recording
+                )
+                forms["from_trace_lazy"] = lambda engine: engine.start(
+                    requests=requests_from_trace(trace, lazy=True, **kwargs),
+                    **recording,
+                )
+            if case["scheduler"] is FifoScheduler:
+                # A trace carries arrivals only, which is all FIFO reads.
+                forms["trace"] = lambda engine: engine.start(
+                    trace=trace, model=case["models"][0], duration=None, **recording
+                )
+
+        reference, _ = self._serve(case, as_list)
+        conserved = len(reference.latencies) + reference.dropped
+        assert conserved == len(requests)
+        for name, open_session in forms.items():
+            result, status = self._serve(case, open_session)
+            _assert_results_identical_but_duration(result, reference)
+            assert status == (len(reference.latencies), reference.dropped), name
+            if not case["record_responses"]:
+                assert result.responses is None
+                continue
+            for got, want in zip(result.responses, reference.responses):
+                if name == "trace" and want is not None:
+                    # The one thing a trace does not carry.
+                    want = dataclasses.replace(want, priority=0, deadline=None)
+                # repr: exact on floats, and a dropped response's nan
+                # fields compare equal.
+                assert repr(got) == repr(want), name
 
 
 class TestClusterParity:

@@ -2,10 +2,10 @@
 
 Covers three layers:
 
-* **Wrapper equivalence** — ``ServingSimulator`` / ``AdaptiveServingSimulator``
-  are thin wrappers over :class:`ServingEngine`; reference copies of the seed
-  discrete-event loops live in this file and the wrappers must reproduce
-  their latencies bit-for-bit on fixed traces.
+* **Seed equivalence** — reference copies of the seed's two discrete-event
+  loops (fixed-ratio/scheduled serving and the windowed adaptive run) live
+  in this file, and a K=1 FIFO :class:`ServingEngine` must reproduce their
+  latencies bit-for-bit on fixed traces.
 * **Engine API** — request/response surface, multi-model registry,
   head-of-line batching, policies.
 * **Real execution** — :class:`RuntimeExecutor` serving prepared FlexiQ
@@ -23,7 +23,7 @@ import pytest
 from repro.core.controller import AdaptiveRatioController, build_profile_from_latency_fn
 from repro.core.prepared import PreparedKernel
 from repro.data.traces import FluctuatingTrace, PoissonTrace, RequestTrace
-from repro.serving.adaptation import AdaptiveServingSimulator, _effective_accuracy
+from repro.serving.adaptation import _effective_accuracy
 from repro.serving.engine import (
     Batch,
     BatchingConfig,
@@ -42,7 +42,7 @@ from repro.serving.policies import (
     policy_selector,
 )
 from repro.serving.schedulers import EdfScheduler, FifoScheduler, PriorityScheduler
-from repro.serving.simulator import ServiceTimeModel, ServingSimulator
+from repro.serving.simulator import ServiceTimeModel
 from repro.tensor import Tensor
 
 
@@ -50,7 +50,7 @@ from repro.tensor import Tensor
 # Reference implementations (verbatim seed algorithms)
 # ----------------------------------------------------------------------
 def seed_serving_run(service_model, batching, trace, mode, ratio=0.0, ratio_schedule=None):
-    """The seed ``ServingSimulator.run`` loop, kept as the equivalence oracle.
+    """The seed simulator's serving loop, kept as the equivalence oracle.
 
     The ``drop_after=None`` arithmetic is the seed algorithm verbatim.  The
     drop branch models the PR 3 corrected semantics: the seed computed the
@@ -106,7 +106,7 @@ def seed_serving_run(service_model, batching, trace, mode, ratio=0.0, ratio_sche
 
 
 def seed_adaptive_run(service_model, controller, batching, control_window, trace):
-    """The seed ``AdaptiveServingSimulator.run`` window loop."""
+    """The seed adaptive simulator's window loop."""
     num_windows = int(np.ceil(trace.duration / control_window))
     window_ratios = np.zeros(num_windows, dtype=np.float64)
     timeline = []
@@ -133,20 +133,32 @@ def service_model():
     return ServiceTimeModel("vit_base", gpu="a6000", anchor_batches=(1, 16, 64, 128))
 
 
+def serve(service_model, batching, trace, mode, ratio=0.0, policy=None):
+    """The engine configured as the seed simulator was: K=1, FIFO, modeled."""
+    engine = ServingEngine(batching)
+    engine.register(
+        service_model.model_name,
+        ModeledExecutor(service_model),
+        policy=policy or FixedRatioPolicy(ratio),
+        mode=mode,
+    )
+    return engine.run(trace)
+
+
 @pytest.fixture(scope="module")
 def latency_profile(service_model):
-    simulator = ServingSimulator(service_model, BatchingConfig(max_batch=128))
+    batching = BatchingConfig(max_batch=128)
     rates = [200, 600, 1000, 1600, 2200, 2800]
 
     def latency_fn(ratio, rate):
         trace = PoissonTrace(max(rate, 1), duration=2.0, seed=11).generate()
-        return simulator.run(trace, "flexiq", ratio=ratio).median_latency
+        return serve(service_model, batching, trace, "flexiq", ratio).median_latency
 
     return build_profile_from_latency_fn(rates, [0.0, 0.25, 0.5, 0.75, 1.0], latency_fn)
 
 
 # ----------------------------------------------------------------------
-# Wrapper equivalence with the seed implementations
+# Equivalence with the seed implementations
 # ----------------------------------------------------------------------
 class TestWrapperEquivalence:
     @pytest.mark.parametrize(
@@ -158,7 +170,7 @@ class TestWrapperEquivalence:
         expected, expected_batches, expected_dropped = seed_serving_run(
             service_model, batching, trace, mode, ratio=ratio
         )
-        result = ServingSimulator(service_model, batching).run(trace, mode, ratio=ratio)
+        result = serve(service_model, batching, trace, mode, ratio=ratio)
         np.testing.assert_array_equal(result.latencies, expected)
         assert result.batch_sizes == expected_batches
         assert result.dropped == expected_dropped
@@ -169,7 +181,7 @@ class TestWrapperEquivalence:
         expected, expected_batches, _ = seed_serving_run(
             service_model, batching, trace, "int4"
         )
-        result = ServingSimulator(service_model, batching).run(trace, "int4")
+        result = serve(service_model, batching, trace, "int4")
         np.testing.assert_array_equal(result.latencies, expected)
         assert result.batch_sizes == expected_batches
 
@@ -179,7 +191,7 @@ class TestWrapperEquivalence:
         expected, expected_batches, expected_dropped = seed_serving_run(
             service_model, batching, trace, "int8"
         )
-        result = ServingSimulator(service_model, batching).run(trace, "int8")
+        result = serve(service_model, batching, trace, "int8")
         np.testing.assert_array_equal(result.latencies, expected)
         assert result.batch_sizes == expected_batches
         assert result.dropped == expected_dropped > 0
@@ -191,8 +203,9 @@ class TestWrapperEquivalence:
         expected, _, _ = seed_serving_run(
             service_model, batching, trace, "flexiq", ratio_schedule=schedule
         )
-        result = ServingSimulator(service_model, batching).run(
-            trace, "flexiq", ratio_schedule=schedule
+        result = serve(
+            service_model, batching, trace, "flexiq",
+            policy=RatioSchedulePolicy(schedule),
         )
         np.testing.assert_array_equal(result.latencies, expected)
 
@@ -202,36 +215,22 @@ class TestWrapperEquivalence:
             min_rate=800, peak_ratio=3.0, duration=20.0, seed=5
         ).generate()
         # Two fresh controllers: the controller is stateful, so the oracle and
-        # the wrapper each need their own copy of the same starting state.
+        # the engine each need their own copy of the same starting state.
         seed_controller = AdaptiveRatioController(latency_profile, latency_threshold=0.05)
         new_controller = AdaptiveRatioController(latency_profile, latency_threshold=0.05)
 
         expected, window_ratios, timeline = seed_adaptive_run(
             service_model, seed_controller, batching, 1.0, trace
         )
-        result = AdaptiveServingSimulator(
-            service_model, new_controller, batching, control_window=1.0
-        ).run(trace, accuracy_by_ratio={0.0: 84.7, 0.5: 84.5, 1.0: 83.8})
+        policy = new_controller.as_policy(control_window=1.0)
+        result = serve(service_model, batching, trace, "flexiq", policy=policy)
 
         np.testing.assert_array_equal(result.latencies, expected)
-        assert result.ratio_timeline == timeline
-        assert result.average_ratio == pytest.approx(float(np.mean(window_ratios)))
+        assert policy.timeline == timeline
+        assert policy.average_ratio == pytest.approx(float(np.mean(window_ratios)))
 
 
 class TestBatchingConfigDefaults:
-    def test_simulators_get_fresh_batching_instances(self, service_model):
-        a = ServingSimulator(service_model)
-        b = ServingSimulator(service_model)
-        assert a.batching is not b.batching
-        a.batching.max_batch = 2
-        assert b.batching.max_batch == BatchingConfig().max_batch
-
-    def test_adaptive_simulator_fresh_batching(self, service_model, latency_profile):
-        controller = AdaptiveRatioController(latency_profile, latency_threshold=0.05)
-        a = AdaptiveServingSimulator(service_model, controller)
-        b = AdaptiveServingSimulator(service_model, controller)
-        assert a.batching is not b.batching
-
     def test_engine_fresh_batching(self):
         assert ServingEngine().batching is not ServingEngine().batching
 
@@ -555,7 +554,7 @@ class TestDropBackfill:
         """
         batching = BatchingConfig(max_batch=8, drop_after=0.05)
         trace = PoissonTrace(3000, duration=2.0, seed=4).generate()
-        result = ServingSimulator(service_model, batching).run(trace, "int8")
+        result = serve(service_model, batching, trace, "int8")
         assert result.dropped > 0
         assert len(result.latencies) + result.dropped == len(trace)
         # Whenever requests were dropped the queue was backed up, so every
@@ -573,7 +572,7 @@ class TestDropBackfill:
         expected, expected_batches, expected_dropped = seed_serving_run(
             service_model, batching, trace, "int8"
         )
-        result = ServingSimulator(service_model, batching).run(trace, "int8")
+        result = serve(service_model, batching, trace, "int8")
         np.testing.assert_array_equal(result.latencies, expected)
         assert result.batch_sizes == expected_batches
         assert expected_dropped == result.dropped == 0
@@ -666,10 +665,9 @@ class TestMultiServer:
         trace = PoissonTrace(2600, duration=2.0, seed=23).generate()
         results = {}
         for k in (1, 4):
-            simulator = ServingSimulator(
-                service_model, BatchingConfig(max_batch=64), num_servers=k
-            )
-            results[k] = simulator.run(trace, "int8")
+            engine = ServingEngine(BatchingConfig(max_batch=64), num_servers=k)
+            engine.register("m", ModeledExecutor(service_model), mode="int8")
+            results[k] = engine.run(trace)
         assert results[4].median_latency < 0.5 * results[1].median_latency
 
     def test_per_server_executor_list(self, service_model):
@@ -1163,3 +1161,62 @@ class TestSessionRobustness:
         # No batches served -> nan.
         empty = engine.run(requests=[])
         assert np.isnan(empty.mean_executed_ratio)
+
+
+# ----------------------------------------------------------------------
+# Hostile input, refused at the boundary
+# ----------------------------------------------------------------------
+class TestHostileInput:
+    @pytest.mark.parametrize("max_batch", [0, -3, 2.5, None])
+    def test_max_batch_must_be_a_positive_integer(self, max_batch):
+        # max_batch=0 used to spin the scheduled loop forever (empty batches)
+        # and silently serve size-1 batches on the FIFO path.
+        with pytest.raises(ValueError, match=rf"max_batch .*{max_batch!r}"):
+            BatchingConfig(max_batch=max_batch)
+
+    @pytest.mark.parametrize("drop_after", [-0.1, float("nan"), float("inf")])
+    def test_drop_after_must_be_none_or_finite_and_non_negative(self, drop_after):
+        with pytest.raises(ValueError, match=rf"drop_after .*{drop_after!r}"):
+            BatchingConfig(drop_after=drop_after)
+        assert BatchingConfig(drop_after=0.0).drop_after == 0.0
+        assert BatchingConfig(max_batch=np.int64(4)).max_batch == 4
+
+    def _engine(self, service_model, scheduler=None):
+        engine = ServingEngine(BatchingConfig(max_batch=4), scheduler=scheduler)
+        engine.register("m", ModeledExecutor(service_model), mode="int8")
+        return engine
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_arrival_in_a_trace(self, service_model, bad):
+        # Used to return 2 served + 0 dropped for 3 admitted: one vanished.
+        engine = self._engine(service_model)
+        with pytest.raises(ValueError, match="non-finite arrival_time"):
+            engine.run(RequestTrace(np.asarray([0.0, bad, 0.2]), 1.0))
+        # Nothing was opened: the engine serves the next run.
+        assert engine.run(RequestTrace(np.asarray([0.0, 0.2]), 1.0)).latencies.size == 2
+
+    @pytest.mark.parametrize("scheduler", [None, EdfScheduler()])
+    def test_non_finite_arrival_in_a_request_list(self, service_model, scheduler):
+        engine = self._engine(service_model, scheduler)
+        requests = [Request(0.2, model="m"), Request(float("nan"), model="m")]
+        # Named by its place in the caller's list, not in arrival order.
+        with pytest.raises(
+            ValueError, match=r"request 1 has a non-finite arrival_time \(nan\)"
+        ):
+            engine.run(requests=requests)
+
+    def test_non_finite_arrival_in_a_submission(self, service_model):
+        engine = self._engine(service_model)
+        engine.start()
+        engine.submit([Request(0.0, model="m"), Request(0.1, model="m")])
+        with pytest.raises(ValueError, match="non-finite arrival_time"):
+            engine.submit([Request(0.2, model="m"), Request(float("inf"), model="m")])
+        # The refused submission left the session as it was.
+        result = engine.finish()
+        assert (result.latencies.size, result.dropped) == (2, 0)
+
+    def test_unsorted_store_is_refused(self):
+        from repro.serving.core import RequestStore
+
+        with pytest.raises(ValueError, match="sorted ascending: request 2"):
+            RequestStore(np.asarray([0.0, 0.3, 0.2]), ["m"])

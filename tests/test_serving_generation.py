@@ -687,6 +687,7 @@ def run_against_spec(backend, profiles, num_servers, max_batch, admission, sched
             server = down[pick % len(down)]
             mine = [r for r in session.iterations if r.server == server]
             available = {
+                "settled": 0.0,
                 "before": 0.0,
                 "during": None,
                 "after": mine[-1].finish + 0.01 if mine else None,
@@ -695,12 +696,21 @@ def run_against_spec(backend, profiles, num_servers, max_batch, admission, sched
         elif kind == "preempt" and session.active:
             server = session.active[pick % len(session.active)]
             mine = [r for r in session.iterations if r.server == server]
-            # A crash time at which at most the server's latest iteration
-            # is in flight: not before its previous one finished, nor
-            # before its previous crash.
+            # At most the server's latest iteration can be in flight: up
+            # to its previous one's finish, and up to its previous crash,
+            # the server's history is settled, and a crash time before
+            # that is refused with nothing changed.
             floor = max(
                 crashed_at.get(server, 0.0), mine[-2].finish if len(mine) > 1 else 0.0
             )
+            if when == "settled":
+                if floor > 0.0:
+                    clocks = list(session.free_at), len(session.iterations)
+                    with pytest.raises(ValueError, match=f"settled up to {floor!r}"):
+                        watched.preempt_server(server, floor / 2, delay=delay)
+                    assert (list(session.free_at), len(session.iterations)) == clocks
+                    assert server in session.active
+                continue
             if not mine:
                 time = floor
             else:
@@ -749,7 +759,7 @@ def generation_runs(draw):
         st.integers(0, 25),
         st.sampled_from(["preempt", "activate"]),
         st.integers(0, 2),
-        st.sampled_from(["before", "during", "after"]),
+        st.sampled_from(["settled", "before", "during", "after"]),
         st.sampled_from([0.0, 0.02]),
         st.booleans(),
     )

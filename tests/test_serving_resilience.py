@@ -58,13 +58,13 @@ from repro.serving import (
     RequeueAtHeadMigration,
     ServerSpec,
     ServingEngine,
-    ServingSimulator,
     WeightedSpeedPlacer,
     gpu_server,
     requests_from_trace,
     summarize_migrations,
 )
 from repro.serving.simulator import ServiceTimeModel
+from test_serving_engine import seed_serving_run
 
 
 @pytest.fixture(scope="module")
@@ -892,10 +892,10 @@ class TestAcceptance:
         engine = ServingEngine(BatchingConfig(max_batch=64))
         engine.register("m", ModeledExecutor(service_model), mode="int8")
         result = engine.run(trace=trace)
-        seed = ServingSimulator(service_model, BatchingConfig(max_batch=64)).run(
-            trace, "int8"
+        seed_latencies, _, _ = seed_serving_run(
+            service_model, BatchingConfig(max_batch=64), trace, "int8"
         )
-        np.testing.assert_array_equal(result.latencies, seed.latencies)
+        np.testing.assert_array_equal(result.latencies, seed_latencies)
         assert result.migrated == 0
 
 
