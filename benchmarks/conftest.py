@@ -2,10 +2,12 @@
 
 Every benchmark regenerates one table or figure of the paper: it prints the
 paper-style rows, writes them to ``benchmarks/results/`` (deterministic
-tables, tracked) or ``benchmarks/out/`` (anything carrying a wall-clock
-number, git-ignored, so a test run leaves the tree clean) and uses
-pytest-benchmark to time the operation that the experiment is really about
-(pipeline construction, a latency sweep, a serving simulation, ...).
+tables, tracked) or ``benchmarks/out/`` (the one table carrying wall-clock
+numbers, ``sec85_selection_cost.txt``; git-ignored, so a test run leaves the
+tree clean) and uses pytest-benchmark to time the operation that the
+experiment is really about (pipeline construction, a latency sweep, a
+serving simulation, ...).  Those timings are printed, never asserted on: the
+repo's perf record is ``bench/`` + ``BENCHMARK.json``.
 
 Accuracy experiments run on a representative subset of the model zoo by
 default so the full suite finishes in minutes on a CPU; set

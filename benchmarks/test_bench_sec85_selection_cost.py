@@ -59,13 +59,12 @@ def test_sec85_selection_and_switch_cost(
     )
     timings_writer("sec85_selection_cost", text)
 
-    # Score estimation is a matter of seconds (paper: 2-10 s at full scale).
-    assert scoring_seconds < 10.0
+    # The two measured host times above are reported, not gated: tier-1
+    # holds no timing threshold (bench/ tracks the ratio switch as
+    # core.runtime.set_ratio_p50_us and the pipeline as core.pipeline.run_s).
     # GA fitness improved (or at worst stayed flat) over the generations.
     for ratio, losses in history.items():
         assert losses[-1] <= losses[0] + 1e-6
-    # Switching ratios is orders of magnitude cheaper than one inference.
-    assert switch_seconds < 5e-3
     # The modelled hardware switch costs match the paper's bounds.
     assert GpuLatencyModel("a6000").ratio_switch_latency() < 10e-6
     assert NpuLatencyModel().ratio_switch_latency() <= 0.3e-6 + 1e-12

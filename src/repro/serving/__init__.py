@@ -10,8 +10,7 @@ CHANGES.md the history):
   session's one :class:`RequestStore`), :class:`Request`/:class:`Response`,
   :func:`requests_from_trace`.
 * :mod:`~repro.serving.core` -- columnar :class:`RequestStore` and its
-  :class:`LazyRequests` view, typed :class:`EventCalendar`, streaming
-  percentile digests.
+  :class:`LazyRequests` view, typed :class:`EventCalendar`.
 * :mod:`~repro.serving.schedulers` -- queue order: FIFO, priority, EDF.
 * :mod:`~repro.serving.executors` -- what a batch costs:
   :class:`ModeledExecutor` (analytic) or :class:`RuntimeExecutor` (real
@@ -38,9 +37,7 @@ from repro.serving.core import (
     Event,
     EventCalendar,
     LazyRequests,
-    P2Quantile,
     RequestStore,
-    ReservoirSample,
 )
 from repro.serving.engine import (
     Batch,
@@ -138,7 +135,6 @@ from repro.serving.metrics import (
     attainment_within,
     latency_percentiles,
     slo_attainment,
-    streaming_percentile,
     streaming_summary,
     summarize_latencies,
     summarize_migrations,
@@ -185,7 +181,6 @@ __all__ = [
     "ModelAffinityPlacer",
     "ModeledExecutor",
     "ModeledGenerationBackend",
-    "P2Quantile",
     "PerServerAdaptiveRatioPolicy",
     "Placer",
     "PlacementContext",
@@ -203,7 +198,6 @@ __all__ = [
     "Request",
     "RequestStore",
     "RequeueAtHeadMigration",
-    "ReservoirSample",
     "Response",
     "RoundRobinRatioPolicy",
     "RuntimeExecutor",
@@ -231,7 +225,6 @@ __all__ = [
     "requests_from_trace",
     "run_to_completion",
     "slo_attainment",
-    "streaming_percentile",
     "streaming_summary",
     "summarize_latencies",
     "summarize_migrations",

@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.data.traces import RequestTrace
 from repro.hardware.npu import NpuConfig, NpuLatencyModel
-from repro.serving.core import WINDOW_BOUNDARY, EventCalendar
+from repro.serving.core import WINDOW_BOUNDARY, EventCalendar, check_positive
 from repro.serving.engine import (
     BatchingConfig,
     EngineResult,
@@ -128,8 +128,7 @@ class ServerSpec:
     slow_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.speed <= 0:
-            raise ValueError("speed must be positive (requests/second)")
+        check_positive("speed (requests/second)", self.speed)
         if self.service_model is None and self.executor is None:
             raise ValueError("a ServerSpec needs a service_model or an executor")
 
@@ -838,9 +837,9 @@ class ClusterEngine:
         )
         if not self.min_servers <= self.initial_servers <= len(self.specs):
             raise ValueError("initial_servers must be in [min_servers, len(specs)]")
-        self.startup_delay = float(startup_delay)
-        if self.startup_delay < 0:
-            raise ValueError("startup_delay must be >= 0")
+        self.startup_delay = check_positive(
+            "startup_delay", startup_delay, allow_zero=True
+        )
         if fault_schedule is not None and fault_schedule.has_domain_events:
             # Domain events resolve against *this* cluster's topology; the
             # expanded (fully server-scoped) schedule is what the run cursor
@@ -1097,53 +1096,48 @@ class ClusterEngine:
             or self.slo_monitor is not None
         )
         boundaries = EventCalendar()
-        if control:
-            boundaries.schedule(self.telemetry.window, WINDOW_BOUNDARY, 0)
+        boundaries.schedule(self.telemetry.window, WINDOW_BOUNDARY, 0)
         try:
-            if not control:
-                # No window-boundary decisions to make: hand the whole
-                # session straight to finish(), which drains eligible FIFO
-                # sessions through the engine's columnar fast core —
-                # stepping batch-by-batch here would only re-create the
-                # object loop the core replaces.
-                result = self.engine.finish()
-            else:
-                while True:
-                    record = self.engine.step()
-                    if record is None:
-                        if self._fault_calendar:
-                            # Trailing faults: events after the last batch
-                            # start (a server crashed in the final window)
-                            # must still land.  Apply ONE event, then
-                            # re-enter the step loop: a crash may requeue
-                            # migrants whose batches a *later* event should
-                            # see in flight — draining the whole calendar
-                            # here would apply future faults before the work
-                            # they are meant to disturb exists.
-                            event = self._fault_calendar.pop().payload
-                            boundary = (
-                                self.telemetry.window_index(event.time) + 1
-                            ) * self.telemetry.window
-                            self._apply_fault(event, boundary)
-                            continue
-                        break
-                    # Close every window boundary the clock has passed.
-                    # Batch start times are not strictly monotone across
-                    # servers, so a boundary closes when *some* batch starts
-                    # beyond it; stragglers still land in their own
-                    # (already-closed) window's telemetry cell, only the
-                    # scaling decision sees them late.  Each WINDOW_BOUNDARY
-                    # event reschedules its successor, so the calendar holds
-                    # one pending boundary at a time.
-                    while record.start >= boundaries.peek_time():
-                        due = boundaries.pop()
-                        self._close_window(due.payload, due.time)
-                        boundaries.schedule(
-                            (due.payload + 2) * self.telemetry.window,
-                            WINDOW_BOUNDARY,
-                            due.payload + 1,
-                        )
-                result = self.engine.finish()
+            # With no window-boundary decisions to make, the whole session
+            # goes straight to finish(), which drains eligible FIFO sessions
+            # through the engine's columnar fast core — stepping batch by
+            # batch here would only re-create the object loop it replaces.
+            while control:
+                record = self.engine.step()
+                if record is None:
+                    if self._fault_calendar:
+                        # Trailing faults: events after the last batch
+                        # start (a server crashed in the final window)
+                        # must still land.  Apply ONE event, then
+                        # re-enter the step loop: a crash may requeue
+                        # migrants whose batches a *later* event should
+                        # see in flight — draining the whole calendar
+                        # here would apply future faults before the work
+                        # they are meant to disturb exists.
+                        event = self._fault_calendar.pop().payload
+                        boundary = (
+                            self.telemetry.window_index(event.time) + 1
+                        ) * self.telemetry.window
+                        self._apply_fault(event, boundary)
+                        continue
+                    break
+                # Close every window boundary the clock has passed.
+                # Batch start times are not strictly monotone across
+                # servers, so a boundary closes when *some* batch starts
+                # beyond it; stragglers still land in their own
+                # (already-closed) window's telemetry cell, only the
+                # scaling decision sees them late.  Each WINDOW_BOUNDARY
+                # event reschedules its successor, so the calendar holds
+                # one pending boundary at a time.
+                while record.start >= boundaries.peek_time():
+                    due = boundaries.pop()
+                    self._close_window(due.payload, due.time)
+                    boundaries.schedule(
+                        (due.payload + 2) * self.telemetry.window,
+                        WINDOW_BOUNDARY,
+                        due.payload + 1,
+                    )
+            result = self.engine.finish()
         except BaseException:
             # A mid-run failure (an unsurvivable crash fault, a rogue
             # placer) must not leave the session open: abort so the same

@@ -84,8 +84,7 @@ __all__ = [
     "run_fifo_columnar",
     "per_request_latencies",
     "check_arrivals",
-    "P2Quantile",
-    "ReservoirSample",
+    "check_positive",
 ]
 
 
@@ -197,6 +196,19 @@ def check_arrivals(arrivals: Sequence[float], ascending: bool = False) -> None:
                 f"at {float(column[index])!r}, before request {index - 1} "
                 f"({float(column[index - 1])!r})"
             )
+
+
+def check_positive(name: str, value: float, allow_zero: bool = False) -> float:
+    """``value`` as a float; refuse NaN, inf, a negative and (unless allowed) zero.
+
+    ``nan <= 0`` is false, so a bare sign test lets a NaN window or speed
+    through to divide every timestamp by it.
+    """
+    number = float(value)
+    if not np.isfinite(number) or number < 0 or (number == 0 and not allow_zero):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ValueError(f"{name} must be a finite number {bound} (got {value!r})")
+    return number
 
 
 # The columns a store may leave implicit (``None``): dtype and the value
@@ -338,16 +350,17 @@ class RequestStore:
         SLOs (the column stores ``arrival + slo``, elementwise — the exact
         IEEE sum the eager constructor computes per request).
         """
-        if payloads is not None and len(payloads) == 0:
-            raise ValueError("payloads must be non-empty (or None for no payloads)")
-        if priorities is not None and len(priorities) == 0:
-            raise ValueError("priorities must be non-empty (or None)")
-        if deadlines is not None and len(deadlines) == 0:
-            raise ValueError("deadlines must be non-empty (or None)")
-        if prefill_tokens is not None and len(prefill_tokens) == 0:
-            raise ValueError("prefill_tokens must be non-empty (or None)")
-        if max_new_tokens is not None and len(max_new_tokens) == 0:
-            raise ValueError("max_new_tokens must be non-empty (or None)")
+        pools = {
+            "payloads": payloads,
+            "priorities": priorities,
+            "deadlines": deadlines,
+            "prefill_tokens": prefill_tokens,
+            "max_new_tokens": max_new_tokens,
+        }
+        for name, pool in pools.items():
+            if pool is not None and len(pool) == 0:
+                none = "None for no payloads" if name == "payloads" else "None"
+                raise ValueError(f"{name} must be non-empty (or {none})")
         if hasattr(trace, "sorted_arrivals"):
             arrivals = trace.sorted_arrivals()
         else:
@@ -847,171 +860,3 @@ def per_request_latencies(
     if len(seg_sizes) == 0:
         return np.zeros(len(arrivals), dtype=np.float64)
     return np.repeat(seg_finishes, seg_sizes) - arrivals
-
-
-# ----------------------------------------------------------------------
-# Streaming percentile estimators
-# ----------------------------------------------------------------------
-class P2Quantile:
-    """Jain & Chlamtac's P-squared streaming quantile estimator.
-
-    Tracks one quantile in O(1) memory (five markers) and O(1) per
-    observation — the telemetry-side alternative to buffering a window's
-    raw latency list.  Exact for the first five observations; afterwards
-    the parabolic marker update gives a few-percent estimate on smooth
-    distributions.
-    """
-
-    __slots__ = ("q", "_initial", "_heights", "_positions", "_desired",
-                 "_increments", "_count")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must be in (0, 1)")
-        self.q = float(q)
-        self._initial: List[float] = []
-        self._heights: List[float] = []
-        self._positions: List[float] = []
-        self._desired: List[float] = []
-        q = self.q
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def add(self, value: float) -> None:
-        value = float(value)
-        self._count += 1
-        if self._heights:
-            self._update(value)
-            return
-        bisect.insort(self._initial, value)
-        if len(self._initial) == 5:
-            self._heights = list(self._initial)
-            self._positions = [0.0, 1.0, 2.0, 3.0, 4.0]
-            q = self.q
-            self._desired = [0.0, 2.0 * q, 4.0 * q, 2.0 + 2.0 * q, 4.0]
-
-    def extend(self, values: Sequence[float]) -> None:
-        for value in values:
-            self.add(value)
-
-    def _update(self, x: float) -> None:
-        h = self._heights
-        n = self._positions
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        elif x < h[1]:
-            k = 0
-        elif x < h[2]:
-            k = 1
-        elif x < h[3]:
-            k = 2
-        else:
-            k = 3
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        desired = self._desired
-        increments = self._increments
-        for i in range(5):
-            desired[i] += increments[i]
-        for i in (1, 2, 3):
-            delta = desired[i] - n[i]
-            if (delta >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                delta <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                step = 1.0 if delta >= 0.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                n[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h = self._heights
-        n = self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h = self._heights
-        n = self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    @property
-    def value(self) -> float:
-        """Current quantile estimate (``nan`` before any observation)."""
-        if self._heights:
-            return self._heights[2]
-        if not self._initial:
-            return float("nan")
-        return float(
-            np.percentile(np.asarray(self._initial, dtype=np.float64), self.q * 100.0)
-        )
-
-
-class ReservoirSample:
-    """Fixed-capacity uniform reservoir (Vitter's algorithm R), vectorized.
-
-    Any-percentile queries over an unbounded stream in O(capacity) memory;
-    deterministic given the seed, so telemetry digests are reproducible
-    run to run.
-    """
-
-    __slots__ = ("capacity", "_rng", "_values", "_seen")
-
-    def __init__(self, capacity: int = 1024, seed: int = 0) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
-        self._rng = np.random.default_rng(seed)
-        self._values = np.empty(self.capacity, dtype=np.float64)
-        self._seen = 0
-
-    def __len__(self) -> int:
-        return self._seen
-
-    def add(self, value: float) -> None:
-        self.extend(np.asarray([value], dtype=np.float64))
-
-    def extend(self, values: Sequence[float]) -> None:
-        arr = np.asarray(values, dtype=np.float64).ravel()
-        if arr.size == 0:
-            return
-        cap = self.capacity
-        seen = self._seen
-        fill = min(max(cap - seen, 0), arr.size)
-        if fill:
-            self._values[seen:seen + fill] = arr[:fill]
-            seen += fill
-        rest = arr[fill:]
-        if rest.size:
-            # Element at global index m replaces a uniform slot in [0, m]
-            # when that slot lands inside the reservoir.
-            highs = np.arange(seen + 1, seen + rest.size + 1, dtype=np.int64)
-            slots = self._rng.integers(0, highs)
-            hits = np.nonzero(slots < cap)[0]
-            for i in hits.tolist():  # later hits overwrite earlier, in order
-                self._values[slots[i]] = rest[i]
-            seen += int(rest.size)
-        self._seen = seen
-
-    @property
-    def values(self) -> np.ndarray:
-        """The current sample (a copy of the filled prefix)."""
-        return self._values[: min(self._seen, self.capacity)].copy()
-
-    def percentile(self, percentile: float) -> float:
-        filled = self._values[: min(self._seen, self.capacity)]
-        if filled.size == 0:
-            return float("nan")
-        return float(np.percentile(filled, percentile))

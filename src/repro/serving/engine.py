@@ -98,6 +98,7 @@ from repro.serving.core import (
     PENDING,
     RequestStore,
     SERVED,
+    check_positive,
     per_request_latencies,
     run_fifo_columnar,
 )
@@ -379,18 +380,6 @@ class EngineResult:
         if self.duration <= 0:
             return 0.0
         return len(self.latencies) / self.duration
-
-    @property
-    def requests_per_busy_second(self) -> float:
-        """Served requests per second of accelerator busy time.
-
-        For :class:`~repro.serving.executors.RuntimeExecutor` runs this is
-        the real sustained throughput of the serving hot path.  With several
-        servers, busy time accumulates across all of them.
-        """
-        if self.busy_time <= 0:
-            return 0.0
-        return len(self.latencies) / self.busy_time
 
     def for_model(self, name: str) -> np.ndarray:
         """Served latencies of one registered model, in admission order."""
@@ -775,7 +764,7 @@ class ServingEngine:
             # session allocates no per-request metadata.
             store = RequestStore.from_trace(trace, model=model)
             origin = "trace"
-            run_duration = trace.duration if duration is None else float(duration)
+            run_duration = trace.duration if duration is None else duration
         else:
             if model is not None and model not in self._endpoints:
                 raise KeyError(f"model {model!r} is not registered")
@@ -801,7 +790,9 @@ class ServingEngine:
             # Without an explicit duration the run spans until the last batch
             # finishes (makespan, filled in by finish()); policies windowing
             # over admissions see the arrival horizon.
-            run_duration = float(duration) if duration is not None else None
+            run_duration = duration
+        if run_duration is not None:
+            run_duration = check_positive("duration", run_duration, allow_zero=True)
 
         if record_responses is None:
             record_responses = trace is None

@@ -469,7 +469,9 @@ class _GenSession:
         self.busy: List[float] = [0.0] * num_servers
         self.active: List[int] = list(range(num_servers))
         self.iterations: List[IterationRecord] = []
-        self.undo: List[_IterationUndo] = []
+        # Each server's latest iteration: the only one preempt_server can
+        # still find in flight (it refuses any earlier time).
+        self.undo: List[Optional[_IterationUndo]] = [None] * num_servers
         self.iter_count: List[int] = [0] * num_servers
         # When each server last crashed (preempt_server refuses to go back
         # past it).
@@ -666,11 +668,16 @@ class IterationScheduler:
         # history up to the previous one's finish, and up to its previous
         # crash, is settled — those sequences have since moved on, and
         # rewinding them would corrupt their token counts.
-        mine = (r for r in reversed(s.iterations) if r.server == server)
-        next(mine, None)  # the latest: the one that may be in flight
+        mine = (
+            index
+            for index in range(len(s.iterations) - 1, -1, -1)
+            if s.iterations[index].server == server
+        )
+        latest = next(mine, None)  # the one that may be in flight
         previous = next(mine, None)
         settled = max(
-            s.crashed_at[server], -math.inf if previous is None else previous.finish
+            s.crashed_at[server],
+            -math.inf if previous is None else s.iterations[previous].finish,
         )
         if time < settled:
             raise ValueError(
@@ -684,13 +691,9 @@ class IterationScheduler:
         free_at = time
         # Iterations are sequential per server, so at most one is in
         # flight at ``time`` — the last one this server started.
-        for index in range(len(s.iterations) - 1, -1, -1):
-            record = s.iterations[index]
-            if record.server != server:
-                continue
-            if record.finish <= time:
-                break
-            undo = s.undo[index]
+        undo = s.undo[server]
+        if undo is not None and undo.record.finish > time:
+            record = undo.record
             fraction = 0.0
             if checkpoint is not None and record.start < time:
                 fraction = float(checkpoint.completed_fraction(record, time))
@@ -732,14 +735,13 @@ class IterationScheduler:
                 # un-retired sequences' terminals are retracted (they will
                 # re-terminate when their decode resumes elsewhere).
                 self.tracer.on_preempt(record, undo.retired, time)
-            del s.iterations[index]
-            del s.undo[index]
+            del s.iterations[latest]
+            s.undo[server] = None
             s.iter_count[server] -= 1
             killed = 1
             # The clock the killed iteration started from (every earlier
             # iteration of this server finished by then).
             free_at = max(time, undo.free_at)
-            break
         s.free_at[server] = free_at
 
         restore = getattr(checkpoint, "restore_seconds", None)
@@ -937,18 +939,16 @@ class IterationScheduler:
             tokens=tokens,
         )
         s.iterations.append(record)
-        s.undo.append(
-            _IterationUndo(
-                record=record,
-                free_at=free_at,
-                prefilled=prefilled,
-                decoded=[seq.slot for seq in decoders],
-                retired=retired,
-                ttfts=ttfts,
-                latencies=latencies,
-                deadline_total=deadline_total,
-                deadline_met=deadline_met,
-            )
+        s.undo[server] = _IterationUndo(
+            record=record,
+            free_at=free_at,
+            prefilled=prefilled,
+            decoded=[seq.slot for seq in decoders],
+            retired=retired,
+            ttfts=ttfts,
+            latencies=latencies,
+            deadline_total=deadline_total,
+            deadline_met=deadline_met,
         )
         s.iter_count[server] += 1
         s.busy[server] += t - start

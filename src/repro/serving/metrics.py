@@ -40,63 +40,13 @@ def latency_percentile(latencies: Sequence[float], percentile: float) -> float:
     ]
 
 
-def streaming_percentile(sample, percentile: float) -> float:
-    """One percentile from either an exact sample or a streaming digest.
-
-    Accepts a latency array/sequence (delegates to
-    :func:`latency_percentile`) or a streaming estimator from
-    :mod:`repro.serving.core` — anything with a ``percentile(p)`` method
-    (:class:`~repro.serving.core.ReservoirSample`) or a single-quantile
-    ``value`` (:class:`~repro.serving.core.P2Quantile`, which answers only
-    the quantile it tracks and raises on any other).  The telemetry layer
-    stores digests instead of raw latencies when run at
-    ``latency_digest="reservoir"`` scale; this helper lets report code
-    treat both representations uniformly.
-    """
-    estimator = getattr(sample, "percentile", None)
-    if callable(estimator):
-        # Canonical empty-input behaviour, shared with the array path and
-        # summarize_latencies: an empty digest answers nan, not an error.
-        return float(estimator(percentile))
-    tracked = getattr(sample, "q", None)
-    if tracked is not None and hasattr(sample, "value"):
-        if abs(tracked * 100.0 - float(percentile)) > 1e-9:
-            raise ValueError(
-                f"P2 digest tracks q={tracked:g} "
-                f"(p{tracked * 100:g}), not p{percentile:g}"
-            )
-        return float(sample.value)
-    return latency_percentile(sample, percentile)
-
-
-def summarize_latencies(latencies) -> Dict[str, float]:
+def summarize_latencies(latencies: Sequence[float]) -> Dict[str, float]:
     """Median/p90/p99/mean/max summary of a latency sample (seconds).
 
-    Accepts the same representations as :func:`streaming_percentile` — a
-    raw array/sequence or a multi-quantile streaming digest
-    (:class:`~repro.serving.core.ReservoirSample`, exposing the retained
-    sample through ``values``) — and both agree on the edge cases: an
-    empty input of either representation reports ``nan`` order statistics
-    with a well-defined ``count`` of ``0.0`` (the seed reported ``count:
-    nan``, poisoning downstream arithmetic that summed counts across
-    models or windows).  For a digest, ``count`` is the number of values
-    *observed* (``len(digest)``), which at overflow exceeds the retained
-    sample the order statistics are estimated from — the same convention
-    the telemetry layer uses for windowed counts.  A single-quantile
-    digest (:class:`~repro.serving.core.P2Quantile`) cannot produce a
-    full summary and raises ``TypeError``; use ``streaming_percentile``
-    for the one quantile it tracks.
+    An empty sample reports ``nan`` order statistics with a well-defined
+    ``count`` of ``0.0`` (the seed reported ``count: nan``, poisoning
+    downstream arithmetic that summed counts across models or windows).
     """
-    if hasattr(latencies, "q") and hasattr(latencies, "value"):
-        raise TypeError(
-            "summarize_latencies needs a full sample or a multi-quantile "
-            "digest; a P2Quantile tracks a single quantile — use "
-            "streaming_percentile(digest, p) instead"
-        )
-    observed = None
-    if hasattr(latencies, "percentile") and hasattr(latencies, "values"):
-        observed = float(len(latencies))
-        latencies = latencies.values
     values = np.asarray(latencies, dtype=np.float64)
     if values.size == 0:
         summary = {
@@ -110,7 +60,7 @@ def summarize_latencies(latencies) -> Dict[str, float]:
         "p99": float(np.percentile(values, 99)),
         "mean": float(values.mean()),
         "max": float(values.max()),
-        "count": float(values.size) if observed is None else observed,
+        "count": float(values.size),
     }
 
 

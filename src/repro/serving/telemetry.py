@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
+from repro.serving.core import check_positive
 from repro.serving.metrics import latency_percentile, summarize_latencies
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,9 +82,6 @@ class _WindowCell:
     # per cell in one vectorized pass instead of extending a float list
     # per batch.  Queries concatenate list + chunks.
     latency_chunks: List[np.ndarray] = field(default_factory=list)
-    # Streaming digest (ReservoirSample) replacing raw latencies when the
-    # bus runs with latency_digest="reservoir"; None in exact mode.
-    digest: Optional[object] = None
     # Streaming-generation signals (zero for one-shot workloads): generated
     # tokens emitted in the window and the TTFT samples of sequences whose
     # first token landed in it (see record_tokens).
@@ -111,9 +109,6 @@ class ServerWindowStats:
     latencies: np.ndarray = field(default_factory=lambda: np.zeros(0))
     tokens: int = 0
     ttft: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    # Streaming digest backing percentile queries when the bus runs in
-    # latency_digest mode (raw latencies stay empty then).
-    digest: Optional[object] = None
 
     @property
     def served_rate(self) -> float:
@@ -139,19 +134,9 @@ class ServerWindowStats:
         return self.deadline_met / self.deadline_total
 
     def latency_percentile(self, percentile: float) -> float:
-        if self.latencies.size == 0 and self.digest is not None:
-            return self.digest.percentile(percentile)
         return latency_percentile(self.latencies, percentile)
 
     def summary(self) -> Dict[str, float]:
-        if (
-            self.latencies.size == 0
-            and self.digest is not None
-            and len(self.digest) > 0
-        ):
-            stats = summarize_latencies(self.digest.values)
-            stats["count"] = float(len(self.digest))
-            return stats
         return summarize_latencies(self.latencies)
 
 
@@ -171,27 +156,9 @@ class TelemetryBus:
     decision was made).
     """
 
-    def __init__(
-        self,
-        window: float = 1.0,
-        num_servers: int = 1,
-        latency_digest: Optional[str] = None,
-        digest_capacity: int = 1024,
-    ) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive (seconds)")
-        if latency_digest not in (None, "reservoir"):
-            raise ValueError(
-                "latency_digest must be None (exact) or 'reservoir' (streaming)"
-            )
-        self.window = float(window)
+    def __init__(self, window: float = 1.0, num_servers: int = 1) -> None:
+        self.window = check_positive("window", window)
         self.num_servers = int(num_servers)
-        # Exact mode (default) buffers per-window latencies for exact
-        # percentiles; "reservoir" keeps an O(digest_capacity) streaming
-        # sample per cell instead (bounded memory at million-request scale,
-        # approximate percentiles, deterministic per cell seed).
-        self.latency_digest = latency_digest
-        self.digest_capacity = int(digest_capacity)
         self._cells: Dict[Tuple[int, int], _WindowCell] = {}
         self.scale_events: List[ScaleEvent] = []
         self.fault_events: List["FaultEvent"] = []
@@ -249,12 +216,7 @@ class TelemetryBus:
         cell.deadline_total += int(deadline_total)
         cell.deadline_met += int(deadline_met)
         if latencies is not None:
-            if self.latency_digest is not None:
-                self._digest_of(cell, record.server, self.window_index(record.start)).extend(
-                    np.asarray(latencies, dtype=np.float64)
-                )
-            else:
-                cell.latencies.extend(float(value) for value in latencies)
+            cell.latencies.extend(float(value) for value in latencies)
 
     def unrecord_batch(
         self,
@@ -286,7 +248,7 @@ class TelemetryBus:
         cell.queue_depth_sum -= int(record.queue_depth)
         cell.deadline_total -= int(deadline_total)
         cell.deadline_met -= int(deadline_met)
-        if latencies is not None and self.latency_digest is None:
+        if latencies is not None:
             # Remove-by-value needs the raw list: fold bulk-ingested chunks
             # back in first (rare path — preemption after a columnar run).
             if cell.latency_chunks:
@@ -298,10 +260,6 @@ class TelemetryBus:
                     cell.latencies.remove(float(value))
                 except ValueError:
                     pass  # never recorded (bus attached mid-run)
-        # Digest mode cannot remove by value (a reservoir forgets what it
-        # replaced); counters above still rewind exactly, percentiles stay
-        # approximate — exact mode is the right setting for preemption-
-        # accurate percentile audits.
 
     def record_tokens(
         self,
@@ -412,15 +370,6 @@ class TelemetryBus:
     # ------------------------------------------------------------------
     # Bulk ingestion (columnar fast path)
     # ------------------------------------------------------------------
-    def _digest_of(self, cell: _WindowCell, server: int, window: int):
-        """The cell's streaming digest, created on first use (deterministic seed)."""
-        if cell.digest is None:
-            from repro.serving.core import ReservoirSample
-
-            seed = (int(window) * 131071 + int(server) + 7) & 0x7FFFFFFF
-            cell.digest = ReservoirSample(self.digest_capacity, seed=seed)
-        return cell.digest
-
     def ingest_columnar(
         self,
         *,
@@ -500,10 +449,7 @@ class TelemetryBus:
                     cell.deadline_met += int(dmets[b])
                 chunk = chunks[b]
                 if chunk is not None and chunk.size:
-                    if self.latency_digest is not None:
-                        self._digest_of(cell, server, window).extend(chunk)
-                    else:
-                        cell.latency_chunks.append(chunk)
+                    cell.latency_chunks.append(chunk)
         if drop_times is not None and len(drop_times):
             drop_windows = (
                 np.asarray(drop_times, dtype=np.float64) / self.window
@@ -561,7 +507,6 @@ class TelemetryBus:
             latencies=latencies,
             tokens=cell.tokens,
             ttft=np.asarray(cell.ttft, dtype=np.float64),
-            digest=cell.digest,
         )
 
     def server_window(self, server: int, window: int) -> ServerWindowStats:
@@ -643,10 +588,6 @@ class TelemetryBus:
             merged.deadline_met += cell.deadline_met
             merged.latencies.extend(cell.latencies)
             merged.latency_chunks.extend(cell.latency_chunks)
-            if cell.digest is not None:
-                # Digest mode: fold each server's reservoir sample into the
-                # cluster view (approximate, like the digests themselves).
-                merged.latency_chunks.append(cell.digest.values)
             merged.tokens += cell.tokens
             merged.ttft.extend(cell.ttft)
             if server in active:

@@ -11,6 +11,7 @@ path and the serving-cluster tours (placement/autoscaling and resilience).
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -18,6 +19,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = ROOT / "examples"
+
+
+def load_example(name: str):
+    """Import ``examples/<name>.py`` as a module.
+
+    Acceptance tests assert on the scenario function a script exports, so
+    the demo and the gate cannot drift apart.
+    """
+    spec = importlib.util.spec_from_file_location(name, EXAMPLES / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_example(name: str, timeout: float = 300.0, args: tuple = ()) -> str:

@@ -2,7 +2,7 @@
 
 Also hosts the PR 9 satellite regressions: the telemetry timeline
 dirty-flag audit (rewind paths must not stale the sorted cache) and the
-``summarize_latencies``/``streaming_percentile`` digest/empty-input
+``summarize_latencies``/``latency_percentile`` empty-input
 canonicalization.
 """
 
@@ -42,7 +42,7 @@ from repro.serving.engine import (
     requests_from_trace,
 )
 from repro.serving.executors import ModeledExecutor
-from repro.serving.metrics import streaming_percentile, summarize_latencies
+from repro.serving.metrics import latency_percentile, summarize_latencies
 from repro.serving.policies import FixedRatioPolicy
 from repro.serving.resilience import (
     FaultEvent,
@@ -51,7 +51,7 @@ from repro.serving.resilience import (
 )
 from repro.serving.simulator import ServiceTimeModel
 from repro.serving.telemetry import ScaleEvent, TelemetryBus
-from repro.serving.core import P2Quantile, ReservoirSample
+from test_cluster_day import FULL_SCALE, _engine as day_engine, diurnal_day
 from test_serving_engine import seed_serving_run
 
 
@@ -386,6 +386,25 @@ def _parse_exposition(text: str):
     return metrics
 
 
+class TestTracedDayExports:
+    def test_sampled_full_day_exports_are_well_formed(self):
+        """Both exporters at the scale they are for: the >= 1M-request day
+        (``tests/test_cluster_day.py``) traced at a 1% head sample."""
+        tracer = Tracer(sample_rate=0.01)
+        result = day_engine(tracer=tracer).run(diurnal_day(FULL_SCALE), model="m")
+        counts = tracer.span_counts()
+        assert counts["execute"] == len(result.batch_records)
+        assert counts["served"] + counts["dropped"] > 0    # sampled requests
+        chrome = to_chrome_trace(tracer)
+        validate_chrome_trace(chrome)
+        assert len(chrome["traceEvents"]) >= len(tracer.store) > 0
+        text = prometheus_exposition(registry_from_engine(result))
+        assert text.endswith("\n")
+        metrics = _parse_exposition(text)   # every line HELP/TYPE or `name value`
+        assert metrics[("repro_requests_served_total", ())] == len(result.latencies)
+        assert metrics[("repro_requests_dropped_total", ())] == result.dropped
+
+
 # ----------------------------------------------------------------------
 # SLO burn-rate monitoring
 # ----------------------------------------------------------------------
@@ -626,42 +645,14 @@ class TestTimelineCacheInvalidation:
 
 
 # ----------------------------------------------------------------------
-# Satellite: summarize_latencies / streaming_percentile canonical edges
+# Satellite: summarize_latencies / latency_percentile canonical edges
 # ----------------------------------------------------------------------
 class TestMetricsEdgeCases:
     def test_empty_inputs_agree_across_representations(self):
-        # Array, list and empty reservoir digest: nan percentiles, count 0.
-        for empty in ([], np.zeros(0), ReservoirSample(8)):
-            assert np.isnan(streaming_percentile(empty, 99))
+        # Array and list: nan percentiles, count 0.
+        for empty in ([], np.zeros(0)):
+            assert np.isnan(latency_percentile(empty, 99))
             summary = summarize_latencies(empty)
             assert summary["count"] == 0.0
             for key in ("median", "p90", "p99", "mean", "max"):
                 assert np.isnan(summary[key])
-        # Empty P2 digest: nan from streaming_percentile too.
-        assert np.isnan(streaming_percentile(P2Quantile(0.99), 99))
-
-    def test_digest_summary_matches_exact_on_small_samples(self):
-        values = [0.01, 0.02, 0.03, 0.04, 0.05]
-        digest = ReservoirSample(64)
-        digest.extend(np.asarray(values))
-        exact = summarize_latencies(values)
-        approx = summarize_latencies(digest)
-        assert approx == pytest.approx(exact)
-
-    def test_digest_count_reflects_observed_not_retained(self):
-        digest = ReservoirSample(4, seed=1)
-        digest.extend(np.linspace(0.0, 1.0, 100))
-        summary = summarize_latencies(digest)
-        assert summary["count"] == 100.0
-        assert len(digest.values) == 4
-
-    def test_p2_digest_summary_is_a_type_error(self):
-        digest = P2Quantile(0.99)
-        digest.add(0.5)
-        with pytest.raises(TypeError):
-            summarize_latencies(digest)
-        # ...but streaming_percentile answers its tracked quantile,
-        assert streaming_percentile(digest, 99) == pytest.approx(0.5)
-        # and refuses any other.
-        with pytest.raises(ValueError):
-            streaming_percentile(digest, 50)

@@ -18,6 +18,8 @@ hooks:
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,7 @@ from repro.serving import (
     npu_server,
     requests_from_trace,
 )
+from repro.serving.cluster import ServerSpec
 from repro.serving.simulator import ServiceTimeModel
 from repro.serving.telemetry import CLUSTER, ScaleEvent
 from test_serving_engine import seed_serving_run
@@ -100,8 +103,6 @@ class TestServerSpec:
             adapter.model_latency([], "fp16")
 
     def test_spec_validation(self, service_model):
-        from repro.serving.cluster import ServerSpec
-
         with pytest.raises(ValueError):
             ServerSpec(name="bad-speed", speed=-1.0, service_model=service_model)
         with pytest.raises(ValueError):
@@ -471,6 +472,48 @@ class TestTelemetry:
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
             TelemetryBus(window=0.0)
+
+
+# ----------------------------------------------------------------------
+# Hostile numbers at the boundary
+# ----------------------------------------------------------------------
+NEVER_VALID = (float("nan"), float("inf"), float("-inf"), -1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (field, value)
+        for field in ("window", "cluster window", "speed", "startup_delay", "duration")
+        for value in NEVER_VALID
+    ]
+    # Zero is a legal startup_delay and duration (an all-at-once trace).
+    + [("window", 0.0), ("speed", 0.0)],
+)
+def test_non_finite_or_non_positive_numbers_rejected_where_they_enter(
+    field, value, service_model
+):
+    """``nan <= 0`` is false: a NaN window used to be accepted and put every
+    batch in telemetry window INT64_MIN; a NaN speed passed the sign check."""
+
+    def spec(speed=1.0):
+        return ServerSpec(name="s", speed=speed, service_model=service_model)
+
+    cluster = ClusterEngine([spec()])
+    cluster.register("m", mode="int8")
+    trace = PoissonTrace(100, duration=0.1, seed=0).generate()
+    attempt = {
+        "window": lambda: TelemetryBus(window=value),
+        "cluster window": lambda: ClusterEngine([spec()], window=value),
+        "speed": lambda: spec(speed=value),
+        "startup_delay": lambda: ClusterEngine([spec()], startup_delay=value),
+        "duration": lambda: cluster.run(trace, duration=value),
+    }[field]
+    name = field.split()[-1]
+    with pytest.raises(ValueError, match=f"{name}.*{re.escape(repr(value))}"):
+        attempt()
+    # A refused duration left no session open.
+    assert cluster.run(trace).result.latencies.size == len(trace)
 
 
 # ----------------------------------------------------------------------

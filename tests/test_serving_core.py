@@ -20,9 +20,7 @@ from repro.serving.core import (
     Event,
     EventCalendar,
     LazyRequests,
-    P2Quantile,
     RequestStore,
-    ReservoirSample,
     per_request_latencies,
     run_fifo_columnar,
 )
@@ -33,7 +31,6 @@ from repro.serving.engine import (
     requests_from_trace,
 )
 from repro.serving.executors import ModeledExecutor
-from repro.serving.metrics import streaming_percentile
 from repro.serving.policies import FixedRatioPolicy
 from repro.serving.resilience import (
     DropExpiredMigration,
@@ -469,79 +466,7 @@ class TestColumnarFifoCore:
         assert len(run.starts) == len(run.finishes) == len(run.sizes)
 
 
-class TestStreamingEstimators:
-    def test_p2_tracks_exact_percentile(self):
-        data = np.random.default_rng(1).exponential(1.0, size=20_000)
-        estimator = P2Quantile(0.95)
-        estimator.extend(data)
-        exact = float(np.percentile(data, 95))
-        assert abs(estimator.value - exact) / exact < 0.05
-        assert len(estimator) == len(data)
-
-    def test_p2_exact_below_five_observations(self):
-        estimator = P2Quantile(0.5)
-        estimator.extend([3.0, 1.0, 2.0])
-        assert estimator.value == 2.0
-
-    def test_reservoir_is_deterministic_and_bounded(self):
-        first = ReservoirSample(capacity=64, seed=9)
-        second = ReservoirSample(capacity=64, seed=9)
-        data = np.arange(5000, dtype=np.float64)
-        first.extend(data)
-        second.extend(data)
-        assert np.array_equal(first.values, second.values)
-        assert len(first.values) == 64
-        assert len(first) == 5000
-        # A uniform ramp's reservoir median lands near the true median.
-        assert abs(first.percentile(50) - 2500.0) < 600.0
-
-    def test_streaming_percentile_dispatch(self):
-        reservoir = ReservoirSample(capacity=32, seed=0)
-        reservoir.extend(np.full(100, 4.0))
-        assert streaming_percentile(reservoir, 50) == 4.0
-        estimator = P2Quantile(0.9)
-        estimator.extend([1.0, 2.0, 3.0])
-        assert streaming_percentile(estimator, 90) == pytest.approx(2.8)
-        with pytest.raises(ValueError, match="tracks q=0.9"):
-            streaming_percentile(estimator, 50)
-        assert streaming_percentile([1.0, 3.0], 50) == 2.0
-
-
 class TestTelemetryIncremental:
-    def test_digest_mode_approximates_exact(self):
-        trace = _trace(rate=800.0, duration=4.0)
-        exact_bus = TelemetryBus(window=1.0, num_servers=2)
-        digest_bus = TelemetryBus(
-            window=1.0,
-            num_servers=2,
-            latency_digest="reservoir",
-            digest_capacity=4096,
-        )
-
-        def run_with(bus):
-            engine = ServingEngine(
-                batching=BatchingConfig(max_batch=8),
-                num_servers=2,
-                telemetry=bus,
-            )
-            engine.register(
-                "m", ModeledExecutor(SERVICE_MODEL), policy=FixedRatioPolicy(0.5)
-            )
-            engine.run(trace, model="m")
-
-        run_with(exact_bus)
-        run_with(digest_bus)
-        for window in range(4):
-            exact = exact_bus.cluster_window(window)
-            digest = digest_bus.cluster_window(window)
-            assert exact.served == digest.served
-            exact_p95 = exact.latency_percentile(95)
-            digest_p95 = digest.latency_percentile(95)
-            if exact.served:
-                # Capacity exceeds the per-window sample count, so the
-                # reservoir is exhaustive and the percentile exact.
-                assert digest_p95 == exact_p95
-
     def test_timeline_cache_invalidation(self):
         from repro.serving.telemetry import ScaleEvent
 

@@ -622,11 +622,13 @@ class TestDropBackfill:
 # ----------------------------------------------------------------------
 class TestMultiServer:
     def test_k4_near_linear_throughput_scaling(self, service_model):
-        """Under sustained overload, K=4 serves ~4x the K=1 rate.
+        """Under sustained overload, K servers serve ~K times the K=1 rate.
 
         The arrival rate must saturate even the 4-server cluster (INT8
         capacity is ~1.7k req/s per server at batch 64), so every server
-        always finds a full batch and the makespan scales with 1/K.
+        always finds a full batch and the makespan scales with 1/K.  The
+        schedule is simulated, so the efficiency is exact (0.999 at K=2,
+        0.996 at K=4), not a timing.
         """
         trace = PoissonTrace(12000, duration=2.0, seed=21).generate()
         requests = requests_from_trace(trace, model="m")
@@ -641,8 +643,11 @@ class TestMultiServer:
             return outcome.throughput, outcome
 
         single, _ = makespan_throughput(1)
+        double, _ = makespan_throughput(2)
         quad, outcome = makespan_throughput(4)
-        assert quad >= 3.0 * single  # near-linear scale-out
+        assert quad > double > single
+        assert double >= 0.9 * 2 * single  # near-linear scale-out
+        assert quad >= 0.9 * 4 * single
         # All four servers did comparable work.
         assert outcome.num_servers == 4
         assert len(outcome.server_busy_times) == 4

@@ -49,6 +49,7 @@ from repro.serving import (
 )
 from repro.serving.generation import SequenceState
 from repro.serving.schedulers import admission_key
+from test_examples import load_example
 
 
 @pytest.fixture(scope="module")
@@ -996,3 +997,29 @@ class TestStreamingSummary:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             streaming_summary([[0.5]], [0.0, 1.0])
+
+
+# ----------------------------------------------------------------------
+# Acceptance: the example scenario
+# ----------------------------------------------------------------------
+class TestExampleScenario:
+    def test_continuous_beats_static_and_switches_precision_mid_sequence(self):
+        """The headline claim on the exact trace examples/continuous_batching.py
+        shows: modeled costs and a fixed seed, so every comparison is exact."""
+        example = load_example("continuous_batching")
+        outcomes = example.generation_scenario()
+        static = outcomes["run-to-completion"]
+        continuous = outcomes["continuous (fcfs)"]
+        static_stream = static.streaming((99,))
+        continuous_stream = continuous.streaming((99,))
+        assert continuous_stream["ttft_p99"] < static_stream["ttft_p99"]
+        assert continuous_stream["tokens_per_sec"] > static_stream["tokens_per_sec"]
+        # Both schedules generate every requested token of every request.
+        assert continuous.tokens == static.tokens > 0
+        assert len(continuous.responses) == len(static.responses) > 0
+        # Many small iterations, not a few big batches.
+        assert len(continuous.iterations) > len(static.iterations)
+        # The decode-pressure policy really changes the ratio between
+        # iterations of sequences already in flight.
+        adaptive = outcomes["continuous (decode-pressure int4)"]
+        assert example.ratio_switches(adaptive) >= 1

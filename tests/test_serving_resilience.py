@@ -29,10 +29,6 @@ and control-plane hooks:
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -64,6 +60,7 @@ from repro.serving import (
     summarize_migrations,
 )
 from repro.serving.simulator import ServiceTimeModel
+from test_examples import load_example
 from test_serving_engine import seed_serving_run
 
 
@@ -844,7 +841,7 @@ class TestPlacementEstimates:
         """The tentpole property: telemetry trends beat stale nominal speeds
         (asserted on the exact scenario examples/resilient_cluster.py shows,
         so the demo and the gate cannot drift apart)."""
-        example = _load_example()
+        example = load_example("resilient_cluster")
         outcomes = example.slowdown_scenario()
         weighted, predictive = outcomes["weighted"], outcomes["predictive"]
         assert predictive.latencies.size == weighted.latencies.size > 0
@@ -855,25 +852,17 @@ class TestPlacementEstimates:
 # ----------------------------------------------------------------------
 # Acceptance: the example scenario + seed equivalence
 # ----------------------------------------------------------------------
-def _load_example():
-    path = Path(__file__).resolve().parent.parent / "examples" / "resilient_cluster.py"
-    spec = importlib.util.spec_from_file_location("resilient_cluster", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestAcceptance:
     def test_migrating_cluster_meets_slo_baseline_misses(self):
         """ISSUE 5 acceptance: mid-run crash; migration saves the p99
         deadline-attainment SLO the non-migrating baseline misses."""
-        example = _load_example()
+        example = load_example("resilient_cluster")
         outcomes = example.crash_scenario()
         target = example.ATTAINMENT_TARGET
         baseline = outcomes["crash, no migration"]
         assert baseline.deadline_attainment() < target         # the miss
         assert baseline.result.dropped > 0                     # lost work
+        conserve(baseline.result, baseline.result.request_latencies.size)
         for label in (
             "crash + requeue-at-head",
             "crash + redistribute",
@@ -1027,22 +1016,13 @@ class TestCorrelatedFailures:
 # ----------------------------------------------------------------------
 # Zone-outage acceptance: the failure-domain example scenario
 # ----------------------------------------------------------------------
-def _load_zone_example():
-    path = Path(__file__).resolve().parent.parent / "examples" / "zone_outage.py"
-    spec = importlib.util.spec_from_file_location("zone_outage", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestZoneOutageAcceptance:
     def test_warm_spares_meet_slo_flat_cluster_misses(self):
         """ISSUE 6 acceptance: a zone outage on the spread-placed,
         warm-spared cluster meets the deadline-attainment SLO the PR 5
         single-domain cluster misses — and beats cold standby on p99
         (promotion latency vs provisioning lag)."""
-        example = _load_zone_example()
+        example = load_example("zone_outage")
         outcomes = example.outage_scenario()
         target = example.ATTAINMENT_TARGET
         flat = outcomes["flat (single-domain)"]
@@ -1060,6 +1040,8 @@ class TestZoneOutageAcceptance:
         demotes = [e for e in warm.scale_events if e.action == "demote"]
         assert [e.server for e in demotes] == [4, 5]
         assert all(e.time > example.RECOVER_AT for e in demotes)
+        assert cold.promotions == []    # cold standby provisions, never promotes
+        assert warm.migrated > 0
         # Nothing lost, nothing served twice, in any deployment.
         for outcome in outcomes.values():
             conserve(outcome.result, outcome.result.request_latencies.size)
