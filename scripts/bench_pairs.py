@@ -1,0 +1,136 @@
+"""Interleaved parent/change pairs of ``bench/run.py`` — how a gain is claimed.
+
+    python3 scripts/bench_pairs.py --a ../parent --b . \\
+        --workload day_stream --workload day_control --runs 10 [--seed 8]
+
+For each workload, ``--runs`` pairs: both checkouts run ``bench/run.py`` on
+the same seed, one straight after the other, alternating which side goes
+first (this box slows by 30-100 % for minutes at a time; only neighbours in
+time are comparable).  Each side's results are written as a result set
+(``<out>/pairs-a.json``, ``pairs-b.json``), ``bench/compare.py``'s table is
+printed for the two sets, and under it, per timed metric, how many pairs the
+change won — the "at least nine in ten" of the choosing-metrics guide.  Ties
+count for neither side.
+
+Inside a result set a run is keyed by its pair number (``compare.py`` keys
+runs by ``seed`` and matches exact metrics seed by seed; pair *i* of A and
+pair *i* of B ran the same seed, so that is the right match); the seed
+itself is recorded once, on the set.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+from typing import List, Optional, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from bench.compare import compare  # noqa: E402
+from bench.harness import load_spec  # noqa: E402
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int, scale: str) -> dict:
+    """One ``bench/run.py`` run in ``checkout``; its result object."""
+    command = [
+        sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+        "--scale", scale,
+    ]
+    done = subprocess.run(
+        command, cwd=checkout, capture_output=True, text=True, timeout=1800
+    )
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(f"{checkout}: {workload} exited with {done.returncode}")
+    return json.loads(done.stdout.rstrip("\n").splitlines()[-1])
+
+
+def run_pairs(a: Path, b: Path, workloads: List[str], runs: int, seed: int,
+              seconds: float, trace: int, scale: str) -> Tuple[dict, dict]:
+    """``runs`` alternating pairs per workload; the two result sets (A, B)."""
+    sides = {"a": a, "b": b}
+    sets = {
+        side: {"seed": seed, "runs": runs, "seconds": seconds, "trace": trace,
+               "scale": scale, "workloads": {name: [] for name in workloads}}
+        for side in sides
+    }
+    for workload in workloads:
+        for pair in range(runs):
+            for side in ("a", "b") if pair % 2 == 0 else ("b", "a"):
+                result = run_once(sides[side], workload, seed, seconds, trace, scale)
+                result["seed"] = pair
+                sets[side]["workloads"][workload].append(result)
+                print(f"  {workload} pair {pair + 1}/{runs} {side.upper()} "
+                      f"{'ok' if result['correct'] else 'INCORRECT'}", flush=True)
+    return sets["a"], sets["b"]
+
+
+def wins(a: dict, b: dict, metrics: List[dict]) -> List[str]:
+    """Per workload and timed metric: pairs B won, A won, and tied."""
+    lines = []
+    for workload, runs_a in a["workloads"].items():
+        runs_b = b["workloads"][workload]
+        for metric in metrics:
+            name = metric["name"]
+            if metric["unit"] == "count" or name == "good_share":
+                continue  # exact metrics: compare.py says ok or changed
+            won = lost = 0
+            for run_a, run_b in zip(runs_a, runs_b):
+                value_a = run_a["metrics"].get(name, {}).get("value")
+                value_b = run_b["metrics"].get(name, {}).get("value")
+                if not value_a and not value_b:
+                    continue  # layer not on this workload's path
+                lower = metric["better"] == "lower"
+                won += (value_b < value_a) if lower else (value_b > value_a)
+                lost += (value_b > value_a) if lower else (value_b < value_a)
+            if won or lost:
+                pairs = len(runs_a)
+                lines.append(f"{workload:<15} {name:<44} B wins {won}/{pairs}, "
+                             f"A wins {lost}/{pairs}, ties {pairs - won - lost}")
+    return lines
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    spec = load_spec()
+    known = [workload["name"] for workload in spec["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--a", type=Path, required=True, help="base checkout (the parent)")
+    parser.add_argument("--b", type=Path, required=True, help="new checkout (the change)")
+    parser.add_argument("--workload", action="append", choices=known,
+                        help="repeat for several (default: every workload)")
+    parser.add_argument("--runs", type=int, default=10, help="pairs per workload")
+    parser.add_argument("--seed", type=int, default=8)
+    parser.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--scale", choices=("full", "tiny"), default="full")
+    parser.add_argument("--out", type=Path, default=ROOT / "bench" / "out",
+                        help="directory for pairs-a.json and pairs-b.json")
+    args = parser.parse_args(argv)
+
+    set_a, set_b = run_pairs(
+        args.a.resolve(), args.b.resolve(), args.workload or known, args.runs,
+        args.seed, args.seconds, args.trace, args.scale,
+    )
+    args.out.mkdir(parents=True, exist_ok=True)
+    for name, result_set in (("pairs-a.json", set_a), ("pairs-b.json", set_b)):
+        (args.out / name).write_text(json.dumps(result_set, indent=1))
+    lines, bad = compare(set_a, set_b, spec)
+    print("\n".join(lines))
+    metrics = spec["per_layer"] if args.trace else spec["end_to_end"]
+    print("\n".join(wins(set_a, set_b, metrics)))
+    correct = all(
+        run["correct"] for result_set in (set_a, set_b)
+        for runs in result_set["workloads"].values() for run in runs
+    )
+    return 1 if bad or not correct else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

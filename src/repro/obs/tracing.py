@@ -183,6 +183,15 @@ class Tracer:
     ``sample_deadline_misses`` force-trace the interesting requests
     regardless of the sampling decision.  Everything is opt-in: engines
     built without a tracer take a single ``is None`` branch per batch.
+
+    **Spans are settled on read.**  :meth:`on_batch` only parks its
+    arguments; the spans of the parked batches are written — sampling hash
+    and deadline-miss mask computed once over the whole run of batches, rows
+    in the order the eager hook would have appended them — when anything
+    reads or rewrites spans (:attr:`store`, every query, every other hook)
+    and by :meth:`settle`, which ``ServingEngine.finish()`` calls before the
+    session closes.  Callers never see the difference; a record handed to
+    :meth:`on_batch` must not be mutated before then.
     """
 
     def __init__(
@@ -197,7 +206,9 @@ class Tracer:
         self.sample_drops = bool(sample_drops)
         self.sample_deadline_misses = bool(sample_deadline_misses)
         self._threshold = int(self.sample_rate * _HASH_MOD)
-        self.store = SpanStore()
+        self._store = SpanStore()
+        # on_batch arguments whose spans are not written yet (see settle).
+        self._parked: List[tuple] = []
         # Live terminal row per traced slot (object path only; bulk-ingested
         # sessions cannot be preempted, so they skip the bookkeeping).
         self._terminal_row: Dict[int, int] = {}
@@ -225,7 +236,8 @@ class Tracer:
 
     def reset(self) -> None:
         """Drop all recorded spans and bookkeeping (fresh run)."""
-        self.store = SpanStore()
+        self._store = SpanStore()
+        self._parked = []
         self._terminal_row.clear()
         self._record_row.clear()
 
@@ -244,33 +256,59 @@ class Tracer:
         ``record`` is any object with ``server``/``start``/``finish``
         attributes (:class:`~repro.serving.engine.BatchRecord`);
         ``deadlines`` (absolute, ``nan`` = none) enables forced sampling
-        of deadline-missing requests.
+        of deadline-missing requests.  The spans are written by
+        :meth:`settle`.
         """
-        store = self.store
-        row = store.append(
-            SPAN_EXECUTE, -1, record.server, record.start, record.finish,
-            float(len(slots)),
-        )
-        self._record_row[id(record)] = row
-        mask = self.sample_mask(slots)
-        if deadlines is not None and self.sample_deadline_misses:
-            mask |= ~np.isnan(deadlines) & (record.finish > deadlines)
-        if not mask.any():
+        self._parked.append((record, slots, arrivals, deadlines))
+
+    @property
+    def store(self) -> SpanStore:
+        """The recorded spans, parked batches included."""
+        self.settle()
+        return self._store
+
+    def settle(self) -> None:
+        """Write the spans of every parked batch, in :meth:`on_batch` order."""
+        parked = self._parked
+        if not parked:
             return
-        start, finish, server = record.start, record.finish, record.server
-        for slot, arrival in zip(
-            np.asarray(slots)[mask].tolist(), np.asarray(arrivals)[mask].tolist()
+        self._parked = []
+        sizes = [len(batch[1]) for batch in parked]
+        slots = np.concatenate([np.asarray(batch[1]) for batch in parked])
+        arrivals = np.concatenate([np.asarray(batch[2]) for batch in parked])
+        mask = self.sample_mask(slots)
+        if self.sample_deadline_misses and any(
+            batch[3] is not None for batch in parked
         ):
-            slot = int(slot)
-            store.append(SPAN_QUEUED, slot, server, arrival, start, start - arrival)
-            self._terminal_row[slot] = store.append(
-                SPAN_SERVED, slot, server, finish, finish, finish - arrival
+            deadlines = np.concatenate([
+                np.full(size, np.nan) if batch[3] is None else batch[3]
+                for batch, size in zip(parked, sizes)
+            ])
+            finishes = np.repeat([batch[0].finish for batch in parked], sizes)
+            mask |= ~np.isnan(deadlines) & (finishes > deadlines)
+        hits = np.flatnonzero(mask)
+        traced = list(zip(slots[hits].tolist(), arrivals[hits].tolist()))
+        # How many traced requests ride in the batches up to and including each.
+        upto = np.searchsorted(hits, np.cumsum(sizes)).tolist()
+        store = self._store
+        first = 0
+        for (record, _, _, _), size, last in zip(parked, sizes, upto):
+            start, finish, server = record.start, record.finish, record.server
+            self._record_row[id(record)] = store.append(
+                SPAN_EXECUTE, -1, server, start, finish, float(size)
             )
+            for slot, arrival in traced[first:last]:
+                store.append(SPAN_QUEUED, slot, server, arrival, start, start - arrival)
+                self._terminal_row[slot] = store.append(
+                    SPAN_SERVED, slot, server, finish, finish, finish - arrival
+                )
+            first = last
 
     def on_drop(
         self, slots: np.ndarray, arrivals: np.ndarray, time: float
     ) -> None:
         """Expired requests: queued span + dropped terminal per request."""
+        self.settle()
         slots_arr = np.asarray(slots)
         if self.sample_drops:
             mask = np.ones(len(slots_arr), dtype=bool)
@@ -278,7 +316,7 @@ class Tracer:
             mask = self.sample_mask(slots_arr)
         if not mask.any():
             return
-        store = self.store
+        store = self._store
         time = float(time)
         for slot, arrival in zip(
             slots_arr[mask].tolist(), np.asarray(arrivals)[mask].tolist()
@@ -297,14 +335,15 @@ class Tracer:
         ``served`` terminals are cancelled so their eventual re-serve or
         drop is the single live terminal again.
         """
+        store = self.store
         row = self._record_row.pop(id(record), None)
         if row is not None:
             end = min(float(record.finish), max(float(record.start), float(time)))
-            self.store.rewrite(row, SPAN_PREEMPTED, end=end)
+            store.rewrite(row, SPAN_PREEMPTED, end=end)
         for slot in slots:
             terminal = self._terminal_row.pop(int(slot), None)
             if terminal is not None:
-                self.store.rewrite(terminal, SPAN_CANCELLED)
+                store.rewrite(terminal, SPAN_CANCELLED)
 
     def on_requeue(
         self,

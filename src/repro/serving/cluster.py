@@ -865,10 +865,12 @@ class ClusterEngine:
         self._degraders: Optional[List[List[DegradableExecutor]]] = (
             [[] for _ in self.specs] if fault_schedule is not None else None
         )
-        # Execution modes seen at register() time; batch_estimators resolves
-        # its scoring mode from them lazily (placers are built before
-        # registration happens).
+        # Execution modes seen at register() time, and the mode
+        # batch_estimators scores with — the registered one when they all
+        # agree, else the "int8" reference — read lazily (placers are built
+        # before registration happens).
         self._registered_modes: set = set()
+        self._estimator_mode = "int8"
         # Opt-in observability (duck-typed; see repro.obs): a request
         # tracer threaded into the engine, and an SLO burn-rate monitor
         # evaluated at window boundaries.
@@ -918,19 +920,33 @@ class ClusterEngine:
         the ``"int8"`` reference (the same convention the spec speeds are
         measured at) — so a named placer resolved before :meth:`register`
         still estimates the precision that actually runs.
-        """
-        return [
-            lambda batch, spec=spec: spec.estimate_batch_seconds(
-                batch, mode=mode if mode is not None else self._estimator_mode
-            )
-            for spec in self.specs
-        ]
 
-    @property
-    def _estimator_mode(self) -> str:
-        if len(self._registered_modes) == 1:
-            return next(iter(self._registered_modes))
-        return "int8"
+        Each estimator is a pure table: ``estimate_batch_seconds`` is asked
+        once per distinct ``(batch size, resolved mode)`` of the spec's
+        current ``service_model`` and the float is kept, so a placer scoring
+        every candidate server for every batch pays a dict lookup, not the
+        latency model.
+        """
+
+        def estimator(spec: ServerSpec) -> ServiceEstimator:
+            model, table = spec.service_model, {}
+
+            def estimate(batch: int) -> float:
+                nonlocal model, table
+                if spec.service_model is not model:  # rebound: start over
+                    model, table = spec.service_model, {}
+                resolved = mode if mode is not None else self._estimator_mode
+                key = (batch, resolved)
+                seconds = table.get(key)
+                if seconds is None:
+                    seconds = table[key] = spec.estimate_batch_seconds(
+                        batch, mode=resolved
+                    )
+                return seconds
+
+            return estimate
+
+        return [estimator(spec) for spec in self.specs]
 
     def resolve_placer(self, placer: Union[Placer, str, None]) -> Optional[Placer]:
         if placer is None:
@@ -1016,6 +1032,7 @@ class ClusterEngine:
         faults can stretch the server's service times at run time.
         """
         self._registered_modes.add(mode)
+        self._estimator_mode = mode if len(self._registered_modes) == 1 else "int8"
         if executors is None:
             executors = [spec.build_executor() for spec in self.specs]
         executors = list(executors)

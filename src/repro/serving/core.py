@@ -62,10 +62,9 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from itertools import repeat
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -224,6 +223,24 @@ _IMPLICIT = {
     "prefill_tokens": (np.int64, 0),
     "max_new_tokens": (np.int64, 0),
 }
+
+
+def grow_column(
+    buffers: Dict[str, np.ndarray], name: str, column: np.ndarray, count: int
+) -> np.ndarray:
+    """``column`` with ``count`` unset rows behind it, held in ``buffers[name]``.
+
+    ``column`` must be the array this returned last time (or a prefix of
+    it).  Doubling: a run of appends costs O(rows added), not O(rows held)
+    each.
+    """
+    first = len(column)
+    total = first + count
+    buffer = buffers.get(name, column)
+    if len(buffer) < total:
+        spare = np.empty(max(total, 2 * len(buffer)) - first, column.dtype)
+        buffer = buffers[name] = np.concatenate([column, spare])
+    return buffer[:total]
 
 
 def _request_columns(
@@ -443,20 +460,18 @@ class RequestStore:
 
     def _grow(self, name: str, column: np.ndarray, count: int) -> np.ndarray:
         """Lengthen column ``name`` by ``count`` rows; returns them, unset."""
-        first = len(column)
-        total = first + count
-        buffer = self._buffers.get(name, column)
-        if len(buffer) < total:
-            # Doubling: a run of appends costs O(rows added), not O(rows
-            # held) each.
-            spare = np.empty(max(total, 2 * len(buffer)) - first, column.dtype)
-            buffer = self._buffers[name] = np.concatenate([column, spare])
-        setattr(self, name, buffer[:total])
-        return buffer[first:total]
+        grown = grow_column(self._buffers, name, column, count)
+        setattr(self, name, grown)
+        return grown[len(column):]
 
     # -- column access --------------------------------------------------
     def __len__(self) -> int:
         return len(self.arrivals)
+
+    @property
+    def keeps_objects(self) -> bool:
+        """Whether rows are the caller's ``Request`` objects (:meth:`append` works)."""
+        return self._objects is not None
 
     @property
     def single_model(self) -> Optional[str]:
@@ -483,22 +498,6 @@ class RequestStore:
         if self.model_ids is None:
             return np.zeros(len(self), dtype=bool)
         return self.model_ids == model_id
-
-    def values(self, name: str, rows: np.ndarray) -> Iterable:
-        """Column ``name`` at ``rows``, as Python values in row order.
-
-        Values are as a :class:`Request` spells them (a deadline that is
-        ``nan`` in the column reads ``None``).  An implicit column reads as
-        an endless run of its default, so a caller zips it with the rows and
-        never asks whether it is there.
-        """
-        column = getattr(self, name)
-        if column is None:
-            return repeat(_IMPLICIT[name][1])
-        values = column[rows].tolist()
-        if name == "deadlines":
-            values = [None if d != d else d for d in values]
-        return values
 
     def model_name_list(self) -> List[str]:
         """Per-request model names (materializes one list of shared strings)."""

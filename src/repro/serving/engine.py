@@ -99,6 +99,7 @@ from repro.serving.core import (
     RequestStore,
     SERVED,
     check_positive,
+    grow_column,
     per_request_latencies,
     run_fifo_columnar,
 )
@@ -107,7 +108,7 @@ from repro.serving.metrics import (
     slo_attainment,
     summarize_latencies,
 )
-from repro.serving.placement import Placer, PlacementContext
+from repro.serving.placement import Placer, PlacementContext, earliest_free
 from repro.serving.policies import PolicyContext
 from repro.serving.schedulers import FifoScheduler, Scheduler, store_keys
 
@@ -311,7 +312,8 @@ class EngineResult:
     ``latencies`` holds the served requests' response times in admission
     order (dropped requests excluded); ``request_latencies`` keeps one slot
     per admitted request with ``nan`` marking drops, aligned with
-    ``request_models`` for per-model breakdowns.  ``server_busy_times`` has
+    ``request_models`` for per-model breakdowns (``None`` when every request
+    targets the one model that ran every batch).  ``server_busy_times`` has
     one accumulated busy time per server (their sum is ``busy_time``).
     ``migrated`` counts successful request moves (preemption + requeue; see
     :mod:`repro.serving.resilience`) — zero on the default fault-free paths.
@@ -385,7 +387,7 @@ class EngineResult:
         """Served latencies of one registered model, in admission order."""
         served = ~np.isnan(self.request_latencies)
         if self.request_models is None:
-            # A trace session: one model ran every batch there is.
+            # A single-model session: one model ran every batch there is.
             records = self.batch_records
             if len(records) and records[0].model != name:
                 return np.zeros(0, dtype=np.float64)
@@ -502,7 +504,11 @@ def _expired_prefix_end(
     boundary, so a local walk re-applies the exact predicate — keeping the
     FIFO and scheduled paths' drop *sets* identical to each other and to
     the per-element seed arithmetic, without an O(queue) scan per batch.
+    A head that has not expired means nothing has: one scalar test, which
+    is all a batch that drops nothing pays.
     """
+    if lo >= hi or not (start - arrivals[lo] > drop_after):
+        return lo
     fresh = lo + int(np.searchsorted(arrivals[lo:hi], start - drop_after, side="left"))
     while fresh > lo and not (start - arrivals[fresh - 1] > drop_after):
         fresh -= 1
@@ -515,11 +521,7 @@ class _Session:
     """Mutable state of one serving run (batch or streaming).
 
     The requests are ``store`` — one :class:`RequestStore`, whichever way
-    they were handed in; a request's *slot* is its row.  ``origin`` records
-    that way (``"trace"``, ``"view"``, ``"list"``) for the two things it
-    still decides: only a ``"list"`` session created its store and may
-    append to it on :meth:`ServingEngine.submit`, and a ``"trace"`` result
-    lists no per-request models.
+    they were handed in; a request's *slot* is its row.
     """
 
     def __init__(
@@ -528,12 +530,10 @@ class _Session:
         store: RequestStore,
         duration: Optional[float],
         record_responses: bool,
-        origin: str,
     ) -> None:
         num_requests = len(store)
         self.store = store
         self.duration = duration
-        self.origin = origin
         self.latencies = np.zeros(num_requests, dtype=np.float64)
         self.responses: Optional[List[Optional[Response]]] = (
             [None] * num_requests if record_responses else None
@@ -571,16 +571,17 @@ class _Session:
         self.pend_arrivals = store.arrivals
         self.pend_slots = np.arange(num_requests, dtype=np.intp)
         self.pos = 0
+        # Where ``latencies`` and the pend arrays grow (core.grow_column).
+        self.buffers: Dict[str, np.ndarray] = {}
         # Scheduled path only: admitted-but-unserved requests, a heap of
         # (scheduler key, arrival, slot, model id) — arrival then admission
         # slot are the FIFO tie-breakers behind the discipline's key (slots
         # are unique, so the model id never orders anything; it rides along
         # for same-model batching).  ``arrival_heap`` (lazily cleaned
-        # against ``queued_slots``) answers "earliest queued arrival"
-        # without scanning the queue.
+        # against the store's status column) answers "earliest queued
+        # arrival" without scanning the queue.
         self.queue: List[Tuple[Tuple, float, int, int]] = []
         self.arrival_heap: List[Tuple[float, int]] = []
-        self.queued_slots: set = set()
 
 
 class ServingEngine:
@@ -634,7 +635,8 @@ class ServingEngine:
         # Optional telemetry bus: receives per-batch/per-drop events for the
         # cluster control plane (see repro.serving.telemetry).
         self.telemetry = telemetry
-        # Optional request-lifecycle tracer (duck-typed; see repro.obs).
+        # Optional request-lifecycle tracer (duck-typed; see repro.obs): the
+        # on_* hooks, wants_deadlines, ingest_columnar and settle().
         # None keeps every hot path on a single is-None branch per batch,
         # preserving bit-identity with the untraced engine.
         self.tracer = tracer
@@ -763,7 +765,6 @@ class ServingEngine:
             # are aliased, and every other column stays implicit: a trace
             # session allocates no per-request metadata.
             store = RequestStore.from_trace(trace, model=model)
-            origin = "trace"
             run_duration = trace.duration if duration is None else duration
         else:
             if model is not None and model not in self._endpoints:
@@ -772,12 +773,10 @@ class ServingEngine:
                 # Rows are already arrival-sorted: adopt the view's store —
                 # no object walk, no sort, no copies.
                 store = requests.store
-                origin = "view"
             else:
                 store = RequestStore.from_requests(
                     requests if requests is not None else []
                 )
-                origin = "list"
             for name in store.model_names:
                 if name not in self._endpoints:
                     raise KeyError(f"model {name!r} is not registered")
@@ -819,7 +818,7 @@ class ServingEngine:
         # A store served before (or aborted mid-run) starts over.
         store.status[:] = PENDING
         self._session = _Session(
-            self.num_servers, store, run_duration, record_responses, origin
+            self.num_servers, store, run_duration, record_responses
         )
 
     def submit(self, requests: Union[Request, Sequence[Request]]) -> None:
@@ -830,15 +829,12 @@ class ServingEngine:
         current simulated time is simply served at the next opportunity.
         """
         session = self._require_session()
-        if session.origin == "trace":
+        if not session.store.keeps_objects:
             raise RuntimeError(
-                "trace sessions are fixed at start(); open a request session "
-                "(start() or start(requests=...)) for streaming admission"
-            )
-        if session.origin == "view":
-            raise RuntimeError(
-                "store-backed sessions (LazyRequests) are fixed at start(); "
-                "open a plain request-list session for streaming admission"
+                "trace and store-backed (LazyRequests) sessions hold columns, "
+                "not Request objects, and are fixed at start(); open a request-"
+                "list session (start() or start(requests=[...])) for streaming "
+                "admission"
             )
         if isinstance(requests, Request):
             requests = [requests]
@@ -849,9 +845,10 @@ class ServingEngine:
             if request.model not in self._endpoints:
                 raise KeyError(f"model {request.model!r} is not registered")
         first_slot = session.store.append(new)
-        session.latencies = np.concatenate(
-            [session.latencies, np.zeros(len(new), dtype=np.float64)]
+        session.latencies = grow_column(
+            session.buffers, "latencies", session.latencies, len(new)
         )
+        session.latencies[first_slot:] = 0.0
         if session.responses is not None:
             session.responses.extend([None] * len(new))
         new_slots = np.arange(first_slot, first_slot + len(new), dtype=np.intp)
@@ -881,6 +878,10 @@ class ServingEngine:
                 self._run_columnar_fast(session)
             while self.step() is not None:
                 pass
+            if self.tracer is not None:
+                # A tracer may defer span writing (repro.obs.Tracer parks
+                # its batches); the run pays for its spans before it ends.
+                self.tracer.settle()
         finally:
             self._session = None
         return self._finalize(session)
@@ -1039,7 +1040,7 @@ class ServingEngine:
                             )
             if self.telemetry is not None:
                 deadline_total, deadline_met = self._deadline_counts(
-                    s, slots, record.finish
+                    self._slot_deadlines(s, slots), record.finish
                 )
                 self.telemetry.unrecord_batch(
                     record,
@@ -1064,9 +1065,9 @@ class ServingEngine:
         )
 
         # The scheduled path's arrival heap may hold lazily-uncleaned
-        # entries from the victims' first pass through the queue; when a
-        # migrant re-enters ``queued_slots`` those stale entries would
-        # resurrect with the *original* arrival, defeating the migration
+        # entries from the victims' first pass through the queue; a migrant
+        # is ``PENDING`` again, so those stale entries would resurrect
+        # with the *original* arrival, defeating the migration
         # ready gate (and expiring migrants against their pre-fault wait).
         # Preemption is rare, so an explicit purge is cheap.
         if s.arrival_heap:
@@ -1077,6 +1078,7 @@ class ServingEngine:
             heapq.heapify(s.arrival_heap)
 
         rows = np.asarray(migrant_slots, dtype=np.intp)
+        deadlines = self._slot_deadlines(s, rows)
         migrants = [
             Migrant(
                 slot=slot,
@@ -1089,7 +1091,9 @@ class ServingEngine:
             for slot, arrival, deadline in zip(
                 migrant_slots,
                 s.store.arrivals[rows].tolist(),
-                s.store.values("deadlines", rows),
+                repeat(None) if deadlines is None
+                # nan is the column's "no deadline"; a Migrant spells it None.
+                else [None if d != d else d for d in deadlines.tolist()],
             )
         ]
         if policy is None:
@@ -1132,18 +1136,16 @@ class ServingEngine:
             dropped=len(drop_slots),
         )
 
-    @classmethod
-    def _deadline_counts(
-        cls, s: _Session, slots: np.ndarray, finish: float
-    ) -> Tuple[int, int]:
-        """(deadline-carrying, met-by-``finish``) counts for a batch's slots.
+    @staticmethod
+    def _deadline_counts(batch: Optional[np.ndarray], finish: float) -> Tuple[int, int]:
+        """(deadline-carrying, met-by-``finish``) counts over a batch's deadlines.
 
-        The one definition of the deadline arithmetic telemetry records —
-        and, on preemption, un-records: both must count identically or a
-        rewound batch would leave phantom attainment in its window.
+        ``batch`` is :meth:`_slot_deadlines` of the batch.  The one
+        definition of the deadline arithmetic telemetry records — and, on
+        preemption, un-records: both must count identically or a rewound
+        batch would leave phantom attainment in its window.
         """
         total = met = 0
-        batch = cls._slot_deadlines(s, slots)
         if batch is not None:
             carrying = ~np.isnan(batch)
             total = int(np.count_nonzero(carrying))
@@ -1165,32 +1167,43 @@ class ServingEngine:
     def _merge_pending(s: _Session, keys: np.ndarray, slots: np.ndarray) -> None:
         """Merge slots into the unserved pending queue, sorted by key.
 
-        The single place the 'pend arrays stay key-sorted, ``pos`` resets'
+        The single place the 'pend arrays stay key-sorted from ``pos`` on'
         invariant lives: streaming :meth:`submit` merges fresh requests by
         arrival time, and preemption merges migrants by their ready key —
         both the FIFO ordering position and the earliest time the slot can
-        be admitted to a batch.  The stable sort keeps equal-key cohorts in
-        insertion order.
+        be admitted to a batch.  Stable sorts keep equal-key cohorts in
+        insertion order, behind the equal keys already queued.  Keys at or
+        after the last queued one (the streaming case) are appended, O(new);
+        otherwise only the queue from the insertion point on is re-sorted.
         """
-        merged = np.concatenate([s.pend_arrivals[s.pos:], keys])
-        merged_slots = np.concatenate([s.pend_slots[s.pos:], slots])
-        order = np.argsort(merged, kind="stable")
-        s.pend_arrivals = merged[order]
-        s.pend_slots = merged_slots[order]
-        s.pos = 0
+        if len(keys) > 1:
+            order = np.argsort(keys, kind="stable")
+            keys, slots = keys[order], slots[order]
+        at = len(s.pend_arrivals)
+        if s.pos < at and keys[0] < s.pend_arrivals[-1]:
+            at = s.pos + int(
+                np.searchsorted(s.pend_arrivals[s.pos:], keys[0], side="right")
+            )
+            keys = np.concatenate([s.pend_arrivals[at:], keys])
+            slots = np.concatenate([s.pend_slots[at:], slots])
+            order = np.argsort(keys, kind="stable")
+            keys, slots = keys[order], slots[order]
+        s.pend_arrivals = grow_column(
+            s.buffers, "pend_arrivals", s.pend_arrivals[:at], len(keys)
+        )
+        s.pend_arrivals[at:] = keys
+        s.pend_slots = grow_column(
+            s.buffers, "pend_slots", s.pend_slots[:at], len(slots)
+        )
+        s.pend_slots[at:] = slots
 
     def _select_server(
         self, s: _Session, time: float, model: str, pending: int, arrived: int
     ) -> int:
         """Pick the server for the next batch via the configured placer."""
-        context = PlacementContext(
-            time=time,
-            free_at=s.free_at,
-            active=s.active,
-            model=model,
-            pending=pending,
-            batch_hint=max(1, min(arrived, self.batching.max_batch)),
-            telemetry=self.telemetry,
+        context = PlacementContext(  # positionally, in field order
+            time, s.free_at, s.active, model, pending,
+            max(1, min(arrived, self.batching.max_batch)), self.telemetry,
         )
         server = int(self.placer.place(context))
         if server not in s.active:
@@ -1359,31 +1372,28 @@ class ServingEngine:
         max_batch = self.batching.max_batch
         drop_after = self.batching.drop_after
         arrivals = s.pend_arrivals
+        num_requests = len(arrivals)
         store = s.store
 
         while True:
-            num_requests = len(arrivals)
-            if s.pos >= num_requests:
-                return None
             index = s.pos
-            first_arrival = arrivals[index]
-            if self.placer is None:
-                # The seed dispatch rule, inlined (bit-identical fast path).
-                server = min(s.active, key=s.free_at.__getitem__)
-            else:
+            if index >= num_requests:
+                return None
+            # A Python float from here on: the same double, and the clock
+            # arithmetic below stays off numpy's scalar path.
+            first_arrival = float(arrivals[index])
+            server = earliest_free(s.free_at, s.active)  # the seed rule
+            if self.placer is not None:
                 head_model = store.model_name(s.pend_slots[index])
                 # Size hint: arrivals by the *earliest possible* service
                 # start (the earliest-free active clock), not by the head's
                 # arrival — under backlog the batch really forms then, and
                 # a head-arrival count (usually 1) would under-cost slow
                 # servers by up to max_batch x.
-                est_start = max(
-                    min(s.free_at[server] for server in s.active),
-                    float(first_arrival),
-                )
+                est_start = max(s.free_at[server], first_arrival)
                 arrived = bisect.bisect_right(arrivals, est_start, lo=index) - index
                 server = self._select_server(
-                    s, float(first_arrival), head_model, num_requests - index, arrived
+                    s, first_arrival, head_model, num_requests - index, arrived
                 )
             start = max(s.free_at[server], first_arrival)
             # All requests that have arrived by the time the server starts.
@@ -1448,9 +1458,8 @@ class ServingEngine:
             # must see the head that will actually lead the batch.  With
             # ``placer=None`` the dispatched server IS the earliest-free
             # one, so this is exactly the seed arithmetic.
-            start = max(
-                min(s.free_at[server] for server in s.active), head_time
-            )
+            server = earliest_free(s.free_at, s.active)
+            start = max(s.free_at[server], head_time)
             # Admit everything that has arrived by the batch start.  The
             # pend key — the arrival time for fresh requests (bit-identical
             # to the seed), the migration-ready key for requeued migrants —
@@ -1464,23 +1473,26 @@ class ServingEngine:
                 # values scheduler.key gives on the Request views.
                 keys = store_keys(self.scheduler, store, chunk_slots)
                 chunk_arrivals = s.pend_arrivals[s.pos:end_index].tolist()
-                for entry in zip(
-                    keys,
-                    chunk_arrivals,
-                    chunk_slots.tolist(),
-                    store.values("model_ids", chunk_slots),
-                ):
-                    heapq.heappush(s.queue, entry)
-                    heapq.heappush(s.arrival_heap, entry[1:3])
-                    s.queued_slots.add(entry[2])
+                model_ids = (
+                    repeat(0) if store.model_ids is None
+                    else store.model_ids[chunk_slots].tolist()
+                )
+                queue, arrival_heap, push = s.queue, s.arrival_heap, heapq.heappush
+                for entry in zip(keys, chunk_arrivals, chunk_slots.tolist(), model_ids):
+                    push(queue, entry)
+                    push(arrival_heap, entry[1:3])
+                # A chunk is sorted, so its head is its earliest arrival.
+                head_time = min(head_time, chunk_arrivals[0])
             s.pos = end_index
 
             # Expiry restarts the loop after dropping: the queue head (and
             # its model) may have changed, so placement must re-decide.
             # Bit-identical for the seed rule: every kept entry arrived by
             # ``start`` and none is expired, so the re-derived
-            # start/admissions/batch are unchanged.
-            if drop_after is not None and self._expire_queued(s, start, drop_after):
+            # start/admissions/batch are unchanged.  ``head_time`` is the
+            # earliest queued arrival: when it has not expired, nothing has.
+            if drop_after is not None and start - head_time > drop_after:
+                self._expire_queued(s, start, drop_after)
                 continue
 
             # The queue head is now final: place the batch's server.  The
@@ -1492,9 +1504,7 @@ class ServingEngine:
             # service start).
             head_id = s.queue[0][3]
             head_model = store.model_names[head_id]
-            if self.placer is None:
-                server = min(s.active, key=s.free_at.__getitem__)
-            else:
+            if self.placer is not None:
                 pending = len(s.queue) + (len(s.pend_arrivals) - s.pos)
                 server = self._select_server(
                     s, start, head_model, pending, len(s.queue)
@@ -1505,7 +1515,8 @@ class ServingEngine:
                     # clock the expiry ran against: re-check against the
                     # real service start so drop_after means the same thing
                     # on every path (a request never waits beyond it).
-                    if self._expire_queued(s, placed_start, drop_after):
+                    if placed_start - head_time > drop_after:
+                        self._expire_queued(s, placed_start, drop_after)
                         continue
                 start = placed_start
 
@@ -1522,40 +1533,35 @@ class ServingEngine:
                     stash.append(entry)
             for entry in stash:
                 heapq.heappush(s.queue, entry)
-            s.queued_slots.difference_update(entry[2] for entry in batch_entries)
             slots = np.asarray([entry[2] for entry in batch_entries], dtype=np.intp)
             return self._execute(s, server, start, head_model, slots, queue_depth)
 
-    def _expire_queued(self, s: _Session, start: float, drop_after: float) -> bool:
+    def _expire_queued(self, s: _Session, start: float, drop_after: float) -> None:
         """Drop queued requests that waited beyond ``drop_after`` by ``start``.
 
-        Returns True when anything was dropped (callers restart their
-        dispatch loop: the queue head may have changed).  The earliest
-        queued arrival answers in O(1) whether anything expired at all; the
-        O(queue) filter runs only when something did.
+        O(queue): callers test the earliest queued arrival (O(1)) first —
+        when it has not expired, nothing has — and restart their dispatch
+        loop afterwards, because the queue head may have changed.
         """
-        if not s.queue:
-            return False
-        if not (start - self._earliest_queued_arrival(s) > drop_after):
-            return False
         expired = [e for e in s.queue if start - e[1] > drop_after]
         kept = [e for e in s.queue if start - e[1] <= drop_after]
         heapq.heapify(kept)
         s.queue = kept
-        s.queued_slots.difference_update(e[2] for e in expired)
         self._drop(s, np.asarray([e[2] for e in expired], dtype=np.intp), start)
-        return True
 
     @staticmethod
     def _earliest_queued_arrival(s: _Session) -> float:
         """Earliest arrival among queued requests (queue must be non-empty).
 
-        ``arrival_heap`` holds one entry per ever-queued slot; entries whose
-        slot already left the queue are discarded lazily here, keeping the
-        lookup amortized O(log queue) instead of a per-batch linear scan.
+        ``arrival_heap`` holds one entry per admission to the queue; a slot
+        that has since been served or dropped is no longer ``PENDING`` and
+        its entry is discarded lazily here (a preempted slot's is purged by
+        :meth:`preempt_server`), keeping the lookup amortized O(log queue)
+        instead of a per-batch linear scan.
         """
         heap = s.arrival_heap
-        while heap and heap[0][1] not in s.queued_slots:
+        status = s.store.status
+        while status[heap[0][1]] != PENDING:
             heapq.heappop(heap)
         return heap[0][0]
 
@@ -1573,23 +1579,15 @@ class ServingEngine:
     ) -> BatchRecord:
         endpoint = self._endpoints[head_model]
         batch_size = len(slots)
+        # Both built positionally, in field order: once per batch, a keyword
+        # call costs as much as the policy it feeds.
         context = PolicyContext(
-            time=start,
-            queue_depth=queue_depth,
-            batch_size=batch_size,
-            model=head_model,
-            server=server,
-            telemetry=self.telemetry,
-            num_active=len(s.active),
+            start, queue_depth, batch_size, head_model, server, self.telemetry,
+            len(s.active),
         )
         ratio = float(endpoint.select(context))
         batch = Batch(
-            model=head_model,
-            start_time=start,
-            size=batch_size,
-            indices=slots,
-            requests=LazyRequests(s.store, slots),
-            server=server,
+            head_model, start, batch_size, slots, LazyRequests(s.store, slots), server
         )
         execution = endpoint.executors[server].execute(batch, endpoint.mode, ratio)
         service_time = float(execution.service_time)
@@ -1638,8 +1636,9 @@ class ServingEngine:
         # superseded pending array (streaming submit, migration requeue) is
         # not pinned alive for the whole session by its batch views.
         s.record_slots.append(slots.copy() if slots.base is not None else slots)
+        deadlines = self._slot_deadlines(s, slots)  # read once for all three
         if self.telemetry is not None:
-            deadline_total, deadline_met = self._deadline_counts(s, slots, finish)
+            deadline_total, deadline_met = self._deadline_counts(deadlines, finish)
             self.telemetry.record_batch(
                 record,
                 queue_depth=queue_depth,
@@ -1652,15 +1651,11 @@ class ServingEngine:
                 record,
                 slots,
                 arrivals,
-                deadlines=(
-                    self._slot_deadlines(s, slots)
-                    if self.tracer.wants_deadlines
-                    else None
-                ),
+                deadlines=deadlines if self.tracer.wants_deadlines else None,
             )
         if s.responses is not None:
             self._respond(
-                s, slots, arrivals, start, finish, batch_size, ratio,
+                s, slots, arrivals, deadlines, start, finish, batch_size, ratio,
                 server=server, outputs=execution.outputs,
             )
         s.busy[server] += service_time
@@ -1676,8 +1671,8 @@ class ServingEngine:
             for slot in slots:
                 s.checkpoints.pop(int(slot), None)
                 s.transfer_costs.pop(int(slot), None)
+        deadlines = self._slot_deadlines(s, slots)
         if self.telemetry is not None:
-            deadlines = self._slot_deadlines(s, slots)
             misses = (
                 0 if deadlines is None
                 else int(np.count_nonzero(~np.isnan(deadlines)))
@@ -1688,7 +1683,7 @@ class ServingEngine:
             self.tracer.on_drop(slots, arrivals, start)
         if s.responses is not None:
             self._respond(
-                s, slots, arrivals, start, float("nan"), 0, float("nan"),
+                s, slots, arrivals, deadlines, start, float("nan"), 0, float("nan"),
                 dropped=True,
             )
 
@@ -1708,7 +1703,7 @@ class ServingEngine:
             latencies=valid,
             request_latencies=s.latencies,
             request_models=(
-                None if s.origin == "trace" else s.store.model_name_list()
+                None if s.store.model_ids is None else s.store.model_name_list()
             ),
             batch_records=s.records,
             dropped=s.dropped,
@@ -1725,6 +1720,7 @@ class ServingEngine:
         s: _Session,
         slots: np.ndarray,
         arrivals: np.ndarray,
+        deadlines: Optional[np.ndarray],
         start: float,
         finish: float,
         batch_size: int,
@@ -1733,35 +1729,53 @@ class ServingEngine:
         dropped: bool = False,
         outputs: Optional[Sequence[Any]] = None,
     ) -> None:
-        """Record one :class:`Response` per slot, fields read off the columns."""
+        """Record one :class:`Response` per slot.
+
+        ``arrivals`` and ``deadlines`` are the slots' column values, which
+        the caller already holds; each other column the store has is read
+        once for the whole batch, and an implicit one costs nothing (its
+        default is the loop's initial value).  ``Response`` is built
+        positionally, in field order.
+        """
         store = s.store
-        fields = zip(
-            slots.tolist(),
-            store.values("request_ids", slots),
-            store.values("model_ids", slots),
-            arrivals.tolist(),
-            store.values("priorities", slots),
-            store.values("deadlines", slots),
-            repeat(None) if outputs is None else outputs,
-        )
+        rows = slots.tolist()
+        arrival_times = arrivals.tolist()
+        request_ids = None
+        if store.request_ids is not None:
+            request_ids = store.request_ids[slots].tolist()
         names = store.model_names
+        models = None
+        if store.model_ids is not None:
+            models = [names[model_id] for model_id in store.model_ids[slots].tolist()]
+        priorities = None
+        if store.priorities is not None:
+            priorities = store.priorities[slots].tolist()
+        if deadlines is not None:
+            deadlines = deadlines.tolist()
         migrations = s.migrations
-        for slot, request_id, model_id, arrival, priority, deadline, output in fields:
-            model = names[model_id]
-            s.responses[slot] = Response(
-                # A request that named no id is known by its admission slot.
-                request_id=request_id if request_id >= 0 else slot,
-                model=model,
-                arrival_time=arrival,
-                start_time=start,
-                finish_time=finish,
-                batch_size=batch_size,
-                ratio=ratio,
-                mode=self._endpoints[model].mode,
-                dropped=dropped,
-                output=output,
-                priority=priority,
-                deadline=deadline,
-                server=server,
-                migrations=migrations.get(slot, 0) if migrations else 0,
+        responses = s.responses
+        model = names[0]
+        mode = self._endpoints[model].mode
+        priority, deadline, output, moved = 0, None, None, 0
+        for i, slot in enumerate(rows):
+            # A request that named no id is known by its admission slot.
+            request_id = slot
+            if request_ids is not None and request_ids[i] >= 0:
+                request_id = request_ids[i]
+            if models is not None:
+                model = models[i]
+                mode = self._endpoints[model].mode
+            if priorities is not None:
+                priority = priorities[i]
+            if deadlines is not None:
+                deadline = deadlines[i]
+                if deadline != deadline:  # nan: the column's "no deadline"
+                    deadline = None
+            if outputs is not None:
+                output = outputs[i]
+            if migrations:
+                moved = migrations.get(slot, 0)
+            responses[slot] = Response(
+                request_id, model, arrival_times[i], start, finish, batch_size,
+                ratio, mode, dropped, output, priority, deadline, server, moved,
             )

@@ -113,11 +113,25 @@ class Placer(Protocol):
         ...
 
 
+def earliest_free(free_at: Sequence[float], active: Sequence[int]) -> int:
+    """The active server whose clock frees first, ties to the lowest id.
+
+    The seed dispatch rule, ``min(active, key=free_at.__getitem__)``, spelled
+    as the loop it is: the engine runs it for every batch.
+    """
+    best = active[0]
+    clock = free_at[best]
+    for server in active:
+        if free_at[server] < clock:
+            best, clock = server, free_at[server]
+    return best
+
+
 class FreeClockPlacer:
     """Argmin over server free clocks (the seed rule, ties to lowest id)."""
 
     def place(self, context: PlacementContext) -> int:
-        return min(context.active, key=context.free_at.__getitem__)
+        return earliest_free(context.free_at, context.active)
 
 
 def _validated_speeds(speeds: Sequence[float]) -> List[float]:
@@ -129,12 +143,25 @@ def _validated_speeds(speeds: Sequence[float]) -> List[float]:
     return values
 
 
-#: Per-server service-time estimator: batch size -> estimated seconds.
+#: Per-server service-time estimator: batch size -> estimated seconds.  A
+#: placer calls it once per candidate server per batch and never memoises
+#: the answer, so a caller's estimator may be stateful (a live measurement, a
+#: degradation factor); the ones :meth:`repro.serving.cluster.ClusterEngine.
+#: batch_estimators` builds are pure tables and cost a dict lookup.
 ServiceEstimator = Callable[[int], float]
 
 
 class _SpeedScoredPlacer:
-    """Shared scoring base: speeds plus optional batch-size-aware estimates."""
+    """Shared scoring base: speeds plus optional batch-size-aware estimates.
+
+    :meth:`place` minimizes ``(score, -speed, server)`` over the active
+    servers, where ``score`` is the server's wait plus the batch's estimated
+    service seconds; ``completion`` says whether the wait is the absolute
+    time service can start (earliest completion) or only the backlog from
+    now (outstanding work).
+    """
+
+    completion = False
 
     def __init__(
         self,
@@ -159,6 +186,33 @@ class _SpeedScoredPlacer:
             return float(self.estimators[server](int(batch_size)))
         return batch_size / self.speeds[server]
 
+    def place(self, context: PlacementContext) -> int:
+        now = context.time
+        hint = max(context.batch_hint, 1)
+        whole = int(hint)  # what an estimator is asked about
+        free_at, speeds, estimators = context.free_at, self.speeds, self.estimators
+        best, best_score, best_speed = -1, 0.0, 0.0
+        # One loop, no key tuples or closures: this runs per candidate server
+        # per batch.  max(free, now) - now is max(free - now, 0.0) exactly.
+        for server in context.active:
+            free = free_at[server]
+            wait = free if free > now else now
+            if estimators is not None:
+                seconds = float(estimators[server](whole))
+            else:
+                seconds = hint / speeds[server]
+            score = (wait if self.completion else wait - now) + seconds
+            speed = speeds[server]
+            if (
+                best < 0
+                or score < best_score
+                or (score == best_score and (
+                    speed > best_speed or (speed == best_speed and server < best)
+                ))
+            ):
+                best, best_score, best_speed = server, score, speed
+        return best
+
 
 class LeastOutstandingWorkPlacer(_SpeedScoredPlacer):
     """Minimize outstanding work: backlog seconds + candidate batch seconds.
@@ -173,20 +227,6 @@ class LeastOutstandingWorkPlacer(_SpeedScoredPlacer):
     instead of the scalar-speed approximation ``batch_hint / speed``.
     """
 
-    def place(self, context: PlacementContext) -> int:
-        now = context.time
-        hint = max(context.batch_hint, 1)
-
-        def score(server: int) -> Tuple[float, float, int]:
-            backlog = max(context.free_at[server] - now, 0.0)
-            return (
-                backlog + self.service_seconds(server, hint),
-                -self.speeds[server],
-                server,
-            )
-
-        return min(context.active, key=score)
-
 
 class WeightedSpeedPlacer(_SpeedScoredPlacer):
     """Earliest estimated completion, speed-weighted (the ECT rule).
@@ -200,19 +240,7 @@ class WeightedSpeedPlacer(_SpeedScoredPlacer):
     instead of the scalar-speed approximation ``batch_hint / speed``.
     """
 
-    def place(self, context: PlacementContext) -> int:
-        now = context.time
-        hint = max(context.batch_hint, 1)
-
-        def score(server: int) -> Tuple[float, float, int]:
-            return (
-                max(context.free_at[server], now)
-                + self.service_seconds(server, hint),
-                -self.speeds[server],
-                server,
-            )
-
-        return min(context.active, key=score)
+    completion = True
 
 
 class PredictivePlacer(_SpeedScoredPlacer):

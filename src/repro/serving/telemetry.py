@@ -216,7 +216,7 @@ class TelemetryBus:
         cell.deadline_total += int(deadline_total)
         cell.deadline_met += int(deadline_met)
         if latencies is not None:
-            cell.latencies.extend(float(value) for value in latencies)
+            cell.latencies.extend(latencies.tolist())
 
     def unrecord_batch(
         self,

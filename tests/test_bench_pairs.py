@@ -1,0 +1,57 @@
+"""``scripts/bench_pairs.py``: the interleaved-pairs procedure runs and counts.
+
+One real pair at ``--scale tiny`` (this checkout on both sides) through the
+script as a user runs it, and the wins count on hand-made result sets.  No
+timing is asserted: the two sides are the same code.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
+
+
+def test_one_tiny_pair_end_to_end(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--a", str(ROOT), "--b", str(ROOT),
+         "--workload", "day_stream", "--scale", "tiny", "--runs", "1",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300, cwd=str(ROOT),
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    # compare.py's table, then the wins lines under it.
+    assert "verdict" in done.stdout and "B wins" in done.stdout
+    for name in ("pairs-a.json", "pairs-b.json"):
+        result_set = json.loads((tmp_path / name).read_text())
+        (run,) = result_set["workloads"]["day_stream"]
+        assert run["correct"] and run["seed"] == 0  # keyed by pair number
+        assert result_set["seed"] == 8
+
+
+def test_wins_counts_pairs_not_medians():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def result_set(values):
+        return {"workloads": {"w": [
+            {"metrics": {"op_p50_ms": {"value": v}, "work_per_s": {"value": v},
+                         "good_share": {"value": 1.0}}}
+            for v in values
+        ]}}
+
+    metrics = [
+        {"name": "op_p50_ms", "unit": "ms", "better": "lower"},
+        {"name": "work_per_s", "unit": "1/s", "better": "higher"},
+        {"name": "good_share", "unit": "fraction", "better": "higher"},
+    ]
+    lines = module.wins(result_set([3.0, 3.0, 3.0]), result_set([2.0, 3.0, 4.0]), metrics)
+    assert len(lines) == 2  # the exact metric is compare.py's business
+    assert "op_p50_ms" in lines[0] and "B wins 1/3, A wins 1/3, ties 1" in lines[0]
+    assert "work_per_s" in lines[1] and "B wins 1/3, A wins 1/3, ties 1" in lines[1]

@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data.traces import PoissonTrace
 from repro.obs import (
@@ -174,6 +175,147 @@ class TestTracer:
         tracer.reset()
         assert len(tracer.store) == 0
         assert tracer.terminal_requests() == {}
+
+
+class EagerTracer(Tracer):
+    """``Tracer`` with the ``on_batch`` that wrote its spans at once.
+
+    The reference for :class:`TestParkedBatchesAgainstEagerHook`: a copy of
+    the hook as it was before ``on_batch`` parked its arguments for
+    ``settle()``.
+    """
+
+    def on_batch(self, record, slots, arrivals, deadlines=None):
+        store = self.store
+        row = store.append(
+            SPAN_EXECUTE, -1, record.server, record.start, record.finish,
+            float(len(slots)),
+        )
+        self._record_row[id(record)] = row
+        mask = self.sample_mask(slots)
+        if deadlines is not None and self.sample_deadline_misses:
+            mask |= ~np.isnan(deadlines) & (record.finish > deadlines)
+        if not mask.any():
+            return
+        start, finish, server = record.start, record.finish, record.server
+        for slot, arrival in zip(
+            np.asarray(slots)[mask].tolist(), np.asarray(arrivals)[mask].tolist()
+        ):
+            store.append(SPAN_QUEUED, slot, server, arrival, start, start - arrival)
+            self._terminal_row[slot] = store.append(
+                SPAN_SERVED, slot, server, finish, finish, finish - arrival
+            )
+
+
+@st.composite
+def _hook_scripts(draw):
+    """Tracer settings plus a script of hook calls over a small world.
+
+    Ops are plain integers, interpreted against the world's state by
+    :meth:`TestParkedBatchesAgainstEagerHook._play`, so every script is
+    consistent (a request is served, dropped or requeued only while that
+    can happen to it) and shrinks well.
+    """
+    return dict(
+        sample_rate=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        sample_drops=draw(st.booleans()),
+        sample_deadline_misses=draw(st.booleans()),
+        requests=draw(st.integers(1, 40)),
+        ops=draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["batch", "batch", "batch", "drop", "preempt"]),
+                    st.integers(0, 7), st.integers(0, 7), st.booleans(),
+                ),
+                max_size=30,
+            )
+        ),
+        read_between=draw(st.booleans()),
+    )
+
+
+class TestParkedBatchesAgainstEagerHook:
+    """Parking ``on_batch`` is invisible: same rows, same bookkeeping."""
+
+    @staticmethod
+    def _play(tracer, case, read_between):
+        """Drive ``tracer`` through the script; every request ends terminal."""
+        count = case["requests"]
+        arrivals = np.arange(count) * 0.001
+        deadlines = np.where(np.arange(count) % 3 == 0, np.nan, arrivals + 0.004)
+        pending = list(range(count))
+        served = []  # (record, slots) still standing
+        records = []  # every record, kept alive: bookkeeping is keyed by id()
+        moves = {}
+        clock = 0.0
+
+        def batch(size, server, with_deadlines):
+            nonlocal clock
+            slots = np.asarray([pending.pop(0) for _ in range(size)], dtype=np.intp)
+            clock += 0.002
+            record = BatchRecord(
+                "m", clock, clock + 0.003, size, 0.5, "flexiq", server, len(slots)
+            )
+            records.append(record)
+            served.append((record, slots))
+            tracer.on_batch(
+                record, slots, arrivals[slots],
+                deadlines=deadlines[slots] if with_deadlines else None,
+            )
+
+        for kind, a, b, flag in case["ops"]:
+            if kind == "batch" and pending:
+                batch(min(1 + a % 4, len(pending)), b % 3, flag)
+            elif kind == "drop" and pending:
+                slots = np.asarray(
+                    [pending.pop(0) for _ in range(min(1 + a % 3, len(pending)))]
+                )
+                tracer.on_drop(slots, arrivals[slots], clock + 0.001)
+            elif kind == "preempt" and served:
+                record, slots = served.pop(a % len(served))
+                tracer.on_preempt(record, slots, record.start + 0.001)
+                requeued = slots.tolist()[: 1 + b % len(slots)] if flag else []
+                lost = np.asarray(
+                    [s for s in slots.tolist() if s not in requeued], dtype=np.intp
+                )
+                if requeued:
+                    tracer.on_requeue(
+                        requeued, [moves.get(s, 0) for s in requeued],
+                        record.start + 0.001, record.server,
+                    )
+                    for slot in requeued:
+                        moves[slot] = moves.get(slot, 0) + 1
+                    pending[:0] = requeued
+                if len(lost):
+                    tracer.on_drop(lost, arrivals[lost], record.start + 0.001)
+            if read_between:
+                tracer.spans()
+        while pending:
+            batch(min(4, len(pending)), 0, True)
+        return records
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_hook_scripts())
+    def test_same_spans_and_bookkeeping(self, case):
+        settings_ = dict(
+            sample_rate=case["sample_rate"], sample_drops=case["sample_drops"],
+            sample_deadline_misses=case["sample_deadline_misses"],
+        )
+        eager, parked = EagerTracer(**settings_), Tracer(**settings_)
+        eager_records = self._play(eager, case, read_between=False)
+        parked_records = self._play(parked, case, read_between=case["read_between"])
+        want, got = eager.spans(), parked.spans()
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+        # Execute rows are keyed by record identity and each play built its
+        # own records: compare them in play order (None = preempted away).
+        assert [parked._record_row.get(id(r)) for r in parked_records] == [
+            eager._record_row.get(id(r)) for r in eager_records
+        ]
+        assert parked._terminal_row == eager._terminal_row
+        terminals = parked.terminal_requests()
+        assert terminals == eager.terminal_requests()
+        assert all(live == 1 for live in terminals.values())
 
 
 class TestSpanStore:

@@ -204,6 +204,70 @@ class TestPlacement:
         )
         assert LeastOutstandingWorkPlacer([100.0, 10.0]).place(context) == 0
 
+    @pytest.mark.parametrize("placer_cls", [LeastOutstandingWorkPlacer, WeightedSpeedPlacer])
+    def test_score_ties_prefer_the_faster_then_the_lower_server(self, placer_cls):
+        # Equal scores everywhere (idle, speeds ignored by the estimators):
+        # the (score, -speed, server) order decides.
+        context = PlacementContext(
+            time=1.0, free_at=[0.0] * 4, active=[0, 1, 2, 3], batch_hint=2
+        )
+        flat = [lambda batch: 0.5] * 4
+        assert placer_cls([1.0, 3.0, 3.0, 2.0], estimators=flat).place(context) == 1
+        assert placer_cls([2.0, 2.0, 2.0, 2.0], estimators=flat).place(context) == 0
+
+    def test_named_placer_asks_the_latency_model_once_per_batch_size(self):
+        """A count, not a timing: ``batch_latency`` calls from ``least_work``.
+
+        Cluster-built estimators are tables, so a run asks each server's
+        model once per distinct (batch size, mode) however many batches it
+        places; the servers *execute* on another model so that only
+        placement reaches the counting one.
+        """
+
+        class CountingModel(ServiceTimeModel):
+            def __init__(self):
+                super().__init__()
+                self.asked = []
+
+            def batch_latency(self, batch_size, mode, ratio=0.0):
+                self.asked.append((batch_size, mode))
+                return super().batch_latency(batch_size, mode, ratio)
+
+        models = [CountingModel() for _ in range(3)]
+        executing = ModeledExecutor(ServiceTimeModel())
+        cluster = ClusterEngine(
+            [
+                ServerSpec(f"s{i}", speed=1.0, service_model=model, executor=executing)
+                for i, model in enumerate(models)
+            ],
+            batching=BatchingConfig(max_batch=8),
+            placer="least_work",
+        )
+        cluster.register("m", mode="int8")
+        trace = PoissonTrace(2000, duration=1.0, seed=2).generate()
+        result = cluster.run(trace)
+        assert len(result.result.batch_records) > 100
+        for model in models:
+            assert len(set(model.asked)) > 1  # several sizes were scored ...
+            assert len(model.asked) == len(set(model.asked))  # ... once each
+            assert {mode for _, mode in model.asked} == {"int8"}
+        first = [list(model.asked) for model in models]
+        cluster.run(trace)
+        assert [model.asked for model in models] == first  # and never again
+
+    def test_user_estimators_are_asked_every_time(self):
+        # A caller's estimator may be stateful: the placer must not cache it.
+        asked = []
+
+        def estimator(batch):
+            asked.append(batch)
+            return 0.001 * len(asked)
+
+        placer = LeastOutstandingWorkPlacer([1.0, 1.0], estimators=[estimator] * 2)
+        context = PlacementContext(time=0.0, free_at=[0.0, 0.0], active=[0, 1], batch_hint=4)
+        assert [placer.place(context) for _ in range(3)] == [0, 0, 0]
+        assert asked == [4] * 6
+
     def test_placers_respect_active_set(self):
         context = PlacementContext(
             time=0.0, free_at=[0.0, 5.0], active=[1], batch_hint=1

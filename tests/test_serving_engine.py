@@ -617,6 +617,29 @@ class TestDropBackfill:
         )
 
 
+    @pytest.mark.parametrize("drop_after, reached", [(10.0, False), (0.05, True)])
+    def test_expiry_check_costs_a_batch_that_drops_nothing_no_search(
+        self, service_model, monkeypatch, drop_after, reached
+    ):
+        """A count, not a timing: ``np.searchsorted`` calls under the object loop.
+
+        The head of the arrived window is the oldest request in it, so when
+        it has not expired the expired prefix is empty and there is nothing
+        to search for; the second case shows the counter can count.
+        """
+        trace = PoissonTrace(3000, duration=0.5, seed=4).generate()
+        engine = ServingEngine(BatchingConfig(8, drop_after), columnar=False)
+        engine.register("m", ModeledExecutor(service_model), mode="int8")
+        calls = []
+        search = np.searchsorted
+        monkeypatch.setattr(
+            np, "searchsorted", lambda *args, **kw: calls.append(1) or search(*args, **kw)
+        )
+        result = engine.run(trace)
+        assert (result.dropped > 0) == reached
+        assert bool(calls) == reached
+
+
 # ----------------------------------------------------------------------
 # Multi-server dispatch (cluster scale-out)
 # ----------------------------------------------------------------------
@@ -900,6 +923,54 @@ class TestStreamingAdmission:
         late = result.responses[1]
         assert late.start_time >= 1.0
         assert late.latency == pytest.approx(late.finish_time - 0.0)
+
+    def test_submissions_in_any_order_match_one_run(self, service_model):
+        """Out-of-order chunks merge into the backlog where they belong.
+
+        Chunks are submitted shuffled (and unsorted within), so they land
+        before, inside and behind what is already queued; distinct arrivals
+        make the served order unique.
+        """
+        trace = PoissonTrace(1500, duration=1.0, seed=3).generate()
+        requests = requests_from_trace(trace, model="m")
+
+        def build():
+            engine = ServingEngine(BatchingConfig(max_batch=4), num_servers=2)
+            engine.register("m", ModeledExecutor(service_model), mode="int8")
+            return engine
+
+        want = {r.request_id: r for r in build().run(requests=requests).responses}
+        chunks = [requests[lo:lo + 50] for lo in range(0, len(requests), 50)]
+        engine = build()
+        engine.start()
+        for index in np.random.default_rng(0).permutation(len(chunks)):
+            engine.submit(chunks[index][::-1])
+        got = {r.request_id: r for r in engine.finish().responses}
+        assert got == want
+
+    def test_in_order_submissions_never_resort_the_backlog(
+        self, service_model, monkeypatch
+    ):
+        """A count, not a timing: a streamed ``submit`` is O(new requests)."""
+        engine = ServingEngine(BatchingConfig(max_batch=4))
+        engine.register("m", ModeledExecutor(service_model), mode="int8")
+        engine.start()
+        engine.submit([Request(0.001 * i, model="m") for i in range(200)])
+        sorts = []
+        for name in ("argsort", "concatenate"):
+            inner = getattr(np, name)
+            monkeypatch.setattr(
+                np, name,
+                lambda *a, _inner=inner, _name=name, **kw: sorts.append(_name) or _inner(*a, **kw),
+            )
+        for i in range(200, 400):
+            engine.submit(Request(0.001 * i, model="m"))
+        assert sorts.count("argsort") == 0
+        # Buffers double: a handful of reallocations for 200 submissions,
+        # not one per submission.
+        assert sorts.count("concatenate") <= 16
+        monkeypatch.undo()
+        assert engine.finish().latencies.size == 400
 
     def test_run_is_a_thin_driver_over_streaming(self, service_model):
         trace = PoissonTrace(1500, duration=1.0, seed=3).generate()

@@ -1,0 +1,143 @@
+"""``ServingEngine`` against its specification (``tests/reference_sim.py``).
+
+Generated configurations — K servers x 1-2 models x discipline x
+``drop_after`` on/off — served three ways: by the plain-Python reference, by
+``ServingEngine.run(requests=...)``, and by the streamed ``submit``/``step``
+drive.  All three must agree exactly on every request's latency, every drop
+and its time, and every batch's server, start, size and riders.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from reference_sim import SpecRequest, reference_run
+from repro.serving.engine import BatchingConfig, Request, ServingEngine
+from repro.serving.executors import ModeledExecutor
+from repro.serving.policies import FixedRatioPolicy
+from repro.serving.schedulers import EdfScheduler, FifoScheduler, PriorityScheduler
+from repro.serving.simulator import ServiceTimeModel
+
+SERVICE_MODEL = ServiceTimeModel()
+#: Each model runs at its own ratio, so a batch billed to the wrong model shows.
+RATIOS = {"m": 0.5, "n": 1.0}
+SCHEDULERS = {"fifo": FifoScheduler, "priority": PriorityScheduler, "edf": EdfScheduler}
+
+
+def service_seconds(model: str, size: int) -> float:
+    return SERVICE_MODEL.batch_latency(size, "flexiq", RATIOS[model])
+
+
+@st.composite
+def scenarios(draw):
+    count = draw(st.integers(0, 40))
+    # A coarse grid makes equal arrivals (the tie-break cases) common; the
+    # handed-in order is deliberately not the arrival order.
+    ticks = draw(st.lists(st.integers(0, 60), min_size=count, max_size=count))
+    models = draw(st.lists(st.sampled_from(["m", "n"]), min_size=1, max_size=3))
+    priorities = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    slos = draw(
+        st.lists(st.sampled_from([None, 0.004, 0.02, 0.05]), min_size=1, max_size=3)
+    )
+    requests = []
+    for index, tick in enumerate(ticks):
+        arrival, slo = tick * 1e-3, slos[index % len(slos)]
+        requests.append(
+            SpecRequest(
+                arrival,
+                models[index % len(models)],
+                priorities[index % len(priorities)],
+                None if slo is None else arrival + slo,
+            )
+        )
+    return dict(
+        requests=requests,
+        num_servers=draw(st.integers(1, 4)),
+        scheduler=draw(st.sampled_from(sorted(SCHEDULERS))),
+        max_batch=draw(st.integers(1, 5)),
+        drop_after=draw(st.sampled_from([None, 0.01])),
+    )
+
+
+def _engine(case) -> ServingEngine:
+    engine = ServingEngine(
+        BatchingConfig(case["max_batch"], case["drop_after"]),
+        num_servers=case["num_servers"],
+        scheduler=SCHEDULERS[case["scheduler"]](),
+        # The object loops are what the specification pins; the columnar
+        # sweep is pinned to them by tests/test_serving_core.py.
+        columnar=False,
+    )
+    for name, ratio in RATIOS.items():
+        engine.register(
+            name, ModeledExecutor(SERVICE_MODEL), policy=FixedRatioPolicy(ratio)
+        )
+    return engine
+
+
+def _request(number: int, spec: SpecRequest) -> Request:
+    """The engine's request for a spec request; its id is its number."""
+    return Request(
+        spec.arrival, spec.model, request_id=number, priority=spec.priority,
+        deadline=spec.deadline,
+    )
+
+
+def _assert_meets_spec(result, spec, count):
+    """``result`` (slots are request numbers) is exactly ``spec``."""
+    assert len(result.request_latencies) == count
+    for number, want in enumerate(spec.latencies):
+        got = result.request_latencies[number]
+        assert (np.isnan(got) and want is None) or got == want, number
+    assert result.dropped == len(spec.drops)
+    for number, time in spec.drops:
+        response = result.responses[number]
+        assert response.dropped and response.start_time == time, number
+    assert len(result.batch_records) == len(spec.batches)
+    for record, batch in zip(result.batch_records, spec.batches):
+        assert (record.server, record.start, record.finish, record.size) == (
+            batch.server, batch.start, batch.finish, len(batch.riders)
+        )
+        assert (record.model, record.queue_depth) == (batch.model, batch.queue_depth)
+        for number in batch.riders:
+            response = result.responses[number]
+            assert (response.request_id, response.server, response.start_time) == (
+                number, batch.server, batch.start
+            )
+
+
+class TestEngineMeetsItsSpecification:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(scenarios())
+    def test_run_and_streamed_drive_equal_the_reference(self, case):
+        spec = reference_run(
+            case["requests"], case["num_servers"], service_seconds,
+            case["scheduler"], case["max_batch"], case["drop_after"],
+        )
+        count = len(case["requests"])
+        by_arrival = sorted(range(count), key=lambda i: case["requests"][i].arrival)
+        ordered = [case["requests"][index] for index in by_arrival]
+
+        # Handed in as given (not arrival-sorted): run() orders them itself.
+        as_given = [None] * count
+        for number, index in enumerate(by_arrival):
+            as_given[index] = _request(number, ordered[number])
+        _assert_meets_spec(_engine(case).run(requests=as_given), spec, count)
+
+        # Streamed, causally: before each batch, submit whoever arrives by
+        # its start — all the batch can depend on — then step exactly once.
+        engine = _engine(case)
+        engine.start(record_responses=True)
+        requests = [_request(number, r) for number, r in enumerate(ordered)]
+        submitted = 0
+        for batch in spec.batches:
+            upto = submitted
+            while upto < count and ordered[upto].arrival <= batch.start:
+                upto += 1
+            if upto > submitted:
+                engine.submit(requests[submitted:upto])
+                submitted = upto
+            record = engine.step()
+            assert record is not None and record.start == batch.start
+        if submitted < count:  # whoever is left is dropped, never served
+            engine.submit(requests[submitted:])
+        _assert_meets_spec(engine.finish(), spec, count)
