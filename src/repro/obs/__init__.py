@@ -40,13 +40,15 @@ Exporter formats
   alert markers from the cluster timeline; process 1 ("requests") holds
   per-request queued spans and terminal/hop instants.  Load the file at
   https://ui.perfetto.dev or ``chrome://tracing``.
-* **Prometheus text exposition**
-  (:func:`~repro.obs.registry.prometheus_exposition`): ``# HELP`` /
-  ``# TYPE`` headers, escaped labels, cumulative histogram buckets with
-  ``+Inf`` / ``_sum`` / ``_count`` — a scrapeable ``/metrics`` payload.
-* **JSON snapshots** (:func:`~repro.obs.registry.json_snapshot`,
-  ``EngineResult.to_json()``, ``ClusterResult.to_json()``): plain dicts
-  for report pipelines.
+* **Prometheus text exposition** and **JSON snapshots**
+  (:func:`~repro.obs.registry.prometheus_exposition`,
+  :func:`~repro.obs.registry.json_snapshot`) of a
+  :class:`~repro.obs.registry.MetricsRegistry`.  Which run metrics exist
+  and where each value is read from is one table,
+  ``repro.obs.registry.ENGINE_METRICS`` / ``CLUSTER_METRICS``
+  (``registry_from_engine`` / ``registry_from_cluster`` walk it); the same
+  totals as a plain dict are ``EngineResult.to_json()``, and per control
+  window :class:`repro.serving.telemetry.WindowStats`.
 
 SLO monitoring (:class:`~repro.obs.slo.SloMonitor`) evaluates
 multi-window burn-rate rules over attainment and latency objectives at

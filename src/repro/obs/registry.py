@@ -19,7 +19,9 @@ convert to exportable metrics without the engines importing this module.
 
 from __future__ import annotations
 
+import copy
 import math
+from collections import Counter as _Tally
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,95 +31,75 @@ DEFAULT_LATENCY_BUCKETS = (
 )
 
 
-def _label_key(
-    labelnames: Sequence[str], labels: Dict[str, str]
-) -> Tuple[str, ...]:
-    if set(labels) != set(labelnames):
-        raise ValueError(
-            f"labels {sorted(labels)} do not match schema {sorted(labelnames)}"
-        )
-    return tuple(str(labels[name]) for name in labelnames)
+class _Metric:
+    """A named metric with a fixed label schema and one value per label set.
+
+    ``labels(...)`` returns the same metric bound to one label set — a view
+    sharing the children — so every verb (``inc``/``set``/``observe``) is
+    written once and works on a labelled child and, for a metric without
+    labels, on the metric itself.
+    """
+
+    kind = ""
+
+    def __init__(self, name: str, help: str, labelnames: Sequence[str] = ()):
+        self.name = name
+        self.help = help
+        self.labelnames = tuple(labelnames)
+        self._values: Dict[Tuple[str, ...], object] = {}
+        self._key: Optional[Tuple[str, ...]] = None
+
+    def _zero(self):
+        return 0.0
+
+    def labels(self, **labels: str):
+        if set(labels) != set(self.labelnames):
+            raise ValueError(
+                f"labels {sorted(labels)} do not match schema "
+                f"{sorted(self.labelnames)}"
+            )
+        child = copy.copy(self)
+        child._key = tuple(str(labels[name]) for name in self.labelnames)
+        self._values.setdefault(child._key, self._zero())
+        return child
+
+    def _bound(self) -> Tuple[str, ...]:
+        if self._key is not None:
+            return self._key
+        if self.labelnames:
+            raise ValueError(f"{self.name} requires labels {self.labelnames}")
+        return ()
+
+    def samples(self) -> List[Tuple[Tuple[str, ...], object]]:
+        return sorted(self._values.items())
 
 
-class Counter:
+class Counter(_Metric):
     """Monotonically increasing count (per label set)."""
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str, labelnames: Sequence[str] = ()):
-        self.name = name
-        self.help = help
-        self.labelnames = tuple(labelnames)
-        self._children: Dict[Tuple[str, ...], float] = {}
-
-    def labels(self, **labels: str) -> "_BoundCounter":
-        key = _label_key(self.labelnames, labels)
-        self._children.setdefault(key, 0.0)
-        return _BoundCounter(self, key)
-
     def inc(self, amount: float = 1.0) -> None:
-        if self.labelnames:
-            raise ValueError(f"{self.name} requires labels {self.labelnames}")
-        self._inc((), amount)
-
-    def _inc(self, key: Tuple[str, ...], amount: float) -> None:
         if amount < 0:
             raise ValueError("counters only increase")
-        self._children[key] = self._children.get(key, 0.0) + float(amount)
-
-    def samples(self) -> List[Tuple[Tuple[str, ...], float]]:
-        return sorted(self._children.items())
+        key = self._bound()
+        self._values[key] = self._values.get(key, 0.0) + float(amount)
 
 
-class _BoundCounter:
-    __slots__ = ("_metric", "_key")
-
-    def __init__(self, metric: Counter, key: Tuple[str, ...]):
-        self._metric = metric
-        self._key = key
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._metric._inc(self._key, amount)
-
-
-class Gauge:
+class Gauge(_Metric):
     """Point-in-time value (per label set); can move both directions."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str, labelnames: Sequence[str] = ()):
-        self.name = name
-        self.help = help
-        self.labelnames = tuple(labelnames)
-        self._children: Dict[Tuple[str, ...], float] = {}
-
-    def labels(self, **labels: str) -> "_BoundGauge":
-        key = _label_key(self.labelnames, labels)
-        self._children.setdefault(key, 0.0)
-        return _BoundGauge(self, key)
-
     def set(self, value: float) -> None:
-        if self.labelnames:
-            raise ValueError(f"{self.name} requires labels {self.labelnames}")
-        self._children[()] = float(value)
-
-    def samples(self) -> List[Tuple[Tuple[str, ...], float]]:
-        return sorted(self._children.items())
+        self._values[self._bound()] = float(value)
 
 
-class _BoundGauge:
-    __slots__ = ("_metric", "_key")
+class Histogram(_Metric):
+    """Bucketed distribution (per label set) with sum and count.
 
-    def __init__(self, metric: Gauge, key: Tuple[str, ...]):
-        self._metric = metric
-        self._key = key
-
-    def set(self, value: float) -> None:
-        self._metric._children[self._key] = float(value)
-
-
-class Histogram:
-    """Bucketed distribution (per label set) with sum and count."""
+    A child's value is ``[per-bucket counts..., +Inf count, sum]``.
+    """
 
     kind = "histogram"
 
@@ -131,27 +113,21 @@ class Histogram:
         upper = sorted(float(b) for b in buckets)
         if not upper or any(not math.isfinite(b) for b in upper):
             raise ValueError("buckets must be finite and non-empty")
-        self.name = name
-        self.help = help
-        self.labelnames = tuple(labelnames)
+        super().__init__(name, help, labelnames)
         self.buckets = tuple(upper)
-        # child → [per-bucket counts..., +Inf count, sum]
-        self._children: Dict[Tuple[str, ...], List[float]] = {}
 
-    def labels(self, **labels: str) -> "_BoundHistogram":
-        key = _label_key(self.labelnames, labels)
-        self._children.setdefault(key, [0.0] * (len(self.buckets) + 2))
-        return _BoundHistogram(self, key)
+    def _zero(self):
+        return [0.0] * (len(self.buckets) + 2)
 
     def observe(self, value: float) -> None:
-        if self.labelnames:
-            raise ValueError(f"{self.name} requires labels {self.labelnames}")
-        self._observe_many((), np.asarray([value], dtype=np.float64))
+        self.observe_many([value])
 
-    def _observe_many(self, key: Tuple[str, ...], values: np.ndarray) -> None:
-        cells = self._children.setdefault(
-            key, [0.0] * (len(self.buckets) + 2)
-        )
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Observe a whole sample at once (an empty one creates the child)."""
+        values = np.asarray(values, dtype=np.float64)
+        cells = self._values.setdefault(self._bound(), self._zero())
+        if not len(values):
+            return
         counts = np.bincount(
             np.searchsorted(self.buckets, values, side="left"),
             minlength=len(self.buckets) + 1,
@@ -160,33 +136,12 @@ class Histogram:
             cells[index] += count
         cells[-1] += float(values.sum())
 
-    def samples(self) -> List[Tuple[Tuple[str, ...], List[float]]]:
-        return sorted(self._children.items())
-
-
-class _BoundHistogram:
-    __slots__ = ("_metric", "_key")
-
-    def __init__(self, metric: Histogram, key: Tuple[str, ...]):
-        self._metric = metric
-        self._key = key
-
-    def observe(self, value: float) -> None:
-        self._metric._observe_many(
-            self._key, np.asarray([value], dtype=np.float64)
-        )
-
-    def observe_many(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        if len(values):
-            self._metric._observe_many(self._key, values)
-
 
 class MetricsRegistry:
     """Named collection of metrics with get-or-create semantics."""
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, object] = {}
+        self._metrics: Dict[str, _Metric] = {}
 
     def counter(
         self, name: str, help: str = "", labelnames: Sequence[str] = ()
@@ -205,36 +160,24 @@ class MetricsRegistry:
         labelnames: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
     ) -> Histogram:
+        return self._get_or_create(Histogram, name, help, labelnames, buckets)
+
+    def _get_or_create(self, cls, name, help, labelnames, *args):
         existing = self._metrics.get(name)
         if existing is None:
-            metric = Histogram(name, help, labelnames, buckets)
-            self._metrics[name] = metric
-            return metric
-        self._check(existing, Histogram, name, labelnames)
-        return existing
-
-    def _get_or_create(self, cls, name, help, labelnames):
-        existing = self._metrics.get(name)
-        if existing is None:
-            metric = cls(name, help, labelnames)
-            self._metrics[name] = metric
-            return metric
-        self._check(existing, cls, name, labelnames)
-        return existing
-
-    @staticmethod
-    def _check(existing, cls, name, labelnames) -> None:
-        if not isinstance(existing, cls):
+            existing = self._metrics[name] = cls(name, help, labelnames, *args)
+        elif not isinstance(existing, cls):
             raise ValueError(
                 f"metric {name!r} already registered as {existing.kind}"
             )
-        if existing.labelnames != tuple(labelnames):
+        elif existing.labelnames != tuple(labelnames):
             raise ValueError(
                 f"metric {name!r} label schema mismatch: "
                 f"{existing.labelnames} vs {tuple(labelnames)}"
             )
+        return existing
 
-    def metrics(self) -> List:
+    def metrics(self) -> List[_Metric]:
         return [self._metrics[name] for name in sorted(self._metrics)]
 
 
@@ -274,7 +217,8 @@ def prometheus_exposition(registry: MetricsRegistry) -> str:
         if metric.kind == "histogram":
             for key, cells in metric.samples():
                 cumulative = 0.0
-                for upper, count in zip(metric.buckets, cells):
+                # The overflow cell is the bucket whose bound is +Inf.
+                for upper, count in zip((*metric.buckets, math.inf), cells):
                     cumulative += count
                     le = _label_str(
                         metric.labelnames, key,
@@ -283,11 +227,6 @@ def prometheus_exposition(registry: MetricsRegistry) -> str:
                     lines.append(
                         f"{metric.name}_bucket{le} {_format_value(cumulative)}"
                     )
-                cumulative += cells[len(metric.buckets)]
-                le = _label_str(metric.labelnames, key, 'le="+Inf"')
-                lines.append(
-                    f"{metric.name}_bucket{le} {_format_value(cumulative)}"
-                )
                 labels = _label_str(metric.labelnames, key)
                 lines.append(
                     f"{metric.name}_sum{labels} {_format_value(cells[-1])}"
@@ -334,47 +273,83 @@ def json_snapshot(registry: MetricsRegistry) -> Dict:
 # ----------------------------------------------------------------------
 # Population from finished runs
 # ----------------------------------------------------------------------
+def _total(key: str):
+    """A run total, read from the mapping ``EngineResult.to_json`` reports."""
+    return lambda result: result.totals()[key]
+
+
+def _per_server(values) -> Dict[Tuple[str, ...], float]:
+    return {(str(server),): value for server, value in enumerate(values)}
+
+
+def _server_batches(result) -> Dict[Tuple[str, ...], float]:
+    counts = np.bincount(result.batch_servers).tolist()
+    return {key: count for key, count in _per_server(counts).items() if count}
+
+
+def _tally(events: str, *labels: str):
+    """Events of one kind on the outcome, counted by the named attributes."""
+    return lambda outcome: _Tally(
+        tuple(str(getattr(event, label)) for label in labels)
+        for event in getattr(outcome, events)
+    )
+
+
+#: The one table of exported run metrics: (name, kind, help, label names,
+#: where the value comes from).  A labelled source returns ``{label values:
+#: value}``, a histogram source the sample to observe.  Counters add to a
+#: registry that already holds the metric, gauges overwrite.
+ENGINE_METRICS = (
+    ("repro_requests_served_total", "counter", "Requests completed.", (),
+     _total("served")),
+    ("repro_requests_dropped_total", "counter",
+     "Requests dropped before service.", (), _total("dropped")),
+    ("repro_requests_migrated_total", "counter",
+     "Requests that migrated servers.", (), _total("migrated")),
+    ("repro_batches_total", "counter", "Batches executed.", ("server",),
+     _server_batches),
+    ("repro_server_busy_seconds", "gauge", "Busy time per server.", ("server",),
+     lambda result: _per_server(result.totals()["server_busy_times"])),
+    # ``latencies`` holds the served requests only; ``request_latencies``
+    # keeps a nan slot per dropped one.
+    ("repro_request_latency_seconds", "histogram", "End-to-end request latency.",
+     (), lambda result: result.latencies),
+)
+CLUSTER_METRICS = (
+    ("repro_scale_events_total", "counter", "Autoscaler actions.", ("action",),
+     _tally("scale_events", "action")),
+    ("repro_fault_events_total", "counter", "Injected fault events.", ("kind",),
+     _tally("fault_events", "kind")),
+    ("repro_slo_alerts_total", "counter", "SLO burn-rate alerts fired.",
+     ("objective", "severity"), _tally("alert_events", "objective", "severity")),
+    ("repro_servers_active", "gauge", "Active servers at run end.", (),
+     lambda outcome: outcome.active_timeline()[-1]["active"]),
+    ("repro_servers_active_peak", "gauge", "Peak active servers over the run.",
+     (), lambda outcome: outcome.peak_active),
+)
+
+
+_VERBS = {"counter": "inc", "gauge": "set", "histogram": "observe_many"}
+
+
+def _populate(registry: MetricsRegistry, table, subject, buckets) -> None:
+    for name, kind, help, labelnames, source in table:
+        extra = (buckets,) if kind == "histogram" else ()
+        metric = getattr(registry, kind)(name, help, labelnames, *extra)
+        value = source(subject)
+        for key, amount in (value if labelnames else {(): value}).items():
+            child = metric.labels(**dict(zip(labelnames, key)))
+            getattr(child, _VERBS[kind])(amount)
+
+
 def registry_from_engine(
     result,
     registry: Optional[MetricsRegistry] = None,
     buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
 ) -> MetricsRegistry:
-    """Populate a registry from an ``EngineResult``-shaped object."""
+    """Populate a registry from an ``EngineResult`` (``ENGINE_METRICS``)."""
     registry = registry or MetricsRegistry()
-    served = registry.counter(
-        "repro_requests_served_total", "Requests completed."
-    )
-    # ``latencies`` holds the served requests only; ``request_latencies``
-    # keeps a nan slot per dropped one.
-    served.inc(len(result.latencies))
-    dropped = registry.counter(
-        "repro_requests_dropped_total", "Requests dropped before service."
-    )
-    dropped.inc(int(result.dropped))
-    batches = registry.counter(
-        "repro_batches_total", "Batches executed.", ("server",)
-    )
-    for record in result.batch_records:
-        batches.labels(server=str(record.server)).inc()
-    busy = registry.gauge(
-        "repro_server_busy_seconds", "Busy time per server.", ("server",)
-    )
-    for server, seconds in enumerate(result.server_busy_times):
-        busy.labels(server=str(server)).set(float(seconds))
-    migrated = registry.counter(
-        "repro_requests_migrated_total", "Requests that migrated servers."
-    )
-    migrated.inc(int(getattr(result, "migrated", 0)))
-    latency = registry.histogram(
-        "repro_request_latency_seconds",
-        "End-to-end request latency.",
-        buckets=buckets,
-    )
-    values = np.asarray(result.latencies, dtype=np.float64)
-    if len(values):
-        latency._observe_many((), values)
-    else:
-        latency._children.setdefault((), [0.0] * (len(latency.buckets) + 2))
+    _populate(registry, ENGINE_METRICS, result, buckets)
     return registry
 
 
@@ -383,38 +358,7 @@ def registry_from_cluster(
     registry: Optional[MetricsRegistry] = None,
     buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
 ) -> MetricsRegistry:
-    """Populate a registry from a ``ClusterResult``-shaped object."""
-    registry = registry_from_engine(
-        outcome.result, registry=registry, buckets=buckets
-    )
-    scale = registry.counter(
-        "repro_scale_events_total", "Autoscaler actions.", ("action",)
-    )
-    for event in outcome.scale_events:
-        scale.labels(action=str(event.action)).inc()
-    faults = registry.counter(
-        "repro_fault_events_total", "Injected fault events.", ("kind",)
-    )
-    for event in outcome.fault_events:
-        faults.labels(kind=str(event.kind)).inc()
-    alerts = registry.counter(
-        "repro_slo_alerts_total",
-        "SLO burn-rate alerts fired.",
-        ("objective", "severity"),
-    )
-    for event in getattr(outcome, "alert_events", ()):
-        alerts.labels(
-            objective=str(event.objective), severity=str(event.severity)
-        ).inc()
-    active = registry.gauge(
-        "repro_servers_active", "Active servers at run end."
-    )
-    history = [outcome.initial_active] + [
-        event.active_after for event in outcome.scale_events
-    ]
-    active.set(float(history[-1]))
-    peak = registry.gauge(
-        "repro_servers_active_peak", "Peak active servers over the run."
-    )
-    peak.set(float(max(history)))
+    """Populate a registry from a ``ClusterResult`` (both tables)."""
+    registry = registry_from_engine(outcome.result, registry, buckets)
+    _populate(registry, CLUSTER_METRICS, outcome, buckets)
     return registry

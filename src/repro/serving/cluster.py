@@ -1234,20 +1234,10 @@ class ClusterEngine:
                     )
                 replacement = spares[0]
                 active = sorted(active + [replacement])
-                self.engine.set_active_servers(
-                    active, available_from=boundary + self.startup_delay
-                )
-                self.telemetry.record_scale_event(
-                    ScaleEvent(
-                        time=boundary,
-                        action="add",
-                        server=replacement,
-                        active_after=len(active),
-                        reason=(
-                            f"emergency replacement for crashed server "
-                            f"{event.server}"
-                        ),
-                    )
+                self._rescale(
+                    boundary, "add", [replacement], active,
+                    f"emergency replacement for crashed server {event.server}",
+                    available_from=boundary + self.startup_delay,
                 )
             # Preempt even a parked server: it may still be draining a batch
             # a graceful deactivation let finish.
@@ -1322,23 +1312,12 @@ class ClusterEngine:
         if not candidates:
             return False
         spare = candidates[0]
-        new_active = sorted(active + [spare])
-        self.engine.set_active_servers(
-            new_active,
-            available_from=boundary + self.warm_spares.promotion_latency,
-        )
         self._promoted.add(spare)
-        self.telemetry.record_scale_event(
-            ScaleEvent(
-                time=boundary,
-                action="promote",
-                server=spare,
-                active_after=len(new_active),
-                reason=(
-                    f"warm spare for crashed server {crashed} "
-                    f"[{self.topology.domain_of(crashed)}]"
-                ),
-            )
+        self._rescale(
+            boundary, "promote", [spare], sorted(active + [spare]),
+            f"warm spare for crashed server {crashed} "
+            f"[{self.topology.domain_of(crashed)}]",
+            available_from=boundary + self.warm_spares.promotion_latency,
         )
         return True
 
@@ -1352,28 +1331,41 @@ class ClusterEngine:
         if not candidates:
             return
         spare = candidates[0]
-        new_active = [s for s in active if s != spare]
-        self.engine.set_active_servers(new_active)
-        if self.migration is not None:
-            # Graceful drain: dispatched-but-unstarted work re-places
-            # elsewhere instead of waiting out the spare's backlog.
-            self.engine.preempt_server(
-                spare,
-                boundary,
-                policy=self.migration,
-                kill_running=False,
-                checkpoint=self.checkpoint,
-            )
         self._promoted.discard(spare)
-        self.telemetry.record_scale_event(
-            ScaleEvent(
-                time=boundary,
-                action="demote",
-                server=spare,
-                active_after=len(new_active),
-                reason="primary recovered; spare returns to reserve",
-            )
+        self._rescale(
+            boundary, "demote", [spare], [s for s in active if s != spare],
+            "primary recovered; spare returns to reserve", drain=True,
         )
+
+    def _rescale(
+        self,
+        boundary: float,
+        action: str,
+        servers: Sequence[int],
+        new_active: Sequence[int],
+        reason: str,
+        available_from: Optional[float] = None,
+        drain: bool = False,
+    ) -> None:
+        """Apply one elasticity decision and log a ``ScaleEvent`` per server.
+
+        ``drain`` is the graceful exit of deactivated servers: with a
+        migration policy, work already pinned to one (dispatched but not
+        started) re-places elsewhere instead of waiting out its backlog.
+        """
+        self.engine.set_active_servers(new_active, available_from=available_from)
+        for server in servers:
+            if drain and self.migration is not None:
+                self.engine.preempt_server(
+                    server,
+                    boundary,
+                    policy=self.migration,
+                    kill_running=False,
+                    checkpoint=self.checkpoint,
+                )
+            self.telemetry.record_scale_event(
+                ScaleEvent(boundary, action, server, len(new_active), reason)
+            )
 
     def _floor_blocked(self, server: int, remaining: set) -> bool:
         """Would parking ``server`` drop a model below its affinity floor?
@@ -1483,20 +1475,10 @@ class ClusterEngine:
             added = parked[: target - len(active)]
             if not added:
                 return
-            new_active = sorted(active + added)
-            self.engine.set_active_servers(
-                new_active, available_from=boundary + self.startup_delay
+            self._rescale(
+                boundary, "add", added, sorted(active + added), reason,
+                available_from=boundary + self.startup_delay,
             )
-            for server in added:
-                self.telemetry.record_scale_event(
-                    ScaleEvent(
-                        time=boundary,
-                        action="add",
-                        server=server,
-                        active_after=len(new_active),
-                        reason=reason,
-                    )
-                )
         else:
             removable = [s for s in reversed(order) if s in active]
             removed: List[int] = []
@@ -1512,26 +1494,8 @@ class ClusterEngine:
                 remaining.discard(server)
             if not removed:
                 return
-            new_active = sorted(s for s in active if s not in removed)
-            self.engine.set_active_servers(new_active)
-            for server in removed:
-                # With a migration policy, work already pinned to the parked
-                # server (dispatched but not started) restarts elsewhere
-                # instead of waiting out the drain.
-                if self.migration is not None:
-                    self.engine.preempt_server(
-                        server,
-                        boundary,
-                        policy=self.migration,
-                        kill_running=False,
-                        checkpoint=self.checkpoint,
-                    )
-                self.telemetry.record_scale_event(
-                    ScaleEvent(
-                        time=boundary,
-                        action="remove",
-                        server=server,
-                        active_after=len(new_active),
-                        reason=reason,
-                    )
-                )
+            self._rescale(
+                boundary, "remove", removed,
+                sorted(s for s in active if s not in removed), reason,
+                drain=True,
+            )

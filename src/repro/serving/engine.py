@@ -349,6 +349,16 @@ class EngineResult:
         return [record.ratio for record in records]
 
     @property
+    def batch_servers(self) -> np.ndarray:
+        """The server each batch ran on, as one vector."""
+        records = self.batch_records
+        if isinstance(records, BatchLedger):
+            return records.servers
+        return np.fromiter(
+            (record.server for record in records), np.int64, len(records)
+        )
+
+    @property
     def mean_executed_ratio(self) -> float:
         """Batch-size-weighted mean of the executed per-batch 4-bit ratios.
 
@@ -413,20 +423,10 @@ class EngineResult:
             [r.finish_time for r in recorded], [r.deadline for r in recorded]
         )
 
-    def to_json(self) -> Dict[str, Any]:
-        """JSON-ready report of the run (plain types only).
-
-        Aggregates, not raw per-request arrays: the summary statistics,
-        throughput, drop/migration counts and per-server busy times —
-        what a report pipeline or dashboard ingests.  Pair with
-        :func:`repro.obs.registry.registry_from_engine` for full metric
-        exports.
-        """
-        summary = {
-            key: (None if np.isnan(value) else float(value))
-            for key, value in self.summary().items()
-        }
-        attainment = self.deadline_attainment()
+    def totals(self) -> Dict[str, Any]:
+        """The run's counts and rates in plain types: the one mapping
+        :meth:`to_json` reports and the table
+        ``repro.obs.registry.ENGINE_METRICS`` exports."""
         return {
             "served": int(len(self.latencies)),
             "dropped": int(self.dropped),
@@ -439,11 +439,22 @@ class EngineResult:
             "server_busy_times": [
                 float(seconds) for seconds in (self.server_busy_times or [])
             ],
-            "latency": summary,
-            "deadline_attainment": (
-                None if np.isnan(attainment) else float(attainment)
-            ),
         }
+
+    def to_json(self) -> Dict[str, Any]:
+        """JSON-ready report of the run: :meth:`totals` plus the latency
+        summary and deadline attainment (aggregates, not per-request
+        arrays)."""
+        report = self.totals()
+        report["latency"] = {
+            key: (None if np.isnan(value) else float(value))
+            for key, value in self.summary().items()
+        }
+        attainment = self.deadline_attainment()
+        report["deadline_attainment"] = (
+            None if np.isnan(attainment) else float(attainment)
+        )
+        return report
 
 
 def requests_from_trace(

@@ -5,39 +5,49 @@ run; control-plane components (autoscalers, per-server ratio policies,
 operators reading a timeline) instead need *windowed, per-server* signals
 while the run is still in flight.  A :class:`TelemetryBus` attached to a
 :class:`~repro.serving.engine.ServingEngine` receives one event per executed
-batch and per drop, aggregates them into fixed control windows, and answers
-queries per server, per window, or cluster-wide:
+batch and per drop and aggregates them into one :class:`WindowStats` cell per
+(server, control window).
 
-* **queue depth** — mean depth observed when batches formed in the window;
-* **utilization** — accumulated busy seconds (attributed to the window the
-  batch *started* in) over the window length;
-* **executed ratio** — batch-size-weighted 4-bit ratio that actually ran;
-* **SLO attainment** — deadline-carrying requests finishing in time (drops
-  with deadlines count as misses), via :func:`repro.serving.metrics.
-  slo_attainment` semantics;
-* **drops** — requests expired by ``drop_after``;
-* **latencies** — raw response times of the window, for percentile queries
-  built on :func:`repro.serving.metrics.latency_percentiles`.
+The count schema
+----------------
+What a cell stores is declared once, on :class:`WindowStats`.  The hooks add
+to it (an event lands in the window its timestamp falls in — a batch by its
+*start*, so its busy seconds sit where the dispatch decision was made), a
+rewind subtracts exactly what its hook added, ``ingest_columnar`` fills the
+same fields for a whole columnar run, a cluster window is the sum of its
+cells, and every reported value (``utilization``, ``mean_queue_depth``,
+``executed_ratio``, ``served_rate``, ``tokens_per_sec``, ``slo_attainment``,
+``latencies``/``ttft`` and their percentiles, ``summary()``) is computed
+from these:
 
-Scale events (:class:`ScaleEvent`) are appended to the same timeline so a
-run's elasticity decisions are auditable next to the signals that caused
-them; applied fault injections
-(:class:`~repro.serving.resilience.FaultEvent`) land in ``fault_events``
-the same way, so a crash/slowdown/recovery is auditable next to the windows
-it disturbed.  A preempted (migrated) batch is *un*-recorded exactly
-(:meth:`TelemetryBus.unrecord_batch`), so windowed series never count work
-a failed server did not actually complete.  Ratio policies reach the bus through
-:attr:`repro.serving.policies.PolicyContext.telemetry`, which is how the
-per-server :class:`~repro.serving.policies.PerServerAdaptiveRatioPolicy`
-finally observes per-server rates instead of global window rates.
+===================  ========  ==============================================
+field                unit      added by
+===================  ========  ==============================================
+``served``           requests  ``record_batch``: batch size
+``batches``          batches   ``record_batch``
+``busy_time``        seconds   ``record_batch``: finish - start (a rewind
+                               leaves the seconds spent before the kill)
+``ratio_weight``     requests  ``record_batch``: executed 4-bit ratio x size
+``queue_depth_sum``  requests  ``record_batch``: depth when the batch formed
+``drops``            requests  ``record_drops`` (the ``CLUSTER`` cell)
+``deadline_total``   requests  ``record_batch``, and ``record_drops``: an
+                               expired deadline-carrying request is a miss
+``deadline_met``     requests  ``record_batch``
+``tokens``           tokens    ``record_tokens`` (generation only)
+``latency_parts``    seconds   ``record_batch``: one sample array per batch
+``ttft_parts``       seconds   ``record_tokens``: one array per iteration
+===================  ========  ==============================================
 
-The bus is opt-in: an engine without one skips every hook, keeping the
-seed-identical fast path untouched.
+Scale, fault and alert events share one :meth:`TelemetryBus.timeline`.
+Ratio policies reach the bus through
+:attr:`repro.serving.policies.PolicyContext.telemetry`; it is opt-in — an
+engine without one skips every hook.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -64,51 +74,114 @@ class ScaleEvent:
     reason: str = ""
 
 
+def _count(zero):
+    """An additive field: hooks add to it, rewinds subtract, cells sum."""
+    return field(default=zero, metadata={"role": "count"})
+
+
+class Samples:
+    """One sample field of a cell: an array per batch, in event order.
+
+    Each array sits under the owner a rewind finds it by (the batch's record;
+    an iteration's start time; ``None`` once bulk-ingested or joined).  Two
+    parallel lists, so recording a batch allocates no container — a tuple
+    per batch is one more object for every collector pass to visit.
+    """
+
+    __slots__ = ("owners", "arrays")
+
+    def __init__(self, arrays: Sequence[np.ndarray] = ()) -> None:
+        self.arrays = list(arrays)
+        self.owners: List[object] = [None] * len(self.arrays)
+
+    def record(self, sign: int, owner, values: np.ndarray, same=operator.is_) -> None:
+        """Add (``sign`` +1) or rewind (-1) the samples of one owner."""
+        if not len(values):
+            return
+        if sign > 0:
+            self.owners.append(owner)
+            self.arrays.append(values)
+            return
+        for index in range(len(self.owners) - 1, -1, -1):
+            if same(self.owners[index], owner):
+                del self.owners[index], self.arrays[index]
+                return
+        # The one tolerated miss: a bus attached mid-run never saw the owner.
+
+    def extend(self, other: "Samples") -> None:
+        self.owners += other.owners
+        self.arrays += other.arrays
+
+    def joined(self) -> np.ndarray:
+        if len(self.arrays) > 1:
+            return np.concatenate(self.arrays)
+        return self.arrays[0] if self.arrays else np.zeros(0, dtype=np.float64)
+
+
+def _samples():
+    return field(default_factory=Samples, metadata={"role": "samples"})
+
+
 @dataclass
-class _WindowCell:
-    """Mutable per-(server, window) accumulator."""
+class WindowStats:
+    """The counts of one server (or the whole cluster) over one window.
 
-    served: int = 0
-    batches: int = 0
-    busy: float = 0.0
-    ratio_weight: float = 0.0
-    queue_depth_sum: int = 0
-    drops: int = 0
-    deadline_total: int = 0
-    deadline_met: int = 0
-    latencies: List[float] = field(default_factory=list)
-    # Bulk-ingested latency chunks (one array per ingest, batch order
-    # preserved): the columnar fast path groups a whole run's latencies
-    # per cell in one vectorized pass instead of extending a float list
-    # per batch.  Queries concatenate list + chunks.
-    latency_chunks: List[np.ndarray] = field(default_factory=list)
-    # Streaming-generation signals (zero for one-shot workloads): generated
-    # tokens emitted in the window and the TTFT samples of sequences whose
-    # first token landed in it (see record_tokens).
-    tokens: int = 0
-    ttft: List[float] = field(default_factory=list)
-
-
-@dataclass
-class ServerWindowStats:
-    """Read-only snapshot of one server over one control window."""
+    The bus holds one live record per (server, window); queries hand out
+    copies.  ``server == CLUSTER`` marks the queue-side cell and the
+    cluster-wide sum, whose ``active_servers`` is the number of servers its
+    busy seconds are scoped to (0 on a single server's record).
+    """
 
     server: int
     window: int
-    start: float
-    end: float
-    served: int = 0
-    batches: int = 0
-    busy_time: float = 0.0
-    utilization: float = 0.0
-    mean_queue_depth: float = 0.0
-    executed_ratio: float = float("nan")
-    drops: int = 0
-    deadline_total: int = 0
-    deadline_met: int = 0
-    latencies: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    tokens: int = 0
-    ttft: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    span: float              # control-window length, seconds
+    active_servers: int = 0
+    served: int = _count(0)
+    batches: int = _count(0)
+    busy_time: float = _count(0.0)
+    ratio_weight: float = _count(0.0)
+    queue_depth_sum: int = _count(0)
+    drops: int = _count(0)
+    deadline_total: int = _count(0)
+    deadline_met: int = _count(0)
+    tokens: int = _count(0)
+    latency_parts: Samples = _samples()
+    ttft_parts: Samples = _samples()
+
+    def add(self, other: "WindowStats") -> None:
+        """Fold another record's counts and samples into this one."""
+        for name in _COUNTS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for name in _SAMPLES:
+            getattr(self, name).extend(getattr(other, name))
+
+    def copy(self) -> "WindowStats":
+        """A snapshot later events on the bus do not reach (samples joined)."""
+        joined = {name: Samples([getattr(self, name).joined()]) for name in _SAMPLES}
+        return replace(self, **joined)
+
+    @property
+    def start(self) -> float:
+        return self.window * self.span
+
+    @property
+    def end(self) -> float:
+        return (self.window + 1) * self.span
+
+    @property
+    def utilization(self) -> float:
+        """Busy seconds over the seconds the record's servers had."""
+        return self.busy_time / (max(self.active_servers, 1) * self.span)
+
+    @property
+    def mean_queue_depth(self) -> float:
+        """Mean depth seen at batch formation (0.0 without batches)."""
+        return self.queue_depth_sum / self.batches if self.batches > 0 else 0.0
+
+    @property
+    def executed_ratio(self) -> float:
+        """Batch-size-weighted 4-bit ratio that ran (nan if nothing did)."""
+        return self.ratio_weight / self.served if self.served > 0 else float("nan")
 
     @property
     def served_rate(self) -> float:
@@ -122,10 +195,6 @@ class ServerWindowStats:
         span = self.end - self.start
         return self.tokens / span if span > 0 else 0.0
 
-    def ttft_percentile(self, percentile: float) -> float:
-        """TTFT percentile of sequences whose first token landed here."""
-        return latency_percentile(self.ttft, percentile)
-
     @property
     def slo_attainment(self) -> float:
         """Fraction of deadline-carrying requests served in time (nan if none)."""
@@ -133,67 +202,79 @@ class ServerWindowStats:
             return float("nan")
         return self.deadline_met / self.deadline_total
 
+    @property
+    def latencies(self) -> np.ndarray:
+        """Response times of the window's served requests, in event order."""
+        return self.latency_parts.joined()
+
+    @property
+    def ttft(self) -> np.ndarray:
+        """TTFT samples of sequences whose first token landed here."""
+        return self.ttft_parts.joined()
+
     def latency_percentile(self, percentile: float) -> float:
         return latency_percentile(self.latencies, percentile)
+
+    def ttft_percentile(self, percentile: float) -> float:
+        return latency_percentile(self.ttft, percentile)
 
     def summary(self) -> Dict[str, float]:
         return summarize_latencies(self.latencies)
 
 
-@dataclass
-class ClusterWindowStats(ServerWindowStats):
-    """One window aggregated across the whole cluster (server == CLUSTER)."""
+_COUNTS, _SAMPLES = (
+    tuple(f.name for f in fields(WindowStats) if f.metadata.get("role") == role)
+    for role in ("count", "samples")
+)
+# One record type; the names say which query returned it.
+ServerWindowStats = ClusterWindowStats = WindowStats
 
-    active_servers: int = 0
+
+def _add_column(cells, name: str, index: np.ndarray, weights=None) -> None:
+    """``cell.name +=`` its share of a column, summed left to right."""
+    sums = np.bincount(index, weights=weights, minlength=len(cells)).tolist()
+    for cell, value in zip(cells, sums):
+        held = getattr(cell, name)
+        setattr(cell, name, held + type(held)(value))
 
 
 class TelemetryBus:
     """Windowed per-server aggregation of serving events.
 
-    ``window`` is the control-window length in simulation seconds.  Events
-    are attributed to the window their timestamp falls in (batches by their
-    *start* time, so a long batch's busy seconds land where the dispatch
-    decision was made).
+    ``window`` is the control-window length in simulation seconds; the
+    module docstring lists what a cell holds and which hook fills it.
     """
 
     def __init__(self, window: float = 1.0, num_servers: int = 1) -> None:
         self.window = check_positive("window", window)
         self.num_servers = int(num_servers)
-        self._cells: Dict[Tuple[int, int], _WindowCell] = {}
         self.scale_events: List[ScaleEvent] = []
         self.fault_events: List["FaultEvent"] = []
         self.alert_events: List[object] = []
-        # Unified event timeline: (time, seq, event) for every scale *and*
-        # fault event, in application order (seq).  timeline() sorts by
-        # (time, seq), so interleaved events come back in deterministic
-        # time order even when a fault's strike time precedes the boundary
-        # a scale decision was stamped with.
-        self._timeline: List[Tuple[float, int, object]] = []
-        # Sorted-timeline cache with dirty-flag invalidation: appends mark
-        # it stale, timeline() re-sorts at most once per batch of appends.
-        self._timeline_sorted: Optional[List[object]] = None
-        self.last_window = -1
+        self.reset()
 
     # ------------------------------------------------------------------
     # Recording (called by the engine / control plane)
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        self._cells.clear()
-        self.scale_events.clear()
-        self.fault_events.clear()
-        self.alert_events.clear()
-        self._timeline.clear()
-        self._timeline_sorted = None
+        self._cells: Dict[Tuple[int, int], WindowStats] = {}
+        for log in (self.scale_events, self.fault_events, self.alert_events):
+            log.clear()
+        # (time, seq, event) for every scale, fault and alert event, seq the
+        # application order; timeline() sorts by (time, seq) and caches the
+        # result until the next append.
+        self._timeline: List[Tuple[float, int, object]] = []
+        self._timeline_sorted: Optional[List[object]] = None
         self.last_window = -1
 
     def window_index(self, time: float) -> int:
         return int(time / self.window)
 
-    def _cell(self, server: int, window: int) -> _WindowCell:
+    def _cell(self, server: int, window: int) -> WindowStats:
         key = (int(server), int(window))
         cell = self._cells.get(key)
         if cell is None:
-            cell = self._cells[key] = _WindowCell()
+            cell = self._cells[key] = WindowStats(key[0], key[1], self.window)
         if window > self.last_window:
             self.last_window = int(window)
         return cell
@@ -207,16 +288,10 @@ class TelemetryBus:
         deadline_met: int = 0,
     ) -> None:
         """Account one executed batch (engine hook)."""
-        cell = self._cell(record.server, self.window_index(record.start))
-        cell.served += record.size
-        cell.batches += 1
-        cell.busy += record.finish - record.start
-        cell.ratio_weight += record.ratio * record.size
-        cell.queue_depth_sum += int(queue_depth)
-        cell.deadline_total += int(deadline_total)
-        cell.deadline_met += int(deadline_met)
-        if latencies is not None:
-            cell.latencies.extend(latencies.tolist())
+        self._batch(
+            1, record, record.start, queue_depth, latencies, deadline_total,
+            deadline_met,
+        )
 
     def unrecord_batch(
         self,
@@ -228,38 +303,37 @@ class TelemetryBus:
     ) -> None:
         """Reverse one :meth:`record_batch` (the batch was preempted).
 
-        A crashed server's unfinished batch was already accounted when it
-        was (optimistically) executed; migration rewinds the engine state,
-        and this hook rewinds the telemetry cell with the exact inverse
-        arithmetic — the queue depth comes from the record itself
-        (``BatchRecord.queue_depth``), latencies are removed by value.
-        ``kill_time`` is the preemption instant: busy seconds the server
-        really spent before it ([start, kill_time), wasted work) stay
-        accounted, matching the engine's busy-time bill.
+        The exact inverse arithmetic: the queue depth comes from the record
+        (``BatchRecord.queue_depth``) and the samples removed are the ones
+        recorded under this very ``record``.  ``kill_time`` is the
+        preemption instant: busy seconds the server really spent before it
+        ([start, kill_time), wasted work) stay accounted, matching the
+        engine's busy-time bill.
         """
-        cell = self._cell(record.server, self.window_index(record.start))
-        cell.served -= record.size
-        cell.batches -= 1
         killed_from = (
             record.start if kill_time is None else max(record.start, kill_time)
         )
-        cell.busy -= record.finish - killed_from
-        cell.ratio_weight -= record.ratio * record.size
-        cell.queue_depth_sum -= int(record.queue_depth)
-        cell.deadline_total -= int(deadline_total)
-        cell.deadline_met -= int(deadline_met)
+        self._batch(
+            -1, record, killed_from, record.queue_depth, latencies,
+            deadline_total, deadline_met,
+        )
+
+    def _batch(
+        self, sign, record, busy_from, queue_depth, latencies, deadline_total,
+        deadline_met,
+    ) -> None:
+        # Runs once per batch: plain attribute arithmetic.  Multiplying by
+        # +-1 is exact, so a rewind is the bit-exact inverse of its record.
+        cell = self._cell(record.server, self.window_index(record.start))
+        cell.served += sign * record.size
+        cell.batches += sign
+        cell.busy_time += sign * (record.finish - busy_from)
+        cell.ratio_weight += sign * (record.ratio * record.size)
+        cell.queue_depth_sum += sign * int(queue_depth)
+        cell.deadline_total += sign * int(deadline_total)
+        cell.deadline_met += sign * int(deadline_met)
         if latencies is not None:
-            # Remove-by-value needs the raw list: fold bulk-ingested chunks
-            # back in first (rare path — preemption after a columnar run).
-            if cell.latency_chunks:
-                for chunk in cell.latency_chunks:
-                    cell.latencies.extend(chunk.tolist())
-                cell.latency_chunks.clear()
-            for value in latencies:
-                try:
-                    cell.latencies.remove(float(value))
-                except ValueError:
-                    pass  # never recorded (bus attached mid-run)
+            cell.latency_parts.record(sign, record, latencies)
 
     def record_tokens(
         self,
@@ -270,15 +344,11 @@ class TelemetryBus:
     ) -> None:
         """Account generated tokens (iteration-scheduler hook).
 
-        ``time`` is the iteration start (the same attribution rule as
-        batches); ``tokens`` the tokens it emitted (prefill first tokens +
-        decode tokens); ``ttfts`` the TTFT samples of sequences whose first
-        token it produced.  One-shot engines never call this, so the
-        signals stay zero unless a generation loop is running.
+        ``time`` is the iteration start; ``tokens`` the tokens it emitted
+        (prefill first tokens + decode tokens); ``ttfts`` the TTFT samples
+        of sequences whose first token it produced.
         """
-        cell = self._cell(server, self.window_index(time))
-        cell.tokens += int(tokens)
-        cell.ttft.extend(float(value) for value in ttfts)
+        self._tokens(1, server, time, tokens, ttfts)
 
     def unrecord_tokens(
         self,
@@ -288,25 +358,24 @@ class TelemetryBus:
         ttfts: Sequence[float] = (),
     ) -> None:
         """Reverse one :meth:`record_tokens` (the iteration was preempted)."""
+        self._tokens(-1, server, time, tokens, ttfts)
+
+    def _tokens(self, sign, server, time, tokens, ttfts) -> None:
         cell = self._cell(server, self.window_index(time))
-        cell.tokens -= int(tokens)
-        for value in ttfts:
-            try:
-                cell.ttft.remove(float(value))
-            except ValueError:
-                pass  # never recorded (bus attached mid-run)
+        cell.tokens += sign * int(tokens)
+        # An iteration has no record here; on one server its start time is
+        # its identity.
+        samples = np.asarray(ttfts, dtype=np.float64)
+        cell.ttft_parts.record(sign, float(time), samples, same=operator.eq)
 
     def token_rate(self, server: int, window: int) -> float:
         """Generated tokens/second one server sustained during a window.
 
         The decode-pressure signal for ratio policies and autoscalers; 0.0
-        for windows without token traffic (one-shot workloads included).
-        Cheap like :meth:`measured_rate` — no arrays are materialized.
+        for windows without token traffic.  Cheap like :meth:`measured_rate`.
         """
-        if window < 0:
-            return 0.0
         cell = self._cells.get((int(server), int(window)))
-        if cell is None or cell.tokens <= 0:
+        if window < 0 or cell is None or cell.tokens <= 0:
             return 0.0
         return cell.tokens / self.window
 
@@ -319,15 +388,11 @@ class TelemetryBus:
         cell.deadline_total += int(deadline_misses)
 
     def record_scale_event(self, event: ScaleEvent) -> None:
-        self.scale_events.append(event)
-        self._timeline.append((float(event.time), len(self._timeline), event))
-        self._timeline_sorted = None
+        self._event(self.scale_events, event)
 
     def record_fault_event(self, event: "FaultEvent") -> None:
         """Append one applied fault injection to the run timeline."""
-        self.fault_events.append(event)
-        self._timeline.append((float(event.time), len(self._timeline), event))
-        self._timeline_sorted = None
+        self._event(self.fault_events, event)
 
     def record_alert_event(self, event: object) -> None:
         """Append one SLO burn-rate alert to the run timeline.
@@ -336,7 +401,10 @@ class TelemetryBus:
         so the serving layer stays import-free of ``repro.obs``); it lands
         next to scale/fault events in :meth:`timeline`.
         """
-        self.alert_events.append(event)
+        self._event(self.alert_events, event)
+
+    def _event(self, log: List, event) -> None:
+        log.append(event)
         self._timeline.append((float(event.time), len(self._timeline), event))
         self._timeline_sorted = None
 
@@ -346,20 +414,9 @@ class TelemetryBus:
         Sorted by ``(time, application order)``: a fault whose strike time
         precedes a window boundary sorts before the scale decision stamped
         at the boundary, and same-instant events keep the order the control
-        plane applied them in — so two runs of the same deterministic
-        workload return the identical interleaving.  The sorted view is
-        cached and invalidated on append, so per-window polling loops pay
-        O(events) per call instead of O(events log events).
-
-        Cache-invalidation audit (PR 8 cache vs PR 5/7 rewind paths): the
-        only mutators of ``_timeline`` are the three ``record_*_event``
-        appends above, each of which clears ``_timeline_sorted``.  The
-        preemption rewind paths — :meth:`unrecord_batch` and
-        :meth:`unrecord_tokens` — mutate per-(server, window) cells only
-        and never touch the timeline, so a cached sorted view stays valid
-        across any number of rewinds by construction; events themselves
-        are immutable records that are never retracted.  Pinned by
-        regression tests in ``tests/test_observability.py``.
+        plane applied them in.  The sorted view is cached until the next
+        ``record_*_event`` append (rewinds touch cells, never the timeline),
+        so a per-window polling loop pays O(events) per call.
         """
         if self._timeline_sorted is None:
             self._timeline_sorted = [
@@ -390,129 +447,58 @@ class TelemetryBus:
 
         Equivalent to :meth:`record_batch` once per batch in chronological
         order followed by :meth:`record_drops` per drop cohort: integer
-        counters sum exactly; float accumulators (busy seconds, ratio
-        weight) accumulate in the identical left-to-right order
-        (``np.bincount`` sums its input sequentially), so the per-cell
-        float sums are bit-identical to the per-event hooks; per-request
-        ``latencies`` (aligned with ``repeat(batch, sizes)``) group into
-        per-cell chunks preserving batch order.  ``deadline_flags`` /
+        counts sum exactly, float ones (busy seconds, ratio weight) in the
+        identical left-to-right order (``np.bincount`` sums sequentially),
+        so every cell is bit-identical to the per-event hooks'; per-request
+        ``latencies`` (aligned with ``repeat(batch, sizes)``) become one
+        owner-less part per cell, in batch order.  ``deadline_flags`` /
         ``deadline_met`` are per-request booleans (deadline-carrying, met).
         """
         starts = np.asarray(starts, dtype=np.float64)
-        nbatches = starts.size
-        if nbatches:
+        if starts.size:
             sizes = np.asarray(sizes, dtype=np.int64)
-            finishes = np.asarray(finishes, dtype=np.float64)
-            servers_col = np.asarray(servers, dtype=np.int64)
-            depths = np.asarray(queue_depths, dtype=np.int64)
             windows = (starts / self.window).astype(np.int64)
-            codes = (servers_col << 32) | windows
-            uniq, inverse = np.unique(codes, return_inverse=True)
-            nbins = len(uniq)
-            served = np.bincount(inverse, weights=sizes, minlength=nbins)
-            batch_counts = np.bincount(inverse, minlength=nbins)
-            busy = np.bincount(inverse, weights=finishes - starts, minlength=nbins)
-            ratio_weight = np.bincount(
-                inverse, weights=float(ratio) * sizes.astype(np.float64),
-                minlength=nbins,
-            )
-            depth_sums = np.bincount(inverse, weights=depths, minlength=nbins)
-            req_cell = None
-            if latencies is not None or deadline_flags is not None:
-                req_cell = np.repeat(inverse, sizes)
+            codes = (np.asarray(servers, dtype=np.int64) << 32) | windows
+            uniq, batch_cell = np.unique(codes, return_inverse=True)
+            cells = [
+                self._cell(code >> 32, code & 0xFFFFFFFF) for code in uniq.tolist()
+            ]
+            request_cell = np.repeat(batch_cell, sizes)
+            busy = np.asarray(finishes, dtype=np.float64) - starts
+            _add_column(cells, "served", batch_cell, sizes)
+            _add_column(cells, "batches", batch_cell)
+            _add_column(cells, "busy_time", batch_cell, busy)
+            _add_column(cells, "ratio_weight", batch_cell, float(ratio) * sizes)
+            _add_column(cells, "queue_depth_sum", batch_cell, queue_depths)
             if deadline_flags is not None:
-                dtotals = np.bincount(
-                    req_cell, weights=deadline_flags, minlength=nbins
-                )
-                dmets = np.bincount(req_cell, weights=deadline_met, minlength=nbins)
-            chunks: List[Optional[np.ndarray]] = [None] * nbins
+                _add_column(cells, "deadline_total", request_cell, deadline_flags)
+                _add_column(cells, "deadline_met", request_cell, deadline_met)
             if latencies is not None:
-                lat = np.asarray(latencies, dtype=np.float64)
-                order = np.argsort(req_cell, kind="stable")
-                sorted_lat = lat[order]
-                counts = np.bincount(req_cell, minlength=nbins)
-                offsets = np.zeros(nbins + 1, dtype=np.int64)
-                np.cumsum(counts, out=offsets[1:])
-                for b in range(nbins):
-                    chunks[b] = sorted_lat[offsets[b]:offsets[b + 1]]
-            for b, code in enumerate(uniq.tolist()):
-                server = code >> 32
-                window = code & 0xFFFFFFFF
-                cell = self._cell(server, window)
-                cell.served += int(served[b])
-                cell.batches += int(batch_counts[b])
-                cell.busy += float(busy[b])
-                cell.ratio_weight += float(ratio_weight[b])
-                cell.queue_depth_sum += int(depth_sums[b])
-                if deadline_flags is not None:
-                    cell.deadline_total += int(dtotals[b])
-                    cell.deadline_met += int(dmets[b])
-                chunk = chunks[b]
-                if chunk is not None and chunk.size:
-                    cell.latency_chunks.append(chunk)
+                ordered = np.asarray(latencies, dtype=np.float64)[
+                    np.argsort(request_cell, kind="stable")
+                ]
+                ends = np.cumsum(np.bincount(request_cell, minlength=len(cells)))
+                for cell, part in zip(cells, np.split(ordered, ends[:-1])):
+                    cell.latency_parts.record(1, None, part)
         if drop_times is not None and len(drop_times):
-            drop_windows = (
+            windows = (
                 np.asarray(drop_times, dtype=np.float64) / self.window
             ).astype(np.int64)
-            uniq_d, inverse_d = np.unique(drop_windows, return_inverse=True)
-            counts_d = np.bincount(
-                inverse_d, weights=np.asarray(drop_counts, dtype=np.float64),
-                minlength=len(uniq_d),
-            )
+            uniq, drop_cell = np.unique(windows, return_inverse=True)
+            cells = [self._cell(CLUSTER, window) for window in uniq.tolist()]
+            _add_column(cells, "drops", drop_cell, drop_counts)
             if drop_misses is not None:
-                misses_d = np.bincount(
-                    inverse_d, weights=np.asarray(drop_misses, dtype=np.float64),
-                    minlength=len(uniq_d),
-                )
-            for b, window in enumerate(uniq_d.tolist()):
-                cell = self._cell(CLUSTER, window)
-                cell.drops += int(counts_d[b])
-                if drop_misses is not None:
-                    cell.deadline_total += int(misses_d[b])
+                _add_column(cells, "deadline_total", drop_cell, drop_misses)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _stats_from(
-        self, cell: _WindowCell, server: int, window: int
-    ) -> ServerWindowStats:
-        ratio = (
-            cell.ratio_weight / cell.served if cell.served > 0 else float("nan")
-        )
-        depth = (
-            cell.queue_depth_sum / cell.batches if cell.batches > 0 else 0.0
-        )
-        if cell.latency_chunks:
-            parts: List[np.ndarray] = []
-            if cell.latencies:
-                parts.append(np.asarray(cell.latencies, dtype=np.float64))
-            parts.extend(cell.latency_chunks)
-            latencies = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        else:
-            latencies = np.asarray(cell.latencies, dtype=np.float64)
-        return ServerWindowStats(
-            server=server,
-            window=window,
-            start=window * self.window,
-            end=(window + 1) * self.window,
-            served=cell.served,
-            batches=cell.batches,
-            busy_time=cell.busy,
-            utilization=cell.busy / self.window,
-            mean_queue_depth=depth,
-            executed_ratio=ratio,
-            drops=cell.drops,
-            deadline_total=cell.deadline_total,
-            deadline_met=cell.deadline_met,
-            latencies=latencies,
-            tokens=cell.tokens,
-            ttft=np.asarray(cell.ttft, dtype=np.float64),
-        )
-
     def server_window(self, server: int, window: int) -> ServerWindowStats:
         """Stats of one server over one window (zeros when nothing happened)."""
-        cell = self._cells.get((int(server), int(window)), _WindowCell())
-        return self._stats_from(cell, int(server), int(window))
+        cell = self._cells.get((int(server), int(window)))
+        if cell is None:
+            return WindowStats(int(server), int(window), self.window)
+        return cell.copy()
 
     def server_series(self, server: int) -> List[ServerWindowStats]:
         """Per-window time-series of one server, windows 0..last seen."""
@@ -527,14 +513,13 @@ class TelemetryBus:
         The server's demonstrated service capacity, robust to idleness
         (an idle fast server serves 0 req/s of window time but its busy
         seconds still reveal its speed).  ``nan`` when the server ran no
-        batch in the window.  A cheap cell read — no latency arrays are
-        materialized — so placers may call it per batch
+        batch in the window.  A cell read, cheap enough to call per batch
         (:class:`~repro.serving.placement.PredictivePlacer` does).
         """
         cell = self._cells.get((int(server), int(window)))
-        if cell is None or cell.busy <= 0:
+        if cell is None or cell.busy_time <= 0:
             return float("nan")
-        return cell.served / cell.busy
+        return cell.served / cell.busy_time
 
     def mean_depth(self, server: int, window: int) -> float:
         """Mean queue depth observed at one server's batch formations.
@@ -543,26 +528,22 @@ class TelemetryBus:
         congestion).  Cheap like :meth:`measured_rate`.
         """
         cell = self._cells.get((int(server), int(window)))
-        if cell is None or cell.batches <= 0:
-            return 0.0
-        return cell.queue_depth_sum / cell.batches
+        return 0.0 if cell is None else cell.mean_queue_depth
 
     def served_rate(self, server: int, window: int) -> float:
         """Requests/second one server actually served during a window.
 
-        The per-server load signal the cluster control plane feeds to
-        per-server adaptive ratio controllers (the global-rate signal the
-        seed controller consumed cannot distinguish a hot server from an
-        idle one).
+        The load signal per-server adaptive ratio controllers read (a
+        global rate cannot tell a hot server from an idle one).  Cheap like
+        :meth:`measured_rate`.
         """
-        if window < 0:
-            return 0.0
-        return self.server_window(server, window).served_rate
+        cell = self._cells.get((int(server), int(window)))
+        return 0.0 if window < 0 or cell is None else cell.served_rate
 
     def cluster_window(
         self, window: int, active_servers: Optional[Sequence[int]] = None
     ) -> ClusterWindowStats:
-        """One window aggregated across servers (plus queue-side drops).
+        """One window summed across servers (plus queue-side drops).
 
         ``active_servers`` scopes utilization to the servers that were
         actually available (idle *inactive* servers should not dilute it);
@@ -570,49 +551,22 @@ class TelemetryBus:
         """
         window = int(window)
         active = (
-            list(range(self.num_servers))
+            range(self.num_servers)
             if active_servers is None
             else [int(s) for s in active_servers]
         )
-        merged = _WindowCell()
-        for server in list(range(self.num_servers)) + [CLUSTER]:
+        total = WindowStats(CLUSTER, window, self.window, len(active))
+        busy = 0.0
+        for server in [*range(self.num_servers), CLUSTER]:
             cell = self._cells.get((server, window))
             if cell is None:
                 continue
-            merged.served += cell.served
-            merged.batches += cell.batches
-            merged.ratio_weight += cell.ratio_weight
-            merged.queue_depth_sum += cell.queue_depth_sum
-            merged.drops += cell.drops
-            merged.deadline_total += cell.deadline_total
-            merged.deadline_met += cell.deadline_met
-            merged.latencies.extend(cell.latencies)
-            merged.latency_chunks.extend(cell.latency_chunks)
-            merged.tokens += cell.tokens
-            merged.ttft.extend(cell.ttft)
+            total.add(cell)
             if server in active:
-                merged.busy += cell.busy
-        stats = self._stats_from(merged, CLUSTER, window)
-        busy_capacity = max(len(active), 1) * self.window
-        return ClusterWindowStats(
-            server=CLUSTER,
-            window=window,
-            start=stats.start,
-            end=stats.end,
-            served=stats.served,
-            batches=stats.batches,
-            busy_time=stats.busy_time,
-            utilization=merged.busy / busy_capacity,
-            mean_queue_depth=stats.mean_queue_depth,
-            executed_ratio=stats.executed_ratio,
-            drops=stats.drops,
-            deadline_total=stats.deadline_total,
-            deadline_met=stats.deadline_met,
-            latencies=stats.latencies,
-            tokens=stats.tokens,
-            ttft=stats.ttft,
-            active_servers=len(active),
-        )
+                busy += cell.busy_time
+        # A parked server draining its last batch is not cluster capacity.
+        total.busy_time = busy
+        return total.copy()
 
     def cluster_series(self) -> List[ClusterWindowStats]:
         return [

@@ -667,15 +667,18 @@ class TestPerServerAdaptation:
 # ----------------------------------------------------------------------
 def _stats(depth=0.0, latencies=(), window=0, drops=0):
     from repro.serving import ClusterWindowStats
+    from repro.serving.telemetry import Samples
 
+    # A window's reported values are computed from its counts: one batch
+    # that formed at `depth`, one part holding the latency samples.
     return ClusterWindowStats(
         server=CLUSTER,
         window=window,
-        start=float(window),
-        end=float(window + 1),
-        mean_queue_depth=depth,
+        span=1.0,
+        batches=1,
+        queue_depth_sum=depth,
         drops=drops,
-        latencies=np.asarray(latencies, dtype=np.float64),
+        latency_parts=Samples([np.asarray(latencies, dtype=np.float64)]),
     )
 
 
