@@ -166,14 +166,6 @@ def _target_channels(layers: Dict[str, LayerGroups], ratio: float) -> int:
     return int(round(total * ratio))
 
 
-def _flatten(layers: Dict[str, LayerGroups]) -> List[Tuple[str, int]]:
-    """All (layer, group index) pairs in a fixed order."""
-    pairs: List[Tuple[str, int]] = []
-    for name, layer in layers.items():
-        pairs.extend((name, g) for g in range(layer.num_groups))
-    return pairs
-
-
 # ----------------------------------------------------------------------
 # Baseline selectors
 # ----------------------------------------------------------------------

@@ -92,9 +92,6 @@ class MixedPrecisionGemm:
         self.high_bits = high_bits
         self.stats = KernelStats()
 
-    def reset_stats(self) -> None:
-        self.stats = KernelStats()
-
     def __call__(
         self,
         q_x: np.ndarray,

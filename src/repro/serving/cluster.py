@@ -291,12 +291,6 @@ class ClusterTopology:
     def num_servers(self) -> int:
         return len(self.zone_by_server)
 
-    def zone_of(self, server: int) -> str:
-        return self.zone_by_server[server]
-
-    def rack_of(self, server: int) -> str:
-        return self.rack_by_server[server]
-
     def domain_of(self, server: int) -> str:
         """The server's finest failure-domain label (always non-empty)."""
         zone = self.zone_by_server[server]
@@ -977,15 +971,6 @@ class ClusterEngine:
                 f"unknown placer {placer!r}; named placers: {', '.join(_PLACERS)}"
             )
         return placer
-
-    def affinity_placer(
-        self, affinity: Dict[str, Sequence[int]], within: Union[Placer, str, None] = None
-    ) -> ModelAffinityPlacer:
-        """Partitioned placement over this cluster's servers."""
-        inner = self.resolve_placer(within)
-        return ModelAffinityPlacer(
-            affinity, within=inner if inner is not None else FreeClockPlacer()
-        )
 
     def spread_placer(
         self,

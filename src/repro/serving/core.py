@@ -171,7 +171,9 @@ def _roundrobin_column(values: Sequence, n: int, dtype) -> np.ndarray:
 
 
 def check_arrivals(arrivals: Sequence[float], ascending: bool = False) -> None:
-    """Refuse a NaN/inf arrival: it sorts anywhere and is never served.
+    """Refuse a NaN/inf arrival (it sorts anywhere and is never served) and
+    a negative one (the clocks start at 0.0, so it would be served "at 0.0"
+    with the time before that billed as latency).
 
     The one arrival-time check of the serving plane — every
     :class:`RequestStore` passes through it when it is built or appended
@@ -179,13 +181,12 @@ def check_arrivals(arrivals: Sequence[float], ascending: bool = False) -> None:
     ``ascending`` additionally requires the order a store bisects.
     """
     column = np.asarray(arrivals, dtype=np.float64)
-    finite = np.isfinite(column)
-    if not finite.all():
-        index = int(np.argmin(finite))
-        raise ValueError(
-            f"request {index} has a non-finite arrival_time "
-            f"({float(column[index])!r})"
-        )
+    valid = np.isfinite(column) & (column >= 0)
+    if not valid.all():
+        index = int(np.argmin(valid))
+        value = float(column[index])
+        kind = "negative" if np.isfinite(value) else "non-finite"
+        raise ValueError(f"request {index} has a {kind} arrival_time ({value!r})")
     if ascending and len(column) > 1:
         backwards = column[1:] < column[:-1]
         if backwards.any():
@@ -513,6 +514,15 @@ class RequestStore:
         return None
 
     # -- view materialization -------------------------------------------
+    def value(self, name: str, i: int):
+        """Row ``i`` of column ``name`` as a ``Request`` spells it: the
+        field's default where the column is implicit, ``None`` for no deadline."""
+        column = getattr(self, name)
+        if column is None:
+            return _IMPLICIT[name][1]
+        value = column[i].item()
+        return None if value != value else value
+
     def request(self, i: int):
         """The :class:`~repro.serving.engine.Request` of row ``i``.
 
@@ -524,24 +534,15 @@ class RequestStore:
             return self._objects[i]
         from repro.serving.engine import Request
 
-        deadline = None
-        if self.deadlines is not None:
-            value = self.deadlines[i]
-            if not np.isnan(value):
-                deadline = float(value)
         return Request(
             arrival_time=float(self.arrivals[i]),
             model=self.model_name(i),
-            request_id=i if self.request_ids is None else int(self.request_ids[i]),
+            request_id=i if self.request_ids is None else self.value("request_ids", i),
             payload=self.payload(i),
-            priority=int(self.priorities[i]) if self.priorities is not None else 0,
-            deadline=deadline,
-            prefill_tokens=(
-                int(self.prefill_tokens[i]) if self.prefill_tokens is not None else 0
-            ),
-            max_new_tokens=(
-                int(self.max_new_tokens[i]) if self.max_new_tokens is not None else 0
-            ),
+            priority=self.value("priorities", i),
+            deadline=self.value("deadlines", i),
+            prefill_tokens=self.value("prefill_tokens", i),
+            max_new_tokens=self.value("max_new_tokens", i),
         )
 
 

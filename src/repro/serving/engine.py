@@ -55,8 +55,9 @@ However requests are handed in — a trace, a list of :class:`Request`
 objects, a :class:`~repro.serving.core.LazyRequests` view, streaming
 ``submit()`` — a session holds them as one columnar
 :class:`~repro.serving.core.RequestStore`; scheduler keys, deadline counts,
-model names, payloads and :class:`Response` fields are all read from its
-columns, a batch at a time.
+model names and payloads are all read from its columns, a batch at a time.
+Outcomes are kept as records + columns too: :class:`Response`\\ s are views,
+like :class:`Request`\\ s — :class:`ResponseView` builds one when it is read.
 
 The discrete-event loop reproduces the seed simulator's semantics exactly
 for single-server FIFO runs (same admission, batch-cap and float
@@ -149,7 +150,8 @@ class Request:
     arrival time.  ``request_id`` defaults to the admission index.
     ``priority`` (higher serves first) and ``deadline`` (absolute time by
     which the response should finish) are read by the non-FIFO schedulers;
-    FIFO ignores both.
+    FIFO ignores both.  A deadline before the arrival is legal (a relative
+    SLO of 0 makes one): one miss in ``deadline_attainment()`` and telemetry.
 
     The *generation profile* — ``prefill_tokens`` (prompt length) and
     ``max_new_tokens`` (the stop condition: how many tokens to generate,
@@ -175,6 +177,9 @@ class Request:
 class Response:
     """Outcome of one request: timing, the batch it rode in, and its output.
 
+    A view, like a :class:`Request`: outcomes are kept as records + columns
+    and :class:`ResponseView` builds a ``Response`` when one is read.  Dropped:
+    ``start_time`` = the drop time, ``finish_time``/``ratio`` nan, ``batch_size`` 0.
     ``migrations`` counts how many times the request was preempted off a
     failing/deactivated server and requeued before this outcome (0 on the
     default, fault-free paths); see :mod:`repro.serving.resilience`.
@@ -305,6 +310,61 @@ class _Endpoint:
         return self.executors[0]
 
 
+class ResponseView(Sequence[Response]):
+    """Read-only ``Sequence[Response]`` over a finished session: its batch
+    records, which of them finally served each slot and where in it
+    (``batch``, ``position``; -1: dropped, at ``drop_times[slot]``), each
+    batch's outputs, the store's columns (never ``status``: a store
+    may be served again) and the final migration counts.  ``view[slot]``
+    constructs that request's :class:`Response`; nothing else does.
+    """
+
+    def __init__(self, session: "_Session", modes: Dict[str, str]) -> None:
+        # What a response is read from — not the session's queues and buffers.
+        self.store, self.modes, self.records = session.store, modes, session.records
+        self.outputs, self.migrations = session.record_outputs, session.migrations
+        slots = session.record_slots
+        self.batch = np.full(len(self.store), -1, dtype=np.intp)
+        self.position = np.zeros(len(self.store), dtype=np.intp)
+        if self.records:
+            served = np.concatenate(slots)
+            sizes = np.fromiter(map(len, slots), np.intp, len(slots))
+            self.batch[served] = np.repeat(np.arange(len(sizes)), sizes)
+            self.position[served] = np.arange(len(served)) - np.repeat(
+                np.cumsum(sizes) - sizes, sizes
+            )
+        self.drop_times = np.full(len(self.store), np.nan)
+        for cohort, time in session.drops:
+            self.drop_times[cohort] = time
+
+    def __len__(self) -> int:
+        return len(self.batch)
+
+    def __getitem__(self, index):
+        slot = range(len(self))[index]  # negative, out of range, a slice
+        if isinstance(slot, range):
+            return [self[i] for i in slot]
+        store, served_by = self.store, self.batch[slot]
+        request_id, model = store.value("request_ids", slot), store.model_name(slot)
+        dropped, output = bool(served_by < 0), None
+        if dropped:  # a batch of nobody at the drop time: no finish, no executed ratio
+            nan = float("nan")
+            record = BatchRecord(
+                model, float(self.drop_times[slot]), nan, 0, nan, self.modes[model]
+            )
+        else:
+            record, output = self.records[served_by], self.outputs[served_by]
+            if output is not None:  # the batch's outputs: this rider's
+                output = output[self.position[slot]]
+        return Response(  # positionally, in field order
+            # A request that named no id is known by its admission slot.
+            slot if request_id < 0 else request_id, model, float(store.arrivals[slot]),
+            record.start, record.finish, record.size, record.ratio, record.mode,
+            dropped, output, store.value("priorities", slot),
+            store.value("deadlines", slot), record.server, self.migrations.get(slot, 0),
+        )
+
+
 @dataclass
 class EngineResult:
     """Outcome of one engine run.
@@ -313,10 +373,13 @@ class EngineResult:
     order (dropped requests excluded); ``request_latencies`` keeps one slot
     per admitted request with ``nan`` marking drops, aligned with
     ``request_models`` for per-model breakdowns (``None`` when every request
-    targets the one model that ran every batch).  ``server_busy_times`` has
-    one accumulated busy time per server (their sum is ``busy_time``).
-    ``migrated`` counts successful request moves (preemption + requeue; see
-    :mod:`repro.serving.resilience`) — zero on the default fault-free paths.
+    targets the one model that ran every batch).  ``responses`` reads the
+    same outcome request by request (a :class:`ResponseView`, indexed by
+    admission slot), or is ``None`` when the session did not record responses.
+    ``server_busy_times`` has one accumulated busy time per server (their
+    sum is ``busy_time``).  ``migrated`` counts successful request moves
+    (preemption + requeue; see :mod:`repro.serving.resilience`) — zero on
+    the default fault-free paths.
     """
 
     latencies: np.ndarray
@@ -326,7 +389,7 @@ class EngineResult:
     dropped: int
     duration: float
     busy_time: float
-    responses: Optional[List[Response]] = None
+    responses: Optional[ResponseView] = None
     num_servers: int = 1
     server_busy_times: Optional[List[float]] = None
     migrated: int = 0
@@ -412,16 +475,14 @@ class EngineResult:
         when no response carries a deadline (or responses were not
         recorded).
         """
-        if not self.responses:
+        view = self.responses
+        if view is None or view.store.deadlines is None:
             return float("nan")
-        recorded = [r for r in self.responses if r is not None]
-        if not recorded:
-            return float("nan")
-        # Dropped responses carry finish_time=nan, which slo_attainment
-        # counts as a miss whenever a deadline is present.
-        return slo_attainment(
-            [r.finish_time for r in recorded], [r.deadline for r in recorded]
-        )
+        # One count over the columns: each slot's batch's finish, where batch
+        # -1 (dropped) reads the nan behind the last record — a miss.
+        finishes = np.array([record.finish for record in view.records] + [np.nan])
+        # This run's rows: a store adopted again may since have been appended to.
+        return slo_attainment(finishes[view.batch], view.store.deadlines[: len(view)])
 
     def totals(self) -> Dict[str, Any]:
         """The run's counts and rates in plain types: the one mapping
@@ -546,13 +607,14 @@ class _Session:
         self.store = store
         self.duration = duration
         self.latencies = np.zeros(num_requests, dtype=np.float64)
-        self.responses: Optional[List[Optional[Response]]] = (
-            [None] * num_requests if record_responses else None
-        )
+        self.record_responses = record_responses
         self.records: List[BatchRecord] = []
-        # One slot array per record (views, no copies): what preemption
-        # needs to rewind a batch exactly (see preempt_server).
+        # One slot array per record: what preemption needs to rewind a batch
+        # exactly (see preempt_server).  Beside it, for ResponseView: the
+        # batch's outputs and each drop cohort's (slots, time).
         self.record_slots: List[np.ndarray] = []
+        self.record_outputs: List[Optional[Sequence[Any]]] = []
+        self.drops: List[Tuple[np.ndarray, float]] = []
         # Per-slot move counts and the run total (resilience accounting).
         self.migrations: Dict[int, int] = {}
         self.migrated = 0
@@ -715,10 +777,10 @@ class ServingEngine:
         (optional when only one is registered).  ``duration`` sets the
         result's time span for throughput; it defaults to the trace
         duration, or to the makespan (time until the last batch finishes)
-        for explicit request lists.  ``record_responses`` materializes
-        per-request :class:`Response` objects; it defaults to on for
-        explicit requests and off for traces (where only the latency arrays
-        are needed).
+        for explicit request lists.  ``record_responses`` makes the result
+        readable request by request (``result.responses``, a view, and
+        ``deadline_attainment()``) and builds no object per request; it is on
+        by default for explicit requests, off for traces (latency arrays only).
         """
         if (trace is None) == (requests is None):
             raise ValueError("provide exactly one of trace or requests")
@@ -749,7 +811,8 @@ class ServingEngine:
         while :meth:`step`\\ ping.  Ratio policies observe the requests known
         at start time via ``on_run_start`` (endpoints with no admitted
         requests are skipped, as in the seed); later submissions are served
-        but not re-shown to the policies.
+        but not re-shown to the policies.  ``record_responses`` is as for
+        :meth:`run`; such a session stays on the object loops.
         """
         if self._session is not None:
             raise RuntimeError("a serving session is already open; finish() it first")
@@ -860,8 +923,6 @@ class ServingEngine:
             session.buffers, "latencies", session.latencies, len(new)
         )
         session.latencies[first_slot:] = 0.0
-        if session.responses is not None:
-            session.responses.extend([None] * len(new))
         new_slots = np.arange(first_slot, first_slot + len(new), dtype=np.intp)
         self._merge_pending(session, session.store.arrivals[first_slot:], new_slots)
 
@@ -978,10 +1039,10 @@ class ServingEngine:
         shrinks to its largest residual demand — resumed work is not redone,
         though one fresh rider still costs the full batch.
 
-        Every rewound batch is removed from the run's records, its requests'
-        latencies/responses un-written and its telemetry contribution
-        reversed (busy time up to the kill point stays billed: wasted work
-        is still work).  The affected requests are then handed to ``policy``
+        Every rewound batch is removed from the run's records (so from what
+        responses read), its requests' latencies un-written and its telemetry
+        contribution reversed (busy time up to the kill point stays billed:
+        wasted work is still work).  Its requests are then handed to ``policy``
         (a :class:`~repro.serving.resilience.MigrationPolicy`): requests it
         requeues re-enter the pending queue — ordered and gated by the
         policy's ready key, clamped to ``time`` so migration never serves
@@ -1005,7 +1066,8 @@ class ServingEngine:
         victims: List[Tuple[BatchRecord, np.ndarray]] = []
         kept_records: List[BatchRecord] = []
         kept_slots: List[np.ndarray] = []
-        for record, slots in zip(s.records, s.record_slots):
+        kept_outputs: List[Optional[Sequence[Any]]] = []
+        for record, slots, outputs in zip(s.records, s.record_slots, s.record_outputs):
             if (
                 record.server == server
                 and record.finish > time
@@ -1015,10 +1077,12 @@ class ServingEngine:
             else:
                 kept_records.append(record)
                 kept_slots.append(slots)
+                kept_outputs.append(outputs)
         if not victims:
             return Preemption(batches=0, migrated=0, dropped=0)
         s.records = kept_records
         s.record_slots = kept_slots
+        s.record_outputs = kept_outputs
 
         migrant_slots: List[int] = []
         for record, slots in victims:
@@ -1064,9 +1128,6 @@ class ServingEngine:
                 self.tracer.on_preempt(record, slots, time)
             s.latencies[slots] = 0.0
             s.store.status[slots] = PENDING
-            if s.responses is not None:
-                for slot in slots.tolist():
-                    s.responses[slot] = None
             migrant_slots.extend(slots.tolist())
         # The server's clock rewinds to the preemption point (or the finish
         # of a still-running batch it was allowed to drain).
@@ -1245,7 +1306,7 @@ class ServingEngine:
             return False
         if s.pos != 0 or s.records or s.queue or s.dropped or s.migrated:
             return False
-        if s.responses is not None or s.checkpoints or s.transfer_costs:
+        if s.record_responses or s.checkpoints or s.transfer_costs:
             return False
         if len(s.pend_arrivals) == 0 or not s.active:
             return False
@@ -1647,7 +1708,8 @@ class ServingEngine:
         # superseded pending array (streaming submit, migration requeue) is
         # not pinned alive for the whole session by its batch views.
         s.record_slots.append(slots.copy() if slots.base is not None else slots)
-        deadlines = self._slot_deadlines(s, slots)  # read once for all three
+        s.record_outputs.append(execution.outputs if s.record_responses else None)
+        deadlines = self._slot_deadlines(s, slots)  # read once for both
         if self.telemetry is not None:
             deadline_total, deadline_met = self._deadline_counts(deadlines, finish)
             self.telemetry.record_batch(
@@ -1664,11 +1726,6 @@ class ServingEngine:
                 arrivals,
                 deadlines=deadlines if self.tracer.wants_deadlines else None,
             )
-        if s.responses is not None:
-            self._respond(
-                s, slots, arrivals, deadlines, start, finish, batch_size, ratio,
-                server=server, outputs=execution.outputs,
-            )
         s.busy[server] += service_time
         s.free_at[server] = finish
         return record
@@ -1682,21 +1739,18 @@ class ServingEngine:
             for slot in slots:
                 s.checkpoints.pop(int(slot), None)
                 s.transfer_costs.pop(int(slot), None)
-        deadlines = self._slot_deadlines(s, slots)
         if self.telemetry is not None:
+            deadlines = self._slot_deadlines(s, slots)
             misses = (
                 0 if deadlines is None
                 else int(np.count_nonzero(~np.isnan(deadlines)))
             )
             self.telemetry.record_drops(start, len(slots), deadline_misses=misses)
-        arrivals = s.store.arrivals[slots]
         if self.tracer is not None:
-            self.tracer.on_drop(slots, arrivals, start)
-        if s.responses is not None:
-            self._respond(
-                s, slots, arrivals, deadlines, start, float("nan"), 0, float("nan"),
-                dropped=True,
-            )
+            self.tracer.on_drop(slots, s.store.arrivals[slots], start)
+        if s.record_responses:
+            # A copy, as for record_slots: FIFO-path slots view pend_slots.
+            s.drops.append((slots.copy() if slots.base is not None else slots, start))
 
     # ------------------------------------------------------------------
     # Finalization
@@ -1710,6 +1764,7 @@ class ServingEngine:
             last_arrival = float(arrivals[-1]) if len(arrivals) else 0.0
             duration = max(max(s.free_at), last_arrival)
         valid = s.latencies[~np.isnan(s.latencies)]
+        modes = {name: endpoint.mode for name, endpoint in self._endpoints.items()}
         return EngineResult(
             latencies=valid,
             request_latencies=s.latencies,
@@ -1720,73 +1775,8 @@ class ServingEngine:
             dropped=s.dropped,
             duration=duration,
             busy_time=float(sum(s.busy)),
-            responses=s.responses,
+            responses=ResponseView(s, modes) if s.record_responses else None,
             num_servers=self.num_servers,
             server_busy_times=list(s.busy),
             migrated=s.migrated,
         )
-
-    def _respond(
-        self,
-        s: _Session,
-        slots: np.ndarray,
-        arrivals: np.ndarray,
-        deadlines: Optional[np.ndarray],
-        start: float,
-        finish: float,
-        batch_size: int,
-        ratio: float,
-        server: int = 0,
-        dropped: bool = False,
-        outputs: Optional[Sequence[Any]] = None,
-    ) -> None:
-        """Record one :class:`Response` per slot.
-
-        ``arrivals`` and ``deadlines`` are the slots' column values, which
-        the caller already holds; each other column the store has is read
-        once for the whole batch, and an implicit one costs nothing (its
-        default is the loop's initial value).  ``Response`` is built
-        positionally, in field order.
-        """
-        store = s.store
-        rows = slots.tolist()
-        arrival_times = arrivals.tolist()
-        request_ids = None
-        if store.request_ids is not None:
-            request_ids = store.request_ids[slots].tolist()
-        names = store.model_names
-        models = None
-        if store.model_ids is not None:
-            models = [names[model_id] for model_id in store.model_ids[slots].tolist()]
-        priorities = None
-        if store.priorities is not None:
-            priorities = store.priorities[slots].tolist()
-        if deadlines is not None:
-            deadlines = deadlines.tolist()
-        migrations = s.migrations
-        responses = s.responses
-        model = names[0]
-        mode = self._endpoints[model].mode
-        priority, deadline, output, moved = 0, None, None, 0
-        for i, slot in enumerate(rows):
-            # A request that named no id is known by its admission slot.
-            request_id = slot
-            if request_ids is not None and request_ids[i] >= 0:
-                request_id = request_ids[i]
-            if models is not None:
-                model = models[i]
-                mode = self._endpoints[model].mode
-            if priorities is not None:
-                priority = priorities[i]
-            if deadlines is not None:
-                deadline = deadlines[i]
-                if deadline != deadline:  # nan: the column's "no deadline"
-                    deadline = None
-            if outputs is not None:
-                output = outputs[i]
-            if migrations:
-                moved = migrations.get(slot, 0)
-            responses[slot] = Response(
-                request_id, model, arrival_times[i], start, finish, batch_size,
-                ratio, mode, dropped, output, priority, deadline, server, moved,
-            )

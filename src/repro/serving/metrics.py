@@ -171,10 +171,7 @@ def slo_attainment(
     carries a deadline.
     """
     finishes = np.asarray(finish_times, dtype=np.float64)
-    dl = np.asarray(
-        [float("nan") if d is None else float(d) for d in deadlines],
-        dtype=np.float64,
-    )
+    dl = np.asarray(deadlines, dtype=np.float64)  # None reads as nan
     if finishes.shape != dl.shape:
         raise ValueError("finish_times and deadlines must have the same length")
     has_deadline = ~np.isnan(dl)

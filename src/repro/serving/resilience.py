@@ -188,9 +188,10 @@ class FaultSchedule:
     boundaries: exact duplicate events, two same-instant events against the
     same server (their application order would be arbitrary), and — on fully
     server-scoped schedules — a ``recover`` for a server that never crashed
-    or slowed down (a typo'd server id, not a scenario).  Domain-scoped
-    events defer the recover check to :meth:`expand`, where the per-server
-    script is known.
+    or slowed down, or a second ``crash`` against a server still down from
+    its first (a typo'd server id, not a scenario).  Domain-scoped events
+    defer both checks to :meth:`expand`, where the per-server script is
+    known (there a domain outage may sweep up a server already down).
     """
 
     def __init__(self, events: Iterable[FaultEvent]) -> None:
@@ -202,7 +203,8 @@ class FaultSchedule:
     def _validate(self) -> None:
         seen = set()
         instants = set()
-        state: dict = {}
+        crashed: dict = {}  # server -> since when it has been down
+        slowed = set()
         domain_scoped = False
         for event in self.events:
             key = (
@@ -226,20 +228,27 @@ class FaultSchedule:
             if domain_scoped:
                 continue  # per-server sequencing is checked post-expansion
             if event.kind == "crash":
-                state[event.server] = "failed"
+                # A domain outage may sweep up a server that is already
+                # down; a second crash aimed at one is a typo'd id or time.
+                if event.server in crashed and not event.domain:
+                    raise ValueError(
+                        f"crash for server {event.server} at "
+                        f"t={event.time:g}, but it has been down since its "
+                        f"crash at t={crashed[event.server]:g} with no "
+                        "recover in between"
+                    )
+                crashed.setdefault(event.server, event.time)
             elif event.kind == "slowdown":
-                # A slowdown never resurrects a crashed server (the control
-                # plane ignores it until recovery), so "failed" sticks.
-                if state.get(event.server) != "failed":
-                    state[event.server] = "degraded"
-            else:  # recover
-                if state.get(event.server) not in ("failed", "degraded"):
+                slowed.add(event.server)  # a crashed server stays crashed
+            else:  # recover: from a crash, a slowdown or both
+                if event.server not in crashed and event.server not in slowed:
                     raise ValueError(
                         f"recover for server {event.server} at "
                         f"t={event.time:g}, but no earlier crash/slowdown "
                         "left it unhealthy (typo'd server id?)"
                     )
-                state[event.server] = "healthy"
+                crashed.pop(event.server, None)
+                slowed.discard(event.server)
 
     def __len__(self) -> int:
         return len(self.events)

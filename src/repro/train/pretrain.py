@@ -16,11 +16,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.data.synthetic import SyntheticImageDataset, build_dataset
-from repro.data.text import SyntheticTextCorpus, build_text_corpus
+from repro.data.text import build_text_corpus
 from repro.nn.module import Module
 from repro.nn.rebalance import rebalance_channel_scales
 from repro.nn.registry import ModelSpec, get_spec
-from repro.train.loop import TrainingConfig, evaluate_accuracy, train_classifier, train_language_model
+from repro.train.loop import TrainingConfig, train_classifier, train_language_model
 
 # Log-normal sigma of the function-preserving channel-scale rebalancing that
 # is applied to every pre-trained checkpoint (see repro.nn.rebalance).  It
@@ -117,15 +117,3 @@ def get_dataset_for(name: str) -> SyntheticImageDataset:
     if spec.family == "llm":
         raise ValueError("tiny_lm uses the text corpus, not an image dataset")
     return build_dataset(spec.dataset)
-
-
-def get_corpus() -> SyntheticTextCorpus:
-    """Return the text corpus used by the LLM case study."""
-    return build_text_corpus()
-
-
-def pretrained_accuracy(name: str, epochs: Optional[int] = None) -> float:
-    """Convenience: test accuracy (%) of the cached pre-trained model."""
-    model = get_pretrained(name, epochs=epochs)
-    dataset = get_dataset_for(name)
-    return evaluate_accuracy(model, dataset)

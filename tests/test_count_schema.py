@@ -310,6 +310,22 @@ class TestCountsAgreeAcrossRepresentations:
         submitted = len(case["arrivals"])
         assert report["served"] + report["dropped"] == submitted
 
+        # ... == the per-request reading of the same records and columns,
+        responses = list(result.responses)
+        assert len(responses) == submitted
+        assert sum(not r.dropped for r in responses) == report["served"]
+        for response, latency in zip(responses, result.request_latencies):
+            assert response.dropped == bool(np.isnan(latency))
+            assert response.dropped or response.latency == latency
+        carrying = [r for r in responses if r.deadline is not None]
+        attainment = result.deadline_attainment()
+        if carrying:
+            assert attainment == sum(
+                1 for r in carrying if r.deadline_met
+            ) / len(carrying)
+        else:
+            assert np.isnan(attainment) and report["deadline_attainment"] is None
+
         # ... == the sum of all telemetry cells,
         windows = bus.cluster_series()
         assert sum(w.served for w in windows) == report["served"]
@@ -317,11 +333,9 @@ class TestCountsAgreeAcrossRepresentations:
         assert sum(w.batches for w in windows) == report["batches"]
         assert sum(w.latencies.size for w in windows) == report["served"]
         assert sum(w.deadline_met for w in windows) == sum(
-            1 for r in result.responses if r.deadline_met
+            1 for r in carrying if r.deadline_met
         )
-        assert sum(w.deadline_total for w in windows) == sum(
-            1 for r in result.responses if r.deadline is not None
-        )
+        assert sum(w.deadline_total for w in windows) == len(carrying)
         per_server_batches = [0] * case["num_servers"]
         for record in result.batch_records:
             per_server_batches[record.server] += 1
@@ -405,6 +419,27 @@ def _fifo_engine(columnar):
         "m", ModeledExecutor(ServiceTimeModel()), policy=FixedRatioPolicy(0.5)
     )
     return engine
+
+
+class TestRecordingResponsesChangesNoOutcome:
+    def test_a_sweepable_session_serves_the_same_batches_when_it_records(self):
+        """FIFO, modeled, fixed ratio, untouched: everything the sweep needs.
+        ``record_responses`` adds the view and moves no batch.  Which loop
+        serves the recording session is not asserted: today it is the object
+        loop, held only by bench/'s ``overhead_ratio`` denominators, and the
+        clause goes when ROADMAP 5(a) redefines them."""
+        trace = PoissonTrace(9000, duration=0.3, seed=5).generate()
+        swept = _fifo_engine(True).run(trace, model="m")
+        recorded = _fifo_engine(True).run(trace, model="m", record_responses=True)
+        assert isinstance(swept.batch_records, BatchLedger) and swept.dropped > 0
+        assert swept.responses is None and np.isnan(swept.deadline_attainment())
+        assert list(swept.batch_records) == list(recorded.batch_records)
+        assert swept.to_json()["served"] == recorded.to_json()["served"]
+        responses = recorded.responses
+        assert len(responses) == len(trace)
+        assert sum(r.dropped for r in responses) == swept.dropped
+        latencies = [r.latency for r in responses if not r.dropped]
+        assert latencies == swept.latencies.tolist()
 
 
 class TestRegistryReadsColumns:

@@ -172,6 +172,22 @@ class TestDomainFaultEvents:
         with pytest.raises(ValueError, match="recover"):
             schedule.expand(topology)
 
+    def test_an_outage_may_sweep_up_a_server_already_down(self):
+        """A second *server-scoped* crash of a down server is a typo and is
+        refused; a zone outage that finds one of its members already down is
+        a scenario, and its expansion stays valid."""
+        topology = ClusterTopology(zone_by_server=("A", "A"), rack_by_server=("", ""))
+        schedule = FaultSchedule(
+            [
+                FaultEvent(time=1.0, server=0, kind="crash"),
+                FaultEvent(time=2.0, kind="zone_outage", zone="A"),
+            ]
+        )
+        expanded = schedule.expand(topology)
+        assert [(e.time, e.server, e.kind) for e in expanded] == [
+            (1.0, 0, "crash"), (2.0, 0, "crash"), (2.0, 1, "crash"),
+        ]
+
     def test_rack_slowdown_classmethod(self):
         schedule = FaultSchedule.rack_slowdown("r1", at=1.0, factor=4.0, recover_at=2.0)
         assert [e.kind for e in schedule] == ["rack_slowdown", "rack_recover"]
@@ -212,7 +228,8 @@ class TestScheduleValidation:
     def test_unsorted_input_is_sorted_deterministically(self):
         schedule = FaultSchedule(
             [
-                FaultEvent(time=2.0, server=1, kind="crash"),
+                # (not a second crash: server 1 is still down from its first)
+                FaultEvent(time=2.0, server=1, kind="slowdown", factor=2.0),
                 FaultEvent(time=1.0, server=1, kind="crash"),
                 FaultEvent(time=1.0, server=0, kind="crash"),
                 FaultEvent(time=3.0, server=0, kind="recover"),

@@ -1291,6 +1291,42 @@ class TestHostileInput:
         result = engine.finish()
         assert (result.latencies.size, result.dropped) == (2, 0)
 
+    def test_negative_arrival_is_refused_everywhere(self, service_model):
+        # Used to be served "at 0.0": Request(-1.0) got start 0.0 and a
+        # latency of 1.004 s, a second of which never happened.
+        engine = self._engine(service_model)
+        with pytest.raises(
+            ValueError, match=r"request 1 has a negative arrival_time \(-1\.0\)"
+        ):
+            engine.run(requests=[Request(0.2, model="m"), Request(-1.0, model="m")])
+        with pytest.raises(ValueError, match="request 0 has a negative arrival_time"):
+            engine.run(RequestTrace(np.asarray([-0.5, 0.2]), 1.0))
+        engine.start()
+        with pytest.raises(ValueError, match="negative arrival_time"):
+            engine.submit([Request(-0.0001, model="m")])
+        engine.submit([Request(0.0, model="m"), Request(-0.0, model="m")])
+        assert engine.finish().latencies.size == 2
+
+    def test_a_deadline_earlier_than_its_arrival_is_legal_and_is_one_miss(
+        self, service_model
+    ):
+        from repro.serving.telemetry import TelemetryBus
+
+        bus = TelemetryBus(window=1.0, num_servers=1)
+        engine = ServingEngine(BatchingConfig(max_batch=4), telemetry=bus)
+        engine.register("m", ModeledExecutor(service_model), mode="int8")
+        requests = [
+            Request(0.5, model="m", deadline=0.4),   # born missed
+            Request(0.5, model="m", deadline=0.5),   # a relative SLO of 0
+            Request(0.5, model="m", deadline=9.0),
+        ]
+        result = engine.run(requests=requests)
+        assert result.dropped == 0
+        assert [r.deadline_met for r in result.responses] == [False, False, True]
+        assert result.deadline_attainment() == 1 / 3
+        window = bus.cluster_window(0)
+        assert (window.deadline_total, window.deadline_met) == (3, 1)
+
     def test_unsorted_store_is_refused(self):
         from repro.serving.core import RequestStore
 

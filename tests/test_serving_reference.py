@@ -4,7 +4,8 @@ Generated configurations — K servers x 1-2 models x discipline x
 ``drop_after`` on/off — served three ways: by the plain-Python reference, by
 ``ServingEngine.run(requests=...)``, and by the streamed ``submit``/``step``
 drive.  All three must agree exactly on every request's latency, every drop
-and its time, and every batch's server, start, size and riders.
+and its time, every batch's server, start, size and riders, and — request by
+request — all 14 fields of ``result.responses[number]``.
 """
 
 import numpy as np
@@ -82,27 +83,51 @@ def _request(number: int, spec: SpecRequest) -> Request:
     )
 
 
-def _assert_meets_spec(result, spec, count):
-    """``result`` (slots are request numbers) is exactly ``spec``."""
+def _assert_meets_spec(result, spec, ordered):
+    """``result`` (slots are request numbers) is exactly ``spec``, the
+    outcome of the spec requests ``ordered`` (by number)."""
+    count = len(ordered)
     assert len(result.request_latencies) == count
     for number, want in enumerate(spec.latencies):
         got = result.request_latencies[number]
         assert (np.isnan(got) and want is None) or got == want, number
     assert result.dropped == len(spec.drops)
-    for number, time in spec.drops:
-        response = result.responses[number]
-        assert response.dropped and response.start_time == time, number
     assert len(result.batch_records) == len(spec.batches)
     for record, batch in zip(result.batch_records, spec.batches):
         assert (record.server, record.start, record.finish, record.size) == (
             batch.server, batch.start, batch.finish, len(batch.riders)
         )
         assert (record.model, record.queue_depth) == (batch.model, batch.queue_depth)
-        for number in batch.riders:
-            response = result.responses[number]
-            assert (response.request_id, response.server, response.start_time) == (
-                number, batch.server, batch.start
-            )
+
+    # Request by request, every field of its Response.
+    assert len(result.responses) == count
+    drop_times = dict(spec.drops)
+    served_by = {number: batch for batch in spec.batches for number in batch.riders}
+    assert len(drop_times) + len(served_by) == count
+    for number, request in enumerate(ordered):
+        response = result.responses[number]
+        # What the request brought with it, and what no run here changes.
+        assert (
+            response.request_id, response.model, response.arrival_time,
+            response.priority, response.deadline, response.mode, response.output,
+            response.migrations,
+        ) == (
+            number, request.model, request.arrival, request.priority,
+            request.deadline, "flexiq", None, 0,
+        ), number
+        if number in drop_times:
+            assert response.dropped and response.start_time == drop_times[number]
+            assert np.isnan(response.finish_time) and np.isnan(response.ratio)
+            assert (response.batch_size, response.server) == (0, 0), number
+            continue
+        batch = served_by[number]
+        assert (
+            response.dropped, response.start_time, response.finish_time,
+            response.batch_size, response.ratio, response.server,
+        ) == (
+            False, batch.start, batch.finish, len(batch.riders),
+            RATIOS[batch.model], batch.server,
+        ), number
 
 
 class TestEngineMeetsItsSpecification:
@@ -121,7 +146,7 @@ class TestEngineMeetsItsSpecification:
         as_given = [None] * count
         for number, index in enumerate(by_arrival):
             as_given[index] = _request(number, ordered[number])
-        _assert_meets_spec(_engine(case).run(requests=as_given), spec, count)
+        _assert_meets_spec(_engine(case).run(requests=as_given), spec, ordered)
 
         # Streamed, causally: before each batch, submit whoever arrives by
         # its start — all the batch can depend on — then step exactly once.
@@ -140,4 +165,4 @@ class TestEngineMeetsItsSpecification:
             assert record is not None and record.start == batch.start
         if submitted < count:  # whoever is left is dropped, never served
             engine.submit(requests[submitted:])
-        _assert_meets_spec(engine.finish(), spec, count)
+        _assert_meets_spec(engine.finish(), spec, ordered)

@@ -124,6 +124,22 @@ class TestFaultPlane:
         with pytest.raises(ValueError):
             FaultSchedule.single_crash(0, at=2.0, recover_at=1.0)
 
+    def test_schedule_rejects_a_second_crash_of_a_server_still_down(self):
+        crash = lambda time: FaultEvent(time=time, server=2, kind="crash")
+        # Used to be accepted: the schedule's own state machine already held
+        # server 2 as "failed", and the second crash silently did nothing.
+        with pytest.raises(
+            ValueError, match=r"server 2 at t=3, .* crash at t=1 with no recover"
+        ):
+            FaultSchedule([crash(1.0), crash(3.0)])
+        # A slowdown in between does not resurrect it; a recover does.
+        with pytest.raises(ValueError, match="server 2 at t=3"):
+            FaultSchedule(
+                [crash(1.0), FaultEvent(2.0, 2, "slowdown", factor=2.0), crash(3.0)]
+            )
+        again = FaultSchedule([crash(1.0), FaultEvent(2.0, 2, "recover"), crash(3.0)])
+        assert [event.kind for event in again] == ["crash", "recover", "crash"]
+
     def test_schedule_rejects_unknown_server(self, service_model):
         spec = gpu_server("g", "vit_base", gpu="a6000")
         with pytest.raises(ValueError):
