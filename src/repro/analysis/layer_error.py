@@ -8,14 +8,13 @@ the distance between the resulting outputs and the 8-bit outputs is reported.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.analysis.capture import capture_layer_io, release_capture
 from repro.core.runtime import FlexiQConv2d, FlexiQLinear, FlexiQModel
 from repro.nn.module import Module
-from repro.quant.qmodel import iter_quantized_layers
 from repro.quant.quantizers import compute_qparams
 from repro.quant.observers import TensorRange
 from repro.tensor import Tensor, no_grad

@@ -14,10 +14,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.bit_extraction import (
-    BitExtractionPlan,
     extraction_shift,
     lower_bits,
-    lowering_error,
     raise_bits,
     unused_bits,
 )

@@ -19,7 +19,7 @@ from repro.core.finetune import set_qat_bits
 from repro.data.synthetic import SyntheticImageDataset
 from repro.nn.module import Module
 from repro.quant.qmodel import quantize_model
-from repro.tensor import Tensor, functional as F, no_grad
+from repro.tensor import Tensor, functional as F
 from repro.train.optim import SGD
 
 

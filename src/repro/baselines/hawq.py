@@ -15,7 +15,7 @@ average bitwidth -- which is what the Table 5 comparison exercises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 

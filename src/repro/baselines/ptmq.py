@@ -14,16 +14,15 @@ reproduction keeps the same two defining properties:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.data.synthetic import SyntheticImageDataset
 from repro.nn.module import Module
 from repro.quant.observers import TensorRange
-from repro.quant.qmodel import calibrate_model, iter_quantized_layers, quantize_model
+from repro.quant.qmodel import iter_quantized_layers, quantize_model
 from repro.quant.quantizers import QuantParams, compute_qparams
-from repro.tensor import Tensor
 from repro.train.loop import evaluate_accuracy
 
 

@@ -12,7 +12,7 @@ to quantization perturbations of different magnitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Sequence
 
 import numpy as np
 

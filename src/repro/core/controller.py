@@ -11,7 +11,7 @@ when a more accurate configuration would still meet the threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 

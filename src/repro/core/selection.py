@@ -21,7 +21,7 @@ pipeline uses the L2 distance to the 8-bit model's soft labels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -9,7 +9,7 @@ baseline) while remaining fully offline and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 

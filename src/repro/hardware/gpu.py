@@ -24,7 +24,7 @@ the orderings and ratios across precisions, ratios, batch sizes and devices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.hardware.devices import GpuSpec, get_gpu
 from repro.hardware.workloads import LayerOp

@@ -14,12 +14,11 @@ accumulation into the 8-bit partial sums.  It is used to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bit_extraction import lower_bits
+from repro.core.bit_extraction import dynamic_extraction_shift, lower_bits
 from repro.quant.quantizers import int_range
 
 
@@ -125,8 +124,11 @@ class MixedPrecisionGemm:
                 a_shift = int(act_shift[start:stop].max())
                 w_shift = int(weight_shift[start:stop].max())
                 if dynamic_extraction:
-                    observed = int(np.abs(x_slice).max()) if x_slice.size else 0
-                    a_shift = _shift_for(observed, self.high_bits, self.low_bits)
+                    a_shift = int(
+                        dynamic_extraction_shift(
+                            x_slice, self.high_bits, self.low_bits
+                        )
+                    )
                     self.stats.dynamic_or_reductions += x_slice.size
                 x_low = lower_bits(x_slice, a_shift, self.low_bits).astype(np.int64)
                 w_low = lower_bits(w_slice, w_shift, self.low_bits).astype(np.int64)
@@ -138,15 +140,6 @@ class MixedPrecisionGemm:
                 acc += x_slice @ w_slice.T
                 self.stats.mma_int8 += rows * n_out * (stop - start)
         return acc
-
-
-def _shift_for(max_abs: int, high_bits: int, low_bits: int) -> int:
-    """Extraction shift for a single observed maximum magnitude."""
-    naive = high_bits - low_bits
-    if max_abs <= 0:
-        return 0
-    used = int(np.ceil(np.log2(max_abs + 1)))
-    return int(np.clip(used - (low_bits - 1), 0, naive))
 
 
 def uniform_gemm_reference(q_x: np.ndarray, q_w: np.ndarray, bits: int) -> np.ndarray:

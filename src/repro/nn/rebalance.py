@@ -23,12 +23,10 @@ substitution documented in DESIGN.md.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.nn.attention import TransformerBlock, SwinBlock
-from repro.nn.layers import BatchNorm2d, Conv2d, LayerNorm, Linear
+from repro.nn.layers import Conv2d, Linear
 from repro.nn.llm import DecoderBlock
 from repro.nn.module import Module
 from repro.nn.resnet import BasicBlock, BottleneckBlock

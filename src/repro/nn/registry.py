@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.nn.layers import Conv2d, Linear
-from repro.nn.llm import TinyDecoderLM, tiny_lm
+from repro.nn.llm import tiny_lm
 from repro.nn.mobilenet import mobilenet_v2
 from repro.nn.module import Module
 from repro.nn.resnet import resnet18, resnet20, resnet34, resnet50

@@ -420,11 +420,8 @@ class Tracer:
         Emits the same spans the object loop would, in whole-column
         chunks: one execute span per batch, queued+served spans for the
         sampled (or deadline-missing) requests, queued+dropped spans for
-        every drop cohort member.  FIFO batches form over consecutive
-        arrival positions, so the non-``nan`` segments of the run's
-        segment partition correspond 1:1, in order, to its batches — that
-        alignment recovers per-request batch starts and servers without a
-        per-request loop.
+        every drop cohort member.  A request's batch start, server and
+        finish are gathers through ``run.served_by``.
         """
         store = self.store
         num_batches = len(run.starts)
@@ -433,43 +430,28 @@ class Tracer:
             SPAN_EXECUTE, minus_one, run.servers, run.starts, run.finishes,
             run.sizes.astype(np.float64),
         )
-        if not len(run.seg_sizes):
-            return
-        seg_is_batch = ~np.isnan(run.seg_finishes)
-        seg_starts = np.full(len(run.seg_finishes), np.nan)
-        seg_starts[seg_is_batch] = run.starts
-        seg_servers = np.full(len(run.seg_finishes), -1, dtype=np.int64)
-        seg_servers[seg_is_batch] = run.servers
-        starts_pr = np.repeat(seg_starts, run.seg_sizes)
-        servers_pr = np.repeat(seg_servers, run.seg_sizes)
-        finishes_pr = np.repeat(run.seg_finishes, run.seg_sizes)
-        positions = np.arange(len(starts_pr), dtype=np.int64)
-        served = ~np.isnan(finishes_pr)
+        positions = np.arange(len(run.served_by), dtype=np.int64)
+        served = run.served_by >= 0
         mask = self.sample_mask(positions) & served
         if deadlines is not None and self.sample_deadline_misses:
+            # Batch -1 (dropped) reads the nan behind the last finish.
+            finishes_pr = np.append(run.finishes, np.nan)[run.served_by]
             mask |= served & ~np.isnan(deadlines) & (finishes_pr > deadlines)
         if mask.any():
-            sel = positions[mask]
+            sel, batch = positions[mask], run.served_by[mask]
             arr = np.asarray(arrivals, dtype=np.float64)[mask]
+            starts, finishes = run.starts[batch], run.finishes[batch]
             store.extend(
-                SPAN_QUEUED, sel, servers_pr[mask], arr, starts_pr[mask],
-                starts_pr[mask] - arr,
+                SPAN_QUEUED, sel, run.servers[batch], arr, starts, starts - arr
             )
             store.extend(
-                SPAN_SERVED, sel, servers_pr[mask], finishes_pr[mask],
-                finishes_pr[mask], finishes_pr[mask] - arr,
+                SPAN_SERVED, sel, run.servers[batch], finishes, finishes,
+                finishes - arr,
             )
         if run.dropped:
-            counts = run.drop_his - run.drop_los
-            # Vectorized range concatenation: arange over the total count,
-            # offset so each cohort restarts at its own lo.
-            total = int(counts.sum())
-            offsets = np.repeat(
-                run.drop_los - np.concatenate(([0], np.cumsum(counts)[:-1])),
-                counts,
-            )
-            drop_positions = np.arange(total, dtype=np.int64) + offsets
-            drop_times = np.repeat(run.drop_times, counts)
+            # Cohorts cover ascending, disjoint position ranges.
+            drop_positions = np.flatnonzero(~served)
+            drop_times = np.repeat(run.drop_times, run.drop_his - run.drop_los)
             if not self.sample_drops:
                 keep = self.sample_mask(drop_positions)
                 drop_positions = drop_positions[keep]

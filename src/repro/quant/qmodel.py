@@ -13,7 +13,7 @@ machinery.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 

@@ -39,7 +39,7 @@ from repro.quant.quantizers import (
     quantize_cast,
 )
 from repro.tensor import Tensor, TensorOrArray, functional as F
-from repro.tensor.functional import col2im, im2col_cast
+from repro.tensor.functional import im2col_cast
 
 
 class QuantizedLayer(Module):

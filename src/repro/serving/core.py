@@ -45,9 +45,9 @@ Views vs. copies
   materializes a transient one otherwise.
 * :class:`BatchLedger` is a columnar ``Sequence[BatchRecord]``: the batch
   arrays are owned, each ``ledger[i]`` materializes one record on demand.
-* Per-request latencies are computed once, vectorized, as
-  ``repeat(segment_finish, segment_size) - arrivals`` — a fresh array, not
-  a view, because the session owns it past the run.
+* Per-request outcomes are one gather: ``served_by`` maps each request to
+  the batch that finally served it (-1: dropped), so its latency is
+  ``finishes[served_by] - arrivals`` — a fresh array, computed once.
 * Telemetry ingestion groups per-request latencies into per-window chunks
   (fresh arrays); everything else aggregates into scalar accumulators.
 
@@ -81,7 +81,7 @@ __all__ = [
     "BatchLedger",
     "ColumnarFifoRun",
     "run_fifo_columnar",
-    "per_request_latencies",
+    "served_by_slots",
     "check_arrivals",
     "check_positive",
 ]
@@ -668,10 +668,9 @@ class BatchLedger(_SequenceABC):
 class ColumnarFifoRun:
     """Everything a columnar FIFO sweep produced, still in columns.
 
-    ``seg_sizes``/``seg_finishes`` partition the arrival order into
-    consecutive segments — one per batch (finish time) and one per drop
-    cohort (``nan``) — so per-request latencies reconstruct vectorized via
-    :func:`per_request_latencies` without a per-request loop.
+    ``served_by`` is the one per-request column: position in arrival order
+    → index of the batch that served it, -1 for a dropped one.  Every other
+    per-request value is a gather through it (``finishes[served_by]``, ...).
     """
 
     starts: np.ndarray
@@ -679,8 +678,7 @@ class ColumnarFifoRun:
     sizes: np.ndarray
     servers: np.ndarray
     queue_depths: np.ndarray
-    seg_sizes: np.ndarray
-    seg_finishes: np.ndarray
+    served_by: np.ndarray
     drop_times: np.ndarray          # one entry per drop cohort
     drop_los: np.ndarray            # cohort position range [lo, hi) ...
     drop_his: np.ndarray            # ... in arrival order
@@ -801,62 +799,42 @@ def run_fifo_columnar(
         pos = limit
 
     sizes_col = np.asarray(sizes, dtype=np.int64)
-    finishes_col = np.asarray(finishes, dtype=np.float64)
-    drop_lo_col = np.asarray(drop_los, dtype=np.int64)
-    drop_hi_col = np.asarray(drop_his, dtype=np.int64)
-    if len(drop_lo_col) == 0:
-        # No drop cohorts: the segment partition IS the batch sequence.
-        seg_sizes = sizes_col
-        seg_finishes = finishes_col
-    elif len(sizes_col) == 0:
-        seg_sizes = drop_hi_col - drop_lo_col
-        seg_finishes = np.full(len(drop_lo_col), np.nan)
-    else:
-        # Reconstruct the pos-ordered segment interleave (one segment per
-        # batch, one nan segment per drop cohort) from the absolute arrival
-        # positions each covers: batch k's first position is the
-        # ``cumsum``-th surviving (non-dropped) position, a drop cohort's
-        # is its recorded ``lo``.  All first-positions are distinct, so a
-        # plain merge sort of the two runs restores loop order.
-        served_mask = np.ones(n, dtype=bool)
+    # FIFO batches form over consecutive surviving positions, in order: the
+    # k-th batch serves the next ``sizes[k]`` positions no cohort dropped.
+    batch_of = np.repeat(np.arange(len(sizes_col), dtype=np.intp), sizes_col)
+    if dropped:
+        survived = np.ones(n, dtype=bool)
         for lo, hi in zip(drop_los, drop_his):
-            served_mask[lo:hi] = False
-        served_positions = np.flatnonzero(served_mask)
-        offsets = np.concatenate(([0], np.cumsum(sizes_col)[:-1]))
-        batch_first = served_positions[offsets]
-        order = np.argsort(
-            np.concatenate([batch_first, drop_lo_col]), kind="stable"
-        )
-        seg_sizes = np.concatenate([sizes_col, drop_hi_col - drop_lo_col])[order]
-        seg_finishes = np.concatenate(
-            [finishes_col, np.full(len(drop_lo_col), np.nan)]
-        )[order]
+            survived[lo:hi] = False
+        served_by = np.full(n, -1, dtype=np.intp)
+        served_by[survived] = batch_of
+    else:
+        served_by = batch_of
 
     return ColumnarFifoRun(
         starts=np.asarray(starts, dtype=np.float64),
-        finishes=finishes_col,
+        finishes=np.asarray(finishes, dtype=np.float64),
         sizes=sizes_col,
         servers=np.asarray(servers, dtype=np.int64),
         queue_depths=np.asarray(depths, dtype=np.int64),
-        seg_sizes=seg_sizes,
-        seg_finishes=seg_finishes,
+        served_by=served_by,
         drop_times=np.asarray(drop_times, dtype=np.float64),
-        drop_los=drop_lo_col,
-        drop_his=drop_hi_col,
+        drop_los=np.asarray(drop_los, dtype=np.int64),
+        drop_his=np.asarray(drop_his, dtype=np.int64),
         dropped=dropped,
     )
 
 
-def per_request_latencies(
-    arrivals: np.ndarray, seg_sizes: np.ndarray, seg_finishes: np.ndarray
-) -> np.ndarray:
-    """Per-request latencies from segment columns, vectorized.
+def served_by_slots(record_slots: Sequence[np.ndarray], count: int) -> np.ndarray:
+    """Slot → index of the record whose slot array holds it, -1 where none does.
 
-    ``repeat(finish, size) - arrival`` performs the identical elementwise
-    IEEE subtraction the object loop's ``finish - arrivals[slots]``
-    does per batch; drop segments carry ``nan`` finishes, which propagate
-    to the dropped requests exactly like the object path's ``nan`` store.
+    The object loops' way to a session's ``served_by``: ``record_slots`` is
+    one slot array per surviving batch record, in record order.
     """
-    if len(seg_sizes) == 0:
-        return np.zeros(len(arrivals), dtype=np.float64)
-    return np.repeat(seg_finishes, seg_sizes) - arrivals
+    served_by = np.full(count, -1, dtype=np.intp)
+    if len(record_slots):
+        sizes = np.fromiter(map(len, record_slots), np.intp, len(record_slots))
+        served_by[np.concatenate(record_slots)] = np.repeat(
+            np.arange(len(sizes)), sizes
+        )
+    return served_by

@@ -56,8 +56,14 @@ objects, a :class:`~repro.serving.core.LazyRequests` view, streaming
 ``submit()`` — a session holds them as one columnar
 :class:`~repro.serving.core.RequestStore`; scheduler keys, deadline counts,
 model names and payloads are all read from its columns, a batch at a time.
-Outcomes are kept as records + columns too: :class:`Response`\\ s are views,
-like :class:`Request`\\ s — :class:`ResponseView` builds one when it is read.
+Outcomes are kept as records + columns too: a finished session is its batch
+records, ``served_by`` (slot → index of the record that finally served it,
+-1: dropped) and its drop cohorts.  Every per-request array is a gather
+through ``served_by`` computed at :meth:`ServingEngine.finish` —
+``request_latencies = finishes[served_by] - arrivals`` — so nothing
+per-request is maintained batch by batch, and a preempted batch has nothing
+per-request to un-write.  :class:`Response`\\ s are views, like
+:class:`Request`\\ s — :class:`ResponseView` builds one when it is read.
 
 The discrete-event loop reproduces the seed simulator's semantics exactly
 for single-server FIFO runs (same admission, batch-cap and float
@@ -101,8 +107,8 @@ from repro.serving.core import (
     SERVED,
     check_positive,
     grow_column,
-    per_request_latencies,
     run_fifo_columnar,
+    served_by_slots,
 )
 from repro.serving.metrics import (
     latency_percentiles,
@@ -312,27 +318,27 @@ class _Endpoint:
 
 class ResponseView(Sequence[Response]):
     """Read-only ``Sequence[Response]`` over a finished session: its batch
-    records, which of them finally served each slot and where in it
-    (``batch``, ``position``; -1: dropped, at ``drop_times[slot]``), each
-    batch's outputs, the store's columns (never ``status``: a store
+    records, the session's ``served_by`` (``batch``: which record finally
+    served each slot; -1: dropped, at ``drop_times[slot]``), the outputs
+    its executors returned, the store's columns (never ``status``: a store
     may be served again) and the final migration counts.  ``view[slot]``
     constructs that request's :class:`Response`; nothing else does.
     """
 
-    def __init__(self, session: "_Session", modes: Dict[str, str]) -> None:
+    def __init__(
+        self, session: "_Session", modes: Dict[str, str], served_by: np.ndarray
+    ) -> None:
         # What a response is read from — not the session's queues and buffers.
         self.store, self.modes, self.records = session.store, modes, session.records
-        self.outputs, self.migrations = session.record_outputs, session.migrations
-        slots = session.record_slots
-        self.batch = np.full(len(self.store), -1, dtype=np.intp)
-        self.position = np.zeros(len(self.store), dtype=np.intp)
-        if self.records:
-            served = np.concatenate(slots)
-            sizes = np.fromiter(map(len, slots), np.intp, len(slots))
-            self.batch[served] = np.repeat(np.arange(len(sizes)), sizes)
-            self.position[served] = np.arange(len(served)) - np.repeat(
-                np.cumsum(sizes) - sizes, sizes
-            )
+        self.batch, self.migrations = served_by, session.migrations
+        # Slot -> its output, for the batches whose executor returned some
+        # (one per rider, in batch order).
+        self.outputs = {
+            slot: output
+            for slots, outputs in zip(session.record_slots, session.record_outputs)
+            if outputs is not None
+            for slot, output in zip(slots.tolist(), outputs)
+        }
         self.drop_times = np.full(len(self.store), np.nan)
         for cohort, time in session.drops:
             self.drop_times[cohort] = time
@@ -346,21 +352,19 @@ class ResponseView(Sequence[Response]):
             return [self[i] for i in slot]
         store, served_by = self.store, self.batch[slot]
         request_id, model = store.value("request_ids", slot), store.model_name(slot)
-        dropped, output = bool(served_by < 0), None
+        dropped = bool(served_by < 0)
         if dropped:  # a batch of nobody at the drop time: no finish, no executed ratio
             nan = float("nan")
             record = BatchRecord(
                 model, float(self.drop_times[slot]), nan, 0, nan, self.modes[model]
             )
         else:
-            record, output = self.records[served_by], self.outputs[served_by]
-            if output is not None:  # the batch's outputs: this rider's
-                output = output[self.position[slot]]
+            record = self.records[served_by]
         return Response(  # positionally, in field order
             # A request that named no id is known by its admission slot.
             slot if request_id < 0 else request_id, model, float(store.arrivals[slot]),
             record.start, record.finish, record.size, record.ratio, record.mode,
-            dropped, output, store.value("priorities", slot),
+            dropped, self.outputs.get(slot), store.value("priorities", slot),
             store.value("deadlines", slot), record.server, self.migrations.get(slot, 0),
         )
 
@@ -373,7 +377,9 @@ class EngineResult:
     order (dropped requests excluded); ``request_latencies`` keeps one slot
     per admitted request with ``nan`` marking drops, aligned with
     ``request_models`` for per-model breakdowns (``None`` when every request
-    targets the one model that ran every batch).  ``responses`` reads the
+    targets the one model that ran every batch).  Both are computed once, at
+    ``finish()``, as a gather of ``batch_records``' finishes through the
+    session's ``served_by``.  ``responses`` reads the
     same outcome request by request (a :class:`ResponseView`, indexed by
     admission slot), or is ``None`` when the session did not record responses.
     ``server_busy_times`` has one accumulated busy time per server (their
@@ -478,11 +484,11 @@ class EngineResult:
         view = self.responses
         if view is None or view.store.deadlines is None:
             return float("nan")
-        # One count over the columns: each slot's batch's finish, where batch
-        # -1 (dropped) reads the nan behind the last record — a miss.
-        finishes = np.array([record.finish for record in view.records] + [np.nan])
+        # One count over the columns; a dropped slot's nan finish is a miss.
         # This run's rows: a store adopted again may since have been appended to.
-        return slo_attainment(finishes[view.batch], view.store.deadlines[: len(view)])
+        return slo_attainment(
+            _finishes(view.records)[view.batch], view.store.deadlines[: len(view)]
+        )
 
     def totals(self) -> Dict[str, Any]:
         """The run's counts and rates in plain types: the one mapping
@@ -516,6 +522,14 @@ class EngineResult:
             None if np.isnan(attainment) else float(attainment)
         )
         return report
+
+
+def _finishes(records: Sequence[BatchRecord]) -> np.ndarray:
+    """Each record's finish, then one nan: ``_finishes(records)[served_by]``
+    is every request's finish time, where -1 (dropped) reads the nan."""
+    if isinstance(records, BatchLedger):
+        return np.append(records.finishes, np.nan)
+    return np.array([record.finish for record in records] + [np.nan])
 
 
 def requests_from_trace(
@@ -593,7 +607,10 @@ class _Session:
     """Mutable state of one serving run (batch or streaming).
 
     The requests are ``store`` — one :class:`RequestStore`, whichever way
-    they were handed in; a request's *slot* is its row.
+    they were handed in; a request's *slot* is its row.  The outcomes are
+    ``records`` (+ ``record_slots``, ``record_outputs``) and ``drops``;
+    "who served whom" is derived from them once, at ``_finalize``
+    (``served_by``), never kept per request while the run is in flight.
     """
 
     def __init__(
@@ -606,7 +623,6 @@ class _Session:
         num_requests = len(store)
         self.store = store
         self.duration = duration
-        self.latencies = np.zeros(num_requests, dtype=np.float64)
         self.record_responses = record_responses
         self.records: List[BatchRecord] = []
         # One slot array per record: what preemption needs to rewind a batch
@@ -615,6 +631,9 @@ class _Session:
         self.record_slots: List[np.ndarray] = []
         self.record_outputs: List[Optional[Sequence[Any]]] = []
         self.drops: List[Tuple[np.ndarray, float]] = []
+        # Slot -> the record that served it: the sweep's, when it drained the
+        # session; otherwise built at _finalize from record_slots.
+        self.served_by: Optional[np.ndarray] = None
         # Per-slot move counts and the run total (resilience accounting).
         self.migrations: Dict[int, int] = {}
         self.migrated = 0
@@ -644,7 +663,7 @@ class _Session:
         self.pend_arrivals = store.arrivals
         self.pend_slots = np.arange(num_requests, dtype=np.intp)
         self.pos = 0
-        # Where ``latencies`` and the pend arrays grow (core.grow_column).
+        # Where the pend arrays grow (core.grow_column).
         self.buffers: Dict[str, np.ndarray] = {}
         # Scheduled path only: admitted-but-unserved requests, a heap of
         # (scheduler key, arrival, slot, model id) — arrival then admission
@@ -919,10 +938,6 @@ class ServingEngine:
             if request.model not in self._endpoints:
                 raise KeyError(f"model {request.model!r} is not registered")
         first_slot = session.store.append(new)
-        session.latencies = grow_column(
-            session.buffers, "latencies", session.latencies, len(new)
-        )
-        session.latencies[first_slot:] = 0.0
         new_slots = np.arange(first_slot, first_slot + len(new), dtype=np.intp)
         self._merge_pending(session, session.store.arrivals[first_slot:], new_slots)
 
@@ -1004,11 +1019,14 @@ class ServingEngine:
                     f"server {server} out of range (num_servers={self.num_servers})"
                 )
         if available_from is not None:
+            available_from = check_positive(
+                "available_from", available_from, allow_zero=True
+            )
             previous = set(session.active)
             for server in active:
                 if server not in previous:
                     session.free_at[server] = max(
-                        session.free_at[server], float(available_from)
+                        session.free_at[server], available_from
                     )
         session.active = active
 
@@ -1039,11 +1057,12 @@ class ServingEngine:
         shrinks to its largest residual demand — resumed work is not redone,
         though one fresh rider still costs the full batch.
 
-        Every rewound batch is removed from the run's records (so from what
-        responses read), its requests' latencies un-written and its telemetry
-        contribution reversed (busy time up to the kill point stays billed:
-        wasted work is still work).  Its requests are then handed to ``policy``
-        (a :class:`~repro.serving.resilience.MigrationPolicy`): requests it
+        Every rewound batch is removed from the run's records (so from every
+        per-request value: those are read off the records at ``finish()``)
+        and its telemetry contribution reversed (busy time up to the kill
+        point stays billed: wasted work is still work).  Its requests are
+        then handed to ``policy`` (a
+        :class:`~repro.serving.resilience.MigrationPolicy`): requests it
         requeues re-enter the pending queue — ordered and gated by the
         policy's ready key, clamped to ``time`` so migration never serves
         the past — and flow back through the configured scheduler and
@@ -1058,7 +1077,7 @@ class ServingEngine:
 
         s = self._require_session()
         server = int(server)
-        time = float(time)
+        time = check_positive("preemption time", time, allow_zero=True)
         if not 0 <= server < self.num_servers:
             raise ValueError(
                 f"server {server} out of range (num_servers={self.num_servers})"
@@ -1126,7 +1145,6 @@ class ServingEngine:
                 )
             if self.tracer is not None:
                 self.tracer.on_preempt(record, slots, time)
-            s.latencies[slots] = 0.0
             s.store.status[slots] = PENDING
             migrant_slots.extend(slots.tolist())
         # The server's clock rewinds to the preemption point (or the finish
@@ -1331,8 +1349,8 @@ class ServingEngine:
         mode/ratio, so table lookup returns the identical floats the
         executor would), sweeps the sorted arrivals through
         :func:`repro.serving.core.run_fifo_columnar`, then reconstructs the
-        session state — per-request latencies, a columnar batch ledger,
-        server clocks — and bulk-ingests telemetry.  Bit-identical to
+        session state — ``served_by``, a columnar batch ledger, server
+        clocks — and bulk-ingests telemetry.  Bit-identical to
         stepping the object loop over the same session.
         """
         model = s.store.single_model
@@ -1367,10 +1385,9 @@ class ServingEngine:
             max_batch,
             self.batching.drop_after,
         )
-        latencies = per_request_latencies(arrivals, run.seg_sizes, run.seg_finishes)
         # pend_slots is the identity map on an untouched session, so the
         # position axis IS the slot axis.
-        s.latencies = latencies
+        s.served_by = run.served_by
         s.dropped = run.dropped
         s.records = BatchLedger(
             model, mode, ratio, run.starts, run.finishes, run.sizes,
@@ -1381,9 +1398,8 @@ class ServingEngine:
         status[:] = SERVED
         for lo, hi in zip(run.drop_los.tolist(), run.drop_his.tolist()):
             status[lo:hi] = DROPPED
+        # Bulk span and telemetry ingestion mirror the object loop's hooks.
         if self.tracer is not None:
-            # Bulk span ingestion mirrors the object loop's spans; the
-            # position axis is the slot axis on an untouched session.
             self.tracer.ingest_columnar(
                 run,
                 arrivals,
@@ -1391,51 +1407,8 @@ class ServingEngine:
                     s.store.deadlines if self.tracer.wants_deadlines else None
                 ),
             )
-        if self.telemetry is None:
-            return
-        # Bulk telemetry ingestion: per-request finish times come from the
-        # segment columns; positions where the finish is nan were dropped.
-        finishes_per_req = (
-            np.repeat(run.seg_finishes, run.seg_sizes)
-            if len(run.seg_sizes)
-            else np.zeros(0, dtype=np.float64)
-        )
-        if run.dropped:
-            served_sel = ~np.isnan(finishes_per_req)
-            served_latencies = latencies[served_sel]
-        else:
-            served_sel = None
-            served_latencies = latencies
-        deadline_flags = deadline_met = drop_misses = None
-        deadlines = s.store.deadlines
-        if deadlines is not None:
-            flags_all = ~np.isnan(deadlines)
-            # nan on either side compares False: dropped requests never
-            # count as met, exactly like the object path.
-            met_all = finishes_per_req <= deadlines
-            if served_sel is not None:
-                deadline_flags = flags_all[served_sel]
-                deadline_met = met_all[served_sel]
-                cumulative = np.zeros(num_requests + 1, dtype=np.int64)
-                np.cumsum(flags_all, out=cumulative[1:])
-                drop_misses = cumulative[run.drop_his] - cumulative[run.drop_los]
-            else:
-                deadline_flags = flags_all
-                deadline_met = met_all
-        self.telemetry.ingest_columnar(
-            ratio=ratio,
-            starts=run.starts,
-            finishes=run.finishes,
-            sizes=run.sizes,
-            servers=run.servers,
-            queue_depths=run.queue_depths,
-            latencies=served_latencies,
-            deadline_flags=deadline_flags,
-            deadline_met=deadline_met,
-            drop_times=run.drop_times if run.dropped else None,
-            drop_counts=(run.drop_his - run.drop_los) if run.dropped else None,
-            drop_misses=drop_misses,
-        )
+        if self.telemetry is not None:
+            self.telemetry.ingest_columnar(run, arrivals, s.store.deadlines, ratio)
 
     # ------------------------------------------------------------------
     # FIFO fast path (bit-identical to the seed loop at num_servers=1)
@@ -1696,8 +1669,6 @@ class ServingEngine:
             ratio = float(execution.ratio)
         finish = start + service_time
         arrivals = s.store.arrivals[slots]
-        latencies = finish - arrivals
-        s.latencies[slots] = latencies
         s.store.status[slots] = SERVED
         record = BatchRecord(
             head_model, start, finish, batch_size, ratio, endpoint.mode, server,
@@ -1715,7 +1686,7 @@ class ServingEngine:
             self.telemetry.record_batch(
                 record,
                 queue_depth=queue_depth,
-                latencies=latencies,
+                latencies=finish - arrivals,
                 deadline_total=deadline_total,
                 deadline_met=deadline_met,
             )
@@ -1733,7 +1704,6 @@ class ServingEngine:
     def _drop(self, s: _Session, slots: np.ndarray, start: float) -> None:
         """Expire ``slots`` (waited beyond ``drop_after``) at time ``start``."""
         s.dropped += len(slots)
-        s.latencies[slots] = np.nan
         s.store.status[slots] = DROPPED
         if s.checkpoints or s.transfer_costs:
             for slot in slots:
@@ -1763,11 +1733,16 @@ class ServingEngine:
             arrivals = s.store.arrivals
             last_arrival = float(arrivals[-1]) if len(arrivals) else 0.0
             duration = max(max(s.free_at), last_arrival)
-        valid = s.latencies[~np.isnan(s.latencies)]
+        served_by = s.served_by
+        if served_by is None:
+            served_by = served_by_slots(s.record_slots, len(s.store))
+        # The same elementwise ``finish - arrival`` whichever loop ran; a
+        # dropped slot reads the nan finish.
+        request_latencies = _finishes(s.records)[served_by] - s.store.arrivals
         modes = {name: endpoint.mode for name, endpoint in self._endpoints.items()}
         return EngineResult(
-            latencies=valid,
-            request_latencies=s.latencies,
+            latencies=request_latencies[~np.isnan(request_latencies)],
+            request_latencies=request_latencies,
             request_models=(
                 None if s.store.model_ids is None else s.store.model_name_list()
             ),
@@ -1775,7 +1750,9 @@ class ServingEngine:
             dropped=s.dropped,
             duration=duration,
             busy_time=float(sum(s.busy)),
-            responses=ResponseView(s, modes) if s.record_responses else None,
+            responses=(
+                ResponseView(s, modes, served_by) if s.record_responses else None
+            ),
             num_servers=self.num_servers,
             server_busy_times=list(s.busy),
             migrated=s.migrated,

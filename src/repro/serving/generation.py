@@ -77,7 +77,12 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
 import numpy as np
 
 from repro.data.traces import RequestTrace
-from repro.serving.core import ARRIVAL_CHUNK, EventCalendar, check_arrivals
+from repro.serving.core import (
+    ARRIVAL_CHUNK,
+    EventCalendar,
+    check_arrivals,
+    check_positive,
+)
 from repro.serving.engine import Batch, Request
 from repro.serving.metrics import streaming_summary
 from repro.serving.policies import (
@@ -629,7 +634,10 @@ class IterationScheduler:
         if server not in s.active:
             s.active = sorted(s.active + [server])
         if available_from is not None:
-            s.free_at[server] = max(s.free_at[server], float(available_from))
+            s.free_at[server] = max(
+                s.free_at[server],
+                check_positive("available_from", available_from, allow_zero=True),
+            )
 
     def preempt_server(
         self,
@@ -659,11 +667,10 @@ class IterationScheduler:
         """
         s = self._require_session()
         server = int(server)
-        time = float(time)
+        time = check_positive("preemption time", time, allow_zero=True)
         if not 0 <= server < self.num_servers:
             raise ValueError(f"server {server} out of range")
-        if delay < 0:
-            raise ValueError("delay must be >= 0")
+        check_positive("delay", delay, allow_zero=True)
         # Only the server's latest iteration can still be in flight: its
         # history up to the previous one's finish, and up to its previous
         # crash, is settled — those sequences have since moved on, and

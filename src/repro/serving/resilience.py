@@ -78,6 +78,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Protocol, Sequence, TYPE_CHECKING, Tuple
 
+from repro.serving.core import check_positive
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.engine import (
         Batch,
@@ -139,8 +141,8 @@ class FaultEvent:
     domain: str = ""
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("fault time must be >= 0")
+        check_positive("fault time", self.time, allow_zero=True)
+        check_positive("factor", self.factor)
         if self.kind in FAULT_KINDS:
             if self.server < 0:
                 raise ValueError(
@@ -465,8 +467,7 @@ class RequeueAtHeadMigration:
     delay: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise ValueError("migration delay must be >= 0")
+        check_positive("migration delay", self.delay, allow_zero=True)
 
     def plan(
         self, migrants: Sequence[Migrant], time: float
@@ -495,8 +496,8 @@ class RedistributeMigration:
     stagger: float = 0.002
 
     def __post_init__(self) -> None:
-        if self.delay < 0 or self.stagger < 0:
-            raise ValueError("delay and stagger must be >= 0")
+        check_positive("migration delay", self.delay, allow_zero=True)
+        check_positive("stagger", self.stagger, allow_zero=True)
         if self.chunk < 1:
             raise ValueError("chunk must be >= 1")
 
@@ -525,8 +526,7 @@ class DropExpiredMigration:
     within: Optional[MigrationPolicy] = None
 
     def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise ValueError("migration delay must be >= 0")
+        check_positive("migration delay", self.delay, allow_zero=True)
         if self.within is None:
             self.within = RequeueAtHeadMigration(delay=self.delay)
 
@@ -591,12 +591,12 @@ class StepCheckpoint:
     transfer_per_step: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.transfer_cost < 0:
-            raise ValueError("transfer_cost must be >= 0 seconds")
-        if self.transfer_per_step < 0:
-            raise ValueError("transfer_per_step must be >= 0 seconds")
+        if check_positive("steps", self.steps) < 1:
+            raise ValueError(f"steps must be >= 1 (got {self.steps!r})")
+        check_positive("transfer_cost (seconds)", self.transfer_cost, allow_zero=True)
+        check_positive(
+            "transfer_per_step (seconds)", self.transfer_per_step, allow_zero=True
+        )
 
     def completed_fraction(self, record: "BatchRecord", time: float) -> float:
         span = record.finish - record.start
@@ -656,7 +656,9 @@ class WarmSparePool:
             raise ValueError("spare server ids must be unique")
         if any(server < 0 for server in ids):
             raise ValueError("spare server ids must be >= 0")
-        if promotion_latency < 0:
-            raise ValueError("promotion_latency must be >= 0")
         object.__setattr__(self, "spares", tuple(sorted(ids)))
-        object.__setattr__(self, "promotion_latency", float(promotion_latency))
+        object.__setattr__(
+            self,
+            "promotion_latency",
+            check_positive("promotion_latency", promotion_latency, allow_zero=True),
+        )

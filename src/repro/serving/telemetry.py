@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.serving.core import check_positive
+from repro.serving.core import ColumnarFifoRun, check_positive
 from repro.serving.metrics import latency_percentile, summarize_latencies
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -429,19 +429,10 @@ class TelemetryBus:
     # ------------------------------------------------------------------
     def ingest_columnar(
         self,
-        *,
+        run: ColumnarFifoRun,
+        arrivals: np.ndarray,
+        deadlines: Optional[np.ndarray],
         ratio: float,
-        starts: np.ndarray,
-        finishes: np.ndarray,
-        sizes: np.ndarray,
-        servers: np.ndarray,
-        queue_depths: np.ndarray,
-        latencies: Optional[np.ndarray] = None,
-        deadline_flags: Optional[np.ndarray] = None,
-        deadline_met: Optional[np.ndarray] = None,
-        drop_times: Optional[np.ndarray] = None,
-        drop_counts: Optional[np.ndarray] = None,
-        drop_misses: Optional[np.ndarray] = None,
     ) -> None:
         """Bulk-ingest a columnar run into the same cells the hooks fill.
 
@@ -449,46 +440,51 @@ class TelemetryBus:
         order followed by :meth:`record_drops` per drop cohort: integer
         counts sum exactly, float ones (busy seconds, ratio weight) in the
         identical left-to-right order (``np.bincount`` sums sequentially),
-        so every cell is bit-identical to the per-event hooks'; per-request
-        ``latencies`` (aligned with ``repeat(batch, sizes)``) become one
-        owner-less part per cell, in batch order.  ``deadline_flags`` /
-        ``deadline_met`` are per-request booleans (deadline-carrying, met).
+        so every cell is bit-identical to the per-event hooks'.  Per-request
+        values are gathers through ``run.served_by`` over ``arrivals`` and
+        ``deadlines`` (``None``: nobody carries one), both in arrival order;
+        a cell's latencies become one owner-less part, in batch order.
         """
-        starts = np.asarray(starts, dtype=np.float64)
-        if starts.size:
-            sizes = np.asarray(sizes, dtype=np.int64)
-            windows = (starts / self.window).astype(np.int64)
-            codes = (np.asarray(servers, dtype=np.int64) << 32) | windows
+        if run.starts.size:
+            windows = (run.starts / self.window).astype(np.int64)
+            codes = (run.servers << 32) | windows
             uniq, batch_cell = np.unique(codes, return_inverse=True)
             cells = [
                 self._cell(code >> 32, code & 0xFFFFFFFF) for code in uniq.tolist()
             ]
-            request_cell = np.repeat(batch_cell, sizes)
-            busy = np.asarray(finishes, dtype=np.float64) - starts
-            _add_column(cells, "served", batch_cell, sizes)
+            request_cell = np.repeat(batch_cell, run.sizes)
+            _add_column(cells, "served", batch_cell, run.sizes)
             _add_column(cells, "batches", batch_cell)
-            _add_column(cells, "busy_time", batch_cell, busy)
-            _add_column(cells, "ratio_weight", batch_cell, float(ratio) * sizes)
-            _add_column(cells, "queue_depth_sum", batch_cell, queue_depths)
-            if deadline_flags is not None:
-                _add_column(cells, "deadline_total", request_cell, deadline_flags)
-                _add_column(cells, "deadline_met", request_cell, deadline_met)
-            if latencies is not None:
-                ordered = np.asarray(latencies, dtype=np.float64)[
-                    np.argsort(request_cell, kind="stable")
-                ]
-                ends = np.cumsum(np.bincount(request_cell, minlength=len(cells)))
-                for cell, part in zip(cells, np.split(ordered, ends[:-1])):
-                    cell.latency_parts.record(1, None, part)
-        if drop_times is not None and len(drop_times):
-            windows = (
-                np.asarray(drop_times, dtype=np.float64) / self.window
-            ).astype(np.int64)
+            _add_column(cells, "busy_time", batch_cell, run.finishes - run.starts)
+            _add_column(cells, "ratio_weight", batch_cell, float(ratio) * run.sizes)
+            _add_column(cells, "queue_depth_sum", batch_cell, run.queue_depths)
+            # The served requests, which is batch order: FIFO serves in
+            # arrival order.  Without drops that is everybody, uncopied.
+            served = run.served_by >= 0 if run.dropped else slice(None)
+            finishes = run.finishes[run.served_by[served]]
+            if deadlines is not None:
+                due = deadlines[served]
+                # nan compares False: no deadline is neither carried nor met.
+                _add_column(cells, "deadline_total", request_cell, ~np.isnan(due))
+                _add_column(cells, "deadline_met", request_cell, finishes <= due)
+            ordered = (finishes - arrivals[served])[
+                np.argsort(request_cell, kind="stable")
+            ]
+            ends = np.cumsum(np.bincount(request_cell, minlength=len(cells)))
+            for cell, part in zip(cells, np.split(ordered, ends[:-1])):
+                cell.latency_parts.record(1, None, part)
+        if run.dropped:
+            windows = (run.drop_times / self.window).astype(np.int64)
             uniq, drop_cell = np.unique(windows, return_inverse=True)
             cells = [self._cell(CLUSTER, window) for window in uniq.tolist()]
-            _add_column(cells, "drops", drop_cell, drop_counts)
-            if drop_misses is not None:
-                _add_column(cells, "deadline_total", drop_cell, drop_misses)
+            _add_column(cells, "drops", drop_cell, run.drop_his - run.drop_los)
+            if deadlines is not None:
+                # Each cohort's deadline-carrying members: all of them missed.
+                carrying = np.concatenate(([0], np.cumsum(~np.isnan(deadlines))))
+                _add_column(
+                    cells, "deadline_total", drop_cell,
+                    carrying[run.drop_his] - carrying[run.drop_los],
+                )
 
     # ------------------------------------------------------------------
     # Queries

@@ -6,7 +6,7 @@ and a weight decay of 1e-4; the classes here implement exactly those knobs.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 

@@ -51,6 +51,22 @@ class TestMixedGemmProperties:
         reference = mixed_gemm_reference(q_x, q_w, boundary, group_shifts, group_shifts)
         np.testing.assert_array_equal(acc, reference)
 
+        # Dynamic extraction is the same kernel at the position (paper §4.1,
+        # ``extraction_shift``) of each group's observed maximum: same
+        # accumulator, same counts but for the OR-reductions that found it.
+        observed = np.abs(q_x).reshape(rows, groups, group_size).max(axis=(0, 2))
+        observed_shifts = extraction_shift(observed, 8, 4).repeat(group_size)
+        static = MixedPrecisionGemm(group_size=group_size)
+        dynamic = MixedPrecisionGemm(group_size=group_size)
+        np.testing.assert_array_equal(
+            static(q_x, q_w, boundary, observed_shifts, group_shifts),
+            dynamic(
+                q_x, q_w, boundary, group_shifts, group_shifts, dynamic_extraction=True
+            ),
+        )
+        static.stats.dynamic_or_reductions = rows * boundary
+        assert dynamic.stats == static.stats
+
     @given(seed=st.integers(0, 5000), rows=st.integers(1, 6), out=st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
     def test_boundary_zero_is_exact_int8(self, seed, rows, out):

@@ -21,7 +21,6 @@ from repro.serving.core import (
     EventCalendar,
     LazyRequests,
     RequestStore,
-    per_request_latencies,
     run_fifo_columnar,
 )
 from repro.serving.engine import (
@@ -456,13 +455,14 @@ class TestColumnarFifoCore:
         run = run_fifo_columnar(
             arrivals, [0.0], [0.0], [0], tables, 8, 0.02
         )
-        latencies = per_request_latencies(
-            arrivals, run.seg_sizes, run.seg_finishes
-        )
+        # Batch -1 (dropped) reads the nan behind the last finish.
+        latencies = np.append(run.finishes, np.nan)[run.served_by] - arrivals
         assert len(latencies) == len(arrivals)
         assert int(np.count_nonzero(np.isnan(latencies))) == run.dropped
-        # Each served segment's latency equals finish - arrival exactly.
-        assert int(run.seg_sizes.sum()) == len(arrivals)
+        # Every arrival rode in exactly one batch or one drop cohort.
+        drops = int((run.drop_his - run.drop_los).sum())
+        assert int(run.sizes.sum()) + drops == len(arrivals)
+        assert np.array_equal(np.bincount(run.served_by[run.served_by >= 0]), run.sizes)
         assert len(run.starts) == len(run.finishes) == len(run.sizes)
 
 

@@ -24,6 +24,7 @@ from repro.core.controller import AdaptiveRatioController, build_profile_from_la
 from repro.core.prepared import PreparedKernel
 from repro.data.traces import FluctuatingTrace, PoissonTrace, RequestTrace
 from repro.serving.adaptation import _effective_accuracy
+from repro.serving import resilience
 from repro.serving.engine import (
     Batch,
     BatchingConfig,
@@ -1242,6 +1243,60 @@ class TestSessionRobustness:
 # ----------------------------------------------------------------------
 # Hostile input, refused at the boundary
 # ----------------------------------------------------------------------
+def _stepped_once(service_model):
+    engine = ServingEngine(BatchingConfig(max_batch=4), num_servers=2)
+    engine.register("m", ModeledExecutor(service_model), mode="int8")
+    engine.start(requests=[Request(0.01 * i, model="m") for i in range(8)])
+    engine.set_active_servers([0])
+    engine.step()
+    return engine
+
+
+def _preempt_generation(service_model, time):
+    from repro.serving.generation import IterationScheduler, ModeledGenerationBackend
+
+    scheduler = IterationScheduler(ModeledGenerationBackend(service_model), max_batch=2)
+    scheduler.start(
+        [Request(0.0, "m", prefill_tokens=16, max_new_tokens=4) for _ in range(3)]
+    )
+    scheduler.step()
+    try:
+        scheduler.preempt_server(0, time)
+    finally:
+        # nan used to poison the server's clock: finish() never returned.
+        # The refused call left the session as it was, so it still ends.
+        for _ in range(100):
+            if scheduler.step() is None:
+                break
+        else:
+            pytest.fail("the session no longer drains")
+
+
+#: field named by the error -> a call handing it ``bad``.
+NON_FINITE = {
+    "preemption time": _preempt_generation,
+    "preemption time (engine)": lambda model, bad: _stepped_once(
+        model
+    ).preempt_server(0, time=bad),
+    "available_from": lambda model, bad: _stepped_once(model).set_active_servers(
+        [0, 1], available_from=bad
+    ),
+    "fault time": lambda model, bad: resilience.FaultEvent(bad, server=0),
+    "factor": lambda model, bad: resilience.FaultEvent(
+        1.0, server=0, kind="slowdown", factor=bad
+    ),
+    "migration delay": lambda model, bad: resilience.RequeueAtHeadMigration(bad),
+    "migration delay (drop-expired)": lambda model, bad: (
+        resilience.DropExpiredMigration(bad)
+    ),
+    "stagger": lambda model, bad: resilience.RedistributeMigration(stagger=bad),
+    "steps": lambda model, bad: resilience.StepCheckpoint(steps=bad),
+    "promotion_latency": lambda model, bad: resilience.WarmSparePool(
+        [1], promotion_latency=bad
+    ),
+}
+
+
 class TestHostileInput:
     @pytest.mark.parametrize("max_batch", [0, -3, 2.5, None])
     def test_max_batch_must_be_a_positive_integer(self, max_batch):
@@ -1326,6 +1381,19 @@ class TestHostileInput:
         assert result.deadline_attainment() == 1 / 3
         window = bus.cluster_window(0)
         assert (window.deadline_total, window.deadline_met) == (3, 1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", NON_FINITE)
+    def test_non_finite_control_times_and_factors_are_refused(
+        self, service_model, field, bad
+    ):
+        # Each used to be accepted: ignored (nan loses every max()), blowing
+        # up mid-run (int(nan)), or silently changing who was served.
+        name = field.partition(" (")[0]
+        with pytest.raises(
+            ValueError, match=rf"{name} must be a finite number .*got {bad!r}"
+        ):
+            NON_FINITE[field](service_model, bad)
 
     def test_unsorted_store_is_refused(self):
         from repro.serving.core import RequestStore

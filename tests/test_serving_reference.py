@@ -5,16 +5,21 @@ Generated configurations — K servers x 1-2 models x discipline x
 ``ServingEngine.run(requests=...)``, and by the streamed ``submit``/``step``
 drive.  All three must agree exactly on every request's latency, every drop
 and its time, every batch's server, start, size and riders, and — request by
-request — all 14 fields of ``result.responses[number]``.
+request — all 14 fields of ``result.responses[number]``; where the columnar
+sweep applies, its per-request latencies equal the object loop's.  A second
+generated test crashes one server between two ``step()`` calls and requeues its
+riders (the reference's rules 6-8).
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from reference_sim import SpecRequest, reference_run
+from reference_sim import SpecCrash, SpecRequest, reference_run
+from repro.serving.core import BatchLedger
 from repro.serving.engine import BatchingConfig, Request, ServingEngine
 from repro.serving.executors import ModeledExecutor
 from repro.serving.policies import FixedRatioPolicy
+from repro.serving.resilience import RequeueAtHeadMigration
 from repro.serving.schedulers import EdfScheduler, FifoScheduler, PriorityScheduler
 from repro.serving.simulator import ServiceTimeModel
 
@@ -59,14 +64,28 @@ def scenarios(draw):
     )
 
 
-def _engine(case) -> ServingEngine:
+@st.composite
+def crash_scenarios(draw):
+    case = draw(scenarios())
+    case["scheduler"] = "fifo"
+    case["num_servers"] = draw(st.integers(1, 3))
+    case["crash"] = SpecCrash(
+        after_batches=draw(st.integers(0, 8)),
+        server=draw(st.integers(0, case["num_servers"] - 1)),
+        time=draw(st.integers(0, 50)) * 1e-3,
+        delay=draw(st.sampled_from([0.0, 0.003, 0.02])),
+    )
+    return case
+
+
+def _engine(case, columnar: bool = False) -> ServingEngine:
     engine = ServingEngine(
         BatchingConfig(case["max_batch"], case["drop_after"]),
         num_servers=case["num_servers"],
         scheduler=SCHEDULERS[case["scheduler"]](),
         # The object loops are what the specification pins; the columnar
-        # sweep is pinned to them by tests/test_serving_core.py.
-        columnar=False,
+        # sweep is pinned to them here and by tests/test_serving_core.py.
+        columnar=columnar,
     )
     for name, ratio in RATIOS.items():
         engine.register(
@@ -91,13 +110,19 @@ def _assert_meets_spec(result, spec, ordered):
     for number, want in enumerate(spec.latencies):
         got = result.request_latencies[number]
         assert (np.isnan(got) and want is None) or got == want, number
-    assert result.dropped == len(spec.drops)
+    # The per-request map, read the other ways a result offers it.
+    served = ~np.isnan(result.request_latencies)
+    assert np.array_equal(result.latencies, result.request_latencies[served])
+    assert result.dropped == len(spec.drops) == count - np.count_nonzero(served)
     assert len(result.batch_records) == len(spec.batches)
-    for record, batch in zip(result.batch_records, spec.batches):
-        assert (record.server, record.start, record.finish, record.size) == (
-            batch.server, batch.start, batch.finish, len(batch.riders)
+    for index, (record, batch) in enumerate(zip(result.batch_records, spec.batches)):
+        riders = np.flatnonzero(result.responses.batch == index).tolist()
+        assert (record.server, record.start, record.finish, riders) == (
+            batch.server, batch.start, batch.finish, sorted(batch.riders)
         )
-        assert (record.model, record.queue_depth) == (batch.model, batch.queue_depth)
+        assert (record.size, record.model, record.queue_depth) == (
+            len(batch.riders), batch.model, batch.queue_depth
+        )
 
     # Request by request, every field of its Response.
     assert len(result.responses) == count
@@ -113,8 +138,10 @@ def _assert_meets_spec(result, spec, ordered):
             response.migrations,
         ) == (
             number, request.model, request.arrival, request.priority,
-            request.deadline, "flexiq", None, 0,
+            request.deadline, "flexiq", None, spec.migrations[number],
         ), number
+        got, want = response.latency, spec.latencies[number]
+        assert (np.isnan(got) and want is None) or got == want, number
         if number in drop_times:
             assert response.dropped and response.start_time == drop_times[number]
             assert np.isnan(response.finish_time) and np.isnan(response.ratio)
@@ -146,7 +173,17 @@ class TestEngineMeetsItsSpecification:
         as_given = [None] * count
         for number, index in enumerate(by_arrival):
             as_given[index] = _request(number, ordered[number])
-        _assert_meets_spec(_engine(case).run(requests=as_given), spec, ordered)
+        result = _engine(case).run(requests=as_given)
+        _assert_meets_spec(result, spec, ordered)
+        if case["scheduler"] == "fifo" and len({r.model for r in ordered}) == 1:
+            # What the sweep takes: it must give everybody the same latency.
+            swept = _engine(case, columnar=True).run(
+                requests=as_given, record_responses=False
+            )
+            assert isinstance(swept.batch_records, BatchLedger)
+            assert np.array_equal(
+                swept.request_latencies, result.request_latencies, equal_nan=True
+            )
 
         # Streamed, causally: before each batch, submit whoever arrives by
         # its start — all the batch can depend on — then step exactly once.
@@ -166,3 +203,24 @@ class TestEngineMeetsItsSpecification:
         if submitted < count:  # whoever is left is dropped, never served
             engine.submit(requests[submitted:])
         _assert_meets_spec(engine.finish(), spec, ordered)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(crash_scenarios())
+    def test_a_crash_between_steps_requeues_as_the_reference_does(self, case):
+        crash = case["crash"]
+        spec = reference_run(
+            case["requests"], case["num_servers"], service_seconds,
+            case["scheduler"], case["max_batch"], case["drop_after"], crash,
+        )
+        ordered = sorted(case["requests"], key=lambda request: request.arrival)
+        engine = _engine(case)
+        engine.start(requests=[_request(n, r) for n, r in enumerate(ordered)])
+        for _ in range(crash.after_batches):
+            if engine.step() is None:
+                break
+        engine.preempt_server(
+            crash.server, crash.time, policy=RequeueAtHeadMigration(crash.delay)
+        )
+        result = engine.finish()
+        assert result.migrated == sum(spec.migrations)
+        _assert_meets_spec(result, spec, ordered)
