@@ -21,6 +21,7 @@ charge the paper's reorder overhead for them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -39,6 +40,9 @@ class ChannelLayout:
 
     def __post_init__(self) -> None:
         self.order = np.asarray(self.order, dtype=np.int64)
+        # ``boundaries`` is not mutated after construction: sort it once,
+        # not on every boundary_for() (one per layer per served batch).
+        self._sorted_boundaries = tuple(zip(*sorted(self.boundaries.items())))
 
     @property
     def num_channels(self) -> int:
@@ -46,13 +50,11 @@ class ChannelLayout:
 
     def boundary_for(self, ratio: float) -> int:
         """Largest configured boundary whose ratio does not exceed ``ratio``."""
-        if not self.boundaries:
+        if not self._sorted_boundaries:
             return 0
-        best = 0
-        for configured, boundary in sorted(self.boundaries.items()):
-            if configured <= ratio + 1e-9:
-                best = boundary
-        return best
+        ratios, boundaries = self._sorted_boundaries
+        position = bisect_right(ratios, ratio + 1e-9)
+        return boundaries[position - 1] if position else 0
 
     def inverse_order(self) -> np.ndarray:
         """Permutation mapping original channel index -> new position."""

@@ -10,10 +10,12 @@ run-time work.
 A :class:`PreparedKernel` snapshots everything about one layer's weight side
 and extraction plan at prepare time, in *original* (unpermuted) column order:
 
-* ``w8_t`` -- the int8 quantized weight matrix, stored transposed and as
-  float64 so the GEMM consumes it without any per-call conversion;
+* ``w8_t`` -- the int8 quantized weight matrix, stored transposed and as a
+  float plane so the GEMM consumes it without any per-call conversion (it is
+  the boundary-0 plane, shared with the layer's uniform path);
 * ``w4_t`` -- the lowered 4-bit weight planes ``lower_bits(w, weight_shift)
-  * 2**weight_shift``, also transposed/float64 and GEMM-ready;
+  * 2**weight_shift``, also transposed; only a source for the combined
+  planes, kept in float32 (its entries are integers within the 8-bit range);
 * per-boundary *combined* plane matrices: running at boundary ``b`` uses a
   matrix whose rows are the 4-bit planes for the ``b`` leading channels of
   the layout order and the 8-bit rows for the rest, together with float32
@@ -23,12 +25,33 @@ and extraction plan at prepare time, in *original* (unpermuted) column order:
 Because an integer GEMM is a sum over columns, folding the layout
 permutation into the weight rows is exact: activations are never permuted at
 inference time.  A forward pass is one element-wise lowering pass over the
-activations (:meth:`PreparedKernel.lower`, in float32, before the single
-cast to the GEMM dtype) followed by a single GEMM.  Every operand is a small
-integer times an exact power of two, so all float64 products and sums are
-exactly representable and the result is **bit-exact identical** to the
-uncached reference path (``_FlexiQMixin._mixed_precision_matmul``)
-regardless of BLAS summation order.
+activations (:meth:`PreparedKernel.lower`, in float32) followed by a single
+GEMM in the plane's dtype.  Every operand is a small integer times an exact
+power of two, so all float64 products and sums are exactly representable and
+the result is **bit-exact identical** to the uncached reference path
+(``_FlexiQMixin._mixed_precision_matmul``) regardless of BLAS summation
+order.
+
+Plane dtype
+-----------
+
+A plane is stored in float32 *when that GEMM is provably exact*, else in
+float64: decided from the plane's values when it is built
+(:func:`repro.quant.quantizers.gemm_plane`), and only that one copy is kept
+(:meth:`PreparedKernel.nbytes` counts what is stored).  A plane qualifies iff
+its entries are integers and ``max_j sum_k amax[k] * |plane[k, j]| < 2**24``,
+``amax[k]`` being the larger clip magnitude of row ``k``'s lowering table (8
+on 4-bit prefix rows, 128 elsewhere).  Proof:
+
+1. lowered activations are integers, ``|a[k]| <= amax[k]``: every product
+   ``a[k] * plane[k, j]`` and every partial sum, in any order, is an integer;
+2. its magnitude is at most ``sum_k amax[k] * |plane[k, j]| < 2**24``;
+3. float32 holds every such integer exactly, so no multiply, add or FMA ever
+   rounds: the float32 GEMM returns the float64 one's integers.
+
+The rescale that follows is a float64 multiply either way.  Dynamic
+extraction scales lowered rows by ``2**(dynamic - static)``, which the bound
+does not cover: that path upcasts to a float64 GEMM.
 
 The activation clip is merged into the lowering clip.  The reference computes
 ``clip(round(clip(r, qmin, qmax) / 2**s), lo4, hi4)`` with ``r = round(x /
@@ -75,12 +98,12 @@ from repro.core.bit_extraction import (
     group_shared_max,
     lower_bits,
 )
-from repro.quant.quantizers import int_range
+from repro.quant.quantizers import gemm_plane, int_range
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runtime import _FlexiQMixin
 
-# Combined plane matrices are one (channels * taps, out) float64 array per
+# Combined plane matrices are one (channels * taps, out) float array per
 # boundary; serving uses only the layout's ratio boundaries, so a small cache
 # never evicts in practice.  The cap bounds memory when callers sweep many
 # ad-hoc boundaries (e.g. the GA fitness loop).
@@ -133,8 +156,8 @@ class PreparedKernel:
         weight_qparams_src=None,
     ) -> None:
         self.order = order                # layout order: position -> channel
-        self.w8_t = w8_t                  # (channels * taps, out) float64
-        self.w4_t = w4_t                  # (channels * taps, out) float64
+        self.w8_t = w8_t                  # (channels * taps, out) GEMM plane
+        self.w4_t = w4_t                  # (channels * taps, out) plane source
         self.act_shift = act_shift        # (channels,) original channel order
         self.taps = int(taps)
         self.channels = int(act_shift.shape[0])
@@ -192,7 +215,7 @@ class PreparedKernel:
         return PreparedKernel(
             order=order,
             w8_t=w8_t,
-            w4_t=np.ascontiguousarray(w4.T),
+            w4_t=np.ascontiguousarray(w4.T, dtype=np.float32),
             act_shift=act_shift,
             taps=taps,
             group_size=layer.group_size,
@@ -278,10 +301,11 @@ class PreparedKernel:
         PreparedKernel.plane_build_count += 1
         total = self.channels * self.taps
         prefix_cols, shift_cols = self._prefix_info(boundary)
+        inv, lo, hi = self._lowering_tables(prefix_cols, shift_cols, total)
         if boundary == 0:
             combined = self.w8_t
         else:
-            combined = self.w8_t.copy()
+            combined = self.w8_t.astype(np.float64)
             combined[prefix_cols] = self.w4_t[prefix_cols]
             # Fold the static activation rescale (2**act_shift per column of
             # x, i.e. per *row* of the plane) into the prefix rows: the GEMM
@@ -289,7 +313,7 @@ class PreparedKernel:
             # element-wise pass disappears.  Exact: the rows are small
             # integers scaled by powers of two.
             combined[prefix_cols] *= np.ldexp(1.0, shift_cols)[:, None]
-        inv, lo, hi = self._lowering_tables(prefix_cols, shift_cols, total)
+            combined = gemm_plane(combined, np.maximum(-lo, hi))
         entry = (combined, inv[None, :], lo[None, :], hi[None, :])
         self._boundary_planes[boundary] = entry
         while len(self._boundary_planes) > _MAX_BOUNDARY_PLANES:
@@ -338,11 +362,14 @@ class PreparedKernel:
             _, inv, lo, hi = self._boundary_plane(boundary)
         _scale_round_clip(q, inv, lo, hi)
 
-    def gemm_lowered(self, q_x: np.ndarray, boundary: int) -> np.ndarray:
-        """GEMM against the combined plane for already-lowered activations."""
-        if boundary <= 0:
-            return q_x @ self.w8_t
-        return q_x @ self._boundary_plane(boundary)[0]
+    def plane(self, boundary: int) -> np.ndarray:
+        """The (channels * taps, out) GEMM operand for ``boundary``."""
+        return self.w8_t if boundary <= 0 else self._boundary_plane(boundary)[0]
+
+    def gemm_lowered(self, q_cols: np.ndarray, boundary: int) -> np.ndarray:
+        """``plane.T @ q_cols`` -> (out, N*P) for already-lowered channel-major
+        columns (channels * taps, N*P) in the plane's dtype."""
+        return self.plane(boundary).T @ q_cols
 
     # ------------------------------------------------------------------
     # Inference
@@ -357,8 +384,8 @@ class PreparedKernel:
         clipped yet (see :meth:`lower`) and are modified in place (callers
         pass a fresh buffer).  The layout permutation is folded into the
         prepared weight rows, so no activation permutation happens here: one
-        element-wise lowering pass in ``q_x``'s dtype, one cast to the GEMM
-        dtype, a single GEMM.
+        element-wise lowering pass in ``q_x``'s dtype, a single GEMM in the
+        plane's dtype (dynamic rows: in float64, see the module docstring).
         """
         if dynamic and boundary > 0:
             # Dynamic shifts are derived from the clipped activations, so
@@ -372,10 +399,9 @@ class PreparedKernel:
             np.multiply(q_x, fac, out=q_x)
         else:
             self.lower(q_x, boundary)
-        q_x = q_x.astype(np.float64, copy=False)
-        if boundary <= 0:
-            return q_x @ self.w8_t
-        return q_x @ self._boundary_plane(boundary)[0]
+        plane = self.plane(boundary)
+        dtype = np.float64 if dynamic and boundary > 0 else plane.dtype
+        return q_x.astype(dtype, copy=False) @ plane
 
     def _dynamic_tables(
         self, q_x: np.ndarray, boundary: int

@@ -34,7 +34,7 @@ from repro.nn.module import Module
 from repro.quant.qmodules import QuantConv2d, QuantLinear, QuantizedLayer
 from repro.quant.quantizers import quantize, quantize_unclipped
 from repro.tensor import Tensor
-from repro.tensor.functional import im2col, im2col_cast
+from repro.tensor.functional import im2col
 
 
 class _FlexiQMixin:
@@ -301,12 +301,12 @@ class FlexiQLinear(_FlexiQMixin, QuantLinear):
         if self._uses_prepared():
             # Fast path: round in float32, no activation permutation (the
             # layout is folded into the prepared weight planes), clip + lower
-            # + one GEMM in the kernel, in-place rescale.  Bit-exact with the
-            # reference branch below.
+            # + one GEMM in the kernel (float32 where the plane allows it),
+            # float64 rescale.  Bit-exact with the reference branch below.
             rows = quantize_unclipped(x, self.act_qparams).reshape(-1, self.in_features)
             prepared = self._get_prepared(1)
             acc = prepared.matmul(rows, self.max_4bit_ch, dynamic=self.dynamic_extract)
-            acc *= self._output_scale()
+            acc = acc * self._output_scale()
             if self.bias is not None:
                 acc += self.bias.data
             return acc.astype(np.float32).reshape(x.shape[:-1] + (self.out_features,))
@@ -359,35 +359,24 @@ class FlexiQConv2d(_FlexiQMixin, QuantConv2d):
             # times less data than the unfolded columns; the extraction
             # shift is shared by all taps of a channel and every element-wise
             # step maps quantized/padded zero to zero, so this commutes with
-            # im2col), gather+cast to the GEMM dtype in one fused pass, one
-            # GEMM with the layout folded into the prepared planes, in-place
-            # rescale.  Bit-exact with the reference ordering below.
+            # the unfold), gather into channel-major (C*k*k, N*P) columns of
+            # the plane's dtype, one ``plane.T @ cols`` GEMM with the layout
+            # folded into the planes -- (out, N*P), already NCHW for N = 1 --
+            # a float64 rescale.  Bit-exact with the reference ordering below.
             prepared = self._get_prepared(k * k)
             boundary = self.max_4bit_ch
             q_img = quantize_unclipped(x, self.act_qparams)
             if self.dynamic_extract:
                 # Dynamic extraction derives shifts from the unfolded window
-                # values, so lowering stays in the column domain.
-                q_cols, (out_h, out_w) = im2col_cast(
-                    q_img, (k, k), self.stride, self.padding, dtype=np.float32
-                )
-                rows = q_cols.reshape(-1, q_cols.shape[-1])
-                acc = prepared.matmul(rows, boundary, dynamic=True)
+                # values, so lowering stays in the column domain: the kernel
+                # sees the columns as (N*P, C*k*k) rows through a view.
+                cols, out_hw = self._unfold(q_img, np.float32)
+                acc = prepared.matmul(cols.T, boundary, dynamic=True).T
             else:
                 prepared.lower(q_img, boundary, image=True)
-                q_cols, (out_h, out_w) = im2col_cast(
-                    q_img, (k, k), self.stride, self.padding
-                )
-                rows = q_cols.reshape(-1, q_cols.shape[-1])
-                acc = prepared.gemm_lowered(rows, boundary)
-            acc = acc.reshape(n, out_h * out_w, self.out_channels)
-            acc *= self._output_scale()
-            if self.bias is not None:
-                acc += self.bias.data
-            # Fused transpose + downcast: astype(order="C") gathers the
-            # (N, out, P) layout and converts in a single pass.
-            out = acc.transpose(0, 2, 1).astype(np.float32, order="C")
-            return out.reshape(n, self.out_channels, out_h, out_w)
+                cols, out_hw = self._unfold(q_img, prepared.plane(boundary).dtype)
+                acc = prepared.gemm_lowered(cols, boundary)
+            return self._rescale(acc, self._output_scale(), out_hw)
         if self.use_prepared and self.layout is None:
             # Unconfigured layers (e.g. first/last kept at 8 bits) still use
             # the cached integer weights of the uniform path.

@@ -10,9 +10,10 @@ Each quantized layer goes through three phases:
    them; ``reset_calibration()`` and weight updates invalidate the cache.
 3. quantized inference -- activations are mapped to integers per batch, the
    cached integer weights are reused, and the matrix multiplication is
-   carried out on integer values (stored in float64 so NumPy uses BLAS; the
-   arithmetic is exact because all operands are small integers), then
-   rescaled back to float.  This phase has one kernel body per layer,
+   carried out on integer values (stored as floats so NumPy uses BLAS:
+   float32 where :func:`repro.quant.quantizers.gemm_plane` proves that exact
+   for the layer's weights, float64 otherwise), then rescaled back to float
+   in float64.  This phase has one kernel body per layer,
    ``_quantized_forward``, from ``ndarray`` to ``ndarray``: ``forward`` hands
    it a raw array as is (inference, see :mod:`repro.nn.module`) and unwraps /
    rewraps a ``Tensor`` around it.
@@ -35,11 +36,12 @@ from repro.quant.quantizers import (
     compute_qparams,
     dequantize,
     fake_quantize,
+    gemm_plane,
     quantize,
     quantize_cast,
 )
 from repro.tensor import Tensor, TensorOrArray, functional as F
-from repro.tensor.functional import im2col_cast
+from repro.tensor.functional import unfold_channel_major
 
 
 class QuantizedLayer(Module):
@@ -59,7 +61,7 @@ class QuantizedLayer(Module):
         # When set to a bitwidth, forward() runs the differentiable
         # fake-quantized path at that precision (used for QAT finetuning).
         self.qat_bits: Optional[int] = None
-        # Cached integer weights (int8) plus the GEMM-ready float64 transpose,
+        # Cached integer weights (int8) plus the GEMM-ready float transpose,
         # computed once at freeze() instead of on every forward pass.
         # ``_q_weight_src`` holds references to the exact weight array and
         # QuantParams object the cache was built from; rebinding either
@@ -136,11 +138,13 @@ class QuantizedLayer(Module):
         return self._q_weight_cache
 
     def _gemm_weight_t(self) -> np.ndarray:
-        """Quantized weights as a GEMM-ready (features * taps, out) float64."""
+        """Quantized weights as a GEMM-ready (features * taps, out) plane:
+        float32 when exact for any activation bitwidth (:func:`gemm_plane`),
+        else float64; callers cast the activations to its dtype."""
         q_w = self.quantized_weight()
         if self._w_gemm_cache is None:
-            self._w_gemm_cache = np.ascontiguousarray(
-                q_w.reshape(q_w.shape[0], -1).T.astype(np.float64)
+            self._w_gemm_cache = gemm_plane(
+                np.ascontiguousarray(q_w.reshape(q_w.shape[0], -1).T, np.float64)
             )
         return self._w_gemm_cache
 
@@ -269,8 +273,10 @@ class QuantLinear(QuantizedLayer):
         return out
 
     def _quantized_forward(self, x: np.ndarray) -> np.ndarray:
-        acc = quantize_cast(x, self.act_qparams) @ self._gemm_weight_t()
-        acc *= self.act_qparams.scale * self.weight_qparams.scale  # (out,)
+        w_t = self._gemm_weight_t()
+        acc = quantize_cast(x, self.act_qparams, w_t.dtype) @ w_t
+        scale = self.act_qparams.scale * self.weight_qparams.scale  # (out,)
+        acc = np.multiply(acc, scale, dtype=np.float64)
         if self.bias is not None:
             acc += self.bias.data
         return acc.astype(np.float32)
@@ -346,25 +352,39 @@ class QuantConv2d(QuantizedLayer):
             groups=self.groups,
         )
 
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
+        if x.ndim != 4 or x.shape[1] != self.in_channels:
+            raise ValueError(
+                f"{self!r} expects {self.in_channels} input channels, got shape {tuple(x.shape)}"
+            )
+        return super().forward(x)
+
     def _quantized_forward(self, x: np.ndarray) -> np.ndarray:
         if self.groups != 1:
             return self._simulated_quantized_forward(x)
-        n = x.shape[0]
-        k = self.kernel_size
-        # Quantize the image before unfolding (k*k times less data than
-        # quantizing the columns); zero padding maps to quantized zero, so
-        # this commutes with im2col.  The gather doubles as the cast to the
-        # float64 GEMM dtype.
+        # Quantize the image before unfolding (k*k times less data); zero
+        # padding maps to quantized zero, so this commutes with the unfold.
+        w_t = self._gemm_weight_t()
         q_img = quantize_cast(x, self.act_qparams, np.float32)
-        q_cols, (out_h, out_w) = im2col_cast(q_img, (k, k), self.stride, self.padding)
-        acc = q_cols @ self._gemm_weight_t()  # (N, P, out)
-        acc *= self.act_qparams.scale * self.weight_qparams.scale
+        cols, out_hw = self._unfold(q_img, w_t.dtype)
+        scale = self.act_qparams.scale * self.weight_qparams.scale
+        return self._rescale(w_t.T @ cols, scale, out_hw)
+
+    def _unfold(self, q_img: np.ndarray, dtype):
+        """Channel-major GEMM columns (C*k*k, N*P) of a quantized image, cast
+        to the weight plane's ``dtype``; rejects an image the kernel overhangs."""
+        k = self.kernel_size
+        return unfold_channel_major(q_img, (k, k), self.stride, self.padding, dtype)
+
+    def _rescale(self, acc: np.ndarray, scale: np.ndarray, out_hw) -> np.ndarray:
+        """(out, N*P) integer accumulators to the float32 (N, out, H', W') output:
+        a float64 multiply whatever the GEMM dtype (the result does not depend
+        on it); the leading-axis swap, a no-op for N = 1, rides the downcast."""
+        out = np.multiply(acc, scale[:, None], dtype=np.float64)
         if self.bias is not None:
-            acc += self.bias.data
-        # Fused transpose + downcast: astype(order="C") gathers the
-        # (N, out, P) layout and converts in a single pass.
-        out = acc.transpose(0, 2, 1).astype(np.float32, order="C")
-        return out.reshape(n, self.out_channels, out_h, out_w)
+            out += self.bias.data[:, None]
+        out = out.reshape(self.out_channels, -1, *out_hw)
+        return out.transpose(1, 0, 2, 3).astype(np.float32, order="C")
 
     def _simulated_quantized_forward(self, x: np.ndarray) -> np.ndarray:
         """Quantize-dequantize both operands and convolve in float.

@@ -106,6 +106,20 @@ def quantize_cast(
     return q.astype(dtype)
 
 
+def gemm_plane(plane: np.ndarray, amax=128.0) -> np.ndarray:
+    """``plane`` (K, out) as float32 if a float32 GEMM against it is exact.
+
+    ``amax`` (scalar or (K,); 128 covers every supported bitwidth) bounds the
+    integer activations row ``k`` meets.  Integer entries with ``max_j sum_k
+    amax[k] * |plane[k, j]| < 2**24`` qualify (proof in
+    :mod:`repro.core.prepared`); any other plane stays float64.
+    """
+    bound = (np.abs(plane) * np.reshape(amax, (-1, 1))).sum(axis=0).max(initial=0.0)
+    if bound < 2.0 ** 24 and np.array_equal(plane, np.rint(plane)):
+        return plane.astype(np.float32)
+    return np.asarray(plane, dtype=np.float64)
+
+
 def dequantize(q: np.ndarray, qparams: QuantParams) -> np.ndarray:
     """Map integer values back to floats."""
     q = np.asarray(q)

@@ -62,35 +62,42 @@ def im2col(
     return np.ascontiguousarray(cols), (out_h, out_w)
 
 
-def im2col_cast(
+def unfold_channel_major(
     x: np.ndarray,
     kernel: Tuple[int, int],
     stride: int,
     padding: int,
-    dtype=np.float64,
+    dtype=np.float32,
 ) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """:func:`im2col` fused with a dtype cast (single gather+convert pass).
+    """Unfold ``x`` (N, C, H, W) into (C*kh*kw, N*out_h*out_w) columns of ``dtype``.
 
-    Used by the quantized convolution hot path: the input is quantized
-    *before* unfolding (k*k times less data than quantizing the columns) and
-    the unavoidable gather copy doubles as the cast to the GEMM dtype.
+    :func:`im2col`'s columns transposed (the Caffe/NCHW form), for the
+    quantized convolution hot path: one strided gather whose inner loop is an
+    output row (``out_w`` long, not ``kw`` long) and doubles as the cast to
+    ``dtype``, and ``w.T @ cols`` is already (out, N*P) -- for N = 1 the NCHW
+    output.  ``x`` may have any strides.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
-    if padding > 0:
-        # Manual zero padding: np.pad's generic machinery costs more than the
-        # whole gather for the small images on this hot path.
-        padded = np.zeros(
-            (n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype
+    if out_h < 1 or out_w < 1:
+        raise ValueError(
+            f"cannot convolve a {h}x{w} input with a {kh}x{kw} kernel at stride "
+            f"{stride}, padding {padding}: the output would be {out_h}x{out_w}"
         )
-        padded[:, :, padding : padding + h, padding : padding + w] = x
-        x = padded
-
-    windows = _unfold_windows(x, out_h, out_w, kh, kw, stride)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).astype(dtype, order="C")
-    return cols.reshape(n, out_h * out_w, c * kh * kw), (out_h, out_w)
+    # Always copy into an owned zero-padded buffer (np.pad costs more than the
+    # whole gather on these small images): the windows are then a plain ndarray
+    # over it whatever ``x``'s strides -- as_strided alone costs a third of it.
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    padded[:, :, padding : padding + h, padding : padding + w] = x
+    s_n, s_c, s_h, s_w = padded.strides
+    windows = np.ndarray(
+        (c, kh, kw, n, out_h, out_w), x.dtype, padded,
+        strides=(s_c, s_h, s_w, s_n, s_h * stride, s_w * stride),
+    )
+    cols = windows.astype(dtype, order="C")
+    return cols.reshape(c * kh * kw, n * out_h * out_w), (out_h, out_w)
 
 
 def col2im(

@@ -8,7 +8,7 @@ import pytest
 from repro.core import FlexiQConfig, FlexiQPipeline
 from repro.core.bit_extraction import BitExtractionPlan, extraction_shift, lower_bits
 from repro.core.layout import ChannelLayout, build_layout_plan
-from repro.core.runtime import FlexiQLinear
+from repro.core.runtime import FlexiQConv2d, FlexiQLinear
 from repro.core.selection import (
     ChannelSelection,
     SelectionConfig,
@@ -16,8 +16,8 @@ from repro.core.selection import (
     greedy_selection,
 )
 from repro.core.scoring import ChannelScore
-from repro.nn.layers import Linear
-from repro.quant.qmodules import QuantLinear
+from repro.nn.layers import Conv2d, Linear
+from repro.quant.qmodules import QuantConv2d, QuantLinear
 from repro.tensor import Tensor
 from tests.conftest import TinyMLP
 
@@ -130,6 +130,37 @@ class TestRuntimeEdgeCases:
         layer.set_boundary(8)
         layer.configure(layout, BitExtractionPlan.naive(8))
         assert layer.max_4bit_ch == 0
+
+
+class TestConvolutionRejectsBadInput:
+    """A quantized convolution names what is wrong with an input it cannot
+    convolve, instead of returning an empty array or dying inside numpy."""
+
+    @staticmethod
+    def frozen(kind, static=True):
+        layer = kind(Conv2d(4, 8, 3, rng=np.random.default_rng(0)))
+        layer(Tensor(np.random.default_rng(1).normal(size=(4, 4, 6, 6)).astype(np.float32)))
+        layer.freeze()
+        if kind is FlexiQConv2d:
+            layer.configure(ChannelLayout("x", np.arange(4), {1.0: 4}), BitExtractionPlan.naive(4))
+            layer.set_boundary(4)
+            layer.set_dynamic_extraction(not static)
+        return layer
+
+    @pytest.mark.parametrize(
+        "kind,static", [(QuantConv2d, True), (FlexiQConv2d, True), (FlexiQConv2d, False)]
+    )
+    @pytest.mark.parametrize("as_tensor", [False, True])
+    def test_named_errors(self, kind, static, as_tensor):
+        layer = self.frozen(kind, static)
+        wrap = Tensor if as_tensor else (lambda x: x)
+        good = layer(wrap(np.ones((1, 4, 3, 3), np.float32)))
+        assert good.shape == (1, 8, 1, 1)
+        for size in (2, 1):  # parent: an empty (1, 8, 0, 0) array; an as_strided crash
+            with pytest.raises(ValueError, match=rf"{size}x{size} input.*3x3 kernel.*stride 1.*padding 0"):
+                layer(wrap(np.ones((1, 4, size, size), np.float32)))
+        with pytest.raises(ValueError, match=r"Conv2d\(in=4.* expects 4 input channels, got shape \(1, 3, 6, 6\)"):
+            layer(wrap(np.ones((1, 3, 6, 6), np.float32)))
 
 
 class TestPipelineEdgeCases:

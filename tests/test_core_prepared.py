@@ -147,6 +147,77 @@ class TestBitExactness:
         flexiq_runtime.set_ratio(0.0)
 
 
+class TestPlaneDtype:
+    """A plane is float32 exactly when ``gemm_plane`` proves that exact."""
+
+    @staticmethod
+    def frozen_conv(source, data):
+        layer = FlexiQConv2d(source)
+        out = layer(Tensor(data)).data  # calibration pass (float)
+        layer.freeze()
+        return layer, out
+
+    def test_ordinary_planes_are_float32_only(self):
+        layer, _ = calibrated_conv()
+        layer.configure(shuffled_layout(8), plan_for(layer), group_size=4)
+        prepared = layer.prepare()
+        layer.set_boundary(4)
+        layer.prepare()
+        planes = [prepared.plane(b) for b in (0, 4, 8)]
+        assert [p.dtype for p in planes] == [np.float32] * 3
+        assert prepared.plane(0) is layer._gemm_weight_t()  # one copy, shared
+        tables = sum(
+            t.nbytes for entry in prepared._boundary_planes.values() for t in entry[1:]
+        )
+        stored = prepared.w8_t.nbytes + prepared.w4_t.nbytes + prepared.order.nbytes
+        assert prepared.nbytes() == stored + planes[1].nbytes + planes[2].nbytes + tables
+
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_saturated_layer_falls_back_and_mixed_stack_stays_exact(self, dynamic):
+        """A float32 layer feeding a float64 one: prepared == uncached at
+        every ratio, static and dynamic.
+
+        Every weight of the second layer quantizes to +-127, so with 128
+        channels x 3x3 taps its 8-bit plane's bound is 128 * 127 * 1152 >
+        2**24 and the plane must stay float64.
+        """
+        rng = np.random.default_rng(5)
+        images = rng.normal(size=(8, 8, 4, 4)).astype(np.float32)
+        first, hidden = self.frozen_conv(Conv2d(8, 128, 3, padding=1, rng=rng), images)
+        saturated = Conv2d(128, 4, 3, padding=1, rng=rng)
+        signs = rng.choice([-1.0, 1.0], size=saturated.weight.data.shape)
+        saturated.weight.data = (0.05 * signs).astype(np.float32)
+        second, _ = self.frozen_conv(saturated, hidden)
+        assert (np.abs(second.quantized_weight()) == 127).all()
+        layers = (first, second)
+        for layer in layers:
+            channels = layer.feature_channels
+            layout = ChannelLayout(
+                "layer",
+                rng.permutation(channels),
+                {0.25: channels // 4, 0.5: channels // 2, 1.0: channels},
+            )
+            layer.configure(layout, plan_for(layer), group_size=4)
+            layer.set_dynamic_extraction(dynamic)
+        assert first.prepare().plane(0).dtype == np.float32
+        assert second.prepare().plane(0).dtype == np.float64
+
+        dtypes = set()
+        for ratio in RATIOS:
+            outputs = []
+            for use_prepared in (False, True):
+                x = Tensor(images[:3])
+                for layer in layers:
+                    layer.use_prepared = use_prepared
+                    layer.set_ratio(ratio)
+                    x = layer(x)
+                outputs.append(x.data)
+            np.testing.assert_array_equal(outputs[0], outputs[1])
+            assert np.abs(outputs[0]).max() > 0
+            dtypes |= {layer.prepare().plane(layer.max_4bit_ch).dtype for layer in layers}
+        assert dtypes == {np.dtype(np.float32), np.dtype(np.float64)}
+
+
 class TestCacheLifecycle:
     def configured_linear(self):
         layer, data = calibrated_linear()

@@ -356,6 +356,28 @@ class TestNdarrayInference:
         assert builds == (PreparedKernel.build_count, PreparedKernel.plane_build_count)
         runtime.set_ratio(0.0)
 
+    @pytest.mark.parametrize("name", ["resnet18", "vit_small"])
+    def test_non_contiguous_batch_equals_contiguous(self, zoo_runtimes, name):
+        """The unfold reads an image batch through its strides: Fortran order,
+        a negatively-strided view and a strided slice give the same logits."""
+        runtime, images = zoo_runtimes[name]
+        runtime.prepare(use_prepared=True)
+        x = np.ascontiguousarray(images[:3])
+        views = {
+            "fortran": np.asfortranarray(x),
+            "reversed": np.ascontiguousarray(x[..., ::-1])[..., ::-1],
+            "every other": np.repeat(x, 2, axis=0)[::2],
+        }
+        try:
+            for ratio in runtime.available_ratios:
+                expected, _ = runtime.forward_batch(x, ratio=ratio)
+                for label, view in views.items():
+                    assert not view.flags.c_contiguous and np.array_equal(view, x)
+                    served, _ = runtime.forward_batch(view, ratio=ratio)
+                    assert np.array_equal(served.data, expected.data), (label, ratio)
+        finally:
+            runtime.set_ratio(0.0)
+
     def test_empty_batch_is_rejected(self, zoo_runtimes):
         runtime, images = zoo_runtimes["vit_small"]
         with pytest.raises(ValueError, match="empty batch"):

@@ -15,7 +15,8 @@ from repro.hardware.kernels import (
     mixed_gemm_reference,
     uniform_gemm_reference,
 )
-from repro.quant.quantizers import QuantParams, quantize, quantize_unclipped
+from repro.quant.quantizers import QuantParams, gemm_plane, quantize, quantize_unclipped
+from repro.tensor.functional import im2col, unfold_channel_major
 from tests.test_core_selection import make_scores
 
 
@@ -150,6 +151,107 @@ class TestMergedClipLowering:
             q = q[:, :, 0, 0]
         assert q.dtype == np.float32
         np.testing.assert_array_equal(q, expected)
+
+
+class TestFloat32PlaneCriterion:
+    """The proof obligation of ``repro.core.prepared``'s "Plane dtype" section:
+    a plane that passes ``gemm_plane`` gives the same integers in a float32
+    GEMM as in a float64 one, for any lowered activations its tables allow."""
+
+    @staticmethod
+    def adversarial_rows(plane, amax, rng):
+        """Activations at the clip bounds ``-amax`` / ``amax - 1``: per output
+        column the signs that push its sum furthest up and furthest down, plus
+        rows of random bound picks."""
+        lo, hi = -amax, amax - 1.0
+        up = np.where(plane.T < 0, lo, hi)    # every product >= 0
+        down = np.where(plane.T < 0, hi, lo)  # every product <= 0
+        coin = rng.integers(0, 2, size=(4, len(amax))).astype(bool)
+        return np.concatenate([up, down, np.where(coin, lo, hi)])
+
+    @staticmethod
+    def assert_float32_gemm_exact(plane, amax, rng):
+        stored = gemm_plane(plane, amax)
+        assert stored.dtype == np.float32
+        rows = TestFloat32PlaneCriterion.adversarial_rows(plane, amax, rng)
+        exact = rows @ plane
+        assert exact.dtype == np.float64 and np.abs(exact).max(initial=0) < 2.0 ** 24
+        np.testing.assert_array_equal(rows.astype(np.float32) @ stored, exact)
+        # ... and in the convolutions' orientation, plane.T @ cols.
+        cols = np.ascontiguousarray(rows.T, dtype=np.float32)
+        np.testing.assert_array_equal(stored.T @ cols, exact.T)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 96),
+        out=st.integers(1, 6),
+        prefix=st.floats(0.0, 1.0),
+        spread=st.sampled_from([1, 16, 128, 2048]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_qualifying_plane_is_exact_up_to_the_bound(self, seed, k, out, prefix, spread):
+        rng = np.random.default_rng(seed)
+        # 8 on 4-bit prefix rows, 128 elsewhere, as the lowering tables give.
+        amax = np.where(rng.random(k) < prefix, 8.0, 128.0)
+        plane = rng.integers(-spread, spread + 1, size=(k, out)).astype(np.float64)
+        bound = (amax[:, None] * np.abs(plane)).sum(axis=0).max()
+        if bound < 2 ** 24:
+            self.assert_float32_gemm_exact(plane, amax, rng)
+        else:
+            assert gemm_plane(plane, amax).dtype == np.float64
+
+        # The same plane topped up to sit one unit under 2**24, then on it: a
+        # filler row whose activations are +-1 carries the remainder.
+        column = int((amax[:, None] * np.abs(plane)).sum(axis=0).argmax())
+        if bound >= 2 ** 24 - 1:
+            return
+        filler = np.zeros((1, out))
+        filler[0, column] = (2 ** 24 - 1 - bound) * rng.choice([-1.0, 1.0])
+        edge, edge_amax = np.vstack([plane, filler]), np.append(amax, 1.0)
+        assert (edge_amax[:, None] * np.abs(edge)).sum(axis=0).max() == 2 ** 24 - 1
+        self.assert_float32_gemm_exact(edge, edge_amax, rng)
+        edge[-1, column] += np.sign(edge[-1, column])
+        refused = gemm_plane(edge, edge_amax)
+        assert refused.dtype == np.float64
+        np.testing.assert_array_equal(refused, edge)
+
+    def test_non_integer_plane_is_refused(self):
+        plane = np.array([[1.0, 2.0], [0.5, 3.0]])
+        assert gemm_plane(plane, 8.0).dtype == np.float64
+        assert gemm_plane(np.rint(plane), 8.0).dtype == np.float32
+
+
+class TestChannelMajorUnfold:
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 3),
+        c=st.integers(1, 5),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        k=st.integers(1, 4),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 2),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_im2col_transposed(self, seed, n, c, h, w, k, stride, padding, dtype):
+        """The channel-major columns are ``im2col``'s, transposed -- whatever
+        the memory layout of the image."""
+        if min(h, w) + 2 * padding < k:
+            with pytest.raises(ValueError, match="cannot convolve"):
+                unfold_channel_major(np.zeros((n, c, h, w), np.float32), (k, k), stride, padding)
+            return
+        x = np.random.default_rng(seed).integers(-128, 128, size=(n, c, h, w))
+        x = x.astype(np.float32)
+        reference, out_hw = im2col(x, (k, k), stride, padding)
+        expected = reference.reshape(n * out_hw[0] * out_hw[1], c * k * k).T
+        flipped = np.ascontiguousarray(x[..., ::-1])[..., ::-1]  # negative stride
+        for image in (x, np.asfortranarray(x), flipped):
+            assert np.array_equal(image, x)
+            cols, shape = unfold_channel_major(image, (k, k), stride, padding, dtype)
+            assert shape == out_hw and cols.dtype == dtype and cols.flags.c_contiguous
+            np.testing.assert_array_equal(cols, expected)
+        assert w == 1 or flipped.strides[-1] < 0
 
 
 class TestSelectionLayoutProperties:
