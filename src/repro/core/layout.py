@@ -40,9 +40,6 @@ class ChannelLayout:
 
     def __post_init__(self) -> None:
         self.order = np.asarray(self.order, dtype=np.int64)
-        # ``boundaries`` is not mutated after construction: sort it once,
-        # not on every boundary_for() (one per layer per served batch).
-        self._sorted_boundaries = tuple(zip(*sorted(self.boundaries.items())))
 
     @property
     def num_channels(self) -> int:
@@ -50,9 +47,9 @@ class ChannelLayout:
 
     def boundary_for(self, ratio: float) -> int:
         """Largest configured boundary whose ratio does not exceed ``ratio``."""
-        if not self._sorted_boundaries:
+        if not self.boundaries:
             return 0
-        ratios, boundaries = self._sorted_boundaries
+        ratios, boundaries = zip(*sorted(self.boundaries.items()))  # per call: not a serving path
         position = bisect_right(ratios, ratio + 1e-9)
         return boundaries[position - 1] if position else 0
 

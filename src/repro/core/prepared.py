@@ -84,12 +84,23 @@ Prepare/invalidate lifecycle
   and ``load_state_dict`` both do) are detected automatically through an
   object-identity check; purely in-place mutation of the same array must be
   followed by an explicit ``invalidate_weight_cache()``.
+* A static linear's ndarray forward is an inline cache: one guard
+  (``FlexiQLinear._static_kernel``: every condition of the checked path, the
+  identity checks of :meth:`PreparedKernel.matches` included), then
+  :meth:`PreparedKernel.linear` on what :meth:`build` fixed (both scales) and
+  the boundary's plane and tables; a miss takes the checked path and rebuilds.
+* Sibling projections run one :meth:`PreparedKernel.stacked_step`: a closure
+  over copies of their planes, tables, rescales and biases, stacked.  The first
+  sibling's kernel holds it per boundary tuple -- compiled on first use (a
+  ``plane_build_count``), bounded like the planes, recompiled when a sibling's
+  kernel or bias array was replaced, dropped with the kernel.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Optional, Tuple, TYPE_CHECKING
+from operator import is_
+from typing import Callable, Iterable, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -171,6 +182,10 @@ class PreparedKernel:
         # The activation clip merged into the tables is this quantizer's.
         self.act_qparams_src = act_qparams_src
         self.act_qmin, self.act_qmax = act_qparams_src.qmin, act_qparams_src.qmax
+        # :meth:`linear`'s constants (a kernel built without weight quantizer only lowers)
+        self.act_scale = act_qparams_src.scale.reshape(())
+        if weight_qparams_src is not None:
+            self.out_scale = (act_qparams_src.scale * weight_qparams_src.scale).astype(np.float64)
         self._act_shift_cols = np.repeat(act_shift, taps) if taps > 1 else act_shift
         # boundary -> (combined plane, inv factors, lo, hi), column domain
         self._boundary_planes: "OrderedDict[int, Tuple[np.ndarray, ...]]" = (
@@ -184,6 +199,8 @@ class PreparedKernel:
         self._prefix_cache: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]" = (
             OrderedDict()
         )
+        # sibling linears' boundaries (this one's first) -> (sources, bytes held, step)
+        self._stacked: "OrderedDict[Tuple[int, ...], tuple]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Construction
@@ -387,21 +404,77 @@ class PreparedKernel:
         element-wise lowering pass in ``q_x``'s dtype, a single GEMM in the
         plane's dtype (dynamic rows: in float64, see the module docstring).
         """
-        if dynamic and boundary > 0:
-            # Dynamic shifts are derived from the clipped activations, so
-            # this path clips first and lowers with per-batch factors.
-            self.lower(q_x, 0)
-            inv, fac = self._dynamic_tables(q_x, boundary)
-            _, _, lo, hi = self._boundary_plane(boundary)
-            _scale_round_clip(q_x, inv, lo, hi)
-            # Dynamic shifts replace the static ones folded into the plane:
-            # rescale by 2**(dynamic - static), an exact power of two.
-            np.multiply(q_x, fac, out=q_x)
+        if boundary <= 0:
+            plane = self.w8_t
+            np.maximum(q_x, self.act_qmin, out=q_x)
+            np.minimum(q_x, self.act_qmax, out=q_x)
         else:
-            self.lower(q_x, boundary)
-        plane = self.plane(boundary)
-        dtype = np.float64 if dynamic and boundary > 0 else plane.dtype
-        return q_x.astype(dtype, copy=False) @ plane
+            entry = self._boundary_planes.get(boundary) or self._boundary_plane(boundary)
+            plane, inv, lo, hi = entry
+            if dynamic:
+                # Dynamic shifts are derived from the clipped activations, so
+                # this path clips first and lowers with per-batch factors.
+                self.lower(q_x, 0)
+                inv, fac = self._dynamic_tables(q_x, boundary)
+                _scale_round_clip(q_x, inv, lo, hi)
+                # Dynamic shifts replace the static ones folded into the plane:
+                # rescale by 2**(dynamic - static), an exact power of two.
+                np.multiply(q_x, fac, out=q_x)
+                return q_x.astype(np.float64, copy=False) @ plane
+            _scale_round_clip(q_x, inv, lo, hi)
+        return (q_x if q_x.dtype == plane.dtype else q_x.astype(plane.dtype)) @ plane
+
+    def linear(self, x: np.ndarray, boundary: int, bias, dynamic: bool = False) -> np.ndarray:
+        """A linear layer's whole forward of float32 ``x``: round, clip +
+        lower + one GEMM (through :meth:`matmul`, so a wrapper on it sees the
+        call), float64 rescale, bias, float32 -- constants only, no checks."""
+        q = x / self.act_scale
+        np.rint(q, out=q)
+        acc = self.matmul(q.reshape(-1, self.channels), boundary, dynamic) * self.out_scale
+        if bias is not None:
+            acc += bias.data
+        return acc.astype(np.float32).reshape(x.shape[:-1] + (self.out_features,))
+
+    def stacked_step(self, boundaries: Tuple[int, ...], sources: list) -> Optional[Callable]:
+        """``step(x) -> (layers, ..., out)`` for sibling linears reading one
+        input: quantize it once, lower it against every layer's own tables in
+        one (layers, rows, K) pass, one stacked GEMM, one rescale.  Each element
+        meets its own layer's :meth:`linear` operations (factor 1 and ``rint``
+        are exact on an 8-bit column's integers; planes of both dtypes stack
+        to float64, exact too).  ``sources``: the kernels (``self`` first) then
+        the bias arrays.  ``None`` if plane shapes or activation scales differ."""
+        entry = self._stacked.get(boundaries)
+        if entry is not None and all(map(is_, entry[0], sources)):
+            return entry[2]
+        PreparedKernel.plane_build_count += 1
+        kernels, scale, held, step = sources[:len(boundaries)], self.act_scale, 0, None
+        entries = [k._boundary_plane(b) for k, b in zip(kernels, boundaries)]
+        plane, inv, lo, hi = zip(*entries)
+        if len({p.shape for p in plane}) == 1 and all(k.act_scale == scale for k in kernels):
+            plane, inv, lo, hi = map(np.stack, (plane, inv, lo, hi))
+            out_scale = np.stack([k.out_scale for k in kernels])[:, None]
+            bias = np.stack(sources[len(kernels):])[:, None]
+            count, features, out = plane.shape
+            held, lowers = plane.nbytes + 3 * inv.nbytes, any(boundaries)
+
+            def step(x: np.ndarray) -> np.ndarray:
+                q = x / scale
+                np.rint(q, out=q)
+                if lowers:
+                    low = q.reshape(-1, features) * inv
+                    np.rint(low, out=low)
+                    np.maximum(low, lo, out=low)
+                else:  # every layer at 8 bits: the plain clip, as in lower()
+                    low = np.maximum(q.reshape(-1, features), lo)
+                np.minimum(low, hi, out=low)
+                acc = (low.astype(plane.dtype, copy=False) @ plane) * out_scale
+                acc += bias
+                return acc.astype(np.float32).reshape((count,) + x.shape[:-1] + (out,))
+
+        self._stacked[boundaries] = (sources, held, step)
+        while len(self._stacked) > _MAX_BOUNDARY_PLANES:
+            self._stacked.popitem(last=False)
+        return step
 
     def _dynamic_tables(
         self, q_x: np.ndarray, boundary: int
@@ -450,7 +523,7 @@ class PreparedKernel:
             if combined is not self.w8_t and combined is not self.w4_t:
                 total += combined.nbytes
             total += inv.nbytes + lo.nbytes + hi.nbytes
-        return int(total)
+        return int(total + sum(entry[1] for entry in self._stacked.values()))
 
     def __repr__(self) -> str:
         return (

@@ -17,6 +17,7 @@ grouped shift-accumulate structure the real kernels use.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,7 +34,7 @@ from repro.nn.layers import Conv2d, Linear
 from repro.nn.module import Module
 from repro.quant.qmodules import QuantConv2d, QuantLinear, QuantizedLayer
 from repro.quant.quantizers import quantize, quantize_unclipped
-from repro.tensor import Tensor
+from repro.tensor import Tensor, TensorOrArray
 from repro.tensor.functional import im2col
 
 
@@ -297,19 +298,46 @@ class FlexiQLinear(_FlexiQMixin, QuantLinear):
         super().__init__(source, weight_bits=weight_bits, act_bits=act_bits)
         self._init_flexiq_state()
 
+    def _static_kernel(self, x) -> Optional[PreparedKernel]:
+        """The inline cache's guard: the prepared kernel if ``x``, a float32 array of
+        this layer's width, may go straight to its constants, else ``None``."""
+        prepared = self._prepared
+        return prepared if (
+            type(x) is np.ndarray and x.dtype.char == "f" and x.shape[-1:] == (self.in_features,)
+            and prepared is not None and self.use_prepared and not self.dynamic_extract
+            and not self.calibrating and self.qat_bits is None
+            and self.layout is not None and self.extraction_plan is not None
+            and prepared.weight_src is self.weight.data
+            and prepared.weight_qparams_src is self.weight_qparams
+            and prepared.act_qparams_src is self.act_qparams
+        ) else None
+
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
+        prepared = self._static_kernel(x)
+        if prepared is None:  # any miss: the checked path (and the width check)
+            return super().forward(x)
+        return prepared.linear(x, self.max_4bit_ch, self.bias)
+
+    @staticmethod
+    def stacked_forward(layers, x: np.ndarray) -> Optional[np.ndarray]:
+        """The stacked-projection capability (:mod:`repro.nn.module`): every
+        layer's forward of ``x`` from one pass, or ``None`` (a guard missed, a
+        layer has no bias, activation scales or plane shapes differ)."""
+        kernels = [layer._static_kernel(x) for layer in layers]
+        biases = [layer.bias for layer in layers]
+        if None in kernels or None in biases:
+            return None
+        boundaries = tuple([layer.max_4bit_ch for layer in layers])
+        step = kernels[0].stacked_step(boundaries, kernels + [bias.data for bias in biases])
+        return step and step(x)
+
     def _quantized_forward(self, x: np.ndarray) -> np.ndarray:
         if self._uses_prepared():
-            # Fast path: round in float32, no activation permutation (the
-            # layout is folded into the prepared weight planes), clip + lower
-            # + one GEMM in the kernel (float32 where the plane allows it),
-            # float64 rescale.  Bit-exact with the reference branch below.
-            rows = quantize_unclipped(x, self.act_qparams).reshape(-1, self.in_features)
-            prepared = self._get_prepared(1)
-            acc = prepared.matmul(rows, self.max_4bit_ch, dynamic=self.dynamic_extract)
-            acc = acc * self._output_scale()
-            if self.bias is not None:
-                acc += self.bias.data
-            return acc.astype(np.float32).reshape(x.shape[:-1] + (self.out_features,))
+            # Fast path, no activation permutation (the layout is folded into
+            # the prepared planes).  Bit-exact with the reference branch below.
+            return self._get_prepared(1).linear(
+                np.asarray(x, np.float32), self.max_4bit_ch, self.bias, self.dynamic_extract
+            )
         if self.use_prepared and self.layout is None:
             # Unconfigured layers (e.g. first/last kept at 8 bits) still use
             # the cached integer weights of the uniform path.
@@ -425,6 +453,10 @@ class FlexiQModel:
             for name, module in model.named_modules()
             if isinstance(module, (FlexiQLinear, FlexiQConv2d))
         ]
+        # [layer, layout read, boundary below every plan ratio and at each]: set_ratio's.
+        self._ratio_rows: List[list] = [
+            [layer, None, ()] for name, layer in self._flexiq_layers if name in layout_plan.layouts
+        ]
         # Whether the whole tree takes a raw array (repro.nn.module's rule);
         # otherwise forward_batch hands it a Tensor.
         self._ndarray_tree: bool = all(
@@ -444,17 +476,25 @@ class FlexiQModel:
     def set_ratio(self, ratio: float) -> None:
         """Switch every FlexiQ layer to the channel prefix for ``ratio``.
 
-        The cost of this operation in the real system is a single variable
-        update per layer (see Section 8.5); here it is a Python loop over the
-        layers, and the hardware models charge the corresponding (negligible)
-        switch latency.  With the prepared-kernel cache this holds literally:
-        switching the ratio performs no weight requantization, re-permutation
-        or plane lowering -- each layer just moves its boundary index.
+        A single variable update per layer (Section 8.5): the ratio resolves,
+        with ``boundary_for``'s floor, to an index into the plan's ratios and
+        each layer is written its boundary there -- no weight requantization,
+        re-permutation or plane lowering.  A ratio outside [0, 1] is an error.
         """
-        for name, layer in self._flexiq_layers:
-            if name in self.layout_plan.layouts:
-                layer.set_ratio(ratio)
-        self.current_ratio = float(ratio)
+        ratio = float(ratio)
+        if not 0.0 <= ratio <= 1.0:  # NaN fails both comparisons
+            raise ValueError(f"ratio must be a finite number in [0, 1], got {ratio!r}")
+        index = bisect_right(self.layout_plan.ratios, ratio + 1e-9)
+        for row in self._ratio_rows:
+            layer, layout, boundaries = row
+            if layer.layout is not layout:  # (re-)configured since the row was read
+                if layer.layout is None:
+                    raise RuntimeError("configure() must be called before set_ratio")
+                layout = layer.layout
+                boundaries = (0, *map(layout.boundary_for, self.layout_plan.ratios))
+                row[1:] = layout, boundaries
+            layer.__dict__["max_4bit_ch"] = boundaries[index]  # an int: no Module.__setattr__
+        self.current_ratio = ratio
 
     def set_dynamic_extraction(self, enabled: bool) -> None:
         for _, layer in self._flexiq_layers:
@@ -503,14 +543,14 @@ class FlexiQModel:
         if len(x) == 0:
             raise ValueError("forward_batch needs at least one sample, got an empty batch")
         if ratio is not None:
-            if float(ratio) != self.current_ratio:
-                self.ratio_switches += 1
             # Always apply, even when the ratio looks unchanged: it is a
             # handful of O(1) boundary updates, and it resynchronizes layers
             # whose boundaries were moved behind the model's back (direct
             # layer.set_boundary calls, freshly constructed models whose
             # current_ratio was never materialized).
+            previous = self.current_ratio
             self.set_ratio(ratio)
+            self.ratio_switches += self.current_ratio != previous
         if not isinstance(x, Tensor):
             x = np.asarray(x, dtype=np.float32)
             if not self._ndarray_tree:

@@ -14,9 +14,10 @@ from repro.tensor import Tensor, TensorOrArray, functional as F
 class MultiHeadAttention(Module):
     """Standard multi-head self-attention with separate Q/K/V projections.
 
-    The projections are kept as three distinct :class:`Linear` layers (rather
-    than one fused QKV matrix) because FlexiQ's channel selection and the
-    Table 6 layer-error analysis address the Q/K/V projections individually.
+    The projections are three distinct :class:`Linear` layers, not one fused QKV
+    matrix: FlexiQ's channel selection and the Table 6 layer-error analysis
+    address Q/K/V individually.  Still three layers, three selections, three
+    tables -- one GEMM where their type offers ``stacked_forward``.
     """
 
     ndarray_forward = True
@@ -49,9 +50,15 @@ class MultiHeadAttention(Module):
         # Written with operators both kinds define, so one body serves a
         # Tensor (graph recorded) and an ndarray (same values, no graph).
         n, t, _ = x.shape
-        q = self._split_heads(self.q_proj(x))
-        k = self._split_heads(self.k_proj(x))
-        v = self._split_heads(self.v_proj(x))
+        projections = (self.q_proj, self.k_proj, self.v_proj)
+        kind, qkv = type(self.q_proj), None
+        if isinstance(x, np.ndarray) and hasattr(kind, "stacked_forward") and all(
+            type(p) is kind and "forward" not in vars(p) for p in projections
+        ):  # see repro.nn.module: nobody could notice the three calls missing
+            qkv = kind.stacked_forward(projections, x)
+        if qkv is None:
+            qkv = [projection(x) for projection in projections]
+        q, k, v = map(self._split_heads, qkv)
 
         scale = 1.0 / float(np.sqrt(self.head_dim))
         scores = (q @ k.transpose(0, 1, 3, 2)) * scale

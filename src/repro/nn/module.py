@@ -10,6 +10,12 @@ wrappers on ``forward`` see both kinds.  A tree in which any module lacks the
 capability is handed a ``Tensor`` by
 :meth:`repro.core.runtime.FlexiQModel.forward_batch`, as before.  Training,
 calibration and evaluation pass ``Tensor`` and are unaffected.
+
+A layer *type* may define ``stacked_forward(layers, x)``: sibling layers'
+forwards of one array, stacked on a new leading axis, or ``None`` to decline.
+``MultiHeadAttention`` asks ``type(q_proj)`` -- a wrapper delegates attributes,
+not its type -- only if all three are exactly that type with no instance-level
+``forward``; otherwise, and always for a ``Tensor``, it calls them one by one.
 """
 
 from __future__ import annotations

@@ -272,6 +272,13 @@ class QuantLinear(QuantizedLayer):
             out = out + self.bias
         return out
 
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
+        if x.shape[-1:] != (self.in_features,):
+            raise ValueError(
+                f"{self!r} expects {self.in_features} input features, got shape {tuple(x.shape)}"
+            )
+        return super().forward(x)
+
     def _quantized_forward(self, x: np.ndarray) -> np.ndarray:
         w_t = self._gemm_weight_t()
         acc = quantize_cast(x, self.act_qparams, w_t.dtype) @ w_t

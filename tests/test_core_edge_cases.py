@@ -163,6 +163,121 @@ class TestConvolutionRejectsBadInput:
             layer(wrap(np.ones((1, 3, 6, 6), np.float32)))
 
 
+class TestLinearRejectsWrongFeatureCount:
+    """A quantized linear names itself and the shape it was given, in every
+    phase and for both kinds of input (parent: "cannot reshape array of size
+    128 into shape (2,32)" from FlexiQLinear, numpy's gufunc signature from
+    QuantLinear, and only once calibration was over)."""
+
+    @staticmethod
+    def layer(kind, phase):
+        layer = kind(Linear(8, 4, rng=np.random.default_rng(0)))
+        if phase == "calibrating":
+            return layer
+        layer(Tensor(np.random.default_rng(1).normal(size=(16, 8)).astype(np.float32)))
+        layer.freeze()
+        if kind is FlexiQLinear:
+            layer.configure(ChannelLayout("x", np.arange(8), {1.0: 8}), BitExtractionPlan.naive(8))
+            layer.set_boundary(8)
+        if phase == "qat":
+            layer.qat_bits = 4
+        return layer
+
+    @pytest.mark.parametrize("kind", [QuantLinear, FlexiQLinear])
+    @pytest.mark.parametrize("phase", ["calibrating", "qat", "quantized"])
+    @pytest.mark.parametrize("as_tensor", [False, True])
+    def test_named_errors(self, kind, phase, as_tensor):
+        layer = self.layer(kind, phase)
+        wrap = Tensor if as_tensor else (lambda x: x)
+        assert layer(wrap(np.ones((2, 3, 8), np.float32))).shape == (2, 3, 4)
+        assert layer(wrap(np.ones(8, np.float32))).shape == (4,)
+        for shape in ((2, 16), (2, 3, 7), (16,), ()):
+            with pytest.raises(ValueError) as raised:
+                layer(wrap(np.ones(shape, np.float32)))
+            message = str(raised.value)
+            assert "Linear(in=8, out=4" in message  # QuantLinear(...) / FlexiQLinear(...)
+            assert f"expects 8 input features, got shape {shape!r}" in message
+
+
+class TestRatioIsValidated:
+    """``FlexiQModel.set_ratio`` is the boundary every ratio crosses
+    (``forward_batch``, ``RuntimeExecutor.execute``/``execute_step``).  Parent:
+    NaN ran every layer at its largest boundary and made ``ratio_switches``
+    count every later batch; -1 and 2.0 were recorded as executed."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1, 2.0, 1.0001])
+    def test_out_of_range_and_non_finite_ratios_are_rejected(
+        self, flexiq_runtime, calibration_batch, bad
+    ):
+        from repro.serving import Request, RuntimeExecutor
+        from repro.serving.engine import Batch
+
+        flexiq_runtime.set_ratio(0.5)
+        boundaries = [layer.max_4bit_ch for _, layer in flexiq_runtime.flexiq_layers()]
+        switches = flexiq_runtime.ratio_switches
+        x = calibration_batch[:2]
+        requests = [Request(arrival_time=0.0, model="m", payload=row) for row in x]
+        batch = Batch(model="m", start_time=0.0, size=2, indices=np.arange(2), requests=requests)
+        executor = RuntimeExecutor(flexiq_runtime)
+        try:
+            for call in (
+                lambda: flexiq_runtime.set_ratio(bad),
+                lambda: flexiq_runtime.forward_batch(x, ratio=bad),
+                lambda: executor.execute(batch, "flexiq", bad),
+                lambda: executor.execute_step(batch, "flexiq", bad),
+            ):
+                with pytest.raises(ValueError) as raised:
+                    call()
+                assert f"in [0, 1], got {float(bad)!r}" in str(raised.value)
+            assert flexiq_runtime.current_ratio == 0.5
+            assert flexiq_runtime.ratio_switches == switches
+            assert boundaries == [
+                layer.max_4bit_ch for _, layer in flexiq_runtime.flexiq_layers()
+            ]
+        finally:
+            flexiq_runtime.set_ratio(0.0)
+
+    def test_unconfigured_in_range_ratio_floors_like_boundary_for(self, flexiq_runtime):
+        """The table resolves a ratio to an index into the plan's ratios; the
+        result is every layer's own ``boundary_for`` (arbitrary floats come
+        from ``RatioSchedulePolicy``), and the table stays one row per layer."""
+        configured = flexiq_runtime.layout_plan.layouts
+        rows = len(flexiq_runtime._ratio_rows)
+        try:
+            for ratio in np.linspace(0.0, 1.0, 41).tolist() + [0.25 - 1e-12, 0.5 + 1e-12]:
+                flexiq_runtime.set_ratio(ratio)
+                assert flexiq_runtime.current_ratio == ratio
+                for name, layer in flexiq_runtime.flexiq_layers():
+                    if name in configured:
+                        assert layer.max_4bit_ch == layer.layout.boundary_for(ratio), (name, ratio)
+            assert len(flexiq_runtime._ratio_rows) == rows
+        finally:
+            flexiq_runtime.set_ratio(0.0)
+
+    def test_a_layout_changed_behind_the_model_is_picked_up(self, trained_mlp, calibration_batch):
+        config = FlexiQConfig(
+            ratios=(0.5, 1.0), group_size=4, selection="greedy",
+            selection_config=SelectionConfig(group_size=4),
+        )
+        runtime = FlexiQPipeline(trained_mlp, calibration_batch, config).run()
+        name = next(iter(runtime.layout_plan.layouts))
+        layer = dict(runtime.flexiq_layers())[name]
+        runtime.set_ratio(1.0)
+        channels = layer.feature_channels
+        layer.configure(
+            ChannelLayout(name, np.arange(channels), {0.5: 4, 1.0: channels - 4}),
+            BitExtractionPlan.naive(channels),
+        )
+        assert layer.max_4bit_ch == 0  # configure() resets the boundary
+        runtime.forward_batch(calibration_batch[:2], ratio=1.0)  # same ratio: still applied
+        assert layer.max_4bit_ch == channels - 4
+        runtime.set_ratio(0.5)
+        assert layer.max_4bit_ch == 4
+        layer.layout = None
+        with pytest.raises(RuntimeError, match="configure"):
+            runtime.set_ratio(0.5)
+
+
 class TestPipelineEdgeCases:
     def test_single_ratio_pipeline(self, trained_mlp, calibration_batch):
         config = FlexiQConfig(

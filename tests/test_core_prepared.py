@@ -21,8 +21,9 @@ from repro.core.bit_extraction import BitExtractionPlan
 from repro.core.layout import ChannelLayout
 from repro.core.prepared import PreparedKernel, prepare_model
 from repro.core.runtime import FlexiQConv2d, FlexiQLinear
+from repro.nn.attention import MultiHeadAttention
 from repro.nn.layers import Conv2d, Linear
-from repro.quant.quantizers import quantize
+from repro.quant.quantizers import QuantParams, quantize
 from repro.tensor import Tensor
 from repro.train.optim import SGD
 
@@ -72,6 +73,36 @@ def plan_for(layer):
 def shuffled_layout(channels, seed=7):
     order = np.random.default_rng(seed).permutation(channels)
     return ChannelLayout("layer", order, {1.0: channels})
+
+
+def flexiq_attention(dim=16, heads=2, seed=0):
+    """A frozen MultiHeadAttention whose four projections are configured
+    FlexiQLinear layers (random layouts, three ratios), plus calibration data."""
+    rng = np.random.default_rng(seed)
+    attn = MultiHeadAttention(dim, heads, rng=rng)
+    data = rng.normal(size=(8, 5, dim)).astype(np.float32) * np.linspace(0.2, 2.0, dim, dtype=np.float32)
+    names = ("q_proj", "k_proj", "v_proj", "out_proj")
+    for name in names:
+        attn.set_submodule(name, FlexiQLinear(getattr(attn, name)))
+    attn(Tensor(data))  # calibration pass
+    for name in names:
+        layer = getattr(attn, name)
+        layer.freeze()
+        layer.configure(
+            ChannelLayout(name, rng.permutation(dim), {0.25: dim // 4, 0.5: dim // 2, 1.0: dim}),
+            plan_for(layer), group_size=4,
+        )
+        layer.set_ratio(0.5)
+    return attn, data
+
+
+def projections(module):
+    """The FlexiQ linears of a layer or an attention block."""
+    return [m for _, m in module.named_modules() if isinstance(m, FlexiQLinear)]
+
+
+def array_of(out):
+    return out.data if isinstance(out, Tensor) else out
 
 
 def forward_both_paths(layer, x):
@@ -282,6 +313,199 @@ class TestCacheLifecycle:
         )
         assert layer._prepared is not first
         assert layer._prepared is not None  # eagerly rebuilt (still frozen)
+
+
+    # -- compiled steps: every staleness source takes effect on the very next
+    # forward, for the single step and for the stacked Q/K/V one ------------
+    def _rebind_weight(layer):
+        layer.weight.data = layer.weight.data * np.float32(0.5)  # as an optimizer step does
+
+    def _load_state(layer):
+        layer.load_state_dict({k: v * np.float32(0.5) for k, v in layer.state_dict().items()})
+
+    def _rebind_act_qparams(layer):
+        layer.act_qparams = QuantParams(layer.act_qparams.scale * 2, 8)
+
+    def _rebind_weight_qparams(layer):
+        layer.weight_qparams = QuantParams(layer.weight_qparams.scale * 2, 8, channel_axis=0)
+
+    def _rebind_bias(layer):
+        layer.bias.data = layer.bias.data + np.float32(1.0)
+
+    def _disable_prepared(layer):
+        layer.use_prepared = False
+
+    def _dynamic(layer):
+        layer.set_dynamic_extraction(True)
+
+    def _reconfigure(layer):
+        layer.configure(
+            shuffled_layout(layer.feature_channels, seed=11), plan_for(layer), group_size=1
+        )
+        layer.set_boundary(layer.feature_channels // 2)
+
+    def _recalibrate(layer):
+        layer.reset_calibration()
+        rng = np.random.default_rng(5)
+        layer(Tensor(rng.normal(size=(32, layer.in_features)).astype(np.float32) * 3))
+        layer.freeze()
+
+    def _inplace_then_invalidate(layer):
+        layer.weight.data *= np.float32(0.5)
+        layer.invalidate_weight_cache()
+
+    #: (what happens to a layer, whether the output must move)
+    STALENESS = {
+        "weight.data rebound": (_rebind_weight, True),
+        "load_state_dict": (_load_state, True),
+        "act_qparams rebound": (_rebind_act_qparams, True),
+        "weight_qparams rebound": (_rebind_weight_qparams, True),
+        "bias.data rebound": (_rebind_bias, True),
+        "use_prepared = False": (_disable_prepared, False),
+        "dynamic extraction": (_dynamic, False),
+        "re-configure": (_reconfigure, False),
+        "reset_calibration + freeze": (_recalibrate, True),
+        "in-place + invalidate": (_inplace_then_invalidate, True),
+    }
+
+    def _check_next_forward(self, module, touched, x, mutate, moves):
+        before = module(x).copy()  # compiled path, warm
+        for layer in touched:
+            mutate(layer)
+        after = array_of(module(x)).copy()  # the very next forward
+        for layer in projections(module):
+            layer.use_prepared = False
+        np.testing.assert_array_equal(after, array_of(module(x)))  # == uncached
+        if moves:
+            assert not np.array_equal(before, after)
+        if mutate is not TestCacheLifecycle._disable_prepared:
+            for layer in projections(module):
+                layer.use_prepared = True
+            np.testing.assert_array_equal(array_of(module(x)), after)  # recompiled
+
+    @pytest.mark.parametrize("what", STALENESS)
+    def test_single_step_sees_it_on_the_next_forward(self, what):
+        layer, data = self.configured_linear()
+        assert layer._static_kernel(data[:4]) is layer._prepared  # the guard passes
+        self._check_next_forward(layer, [layer], data[:4], *self.STALENESS[what])
+
+    @pytest.mark.parametrize("victim", ["q_proj", "k_proj", "v_proj"])
+    @pytest.mark.parametrize("what", STALENESS)
+    def test_stacked_step_sees_it_on_the_next_forward(self, what, victim):
+        attn, data = flexiq_attention()
+        attn(data[:2])
+        assert len(attn.q_proj._prepared._stacked) == 1  # Q/K/V went through one GEMM
+        mutate, moves = self.STALENESS[what]
+        if mutate is TestCacheLifecycle._rebind_bias and victim == "k_proj":
+            moves = False  # softmax does not see a constant added to every key
+        self._check_next_forward(attn, [getattr(attn, victim)], data[:2], mutate, moves)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_qat_bits_takes_the_fake_quantized_path_at_once(self, stacked):
+        """``qat_bits`` is checked by the guard: the next forward is the
+        differentiable fake-quantized one (a ``Tensor`` with a graph)."""
+        if stacked:
+            module, data = flexiq_attention()
+            x = data[:2]
+        else:
+            module, data = self.configured_linear()
+            x = data[:4]
+        before = module(x).copy()
+        for layer in projections(module):
+            layer.qat_bits = 4
+        after = module(x)
+        expected = module(Tensor(x))
+        assert isinstance(after, Tensor) and after._backward is not None
+        np.testing.assert_array_equal(after.data, expected.data)
+        assert not np.array_equal(before, after.data)
+        for layer in projections(module):
+            layer.qat_bits = None
+        np.testing.assert_array_equal(module(x), before)
+
+    def test_sweeping_boundaries_stays_exact_and_bounded(self):
+        """More boundaries than ``_MAX_BOUNDARY_PLANES``: planes and stacked
+        steps are evicted, rebuilt on demand, and never inexact."""
+        from repro.core.prepared import _MAX_BOUNDARY_PLANES
+
+        attn, data = flexiq_attention(dim=24, heads=2)
+        x = data[:2]
+        q_proj, k_proj, v_proj, out_proj = projections(attn)
+        assert attn.embed_dim + 1 > _MAX_BOUNDARY_PLANES
+        for sweep in range(2):
+            for boundary in range(attn.embed_dim + 1):
+                q_proj.set_boundary(boundary)
+                k_proj.set_boundary(attn.embed_dim - boundary)
+                out_proj.set_boundary(boundary)
+                fast = attn(x)
+                for layer in projections(attn):
+                    layer.use_prepared = False
+                np.testing.assert_array_equal(fast, attn(x))
+                for layer in projections(attn):
+                    layer.use_prepared = True
+                for layer in projections(attn):
+                    kernel = layer._prepared
+                    assert len(kernel._boundary_planes) <= _MAX_BOUNDARY_PLANES
+                    assert len(kernel._stacked) <= _MAX_BOUNDARY_PLANES
+        assert len(q_proj._prepared._stacked) == _MAX_BOUNDARY_PLANES
+        assert k_proj._prepared._stacked == v_proj._prepared._stacked == {}
+
+    def test_a_kernel_dropped_takes_its_stacked_steps_with_it(self):
+        attn, data = flexiq_attention()
+        attn(data[:2])
+        kernel = attn.q_proj._prepared
+        assert len(kernel._stacked) == 1
+        size = kernel.nbytes()
+        stacked_bytes = sum(entry[1] for entry in kernel._stacked.values())
+        assert 0 < stacked_bytes < size  # the stacked copies are counted
+        attn.q_proj.invalidate_weight_cache()
+        assert attn.q_proj._prepared is None
+        expected = attn(data[:2])  # guard miss: the old path rebuilds the kernel
+        assert attn.q_proj._prepared is not kernel
+        assert attn.q_proj._prepared._stacked == {}
+        np.testing.assert_array_equal(attn(data[:2]), expected)  # stacked again
+        assert len(attn.q_proj._prepared._stacked) == 1
+
+
+class TestHooksAndWrappersKeepSeeingTheirCall:
+    """The stacked projection is taken only when nobody could notice: an
+    instance-level ``forward`` or a wrapping module on a projection falls the
+    whole attention back to three calls."""
+
+    def test_instance_level_forward_sees_one_call_per_attention_forward(self):
+        attn, data = flexiq_attention()
+        expected = attn(data[:2])
+        stacked = len(attn.q_proj._prepared._stacked)
+        calls = []
+        inner = attn.k_proj.forward
+
+        def spy(x):
+            calls.append(x.shape)
+            return inner(x)
+
+        attn.k_proj.forward = spy
+        for count in (1, 2, 3):
+            np.testing.assert_array_equal(attn(data[:2]), expected)
+            assert len(calls) == count
+        del attn.k_proj.forward
+        attn(data[:2])
+        assert len(calls) == 3 and len(attn.q_proj._prepared._stacked) == stacked
+
+    def test_capture_wrapped_projection_still_records_its_input(self):
+        from repro.analysis.capture import capture_layer_io, release_capture
+
+        attn, data = flexiq_attention()
+        expected = attn(data[:2])
+        wrappers = capture_layer_io(attn, ["v_proj"])
+        # The wrapper answers attribute lookups for its inner layer, but not
+        # lookups on its *type*: the attention must not stack around it.
+        assert hasattr(attn.v_proj, "stacked_forward")
+        assert not hasattr(type(attn.v_proj), "stacked_forward")
+        for x in (data[:2], Tensor(data[:2])):
+            wrappers["v_proj"].last_input = None
+            np.testing.assert_array_equal(array_of(attn(x)), expected)
+            np.testing.assert_array_equal(wrappers["v_proj"].last_input, data[:2])
+        release_capture(attn, wrappers)
+        np.testing.assert_array_equal(attn(data[:2]), expected)
 
 
 class TestRatioSwitchIsO1:

@@ -378,6 +378,53 @@ class TestNdarrayInference:
         finally:
             runtime.set_ratio(0.0)
 
+    @pytest.mark.parametrize("name", ["vit_small", "resnet18"])
+    def test_a_hundred_served_batches_compile_nothing(self, zoo_runtimes, name):
+        """Steps, stacked steps and planes exist after one pass over the
+        ratios; 100 engine batches that switch ratio every time add none,
+        and every response equals the ``Tensor`` forward at its ratio."""
+        from repro.core.prepared import PreparedKernel
+        from repro.serving import (
+            BatchingConfig, Request, RoundRobinRatioPolicy, RuntimeExecutor, ServingEngine,
+        )
+
+        runtime, images = zoo_runtimes[name]
+        runtime.prepare(use_prepared=True)
+        ratios = runtime.available_ratios
+        for ratio in ratios:
+            runtime.forward_batch(images[:1], ratio=ratio)
+        attentions = [
+            module for _, module in runtime.model.named_modules()
+            if hasattr(module, "q_proj")
+        ]
+        assert bool(attentions) == (name == "vit_small")
+        for attention in attentions:  # one stacked step per boundary triple, on Q's kernel
+            assert 1 <= len(attention.q_proj._prepared._stacked) <= len(ratios)
+
+        engine = ServingEngine(BatchingConfig(max_batch=3))
+        engine.register("m", RuntimeExecutor(runtime), policy=RoundRobinRatioPolicy(ratios))
+        requests = [
+            Request(arrival_time=0.0, model="m", payload=images[i % len(images)])
+            for i in range(300)
+        ]
+        builds = (PreparedKernel.build_count, PreparedKernel.plane_build_count)
+        try:
+            outcome = engine.run(requests=requests, record_responses=True)
+            assert builds == (PreparedKernel.build_count, PreparedKernel.plane_build_count)
+            assert len(outcome.batch_ratios) == 100
+            assert set(outcome.batch_ratios) == set(ratios)
+            for first in range(0, 24, 3):
+                ratio = outcome.batch_ratios[first // 3]
+                expected, _ = runtime.forward_batch(
+                    Tensor(np.stack([r.payload for r in requests[first:first + 3]])), ratio=ratio
+                )
+                for offset in range(3):
+                    assert np.array_equal(
+                        outcome.responses[first + offset].output, expected.data[offset]
+                    )
+        finally:
+            runtime.set_ratio(0.0)
+
     def test_empty_batch_is_rejected(self, zoo_runtimes):
         runtime, images = zoo_runtimes["vit_small"]
         with pytest.raises(ValueError, match="empty batch"):

@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bit_extraction import extraction_shift, lower_bits
+from repro.core.bit_extraction import BitExtractionPlan, extraction_shift, lower_bits
 from repro.core.layout import ChannelLayout, build_layout_plan
 from repro.core.prepared import PreparedKernel
+from repro.core.runtime import FlexiQLinear
 from repro.core.selection import SelectionConfig, greedy_selection, random_selection
 from repro.hardware.kernels import (
     MixedPrecisionGemm,
     mixed_gemm_reference,
     uniform_gemm_reference,
 )
+from repro.nn.layers import Linear
 from repro.quant.quantizers import QuantParams, gemm_plane, quantize, quantize_unclipped
+from repro.tensor import Tensor
 from repro.tensor.functional import im2col, unfold_channel_major
 from tests.test_core_selection import make_scores
 
@@ -151,6 +154,135 @@ class TestMergedClipLowering:
             q = q[:, :, 0, 0]
         assert q.dtype == np.float32
         np.testing.assert_array_equal(q, expected)
+
+
+class TestCompiledSteps:
+    """A compiled step (one layer) and a stacked one (siblings sharing an
+    input) against the uncached reference, three separate projections and the
+    ``Tensor`` forward -- ``array_equal`` throughout."""
+
+    @staticmethod
+    def siblings(rng, count, in_features, out_features, group_size, bias=True):
+        """``count`` frozen, configured FlexiQ linears calibrated on one input."""
+        spread = rng.uniform(0.1, 3.0, size=in_features).astype(np.float32)
+        data = rng.normal(size=(48, in_features)).astype(np.float32) * spread
+        layers = []
+        for index in range(count):
+            source = Linear(in_features, out_features, bias=bias, rng=rng)
+            source.weight.data = source.weight.data * spread
+            layer = FlexiQLinear(source)
+            layer(Tensor(data))
+            layer.freeze()
+            q_weight = np.abs(layer.quantized_weight()).max(axis=0)
+            act_max = np.clip(
+                np.round(layer.input_channel_range().max_abs / layer.act_qparams.scale), 0, 127
+            )
+            layer.configure(
+                ChannelLayout(
+                    f"l{index}", rng.permutation(in_features),
+                    {0.5: in_features // 2, 1.0: in_features},
+                ),
+                BitExtractionPlan.from_channel_maxima(q_weight, act_max),
+                group_size=group_size,
+            )
+            layers.append(layer)
+        return layers, data
+
+    @staticmethod
+    def strided(rng, lead, features, data):
+        """An input with leading dims ``lead``, C-contiguous or not."""
+        rows = int(np.prod(lead))
+        x = data[rng.integers(0, len(data), size=rows)].reshape(lead + (features,))
+        layout = rng.integers(0, 3)
+        if layout == 1 and x.ndim >= 3:  # a transposed view over two leading axes
+            x = np.ascontiguousarray(np.swapaxes(x, 0, -2)).swapaxes(0, -2)
+        elif layout:  # every other feature column of a wider buffer
+            wide = np.zeros(lead + (2 * features,), np.float32)
+            wide[..., ::2] = x
+            x = wide[..., ::2]
+        return x
+
+    @given(
+        seed=st.integers(0, 10_000),
+        in_features=st.integers(1, 40),
+        out_features=st.integers(1, 24),
+        group_size=st.sampled_from([1, 4, 8]),
+        lead=st.lists(st.integers(1, 4), min_size=0, max_size=3).map(tuple),
+        where=st.sampled_from(["zero", "half", "full", "unconfigured"]),
+        bias=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_step_equals_uncached_and_tensor(
+        self, seed, in_features, out_features, group_size, lead, where, bias
+    ):
+        rng = np.random.default_rng(seed)
+        (layer,), data = self.siblings(rng, 1, in_features, out_features, group_size, bias)
+        boundary = {
+            "zero": 0, "half": in_features // 2, "full": in_features,
+            # outside the layout's ratio set: its plane is built on first use
+            "unconfigured": int(rng.integers(0, in_features + 1)),
+        }[where]
+        layer.set_boundary(boundary)
+        x = self.strided(rng, lead, in_features, data)
+        kernel = layer._prepared
+        assert layer._static_kernel(x) is kernel
+        built = boundary in kernel._boundary_planes
+        assert built or boundary == 0 or where == "unconfigured"
+        fast = layer(x)
+        assert (boundary in kernel._boundary_planes or boundary == 0) and layer._prepared is kernel
+        assert type(fast) is np.ndarray and fast.dtype == np.float32
+        assert fast.shape == lead + (out_features,)
+        np.testing.assert_array_equal(fast, layer(Tensor(x)).data)
+        layer.use_prepared = False
+        np.testing.assert_array_equal(fast, layer(x))
+        np.testing.assert_array_equal(fast, layer(Tensor(x)).data)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        features=st.integers(1, 32),
+        out_features=st.integers(1, 16),
+        group_size=st.sampled_from([1, 4]),
+        lead=st.lists(st.integers(1, 4), min_size=0, max_size=3).map(tuple),
+        count=st.integers(1, 4),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_stacked_equals_separate_projections(
+        self, seed, features, out_features, group_size, lead, count
+    ):
+        rng = np.random.default_rng(seed)
+        layers, data = self.siblings(rng, count, features, out_features, group_size)
+        for layer in layers:
+            layer.set_boundary(int(rng.choice([0, features // 2, features, rng.integers(0, features + 1)])))
+        x = self.strided(rng, lead, features, data)
+        stacked = FlexiQLinear.stacked_forward(layers, x)
+        assert stacked is not None and stacked.dtype == np.float32
+        assert stacked.shape == (count,) + lead + (out_features,)
+        for part, layer in zip(stacked, layers):
+            np.testing.assert_array_equal(part, layer(x))
+            np.testing.assert_array_equal(part, layer(Tensor(x)).data)
+            layer.use_prepared = False
+            np.testing.assert_array_equal(part, layer(x))
+            layer.use_prepared = True
+
+    def test_stacking_is_refused_where_a_pass_cannot_be_shared(self):
+        rng = np.random.default_rng(0)
+        layers, data = self.siblings(rng, 3, 8, 6, 4)
+        x = data[:5]
+        assert FlexiQLinear.stacked_forward(layers, x) is not None
+        assert FlexiQLinear.stacked_forward(layers, Tensor(x)) is None  # autograd
+        assert FlexiQLinear.stacked_forward(layers, x.astype(np.float64)) is None
+        assert FlexiQLinear.stacked_forward(layers, x[:, :7]) is None  # wrong width
+
+        other_scale, _ = self.siblings(np.random.default_rng(1), 1, 8, 6, 4)
+        assert other_scale[0].act_qparams.scale != layers[0].act_qparams.scale
+        assert FlexiQLinear.stacked_forward(layers[:2] + other_scale, x) is None
+        wider, _ = self.siblings(np.random.default_rng(0), 1, 8, 7, 4)
+        wider[0].act_qparams = layers[0].act_qparams
+        assert FlexiQLinear.stacked_forward(layers[:2] + wider, x) is None
+        no_bias, _ = self.siblings(np.random.default_rng(0), 1, 8, 6, 4, bias=False)
+        assert FlexiQLinear.stacked_forward(layers[:2] + no_bias, x) is None
+        layers[1].set_dynamic_extraction(True)
+        assert FlexiQLinear.stacked_forward(layers, x) is None
 
 
 class TestFloat32PlaneCriterion:
