@@ -1101,9 +1101,8 @@ class ClusterEngine:
         boundaries.schedule(self.telemetry.window, WINDOW_BOUNDARY, 0)
         try:
             # With no window-boundary decisions to make, the whole session
-            # goes straight to finish(), which drains eligible FIFO sessions
-            # through the engine's columnar fast core — stepping batch by
-            # batch here would only re-create the object loop it replaces.
+            # goes straight to finish(), which sweeps eligible FIFO sessions
+            # columnar (stepping here, with a bus attached, is the object loop).
             while control:
                 record = self.engine.step()
                 if record is None:

@@ -51,6 +51,20 @@ Views vs. copies
 * Telemetry ingestion groups per-request latencies into per-window chunks
   (fresh arrays); everything else aggregates into scalar accumulators.
 
+The resumable sweep
+===================
+:class:`FifoSweep` is the FIFO dispatch loop with its state carried between
+calls: the pending arrivals as a Python float list (``arr``, positions
+``offset``..), the admission cursor (``pos``: positions consumed, served or
+dropped), one row per batch and one entry per drop cohort.  ``advance`` runs
+it dry or for a number of batches — ``ServingEngine.step()`` is a segment of
+one, :func:`run_fifo_columnar` one unlimited segment — and the caller may
+extend or re-read the pending list in between (``pending_from``).  The
+clocks are not carried: ``free_at``/``busy``/``active`` are the caller's,
+who may write them between segments, so the earliest-free order is derived
+in every call.  The float list is dropped each time the cursor reaches its
+end, before ``columns()`` (the vectorized epilogue) allocates anything.
+
 The unbreakable invariant: a K=1 FIFO run through the columnar core is
 **bit-identical** to the seed simulator — same admission boundaries, same
 batch formation, same IEEE-754 arithmetic (``start + service``,
@@ -60,10 +74,11 @@ drop_after`` re-applied exactly at the searchsorted boundary).
 
 from __future__ import annotations
 
-import bisect
-import heapq
+from bisect import bisect_left, bisect_right
+from heapq import heapify, heappop, heappush, heapreplace
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,6 +95,7 @@ __all__ = [
     "LazyRequests",
     "BatchLedger",
     "ColumnarFifoRun",
+    "FifoSweep",
     "run_fifo_columnar",
     "served_by_slots",
     "check_arrivals",
@@ -127,7 +143,7 @@ class EventCalendar:
         self._seq = 0
 
     def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, (float(event.time), self._seq, event))
+        heappush(self._heap, (float(event.time), self._seq, event))
         self._seq += 1
 
     def schedule(self, time: float, kind: str, payload: Any = None) -> None:
@@ -142,7 +158,7 @@ class EventCalendar:
         return self._heap[0][0] if self._heap else float("inf")
 
     def pop(self) -> Event:
-        return heapq.heappop(self._heap)[2]
+        return heappop(self._heap)[2]
 
     def pop_due(self, time: float) -> List[Event]:
         """Pop every event with ``event.time <= time``, in calendar order."""
@@ -685,6 +701,147 @@ class ColumnarFifoRun:
     dropped: int
 
 
+class FifoSweep:
+    """Carried state of the resumable columnar FIFO sweep (module docstring)."""
+
+    __slots__ = ("arr", "offset", "pos", "starts", "finishes", "sizes", "servers",
+                 "depths", "drop_times", "drop_los", "drop_his", "dropped")
+
+    def __init__(self, arrivals: np.ndarray) -> None:
+        self.arr: List[float] = arrivals.tolist()
+        self.offset = self.pos = self.dropped = 0
+        self.starts, self.finishes, self.sizes = [], [], []
+        self.servers, self.depths = [], []
+        self.drop_times, self.drop_los, self.drop_his = [], [], []
+
+    def pending_from(self, at: int, arrivals: np.ndarray) -> None:
+        """Positions ``at`` (not before ``pos``) onwards are now ``arrivals``."""
+        del self.arr[at - self.offset:]
+        self.arr.extend(arrivals.tolist())
+
+    def advance(
+        self, free_at: List[float], busy: List[float], active: Sequence[int],
+        latency_tables: Dict[int, Sequence[float]], max_batch: int,
+        drop_after: Optional[float], limit: Optional[int] = None,
+    ) -> int:
+        """Dispatch pending arrivals, by :func:`run_fifo_columnar`'s rules,
+        until none is left or ``limit`` (>= 1) batches are out; returns how
+        many went out.  ``free_at``/``busy`` are mutated in place."""
+        remaining = limit or -1  # counts down to 0; unlimited never gets there
+        arr = self.arr
+        n = len(arr)
+        offset = self.offset
+        pos = self.pos - offset
+        starts, finishes, sizes = self.starts, self.finishes, self.sizes
+        servers, depths = self.servers, self.depths
+        before = len(starts)
+
+        active_list = sorted(active)
+        single = len(active_list) == 1
+        if single:
+            only = active_list[0]
+            table = latency_tables[only]
+        elif limit == 1:
+            # One batch reads one clock (a drop cohort moves none).
+            only = min(active_list, key=free_at.__getitem__)
+            clock_heap = [(free_at[only], only)]
+        else:
+            # Free-clock heap: (free_at, server) pops the earliest-free server,
+            # ties by lowest id — exactly ``min(active, key=free_at.__getitem__)``
+            # over the ascending active list, in O(log K) with no key calls.
+            clock_heap = [(free_at[server], server) for server in active_list]
+            heapify(clock_heap)
+
+        while pos < n:
+            first_arrival = arr[pos]
+            if single:
+                server = only
+                free = free_at[only]
+            else:
+                free, server = clock_heap[0]
+            start = free if free >= first_arrival else first_arrival
+            # Galloping admission boundary: most batches admit only a few
+            # requests, so bracket [pos, hi) by doubling steps before the
+            # bisect — O(log(backlog)) instead of O(log n) per batch, with the
+            # identical boundary (bisect_right over the same sorted floats).
+            step = 8
+            lo = pos
+            hi = pos + step
+            while hi < n and arr[hi] <= start:
+                lo = hi
+                step += step
+                hi = pos + step
+            end_index = bisect_right(arr, start, lo, hi if hi < n else n)
+
+            if drop_after is not None:
+                # Expired prefix: searchsorted boundary + exact-predicate walk
+                # (the _expired_prefix_end arithmetic, on the float list).
+                cut = start - drop_after
+                fresh = bisect_left(arr, cut, pos, end_index)
+                while fresh > pos and not (start - arr[fresh - 1] > drop_after):
+                    fresh -= 1
+                while fresh < end_index and (start - arr[fresh]) > drop_after:
+                    fresh += 1
+                if fresh > pos:
+                    self.dropped += fresh - pos
+                    self.drop_times.append(start)
+                    self.drop_los.append(offset + pos)
+                    self.drop_his.append(offset + fresh)
+                    pos = fresh
+                    continue  # head changed: re-derive server and start
+
+            end = pos + max_batch
+            if end_index < end:
+                end = end_index
+            if end == pos:
+                end = pos + 1  # serve at least the request that triggered us
+            size = end - pos
+            service = table[size] if single else latency_tables[server][size]
+            finish = start + service
+
+            starts.append(start)
+            finishes.append(finish)
+            sizes.append(size)
+            servers.append(server)
+            depths.append(end_index - pos)
+            busy[server] += service
+            free_at[server] = finish
+            if not single:
+                heapreplace(clock_heap, (finish, server))
+            pos = end
+            remaining -= 1
+            if not remaining:
+                break
+
+        self.pos = offset + pos
+        if pos >= n:
+            # Dry: the consumed floats go now, before any epilogue allocates.
+            self.offset, self.arr = self.pos, []
+        return len(starts) - before
+
+    def columns(self) -> ColumnarFifoRun:
+        """Everything dispatched so far, as columns over the consumed positions."""
+        floats = partial(np.asarray, dtype=np.float64)
+        ints = partial(np.asarray, dtype=np.int64)
+        n, sizes_col = self.pos, ints(self.sizes)
+        # FIFO batches form over consecutive surviving positions, in order: the
+        # k-th batch serves the next ``sizes[k]`` positions no cohort dropped.
+        batch_of = np.repeat(np.arange(len(sizes_col), dtype=np.intp), sizes_col)
+        if self.dropped:
+            survived = np.ones(n, dtype=bool)
+            for lo, hi in zip(self.drop_los, self.drop_his):
+                survived[lo:hi] = False
+            served_by = np.full(n, -1, dtype=np.intp)
+            served_by[survived] = batch_of
+        else:
+            served_by = batch_of
+        return ColumnarFifoRun(  # positionally, in field order
+            floats(self.starts), floats(self.finishes), sizes_col, ints(self.servers),
+            ints(self.depths), served_by, floats(self.drop_times), ints(self.drop_los),
+            ints(self.drop_his), self.dropped,
+        )
+
+
 def run_fifo_columnar(
     arrivals: np.ndarray,
     free_at: List[float],
@@ -705,124 +862,14 @@ def run_fifo_columnar(
     executor's ``batch_latency`` evaluated per size).  ``free_at``/``busy``
     are mutated in place, exactly as the object loop leaves them.
 
-    The loop runs over a plain Python float list (numpy scalar extraction
-    per element is what makes the object loop slow); all per-request work
-    is deferred to the vectorized epilogue.
+    The loop (:meth:`FifoSweep.advance`, here without a batch limit) runs
+    over a plain Python float list (numpy scalar extraction per element is
+    what makes the object loop slow); all per-request work is deferred to
+    the vectorized epilogue (:meth:`FifoSweep.columns`).
     """
-    arr = arrivals.tolist()
-    n = len(arr)
-    pos = 0
-    starts: List[float] = []
-    finishes: List[float] = []
-    sizes: List[int] = []
-    servers: List[int] = []
-    depths: List[int] = []
-    drop_times: List[float] = []
-    drop_los: List[int] = []
-    drop_his: List[int] = []
-    dropped = 0
-
-    active_list = sorted(active)
-    single = len(active_list) == 1
-    only = active_list[0] if single else -1
-    table = latency_tables[only] if single else None
-    # Free-clock heap: (free_at, server) pops the earliest-free server,
-    # ties by lowest id — exactly ``min(active, key=free_at.__getitem__)``
-    # over the ascending active list, in O(log K) with no key calls.
-    clock_heap = [(free_at[server], server) for server in active_list]
-    heapq.heapify(clock_heap)
-    replace = heapq.heapreplace
-    push_right = bisect.bisect_right
-    push_left = bisect.bisect_left
-    starts_append = starts.append
-    finishes_append = finishes.append
-    sizes_append = sizes.append
-    servers_append = servers.append
-    depths_append = depths.append
-
-    while pos < n:
-        first_arrival = arr[pos]
-        if single:
-            server = only
-            free = free_at[only]
-        else:
-            free, server = clock_heap[0]
-        start = free if free >= first_arrival else first_arrival
-        # Galloping admission boundary: most batches admit only a few
-        # requests, so bracket [pos, hi) by doubling steps before the
-        # bisect — O(log(backlog)) instead of O(log n) per batch, with the
-        # identical boundary (bisect_right over the same sorted floats).
-        step = 8
-        lo = pos
-        hi = pos + step
-        while hi < n and arr[hi] <= start:
-            lo = hi
-            step += step
-            hi = pos + step
-        end_index = push_right(arr, start, lo, hi if hi < n else n)
-
-        if drop_after is not None:
-            # Expired prefix: searchsorted boundary + exact-predicate walk
-            # (the _expired_prefix_end arithmetic, on the float list).
-            cut = start - drop_after
-            fresh = push_left(arr, cut, pos, end_index)
-            while fresh > pos and not (start - arr[fresh - 1] > drop_after):
-                fresh -= 1
-            while fresh < end_index and (start - arr[fresh]) > drop_after:
-                fresh += 1
-            if fresh > pos:
-                dropped += fresh - pos
-                drop_times.append(start)
-                drop_los.append(pos)
-                drop_his.append(fresh)
-                pos = fresh
-                continue  # head changed: re-derive server and start
-
-        limit = pos + max_batch
-        if end_index < limit:
-            limit = end_index
-        if limit == pos:
-            limit = pos + 1  # serve at least the request that triggered us
-        size = limit - pos
-        service = table[size] if single else latency_tables[server][size]
-        finish = start + service
-
-        starts_append(start)
-        finishes_append(finish)
-        sizes_append(size)
-        servers_append(server)
-        depths_append(end_index - pos)
-        busy[server] += service
-        free_at[server] = finish
-        if not single:
-            replace(clock_heap, (finish, server))
-        pos = limit
-
-    sizes_col = np.asarray(sizes, dtype=np.int64)
-    # FIFO batches form over consecutive surviving positions, in order: the
-    # k-th batch serves the next ``sizes[k]`` positions no cohort dropped.
-    batch_of = np.repeat(np.arange(len(sizes_col), dtype=np.intp), sizes_col)
-    if dropped:
-        survived = np.ones(n, dtype=bool)
-        for lo, hi in zip(drop_los, drop_his):
-            survived[lo:hi] = False
-        served_by = np.full(n, -1, dtype=np.intp)
-        served_by[survived] = batch_of
-    else:
-        served_by = batch_of
-
-    return ColumnarFifoRun(
-        starts=np.asarray(starts, dtype=np.float64),
-        finishes=np.asarray(finishes, dtype=np.float64),
-        sizes=sizes_col,
-        servers=np.asarray(servers, dtype=np.int64),
-        queue_depths=np.asarray(depths, dtype=np.int64),
-        served_by=served_by,
-        drop_times=np.asarray(drop_times, dtype=np.float64),
-        drop_los=np.asarray(drop_los, dtype=np.int64),
-        drop_his=np.asarray(drop_his, dtype=np.int64),
-        dropped=dropped,
-    )
+    sweep = FifoSweep(arrivals)
+    sweep.advance(free_at, busy, active, latency_tables, max_batch, drop_after)
+    return sweep.columns()
 
 
 def served_by_slots(record_slots: Sequence[np.ndarray], count: int) -> np.ndarray:

@@ -82,6 +82,7 @@ import bisect
 import heapq
 from dataclasses import dataclass
 from itertools import repeat
+from operator import attrgetter
 from typing import (
     Any,
     Callable,
@@ -101,13 +102,13 @@ from repro.data.traces import RequestTrace
 from repro.serving.core import (
     BatchLedger,
     DROPPED,
+    FifoSweep,
     LazyRequests,
     PENDING,
     RequestStore,
     SERVED,
     check_positive,
     grow_column,
-    run_fifo_columnar,
     served_by_slots,
 )
 from repro.serving.metrics import (
@@ -385,7 +386,10 @@ class EngineResult:
     ``server_busy_times`` has one accumulated busy time per server (their
     sum is ``busy_time``).  ``migrated`` counts successful request moves
     (preemption + requeue; see :mod:`repro.serving.resilience`) — zero on
-    the default fault-free paths.
+    the default fault-free paths.  ``kernel`` says what dispatched the batches
+    — ``"sweep"`` (columnar, whole or a batch per ``step()``), ``"object"`` or
+    ``"sweep+object"`` (left the sweep part-way) — and ``kernel_reason`` the
+    first clause against the sweep (``None``: none); neither is in any report.
     """
 
     latencies: np.ndarray
@@ -399,6 +403,8 @@ class EngineResult:
     num_servers: int = 1
     server_busy_times: Optional[List[float]] = None
     migrated: int = 0
+    kernel: str = "object"
+    kernel_reason: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Batch-level views
@@ -608,9 +614,11 @@ class _Session:
 
     The requests are ``store`` — one :class:`RequestStore`, whichever way
     they were handed in; a request's *slot* is its row.  The outcomes are
-    ``records`` (+ ``record_slots``, ``record_outputs``) and ``drops``;
-    "who served whom" is derived from them once, at ``_finalize``
-    (``served_by``), never kept per request while the run is in flight.
+    ``records`` (+ ``record_slots``, ``record_outputs``) and ``drops`` — or,
+    while the columnar sweep serves the session, ``sweep``'s rows and drop
+    cohorts, turned into the former if it ever leaves; "who served whom" is
+    derived from either once, at ``_finalize`` (``served_by``), never kept
+    per request in flight.  The clocks are the session's on every path.
     """
 
     def __init__(
@@ -631,9 +639,14 @@ class _Session:
         self.record_slots: List[np.ndarray] = []
         self.record_outputs: List[Optional[Sequence[Any]]] = []
         self.drops: List[Tuple[np.ndarray, float]] = []
-        # Slot -> the record that served it: the sweep's, when it drained the
-        # session; otherwise built at _finalize from record_slots.
-        self.served_by: Optional[np.ndarray] = None
+        # The sweep while it dispatches the batches, the (model, mode, ratio) it
+        # bills them to, its per-server service-time tables; which kernel
+        # dispatched (None until the first dispatch decides) and why.
+        self.sweep: Optional[FifoSweep] = None
+        self.cohort: Tuple[str, str, float] = ("", "", 0.0)
+        self.tables: Dict[int, List[float]] = {}
+        self.kernel: Optional[str] = None
+        self.reason: Optional[str] = None
         # Per-slot move counts and the run total (resilience accounting).
         self.migrations: Dict[int, int] = {}
         self.migrated = 0
@@ -663,6 +676,8 @@ class _Session:
         self.pend_arrivals = store.arrivals
         self.pend_slots = np.arange(num_requests, dtype=np.intp)
         self.pos = 0
+        # Set once a merge reorders the queue: positions are no longer rows.
+        self.reordered = False
         # Where the pend arrays grow (core.grow_column).
         self.buffers: Dict[str, np.ndarray] = {}
         # Scheduled path only: admitted-but-unserved requests, a heap of
@@ -715,10 +730,9 @@ class ServingEngine:
         self.batching = batching if batching is not None else BatchingConfig()
         self.num_servers = int(num_servers)
         self.scheduler = scheduler
-        # ``columnar`` lets finish() drain eligible FIFO sessions through
-        # the vectorized core (repro.serving.core) — identical results,
-        # orders of magnitude faster at trace scale.  False forces the
-        # object loop everywhere (the parity-test reference).
+        # ``columnar`` lets step()/finish() dispatch eligible FIFO sessions on
+        # the columnar sweep (repro.serving.core) — identical results, much
+        # faster.  False forces the object loops (the parity-test reference).
         self.columnar = bool(columnar)
         # ``placer=None`` keeps the inlined argmin-free-clock dispatch (the
         # seed rule, bit-identical); a Placer generalizes server selection
@@ -831,7 +845,7 @@ class ServingEngine:
         at start time via ``on_run_start`` (endpoints with no admitted
         requests are skipped, as in the seed); later submissions are served
         but not re-shown to the policies.  ``record_responses`` is as for
-        :meth:`run`; such a session stays on the object loops.
+        :meth:`run` (see :meth:`finish`); ``requests`` may be any iterable.
         """
         if self._session is not None:
             raise RuntimeError("a serving session is already open; finish() it first")
@@ -867,9 +881,9 @@ class ServingEngine:
                 # no object walk, no sort, no copies.
                 store = requests.store
             else:
-                store = RequestStore.from_requests(
-                    requests if requests is not None else []
-                )
+                if not isinstance(requests, (list, LazyRequests)):
+                    requests = list(requests or ())  # any iterable, walked once
+                store = RequestStore.from_requests(requests)
             for name in store.model_names:
                 if name not in self._endpoints:
                     raise KeyError(f"model {name!r} is not registered")
@@ -931,19 +945,42 @@ class ServingEngine:
             )
         if isinstance(requests, Request):
             requests = [requests]
-        if not len(requests):
+        new = sorted(requests, key=attrgetter("arrival_time"))  # any iterable
+        if not new:
             return
-        new = sorted(requests, key=lambda request: request.arrival_time)
         for request in new:
             if request.model not in self._endpoints:
                 raise KeyError(f"model {request.model!r} is not registered")
         first_slot = session.store.append(new)
         new_slots = np.arange(first_slot, first_slot + len(new), dtype=np.intp)
-        self._merge_pending(session, session.store.arrivals[first_slot:], new_slots)
+        sweep = session.sweep and self._decide_sweep(session, stepping=False)
+        if sweep is not None:
+            session.pos = sweep.pos  # the merge reorders behind the cursor only
+        at = self._merge_pending(
+            session, session.store.arrivals[first_slot:], new_slots
+        )
+        if sweep is not None:
+            # In order: an append.  Out of order: the unserved suffix, re-read.
+            sweep.pending_from(at, session.pend_arrivals[at:])
 
     def step(self) -> Optional[BatchRecord]:
-        """Execute the next batch; ``None`` when no admitted work remains."""
+        """Execute the next batch; ``None`` when no admitted work remains.
+        (On the columnar sweep: one batch of what was submitted so far.)"""
         session = self._require_session()
+        sweep = session.sweep
+        if sweep is None and session.kernel is None:
+            sweep = self._decide_sweep(session, stepping=True)
+        if sweep is not None:
+            if not sweep.advance(
+                session.free_at, session.busy, session.active, session.tables,
+                self.batching.max_batch, self.batching.drop_after, 1,
+            ):
+                return None
+            model, mode, ratio = session.cohort
+            return BatchRecord(
+                model, sweep.starts[-1], sweep.finishes[-1], sweep.sizes[-1], ratio,
+                mode, sweep.servers[-1], sweep.depths[-1],
+            )
         if self._fifo:
             return self._step_fifo(session)
         return self._step_scheduled(session)
@@ -954,15 +991,21 @@ class ServingEngine:
         The session is closed even if an executor raises mid-drain, so the
         engine stays reusable after a failed run.
 
-        Untouched FIFO sessions that satisfy :meth:`_fast_eligible` drain
-        through the columnar core (:mod:`repro.serving.core`) — identical
-        results to stepping the object loop, vectorized; everything else
-        (and any leftover state) drains through :meth:`step` as before.
+        A session on the columnar sweep (stepping it already, or eligible here,
+        at its first dispatch) drains the rest through the same loop without a
+        batch limit — unless it records responses: then, like everything else,
+        through :meth:`step` (ROADMAP 1(a): two benchmark ratios divide by it).
         """
         session = self._require_session()
         try:
-            if self._fast_eligible(session):
-                self._run_columnar_fast(session)
+            sweep = session.sweep
+            if sweep is None and session.kernel is None:
+                sweep = self._decide_sweep(session, session.record_responses)
+            if sweep is not None and not session.record_responses:
+                sweep.advance(
+                    session.free_at, session.busy, session.active, session.tables,
+                    self.batching.max_batch, self.batching.drop_after,
+                )
             while self.step() is not None:
                 pass
             if self.tracer is not None:
@@ -1029,6 +1072,8 @@ class ServingEngine:
                         session.free_at[server], available_from
                     )
         session.active = active
+        if session.sweep is not None:
+            self._decide_sweep(session, stepping=False)
 
     # ------------------------------------------------------------------
     # Preemption & migration (resilience plane)
@@ -1082,6 +1127,12 @@ class ServingEngine:
             raise ValueError(
                 f"server {server} out of range (num_servers={self.num_servers})"
             )
+        sweep = s.sweep
+        if sweep is not None and any(
+            on == server and finish > time and (kill_running or start >= time)
+            for on, start, finish in zip(sweep.servers, sweep.starts, sweep.finishes)
+        ):
+            self._leave_sweep(s, "migrated")  # a rewind needs records and slots
         victims: List[Tuple[BatchRecord, np.ndarray]] = []
         kept_records: List[BatchRecord] = []
         kept_slots: List[np.ndarray] = []
@@ -1215,10 +1266,11 @@ class ServingEngine:
         if drop_slots:
             self._drop(s, np.asarray(drop_slots, dtype=np.intp), time)
         if requeue_slots:
+            order = np.argsort(requeue_keys, kind="stable")
             self._merge_pending(
                 s,
-                np.asarray(requeue_keys, dtype=np.float64),
-                np.asarray(requeue_slots, dtype=np.intp),
+                np.asarray(requeue_keys, dtype=np.float64)[order],
+                np.asarray(requeue_slots, dtype=np.intp)[order],
             )
         return Preemption(
             batches=len(victims),
@@ -1254,8 +1306,8 @@ class ServingEngine:
         return None if column is None else column[slots]
 
     @staticmethod
-    def _merge_pending(s: _Session, keys: np.ndarray, slots: np.ndarray) -> None:
-        """Merge slots into the unserved pending queue, sorted by key.
+    def _merge_pending(s: _Session, keys: np.ndarray, slots: np.ndarray) -> int:
+        """Merge slots, handed in sorted by key, into the unserved pending queue.
 
         The single place the 'pend arrays stay key-sorted from ``pos`` on'
         invariant lives: streaming :meth:`submit` merges fresh requests by
@@ -1265,10 +1317,8 @@ class ServingEngine:
         insertion order, behind the equal keys already queued.  Keys at or
         after the last queued one (the streaming case) are appended, O(new);
         otherwise only the queue from the insertion point on is re-sorted.
+        Returns that point: positions before it are as they were.
         """
-        if len(keys) > 1:
-            order = np.argsort(keys, kind="stable")
-            keys, slots = keys[order], slots[order]
         at = len(s.pend_arrivals)
         if s.pos < at and keys[0] < s.pend_arrivals[-1]:
             at = s.pos + int(
@@ -1278,6 +1328,7 @@ class ServingEngine:
             slots = np.concatenate([s.pend_slots[at:], slots])
             order = np.argsort(keys, kind="stable")
             keys, slots = keys[order], slots[order]
+            s.reordered = True
         s.pend_arrivals = grow_column(
             s.buffers, "pend_arrivals", s.pend_arrivals[:at], len(keys)
         )
@@ -1286,6 +1337,7 @@ class ServingEngine:
             s.buffers, "pend_slots", s.pend_slots[:at], len(slots)
         )
         s.pend_slots[at:] = slots
+        return at
 
     def _select_server(
         self, s: _Session, time: float, model: str, pending: int, arrived: int
@@ -1303,112 +1355,128 @@ class ServingEngine:
         return server
 
     # ------------------------------------------------------------------
-    # Columnar fast core (vectorized whole-session FIFO drain)
+    # Columnar sweep (vectorized FIFO dispatch, whole or a batch per step)
     # ------------------------------------------------------------------
-    def _fast_eligible(self, s: _Session) -> bool:
-        """Whether finish() may drain this session through the columnar core.
+    def _fast_eligible(self, s: _Session, stepping: bool) -> Optional[str]:
+        """Why the columnar sweep cannot serve this session (``None``: it can).
 
-        Every assumption the vectorized sweep bakes in is guarded here;
-        anything else falls back to the object loop (identical results,
-        slower).  Eligible: a columnar-enabled engine, FIFO discipline with
-        the seed argmin-free-clock dispatch, an untouched single-model
-        session (no steps taken, nothing merged into the pending queue by
-        submit() or a migration, no queue, no checkpoints, no response
-        recording), served by stateless modeled executors under a
-        fixed-ratio policy.
+        Every assumption the sweep bakes in is guarded here, each with a
+        short fixed reason; anything else takes the object loops (identical
+        results, slower).  Eligible: a columnar-enabled engine, FIFO with the
+        seed argmin-free-clock dispatch, one model, stateless modeled
+        executors, a fixed-ratio policy — and, ``stepping`` a batch per call,
+        no telemetry bus or tracer: nothing per batch exists for their hooks (a
+        whole sweep ingests in bulk; the tracer's names a request by position,
+        so not once a merge reordered the queue).
         """
         from repro.serving.executors import ModeledExecutor
         from repro.serving.policies import FixedRatioPolicy
 
-        if not self.columnar or not self._fifo or self.placer is not None:
-            return False
-        if s.pos != 0 or s.records or s.queue or s.dropped or s.migrated:
-            return False
-        if s.record_responses or s.checkpoints or s.transfer_costs:
-            return False
-        if len(s.pend_arrivals) == 0 or not s.active:
-            return False
-        if s.pend_arrivals is not s.store.arrivals:
-            return False  # merged: pending positions are no longer the rows
+        if not self.columnar:
+            return "columnar=False"
+        if not self._fifo:
+            return "scheduler"
+        if self.placer is not None:
+            return "placer"
         model = s.store.single_model
         if model is None:
-            return False
+            return "multi-model"
         endpoint = self._endpoints[model]
         if type(endpoint.policy) is not FixedRatioPolicy:
-            return False
-        return all(
-            type(endpoint.executors[server]) is ModeledExecutor
-            for server in s.active
-        )
+            return "policy"
+        if not all(
+            type(endpoint.executors[server]) is ModeledExecutor for server in s.active
+        ):
+            return "executor"
+        if stepping and self.telemetry is not None:
+            return "telemetry"
+        if self.tracer is not None and (stepping or s.reordered):
+            return "tracer"
+        return None
 
-    def _run_columnar_fast(self, s: _Session) -> None:
-        """Drain the whole pending queue through the vectorized FIFO core.
-
-        Precomputes one service-time table per active server (the modeled
-        ``batch_latency`` is a pure function of the batch size for a fixed
-        mode/ratio, so table lookup returns the identical floats the
-        executor would), sweeps the sorted arrivals through
-        :func:`repro.serving.core.run_fifo_columnar`, then reconstructs the
-        session state — ``served_by``, a columnar batch ledger, server
-        clocks — and bulk-ingests telemetry.  Bit-identical to
-        stepping the object loop over the same session.
-        """
+    def _decide_sweep(self, s: _Session, stepping: bool) -> Optional[FifoSweep]:
+        """Decide whether the sweep serves the session: at its first dispatch,
+        and again when a call can change the answer while it rides (submit:
+        another model; set_active_servers: another executor).  Returns the
+        sweep, or ``None``: the object loops, for good."""
+        if not len(s.store):
+            return None  # nothing to dispatch, nothing to decide yet
+        reason = self._fast_eligible(s, stepping)
+        if reason is not None:
+            if s.sweep is not None:
+                return self._leave_sweep(s, reason)
+            s.kernel, s.reason = "object", reason
+            return None
         model = s.store.single_model
         endpoint = self._endpoints[model]
-        arrivals = s.pend_arrivals
-        num_requests = len(arrivals)
-        # A FixedRatioPolicy returns the same ratio for every context, and
-        # ModeledExecutor never overrides it (BatchExecution.ratio is None).
-        ratio = float(endpoint.policy.ratio)
-        mode = endpoint.mode
-        max_batch = self.batching.max_batch
-        size_cap = min(int(max_batch), num_requests)
-        tables: Dict[int, List[float]] = {}
-        shared: Dict[int, List[float]] = {}
+        if s.sweep is None:
+            # A FixedRatioPolicy returns the same ratio for every context, and
+            # ModeledExecutor never overrides it (BatchExecution.ratio is None).
+            s.cohort = (model, endpoint.mode, float(endpoint.policy.ratio))
+            s.kernel, s.sweep = "sweep", FifoSweep(s.pend_arrivals)
+        # One service-time table per active server, as long as the largest
+        # batch the requests so far can form: for a fixed mode/ratio the modeled
+        # (and memoised) ``batch_latency`` is a function of the size alone.
+        _, mode, ratio = s.cohort
+        size_cap = min(int(self.batching.max_batch), len(s.store))
         for server in s.active:
-            executor = endpoint.executors[server]
-            table = shared.get(id(executor))
-            if table is None:
-                service_model = executor.service_model
-                table = [0.0] + [
-                    float(service_model.batch_latency(size, mode, ratio))
-                    for size in range(1, size_cap + 1)
-                ]
-                shared[id(executor)] = table
-            tables[server] = table
-        run = run_fifo_columnar(
-            arrivals,
-            s.free_at,
-            s.busy,
-            s.active,
-            tables,
-            max_batch,
-            self.batching.drop_after,
-        )
-        # pend_slots is the identity map on an untouched session, so the
-        # position axis IS the slot axis.
-        s.served_by = run.served_by
-        s.dropped = run.dropped
-        s.records = BatchLedger(
-            model, mode, ratio, run.starts, run.finishes, run.sizes,
-            run.servers, run.queue_depths,
-        )
-        s.pos = num_requests
+            table = s.tables.setdefault(server, [0.0])
+            if len(table) <= size_cap:
+                latency = endpoint.executors[server].service_model.batch_latency
+                table.extend(
+                    float(latency(size, mode, ratio))
+                    for size in range(len(table), size_cap + 1)
+                )
+        return s.sweep
+
+    def _sweep_rows(self, s: _Session):
+        """What the sweep dispatched so far: its run, the slot at each consumed
+        position, the batch ledger.  Both ways off the sweep start here: from
+        now on ``pos``, the drops and the store's ``status`` are exact."""
+        run, s.sweep = s.sweep.columns(), None  # the row lists go: columns from here
+        s.pos, s.dropped = len(run.served_by), run.dropped
+        slots = s.pend_slots[: s.pos]
         status = s.store.status
-        status[:] = SERVED
-        for lo, hi in zip(run.drop_los.tolist(), run.drop_his.tolist()):
-            status[lo:hi] = DROPPED
-        # Bulk span and telemetry ingestion mirror the object loop's hooks.
+        # Until a merge reorders the queue a position is its row.
+        status[slots if s.reordered else slice(s.pos)] = SERVED
+        for lo, hi, time in zip(
+            run.drop_los.tolist(), run.drop_his.tolist(), run.drop_times.tolist()
+        ):
+            status[slots[lo:hi]] = DROPPED
+            if s.record_responses:
+                s.drops.append((slots[lo:hi].copy(), time))
+        return run, slots, BatchLedger(
+            *s.cohort, run.starts, run.finishes, run.sizes, run.servers, run.queue_depths
+        )
+
+    def _leave_sweep(self, s: _Session, reason: str) -> None:
+        """Take the session off the sweep, for good, for ``reason``: its rows
+        become the object loops' representation, which dispatch from here."""
+        run, slots, ledger = self._sweep_rows(s)
+        s.records = list(ledger)
+        served = slots[run.served_by >= 0]  # in batch order: FIFO
+        s.record_slots = np.split(served, np.cumsum(run.sizes))[:-1]
+        s.record_outputs = [None] * len(ledger)
+        s.kernel, s.reason = "sweep+object", reason
+
+    def _sweep_epilogue(self, s: _Session) -> np.ndarray:
+        """Close a session the sweep served to the end, stepped or whole: the
+        ledger is its records, telemetry and the tracer ingest the run in bulk
+        (mirroring the object loops' hooks); returns ``served_by``."""
+        run, slots, s.records = self._sweep_rows(s)
+        served_by, deadlines = run.served_by, s.store.deadlines
+        if s.reordered:
+            # The run is in position order; slots and deadlines are by row.
+            served_by = np.empty_like(run.served_by)
+            served_by[slots] = run.served_by
+            if deadlines is not None:
+                deadlines = deadlines[slots]
         if self.tracer is not None:
-            self.tracer.ingest_columnar(
-                run,
-                arrivals,
-                deadlines=(
-                    s.store.deadlines if self.tracer.wants_deadlines else None
-                ),
-            )
+            wanted = deadlines if self.tracer.wants_deadlines else None
+            self.tracer.ingest_columnar(run, s.pend_arrivals, deadlines=wanted)
         if self.telemetry is not None:
-            self.telemetry.ingest_columnar(run, arrivals, s.store.deadlines, ratio)
+            self.telemetry.ingest_columnar(run, s.pend_arrivals, deadlines, s.cohort[2])
+        return served_by
 
     # ------------------------------------------------------------------
     # FIFO fast path (bit-identical to the seed loop at num_servers=1)
@@ -1733,8 +1801,9 @@ class ServingEngine:
             arrivals = s.store.arrivals
             last_arrival = float(arrivals[-1]) if len(arrivals) else 0.0
             duration = max(max(s.free_at), last_arrival)
-        served_by = s.served_by
-        if served_by is None:
+        if s.sweep is not None:
+            served_by = self._sweep_epilogue(s)
+        else:
             served_by = served_by_slots(s.record_slots, len(s.store))
         # The same elementwise ``finish - arrival`` whichever loop ran; a
         # dropped slot reads the nan finish.
@@ -1756,4 +1825,6 @@ class ServingEngine:
             num_servers=self.num_servers,
             server_busy_times=list(s.busy),
             migrated=s.migrated,
+            kernel=s.kernel or "object",
+            kernel_reason=s.reason if s.kernel else "empty",
         )

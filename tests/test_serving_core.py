@@ -14,11 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.traces import DiurnalTrace, PoissonTrace, RequestTrace
 from repro.serving.cluster import ClusterEngine, ServerSpec
+from repro.obs import Tracer
 from repro.serving.core import (
+    BatchLedger,
     DROPPED,
     SERVED,
     Event,
     EventCalendar,
+    FifoSweep,
     LazyRequests,
     RequestStore,
     run_fifo_columnar,
@@ -30,7 +33,8 @@ from repro.serving.engine import (
     requests_from_trace,
 )
 from repro.serving.executors import ModeledExecutor
-from repro.serving.policies import FixedRatioPolicy
+from repro.serving.placement import FreeClockPlacer
+from repro.serving.policies import FixedRatioPolicy, RoundRobinRatioPolicy
 from repro.serving.resilience import (
     DropExpiredMigration,
     FaultSchedule,
@@ -464,6 +468,263 @@ class TestColumnarFifoCore:
         assert int(run.sizes.sum()) + drops == len(arrivals)
         assert np.array_equal(np.bincount(run.served_by[run.served_by >= 0]), run.sizes)
         assert len(run.starts) == len(run.finishes) == len(run.sizes)
+
+
+@st.composite
+def _sweeps(draw):
+    """Sorted arrivals on a coarse grid (ties common), a K-server cluster
+    with per-server tables, and how to cut the sweep into segments."""
+    count = draw(st.integers(0, 60))
+    ticks = draw(st.lists(st.integers(0, 40), min_size=count, max_size=count))
+    num_servers = draw(st.integers(1, 4))
+    max_batch = draw(st.integers(1, 6))
+    speeds = draw(
+        st.lists(st.sampled_from([1.0, 1.5]), min_size=num_servers, max_size=num_servers)
+    )
+    return dict(
+        arrivals=np.sort(np.asarray(ticks, dtype=np.float64)) * 1e-3,
+        num_servers=num_servers,
+        max_batch=max_batch,
+        drop_after=draw(st.sampled_from([None, 0.01])),
+        tables={
+            server: [0.0] + [
+                speed * float(SERVICE_MODEL.batch_latency(size, "flexiq", 0.5))
+                for size in range(1, max_batch + 1)
+            ]
+            for server, speed in enumerate(speeds)
+        },
+        # Batches per segment; the last one runs the sweep dry.
+        segments=draw(st.lists(st.integers(1, 5), max_size=8)),
+        # Extra arrivals handed over beyond what a segment needs.
+        slack=draw(st.integers(0, 6)),
+        write=(draw(st.integers(0, 3)) % num_servers, draw(st.integers(0, 50)) * 1e-3),
+    )
+
+
+def _assert_runs_equal(got, want):
+    for field in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), (
+            field.name
+        )
+
+
+class TestSweepSegmentsCompose:
+    """``FifoSweep`` carried across calls == one ``run_fifo_columnar`` call."""
+
+    @staticmethod
+    def _whole(case, arrivals, free_at=None):
+        free_at = [0.0] * case["num_servers"] if free_at is None else list(free_at)
+        busy = [0.0] * case["num_servers"]
+        run = run_fifo_columnar(
+            arrivals, free_at, busy, range(case["num_servers"]), case["tables"],
+            case["max_batch"], case["drop_after"],
+        )
+        return run, free_at, busy
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_sweeps())
+    def test_segments_with_the_pending_list_extended_in_between(self, case):
+        arrivals = case["arrivals"]
+        whole, want_free, want_busy = self._whole(case, arrivals)
+        free_at, busy = [0.0] * case["num_servers"], [0.0] * case["num_servers"]
+        clocks = (
+            free_at, busy, list(range(case["num_servers"])), case["tables"],
+            case["max_batch"], case["drop_after"],
+        )
+        sweep = FifoSweep(arrivals[:0])
+        handed = dispatched = 0
+        for length in case["segments"]:
+            # No look-ahead, so hand over what the segment's batches can
+            # depend on: whoever arrives by the start of its last one.
+            last = dispatched + length - 1
+            upto = len(arrivals)
+            if last < len(whole.starts):
+                upto = int(np.searchsorted(arrivals, whole.starts[last], side="right"))
+            upto = min(len(arrivals), max(upto, handed) + case["slack"])
+            sweep.pending_from(handed, arrivals[handed:upto])
+            handed = upto
+            dispatched += sweep.advance(*clocks, length)
+            assert dispatched == len(sweep.starts) == min(last + 1, len(whole.starts))
+            assert sweep.pos <= handed
+        sweep.pending_from(handed, arrivals[handed:])
+        sweep.advance(*clocks)
+        assert sweep.pos == len(arrivals) and sweep.arr == []
+        _assert_runs_equal(sweep.columns(), whole)
+        assert (free_at, busy) == (want_free, want_busy)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_sweeps())
+    def test_a_written_clock_and_a_late_hand_over_are_honoured(self, case):
+        """Between two segments a clock is written (what
+        ``tests/test_serving_cluster.py`` does to ``engine._session.free_at[1]``)
+        and arrivals earlier than the queued tail are handed over: the clocks
+        and the unserved suffix are the caller's, so the rest of the sweep is
+        the sweep of the rest from the written clocks."""
+        early, late = case["arrivals"][::2], case["arrivals"][1::2]
+        free_at, busy = [0.0] * case["num_servers"], [0.0] * case["num_servers"]
+        clocks = (
+            free_at, busy, range(case["num_servers"]), case["tables"],
+            case["max_batch"], case["drop_after"],
+        )
+        sweep = FifoSweep(early)
+        first = sweep.advance(*clocks, (case["segments"] or [1])[0])
+        consumed, drops = sweep.pos, len(sweep.drop_times)
+        server, time = case["write"]
+        free_at[server] = time
+        pending = early[consumed:]
+        if len(late):
+            at = int(np.searchsorted(pending, late[0], side="right"))
+            pending = np.concatenate([pending[:at], np.sort(np.concatenate([pending[at:], late]))])
+            sweep.pending_from(consumed + at, pending[at:])
+        rest, rest_free, _ = self._whole(case, pending, free_at)
+        for length in case["segments"][1:]:
+            sweep.advance(*clocks, length)
+        sweep.advance(*clocks)
+        run = sweep.columns()
+        for name in ("starts", "finishes", "sizes", "servers", "queue_depths"):
+            assert np.array_equal(getattr(run, name)[first:], getattr(rest, name)), name
+        assert np.array_equal(run.drop_times[drops:], rest.drop_times)
+        assert np.array_equal(run.drop_los[drops:], rest.drop_los + consumed)
+        assert np.array_equal(run.drop_his[drops:], rest.drop_his + consumed)
+        later = run.served_by[consumed:]
+        assert np.array_equal(np.where(later < 0, -1, later - first), rest.served_by)
+        assert free_at == rest_free
+
+
+class TestKernelAccounting:
+    """``EngineResult.kernel``/``kernel_reason``: which kernel dispatched a
+    session's batches and the first clause that kept or took it off the sweep."""
+
+    class _Wrapped(ModeledExecutor):
+        """Modeled service times from something that is not a ``ModeledExecutor``."""
+
+    @staticmethod
+    def _requests(count=12, model="m"):
+        return [Request(0.001 * n, model=model, request_id=n) for n in range(count)]
+
+    def _stepped(self, engine, steps=2, **start):
+        engine.start(requests=self._requests(), **start)
+        for _ in range(steps):
+            assert engine.step() is not None
+        return engine.finish()
+
+    def test_a_stepped_fifo_session_rides_the_sweep(self):
+        result = self._stepped(_engine(True, num_servers=2, max_batch=2))
+        assert (result.kernel, result.kernel_reason) == ("sweep", None)
+        assert isinstance(result.batch_records, BatchLedger)
+        assert len(result.responses) == 12
+
+    @pytest.mark.parametrize(
+        "reason, build",
+        [
+            ("columnar=False", lambda: _engine(False)),
+            ("scheduler", lambda: _engine(True, scheduler=EdfScheduler())),
+            ("placer", lambda: ServingEngine(placer=FreeClockPlacer())),
+            ("telemetry", lambda: ServingEngine(telemetry=TelemetryBus(0.01, 1))),
+            ("tracer", lambda: ServingEngine(tracer=Tracer(sample_rate=1.0))),
+        ],
+    )
+    def test_the_first_failing_clause_is_the_reason(self, reason, build):
+        engine = build()
+        engine.register("m", ModeledExecutor(SERVICE_MODEL), policy=FixedRatioPolicy(0.5))
+        result = self._stepped(engine)
+        assert (result.kernel, result.kernel_reason) == ("object", reason)
+        assert isinstance(result.batch_records, list)
+
+    def test_policy_and_executor_clauses(self):
+        engine = ServingEngine()
+        engine.register("m", ModeledExecutor(SERVICE_MODEL), policy=RoundRobinRatioPolicy([0.0, 1.0]))
+        assert self._stepped(engine).kernel_reason == "policy"
+        engine = ServingEngine()
+        engine.register("m", self._Wrapped(SERVICE_MODEL))
+        assert self._stepped(engine).kernel_reason == "executor"
+
+    def test_two_models_and_nobody(self):
+        engine = _engine(True)
+        engine.register("n", ModeledExecutor(SERVICE_MODEL))
+        mixed = self._requests(4) + self._requests(4, model="n")
+        result = engine.run(requests=mixed)
+        assert (result.kernel, result.kernel_reason) == ("object", "multi-model")
+        result = engine.run(requests=[])
+        assert (result.kernel, result.kernel_reason) == ("object", "empty")
+
+    def test_a_bus_or_a_tracer_only_keeps_a_stepped_session_off_the_sweep(self):
+        """A whole-session sweep hands both its columns in bulk."""
+        trace = _trace(duration=0.5)
+        for extra in (
+            dict(telemetry=TelemetryBus(0.01, 1)), dict(tracer=Tracer(sample_rate=1.0))
+        ):
+            engine = ServingEngine(BatchingConfig(max_batch=8), **extra)
+            engine.register("m", ModeledExecutor(SERVICE_MODEL))
+            result = engine.run(trace, model="m")
+            assert (result.kernel, result.kernel_reason) == ("sweep", None)
+
+    def test_activating_a_server_that_is_not_modeled_leaves_the_sweep(self):
+        def serve(columnar):
+            engine = ServingEngine(
+                BatchingConfig(max_batch=2), num_servers=2, columnar=columnar
+            )
+            engine.register(
+                "m", [ModeledExecutor(SERVICE_MODEL), self._Wrapped(SERVICE_MODEL)]
+            )
+            engine.start(requests=self._requests())
+            engine.set_active_servers([0])
+            first = [engine.step(), engine.step()]
+            engine.set_active_servers([0, 1], available_from=0.004)
+            return first, engine.finish()
+
+        (first, swept), (_, stepped) = serve(True), serve(False)
+        assert (swept.kernel, swept.kernel_reason) == ("sweep+object", "executor")
+        # What the sweep dispatched is in the record, as the objects it returned.
+        assert swept.batch_records[:2] == first
+        _assert_results_identical(swept, stepped)
+        assert set(swept.batch_servers.tolist()) == {0, 1}
+        for got, want in zip(swept.responses, stepped.responses):
+            assert repr(got) == repr(want)
+
+    def test_a_reordered_queue_under_a_tracer_or_a_bus(self):
+        """Submitted late half first, never stepped: the tracer's bulk ingest
+        names requests by position, so it keeps the session off the sweep; the
+        bus only counts, and reads arrivals and deadlines by position."""
+        requests = [
+            Request(0.001 * n, model="m", request_id=n, deadline=0.001 * n + 0.004 * (n % 3))
+            for n in range(24)
+        ]
+
+        def serve(columnar, **extra):
+            engine = ServingEngine(
+                BatchingConfig(max_batch=2, drop_after=0.01), columnar=columnar, **extra
+            )
+            engine.register("m", ModeledExecutor(SERVICE_MODEL))
+            engine.start(record_responses=False)
+            engine.submit(requests[12:])
+            engine.submit(requests[:12])
+            return engine.finish()
+
+        tracers = [Tracer(sample_rate=1.0), Tracer(sample_rate=1.0)]
+        swept, stepped = serve(True, tracer=tracers[0]), serve(False, tracer=tracers[1])
+        assert (swept.kernel, swept.kernel_reason) == ("object", "tracer")
+        for name, column in tracers[1].spans().items():
+            assert np.array_equal(tracers[0].spans()[name], column, equal_nan=True), name
+
+        buses = [TelemetryBus(0.01, 1), TelemetryBus(0.01, 1)]
+        swept, stepped = serve(True, telemetry=buses[0]), serve(False, telemetry=buses[1])
+        assert (swept.kernel, swept.kernel_reason) == ("sweep", None)
+        assert swept.dropped == stepped.dropped > 0
+        _assert_results_identical(swept, stepped)
+        for window in range(buses[1].last_window + 1):
+            a, b = buses[0].cluster_window(window), buses[1].cluster_window(window)
+            assert (a.served, a.batches, a.drops, a.busy_time) == (
+                b.served, b.batches, b.drops, b.busy_time
+            )
+            assert (a.deadline_total, a.deadline_met) == (b.deadline_total, b.deadline_met)
+            assert np.array_equal(np.sort(a.latencies), np.sort(b.latencies))
+
+    def test_the_kernel_is_in_no_report(self):
+        result = self._stepped(_engine(True))
+        for report in (result.to_json(), result.totals(), result.summary()):
+            assert not {"kernel", "kernel_reason"} & set(report)
+            assert "sweep" not in str(report)
 
 
 class TestTelemetryIncremental:

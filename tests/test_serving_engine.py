@@ -1029,6 +1029,56 @@ class TestStreamingAdmission:
         engine.finish()
         # After request 0 (head of line), the tightest pending deadline wins.
 
+    @staticmethod
+    def _five(**kwargs):
+        return [
+            Request(arrival_time=0.001 * index, model="m", request_id=index, **kwargs)
+            for index in range(5)
+        ]
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("hand_in", ["generator", "tuple", "single"])
+    def test_submit_takes_any_iterable(self, service_model, columnar, hand_in):
+        """Regression: ``submit(<generator>)`` died on ``len()``."""
+        requests = self._five()
+        engine = ServingEngine(BatchingConfig(max_batch=2), columnar=columnar)
+        engine.register("m", ModeledExecutor(service_model), mode="int8")
+        want = engine.run(requests=list(requests))
+        engine.start()
+        engine.submit(iter(()))  # an empty iterable admits nobody
+        if hand_in == "generator":
+            engine.submit(request for request in requests)
+        elif hand_in == "tuple":
+            engine.submit(tuple(requests))
+        else:
+            for request in requests:
+                engine.submit(request)
+        got = engine.finish()
+        assert np.array_equal(got.request_latencies, want.request_latencies)
+        assert got.batch_sizes == want.batch_sizes
+        assert [r.request_id for r in got.responses] == list(range(5))
+
+    @pytest.mark.parametrize("drive", ["start", "run"])
+    @pytest.mark.parametrize("hand_in", ["generator", "tuple"])
+    def test_start_and_run_take_any_iterable(self, service_model, drive, hand_in):
+        """Regression: ``run(requests=<generator>)`` consumed the generator
+        in the arrival check and then failed on ``len()``."""
+        requests = self._five(deadline=1.0)
+        engine = ServingEngine(BatchingConfig(max_batch=2), scheduler=EdfScheduler())
+        engine.register("m", ModeledExecutor(service_model), mode="int8")
+        want = engine.run(requests=list(requests))
+        handed = (r for r in requests) if hand_in == "generator" else tuple(requests)
+        if drive == "run":
+            got = engine.run(requests=handed)
+        else:
+            engine.start(requests=handed)
+            got = engine.finish()
+        assert np.array_equal(got.request_latencies, want.request_latencies)
+        assert got.batch_sizes == want.batch_sizes
+        # The caller's own objects ride through, whatever held them.
+        assert [r.request_id for r in got.responses] == list(range(5))
+        assert got.deadline_attainment() == want.deadline_attainment()
+
 
 # ----------------------------------------------------------------------
 # Context-aware ratio policies

@@ -11,11 +11,13 @@ generated test crashes one server between two ``step()`` calls and requeues its
 riders (the reference's rules 6-8).
 """
 
+import random
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reference_sim import SpecCrash, SpecRequest, reference_run
-from repro.serving.core import BatchLedger
+from repro.serving.core import PENDING, SERVED, BatchLedger
 from repro.serving.engine import BatchingConfig, Request, ServingEngine
 from repro.serving.executors import ModeledExecutor
 from repro.serving.policies import FixedRatioPolicy
@@ -224,3 +226,262 @@ class TestEngineMeetsItsSpecification:
         result = engine.finish()
         assert result.migrated == sum(spec.migrations)
         _assert_meets_spec(result, spec, ordered)
+
+
+# ----------------------------------------------------------------------
+# The columnar sweep, stepped: the same drives on a ``columnar=True`` engine
+# ----------------------------------------------------------------------
+@st.composite
+def drives(draw):
+    """How a streamed drive hands its requests in."""
+    return dict(
+        # One submit of everything / what each batch needs / one request a call.
+        chunking=draw(st.sampled_from(["all", "batch", "single"])),
+        # The later arrivals of a hand-over first, the earlier ones after them.
+        out_of_order=draw(st.booleans()),
+        # Shrink and restore the active set between steps (no clock moves).
+        touch_active=draw(st.booleans()),
+        record_responses=draw(st.booleans()),
+        # Mostly what the sweep takes (FIFO, one model); else the case as drawn.
+        sweepable=draw(st.sampled_from([True, True, True, False])),
+    )
+
+
+def _hand_over(chunk, drive):
+    """``chunk`` (numbers, ascending) as the submit calls that hand it in."""
+    parts = [chunk]
+    if drive["out_of_order"]:
+        # Split where the arrival strictly rises, so no tie straddles the
+        # halves (a later submit queues behind equal arrivals already there).
+        cuts = [k for k in range(1, len(chunk)) if chunk[k - 1][1] < chunk[k][1]]
+        if cuts:
+            cut = cuts[len(cuts) // 2]
+            parts = [chunk[cut:], chunk[:cut]]
+    if drive["chunking"] == "single":
+        parts = [[entry] for part in parts for entry in part]
+    return [part for part in parts if part]
+
+
+def _expected_kernel(case, first_models):
+    """(kernel, reason) of a drive whose first dispatch saw ``first_models``."""
+    models = {request.model for request in case["requests"]}
+    if not models:
+        return "object", "empty"
+    if case["scheduler"] != "fifo":
+        return "object", "scheduler"
+    if len(first_models) > 1:
+        return "object", "multi-model"
+    if len(models) > 1:  # rode the sweep until the other model was submitted
+        return "sweep+object", "multi-model"
+    return "sweep", None
+
+
+class TestTheSteppedSweepMeetsTheSpecification:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(scenarios(), drives())
+    # A backlog that sheds, handed in late half first: drop cohorts and
+    # batches of a reordered queue, read back request by request.
+    @example(
+        dict(
+            requests=[SpecRequest(0.001 * (n // 20)) for n in range(60)],
+            num_servers=1, scheduler="fifo", max_batch=2, drop_after=0.01,
+        ),
+        dict(chunking="all", out_of_order=True, touch_active=True,
+             record_responses=True, sweepable=True),
+    )
+    def test_streamed_drives_on_the_sweep_engine_equal_the_reference(self, case, drive):
+        if drive["sweepable"]:
+            requests = [request._replace(model="m") for request in case["requests"]]
+            case = dict(case, scheduler="fifo", requests=requests)
+        spec = reference_run(
+            case["requests"], case["num_servers"], service_seconds,
+            case["scheduler"], case["max_batch"], case["drop_after"],
+        )
+        ordered = sorted(case["requests"], key=lambda request: request.arrival)
+        count = len(ordered)
+        engine = _engine(case, columnar=True)
+        engine.start(record_responses=drive["record_responses"])
+        everybody = list(range(count))
+        # number -> slot: a request's slot is its place in the hand-over order.
+        slot_of, submitted, first_models = {}, 0, None
+
+        def submit(upto):
+            chunk = [(number, ordered[number].arrival) for number in range(submitted, upto)]
+            for part in _hand_over(chunk, drive):
+                for number, _ in part:
+                    slot_of[number] = len(slot_of)
+                engine.submit(
+                    [_request(slot_of[number], ordered[number]) for number, _ in part]
+                )
+            return upto
+
+        for batch in spec.batches:
+            upto = count if drive["chunking"] == "all" else submitted
+            while upto < count and ordered[upto].arrival <= batch.start:
+                upto += 1
+            submitted = submit(upto)
+            if first_models is None:
+                first_models = {ordered[n].model for n in range(submitted)}
+            record = engine.step()
+            assert record is not None and record.start == batch.start
+            if drive["touch_active"]:
+                engine.set_active_servers([0])
+                engine.set_active_servers(range(case["num_servers"]))
+        submit(count)  # whoever is left is dropped, never served
+        result = engine.finish()
+        if first_models is None:
+            first_models = {request.model for request in ordered}
+        assert (result.kernel, result.kernel_reason) == _expected_kernel(
+            case, first_models
+        )
+
+        # The specification, renumbered from arrival order to slots.
+        slots = [slot_of[number] for number in everybody]
+        by_slot = sorted(everybody, key=slots.__getitem__)
+        renumbered = type(spec)(
+            [spec.latencies[number] for number in by_slot],
+            [spec.migrations[number] for number in by_slot],
+            [
+                type(batch)(
+                    batch.server, batch.start, batch.finish, batch.model,
+                    [slots[number] for number in batch.riders], batch.queue_depth,
+                )
+                for batch in spec.batches
+            ],
+            [(slots[number], time) for number, time in spec.drops],
+        )
+        if drive["record_responses"]:
+            _assert_meets_spec(result, renumbered, [ordered[n] for n in by_slot])
+            return
+        assert result.responses is None
+        assert result.dropped == len(renumbered.drops)
+        for slot, want in enumerate(renumbered.latencies):
+            got = result.request_latencies[slot]
+            assert (np.isnan(got) and want is None) or got == want, slot
+        assert len(result.batch_records) == len(renumbered.batches)
+        for record, batch in zip(result.batch_records, renumbered.batches):
+            assert (
+                record.server, record.start, record.finish, record.size,
+                record.model, record.queue_depth,
+            ) == (
+                batch.server, batch.start, batch.finish, len(batch.riders),
+                batch.model, batch.queue_depth,
+            )
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(crash_scenarios())
+    def test_a_crash_takes_the_session_off_the_sweep_as_the_reference_requeues(
+        self, case
+    ):
+        crash = case["crash"]
+        spec = reference_run(
+            case["requests"], case["num_servers"], service_seconds,
+            case["scheduler"], case["max_batch"], case["drop_after"], crash,
+        )
+        ordered = sorted(case["requests"], key=lambda request: request.arrival)
+        engine = _engine(case, columnar=True)
+        engine.start(requests=[_request(n, r) for n, r in enumerate(ordered)])
+        for _ in range(crash.after_batches):
+            if engine.step() is None:
+                break
+        engine.preempt_server(
+            crash.server, crash.time, policy=RequeueAtHeadMigration(crash.delay)
+        )
+        result = engine.finish()
+        assert result.migrated == sum(spec.migrations)
+        _assert_meets_spec(result, spec, ordered)
+        models = {request.model for request in ordered}
+        want = _expected_kernel(case, models)
+        if want == ("sweep", None) and result.migrated:
+            want = ("sweep+object", "migrated")  # a rewind needs records and slots
+        assert (result.kernel, result.kernel_reason) == want
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        scenarios(),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("submit"), st.integers(1, 16)),
+                st.tuples(st.just("step"), st.integers(1, 6)),
+                st.tuples(
+                    st.just("resize"),
+                    st.lists(st.integers(0, 3), min_size=1, max_size=4),
+                    st.sampled_from([None, 0.0, 0.01, 0.03]),
+                ),
+                st.tuples(st.just("crash"), st.integers(0, 3), st.integers(0, 25)),
+            ),
+            max_size=16,
+        ),
+        st.randoms(use_true_random=False),
+        st.booleans(),
+    )
+    # A shedding backlog handed in shuffled, then a crash with victims: the
+    # session leaves the sweep with drop cohorts and a reordered queue.
+    @example(
+        dict(
+            requests=[SpecRequest(0.001 * (n // 3)) for n in range(60)],
+            num_servers=2, scheduler="fifo", max_batch=2, drop_after=0.01,
+        ),
+        [("submit", 16), ("submit", 16), ("submit", 8)] + [("step", 6)] * 2
+        + [("submit", 16), ("crash", 0, 12), ("step", 3), ("resize", [1], 0.03)],
+        random.Random(8),
+        True,
+    )
+    def test_any_interleaving_is_the_object_loops_interleaving(
+        self, case, ops, shuffler, record_responses
+    ):
+        """Outside the reference's rules — submissions that arrive in the
+        engine's past, servers that leave and join with a provisioning lag,
+        crashes anywhere: whatever is called between two steps, the sweep
+        engine and ``columnar=False`` serve everybody identically, and the
+        store's ``status`` is exact once the session is finished."""
+        requests = [request._replace(model="m") for request in case["requests"]]
+        case = dict(case, scheduler="fifo", requests=requests)
+        order = list(range(len(requests)))
+        shuffler.shuffle(order)
+        servers = case["num_servers"]
+
+        def serve(columnar):
+            engine = _engine(case, columnar=columnar)
+            engine.start(record_responses=record_responses)
+            store, handed = engine._session.store, 0
+            for op in ops:
+                if op[0] == "submit":
+                    chunk = order[handed:handed + op[1]]
+                    engine.submit(_request(n, requests[n]) for n in chunk)
+                    handed += len(chunk)
+                elif op[0] == "step":
+                    for _ in range(op[1]):
+                        engine.step()
+                elif op[0] == "resize":
+                    engine.set_active_servers([s % servers for s in op[1]], op[2])
+                else:
+                    engine.preempt_server(
+                        op[1] % servers, op[2] * 1e-3, policy=RequeueAtHeadMigration()
+                    )
+            engine.submit(_request(n, requests[n]) for n in order[handed:])
+            return engine.finish(), store.status.copy()
+
+        (swept, swept_status), (stepped, stepped_status) = serve(True), serve(False)
+        assert swept.kernel in (
+            ("object",) if not requests else ("sweep", "sweep+object")
+        ), swept.kernel_reason
+        assert (swept.kernel == "sweep+object") == (swept.kernel_reason == "migrated")
+        assert stepped.kernel_reason == ("columnar=False" if requests else "empty")
+        assert np.array_equal(
+            swept.request_latencies, stepped.request_latencies, equal_nan=True
+        )
+        assert list(swept.batch_records) == list(stepped.batch_records)
+        assert swept.server_busy_times == stepped.server_busy_times
+        assert (swept.dropped, swept.duration, swept.migrated) == (
+            stepped.dropped, stepped.duration, stepped.migrated
+        )
+        assert np.array_equal(swept_status, stepped_status)
+        assert np.array_equal(
+            swept_status == SERVED, ~np.isnan(swept.request_latencies)
+        ) and not (swept_status == PENDING).any()
+        if not record_responses:
+            assert swept.responses is None and stepped.responses is None
+            return
+        for got, want in zip(swept.responses, stepped.responses):
+            assert repr(got) == repr(want)
