@@ -212,7 +212,8 @@ class Tracer:
         # Live terminal row per traced slot (object path only; bulk-ingested
         # sessions cannot be preempted, so they skip the bookkeeping).
         self._terminal_row: Dict[int, int] = {}
-        # Execute/iteration row per record identity, for preemption rewrite.
+        # Execute/iteration span row per record ``row`` id, for preemption
+        # rewrite.
         self._record_row: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -253,7 +254,7 @@ class Tracer:
     ) -> None:
         """One executed batch: execute span + sampled per-request spans.
 
-        ``record`` is any object with ``server``/``start``/``finish``
+        ``record`` is any object with ``server``/``start``/``finish``/``row``
         attributes (:class:`~repro.serving.engine.BatchRecord`);
         ``deadlines`` (absolute, ``nan`` = none) enables forced sampling
         of deadline-missing requests.  The spans are written by
@@ -294,7 +295,7 @@ class Tracer:
         first = 0
         for (record, _, _, _), size, last in zip(parked, sizes, upto):
             start, finish, server = record.start, record.finish, record.server
-            self._record_row[id(record)] = store.append(
+            self._record_row[record.row] = store.append(
                 SPAN_EXECUTE, -1, server, start, finish, float(size)
             )
             for slot, arrival in traced[first:last]:
@@ -336,7 +337,7 @@ class Tracer:
         drop is the single live terminal again.
         """
         store = self.store
-        row = self._record_row.pop(id(record), None)
+        row = self._record_row.pop(record.row, None)
         if row is not None:
             end = min(float(record.finish), max(float(record.start), float(time)))
             store.rewrite(row, SPAN_PREEMPTED, end=end)
@@ -365,7 +366,7 @@ class Tracer:
             SPAN_ITERATION, -1, record.server, record.start, record.finish,
             float(getattr(record, "tokens", 0)),
         )
-        self._record_row[id(record)] = row
+        self._record_row[record.row] = row
 
     def on_served(
         self,
@@ -415,43 +416,45 @@ class Tracer:
         arrivals: np.ndarray,
         deadlines: Optional[np.ndarray] = None,
     ) -> None:
-        """Bulk-ingest a :class:`~repro.serving.core.ColumnarFifoRun`.
+        """Bulk-ingest a closed :class:`~repro.serving.core.FifoSweep`.
 
         Emits the same spans the object loop would, in whole-column
         chunks: one execute span per batch, queued+served spans for the
         sampled (or deadline-missing) requests, queued+dropped spans for
-        every drop cohort member.  A request's batch start, server and
-        finish are gathers through ``run.served_by``.
+        every drop cohort member.  The served positions (``run.survived``)
+        ride, in order, in the rows the ledger's ``sizes`` give them.
         """
-        store = self.store
-        num_batches = len(run.starts)
-        minus_one = np.full(num_batches, -1, dtype=np.int64)
+        store, ledger = self.store, run.ledger
+        batch_starts, batch_finishes = ledger.starts, ledger.finishes
+        servers, sizes = ledger.servers, ledger.sizes
+        minus_one = np.full(len(ledger), -1, dtype=np.int64)
         store.extend(
-            SPAN_EXECUTE, minus_one, run.servers, run.starts, run.finishes,
-            run.sizes.astype(np.float64),
+            SPAN_EXECUTE, minus_one, servers, batch_starts, batch_finishes,
+            sizes.astype(np.float64),
         )
-        positions = np.arange(len(run.served_by), dtype=np.int64)
-        served = run.served_by >= 0
-        mask = self.sample_mask(positions) & served
+        positions = np.flatnonzero(run.survived)
+        batch = np.repeat(np.arange(len(ledger)), sizes)
+        mask = self.sample_mask(positions)
         if deadlines is not None and self.sample_deadline_misses:
-            # Batch -1 (dropped) reads the nan behind the last finish.
-            finishes_pr = np.append(run.finishes, np.nan)[run.served_by]
-            mask |= served & ~np.isnan(deadlines) & (finishes_pr > deadlines)
+            due = deadlines[positions]
+            mask |= ~np.isnan(due) & (batch_finishes[batch] > due)
         if mask.any():
-            sel, batch = positions[mask], run.served_by[mask]
-            arr = np.asarray(arrivals, dtype=np.float64)[mask]
-            starts, finishes = run.starts[batch], run.finishes[batch]
+            sel, batch = positions[mask], batch[mask]
+            arr = np.asarray(arrivals, dtype=np.float64)[sel]
+            starts, finishes = batch_starts[batch], batch_finishes[batch]
             store.extend(
-                SPAN_QUEUED, sel, run.servers[batch], arr, starts, starts - arr
+                SPAN_QUEUED, sel, servers[batch], arr, starts, starts - arr
             )
             store.extend(
-                SPAN_SERVED, sel, run.servers[batch], finishes, finishes,
+                SPAN_SERVED, sel, servers[batch], finishes, finishes,
                 finishes - arr,
             )
         if run.dropped:
             # Cohorts cover ascending, disjoint position ranges.
-            drop_positions = np.flatnonzero(~served)
-            drop_times = np.repeat(run.drop_times, run.drop_his - run.drop_los)
+            drop_positions = np.flatnonzero(~run.survived)
+            drop_times = np.repeat(
+                run.drop_times, np.subtract(run.drop_his, run.drop_los)
+            )
             if not self.sample_drops:
                 keep = self.sample_mask(drop_positions)
                 drop_positions = drop_positions[keep]

@@ -43,11 +43,12 @@ Views vs. copies
   store, or over some of its rows (a batch); indexing hands back the
   caller's :class:`Request` where the store was built from objects and
   materializes a transient one otherwise.
-* :class:`BatchLedger` is a columnar ``Sequence[BatchRecord]``: the batch
-  arrays are owned, each ``ledger[i]`` materializes one record on demand.
-* Per-request outcomes are one gather: ``served_by`` maps each request to
-  the batch that finally served it (-1: dropped), so its latency is
-  ``finishes[served_by] - arrivals`` — a fresh array, computed once.
+* :class:`BatchLedger` is the one table of a session's batches: whichever
+  loop dispatches appends to it, a rewind cuts rows out of it, a row is known
+  by a monotone id and each ``ledger[i]`` builds one ``BatchRecord`` on demand.
+* Per-request outcomes are one gather: ``BatchLedger.served_by`` maps each
+  request to the row that finally served it (-1: dropped), so its latency
+  is ``finishes[served_by] - arrivals`` — a fresh array, computed once.
 * Telemetry ingestion groups per-request latencies into per-window chunks
   (fresh arrays); everything else aggregates into scalar accumulators.
 
@@ -56,14 +57,14 @@ The resumable sweep
 :class:`FifoSweep` is the FIFO dispatch loop with its state carried between
 calls: the pending arrivals as a Python float list (``arr``, positions
 ``offset``..), the admission cursor (``pos``: positions consumed, served or
-dropped), one row per batch and one entry per drop cohort.  ``advance`` runs
+dropped), one ledger row per batch and one entry per drop cohort.  ``advance`` runs
 it dry or for a number of batches — ``ServingEngine.step()`` is a segment of
 one, :func:`run_fifo_columnar` one unlimited segment — and the caller may
 extend or re-read the pending list in between (``pending_from``).  The
 clocks are not carried: ``free_at``/``busy``/``active`` are the caller's,
 who may write them between segments, so the earliest-free order is derived
 in every call.  The float list is dropped each time the cursor reaches its
-end, before ``columns()`` (the vectorized epilogue) allocates anything.
+end, before ``close()`` (the vectorized epilogue) allocates anything.
 
 The unbreakable invariant: a K=1 FIFO run through the columnar core is
 **bit-identical** to the seed simulator — same admission boundaries, same
@@ -74,11 +75,12 @@ drop_after`` re-applied exactly at the searchsorted boundary).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush, heapreplace
+from itertools import compress
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -94,12 +96,12 @@ __all__ = [
     "RequestStore",
     "LazyRequests",
     "BatchLedger",
-    "ColumnarFifoRun",
     "FifoSweep",
     "run_fifo_columnar",
-    "served_by_slots",
     "check_arrivals",
     "check_positive",
+    "check_integer",
+    "check_ratio",
 ]
 
 
@@ -177,9 +179,9 @@ class EventCalendar:
 # ----------------------------------------------------------------------
 # Columnar request storage
 # ----------------------------------------------------------------------
-def _roundrobin_column(values: Sequence, n: int, dtype) -> np.ndarray:
+def _roundrobin_column(name: str, values: Sequence, n: int, dtype) -> np.ndarray:
     """``values`` tiled round-robin to length ``n`` (the trace convention)."""
-    pool = np.asarray(values, dtype=dtype)
+    pool = _as_column(name, values, dtype)
     if len(pool) >= n:
         return pool[:n].copy()
     reps = -(-n // len(pool))  # ceil
@@ -225,6 +227,34 @@ def check_positive(name: str, value: float, allow_zero: bool = False) -> float:
         bound = ">= 0" if allow_zero else "> 0"
         raise ValueError(f"{name} must be a finite number {bound} (got {value!r})")
     return number
+
+
+def check_integer(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int``; refuse what ``int()`` would truncate (1.5
+    servers) and anything below ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum} (got {value!r})")
+    return int(value)
+
+
+def check_ratio(ratio: float) -> float:
+    """A 4-bit ratio as a float, by ``FlexiQModel.set_ratio``'s rule."""
+    ratio = float(ratio)
+    if not 0.0 <= ratio <= 1.0:  # NaN fails both comparisons
+        raise ValueError(f"ratio must be a finite number in [0, 1], got {ratio!r}")
+    return ratio
+
+
+def _as_column(name: str, values, dtype) -> np.ndarray:
+    """``values`` as a ``dtype`` column; an integer column refuses the floats
+    the cast would truncate (nan and inf included)."""
+    column = np.asarray(values)
+    if column.dtype.kind == "f" and np.issubdtype(dtype, np.integer):
+        whole = np.isfinite(column) & (column == np.floor(column))
+        if not whole.all():
+            value = column[np.argmin(whole)].item()
+            raise ValueError(f"{name} must be integers (got {value!r})")
+    return column.astype(dtype, copy=False)
 
 
 # The columns a store may leave implicit (``None``): dtype and the value
@@ -285,7 +315,7 @@ def _request_columns(
     for name, values in fields.items():
         dtype, default = _IMPLICIT[name]
         if values.count(default) < len(values):
-            columns[name] = np.asarray(values, dtype=dtype)
+            columns[name] = _as_column(name, values, dtype)
     return columns, list(name_ids)
 
 
@@ -341,21 +371,17 @@ class RequestStore:
         max_new_tokens: Optional[np.ndarray] = None,
         payload_pool: Optional[Sequence] = None,
     ) -> None:
-        def column(values, dtype):
-            return None if values is None else np.asarray(values, dtype=dtype)
-
         self.arrivals = np.asarray(arrivals, dtype=np.float64)
         check_arrivals(self.arrivals, ascending=True)
         n = len(self.arrivals)
         self.model_names = list(model_names)
         if n and not self.model_names:
             raise ValueError("model_names must name at least one model")
-        self.model_ids = column(model_ids, np.int32)
-        self.request_ids = column(request_ids, np.int64)
-        self.priorities = column(priorities, np.int64)
-        self.deadlines = column(deadlines, np.float64)
-        self.prefill_tokens = column(prefill_tokens, np.int64)
-        self.max_new_tokens = column(max_new_tokens, np.int64)
+        columns = (model_ids, request_ids, priorities, deadlines, prefill_tokens,
+                   max_new_tokens)  # in _IMPLICIT's order
+        for (name, (dtype, _)), values in zip(_IMPLICIT.items(), columns):
+            column = None if values is None else _as_column(name, values, dtype)
+            setattr(self, name, column)
         self.status = np.full(n, PENDING, dtype=np.int8)
         # Payloads: a round-robin pool (trace convention, request i gets
         # pool[i % len(pool)]); a store built from objects reads theirs.
@@ -384,49 +410,31 @@ class RequestStore:
         SLOs (the column stores ``arrival + slo``, elementwise — the exact
         IEEE sum the eager constructor computes per request).
         """
-        pools = {
-            "payloads": payloads,
-            "priorities": priorities,
-            "deadlines": deadlines,
-            "prefill_tokens": prefill_tokens,
-            "max_new_tokens": max_new_tokens,
-        }
-        for name, pool in pools.items():
-            if pool is not None and len(pool) == 0:
-                none = "None for no payloads" if name == "payloads" else "None"
-                raise ValueError(f"{name} must be non-empty (or {none})")
+        if payloads is not None and len(payloads) == 0:
+            raise ValueError("payloads must be non-empty (or None for no payloads)")
         if hasattr(trace, "sorted_arrivals"):
             arrivals = trace.sorted_arrivals()
         else:
             arrivals = np.sort(np.asarray(trace.arrival_times, dtype=np.float64))
         n = len(arrivals)
-        deadline_col = None
+
+        def tiled(name, pool, dtype=np.int64):
+            if pool is None:
+                return None
+            if len(pool) == 0:
+                raise ValueError(f"{name} must be non-empty (or None)")
+            return _roundrobin_column(name, pool, n, dtype)
+
         if deadlines is not None:
-            slo = _roundrobin_column(
-                [np.nan if value is None else float(value) for value in deadlines],
-                n,
-                np.float64,
-            )
-            deadline_col = arrivals + slo
+            deadlines = [np.nan if slo is None else float(slo) for slo in deadlines]
+        slo = tiled("deadlines", deadlines, np.float64)
         return cls(
             arrivals,
             model_names=[model],
-            priorities=(
-                _roundrobin_column(priorities, n, np.int64)
-                if priorities is not None
-                else None
-            ),
-            deadlines=deadline_col,
-            prefill_tokens=(
-                _roundrobin_column(prefill_tokens, n, np.int64)
-                if prefill_tokens is not None
-                else None
-            ),
-            max_new_tokens=(
-                _roundrobin_column(max_new_tokens, n, np.int64)
-                if max_new_tokens is not None
-                else None
-            ),
+            priorities=tiled("priorities", priorities),
+            deadlines=None if slo is None else arrivals + slo,
+            prefill_tokens=tiled("prefill_tokens", prefill_tokens),
+            max_new_tokens=tiled("max_new_tokens", max_new_tokens),
             payload_pool=payloads,
         )
 
@@ -599,119 +607,188 @@ class LazyRequests(_SequenceABC):
 
 
 # ----------------------------------------------------------------------
-# Columnar batch ledger
+# Batch ledger
 # ----------------------------------------------------------------------
-class BatchLedger(_SequenceABC):
-    """Columnar ``Sequence[BatchRecord]`` (single model/mode/ratio cohort).
+@dataclass
+class BatchRecord:
+    """Per-batch accounting: what ran, when, where, at which ratio — one row
+    of a :class:`BatchLedger`, built when read.
 
-    The columnar FIFO core emits one row per batch into parallel arrays;
-    record objects materialize lazily on indexing, so a million-batch run
-    stores five arrays instead of a million dataclass instances.
+    ``queue_depth`` is the number of arrived-and-waiting requests when the
+    batch formed (the value telemetry aggregates) — kept on the record so a
+    preempted batch can be *un*-recorded exactly.  ``row`` is the row's id in
+    its ledger: what telemetry and the tracer know the batch by.
     """
 
-    __slots__ = ("model", "mode", "ratio", "starts", "finishes", "sizes",
-                 "servers", "queue_depths")
+    model: str
+    start: float
+    finish: float
+    size: int
+    ratio: float
+    mode: str
+    server: int = 0
+    queue_depth: int = 0
+    row: int = -1
 
-    def __init__(
-        self,
-        model: str,
-        mode: str,
-        ratio: float,
-        starts: np.ndarray,
-        finishes: np.ndarray,
-        sizes: np.ndarray,
-        servers: np.ndarray,
-        queue_depths: np.ndarray,
-    ) -> None:
-        self.model = model
-        self.mode = mode
-        self.ratio = float(ratio)
-        self.starts = np.asarray(starts, dtype=np.float64)
-        self.finishes = np.asarray(finishes, dtype=np.float64)
-        self.sizes = np.asarray(sizes, dtype=np.int64)
-        self.servers = np.asarray(servers, dtype=np.int64)
-        self.queue_depths = np.asarray(queue_depths, dtype=np.int64)
 
-    def __len__(self) -> int:
-        return len(self.starts)
+class BatchLedger(_SequenceABC):
+    """The one table of a session's batches, a row per batch, on every path.
 
-    def __getitem__(self, index):
-        from repro.serving.engine import BatchRecord
+    ``lists`` holds the ``starts/finishes/sizes/servers/queue_depths`` columns
+    as Python lists — the sweep's loop appends to them directly, the object
+    loops through :meth:`append` — or, once a sweep closed, as typed arrays
+    that read and append the same; the properties of those names read them
+    as numpy arrays.  ``cohort`` is one ``(model, mode, ratio)`` while every
+    row agrees and a per-row list from the first row that differs; ``outputs``
+    likewise (``None``: no executor returned any) and ``ids``: a row is known
+    by its id, which only grows — its index until a rewind removes rows
+    (``ids is None``), its entry in ``ids`` after (``RequestStore``'s
+    implicit-column rule).  ``riders`` are the rows' request slots, in row
+    order, in chunks of whole rows: an array of slots, or — where a chunk's
+    slots ascend, as a sweep's do — a mask over the slots, an eighth of the
+    bytes to keep.  ``ledger[i]`` builds row ``i``'s :class:`BatchRecord`.
+    """
 
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = int(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(i)
+    __slots__ = ("lists", "cohort", "outputs", "ids", "removed", "riders")
+
+    def __init__(self) -> None:
+        self.lists: Tuple[list, ...] = ([], [], [], [], [])
+        self.cohort: Any = ("", "", 0.0)
+        self.outputs: Optional[list] = None
+        self.ids: Optional[List[int]] = None
+        self.removed = 0
+        self.riders: List[np.ndarray] = []
+
+    starts = property(lambda self: np.array(self.lists[0], dtype=np.float64))
+    finishes = property(lambda self: np.array(self.lists[1], dtype=np.float64))
+    sizes = property(lambda self: np.array(self.lists[2], dtype=np.int64))
+    servers = property(lambda self: np.array(self.lists[3], dtype=np.int64))
+    queue_depths = property(lambda self: np.array(self.lists[4], dtype=np.int64))
+
+    @property
+    def ratios(self) -> List[float]:
+        """The executed ratio, row by row."""
+        cohort = self.cohort
+        if type(cohort) is list:
+            return [ratio for _, _, ratio in cohort]
+        return [cohort[2]] * len(self)
+
+    def append(
+        self, model: str, start: float, finish: float, size: int, ratio: float,
+        mode: str, server: int, queue_depth: int, slots: np.ndarray, outputs=None,
+    ) -> BatchRecord:
+        """Add one row (``slots``: who rides in it); returns its record."""
+        starts, finishes, sizes, servers, depths = self.lists
+        rows = len(starts)
+        cohort = (model, mode, ratio)
+        if type(self.cohort) is list:
+            self.cohort.append(cohort)
+        elif not rows:
+            self.cohort = cohort
+        elif cohort != self.cohort:
+            self.cohort = [self.cohort] * rows + [cohort]
+        if self.outputs is not None:
+            self.outputs.append(outputs)
+        elif outputs is not None:
+            self.outputs = [None] * rows + [outputs]
+        row = rows + self.removed
+        if self.ids is not None:
+            self.ids.append(row)
+        starts.append(start)
+        finishes.append(finish)
+        sizes.append(size)
+        servers.append(server)
+        depths.append(queue_depth)
+        self.riders.append(slots)
         return BatchRecord(
-            model=self.model,
-            start=float(self.starts[i]),
-            finish=float(self.finishes[i]),
-            size=int(self.sizes[i]),
-            ratio=self.ratio,
-            mode=self.mode,
-            server=int(self.servers[i]),
-            queue_depth=int(self.queue_depths[i]),
+            model, start, finish, size, ratio, mode, server, queue_depth, row
         )
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BatchLedger):
-            return (
-                self.model == other.model
-                and self.mode == other.mode
-                and self.ratio == other.ratio
-                and np.array_equal(self.starts, other.starts)
-                and np.array_equal(self.finishes, other.finishes)
-                and np.array_equal(self.sizes, other.sizes)
-                and np.array_equal(self.servers, other.servers)
-                and np.array_equal(self.queue_depths, other.queue_depths)
-            )
-        if isinstance(other, (list, tuple)):
-            return len(self) == len(other) and all(
-                self[i] == other[i] for i in range(len(self))
-            )
-        return NotImplemented
+    def _riders(self) -> np.ndarray:
+        """Every row's slots, end to end."""
+        chunks = [
+            np.flatnonzero(chunk) if chunk.dtype == bool else chunk
+            for chunk in self.riders
+        ]
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
-    __hash__ = None  # mutable container semantics, like list
+    def row_slots(self) -> List[np.ndarray]:
+        """``riders`` a row at a time (how they are held from then on)."""
+        riders = self.riders
+        if riders and (len(riders) != len(self) or riders[0].dtype == bool):
+            self.riders = np.split(self._riders(), np.cumsum(self.sizes))[:-1]
+        return self.riders
+
+    def remove(self, rows: List[int]) -> List[Tuple[BatchRecord, np.ndarray]]:
+        """Cut the rows at ascending indices ``rows`` out of every column (a
+        rewind); returns each as (record, slots).  Rows left keep their ids."""
+        slots = self.row_slots()
+        victims = [(self[row], slots[row]) for row in rows]
+        if self.ids is None:
+            self.ids = list(range(len(self)))
+        keep = np.ones(len(self), dtype=bool)
+        keep[rows] = False
+
+        def kept(column):  # a field every row shares stays as it is
+            return list(compress(column, keep)) if type(column) is list else column
+
+        self.lists = tuple(list(compress(column, keep)) for column in self.lists)
+        self.ids, self.riders, self.outputs, self.cohort = map(
+            kept, (self.ids, slots, self.outputs, self.cohort)
+        )
+        self.removed += len(victims)
+        return victims
+
+    def served_by(self, count: int) -> np.ndarray:
+        """Slot (of ``count``) → index of the row it rides in, -1: in none."""
+        served_by = np.full(count, -1, dtype=np.intp)
+        if self.riders:
+            served_by[self._riders()] = np.repeat(np.arange(len(self)), self.sizes)
+        return served_by
+
+    def __len__(self) -> int:
+        return len(self.lists[0])
+
+    def __getitem__(self, index):
+        starts, finishes, sizes, servers, depths = self.lists
+        if type(index) is int:  # ``step()`` reads ``ledger[-1]`` once per batch
+            i = index + len(starts) if index < 0 else index
+            if i < 0:
+                raise IndexError(index)
+        else:
+            i = range(len(starts))[index]  # a numpy integer, a slice
+            if type(i) is range:
+                return [self[j] for j in i]
+        cohort, ids = self.cohort, self.ids
+        model, mode, ratio = cohort[i] if type(cohort) is list else cohort
+        return BatchRecord(  # positionally, in field order
+            model, starts[i], finishes[i], sizes[i], ratio, mode, servers[i],
+            depths[i], i if ids is None else ids[i],
+        )
 
 
 # ----------------------------------------------------------------------
 # Columnar FIFO fast core
 # ----------------------------------------------------------------------
-@dataclass
-class ColumnarFifoRun:
-    """Everything a columnar FIFO sweep produced, still in columns.
+class FifoSweep:
+    """Carried state of the resumable columnar FIFO sweep (module docstring)
+    and, once closed, the record of what it did beside ``ledger``'s rows.
 
-    ``served_by`` is the one per-request column: position in arrival order
-    → index of the batch that served it, -1 for a dropped one.  Every other
-    per-request value is a gather through it (``finishes[served_by]``, ...).
+    The loop writes the ledger's five column lists only: its rows take the
+    ledger's ``cohort`` as it stands and their index as id, so it writes
+    before any row is removed.  Drop cohort k went at ``drop_times[k]`` and
+    covers positions ``drop_los[k]``..``drop_his[k]`` of the arrival order.
     """
 
-    starts: np.ndarray
-    finishes: np.ndarray
-    sizes: np.ndarray
-    servers: np.ndarray
-    queue_depths: np.ndarray
-    served_by: np.ndarray
-    drop_times: np.ndarray          # one entry per drop cohort
-    drop_los: np.ndarray            # cohort position range [lo, hi) ...
-    drop_his: np.ndarray            # ... in arrival order
-    dropped: int
+    __slots__ = ("arr", "offset", "pos", "ledger", "drop_times", "drop_los",
+                 "drop_his", "dropped", "survived")
 
-
-class FifoSweep:
-    """Carried state of the resumable columnar FIFO sweep (module docstring)."""
-
-    __slots__ = ("arr", "offset", "pos", "starts", "finishes", "sizes", "servers",
-                 "depths", "drop_times", "drop_los", "drop_his", "dropped")
-
-    def __init__(self, arrivals: np.ndarray) -> None:
+    def __init__(
+        self, arrivals: np.ndarray, ledger: Optional[BatchLedger] = None
+    ) -> None:
         self.arr: List[float] = arrivals.tolist()
         self.offset = self.pos = self.dropped = 0
-        self.starts, self.finishes, self.sizes = [], [], []
-        self.servers, self.depths = [], []
+        self.ledger = BatchLedger() if ledger is None else ledger
         self.drop_times, self.drop_los, self.drop_his = [], [], []
 
     def pending_from(self, at: int, arrivals: np.ndarray) -> None:
@@ -732,8 +809,7 @@ class FifoSweep:
         n = len(arr)
         offset = self.offset
         pos = self.pos - offset
-        starts, finishes, sizes = self.starts, self.finishes, self.sizes
-        servers, depths = self.servers, self.depths
+        starts, finishes, sizes, servers, depths = self.ledger.lists
         before = len(starts)
 
         active_list = sorted(active)
@@ -819,27 +895,19 @@ class FifoSweep:
             self.offset, self.arr = self.pos, []
         return len(starts) - before
 
-    def columns(self) -> ColumnarFifoRun:
-        """Everything dispatched so far, as columns over the consumed positions."""
-        floats = partial(np.asarray, dtype=np.float64)
-        ints = partial(np.asarray, dtype=np.int64)
-        n, sizes_col = self.pos, ints(self.sizes)
-        # FIFO batches form over consecutive surviving positions, in order: the
-        # k-th batch serves the next ``sizes[k]`` positions no cohort dropped.
-        batch_of = np.repeat(np.arange(len(sizes_col), dtype=np.intp), sizes_col)
-        if self.dropped:
-            survived = np.ones(n, dtype=bool)
-            for lo, hi in zip(self.drop_los, self.drop_his):
-                survived[lo:hi] = False
-            served_by = np.full(n, -1, dtype=np.intp)
-            served_by[survived] = batch_of
-        else:
-            served_by = batch_of
-        return ColumnarFifoRun(  # positionally, in field order
-            floats(self.starts), floats(self.finishes), sizes_col, ints(self.servers),
-            ints(self.depths), served_by, floats(self.drop_times), ints(self.drop_los),
-            ints(self.drop_his), self.dropped,
-        )
+    def close(self) -> "FifoSweep":
+        """Close the books on what was dispatched so far: ``survived`` says, by
+        position, who was served — by the next row with room, FIFO: the
+        ledger's riders, seated here (a position is its slot unless the caller
+        says otherwise) — and who dropped with a cohort."""
+        survived = self.survived = np.ones(self.pos, dtype=bool)
+        for lo, hi in zip(self.drop_los, self.drop_his):
+            survived[lo:hi] = False
+        # Typed arrays, 8 bytes a row: a day's sweep otherwise leaves a
+        # million boxed floats behind in its result.
+        self.ledger.lists = tuple(map(array, "ddqqq", self.ledger.lists))
+        self.ledger.riders = [survived]
+        return self
 
 
 def run_fifo_columnar(
@@ -850,7 +918,7 @@ def run_fifo_columnar(
     latency_tables: Dict[int, Sequence[float]],
     max_batch: int,
     drop_after: Optional[float],
-) -> ColumnarFifoRun:
+) -> FifoSweep:
     """Sweep sorted ``arrivals`` through the FIFO dispatch rule, columnar.
 
     Bit-identical to the object loop in
@@ -865,23 +933,8 @@ def run_fifo_columnar(
     The loop (:meth:`FifoSweep.advance`, here without a batch limit) runs
     over a plain Python float list (numpy scalar extraction per element is
     what makes the object loop slow); all per-request work is deferred to
-    the vectorized epilogue (:meth:`FifoSweep.columns`).
+    the vectorized epilogue (:meth:`FifoSweep.close` and the ledger's reads).
     """
     sweep = FifoSweep(arrivals)
     sweep.advance(free_at, busy, active, latency_tables, max_batch, drop_after)
-    return sweep.columns()
-
-
-def served_by_slots(record_slots: Sequence[np.ndarray], count: int) -> np.ndarray:
-    """Slot → index of the record whose slot array holds it, -1 where none does.
-
-    The object loops' way to a session's ``served_by``: ``record_slots`` is
-    one slot array per surviving batch record, in record order.
-    """
-    served_by = np.full(count, -1, dtype=np.intp)
-    if len(record_slots):
-        sizes = np.fromiter(map(len, record_slots), np.intp, len(record_slots))
-        served_by[np.concatenate(record_slots)] = np.repeat(
-            np.arange(len(sizes)), sizes
-        )
-    return served_by
+    return sweep.close()

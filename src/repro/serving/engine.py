@@ -56,14 +56,15 @@ objects, a :class:`~repro.serving.core.LazyRequests` view, streaming
 ``submit()`` — a session holds them as one columnar
 :class:`~repro.serving.core.RequestStore`; scheduler keys, deadline counts,
 model names and payloads are all read from its columns, a batch at a time.
-Outcomes are kept as records + columns too: a finished session is its batch
-records, ``served_by`` (slot → index of the record that finally served it,
--1: dropped) and its drop cohorts.  Every per-request array is a gather
-through ``served_by`` computed at :meth:`ServingEngine.finish` —
-``request_latencies = finishes[served_by] - arrivals`` — so nothing
+Outcomes are kept as columns too: a session's batches are the rows of one
+:class:`~repro.serving.core.BatchLedger` whichever loop dispatches them (a
+rewind cuts its victims out), beside its drop cohorts.  Every per-request
+array is a gather through the ledger's ``served_by`` (slot → index of the row
+that finally served it, -1: dropped) computed at :meth:`ServingEngine.finish`
+— ``request_latencies = finishes[served_by] - arrivals`` — so nothing
 per-request is maintained batch by batch, and a preempted batch has nothing
-per-request to un-write.  :class:`Response`\\ s are views, like
-:class:`Request`\\ s — :class:`ResponseView` builds one when it is read.
+per-request to un-write.  :class:`BatchRecord`\\ s and :class:`Response`\\ s
+are views, like :class:`Request`\\ s, built when read.
 
 The discrete-event loop reproduces the seed simulator's semantics exactly
 for single-server FIFO runs (same admission, batch-cap and float
@@ -101,15 +102,16 @@ import numpy as np
 from repro.data.traces import RequestTrace
 from repro.serving.core import (
     BatchLedger,
+    BatchRecord,
     DROPPED,
     FifoSweep,
     LazyRequests,
     PENDING,
     RequestStore,
     SERVED,
+    check_integer,
     check_positive,
     grow_column,
-    served_by_slots,
 )
 from repro.serving.metrics import (
     latency_percentiles,
@@ -135,10 +137,7 @@ class BatchingConfig:
     drop_after: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_batch, (int, np.integer)) or self.max_batch < 1:
-            raise ValueError(
-                f"max_batch must be an integer >= 1 (got {self.max_batch!r})"
-            )
+        check_integer("max_batch", self.max_batch, 1)
         if self.drop_after is not None and not (
             np.isfinite(self.drop_after) and self.drop_after >= 0
         ):
@@ -283,25 +282,6 @@ class RatioPolicy(Protocol):
 
 
 @dataclass
-class BatchRecord:
-    """Per-batch accounting: what ran, when, where, at which ratio.
-
-    ``queue_depth`` is the number of arrived-and-waiting requests when the
-    batch formed (the value telemetry aggregates) — kept on the record so a
-    preempted batch can be *un*-recorded exactly.
-    """
-
-    model: str
-    start: float
-    finish: float
-    size: int
-    ratio: float
-    mode: str
-    server: int = 0
-    queue_depth: int = 0
-
-
-@dataclass
 class _Endpoint:
     """One registered model: per-server executors + policy + execution mode."""
 
@@ -319,7 +299,7 @@ class _Endpoint:
 
 class ResponseView(Sequence[Response]):
     """Read-only ``Sequence[Response]`` over a finished session: its batch
-    records, the session's ``served_by`` (``batch``: which record finally
+    ledger, the ledger's ``served_by`` (``batch``: which row finally
     served each slot; -1: dropped, at ``drop_times[slot]``), the outputs
     its executors returned, the store's columns (never ``status``: a store
     may be served again) and the final migration counts.  ``view[slot]``
@@ -330,13 +310,15 @@ class ResponseView(Sequence[Response]):
         self, session: "_Session", modes: Dict[str, str], served_by: np.ndarray
     ) -> None:
         # What a response is read from — not the session's queues and buffers.
-        self.store, self.modes, self.records = session.store, modes, session.records
+        self.store, self.modes, self.records = session.store, modes, session.ledger
         self.batch, self.migrations = served_by, session.migrations
         # Slot -> its output, for the batches whose executor returned some
         # (one per rider, in batch order).
+        ledger = session.ledger
+        rows = zip(ledger.row_slots(), ledger.outputs) if ledger.outputs else ()
         self.outputs = {
             slot: output
-            for slots, outputs in zip(session.record_slots, session.record_outputs)
+            for slots, outputs in rows
             if outputs is not None
             for slot, output in zip(slots.tolist(), outputs)
         }
@@ -379,8 +361,9 @@ class EngineResult:
     per admitted request with ``nan`` marking drops, aligned with
     ``request_models`` for per-model breakdowns (``None`` when every request
     targets the one model that ran every batch).  Both are computed once, at
-    ``finish()``, as a gather of ``batch_records``' finishes through the
-    session's ``served_by``.  ``responses`` reads the
+    ``finish()``, as a gather of ``batch_records``' finishes through its
+    ``served_by``; ``batch_records`` is the session's ledger whichever loop
+    ran, and the batch-level views read its columns.  ``responses`` reads the
     same outcome request by request (a :class:`ResponseView`, indexed by
     admission slot), or is ``None`` when the session did not record responses.
     ``server_busy_times`` has one accumulated busy time per server (their
@@ -395,7 +378,7 @@ class EngineResult:
     latencies: np.ndarray
     request_latencies: np.ndarray
     request_models: Optional[List[str]]
-    batch_records: List[BatchRecord]
+    batch_records: BatchLedger
     dropped: int
     duration: float
     busy_time: float
@@ -411,27 +394,16 @@ class EngineResult:
     # ------------------------------------------------------------------
     @property
     def batch_sizes(self) -> List[int]:
-        records = self.batch_records
-        if isinstance(records, BatchLedger):
-            return records.sizes.tolist()
-        return [record.size for record in records]
+        return self.batch_records.sizes.tolist()
 
     @property
     def batch_ratios(self) -> List[float]:
-        records = self.batch_records
-        if isinstance(records, BatchLedger):
-            return [records.ratio] * len(records)
-        return [record.ratio for record in records]
+        return self.batch_records.ratios
 
     @property
     def batch_servers(self) -> np.ndarray:
         """The server each batch ran on, as one vector."""
-        records = self.batch_records
-        if isinstance(records, BatchLedger):
-            return records.servers
-        return np.fromiter(
-            (record.server for record in records), np.int64, len(records)
-        )
+        return self.batch_records.servers
 
     @property
     def mean_executed_ratio(self) -> float:
@@ -492,9 +464,8 @@ class EngineResult:
             return float("nan")
         # One count over the columns; a dropped slot's nan finish is a miss.
         # This run's rows: a store adopted again may since have been appended to.
-        return slo_attainment(
-            _finishes(view.records)[view.batch], view.store.deadlines[: len(view)]
-        )
+        finishes = np.append(view.records.finishes, np.nan)  # -1 reads the nan
+        return slo_attainment(finishes[view.batch], view.store.deadlines[: len(view)])
 
     def totals(self) -> Dict[str, Any]:
         """The run's counts and rates in plain types: the one mapping
@@ -528,14 +499,6 @@ class EngineResult:
             None if np.isnan(attainment) else float(attainment)
         )
         return report
-
-
-def _finishes(records: Sequence[BatchRecord]) -> np.ndarray:
-    """Each record's finish, then one nan: ``_finishes(records)[served_by]``
-    is every request's finish time, where -1 (dropped) reads the nan."""
-    if isinstance(records, BatchLedger):
-        return np.append(records.finishes, np.nan)
-    return np.array([record.finish for record in records] + [np.nan])
 
 
 def requests_from_trace(
@@ -614,11 +577,12 @@ class _Session:
 
     The requests are ``store`` — one :class:`RequestStore`, whichever way
     they were handed in; a request's *slot* is its row.  The outcomes are
-    ``records`` (+ ``record_slots``, ``record_outputs``) and ``drops`` — or,
-    while the columnar sweep serves the session, ``sweep``'s rows and drop
-    cohorts, turned into the former if it ever leaves; "who served whom" is
-    derived from either once, at ``_finalize`` (``served_by``), never kept
-    per request in flight.  The clocks are the session's on every path.
+    ``ledger`` — the batches, a row each, whichever loop dispatches them —
+    and ``drops`` (while the columnar sweep serves the session, its drop
+    cohorts and, unseated until it closes, its rows' riders); "who served
+    whom" is derived from the ledger once, at ``_finalize`` (``served_by``),
+    never kept per request in flight.  The clocks are the session's on
+    every path.
     """
 
     def __init__(
@@ -632,18 +596,13 @@ class _Session:
         self.store = store
         self.duration = duration
         self.record_responses = record_responses
-        self.records: List[BatchRecord] = []
-        # One slot array per record: what preemption needs to rewind a batch
-        # exactly (see preempt_server).  Beside it, for ResponseView: the
-        # batch's outputs and each drop cohort's (slots, time).
-        self.record_slots: List[np.ndarray] = []
-        self.record_outputs: List[Optional[Sequence[Any]]] = []
+        self.ledger = BatchLedger()
+        # For ResponseView: each drop cohort's (slots, time).
         self.drops: List[Tuple[np.ndarray, float]] = []
-        # The sweep while it dispatches the batches, the (model, mode, ratio) it
-        # bills them to, its per-server service-time tables; which kernel
-        # dispatched (None until the first dispatch decides) and why.
+        # The sweep while it dispatches the batches, its per-server
+        # service-time tables; which kernel dispatched (None until the first
+        # dispatch decides) and why.
         self.sweep: Optional[FifoSweep] = None
-        self.cohort: Tuple[str, str, float] = ("", "", 0.0)
         self.tables: Dict[int, List[float]] = {}
         self.kernel: Optional[str] = None
         self.reason: Optional[str] = None
@@ -725,10 +684,8 @@ class ServingEngine:
         columnar: bool = True,
         tracer=None,
     ) -> None:
-        if num_servers < 1:
-            raise ValueError("num_servers must be >= 1")
         self.batching = batching if batching is not None else BatchingConfig()
-        self.num_servers = int(num_servers)
+        self.num_servers = check_integer("num_servers", num_servers, 1)
         self.scheduler = scheduler
         # ``columnar`` lets step()/finish() dispatch eligible FIFO sessions on
         # the columnar sweep (repro.serving.core) — identical results, much
@@ -976,11 +933,7 @@ class ServingEngine:
                 self.batching.max_batch, self.batching.drop_after, 1,
             ):
                 return None
-            model, mode, ratio = session.cohort
-            return BatchRecord(
-                model, sweep.starts[-1], sweep.finishes[-1], sweep.sizes[-1], ratio,
-                mode, sweep.servers[-1], sweep.depths[-1],
-            )
+            return session.ledger[-1]
         if self._fifo:
             return self._step_fifo(session)
         return self._step_scheduled(session)
@@ -1053,14 +1006,13 @@ class ServingEngine:
         retroactively serve the past.
         """
         session = self._require_session()
-        active = sorted({int(server) for server in servers})
+        active = sorted({check_integer("server", server, 0) for server in servers})
         if not active:
             raise ValueError("at least one server must stay active")
-        for server in active:
-            if not 0 <= server < self.num_servers:
-                raise ValueError(
-                    f"server {server} out of range (num_servers={self.num_servers})"
-                )
+        if active[-1] >= self.num_servers:
+            raise ValueError(
+                f"server {active[-1]} out of range (num_servers={self.num_servers})"
+            )
         if available_from is not None:
             available_from = check_positive(
                 "available_from", available_from, allow_zero=True
@@ -1102,8 +1054,8 @@ class ServingEngine:
         shrinks to its largest residual demand — resumed work is not redone,
         though one fresh rider still costs the full batch.
 
-        Every rewound batch is removed from the run's records (so from every
-        per-request value: those are read off the records at ``finish()``)
+        Every rewound batch is cut out of the run's ledger (so out of every
+        per-request value: those are read off the ledger at ``finish()``)
         and its telemetry contribution reversed (busy time up to the kill
         point stays billed: wasted work is still work).  Its requests are
         then handed to ``policy`` (a
@@ -1127,32 +1079,19 @@ class ServingEngine:
             raise ValueError(
                 f"server {server} out of range (num_servers={self.num_servers})"
             )
-        sweep = s.sweep
-        if sweep is not None and any(
-            on == server and finish > time and (kill_running or start >= time)
-            for on, start, finish in zip(sweep.servers, sweep.starts, sweep.finishes)
-        ):
-            self._leave_sweep(s, "migrated")  # a rewind needs records and slots
-        victims: List[Tuple[BatchRecord, np.ndarray]] = []
-        kept_records: List[BatchRecord] = []
-        kept_slots: List[np.ndarray] = []
-        kept_outputs: List[Optional[Sequence[Any]]] = []
-        for record, slots, outputs in zip(s.records, s.record_slots, s.record_outputs):
-            if (
-                record.server == server
-                and record.finish > time
-                and (kill_running or record.start >= time)
-            ):
-                victims.append((record, slots))
-            else:
-                kept_records.append(record)
-                kept_slots.append(slots)
-                kept_outputs.append(outputs)
-        if not victims:
+        ledger = s.ledger
+        on_server, finishes = ledger.servers == server, ledger.finishes
+        gone = on_server & (finishes > time)
+        if not kill_running:
+            gone &= ledger.starts >= time
+        if not gone.any():
             return Preemption(batches=0, migrated=0, dropped=0)
-        s.records = kept_records
-        s.record_slots = kept_slots
-        s.record_outputs = kept_outputs
+        if s.sweep is not None:
+            self._leave_sweep(s, "migrated")  # a rewind needs the riders seated
+        # The server's clock rewinds to the preemption point (or the finish
+        # of a still-running batch it was allowed to drain).
+        s.free_at[server] = max([time] + finishes[on_server & ~gone].tolist())
+        victims = ledger.remove(np.flatnonzero(gone).tolist())
 
         migrant_slots: List[int] = []
         for record, slots in victims:
@@ -1198,12 +1137,6 @@ class ServingEngine:
                 self.tracer.on_preempt(record, slots, time)
             s.store.status[slots] = PENDING
             migrant_slots.extend(slots.tolist())
-        # The server's clock rewinds to the preemption point (or the finish
-        # of a still-running batch it was allowed to drain).
-        s.free_at[server] = max(
-            [time]
-            + [record.finish for record in kept_records if record.server == server]
-        )
 
         # The scheduled path's arrival heap may hold lazily-uncleaned
         # entries from the victims' first pass through the queue; a migrant
@@ -1411,13 +1344,14 @@ class ServingEngine:
         endpoint = self._endpoints[model]
         if s.sweep is None:
             # A FixedRatioPolicy returns the same ratio for every context, and
-            # ModeledExecutor never overrides it (BatchExecution.ratio is None).
-            s.cohort = (model, endpoint.mode, float(endpoint.policy.ratio))
-            s.kernel, s.sweep = "sweep", FifoSweep(s.pend_arrivals)
+            # ModeledExecutor never overrides it (BatchExecution.ratio is None):
+            # every row the sweep writes is billed to this cohort.
+            s.ledger.cohort = (model, endpoint.mode, float(endpoint.policy.ratio))
+            s.kernel, s.sweep = "sweep", FifoSweep(s.pend_arrivals, s.ledger)
         # One service-time table per active server, as long as the largest
         # batch the requests so far can form: for a fixed mode/ratio the modeled
         # (and memoised) ``batch_latency`` is a function of the size alone.
-        _, mode, ratio = s.cohort
+        _, mode, ratio = s.ledger.cohort
         size_cap = min(int(self.batching.max_batch), len(s.store))
         for server in s.active:
             table = s.tables.setdefault(server, [0.0])
@@ -1429,54 +1363,42 @@ class ServingEngine:
                 )
         return s.sweep
 
-    def _sweep_rows(self, s: _Session):
-        """What the sweep dispatched so far: its run, the slot at each consumed
-        position, the batch ledger.  Both ways off the sweep start here: from
-        now on ``pos``, the drops and the store's ``status`` are exact."""
-        run, s.sweep = s.sweep.columns(), None  # the row lists go: columns from here
-        s.pos, s.dropped = len(run.served_by), run.dropped
+    def _sweep_rows(self, s: _Session) -> FifoSweep:
+        """Close the sweep, either way off it: from now on ``pos``, the drops,
+        the store's ``status`` and the riders of the rows it wrote are exact."""
+        run, s.sweep = s.sweep.close(), None
+        s.pos, s.dropped = run.pos, run.dropped
         slots = s.pend_slots[: s.pos]
         status = s.store.status
         # Until a merge reorders the queue a position is its row.
         status[slots if s.reordered else slice(s.pos)] = SERVED
-        for lo, hi, time in zip(
-            run.drop_los.tolist(), run.drop_his.tolist(), run.drop_times.tolist()
-        ):
+        for lo, hi, time in zip(run.drop_los, run.drop_his, run.drop_times):
             status[slots[lo:hi]] = DROPPED
             if s.record_responses:
                 s.drops.append((slots[lo:hi].copy(), time))
-        return run, slots, BatchLedger(
-            *s.cohort, run.starts, run.finishes, run.sizes, run.servers, run.queue_depths
-        )
+        if s.reordered:  # the riders are seated by position
+            s.ledger.riders = [slots[run.survived]]
+        return run
 
     def _leave_sweep(self, s: _Session, reason: str) -> None:
         """Take the session off the sweep, for good, for ``reason``: its rows
-        become the object loops' representation, which dispatch from here."""
-        run, slots, ledger = self._sweep_rows(s)
-        s.records = list(ledger)
-        served = slots[run.served_by >= 0]  # in batch order: FIFO
-        s.record_slots = np.split(served, np.cumsum(run.sizes))[:-1]
-        s.record_outputs = [None] * len(ledger)
+        are where the object loops append, which dispatch from here."""
+        self._sweep_rows(s)
         s.kernel, s.reason = "sweep+object", reason
 
-    def _sweep_epilogue(self, s: _Session) -> np.ndarray:
-        """Close a session the sweep served to the end, stepped or whole: the
-        ledger is its records, telemetry and the tracer ingest the run in bulk
-        (mirroring the object loops' hooks); returns ``served_by``."""
-        run, slots, s.records = self._sweep_rows(s)
-        served_by, deadlines = run.served_by, s.store.deadlines
-        if s.reordered:
-            # The run is in position order; slots and deadlines are by row.
-            served_by = np.empty_like(run.served_by)
-            served_by[slots] = run.served_by
-            if deadlines is not None:
-                deadlines = deadlines[slots]
+    def _sweep_epilogue(self, s: _Session) -> None:
+        """Close a session the sweep served to the end, stepped or whole:
+        telemetry and the tracer ingest the run in bulk (mirroring the object
+        loops' hooks), by position."""
+        run = self._sweep_rows(s)
+        deadlines = s.store.deadlines
+        if s.reordered and deadlines is not None:
+            deadlines = deadlines[s.pend_slots[: s.pos]]  # held by row
         if self.tracer is not None:
             wanted = deadlines if self.tracer.wants_deadlines else None
             self.tracer.ingest_columnar(run, s.pend_arrivals, deadlines=wanted)
         if self.telemetry is not None:
-            self.telemetry.ingest_columnar(run, s.pend_arrivals, deadlines, s.cohort[2])
-        return served_by
+            self.telemetry.ingest_columnar(run, s.pend_arrivals, deadlines)
 
     # ------------------------------------------------------------------
     # FIFO fast path (bit-identical to the seed loop at num_servers=1)
@@ -1738,16 +1660,14 @@ class ServingEngine:
         finish = start + service_time
         arrivals = s.store.arrivals[slots]
         s.store.status[slots] = SERVED
-        record = BatchRecord(
-            head_model, start, finish, batch_size, ratio, endpoint.mode, server,
-            queue_depth,
-        )
-        s.records.append(record)
-        # FIFO-path slots are views into pend_slots; store a copy so a
+        # FIFO-path slots are views into pend_slots; the row keeps a copy so a
         # superseded pending array (streaming submit, migration requeue) is
         # not pinned alive for the whole session by its batch views.
-        s.record_slots.append(slots.copy() if slots.base is not None else slots)
-        s.record_outputs.append(execution.outputs if s.record_responses else None)
+        record = s.ledger.append(
+            head_model, start, finish, batch_size, ratio, endpoint.mode, server,
+            queue_depth, slots.copy() if slots.base is not None else slots,
+            execution.outputs if s.record_responses else None,
+        )
         deadlines = self._slot_deadlines(s, slots)  # read once for both
         if self.telemetry is not None:
             deadline_total, deadline_met = self._deadline_counts(deadlines, finish)
@@ -1787,7 +1707,7 @@ class ServingEngine:
         if self.tracer is not None:
             self.tracer.on_drop(slots, s.store.arrivals[slots], start)
         if s.record_responses:
-            # A copy, as for record_slots: FIFO-path slots view pend_slots.
+            # A copy, as for a row's riders: FIFO-path slots view pend_slots.
             s.drops.append((slots.copy() if slots.base is not None else slots, start))
 
     # ------------------------------------------------------------------
@@ -1802,12 +1722,12 @@ class ServingEngine:
             last_arrival = float(arrivals[-1]) if len(arrivals) else 0.0
             duration = max(max(s.free_at), last_arrival)
         if s.sweep is not None:
-            served_by = self._sweep_epilogue(s)
-        else:
-            served_by = served_by_slots(s.record_slots, len(s.store))
+            self._sweep_epilogue(s)
+        served_by = s.ledger.served_by(len(s.store))
         # The same elementwise ``finish - arrival`` whichever loop ran; a
-        # dropped slot reads the nan finish.
-        request_latencies = _finishes(s.records)[served_by] - s.store.arrivals
+        # dropped slot (-1) reads the nan behind the last finish.
+        finishes = np.append(s.ledger.finishes, np.nan)
+        request_latencies = finishes[served_by] - s.store.arrivals
         modes = {name: endpoint.mode for name, endpoint in self._endpoints.items()}
         return EngineResult(
             latencies=request_latencies[~np.isnan(request_latencies)],
@@ -1815,7 +1735,7 @@ class ServingEngine:
             request_models=(
                 None if s.store.model_ids is None else s.store.model_name_list()
             ),
-            batch_records=s.records,
+            batch_records=s.ledger,
             dropped=s.dropped,
             duration=duration,
             busy_time=float(sum(s.busy)),

@@ -81,6 +81,7 @@ from repro.serving.core import (
     ARRIVAL_CHUNK,
     EventCalendar,
     check_arrivals,
+    check_integer,
     check_positive,
 )
 from repro.serving.engine import Batch, Request
@@ -314,7 +315,9 @@ class IterationRecord:
     ``queue_depth``), so iteration events flow through the same
     :class:`~repro.serving.telemetry.TelemetryBus` hooks as batches.
     ``size`` counts sequence-iterations (prefills + decode width — a
-    joiner that prefills and decodes counts in both).
+    joiner that prefills and decodes counts in both).  ``row`` is what
+    telemetry and the tracer know the iteration by, as for a batch: the count
+    of iterations the session started before it (a rewind reuses none).
     """
 
     model: str
@@ -329,6 +332,7 @@ class IterationRecord:
     prefills: int = 0
     decode_width: int = 0
     tokens: int = 0
+    row: int = -1
 
 
 @dataclass
@@ -474,6 +478,7 @@ class _GenSession:
         self.busy: List[float] = [0.0] * num_servers
         self.active: List[int] = list(range(num_servers))
         self.iterations: List[IterationRecord] = []
+        self.started = 0  # iterations ever started: the next record's ``row``
         # Each server's latest iteration: the only one preempt_server can
         # still find in flight (it refuses any earlier time).
         self.undo: List[Optional[_IterationUndo]] = [None] * num_servers
@@ -519,11 +524,7 @@ class IterationScheduler:
         num_servers: int = 1,
         tracer=None,
     ) -> None:
-        if num_servers < 1:
-            raise ValueError("num_servers must be >= 1")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        self.num_servers = int(num_servers)
+        self.num_servers = check_integer("num_servers", num_servers, 1)
         if isinstance(backend, (list, tuple)):
             backends = list(backend)
             if len(backends) != self.num_servers:
@@ -534,7 +535,7 @@ class IterationScheduler:
         else:
             backends = [backend] * self.num_servers
         self.backends = backends
-        self.max_batch = int(max_batch)
+        self.max_batch = check_integer("max_batch", max_batch, 1)
         self.admission: AdmissionPolicy = (
             admission if admission is not None else FcfsAdmission()
         )
@@ -569,15 +570,17 @@ class IterationScheduler:
                     f"(got {request.max_new_tokens}; max_new_tokens=1 is "
                     "prefill-only)"
                 )
-            if request.prefill_tokens < 0:
-                raise ValueError("prefill_tokens must be >= 0")
             sequences.append(
                 SequenceState(
                     request=request,
                     slot=slot,
                     arrival=float(request.arrival_time),
-                    prompt_tokens=int(request.prefill_tokens),
-                    max_new_tokens=int(request.max_new_tokens),
+                    prompt_tokens=check_integer(
+                        "prefill_tokens", request.prefill_tokens, 0
+                    ),
+                    max_new_tokens=check_integer(
+                        "max_new_tokens", request.max_new_tokens, 1
+                    ),
                     ready=float(request.arrival_time),
                 )
             )
@@ -944,7 +947,9 @@ class IterationScheduler:
             prefills=len(prefilled),
             decode_width=len(decoders),
             tokens=tokens,
+            row=s.started,
         )
+        s.started += 1
         s.iterations.append(record)
         s.undo[server] = _IterationUndo(
             record=record,
@@ -1051,10 +1056,8 @@ def run_to_completion(
     inefficiencies are what iteration-level scheduling removes: padding
     costs tokens/sec, head-of-line blocking costs TTFT.
     """
-    if max_batch < 1:
-        raise ValueError("max_batch must be >= 1")
-    if num_servers < 1:
-        raise ValueError("num_servers must be >= 1")
+    check_integer("max_batch", max_batch, 1)
+    check_integer("num_servers", num_servers, 1)
     policy = policy if policy is not None else FixedRatioPolicy(0.0)
     _check_arrivals(requests)
     ordered = sorted(requests, key=lambda request: request.arrival_time)

@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 import numpy as np
 
 from repro.data.traces import RequestTrace
+from repro.serving.core import check_ratio
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.controller import AdaptiveRatioController
@@ -112,7 +113,7 @@ class FixedRatioPolicy:
     """Always run at one 4-bit ratio (the fixed deployments of Figure 8)."""
 
     def __init__(self, ratio: float = 0.0) -> None:
-        self.ratio = float(ratio)
+        self.ratio = check_ratio(ratio)
 
     def on_run_start(self, trace: RequestTrace) -> None:
         pass
@@ -146,7 +147,7 @@ class RoundRobinRatioPolicy:
     def __init__(self, ratios: Sequence[float]) -> None:
         if not len(ratios):
             raise ValueError("ratios must be non-empty")
-        self.ratios = [float(r) for r in ratios]
+        self.ratios = [check_ratio(ratio) for ratio in ratios]
         self._next = 0
 
     def on_run_start(self, trace: RequestTrace) -> None:

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.hardware.gpu import GpuLatencyModel
 from repro.hardware.workloads import model_ops
+from repro.serving.core import check_ratio
 
 
 class ServiceTimeModel:
@@ -90,6 +91,7 @@ class ServiceTimeModel:
         key = (batch_size, mode, ratio)
         latency = self._latencies.get(key)
         if latency is None:
+            check_ratio(ratio)  # on a miss only: a nan would become every later clock
             if batch_size > self.anchor_batches[-1]:
                 # Exact (non-interpolated) hardware-model latency.
                 ops = model_ops(self.model_name, int(batch_size))

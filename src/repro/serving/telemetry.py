@@ -46,13 +46,12 @@ engine without one skips every hook.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.serving.core import ColumnarFifoRun, check_positive
+from repro.serving.core import FifoSweep, check_positive
 from repro.serving.metrics import latency_percentile, summarize_latencies
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,7 +81,7 @@ def _count(zero):
 class Samples:
     """One sample field of a cell: an array per batch, in event order.
 
-    Each array sits under the owner a rewind finds it by (the batch's record;
+    Each array sits under the owner a rewind finds it by (the batch's row id;
     an iteration's start time; ``None`` once bulk-ingested or joined).  Two
     parallel lists, so recording a batch allocates no container — a tuple
     per batch is one more object for every collector pass to visit.
@@ -94,7 +93,7 @@ class Samples:
         self.arrays = list(arrays)
         self.owners: List[object] = [None] * len(self.arrays)
 
-    def record(self, sign: int, owner, values: np.ndarray, same=operator.is_) -> None:
+    def record(self, sign: int, owner, values: np.ndarray) -> None:
         """Add (``sign`` +1) or rewind (-1) the samples of one owner."""
         if not len(values):
             return
@@ -103,7 +102,7 @@ class Samples:
             self.arrays.append(values)
             return
         for index in range(len(self.owners) - 1, -1, -1):
-            if same(self.owners[index], owner):
+            if self.owners[index] == owner:
                 del self.owners[index], self.arrays[index]
                 return
         # The one tolerated miss: a bus attached mid-run never saw the owner.
@@ -305,7 +304,7 @@ class TelemetryBus:
 
         The exact inverse arithmetic: the queue depth comes from the record
         (``BatchRecord.queue_depth``) and the samples removed are the ones
-        recorded under this very ``record``.  ``kill_time`` is the
+        recorded under this record's ``row``.  ``kill_time`` is the
         preemption instant: busy seconds the server really spent before it
         ([start, kill_time), wasted work) stay accounted, matching the
         engine's busy-time bill.
@@ -333,7 +332,7 @@ class TelemetryBus:
         cell.deadline_total += sign * int(deadline_total)
         cell.deadline_met += sign * int(deadline_met)
         if latencies is not None:
-            cell.latency_parts.record(sign, record, latencies)
+            cell.latency_parts.record(sign, record.row, latencies)
 
     def record_tokens(
         self,
@@ -366,7 +365,7 @@ class TelemetryBus:
         # An iteration has no record here; on one server its start time is
         # its identity.
         samples = np.asarray(ttfts, dtype=np.float64)
-        cell.ttft_parts.record(sign, float(time), samples, same=operator.eq)
+        cell.ttft_parts.record(sign, float(time), samples)
 
     def token_rate(self, server: int, window: int) -> float:
         """Generated tokens/second one server sustained during a window.
@@ -429,39 +428,41 @@ class TelemetryBus:
     # ------------------------------------------------------------------
     def ingest_columnar(
         self,
-        run: ColumnarFifoRun,
+        run: FifoSweep,
         arrivals: np.ndarray,
         deadlines: Optional[np.ndarray],
-        ratio: float,
     ) -> None:
-        """Bulk-ingest a columnar run into the same cells the hooks fill.
+        """Bulk-ingest a closed sweep into the same cells the hooks fill.
 
         Equivalent to :meth:`record_batch` once per batch in chronological
         order followed by :meth:`record_drops` per drop cohort: integer
         counts sum exactly, float ones (busy seconds, ratio weight) in the
         identical left-to-right order (``np.bincount`` sums sequentially),
-        so every cell is bit-identical to the per-event hooks'.  Per-request
-        values are gathers through ``run.served_by`` over ``arrivals`` and
-        ``deadlines`` (``None``: nobody carries one), both in arrival order;
-        a cell's latencies become one owner-less part, in batch order.
+        so every cell is bit-identical to the per-event hooks'.  ``arrivals``
+        and ``deadlines`` (``None``: nobody carries one) are by position, like
+        ``run.survived``; a cell's latencies become one owner-less part, in
+        batch order.
         """
-        if run.starts.size:
-            windows = (run.starts / self.window).astype(np.int64)
-            codes = (run.servers << 32) | windows
+        ledger = run.ledger
+        starts, finishes, sizes = ledger.starts, ledger.finishes, ledger.sizes
+        if starts.size:
+            windows = (starts / self.window).astype(np.int64)
+            codes = (ledger.servers << 32) | windows
             uniq, batch_cell = np.unique(codes, return_inverse=True)
             cells = [
                 self._cell(code >> 32, code & 0xFFFFFFFF) for code in uniq.tolist()
             ]
-            request_cell = np.repeat(batch_cell, run.sizes)
-            _add_column(cells, "served", batch_cell, run.sizes)
+            request_cell = np.repeat(batch_cell, sizes)
+            ratios = np.asarray(ledger.ratios, dtype=np.float64)
+            _add_column(cells, "served", batch_cell, sizes)
             _add_column(cells, "batches", batch_cell)
-            _add_column(cells, "busy_time", batch_cell, run.finishes - run.starts)
-            _add_column(cells, "ratio_weight", batch_cell, float(ratio) * run.sizes)
-            _add_column(cells, "queue_depth_sum", batch_cell, run.queue_depths)
+            _add_column(cells, "busy_time", batch_cell, finishes - starts)
+            _add_column(cells, "ratio_weight", batch_cell, ratios * sizes)
+            _add_column(cells, "queue_depth_sum", batch_cell, ledger.queue_depths)
             # The served requests, which is batch order: FIFO serves in
             # arrival order.  Without drops that is everybody, uncopied.
-            served = run.served_by >= 0 if run.dropped else slice(None)
-            finishes = run.finishes[run.served_by[served]]
+            served = run.survived if run.dropped else slice(None)
+            finishes = np.repeat(finishes, sizes)
             if deadlines is not None:
                 due = deadlines[served]
                 # nan compares False: no deadline is neither carried nor met.
@@ -474,16 +475,17 @@ class TelemetryBus:
             for cell, part in zip(cells, np.split(ordered, ends[:-1])):
                 cell.latency_parts.record(1, None, part)
         if run.dropped:
-            windows = (run.drop_times / self.window).astype(np.int64)
+            windows = (np.asarray(run.drop_times) / self.window).astype(np.int64)
+            los, his = np.asarray(run.drop_los), np.asarray(run.drop_his)
             uniq, drop_cell = np.unique(windows, return_inverse=True)
             cells = [self._cell(CLUSTER, window) for window in uniq.tolist()]
-            _add_column(cells, "drops", drop_cell, run.drop_his - run.drop_los)
+            _add_column(cells, "drops", drop_cell, his - los)
             if deadlines is not None:
                 # Each cohort's deadline-carrying members: all of them missed.
                 carrying = np.concatenate(([0], np.cumsum(~np.isnan(deadlines))))
                 _add_column(
                     cells, "deadline_total", drop_cell,
-                    carrying[run.drop_his] - carrying[run.drop_los],
+                    carrying[his] - carrying[los],
                 )
 
     # ------------------------------------------------------------------

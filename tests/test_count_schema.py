@@ -391,8 +391,7 @@ class TestCountsAgreeAcrossRepresentations:
             return  # not fast-eligible: there is one path, nothing to compare
         fast, _ = _run(case, columnar=True, record_responses=False)
         slow, _ = _run(case, columnar=False, record_responses=False)
-        assert isinstance(fast.result.batch_records, BatchLedger)
-        assert not isinstance(slow.result.batch_records, BatchLedger)
+        assert (fast.result.kernel, slow.result.kernel) == ("sweep", "object")
         bus_a, bus_b = fast.telemetry, slow.telemetry
         assert bus_a.last_window == bus_b.last_window
         series = [(True, bus_a.cluster_series(), bus_b.cluster_series())] + [
@@ -431,7 +430,7 @@ class TestRecordingResponsesChangesNoOutcome:
         trace = PoissonTrace(9000, duration=0.3, seed=5).generate()
         swept = _fifo_engine(True).run(trace, model="m")
         recorded = _fifo_engine(True).run(trace, model="m", record_responses=True)
-        assert isinstance(swept.batch_records, BatchLedger) and swept.dropped > 0
+        assert swept.kernel == "sweep" and swept.dropped > 0
         assert swept.responses is None and np.isnan(swept.deadline_attainment())
         assert list(swept.batch_records) == list(recorded.batch_records)
         assert swept.to_json()["served"] == recorded.to_json()["served"]
@@ -447,7 +446,7 @@ class TestRegistryReadsColumns:
         trace = PoissonTrace(9000, duration=1.0, seed=3).generate()
         fast = _fifo_engine(True).run(trace, model="m")
         slow = _fifo_engine(False).run(trace, model="m")
-        assert isinstance(fast.batch_records, BatchLedger) and fast.dropped > 0
+        assert fast.kernel == "sweep" and fast.dropped > 0
 
         def materialised(self, *args):
             raise AssertionError("a BatchRecord was materialised from the ledger")
@@ -460,14 +459,16 @@ class TestRegistryReadsColumns:
         assert fast.to_json() == slow.to_json()
 
 
-def _record(start, size, server=0):
-    return BatchRecord("m", start, start + 0.01, size, 0.5, "flexiq", server, 0)
+def _record(start, size, server=0, row=0):
+    return BatchRecord("m", start, start + 0.01, size, 0.5, "flexiq", server, 0, row)
 
 
 class TestRewindRemovesItsOwnSamples:
     def test_equal_latencies_in_one_cell(self):
         bus = TelemetryBus(window=1.0)
-        first, second, third = _record(0.1, 2), _record(0.2, 1), _record(0.3, 2)
+        first, second, third = (
+            _record(0.1, 2, row=0), _record(0.2, 1, row=1), _record(0.3, 2, row=2)
+        )
         bus.record_batch(first, latencies=np.asarray([0.1, 0.3]))
         bus.record_batch(second, latencies=np.asarray([0.2]))
         bus.record_batch(third, latencies=np.asarray([0.1, 0.3]))
@@ -478,6 +479,19 @@ class TestRewindRemovesItsOwnSamples:
         assert (stats.served, stats.batches) == (3, 2)
         bus.unrecord_batch(first, latencies=np.asarray([0.1, 0.3]))
         assert bus.server_window(0, 0).latencies.tolist() == [0.2]
+
+    def test_of_two_field_equal_records_the_one_with_the_row_id_goes(self):
+        """Two batches with every field equal but the row id (two servers'
+        worth of identical work filed under one server, say): the bus finds a
+        batch by its row id, not by what it looks like or which object it is."""
+        bus = TelemetryBus(window=1.0)
+        first, second = _record(0.1, 2, row=0), _record(0.1, 2, row=1)
+        assert first != second and first == _record(0.1, 2, row=0)
+        bus.record_batch(first, latencies=np.asarray([0.1, 0.3]))
+        bus.record_batch(second, latencies=np.asarray([0.2, 0.4]))
+        # A view of row 0 built anew, as ``ledger[i]`` builds them.
+        bus.unrecord_batch(_record(0.1, 2, row=0), latencies=np.asarray([0.1, 0.3]))
+        assert bus.server_window(0, 0).latencies.tolist() == [0.2, 0.4]
 
     def test_equal_ttfts_in_one_cell(self):
         bus = TelemetryBus(window=1.0)
@@ -490,7 +504,7 @@ class TestRewindRemovesItsOwnSamples:
 
     def test_a_bus_attached_mid_run_never_saw_the_record(self):
         bus = TelemetryBus(window=1.0)
-        seen, unseen = _record(0.1, 2), _record(0.2, 2)
+        seen, unseen = _record(0.1, 2, row=0), _record(0.2, 2, row=1)
         bus.record_batch(seen, latencies=np.asarray([0.1, 0.3]))
         # The one tolerated miss: bit-equal samples of another batch stay.
         bus.unrecord_batch(unseen, latencies=np.asarray([0.1, 0.3]))

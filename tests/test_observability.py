@@ -191,7 +191,7 @@ class EagerTracer(Tracer):
             SPAN_EXECUTE, -1, record.server, record.start, record.finish,
             float(len(slots)),
         )
-        self._record_row[id(record)] = row
+        self._record_row[record.row] = row
         mask = self.sample_mask(slots)
         if deadlines is not None and self.sample_deadline_misses:
             mask |= ~np.isnan(deadlines) & (record.finish > deadlines)
@@ -245,7 +245,7 @@ class TestParkedBatchesAgainstEagerHook:
         deadlines = np.where(np.arange(count) % 3 == 0, np.nan, arrivals + 0.004)
         pending = list(range(count))
         served = []  # (record, slots) still standing
-        records = []  # every record, kept alive: bookkeeping is keyed by id()
+        records = []  # every record; bookkeeping is keyed by its row id
         moves = {}
         clock = 0.0
 
@@ -254,7 +254,8 @@ class TestParkedBatchesAgainstEagerHook:
             slots = np.asarray([pending.pop(0) for _ in range(size)], dtype=np.intp)
             clock += 0.002
             record = BatchRecord(
-                "m", clock, clock + 0.003, size, 0.5, "flexiq", server, len(slots)
+                "m", clock, clock + 0.003, size, 0.5, "flexiq", server, len(slots),
+                len(records),
             )
             records.append(record)
             served.append((record, slots))
@@ -307,15 +308,33 @@ class TestParkedBatchesAgainstEagerHook:
         want, got = eager.spans(), parked.spans()
         for name in want:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
-        # Execute rows are keyed by record identity and each play built its
-        # own records: compare them in play order (None = preempted away).
-        assert [parked._record_row.get(id(r)) for r in parked_records] == [
-            eager._record_row.get(id(r)) for r in eager_records
-        ]
+        # Execute rows are keyed by the record's row id, its place in play
+        # order (a preempted record's entry is gone).
+        assert len(parked_records) == len(eager_records)
+        assert parked._record_row == eager._record_row
         assert parked._terminal_row == eager._terminal_row
         terminals = parked.terminal_requests()
         assert terminals == eager.terminal_requests()
         assert all(live == 1 for live in terminals.values())
+
+
+class TestAPreemptedBatchIsFoundByItsRowId:
+    def test_of_two_field_equal_records_the_right_span_is_rewritten(self):
+        tracer = Tracer()
+        first, second = (
+            BatchRecord("m", 0.5, 0.7, 1, 0.5, "flexiq", 0, 1, row) for row in (0, 1)
+        )
+        for slot, record in enumerate((first, second)):
+            tracer.on_batch(record, np.asarray([slot]), np.asarray([0.1]))
+        # A view of row 1 built anew, as ``ledger[i]`` builds them.
+        tracer.on_preempt(
+            BatchRecord("m", 0.5, 0.7, 1, 0.5, "flexiq", 0, 1, 1), [1], 0.6
+        )
+        spans = tracer.spans()
+        batches = np.isin(spans["kind"], (SPAN_EXECUTE, SPAN_PREEMPTED))
+        assert spans["kind"][batches].tolist() == [SPAN_EXECUTE, SPAN_PREEMPTED]
+        assert spans["end"][batches].tolist() == [0.7, 0.6]
+        assert tracer.terminal_requests() == {0: 1}
 
 
 class TestSpanStore:

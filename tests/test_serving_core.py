@@ -459,15 +459,18 @@ class TestColumnarFifoCore:
         run = run_fifo_columnar(
             arrivals, [0.0], [0.0], [0], tables, 8, 0.02
         )
+        ledger = run.ledger
+        served_by = ledger.served_by(len(arrivals))
+        assert np.array_equal(served_by >= 0, run.survived)
         # Batch -1 (dropped) reads the nan behind the last finish.
-        latencies = np.append(run.finishes, np.nan)[run.served_by] - arrivals
+        latencies = np.append(ledger.finishes, np.nan)[served_by] - arrivals
         assert len(latencies) == len(arrivals)
         assert int(np.count_nonzero(np.isnan(latencies))) == run.dropped
         # Every arrival rode in exactly one batch or one drop cohort.
-        drops = int((run.drop_his - run.drop_los).sum())
-        assert int(run.sizes.sum()) + drops == len(arrivals)
-        assert np.array_equal(np.bincount(run.served_by[run.served_by >= 0]), run.sizes)
-        assert len(run.starts) == len(run.finishes) == len(run.sizes)
+        drops = int(np.subtract(run.drop_his, run.drop_los).sum())
+        assert int(ledger.sizes.sum()) + drops == len(arrivals)
+        assert np.array_equal(np.bincount(served_by[served_by >= 0]), ledger.sizes)
+        assert len(ledger.starts) == len(ledger.finishes) == len(ledger.sizes)
 
 
 @st.composite
@@ -502,10 +505,12 @@ def _sweeps(draw):
 
 
 def _assert_runs_equal(got, want):
-    for field in dataclasses.fields(want):
-        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), (
-            field.name
-        )
+    """Two closed sweeps: the same rows, riders, survivors and drop cohorts."""
+    assert list(got.ledger) == list(want.ledger)
+    count = len(want.survived)
+    assert np.array_equal(got.ledger.served_by(count), want.ledger.served_by(count))
+    for name in ("survived", "drop_times", "drop_los", "drop_his", "dropped", "pos"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestSweepSegmentsCompose:
@@ -538,18 +543,20 @@ class TestSweepSegmentsCompose:
             # depend on: whoever arrives by the start of its last one.
             last = dispatched + length - 1
             upto = len(arrivals)
-            if last < len(whole.starts):
-                upto = int(np.searchsorted(arrivals, whole.starts[last], side="right"))
+            if last < len(whole.ledger):
+                upto = int(
+                    np.searchsorted(arrivals, whole.ledger.starts[last], side="right")
+                )
             upto = min(len(arrivals), max(upto, handed) + case["slack"])
             sweep.pending_from(handed, arrivals[handed:upto])
             handed = upto
             dispatched += sweep.advance(*clocks, length)
-            assert dispatched == len(sweep.starts) == min(last + 1, len(whole.starts))
+            assert dispatched == len(sweep.ledger) == min(last + 1, len(whole.ledger))
             assert sweep.pos <= handed
         sweep.pending_from(handed, arrivals[handed:])
         sweep.advance(*clocks)
         assert sweep.pos == len(arrivals) and sweep.arr == []
-        _assert_runs_equal(sweep.columns(), whole)
+        _assert_runs_equal(sweep.close(), whole)
         assert (free_at, busy) == (want_free, want_busy)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -580,14 +587,19 @@ class TestSweepSegmentsCompose:
         for length in case["segments"][1:]:
             sweep.advance(*clocks, length)
         sweep.advance(*clocks)
-        run = sweep.columns()
+        run = sweep.close()
         for name in ("starts", "finishes", "sizes", "servers", "queue_depths"):
-            assert np.array_equal(getattr(run, name)[first:], getattr(rest, name)), name
-        assert np.array_equal(run.drop_times[drops:], rest.drop_times)
-        assert np.array_equal(run.drop_los[drops:], rest.drop_los + consumed)
-        assert np.array_equal(run.drop_his[drops:], rest.drop_his + consumed)
-        later = run.served_by[consumed:]
-        assert np.array_equal(np.where(later < 0, -1, later - first), rest.served_by)
+            assert np.array_equal(
+                getattr(run.ledger, name)[first:], getattr(rest.ledger, name)
+            ), name
+        assert run.drop_times[drops:] == rest.drop_times
+        assert run.drop_los[drops:] == [lo + consumed for lo in rest.drop_los]
+        assert run.drop_his[drops:] == [hi + consumed for hi in rest.drop_his]
+        later = run.ledger.served_by(len(run.survived))[consumed:]
+        assert np.array_equal(
+            np.where(later < 0, -1, later - first),
+            rest.ledger.served_by(len(rest.survived)),
+        )
         assert free_at == rest_free
 
 
@@ -611,7 +623,6 @@ class TestKernelAccounting:
     def test_a_stepped_fifo_session_rides_the_sweep(self):
         result = self._stepped(_engine(True, num_servers=2, max_batch=2))
         assert (result.kernel, result.kernel_reason) == ("sweep", None)
-        assert isinstance(result.batch_records, BatchLedger)
         assert len(result.responses) == 12
 
     @pytest.mark.parametrize(
@@ -629,7 +640,6 @@ class TestKernelAccounting:
         engine.register("m", ModeledExecutor(SERVICE_MODEL), policy=FixedRatioPolicy(0.5))
         result = self._stepped(engine)
         assert (result.kernel, result.kernel_reason) == ("object", reason)
-        assert isinstance(result.batch_records, list)
 
     def test_policy_and_executor_clauses(self):
         engine = ServingEngine()
@@ -725,6 +735,153 @@ class TestKernelAccounting:
         for report in (result.to_json(), result.totals(), result.summary()):
             assert not {"kernel", "kernel_reason"} & set(report)
             assert "sweep" not in str(report)
+
+
+def _assert_ledgers_equal(got, want, count):
+    """Every column, every ``ledger[i]`` (ids included) and ``served_by``."""
+    for name in ("starts", "finishes", "sizes", "servers", "queue_depths"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.ratios == want.ratios and list(got) == list(want)
+    assert [slots.tolist() for slots in got.row_slots()] == [
+        slots.tolist() for slots in want.row_slots()
+    ]
+    assert np.array_equal(got.served_by(count), want.served_by(count))
+
+
+@st.composite
+def _ledger_rows(draw):
+    """Rows to append, which of them a rewind then removes, rows appended after."""
+    row = st.tuples(
+        st.sampled_from(["a", "b"]), st.sampled_from([0.0, 0.5, 1.0]),
+        st.integers(1, 3), st.integers(0, 2), st.booleans(),
+    )
+    return (
+        draw(st.lists(st.tuples(row, st.booleans()), max_size=12)),
+        draw(st.lists(row, max_size=4)),
+    )
+
+
+class TestOneBatchLedger:
+    """One table, whoever writes it: the sweep's column lists, the object
+    loops' ``append``, a rewind's ``remove``."""
+
+    class _Wrapped(ModeledExecutor):
+        """Modeled service times from something that is not a ``ModeledExecutor``."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_sweeps(), st.integers(1, 6))
+    def test_every_loop_writes_the_same_ledger(self, case, leave_after):
+        """The whole sweep, the stepped sweep, ``columnar=False`` and a session
+        that leaves the sweep part-way (a server that is not modeled joins and
+        goes, between two steps: nothing it could serve) — one ledger."""
+        servers = case["num_servers"]
+        requests = [
+            Request(arrival, model="m", request_id=number)
+            for number, arrival in enumerate(case["arrivals"].tolist())
+        ]
+
+        def serve(columnar, steps=0, leave=False):
+            engine = ServingEngine(
+                BatchingConfig(case["max_batch"], case["drop_after"]),
+                num_servers=servers + 1, columnar=columnar,
+            )
+            engine.register(
+                "m",
+                [ModeledExecutor(SERVICE_MODEL)] * servers + [self._Wrapped(SERVICE_MODEL)],
+                policy=FixedRatioPolicy(0.5),
+            )
+            engine.start(requests=requests)
+            engine.set_active_servers(range(servers))
+            for _ in range(steps):
+                engine.step()
+            if leave:
+                engine.set_active_servers(range(servers + 1))
+                engine.set_active_servers(range(servers))
+            return engine.finish()
+
+        whole, stepped = serve(True), serve(True, steps=len(requests))
+        slow, left = serve(False), serve(True, steps=leave_after, leave=True)
+        kernels = [result.kernel for result in (whole, stepped, slow, left)]
+        assert kernels == (
+            ["sweep", "sweep", "object", "sweep+object"] if requests else ["object"] * 4
+        )
+        for result in (stepped, slow, left):
+            _assert_ledgers_equal(result.batch_records, whole.batch_records, len(requests))
+            _assert_results_identical(result, whole)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_ledger_rows())
+    def test_fields_round_trip_and_a_rewind_keeps_every_other_row(self, case):
+        """Mixed ratios, two models and some outputs through the
+        value-or-column fields, against a plain list of rows; ids only grow."""
+        first, later = case
+        ledger, rows, slot = BatchLedger(), [], 0
+
+        def append(model, ratio, size, server, has_outputs):
+            nonlocal slot
+            slots = np.arange(slot, slot + size)
+            outputs = [f"out{n}" for n in slots] if has_outputs else None
+            start = 0.001 * slot
+            record = ledger.append(
+                model, start, start + 0.01, size, ratio, "flexiq", server, size,
+                slots, outputs,
+            )
+            assert record == ledger[-1]
+            rows.append((record, slots.tolist(), outputs))
+            slot += size
+
+        def check(rewound):
+            assert list(ledger) == [record for record, _, _ in rows]
+            assert [s.tolist() for s in ledger.row_slots()] == [s for _, s, _ in rows]
+            outputs = [outputs for _, _, outputs in rows]
+            assert (ledger.outputs or [None] * len(rows)) == outputs
+            assert ledger.ratios == [record.ratio for record, _, _ in rows]
+            # One value while every row agrees, a column from the first row
+            # that differs (and still one after a rewind took that row).
+            cohorts = {(record.model, record.mode, record.ratio) for record, _, _ in rows}
+            if not isinstance(ledger.cohort, list):
+                assert len(cohorts) <= 1
+            if not rewound:
+                assert isinstance(ledger.cohort, list) == (len(cohorts) > 1)
+                assert isinstance(ledger.outputs, list) == any(outputs)
+            served_by = np.full(slot, -1)
+            for index, (_, slots, _) in enumerate(rows):
+                served_by[slots] = index
+            assert np.array_equal(ledger.served_by(slot), served_by)
+
+        for row, _ in first:
+            append(*row)
+        check(rewound=False)
+        assert [record.row for record, _, _ in rows] == list(range(len(rows)))
+        gone = [index for index, (_, remove) in enumerate(first) if remove]
+        victims = ledger.remove(gone)
+        assert [(record, slots.tolist()) for record, slots in victims] == [
+            rows[index][:2] for index in gone
+        ]
+        rows[:] = [row for index, row in enumerate(rows) if index not in gone]
+        for row in later:
+            append(*row)
+        check(rewound=True)
+        ids = [record.row for record, _, _ in rows]
+        assert ids == sorted(set(ids)) and all(row < len(first) + len(later) for row in ids)
+
+    def test_round_robin_ratios_and_two_models_through_the_engine(self):
+        engine = _engine(False, max_batch=2)
+        engine.register(
+            "n", ModeledExecutor(SERVICE_MODEL), policy=RoundRobinRatioPolicy([0.0, 1.0])
+        )
+        requests = [
+            Request(0.001 * n, model="mn"[n // 4 % 2], request_id=n) for n in range(16)
+        ]
+        result = engine.run(requests=requests)
+        ledger = result.batch_records
+        models, ratios = [record.model for record in ledger], ledger.ratios
+        assert set(models) == {"m", "n"} and isinstance(ledger.cohort, list)
+        assert result.batch_ratios == ratios == [record.ratio for record in ledger]
+        assert {ratio for model, ratio in zip(models, ratios) if model == "m"} == {0.5}
+        cycle = [ratio for model, ratio in zip(models, ratios) if model == "n"]
+        assert cycle == [0.0, 1.0] * (len(cycle) // 2) + [0.0] * (len(cycle) % 2)
+        assert len(result.for_model("n")) == 8
 
 
 class TestTelemetryIncremental:

@@ -1347,7 +1347,54 @@ NON_FINITE = {
 }
 
 
+def _generation(service_model, **settings):
+    from repro.serving.generation import IterationScheduler, ModeledGenerationBackend
+
+    return IterationScheduler(ModeledGenerationBackend(service_model), **settings)
+
+
+#: field named by the error -> a call handing it 1.5, which ``int()`` made 1.
+NON_INTEGER = {
+    "num_servers": lambda model, bad: ServingEngine(num_servers=bad),
+    "server": lambda model, bad: _stepped_once(model).set_active_servers([0, bad]),
+    "max_batch": lambda model, bad: _generation(model, max_batch=bad),
+    "num_servers (generation)": lambda model, bad: _generation(model, num_servers=bad),
+    "max_new_tokens": lambda model, bad: _generation(model).start(
+        [Request(0.0, "m", prefill_tokens=4, max_new_tokens=bad)]
+    ),
+    "max_new_tokens (engine)": lambda model, bad: _stepped_once(model).submit(
+        Request(0.5, "m", max_new_tokens=bad)
+    ),
+    "priorities": lambda model, bad: requests_from_trace(
+        RequestTrace(np.zeros(2), 1.0), priorities=[bad]
+    ),
+}
+
+
 class TestHostileInput:
+    @pytest.mark.parametrize("field", NON_INTEGER)
+    def test_a_non_integer_is_refused_not_truncated(self, service_model, field):
+        name = field.partition(" (")[0]
+        with pytest.raises(ValueError, match=rf"{name} must be .*integer.*1\.5"):
+            NON_INTEGER[field](service_model, 1.5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), 2.0, -0.1, float("inf")])
+    def test_a_ratio_is_finite_and_in_the_unit_interval(self, service_model, bad):
+        # FixedRatioPolicy(2.0) used to report batch_ratios == [2.0, 2.0].
+        message = rf"ratio must be a finite number in \[0, 1\], got {bad!r}"
+        with pytest.raises(ValueError, match=message):
+            FixedRatioPolicy(bad)
+        with pytest.raises(ValueError, match=message):
+            RoundRobinRatioPolicy([0.5, bad])
+        # A nan latency used to become every later clock.  Checked on a memo
+        # miss, so nothing is memoised for it and a known key pays nothing.
+        known = service_model.batch_latency(2, "flexiq", 0.5)
+        memo = dict(service_model._latencies)
+        with pytest.raises(ValueError, match=message):
+            service_model.batch_latency(2, "flexiq", bad)
+        assert service_model._latencies == memo
+        assert service_model.batch_latency(2, "flexiq", 0.5) == known
+
     @pytest.mark.parametrize("max_batch", [0, -3, 2.5, None])
     def test_max_batch_must_be_a_positive_integer(self, max_batch):
         # max_batch=0 used to spin the scheduled loop forever (empty batches)

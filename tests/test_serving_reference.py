@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from reference_sim import SpecCrash, SpecRequest, reference_run
-from repro.serving.core import PENDING, SERVED, BatchLedger
+from repro.serving.core import PENDING, SERVED
 from repro.serving.engine import BatchingConfig, Request, ServingEngine
 from repro.serving.executors import ModeledExecutor
 from repro.serving.policies import FixedRatioPolicy
@@ -182,7 +182,7 @@ class TestEngineMeetsItsSpecification:
             swept = _engine(case, columnar=True).run(
                 requests=as_given, record_responses=False
             )
-            assert isinstance(swept.batch_records, BatchLedger)
+            assert swept.kernel == "sweep"
             assert np.array_equal(
                 swept.request_latencies, result.request_latencies, equal_nan=True
             )
@@ -226,6 +226,49 @@ class TestEngineMeetsItsSpecification:
         result = engine.finish()
         assert result.migrated == sum(spec.migrations)
         _assert_meets_spec(result, spec, ordered)
+
+
+class TestARewindTruncatesTheLedger:
+    """``preempt_server(server, t)`` cuts rows out of the batch ledger and
+    writes no other: ROADMAP item 4's engine half."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(crash_scenarios(), st.booleans(), st.booleans())
+    def test_settled_rows_are_the_rows_they_were_and_everybody_is_conserved(
+        self, case, columnar, kill_running
+    ):
+        crash = case["crash"]
+        ordered = sorted(case["requests"], key=lambda request: request.arrival)
+        engine = _engine(case, columnar=columnar)
+        engine.start(requests=[_request(n, r) for n, r in enumerate(ordered)])
+        for _ in range(crash.after_batches):
+            engine.step()
+        ledger = engine._session.ledger
+        before = list(ledger)
+        report = engine.preempt_server(
+            crash.server, crash.time, policy=RequeueAtHeadMigration(crash.delay),
+            kill_running=kill_running,
+        )
+        after = list(ledger)
+        # Field for field, row ids included: nothing settled was rewritten,
+        # nothing on another server was touched, only victims went.
+        settled = [record for record in before if record.finish <= crash.time]
+        assert [record for record in after if record.finish <= crash.time] == settled
+        assert [record for record in after if record.server != crash.server] == [
+            record for record in before if record.server != crash.server
+        ]
+        assert len(before) - len(after) == report.batches
+        assert all(record in before for record in after)
+
+        result = engine.finish()
+        served = int(np.count_nonzero(~np.isnan(result.request_latencies)))
+        assert served + result.dropped == len(ordered)
+        assert result.migrated == report.migrated
+        # Re-served victims ride in new rows: ids only grow, none is reused.
+        ids = [record.row for record in result.batch_records]
+        assert ids == sorted(set(ids))
+        assert list(result.batch_records)[: len(after)] == after
+        assert all(row >= len(before) for row in ids[len(after):])
 
 
 # ----------------------------------------------------------------------
