@@ -49,6 +49,15 @@ on 4-bit prefix rows, 128 elsewhere).  Proof:
 3. float32 holds every such integer exactly, so no multiply, add or FMA ever
    rounds: the float32 GEMM returns the float64 one's integers.
 
+A stride-1 convolution also multiplies the *junk* columns of
+:func:`repro.tensor.functional.unfold`'s padded-row grid and drops them after.
+Those are windows too -- each tap's run wraps into the next padded row of its
+own channel, then into a zero tail -- so they hold lowered values of the same
+image, ``|a[k]| <= amax[k]`` and steps 1-3 hold for them as well; a GEMM column
+depends on no other, so every kept entry is the exact integer it was
+(generated obligation: ``TestFloat32PlaneCriterion`` in
+``tests/test_property_kernels.py``).
+
 The rescale that follows is a float64 multiply either way.  Dynamic
 extraction scales lowered rows by ``2**(dynamic - static)``, which the bound
 does not cover: that path upcasts to a float64 GEMM.
@@ -89,6 +98,11 @@ Prepare/invalidate lifecycle
   identity checks of :meth:`PreparedKernel.matches` included), then
   :meth:`PreparedKernel.linear` on what :meth:`build` fixed (both scales) and
   the boundary's plane and tables; a miss takes the checked path and rebuilds.
+* A static convolution's likewise (``FlexiQConv2d._static_kernel``: float32
+  4-d array of the layer's channels, ungrouped, and the same conditions) in
+  front of :meth:`PreparedKernel.conv`, which reads the boundary's plane and
+  image tables and the pre-shaped rescale; dynamic extraction, a ``Tensor`` and
+  every miss take the checked path, which ends in the same method.
 * Sibling projections run one :meth:`PreparedKernel.stacked_step`: a closure
   over copies of their planes, tables, rescales and biases, stacked.  The first
   sibling's kernel holds it per boundary tuple -- compiled on first use (a
@@ -109,7 +123,9 @@ from repro.core.bit_extraction import (
     group_shared_max,
     lower_bits,
 )
+from repro.quant.qmodules import conv_rescale
 from repro.quant.quantizers import gemm_plane, int_range
+from repro.tensor.functional import kept_columns, unfold
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runtime import _FlexiQMixin
@@ -182,10 +198,12 @@ class PreparedKernel:
         # The activation clip merged into the tables is this quantizer's.
         self.act_qparams_src = act_qparams_src
         self.act_qmin, self.act_qmax = act_qparams_src.qmin, act_qparams_src.qmax
-        # :meth:`linear`'s constants (a kernel built without weight quantizer only lowers)
+        # :meth:`linear`'s and :meth:`conv`'s constants (a kernel built without
+        # weight quantizer only lowers)
         self.act_scale = act_qparams_src.scale.reshape(())
         if weight_qparams_src is not None:
             self.out_scale = (act_qparams_src.scale * weight_qparams_src.scale).astype(np.float64)
+            self.out_scale_image = self.out_scale[:, None, None]
         self._act_shift_cols = np.repeat(act_shift, taps) if taps > 1 else act_shift
         # boundary -> (combined plane, inv factors, lo, hi), column domain
         self._boundary_planes: "OrderedDict[int, Tuple[np.ndarray, ...]]" = (
@@ -384,9 +402,12 @@ class PreparedKernel:
         return self.w8_t if boundary <= 0 else self._boundary_plane(boundary)[0]
 
     def gemm_lowered(self, q_cols: np.ndarray, boundary: int) -> np.ndarray:
-        """``plane.T @ q_cols`` -> (out, N*P) for already-lowered channel-major
-        columns (channels * taps, N*P) in the plane's dtype."""
-        return self.plane(boundary).T @ q_cols
+        """``plane.T @ cols`` per image -> (N, out, L) for already-lowered
+        batch-major columns in the plane's dtype, handed over 2-D: the batch's
+        (channels * taps, L) blocks stacked on the rows, so the operand shape
+        times ``out`` is the flops executed."""
+        plane = self.plane(boundary)
+        return plane.T @ q_cols.reshape(-1, plane.shape[0], q_cols.shape[1])
 
     # ------------------------------------------------------------------
     # Inference
@@ -434,6 +455,30 @@ class PreparedKernel:
         if bias is not None:
             acc += bias.data
         return acc.astype(np.float32).reshape(x.shape[:-1] + (self.out_features,))
+
+    def conv(
+        self, x: np.ndarray, boundary: int, k: int, stride: int, padding: int, bias,
+        dynamic: bool = False,
+    ) -> np.ndarray:
+        """A convolution's whole forward of float32 (N, C, H, W) ``x``: round,
+        clip + lower the *image* (:meth:`_image_tables`; every step maps padded
+        zero to zero, so it commutes with the unfold), :func:`unfold` in the
+        plane's dtype, one batched GEMM (through :meth:`gemm_lowered`, so a
+        wrapper on it sees the call), :func:`conv_rescale` -- constants only,
+        no checks.  Dynamic shifts come from the window values: that path
+        lowers the kept columns as (N*P, C*k*k) rows in :meth:`matmul`."""
+        q = x / self.act_scale
+        np.rint(q, out=q)
+        if dynamic:
+            cols, grid = unfold(q, (k, k), stride, padding)
+            rows = kept_columns(cols, grid).transpose(0, 2, 3, 1).reshape(-1, cols.shape[1])
+            acc = self.matmul(rows, boundary, dynamic=True)
+            acc = acc.reshape((len(x),) + grid[:2] + (-1,)).transpose(0, 3, 1, 2)
+        else:
+            self.lower(q, boundary, image=True)
+            cols, grid = unfold(q, (k, k), stride, padding, self.plane(boundary).dtype)
+            acc = kept_columns(self.gemm_lowered(cols.reshape(-1, cols.shape[2]), boundary), grid)
+        return conv_rescale(acc, self.out_scale_image, bias)
 
     def stacked_step(self, boundaries: Tuple[int, ...], sources: list) -> Optional[Callable]:
         """``step(x) -> (layers, ..., out)`` for sibling linears reading one

@@ -33,7 +33,7 @@ from repro.core.prepared import PreparedKernel, prepare_model
 from repro.nn.layers import Conv2d, Linear
 from repro.nn.module import Module
 from repro.quant.qmodules import QuantConv2d, QuantLinear, QuantizedLayer
-from repro.quant.quantizers import quantize, quantize_unclipped
+from repro.quant.quantizers import quantize
 from repro.tensor import Tensor, TensorOrArray
 from repro.tensor.functional import im2col
 
@@ -57,8 +57,6 @@ class _FlexiQMixin:
         # ``use_prepared=False`` forces the uncached reference kernel, which
         # tests and benchmarks use for bit-exactness and speedup comparisons.
         self._prepared: Optional[PreparedKernel] = None
-        self._out_scale_cache: Optional[np.ndarray] = None
-        self._out_scale_src: Optional[tuple] = None
         self.use_prepared: bool = True
 
     # ------------------------------------------------------------------
@@ -164,26 +162,6 @@ class _FlexiQMixin:
     def _on_weight_cache_invalidated(self) -> None:
         # The prepared planes are derived from the cached integer weights.
         self._prepared = None
-        self._out_scale_cache = None
-
-    def _output_scale(self) -> np.ndarray:
-        """Per-output-channel dequantization scale, cached as float64.
-
-        Keyed on the identity of both QuantParams objects so analysis code
-        that rebinds them (e.g. uniform-INT4 comparisons) never sees a stale
-        scale.
-        """
-        src = self._out_scale_src
-        if (
-            self._out_scale_cache is None
-            or src[0] is not self.act_qparams
-            or src[1] is not self.weight_qparams
-        ):
-            self._out_scale_cache = (
-                self.act_qparams.scale * self.weight_qparams.scale
-            ).astype(np.float64)
-            self._out_scale_src = (self.act_qparams, self.weight_qparams)
-        return self._out_scale_cache
 
     # ------------------------------------------------------------------
     # Reporting
@@ -375,6 +353,31 @@ class FlexiQConv2d(_FlexiQMixin, QuantConv2d):
         # Grouped/depthwise convolutions run the uniform quantized path.
         return self.groups == 1
 
+    def _static_kernel(self, x) -> Optional[PreparedKernel]:
+        """The inline cache's guard (as :meth:`FlexiQLinear._static_kernel`): the
+        prepared kernel if ``x``, a float32 (N, in_channels, H, W) array, may go
+        straight to its constants, else ``None``."""
+        prepared = self._prepared
+        return prepared if (
+            type(x) is np.ndarray and x.dtype.char == "f" and x.ndim == 4
+            and x.shape[1] == self.in_channels and self.groups == 1
+            and prepared is not None and self.use_prepared and not self.dynamic_extract
+            and not self.calibrating and self.qat_bits is None
+            and self.layout is not None and self.extraction_plan is not None
+            and prepared.taps == self.kernel_size * self.kernel_size
+            and prepared.weight_src is self.weight.data
+            and prepared.weight_qparams_src is self.weight_qparams
+            and prepared.act_qparams_src is self.act_qparams
+        ) else None
+
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
+        prepared = self._static_kernel(x)
+        if prepared is None:  # any miss: the checked path (and the shape check)
+            return super().forward(x)
+        return prepared.conv(
+            x, self.max_4bit_ch, self.kernel_size, self.stride, self.padding, self.bias
+        )
+
     def _quantized_forward(self, x: np.ndarray) -> np.ndarray:
         if self.groups != 1:
             # Depthwise/grouped convolutions follow the uniform quantized path;
@@ -383,28 +386,12 @@ class FlexiQConv2d(_FlexiQMixin, QuantConv2d):
         n = x.shape[0]
         k = self.kernel_size
         if self._uses_prepared():
-            # Fast path: round, clip and bit-lower in the *image* domain (k*k
-            # times less data than the unfolded columns; the extraction
-            # shift is shared by all taps of a channel and every element-wise
-            # step maps quantized/padded zero to zero, so this commutes with
-            # the unfold), gather into channel-major (C*k*k, N*P) columns of
-            # the plane's dtype, one ``plane.T @ cols`` GEMM with the layout
-            # folded into the planes -- (out, N*P), already NCHW for N = 1 --
-            # a float64 rescale.  Bit-exact with the reference ordering below.
-            prepared = self._get_prepared(k * k)
-            boundary = self.max_4bit_ch
-            q_img = quantize_unclipped(x, self.act_qparams)
-            if self.dynamic_extract:
-                # Dynamic extraction derives shifts from the unfolded window
-                # values, so lowering stays in the column domain: the kernel
-                # sees the columns as (N*P, C*k*k) rows through a view.
-                cols, out_hw = self._unfold(q_img, np.float32)
-                acc = prepared.matmul(cols.T, boundary, dynamic=True).T
-            else:
-                prepared.lower(q_img, boundary, image=True)
-                cols, out_hw = self._unfold(q_img, prepared.plane(boundary).dtype)
-                acc = prepared.gemm_lowered(cols, boundary)
-            return self._rescale(acc, self._output_scale(), out_hw)
+            # Fast path, layout folded into the prepared planes.  Bit-exact
+            # with the reference ordering below.
+            return self._get_prepared(k * k).conv(
+                np.asarray(x, np.float32), self.max_4bit_ch, k, self.stride, self.padding,
+                self.bias, self.dynamic_extract,
+            )
         if self.use_prepared and self.layout is None:
             # Unconfigured layers (e.g. first/last kept at 8 bits) still use
             # the cached integer weights of the uniform path.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Optional
 
 import numpy as np
@@ -70,6 +71,11 @@ class Conv2d(Module):
         super().__init__()
         if in_channels % groups != 0 or out_channels % groups != 0:
             raise ValueError("channels must be divisible by groups")
+        for field, value, least in (
+            ("kernel_size", kernel_size, 1), ("stride", stride, 1), ("padding", padding, 0)
+        ):
+            if type(value) is bool or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"Conv2d {field} must be an integer >= {least}, got {value!r}")
         rng = rng or np.random.default_rng()
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -127,28 +133,27 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
         # Inference-mode constant cache: with frozen statistics the mean and
         # standard deviation are constants; recomputing and re-wrapping them
-        # on every forward is hot-path waste.  The per-element arithmetic
-        # (and hence the output, bitwise) is unchanged -- only the small
-        # per-channel preamble is cached.  Keyed on the identity of the
-        # buffer arrays, so update_buffer() (which rebinds them) invalidates
-        # it naturally; weight/bias are not cached so autograd still reaches
-        # them in eval mode.
+        # (and re-shaping weight/bias for the ndarray branch) on every forward
+        # is hot-path waste.  The per-element arithmetic (and hence the output,
+        # bitwise) is unchanged -- only the small per-channel preamble is
+        # cached.  Keyed on the identity of the four arrays, so update_buffer()
+        # and an optimizer step (both rebind) invalidate it naturally; weight
+        # and bias are cached as *views*, so an in-place edit shows too, and the
+        # Tensor branch keeps the live Parameters so eval-mode backward still
+        # reaches them.
         self._inference_cache = None
-        self._inference_src = None
 
     def _inference_constants(self):
-        # Only the frozen statistics are cached; weight/bias stay live
-        # Parameters in forward() so eval-mode backward still reaches them.
-        src = (self.running_mean, self.running_var)
-        if self._inference_cache is None or any(
-            cached is not current for cached, current in zip(self._inference_src, src)
-        ):
-            mean = Tensor(self.running_mean.reshape(1, -1, 1, 1))
-            var = Tensor(self.running_var.reshape(1, -1, 1, 1))
-            std = (var + self.eps).sqrt()
-            self._inference_cache = (mean, std)
-            self._inference_src = src
-        return self._inference_cache
+        """``(mean, std)`` as Tensors, ``(weight, bias)`` as (1, C, 1, 1) views."""
+        src = (self.running_mean, self.running_var, self.weight.data, self.bias.data)
+        cache = self._inference_cache
+        if cache is None or not all(map(is_, cache[0], src)):
+            shape = (1, -1, 1, 1)
+            mean = Tensor(src[0].reshape(shape))
+            std = (Tensor(src[1].reshape(shape)) + self.eps).sqrt()
+            cache = src, (mean, std, src[2].reshape(shape), src[3].reshape(shape))
+            self._inference_cache = cache
+        return cache[1]
 
     def forward(self, x: TensorOrArray) -> TensorOrArray:
         if self.training:
@@ -168,12 +173,12 @@ class BatchNorm2d(Module):
             self.update_buffer("running_mean", new_mean)
             self.update_buffer("running_var", new_var)
         else:
-            mean, std = self._inference_constants()
+            mean, std, weight, bias = self._inference_constants()
             if isinstance(x, np.ndarray):
                 out = x - mean.data
                 out /= std.data
-                out *= self.weight.data.reshape(1, -1, 1, 1)
-                out += self.bias.data.reshape(1, -1, 1, 1)
+                out *= weight
+                out += bias
                 return out
             weight = self.weight.reshape(1, self.num_features, 1, 1)
             bias = self.bias.reshape(1, self.num_features, 1, 1)

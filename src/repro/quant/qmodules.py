@@ -41,7 +41,18 @@ from repro.quant.quantizers import (
     quantize_cast,
 )
 from repro.tensor import Tensor, TensorOrArray, functional as F
-from repro.tensor.functional import unfold_channel_major
+from repro.tensor.functional import kept_columns, unfold
+
+
+def conv_rescale(acc: np.ndarray, scale: np.ndarray, bias: Optional[Parameter]) -> np.ndarray:
+    """(N, out, H', W') integer accumulators -- any strides: the kept columns
+    of :func:`unfold`'s grid are read as they are -- to the float32 output:
+    times ``scale`` (out, 1, 1) in float64 whatever the GEMM dtype (the result
+    does not depend on it), plus bias, downcast."""
+    out = np.multiply(acc, scale, dtype=np.float64)
+    if bias is not None:
+        out += bias.data[:, None, None]
+    return out.astype(np.float32, order="C")
 
 
 class QuantizedLayer(Module):
@@ -373,25 +384,10 @@ class QuantConv2d(QuantizedLayer):
         # padding maps to quantized zero, so this commutes with the unfold.
         w_t = self._gemm_weight_t()
         q_img = quantize_cast(x, self.act_qparams, np.float32)
-        cols, out_hw = self._unfold(q_img, w_t.dtype)
-        scale = self.act_qparams.scale * self.weight_qparams.scale
-        return self._rescale(w_t.T @ cols, scale, out_hw)
-
-    def _unfold(self, q_img: np.ndarray, dtype):
-        """Channel-major GEMM columns (C*k*k, N*P) of a quantized image, cast
-        to the weight plane's ``dtype``; rejects an image the kernel overhangs."""
         k = self.kernel_size
-        return unfold_channel_major(q_img, (k, k), self.stride, self.padding, dtype)
-
-    def _rescale(self, acc: np.ndarray, scale: np.ndarray, out_hw) -> np.ndarray:
-        """(out, N*P) integer accumulators to the float32 (N, out, H', W') output:
-        a float64 multiply whatever the GEMM dtype (the result does not depend
-        on it); the leading-axis swap, a no-op for N = 1, rides the downcast."""
-        out = np.multiply(acc, scale[:, None], dtype=np.float64)
-        if self.bias is not None:
-            out += self.bias.data[:, None]
-        out = out.reshape(self.out_channels, -1, *out_hw)
-        return out.transpose(1, 0, 2, 3).astype(np.float32, order="C")
+        cols, grid = unfold(q_img, (k, k), self.stride, self.padding, w_t.dtype)
+        scale = self.act_qparams.scale * self.weight_qparams.scale
+        return conv_rescale(kept_columns(w_t.T @ cols, grid), scale[:, None, None], self.bias)
 
     def _simulated_quantized_forward(self, x: np.ndarray) -> np.ndarray:
         """Quantize-dequantize both operands and convolve in float.

@@ -62,42 +62,61 @@ def im2col(
     return np.ascontiguousarray(cols), (out_h, out_w)
 
 
-def unfold_channel_major(
+def unfold(
     x: np.ndarray,
     kernel: Tuple[int, int],
     stride: int,
     padding: int,
     dtype=np.float32,
-) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Unfold ``x`` (N, C, H, W) into (C*kh*kw, N*out_h*out_w) columns of ``dtype``.
+) -> Tuple[np.ndarray, Tuple[int, int, int]]:
+    """Unfold ``x`` (N, C, H, W) into batch-major (N, C*kh*kw, out_h*row)
+    columns of ``dtype``; returns them and the grid ``(out_h, out_w, row)``.
 
-    :func:`im2col`'s columns transposed (the Caffe/NCHW form), for the
-    quantized convolution hot path: one strided gather whose inner loop is an
-    output row (``out_w`` long, not ``kw`` long) and doubles as the cast to
-    ``dtype``, and ``w.T @ cols`` is already (out, N*P) -- for N = 1 the NCHW
-    output.  ``x`` may have any strides.
+    :func:`im2col`'s columns per image, transposed (the Caffe/NCHW form), for
+    the quantized convolution hot path: ``w.T @ cols`` is (N, out, out_h*row),
+    already NCHW.  At stride 1 the grid is the *padded-row* one (``row = Wp``):
+    a tap's columns are then one contiguous run of the flat padded image, so
+    the gather -- it doubles as the cast to ``dtype`` -- is N*C*kh*kw long
+    copies, and the ``Wp - out_w`` columns that end each grid row are junk
+    (windows wrapped into the next padded row of the same channel, or into the
+    zero tail) that :func:`kept_columns` leaves out.  At stride > 1, where half
+    of such a grid would be junk, windows are gathered per output row (``row =
+    out_w``).  ``x`` may have any strides.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
+    hp, wp = h + 2 * padding, w + 2 * padding
+    out_h = (hp - kh) // stride + 1
+    out_w = (wp - kw) // stride + 1
     if out_h < 1 or out_w < 1:
         raise ValueError(
             f"cannot convolve a {h}x{w} input with a {kh}x{kw} kernel at stride "
             f"{stride}, padding {padding}: the output would be {out_h}x{out_w}"
         )
-    # Always copy into an owned zero-padded buffer (np.pad costs more than the
-    # whole gather on these small images): the windows are then a plain ndarray
-    # over it whatever ``x``'s strides -- as_strided alone costs a third of it.
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    padded[:, :, padding : padding + h, padding : padding + w] = x
-    s_n, s_c, s_h, s_w = padded.strides
+    # Always copy into an owned zeroed buffer (np.pad costs more than the whole
+    # gather on these small images): the windows are then a plain ndarray over
+    # it whatever ``x``'s strides -- as_strided alone costs a third of it.
+    flat = np.zeros((n, c, hp * wp + kw - 1), dtype=x.dtype)
+    flat[:, :, : hp * wp].reshape(n, c, hp, wp)[
+        :, :, padding : padding + h, padding : padding + w
+    ] = x
+    s_n, s_c, s_w = flat.strides
+    if stride == 1:
+        shape, steps, row = (out_h * wp,), (s_w,), wp
+    else:
+        shape, steps, row = (out_h, out_w), (wp * s_w * stride, s_w * stride), out_w
     windows = np.ndarray(
-        (c, kh, kw, n, out_h, out_w), x.dtype, padded,
-        strides=(s_c, s_h, s_w, s_n, s_h * stride, s_w * stride),
+        (n, c, kh, kw) + shape, x.dtype, flat, strides=(s_n, s_c, wp * s_w, s_w) + steps
     )
     cols = windows.astype(dtype, order="C")
-    return cols.reshape(c * kh * kw, n * out_h * out_w), (out_h, out_w)
+    return cols.reshape(n, c * kh * kw, out_h * row), (out_h, out_w, row)
+
+
+def kept_columns(a: np.ndarray, grid: Tuple[int, int, int]) -> np.ndarray:
+    """The (N, M, out_h, out_w) view of (N, M, out_h*row) values over
+    :func:`unfold`'s grid that leaves the junk columns out."""
+    out_h, out_w, row = grid
+    return a.reshape(a.shape[:2] + (out_h, row))[..., :out_w]
 
 
 def col2im(
@@ -273,7 +292,7 @@ def max_pool2d(
 # ----------------------------------------------------------------------
 def relu(x: TensorOrArray) -> TensorOrArray:
     if isinstance(x, np.ndarray):
-        return x * (x > 0)
+        return np.maximum(x, 0)
     return x.relu()
 
 

@@ -368,7 +368,7 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def relu(self) -> "Tensor":
-        data = self.data * (self.data > 0)
+        data = np.maximum(self.data, 0)
 
         def backward(grad: np.ndarray):
             return (grad * (self.data > 0),)

@@ -21,6 +21,9 @@ from repro.quant.qmodules import QuantConv2d, QuantLinear
 from repro.tensor import Tensor
 from tests.conftest import TinyMLP
 
+# A quantized forward that emits a numpy invalid/overflow/divide warning fails.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestExtremeBitwidths:
     def test_all_zero_channel(self):
@@ -161,6 +164,11 @@ class TestConvolutionRejectsBadInput:
                 layer(wrap(np.ones((1, 4, size, size), np.float32)))
         with pytest.raises(ValueError, match=r"Conv2d\(in=4.* expects 4 input channels, got shape \(1, 3, 6, 6\)"):
             layer(wrap(np.ones((1, 3, 6, 6), np.float32)))
+        with pytest.raises(ValueError, match=r"Conv2d\(in=4.* expects 4 input channels, got shape \(4, 6, 6\)"):
+            layer(wrap(np.ones((4, 6, 6), np.float32)))  # 3-d: no batch axis
+        if kind is FlexiQConv2d:  # the inline guard is live exactly on static arrays
+            guarded = layer._static_kernel(wrap(np.ones((1, 4, 3, 3), np.float32)))
+            assert (guarded is not None) == (static and not as_tensor)
 
 
 class TestLinearRejectsWrongFeatureCount:

@@ -27,6 +27,9 @@ from repro.quant.quantizers import QuantParams, quantize
 from repro.tensor import Tensor
 from repro.train.optim import SGD
 
+# A quantized forward that emits a numpy invalid/overflow/divide warning fails.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 RATIOS = (0.0, 0.25, 0.5, 1.0)
 
 
@@ -55,6 +58,15 @@ def calibrated_conv(channels=8, out_channels=6, seed=0):
     )
     layer(Tensor(data))
     layer.freeze()
+    return layer, data
+
+
+def configured_conv():
+    """A frozen 3x3 FlexiQ convolution at boundary 4 of 8, its guard warm."""
+    layer, data = calibrated_conv()
+    layer.configure(shuffled_layout(layer.feature_channels), plan_for(layer), group_size=4)
+    layer.set_boundary(4)
+    layer(data[:3])
     return layer, data
 
 
@@ -97,8 +109,8 @@ def flexiq_attention(dim=16, heads=2, seed=0):
 
 
 def projections(module):
-    """The FlexiQ linears of a layer or an attention block."""
-    return [m for _, m in module.named_modules() if isinstance(m, FlexiQLinear)]
+    """The FlexiQ layers of a layer or an attention block."""
+    return [m for _, m in module.named_modules() if isinstance(m, (FlexiQLinear, FlexiQConv2d))]
 
 
 def array_of(out):
@@ -273,7 +285,6 @@ class TestCacheLifecycle:
         layer.reset_calibration()
         assert layer._q_weight_cache is None
         assert layer._prepared is None
-        assert layer._out_scale_cache is None
 
     def test_qat_step_invalidates_via_weight_rebind(self):
         layer, data = self.configured_linear()
@@ -347,7 +358,8 @@ class TestCacheLifecycle:
     def _recalibrate(layer):
         layer.reset_calibration()
         rng = np.random.default_rng(5)
-        layer(Tensor(rng.normal(size=(32, layer.in_features)).astype(np.float32) * 3))
+        shape = (layer.in_channels, 6, 6) if isinstance(layer, FlexiQConv2d) else (layer.in_features,)
+        layer(Tensor(rng.normal(size=(32,) + shape).astype(np.float32) * 3))
         layer.freeze()
 
     def _inplace_then_invalidate(layer):
@@ -389,6 +401,32 @@ class TestCacheLifecycle:
         assert layer._static_kernel(data[:4]) is layer._prepared  # the guard passes
         self._check_next_forward(layer, [layer], data[:4], *self.STALENESS[what])
 
+    @pytest.mark.parametrize("what", STALENESS)
+    def test_conv_step_sees_it_on_the_next_forward(self, what):
+        layer, data = configured_conv()
+        assert layer._static_kernel(data[:3]) is layer._prepared  # the guard passes
+        self._check_next_forward(layer, [layer], data[:3], *self.STALENESS[what])
+
+    def test_conv_guard_misses_take_the_checked_path(self):
+        """Whatever the guard does not let through is answered by
+        ``QuantizedLayer.forward`` as before: same values, same errors."""
+        layer, data = configured_conv()
+        x = data[:3]
+        expected = layer(x)
+        assert layer._static_kernel(np.asfortranarray(x)) is layer._prepared
+        for miss in (Tensor(x), x.astype(np.float64), x[:, :7], x[0]):
+            assert layer._static_kernel(miss) is None
+        np.testing.assert_array_equal(layer(Tensor(x)).data, expected)
+        np.testing.assert_array_equal(layer(x.astype(np.float64)), expected)
+        with pytest.raises(ValueError, match=r"expects 8 input channels, got shape \(3, 7, 6, 6\)"):
+            layer(x[:, :7])
+        with pytest.raises(ValueError, match=r"expects 8 input channels, got shape \(8, 6, 6\)"):
+            layer(x[0])
+        with pytest.raises(ValueError, match="cannot convolve a 0x6 input"):
+            layer(x[:, :, :0])
+        layer.calibrating = True  # calibration is a float forward of a Tensor
+        assert layer._static_kernel(x) is None and isinstance(layer(x), Tensor)
+
     @pytest.mark.parametrize("victim", ["q_proj", "k_proj", "v_proj"])
     @pytest.mark.parametrize("what", STALENESS)
     def test_stacked_step_sees_it_on_the_next_forward(self, what, victim):
@@ -400,15 +438,15 @@ class TestCacheLifecycle:
             moves = False  # softmax does not see a constant added to every key
         self._check_next_forward(attn, [getattr(attn, victim)], data[:2], mutate, moves)
 
-    @pytest.mark.parametrize("stacked", [False, True])
-    def test_qat_bits_takes_the_fake_quantized_path_at_once(self, stacked):
+    @pytest.mark.parametrize("kind", ["linear", "stacked", "conv"])
+    def test_qat_bits_takes_the_fake_quantized_path_at_once(self, kind):
         """``qat_bits`` is checked by the guard: the next forward is the
         differentiable fake-quantized one (a ``Tensor`` with a graph)."""
-        if stacked:
+        if kind == "stacked":
             module, data = flexiq_attention()
             x = data[:2]
         else:
-            module, data = self.configured_linear()
+            module, data = self.configured_linear() if kind == "linear" else configured_conv()
             x = data[:4]
         before = module(x).copy()
         for layer in projections(module):
@@ -489,6 +527,31 @@ class TestHooksAndWrappersKeepSeeingTheirCall:
         del attn.k_proj.forward
         attn(data[:2])
         assert len(calls) == 3 and len(attn.q_proj._prepared._stacked) == stacked
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_a_wrapper_on_gemm_lowered_sees_one_call_per_conv(self, batch):
+        """``bench/fwd.py --trace 1`` wraps ``gemm_lowered`` on every kernel and
+        counts flops from the operand's shape: the guarded path still calls it
+        through the instance, once, with a 2-D operand whose shape times
+        ``out`` is the multiply-adds executed (junk columns included)."""
+        layer, data = configured_conv()
+        x = data[:batch]
+        expected = layer(x)
+        kernel, calls = layer._prepared, []
+        inner = kernel.gemm_lowered
+
+        def spy(q_cols, boundary):
+            calls.append((q_cols.shape, boundary))
+            return inner(q_cols, boundary)
+
+        kernel.gemm_lowered = spy
+        np.testing.assert_array_equal(layer(x), expected)
+        np.testing.assert_array_equal(layer(Tensor(x)).data, expected)
+        # 3x3, padding 1 on 6x6: a (6 + 2)-wide padded-row grid of 6 rows.
+        assert calls == [((batch * 8 * 9, 6 * 8), 4)] * 2
+        del kernel.gemm_lowered
+        np.testing.assert_array_equal(layer(x), expected)
+        assert len(calls) == 2
 
     def test_capture_wrapped_projection_still_records_its_input(self):
         from repro.analysis.capture import capture_layer_io, release_capture

@@ -15,6 +15,10 @@ from repro.quant.quantizers import quantize
 from repro.tensor import Tensor, no_grad
 
 
+# A quantized forward that emits a numpy invalid/overflow/divide warning fails.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
 def calibrated_flexiq_linear(in_f=16, out_f=8, seed=0):
     rng = np.random.default_rng(seed)
     source = Linear(in_f, out_f, rng=rng)
@@ -297,7 +301,8 @@ class TestNdarrayInference:
     #: (model, whether the whole tree takes a raw array)
     MODELS = [
         ("resnet18", True),
-        ("vit_small", True),
+        ("resnet50", True),  # 1x1 bottleneck convolutions: the grid is the image
+        ("vit_small", True),  # patch embedding: stride = kernel, no junk columns
         ("grouped_conv", True),
         ("swin_small", False),  # _roll and PatchMerging need a Tensor: fall back
     ]
@@ -310,7 +315,7 @@ class TestNdarrayInference:
         runtime.set_dynamic_extraction(dynamic)
         try:
             for ratio in runtime.available_ratios:
-                for batch in (1, 8):
+                for batch in (1, 3, 8):
                     x = images[:batch]
                     runtime.prepare(use_prepared=True)
                     served, _ = runtime.forward_batch(x, ratio=ratio)

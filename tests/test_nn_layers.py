@@ -72,6 +72,29 @@ class TestConv2d:
         conv = Conv2d(8, 8, 3, groups=8, bias=False, rng=np.random.default_rng(0))
         assert conv.weight.size == 8 * 1 * 9
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("stride", 0), ("stride", -1), ("stride", 1.5), ("stride", True), ("stride", None),
+            ("kernel_size", 0), ("kernel_size", -3), ("kernel_size", 3.0), ("kernel_size", "3"),
+            ("padding", -1), ("padding", 0.5), ("padding", False),
+        ],
+    )
+    def test_geometry_it_cannot_run_is_rejected(self, field, value):
+        """Parent: ``stride=0`` a ``ZeroDivisionError`` at the first forward,
+        ``padding=-1`` silently a 4x4 output for an 8x8 image, ``kernel_size=0``
+        a 9x9 one, ``stride=1.5`` a ``TypeError`` inside ``im2col``.  The
+        quantized convolutions copy the source's geometry: one check."""
+        geometry = {"kernel_size": 3, "stride": 1, "padding": 0, field: value}
+        with pytest.raises(ValueError) as raised:
+            Conv2d(2, 4, **geometry)
+        least = 0 if field == "padding" else 1
+        assert str(raised.value) == f"Conv2d {field} must be an integer >= {least}, got {value!r}"
+
+    def test_integer_geometry_of_any_integer_type_is_accepted(self):
+        conv = Conv2d(2, 4, np.int64(3), stride=np.int32(2), padding=0, rng=np.random.default_rng(0))
+        assert conv(Tensor(np.zeros((1, 2, 7, 7), np.float32))).shape == (1, 4, 3, 3)
+
     def test_identity_kernel(self):
         conv = Conv2d(1, 1, 1, bias=False, rng=np.random.default_rng(0))
         conv.weight.data[:] = 1.0
@@ -104,6 +127,44 @@ class TestNormalisation:
         out = bn(x).data.reshape(-1)
         np.testing.assert_allclose(out, [(1 - 1) / 2, (1 - 2) / 3], atol=1e-3)
 
+    def test_batchnorm_eval_constants_follow_every_source(self):
+        """The cached (mean, std, weight, bias) are keyed by the identity of
+        the four arrays and hold weight/bias as views: a replaced buffer, a
+        rebound ``weight.data`` and an in-place edit each show in the very
+        next forward, on an array and on a ``Tensor`` alike."""
+        rng = np.random.default_rng(3)
+        bn = BatchNorm2d(3).eval()
+        x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
+
+        def fresh(bn):  # the same numbers through a module that never cached
+            other = BatchNorm2d(3).eval()
+            other.load_state_dict(bn.state_dict())
+            return other(Tensor(x)).data
+
+        def rebind_weight(bn):
+            bn.weight.data = bn.weight.data * np.float32(1.5)
+
+        def edit_weight_in_place(bn):
+            bn.weight.data[1] = -2.0
+
+        def edit_bias_in_place(bn):
+            bn.bias.data += np.float32(0.25)
+
+        seen = [bn(x)]
+        for touch in (
+            lambda bn: bn.update_buffer("running_mean", rng.normal(size=3).astype(np.float32)),
+            lambda bn: bn.update_buffer("running_var", rng.uniform(1, 2, size=3).astype(np.float32)),
+            rebind_weight, edit_weight_in_place, edit_bias_in_place,
+            lambda bn: bn.load_state_dict({k: v + np.float32(1) for k, v in bn.state_dict().items()}),
+        ):
+            cached = bn._inference_constants()
+            assert all(a is b for a, b in zip(cached, bn._inference_constants()))  # warm
+            touch(bn)
+            out = bn(x)
+            assert type(out) is np.ndarray and not np.array_equal(out, seen[-1])
+            assert np.array_equal(out, bn(Tensor(x)).data) and np.array_equal(out, fresh(bn))
+            seen.append(out)
+
     def test_layernorm_normalises_last_dim(self):
         ln = LayerNorm(16)
         x = Tensor(np.random.default_rng(1).normal(4, 3, size=(5, 16)).astype(np.float32))
@@ -124,6 +185,22 @@ class TestSimpleLayers:
         x = Tensor(np.array([-2.0, 3.0, 8.0], dtype=np.float32))
         np.testing.assert_allclose(ReLU()(x).data, [0, 3, 8])
         np.testing.assert_allclose(ReLU6()(x).data, [0, 3, 6])
+
+    def test_relu_is_one_maximum_on_both_paths(self):
+        """Parent (``x * (x > 0)``): ``nan`` with a RuntimeWarning at ``-inf``
+        and ``-0.0`` for every negative."""
+        import warnings
+
+        x = np.array([-np.inf, -1.0, 0.0, 2.0], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outs = [ReLU()(x), ReLU()(Tensor(x)).data, Tensor(x).relu().data]
+        for out in outs:
+            assert out.dtype == np.float32 and out.tolist() == [0.0, 0.0, 0.0, 2.0]
+            assert not np.signbit(out).any()
+        leaf = Tensor(x, requires_grad=True)
+        leaf.relu().sum().backward()
+        assert leaf.grad.tolist() == [0.0, 0.0, 0.0, 1.0]  # the mask is unchanged
 
     def test_gelu_monotone_for_positive(self):
         x = Tensor(np.linspace(0.5, 3, 6).astype(np.float32))

@@ -9,18 +9,22 @@ from hypothesis import given, settings, strategies as st
 from repro.core.bit_extraction import BitExtractionPlan, extraction_shift, lower_bits
 from repro.core.layout import ChannelLayout, build_layout_plan
 from repro.core.prepared import PreparedKernel
-from repro.core.runtime import FlexiQLinear
+from repro.core.runtime import FlexiQConv2d, FlexiQLinear
 from repro.core.selection import SelectionConfig, greedy_selection, random_selection
 from repro.hardware.kernels import (
     MixedPrecisionGemm,
     mixed_gemm_reference,
     uniform_gemm_reference,
 )
-from repro.nn.layers import Linear
+from repro.nn.layers import Conv2d, Linear
 from repro.quant.quantizers import QuantParams, gemm_plane, quantize, quantize_unclipped
 from repro.tensor import Tensor
-from repro.tensor.functional import im2col, unfold_channel_major
+from repro.tensor.functional import im2col, kept_columns, unfold
 from tests.test_core_selection import make_scores
+
+
+# A quantized forward that emits a numpy invalid/overflow/divide warning fails.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def random_operands(seed, rows, out, channels):
@@ -264,6 +268,66 @@ class TestCompiledSteps:
             np.testing.assert_array_equal(part, layer(x))
             layer.use_prepared = True
 
+    @given(
+        seed=st.integers(0, 10_000),
+        channels=st.integers(1, 12),
+        out_channels=st.integers(1, 8),
+        k=st.integers(1, 3),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 2),
+        extra=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        batch=st.integers(1, 4),
+        group_size=st.sampled_from([1, 4]),
+        where=st.sampled_from(["zero", "half", "full", "unconfigured"]),
+        bias=st.booleans(),
+        dynamic=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_conv_step_equals_uncached_and_tensor(
+        self, seed, channels, out_channels, k, stride, padding, extra, batch, group_size,
+        where, bias, dynamic,
+    ):
+        """Any geometry (1x1, stride = kernel, junk columns or none), any
+        batch, image strides and boundary: the guarded step (static) and the
+        checked one (dynamic) equal the ``Tensor`` forward and the uncached
+        reference."""
+        rng = np.random.default_rng(seed)
+        h, w = (max(k - 2 * padding, 1) + e for e in extra)
+        spread = rng.uniform(0.1, 3.0, size=(channels, 1, 1)).astype(np.float32)
+        data = rng.normal(size=(12, channels, h, w)).astype(np.float32) * spread
+        source = Conv2d(channels, out_channels, k, stride, padding, bias=bias, rng=rng)
+        source.weight.data = source.weight.data * spread
+        layer = FlexiQConv2d(source)
+        layer(Tensor(data))
+        layer.freeze()
+        q_weight = np.abs(layer.quantized_weight()).reshape(out_channels, channels, -1).max(axis=(0, 2))
+        act_max = np.clip(
+            np.round(layer.input_channel_range().max_abs / layer.act_qparams.scale), 0, 127
+        )
+        layer.configure(
+            ChannelLayout("conv", rng.permutation(channels), {0.5: channels // 2, 1.0: channels}),
+            BitExtractionPlan.from_channel_maxima(q_weight, act_max),
+            group_size=group_size,
+        )
+        layer.set_boundary({
+            "zero": 0, "half": channels // 2, "full": channels,
+            "unconfigured": int(rng.integers(0, channels + 1)),
+        }[where])
+        layer.set_dynamic_extraction(dynamic)
+        x = data[rng.integers(0, len(data), size=batch)]
+        x = [x, np.asfortranarray(x), np.ascontiguousarray(x[..., ::-1])[..., ::-1]][rng.integers(3)]
+        kernel = layer._prepared
+        assert layer._static_kernel(x) is (None if dynamic else kernel)
+        fast = layer(x)
+        assert layer._prepared is kernel
+        assert type(fast) is np.ndarray and fast.dtype == np.float32 and fast.flags.c_contiguous
+        out_hw = tuple((size + 2 * padding - k) // stride + 1 for size in (h, w))
+        assert fast.shape == (batch, out_channels) + out_hw
+        np.testing.assert_array_equal(fast, layer(Tensor(x)).data)
+        layer.use_prepared = False
+        np.testing.assert_array_equal(fast, layer(x))
+        np.testing.assert_array_equal(fast, layer(Tensor(x)).data)
+
     def test_stacking_is_refused_where_a_pass_cannot_be_shared(self):
         rng = np.random.default_rng(0)
         layers, data = self.siblings(rng, 3, 8, 6, 4)
@@ -347,13 +411,66 @@ class TestFloat32PlaneCriterion:
         assert refused.dtype == np.float64
         np.testing.assert_array_equal(refused, edge)
 
+    @given(
+        seed=st.integers(0, 10_000),
+        c=st.integers(1, 5),
+        extra=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        k=st.integers(1, 3),
+        padding=st.integers(0, 2),
+        out=st.integers(1, 4),
+        prefix=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_junk_columns_meet_the_bound_too(self, seed, c, extra, k, padding, out, prefix):
+        """The row-grid unfold multiplies junk columns and drops them after.
+        They are windows of the same padded image (each tap's run wraps into
+        the next padded row of *its own channel*, then into the zero tail), so
+        ``|a[k]| <= amax[k]`` holds there as well: a plane one unit under 2**24
+        against activations at their clip bounds gives the float64 GEMM's
+        integers in every column, and the kept ones are ``im2col``'s."""
+        rng = np.random.default_rng(seed)
+        h, w = k + extra[0], k + extra[1]  # an interior window exists
+        # 8 on 4-bit prefix channels, 128 elsewhere; a last channel of +-1
+        # activations carries what is missing to 2**24 - 1 on one tap.
+        amax = np.append(np.where(rng.random(c) < prefix, 8.0, 128.0), 1.0)
+        rows = np.repeat(amax, k * k)
+        plane = rng.integers(0, 2049, size=(len(rows), out)).astype(np.float64)
+        plane[-k * k:] = 0.0
+        filler = len(rows) - 1 - int(rng.integers(k * k))
+        plane[filler] = 2 ** 24 - 1 - rows @ plane
+        assert (rows @ plane == 2 ** 24 - 1).all()
+        signed = plane * rng.choice([-1.0, 1.0], size=plane.shape)
+
+        lo = -amax[None, :, None, None]
+        coin = rng.integers(0, 2, size=(2, c + 1, h, w)).astype(bool)
+        for weights, image in (
+            (plane, np.broadcast_to(lo, coin.shape)),  # every product <= 0
+            (signed, np.where(coin, lo, -lo - 1.0)),
+        ):
+            stored = gemm_plane(weights, rows)
+            assert stored.dtype == np.float32
+            cols, grid = unfold(image.astype(np.float32), (k, k), 1, padding)
+            assert cols.dtype == np.float32 and grid[2] - grid[1] == k - 1  # junk per grid row
+            acc = stored.T @ cols
+            exact = weights.T @ cols.astype(np.float64)
+            np.testing.assert_array_equal(acc, exact)
+            assert np.abs(exact).max() <= 2 ** 24 - 1
+            reference, _ = im2col(image, (k, k), 1, padding)  # float64 (N, P, K)
+            np.testing.assert_array_equal(
+                kept_columns(acc, grid).reshape(2, out, -1), (reference @ weights).transpose(0, 2, 1)
+            )
+            if weights is plane:  # an interior window sits exactly on the bound
+                assert kept_columns(acc, grid).min() == -(2 ** 24 - 1)
+        plane[filler] += 1.0  # on the bound: refused
+        assert gemm_plane(plane, rows).dtype == np.float64
+
     def test_non_integer_plane_is_refused(self):
         plane = np.array([[1.0, 2.0], [0.5, 3.0]])
         assert gemm_plane(plane, 8.0).dtype == np.float64
         assert gemm_plane(np.rint(plane), 8.0).dtype == np.float32
 
 
-class TestChannelMajorUnfold:
+class TestBatchMajorUnfold:
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(1, 3),
@@ -366,23 +483,37 @@ class TestChannelMajorUnfold:
         dtype=st.sampled_from([np.float32, np.float64]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_equals_im2col_transposed(self, seed, n, c, h, w, k, stride, padding, dtype):
-        """The channel-major columns are ``im2col``'s, transposed -- whatever
-        the memory layout of the image."""
+    def test_kept_columns_equal_im2col_and_junk_is_where_the_geometry_says(
+        self, seed, n, c, h, w, k, stride, padding, dtype
+    ):
+        """The kept columns are ``im2col``'s per image, transposed -- whatever
+        the memory layout of the image; only a stride-1 grid has junk columns,
+        ``kw - 1`` per grid row, and they are the row-wrapped windows of the
+        zero-tailed padded image."""
         if min(h, w) + 2 * padding < k:
             with pytest.raises(ValueError, match="cannot convolve"):
-                unfold_channel_major(np.zeros((n, c, h, w), np.float32), (k, k), stride, padding)
+                unfold(np.zeros((n, c, h, w), np.float32), (k, k), stride, padding)
             return
         x = np.random.default_rng(seed).integers(-128, 128, size=(n, c, h, w))
         x = x.astype(np.float32)
-        reference, out_hw = im2col(x, (k, k), stride, padding)
-        expected = reference.reshape(n * out_hw[0] * out_hw[1], c * k * k).T
+        reference, (out_h, out_w) = im2col(x, (k, k), stride, padding)
+        expected = reference.transpose(0, 2, 1).reshape(n, c * k * k, out_h, out_w)
+        wp = w + 2 * padding
+        row = wp if stride == 1 else out_w
+        if stride == 1:  # every grid column, junk included, by plain indexing
+            flat = np.zeros((n, c, (h + 2 * padding) * wp + k - 1), np.float32)
+            flat[..., : -(k - 1) or None] = np.pad(x, [(0, 0)] * 2 + [(padding,) * 2] * 2).reshape(n, c, -1)
+            taps = (np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1)
+            grid_cols = flat[:, :, taps[:, None] + np.arange(out_h * wp)].reshape(n, c * k * k, -1)
         flipped = np.ascontiguousarray(x[..., ::-1])[..., ::-1]  # negative stride
         for image in (x, np.asfortranarray(x), flipped):
             assert np.array_equal(image, x)
-            cols, shape = unfold_channel_major(image, (k, k), stride, padding, dtype)
-            assert shape == out_hw and cols.dtype == dtype and cols.flags.c_contiguous
-            np.testing.assert_array_equal(cols, expected)
+            cols, grid = unfold(image, (k, k), stride, padding, dtype)
+            assert grid == (out_h, out_w, row) and cols.dtype == dtype and cols.flags.c_contiguous
+            assert cols.shape == (n, c * k * k, out_h * row)
+            np.testing.assert_array_equal(kept_columns(cols, grid), expected)
+            if stride == 1:
+                np.testing.assert_array_equal(cols, grid_cols)
         assert w == 1 or flipped.strides[-1] < 0
 
 
