@@ -131,16 +131,18 @@ class FlexiQPipeline:
         The first and last quantizable layers were instantiated with
         ``first_last_bits`` and are still FlexiQ layers; they are excluded
         from selection so they always run at the base precision, matching
-        the paper's convention.
+        the paper's convention.  Grouped (depthwise) convolutions are left
+        out too: they always run the uniform kernel, so their channels never
+        compute in 4-bit.
         """
         flexiq = [
-            name
+            (name, module)
             for name, module in model.named_modules()
             if isinstance(module, (FlexiQLinear, FlexiQConv2d))
         ]
-        if len(flexiq) <= 2:
-            return flexiq
-        return flexiq[1:-1]
+        if len(flexiq) > 2:
+            flexiq = flexiq[1:-1]
+        return [name for name, module in flexiq if getattr(module, "groups", 1) == 1]
 
     def _extraction_plans(
         self, model: Module, layer_names: List[str]

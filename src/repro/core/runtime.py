@@ -444,11 +444,6 @@ class FlexiQModel:
         self._ratio_rows: List[list] = [
             [layer, None, ()] for name, layer in self._flexiq_layers if name in layout_plan.layouts
         ]
-        # Whether the whole tree takes a raw array (repro.nn.module's rule);
-        # otherwise forward_batch hands it a Tensor.
-        self._ndarray_tree: bool = all(
-            module.ndarray_forward for _, module in model.named_modules()
-        )
 
     # ------------------------------------------------------------------
     # Ratio control
@@ -522,10 +517,11 @@ class FlexiQModel:
         forward runs on the prepared kernels, and the returned wall-clock
         seconds stand in for the accelerator's batch service time.
 
-        An array batch is served without autograd: it flows through the
-        module tree as a raw float32 ``ndarray`` and only the logits are
-        wrapped in a ``Tensor``.  A ``Tensor`` batch records a graph as
-        usual; both give bit-identical values.
+        An array batch is served without autograd, whatever the model: it
+        flows through the module tree as a raw float32 ``ndarray`` and only
+        the logits are wrapped in a ``Tensor`` (:mod:`repro.nn.module`'s
+        rule).  A ``Tensor`` batch records a graph as usual; both give
+        bit-identical values.
         """
         if len(x) == 0:
             raise ValueError("forward_batch needs at least one sample, got an empty batch")
@@ -540,8 +536,6 @@ class FlexiQModel:
             self.ratio_switches += self.current_ratio != previous
         if not isinstance(x, Tensor):
             x = np.asarray(x, dtype=np.float32)
-            if not self._ndarray_tree:
-                x = Tensor(x)
         start = time.perf_counter()
         output = self.model(x)
         seconds = time.perf_counter() - start

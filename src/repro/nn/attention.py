@@ -20,8 +20,6 @@ class MultiHeadAttention(Module):
     tables -- one GEMM where their type offers ``stacked_forward``.
     """
 
-    ndarray_forward = True
-
     def __init__(
         self,
         embed_dim: int,
@@ -73,8 +71,6 @@ class MultiHeadAttention(Module):
 class MLP(Module):
     """Transformer feed-forward block: Linear -> GELU -> Linear."""
 
-    ndarray_forward = True
-
     def __init__(
         self,
         embed_dim: int,
@@ -92,8 +88,6 @@ class MLP(Module):
 
 class TransformerBlock(Module):
     """Pre-norm transformer encoder block (as in ViT/DeiT)."""
-
-    ndarray_forward = True
 
     def __init__(
         self,
@@ -118,8 +112,10 @@ class TransformerBlock(Module):
         return x
 
 
-def _roll(x: Tensor, shift_h: int, shift_w: int) -> Tensor:
-    """Cyclically roll a (N, H, W, D) tensor along its spatial axes."""
+def _roll(x: TensorOrArray, shift_h: int, shift_w: int) -> TensorOrArray:
+    """Cyclically roll a (N, H, W, D) tensor or array along its spatial axes."""
+    if isinstance(x, np.ndarray):
+        return np.roll(x, shift=(shift_h, shift_w), axis=(1, 2))
     data = np.roll(x.data, shift=(shift_h, shift_w), axis=(1, 2))
 
     def backward(grad: np.ndarray):
@@ -149,7 +145,7 @@ class WindowAttention(Module):
         self.shift = shift
         self.attn = MultiHeadAttention(embed_dim, num_heads, rng=rng)
 
-    def forward(self, x: Tensor, grid_size: int) -> Tensor:
+    def forward(self, x: TensorOrArray, grid_size: int) -> TensorOrArray:
         n, t, d = x.shape
         if grid_size * grid_size != t:
             raise ValueError("token count does not form a square grid")
@@ -197,7 +193,7 @@ class SwinBlock(Module):
         self.norm2 = LayerNorm(embed_dim)
         self.mlp = MLP(embed_dim, int(embed_dim * mlp_ratio), rng=rng)
 
-    def forward(self, x: Tensor, grid_size: int) -> Tensor:
+    def forward(self, x: TensorOrArray, grid_size: int) -> TensorOrArray:
         x = x + self.attn(self.norm1(x), grid_size)
         x = x + self.mlp(self.norm2(x))
         return x

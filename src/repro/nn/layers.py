@@ -47,7 +47,7 @@ class Linear(Module):
         """Number of input feature channels (FlexiQ's selection axis)."""
         return self.in_features
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         return F.linear(x, self.weight, self.bias)
 
     def __repr__(self) -> str:
@@ -100,7 +100,7 @@ class Conv2d(Module):
         """Number of input feature channels (FlexiQ's selection axis)."""
         return self.in_channels
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         return F.conv2d(
             x,
             self.weight,
@@ -119,8 +119,6 @@ class Conv2d(Module):
 
 class BatchNorm2d(Module):
     """Batch normalisation over the channel dimension of (N, C, H, W)."""
-
-    ndarray_forward = True
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
         super().__init__()
@@ -192,8 +190,6 @@ class BatchNorm2d(Module):
 class LayerNorm(Module):
     """Layer normalisation over the last dimension."""
 
-    ndarray_forward = True
-
     def __init__(self, normalized_shape: int, eps: float = 1e-5) -> None:
         super().__init__()
         self.normalized_shape = normalized_shape
@@ -206,29 +202,21 @@ class LayerNorm(Module):
 
 
 class ReLU(Module):
-    ndarray_forward = True
-
     def forward(self, x: TensorOrArray) -> TensorOrArray:
         return F.relu(x)
 
 
 class ReLU6(Module):
-    ndarray_forward = True
-
     def forward(self, x: TensorOrArray) -> TensorOrArray:
         return F.relu6(x)
 
 
 class GELU(Module):
-    ndarray_forward = True
-
     def forward(self, x: TensorOrArray) -> TensorOrArray:
         return F.gelu(x)
 
 
 class Identity(Module):
-    ndarray_forward = True
-
     def forward(self, x: TensorOrArray) -> TensorOrArray:
         return x
 
@@ -236,22 +224,16 @@ class Identity(Module):
 class Flatten(Module):
     """Flatten all dimensions after the batch dimension."""
 
-    ndarray_forward = True
-
     def forward(self, x: TensorOrArray) -> TensorOrArray:
         return x.reshape(x.shape[0], -1)
 
 
 class GlobalAvgPool2d(Module):
-    ndarray_forward = True
-
     def forward(self, x: TensorOrArray) -> TensorOrArray:
         return F.global_avg_pool2d(x)
 
 
 class AvgPool2d(Module):
-    ndarray_forward = True
-
     def __init__(self, kernel: int, stride: Optional[int] = None) -> None:
         super().__init__()
         self.kernel = kernel
@@ -262,8 +244,6 @@ class AvgPool2d(Module):
 
 
 class MaxPool2d(Module):
-    ndarray_forward = True
-
     def __init__(self, kernel: int, stride: Optional[int] = None) -> None:
         super().__init__()
         self.kernel = kernel
@@ -275,8 +255,6 @@ class MaxPool2d(Module):
 
 class Dropout(Module):
     """Inverted dropout; a no-op in eval mode."""
-
-    ndarray_forward = True
 
     def __init__(self, p: float = 0.1) -> None:
         super().__init__()

@@ -14,7 +14,7 @@ from repro.nn.layers import (
     ReLU6,
 )
 from repro.nn.module import Module, ModuleList, Sequential
-from repro.tensor import Tensor
+from repro.tensor import TensorOrArray
 
 
 class InvertedResidual(Module):
@@ -49,7 +49,7 @@ class InvertedResidual(Module):
         ]
         self.block = Sequential(*layers)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         out = self.block(x)
         if self.use_residual:
             return out + x
@@ -101,7 +101,7 @@ class MobileNetV2(Module):
         self.head = Linear(last_ch, num_classes, rng=rng)
         self.num_classes = num_classes
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
         x = self.stem(x)
         for block in self.blocks:
             x = block(x)

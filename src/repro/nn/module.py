@@ -1,14 +1,15 @@
 """Module/Parameter containers mirroring the familiar torch.nn structure.
 
 One rule decides how a forward runs: **``np.ndarray`` in => inference,
-``Tensor`` in => autograd.**  A module whose :attr:`Module.ndarray_forward` is
-true also accepts a raw float32 array; it then computes the same per-element
-operations in the same order as for a :class:`Tensor` (bit-identical values),
-builds no graph and returns an ``ndarray``.  Containers just pass whatever
-they were given on to their children through ``child(x)``, so hooks and
-wrappers on ``forward`` see both kinds.  A tree in which any module lacks the
-capability is handed a ``Tensor`` by
-:meth:`repro.core.runtime.FlexiQModel.forward_batch`, as before.  Training,
+``Tensor`` in => autograd.**  Every module accepts a raw float32 array: it
+then computes the same per-element operations in the same order as for a
+:class:`Tensor` (bit-identical values), builds no graph and returns an
+``ndarray``.  A ``forward`` is therefore written with operators and
+:mod:`repro.tensor.functional` ops that both kinds define -- not with a
+method whose meaning differs between them (``x.mean`` is numpy's divide on an
+array but ``Tensor.mean``'s multiply by ``1 / count``: use ``F.mean``).
+Containers just pass whatever they were given on to their children through
+``child(x)``, so hooks and wrappers on ``forward`` see both kinds.  Training,
 calibration and evaluation pass ``Tensor`` and are unaffected.
 
 A layer *type* may define ``stacked_forward(layers, x)``: sibling layers'
@@ -44,9 +45,6 @@ class Module:
     replacement -- the hook the quantization passes use to swap float layers
     for quantized ones.
     """
-
-    #: Whether ``forward`` accepts a raw ``np.ndarray`` (see module docstring).
-    ndarray_forward = False
 
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
@@ -203,8 +201,6 @@ class ModuleList(Module):
     immediately.
     """
 
-    ndarray_forward = True  # never called itself; its elements decide
-
     def __init__(self, modules: Optional[List[Module]] = None) -> None:
         super().__init__()
         for module in modules or []:
@@ -225,8 +221,6 @@ class ModuleList(Module):
 
 class Sequential(Module):
     """Chain of modules applied in order."""
-
-    ndarray_forward = True
 
     def __init__(self, *modules: Module) -> None:
         super().__init__()

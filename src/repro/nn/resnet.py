@@ -45,7 +45,6 @@ class BasicBlock(Module):
     """Two 3x3 convolutions with a residual connection (ResNet-18/20/34)."""
 
     expansion = 1
-    ndarray_forward = True
 
     def __init__(
         self,
@@ -79,7 +78,6 @@ class BottleneckBlock(Module):
     """1x1 -> 3x3 -> 1x1 bottleneck with expansion (ResNet-50)."""
 
     expansion = 4
-    ndarray_forward = True
 
     def __init__(
         self,
@@ -127,8 +125,6 @@ class ResNet(Module):
     num_classes, in_channels, image_size:
         Input/output dimensions of the classifier.
     """
-
-    ndarray_forward = True
 
     def __init__(
         self,

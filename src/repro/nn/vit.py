@@ -20,8 +20,6 @@ class PatchEmbedding(Module):
     layer stays 8-bit, and the quantization passes here follow the same rule.
     """
 
-    ndarray_forward = True
-
     def __init__(
         self,
         image_size: int,
@@ -56,8 +54,6 @@ class VisionTransformer(Module):
     via configuration (depth/width/heads) in the registry, mirroring how the
     paper treats them as separate checkpoints of the same architecture.
     """
-
-    ndarray_forward = True
 
     def __init__(
         self,
@@ -103,13 +99,11 @@ class VisionTransformer(Module):
         inference = isinstance(tokens, np.ndarray)
         if self.use_cls_token:
             cls = np.broadcast_to(self.cls_token.data, (n, 1, self.embed_dim))
-            if inference:
-                tokens = np.concatenate([cls, tokens], axis=1)
-            else:
+            if not inference:
                 # Adds an exact zero whose only purpose is to route the
                 # gradient of every row back to the one cls_token.
                 cls = Tensor(cls.copy()) + (self.cls_token - self.cls_token.detach())
-                tokens = Tensor.concatenate([cls, tokens], axis=1)
+            tokens = F.concatenate([cls, tokens], axis=1)
         tokens = tokens + (self.pos_embed.data if inference else self.pos_embed)
         for block in self.blocks:
             tokens = block(tokens)
@@ -130,14 +124,14 @@ class PatchMerging(Module):
         self.norm = LayerNorm(embed_dim * 4)
         self.reduction = Linear(embed_dim * 4, embed_dim * 2, bias=False, rng=rng)
 
-    def forward(self, x: Tensor, grid_size: int) -> Tensor:
+    def forward(self, x: TensorOrArray, grid_size: int) -> TensorOrArray:
         n, t, d = x.shape
         grid = x.reshape(n, grid_size, grid_size, d)
         x00 = grid[:, 0::2, 0::2, :]
         x01 = grid[:, 0::2, 1::2, :]
         x10 = grid[:, 1::2, 0::2, :]
         x11 = grid[:, 1::2, 1::2, :]
-        merged = Tensor.concatenate([x00, x01, x10, x11], axis=-1)
+        merged = F.concatenate([x00, x01, x10, x11], axis=-1)
         merged = merged.reshape(n, (grid_size // 2) ** 2, d * 4)
         return self.reduction(self.norm(merged))
 
@@ -197,8 +191,9 @@ class SwinTransformer(Module):
         self.head = Linear(dim, num_classes, rng=rng)
         self.num_classes = num_classes
 
-    def forward(self, x: Tensor) -> Tensor:
-        tokens = self.patch_embed(x) + self.pos_embed
+    def forward(self, x: TensorOrArray) -> TensorOrArray:
+        tokens = self.patch_embed(x)
+        tokens = tokens + (self.pos_embed.data if isinstance(tokens, np.ndarray) else self.pos_embed)
         for stage_index, blocks in enumerate(self.stages):
             grid = self._stage_grids[stage_index]
             for block in blocks:
@@ -206,8 +201,7 @@ class SwinTransformer(Module):
             if stage_index < len(self.mergers):
                 tokens = self.mergers[stage_index](tokens, grid)
         tokens = self.norm(tokens)
-        pooled = tokens.mean(axis=1)
-        return self.head(pooled)
+        return self.head(F.mean(tokens, axis=1))
 
 
 def vit(

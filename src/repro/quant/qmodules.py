@@ -247,8 +247,6 @@ class QuantizedLayer(Module):
 class QuantLinear(QuantizedLayer):
     """Uniform symmetric quantized fully connected layer."""
 
-    ndarray_forward = True
-
     def __init__(self, source: Linear, weight_bits: int = 8, act_bits: int = 8) -> None:
         super().__init__(weight_bits, act_bits)
         self.in_features = source.in_features
@@ -308,8 +306,6 @@ class QuantLinear(QuantizedLayer):
 
 class QuantConv2d(QuantizedLayer):
     """Uniform symmetric quantized 2D convolution (via im2col GEMM)."""
-
-    ndarray_forward = True
 
     def __init__(self, source: Conv2d, weight_bits: int = 8, act_bits: int = 8) -> None:
         super().__init__(weight_bits, act_bits)
@@ -399,11 +395,9 @@ class QuantConv2d(QuantizedLayer):
         """
         dq_x = dequantize(quantize(x, self.act_qparams), self.act_qparams)
         dq_w = dequantize(self.quantized_weight(), self.weight_qparams)
-        bias = Tensor(self.bias.data) if self.bias is not None else None
         return F.conv2d(
-            Tensor(dq_x), Tensor(dq_w), bias,
-            stride=self.stride, padding=self.padding, groups=self.groups,
-        ).data
+            dq_x, dq_w, self.bias, stride=self.stride, padding=self.padding, groups=self.groups
+        )
 
     def __repr__(self) -> str:
         return (

@@ -5,11 +5,12 @@ both the forward and backward passes are expressed as matrix multiplies --
 the same structure the quantized kernels in :mod:`repro.hardware.kernels`
 use, which keeps the float and integer paths directly comparable.
 
-The pooling, activation and normalisation helpers also accept a raw float32
-``np.ndarray`` (the inference rule of :mod:`repro.nn.module`): they then run
-the *same per-element operations in the same order* as the ``Tensor`` branch
--- so the result is bit-identical -- but on temporaries updated in place,
-with no graph, and return an ``ndarray``.  The input array is never written.
+The convolution, linear, concatenation, pooling, activation and
+normalisation helpers also accept a raw float32 ``np.ndarray`` (the
+inference rule of :mod:`repro.nn.module`): they then run the *same
+per-element operations in the same order* as the ``Tensor`` branch -- so the
+result is bit-identical -- but on temporaries updated in place, with no
+graph, and return an ``ndarray``.  The input array is never written.
 """
 
 from __future__ import annotations
@@ -146,15 +147,31 @@ def col2im(
 # ----------------------------------------------------------------------
 # Convolution / linear
 # ----------------------------------------------------------------------
+def _data(value):
+    """The array behind a ``Tensor``; an array or ``None`` as is."""
+    return value.data if isinstance(value, Tensor) else value
+
+
+def concatenate(parts, axis: int = 0) -> TensorOrArray:
+    """Join arrays into an array, or -- if any part is a ``Tensor`` -- into a
+    ``Tensor`` with a graph."""
+    if any(isinstance(part, Tensor) for part in parts):
+        return Tensor.concatenate(parts, axis=axis)
+    return np.concatenate(parts, axis=axis)
+
+
 def conv2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
+    x: TensorOrArray,
+    weight: TensorOrArray,
+    bias: Optional[TensorOrArray] = None,
     stride: int = 1,
     padding: int = 0,
     groups: int = 1,
-) -> Tensor:
-    """2D convolution.  ``x``: (N, C, H, W); ``weight``: (O, C/groups, kh, kw)."""
+) -> TensorOrArray:
+    """2D convolution.  ``x``: (N, C, H, W); ``weight``: (O, C/groups, kh, kw).
+
+    An array ``x`` reads ``weight``/``bias`` (tensors or arrays) as arrays
+    and gives an array."""
     n, c, h, w = x.shape
     out_ch, in_per_group, kh, kw = weight.shape
     if c != in_per_group * groups:
@@ -162,6 +179,8 @@ def conv2d(
             f"conv2d channel mismatch: input has {c} channels, "
             f"weight expects {in_per_group * groups}"
         )
+    if isinstance(x, np.ndarray):  # slice arrays below, never Tensors
+        weight, bias = _data(weight), _data(bias)
 
     if groups == 1:
         return _conv2d_single(x, weight, bias, stride, padding)
@@ -175,24 +194,26 @@ def conv2d(
         wg = weight[g * group_out : (g + 1) * group_out]
         bg = bias[g * group_out : (g + 1) * group_out] if bias is not None else None
         outputs.append(_conv2d_single(xg, wg, bg, stride, padding))
-    return Tensor.concatenate(outputs, axis=1)
+    return concatenate(outputs, axis=1)
 
 
 def _conv2d_single(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor],
+    x: TensorOrArray,
+    weight: TensorOrArray,
+    bias: Optional[TensorOrArray],
     stride: int,
     padding: int,
-) -> Tensor:
+) -> TensorOrArray:
     n, c, h, w = x.shape
     out_ch, _, kh, kw = weight.shape
-    cols, (out_h, out_w) = im2col(x.data, (kh, kw), stride, padding)
-    w_mat = weight.data.reshape(out_ch, -1)
+    cols, (out_h, out_w) = im2col(_data(x), (kh, kw), stride, padding)
+    w_mat = _data(weight).reshape(out_ch, -1)
     out = cols @ w_mat.T  # (N, out_h*out_w, out_ch)
     if bias is not None:
-        out = out + bias.data.reshape(1, 1, -1)
+        out = out + _data(bias).reshape(1, 1, -1)
     out = out.transpose(0, 2, 1).reshape(n, out_ch, out_h, out_w)
+    if isinstance(x, np.ndarray):
+        return out
 
     parents = [x, weight] + ([bias] if bias is not None else [])
 
@@ -210,8 +231,15 @@ def _conv2d_single(
     return Tensor._make(out, parents, backward)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def linear(
+    x: TensorOrArray, weight: Tensor, bias: Optional[Tensor] = None
+) -> TensorOrArray:
     """Affine transform ``x @ weight.T + bias``; ``weight``: (out, in)."""
+    if isinstance(x, np.ndarray):
+        out = x @ weight.data.T
+        if bias is not None:
+            out += bias.data
+        return out
     out = x.matmul(weight.transpose())
     if bias is not None:
         out = out + bias

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
-#: What an inference-capable forward takes and returns: a ``Tensor`` (autograd)
+#: What a module's forward takes and returns: a ``Tensor`` (autograd)
 #: or a raw float32 array (inference, see :mod:`repro.nn.module`).
 TensorOrArray = Union["Tensor", np.ndarray]
 

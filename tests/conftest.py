@@ -16,7 +16,7 @@ from repro.nn.layers import BatchNorm2d, Conv2d, Linear, ReLU
 from repro.nn.module import Module, Sequential
 from repro.nn.resnet import resnet20
 from repro.nn.vit import VisionTransformer
-from repro.tensor import Tensor
+from repro.tensor import Tensor, functional as F
 from repro.train.loop import TrainingConfig, train_classifier
 
 
@@ -56,7 +56,7 @@ class TinyConvNet(Module):
         x = self.relu(self.bn(self.stem(x)))
         x = self.relu(self.conv1(x))
         x = self.relu(self.conv2(x))
-        x = x.mean(axis=(2, 3))
+        x = F.global_avg_pool2d(x)  # not x.mean: numpy's divide on an array
         return self.head(x)
 
 

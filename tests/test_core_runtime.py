@@ -255,7 +255,7 @@ class TestFlexiQModelWrapper:
 # ----------------------------------------------------------------------
 def _grouped_conv_net():
     """A small tree whose first layer is a grouped convolution (it stays at
-    8 bits and runs the uniform kernel, which wraps ``F.conv2d``)."""
+    8 bits and runs the uniform kernel, which calls ``F.conv2d``)."""
     from repro.nn.layers import (
         AvgPool2d, BatchNorm2d, Flatten, GlobalAvgPool2d, MaxPool2d, ReLU6,
     )
@@ -297,41 +297,73 @@ def zoo_runtimes():
     return _Zoo()
 
 
+def _assert_parity(runtime, images, batches, dynamic, label):
+    """At every ratio and batch: ``forward_batch`` on an array == on a
+    ``Tensor`` == the uncached path, with ``array_equal``."""
+    runtime.set_dynamic_extraction(dynamic)
+    try:
+        for ratio in runtime.available_ratios:
+            for batch in batches:
+                x = images[:batch]
+                runtime.prepare(use_prepared=True)
+                served, _ = runtime.forward_batch(x, ratio=ratio)
+                graphed, _ = runtime.forward_batch(Tensor(x), ratio=ratio)
+                runtime.prepare(use_prepared=False)
+                reference = runtime(Tensor(x))
+                assert isinstance(served, Tensor) and served.shape[0] == batch
+                where = f"{label} ratio={ratio} batch={batch} dynamic={dynamic}"
+                assert np.array_equal(served.data, graphed.data), where
+                assert np.array_equal(served.data, reference.data), where
+    finally:
+        runtime.set_dynamic_extraction(False)
+        runtime.prepare(use_prepared=True)
+        runtime.set_ratio(0.0)
+
+
 class TestNdarrayInference:
-    #: (model, whether the whole tree takes a raw array)
     MODELS = [
-        ("resnet18", True),
-        ("resnet50", True),  # 1x1 bottleneck convolutions: the grid is the image
-        ("vit_small", True),  # patch embedding: stride = kernel, no junk columns
-        ("grouped_conv", True),
-        ("swin_small", False),  # _roll and PatchMerging need a Tensor: fall back
+        "resnet18",
+        "resnet50",  # 1x1 bottleneck convolutions: the grid is the image
+        "vit_small",  # patch embedding: stride = kernel, no junk columns
+        "grouped_conv",
+        "swin_small",  # shifted windows, patch merging
+        "mobilenet_v2",  # depthwise convolutions on the uniform kernel
     ]
 
     @pytest.mark.parametrize("dynamic", [False, True])
-    @pytest.mark.parametrize("name,ndarray_tree", MODELS)
-    def test_parity_matrix(self, zoo_runtimes, name, ndarray_tree, dynamic):
+    @pytest.mark.parametrize("name", MODELS)
+    def test_parity_matrix(self, zoo_runtimes, name, dynamic):
         runtime, images = zoo_runtimes[name]
-        assert runtime._ndarray_tree is ndarray_tree
-        runtime.set_dynamic_extraction(dynamic)
-        try:
-            for ratio in runtime.available_ratios:
-                for batch in (1, 3, 8):
-                    x = images[:batch]
-                    runtime.prepare(use_prepared=True)
-                    served, _ = runtime.forward_batch(x, ratio=ratio)
-                    graphed, _ = runtime.forward_batch(Tensor(x), ratio=ratio)
-                    runtime.prepare(use_prepared=False)
-                    reference = runtime(Tensor(x))
-                    assert isinstance(served, Tensor) and served.shape[0] == batch
-                    where = f"{name} ratio={ratio} batch={batch} dynamic={dynamic}"
-                    assert np.array_equal(served.data, graphed.data), where
-                    assert np.array_equal(served.data, reference.data), where
-        finally:
-            runtime.set_dynamic_extraction(False)
-            runtime.prepare(use_prepared=True)
-            runtime.set_ratio(0.0)
+        _assert_parity(runtime, images, (1, 3, 8), dynamic, name)
 
-    @pytest.mark.parametrize("name", ["vit_small", "resnet18"])
+    @pytest.mark.parametrize("dynamic", [False, True])
+    @pytest.mark.parametrize(
+        "fixture,dataset",
+        [("flexiq_runtime", "mlp_dataset"), ("flexiq_conv_runtime", "tiny_dataset")],
+    )
+    def test_parity_of_the_test_fixtures(self, request, fixture, dataset, dynamic):
+        """The shared conftest runtimes (TinyMLP, TinyConvNet) obey the rule too."""
+        runtime = request.getfixturevalue(fixture)
+        images = request.getfixturevalue(dataset).test_images
+        _assert_parity(runtime, images, (1, 3, 64), dynamic, fixture)
+
+    def test_swin_window_attention_stacks_its_projections(self, zoo_runtimes):
+        from repro.nn.attention import WindowAttention
+
+        runtime, images = zoo_runtimes["swin_small"]
+        runtime.prepare(use_prepared=True)
+        ratios = runtime.available_ratios
+        try:
+            for ratio in ratios:
+                runtime.forward_batch(images[:2], ratio=ratio)
+        finally:
+            runtime.set_ratio(0.0)
+        windows = [m for _, m in runtime.model.named_modules() if isinstance(m, WindowAttention)]
+        assert len(windows) == 4
+        for window in windows:  # one stacked step per boundary triple, on Q's kernel
+            assert 1 <= len(window.attn.q_proj._prepared._stacked) <= len(ratios)
+
+    @pytest.mark.parametrize("name", ["vit_small", "resnet18", "swin_small", "mobilenet_v2"])
     def test_served_forward_builds_no_intermediate_tensor(
         self, zoo_runtimes, name, monkeypatch
     ):

@@ -14,9 +14,14 @@ from repro.nn.attention import (
     _roll,
 )
 from repro.nn.llm import causal_mask
-from repro.nn.vit import PatchEmbedding, VisionTransformer
+from repro.nn.vit import PatchEmbedding, PatchMerging, VisionTransformer
 from repro.quant.qmodel import quantize_model
 from repro.tensor import Tensor, no_grad
+
+
+# Every zoo model's array path runs through this code: a numpy
+# invalid/overflow/divide warning fails.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def tokens(batch=2, length=8, dim=16, seed=0):
@@ -122,36 +127,44 @@ class TestNdarrayForward:
     """ndarray in => inference, Tensor in => autograd (repro.nn.module).
 
     The containers are type-agnostic once their projections accept arrays,
-    which the quantized layers do; the float module stays the autograd
-    reference.
+    which the float and quantized layers do; the float module stays the
+    autograd reference.  Inputs are 16 tokens, a 4x4 grid.
     """
 
     CASES = {
         "attention": (lambda rng: MultiHeadAttention(16, 4, rng=rng), {}),
         "attention_masked": (
-            lambda rng: MultiHeadAttention(16, 4, rng=rng), {"mask": causal_mask(8)}
+            lambda rng: MultiHeadAttention(16, 4, rng=rng), {"mask": causal_mask(16)}
         ),
         "mlp": (lambda rng: MLP(16, 32, rng=rng), {}),
         "block": (lambda rng: TransformerBlock(16, 4, rng=rng), {}),
         "block_masked": (
-            lambda rng: TransformerBlock(16, 4, rng=rng), {"mask": causal_mask(8)}
+            lambda rng: TransformerBlock(16, 4, rng=rng), {"mask": causal_mask(16)}
         ),
+        "window": (
+            lambda rng: WindowAttention(16, 4, window=2, shift=0, rng=rng), {"grid_size": 4}
+        ),
+        "window_shifted": (
+            lambda rng: WindowAttention(16, 4, window=2, shift=1, rng=rng), {"grid_size": 4}
+        ),
+        "patch_merging": (lambda rng: PatchMerging(16, rng=rng), {"grid_size": 4}),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_array_in_array_out_equals_tensor_path(self, name):
         factory, kwargs = self.CASES[name]
         float_module = factory(np.random.default_rng(0)).eval()
-        x = tokens().data
-        quantized = quantize_model(
+        x = tokens(length=16).data
+        kept = x.copy()
+        for module in (float_module, quantize_model(
             float_module, calibration_batches=[x],
             forward_fn=lambda m, batch: m(Tensor(batch), **kwargs),
-        )
-        assert quantized.ndarray_forward
-        out = quantized(x, **kwargs)
-        reference = quantized(Tensor(x), **kwargs)
-        assert type(out) is np.ndarray and out.dtype == np.float32
-        assert np.array_equal(out, reference.data)
+        )):
+            out = module(x, **kwargs)
+            reference = module(Tensor(x), **kwargs)
+            assert type(out) is np.ndarray and out.dtype == np.float32
+            assert np.array_equal(out, reference.data)
+            assert np.array_equal(x, kept)  # the input is never written
 
         graphed = Tensor(x, requires_grad=True)
         float_module(graphed, **kwargs).sum().backward()

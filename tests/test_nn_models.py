@@ -18,6 +18,11 @@ from repro.nn.mobilenet import mobilenet_v2
 from repro.nn.vit import swin, vit
 from repro.tensor import Tensor, no_grad
 
+
+# Every zoo model's array path runs through this code: a numpy
+# invalid/overflow/divide warning fails.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 VISION_MODELS = [name for name in list_models() if name != "tiny_lm"]
 
 
@@ -74,6 +79,15 @@ class TestForwardShapes:
             out = model(_input())
         assert out.shape == (2, 10)
         assert np.isfinite(out.data).all()
+
+    @pytest.mark.parametrize("name", VISION_MODELS)
+    def test_float_model_serves_an_array(self, name):
+        """ndarray in => inference holds for every float zoo model."""
+        model = build_model(name, seed=0).eval()
+        x = _input().data
+        out = model(x)
+        assert type(out) is np.ndarray and out.dtype == np.float32
+        assert np.array_equal(out, model(Tensor(x)).data)
 
     def test_resnet_variants_depth_ordering(self):
         # Deeper variants have more parameters.

@@ -10,6 +10,11 @@ from repro.nn.module import Module, ModuleList, Parameter, Sequential
 from repro.tensor import Tensor
 
 
+# Every zoo model's array path runs through this code: a numpy
+# invalid/overflow/divide warning fails.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
 class Block(Module):
     def __init__(self):
         super().__init__()

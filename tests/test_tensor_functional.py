@@ -9,6 +9,11 @@ from repro.tensor import Tensor, functional as F
 from repro.tensor.functional import col2im, im2col
 
 
+# Every zoo model's array path runs through this code: a numpy
+# invalid/overflow/divide warning fails.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
 def naive_conv2d(x, w, b, stride=1, padding=0):
     """Direct convolution reference used to validate the im2col path."""
     n, c, h, width = x.shape
