@@ -98,7 +98,7 @@ from repro.serving.schedulers import FifoScheduler, Scheduler, admission_key
 # ----------------------------------------------------------------------
 # Sequence state
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class SequenceState:
     """One generating request's progress through the iteration loop.
 
@@ -121,11 +121,6 @@ class SequenceState:
     migrations: int = 0
     server: int = -1
     finish_time: Optional[float] = None
-
-    @property
-    def live(self) -> bool:
-        """Still decoding: more tokens to generate."""
-        return self.generated < self.max_new_tokens
 
     @property
     def footprint(self) -> int:
@@ -421,6 +416,18 @@ def _check_arrivals(requests: Sequence[Request]) -> None:
     check_arrivals([request.arrival_time for request in requests])
 
 
+def _generation_profile(request: Request) -> Tuple[int, int]:
+    """``(prompt tokens, max_new_tokens)`` of one request, or ``ValueError``.
+
+    Both are whole numbers; the prompt may be empty and at least one token
+    is generated (``max_new_tokens=1`` is prefill-only).
+    """
+    return (
+        check_integer("prefill_tokens", request.prefill_tokens, 0),
+        check_integer("max_new_tokens", request.max_new_tokens, 1),
+    )
+
+
 # ----------------------------------------------------------------------
 # Session state
 # ----------------------------------------------------------------------
@@ -564,24 +571,16 @@ class IterationScheduler:
         sequences = []
         for slot, index in enumerate(order):
             request = requests[index]
-            if request.max_new_tokens < 1:
-                raise ValueError(
-                    "generation requests need max_new_tokens >= 1 "
-                    f"(got {request.max_new_tokens}; max_new_tokens=1 is "
-                    "prefill-only)"
-                )
+            prompt_tokens, max_new_tokens = _generation_profile(request)
+            arrival = float(request.arrival_time)
             sequences.append(
                 SequenceState(
                     request=request,
                     slot=slot,
-                    arrival=float(request.arrival_time),
-                    prompt_tokens=check_integer(
-                        "prefill_tokens", request.prefill_tokens, 0
-                    ),
-                    max_new_tokens=check_integer(
-                        "max_new_tokens", request.max_new_tokens, 1
-                    ),
-                    ready=float(request.arrival_time),
+                    arrival=arrival,
+                    prompt_tokens=prompt_tokens,
+                    max_new_tokens=max_new_tokens,
+                    ready=arrival,
                 )
             )
         arrivals = np.asarray([seq.arrival for seq in sequences], dtype=np.float64)
@@ -796,21 +795,27 @@ class IterationScheduler:
         return min(ready, default=None)
 
     def _next_server(self, s: _GenSession) -> Optional[Tuple[int, float]]:
-        """(server, iteration start) of the earliest next iteration."""
-        best: Optional[Tuple[float, int]] = None
-        min_ready = self._min_ready(s)
+        """(server, iteration start) of the earliest next iteration.
+
+        A busy server starts at its own clock; only an idle one waits for the
+        earliest ready sequence, so the queue is scanned only when some
+        server is idle.  ``s.active`` is ascending, so a strict ``<`` keeps
+        the lowest server on a tie.
+        """
+        best: Optional[Tuple[int, float]] = None
+        unscanned = True
         for server in s.active:
-            if s.running[server]:
-                candidate = s.free_at[server]
-            elif min_ready is not None:
-                candidate = max(s.free_at[server], min_ready)
-            else:
-                continue
-            if best is None or (candidate, server) < best:
-                best = (candidate, server)
-        if best is None:
-            return None
-        return best[1], best[0]
+            start = s.free_at[server]
+            if not s.running[server]:
+                if unscanned:
+                    min_ready, unscanned = self._min_ready(s), False
+                if min_ready is None:
+                    continue
+                if min_ready > start:  # max(), keeping its tie result
+                    start = min_ready
+            if best is None or start < best[1]:
+                best = (server, start)
+        return best
 
     def _candidates(self, s: _GenSession, start: float) -> List[SequenceState]:
         """The sequences ready by ``start``, in admission order.
@@ -831,7 +836,7 @@ class IterationScheduler:
         self, s: _GenSession, server: int, start: float
     ) -> IterationRecord:
         backend = self.backends[server]
-        free_at = s.free_at[server]
+        mode = self.mode
         candidates = self._candidates(s, start)
         running = [s.sequences[slot] for slot in s.running[server]]
         free_slots = self.max_batch - len(running)
@@ -857,28 +862,33 @@ class IterationScheduler:
             # head, exactly like the engine's at-least-one batch rule.
             joiners = [candidates[0]]
 
-        prefillers = [seq for seq in joiners if seq.generated == 0]
-        decode_width = len(running) + sum(
-            1
-            for seq in joiners
-            if (seq.generated == 0 and seq.max_new_tokens > 1)
-            or 0 < seq.generated < seq.max_new_tokens
-        )
+        # One pass on each side of the boundary feeds the policy: the
+        # running batch's token footprint, then the joiners' prefills and
+        # how many of them decode this iteration.
+        in_flight = 0
+        for seq in running:
+            in_flight += seq.prompt_tokens + seq.generated
+        prefillers: List[SequenceState] = []
+        prefill_tokens = 0
+        decode_width = len(running)
+        for seq in joiners:
+            if seq.generated == 0:
+                prefillers.append(seq)
+                prefill_tokens += seq.prompt_tokens
+                decode_width += seq.max_new_tokens > 1
+            else:  # a migrant already past its prefill
+                decode_width += seq.generated < seq.max_new_tokens
+        iteration = s.iter_count[server]
+        queue_depth = len(candidates)
+        # Both built positionally, in field order, as ServingEngine._execute
+        # builds its context: once per iteration, keywords cost as much as
+        # the policy they feed.
         context = PolicyContext(
-            time=start,
-            queue_depth=len(candidates),
-            batch_size=len(running) + len(joiners),
-            model=self.model,
-            server=server,
-            telemetry=self.telemetry,
-            num_active=len(s.active),
-            generation=GenerationStepContext(
-                iteration=s.iter_count[server],
-                decode_width=decode_width,
-                prefill_requests=len(prefillers),
-                prefill_tokens=sum(seq.prompt_tokens for seq in prefillers),
-                tokens_in_flight=sum(seq.footprint for seq in running),
-                waiting=len(candidates) - len(joiners),
+            start, queue_depth, len(running) + len(joiners), self.model, server,
+            self.telemetry, len(s.active),
+            GenerationStepContext(
+                iteration, decode_width, len(prefillers), prefill_tokens, in_flight,
+                queue_depth - len(joiners),
             ),
         )
         ratio = float(self._select(context))
@@ -886,81 +896,59 @@ class IterationScheduler:
         if joiners:
             joined = {seq.slot for seq in joiners}
             s.arrived = [entry for entry in s.arrived if entry[1].slot not in joined]
-        for seq in joiners:
-            s.running[server].append(seq.slot)
-            seq.server = server
+            for seq in joiners:
+                seq.server = server
+            running = running + joiners  # the batch, in running order
 
         t = start
-        tokens = 0
         ttfts: List[float] = []
         prefilled: List[Tuple[int, float]] = []
-        for seq in joiners:
-            if seq.generated != 0:
-                continue  # migrant already past its prefill
+        for seq in prefillers:
             prefilled.append((seq.slot, seq.prefill_progress))
-            t += backend.prefill_seconds(
-                seq.prompt_tokens, self.mode, ratio
-            ) * (1.0 - seq.prefill_progress)
+            t += backend.prefill_seconds(seq.prompt_tokens, mode, ratio) * (
+                1.0 - seq.prefill_progress
+            )
             seq.prefill_progress = 1.0
             seq.generated = 1
             seq.token_times.append(t)
             ttfts.append(t - seq.arrival)
-            tokens += 1
 
-        decoders = [
-            s.sequences[slot] for slot in s.running[server] if s.sequences[slot].live
-        ]
+        decoders = [seq for seq in running if seq.generated < seq.max_new_tokens]
         if decoders:
-            t += backend.decode_seconds(len(decoders), self.mode, ratio)
+            t += backend.decode_seconds(len(decoders), mode, ratio)
             for seq in decoders:
                 seq.generated += 1
                 seq.token_times.append(t)
-            tokens += len(decoders)
 
+        # One retire scan, in running order: the survivors are the new batch.
+        survivors: List[int] = []
         retired: List[int] = []
         latencies: List[float] = []
         deadline_total = deadline_met = 0
-        for slot in list(s.running[server]):
-            seq = s.sequences[slot]
-            if seq.live:
+        for seq in running:
+            if seq.generated < seq.max_new_tokens:
+                survivors.append(seq.slot)
                 continue
-            seq.finish_time = seq.token_times[-1]
-            s.running[server].remove(slot)
-            retired.append(slot)
-            latencies.append(seq.finish_time - seq.arrival)
+            finish = seq.finish_time = seq.token_times[-1]
+            retired.append(seq.slot)
+            latencies.append(finish - seq.arrival)
             deadline = seq.request.deadline
             if deadline is not None:
                 deadline_total += 1
-                if seq.finish_time <= deadline:
+                if finish <= deadline:
                     deadline_met += 1
+        s.running[server] = survivors
 
-        record = IterationRecord(
-            model=self.model,
-            start=start,
-            finish=t,
-            size=len(prefilled) + len(decoders),
-            ratio=ratio,
-            mode=self.mode,
-            server=server,
-            queue_depth=len(candidates),
-            iteration=s.iter_count[server],
-            prefills=len(prefilled),
-            decode_width=len(decoders),
-            tokens=tokens,
-            row=s.started,
+        size = len(prefilled) + len(decoders)
+        record = IterationRecord(  # positionally, in field order, as the undo
+            self.model, start, t, size, ratio, mode, server, queue_depth, iteration,
+            len(prefilled), len(decoders), size, s.started,
         )
         s.started += 1
         s.iterations.append(record)
         s.undo[server] = _IterationUndo(
-            record=record,
-            free_at=free_at,
-            prefilled=prefilled,
-            decoded=[seq.slot for seq in decoders],
-            retired=retired,
-            ttfts=ttfts,
-            latencies=latencies,
-            deadline_total=deadline_total,
-            deadline_met=deadline_met,
+            record, s.free_at[server], prefilled, [seq.slot for seq in decoders],
+            retired, ttfts, latencies, deadline_total, deadline_met,
         )
         s.iter_count[server] += 1
         s.busy[server] += t - start
@@ -973,7 +961,7 @@ class IterationScheduler:
                 deadline_total=deadline_total,
                 deadline_met=deadline_met,
             )
-            self.telemetry.record_tokens(server, start, tokens, ttfts)
+            self.telemetry.record_tokens(server, start, record.tokens, ttfts)
         if self.tracer is not None:
             self.tracer.on_iteration(record)
             if retired:
@@ -1062,8 +1050,7 @@ def run_to_completion(
     _check_arrivals(requests)
     ordered = sorted(requests, key=lambda request: request.arrival_time)
     for request in ordered:
-        if request.max_new_tokens < 1:
-            raise ValueError("generation requests need max_new_tokens >= 1")
+        _generation_profile(request)
     arrivals = np.asarray(
         [request.arrival_time for request in ordered], dtype=np.float64
     )

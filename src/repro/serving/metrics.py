@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -134,18 +135,18 @@ def streaming_summary(
     """
     if len(token_times) != len(arrivals):
         raise ValueError("token_times and arrivals must have the same length")
-    ttfts: list = []
-    gaps: list = []
-    total_tokens = 0
-    last = 0.0
-    for times, arrival in zip(token_times, arrivals):
-        if not len(times):
-            continue
-        total_tokens += len(times)
-        ttfts.append(float(times[0]) - float(arrival))
-        last = max(last, float(times[-1]))
-        for earlier, later in zip(times, times[1:]):
-            gaps.append(float(later) - float(earlier))
+    lengths = np.fromiter(map(len, token_times), dtype=np.intp, count=len(token_times))
+    total_tokens = int(lengths.sum())
+    times = np.fromiter(
+        chain.from_iterable(token_times), dtype=np.float64, count=total_tokens
+    )
+    served = lengths > 0
+    ends = np.cumsum(lengths)[served]  # one past each served request's last token
+    ttfts = times[ends - lengths[served]] - np.asarray(arrivals, dtype=np.float64)[served]
+    # One difference over the whole stream; the ones that straddle two
+    # requests (a request's last token to the next one's first) go.
+    gaps = np.delete(np.diff(times), ends[:-1] - 1)
+    last = max(0.0, float(times[ends - 1].max())) if len(ends) else 0.0
     if duration is None:
         duration = last
     summary: Dict[str, float] = {}

@@ -14,7 +14,10 @@ in-flight sequences with generated-token progress (composing with
 The ready queue (calendar of future sequences + arrived queue in admission
 order) is checked against its specification, the naive scan of the whole
 waiting set, on generated configurations (``TestReadyQueueAgainstSpec``),
-and its cost is gated by counts, not wall-clock (``TestScaleIndependence``).
+and each iteration those runs execute against a naive restatement of it
+(joiners, prefill costs in joiner order, one decode, retirees in running
+order); its cost is gated by counts, not wall-clock
+(``TestScaleIndependence``).
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ from repro.serving import (
     streaming_summary,
 )
 from repro.serving.generation import SequenceState
+from repro.serving.metrics import latency_percentiles
+from repro.serving.policies import FixedRatioPolicy, GenerationStepContext
 from repro.serving.schedulers import admission_key
 from test_examples import load_example
 
@@ -192,9 +197,27 @@ class TestIterationScheduler:
         for a, b in zip(first.responses, second.responses):
             assert a.token_times == b.token_times
 
-    def test_max_new_tokens_zero_rejected(self, backend):
-        with pytest.raises(ValueError, match="max_new_tokens"):
-            IterationScheduler(backend).run(gen_requests([(0.0, 64, 0)]))
+    @pytest.mark.parametrize("loop", ["continuous", "static"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("prefill_tokens", -64), ("prefill_tokens", 32.5),
+         ("max_new_tokens", 2.5), ("max_new_tokens", 0)],
+    )
+    def test_impossible_profile_rejected(self, backend, loop, field, value):
+        # Both loops refuse what the other would: the static baseline used
+        # to bill a negative prompt 0 s, truncate 32.5 to 32 and fail on
+        # max_new_tokens=2.5 with a TypeError.
+        profile = {"prefill_tokens": 64, "max_new_tokens": 4, field: value}
+        requests = [
+            Request(0.0, "m", request_id=0, prefill_tokens=64, max_new_tokens=4),
+            Request(0.001, "m", request_id=1, **profile),
+        ]
+        serve = {
+            "continuous": IterationScheduler(backend).run,
+            "static": lambda requests: run_to_completion(requests, backend),
+        }[loop]
+        with pytest.raises(ValueError, match=rf"{field} .*\(got {value!r}\)"):
+            serve(requests)
 
     @pytest.mark.parametrize("arrival", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_arrival_rejected(self, backend, arrival):
@@ -622,6 +645,78 @@ def spec_candidates(session, scheduler, start):
     )
 
 
+def spec_iteration(session, scheduler, server, candidates):
+    """What the next iteration on ``server`` must do, restated naively.
+
+    Returns the members in running order after the joins, the prefillers
+    with their prior prefill progress, the decoders, every member's
+    generated count after the prefills, and the context the ratio policy
+    must see.
+    """
+    running = [session.sequences[slot] for slot in session.running[server]]
+    free = scheduler.max_batch - len(running)
+    joiners = []
+    if free > 0 and candidates:
+        joiners = list(scheduler.admission.admit(candidates, running, free))
+    if not running and not joiners and candidates:
+        joiners = [candidates[0]]  # the starvation guard
+    members = running + joiners
+    prefillers = [(seq, seq.prefill_progress) for seq in joiners if seq.generated == 0]
+    prefilled = {seq.slot: max(seq.generated, 1) for seq in members}
+    decoders = [seq for seq in members if prefilled[seq.slot] < seq.max_new_tokens]
+    context = (
+        len(candidates), len(members), len(session.active),
+        GenerationStepContext(
+            iteration=session.iter_count[server],
+            decode_width=len(decoders),
+            prefill_requests=len(prefillers),
+            prefill_tokens=sum(seq.prompt_tokens for seq, _ in prefillers),
+            tokens_in_flight=sum(seq.prompt_tokens + seq.generated for seq in running),
+            waiting=len(candidates) - len(joiners),
+        ),
+    )
+    return members, prefillers, decoders, prefilled, context
+
+
+class _ContextKeeper(FixedRatioPolicy):
+    """Ratio 0, keeping the context the latest iteration asked with."""
+
+    accepts_context = True
+
+    def select(self, context):
+        self.context = context
+        return self.ratio
+
+
+def check_iteration(record, policy, backend, mode, expected):
+    """The executed iteration against :func:`spec_iteration`'s restatement."""
+    members, prefillers, decoders, prefilled, context = expected
+    seen = policy.context
+    assert (seen.queue_depth, seen.batch_size, seen.num_active, seen.generation) == context
+    assert (seen.time, seen.server) == (record.start, record.server)
+    finish = record.start
+    for seq, progress in prefillers:
+        finish += backend.prefill_seconds(seq.prompt_tokens, mode, record.ratio) * (
+            1.0 - progress
+        )
+    if decoders:
+        finish += backend.decode_seconds(len(decoders), mode, record.ratio)
+    assert (record.prefills, record.decode_width) == (len(prefillers), len(decoders))
+    assert record.size == record.tokens == len(prefillers) + len(decoders)
+    assert record.finish == finish
+    decoding = {seq.slot for seq in decoders}
+    for seq in members:
+        assert seq.generated == prefilled[seq.slot] + (seq.slot in decoding)
+    assert all(seq.token_times[-1] == finish for seq in decoders)
+    retired = [seq.generated == seq.max_new_tokens for seq in members]
+    for seq, done in zip(members, retired):
+        assert seq.finish_time == (seq.token_times[-1] if done else None)
+    return (
+        [seq.slot for seq, done in zip(members, retired) if done],
+        [seq.slot for seq, done in zip(members, retired) if not done],
+    )
+
+
 ADMISSIONS = {
     "fcfs": FcfsAdmission,
     "prefill": PrefillPriorityAdmission,
@@ -650,7 +745,7 @@ def run_against_spec(backend, profiles, num_servers, max_batch, admission, sched
     discipline = SCHEDULERS[scheduler]()
     watched = _WatchedScheduler(
         backend, max_batch=max_batch, num_servers=num_servers,
-        admission=ADMISSIONS[admission](), scheduler=discipline,
+        admission=ADMISSIONS[admission](), scheduler=discipline, policy=_ContextKeeper(),
     )
     watched.start(requests)
     session = watched._session
@@ -666,10 +761,17 @@ def run_against_spec(backend, profiles, num_servers, max_batch, admission, sched
             return None
         server, start = expected
         candidates = spec_candidates(session, discipline, start)
+        iteration = spec_iteration(session, watched, server, candidates)
         record = watched.step()
         assert (record.server, record.start) == (server, start)
         assert [seq.slot for seq in watched.candidates] == [seq.slot for seq in candidates]
         assert record.queue_depth == len(candidates)
+        retirees, survivors = check_iteration(
+            record, watched.policy, watched.backends[server], watched.mode, iteration
+        )
+        # The retirees left in running order; the survivors kept theirs.
+        assert session.undo[server].retired == retirees
+        assert session.running[server] == survivors
         # Held once: nothing both arrived and still on the calendar.
         held = [seq.slot for _, seq in session.arrived] + [
             event.payload.slot for _, _, event in session.ready_events._heap
@@ -997,6 +1099,54 @@ class TestStreamingSummary:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             streaming_summary([[0.5]], [0.0, 1.0])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        streams=st.lists(
+            st.lists(st.floats(0.0, 50.0), max_size=6).map(sorted), max_size=8
+        ),
+        duration=st.one_of(st.none(), st.sampled_from([0.0, 2.5, 60.0])),
+        percentiles=st.sampled_from([(), (50,), (50, 99), (0, 99.9, 100)]),
+        data=st.data(),
+    )
+    def test_equals_the_per_gap_loop(self, streams, duration, percentiles, data):
+        arrivals = data.draw(
+            st.lists(st.floats(0.0, 50.0), min_size=len(streams), max_size=len(streams))
+        )
+        got = streaming_summary(streams, arrivals, duration, percentiles)
+        want = per_gap_streaming_summary(streams, arrivals, duration, percentiles)
+        # Every value bit for bit (nan included).
+        assert {key: value.hex() for key, value in got.items()} == {
+            key: value.hex() for key, value in want.items()
+        }
+
+
+def per_gap_streaming_summary(token_times, arrivals, duration, percentiles):
+    """``streaming_summary`` as it was before it vectorized: one Python
+    subtraction per inter-token gap.  The reference for the rewrite."""
+    ttfts, gaps = [], []
+    total_tokens = 0
+    last = 0.0
+    for times, arrival in zip(token_times, arrivals):
+        if not len(times):
+            continue
+        total_tokens += len(times)
+        ttfts.append(float(times[0]) - float(arrival))
+        last = max(last, float(times[-1]))
+        for earlier, later in zip(times, times[1:]):
+            gaps.append(float(later) - float(earlier))
+    if duration is None:
+        duration = last
+    summary = {}
+    for label, values in (("ttft", ttfts), ("inter_token", gaps)):
+        for key, value in latency_percentiles(values, percentiles).items():
+            summary[f"{label}_{key}"] = value
+    summary["tokens_per_sec"] = (
+        total_tokens / float(duration) if duration and duration > 0 else 0.0
+    )
+    summary["tokens"] = float(total_tokens)
+    summary["requests"] = float(len(arrivals))
+    return summary
 
 
 # ----------------------------------------------------------------------
