@@ -1138,19 +1138,6 @@ class ServingEngine:
             s.store.status[slots] = PENDING
             migrant_slots.extend(slots.tolist())
 
-        # The scheduled path's arrival heap may hold lazily-uncleaned
-        # entries from the victims' first pass through the queue; a migrant
-        # is ``PENDING`` again, so those stale entries would resurrect
-        # with the *original* arrival, defeating the migration
-        # ready gate (and expiring migrants against their pre-fault wait).
-        # Preemption is rare, so an explicit purge is cheap.
-        if s.arrival_heap:
-            preempted = set(migrant_slots)
-            s.arrival_heap = [
-                entry for entry in s.arrival_heap if entry[1] not in preempted
-            ]
-            heapq.heapify(s.arrival_heap)
-
         rows = np.asarray(migrant_slots, dtype=np.intp)
         deadlines = self._slot_deadlines(s, rows)
         migrants = [
@@ -1198,12 +1185,21 @@ class ServingEngine:
             self.tracer.on_requeue(requeue_slots, requeue_priors, time, server)
         if drop_slots:
             self._drop(s, np.asarray(drop_slots, dtype=np.intp), time)
-        if requeue_slots:
-            order = np.argsort(requeue_keys, kind="stable")
+        # The scheduled path's queue was admitted against a clock the rewind
+        # may have turned back: every queued request returns to pending at
+        # its pend key, ahead of equal-keyed migrants, to be admitted again
+        # against the next batch's start.  The arrival heap goes with it (its
+        # stale entries would resurrect a migrant at its original arrival).
+        queued = sorted(entry[1:3] for entry in s.queue)
+        s.queue, s.arrival_heap = [], []
+        pend_keys = [key for key, _ in queued] + requeue_keys
+        pend_slots = [slot for _, slot in queued] + requeue_slots
+        if pend_slots:
+            order = np.argsort(pend_keys, kind="stable")
             self._merge_pending(
                 s,
-                np.asarray(requeue_keys, dtype=np.float64)[order],
-                np.asarray(requeue_slots, dtype=np.intp)[order],
+                np.asarray(pend_keys, dtype=np.float64)[order],
+                np.asarray(pend_slots, dtype=np.intp)[order],
             )
         return Preemption(
             batches=len(victims),
@@ -1590,8 +1586,8 @@ class ServingEngine:
 
         ``arrival_heap`` holds one entry per admission to the queue; a slot
         that has since been served or dropped is no longer ``PENDING`` and
-        its entry is discarded lazily here (a preempted slot's is purged by
-        :meth:`preempt_server`), keeping the lookup amortized O(log queue)
+        its entry is discarded lazily here (a rewind empties the heap with
+        the queue, :meth:`preempt_server`), keeping the lookup amortized O(log queue)
         instead of a per-batch linear scan.
         """
         heap = s.arrival_heap

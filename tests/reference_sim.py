@@ -22,21 +22,24 @@ The rules, in the order a batch applies them:
    are dropped at ``start`` and the batch is derived again from rule 2.
 4. The arrived requests are ordered by the discipline — FIFO: nothing;
    priority: higher first; EDF: earlier deadline first, none last — then
-   ready time, then queue order.  The first leads; the batch is the leader
+   ready time, then queue order under FIFO and the request number under
+   priority and EDF.  The first leads; the batch is the leader
    plus the next requests *of the leader's model* in that order,
    ``max_batch`` at most.  FIFO stops at the first request of another model
    (a batch is a run of the queue); the other disciplines skip over it.
 5. ``finish = start + service_seconds(model, size)``; every rider's latency
    is ``finish - arrival``; the server is busy until ``finish``.
-6. A crash (:class:`SpecCrash`; FIFO only) strikes once ``after_batches``
-   batches have formed, or when nobody is waiting any more.  The server's
-   batches with ``finish > time`` are struck from the record — running or
-   not yet started at ``time`` alike — and their riders wait again: ready
-   (and waiting, for ``drop_after``) from ``max(time + delay, time)``, their
-   latency still charged from the original arrival.
+6. A crash (:class:`SpecCrash`) strikes once ``after_batches`` batches
+   have formed, or when nobody is waiting any more.  The server's batches
+   with ``finish > time`` are struck from the record — running or not yet
+   started at ``time`` alike — and their riders wait again: ready (and
+   waiting, for ``drop_after``) from ``max(time + delay, time)``, their
+   latency still charged from the original arrival.  Everybody else keeps
+   the ready time they had.
 7. Requeued riders queue behind everybody already waiting with the same
    ready time, in the order they were struck: batches in formation order,
-   riders in batch order.
+   riders in batch order.  Only FIFO reads that queue order; priority and
+   EDF break the tie on the request number (rule 4).
 8. The crashed server stays in service; its clock restarts at ``time`` or at
    its last surviving finish, whichever is later.  A crash that strikes no
    batch changes nothing, the clock included.
@@ -143,7 +146,10 @@ def reference_run(
                 waiting = [n for n in waiting if n not in expired]
                 continue
         arrived.sort(  # rule 4
-            key=lambda n: (discipline_key(scheduler, ordered[n]), ready[n], queue_order[n])
+            key=lambda n: (
+                discipline_key(scheduler, ordered[n]), ready[n],
+                queue_order[n] if scheduler == "fifo" else n,
+            )
         )
         model = ordered[arrived[0]].model
         riders: List[int] = []

@@ -8,7 +8,7 @@ and its time, every batch's server, start, size and riders, and — request by
 request — all 14 fields of ``result.responses[number]``; where the columnar
 sweep applies, its per-request latencies equal the object loop's.  A second
 generated test crashes one server between two ``step()`` calls and requeues its
-riders (the reference's rules 6-8).
+riders (the reference's rules 6-8), under every discipline.
 """
 
 import random
@@ -69,7 +69,6 @@ def scenarios(draw):
 @st.composite
 def crash_scenarios(draw):
     case = draw(scenarios())
-    case["scheduler"] = "fifo"
     case["num_servers"] = draw(st.integers(1, 3))
     case["crash"] = SpecCrash(
         after_batches=draw(st.integers(0, 8)),
@@ -208,6 +207,22 @@ class TestEngineMeetsItsSpecification:
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(crash_scenarios())
+    # An EDF queue admitted against the second batch's start, then a rewind
+    # to before it: whoever had not arrived by the rewound clock must wait.
+    @example(
+        dict(
+            requests=[SpecRequest(0.0), SpecRequest(0.0), SpecRequest(0.001)],
+            num_servers=1, scheduler="edf", max_batch=1, drop_after=None,
+            crash=SpecCrash(after_batches=2, server=0, time=0.0, delay=0.0),
+        )
+    )
+    @example(
+        dict(
+            requests=[SpecRequest(0.0)] * 3 + [SpecRequest(0.001)],
+            num_servers=1, scheduler="edf", max_batch=1, drop_after=None,
+            crash=SpecCrash(after_batches=2, server=0, time=0.0, delay=0.0),
+        )
+    )
     def test_a_crash_between_steps_requeues_as_the_reference_does(self, case):
         crash = case["crash"]
         spec = reference_run(
