@@ -640,12 +640,13 @@ class _Session:
         # Where the pend arrays grow (core.grow_column).
         self.buffers: Dict[str, np.ndarray] = {}
         # Scheduled path only: admitted-but-unserved requests, a heap of
-        # (scheduler key, arrival, slot, model id) — arrival then admission
-        # slot are the FIFO tie-breakers behind the discipline's key (slots
-        # are unique, so the model id never orders anything; it rides along
-        # for same-model batching).  ``arrival_heap`` (lazily cleaned
-        # against the store's status column) answers "earliest queued
-        # arrival" without scanning the queue.
+        # (scheduler key, pend key, slot, model id) — the pend key (the
+        # arrival, or a migrant's ready time) then the admission slot are
+        # the tie-breakers behind the discipline's key (slots are unique, so
+        # the model id never orders anything; it rides along for same-model
+        # batching).  ``arrival_heap`` holds (pend key, slot) and, lazily
+        # cleaned against the store's status column, answers "earliest
+        # queued pend key" without scanning the queue.
         self.queue: List[Tuple[Tuple, float, int, int]] = []
         self.arrival_heap: List[Tuple[float, int]] = []
 

@@ -47,8 +47,10 @@ Schedulers also order **migrated** work: when the resilience plane
 requeued requests re-enter admission gated by their migration-ready time
 and are then re-ranked by exactly the same :meth:`Scheduler.key` as fresh
 requests — an EDF queue re-sorts migrants by their (unchanged) deadlines,
-a priority queue by their priorities, with the original arrival time still
-the tie-breaker.  No scheduler needs migration-specific code.
+a priority queue by their priorities.  Equal keys tie-break on the
+migration-ready time (a migrant's pend key, which stands in for its
+arrival), then the admission slot.  No scheduler needs migration-specific
+code.
 
 The same key also orders **admission to a running generation batch**: the
 iteration-level :class:`~repro.serving.generation.IterationScheduler` ranks
@@ -149,7 +151,9 @@ class EdfScheduler:
 
     def key(self, request: "Request") -> Tuple:
         deadline = request.deadline
-        return (deadline if deadline is not None else float("inf"),)
+        # nan is "no deadline" too (the store's sentinel): it sorts last.
+        missing = deadline is None or deadline != deadline
+        return (float("inf") if missing else deadline,)
 
     def keys(self, store: "RequestStore", slots: np.ndarray) -> List[Tuple]:
         if store.deadlines is None:

@@ -280,6 +280,28 @@ class TestAdmission:
         by_id = {r.request_id: r for r in result.responses}
         assert by_id[2].ttft < by_id[0].ttft < by_id[1].ttft
 
+    def test_edf_ranks_a_nan_deadline_as_no_deadline(self):
+        # nan is the store's "no deadline"; admission must rank it last, as
+        # it ranks None, not first.
+        def run(first_deadline):
+            requests = [
+                Request(0.0, "m", request_id=i, deadline=deadline,
+                        prefill_tokens=8, max_new_tokens=1)
+                for i, deadline in enumerate((first_deadline, 0.5, 0.2, None))
+            ]
+            return IterationScheduler(
+                ModeledGenerationBackend(ServiceTimeModel()), max_batch=1,
+                scheduler=EdfScheduler(),
+            ).run(requests)
+
+        with_nan, with_none = run(float("nan")), run(None)
+        assert [r.token_times for r in with_nan.responses] == [
+            r.token_times for r in with_none.responses
+        ]
+        assert with_nan.iterations == with_none.iterations
+        ttfts = [r.ttft for r in with_nan.responses]
+        assert ttfts[2] < ttfts[1] < ttfts[0]
+
     def test_prefill_priority_admits_short_prompt_first(self, backend):
         requests = gen_requests([(0.0, 512, 4), (0.0, 32, 4)])
         fcfs = IterationScheduler(
