@@ -16,16 +16,23 @@ Inside a result set a run is keyed by its pair number (``compare.py`` keys
 runs by ``seed`` and matches exact metrics seed by seed; pair *i* of A and
 pair *i* of B ran the same seed, so that is the right match); the seed
 itself is recorded once, on the set.
+
+Each side imports from its own bytecode cache (``<out>/pycache-a``,
+``pycache-b``), written whatever ``PYTHONDONTWRITEBYTECODE`` says and warmed
+by one import of the workloads before pair 1: a side whose in-tree
+``__pycache__`` is stale would otherwise recompile on every run, and
+``setup_s`` would count it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
@@ -35,8 +42,15 @@ from bench.compare import compare  # noqa: E402
 from bench.harness import load_spec  # noqa: E402
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float,
-             trace: int, scale: str) -> dict:
+def side_env(out: Path, side: str) -> Dict[str, str]:
+    """The environment of one side's runs: its own, written bytecode cache."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(out / f"pycache-{side}")
+    return env
+
+
+def run_once(checkout: Path, side: str, out: Path, workload: str, seed: int,
+             seconds: float, trace: int, scale: str) -> dict:
     """One ``bench/run.py`` run in ``checkout``; its result object."""
     command = [
         sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
@@ -44,7 +58,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
         "--scale", scale,
     ]
     done = subprocess.run(
-        command, cwd=checkout, capture_output=True, text=True, timeout=1800
+        command, cwd=checkout, capture_output=True, text=True, timeout=1800,
+        env=side_env(out, side),
     )
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
@@ -53,7 +68,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
 
 
 def run_pairs(a: Path, b: Path, workloads: List[str], runs: int, seed: int,
-              seconds: float, trace: int, scale: str) -> Tuple[dict, dict]:
+              seconds: float, trace: int, scale: str, out: Path) -> Tuple[dict, dict]:
     """``runs`` alternating pairs per workload; the two result sets (A, B)."""
     sides = {"a": a, "b": b}
     sets = {
@@ -61,10 +76,17 @@ def run_pairs(a: Path, b: Path, workloads: List[str], runs: int, seed: int,
                "scale": scale, "workloads": {name: [] for name in workloads}}
         for side in sides
     }
+    for side, checkout in sides.items():  # fill each side's bytecode cache
+        subprocess.run(
+            [sys.executable, "-c", "from bench.run import workloads; workloads()"],
+            cwd=checkout, env=side_env(out, side), check=True, timeout=600,
+        )
     for workload in workloads:
         for pair in range(runs):
             for side in ("a", "b") if pair % 2 == 0 else ("b", "a"):
-                result = run_once(sides[side], workload, seed, seconds, trace, scale)
+                result = run_once(
+                    sides[side], side, out, workload, seed, seconds, trace, scale
+                )
                 result["seed"] = pair
                 sets[side]["workloads"][workload].append(result)
                 print(f"  {workload} pair {pair + 1}/{runs} {side.upper()} "
@@ -111,16 +133,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--scale", choices=("full", "tiny"), default="full")
     parser.add_argument("--out", type=Path, default=ROOT / "bench" / "out",
-                        help="directory for pairs-a.json and pairs-b.json")
+                        help="directory for pairs-a.json, pairs-b.json and "
+                             "each side's bytecode cache")
     args = parser.parse_args(argv)
 
+    out = args.out.resolve()
+    out.mkdir(parents=True, exist_ok=True)
     set_a, set_b = run_pairs(
         args.a.resolve(), args.b.resolve(), args.workload or known, args.runs,
-        args.seed, args.seconds, args.trace, args.scale,
+        args.seed, args.seconds, args.trace, args.scale, out,
     )
-    args.out.mkdir(parents=True, exist_ok=True)
     for name, result_set in (("pairs-a.json", set_a), ("pairs-b.json", set_b)):
-        (args.out / name).write_text(json.dumps(result_set, indent=1))
+        (out / name).write_text(json.dumps(result_set, indent=1))
     lines, bad = compare(set_a, set_b, spec)
     print("\n".join(lines))
     metrics = spec["per_layer"] if args.trace else spec["end_to_end"]
