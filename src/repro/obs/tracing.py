@@ -121,6 +121,17 @@ class SpanStore:
         self.values.append(float(value))
         return row
 
+    def append_rows(self, columns: Sequence[Sequence]) -> None:
+        """Append rows handed over as their six columns, each value already
+        of the type :meth:`append` casts it to; they take row indices
+        ``len(self)`` onwards, in order."""
+        if self._chunks:
+            self._fold()
+        held = (self.kinds, self.requests, self.servers, self.starts, self.ends,
+                self.values)
+        for rows, column in zip(held, columns):
+            rows += column
+
     def extend(
         self,
         kind: int,
@@ -291,19 +302,21 @@ class Tracer:
         traced = list(zip(slots[hits].tolist(), arrivals[hits].tolist()))
         # How many traced requests ride in the batches up to and including each.
         upto = np.searchsorted(hits, np.cumsum(sizes)).tolist()
-        store = self._store
-        first = 0
+        # The rows the eager hook appended, typed as it cast them, written in
+        # one call: a row's index is its place in ``rows`` after the store's.
+        base, rows, first = len(self._store), [], 0
+        add, record_row, terminal_row = rows.append, self._record_row, self._terminal_row
         for (record, _, _, _), size, last in zip(parked, sizes, upto):
-            start, finish, server = record.start, record.finish, record.server
-            self._record_row[record.row] = store.append(
-                SPAN_EXECUTE, -1, server, start, finish, float(size)
-            )
+            start, finish = float(record.start), float(record.finish)
+            server = int(record.server)
+            record_row[record.row] = base + len(rows)
+            add((SPAN_EXECUTE, -1, server, start, finish, float(size)))
             for slot, arrival in traced[first:last]:
-                store.append(SPAN_QUEUED, slot, server, arrival, start, start - arrival)
-                self._terminal_row[slot] = store.append(
-                    SPAN_SERVED, slot, server, finish, finish, finish - arrival
-                )
+                add((SPAN_QUEUED, slot, server, arrival, start, start - arrival))
+                terminal_row[slot] = base + len(rows)
+                add((SPAN_SERVED, slot, server, finish, finish, finish - arrival))
             first = last
+        self._store.append_rows(zip(*rows))
 
     def on_drop(
         self, slots: np.ndarray, arrivals: np.ndarray, time: float

@@ -1219,10 +1219,11 @@ class ServingEngine:
         """
         total = met = 0
         if batch is not None:
-            carrying = ~np.isnan(batch)
-            total = int(np.count_nonzero(carrying))
-            if total:
-                met = int(np.count_nonzero(finish <= batch[carrying]))
+            for deadline in batch.tolist():
+                if deadline == deadline:  # nan, "no deadline", never is
+                    total += 1
+                    if finish <= deadline:
+                        met += 1
         return total, met
 
     @staticmethod
@@ -1475,47 +1476,64 @@ class ServingEngine:
     def _step_scheduled(self, s: _Session) -> Optional[BatchRecord]:
         max_batch = self.batching.max_batch
         drop_after = self.batching.drop_after
-        store = s.store
+        store, free_at, pend_arrivals = s.store, s.free_at, s.pend_arrivals
+        arrival_heap, status = s.arrival_heap, store.status
+        heappush, heappop = heapq.heappush, heapq.heappop
 
         while True:
-            if not s.queue and s.pos >= len(s.pend_arrivals):
-                return None
-            if s.queue:
-                head_time = self._earliest_queued_arrival(s)
+            queue, pos = s.queue, s.pos  # expiry replaces the queue list
+            if queue:
+                # The earliest queued pend key.  A served or dropped slot's
+                # arrival-heap entry is discarded lazily here, or with all
+                # the others when admission finds the queue empty (or a
+                # rewind empties it): amortized O(log queue), no scan.
+                while status[arrival_heap[0][1]] != PENDING:
+                    heappop(arrival_heap)
+                head_time = arrival_heap[0][0]
+            elif pos < len(pend_arrivals):
+                head_time = float(pend_arrivals[pos])
             else:
-                head_time = float(s.pend_arrivals[s.pos])
+                return None
             # Admission and expiry run against the earliest-free active
             # clock *before* placement: admitting can reorder the queue
             # head (EDF/priority) and expiry can remove it, and the placer
             # must see the head that will actually lead the batch.  With
             # ``placer=None`` the dispatched server IS the earliest-free
-            # one, so this is exactly the seed arithmetic.
-            server = earliest_free(s.free_at, s.active)
-            start = max(s.free_at[server], head_time)
+            # one, so this is exactly the seed arithmetic (``max`` spelled
+            # out: the same double).
+            server = earliest_free(free_at, s.active)
+            free = free_at[server]
+            start = free if free >= head_time else head_time
             # Admit everything that has arrived by the batch start.  The
             # pend key — the arrival time for fresh requests (bit-identical
             # to the seed), the migration-ready key for requeued migrants —
             # is what queue ordering ties break on and what ``drop_after``
             # waiting is measured from, so a migrant's wait restarts at its
             # migration exactly as it does on the FIFO path.
-            end_index = bisect.bisect_right(s.pend_arrivals, start, lo=s.pos)
-            if end_index > s.pos:
-                chunk_slots = s.pend_slots[s.pos:end_index]
+            end_index = bisect.bisect_right(pend_arrivals, start, lo=pos)
+            if end_index > pos:
+                chunk_slots = s.pend_slots[pos:end_index]
                 # Key extraction over the store's columns — the same key
                 # values scheduler.key gives on the Request views.
                 keys = store_keys(self.scheduler, store, chunk_slots)
-                chunk_arrivals = s.pend_arrivals[s.pos:end_index].tolist()
+                chunk_arrivals = pend_arrivals[pos:end_index].tolist()
                 model_ids = (
                     repeat(0) if store.model_ids is None
                     else store.model_ids[chunk_slots].tolist()
                 )
-                queue, arrival_heap, push = s.queue, s.arrival_heap, heapq.heappush
-                for entry in zip(keys, chunk_arrivals, chunk_slots.tolist(), model_ids):
-                    push(queue, entry)
-                    push(arrival_heap, entry[1:3])
+                # One at a time, in chunk order: the heap's list layout is
+                # the order _expire_queued drops in.
+                if not queue:
+                    arrival_heap.clear()
+                for key, arrival, slot, model_id in zip(
+                    keys, chunk_arrivals, chunk_slots.tolist(), model_ids
+                ):
+                    heappush(queue, (key, arrival, slot, model_id))
+                    heappush(arrival_heap, (arrival, slot))
                 # A chunk is sorted, so its head is its earliest arrival.
-                head_time = min(head_time, chunk_arrivals[0])
-            s.pos = end_index
+                if chunk_arrivals[0] < head_time:
+                    head_time = chunk_arrivals[0]
+                s.pos = end_index
 
             # Expiry restarts the loop after dropping: the queue head (and
             # its model) may have changed, so placement must re-decide.
@@ -1534,38 +1552,41 @@ class ServingEngine:
             # (admission stays anchored to the earliest-free clock, so a
             # batch never contains a request that has not arrived by its
             # service start).
-            head_id = s.queue[0][3]
+            head_id = queue[0][3]
             head_model = store.model_names[head_id]
             if self.placer is not None:
-                pending = len(s.queue) + (len(s.pend_arrivals) - s.pos)
+                pending = len(queue) + (len(pend_arrivals) - end_index)
                 server = self._select_server(
-                    s, start, head_model, pending, len(s.queue)
+                    s, start, head_model, pending, len(queue)
                 )
-                placed_start = max(s.free_at[server], start)
-                if placed_start > start and drop_after is not None:
+                placed = free_at[server]
+                if placed > start:
                     # The placed server frees later than the earliest-free
                     # clock the expiry ran against: re-check against the
                     # real service start so drop_after means the same thing
                     # on every path (a request never waits beyond it).
-                    if placed_start - head_time > drop_after:
-                        self._expire_queued(s, placed_start, drop_after)
+                    if drop_after is not None and placed - head_time > drop_after:
+                        self._expire_queued(s, placed, drop_after)
                         continue
-                start = placed_start
+                    start = placed
 
             # Pop same-model requests in scheduler order; requests of other
             # models encountered along the way go back on the heap.
-            queue_depth = len(s.queue)
-            batch_entries: List[Tuple[Tuple, float, int, int]] = []
-            stash: List[Tuple[Tuple, float, int, int]] = []
-            while s.queue and len(batch_entries) < max_batch:
-                entry = heapq.heappop(s.queue)
+            queue_depth = len(queue)
+            take: List[int] = []
+            stash = None
+            while queue and len(take) < max_batch:
+                entry = heappop(queue)
                 if entry[3] == head_id:
-                    batch_entries.append(entry)
+                    take.append(entry[2])
+                elif stash is None:
+                    stash = [entry]
                 else:
                     stash.append(entry)
-            for entry in stash:
-                heapq.heappush(s.queue, entry)
-            slots = np.asarray([entry[2] for entry in batch_entries], dtype=np.intp)
+            if stash is not None:
+                for entry in stash:
+                    heappush(queue, entry)
+            slots = np.array(take, dtype=np.intp)
             return self._execute(s, server, start, head_model, slots, queue_depth)
 
     def _expire_queued(self, s: _Session, start: float, drop_after: float) -> None:
@@ -1580,22 +1601,6 @@ class ServingEngine:
         heapq.heapify(kept)
         s.queue = kept
         self._drop(s, np.asarray([e[2] for e in expired], dtype=np.intp), start)
-
-    @staticmethod
-    def _earliest_queued_arrival(s: _Session) -> float:
-        """Earliest arrival among queued requests (queue must be non-empty).
-
-        ``arrival_heap`` holds one entry per admission to the queue; a slot
-        that has since been served or dropped is no longer ``PENDING`` and
-        its entry is discarded lazily here (a rewind empties the heap with
-        the queue, :meth:`preempt_server`), keeping the lookup amortized O(log queue)
-        instead of a per-batch linear scan.
-        """
-        heap = s.arrival_heap
-        status = s.store.status
-        while status[heap[0][1]] != PENDING:
-            heapq.heappop(heap)
-        return heap[0][0]
 
     # ------------------------------------------------------------------
     # Shared batch execution

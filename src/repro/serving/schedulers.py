@@ -156,11 +156,9 @@ class EdfScheduler:
         return (float("inf") if missing else deadline,)
 
     def keys(self, store: "RequestStore", slots: np.ndarray) -> List[Tuple]:
+        inf = float("inf")
         if store.deadlines is None:
-            return [(float("inf"),)] * len(slots)
-        # nan is the store's "no deadline" sentinel; the key space uses inf
-        # (sorts last), exactly like the object path.
-        column = store.deadlines[slots]
-        return [
-            (d,) for d in np.where(np.isnan(column), np.inf, column).tolist()
-        ]
+            return [(inf,)] * len(slots)
+        # nan is the store's "no deadline" sentinel and never equals itself;
+        # the key space uses inf (sorts last), exactly like key().
+        return [(d if d == d else inf,) for d in store.deadlines[slots].tolist()]
