@@ -127,10 +127,10 @@ class SpanStore:
         ``len(self)`` onwards, in order."""
         if self._chunks:
             self._fold()
-        held = (self.kinds, self.requests, self.servers, self.starts, self.ends,
-                self.values)
-        for rows, column in zip(held, columns):
-            rows += column
+        lists = (self.kinds, self.requests, self.servers, self.starts, self.ends,
+                 self.values)
+        for held, column in zip(lists, columns):
+            held += column
 
     def extend(
         self,

@@ -1220,7 +1220,7 @@ class ServingEngine:
         total = met = 0
         if batch is not None:
             for deadline in batch.tolist():
-                if deadline == deadline:  # nan, "no deadline", never is
+                if deadline == deadline:  # false only for nan, "no deadline"
                     total += 1
                     if finish <= deadline:
                         met += 1
