@@ -29,8 +29,8 @@ ratio it runs at are pluggable:
   a :class:`~repro.serving.policies.PolicyContext` (start time, queue depth,
   batch size, server, and — when the engine carries a
   :class:`~repro.serving.telemetry.TelemetryBus` — the windowed per-server
-  telemetry); legacy one-argument ``select(time)`` policies keep working
-  through an adapter (see :mod:`repro.serving.policies`).
+  telemetry) through one ``select(context)`` signature (see
+  :mod:`repro.serving.policies`).
 
 An engine given a :class:`~repro.serving.telemetry.TelemetryBus` publishes
 per-batch and per-drop events to it, and :meth:`ServingEngine.
@@ -86,7 +86,6 @@ from itertools import repeat
 from operator import attrgetter
 from typing import (
     Any,
-    Callable,
     Dict,
     List,
     Optional,
@@ -120,7 +119,7 @@ from repro.serving.metrics import (
 )
 from repro.serving.placement import Placer, PlacementContext, earliest_free
 from repro.serving.policies import PolicyContext
-from repro.serving.schedulers import FifoScheduler, Scheduler, store_keys
+from repro.serving.schedulers import FifoScheduler, Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.telemetry import TelemetryBus
@@ -263,21 +262,16 @@ class Executor(Protocol):
 
 
 class RatioPolicy(Protocol):
-    """Selects the 4-bit ratio for each batch; see :mod:`repro.serving.policies`.
-
-    Two select signatures are supported.  Legacy policies implement
-    ``select(time)`` and are adapted transparently; context-aware policies
-    set ``accepts_context = True`` and implement ``select(context)`` with a
-    :class:`~repro.serving.policies.PolicyContext` carrying the batch start
-    time plus queue depth, batch size, model and server.
-    """
+    """Selects the 4-bit ratio for each batch; see :mod:`repro.serving.policies`."""
 
     def on_run_start(self, trace: RequestTrace) -> None:
         """Observe the admitted trace for this model before serving starts."""
         ...
 
-    def select(self, time: float) -> float:
-        """Ratio for a batch whose service starts at ``time``."""
+    def select(self, context: PolicyContext) -> float:
+        """Ratio for a batch, given its start time, queue depth, batch size,
+        model, server and the telemetry bus (:class:`~repro.serving.policies.
+        PolicyContext`)."""
         ...
 
 
@@ -289,7 +283,6 @@ class _Endpoint:
     executors: List[Executor]
     policy: RatioPolicy
     mode: str
-    select: Callable[[PolicyContext], float]
 
     @property
     def executor(self) -> Executor:
@@ -727,7 +720,7 @@ class ServingEngine:
         :class:`~repro.serving.executors.RuntimeExecutor` and therefore its
         own prepared-kernel cache.
         """
-        from repro.serving.policies import FixedRatioPolicy, policy_selector
+        from repro.serving.policies import FixedRatioPolicy
 
         if policy is None:
             policy = FixedRatioPolicy(0.0)
@@ -740,9 +733,7 @@ class ServingEngine:
                 )
         else:
             executors = [executor] * self.num_servers
-        self._endpoints[name] = _Endpoint(
-            name, executors, policy, mode, policy_selector(policy)
-        )
+        self._endpoints[name] = _Endpoint(name, executors, policy, mode)
 
     @property
     def models(self) -> List[str]:
@@ -1071,7 +1062,7 @@ class ServingEngine:
         This never touches other servers' state: a session with no
         preempted work is left exactly as it was.
         """
-        from repro.serving.resilience import Migrant, Preemption
+        from repro.serving.resilience import Migrant, Preemption, checkpointed_fraction
 
         s = self._require_session()
         server = int(server)
@@ -1099,30 +1090,22 @@ class ServingEngine:
             # Busy time up to the kill point stays billed (wasted work);
             # service the server would have done after it is rewound.
             s.busy[server] -= record.finish - max(record.start, time)
-            if checkpoint is not None and record.start < time:
-                fraction = float(checkpoint.completed_fraction(record, time))
-                if not 0.0 <= fraction < 1.0:
-                    raise ValueError(
-                        "checkpoint completed_fraction must be in [0, 1); "
-                        f"got {fraction!r}"
-                    )
-                if fraction > 0.0:
-                    restore = getattr(checkpoint, "restore_seconds", None)
-                    for slot in slots:
-                        slot = int(slot)
-                        done = s.checkpoints.get(slot, 0.0)
-                        # Progress compounds: a re-migrated request already
-                        # resumed from `done`, so the new checkpoints cover
-                        # a fraction of the *residual* work only.
-                        s.checkpoints[slot] = done + (1.0 - done) * fraction
-                        if restore is not None:
-                            # Restoring this checkpoint on another server is
-                            # not free: the resuming batch pays the transfer
-                            # (see _execute).  Re-priced on re-migration —
-                            # only the latest checkpoint is ever restored.
-                            s.transfer_costs[slot] = float(
-                                restore(s.checkpoints[slot])
-                            )
+            fraction = checkpointed_fraction(checkpoint, record, time)
+            if fraction > 0.0:
+                restore = getattr(checkpoint, "restore_seconds", None)
+                for slot in slots:
+                    slot = int(slot)
+                    done = s.checkpoints.get(slot, 0.0)
+                    # Progress compounds: a re-migrated request already
+                    # resumed from `done`, so the new checkpoints cover a
+                    # fraction of the *residual* work only.
+                    s.checkpoints[slot] = done + (1.0 - done) * fraction
+                    if restore is not None:
+                        # Restoring this checkpoint on another server is not
+                        # free: the resuming batch pays the transfer (see
+                        # _execute).  Re-priced on re-migration — only the
+                        # latest checkpoint is ever restored.
+                        s.transfer_costs[slot] = float(restore(s.checkpoints[slot]))
             if self.telemetry is not None:
                 deadline_total, deadline_met = self._deadline_counts(
                     self._slot_deadlines(s, slots), record.finish
@@ -1513,9 +1496,7 @@ class ServingEngine:
             end_index = bisect.bisect_right(pend_arrivals, start, lo=pos)
             if end_index > pos:
                 chunk_slots = s.pend_slots[pos:end_index]
-                # Key extraction over the store's columns — the same key
-                # values scheduler.key gives on the Request views.
-                keys = store_keys(self.scheduler, store, chunk_slots)
+                keys = self.scheduler.keys(store, chunk_slots)
                 chunk_arrivals = pend_arrivals[pos:end_index].tolist()
                 model_ids = (
                     repeat(0) if store.model_ids is None
@@ -1622,7 +1603,7 @@ class ServingEngine:
             start, queue_depth, batch_size, head_model, server, self.telemetry,
             len(s.active),
         )
-        ratio = float(endpoint.select(context))
+        ratio = float(endpoint.policy.select(context))
         batch = Batch(
             head_model, start, batch_size, slots, LazyRequests(s.store, slots), server
         )

@@ -12,7 +12,7 @@ and queued requests join it (continuous batching), under a pluggable
 :class:`AdmissionPolicy`:
 
 * :class:`FcfsAdmission` — join in queue order (discipline key, then
-  arrival; the :func:`~repro.serving.schedulers.admission_key` ordering);
+  arrival, then slot: the engine's queue order);
 * :class:`PrefillPriorityAdmission` — shortest prompt first, minimizing
   the prefill time the running batch stalls for (TTFT-greedy);
 * :class:`TokenBudgetAdmission` — cap the batch's token footprint
@@ -22,8 +22,11 @@ The iteration loop costs O(running batch + queue depth) per iteration,
 whatever the length of the trace.  A sequence that has not reached its
 ready time sits on an :class:`~repro.serving.core.EventCalendar`; each
 iteration pops the heads with ``time <= start`` into the *arrived queue*,
-which is kept sorted by :func:`~repro.serving.schedulers.admission_key`
-(computed once per entry) and handed to the admission policy as it stands.
+which is kept sorted on ``(discipline key, arrival, slot)`` and handed to the
+admission policy as it stands.  A session holds its requests as one
+:class:`~repro.serving.core.RequestStore`: every discipline key comes from one
+:meth:`~repro.serving.schedulers.Scheduler.keys` call at :meth:`IterationScheduler.
+start`, and deadlines are read from the store's column (``nan``: none).
 Joiners leave the queue, migrants go back on the calendar at their new
 ready time, and the next iteration is the earliest over the server clocks,
 the queue and the calendar head.  The specification this is tested against
@@ -80,6 +83,7 @@ from repro.data.traces import RequestTrace
 from repro.serving.core import (
     ARRIVAL_CHUNK,
     EventCalendar,
+    RequestStore,
     check_arrivals,
     check_integer,
     check_positive,
@@ -90,9 +94,9 @@ from repro.serving.policies import (
     FixedRatioPolicy,
     GenerationStepContext,
     PolicyContext,
-    policy_selector,
 )
-from repro.serving.schedulers import FifoScheduler, Scheduler, admission_key
+from repro.serving.resilience import checkpointed_fraction
+from repro.serving.schedulers import FifoScheduler, Scheduler
 
 
 # ----------------------------------------------------------------------
@@ -456,9 +460,9 @@ class _GenSession:
       ``ARRIVAL_CHUNK`` event each at the sequence's ready time (arrival
       for a fresh request, ``time + delay + transfer`` for a migrant);
     * ``arrived`` — the sequences an iteration start has reached, as
-      ``(admission_key, sequence)`` entries sorted in admission order.  The
-      key is computed once, when the sequence leaves the calendar, as the
-      engine's own queues do.
+      ``(rank, sequence)`` entries sorted in admission order.  ``ranks[slot]``
+      is ``(discipline key, arrival, slot)``, the engine's queue order, built
+      once per session; a migrant keeps its rank.
 
     Each iteration drains the calendar heads with ``time <= start`` into
     ``arrived`` and hands that queue to the admission policy, so one
@@ -474,8 +478,17 @@ class _GenSession:
     assuming that every drained entry has arrived.
     """
 
-    def __init__(self, sequences: List[SequenceState], num_servers: int) -> None:
+    def __init__(
+        self,
+        sequences: List[SequenceState],
+        keys: List[Tuple],
+        deadlines: Optional[List[float]],
+        num_servers: int,
+    ) -> None:
         self.sequences = sequences
+        self.ranks = [(key, seq.arrival, seq.slot) for key, seq in zip(keys, sequences)]
+        # Absolute deadline per slot (nan: none); None when no request has one.
+        self.deadlines = deadlines
         self.ready_events = EventCalendar()
         for seq in sequences:
             self.ready_events.schedule(seq.ready, ARRIVAL_CHUNK, seq)
@@ -507,8 +520,8 @@ class IterationScheduler:
     each, like the engine's per-server executors).  ``admission`` picks
     the joiners at each boundary (default :class:`FcfsAdmission`);
     ``scheduler`` orders the waiting queue (default FIFO — EDF/priority
-    disciplines carry over via :func:`~repro.serving.schedulers.
-    admission_key`).  ``policy`` selects the 4-bit ratio once per
+    disciplines carry over through the same ``keys`` the engine queues
+    on).  ``policy`` selects the 4-bit ratio once per
     iteration and receives the generation step context, so precision can
     switch mid-sequence.  A ``telemetry`` bus receives per-iteration
     batch and token events.
@@ -556,7 +569,6 @@ class IterationScheduler:
         # Optional request-lifecycle tracer (duck-typed; see repro.obs):
         # iteration spans, per-sequence terminals, preemption/migration hops.
         self.tracer = tracer
-        self._select = policy_selector(self.policy)
         self._session: Optional[_GenSession] = None
 
     # ------------------------------------------------------------------
@@ -567,27 +579,32 @@ class IterationScheduler:
         if self._session is not None:
             raise RuntimeError("a generation session is already open; finish() it")
         _check_arrivals(requests)
-        order = sorted(range(len(requests)), key=lambda i: requests[i].arrival_time)
-        sequences = []
-        for slot, index in enumerate(order):
-            request = requests[index]
-            prompt_tokens, max_new_tokens = _generation_profile(request)
-            arrival = float(request.arrival_time)
-            sequences.append(
-                SequenceState(
-                    request=request,
-                    slot=slot,
-                    arrival=arrival,
-                    prompt_tokens=prompt_tokens,
-                    max_new_tokens=max_new_tokens,
-                    ready=arrival,
-                )
-            )
-        arrivals = np.asarray([seq.arrival for seq in sequences], dtype=np.float64)
-        horizon = float(arrivals[-1]) if len(arrivals) else 0.0
+        # Each profile is refused by its own message before the store casts
+        # the columns, which are exact after it.
+        for request in requests:
+            _generation_profile(request)
+        store = RequestStore.from_requests(requests)  # slots in arrival order
+        count = len(store)
+
+        def column(name: str) -> list:
+            values = getattr(store, name)
+            return [0] * count if values is None else values.tolist()
+
+        arrivals = store.arrivals
+        sequences = [
+            SequenceState(store.request(slot), slot, arrival, prompt, new, arrival)
+            for slot, (arrival, prompt, new) in enumerate(zip(
+                arrivals.tolist(), column("prefill_tokens"), column("max_new_tokens")
+            ))
+        ]
+        horizon = float(arrivals[-1]) if count else 0.0
         self.policy.on_run_start(RequestTrace(arrivals, horizon))
-        self._select = policy_selector(self.policy)
-        self._session = _GenSession(sequences, self.num_servers)
+        self._session = _GenSession(
+            sequences,
+            self.scheduler.keys(store, np.arange(count)),
+            None if store.deadlines is None else store.deadlines.tolist(),
+            self.num_servers,
+        )
 
     def step(self) -> Optional[IterationRecord]:
         """Run the next iteration (earliest server); ``None`` when done."""
@@ -703,14 +720,7 @@ class IterationScheduler:
         undo = s.undo[server]
         if undo is not None and undo.record.finish > time:
             record = undo.record
-            fraction = 0.0
-            if checkpoint is not None and record.start < time:
-                fraction = float(checkpoint.completed_fraction(record, time))
-                if not 0.0 <= fraction < 1.0:
-                    raise ValueError(
-                        "checkpoint completed_fraction must be in [0, 1); "
-                        f"got {fraction!r}"
-                    )
+            fraction = checkpointed_fraction(checkpoint, record, time)
             for slot in undo.retired:
                 seq = s.sequences[slot]
                 seq.finish_time = None
@@ -824,12 +834,10 @@ class IterationScheduler:
         The ``ready`` filter matters only when ``start`` is earlier than a
         previous iteration's (see :class:`_GenSession`).
         """
+        ranks = s.ranks
         for event in s.ready_events.pop_due(start):
             seq = event.payload
-            insort(
-                s.arrived,
-                (admission_key(self.scheduler, seq.request, seq.arrival, seq.slot), seq),
-            )
+            insort(s.arrived, (ranks[seq.slot], seq))
         return [seq for _, seq in s.arrived if seq.ready <= start]
 
     def _iterate(
@@ -891,7 +899,7 @@ class IterationScheduler:
                 queue_depth - len(joiners),
             ),
         )
-        ratio = float(self._select(context))
+        ratio = float(self.policy.select(context))
 
         if joiners:
             joined = {seq.slot for seq in joiners}
@@ -924,6 +932,7 @@ class IterationScheduler:
         survivors: List[int] = []
         retired: List[int] = []
         latencies: List[float] = []
+        deadlines = s.deadlines
         deadline_total = deadline_met = 0
         for seq in running:
             if seq.generated < seq.max_new_tokens:
@@ -932,11 +941,12 @@ class IterationScheduler:
             finish = seq.finish_time = seq.token_times[-1]
             retired.append(seq.slot)
             latencies.append(finish - seq.arrival)
-            deadline = seq.request.deadline
-            if deadline is not None:
-                deadline_total += 1
-                if finish <= deadline:
-                    deadline_met += 1
+            if deadlines is not None:
+                deadline = deadlines[seq.slot]
+                if deadline == deadline:  # false only for nan, "no deadline"
+                    deadline_total += 1
+                    if finish <= deadline:
+                        deadline_met += 1
         s.running[server] = survivors
 
         size = len(prefilled) + len(decoders)
@@ -971,13 +981,8 @@ class IterationScheduler:
                     [s.sequences[slot].finish_time for slot in retired],
                     server,
                     deadlines=(
-                        [
-                            float("nan")
-                            if s.sequences[slot].request.deadline is None
-                            else float(s.sequences[slot].request.deadline)
-                            for slot in retired
-                        ]
-                        if self.tracer.wants_deadlines
+                        [deadlines[slot] for slot in retired]
+                        if deadlines is not None and self.tracer.wants_deadlines
                         else None
                     ),
                 )
@@ -1056,7 +1061,6 @@ def run_to_completion(
     )
     horizon = float(arrivals[-1]) if len(arrivals) else 0.0
     policy.on_run_start(RequestTrace(arrivals, horizon))
-    select = policy_selector(policy)
 
     free_at = [0.0] * num_servers
     busy = [0.0] * num_servers
@@ -1088,7 +1092,7 @@ def run_to_completion(
                 waiting=len(ordered) - end,
             ),
         )
-        ratio = float(select(context))
+        ratio = float(policy.select(context))
 
         t = start
         token_times: List[List[float]] = [[] for _ in members]

@@ -2,28 +2,14 @@
 
 Every policy implements the :class:`~repro.serving.engine.RatioPolicy`
 protocol: the engine shows it the model's admitted trace once per run
-(:meth:`on_run_start`) and then asks for a ratio per batch
-(:meth:`select`).  Fixed-ratio, schedule-driven and controller-driven
-deployments are thereby interchangeable under one engine — what the seed
-spread across its simulator's ``ratio`` vs ``ratio_schedule`` arguments and
-a second, adaptive simulator.
-
-**Signature migration (PR 3).**  Policies historically saw only the batch
-start time: ``select(time: float) -> float``.  The engine now builds a
-:class:`PolicyContext` per batch carrying the start time *plus* queue depth,
-batch size, model name and server index, so policies can trade accuracy for
-latency based on instantaneous load (see :class:`QueueDepthRatioPolicy`).
-Both signatures are supported:
-
-* **Legacy (1-arg)** — implement ``select(time)``; the engine wraps the
-  policy through :func:`policy_selector`, which passes ``context.time``.
-  All pre-PR-3 policies below keep this form, preserving the seed float
-  arithmetic bit-for-bit.
-* **Context-aware** — set the class attribute ``accepts_context = True``
-  and implement ``select(context: PolicyContext)``.
-
-``policy_selector(policy)`` returns the normalized ``context -> ratio``
-callable either way; user code rarely needs it directly.
+(:meth:`on_run_start`) and then asks for a ratio per batch with one
+signature, ``select(context: PolicyContext)``.  The context carries the
+batch start time plus queue depth, batch size, model name, server index,
+the telemetry bus and (on generation runs) the decode step, so fixed-ratio,
+schedule-driven, controller-driven and load-driven deployments are
+interchangeable under one engine — what the seed spread across its
+simulator's ``ratio`` vs ``ratio_schedule`` arguments and a second, adaptive
+simulator.  The time-driven policies read ``context.time`` alone.
 """
 
 from __future__ import annotations
@@ -34,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 import numpy as np
 
 from repro.data.traces import RequestTrace
-from repro.serving.core import check_ratio
+from repro.serving.core import check_positive, check_ratio
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.controller import AdaptiveRatioController
@@ -66,14 +52,13 @@ class GenerationStepContext:
 
 @dataclass
 class PolicyContext:
-    """Per-batch information handed to context-aware ratio policies.
+    """Per-batch information handed to every ratio policy's ``select``.
 
-    ``time`` is the batch service start (simulation seconds) — exactly the
-    value legacy 1-arg policies received.  ``queue_depth`` counts the
-    requests that have arrived and are still waiting when the batch forms
-    (including the ones about to ride in it), ``batch_size`` is the size of
-    the batch being launched, and ``model``/``server`` identify the endpoint
-    and accelerator.
+    ``time`` is the batch service start (simulation seconds).
+    ``queue_depth`` counts the requests that have arrived and are still
+    waiting when the batch forms (including the ones about to ride in it),
+    ``batch_size`` is the size of the batch being launched, and
+    ``model``/``server`` identify the endpoint and accelerator.
 
     When the engine carries a :class:`~repro.serving.telemetry.TelemetryBus`
     it is exposed as ``telemetry`` (``None`` otherwise), giving policies
@@ -96,19 +81,6 @@ class PolicyContext:
     generation: Optional[GenerationStepContext] = None
 
 
-def policy_selector(policy) -> Callable[[PolicyContext], float]:
-    """Normalize a policy to the context signature.
-
-    Context-aware policies (``accepts_context = True``) are returned as-is;
-    legacy 1-arg policies are wrapped in an adapter that forwards
-    ``context.time``, so their float arithmetic is untouched.
-    """
-    if getattr(policy, "accepts_context", False):
-        return policy.select
-    select = policy.select
-    return lambda context: select(context.time)
-
-
 class FixedRatioPolicy:
     """Always run at one 4-bit ratio (the fixed deployments of Figure 8)."""
 
@@ -118,7 +90,7 @@ class FixedRatioPolicy:
     def on_run_start(self, trace: RequestTrace) -> None:
         pass
 
-    def select(self, time: float) -> float:
+    def select(self, context: PolicyContext) -> float:
         return self.ratio
 
 
@@ -131,8 +103,8 @@ class RatioSchedulePolicy:
     def on_run_start(self, trace: RequestTrace) -> None:
         pass
 
-    def select(self, time: float) -> float:
-        return float(self.schedule(time))
+    def select(self, context: PolicyContext) -> float:
+        return float(self.schedule(context.time))
 
 
 class RoundRobinRatioPolicy:
@@ -153,7 +125,7 @@ class RoundRobinRatioPolicy:
     def on_run_start(self, trace: RequestTrace) -> None:
         self._next = 0
 
-    def select(self, time: float) -> float:
+    def select(self, context: PolicyContext) -> float:
         ratio = self.ratios[self._next % len(self.ratios)]
         self._next += 1
         return ratio
@@ -162,18 +134,15 @@ class RoundRobinRatioPolicy:
 class QueueDepthRatioPolicy:
     """Batch-size-aware load shedding: raise the 4-bit ratio as the queue grows.
 
-    A context-aware policy (the PR 3 ``PolicyContext`` signature): thresholds
-    map instantaneous queue depth to a ratio, so the engine spends accuracy
-    exactly when requests are piling up and returns to high precision the
-    moment the queue drains — a per-batch, reactive complement to the
-    per-window :class:`AdaptiveRatioPolicy`.
+    Thresholds map the context's instantaneous queue depth to a ratio, so
+    the engine spends accuracy exactly when requests are piling up and
+    returns to high precision the moment the queue drains — a per-batch,
+    reactive complement to the per-window :class:`AdaptiveRatioPolicy`.
 
     ``thresholds`` maps minimum queue depth to the ratio used at or above
     that depth; the highest satisfied threshold wins.  Depths below every
     threshold use ``base_ratio``.
     """
-
-    accepts_context = True
 
     def __init__(
         self,
@@ -183,9 +152,9 @@ class QueueDepthRatioPolicy:
         if not thresholds:
             raise ValueError("thresholds must be non-empty")
         self.thresholds = sorted(
-            (int(depth), float(ratio)) for depth, ratio in thresholds.items()
+            (int(depth), check_ratio(ratio)) for depth, ratio in thresholds.items()
         )
-        self.base_ratio = float(base_ratio)
+        self.base_ratio = check_ratio(base_ratio)
 
     def on_run_start(self, trace: RequestTrace) -> None:
         pass
@@ -201,7 +170,7 @@ class QueueDepthRatioPolicy:
 class DecodePressureRatioPolicy:
     """Mid-sequence precision switching driven by decode pressure.
 
-    A context-aware policy for iteration-level generation runs: when the
+    A policy for iteration-level generation runs: when the
     token footprint of the running batch plus the queued backlog exceeds
     ``pressure_threshold`` tokens, the iteration runs at ``high_ratio``
     (cheaper, more 4-bit); once pressure drains it returns to
@@ -214,8 +183,6 @@ class DecodePressureRatioPolicy:
     ``queue_depth_fallback``.
     """
 
-    accepts_context = True
-
     def __init__(
         self,
         pressure_threshold: int,
@@ -227,8 +194,8 @@ class DecodePressureRatioPolicy:
         if pressure_threshold < 1:
             raise ValueError("pressure_threshold must be >= 1 tokens")
         self.pressure_threshold = int(pressure_threshold)
-        self.base_ratio = float(base_ratio)
-        self.high_ratio = float(high_ratio)
+        self.base_ratio = check_ratio(base_ratio)
+        self.high_ratio = check_ratio(high_ratio)
         self.waiting_weight = float(waiting_weight)
         self.queue_depth_fallback = int(queue_depth_fallback)
         self.switches = 0
@@ -271,7 +238,7 @@ class AdaptiveRatioPolicy:
         self, controller: "AdaptiveRatioController", control_window: float = 1.0
     ) -> None:
         self.controller = controller
-        self.control_window = float(control_window)
+        self.control_window = check_positive("control_window", control_window)
         self.window_ratios: np.ndarray = np.zeros(0, dtype=np.float64)
         self.timeline: List[Dict[str, float]] = []
 
@@ -287,10 +254,12 @@ class AdaptiveRatioPolicy:
             self.window_ratios[window] = ratio
             self.timeline.append({"start": start, "rate": observed_rate, "ratio": ratio})
 
-    def select(self, time: float) -> float:
+    def select(self, context: PolicyContext) -> float:
         if self.window_ratios.size == 0:
             return float(self.controller.current_ratio)
-        window = min(int(time / self.control_window), self.window_ratios.size - 1)
+        window = min(
+            int(context.time / self.control_window), self.window_ratios.size - 1
+        )
         return float(self.window_ratios[window])
 
     @property
@@ -325,15 +294,13 @@ class PerServerAdaptiveRatioPolicy:
     update as ``{"server", "window", "rate", "ratio"}`` for reporting.
     """
 
-    accepts_context = True
-
     def __init__(
         self,
         controller_factory: Callable[[], "AdaptiveRatioController"],
         control_window: float = 1.0,
     ) -> None:
         self.controller_factory = controller_factory
-        self.control_window = float(control_window)
+        self.control_window = check_positive("control_window", control_window)
         self.controllers: Dict[int, "AdaptiveRatioController"] = {}
         self.timeline: List[Dict[str, float]] = []
         self._last_window: Dict[int, int] = {}

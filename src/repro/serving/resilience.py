@@ -622,6 +622,25 @@ class StepCheckpoint:
         )
 
 
+def checkpointed_fraction(
+    checkpoint: Optional[CheckpointPolicy], record: "BatchRecord", time: float
+) -> float:
+    """The share of ``record``'s work ``checkpoint`` saved before a kill at ``time``.
+
+    0.0 without a checkpoint or when the batch had not started; otherwise
+    the policy's ``completed_fraction``, refused outside ``[0, 1)``.  The one
+    salvage rule of both serving loops' ``preempt_server``.
+    """
+    if checkpoint is None or record.start >= time:
+        return 0.0
+    fraction = float(checkpoint.completed_fraction(record, time))
+    if not 0.0 <= fraction < 1.0:
+        raise ValueError(
+            f"checkpoint completed_fraction must be in [0, 1); got {fraction!r}"
+        )
+    return fraction
+
+
 # ----------------------------------------------------------------------
 # Warm spares
 # ----------------------------------------------------------------------

@@ -7,16 +7,13 @@ eligible for the next batch* while the engine keeps its invariants
 already arrived when service starts, and at most ``max_batch`` ride
 together).
 
-A scheduler is a pure ordering: :meth:`Scheduler.key` maps a queued
-:class:`~repro.serving.engine.Request` to a sortable key (and, for the
-built-in disciplines, ``keys(store, slots)`` computes the same keys for a
-whole admitted chunk straight from the columns of the session's
-:class:`~repro.serving.core.RequestStore`, which is the only form the
-engine calls — see :func:`store_keys`); the engine
-appends ``(arrival_time, admission index)`` as the final tie-breakers, so
-requests with equal keys always serve FIFO by arrival (regardless of the
-order they were pushed through streaming ``submit()``).  Three
-disciplines ship with the engine:
+A scheduler is a pure ordering: :meth:`Scheduler.keys` maps rows of the
+session's :class:`~repro.serving.core.RequestStore` to sortable discipline
+keys, read straight from the store's columns (no ``Request`` objects).  Every
+queue sorts on ``(key, arrival, admission slot)``, the engine's and the
+generation loop's alike, so requests with equal keys always serve FIFO by
+arrival (regardless of the order they were pushed through streaming
+``submit()``).  Three disciplines ship with the engine:
 
 * :class:`FifoScheduler` — arrival order; the seed behaviour.  A
   ``ServingEngine`` built with ``scheduler=None`` (or an explicit
@@ -45,19 +42,18 @@ ordering with weighted-by-speed placement on a heterogeneous cluster (see
 Schedulers also order **migrated** work: when the resilience plane
 (:mod:`repro.serving.resilience`) preempts a failing server's batches, the
 requeued requests re-enter admission gated by their migration-ready time
-and are then re-ranked by exactly the same :meth:`Scheduler.key` as fresh
-requests — an EDF queue re-sorts migrants by their (unchanged) deadlines,
-a priority queue by their priorities.  Equal keys tie-break on the
-migration-ready time (a migrant's pend key, which stands in for its
-arrival), then the admission slot.  No scheduler needs migration-specific
-code.
+and are then re-ranked by the same keys as fresh requests — an EDF queue
+re-sorts migrants by their (unchanged) deadlines, a priority queue by their
+priorities.  Equal keys tie-break on the migration-ready time (a migrant's
+pend key, which stands in for its arrival), then the admission slot.  No
+scheduler needs migration-specific code.
 
-The same key also orders **admission to a running generation batch**: the
-iteration-level :class:`~repro.serving.generation.IterationScheduler` ranks
-its waiting sequences with :func:`admission_key` — discipline key first,
-arrival and admission slot as tie-breakers, exactly the engine's queue
-ordering — so EDF/priority semantics carry over to continuous batching
-without generation-specific scheduler code.
+The same keys also order **admission to a running generation batch**: the
+iteration-level :class:`~repro.serving.generation.IterationScheduler` takes
+every sequence's key from one ``keys`` call when its session starts and
+ranks its waiting queue on ``(key, arrival, slot)``, so EDF/priority
+semantics carry over to continuous batching without generation-specific
+scheduler code.
 """
 
 from __future__ import annotations
@@ -66,77 +62,39 @@ from typing import List, Protocol, Tuple, TYPE_CHECKING, runtime_checkable
 
 import numpy as np
 
+from repro.serving.core import RequestStore
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serving.core import RequestStore
     from repro.serving.engine import Request
-
-
-def admission_key(
-    scheduler: "Scheduler", request: "Request", arrival: float, slot: int
-) -> Tuple:
-    """Full queue-ordering key: discipline key + the engine's tie-breakers.
-
-    The one place the ``(scheduler.key, arrival, admission slot)`` ordering
-    is spelled out for callers outside the engine's own loops (the
-    generation scheduler's admission ranking) — keeping every queue in the
-    system sorted by the same rule.
-    """
-    return (scheduler.key(request), float(arrival), int(slot))
 
 
 @runtime_checkable
 class Scheduler(Protocol):
-    """Queue discipline: lower :meth:`key` serves first."""
+    """Queue discipline: a lower key serves first."""
 
-    def key(self, request: "Request") -> Tuple:
-        """Discipline sort key for one queued request.
+    def keys(self, store: RequestStore, slots: np.ndarray) -> List[Tuple]:
+        """Discipline sort keys of rows ``slots`` of ``store``, in order.
 
         Return only the discipline's own criteria (priority, deadline,
-        ...); the engine appends ``(arrival_time, admission index)``
-        behind it, so equal keys tie-break FIFO by arrival.
+        ...); every queue appends ``(arrival, admission slot)`` behind
+        them, so equal keys tie-break FIFO by arrival.
         """
         ...
-
-
-def store_keys(
-    scheduler: "Scheduler", store: "RequestStore", slots: np.ndarray
-) -> List[Tuple]:
-    """Discipline keys for ``slots`` of a columnar store, vectorized.
-
-    Dispatches to the scheduler's ``keys(store, slots)`` when it defines
-    one (the built-in disciplines do — key extraction runs over the
-    store's columns, no ``Request`` objects); custom schedulers that only
-    define :meth:`Scheduler.key` are handed each row's request through
-    :meth:`~repro.serving.core.RequestStore.request` — the caller's own
-    object where the store kept it.
-    """
-    vectorized = getattr(scheduler, "keys", None)
-    if vectorized is not None:
-        return vectorized(store, slots)
-    return [scheduler.key(store.request(slot)) for slot in slots]
 
 
 class FifoScheduler:
     """First-in-first-out: the seed discipline (and the default)."""
 
-    def key(self, request: "Request") -> Tuple:
-        return ()  # the engine's arrival tie-breaker IS the discipline
-
-    def keys(self, store: "RequestStore", slots: np.ndarray) -> List[Tuple]:
-        return [()] * len(slots)
+    def keys(self, store: RequestStore, slots: np.ndarray) -> List[Tuple]:
+        return [()] * len(slots)  # the arrival tie-breaker IS the discipline
 
 
 class PriorityScheduler:
     """Strict priority: higher ``Request.priority`` first, FIFO within."""
 
-    def key(self, request: "Request") -> Tuple:
-        return (-request.priority,)
-
-    def keys(self, store: "RequestStore", slots: np.ndarray) -> List[Tuple]:
+    def keys(self, store: RequestStore, slots: np.ndarray) -> List[Tuple]:
         if store.priorities is None:
             return [(0,)] * len(slots)
-        # tolist() yields Python ints: identical key values (and types) to
-        # the per-object ``-request.priority``.
         return [(p,) for p in (-store.priorities[slots]).tolist()]
 
 
@@ -149,16 +107,15 @@ class EdfScheduler:
     themselves.
     """
 
-    def key(self, request: "Request") -> Tuple:
-        deadline = request.deadline
-        # nan is "no deadline" too (the store's sentinel): it sorts last.
-        missing = deadline is None or deadline != deadline
-        return (float("inf") if missing else deadline,)
-
-    def keys(self, store: "RequestStore", slots: np.ndarray) -> List[Tuple]:
+    def keys(self, store: RequestStore, slots: np.ndarray) -> List[Tuple]:
         inf = float("inf")
         if store.deadlines is None:
             return [(inf,)] * len(slots)
         # nan is the store's "no deadline" sentinel and never equals itself;
-        # the key space uses inf (sorts last), exactly like key().
+        # the key space uses inf, which sorts last.
         return [(d if d == d else inf,) for d in store.deadlines[slots].tolist()]
+
+    def key(self, request: "Request") -> Tuple:
+        """:meth:`keys` of one request.  No queue calls it; it stays because
+        ``bench/day.py``'s traced run wraps this name on the EDF scheduler."""
+        return self.keys(RequestStore.from_requests([request]), np.zeros(1, np.intp))[0]

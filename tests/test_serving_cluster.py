@@ -510,8 +510,6 @@ class TestTelemetry:
         seen = []
 
         class Spy:
-            accepts_context = True
-
             def on_run_start(self, trace):
                 pass
 

@@ -35,12 +35,12 @@ from repro.serving.engine import (
 from repro.serving.executors import ModeledExecutor, RuntimeExecutor
 from repro.serving.policies import (
     AdaptiveRatioPolicy,
+    DecodePressureRatioPolicy,
     FixedRatioPolicy,
-    PolicyContext,
+    PerServerAdaptiveRatioPolicy,
     QueueDepthRatioPolicy,
     RatioSchedulePolicy,
     RoundRobinRatioPolicy,
-    policy_selector,
 )
 from repro.serving.schedulers import EdfScheduler, FifoScheduler, PriorityScheduler
 from repro.serving.simulator import ServiceTimeModel
@@ -1084,28 +1084,10 @@ class TestStreamingAdmission:
 # Context-aware ratio policies
 # ----------------------------------------------------------------------
 class TestPolicyContext:
-    def test_legacy_policy_adapter_passes_time(self):
-        calls = []
-
-        class Legacy:
-            def on_run_start(self, trace):
-                pass
-
-            def select(self, time):
-                calls.append(time)
-                return 0.25
-
-        selector = policy_selector(Legacy())
-        context = PolicyContext(time=1.5, queue_depth=7, batch_size=3)
-        assert selector(context) == 0.25
-        assert calls == [1.5]
-
     def test_context_policy_gets_queue_depth_and_batch_size(self, service_model):
         seen = []
 
         class Spy:
-            accepts_context = True
-
             def on_run_start(self, trace):
                 pass
 
@@ -1223,8 +1205,8 @@ class TestSessionRobustness:
         """
 
         class ArrivalOrderScheduler:
-            def key(self, request):
-                return ()
+            def keys(self, store, slots):
+                return [()] * len(slots)
 
         batching = BatchingConfig(max_batch=8, drop_after=0.05)
         trace = PoissonTrace(3000, duration=1.0, seed=4).generate()
@@ -1386,6 +1368,16 @@ class TestHostileInput:
             FixedRatioPolicy(bad)
         with pytest.raises(ValueError, match=message):
             RoundRobinRatioPolicy([0.5, bad])
+        # The load-driven policies used to accept it and fail at the first
+        # batch's latency lookup, in both loops.
+        for build in (
+            lambda: QueueDepthRatioPolicy({1: bad}),
+            lambda: QueueDepthRatioPolicy({1: 0.5}, base_ratio=bad),
+            lambda: DecodePressureRatioPolicy(5, high_ratio=bad),
+            lambda: DecodePressureRatioPolicy(5, base_ratio=bad),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build()
         # A nan latency used to become every later clock.  Checked on a memo
         # miss, so nothing is memoised for it and a known key pays nothing.
         known = service_model.batch_latency(2, "flexiq", 0.5)
@@ -1394,6 +1386,21 @@ class TestHostileInput:
             service_model.batch_latency(2, "flexiq", bad)
         assert service_model._latencies == memo
         assert service_model.batch_latency(2, "flexiq", 0.5) == known
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, float("nan"), float("inf")])
+    def test_control_window_is_finite_and_positive(self, window):
+        # PerServerAdaptiveRatioPolicy at -1.0 used to update its controller
+        # once and run every batch at 0.0; AdaptiveRatioPolicy failed late, in
+        # on_run_start (ZeroDivisionError at 0.0, a numpy error at -1.0).
+        controller = AdaptiveRatioController(
+            build_profile_from_latency_fn([100.0], [0.0, 1.0], lambda ratio, rate: 0.01),
+            latency_threshold=0.05,
+        )
+        message = rf"control_window must be a finite number > 0 \(got {window!r}\)"
+        with pytest.raises(ValueError, match=message):
+            AdaptiveRatioPolicy(controller, control_window=window)
+        with pytest.raises(ValueError, match=message):
+            PerServerAdaptiveRatioPolicy(lambda: controller, control_window=window)
 
     @pytest.mark.parametrize("max_batch", [0, -3, 2.5, None])
     def test_max_batch_must_be_a_positive_integer(self, max_batch):
