@@ -61,10 +61,11 @@ dropped), one ledger row per batch and one entry per drop cohort.  ``advance`` r
 it dry or for a number of batches — ``ServingEngine.step()`` is a segment of
 one, :func:`run_fifo_columnar` one unlimited segment — and the caller may
 extend or re-read the pending list in between (``pending_from``).  The
-clocks are not carried: ``free_at``/``busy``/``active`` are the caller's,
-who may write them between segments, so the earliest-free order is derived
-in every call.  The float list is dropped each time the cursor reaches its
-end, before ``close()`` (the vectorized epilogue) allocates anything.
+clocks stay the caller's, who may write ``free_at``/``active`` between
+segments; the sweep carries its ``(free_at, server)`` heap with copies of
+both and builds it afresh only when a call's differ (one list compare
+each).  The float list is dropped each time the cursor reaches its end,
+before ``close()`` (the vectorized epilogue) allocates anything.
 
 The unbreakable invariant: a K=1 FIFO run through the columnar core is
 **bit-identical** to the seed simulator — same admission boundaries, same
@@ -778,10 +779,12 @@ class FifoSweep:
     ledger's ``cohort`` as it stands and their index as id, so it writes
     before any row is removed.  Drop cohort k went at ``drop_times[k]`` and
     covers positions ``drop_los[k]``..``drop_his[k]`` of the arrival order.
+    ``clock_heap`` is the free-clock heap the last call left, valid while the
+    caller's clocks and active set equal its copies ``clocks``/``active``.
     """
 
     __slots__ = ("arr", "offset", "pos", "ledger", "drop_times", "drop_los",
-                 "drop_his", "dropped", "survived")
+                 "drop_his", "dropped", "survived", "clock_heap", "clocks", "active")
 
     def __init__(
         self, arrivals: np.ndarray, ledger: Optional[BatchLedger] = None
@@ -790,6 +793,7 @@ class FifoSweep:
         self.offset = self.pos = self.dropped = 0
         self.ledger = BatchLedger() if ledger is None else ledger
         self.drop_times, self.drop_los, self.drop_his = [], [], []
+        self.clock_heap, self.clocks, self.active = [], None, None
 
     def pending_from(self, at: int, arrivals: np.ndarray) -> None:
         """Positions ``at`` (not before ``pos``) onwards are now ``arrivals``."""
@@ -804,6 +808,11 @@ class FifoSweep:
         """Dispatch pending arrivals, by :func:`run_fifo_columnar`'s rules,
         until none is left or ``limit`` (>= 1) batches are out; returns how
         many went out.  ``free_at``/``busy`` are mutated in place."""
+        if not active or limit is not None and limit < 1:
+            raise ValueError(
+                f"advance needs an active server and a limit >= 1 or None "
+                f"(got active={list(active)!r}, limit={limit!r})"
+            )
         remaining = limit or -1  # counts down to 0; unlimited never gets there
         arr = self.arr
         n = len(arr)
@@ -812,29 +821,18 @@ class FifoSweep:
         starts, finishes, sizes, servers, depths = self.ledger.lists
         before = len(starts)
 
-        active_list = sorted(active)
-        single = len(active_list) == 1
-        if single:
-            only = active_list[0]
-            table = latency_tables[only]
-        elif limit == 1:
-            # One batch reads one clock (a drop cohort moves none).
-            only = min(active_list, key=free_at.__getitem__)
-            clock_heap = [(free_at[only], only)]
-        else:
-            # Free-clock heap: (free_at, server) pops the earliest-free server,
-            # ties by lowest id — exactly ``min(active, key=free_at.__getitem__)``
-            # over the ascending active list, in O(log K) with no key calls.
-            clock_heap = [(free_at[server], server) for server in active_list]
+        # Free-clock heap: (free_at, server) pops the earliest-free server, ties
+        # by lowest id — ``min(sorted(active), key=free_at.__getitem__)`` — in
+        # O(log K); carried over unless a clock or the active set changed.
+        clock_heap = self.clock_heap
+        if free_at != self.clocks or active != self.active:
+            clock_heap = self.clock_heap = [(free_at[s], s) for s in active]
             heapify(clock_heap)
+            self.active = list(active)  # an ``active`` range never equals it
 
         while pos < n:
             first_arrival = arr[pos]
-            if single:
-                server = only
-                free = free_at[only]
-            else:
-                free, server = clock_heap[0]
+            free, server = clock_heap[0]
             start = free if free >= first_arrival else first_arrival
             # Galloping admission boundary: most batches admit only a few
             # requests, so bracket [pos, hi) by doubling steps before the
@@ -849,22 +847,22 @@ class FifoSweep:
                 hi = pos + step
             end_index = bisect_right(arr, start, lo, hi if hi < n else n)
 
-            if drop_after is not None:
-                # Expired prefix: searchsorted boundary + exact-predicate walk
-                # (the _expired_prefix_end arithmetic, on the float list).
+            if drop_after is not None and start - first_arrival > drop_after:
+                # Expired prefix, only behind an expired head (start - a does not
+                # grow with a, so a fresh head means a fresh window): searchsorted
+                # boundary + exact-predicate walk (_expired_prefix_end's rule).
                 cut = start - drop_after
                 fresh = bisect_left(arr, cut, pos, end_index)
                 while fresh > pos and not (start - arr[fresh - 1] > drop_after):
                     fresh -= 1
                 while fresh < end_index and (start - arr[fresh]) > drop_after:
                     fresh += 1
-                if fresh > pos:
-                    self.dropped += fresh - pos
-                    self.drop_times.append(start)
-                    self.drop_los.append(offset + pos)
-                    self.drop_his.append(offset + fresh)
-                    pos = fresh
-                    continue  # head changed: re-derive server and start
+                self.dropped += fresh - pos
+                self.drop_times.append(start)
+                self.drop_los.append(offset + pos)
+                self.drop_his.append(offset + fresh)
+                pos = fresh
+                continue  # head changed: re-derive start
 
             end = pos + max_batch
             if end_index < end:
@@ -872,7 +870,7 @@ class FifoSweep:
             if end == pos:
                 end = pos + 1  # serve at least the request that triggered us
             size = end - pos
-            service = table[size] if single else latency_tables[server][size]
+            service = latency_tables[server][size]
             finish = start + service
 
             starts.append(start)
@@ -882,13 +880,13 @@ class FifoSweep:
             depths.append(end_index - pos)
             busy[server] += service
             free_at[server] = finish
-            if not single:
-                heapreplace(clock_heap, (finish, server))
+            heapreplace(clock_heap, (finish, server))
             pos = end
             remaining -= 1
             if not remaining:
                 break
 
+        self.clocks = free_at[:]
         self.pos = offset + pos
         if pos >= n:
             # Dry: the consumed floats go now, before any epilogue allocates.
@@ -932,8 +930,9 @@ def run_fifo_columnar(
 
     The loop (:meth:`FifoSweep.advance`, here without a batch limit) runs
     over a plain Python float list (numpy scalar extraction per element is
-    what makes the object loop slow); all per-request work is deferred to
-    the vectorized epilogue (:meth:`FifoSweep.close` and the ledger's reads).
+    what makes the object loop slow), takes each batch's server from one
+    ``(free_at, server)`` heap and defers all per-request work to the
+    vectorized epilogue (:meth:`FifoSweep.close` and the ledger's reads).
     """
     sweep = FifoSweep(arrivals)
     sweep.advance(free_at, busy, active, latency_tables, max_batch, drop_after)

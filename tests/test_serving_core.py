@@ -472,6 +472,17 @@ class TestColumnarFifoCore:
         assert np.array_equal(np.bincount(served_by[served_by >= 0]), ledger.sizes)
         assert len(ledger.starts) == len(ledger.finishes) == len(ledger.sizes)
 
+    @pytest.mark.parametrize(
+        "limit, active", [(0, [0]), (-1, [0]), (-2, [0]), (None, []), (1, [])]
+    )
+    def test_a_limit_below_one_or_no_active_server_is_refused(self, limit, active):
+        """Not read as "no limit" (``limit or -1`` never counts 0 or a
+        negative down to zero): refused, with nothing dispatched."""
+        sweep = FifoSweep(np.arange(10) * 1e-3)
+        with pytest.raises(ValueError, match="an active server and a limit >= 1"):
+            sweep.advance([0.0], [0.0], active, {0: [0.0, 0.002, 0.003]}, 2, None, limit)
+        assert sweep.pos == 0 and len(sweep.ledger) == 0
+
 
 @st.composite
 def _sweeps(draw):
@@ -559,18 +570,21 @@ class TestSweepSegmentsCompose:
         _assert_runs_equal(sweep.close(), whole)
         assert (free_at, busy) == (want_free, want_busy)
 
+    @pytest.mark.parametrize("servers", [range, lambda k: list(range(k))],
+                             ids=["range", "list"])
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_sweeps())
-    def test_a_written_clock_and_a_late_hand_over_are_honoured(self, case):
+    def test_a_written_clock_and_a_late_hand_over_are_honoured(self, servers, case):
         """Between two segments a clock is written (what
         ``tests/test_serving_cluster.py`` does to ``engine._session.free_at[1]``)
         and arrivals earlier than the queued tail are handed over: the clocks
         and the unserved suffix are the caller's, so the rest of the sweep is
-        the sweep of the rest from the written clocks."""
+        the sweep of the rest from the written clocks — whether the active
+        set is a range or the same list on every call."""
         early, late = case["arrivals"][::2], case["arrivals"][1::2]
         free_at, busy = [0.0] * case["num_servers"], [0.0] * case["num_servers"]
         clocks = (
-            free_at, busy, range(case["num_servers"]), case["tables"],
+            free_at, busy, servers(case["num_servers"]), case["tables"],
             case["max_batch"], case["drop_after"],
         )
         sweep = FifoSweep(early)
@@ -769,18 +783,29 @@ class TestOneBatchLedger:
         """Modeled service times from something that is not a ``ModeledExecutor``."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(_sweeps(), st.integers(1, 6))
-    def test_every_loop_writes_the_same_ledger(self, case, leave_after):
+    @given(
+        _sweeps(),
+        st.integers(1, 6),
+        # (before step, bit mask of modeled servers, available_from in ms or None)
+        st.lists(
+            st.tuples(st.integers(0, 40), st.integers(1, 15), st.none() | st.integers(0, 60)),
+            max_size=6,
+        ),
+    )
+    def test_every_loop_writes_the_same_ledger(self, case, leave_after, schedule):
         """The whole sweep, the stepped sweep, ``columnar=False`` and a session
         that leaves the sweep part-way (a server that is not modeled joins and
-        goes, between two steps: nothing it could serve) — one ledger."""
+        goes, between two steps: nothing it could serve) — one ledger.  And
+        with the active set changed between steps (modeled servers only, with
+        and without ``available_from``: the session stays on the sweep), the
+        stepped sweep returns, and writes, what ``columnar=False`` does."""
         servers = case["num_servers"]
         requests = [
             Request(arrival, model="m", request_id=number)
             for number, arrival in enumerate(case["arrivals"].tolist())
         ]
 
-        def serve(columnar, steps=0, leave=False):
+        def serve(columnar, steps=0, leave=False, schedule=()):
             engine = ServingEngine(
                 BatchingConfig(case["max_batch"], case["drop_after"]),
                 num_servers=servers + 1, columnar=columnar,
@@ -792,15 +817,23 @@ class TestOneBatchLedger:
             )
             engine.start(requests=requests)
             engine.set_active_servers(range(servers))
-            for _ in range(steps):
-                engine.step()
+            records = []
+            for step in range(steps):
+                for at, mask, millisecond in schedule:
+                    if at == step:
+                        active = [s for s in range(servers) if mask >> s & 1]
+                        engine.set_active_servers(
+                            active or [mask % servers],
+                            None if millisecond is None else millisecond * 1e-3,
+                        )
+                records.append(engine.step())
             if leave:
                 engine.set_active_servers(range(servers + 1))
                 engine.set_active_servers(range(servers))
-            return engine.finish()
+            return engine.finish(), records
 
-        whole, stepped = serve(True), serve(True, steps=len(requests))
-        slow, left = serve(False), serve(True, steps=leave_after, leave=True)
+        (whole, _), (stepped, _) = serve(True), serve(True, steps=len(requests))
+        (slow, _), (left, _) = serve(False), serve(True, steps=leave_after, leave=True)
         kernels = [result.kernel for result in (whole, stepped, slow, left)]
         assert kernels == (
             ["sweep", "sweep", "object", "sweep+object"] if requests else ["object"] * 4
@@ -808,6 +841,15 @@ class TestOneBatchLedger:
         for result in (stepped, slow, left):
             _assert_ledgers_equal(result.batch_records, whole.batch_records, len(requests))
             _assert_results_identical(result, whole)
+
+        (swept, got), (want_result, want) = (
+            serve(columnar, steps=len(requests), schedule=schedule)
+            for columnar in (True, False)
+        )
+        assert swept.kernel == ("sweep" if requests else "object")
+        assert got == want
+        _assert_ledgers_equal(swept.batch_records, want_result.batch_records, len(requests))
+        _assert_results_identical(swept, want_result)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_ledger_rows())
