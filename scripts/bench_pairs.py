@@ -10,7 +10,11 @@ time are comparable).  Each side's results are written as a result set
 (``<out>/pairs-a.json``, ``pairs-b.json``), ``bench/compare.py``'s table is
 printed for the two sets, and under it, per timed metric, how many pairs the
 change won — the "at least nine in ten" of the choosing-metrics guide.  Ties
-count for neither side.
+count for neither side.  ``--claim WORKLOAD:METRIC`` (repeatable) adds that
+guide's verdict on one claimed gain: met when at least ten pairs ran, the
+change won at least nine in ten of them and its median beats the parent's
+by more than the parent's interquartile range.  It prints the wins and the
+two numbers behind the verdict; the exit status does not depend on it.
 
 Inside a result set a run is keyed by its pair number (``compare.py`` keys
 runs by ``seed`` and matches exact metrics seed by seed; pair *i* of A and
@@ -39,7 +43,7 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from bench.compare import compare  # noqa: E402
-from bench.harness import load_spec  # noqa: E402
+from bench.harness import distribution, load_spec  # noqa: E402
 
 
 def side_env(out: Path, side: str) -> Dict[str, str]:
@@ -119,6 +123,27 @@ def wins(a: dict, b: dict, metrics: List[dict]) -> List[str]:
     return lines
 
 
+def claim(a: dict, b: dict, workload: str, metric: dict) -> str:
+    """The verdict on one claimed gain (choosing-metrics guide, section 8):
+    met when at least ten pairs ran, B won at least nine in ten of them (ties
+    count for neither side) and B's median beats A's by more than A's
+    interquartile range."""
+    name = metric["name"]
+    values_a, values_b = (
+        [run["metrics"][name]["value"] for run in result_set["workloads"][workload]]
+        for result_set in (a, b)
+    )
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    won = sum(sign * (x - y) > 0 for x, y in zip(values_a, values_b))
+    spread_a, spread_b = distribution(values_a), distribution(values_b)
+    gain = sign * (spread_a["median"] - spread_b["median"])
+    iqr = spread_a["q3"] - spread_a["q1"]
+    pairs = len(values_a)
+    met = pairs >= 10 and 10 * won >= 9 * pairs and gain > iqr
+    return (f"claim {workload}:{name}: B wins {won}/{pairs} pairs (needs 9/10 of >= 10), "
+            f"median gain {gain:.6g} vs A's IQR {iqr:.6g}: {'met' if met else 'not met'}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     spec = load_spec()
     known = [workload["name"] for workload in spec["workloads"]]
@@ -132,10 +157,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--scale", choices=("full", "tiny"), default="full")
+    parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC",
+                        help="print the gain verdict for this pair (repeatable; "
+                             "informational, the exit status does not change)")
     parser.add_argument("--out", type=Path, default=ROOT / "bench" / "out",
                         help="directory for pairs-a.json, pairs-b.json and "
                              "each side's bytecode cache")
     args = parser.parse_args(argv)
+    metrics = spec["per_layer"] if args.trace else spec["end_to_end"]
+    named = {metric["name"]: metric for metric in metrics}
+    claims = []
+    for wanted in args.claim:
+        workload, _, name = wanted.partition(":")
+        if workload not in (args.workload or known) or name not in named:
+            parser.error(f"--claim {wanted}: not a WORKLOAD:METRIC of this run")
+        claims.append((workload, named[name]))
 
     out = args.out.resolve()
     out.mkdir(parents=True, exist_ok=True)
@@ -147,8 +183,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         (out / name).write_text(json.dumps(result_set, indent=1))
     lines, bad = compare(set_a, set_b, spec)
     print("\n".join(lines))
-    metrics = spec["per_layer"] if args.trace else spec["end_to_end"]
     print("\n".join(wins(set_a, set_b, metrics)))
+    for workload, metric in claims:
+        print(claim(set_a, set_b, workload, metric))
     correct = all(
         run["correct"] for result_set in (set_a, set_b)
         for runs in result_set["workloads"].values() for run in runs
