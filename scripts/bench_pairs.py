@@ -13,8 +13,9 @@ change won — the "at least nine in ten" of the choosing-metrics guide.  Ties
 count for neither side.  ``--claim WORKLOAD:METRIC`` (repeatable) adds that
 guide's verdict on one claimed gain: met when at least ten pairs ran, the
 change won at least nine in ten of them and its median beats the parent's
-by more than the parent's interquartile range.  It prints the wins and the
-two numbers behind the verdict; the exit status does not depend on it.
+by more than the parent's interquartile range.  It prints the wins, the
+two numbers behind the verdict and the medians' ratio B/A (the figure a
+change quotes); the exit status does not depend on it.
 
 Inside a result set a run is keyed by its pair number (``compare.py`` keys
 runs by ``seed`` and matches exact metrics seed by seed; pair *i* of A and
@@ -127,7 +128,7 @@ def claim(a: dict, b: dict, workload: str, metric: dict) -> str:
     """The verdict on one claimed gain (choosing-metrics guide, section 8):
     met when at least ten pairs ran, B won at least nine in ten of them (ties
     count for neither side) and B's median beats A's by more than A's
-    interquartile range."""
+    interquartile range.  Beside the gain it prints the medians' ratio B/A."""
     name = metric["name"]
     values_a, values_b = (
         [run["metrics"][name]["value"] for run in result_set["workloads"][workload]]
@@ -138,10 +139,12 @@ def claim(a: dict, b: dict, workload: str, metric: dict) -> str:
     spread_a, spread_b = distribution(values_a), distribution(values_b)
     gain = sign * (spread_a["median"] - spread_b["median"])
     iqr = spread_a["q3"] - spread_a["q1"]
+    ratio = spread_b["median"] / spread_a["median"] if spread_a["median"] else float("nan")
     pairs = len(values_a)
     met = pairs >= 10 and 10 * won >= 9 * pairs and gain > iqr
     return (f"claim {workload}:{name}: B wins {won}/{pairs} pairs (needs 9/10 of >= 10), "
-            f"median gain {gain:.6g} vs A's IQR {iqr:.6g}: {'met' if met else 'not met'}")
+            f"median gain {gain:.6g} (B/A {ratio:.4g}x) vs A's IQR {iqr:.6g}: "
+            f"{'met' if met else 'not met'}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

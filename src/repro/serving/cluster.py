@@ -54,7 +54,12 @@ import numpy as np
 
 from repro.data.traces import RequestTrace
 from repro.hardware.npu import NpuConfig, NpuLatencyModel
-from repro.serving.core import WINDOW_BOUNDARY, EventCalendar, check_positive
+from repro.serving.core import (
+    WINDOW_BOUNDARY,
+    EventCalendar,
+    check_percentile,
+    check_positive,
+)
 from repro.serving.engine import (
     BatchingConfig,
     EngineResult,
@@ -434,8 +439,8 @@ class SloLatencyAutoscaler:
     _calm_windows: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.slo_seconds <= 0:
-            raise ValueError("slo_seconds must be positive")
+        check_positive("slo_seconds", self.slo_seconds)
+        check_percentile(self.percentile)
         if not 0 < self.headroom <= 1:
             raise ValueError("headroom must be in (0, 1]")
         if self.patience < 1 or self.step < 1:
@@ -510,8 +515,8 @@ class PredictiveFaultAutoscaler:
     last_reason: str = field(default="", init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.slo_seconds <= 0:
-            raise ValueError("slo_seconds must be positive")
+        check_positive("slo_seconds", self.slo_seconds)
+        check_percentile(self.percentile)
         if not 0 < self.collapse_ratio < 1:
             raise ValueError("collapse_ratio must be in (0, 1)")
         if not 0 < self.alpha <= 1:

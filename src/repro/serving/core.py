@@ -55,16 +55,18 @@ Views vs. copies
 The resumable sweep
 ===================
 :class:`FifoSweep` is the FIFO dispatch loop with its state carried between
-calls: the pending arrivals as a Python float list (``arr``, positions
-``offset``..), the admission cursor (``pos``: positions consumed, served or
-dropped), one ledger row per batch and one entry per drop cohort.  ``advance`` runs
-it dry or for a number of batches — ``ServingEngine.step()`` is a segment of
-one, :func:`run_fifo_columnar` one unlimited segment — and the caller may
-extend or re-read the pending list in between (``pending_from``).  The
-clocks stay the caller's, who may write ``free_at``/``active`` between
-segments; the sweep carries its ``(free_at, server)`` heap with copies of
-both and builds it afresh only when a call's differ (one list compare
-each).  The float list is dropped each time the cursor reaches its end,
+calls: the pending arrivals as one typed float64 buffer (``arr``, an
+``array("d")`` copied from the column's bytes, positions ``offset``..; a
+float is boxed only when the loop reads it), the admission cursor (``pos``:
+positions consumed, served or dropped), one ledger row per batch and one
+entry per drop cohort.  ``advance`` runs it dry or for a number of batches —
+``ServingEngine.step()`` is a segment of one, :func:`run_fifo_columnar` one
+unlimited segment — and the caller may extend or re-read the pending buffer
+in between (``pending_from``, at a position from ``pos`` to the buffer's
+end).  The clocks stay the caller's, who may write ``free_at``/``active``
+between segments; the sweep carries its ``(free_at, server)`` heap with
+copies of both and builds it afresh only when a call's differ (one list
+compare each).  The buffer is emptied each time the cursor reaches its end,
 before ``close()`` (the vectorized epilogue) allocates anything.
 
 The unbreakable invariant: a K=1 FIFO run through the columnar core is
@@ -102,6 +104,7 @@ __all__ = [
     "check_arrivals",
     "check_positive",
     "check_integer",
+    "check_percentile",
     "check_ratio",
 ]
 
@@ -227,6 +230,17 @@ def check_positive(name: str, value: float, allow_zero: bool = False) -> float:
     if not np.isfinite(number) or number < 0 or (number == 0 and not allow_zero):
         bound = ">= 0" if allow_zero else "> 0"
         raise ValueError(f"{name} must be a finite number {bound} (got {value!r})")
+    return number
+
+
+def check_percentile(percentile: float) -> float:
+    """``percentile`` as a float in [0, 100] (NaN fails both comparisons):
+    refused when configured, not at the first window that reads it."""
+    number = float(percentile)
+    if not 0.0 <= number <= 100.0:
+        raise ValueError(
+            f"percentile must be a finite number in [0, 100] (got {percentile!r})"
+        )
     return number
 
 
@@ -775,12 +789,14 @@ class FifoSweep:
     """Carried state of the resumable columnar FIFO sweep (module docstring)
     and, once closed, the record of what it did beside ``ledger``'s rows.
 
-    The loop writes the ledger's five column lists only: its rows take the
-    ledger's ``cohort`` as it stands and their index as id, so it writes
-    before any row is removed.  Drop cohort k went at ``drop_times[k]`` and
-    covers positions ``drop_los[k]``..``drop_his[k]`` of the arrival order.
-    ``clock_heap`` is the free-clock heap the last call left, valid while the
-    caller's clocks and active set equal its copies ``clocks``/``active``.
+    The pending arrivals are ``arr``, one ``array("d")`` (8 bytes each,
+    whatever the arrival column's strides).  The loop writes the ledger's
+    five column lists only: its rows take the ledger's ``cohort`` as it
+    stands and their index as id, so it writes before any row is removed.
+    Drop cohort k went at ``drop_times[k]`` and covers positions
+    ``drop_los[k]``..``drop_his[k]`` of the arrival order.  ``clock_heap`` is
+    the free-clock heap the last call left, valid while the caller's clocks
+    and active set equal its copies ``clocks``/``active``.
     """
 
     __slots__ = ("arr", "offset", "pos", "ledger", "drop_times", "drop_los",
@@ -789,16 +805,25 @@ class FifoSweep:
     def __init__(
         self, arrivals: np.ndarray, ledger: Optional[BatchLedger] = None
     ) -> None:
-        self.arr: List[float] = arrivals.tolist()
+        self.arr = array("d")
         self.offset = self.pos = self.dropped = 0
         self.ledger = BatchLedger() if ledger is None else ledger
         self.drop_times, self.drop_los, self.drop_his = [], [], []
         self.clock_heap, self.clocks, self.active = [], None, None
+        self.pending_from(0, arrivals)
 
     def pending_from(self, at: int, arrivals: np.ndarray) -> None:
-        """Positions ``at`` (not before ``pos``) onwards are now ``arrivals``."""
+        """Positions ``at`` onwards are now ``arrivals``; ``at`` runs from
+        ``pos`` (nothing consumed is rewritten) to the buffer's end (no gap)."""
+        if not self.pos <= at <= self.offset + len(self.arr):
+            raise ValueError(
+                f"pending_from needs pos <= at <= {self.offset + len(self.arr)} "
+                f"(got at={at!r}, pos={self.pos})"
+            )
         del self.arr[at - self.offset:]
-        self.arr.extend(arrivals.tolist())
+        # Copied in through the column's bytes (C order, so a strided column
+        # is gathered first): the same doubles, and no view of it kept.
+        self.arr.frombytes(np.asarray(arrivals, dtype=np.float64).tobytes())
 
     def advance(
         self, free_at: List[float], busy: List[float], active: Sequence[int],
@@ -834,18 +859,21 @@ class FifoSweep:
             first_arrival = arr[pos]
             free, server = clock_heap[0]
             start = free if free >= first_arrival else first_arrival
-            # Galloping admission boundary: most batches admit only a few
-            # requests, so bracket [pos, hi) by doubling steps before the
-            # bisect — O(log(backlog)) instead of O(log n) per batch, with the
-            # identical boundary (bisect_right over the same sorted floats).
-            step = 8
-            lo = pos
-            hi = pos + step
-            while hi < n and arr[hi] <= start:
-                lo = hi
-                step += step
+            # Admission boundary, bisect_right's over the same sorted floats.
+            # Probe first: arr[pos] <= start, so when the next arrival is
+            # later (or there is none) the boundary is pos + 1, in one read.
+            # Otherwise gallop: bracket [lo, hi) by doubling steps before the
+            # bisect — O(log(backlog)) instead of O(log n) per batch.
+            end_index = pos + 1
+            if end_index < n and arr[end_index] <= start:
+                step = 8
+                lo = end_index
                 hi = pos + step
-            end_index = bisect_right(arr, start, lo, hi if hi < n else n)
+                while hi < n and arr[hi] <= start:
+                    lo = hi
+                    step += step
+                    hi = pos + step
+                end_index = bisect_right(arr, start, lo, hi if hi < n else n)
 
             if drop_after is not None and start - first_arrival > drop_after:
                 # Expired prefix, only behind an expired head (start - a does not
@@ -889,8 +917,8 @@ class FifoSweep:
         self.clocks = free_at[:]
         self.pos = offset + pos
         if pos >= n:
-            # Dry: the consumed floats go now, before any epilogue allocates.
-            self.offset, self.arr = self.pos, []
+            # Dry: the consumed buffer goes now, before any epilogue allocates.
+            self.offset, self.arr = self.pos, array("d")
         return len(starts) - before
 
     def close(self) -> "FifoSweep":
@@ -929,10 +957,12 @@ def run_fifo_columnar(
     are mutated in place, exactly as the object loop leaves them.
 
     The loop (:meth:`FifoSweep.advance`, here without a batch limit) runs
-    over a plain Python float list (numpy scalar extraction per element is
-    what makes the object loop slow), takes each batch's server from one
-    ``(free_at, server)`` heap and defers all per-request work to the
-    vectorized epilogue (:meth:`FifoSweep.close` and the ledger's reads).
+    over a typed float64 buffer (``array("d")``: a plain float per read,
+    where numpy scalar extraction per element is what makes the object loop
+    slow, and no float boxed per pending arrival), finds most admission
+    boundaries with one read of the next arrival, takes each batch's server
+    from one ``(free_at, server)`` heap and defers all per-request work to
+    the vectorized epilogue (:meth:`FifoSweep.close` and the ledger's reads).
     """
     sweep = FifoSweep(arrivals)
     sweep.advance(free_at, busy, active, latency_tables, max_batch, drop_after)

@@ -25,8 +25,10 @@ def latency_percentiles(
     values = np.asarray(latencies, dtype=np.float64)
     if values.size == 0:
         return {_percentile_label(p): float("nan") for p in percentiles}
+    # One partition for all of them: the same doubles as one call each.
     return {
-        _percentile_label(p): float(np.percentile(values, p)) for p in percentiles
+        _percentile_label(p): float(value)
+        for p, value in zip(percentiles, np.percentile(values, percentiles))
     }
 
 
@@ -55,10 +57,11 @@ def summarize_latencies(latencies: Sequence[float]) -> Dict[str, float]:
         }
         summary["count"] = 0.0
         return summary
+    median, p90, p99 = np.percentile(values, (50, 90, 99)).tolist()
     return {
-        "median": float(np.percentile(values, 50)),
-        "p90": float(np.percentile(values, 90)),
-        "p99": float(np.percentile(values, 99)),
+        "median": median,
+        "p90": p90,
+        "p99": p99,
         "mean": float(values.mean()),
         "max": float(values.max()),
         "count": float(values.size),
@@ -72,13 +75,17 @@ def attainment_within(latencies: Sequence[float], slo_seconds: float) -> float:
     per-request deadlines): here every request shares one response-time
     budget.  ``nan`` entries mark dropped requests and count as misses —
     they were admitted and not served in time.  Returns ``nan`` for an
-    empty sample.  Used by the cluster control plane for windowed and
+    empty sample; refuses a NaN or negative ``slo_seconds`` (no latency is
+    ever <= NaN).  Used by the cluster control plane for windowed and
     whole-run SLO reporting.
     """
+    slo = float(slo_seconds)
+    if not slo >= 0:
+        raise ValueError(f"slo_seconds must be a number >= 0 (got {slo_seconds!r})")
     values = np.asarray(latencies, dtype=np.float64)
     if values.size == 0:
         return float("nan")
-    return np.count_nonzero(values <= float(slo_seconds)) / values.size
+    return np.count_nonzero(values <= slo) / values.size
 
 
 def summarize_migrations(responses) -> Dict[str, float]:

@@ -84,13 +84,23 @@ def test_a_claim_is_met_on_nine_wins_and_a_gap_wider_than_the_spread(module):
     change[0] = 11.0  # one lost pair of ten still meets it
     line = module.claim(result_set(PARENT), result_set(change), "w", LOWER)
     assert line == ("claim w:op_p50_ms: B wins 9/10 pairs (needs 9/10 of >= 10), "
-                    "median gain 0.95 vs A's IQR 0.2: met")
-    # For a higher-is-better metric the same runs are a loss.
+                    "median gain 0.95 (B/A 0.905x) vs A's IQR 0.2: met")
+    # For a higher-is-better metric the same runs are a loss; the medians'
+    # ratio is B/A whichever way the metric points.
     assert module.claim(result_set(PARENT), result_set(change), "w", HIGHER).endswith(
-        "B wins 1/10 pairs (needs 9/10 of >= 10), median gain -0.95 vs A's IQR 0.2: not met")
+        "B wins 1/10 pairs (needs 9/10 of >= 10), median gain -0.95 (B/A 0.905x) "
+        "vs A's IQR 0.2: not met")
     # Fewer than ten pairs claim nothing, however they went.
     line = module.claim(result_set(PARENT[1:]), result_set(change[1:]), "w", LOWER)
     assert "B wins 9/9 pairs" in line and line.endswith(": not met")
+
+
+def test_a_claim_prints_the_medians_ratio_b_over_a(module):
+    faster = [value * 0.8 for value in PARENT]  # lower is better: a gain
+    assert "(B/A 0.8x)" in module.claim(result_set(PARENT), result_set(faster), "w", LOWER)
+    more = [value * 1.25 for value in PARENT]  # higher is better: a gain
+    line = module.claim(result_set(PARENT), result_set(more), "w", HIGHER)
+    assert "median gain 2.5 (B/A 1.25x) vs A's IQR 0.2: met" in line
 
 
 def test_a_claim_is_not_met_on_eight_wins(module):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.controller import AdaptiveRatioController, build_profile_from_latency_fn
 from repro.data.traces import FluctuatingTrace, PoissonTrace, RequestTrace
@@ -316,6 +317,61 @@ class TestSloAttainmentEdgeCases:
         assert attainment_within([0.2], 0.2) == 1.0
         assert np.isnan(attainment_within([], 0.5))
         assert attainment_within([float("nan")] * 3, 0.5) == 0.0
+
+    @pytest.mark.parametrize("slo", [float("nan"), -0.1, -float("inf")])
+    def test_attainment_within_refuses_a_nan_or_negative_slo(self, slo):
+        """No latency is ever <= nan: a NaN budget scored every request a
+        miss instead of being refused."""
+        with pytest.raises(ValueError, match="slo_seconds must be a number >= 0"):
+            attainment_within([0.1, 0.2], slo)
+
+
+def _reference_percentiles(values, percentiles):
+    """One ``np.percentile`` call per percentile: the reference."""
+    return {f"p{p:g}": float(np.percentile(values, p)) for p in percentiles}
+
+
+def _hexed(summary):
+    return {key: float(value).hex() for key, value in summary.items()}
+
+
+class TestOnePartitionEqualsOnePerPercentile:
+    """The helpers take every percentile from one ``np.percentile`` call; the
+    doubles must be those of one call per percentile, bit for bit."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        ticks=st.lists(st.integers(0, 12), min_size=1, max_size=40),  # ties common
+        scale=st.sampled_from([1e-3, 0.37, 1.0]),
+        nan_at=st.lists(st.integers(0, 39), max_size=3),
+        percentiles=st.lists(
+            st.one_of(
+                st.integers(0, 100),
+                st.floats(0.0, 100.0, allow_nan=False),
+                st.sampled_from([0.5, 99.9, 99.99, 33.3]),
+            ),
+            max_size=6,  # duplicates allowed, () included
+        ),
+    )
+    def test_one_call_equals_one_call_per_percentile(
+        self, ticks, scale, nan_at, percentiles
+    ):
+        values = np.asarray(ticks, dtype=np.float64) * scale
+        values[[i for i in nan_at if i < len(values)]] = np.nan
+        assert _hexed(latency_percentiles(values, percentiles)) == _hexed(
+            _reference_percentiles(values, percentiles)
+        )
+        assert _hexed(latency_percentiles(list(values), tuple(percentiles))) == _hexed(
+            _reference_percentiles(values, percentiles)
+        )
+        reference = _reference_percentiles(values, (50, 90, 99))
+        want = {
+            "median": reference["p50"], "p90": reference["p90"],
+            "p99": reference["p99"], "mean": float(values.mean()),
+            "max": float(values.max()), "count": float(values.size),
+        }
+        got = summarize_latencies(values)
+        assert list(got) == list(want) and _hexed(got) == _hexed(want)
 
 
 class TestExecutedRatioReporting:

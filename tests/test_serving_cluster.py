@@ -46,7 +46,7 @@ from repro.serving import (
     npu_server,
     requests_from_trace,
 )
-from repro.serving.cluster import ServerSpec
+from repro.serving.cluster import PredictiveFaultAutoscaler, ServerSpec
 from repro.serving.simulator import ServiceTimeModel
 from repro.serving.telemetry import CLUSTER, ScaleEvent
 from test_serving_engine import seed_serving_run
@@ -730,6 +730,21 @@ class TestAutoscalerPolicies:
             SloLatencyAutoscaler(slo_seconds=0.0)
         with pytest.raises(ValueError):
             SloLatencyAutoscaler(slo_seconds=1.0, headroom=0.0)
+
+    @pytest.mark.parametrize("scaler", [SloLatencyAutoscaler, PredictiveFaultAutoscaler])
+    @pytest.mark.parametrize("slo", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_the_slo_must_be_finite_and_positive(self, scaler, slo):
+        """``nan <= 0`` is false: a NaN SLO used to pass, and then no window's
+        percentile ever exceeded it, so the cluster never scaled up."""
+        with pytest.raises(ValueError, match="slo_seconds must be a finite number > 0"):
+            scaler(slo_seconds=slo)
+
+    @pytest.mark.parametrize("scaler", [SloLatencyAutoscaler, PredictiveFaultAutoscaler])
+    @pytest.mark.parametrize("percentile", [-1.0, 101.0, float("nan")])
+    def test_the_percentile_must_be_in_0_to_100(self, scaler, percentile):
+        """Refused at construction, not at the first window close."""
+        with pytest.raises(ValueError, match=r"percentile must be a finite number in \[0, 100\]"):
+            scaler(slo_seconds=0.1, percentile=percentile)
 
 
 class TestElasticCluster:
