@@ -15,8 +15,6 @@ import numpy as np
 from repro.analysis.capture import capture_layer_io, release_capture
 from repro.core.runtime import FlexiQConv2d, FlexiQLinear, FlexiQModel
 from repro.nn.module import Module
-from repro.quant.quantizers import compute_qparams
-from repro.quant.observers import TensorRange
 from repro.tensor import Tensor, no_grad
 
 
@@ -146,13 +144,7 @@ def _uniform_int4_output(layer, captured_input: np.ndarray) -> np.ndarray:
     """Output of the layer re-quantized uniformly to 4-bit (weights + acts)."""
     original = (layer.weight_qparams, layer.act_qparams, layer.weight_bits, layer.act_bits)
     try:
-        weight = layer._weight_reference().data
-        weight_range = TensorRange(
-            low=weight.reshape(weight.shape[0], -1).min(axis=1),
-            high=weight.reshape(weight.shape[0], -1).max(axis=1),
-        )
-        layer.weight_qparams = compute_qparams(weight_range, 4, channel_axis=0)
-        layer.act_qparams = compute_qparams(layer.act_observer.range(), 4)
+        layer.weight_qparams, layer.act_qparams = layer.qparams_at(4, 4)
         layer.weight_bits = 4
         layer.act_bits = 4
         boundary = getattr(layer, "max_4bit_ch", 0)

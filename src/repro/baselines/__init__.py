@@ -15,6 +15,16 @@ These are faithful-in-spirit reimplementations at the scale of the synthetic
 model zoo: each reproduces the mechanism that defines the scheme (what is
 quantized, at which granularity, and how multi-precision support is obtained)
 rather than the exact original training recipes.
+
+Everything around that mechanism is shared with FlexiQ itself, one body per
+rule: batches come from :func:`repro.data.calibration.calibration_batches`,
+training from :func:`repro.train.loop.sgd_epochs`, re-calibration from
+:func:`repro.quant.qmodel.recalibrate_model`, a bit assignment from
+:func:`repro.quant.qmodel.greedy_average_bits` and every average bitwidth
+from :func:`repro.quant.qmodel.model_average_bits`.  A method supplies only
+what defines it: RobustQuant and AnyPrecision a per-batch loss (one sampled
+bitwidth; every bitwidth, highest first), HAWQ and PTMQ a layer order (by
+sensitivity; by size).
 """
 
 from repro.baselines.uniform import quantize_uniform, uniform_accuracy_sweep

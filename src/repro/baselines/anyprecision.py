@@ -15,12 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.finetune import set_qat_bits
+from repro.data.calibration import calibration_batches
 from repro.data.synthetic import SyntheticImageDataset
 from repro.nn.module import Module
-from repro.quant.qmodel import quantize_model
+from repro.quant.qmodel import quantize_model, recalibrate_model, set_qat_bits
 from repro.tensor import Tensor, functional as F
-from repro.train.optim import SGD
+from repro.train.loop import sgd_epochs
 
 
 @dataclass
@@ -45,51 +45,25 @@ def anyprecision_finetune(
     calibration_batch_size: int = 32,
 ) -> Module:
     """Jointly train one quantized model for all configured bitwidths."""
-    batches = [
-        calibration[start : start + calibration_batch_size]
-        for start in range(0, len(calibration), calibration_batch_size)
-    ]
-    quantized = quantize_model(
-        model, weight_bits=8, act_bits=8, calibration_batches=batches
-    )
-    optimizer = SGD(
-        quantized.parameters(),
-        lr=config.learning_rate,
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
-    )
-    rng = np.random.default_rng(config.seed)
+    batches = calibration_batches(calibration, calibration_batch_size)
+    quantized = quantize_model(model, weight_bits=8, act_bits=8, calibration_batches=batches)
     bit_choices = sorted(config.bit_choices, reverse=True)
 
-    quantized.train()
-    for _ in range(config.epochs):
-        for images, labels in dataset.train_batches(config.batch_size, rng=rng):
-            optimizer.zero_grad()
-            soft_labels = None
-            total_loss = None
-            for bits in bit_choices:
-                set_qat_bits(quantized, bits)
-                logits = quantized(Tensor(images))
-                loss = F.cross_entropy(logits, labels)
-                if config.distill_from_highest:
-                    if soft_labels is None:
-                        # Highest precision defines the distillation target.
-                        soft_labels = _softmax_np(logits.data)
-                    else:
-                        loss = loss + F.soft_cross_entropy(logits, soft_labels)
-                total_loss = loss if total_loss is None else total_loss + loss
-            total_loss.backward()
-            optimizer.step()
-    set_qat_bits(quantized, None)
-    quantized.eval()
+    def batch_loss(images: np.ndarray, labels: np.ndarray, rng: np.random.Generator) -> Tensor:
+        soft_labels = None
+        total_loss = None
+        for bits in bit_choices:
+            set_qat_bits(quantized, bits)
+            logits = quantized(Tensor(images))
+            loss = F.cross_entropy(logits, labels)
+            if config.distill_from_highest:
+                if soft_labels is None:
+                    # Highest precision defines the distillation target.
+                    soft_labels = F.softmax(logits.data)
+                else:
+                    loss = loss + F.soft_cross_entropy(logits, soft_labels)
+            total_loss = loss if total_loss is None else total_loss + loss
+        return total_loss
 
-    from repro.core.finetune import refresh_quantization
-
-    refresh_quantization(quantized, batches)
-    return quantized
-
-
-def _softmax_np(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    sgd_epochs(quantized, dataset, config, batch_loss)
+    return recalibrate_model(quantized, batches)

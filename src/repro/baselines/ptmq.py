@@ -18,11 +18,16 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.data.calibration import calibration_batches
 from repro.data.synthetic import SyntheticImageDataset
 from repro.nn.module import Module
-from repro.quant.observers import TensorRange
-from repro.quant.qmodel import iter_quantized_layers, quantize_model
-from repro.quant.quantizers import QuantParams, compute_qparams
+from repro.quant.qmodel import (
+    greedy_average_bits,
+    iter_quantized_layers,
+    model_average_bits,
+    quantize_model,
+)
+from repro.quant.quantizers import QuantParams
 from repro.train.loop import evaluate_accuracy
 
 
@@ -56,13 +61,7 @@ class PTMQModel:
 
     def average_bits(self) -> float:
         """Parameter-weighted average weight bitwidth of the current assignment."""
-        total = 0
-        weighted = 0.0
-        for name, layer in iter_quantized_layers(self.model):
-            count = layer._weight_reference().size
-            weighted += self.layer_bits[name] * count
-            total += count
-        return weighted / max(total, 1)
+        return model_average_bits(self.model)
 
     def accuracy(self, dataset: SyntheticImageDataset) -> float:
         return evaluate_accuracy(self.model, dataset)
@@ -73,31 +72,23 @@ def ptmq_quantize(
     calibration: np.ndarray,
     bit_choices: Sequence[int] = (4, 6, 8),
     calibration_batch_size: int = 32,
-    first_last_bits: int = 8,
 ) -> PTMQModel:
-    """Calibrate one model with scale sets for every bitwidth in ``bit_choices``."""
-    batches = [
-        calibration[start : start + calibration_batch_size]
-        for start in range(0, len(calibration), calibration_batch_size)
-    ]
+    """Calibrate one model with scale sets for every bitwidth in ``bit_choices``.
+
+    Every layer, first and last included, starts at ``max(bit_choices)``;
+    :func:`ptmq_average_bit_assignment` keeps the first and last there.
+    """
     quantized = quantize_model(
         model, weight_bits=max(bit_choices), act_bits=max(bit_choices),
-        calibration_batches=batches, first_last_bits=first_last_bits,
+        calibration_batches=calibration_batches(calibration, calibration_batch_size),
     )
 
     scale_sets: Dict[int, Dict[str, Dict[str, QuantParams]]] = {}
     for bits in sorted(bit_choices):
         per_layer: Dict[str, Dict[str, QuantParams]] = {}
         for name, layer in iter_quantized_layers(quantized):
-            weight = layer._weight_reference().data
-            weight_range = TensorRange(
-                low=weight.reshape(weight.shape[0], -1).min(axis=1),
-                high=weight.reshape(weight.shape[0], -1).max(axis=1),
-            )
-            per_layer[name] = {
-                "weight": compute_qparams(weight_range, bits, channel_axis=0),
-                "act": compute_qparams(layer.act_observer.range(), bits),
-            }
+            weight, act = layer.qparams_at(bits, bits)
+            per_layer[name] = {"weight": weight, "act": act}
         scale_sets[bits] = per_layer
 
     layer_bits = {name: max(bit_choices) for name, _ in iter_quantized_layers(quantized)}
@@ -122,27 +113,14 @@ def ptmq_average_bit_assignment(
     ascending order of ``sensitivities`` (defaulting to parameter count,
     i.e. large layers first, which maximises the bitwidth reduction per flip).
     """
-    layers = list(iter_quantized_layers(ptmq.model))
+    layers = iter_quantized_layers(ptmq.model)
     sizes = {name: layer._weight_reference().size for name, layer in layers}
-    total = sum(sizes.values())
-    assignment = {name: max(ptmq.bit_choices) for name, _ in layers}
-    low = min(ptmq.bit_choices)
-
     if sensitivities is None:
         order = sorted(sizes, key=lambda name: -sizes[name])
     else:
         order = sorted(sensitivities, key=lambda name: sensitivities[name])
     # First/last layers stay at the highest precision.
-    names = [name for name, _ in layers]
-    protected = {names[0], names[-1]} if len(names) > 2 else set()
-
-    def average() -> float:
-        return sum(assignment[name] * sizes[name] for name in assignment) / total
-
-    for name in order:
-        if name in protected or name not in assignment:
-            continue
-        if average() <= target_average_bits:
-            break
-        assignment[name] = low
-    return assignment
+    return greedy_average_bits(
+        sizes, dict.fromkeys(sizes, max(ptmq.bit_choices)), order,
+        min(ptmq.bit_choices), target_average_bits,
+    )

@@ -16,12 +16,17 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.finetune import set_qat_bits
+from repro.data.calibration import calibration_batches
 from repro.data.synthetic import SyntheticImageDataset
 from repro.nn.module import Module
-from repro.quant.qmodel import quantize_model
+from repro.quant.qmodel import (
+    iter_quantized_layers,
+    quantize_model,
+    recalibrate_model,
+    set_qat_bits,
+)
 from repro.tensor import Tensor, functional as F
-from repro.train.optim import SGD
+from repro.train.loop import evaluate_accuracy, sgd_epochs
 
 
 @dataclass
@@ -49,39 +54,16 @@ def robustquant_finetune(
     Returns a calibrated quantized model whose ``qat_bits``/``weight_bits``
     can then be set to any of the supported precisions at run time.
     """
-    batches = [
-        calibration[start : start + calibration_batch_size]
-        for start in range(0, len(calibration), calibration_batch_size)
-    ]
-    quantized = quantize_model(
-        model, weight_bits=8, act_bits=8, calibration_batches=batches
-    )
+    batches = calibration_batches(calibration, calibration_batch_size)
+    quantized = quantize_model(model, weight_bits=8, act_bits=8, calibration_batches=batches)
 
-    optimizer = SGD(
-        quantized.parameters(),
-        lr=config.learning_rate,
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
-    )
-    rng = np.random.default_rng(config.seed)
-    quantized.train()
-    for _ in range(config.epochs):
-        for images, labels in dataset.train_batches(config.batch_size, rng=rng):
-            bits = int(rng.choice(config.bit_choices))
-            set_qat_bits(quantized, bits)
-            optimizer.zero_grad()
-            logits = quantized(Tensor(images))
-            loss = F.cross_entropy(logits, labels)
-            loss.backward()
-            optimizer.step()
-    set_qat_bits(quantized, None)
-    quantized.eval()
+    def batch_loss(images: np.ndarray, labels: np.ndarray, rng: np.random.Generator) -> Tensor:
+        set_qat_bits(quantized, int(rng.choice(config.bit_choices)))
+        return F.cross_entropy(quantized(Tensor(images)), labels)
 
+    sgd_epochs(quantized, dataset, config, batch_loss)
     # Re-calibrate after training moved the weights.
-    from repro.core.finetune import refresh_quantization
-
-    refresh_quantization(quantized, batches)
-    return quantized
+    return recalibrate_model(quantized, batches)
 
 
 def evaluate_at_bits(
@@ -96,24 +78,12 @@ def evaluate_at_bits(
     Evaluation re-uses the model's weights but re-derives the quantization
     grid for the requested bitwidth (the schemes store a single model and
     dynamically quantize it, as described in Section 2.2 of the paper).
+    Before returning, the grid is re-derived at each layer's original width
+    (these models quantize weights and activations at one width).
     """
-    from repro.quant.qmodel import iter_quantized_layers
-    from repro.train.loop import evaluate_accuracy
-
-    original_bits = {}
-    for name, layer in iter_quantized_layers(quantized):
-        original_bits[name] = (layer.weight_bits, layer.act_bits)
-        layer.weight_bits = bits
-        layer.act_bits = bits
-        layer.reset_calibration()
-    batches = [
-        calibration[start : start + calibration_batch_size]
-        for start in range(0, len(calibration), calibration_batch_size)
-    ]
-    from repro.quant.qmodel import calibrate_model
-
-    calibrate_model(quantized, batches)
+    batches = calibration_batches(calibration, calibration_batch_size)
+    original = {name: layer.weight_bits for name, layer in iter_quantized_layers(quantized)}
+    recalibrate_model(quantized, batches, dict.fromkeys(original, bits))
     accuracy = evaluate_accuracy(quantized, dataset)
-    for name, layer in iter_quantized_layers(quantized):
-        layer.weight_bits, layer.act_bits = original_bits[name]
+    recalibrate_model(quantized, batches, original)
     return accuracy

@@ -6,6 +6,7 @@ from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
+from repro.data.calibration import calibration_batches
 from repro.data.synthetic import SyntheticImageDataset
 from repro.nn.module import Module
 from repro.quant.qmodel import quantize_model
@@ -41,10 +42,7 @@ def uniform_accuracy_sweep(
 ) -> Dict[int, float]:
     """Accuracy (%) of the model quantized uniformly at each bitwidth."""
     results: Dict[int, float] = {}
-    batches = [
-        calibration[start : start + batch_size]
-        for start in range(0, len(calibration), batch_size)
-    ]
+    batches = calibration_batches(calibration, batch_size)
     for bits in bit_widths:
         quantized = quantize_uniform(model, bits, batches)
         results[int(bits)] = evaluate_accuracy(quantized, dataset)

@@ -9,22 +9,24 @@ both (Equation 3):
 
 The distillation term uses soft labels from the *full-precision* model, so
 finetuning improves low-bitwidth accuracy without sacrificing high-bitwidth
-accuracy.  After finetuning, quantization grids are re-calibrated because the
-weights moved.
+accuracy.  The loss is all this module adds: batches, SGD and the step decay
+come from :func:`repro.train.loop.sgd_epochs`, the loop every training recipe
+shares.  After finetuning, quantization grids are re-calibrated because the
+weights moved (:func:`refresh_quantization`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
 from repro.data.synthetic import SyntheticImageDataset
 from repro.nn.module import Module
-from repro.quant.qmodel import calibrate_model, iter_quantized_layers
+from repro.quant.qmodel import ForwardFn, default_forward, recalibrate_model, set_qat_bits
 from repro.tensor import Tensor, functional as F, no_grad
-from repro.train.optim import SGD, StepLR
+from repro.train.loop import sgd_epochs
 
 
 @dataclass
@@ -44,22 +46,16 @@ class FinetuneConfig:
     seed: int = 0
 
 
-def set_qat_bits(model: Module, bits: Optional[int]) -> None:
-    """Switch every quantized layer of ``model`` into (or out of) QAT mode."""
-    for _, layer in iter_quantized_layers(model):
-        layer.qat_bits = bits
-
-
 def dual_bitwidth_loss(
     model: Module,
     images: np.ndarray,
     labels: np.ndarray,
     soft_labels: np.ndarray,
     config: FinetuneConfig,
-    forward_fn: Optional[Callable[[Module, np.ndarray], Tensor]] = None,
+    forward_fn: Optional[ForwardFn] = None,
 ) -> Tensor:
     """Compute Equation (3) for one batch (returns a differentiable scalar)."""
-    forward_fn = forward_fn or (lambda m, batch: m(Tensor(batch)))
+    forward_fn = forward_fn or default_forward
 
     def bitwidth_loss(bits: int) -> Tensor:
         set_qat_bits(model, bits)
@@ -93,48 +89,20 @@ def finetune_quantized_model(
 
     Returns the per-epoch training losses.
     """
-    optimizer = SGD(
-        model.parameters(),
-        lr=config.learning_rate,
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
-    )
-    scheduler = StepLR(optimizer, step_size=config.lr_step, gamma=config.lr_gamma)
-    rng = np.random.default_rng(config.seed)
     float_model.eval()
-    model.train()
 
-    epoch_losses: List[float] = []
-    for _ in range(config.epochs):
-        losses = []
-        for images, labels in dataset.train_batches(config.batch_size, rng=rng):
-            with no_grad():
-                soft_logits = float_model(Tensor(images)).data
-            soft_labels = _softmax_np(soft_logits)
-            optimizer.zero_grad()
-            loss = dual_bitwidth_loss(model, images, labels, soft_labels, config)
-            loss.backward()
-            optimizer.step()
-            losses.append(loss.item())
-        scheduler.step()
-        epoch_losses.append(float(np.mean(losses)))
-    model.eval()
-    set_qat_bits(model, None)
-    return epoch_losses
+    def batch_loss(images: np.ndarray, labels: np.ndarray, rng: np.random.Generator) -> Tensor:
+        with no_grad():
+            soft_labels = F.softmax(float_model(Tensor(images)).data)
+        return dual_bitwidth_loss(model, images, labels, soft_labels, config)
+
+    return sgd_epochs(model, dataset, config, batch_loss)
 
 
 def refresh_quantization(
     model: Module,
     calibration_batches: Iterable[np.ndarray],
-    forward_fn: Optional[Callable[[Module, np.ndarray], Tensor]] = None,
+    forward_fn: Optional[ForwardFn] = None,
 ) -> Module:
     """Re-calibrate all quantized layers after finetuning moved the weights."""
-    for _, layer in iter_quantized_layers(model):
-        layer.reset_calibration()
-    return calibrate_model(model, calibration_batches, forward_fn=forward_fn)
-
-
-def _softmax_np(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    return recalibrate_model(model, calibration_batches, forward_fn=forward_fn)

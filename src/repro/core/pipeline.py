@@ -19,7 +19,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -35,15 +35,14 @@ from repro.core.selection import (
     greedy_selection,
     random_selection,
 )
+from repro.data.calibration import calibration_batches
 from repro.data.synthetic import SyntheticImageDataset
 from repro.nn.layers import Conv2d, Linear
 from repro.nn.module import Module
-from repro.quant.qmodel import quantize_model
+from repro.quant.qmodel import ForwardFn, default_forward, quantize_model
 from repro.quant.qmodules import QuantizedLayer
 from repro.quant.quantizers import quantize
-from repro.tensor import Tensor, no_grad
-
-ForwardFn = Callable[[Module, np.ndarray], Tensor]
+from repro.tensor import no_grad
 
 
 @dataclass
@@ -88,7 +87,7 @@ class FlexiQPipeline:
         self.source_model = model
         self.calibration_data = np.asarray(calibration_data)
         self.config = config
-        self.forward_fn: ForwardFn = forward_fn or (lambda m, batch: m(Tensor(batch)))
+        self.forward_fn: ForwardFn = forward_fn or default_forward
         self.calibration_batch_size = calibration_batch_size
         self.finetune_dataset = finetune_dataset
         # Populated by run().
@@ -100,30 +99,12 @@ class FlexiQPipeline:
     # ------------------------------------------------------------------
     # Pipeline steps
     # ------------------------------------------------------------------
-    def _calibration_batches(self) -> List[np.ndarray]:
-        data = self.calibration_data
-        return [
-            data[start : start + self.calibration_batch_size]
-            for start in range(0, len(data), self.calibration_batch_size)
-        ]
-
     def _layer_factory(self, layer: Module, weight_bits: int, act_bits: int) -> QuantizedLayer:
         if isinstance(layer, Linear):
             return FlexiQLinear(layer, weight_bits=weight_bits, act_bits=act_bits)
         if isinstance(layer, Conv2d):
             return FlexiQConv2d(layer, weight_bits=weight_bits, act_bits=act_bits)
         raise TypeError(f"cannot quantize layer of type {type(layer).__name__}")
-
-    def _build_quantized_model(self) -> Module:
-        return quantize_model(
-            self.source_model,
-            weight_bits=self.config.high_bits,
-            act_bits=self.config.high_bits,
-            calibration_batches=self._calibration_batches(),
-            first_last_bits=self.config.first_last_bits,
-            layer_factory=self._layer_factory,
-            forward_fn=self.forward_fn,
-        )
 
     def _selectable_layers(self, model: Module) -> List[str]:
         """FlexiQ layers eligible for 4-bit channels (first/last excluded).
@@ -237,7 +218,16 @@ class FlexiQPipeline:
     def run(self) -> FlexiQModel:
         """Execute the full pipeline and return the runtime model."""
         config = self.config
-        model = self._build_quantized_model()
+        batches = calibration_batches(self.calibration_data, self.calibration_batch_size)
+        model = quantize_model(
+            self.source_model,
+            weight_bits=config.high_bits,
+            act_bits=config.high_bits,
+            calibration_batches=batches,
+            first_last_bits=config.first_last_bits,
+            layer_factory=self._layer_factory,
+            forward_fn=self.forward_fn,
+        )
 
         if config.finetune:
             if self.finetune_dataset is None:
@@ -245,7 +235,7 @@ class FlexiQPipeline:
             finetune_quantized_model(
                 model, self.float_model, self.finetune_dataset, config.finetune_config
             )
-            refresh_quantization(model, self._calibration_batches(), forward_fn=self.forward_fn)
+            refresh_quantization(model, batches, forward_fn=self.forward_fn)
 
         selectable = self._selectable_layers(model)
         self.scores = estimate_channel_scores(model, layer_names=selectable)

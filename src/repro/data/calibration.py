@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
+
+
+def calibration_batches(data: np.ndarray, batch_size: int) -> List[np.ndarray]:
+    """Split ``data`` into consecutive batches of ``batch_size`` (the last may be short)."""
+    return [data[start : start + batch_size] for start in range(0, len(data), batch_size)]
 
 
 class CalibrationSampler:
@@ -36,8 +41,7 @@ class CalibrationSampler:
     def batches(self, limit: Optional[int] = None) -> Iterator[np.ndarray]:
         """Yield calibration batches, optionally capped at ``limit`` samples."""
         data = self.samples if limit is None else self.samples[:limit]
-        for start in range(0, len(data), self.batch_size):
-            yield data[start : start + self.batch_size]
+        return iter(calibration_batches(data, self.batch_size))
 
     def all(self) -> np.ndarray:
         """Return the full calibration set as one array."""

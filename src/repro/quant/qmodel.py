@@ -13,7 +13,7 @@ machinery.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +23,12 @@ from repro.quant.qmodules import QuantConv2d, QuantLinear, QuantizedLayer
 from repro.tensor import Tensor, no_grad
 
 LayerFactory = Callable[[Module, int, int], QuantizedLayer]
+ForwardFn = Callable[[Module, np.ndarray], Tensor]
+
+
+def default_forward(model: Module, batch: np.ndarray) -> Tensor:
+    """Feed a raw image batch to a vision model (the default ``forward_fn``)."""
+    return model(Tensor(batch))
 
 
 def iter_quantizable_layers(model: Module) -> List[Tuple[str, Module]]:
@@ -48,6 +54,12 @@ def iter_quantized_layers(model: Module) -> List[Tuple[str, QuantizedLayer]]:
     ]
 
 
+def set_qat_bits(model: Module, bits: Optional[int]) -> None:
+    """Switch every quantized layer of ``model`` into (or out of) QAT mode."""
+    for _, layer in iter_quantized_layers(model):
+        layer.qat_bits = bits
+
+
 def _default_factory(layer: Module, weight_bits: int, act_bits: int) -> QuantizedLayer:
     if isinstance(layer, Linear):
         return QuantLinear(layer, weight_bits=weight_bits, act_bits=act_bits)
@@ -63,7 +75,7 @@ def quantize_model(
     calibration_batches: Optional[Iterable[np.ndarray]] = None,
     first_last_bits: int = 8,
     layer_factory: Optional[LayerFactory] = None,
-    forward_fn: Optional[Callable[[Module, np.ndarray], Tensor]] = None,
+    forward_fn: Optional[ForwardFn] = None,
     inplace: bool = False,
 ) -> Module:
     """Quantize all Linear/Conv2d layers of ``model``.
@@ -111,10 +123,10 @@ def quantize_model(
 def calibrate_model(
     model: Module,
     calibration_batches: Iterable[np.ndarray],
-    forward_fn: Optional[Callable[[Module, np.ndarray], Tensor]] = None,
+    forward_fn: Optional[ForwardFn] = None,
 ) -> Module:
     """Run calibration batches through the model and freeze quantizers."""
-    forward_fn = forward_fn or (lambda m, batch: m(Tensor(batch)))
+    forward_fn = forward_fn or default_forward
     model.eval()
     ran_any = False
     with no_grad():
@@ -127,6 +139,48 @@ def calibrate_model(
         if layer.calibrating:
             layer.freeze()
     return model
+
+
+def recalibrate_model(
+    model: Module,
+    calibration_batches: Iterable[np.ndarray],
+    layer_bits: Optional[Mapping[str, int]] = None,
+    forward_fn: Optional[ForwardFn] = None,
+) -> Module:
+    """Set bits, reset calibration and re-calibrate.
+
+    The layers named in ``layer_bits`` move weights and activations to that
+    width; ``None`` re-calibrates every layer at its own widths.  Other
+    layers keep their frozen grids.
+    """
+    for name, layer in iter_quantized_layers(model):
+        if layer_bits is None or name in layer_bits:
+            if layer_bits is not None:
+                layer.weight_bits = layer.act_bits = layer_bits[name]
+            layer.reset_calibration()
+    return calibrate_model(model, calibration_batches, forward_fn=forward_fn)
+
+
+def greedy_average_bits(
+    sizes: Mapping[str, int], layer_bits: Mapping[str, int], order: Iterable[str],
+    low_bits: int, target_average_bits: float,
+) -> Dict[str, int]:
+    """Flip layers to ``low_bits`` in ``order`` until the average hits the target.
+
+    The average is weighted by ``sizes`` (every layer, in network order) and
+    checked before each flip.  The first and last layers never flip.
+    """
+    names = list(sizes)
+    protected = {names[0], names[-1]} if names else set()
+    total = sum(sizes.values())
+    assignment = dict(layer_bits)
+    for name in order:
+        if name in protected or name not in sizes:
+            continue
+        if sum(assignment[n] * sizes[n] for n in assignment) / total <= target_average_bits:
+            break
+        assignment[name] = low_bits
+    return assignment
 
 
 def model_average_bits(model: Module) -> float:

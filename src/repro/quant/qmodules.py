@@ -24,7 +24,7 @@ and override only the integer kernel.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -102,17 +102,19 @@ class QuantizedLayer(Module):
         raise NotImplementedError
 
     # -- calibration ----------------------------------------------------
+    def qparams_at(self, weight_bits: int, act_bits: int) -> Tuple[QuantParams, QuantParams]:
+        """Per-channel weight and per-tensor activation quant params at these widths."""
+        weight = self._weight_reference().data
+        weight = weight.reshape(weight.shape[0], -1)
+        weight_range = TensorRange(low=weight.min(axis=1), high=weight.max(axis=1))
+        return (
+            compute_qparams(weight_range, weight_bits, channel_axis=0),
+            compute_qparams(self.act_observer.range(), act_bits),
+        )
+
     def freeze(self) -> None:
         """Finish calibration: compute weight and activation quant params."""
-        weight = self._weight_reference().data
-        weight_range = TensorRange(
-            low=weight.reshape(weight.shape[0], -1).min(axis=1),
-            high=weight.reshape(weight.shape[0], -1).max(axis=1),
-        )
-        self.weight_qparams = compute_qparams(
-            weight_range, self.weight_bits, channel_axis=0
-        )
-        self.act_qparams = compute_qparams(self.act_observer.range(), self.act_bits)
+        self.weight_qparams, self.act_qparams = self.qparams_at(self.weight_bits, self.act_bits)
         self.calibrating = False
         # Quant params changed: rebuild the cached integer weights eagerly so
         # the first quantized forward is already on the fast path.

@@ -1,16 +1,20 @@
-"""Classifier and language-model training loops."""
+"""Training loops: :func:`sgd_epochs`, the one SGD loop every image-model
+recipe shares (each supplies only its per-batch loss), and the LM loop."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 import numpy as np
 
 from repro.data.synthetic import SyntheticImageDataset
 from repro.nn.module import Module
+from repro.quant.qmodel import set_qat_bits
 from repro.tensor import Tensor, functional as F, no_grad
 from repro.train.optim import SGD, StepLR
+
+BatchLoss = Callable[[np.ndarray, np.ndarray, np.random.Generator], Tensor]
 
 
 @dataclass
@@ -47,6 +51,51 @@ def evaluate_accuracy(
     return 100.0 * correct / max(total, 1)
 
 
+def sgd_epochs(
+    model: Module,
+    dataset: SyntheticImageDataset,
+    config: Any,
+    batch_loss: BatchLoss,
+) -> List[float]:
+    """Train ``model`` with SGD on ``batch_loss``; return the per-epoch mean losses.
+
+    ``config`` is any training config (``epochs``, ``batch_size``,
+    ``learning_rate``, ``momentum``, ``weight_decay``, ``seed``).  The one
+    generator seeded by ``config.seed`` shuffles every epoch and is passed to
+    ``batch_loss(images, labels, rng)`` for any per-batch draw.  A ``StepLR``
+    steps once per epoch when the config has an ``lr_step``.  Training ends in
+    eval mode with every quantized layer out of QAT.
+    """
+    optimizer = SGD(
+        model.parameters(),
+        lr=config.learning_rate,
+        momentum=config.momentum,
+        weight_decay=config.weight_decay,
+    )
+    lr_step = getattr(config, "lr_step", None)
+    scheduler = None if lr_step is None else StepLR(optimizer, lr_step, gamma=config.lr_gamma)
+    log_every = getattr(config, "log_every", 0)
+    rng = np.random.default_rng(config.seed)
+    epoch_losses: List[float] = []
+    model.train()
+    for epoch in range(config.epochs):
+        losses = []
+        for images, labels in dataset.train_batches(config.batch_size, rng=rng):
+            optimizer.zero_grad()
+            loss = batch_loss(images, labels, rng)
+            loss.backward()
+            optimizer.step()
+            losses.append(loss.item())
+        if scheduler is not None:
+            scheduler.step()
+        epoch_losses.append(float(np.mean(losses)))
+        if log_every and (epoch + 1) % log_every == 0:
+            print(f"epoch {epoch + 1}/{config.epochs} loss {epoch_losses[-1]:.4f}")
+    model.eval()
+    set_qat_bits(model, None)
+    return epoch_losses
+
+
 def train_classifier(
     model: Module,
     dataset: SyntheticImageDataset,
@@ -55,32 +104,9 @@ def train_classifier(
 ) -> List[float]:
     """Train ``model`` on the dataset's train split; return per-epoch losses."""
     loss_fn = loss_fn or F.cross_entropy
-    optimizer = SGD(
-        model.parameters(),
-        lr=config.learning_rate,
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
+    return sgd_epochs(
+        model, dataset, config, lambda images, labels, rng: loss_fn(model(Tensor(images)), labels)
     )
-    scheduler = StepLR(optimizer, step_size=config.lr_step, gamma=config.lr_gamma)
-    rng = np.random.default_rng(config.seed)
-    epoch_losses: List[float] = []
-    model.train()
-    for epoch in range(config.epochs):
-        losses = []
-        for images, labels in dataset.train_batches(config.batch_size, rng=rng):
-            optimizer.zero_grad()
-            logits = model(Tensor(images))
-            loss = loss_fn(logits, labels)
-            loss.backward()
-            optimizer.step()
-            losses.append(loss.item())
-        scheduler.step()
-        epoch_loss = float(np.mean(losses))
-        epoch_losses.append(epoch_loss)
-        if config.log_every and (epoch + 1) % config.log_every == 0:
-            print(f"epoch {epoch + 1}/{config.epochs} loss {epoch_loss:.4f}")
-    model.eval()
-    return epoch_losses
 
 
 def train_language_model(
