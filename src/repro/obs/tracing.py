@@ -1,26 +1,28 @@
-"""Request-lifecycle tracing: columnar span store + low-overhead tracer.
+"""Request-lifecycle tracing: one span table + a low-overhead tracer.
 
 The serving layers record *what happened to each request* as typed spans
-(see the taxonomy in :mod:`repro.obs`).  Two constraints shape the design:
+(see the taxonomy in :mod:`repro.obs`).  Three rules shape the design:
 
-* **Columnar storage.**  A span is five scalars, and a traced day is
-  hundreds of thousands of them — so :class:`SpanStore` keeps parallel
-  columns (kind, request, server, start, end, value), not span objects,
-  the same structure-of-arrays discipline as
-  :class:`~repro.serving.core.RequestStore`.  The engine's columnar fast
-  path appends whole numpy chunks (:meth:`SpanStore.extend`) instead of
-  looping requests; chunks fold into the row lists only when a later
-  mutation or point-append needs stable row identity.
+* **One table.**  A traced day is hundreds of thousands of spans, so
+  :class:`SpanStore` is six numpy columns (kind, request, server, start,
+  end, value) growing by doubling, not span objects — the structure-of-
+  arrays discipline of :class:`~repro.serving.core.RequestStore`.
+
+* **One writer.**  The object loops park a batch per :meth:`Tracer.on_batch`,
+  the columnar sweep a run of ledger rows per :meth:`Tracer.on_batches`
+  (each drop cohort goes to :meth:`Tracer.on_drop` in its place), and
+  :meth:`Tracer.settle` writes all of their spans: a session's spans are the
+  same rows, in the same order, whichever loop served it.
 
 * **Head-based sampling.**  ``sample_rate`` decides *per request*, by a
   deterministic integer hash of the request slot, whether its per-request
   spans (queued / served) are recorded — the same request samples
-  identically on the object loop and the vectorized sweep, and across
-  reruns.  Batch-level spans (execute / iteration) are always recorded
-  when tracing is on: they are O(batches), they are the per-server
-  swimlanes, and they cost nothing per request.  Drops and deadline
-  misses override the sampling decision (``sample_drops`` /
-  ``sample_deadline_misses``): the requests worth debugging are exactly
+  identically on every loop and across reruns.  Batch-level spans
+  (execute / iteration) are always recorded when tracing is on: they are
+  O(batches), they are the per-server swimlanes, and they cost nothing per
+  request.  Drops and deadline misses override the sampling decision
+  (``sample_drops`` / ``sample_deadline_misses``; a dropped request that
+  carried a deadline missed it): the requests worth debugging are exactly
   the ones a uniform sample would usually miss.
 
 Preemption support keeps the terminal-conservation invariant (every
@@ -34,6 +36,7 @@ through a later serve or drop.  Requeue decisions land as ``migrate``
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -62,43 +65,29 @@ DURATION_KINDS = (SPAN_QUEUED, SPAN_EXECUTE, SPAN_ITERATION, SPAN_PREEMPTED)
 _HASH_MULT = 2654435761      # Knuth's multiplicative hash constant
 _HASH_MOD = 1 << 32
 
+#: The span table's columns, in row order: (name, dtype).
+_COLUMNS = (
+    ("kind", np.int64), ("request", np.int64), ("server", np.int64),
+    ("start", np.float64), ("end", np.float64), ("value", np.float64),
+)
+
 
 class SpanStore:
-    """Append-mostly columnar span storage.
+    """One table of spans: six numpy columns, a row per span, in append order.
 
-    Point appends go to plain Python lists (O(1) per span, the object
-    loop's path); bulk appends park whole numpy column chunks
-    (:meth:`extend`, the vectorized path).  Chunks are folded into the
-    lists only when row identity matters — a point append or an in-place
-    rewrite after a bulk ingest — so the common case never pays a
-    concatenation.  :meth:`columns` materializes the unified view.
+    The columns keep spare room behind the ``len(self)`` rows and double it
+    when it runs out, so a run of appends costs O(rows added).  A row's
+    index never changes: the tracer rewrites a span by it.
     """
 
-    __slots__ = ("kinds", "requests", "servers", "starts", "ends", "values",
-                 "_chunks")
+    __slots__ = ("_table", "_rows")
 
     def __init__(self) -> None:
-        self.kinds: List[int] = []
-        self.requests: List[int] = []
-        self.servers: List[int] = []
-        self.starts: List[float] = []
-        self.ends: List[float] = []
-        self.values: List[float] = []
-        self._chunks: List[tuple] = []
+        self._table = [np.empty(0, dtype) for _, dtype in _COLUMNS]
+        self._rows = 0
 
     def __len__(self) -> int:
-        return len(self.kinds) + sum(len(chunk[0]) for chunk in self._chunks)
-
-    def _fold(self) -> None:
-        """Fold bulk chunks into the row lists (stable row indices after)."""
-        for kinds, requests, servers, starts, ends, values in self._chunks:
-            self.kinds.extend(int(k) for k in kinds)
-            self.requests.extend(int(r) for r in requests)
-            self.servers.extend(int(s) for s in servers)
-            self.starts.extend(float(t) for t in starts)
-            self.ends.extend(float(t) for t in ends)
-            self.values.extend(float(v) for v in values)
-        self._chunks.clear()
+        return self._rows
 
     def append(
         self,
@@ -110,77 +99,59 @@ class SpanStore:
         value: float,
     ) -> int:
         """Append one span; returns its (stable) row index."""
-        if self._chunks:
-            self._fold()
-        row = len(self.kinds)
-        self.kinds.append(int(kind))
-        self.requests.append(int(request))
-        self.servers.append(int(server))
-        self.starts.append(float(start))
-        self.ends.append(float(end))
-        self.values.append(float(value))
-        return row
+        return self.append_rows((kind, request, server, start, end, value))
 
-    def append_rows(self, columns: Sequence[Sequence]) -> None:
-        """Append rows handed over as their six columns, each value already
-        of the type :meth:`append` casts it to; they take row indices
-        ``len(self)`` onwards, in order."""
-        if self._chunks:
-            self._fold()
-        lists = (self.kinds, self.requests, self.servers, self.starts, self.ends,
-                 self.values)
-        for held, column in zip(lists, columns):
-            held += column
+    def append_rows(self, columns: Sequence) -> int:
+        """Append rows handed over as their six columns, each a sequence or
+        one value for every row (the kinds' length is the row count: one row
+        for a single kind); returns the first new row's index."""
+        first = self._rows
+        total = self._rows = first + np.size(columns[0])
+        if total > len(self._table[0]):
+            spare = max(total, 2 * len(self._table[0])) - first
+            self._table = [
+                np.concatenate([held[:first], np.empty(spare, held.dtype)])
+                for held in self._table
+            ]
+        for held, column in zip(self._table, columns):
+            held[first:total] = column
+        return first
 
-    def extend(
-        self,
-        kind: int,
-        requests: np.ndarray,
-        servers: np.ndarray,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        values: np.ndarray,
-    ) -> None:
-        """Bulk-append ``len(requests)`` spans of one kind (columnar path)."""
-        count = len(requests)
-        if count == 0:
-            return
-        self._chunks.append((
-            np.full(count, int(kind), dtype=np.int64),
-            np.asarray(requests, dtype=np.int64),
-            np.asarray(servers, dtype=np.int64),
-            np.asarray(starts, dtype=np.float64),
-            np.asarray(ends, dtype=np.float64),
-            np.asarray(values, dtype=np.float64),
-        ))
-
-    def rewrite(
-        self, row: int, kind: int, end: Optional[float] = None
-    ) -> None:
+    def rewrite(self, row: int, kind: int, end: Optional[float] = None) -> None:
         """Rewrite one span's kind (and optionally end) in place."""
-        if self._chunks:
-            self._fold()
-        self.kinds[row] = int(kind)
+        self._table[0][row] = kind
         if end is not None:
-            self.ends[row] = float(end)
+            self._table[4][row] = end
 
     def columns(self) -> Dict[str, np.ndarray]:
-        """The unified columnar view (lists + chunks, concatenated copies)."""
-        parts = [(
-            np.asarray(self.kinds, dtype=np.int64),
-            np.asarray(self.requests, dtype=np.int64),
-            np.asarray(self.servers, dtype=np.int64),
-            np.asarray(self.starts, dtype=np.float64),
-            np.asarray(self.ends, dtype=np.float64),
-            np.asarray(self.values, dtype=np.float64),
-        )] + self._chunks
-        names = ("kind", "request", "server", "start", "end", "value")
-        if len(parts) == 1:
-            return dict(zip(names, parts[0]))
+        """The table as ``{column name: array}`` (copies)."""
         return {
-            name: np.concatenate([part[i] for part in parts])
-            for i, name in enumerate(names)
+            name: held[: self._rows].copy()
+            for (name, _), held in zip(_COLUMNS, self._table)
         }
+
+
+def _pairs(terminal: int, slots, servers, arrivals, waited, ends) -> tuple:
+    """Six columns of (queued, ``terminal``) span pairs, a pair per request
+    in order: the wait over [arrival, ``waited``), then the terminal instant
+    at ``ends``; each pair's values are ``waited - arrival`` and
+    ``ends - arrival``.  Every argument after ``terminal`` is a column or
+    one value for every request."""
+    count = len(slots)
+
+    def interleave(first, second):
+        column = np.empty(2 * count, np.result_type(first, second))
+        column[0::2], column[1::2] = first, second
+        return column
+
+    return (
+        interleave(SPAN_QUEUED, terminal),
+        interleave(slots, slots),
+        interleave(servers, servers),
+        interleave(arrivals, ends),
+        interleave(waited, ends),
+        interleave(np.subtract(waited, arrivals), np.subtract(ends, arrivals)),
+    )
 
 
 class Tracer:
@@ -195,14 +166,12 @@ class Tracer:
     regardless of the sampling decision.  Everything is opt-in: engines
     built without a tracer take a single ``is None`` branch per batch.
 
-    **Spans are settled on read.**  :meth:`on_batch` only parks its
-    arguments; the spans of the parked batches are written — sampling hash
-    and deadline-miss mask computed once over the whole run of batches, rows
-    in the order the eager hook would have appended them — when anything
-    reads or rewrites spans (:attr:`store`, every query, every other hook)
-    and by :meth:`settle`, which ``ServingEngine.finish()`` calls before the
-    session closes.  Callers never see the difference; a record handed to
-    :meth:`on_batch` must not be mutated before then.
+    **Spans are settled on read.**  :meth:`on_batch` and :meth:`on_batches`
+    only park their batches; :meth:`settle` writes the spans of all of them
+    (sampling hash and deadline-miss mask computed once, rows in the order a
+    batch-at-a-time hook would append them) when anything reads or writes
+    spans — :attr:`store`, every query, every other hook — and
+    ``ServingEngine.finish()`` calls it before the session closes.
     """
 
     def __init__(
@@ -217,15 +186,7 @@ class Tracer:
         self.sample_drops = bool(sample_drops)
         self.sample_deadline_misses = bool(sample_deadline_misses)
         self._threshold = int(self.sample_rate * _HASH_MOD)
-        self._store = SpanStore()
-        # on_batch arguments whose spans are not written yet (see settle).
-        self._parked: List[tuple] = []
-        # Live terminal row per traced slot (object path only; bulk-ingested
-        # sessions cannot be preempted, so they skip the bookkeeping).
-        self._terminal_row: Dict[int, int] = {}
-        # Execute/iteration span row per record ``row`` id, for preemption
-        # rewrite.
-        self._record_row: Dict[int, int] = {}
+        self.reset()
 
     # ------------------------------------------------------------------
     # Sampling
@@ -249,12 +210,19 @@ class Tracer:
     def reset(self) -> None:
         """Drop all recorded spans and bookkeeping (fresh run)."""
         self._store = SpanStore()
-        self._parked = []
-        self._terminal_row.clear()
-        self._record_row.clear()
+        # Parked batches, not written yet (see settle): per batch its record
+        # row id, server, start, finish and size; per park its riders'
+        # (slots, arrivals, deadlines or None).
+        self._heads: tuple = ([], [], [], [], [])
+        self._riders: List[tuple] = []
+        # Live terminal row per traced slot.
+        self._terminal_row: Dict[int, int] = {}
+        # Execute/iteration span row per record ``row`` id, for preemption
+        # rewrite.
+        self._record_row: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    # Engine hooks (object loop)
+    # Engine hooks
     # ------------------------------------------------------------------
     def on_batch(
         self,
@@ -271,7 +239,27 @@ class Tracer:
         of deadline-missing requests.  The spans are written by
         :meth:`settle`.
         """
-        self._parked.append((record, slots, arrivals, deadlines))
+        rows, servers, starts, finishes, sizes = self._heads
+        rows.append(record.row)
+        servers.append(record.server)
+        starts.append(record.start)
+        finishes.append(record.finish)
+        sizes.append(len(slots))
+        self._riders.append((slots, arrivals, deadlines))
+
+    def on_batches(
+        self, ledger, lo: int, hi: int, slots: np.ndarray, arrivals: np.ndarray,
+        deadlines: Optional[np.ndarray] = None,
+    ) -> None:
+        """Rows ``lo``..``hi`` of a :class:`~repro.serving.core.BatchLedger`
+        no row was removed from yet (a row's id is its index), as that many
+        :meth:`on_batch` calls: ``slots`` (with their ``arrivals`` and
+        ``deadlines``) ride in them in order, each row seating its size."""
+        starts, finishes, sizes, servers, _ = ledger.lists
+        columns = (range(len(starts)), servers, starts, finishes, sizes)
+        for held, column in zip(self._heads, columns):
+            held.extend(column[lo:hi])
+        self._riders.append((slots, arrivals, deadlines))
 
     @property
     def store(self) -> SpanStore:
@@ -280,65 +268,77 @@ class Tracer:
         return self._store
 
     def settle(self) -> None:
-        """Write the spans of every parked batch, in :meth:`on_batch` order."""
-        parked = self._parked
-        if not parked:
+        """Write the spans of every parked batch, in parking order: a batch's
+        execute row, then a queued and a served row per traced rider."""
+        riders = self._riders
+        if not riders:
             return
-        self._parked = []
-        sizes = [len(batch[1]) for batch in parked]
-        slots = np.concatenate([np.asarray(batch[1]) for batch in parked])
-        arrivals = np.concatenate([np.asarray(batch[2]) for batch in parked])
+        rows, servers, starts, finishes, sizes = self._heads
+        self._heads, self._riders = ([], [], [], [], []), []
+        servers, sizes = np.array(servers, np.int64), np.array(sizes, np.int64)
+        starts, finishes = np.array(starts, float), np.array(finishes, float)
+        slots = np.concatenate([park[0] for park in riders])
+        arrivals = np.concatenate([park[1] for park in riders])
+        batch = np.repeat(np.arange(len(sizes)), sizes)  # each rider's batch
         mask = self.sample_mask(slots)
-        if self.sample_deadline_misses and any(
-            batch[3] is not None for batch in parked
-        ):
+        if self.sample_deadline_misses and any(park[2] is not None for park in riders):
             deadlines = np.concatenate([
-                np.full(size, np.nan) if batch[3] is None else batch[3]
-                for batch, size in zip(parked, sizes)
+                np.full(len(park[0]), np.nan) if park[2] is None else park[2]
+                for park in riders
             ])
-            finishes = np.repeat([batch[0].finish for batch in parked], sizes)
-            mask |= ~np.isnan(deadlines) & (finishes > deadlines)
+            mask |= ~np.isnan(deadlines) & (finishes[batch] > deadlines)
         hits = np.flatnonzero(mask)
-        traced = list(zip(slots[hits].tolist(), arrivals[hits].tolist()))
-        # How many traced requests ride in the batches up to and including each.
-        upto = np.searchsorted(hits, np.cumsum(sizes)).tolist()
-        # The rows the eager hook appended, typed as it cast them, written in
-        # one call: a row's index is its place in ``rows`` after the store's.
-        base, rows, first = len(self._store), [], 0
-        add, record_row, terminal_row = rows.append, self._record_row, self._terminal_row
-        for (record, _, _, _), size, last in zip(parked, sizes, upto):
-            start, finish = float(record.start), float(record.finish)
-            server = int(record.server)
-            record_row[record.row] = base + len(rows)
-            add((SPAN_EXECUTE, -1, server, start, finish, float(size)))
-            for slot, arrival in traced[first:last]:
-                add((SPAN_QUEUED, slot, server, arrival, start, start - arrival))
-                terminal_row[slot] = base + len(rows)
-                add((SPAN_SERVED, slot, server, finish, finish, finish - arrival))
-            first = last
-        self._store.append_rows(zip(*rows))
+        batch, traced = batch[hits], slots[hits]
+        pairs = _pairs(
+            SPAN_SERVED, traced, servers[batch], arrivals[hits], starts[batch],
+            finishes[batch],
+        )
+        # Each execute row goes in ahead of the pairs of its traced riders.
+        at = 2 * np.searchsorted(batch, np.arange(len(sizes)))
+        executes = (SPAN_EXECUTE, -1, servers, starts, finishes, sizes)
+        first = self._store.append_rows([
+            np.insert(column, at, head) for column, head in zip(pairs, executes)
+        ])
+        self._record_row.update(
+            zip(rows, (first + at + np.arange(len(at))).tolist())
+        )
+        served = first + batch + 2 * np.arange(1, len(hits) + 1)
+        self._terminal_row.update(zip(traced.tolist(), served.tolist()))
+
+    def _terminals(self, terminal, slots, server, arrivals, waited, ends) -> None:
+        """Write the (queued, ``terminal``) pairs of ``slots`` (see
+        :func:`_pairs`) and make each request's terminal its live one."""
+        first = self.store.append_rows(
+            _pairs(terminal, slots, server, arrivals, waited, ends)
+        )
+        self._terminal_row.update(
+            zip(slots.tolist(), range(first + 1, first + 2 * len(slots), 2))
+        )
 
     def on_drop(
-        self, slots: np.ndarray, arrivals: np.ndarray, time: float
+        self,
+        slots: np.ndarray,
+        arrivals: np.ndarray,
+        time: float,
+        deadlines: Optional[np.ndarray] = None,
     ) -> None:
-        """Expired requests: queued span + dropped terminal per request."""
-        self.settle()
-        slots_arr = np.asarray(slots)
+        """Expired requests: queued span + dropped terminal per traced request.
+
+        ``deadlines`` (absolute, ``nan`` = none) force-traces, under
+        ``sample_deadline_misses``, every dropped request that carried one:
+        it missed it.
+        """
+        slots = np.asarray(slots)
         if self.sample_drops:
-            mask = np.ones(len(slots_arr), dtype=bool)
+            mask = np.ones(len(slots), dtype=bool)
         else:
-            mask = self.sample_mask(slots_arr)
-        if not mask.any():
-            return
-        store = self._store
-        time = float(time)
-        for slot, arrival in zip(
-            slots_arr[mask].tolist(), np.asarray(arrivals)[mask].tolist()
-        ):
-            slot = int(slot)
-            store.append(SPAN_QUEUED, slot, -1, arrival, time, time - arrival)
-            self._terminal_row[slot] = store.append(
-                SPAN_DROPPED, slot, -1, time, time, time - arrival
+            mask = self.sample_mask(slots)
+            if deadlines is not None and self.sample_deadline_misses:
+                mask |= ~np.isnan(deadlines)
+        if mask.any():
+            time = float(time)
+            self._terminals(
+                SPAN_DROPPED, slots[mask], -1, np.asarray(arrivals)[mask], time, time
             )
 
     def on_preempt(self, record, slots: Sequence[int], time: float) -> None:
@@ -367,11 +367,12 @@ class Tracer:
         server: int,
     ) -> None:
         """Migration hops: ``migrate`` on first move, ``retry`` on repeats."""
-        store = self.store
+        prior = np.asarray(prior_migrations, dtype=np.float64)
         time = float(time)
-        for slot, prior in zip(slots, prior_migrations):
-            kind = SPAN_RETRY if int(prior) > 0 else SPAN_MIGRATE
-            store.append(kind, int(slot), int(server), time, time, float(prior) + 1.0)
+        self.store.append_rows((
+            np.where(prior > 0, SPAN_RETRY, SPAN_MIGRATE), slots, int(server),
+            time, time, prior + 1.0,
+        ))
 
     def on_iteration(self, record) -> None:
         """One generation iteration (value = tokens emitted)."""
@@ -396,93 +397,18 @@ class Tracer:
         so their terminals carry individual finishes.  Sampling (and the
         deadline-miss override) applies per slot as everywhere else.
         """
-        slots_arr = np.asarray(slots)
-        if len(slots_arr) == 0:
-            return
-        mask = self.sample_mask(slots_arr)
+        slots = np.asarray(slots)
+        finishes = np.asarray(finishes, dtype=np.float64)
+        mask = self.sample_mask(slots)
         if deadlines is not None and self.sample_deadline_misses:
-            deadlines_arr = np.asarray(deadlines, dtype=np.float64)
-            finishes_arr = np.asarray(finishes, dtype=np.float64)
-            mask |= ~np.isnan(deadlines_arr) & (finishes_arr > deadlines_arr)
-        if not mask.any():
-            return
-        store = self.store
-        server = int(server)
-        for slot, arrival, finish in zip(
-            slots_arr[mask].tolist(),
-            np.asarray(arrivals, dtype=np.float64)[mask].tolist(),
-            np.asarray(finishes, dtype=np.float64)[mask].tolist(),
-        ):
-            slot = int(slot)
-            store.append(SPAN_QUEUED, slot, server, arrival, finish,
-                         finish - arrival)
-            self._terminal_row[slot] = store.append(
-                SPAN_SERVED, slot, server, finish, finish, finish - arrival
-            )
-
-    # ------------------------------------------------------------------
-    # Columnar fast path (bulk ingestion)
-    # ------------------------------------------------------------------
-    def ingest_columnar(
-        self,
-        run,
-        arrivals: np.ndarray,
-        deadlines: Optional[np.ndarray] = None,
-    ) -> None:
-        """Bulk-ingest a closed :class:`~repro.serving.core.FifoSweep`.
-
-        Emits the same spans the object loop would, in whole-column
-        chunks: one execute span per batch, queued+served spans for the
-        sampled (or deadline-missing) requests, queued+dropped spans for
-        every drop cohort member.  The served positions (``run.survived``)
-        ride, in order, in the rows the ledger's ``sizes`` give them.
-        """
-        store, ledger = self.store, run.ledger
-        batch_starts, batch_finishes = ledger.starts, ledger.finishes
-        servers, sizes = ledger.servers, ledger.sizes
-        minus_one = np.full(len(ledger), -1, dtype=np.int64)
-        store.extend(
-            SPAN_EXECUTE, minus_one, servers, batch_starts, batch_finishes,
-            sizes.astype(np.float64),
-        )
-        positions = np.flatnonzero(run.survived)
-        batch = np.repeat(np.arange(len(ledger)), sizes)
-        mask = self.sample_mask(positions)
-        if deadlines is not None and self.sample_deadline_misses:
-            due = deadlines[positions]
-            mask |= ~np.isnan(due) & (batch_finishes[batch] > due)
+            deadlines = np.asarray(deadlines, dtype=np.float64)
+            mask |= ~np.isnan(deadlines) & (finishes > deadlines)
         if mask.any():
-            sel, batch = positions[mask], batch[mask]
-            arr = np.asarray(arrivals, dtype=np.float64)[sel]
-            starts, finishes = batch_starts[batch], batch_finishes[batch]
-            store.extend(
-                SPAN_QUEUED, sel, servers[batch], arr, starts, starts - arr
+            self._terminals(
+                SPAN_SERVED, slots[mask], int(server),
+                np.asarray(arrivals, dtype=np.float64)[mask], finishes[mask],
+                finishes[mask],
             )
-            store.extend(
-                SPAN_SERVED, sel, servers[batch], finishes, finishes,
-                finishes - arr,
-            )
-        if run.dropped:
-            # Cohorts cover ascending, disjoint position ranges.
-            drop_positions = np.flatnonzero(~run.survived)
-            drop_times = np.repeat(
-                run.drop_times, np.subtract(run.drop_his, run.drop_los)
-            )
-            if not self.sample_drops:
-                keep = self.sample_mask(drop_positions)
-                drop_positions = drop_positions[keep]
-                drop_times = drop_times[keep]
-            if len(drop_positions):
-                arr = np.asarray(arrivals, dtype=np.float64)[drop_positions]
-                no_server = np.full(len(drop_positions), -1, dtype=np.int64)
-                store.extend(
-                    SPAN_QUEUED, drop_positions, no_server, arr, drop_times,
-                    drop_times - arr,
-                )
-                store.extend(
-                    SPAN_DROPPED, drop_positions, no_server, drop_times,
-                    drop_times, drop_times - arr,
-                )
 
     # ------------------------------------------------------------------
     # Queries
@@ -509,8 +435,4 @@ class Tracer:
         columns = self.store.columns()
         kinds = columns["kind"]
         terminal = (kinds == SPAN_SERVED) | (kinds == SPAN_DROPPED)
-        requests = columns["request"][terminal]
-        counts: Dict[int, int] = {}
-        for request in requests.tolist():
-            counts[request] = counts.get(request, 0) + 1
-        return counts
+        return dict(Counter(columns["request"][terminal].tolist()))

@@ -867,9 +867,11 @@ class ClusterEngine:
         # Execution modes seen at register() time, and the mode
         # batch_estimators scores with — the registered one when they all
         # agree, else the "int8" reference — read lazily (placers are built
-        # before registration happens).
+        # before registration happens) from a one-item list: an estimator
+        # holding the cluster would close a cycle (engine -> placer), and a
+        # finished cluster would wait for a full garbage collection.
         self._registered_modes: set = set()
-        self._estimator_mode = "int8"
+        self._estimator_mode = ["int8"]
         # Opt-in observability (duck-typed; see repro.obs): a request
         # tracer threaded into the engine, and an SLO burn-rate monitor
         # evaluated at window boundaries.
@@ -927,6 +929,8 @@ class ClusterEngine:
         latency model.
         """
 
+        registered = self._estimator_mode
+
         def estimator(spec: ServerSpec) -> ServiceEstimator:
             model, table = spec.service_model, {}
 
@@ -934,7 +938,7 @@ class ClusterEngine:
                 nonlocal model, table
                 if spec.service_model is not model:  # rebound: start over
                     model, table = spec.service_model, {}
-                resolved = mode if mode is not None else self._estimator_mode
+                resolved = mode if mode is not None else registered[0]
                 key = (batch, resolved)
                 seconds = table.get(key)
                 if seconds is None:
@@ -1022,7 +1026,7 @@ class ClusterEngine:
         faults can stretch the server's service times at run time.
         """
         self._registered_modes.add(mode)
-        self._estimator_mode = mode if len(self._registered_modes) == 1 else "int8"
+        self._estimator_mode[0] = mode if len(self._registered_modes) == 1 else "int8"
         if executors is None:
             executors = [spec.build_executor() for spec in self.specs]
         executors = list(executors)

@@ -60,8 +60,8 @@ calls: the pending arrivals as one typed float64 buffer (``arr``, an
 float is boxed only when the loop reads it), the admission cursor (``pos``:
 positions consumed, served or dropped), one ledger row per batch and one
 entry per drop cohort.  ``advance`` runs it dry or for a number of batches —
-``ServingEngine.step()`` is a segment of one, :func:`run_fifo_columnar` one
-unlimited segment — and the caller may extend or re-read the pending buffer
+``ServingEngine.step()`` is a segment of one, ``finish()`` one unlimited
+segment — and the caller may extend or re-read the pending buffer
 in between (``pending_from``, at a position from ``pos`` to the buffer's
 end).  The clocks stay the caller's, who may write ``free_at``/``active``
 between segments; the sweep carries its ``(free_at, server)`` heap with
@@ -70,10 +70,7 @@ compare each).  The buffer is emptied each time the cursor reaches its end,
 before ``close()`` (the vectorized epilogue) allocates anything.
 
 The unbreakable invariant: a K=1 FIFO run through the columnar core is
-**bit-identical** to the seed simulator — same admission boundaries, same
-batch formation, same IEEE-754 arithmetic (``start + service``,
-``finish - arrival``), same drop predicate (``start - arrival >
-drop_after`` re-applied exactly at the searchsorted boundary).
+**bit-identical** to the seed simulator (see :class:`FifoSweep`).
 """
 
 from __future__ import annotations
@@ -100,7 +97,6 @@ __all__ = [
     "LazyRequests",
     "BatchLedger",
     "FifoSweep",
-    "run_fifo_columnar",
     "check_arrivals",
     "check_positive",
     "check_integer",
@@ -789,18 +785,31 @@ class FifoSweep:
     """Carried state of the resumable columnar FIFO sweep (module docstring)
     and, once closed, the record of what it did beside ``ledger``'s rows.
 
+    Bit-identical to the object loop in
+    :meth:`repro.serving.engine.ServingEngine._step_fifo` with the seed
+    argmin-free-clock rule, and at K=1 to the seed simulator: same ``start =
+    max(free, arrival)``, same ``bisect_right`` admission boundary, same
+    expired-prefix drop predicate (``start - arrival > drop_after``
+    re-applied exactly at the searchsorted boundary), same at-least-one
+    batch rule, and ``finish = start + service`` with the *same* service
+    times (``latency_tables[server][size]`` must be the executor's
+    ``batch_latency`` evaluated per size).  ``advance`` mutates
+    ``free_at``/``busy`` in place, exactly as the object loop leaves them.
+
     The pending arrivals are ``arr``, one ``array("d")`` (8 bytes each,
     whatever the arrival column's strides).  The loop writes the ledger's
     five column lists only: its rows take the ledger's ``cohort`` as it
     stands and their index as id, so it writes before any row is removed.
-    Drop cohort k went at ``drop_times[k]`` and covers positions
-    ``drop_los[k]``..``drop_his[k]`` of the arrival order.  ``clock_heap`` is
+    Drop cohort k went at ``drop_times[k]``, when the ledger held
+    ``drop_rows[k]`` rows, and covers positions ``drop_los[k]``..
+    ``drop_his[k]`` of the arrival order.  ``clock_heap`` is
     the free-clock heap the last call left, valid while the caller's clocks
     and active set equal its copies ``clocks``/``active``.
     """
 
     __slots__ = ("arr", "offset", "pos", "ledger", "drop_times", "drop_los",
-                 "drop_his", "dropped", "survived", "clock_heap", "clocks", "active")
+                 "drop_his", "drop_rows", "dropped", "survived", "clock_heap",
+                 "clocks", "active")
 
     def __init__(
         self, arrivals: np.ndarray, ledger: Optional[BatchLedger] = None
@@ -808,7 +817,7 @@ class FifoSweep:
         self.arr = array("d")
         self.offset = self.pos = self.dropped = 0
         self.ledger = BatchLedger() if ledger is None else ledger
-        self.drop_times, self.drop_los, self.drop_his = [], [], []
+        self.drop_times, self.drop_los, self.drop_his, self.drop_rows = [], [], [], []
         self.clock_heap, self.clocks, self.active = [], None, None
         self.pending_from(0, arrivals)
 
@@ -830,7 +839,7 @@ class FifoSweep:
         latency_tables: Dict[int, Sequence[float]], max_batch: int,
         drop_after: Optional[float], limit: Optional[int] = None,
     ) -> int:
-        """Dispatch pending arrivals, by :func:`run_fifo_columnar`'s rules,
+        """Dispatch pending arrivals, by the rules in the class docstring,
         until none is left or ``limit`` (>= 1) batches are out; returns how
         many went out.  ``free_at``/``busy`` are mutated in place."""
         if not active or limit is not None and limit < 1:
@@ -889,6 +898,7 @@ class FifoSweep:
                 self.drop_times.append(start)
                 self.drop_los.append(offset + pos)
                 self.drop_his.append(offset + fresh)
+                self.drop_rows.append(len(starts))
                 pos = fresh
                 continue  # head changed: re-derive start
 
@@ -934,36 +944,3 @@ class FifoSweep:
         self.ledger.lists = tuple(map(array, "ddqqq", self.ledger.lists))
         self.ledger.riders = [survived]
         return self
-
-
-def run_fifo_columnar(
-    arrivals: np.ndarray,
-    free_at: List[float],
-    busy: List[float],
-    active: Sequence[int],
-    latency_tables: Dict[int, Sequence[float]],
-    max_batch: int,
-    drop_after: Optional[float],
-) -> FifoSweep:
-    """Sweep sorted ``arrivals`` through the FIFO dispatch rule, columnar.
-
-    Bit-identical to the object loop in
-    :meth:`repro.serving.engine.ServingEngine._step_fifo` with the seed
-    argmin-free-clock rule: same ``start = max(free, arrival)``, same
-    ``bisect_right`` admission boundary, same expired-prefix drop predicate,
-    same at-least-one batch rule, and ``finish = start + service`` with the
-    *same* service times (``latency_tables[server][size]`` must be the
-    executor's ``batch_latency`` evaluated per size).  ``free_at``/``busy``
-    are mutated in place, exactly as the object loop leaves them.
-
-    The loop (:meth:`FifoSweep.advance`, here without a batch limit) runs
-    over a typed float64 buffer (``array("d")``: a plain float per read,
-    where numpy scalar extraction per element is what makes the object loop
-    slow, and no float boxed per pending arrival), finds most admission
-    boundaries with one read of the next arrival, takes each batch's server
-    from one ``(free_at, server)`` heap and defers all per-request work to
-    the vectorized epilogue (:meth:`FifoSweep.close` and the ledger's reads).
-    """
-    sweep = FifoSweep(arrivals)
-    sweep.advance(free_at, busy, active, latency_tables, max_batch, drop_after)
-    return sweep.close()

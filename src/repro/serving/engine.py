@@ -630,6 +630,9 @@ class _Session:
         self.pos = 0
         # Set once a merge reorders the queue: positions are no longer rows.
         self.reordered = False
+        # What the sweep handed the tracer so far: ledger rows, drop
+        # cohorts, positions (see ServingEngine._trace_sweep).
+        self.traced = (0, 0, 0)
         # Where the pend arrays grow (core.grow_column).
         self.buffers: Dict[str, np.ndarray] = {}
         # Scheduled path only: admitted-but-unserved requests, a heap of
@@ -693,9 +696,9 @@ class ServingEngine:
         # cluster control plane (see repro.serving.telemetry).
         self.telemetry = telemetry
         # Optional request-lifecycle tracer (duck-typed; see repro.obs): the
-        # on_* hooks, wants_deadlines, ingest_columnar and settle().
-        # None keeps every hot path on a single is-None branch per batch,
-        # preserving bit-identity with the untraced engine.
+        # on_* hooks (on_batches: a run of the sweep's rows), wants_deadlines
+        # and settle().  None keeps every hot path on a single is-None branch
+        # per batch, preserving bit-identity with the untraced engine.
         self.tracer = tracer
         self._fifo = scheduler is None or isinstance(scheduler, FifoScheduler)
         self._endpoints: Dict[str, _Endpoint] = {}
@@ -920,12 +923,13 @@ class ServingEngine:
         if sweep is None and session.kernel is None:
             sweep = self._decide_sweep(session, stepping=True)
         if sweep is not None:
-            if not sweep.advance(
+            went = sweep.advance(
                 session.free_at, session.busy, session.active, session.tables,
                 self.batching.max_batch, self.batching.drop_after, 1,
-            ):
-                return None
-            return session.ledger[-1]
+            )
+            if self.tracer is not None:
+                self._trace_sweep(session)
+            return session.ledger[-1] if went else None
         if self._fifo:
             return self._step_fifo(session)
         return self._step_scheduled(session)
@@ -1279,9 +1283,9 @@ class ServingEngine:
         results, slower).  Eligible: a columnar-enabled engine, FIFO with the
         seed argmin-free-clock dispatch, one model, stateless modeled
         executors, a fixed-ratio policy — and, ``stepping`` a batch per call,
-        no telemetry bus or tracer: nothing per batch exists for their hooks (a
-        whole sweep ingests in bulk; the tracer's names a request by position,
-        so not once a merge reordered the queue).
+        no telemetry bus: nothing per batch exists for its hooks (a whole
+        sweep ingests in bulk).  A tracer takes the sweep's rows as the object
+        loops hand it theirs (:meth:`_trace_sweep`), so it is no clause.
         """
         from repro.serving.executors import ModeledExecutor
         from repro.serving.policies import FixedRatioPolicy
@@ -1304,8 +1308,6 @@ class ServingEngine:
             return "executor"
         if stepping and self.telemetry is not None:
             return "telemetry"
-        if self.tracer is not None and (stepping or s.reordered):
-            return "tracer"
         return None
 
     def _decide_sweep(self, s: _Session, stepping: bool) -> Optional[FifoSweep]:
@@ -1344,9 +1346,39 @@ class ServingEngine:
                 )
         return s.sweep
 
+    def _trace_sweep(self, s: _Session) -> None:
+        """Hand the tracer what the sweep did since the last call, as the
+        object loops hand it theirs: each run of rows (``on_batches``), then
+        the drop cohort behind it (``on_drop``)."""
+        sweep, arrivals = s.sweep, s.store.arrivals
+        deadlines = s.store.deadlines if self.tracer.wants_deadlines else None
+
+        def riders(first, last):  # positions first..last
+            slots = s.pend_slots[first:last]
+            due = None if deadlines is None else deadlines[slots]
+            return slots, arrivals[slots], due
+
+        row, cohort, position = s.traced
+        # A cohort went when the ledger held ``rows`` rows; the rows after the
+        # last one seat everybody up to ``pos``.
+        cuts = list(zip(
+            sweep.drop_rows[cohort:], sweep.drop_los[cohort:],
+            sweep.drop_his[cohort:], sweep.drop_times[cohort:],
+        )) + [(len(s.ledger), sweep.pos, sweep.pos, None)]
+        for rows, lo, hi, time in cuts:
+            if rows > row:
+                self.tracer.on_batches(s.ledger, row, rows, *riders(position, lo))
+            if hi > lo:
+                slots, arrived, due = riders(lo, hi)
+                self.tracer.on_drop(slots, arrived, time, due)
+            row, position = rows, hi
+        s.traced = (row, len(sweep.drop_rows), position)
+
     def _sweep_rows(self, s: _Session) -> FifoSweep:
         """Close the sweep, either way off it: from now on ``pos``, the drops,
         the store's ``status`` and the riders of the rows it wrote are exact."""
+        if self.tracer is not None:
+            self._trace_sweep(s)
         run, s.sweep = s.sweep.close(), None
         s.pos, s.dropped = run.pos, run.dropped
         slots = s.pend_slots[: s.pos]
@@ -1369,16 +1401,13 @@ class ServingEngine:
 
     def _sweep_epilogue(self, s: _Session) -> None:
         """Close a session the sweep served to the end, stepped or whole:
-        telemetry and the tracer ingest the run in bulk (mirroring the object
-        loops' hooks), by position."""
+        telemetry ingests the run in bulk (mirroring the object loops'
+        hooks), by position."""
         run = self._sweep_rows(s)
-        deadlines = s.store.deadlines
-        if s.reordered and deadlines is not None:
-            deadlines = deadlines[s.pend_slots[: s.pos]]  # held by row
-        if self.tracer is not None:
-            wanted = deadlines if self.tracer.wants_deadlines else None
-            self.tracer.ingest_columnar(run, s.pend_arrivals, deadlines=wanted)
         if self.telemetry is not None:
+            deadlines = s.store.deadlines
+            if s.reordered and deadlines is not None:
+                deadlines = deadlines[s.pend_slots[: s.pos]]  # held by row
             self.telemetry.ingest_columnar(run, s.pend_arrivals, deadlines)
 
     # ------------------------------------------------------------------
@@ -1680,15 +1709,18 @@ class ServingEngine:
             for slot in slots:
                 s.checkpoints.pop(int(slot), None)
                 s.transfer_costs.pop(int(slot), None)
+        deadlines = self._slot_deadlines(s, slots)
         if self.telemetry is not None:
-            deadlines = self._slot_deadlines(s, slots)
             misses = (
                 0 if deadlines is None
                 else int(np.count_nonzero(~np.isnan(deadlines)))
             )
             self.telemetry.record_drops(start, len(slots), deadline_misses=misses)
         if self.tracer is not None:
-            self.tracer.on_drop(slots, s.store.arrivals[slots], start)
+            self.tracer.on_drop(
+                slots, s.store.arrivals[slots], start,
+                deadlines if self.tracer.wants_deadlines else None,
+            )
         if s.record_responses:
             # A copy, as for a row's riders: FIFO-path slots view pend_slots.
             s.drops.append((slots.copy() if slots.base is not None else slots, start))

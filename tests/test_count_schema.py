@@ -24,6 +24,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_examples import load_example
@@ -58,6 +59,9 @@ from repro.serving import (
 )
 from repro.serving.core import BatchLedger
 from repro.serving.engine import BatchRecord
+
+# A numpy RuntimeWarning (invalid value, overflow, divide) is a failure.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 GOLDENS = Path(__file__).resolve().parent / "goldens" / "count_schema.json"
 

@@ -19,6 +19,8 @@ from repro.obs import (
     SPAN_CANCELLED,
     SPAN_DROPPED,
     SPAN_EXECUTE,
+    SPAN_ITERATION,
+    SPAN_MIGRATE,
     SPAN_PREEMPTED,
     SPAN_QUEUED,
     SPAN_SERVED,
@@ -39,21 +41,28 @@ from repro.serving.cluster import ClusterEngine, ServerSpec
 from repro.serving.engine import (
     BatchingConfig,
     BatchRecord,
+    Request,
     ServingEngine,
     requests_from_trace,
 )
 from repro.serving.executors import ModeledExecutor
+from repro.serving.generation import IterationScheduler, ModeledGenerationBackend
 from repro.serving.metrics import latency_percentile, summarize_latencies
 from repro.serving.policies import FixedRatioPolicy
 from repro.serving.resilience import (
     FaultEvent,
     FaultSchedule,
     RequeueAtHeadMigration,
+    StepCheckpoint,
 )
 from repro.serving.simulator import ServiceTimeModel
 from repro.serving.telemetry import ScaleEvent, TelemetryBus
 from test_cluster_day import FULL_SCALE, _engine as day_engine, diurnal_day
 from test_serving_engine import seed_serving_run
+from test_serving_generation import gen_requests
+
+# A numpy RuntimeWarning (invalid value, overflow, divide) is a failure.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _engine(tracer=None, columnar=True, num_servers=2, drop_after=None):
@@ -87,10 +96,8 @@ class TestTracer:
         )
         assert t_obj.span_counts() == t_col.span_counts()
         obj, col = t_obj.spans(), t_col.spans()
-        for key in ("kind", "request", "server"):
-            order_o = np.lexsort((obj["start"], obj["request"], obj["kind"]))
-            order_c = np.lexsort((col["start"], col["request"], col["kind"]))
-            np.testing.assert_array_equal(obj[key][order_o], col[key][order_c])
+        for key in obj:
+            np.testing.assert_array_equal(obj[key], col[key], err_msg=key)
 
     def test_drop_spans_cover_every_drop(self):
         trace = _trace(rate=3000, duration=1.0, seed=5)
@@ -103,6 +110,34 @@ class TestTracer:
         assert counts["dropped"] == result.dropped
         terminals = tracer.terminal_requests()
         assert all(count == 1 for count in terminals.values())
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_a_dropped_request_with_a_deadline_missed_it(self, columnar):
+        """Unsampled, drops not forced: every drop carried a deadline it
+        missed, so ``sample_deadline_misses`` traces each one."""
+        trace = PoissonTrace(5000, 0.3, seed=5).generate()
+        tracer = Tracer(
+            sample_rate=0.0, sample_drops=False, sample_deadline_misses=True
+        )
+        engine = ServingEngine(
+            BatchingConfig(max_batch=4, drop_after=0.01), columnar=columnar,
+            tracer=tracer,
+        )
+        engine.register(
+            "m", ModeledExecutor(ServiceTimeModel()), policy=FixedRatioPolicy(0.5)
+        )
+        result = engine.run(
+            requests=requests_from_trace(trace, model="m", deadlines=[0.02])
+        )
+        assert result.dropped == 1291
+        counts = tracer.span_counts()
+        assert counts["dropped"] == counts["queued"] == 1291
+        assert counts["served"] == 0
+        spans = tracer.spans()
+        dropped = spans["request"][spans["kind"] == SPAN_DROPPED]
+        assert np.array_equal(
+            np.sort(dropped), np.flatnonzero(np.isnan(result.request_latencies))
+        )
 
     def test_sampling_is_deterministic_and_path_independent(self):
         trace = _trace()
@@ -175,6 +210,105 @@ class TestTracer:
         tracer.reset()
         assert len(tracer.store) == 0
         assert tracer.terminal_requests() == {}
+
+
+@st.composite
+def _traced_drives(draw):
+    """A FIFO session and how to drive it: whole, or stepped with
+    submissions in arrival order or shuffled and maybe one crash (requeued)
+    of the last batch's server between two steps; on a coarse arrival grid
+    (ties common), with or without deadlines and drops."""
+    count = draw(st.integers(1, 40))
+    ticks = sorted(draw(st.lists(st.integers(0, 30), min_size=count, max_size=count)))
+    slos = (
+        [draw(st.sampled_from([None, 0.002, 0.006])) for _ in ticks]
+        if draw(st.booleans()) else [None] * count
+    )
+    return dict(
+        requests=[
+            Request(0.001 * tick, model="m", request_id=n,
+                    deadline=None if slo is None else 0.001 * tick + slo)
+            for n, (tick, slo) in enumerate(zip(ticks, slos))
+        ],
+        num_servers=draw(st.sampled_from([1, 3])),
+        max_batch=draw(st.integers(1, 5)),
+        drop_after=draw(st.sampled_from([None, 0.004])),
+        sample_rate=draw(st.sampled_from([1.0, 0.2])),
+        sample_drops=draw(st.booleans()),
+        drive=draw(st.sampled_from(["whole", "responses", "in order", "shuffled"])),
+        order=draw(st.permutations(range(count))),
+        chunks=draw(st.lists(st.integers(1, 8), min_size=1, max_size=8)),
+        steps=draw(st.lists(st.integers(0, 4), min_size=1, max_size=8)),
+        # (after which chunk, milliseconds into the last batch) its server
+        # crashes.
+        crash=draw(st.none() | st.tuples(st.integers(0, 3), st.integers(0, 3))),
+    )
+
+
+class TestTheSweepWritesTheObjectLoopsSpans:
+    """The sweep and ``columnar=False`` write the same span rows, in the same
+    order (no sort), whole or stepped, after every step and through a crash
+    that takes the session off the sweep."""
+
+    @staticmethod
+    def _engines(case):
+        pairs = []
+        for columnar in (True, False):
+            tracer = Tracer(
+                sample_rate=case["sample_rate"], sample_drops=case["sample_drops"]
+            )
+            engine = ServingEngine(
+                BatchingConfig(max_batch=case["max_batch"], drop_after=case["drop_after"]),
+                num_servers=case["num_servers"], columnar=columnar, tracer=tracer,
+            )
+            engine.register(
+                "m", ModeledExecutor(ServiceTimeModel()), policy=FixedRatioPolicy(0.5)
+            )
+            pairs.append((engine, tracer))
+        return pairs
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_traced_drives())
+    def test_row_for_row(self, case):
+        (swept, swept_tracer), (stepped, stepped_tracer) = pairs = self._engines(case)
+        requests = case["requests"]
+        if case["drive"] in ("whole", "responses"):
+            recording = case["drive"] == "responses"
+            results = [
+                engine.run(requests=requests, record_responses=recording)
+                for engine, _ in pairs
+            ]
+        else:
+            if case["drive"] == "shuffled":
+                requests = [requests[n] for n in case["order"]]
+            for engine, _ in pairs:
+                engine.start()
+            handed, last = 0, None
+            for index, (chunk, steps) in enumerate(zip(case["chunks"], case["steps"])):
+                for engine, _ in pairs:
+                    engine.submit(requests[handed:handed + chunk])
+                handed += chunk
+                for _ in range(steps):
+                    records = [engine.step() for engine, _ in pairs]
+                    assert records[0] == records[1]
+                    last = records[0] or last
+                    assert swept_tracer.span_counts() == stepped_tracer.span_counts()
+                if last is not None and case["crash"] and case["crash"][0] == index:
+                    for engine, _ in pairs:
+                        engine.preempt_server(
+                            last.server, last.start + case["crash"][1] * 1e-3,
+                            policy=RequeueAtHeadMigration(delay=0.001),
+                        )
+                    assert swept_tracer.span_counts() == stepped_tracer.span_counts()
+            for engine, _ in pairs:
+                engine.submit(requests[handed:])
+            results = [engine.finish() for engine, _ in pairs]
+        assert results[0].kernel in ("sweep", "sweep+object")
+        assert results[0].dropped == results[1].dropped
+        want, got = stepped_tracer.spans(), swept_tracer.spans()
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+        assert swept_tracer.terminal_requests() == stepped_tracer.terminal_requests()
 
 
 class EagerTracer(Tracer):
@@ -339,26 +473,103 @@ class TestAPreemptedBatchIsFoundByItsRowId:
 
 class TestSpanStore:
     def test_point_and_bulk_appends_unify(self):
+        """One table: point and row appends share the row numbering, a rewrite
+        lands in place, and ``columns()`` reads every row with its type."""
         store = SpanStore()
-        store.append(SPAN_EXECUTE, -1, 0, 0.0, 1.0, 4.0)
-        store.extend(
-            SPAN_SERVED,
-            np.asarray([1, 2]),
-            np.asarray([0, 0]),
-            np.asarray([1.0, 1.0]),
-            np.asarray([1.0, 1.0]),
-            np.asarray([0.5, 0.6]),
-        )
-        assert len(store) == 3
-        columns = store.columns()
-        np.testing.assert_array_equal(
-            columns["kind"], [SPAN_EXECUTE, SPAN_SERVED, SPAN_SERVED]
-        )
-        # A point append after a bulk chunk folds the chunk (row identity).
-        row = store.append(SPAN_QUEUED, 3, 1, 0.0, 2.0, 2.0)
-        assert row == 3
+        assert store.append(SPAN_EXECUTE, -1, 0, 0.0, 1.0, 4.0) == 0
+        first = store.append_rows((
+            [SPAN_SERVED, SPAN_SERVED], np.asarray([1, 2]), 0,
+            np.asarray([1.0, 1.0]), 1.0, [0.5, 0.6],
+        ))
+        assert first == 1 and len(store) == 3
+        assert store.append(SPAN_QUEUED, 3, 1, 0.0, 2.0, 2.0) == 3
         store.rewrite(1, SPAN_CANCELLED)
-        assert store.columns()["kind"][1] == SPAN_CANCELLED
+        store.rewrite(3, SPAN_QUEUED, end=1.5)
+        columns = store.columns()
+        assert columns["kind"].tolist() == [
+            SPAN_EXECUTE, SPAN_CANCELLED, SPAN_SERVED, SPAN_QUEUED
+        ]
+        assert columns["request"].tolist() == [-1, 1, 2, 3]
+        assert columns["server"].tolist() == [0, 0, 0, 1]
+        assert columns["end"].tolist() == [1.0, 1.0, 1.0, 1.5]
+        assert columns["value"].tolist() == [4.0, 0.5, 0.6, 2.0]
+        assert [columns[name].dtype for name in ("kind", "request", "server")] == [
+            np.int64
+        ] * 3
+        assert columns["start"].dtype == columns["value"].dtype == np.float64
+        # A copy: the table does not move under a reader.
+        columns["kind"][0] = SPAN_CANCELLED
+        assert store.columns()["kind"][0] == SPAN_EXECUTE
+
+
+class TestGenerationSpans:
+    """A tracer on the continuous-batching loop: an iteration span per
+    record, a crash's rewind and hops, one live terminal per sequence."""
+
+    @staticmethod
+    def _scheduler(tracer):
+        backend = ModeledGenerationBackend(ServiceTimeModel(
+            "vit_base", gpu="a6000", anchor_batches=(1, 8, 16, 32),
+            decode_token_fraction=0.05,
+        ))
+        return IterationScheduler(backend, max_batch=2, num_servers=2, tracer=tracer)
+
+    def _crashed(self):
+        """Four sequences on two servers; server 0 dies halfway through its
+        in-flight iteration, checkpointed."""
+        tracer = Tracer()
+        scheduler = self._scheduler(tracer)
+        scheduler.start(gen_requests([(0.0, 64, 40)] * 4))
+        records = [scheduler.step() for _ in range(12)]
+        last = [record for record in records if record.server == 0][-1]
+        kill = (last.start + last.finish) / 2.0
+        victims = list(scheduler._session.running[0])
+        report = scheduler.preempt_server(0, kill, checkpoint=StepCheckpoint(steps=4))
+        return tracer, scheduler.finish(), last, kill, victims, report
+
+    def test_one_iteration_span_per_record(self):
+        tracer = Tracer()
+        result = self._scheduler(tracer).run(
+            gen_requests([(0.0, 64, 12), (0.001, 32, 20), (0.004, 128, 6)])
+        )
+        spans = tracer.spans()
+        rows = spans["kind"] == SPAN_ITERATION
+        assert np.count_nonzero(rows) == len(result.iterations)
+        for name, field in (
+            ("server", "server"), ("start", "start"), ("end", "finish"),
+            ("value", "tokens"),
+        ):
+            want = [getattr(record, field) for record in result.iterations]
+            assert spans[name][rows].tolist() == want, name
+
+    def test_a_crash_rewrites_the_in_flight_iteration(self):
+        tracer, result, last, kill, _, report = self._crashed()
+        assert report.iterations == 1
+        spans = tracer.spans()
+        preempted = spans["kind"] == SPAN_PREEMPTED
+        assert np.count_nonzero(preempted) == 1
+        assert spans["server"][preempted].tolist() == [0]
+        assert spans["start"][preempted].tolist() == [last.start]
+        assert spans["end"][preempted].tolist() == [kill]
+        # The surviving records are the iteration spans, in order.
+        rows = spans["kind"] == SPAN_ITERATION
+        assert spans["start"][rows].tolist() == [r.start for r in result.iterations]
+
+    def test_every_finished_sequence_has_one_live_terminal(self):
+        tracer, result, *_ = self._crashed()
+        assert all(response.finished for response in result.responses)
+        assert tracer.terminal_requests() == {
+            slot: 1 for slot in range(len(result.responses))
+        }
+
+    def test_each_victim_hops_once(self):
+        tracer, _, _, kill, victims, report = self._crashed()
+        assert report.migrated == len(victims) == 2
+        spans = tracer.spans()
+        hops = spans["kind"] == SPAN_MIGRATE
+        assert sorted(spans["request"][hops].tolist()) == sorted(victims)
+        assert spans["start"][hops].tolist() == [kill] * len(victims)
+        assert tracer.span_counts()["retry"] == 0
 
 
 # ----------------------------------------------------------------------

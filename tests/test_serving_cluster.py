@@ -932,3 +932,31 @@ class TestElasticCluster:
                 range(len(mixed_specs)), key=lambda s: mixed_specs[s].speed
             )
             assert removes[0].server in (1, 2) and slowest in (1, 2)
+
+
+@pytest.mark.parametrize("placer", ["least_work", "weighted", "predictive", "spread"])
+def test_a_finished_cluster_is_freed_without_the_garbage_collector(placer):
+    """A named placer's estimators hold no reference back to the cluster:
+    a finished run's cluster, engine and tracer go when the last reference
+    does, not at the next full collection."""
+    import gc
+    import weakref
+
+    from repro.obs import Tracer
+
+    specs = [gpu_server(f"g{i}", "vit_base", gpu="a6000") for i in range(2)]
+    cluster = ClusterEngine(
+        specs, BatchingConfig(max_batch=8), placer=placer, tracer=Tracer()
+    )
+    cluster.register("m", mode="int8")
+    trace = PoissonTrace(50, 1.0, seed=3).generate()
+    cluster.run(requests=requests_from_trace(trace, model="m"))
+    gone = weakref.ref(cluster)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del cluster
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -25,7 +25,6 @@ from repro.serving.core import (
     FifoSweep,
     LazyRequests,
     RequestStore,
-    run_fifo_columnar,
 )
 from repro.serving.engine import (
     BatchingConfig,
@@ -82,6 +81,13 @@ def _assert_results_identical(fast, slow):
     assert len(fast.batch_records) == len(slow.batch_records)
     for a, b in zip(fast.batch_records, slow.batch_records):
         assert a == b
+
+
+def _run_dry(arrivals, *clocks):
+    """A sweep of ``arrivals``, run dry in one ``advance(*clocks)``, closed."""
+    sweep = FifoSweep(arrivals)
+    sweep.advance(*clocks)
+    return sweep.close()
 
 
 def _assert_results_identical_but_duration(got, want):
@@ -457,9 +463,7 @@ class TestColumnarFifoCore:
                 for size in range(1, 9)
             ]
         }
-        run = run_fifo_columnar(
-            arrivals, [0.0], [0.0], [0], tables, 8, 0.02
-        )
+        run = _run_dry(arrivals, [0.0], [0.0], [0], tables, 8, 0.02)
         ledger = run.ledger
         served_by = ledger.served_by(len(arrivals))
         assert np.array_equal(served_by >= 0, run.survived)
@@ -576,13 +580,13 @@ def _assert_runs_equal(got, want):
 
 
 class TestSweepSegmentsCompose:
-    """``FifoSweep`` carried across calls == one ``run_fifo_columnar`` call."""
+    """``FifoSweep`` carried across calls == one ``advance`` run dry."""
 
     @staticmethod
     def _whole(case, arrivals, free_at=None):
         free_at = [0.0] * case["num_servers"] if free_at is None else list(free_at)
         busy = [0.0] * case["num_servers"]
-        run = run_fifo_columnar(
+        run = _run_dry(
             arrivals, free_at, busy, range(case["num_servers"]), case["tables"],
             case["max_batch"], case["drop_after"],
         )
@@ -690,6 +694,21 @@ class TestKernelAccounting:
         assert (result.kernel, result.kernel_reason) == ("sweep", None)
         assert len(result.responses) == 12
 
+    def test_a_stepped_traced_session_rides_the_sweep(self):
+        """A tracer is no clause: the sweep hands it its rows after each step,
+        and they are the spans the object loop writes."""
+        tracers = [Tracer(sample_rate=1.0), Tracer(sample_rate=1.0)]
+        results = []
+        for columnar, tracer in zip((True, False), tracers):
+            engine = ServingEngine(
+                BatchingConfig(max_batch=2), columnar=columnar, tracer=tracer
+            )
+            engine.register("m", ModeledExecutor(SERVICE_MODEL))
+            results.append(self._stepped(engine))
+        assert (results[0].kernel, results[0].kernel_reason) == ("sweep", None)
+        for name, column in tracers[1].spans().items():
+            assert np.array_equal(tracers[0].spans()[name], column), name
+
     @pytest.mark.parametrize(
         "reason, build",
         [
@@ -697,7 +716,6 @@ class TestKernelAccounting:
             ("scheduler", lambda: _engine(True, scheduler=EdfScheduler())),
             ("placer", lambda: ServingEngine(placer=FreeClockPlacer())),
             ("telemetry", lambda: ServingEngine(telemetry=TelemetryBus(0.01, 1))),
-            ("tracer", lambda: ServingEngine(tracer=Tracer(sample_rate=1.0))),
         ],
     )
     def test_the_first_failing_clause_is_the_reason(self, reason, build):
@@ -724,7 +742,8 @@ class TestKernelAccounting:
         assert (result.kernel, result.kernel_reason) == ("object", "empty")
 
     def test_a_bus_or_a_tracer_only_keeps_a_stepped_session_off_the_sweep(self):
-        """A whole-session sweep hands both its columns in bulk."""
+        """A whole-session sweep hands the bus its columns in bulk and the
+        tracer its rows."""
         trace = _trace(duration=0.5)
         for extra in (
             dict(telemetry=TelemetryBus(0.01, 1)), dict(tracer=Tracer(sample_rate=1.0))
@@ -758,9 +777,9 @@ class TestKernelAccounting:
             assert repr(got) == repr(want)
 
     def test_a_reordered_queue_under_a_tracer_or_a_bus(self):
-        """Submitted late half first, never stepped: the tracer's bulk ingest
-        names requests by position, so it keeps the session off the sweep; the
-        bus only counts, and reads arrivals and deadlines by position."""
+        """Submitted late half first, never stepped: the sweep hands the
+        tracer each position's slot, and the bus only counts, reading arrivals
+        and deadlines by position; both keep the session on the sweep."""
         requests = [
             Request(0.001 * n, model="m", request_id=n, deadline=0.001 * n + 0.004 * (n % 3))
             for n in range(24)
@@ -778,7 +797,7 @@ class TestKernelAccounting:
 
         tracers = [Tracer(sample_rate=1.0), Tracer(sample_rate=1.0)]
         swept, stepped = serve(True, tracer=tracers[0]), serve(False, tracer=tracers[1])
-        assert (swept.kernel, swept.kernel_reason) == ("object", "tracer")
+        assert (swept.kernel, swept.kernel_reason) == ("sweep", None)
         for name, column in tracers[1].spans().items():
             assert np.array_equal(tracers[0].spans()[name], column, equal_nan=True), name
 
