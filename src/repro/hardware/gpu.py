@@ -153,6 +153,35 @@ class GpuLatencyModel:
     # ------------------------------------------------------------------
     # Whole-model latency
     # ------------------------------------------------------------------
+    def _op_latency(
+        self,
+        op: LayerOp,
+        mode: str,
+        four_bit_ratio: float = 0.0,
+        dynamic_extraction: bool = False,
+        per_layer_ratio: Optional[Dict[str, float]] = None,
+    ) -> float:
+        """Latency (seconds) of one op of a model run in ``mode``.
+
+        Float ops run in fp16; non-quantizable GEMMs (first/last layers) run
+        at 8-bit, or fp16 in ``"fp16"`` mode.  ``per_layer_ratio`` optionally
+        overrides the global 4-bit ratio per layer name (used when replaying
+        the ratios chosen by the selection algorithm rather than a uniform
+        ratio).
+        """
+        if op.kind == "float":
+            return self.float_op_latency(op)
+        if not op.quantizable:
+            return self.gemm_latency(op, "fp16" if mode == "fp16" else "int8")
+        if mode != "flexiq":
+            return self.gemm_latency(op, mode)
+        if per_layer_ratio:
+            four_bit_ratio = per_layer_ratio.get(op.name, four_bit_ratio)
+        return self.gemm_latency(
+            op, "flexiq", four_bit_ratio=four_bit_ratio,
+            dynamic_extraction=dynamic_extraction,
+        )
+
     def model_latency(
         self,
         ops: Sequence[LayerOp],
@@ -161,56 +190,31 @@ class GpuLatencyModel:
         dynamic_extraction: bool = False,
         per_layer_ratio: Optional[Dict[str, float]] = None,
     ) -> float:
-        """End-to-end latency (seconds) of a model under one precision mode.
-
-        ``per_layer_ratio`` optionally overrides the global 4-bit ratio per
-        layer name (used when replaying the ratios chosen by the selection
-        algorithm rather than a uniform ratio).
-        """
-        total = 0.0
-        for op in ops:
-            if op.kind == "float" or not op.quantizable:
-                if op.kind == "float":
-                    total += self.float_op_latency(op)
-                else:
-                    # Non-quantizable GEMMs (first/last layers) run at 8-bit.
-                    total += self.gemm_latency(op, "int8" if mode != "fp16" else "fp16")
-                continue
-            if mode == "flexiq":
-                ratio = (
-                    per_layer_ratio.get(op.name, four_bit_ratio)
-                    if per_layer_ratio
-                    else four_bit_ratio
-                )
-                total += self.gemm_latency(
-                    op, "flexiq", four_bit_ratio=ratio,
-                    dynamic_extraction=dynamic_extraction,
-                )
-            else:
-                total += self.gemm_latency(op, mode)
-        return total
+        """End-to-end latency (seconds) of a model under one precision mode:
+        its ops' latencies summed in order."""
+        return sum(
+            self._op_latency(
+                op, mode, four_bit_ratio, dynamic_extraction, per_layer_ratio
+            )
+            for op in ops
+        )
 
     def latency_breakdown(
         self,
         ops: Sequence[LayerOp],
         mode: str,
         four_bit_ratio: float = 0.0,
+        dynamic_extraction: bool = False,
+        per_layer_ratio: Optional[Dict[str, float]] = None,
     ) -> Dict[str, float]:
-        """Per-op latency contributions (seconds), keyed by op name."""
-        breakdown: Dict[str, float] = {}
-        for op in ops:
-            if op.kind == "float" or not op.quantizable:
-                latency = (
-                    self.float_op_latency(op)
-                    if op.kind == "float"
-                    else self.gemm_latency(op, "int8")
-                )
-            elif mode == "flexiq":
-                latency = self.gemm_latency(op, "flexiq", four_bit_ratio=four_bit_ratio)
-            else:
-                latency = self.gemm_latency(op, mode)
-            breakdown[op.name] = latency
-        return breakdown
+        """Per-op latency contributions (seconds), keyed by op name; they sum
+        to :meth:`model_latency` with the same arguments."""
+        return {
+            op.name: self._op_latency(
+                op, mode, four_bit_ratio, dynamic_extraction, per_layer_ratio
+            )
+            for op in ops
+        }
 
     def ratio_switch_latency(self) -> float:
         """Cost of changing the 4-bit ratio: one variable update per layer.

@@ -117,6 +117,8 @@ class SloMonitor:
     def __post_init__(self) -> None:
         if not self.objectives:
             raise ValueError("need at least one objective")
+        if not self.rules:
+            raise ValueError("need at least one burn-rate rule")
         depth = max(rule.slow_windows for rule in self.rules)
         for objective in self.objectives:
             self._errors[objective.name] = deque(maxlen=depth)

@@ -11,7 +11,7 @@ run from; result records, protocols and helpers import from their module.
   session's one :class:`RequestStore`), :class:`Request`/``Response``,
   :func:`requests_from_trace`.
 * :mod:`~repro.serving.core` -- columnar :class:`RequestStore` and its
-  ``LazyRequests`` view, typed ``EventCalendar``.
+  ``LazyRequests`` view, the batch ledger and the resumable FIFO sweep.
 * :mod:`~repro.serving.schedulers` -- queue order: FIFO, priority, EDF.
 * :mod:`~repro.serving.executors` -- what a batch costs:
   :class:`ModeledExecutor` (analytic) or :class:`RuntimeExecutor` (real

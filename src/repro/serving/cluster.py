@@ -47,6 +47,7 @@ latencies); see ``tests/test_serving_cluster.py``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple, Union
 
@@ -54,12 +55,7 @@ import numpy as np
 
 from repro.data.traces import RequestTrace
 from repro.hardware.npu import NpuConfig, NpuLatencyModel
-from repro.serving.core import (
-    WINDOW_BOUNDARY,
-    EventCalendar,
-    check_percentile,
-    check_positive,
-)
+from repro.serving.core import check_integer, check_percentile, check_positive
 from repro.serving.engine import (
     BatchingConfig,
     EngineResult,
@@ -90,7 +86,12 @@ from repro.serving.resilience import (
 )
 from repro.serving.schedulers import Scheduler
 from repro.serving.simulator import ServiceTimeModel
-from repro.serving.telemetry import ClusterWindowStats, ScaleEvent, TelemetryBus
+from repro.serving.telemetry import (
+    ClusterWindowStats,
+    ScaleEvent,
+    TelemetryBus,
+    fold_rate,
+)
 
 
 # ----------------------------------------------------------------------
@@ -374,8 +375,37 @@ class Autoscaler(Protocol):
         ...
 
 
+class _CalmStreak:
+    """The hysteresis every autoscaler here shares: one streak rule.
+
+    A breach scales **up** by ``step`` at once; ``patience`` consecutive
+    calm windows scale **down** by ``step``; any other window breaks the
+    streak.  The class holding it declares ``patience``, ``step`` and
+    ``_calm_windows`` as dataclass fields and calls
+    ``_check_streak()`` from ``__post_init__``.
+    """
+
+    def _check_streak(self) -> None:
+        self.patience = check_integer("patience", self.patience, 1)
+        self.step = check_integer("step", self.step, 1)
+
+    def reset(self) -> None:
+        """Clear the hysteresis streak (called by the control plane per run)."""
+        self._calm_windows = 0
+
+    def _streak(self, active: int, breach: bool, calm: bool = False) -> int:
+        if breach:
+            self._calm_windows = 0
+            return active + self.step
+        self._calm_windows = self._calm_windows + 1 if calm else 0
+        if self._calm_windows < self.patience:
+            return active
+        self._calm_windows = 0
+        return active - self.step
+
+
 @dataclass
-class QueueDepthAutoscaler:
+class QueueDepthAutoscaler(_CalmStreak):
     """Scale on queue depth with hysteresis.
 
     Scale **up** by ``step`` whenever the window's mean queue depth exceeds
@@ -392,32 +422,25 @@ class QueueDepthAutoscaler:
     _calm_windows: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        # A nan threshold fails every comparison: the cluster would never scale.
+        if not (np.isfinite(self.scale_up_depth) and np.isfinite(self.scale_down_depth)):
+            raise ValueError(
+                "scale_up_depth and scale_down_depth must be finite (got "
+                f"{self.scale_up_depth!r}, {self.scale_down_depth!r})"
+            )
         if self.scale_down_depth > self.scale_up_depth:
             raise ValueError("scale_down_depth must not exceed scale_up_depth")
-        if self.patience < 1 or self.step < 1:
-            raise ValueError("patience and step must be >= 1")
-
-    def reset(self) -> None:
-        """Clear the hysteresis streak (called by the control plane per run)."""
-        self._calm_windows = 0
+        self._check_streak()
 
     def decide(self, stats: ClusterWindowStats, active: int) -> int:
         depth = stats.mean_queue_depth
-        if depth > self.scale_up_depth:
-            self._calm_windows = 0
-            return active + self.step
-        if depth < self.scale_down_depth:
-            self._calm_windows += 1
-            if self._calm_windows >= self.patience:
-                self._calm_windows = 0
-                return active - self.step
-            return active
-        self._calm_windows = 0
-        return active
+        return self._streak(
+            active, depth > self.scale_up_depth, depth < self.scale_down_depth
+        )
 
 
 @dataclass
-class SloLatencyAutoscaler:
+class SloLatencyAutoscaler(_CalmStreak):
     """Scale on a windowed latency-percentile SLO with hysteresis.
 
     Scale **up** when the window's ``percentile`` response time exceeds
@@ -443,51 +466,37 @@ class SloLatencyAutoscaler:
         check_percentile(self.percentile)
         if not 0 < self.headroom <= 1:
             raise ValueError("headroom must be in (0, 1]")
-        if self.patience < 1 or self.step < 1:
-            raise ValueError("patience and step must be >= 1")
-
-    def reset(self) -> None:
-        """Clear the hysteresis streak (called by the control plane per run)."""
-        self._calm_windows = 0
+        self._check_streak()
 
     def decide(self, stats: ClusterWindowStats, active: int) -> int:
         if stats.drops > 0:
-            self._calm_windows = 0
-            return active + self.step
+            return self._streak(active, breach=True)
         if stats.latencies.size == 0:
             return active
         observed = stats.latency_percentile(self.percentile)
-        if observed > self.slo_seconds:
-            self._calm_windows = 0
-            return active + self.step
-        if observed < self.slo_seconds * self.headroom:
-            self._calm_windows += 1
-            if self._calm_windows >= self.patience:
-                self._calm_windows = 0
-                return active - self.step
-            return active
-        self._calm_windows = 0
-        return active
+        return self._streak(
+            active,
+            observed > self.slo_seconds,
+            observed < self.slo_seconds * self.headroom,
+        )
 
 
 @dataclass
-class PredictiveFaultAutoscaler:
+class PredictiveFaultAutoscaler(SloLatencyAutoscaler):
     """Provision *ahead of* predicted degradation from telemetry trends.
 
     The reactive autoscalers wait for a breach — a blown percentile or a
     dropped request — which under a fault means a whole SLO window of damage
     is already done before capacity moves.  This policy watches the same
     per-server served-per-busy-second signal
-    :class:`~repro.serving.placement.PredictivePlacer` forecasts with: it
-    keeps an EWMA of each server's measured rate and scales **up** the
-    moment a server's newest windowed rate *collapses* below
-    ``collapse_ratio`` of its forecast (a slowdown fault, thermal throttle
-    or failing link shows up there one window after onset, typically before
-    the cluster percentile breaks).  The breach signals of
-    :class:`SloLatencyAutoscaler` (drops, then the windowed ``percentile``
-    against ``slo_seconds``) remain as the reactive backstop, and scale-down
-    keeps the same hysteresis (``patience`` calm windows under
-    ``slo_seconds * headroom``).
+    :class:`~repro.serving.placement.PredictivePlacer` forecasts with
+    (:func:`~repro.serving.telemetry.fold_rate`, weight ``alpha``) and
+    scales **up** the moment a server's newest windowed rate *collapses*
+    below ``collapse_ratio`` of its forecast (a slowdown fault, thermal
+    throttle or failing link shows up there one window after onset,
+    typically before the cluster percentile breaks).  Otherwise it decides
+    as :class:`SloLatencyAutoscaler`: the breach signals remain as the
+    reactive backstop, and scale-down keeps the same hysteresis.
 
     The control plane hands the policy its
     :class:`~repro.serving.telemetry.TelemetryBus` through :meth:`attach`
@@ -497,14 +506,8 @@ class PredictiveFaultAutoscaler:
     appends it to the scale event's audit line.
     """
 
-    slo_seconds: float
     collapse_ratio: float = 0.6
     alpha: float = 0.5
-    percentile: float = 99.0
-    headroom: float = 0.5
-    patience: int = 2
-    step: int = 1
-    _calm_windows: int = field(default=0, init=False, repr=False)
     _ewma: Dict[int, float] = field(default_factory=dict, init=False, repr=False)
     _telemetry: Optional[TelemetryBus] = field(
         default=None, init=False, repr=False
@@ -515,16 +518,11 @@ class PredictiveFaultAutoscaler:
     last_reason: str = field(default="", init=False, repr=False)
 
     def __post_init__(self) -> None:
-        check_positive("slo_seconds", self.slo_seconds)
-        check_percentile(self.percentile)
+        super().__post_init__()
         if not 0 < self.collapse_ratio < 1:
             raise ValueError("collapse_ratio must be in (0, 1)")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
-        if not 0 < self.headroom <= 1:
-            raise ValueError("headroom must be in (0, 1]")
-        if self.patience < 1 or self.step < 1:
-            raise ValueError("patience and step must be >= 1")
 
     def attach(self, telemetry: TelemetryBus) -> None:
         """Receive the cluster's telemetry bus (control-plane hook)."""
@@ -532,7 +530,7 @@ class PredictiveFaultAutoscaler:
 
     def reset(self) -> None:
         """Clear forecasts and hysteresis (called by the control plane per run)."""
-        self._calm_windows = 0
+        super().reset()
         self._ewma.clear()
         self._pending_alerts.clear()
         self.last_reason = ""
@@ -560,18 +558,12 @@ class PredictiveFaultAutoscaler:
             return collapsed
         for server in range(bus.num_servers):
             rate = bus.measured_rate(server, window)
-            if rate != rate:  # idle window carries no capacity signal
-                continue
-            forecast = self._ewma.get(server)
-            if forecast is not None and rate < self.collapse_ratio * forecast:
+            forecast = self._ewma.get(server, float("nan"))
+            if rate < self.collapse_ratio * forecast:  # false on either nan
                 collapsed.append(server)
             # The degraded rate still folds in (slowly, via the EWMA): the
             # policy must also notice when the server *recovers*.
-            self._ewma[server] = (
-                rate
-                if forecast is None
-                else self.alpha * rate + (1 - self.alpha) * forecast
-            )
+            self._ewma[server] = fold_rate(forecast, rate, self.alpha)
         return collapsed
 
     def decide(self, stats: ClusterWindowStats, active: int) -> int:
@@ -579,7 +571,6 @@ class PredictiveFaultAutoscaler:
         if self._pending_alerts:
             alert = self._pending_alerts[0]
             self._pending_alerts.clear()
-            self._calm_windows = 0
             # Fold the window into the forecasts even when the alert
             # preempts the collapse check: recovery tracking must not stall.
             self._collapsed_servers(stats.window)
@@ -588,32 +579,15 @@ class PredictiveFaultAutoscaler:
                 f"{getattr(alert, 'objective', 'objective')} burning at "
                 f"{getattr(alert, 'burn_fast', 0.0):.1f}x budget"
             )
-            return active + self.step
+            return self._streak(active, breach=True)
         collapsed = self._collapsed_servers(stats.window)
         if collapsed:
-            self._calm_windows = 0
             self.last_reason = (
                 "predicted degradation: served-per-busy-second collapsed on "
                 f"server(s) {collapsed}"
             )
-            return active + self.step
-        if stats.drops > 0:
-            self._calm_windows = 0
-            return active + self.step
-        if stats.latencies.size == 0:
-            return active
-        observed = stats.latency_percentile(self.percentile)
-        if observed > self.slo_seconds:
-            self._calm_windows = 0
-            return active + self.step
-        if observed < self.slo_seconds * self.headroom:
-            self._calm_windows += 1
-            if self._calm_windows >= self.patience:
-                self._calm_windows = 0
-                return active - self.step
-            return active
-        self._calm_windows = 0
-        return active
+            return self._streak(active, breach=True)
+        return super().decide(stats, active)
 
 
 # ----------------------------------------------------------------------
@@ -854,9 +828,10 @@ class ClusterEngine:
                     )
         self.migration = migration
         self.model_floors = dict(model_floors) if model_floors is not None else None
-        # Per-run fault calendar (FAULT events in schedule order); rebuilt by
-        # run() so one immutable schedule drives any number of replays.
-        self._fault_calendar: Optional[EventCalendar] = None
+        # Per-run fault cursor (the schedule's events not yet applied, in
+        # schedule order); rebuilt by run() so one immutable schedule drives
+        # any number of replays.
+        self._faults: Optional[deque] = None
         # Per-server degradable executor wrappers (slowdown faults): one
         # list per server, one wrapper per registered model on it.  Only
         # populated when a fault schedule exists, so the default path keeps
@@ -1073,10 +1048,8 @@ class ClusterEngine:
                 self.autoscaler.attach(self.telemetry)
             if hasattr(self.autoscaler, "reset"):
                 self.autoscaler.reset()
-        self._fault_calendar = (
-            self.fault_schedule.as_events()
-            if self.fault_schedule is not None
-            else None
+        self._faults = (
+            deque(self.fault_schedule) if self.fault_schedule is not None else None
         )
         self._promoted.clear()
         if self.fault_schedule is not None:
@@ -1106,8 +1079,7 @@ class ClusterEngine:
             # scales or faults: its burn rates read the closed windows.
             or self.slo_monitor is not None
         )
-        boundaries = EventCalendar()
-        boundaries.schedule(self.telemetry.window, WINDOW_BOUNDARY, 0)
+        window, boundary = 0, self.telemetry.window
         try:
             # With no window-boundary decisions to make, the whole session
             # goes straight to finish(), which sweeps eligible FIFO sessions
@@ -1115,16 +1087,16 @@ class ClusterEngine:
             while control:
                 record = self.engine.step()
                 if record is None:
-                    if self._fault_calendar:
+                    if self._faults:
                         # Trailing faults: events after the last batch
                         # start (a server crashed in the final window)
                         # must still land.  Apply ONE event, then
                         # re-enter the step loop: a crash may requeue
                         # migrants whose batches a *later* event should
-                        # see in flight — draining the whole calendar
+                        # see in flight — draining the whole cursor
                         # here would apply future faults before the work
                         # they are meant to disturb exists.
-                        event = self._fault_calendar.pop().payload
+                        event = self._faults.popleft()
                         boundary = (
                             self.telemetry.window_index(event.time) + 1
                         ) * self.telemetry.window
@@ -1136,17 +1108,12 @@ class ClusterEngine:
                 # servers, so a boundary closes when *some* batch starts
                 # beyond it; stragglers still land in their own
                 # (already-closed) window's telemetry cell, only the
-                # scaling decision sees them late.  Each WINDOW_BOUNDARY
-                # event reschedules its successor, so the calendar holds
-                # one pending boundary at a time.
-                while record.start >= boundaries.peek_time():
-                    due = boundaries.pop()
-                    self._close_window(due.payload, due.time)
-                    boundaries.schedule(
-                        (due.payload + 2) * self.telemetry.window,
-                        WINDOW_BOUNDARY,
-                        due.payload + 1,
-                    )
+                # scaling decision sees them late.  Window ``window``
+                # closes at ``(window + 1) * telemetry.window``.
+                while record.start >= boundary:
+                    self._close_window(window, boundary)
+                    window += 1
+                    boundary = (window + 1) * self.telemetry.window
             result = self.engine.finish()
         except BaseException:
             # A mid-run failure (an unsurvivable crash fault, a rogue
@@ -1171,18 +1138,18 @@ class ClusterEngine:
     def _close_window(self, window: int, boundary: float) -> None:
         """Apply due faults, evaluate SLO burn, then one autoscaling decision.
 
-        Faults pop off the per-run calendar strictly *before* the boundary —
-        a fault strikes mid-window but lands when the window closes, so the
-        calendar is consumed here rather than merged with the boundary
-        events (a merged heap would fire faults at their own timestamps,
-        mid-window, which is not the model).  The SLO monitor reads the
+        Faults that strike strictly *before* the boundary leave the per-run
+        cursor here — a fault strikes mid-window but lands when the window
+        closes (firing it at its own timestamp, mid-window, is not the
+        model).  The SLO monitor reads the
         just-closed window next (alerts land on the timeline beside the
         faults that caused them), and the autoscaler decides last — with
         any fresh alerts already visible as an input signal.
         """
-        if self._fault_calendar is not None:
-            while self._fault_calendar.peek_time() < boundary:
-                self._apply_fault(self._fault_calendar.pop().payload, boundary)
+        faults = self._faults
+        if faults is not None:
+            while faults and faults[0].time < boundary:
+                self._apply_fault(faults.popleft(), boundary)
         if self.slo_monitor is not None:
             alerts = self.slo_monitor.evaluate(
                 self.telemetry, window, self.engine.active_servers

@@ -1,37 +1,10 @@
-"""Columnar event-driven serving core: arrays and events behind the object API.
+"""Columnar serving core: arrays behind the object API.
 
 The serving stack of PRs 2-7 carries one Python ``Request`` object per
 request through a window-stepped loop — fine at 10^4 requests, hopeless at a
 realistic diurnal day (>= 10^6).  This module is the data-layout refactor:
-the hot state lives in parallel numpy columns, the control flow advances
-through a heap of typed events, and the object API survives as thin lazily
-materialized views.
-
-Event taxonomy
-==============
-The :class:`EventCalendar` is an O(log n) priority queue of :class:`Event`
-records ordered by ``(time, push sequence)``.  Five event kinds cover the
-serving control plane:
-
-``ARRIVAL_CHUNK``
-    A contiguous run of sorted arrivals becomes admissible.  The columnar
-    FIFO core never materializes these as heap entries — the sorted arrival
-    column *is* the arrival schedule, and ``bisect`` finds each chunk — but
-    schedulers that interleave admission with other events push them.
-``BATCH_COMPLETION``
-    A dispatched batch finishes and frees its server; iteration-level
-    generation uses the same kind for iteration boundaries.
-``WINDOW_BOUNDARY``
-    A telemetry control window closes: the cluster control plane applies
-    pending faults, consults the autoscaler, and schedules the next
-    boundary (see :meth:`repro.serving.cluster.ClusterEngine.run`).
-``FAULT``
-    An injected fault (crash / slowdown / recovery) from a
-    :class:`~repro.serving.resilience.FaultSchedule` strikes; it is applied
-    at the first window boundary at or after its strike time.
-``SCALE``
-    An elasticity decision (server activation / deactivation) takes effect,
-    e.g. a recovered server re-admitted at the next boundary.
+the hot state lives in parallel numpy columns and the object API survives as
+thin lazily materialized views.
 
 Views vs. copies
 ================
@@ -77,7 +50,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heapreplace
 from itertools import compress
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
@@ -86,13 +59,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
-    "ARRIVAL_CHUNK",
-    "BATCH_COMPLETION",
-    "WINDOW_BOUNDARY",
-    "FAULT",
-    "SCALE",
-    "Event",
-    "EventCalendar",
     "RequestStore",
     "LazyRequests",
     "BatchLedger",
@@ -105,75 +71,10 @@ __all__ = [
 ]
 
 
-# ----------------------------------------------------------------------
-# Event calendar
-# ----------------------------------------------------------------------
-ARRIVAL_CHUNK = "arrival_chunk"
-BATCH_COMPLETION = "batch_completion"
-WINDOW_BOUNDARY = "window_boundary"
-FAULT = "fault"
-SCALE = "scale"
-
 # Request status column values.
 PENDING = 0
 SERVED = 1
 DROPPED = 2
-
-
-@dataclass(frozen=True)
-class Event:
-    """One typed point on the simulation timeline."""
-
-    time: float
-    kind: str
-    payload: Any = None
-
-
-class EventCalendar:
-    """Min-heap of events ordered by ``(time, push sequence)``.
-
-    Push/pop are O(log n); peeking the next due time is O(1).  Ties break
-    by push order, so a producer that pushes an already-sorted schedule
-    (e.g. a :class:`~repro.serving.resilience.FaultSchedule`) gets its
-    events back in exactly that order.
-    """
-
-    __slots__ = ("_heap", "_seq")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Event]] = []
-        self._seq = 0
-
-    def push(self, event: Event) -> None:
-        heappush(self._heap, (float(event.time), self._seq, event))
-        self._seq += 1
-
-    def schedule(self, time: float, kind: str, payload: Any = None) -> None:
-        """Convenience: build and push an :class:`Event`."""
-        self.push(Event(time=float(time), kind=kind, payload=payload))
-
-    def peek(self) -> Optional[Event]:
-        return self._heap[0][2] if self._heap else None
-
-    def peek_time(self) -> float:
-        """Time of the next event (``inf`` when the calendar is empty)."""
-        return self._heap[0][0] if self._heap else float("inf")
-
-    def pop(self) -> Event:
-        return heappop(self._heap)[2]
-
-    def pop_due(self, time: float) -> List[Event]:
-        """Pop every event with ``event.time <= time``, in calendar order."""
-        due: List[Event] = []
-        while self._heap and self._heap[0][0] <= time:
-            due.append(self.pop())
-        return due
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
 
 # ----------------------------------------------------------------------

@@ -20,16 +20,16 @@ and queued requests join it (continuous batching), under a pluggable
 
 The iteration loop costs O(running batch + queue depth) per iteration,
 whatever the length of the trace.  A sequence that has not reached its
-ready time sits on an :class:`~repro.serving.core.EventCalendar`; each
-iteration pops the heads with ``time <= start`` into the *arrived queue*,
+ready time sits on a heap of ``(ready, slot)`` pairs; each
+iteration pops the heads with ``ready <= start`` into the *arrived queue*,
 which is kept sorted on ``(discipline key, arrival, slot)`` and handed to the
 admission policy as it stands.  A session holds its requests as one
 :class:`~repro.serving.core.RequestStore`: every discipline key comes from one
 :meth:`~repro.serving.schedulers.Scheduler.keys` call at :meth:`IterationScheduler.
 start`, and deadlines are read from the store's column (``nan``: none).
-Joiners leave the queue, migrants go back on the calendar at their new
+Joiners leave the queue, migrants go back on the heap at their new
 ready time, and the next iteration is the earliest over the server clocks,
-the queue and the calendar head.  The specification this is tested against
+the queue and the heap's head.  The specification this is tested against
 is the naive one: scan every waiting sequence, keep ``ready <= start``,
 sort (``tests/test_serving_generation.py``).
 
@@ -50,10 +50,10 @@ Ratio policies see a :class:`~repro.serving.policies.GenerationStepContext`
 on every iteration (via ``PolicyContext.generation``), so precision can
 switch *mid-sequence* in response to decode pressure (see
 :class:`~repro.serving.policies.DecodePressureRatioPolicy`).  A
-:class:`~repro.serving.telemetry.TelemetryBus` receives per-iteration
-batch events plus token-stream events (:meth:`~repro.serving.telemetry.
-TelemetryBus.record_tokens`), giving placers and autoscalers windowed
-tokens/sec and TTFT signals.
+:class:`~repro.serving.telemetry.TelemetryBus` receives one
+:meth:`~repro.serving.telemetry.TelemetryBus.record_batch` per iteration,
+its tokens and TTFT samples included, giving placers and autoscalers
+windowed tokens/sec and TTFT signals.
 
 Resilience composes: :meth:`IterationScheduler.preempt_server` rewinds the
 killed server's in-flight iteration exactly (tokens from *completed*
@@ -81,8 +81,6 @@ import numpy as np
 
 from repro.data.traces import RequestTrace
 from repro.serving.core import (
-    ARRIVAL_CHUNK,
-    EventCalendar,
     RequestStore,
     check_arrivals,
     check_integer,
@@ -456,21 +454,22 @@ class _GenSession:
     A sequence that is neither running nor finished is in exactly one of
     two places:
 
-    * ``ready_events`` — the calendar of *future* sequences, one
-      ``ARRIVAL_CHUNK`` event each at the sequence's ready time (arrival
-      for a fresh request, ``time + delay + transfer`` for a migrant);
+    * ``ready_heap`` — the *future* sequences, a heap of ``(ready, slot)``
+      pairs (``ready`` is the arrival for a fresh request, ``time + delay +
+      transfer`` for a migrant; slots are unique, so a tie never compares
+      further);
     * ``arrived`` — the sequences an iteration start has reached, as
       ``((key, arrival, slot), sequence)`` entries sorted in admission order,
       the engine's queue order.  ``keys[slot]`` is the slot's discipline
       key, computed once per session; a migrant keeps its key.
 
-    Each iteration drains the calendar heads with ``time <= start`` into
+    Each iteration drains the heap's heads with ``ready <= start`` into
     ``arrived`` and hands that queue to the admission policy, so one
     iteration costs O(running batch + queue depth) whatever the length of
     the trace.  Joiners leave ``arrived`` when they join.  A migrant was
-    running, so it is in neither place until ``preempt_server`` schedules
-    it at its new ready time: nothing is ever held twice and the calendar
-    has no stale entries.
+    running, so it is in neither place until ``preempt_server`` pushes it
+    at its new ready time: nothing is ever held twice and the heap has no
+    stale entries.
 
     ``preempt_server``/``activate_server`` can make an iteration start
     *before* an earlier one, so ``arrived`` may hold entries with ``ready >
@@ -489,9 +488,8 @@ class _GenSession:
         self.keys = keys
         # Absolute deadline per slot (nan: none); None when no request has one.
         self.deadlines = deadlines
-        self.ready_events = EventCalendar()
-        for seq in sequences:
-            self.ready_events.schedule(seq.ready, ARRIVAL_CHUNK, seq)
+        self.ready_heap = [(seq.ready, seq.slot) for seq in sequences]
+        heapq.heapify(self.ready_heap)
         self.arrived: List[Tuple[Tuple, SequenceState]] = []
         self.running: List[List[int]] = [[] for _ in range(num_servers)]
         self.free_at: List[float] = [0.0] * num_servers
@@ -745,9 +743,8 @@ class IterationScheduler:
                     deadline_total=undo.deadline_total,
                     deadline_met=undo.deadline_met,
                     kill_time=time,
-                )
-                self.telemetry.unrecord_tokens(
-                    server, record.start, record.tokens, undo.ttfts
+                    tokens=record.tokens,
+                    ttfts=undo.ttfts,
                 )
             if self.tracer is not None:
                 # The rewound iteration's span becomes `preempted`; the
@@ -786,9 +783,9 @@ class IterationScheduler:
                 transfer = float(restore(progress))
             seq.ready = time + delay + transfer
             s.migrated += 1
-            # A victim was running, so neither the calendar nor the arrived
+            # A victim was running, so neither the heap nor the arrived
             # queue holds it: this is its only entry.
-            s.ready_events.schedule(seq.ready, ARRIVAL_CHUNK, seq)
+            heapq.heappush(s.ready_heap, (seq.ready, slot))
         s.running[server] = []
         if server in s.active:
             s.active.remove(server)
@@ -798,10 +795,10 @@ class IterationScheduler:
     # The iteration loop
     # ------------------------------------------------------------------
     def _min_ready(self, s: _GenSession) -> Optional[float]:
-        """Earliest ready time over the arrived queue and the calendar."""
+        """Earliest ready time over the arrived queue and the heap."""
         ready = [seq.ready for _, seq in s.arrived]
-        if s.ready_events:
-            ready.append(s.ready_events.peek_time())
+        if s.ready_heap:
+            ready.append(s.ready_heap[0][0])
         return min(ready, default=None)
 
     def _next_server(self, s: _GenSession) -> Optional[Tuple[int, float]]:
@@ -830,13 +827,13 @@ class IterationScheduler:
     def _candidates(self, s: _GenSession, start: float) -> List[SequenceState]:
         """The sequences ready by ``start``, in admission order.
 
-        Drains the calendar up to ``start`` into the arrived queue first.
+        Drains the heap up to ``start`` into the arrived queue first.
         The ``ready`` filter matters only when ``start`` is earlier than a
         previous iteration's (see :class:`_GenSession`).
         """
-        keys = s.keys
-        for event in s.ready_events.pop_due(start):
-            seq = event.payload
+        keys, heap = s.keys, s.ready_heap
+        while heap and heap[0][0] <= start:
+            seq = s.sequences[heapq.heappop(heap)[1]]
             # The rank tuple is built here, at the drain, not once per session:
             # holding one per slot for the whole run measured ~7 % slower on
             # bench/gen.py's day (2-vCPU Xeon), for the same calls.
@@ -973,8 +970,9 @@ class IterationScheduler:
                 latencies=np.asarray(latencies, dtype=np.float64),
                 deadline_total=deadline_total,
                 deadline_met=deadline_met,
+                tokens=record.tokens,
+                ttfts=ttfts,
             )
-            self.telemetry.record_tokens(server, start, record.tokens, ttfts)
         if self.tracer is not None:
             self.tracer.on_iteration(record)
             if retired:

@@ -56,7 +56,7 @@ automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Callable,
     Dict,
@@ -68,6 +68,8 @@ from typing import (
     TYPE_CHECKING,
     runtime_checkable,
 )
+
+from repro.serving.telemetry import fold_rate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.cluster import ClusterTopology
@@ -307,14 +309,9 @@ class PredictivePlacer(_SpeedScoredPlacer):
             state = self._trends[server] = [-1.0, float("nan"), 0.0]
         last = int(state[0])
         for window in range(last + 1, completed + 1):
-            rate = bus.measured_rate(server, window)
-            if rate == rate:  # an idle window carries no capacity signal
-                previous = state[1]
-                state[1] = (
-                    rate
-                    if previous != previous
-                    else self.alpha * rate + (1 - self.alpha) * previous
-                )
+            state[1] = fold_rate(
+                state[1], bus.measured_rate(server, window), self.alpha
+            )
             depth = bus.mean_depth(server, window)
             state[2] = self.alpha * depth + (1 - self.alpha) * state[2]
         state[0] = float(completed)
@@ -411,15 +408,7 @@ class SpreadPlacer:
                     name,
                 ),
             )
-            context = PlacementContext(
-                time=context.time,
-                free_at=context.free_at,
-                active=candidates[chosen],
-                model=context.model,
-                pending=context.pending,
-                batch_hint=context.batch_hint,
-                telemetry=context.telemetry,
-            )
+            context = replace(context, active=candidates[chosen])
         return self.within.place(context)
 
 
@@ -447,18 +436,8 @@ class ModelAffinityPlacer:
 
     def place(self, context: PlacementContext) -> int:
         allowed = self.affinity.get(context.model)
-        active: Sequence[int] = context.active
         if allowed is not None:
-            restricted = [server for server in active if server in allowed]
+            restricted = [server for server in context.active if server in allowed]
             if restricted:
-                active = restricted
-        inner = PlacementContext(
-            time=context.time,
-            free_at=context.free_at,
-            active=active,
-            model=context.model,
-            pending=context.pending,
-            batch_hint=context.batch_hint,
-            telemetry=context.telemetry,
-        )
-        return self.within.place(inner)
+                context = replace(context, active=restricted)
+        return self.within.place(context)

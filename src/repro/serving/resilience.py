@@ -78,7 +78,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Protocol, Sequence, TYPE_CHECKING, Tuple
 
-from repro.serving.core import check_positive
+from repro.serving.core import check_integer, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.engine import (
@@ -274,23 +274,6 @@ class FaultSchedule:
         """Whether any event is domain-scoped (needs :meth:`expand`)."""
         return any(event.kind in DOMAIN_FAULT_KINDS for event in self.events)
 
-    def as_events(self) -> "EventCalendar":
-        """The schedule as a fresh :class:`~repro.serving.core.EventCalendar`.
-
-        One :data:`~repro.serving.core.FAULT` event per schedule entry, the
-        :class:`FaultEvent` as its payload.  Because ``events`` is already
-        ``(time, server, kind)``-sorted and the calendar breaks time ties by
-        insertion order, pops replay the schedule exactly — the calendar is
-        the per-run cursor the class docstring promises, with O(log n)
-        peeks against the control plane's other event sources.
-        """
-        from repro.serving.core import EventCalendar, FAULT
-
-        calendar = EventCalendar()
-        for event in self.events:
-            calendar.schedule(event.time, FAULT, event)
-        return calendar
-
     def expand(self, topology) -> "FaultSchedule":
         """Resolve domain-scoped events into per-server events.
 
@@ -332,16 +315,32 @@ class FaultSchedule:
         return FaultSchedule(expanded)
 
     @classmethod
+    def _then_recover(
+        cls,
+        event: FaultEvent,
+        recover_at: Optional[float],
+        what: str,
+        kind: str,
+        **target,
+    ) -> "FaultSchedule":
+        """``event``, then a ``kind`` recovery of ``target`` at ``recover_at``
+        unless that is ``None`` (the body of every scenario below)."""
+        events = [event]
+        if recover_at is not None:
+            if recover_at <= event.time:
+                raise ValueError(f"recover_at must come after the {what}")
+            events.append(FaultEvent(time=recover_at, kind=kind, **target))
+        return cls(events)
+
+    @classmethod
     def single_crash(
         cls, server: int, at: float, recover_at: Optional[float] = None
     ) -> "FaultSchedule":
         """The canonical scenario: one server crashes (and maybe recovers)."""
-        events = [FaultEvent(time=at, server=server, kind="crash")]
-        if recover_at is not None:
-            if recover_at <= at:
-                raise ValueError("recover_at must come after the crash")
-            events.append(FaultEvent(time=recover_at, server=server, kind="recover"))
-        return cls(events)
+        return cls._then_recover(
+            FaultEvent(time=at, server=server, kind="crash"),
+            recover_at, "crash", "recover", server=server,
+        )
 
     @classmethod
     def zone_outage(
@@ -349,26 +348,20 @@ class FaultSchedule:
     ) -> "FaultSchedule":
         """A whole zone fails at once (and maybe recovers) — the correlated
         scenario failure-domain placement exists for."""
-        events = [FaultEvent(time=at, kind="zone_outage", zone=zone)]
-        if recover_at is not None:
-            if recover_at <= at:
-                raise ValueError("recover_at must come after the outage")
-            events.append(FaultEvent(time=recover_at, kind="zone_recover", zone=zone))
-        return cls(events)
+        return cls._then_recover(
+            FaultEvent(time=at, kind="zone_outage", zone=zone),
+            recover_at, "outage", "zone_recover", zone=zone,
+        )
 
     @classmethod
     def rack_slowdown(
         cls, rack: str, at: float, factor: float, recover_at: Optional[float] = None
     ) -> "FaultSchedule":
         """A whole rack degrades at once (a shared-switch brownout)."""
-        events = [
-            FaultEvent(time=at, kind="rack_slowdown", rack=rack, factor=factor)
-        ]
-        if recover_at is not None:
-            if recover_at <= at:
-                raise ValueError("recover_at must come after the slowdown")
-            events.append(FaultEvent(time=recover_at, kind="rack_recover", rack=rack))
-        return cls(events)
+        return cls._then_recover(
+            FaultEvent(time=at, kind="rack_slowdown", rack=rack, factor=factor),
+            recover_at, "slowdown", "rack_recover", rack=rack,
+        )
 
 
 class DegradableExecutor:
@@ -498,8 +491,7 @@ class RedistributeMigration:
     def __post_init__(self) -> None:
         check_positive("migration delay", self.delay, allow_zero=True)
         check_positive("stagger", self.stagger, allow_zero=True)
-        if self.chunk < 1:
-            raise ValueError("chunk must be >= 1")
+        self.chunk = check_integer("chunk", self.chunk, 1)
 
     def plan(
         self, migrants: Sequence[Migrant], time: float

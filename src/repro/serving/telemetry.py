@@ -33,9 +33,10 @@ field                unit      added by
 ``deadline_total``   requests  ``record_batch``, and ``record_drops``: an
                                expired deadline-carrying request is a miss
 ``deadline_met``     requests  ``record_batch``
-``tokens``           tokens    ``record_tokens`` (generation only)
+``tokens``           tokens    ``record_batch``: an iteration's tokens
+                               (generation only)
 ``latency_parts``    seconds   ``record_batch``: one sample array per batch
-``ttft_parts``       seconds   ``record_tokens``: one array per iteration
+``ttft_parts``       seconds   ``record_batch``: an iteration's TTFTs
 ===================  ========  ==============================================
 
 Scale, fault and alert events share one :meth:`TelemetryBus.timeline`.
@@ -62,6 +63,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CLUSTER = -1
 
 
+def fold_rate(forecast: float, rate: float, alpha: float) -> float:
+    """One window folded into a served-rate forecast (an EWMA, weight ``alpha``).
+
+    ``rate`` is a :meth:`TelemetryBus.measured_rate` reading: ``nan`` (an
+    idle window, no capacity signal) leaves ``forecast`` as it is, and a
+    ``nan`` forecast (no history yet) becomes ``rate``.  The one forecast
+    :class:`~repro.serving.placement.PredictivePlacer` places by and
+    :class:`~repro.serving.cluster.PredictiveFaultAutoscaler` scales by.
+    """
+    if rate != rate:
+        return forecast
+    if forecast != forecast:
+        return rate
+    return alpha * rate + (1 - alpha) * forecast
+
+
 @dataclass
 class ScaleEvent:
     """One elasticity decision applied at a window boundary."""
@@ -81,8 +98,8 @@ def _count(zero):
 class Samples:
     """One sample field of a cell: an array per batch, in event order.
 
-    Each array sits under the owner a rewind finds it by (the batch's row id;
-    an iteration's start time; ``None`` once bulk-ingested or joined).  Two
+    Each array sits under the owner a rewind finds it by (the batch's or
+    iteration's row id; ``None`` once bulk-ingested or joined).  Two
     parallel lists, so recording a batch allocates no container — a tuple
     per batch is one more object for every collector pass to visit.
     """
@@ -285,11 +302,19 @@ class TelemetryBus:
         latencies: Optional[np.ndarray] = None,
         deadline_total: int = 0,
         deadline_met: int = 0,
+        tokens: int = 0,
+        ttfts: Optional[Sequence[float]] = None,
     ) -> None:
-        """Account one executed batch (engine hook)."""
+        """Account one executed batch (engine hook) or generation iteration.
+
+        An iteration (:class:`~repro.serving.generation.IterationRecord`)
+        also passes the ``tokens`` it emitted (prefill first tokens + decode
+        tokens) and ``ttfts``, the TTFT samples of the sequences whose first
+        token it produced.
+        """
         self._batch(
             1, record, record.start, queue_depth, latencies, deadline_total,
-            deadline_met,
+            deadline_met, tokens, ttfts,
         )
 
     def unrecord_batch(
@@ -299,6 +324,8 @@ class TelemetryBus:
         deadline_total: int = 0,
         deadline_met: int = 0,
         kill_time: Optional[float] = None,
+        tokens: int = 0,
+        ttfts: Optional[Sequence[float]] = None,
     ) -> None:
         """Reverse one :meth:`record_batch` (the batch was preempted).
 
@@ -314,12 +341,12 @@ class TelemetryBus:
         )
         self._batch(
             -1, record, killed_from, record.queue_depth, latencies,
-            deadline_total, deadline_met,
+            deadline_total, deadline_met, tokens, ttfts,
         )
 
     def _batch(
         self, sign, record, busy_from, queue_depth, latencies, deadline_total,
-        deadline_met,
+        deadline_met, tokens, ttfts,
     ) -> None:
         # Runs once per batch: plain attribute arithmetic.  Multiplying by
         # +-1 is exact, so a rewind is the bit-exact inverse of its record.
@@ -333,39 +360,10 @@ class TelemetryBus:
         cell.deadline_met += sign * int(deadline_met)
         if latencies is not None:
             cell.latency_parts.record(sign, record.row, latencies)
-
-    def record_tokens(
-        self,
-        server: int,
-        time: float,
-        tokens: int,
-        ttfts: Sequence[float] = (),
-    ) -> None:
-        """Account generated tokens (iteration-scheduler hook).
-
-        ``time`` is the iteration start; ``tokens`` the tokens it emitted
-        (prefill first tokens + decode tokens); ``ttfts`` the TTFT samples
-        of sequences whose first token it produced.
-        """
-        self._tokens(1, server, time, tokens, ttfts)
-
-    def unrecord_tokens(
-        self,
-        server: int,
-        time: float,
-        tokens: int,
-        ttfts: Sequence[float] = (),
-    ) -> None:
-        """Reverse one :meth:`record_tokens` (the iteration was preempted)."""
-        self._tokens(-1, server, time, tokens, ttfts)
-
-    def _tokens(self, sign, server, time, tokens, ttfts) -> None:
-        cell = self._cell(server, self.window_index(time))
-        cell.tokens += sign * int(tokens)
-        # An iteration has no record here; on one server its start time is
-        # its identity.
-        samples = np.asarray(ttfts, dtype=np.float64)
-        cell.ttft_parts.record(sign, float(time), samples)
+        if tokens:
+            cell.tokens += sign * int(tokens)
+        if ttfts is not None:
+            cell.ttft_parts.record(sign, record.row, np.asarray(ttfts, np.float64))
 
     def token_rate(self, server: int, window: int) -> float:
         """Generated tokens/second one server sustained during a window.

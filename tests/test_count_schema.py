@@ -499,10 +499,10 @@ class TestRewindRemovesItsOwnSamples:
 
     def test_equal_ttfts_in_one_cell(self):
         bus = TelemetryBus(window=1.0)
-        bus.record_tokens(0, 0.1, 4, ttfts=[0.05])
-        bus.record_tokens(0, 0.2, 3, ttfts=[0.07, 0.05])
-        bus.record_tokens(0, 0.3, 2, ttfts=[0.05])
-        bus.unrecord_tokens(0, 0.3, 2, ttfts=[0.05])
+        bus.record_batch(_record(0.1, 1, row=0), tokens=4, ttfts=[0.05])
+        bus.record_batch(_record(0.2, 2, row=1), tokens=3, ttfts=[0.07, 0.05])
+        bus.record_batch(_record(0.3, 1, row=2), tokens=2, ttfts=[0.05])
+        bus.unrecord_batch(_record(0.3, 1, row=2), tokens=2, ttfts=[0.05])
         stats = bus.server_window(0, 0)
         assert (stats.tokens, stats.ttft.tolist()) == (7, [0.05, 0.07, 0.05])
 
@@ -511,8 +511,7 @@ class TestRewindRemovesItsOwnSamples:
         seen, unseen = _record(0.1, 2, row=0), _record(0.2, 2, row=1)
         bus.record_batch(seen, latencies=np.asarray([0.1, 0.3]))
         # The one tolerated miss: bit-equal samples of another batch stay.
-        bus.unrecord_batch(unseen, latencies=np.asarray([0.1, 0.3]))
-        bus.unrecord_tokens(0, 0.2, 0, ttfts=[0.05])
+        bus.unrecord_batch(unseen, latencies=np.asarray([0.1, 0.3]), ttfts=[0.05])
         assert bus.server_window(0, 0).latencies.tolist() == [0.1, 0.3]
 
     def test_a_returned_snapshot_does_not_follow_the_bus(self):

@@ -813,6 +813,10 @@ class TestSloMonitor:
         with pytest.raises(ValueError):
             SloMonitor(objectives=[])
 
+    def test_a_monitor_needs_a_rule(self):
+        with pytest.raises(ValueError, match="need at least one burn-rate rule"):
+            SloMonitor(objectives=[SloObjective("att", target=0.99)], rules=())
+
     def test_attainment_burn_fires_and_is_edge_triggered(self):
         monitor = SloMonitor(
             objectives=[SloObjective("att", target=0.99)],
@@ -948,8 +952,9 @@ class TestTimelineCacheInvalidation:
     def test_rewinds_never_stale_the_cached_timeline(self):
         bus = TelemetryBus(window=1.0, num_servers=2)
         record = BatchRecord("m", 0.5, 0.7, 4, 0.5, "flexiq", 0, 3)
-        bus.record_batch(record, latencies=np.asarray([0.1] * 4))
-        bus.record_tokens(0, 0.5, 16, ttfts=[0.05])
+        bus.record_batch(
+            record, latencies=np.asarray([0.1] * 4), tokens=16, ttfts=[0.05]
+        )
         bus.record_scale_event(
             ScaleEvent(time=1.0, action="add", server=1, active_after=2)
         )
@@ -958,8 +963,9 @@ class TestTimelineCacheInvalidation:
         assert [e.time for e in first] == [0.4, 1.0]
         # Rewinds (the preemption paths) touch cells only; the cached
         # timeline must remain correct — and identical — afterwards.
-        bus.unrecord_batch(record, latencies=np.asarray([0.1] * 4))
-        bus.unrecord_tokens(0, 0.5, 16, ttfts=[0.05])
+        bus.unrecord_batch(
+            record, latencies=np.asarray([0.1] * 4), tokens=16, ttfts=[0.05]
+        )
         assert bus.timeline() == first
         stats = bus.server_window(0, 0)
         assert stats.served == 0 and stats.tokens == 0

@@ -22,6 +22,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.controller import AdaptiveRatioController, build_profile_from_latency_fn
 from repro.data.traces import PoissonTrace, RequestTrace, SpikeTrace, merge_traces
@@ -745,6 +746,128 @@ class TestAutoscalerPolicies:
         """Refused at construction, not at the first window close."""
         with pytest.raises(ValueError, match=r"percentile must be a finite number in \[0, 100\]"):
             scaler(slo_seconds=0.1, percentile=percentile)
+
+
+    def test_queue_depth_thresholds_must_be_finite(self):
+        """A nan threshold fails every comparison: the scaler used to
+        construct and then never scale."""
+        nan = float("nan")
+        with pytest.raises(ValueError, match="must be finite"):
+            QueueDepthAutoscaler(scale_up_depth=nan, scale_down_depth=nan)
+        with pytest.raises(ValueError, match="must be finite"):
+            QueueDepthAutoscaler(scale_up_depth=nan)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda **streak: QueueDepthAutoscaler(**streak),
+            lambda **streak: SloLatencyAutoscaler(slo_seconds=0.1, **streak),
+            lambda **streak: PredictiveFaultAutoscaler(slo_seconds=0.1, **streak),
+        ],
+        ids=["queue_depth", "slo_latency", "predictive_fault"],
+    )
+    @pytest.mark.parametrize(
+        "streak",
+        [dict(patience=2.5, step=1.5), dict(patience=2.5), dict(step=1.5)],
+    )
+    def test_patience_and_step_must_be_whole_numbers(self, build, streak):
+        """``int(active + 1.5)`` would truncate a fractional step at scale time."""
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            build(**streak)
+
+
+def _reference_streak(signals, patience, step, active):
+    """The hysteresis in plain Python: ``"up"`` adds ``step`` and breaks the
+    streak, ``patience`` consecutive ``"calm"`` windows remove ``step``,
+    ``"hold"`` breaks the streak and ``"skip"`` leaves it as it is."""
+    calm, sizes = 0, []
+    for signal in signals:
+        if signal == "up":
+            calm, active = 0, active + step
+        elif signal == "calm":
+            calm += 1
+            if calm == patience:
+                calm, active = 0, active - step
+        elif signal == "hold":
+            calm = 0
+        sizes.append(active)
+    return sizes
+
+
+_DEPTHS = [0.0, 4.0, 8.0, 30.0, 64.0, 100.0]
+_LATENCIES = [0.01, 0.04, 0.05, 0.06, 0.2]
+
+
+@st.composite
+def _windows(draw):
+    """Window stats with depths and latencies on and around the thresholds
+    (up 64 / down 8; SLO 0.1 with headroom 0.5), some dropping, some empty."""
+    count = draw(st.integers(1, 30))
+    return [
+        _stats(
+            depth=draw(st.sampled_from(_DEPTHS)),
+            latencies=draw(st.lists(st.sampled_from(_LATENCIES), max_size=4)),
+            window=window,
+            drops=draw(st.sampled_from([0, 0, 0, 3])),
+        )
+        for window in range(count)
+    ]
+
+
+def _decisions(scaler, windows, active=10):
+    sizes = []
+    for stats in windows:
+        active = scaler.decide(stats, active)
+        sizes.append(active)
+    return sizes
+
+
+class TestOneHysteresis:
+    """Every autoscaler runs the one calm-window streak."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(windows=_windows(), patience=st.integers(1, 4), step=st.integers(1, 3))
+    def test_predictive_without_signals_is_the_slo_scaler(self, windows, patience, step):
+        slo = SloLatencyAutoscaler(slo_seconds=0.1, patience=patience, step=step)
+        predictive = PredictiveFaultAutoscaler(
+            slo_seconds=0.1, patience=patience, step=step
+        )
+        assert _decisions(predictive, windows) == _decisions(slo, windows)
+        assert predictive.last_reason == ""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(windows=_windows(), patience=st.integers(1, 4), step=st.integers(1, 3))
+    def test_every_scaler_is_the_plain_streak(self, windows, patience, step):
+        def slo_signal(stats):
+            latencies = list(stats.latencies)
+            if stats.drops > 0:
+                return "up"
+            if not latencies:
+                return "skip"
+            worst = max(latencies)  # the 100th percentile
+            return "up" if worst > 0.1 else "calm" if worst < 0.05 else "hold"
+
+        def depth_signal(stats):
+            depth = stats.mean_queue_depth
+            return "up" if depth > 64.0 else "calm" if depth < 8.0 else "hold"
+
+        scalers = [
+            (QueueDepthAutoscaler(64.0, 8.0, patience=patience, step=step), depth_signal),
+            (SloLatencyAutoscaler(0.1, 100.0, 0.5, patience, step), slo_signal),
+            (
+                PredictiveFaultAutoscaler(
+                    slo_seconds=0.1, percentile=100.0, patience=patience, step=step
+                ),
+                slo_signal,
+            ),
+        ]
+        for scaler, signal in scalers:
+            expected = _reference_streak(
+                [signal(stats) for stats in windows], patience, step, 10
+            )
+            assert _decisions(scaler, windows) == expected
+            scaler.reset()
+            assert _decisions(scaler, windows) == expected
 
 
 class TestElasticCluster:

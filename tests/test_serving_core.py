@@ -20,8 +20,6 @@ from repro.serving.core import (
     BatchLedger,
     DROPPED,
     SERVED,
-    Event,
-    EventCalendar,
     FifoSweep,
     LazyRequests,
     RequestStore,
@@ -93,32 +91,6 @@ def _run_dry(arrivals, *clocks):
 def _assert_results_identical_but_duration(got, want):
     """A trace session's duration is the trace's; everything else agrees."""
     _assert_results_identical(dataclasses.replace(got, duration=want.duration), want)
-
-
-class TestEventCalendar:
-    def test_orders_by_time(self):
-        calendar = EventCalendar()
-        calendar.schedule(3.0, "fault", "c")
-        calendar.schedule(1.0, "fault", "a")
-        calendar.schedule(2.0, "fault", "b")
-        assert [calendar.pop().payload for _ in range(3)] == ["a", "b", "c"]
-
-    def test_ties_break_by_push_order(self):
-        calendar = EventCalendar()
-        for tag in "abcd":
-            calendar.schedule(1.0, "fault", tag)
-        assert [calendar.pop().payload for _ in range(4)] == list("abcd")
-
-    def test_peek_and_pop_due(self):
-        calendar = EventCalendar()
-        assert calendar.peek() is None
-        assert calendar.peek_time() == float("inf")
-        calendar.push(Event(time=2.0, kind="scale"))
-        calendar.schedule(1.0, "fault")
-        assert calendar.peek_time() == 1.0
-        due = calendar.pop_due(1.5)
-        assert [event.time for event in due] == [1.0]
-        assert len(calendar) == 1 and bool(calendar)
 
 
 class TestRequestStore:
@@ -435,8 +407,7 @@ class TestClusterParity:
 
     def test_faulted_cluster_still_identical(self):
         # A fault schedule forces the stepped control loop on both sides;
-        # the refactored EventCalendar bookkeeping must replay the seed
-        # cursor's fault ordering exactly.
+        # both must replay the schedule's fault ordering exactly.
         trace = _trace()
         schedule = FaultSchedule.single_crash(at=1.0, server=1, recover_at=3.0)
         fast = self._cluster(True, fault_schedule=schedule).run(trace, model="m")

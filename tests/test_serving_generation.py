@@ -834,9 +834,9 @@ def run_against_spec(backend, profiles, num_servers, max_batch, admission, sched
         # The retirees left in running order; the survivors kept theirs.
         assert session.undo[server].retired == retirees
         assert session.running[server] == survivors
-        # Held once: nothing both arrived and still on the calendar.
+        # Held once: nothing both arrived and still on the ready heap.
         held = [seq.slot for _, seq in session.arrived] + [
-            event.payload.slot for _, _, event in session.ready_events._heap
+            slot for _, slot in session.ready_heap
         ]
         assert sorted(held) == sorted(seq.slot for seq in spec_waiting(session))
         went_back = went_back or start < latest_start
@@ -856,6 +856,7 @@ def run_against_spec(backend, profiles, num_servers, max_batch, admission, sched
                 "before": 0.0,
                 "during": None,
                 "after": mine[-1].finish + 0.01 if mine else None,
+                "arrival": requests[-1].arrival_time,
             }[when]
             watched.activate_server(server, available_from=available)
         elif kind == "preempt" and session.active:
@@ -876,7 +877,16 @@ def run_against_spec(backend, profiles, num_servers, max_batch, admission, sched
                     assert (list(session.free_at), len(session.iterations)) == clocks
                     assert server in session.active
                 continue
-            if not mine:
+            if when == "arrival":
+                # The victims become ready exactly when a later request
+                # arrives (no checkpoint transfer): a tie on the ready heap.
+                since = max(floor, mine[-1].start) if mine else floor
+                time = min(
+                    (r.arrival_time - delay for r in requests if r.arrival_time - delay >= since),
+                    default=floor,
+                )
+                checkpointed = False
+            elif not mine:
                 time = floor
             else:
                 time = {
@@ -908,6 +918,8 @@ def generation_runs(draw):
             400, duration=1.0, seed=draw(st.integers(0, 2**16))
         ).generate().arrival_times[:count]
         arrivals = list(arrivals) or [0.0]
+        if draw(st.booleans()):  # snapped to a 5 ms grid: arrival ties
+            arrivals = [math.floor(arrival / 0.005) * 0.005 for arrival in arrivals]
     else:  # bursts: several requests at the same instant
         gaps = draw(st.lists(
             st.sampled_from([0.0, 0.0, 0.0, 0.002, 0.03]), min_size=count, max_size=count,
@@ -924,7 +936,7 @@ def generation_runs(draw):
         st.integers(0, 25),
         st.sampled_from(["preempt", "activate"]),
         st.integers(0, 2),
-        st.sampled_from(["settled", "before", "during", "after"]),
+        st.sampled_from(["settled", "before", "during", "after", "arrival"]),
         st.sampled_from([0.0, 0.02]),
         st.booleans(),
     )

@@ -416,6 +416,10 @@ class TestMigrationPolicies:
         with pytest.raises(ValueError):
             RedistributeMigration(chunk=0)
 
+    def test_redistribute_chunk_must_be_a_whole_number(self):
+        with pytest.raises(ValueError, match="chunk must be an integer >= 1"):
+            RedistributeMigration(chunk=2.5)
+
     def test_drop_expired_plan(self):
         policy = DropExpiredMigration(delay=0.5)
         keys = policy.plan(
