@@ -1096,11 +1096,13 @@ class ClusterEngine:
                         # see in flight — draining the whole cursor
                         # here would apply future faults before the work
                         # they are meant to disturb exists.
+                        # The fault lands at its own window's end; the
+                        # open window and its boundary stay where they are.
                         event = self._faults.popleft()
-                        boundary = (
+                        lands = (
                             self.telemetry.window_index(event.time) + 1
                         ) * self.telemetry.window
-                        self._apply_fault(event, boundary)
+                        self._apply_fault(event, lands)
                         continue
                     break
                 # Close every window boundary the clock has passed.

@@ -315,32 +315,16 @@ class FaultSchedule:
         return FaultSchedule(expanded)
 
     @classmethod
-    def _then_recover(
-        cls,
-        event: FaultEvent,
-        recover_at: Optional[float],
-        what: str,
-        kind: str,
-        **target,
-    ) -> "FaultSchedule":
-        """``event``, then a ``kind`` recovery of ``target`` at ``recover_at``
-        unless that is ``None`` (the body of every scenario below)."""
-        events = [event]
-        if recover_at is not None:
-            if recover_at <= event.time:
-                raise ValueError(f"recover_at must come after the {what}")
-            events.append(FaultEvent(time=recover_at, kind=kind, **target))
-        return cls(events)
-
-    @classmethod
     def single_crash(
         cls, server: int, at: float, recover_at: Optional[float] = None
     ) -> "FaultSchedule":
         """The canonical scenario: one server crashes (and maybe recovers)."""
-        return cls._then_recover(
-            FaultEvent(time=at, server=server, kind="crash"),
-            recover_at, "crash", "recover", server=server,
-        )
+        events = [FaultEvent(time=at, server=server, kind="crash")]
+        if recover_at is not None:
+            if recover_at <= at:
+                raise ValueError("recover_at must come after the crash")
+            events.append(FaultEvent(time=recover_at, server=server, kind="recover"))
+        return cls(events)
 
     @classmethod
     def zone_outage(
@@ -348,20 +332,26 @@ class FaultSchedule:
     ) -> "FaultSchedule":
         """A whole zone fails at once (and maybe recovers) — the correlated
         scenario failure-domain placement exists for."""
-        return cls._then_recover(
-            FaultEvent(time=at, kind="zone_outage", zone=zone),
-            recover_at, "outage", "zone_recover", zone=zone,
-        )
+        events = [FaultEvent(time=at, kind="zone_outage", zone=zone)]
+        if recover_at is not None:
+            if recover_at <= at:
+                raise ValueError("recover_at must come after the outage")
+            events.append(FaultEvent(time=recover_at, kind="zone_recover", zone=zone))
+        return cls(events)
 
     @classmethod
     def rack_slowdown(
         cls, rack: str, at: float, factor: float, recover_at: Optional[float] = None
     ) -> "FaultSchedule":
         """A whole rack degrades at once (a shared-switch brownout)."""
-        return cls._then_recover(
-            FaultEvent(time=at, kind="rack_slowdown", rack=rack, factor=factor),
-            recover_at, "slowdown", "rack_recover", rack=rack,
-        )
+        events = [
+            FaultEvent(time=at, kind="rack_slowdown", rack=rack, factor=factor)
+        ]
+        if recover_at is not None:
+            if recover_at <= at:
+                raise ValueError("recover_at must come after the slowdown")
+            events.append(FaultEvent(time=recover_at, kind="rack_recover", rack=rack))
+        return cls(events)
 
 
 class DegradableExecutor:

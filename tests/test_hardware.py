@@ -146,19 +146,14 @@ class TestGpuLatencyModel:
         )
 
     @pytest.mark.parametrize("mode", ["fp16", "int8", "int4", "flexiq"])
-    @pytest.mark.parametrize("dynamic_extraction", [False, True])
-    def test_breakdown_is_the_model_latency_exactly(self, mode, dynamic_extraction):
-        # Non-quantizable GEMMs run in fp16 in fp16 mode, and the FlexiQ
-        # layers take their per-layer ratio: the breakdown bills each op as
-        # model_latency does.
+    def test_breakdown_is_the_model_latency_exactly(self, mode):
+        # Non-quantizable GEMMs run in fp16 in fp16 mode: the breakdown
+        # bills each op as model_latency does.
         model = GpuLatencyModel("a6000")
         ops = model_ops("vit_base", 8)
-        names = [op.name for op in ops if op.quantizable and op.kind == "gemm"]
-        for per_layer_ratio in (None, {name: 1.0 for name in names[::3]}):
-            args = (ops, mode, 0.25, dynamic_extraction, per_layer_ratio)
-            breakdown = model.latency_breakdown(*args)
-            assert list(breakdown) == [op.name for op in ops]
-            assert sum(breakdown.values()) == model.model_latency(*args)
+        breakdown = model.latency_breakdown(ops, mode, 0.25)
+        assert list(breakdown) == [op.name for op in ops]
+        assert sum(breakdown.values()) == model.model_latency(ops, mode, 0.25)
 
     def test_unknown_mode_raises(self, model, ops):
         with pytest.raises(ValueError):

@@ -784,6 +784,36 @@ class TestTimelineEdgeCases:
             if r.migrations > 0
         )
 
+    def test_trailing_fault_leaves_the_open_window_alone(self):
+        """A trailing fault lands at its own window's end without moving
+        the window the step loop has open: window 0 still closes at 0.25
+        when the migrants' first batch starts, not at the fault's window."""
+        specs = [fixed_spec(f"g{i}", seconds=1.0) for i in range(3)]
+        cluster = ClusterEngine(
+            specs,
+            BatchingConfig(max_batch=2),
+            fault_schedule=FaultSchedule.single_crash(0, at=0.5),
+            migration=RequeueAtHeadMigration(),
+            autoscaler=QueueDepthAutoscaler(
+                scale_up_depth=0.0, scale_down_depth=0.0, patience=1
+            ),
+            initial_servers=2,
+            startup_delay=0.1,
+            window=0.25,
+        )
+        cluster.register("m", mode="int8")
+        requests = [
+            Request(arrival_time=0.0, model="m", request_id=i) for i in range(4)
+        ]
+        outcome = cluster.run(requests=requests)
+        conserve(outcome.result, 4)
+        assert [
+            (e.time, e.action, e.reason.split(":")[0])
+            for e in outcome.scale_events
+        ] == [(0.25, "add", "window 0")]
+        times = [e.time for e in outcome.timeline()]
+        assert times == sorted(times) == [0.25, 0.5]
+
     def test_cluster_result_timeline_delegates(self):
         specs = [fixed_spec("g0"), fixed_spec("g1")]
         cluster = ClusterEngine(
