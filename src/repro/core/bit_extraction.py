@@ -130,14 +130,6 @@ def raise_bits(q_low: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return (np.asarray(q_low, dtype=np.float64) * factor).astype(np.int32)
 
 
-def lowering_error(
-    q_high: np.ndarray, shift: np.ndarray, low_bits: int = 4
-) -> np.ndarray:
-    """Absolute reconstruction error (in the high-bit integer domain)."""
-    reconstructed = raise_bits(lower_bits(q_high, shift, low_bits), shift)
-    return np.abs(np.asarray(q_high, dtype=np.float64) - reconstructed)
-
-
 def saturation_fraction(
     q_high: np.ndarray, shift: np.ndarray, low_bits: int = 4
 ) -> float:

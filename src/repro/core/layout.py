@@ -53,12 +53,6 @@ class ChannelLayout:
         position = bisect_right(ratios, ratio + 1e-9)
         return boundaries[position - 1] if position else 0
 
-    def inverse_order(self) -> np.ndarray:
-        """Permutation mapping original channel index -> new position."""
-        inverse = np.empty_like(self.order)
-        inverse[self.order] = np.arange(self.num_channels)
-        return inverse
-
 
 @dataclass
 class LayoutPlan:
@@ -70,9 +64,6 @@ class LayoutPlan:
 
     def layout_for(self, layer_name: str) -> ChannelLayout:
         return self.layouts[layer_name]
-
-    def num_residual_reorders(self) -> int:
-        return len(self.residual_reorder_layers)
 
 
 def _validate_nested(selections: Dict[float, ChannelSelection]) -> List[float]:
@@ -136,21 +127,3 @@ def build_layout_plan(
         ratios=ratios,
         residual_reorder_layers=list(residual_layers or []),
     )
-
-
-def reorder_weight_features(
-    weight: np.ndarray, order: np.ndarray, layer_kind: str, kernel_size: int = 1
-) -> np.ndarray:
-    """Apply a feature-channel permutation to a layer's weight tensor.
-
-    ``layer_kind`` is ``"linear"`` (weight shaped (out, in)) or ``"conv"``
-    (weight shaped (out, in, k, k)).  This mirrors step 2 of the paper's
-    procedure, where the *previous* layer's output permutation is folded into
-    the next layer's weights; in the reproduction it is used by tests to
-    verify that permuting features leaves layer outputs unchanged.
-    """
-    if layer_kind == "linear":
-        return weight[:, order]
-    if layer_kind == "conv":
-        return weight[:, order, :, :]
-    raise ValueError(f"unknown layer kind {layer_kind!r}")

@@ -37,10 +37,8 @@ from repro.core.selection import (
 )
 from repro.data.calibration import calibration_batches
 from repro.data.synthetic import SyntheticImageDataset
-from repro.nn.layers import Conv2d, Linear
 from repro.nn.module import Module
 from repro.quant.qmodel import ForwardFn, default_forward, quantize_model
-from repro.quant.qmodules import QuantizedLayer
 from repro.quant.quantizers import quantize
 from repro.tensor import no_grad
 
@@ -99,13 +97,6 @@ class FlexiQPipeline:
     # ------------------------------------------------------------------
     # Pipeline steps
     # ------------------------------------------------------------------
-    def _layer_factory(self, layer: Module, weight_bits: int, act_bits: int) -> QuantizedLayer:
-        if isinstance(layer, Linear):
-            return FlexiQLinear(layer, weight_bits=weight_bits, act_bits=act_bits)
-        if isinstance(layer, Conv2d):
-            return FlexiQConv2d(layer, weight_bits=weight_bits, act_bits=act_bits)
-        raise TypeError(f"cannot quantize layer of type {type(layer).__name__}")
-
     def _selectable_layers(self, model: Module) -> List[str]:
         """FlexiQ layers eligible for 4-bit channels (first/last excluded).
 
@@ -225,7 +216,7 @@ class FlexiQPipeline:
             act_bits=config.high_bits,
             calibration_batches=batches,
             first_last_bits=config.first_last_bits,
-            layer_factory=self._layer_factory,
+            layer_types=(FlexiQLinear, FlexiQConv2d),
             forward_fn=self.forward_fn,
         )
 

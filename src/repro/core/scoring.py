@@ -51,10 +51,6 @@ class ChannelScore:
             )
         return self.scores.reshape(-1, group_size).sum(axis=1)
 
-    def ranked_channels(self) -> np.ndarray:
-        """Channel indices sorted from lowest (best) to highest score."""
-        return np.argsort(self.scores, kind="stable")
-
 
 def score_layer(name: str, layer: QuantizedLayer) -> ChannelScore:
     """Compute the error-estimation score for a single calibrated layer."""

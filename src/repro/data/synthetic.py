@@ -97,11 +97,6 @@ class SyntheticImageDataset:
     def num_classes(self) -> int:
         return self.config.num_classes
 
-    @property
-    def image_shape(self) -> Tuple[int, int, int]:
-        cfg = self.config
-        return (cfg.channels, cfg.image_size, cfg.image_size)
-
     def train_batches(
         self, batch_size: int, rng: np.random.Generator | None = None
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:

@@ -199,16 +199,6 @@ class GpuLatencyModel:
             for op in ops
         )
 
-    def latency_breakdown(
-        self,
-        ops: Sequence[LayerOp],
-        mode: str,
-        four_bit_ratio: float = 0.0,
-    ) -> Dict[str, float]:
-        """Per-op latency contributions (seconds), keyed by op name; they sum
-        to :meth:`model_latency` with the same arguments."""
-        return {op.name: self._op_latency(op, mode, four_bit_ratio) for op in ops}
-
     def ratio_switch_latency(self) -> float:
         """Cost of changing the 4-bit ratio: one variable update per layer.
 

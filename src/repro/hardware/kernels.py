@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.bit_extraction import dynamic_extraction_shift, lower_bits
-from repro.quant.quantizers import int_range
 
 
 @dataclass
@@ -140,11 +139,3 @@ class MixedPrecisionGemm:
                 acc += x_slice @ w_slice.T
                 self.stats.mma_int8 += rows * n_out * (stop - start)
         return acc
-
-
-def uniform_gemm_reference(q_x: np.ndarray, q_w: np.ndarray, bits: int) -> np.ndarray:
-    """Uniform integer GEMM used as the INT4/INT8 baseline kernel."""
-    qmin, qmax = int_range(bits)
-    q_x = np.clip(np.asarray(q_x, dtype=np.int64), qmin, qmax)
-    q_w = np.clip(np.asarray(q_w, dtype=np.int64), qmin, qmax)
-    return q_x @ q_w.T

@@ -41,11 +41,6 @@ class NpuConfig:
     eight_bit_load_overhead: float = 0.015
     instruction_load_us: float = 0.3       # ratio-switch cost (Section 8.5)
 
-    @property
-    def channel_group(self) -> int:
-        """Input-channel group needed to fill the array in 4-bit mode (64)."""
-        return self.array_rows * 2
-
     def channel_group_for(self, low_bits: int) -> int:
         """Input-channel group needed to fill the array at ``low_bits``.
 

@@ -233,26 +233,6 @@ class GlobalAvgPool2d(Module):
         return F.global_avg_pool2d(x)
 
 
-class AvgPool2d(Module):
-    def __init__(self, kernel: int, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel = kernel
-        self.stride = stride or kernel
-
-    def forward(self, x: TensorOrArray) -> TensorOrArray:
-        return F.avg_pool2d(x, self.kernel, self.stride)
-
-
-class MaxPool2d(Module):
-    def __init__(self, kernel: int, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel = kernel
-        self.stride = stride or kernel
-
-    def forward(self, x: TensorOrArray) -> TensorOrArray:
-        return F.max_pool2d(x, self.kernel, self.stride)
-
-
 class Dropout(Module):
     """Inverted dropout; a no-op in eval mode."""
 

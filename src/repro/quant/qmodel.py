@@ -5,9 +5,9 @@
 at 8 bits, the usual convention the paper also follows), calibrates the
 activation observers on sample data, and freezes the quantization parameters.
 
-A ``layer_factory`` hook lets :mod:`repro.core` substitute FlexiQ's
-mixed-precision layers while reusing the same traversal and calibration
-machinery.
+``layer_types`` names the ``(Linear, Conv2d)`` replacement classes, so
+:mod:`repro.core` substitutes FlexiQ's mixed-precision layers while reusing
+the same traversal and calibration machinery.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.nn.module import Module
 from repro.quant.qmodules import QuantConv2d, QuantLinear, QuantizedLayer
 from repro.tensor import Tensor, no_grad
 
-LayerFactory = Callable[[Module, int, int], QuantizedLayer]
 ForwardFn = Callable[[Module, np.ndarray], Tensor]
 
 
@@ -60,21 +59,13 @@ def set_qat_bits(model: Module, bits: Optional[int]) -> None:
         layer.qat_bits = bits
 
 
-def _default_factory(layer: Module, weight_bits: int, act_bits: int) -> QuantizedLayer:
-    if isinstance(layer, Linear):
-        return QuantLinear(layer, weight_bits=weight_bits, act_bits=act_bits)
-    if isinstance(layer, Conv2d):
-        return QuantConv2d(layer, weight_bits=weight_bits, act_bits=act_bits)
-    raise TypeError(f"cannot quantize layer of type {type(layer).__name__}")
-
-
 def quantize_model(
     model: Module,
     weight_bits: int = 8,
     act_bits: Optional[int] = None,
     calibration_batches: Optional[Iterable[np.ndarray]] = None,
     first_last_bits: int = 8,
-    layer_factory: Optional[LayerFactory] = None,
+    layer_types: Tuple[type, type] = (QuantLinear, QuantConv2d),
     forward_fn: Optional[ForwardFn] = None,
     inplace: bool = False,
 ) -> Module:
@@ -91,8 +82,9 @@ def quantize_model(
     first_last_bits:
         Bitwidth for the first and last quantizable layers (the paper keeps
         them at 8 bits).
-    layer_factory:
-        Optional ``(layer, weight_bits, act_bits) -> QuantizedLayer`` hook.
+    layer_types:
+        The quantized classes that replace ``Linear`` and ``Conv2d``, in
+        that order; each is built as ``cls(layer, weight_bits=, act_bits=)``.
     forward_fn:
         How to feed a raw input batch to the model.  Defaults to wrapping the
         batch in a :class:`Tensor` (vision models); the LLM case study passes
@@ -101,7 +93,7 @@ def quantize_model(
         Mutate ``model`` instead of deep-copying it first.
     """
     act_bits = act_bits if act_bits is not None else weight_bits
-    factory = layer_factory or _default_factory
+    linear_type, conv_type = layer_types
     target = model if inplace else copy.deepcopy(model)
 
     layers = iter_quantizable_layers(target)
@@ -113,7 +105,8 @@ def quantize_model(
             w_bits, a_bits = first_last_bits, first_last_bits
         else:
             w_bits, a_bits = weight_bits, act_bits
-        target.set_submodule(name, factory(layer, w_bits, a_bits))
+        layer_type = linear_type if isinstance(layer, Linear) else conv_type
+        target.set_submodule(name, layer_type(layer, weight_bits=w_bits, act_bits=a_bits))
 
     if calibration_batches is not None:
         calibrate_model(target, calibration_batches, forward_fn=forward_fn)

@@ -240,11 +240,6 @@ class QuantizedLayer(Module):
         """Observed per-feature-channel activation ranges (from calibration)."""
         return self.act_channel_observer.range()
 
-    def weight_channel_max_abs(self) -> np.ndarray:
-        """Per-feature-channel max |w| across all output channels and taps."""
-        weight = self._weight_matrix()  # (out, features, taps)
-        return np.abs(weight).max(axis=(0, 2))
-
 
 class QuantLinear(QuantizedLayer):
     """Uniform symmetric quantized fully connected layer."""

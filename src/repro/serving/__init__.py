@@ -15,7 +15,7 @@ run from; result records, protocols and helpers import from their module.
 * :mod:`~repro.serving.schedulers` -- queue order: FIFO, priority, EDF.
 * :mod:`~repro.serving.executors` -- what a batch costs:
   :class:`ModeledExecutor` (analytic) or :class:`RuntimeExecutor` (real
-  prepared-kernel forwards).
+  prepared-kernel forwards of one-shot image batches).
 * :mod:`~repro.serving.policies` -- the 4-bit ratio per batch or per
   generation step.
 * :mod:`~repro.serving.placement`, :mod:`~repro.serving.telemetry`,
@@ -25,8 +25,8 @@ run from; result records, protocols and helpers import from their module.
 * :mod:`~repro.serving.resilience` -- fault schedules, preemption and
   migration policies, warm spares, step checkpoints.
 * :mod:`~repro.serving.generation` -- :class:`IterationScheduler`
-  (continuous batching), admission policies, generation backends,
-  :func:`run_to_completion`.
+  (continuous batching), admission policies, the modeled generation
+  backend, :func:`run_to_completion`.
 * :mod:`~repro.serving.simulator` -- :class:`ServiceTimeModel`, the
   analytic batch cost behind :class:`ModeledExecutor` (Figures 8/9 run on
   the engine itself; :mod:`~repro.serving.adaptation` scores an adaptive
@@ -58,7 +58,6 @@ from repro.serving.generation import (
     IterationScheduler,
     ModeledGenerationBackend,
     PrefillPriorityAdmission,
-    RuntimeGenerationBackend,
     TokenBudgetAdmission,
     run_to_completion,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "RequeueAtHeadMigration",
     "RoundRobinRatioPolicy",
     "RuntimeExecutor",
-    "RuntimeGenerationBackend",
     "ScaleEvent",
     "ServerSpec",
     "ServiceTimeModel",

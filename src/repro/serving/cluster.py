@@ -798,15 +798,16 @@ class ClusterEngine:
             s for s in range(len(self.specs)) if s not in self._spare_ids
         ]
         self._promoted: Set[int] = set()
-        self.min_domains = None if min_domains is None else int(min_domains)
-        if self.min_domains is not None and self.min_domains < 1:
-            raise ValueError("min_domains must be >= 1")
+        self.min_domains = (
+            None if min_domains is None else check_integer("min_domains", min_domains, 1)
+        )
         self.checkpoint = checkpoint
-        self.min_servers = int(min_servers)
-        if not 1 <= self.min_servers <= len(self.specs):
+        self.min_servers = check_integer("min_servers", min_servers, 1)
+        if self.min_servers > len(self.specs):
             raise ValueError("min_servers must be in [1, len(specs)]")
         self.initial_servers = (
-            self.min_servers if initial_servers is None else int(initial_servers)
+            self.min_servers if initial_servers is None
+            else check_integer("initial_servers", initial_servers, 1)
         )
         if not self.min_servers <= self.initial_servers <= len(self.specs):
             raise ValueError("initial_servers must be in [min_servers, len(specs)]")
@@ -955,23 +956,6 @@ class ClusterEngine:
                 f"unknown placer {placer!r}; named placers: {', '.join(_PLACERS)}"
             )
         return placer
-
-    def spread_placer(
-        self,
-        within: Union[Placer, str, None] = None,
-        max_domain_share: Optional[float] = None,
-    ) -> SpreadPlacer:
-        """Spread-aware wrapper over this cluster's topology.
-
-        Any named or instance placer becomes domain-aware: ``within``
-        decides inside the least-backlogged failure domain (see
-        :class:`~repro.serving.placement.SpreadPlacer`).
-        """
-        return SpreadPlacer(
-            self.topology,
-            within=self.resolve_placer(within),
-            max_domain_share=max_domain_share,
-        )
 
     def _affinity_placer(self) -> Optional[ModelAffinityPlacer]:
         """The cluster's affinity placer, unwrapping one spread layer."""

@@ -1069,9 +1069,9 @@ class ServingEngine:
         from repro.serving.resilience import Migrant, Preemption, checkpointed_fraction
 
         s = self._require_session()
-        server = int(server)
+        server = check_integer("server", server, 0)
         time = check_positive("preemption time", time, allow_zero=True)
-        if not 0 <= server < self.num_servers:
+        if server >= self.num_servers:
             raise ValueError(
                 f"server {server} out of range (num_servers={self.num_servers})"
             )
@@ -1265,12 +1265,12 @@ class ServingEngine:
             time, s.free_at, s.active, model, pending,
             max(1, min(arrived, self.batching.max_batch)), self.telemetry,
         )
-        server = int(self.placer.place(context))
-        if server not in s.active:
+        server = self.placer.place(context)
+        if server not in s.active:  # before int(): 0.5 is no server, not server 0
             raise ValueError(
                 f"placer returned server {server}, not in the active set {s.active}"
             )
-        return server
+        return int(server)
 
     # ------------------------------------------------------------------
     # Columnar sweep (vectorized FIFO dispatch, whole or a batch per step)

@@ -11,7 +11,9 @@ Two implementations of the :class:`~repro.serving.engine.Executor` protocol:
   ``set_ratio()`` the engine's policy drives is an O(1) variable update:
   serving heterogeneous-ratio traffic performs no weight requantization,
   re-permutation or plane lowering (asserted by the serving tests via
-  :attr:`repro.core.prepared.PreparedKernel.build_count`).
+  :attr:`repro.core.prepared.PreparedKernel.build_count`).  It runs
+  one-shot image batches only: generation prices its iterations with
+  :class:`~repro.serving.generation.ModeledGenerationBackend`.
 
 With multi-server engines (``ServingEngine(num_servers=K)``) an endpoint
 registers either one shared executor or a list of K executors, one per
@@ -76,10 +78,6 @@ class RuntimeExecutor:
         self.batches_executed = 0
         self.requests_executed = 0
         self.ratio_switches = 0
-        # Generation accounting (execute_step): iteration forwards run and
-        # tokens they emitted (one per live sequence per step).
-        self.steps_executed = 0
-        self.tokens_emitted = 0
 
     def _batch_input(self, batch: Batch) -> np.ndarray:
         samples = []
@@ -119,21 +117,3 @@ class RuntimeExecutor:
         # Report the executed ratio: mode pinning above may have overridden
         # the policy's selection, and batch records must reflect reality.
         return BatchExecution(service_time=seconds, outputs=outputs, ratio=ratio)
-
-    def execute_step(self, batch: Batch, mode: str, ratio: float) -> BatchExecution:
-        """Execute one generation *iteration* (prefill chunk or decode step).
-
-        The step-wise hook the iteration-level
-        :class:`~repro.serving.generation.IterationScheduler` drives: the
-        same stacked-forward contract as :meth:`execute`, but counted under
-        ``steps_executed`` so a generation run's iteration count is
-        observable separately from one-shot batches.  Because the prepared
-        runtime's ``set_ratio`` is O(1), a *per-step* ratio change — the
-        mid-sequence precision switch — still performs no kernel rebuild.
-        """
-        execution = self.execute(batch, mode, ratio)
-        self.batches_executed -= 1
-        self.requests_executed -= batch.size
-        self.steps_executed += 1
-        self.tokens_emitted += batch.size
-        return execution

@@ -40,11 +40,7 @@ emits — ``max_new_tokens=1`` is a prefill-only request with zero decode
 steps).  Costs come from a :class:`GenerationBackend`:
 :class:`ModeledGenerationBackend` uses the
 :class:`~repro.serving.simulator.ServiceTimeModel` prefill/decode split
-(prefill scales with prompt tokens, decode with batch width per step);
-:class:`RuntimeGenerationBackend` drives real prepared-kernel forwards
-through :meth:`~repro.serving.executors.RuntimeExecutor.execute_step`, so
-the same loop runs against measured wall-clock step latencies — and a
-per-step ratio change stays an O(1) prepared-kernel variable update.
+(prefill scales with prompt tokens, decode with batch width per step).
 
 Ratio policies see a :class:`~repro.serving.policies.GenerationStepContext`
 on every iteration (via ``PolicyContext.generation``), so precision can
@@ -86,7 +82,7 @@ from repro.serving.core import (
     check_integer,
     check_positive,
 )
-from repro.serving.engine import Batch, Request
+from repro.serving.engine import Request
 from repro.serving.metrics import streaming_summary
 from repro.serving.policies import (
     FixedRatioPolicy,
@@ -208,9 +204,7 @@ class TokenBudgetAdmission:
     def __init__(
         self, budget_tokens: int, within: Optional[AdmissionPolicy] = None
     ) -> None:
-        if budget_tokens < 1:
-            raise ValueError("budget_tokens must be >= 1")
-        self.budget_tokens = int(budget_tokens)
+        self.budget_tokens = check_integer("budget_tokens", budget_tokens, 1)
         self.within = within if within is not None else FcfsAdmission()
 
     def admit(
@@ -257,47 +251,6 @@ class ModeledGenerationBackend:
 
     def decode_seconds(self, width: int, mode: str, ratio: float) -> float:
         return self.service_model.decode_latency(width, mode, ratio)
-
-
-class RuntimeGenerationBackend:
-    """Measured step costs from real prepared-kernel forwards.
-
-    Maps generation phases onto the
-    :meth:`~repro.serving.executors.RuntimeExecutor.execute_step` hook: a
-    prefill is one stacked forward of ``ceil(prompt_tokens /
-    tokens_per_forward)`` samples (prompt tokens processed in parallel), a
-    decode step one forward at the batch width (one token-equivalent
-    sample per live sequence).  The executor needs a ``default_input``
-    (one sample to replicate).  Per-step ratio changes flow through the
-    prepared runtime's O(1) ``set_ratio`` — observable via the executor's
-    ``ratio_switches``/``steps_executed`` counters.
-    """
-
-    def __init__(self, executor, tokens_per_forward: int = 64) -> None:
-        if tokens_per_forward < 1:
-            raise ValueError("tokens_per_forward must be >= 1")
-        self.executor = executor
-        self.tokens_per_forward = int(tokens_per_forward)
-
-    def _step(self, size: int, mode: str, ratio: float) -> float:
-        batch = Batch(
-            model="generation",
-            start_time=0.0,
-            size=int(size),
-            indices=np.arange(int(size), dtype=np.intp),
-        )
-        return float(self.executor.execute_step(batch, mode, ratio).service_time)
-
-    def prefill_seconds(self, prompt_tokens: int, mode: str, ratio: float) -> float:
-        if prompt_tokens <= 0:
-            return 0.0
-        size = -(-int(prompt_tokens) // self.tokens_per_forward)
-        return self._step(size, mode, ratio)
-
-    def decode_seconds(self, width: int, mode: str, ratio: float) -> float:
-        if width <= 0:
-            return 0.0
-        return self._step(width, mode, ratio)
 
 
 # ----------------------------------------------------------------------
@@ -645,8 +598,8 @@ class IterationScheduler:
     ) -> None:
         """(Re-)admit a server to the iteration loop."""
         s = self._require_session()
-        server = int(server)
-        if not 0 <= server < self.num_servers:
+        server = check_integer("server", server, 0)
+        if server >= self.num_servers:
             raise ValueError(f"server {server} out of range")
         if server not in s.active:
             s.active = sorted(s.active + [server])
@@ -683,9 +636,9 @@ class IterationScheduler:
         :meth:`activate_server` re-admits it after recovery.
         """
         s = self._require_session()
-        server = int(server)
+        server = check_integer("server", server, 0)
         time = check_positive("preemption time", time, allow_zero=True)
-        if not 0 <= server < self.num_servers:
+        if server >= self.num_servers:
             raise ValueError(f"server {server} out of range")
         check_positive("delay", delay, allow_zero=True)
         # Only the server's latest iteration can still be in flight: its

@@ -365,17 +365,6 @@ class TelemetryBus:
         if ttfts is not None:
             cell.ttft_parts.record(sign, record.row, np.asarray(ttfts, np.float64))
 
-    def token_rate(self, server: int, window: int) -> float:
-        """Generated tokens/second one server sustained during a window.
-
-        The decode-pressure signal for ratio policies and autoscalers; 0.0
-        for windows without token traffic.  Cheap like :meth:`measured_rate`.
-        """
-        cell = self._cells.get((int(server), int(window)))
-        if window < 0 or cell is None or cell.tokens <= 0:
-            return 0.0
-        return cell.tokens / self.window
-
     def record_drops(
         self, time: float, count: int, deadline_misses: int = 0
     ) -> None:

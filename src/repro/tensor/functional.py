@@ -258,61 +258,9 @@ def mean(x: TensorOrArray, axis, keepdims: bool = False) -> TensorOrArray:
     return out
 
 
-def avg_pool2d(
-    x: TensorOrArray, kernel: int, stride: Optional[int] = None
-) -> TensorOrArray:
-    """Average pooling with square window."""
-    stride = stride or kernel
-    data = x if isinstance(x, np.ndarray) else x.data
-    n, c, h, w = data.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-    cols, _ = im2col(data.reshape(n * c, 1, h, w), (kernel, kernel), stride, 0)
-    out = cols.mean(axis=2).reshape(n, c, out_h, out_w)
-    if data is x:
-        return out
-
-    def backward(grad: np.ndarray):
-        grad_cols = np.repeat(
-            grad.reshape(n * c, out_h * out_w, 1), kernel * kernel, axis=2
-        ) / (kernel * kernel)
-        grad_x = col2im(grad_cols, (n * c, 1, h, w), (kernel, kernel), stride, 0)
-        return (grad_x.reshape(x.shape),)
-
-    return Tensor._make(out, (x,), backward)
-
-
 def global_avg_pool2d(x: TensorOrArray) -> TensorOrArray:
     """Pool each (H, W) plane down to a single value: (N, C, H, W) -> (N, C)."""
     return mean(x, axis=(2, 3))
-
-
-def max_pool2d(
-    x: TensorOrArray, kernel: int, stride: Optional[int] = None
-) -> TensorOrArray:
-    """Max pooling with square window."""
-    stride = stride or kernel
-    data = x if isinstance(x, np.ndarray) else x.data
-    n, c, h, w = data.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-    cols, _ = im2col(data.reshape(n * c, 1, h, w), (kernel, kernel), stride, 0)
-    argmax = cols.argmax(axis=2)
-    out = np.take_along_axis(cols, argmax[:, :, None], axis=2)[:, :, 0]
-    out = out.reshape(n, c, out_h, out_w)
-    if data is x:
-        return out
-
-    def backward(grad: np.ndarray):
-        grad_cols = np.zeros_like(cols)
-        np.put_along_axis(
-            grad_cols, argmax[:, :, None],
-            grad.reshape(n * c, out_h * out_w, 1), axis=2,
-        )
-        grad_x = col2im(grad_cols, (n * c, 1, h, w), (kernel, kernel), stride, 0)
-        return (grad_x.reshape(x.shape),)
-
-    return Tensor._make(out, (x,), backward)
 
 
 # ----------------------------------------------------------------------
@@ -342,10 +290,6 @@ def gelu(x: TensorOrArray) -> TensorOrArray:
         return out
     inner = (x + x * x * x * 0.044715) * _GELU_C
     return x * 0.5 * (inner.tanh() + 1.0)
-
-
-def silu(x: Tensor) -> Tensor:
-    return x * x.sigmoid()
 
 
 def relu6(x: TensorOrArray) -> TensorOrArray:
@@ -410,11 +354,6 @@ def soft_cross_entropy(logits: Tensor, soft_targets: np.ndarray) -> Tensor:
     soft_targets = np.asarray(soft_targets, dtype=np.float32)
     log_probs = log_softmax(logits, axis=-1)
     return -(log_probs * Tensor(soft_targets)).sum(axis=-1).mean()
-
-
-def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    diff = prediction - (target if isinstance(target, Tensor) else Tensor(target))
-    return (diff * diff).mean()
 
 
 def accuracy(logits: np.ndarray, targets: np.ndarray) -> float:

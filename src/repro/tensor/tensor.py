@@ -359,14 +359,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray):
-            return (grad * data * (1.0 - data),)
-
-        return Tensor._make(data, (self,), backward)
-
     def relu(self) -> "Tensor":
         data = np.maximum(self.data, 0)
 
@@ -532,12 +524,3 @@ class Tensor:
     @staticmethod
     def ones(shape, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.ones(shape, dtype=np.float32), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(shape, rng: Optional[np.random.Generator] = None, scale: float = 1.0,
-              requires_grad: bool = False) -> "Tensor":
-        rng = rng or np.random.default_rng()
-        return Tensor(
-            rng.normal(0.0, scale, size=shape).astype(np.float32),
-            requires_grad=requires_grad,
-        )

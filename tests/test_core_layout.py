@@ -10,10 +10,8 @@ from repro.core.layout import (
     LayoutPlan,
     build_channel_layout,
     build_layout_plan,
-    reorder_weight_features,
 )
 from repro.core.selection import ChannelSelection, SelectionConfig, greedy_selection
-from repro.tensor import Tensor, functional as F
 from tests.test_core_selection import LAYERS, make_scores
 
 
@@ -33,8 +31,6 @@ class TestChannelLayout:
         selections = nested_selections()
         layout = build_channel_layout("layer_b", selections)
         assert sorted(layout.order.tolist()) == list(range(32))
-        inverse = layout.inverse_order()
-        np.testing.assert_array_equal(layout.order[inverse], np.arange(32))
 
     def test_boundaries_monotone_in_ratio(self):
         selections = nested_selections()
@@ -87,34 +83,4 @@ class TestLayoutPlan:
     def test_residual_reorder_bookkeeping(self):
         selections = nested_selections()
         plan = build_layout_plan(selections, residual_layers=["layer_a", "layer_b"])
-        assert plan.num_residual_reorders() == 2
-
-
-class TestWeightReordering:
-    def test_linear_permutation_preserves_output(self):
-        """Permuting features of both input and weight leaves the output unchanged
-        (step 1/2 of the paper's layout procedure)."""
-        rng = np.random.default_rng(0)
-        weight = rng.normal(size=(6, 10)).astype(np.float32)
-        x = rng.normal(size=(3, 10)).astype(np.float32)
-        order = rng.permutation(10)
-        reordered = reorder_weight_features(weight, order, "linear")
-        original = x @ weight.T
-        permuted = x[:, order] @ reordered.T
-        np.testing.assert_allclose(original, permuted, atol=1e-5)
-
-    def test_conv_permutation_preserves_output(self):
-        rng = np.random.default_rng(1)
-        weight = rng.normal(size=(4, 6, 3, 3)).astype(np.float32)
-        x = rng.normal(size=(2, 6, 5, 5)).astype(np.float32)
-        order = rng.permutation(6)
-        reordered = reorder_weight_features(weight, order, "conv")
-        original = F.conv2d(Tensor(x), Tensor(weight), None, padding=1).data
-        permuted = F.conv2d(
-            Tensor(x[:, order]), Tensor(reordered), None, padding=1
-        ).data
-        np.testing.assert_allclose(original, permuted, atol=1e-4)
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError):
-            reorder_weight_features(np.zeros((2, 2)), np.arange(2), "rnn")
+        assert len(plan.residual_reorder_layers) == 2

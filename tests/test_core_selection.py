@@ -43,10 +43,6 @@ class TestChannelScore:
         with pytest.raises(ValueError):
             score.group_scores(4)
 
-    def test_ranked_channels(self):
-        score = ChannelScore("x", np.array([3.0, 1.0, 2.0]), np.ones(3), np.ones(3))
-        np.testing.assert_array_equal(score.ranked_channels(), [1, 2, 0])
-
     def test_score_layer_uses_range_product(self, flexiq_runtime):
         name, layer = flexiq_runtime.flexiq_layers()[1]
         score = score_layer(name, layer)

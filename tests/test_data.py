@@ -41,7 +41,6 @@ class TestSyntheticImages:
         assert ds.test_images.shape == (32, 3, 8, 8)
         assert ds.train_images.dtype == np.float32
         assert ds.train_labels.dtype == np.int64
-        assert ds.image_shape == (3, 8, 8)
 
     def test_labels_in_range_and_all_classes_present(self):
         ds = build_dataset("synthetic-cifar10")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Dropout,
@@ -16,7 +15,6 @@ from repro.nn.layers import (
     Identity,
     LayerNorm,
     Linear,
-    MaxPool2d,
     ReLU,
     ReLU6,
 )
@@ -222,8 +220,6 @@ class TestSimpleLayers:
 
     def test_pooling_layers(self):
         x = Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
-        assert AvgPool2d(2)(x).shape == (1, 1, 2, 2)
-        assert MaxPool2d(2)(x).shape == (1, 1, 2, 2)
         assert GlobalAvgPool2d()(x).shape == (1, 1)
 
     def test_dropout_eval_is_identity(self):
@@ -286,11 +282,9 @@ NDARRAY_LEAVES = {
     "identity": (Identity, TOKENS),
     "flatten": (Flatten, IMAGE),
     "global_avg_pool": (GlobalAvgPool2d, IMAGE),
-    "avg_pool": (lambda: AvgPool2d(2), IMAGE),
-    "max_pool": (lambda: MaxPool2d(3, stride=2), IMAGE),
     "dropout_eval": (lambda: Dropout(0.5).eval(), TOKENS),
     "sequential": (
-        lambda: Sequential(_eval_batchnorm(), ReLU6(), MaxPool2d(2), Flatten()), IMAGE
+        lambda: Sequential(_eval_batchnorm(), ReLU6(), Flatten()), IMAGE
     ),
 }
 

@@ -11,15 +11,12 @@ from repro.core.layout import ChannelLayout, build_layout_plan
 from repro.core.prepared import PreparedKernel
 from repro.core.runtime import FlexiQConv2d, FlexiQLinear
 from repro.core.selection import SelectionConfig, greedy_selection, random_selection
-from repro.hardware.kernels import (
-    MixedPrecisionGemm,
-    mixed_gemm_reference,
-    uniform_gemm_reference,
-)
+from repro.hardware.kernels import MixedPrecisionGemm, mixed_gemm_reference
 from repro.nn.layers import Conv2d, Linear
 from repro.quant.quantizers import QuantParams, gemm_plane, quantize, quantize_unclipped
 from repro.tensor import Tensor
 from repro.tensor.functional import im2col, kept_columns, unfold
+from reference_kernels import uniform_gemm_reference
 from tests.test_core_selection import make_scores
 
 

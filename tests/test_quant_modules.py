@@ -80,10 +80,6 @@ class TestQuantLinear:
         x = Tensor(np.random.default_rng(2).normal(size=(2, 5, 16)).astype(np.float32))
         assert qlayer(x).shape == (2, 5, 8)
 
-    def test_weight_channel_max_abs_shape(self):
-        _, qlayer, _ = calibrated_qlinear()
-        assert qlayer.weight_channel_max_abs().shape == (16,)
-
     def test_input_channel_range_shape(self):
         _, qlayer, _ = calibrated_qlinear()
         r = qlayer.input_channel_range()

@@ -292,6 +292,19 @@ class TestPlacement:
         with pytest.raises(ValueError):
             engine.run(requests=[Request(0.0, model="m")])
 
+    @pytest.mark.parametrize("choice", [0.5, 1.5])
+    def test_engine_refuses_a_fractional_placement(self, service_model, choice):
+        """``int(0.5)`` is server 0: truncating served every batch there."""
+
+        class Fractional:
+            def place(self, context):
+                return choice
+
+        engine = ServingEngine(num_servers=2, placer=Fractional())
+        engine.register("m", ModeledExecutor(service_model), mode="int8")
+        with pytest.raises(ValueError, match=f"placer returned server {choice},"):
+            engine.run(requests=[Request(0.0, model="m")])
+
     def test_model_affinity_partitions_servers(self, service_model):
         fast = ServiceTimeModel("vit_base", gpu="l40s", anchor_batches=(1, 16, 64))
         placer = ModelAffinityPlacer({"a": [0, 1], "b": [2]})
@@ -993,6 +1006,14 @@ class TestElasticCluster:
             ClusterEngine(mixed_specs, min_servers=2, initial_servers=1)
         with pytest.raises(ValueError):
             ClusterEngine(mixed_specs, startup_delay=-1.0)
+
+    @pytest.mark.parametrize(
+        "name, value", [("min_servers", 1.5), ("initial_servers", 2.7), ("min_domains", 1.5)]
+    )
+    def test_fractional_counts_are_refused(self, mixed_specs, name, value):
+        """``int()`` used to truncate each count (1.5 -> 1, 2.7 -> 2)."""
+        with pytest.raises(ValueError, match=f"{name} must be an integer.*{value}"):
+            ClusterEngine(mixed_specs, **{name: value})
 
     def test_repeated_runs_identical_with_stateful_autoscaler(self):
         """Regression: hysteresis state leaked across runs; a reused

@@ -293,9 +293,6 @@ class TestSpreadPlacer:
         specs = [fixed_spec(f"s{i}", zone="AB"[i % 2]) for i in range(4)]
         cluster = ClusterEngine(specs, placer="spread")
         assert isinstance(cluster.engine.placer, SpreadPlacer)
-        helper = cluster.spread_placer(within="least_work", max_domain_share=0.9)
-        assert isinstance(helper, SpreadPlacer)
-        assert helper.max_domain_share == 0.9
 
     def test_spread_keeps_zones_balanced(self):
         """Under spread placement neither zone swallows the whole stream."""

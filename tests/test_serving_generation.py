@@ -7,9 +7,9 @@ run-to-completion baseline and the headline continuous-beats-static claim,
 mid-sequence precision switching through the generation policy context,
 streaming token telemetry (tokens/sec + TTFT windows), preemption of
 in-flight sequences with generated-token progress (composing with
-``StepCheckpoint`` salvage and transfer pricing), real execution through
-``RuntimeExecutor.execute_step``, and the ``streaming_summary`` edge cases
-(prefill-only, single-token, all-dropped, empty percentile lists).
+``StepCheckpoint`` salvage and transfer pricing), and the
+``streaming_summary`` edge cases (prefill-only, single-token, all-dropped,
+empty percentile lists).
 
 The ready queue (calendar of future sequences + arrived queue in admission
 order) is checked against its specification, the naive scan of the whole
@@ -42,8 +42,6 @@ from repro.serving import (
     PriorityScheduler,
     Request,
     RequestStore,
-    RuntimeExecutor,
-    RuntimeGenerationBackend,
     ServiceTimeModel,
     ServingEngine,
     StepCheckpoint,
@@ -371,6 +369,12 @@ class TestAdmission:
         with pytest.raises(ValueError):
             TokenBudgetAdmission(0)
 
+    @pytest.mark.parametrize("budget", [2.5, 100.9])
+    def test_a_fractional_token_budget_is_refused(self, budget):
+        """``int()`` used to truncate it: ``TokenBudgetAdmission(2.5)`` capped at 2."""
+        with pytest.raises(ValueError, match=f"budget_tokens must be an integer.*{budget}"):
+            TokenBudgetAdmission(budget)
+
     def test_bad_admission_policy_rejected(self, backend):
         class Overcommit:
             def admit(self, waiting, running, slots):
@@ -448,11 +452,11 @@ class TestStreamingTelemetry:
             backend, max_batch=8, telemetry=bus
         ).run(requests)
         windowed = sum(
-            bus.token_rate(0, w) * bus.window
+            bus.server_window(0, w).tokens_per_sec * bus.window
             for w in range(bus.last_window + 1)
         )
         assert windowed == pytest.approx(result.tokens)
-        assert bus.token_rate(0, -1) == 0.0
+        assert bus.server_window(0, -1).tokens_per_sec == 0.0
 
     def test_window_stats_expose_token_rate_and_ttft(self, backend):
         requests = gen_requests([(0.0, 64, 8), (0.0, 64, 8)])
@@ -498,7 +502,6 @@ class TestStreamingTelemetry:
 
     def test_one_shot_windows_report_zero_tokens(self):
         bus = TelemetryBus(window=1.0)
-        assert bus.token_rate(0, 0) == 0.0
         assert bus.server_window(0, 0).tokens_per_sec == 0.0
 
 
@@ -604,12 +607,24 @@ class TestGenerationPreemption:
         scheduler.preempt_server(0, 0.04)
         result = scheduler.finish()
         windowed = sum(
-            bus.token_rate(server, w) * bus.window
+            bus.server_window(server, w).tokens_per_sec * bus.window
             for server in (0, 1)
             for w in range(bus.last_window + 1)
         )
         # Exact inverse accounting: rewound iterations left no residue.
         assert windowed == pytest.approx(result.tokens)
+
+    @pytest.mark.parametrize("call", ["preempt_server", "activate_server"])
+    @pytest.mark.parametrize("server", [0.7, 1.5])
+    def test_a_fractional_server_is_refused(self, backend, call, server):
+        """``int()`` used to truncate the id: 0.7 crashed or re-admitted server 0."""
+        scheduler = IterationScheduler(backend, num_servers=2)
+        scheduler.start(gen_requests([(0.0, 64, 4), (0.0, 64, 4)]))
+        assert scheduler.step() is not None
+        args = (server, 0.0) if call == "preempt_server" else (server,)
+        with pytest.raises(ValueError, match=f"server must be an integer.*{server}"):
+            getattr(scheduler, call)(*args)
+        assert all(r.migrations == 0 for r in scheduler.finish().responses)
 
     def test_preemption_restores_the_server_clock(self, backend):
         # Server 1 crashes, recovers at 0.05 and starts an iteration there.
@@ -1200,59 +1215,6 @@ class TestScaleIndependence:
         for before, after in zip(alone.responses, longer.responses):
             assert after.token_times == before.token_times
         assert longer_calls == alone_calls + len(tail)
-
-
-# ----------------------------------------------------------------------
-# Real execution through RuntimeExecutor.execute_step
-# ----------------------------------------------------------------------
-class TestRuntimeGenerationBackend:
-    def test_generation_runs_on_real_forwards(self, flexiq_runtime, mlp_dataset):
-        executor = RuntimeExecutor(
-            flexiq_runtime, default_input=mlp_dataset.test_images[0]
-        )
-        backend = RuntimeGenerationBackend(executor, tokens_per_forward=16)
-        requests = gen_requests([(0.0, 32, 3), (0.0, 16, 2), (0.0, 16, 4)])
-        result = IterationScheduler(backend, max_batch=4).run(requests)
-        assert all(r.finished for r in result.responses)
-        assert result.tokens == 9
-        # Steps counted separately from one-shot batches: generation
-        # forwards are iterations, not engine batches.
-        assert executor.steps_executed > 0
-        assert executor.batches_executed == 0
-        assert executor.requests_executed == 0
-        expected_steps = sum(
-            record.prefills + (1 if record.decode_width else 0)
-            for record in result.iterations
-        )
-        assert executor.steps_executed == expected_steps
-        assert executor.tokens_emitted > 0
-
-    def test_per_step_ratio_switch_is_o1(self, flexiq_runtime, mlp_dataset):
-        from repro.core.prepared import PreparedKernel
-        from repro.serving.policies import RoundRobinRatioPolicy
-
-        executor = RuntimeExecutor(
-            flexiq_runtime, default_input=mlp_dataset.test_images[0]
-        )
-        backend = RuntimeGenerationBackend(executor, tokens_per_forward=16)
-        builds_before = PreparedKernel.build_count
-        planes_before = PreparedKernel.plane_build_count
-        result = IterationScheduler(
-            backend,
-            max_batch=4,
-            policy=RoundRobinRatioPolicy([0.25, 0.75]),
-        ).run(gen_requests([(0.0, 16, 4), (0.0, 16, 4)]))
-        assert all(r.finished for r in result.responses)
-        assert executor.ratio_switches > 0
-        # The mid-sequence precision switches rebuilt nothing.
-        assert PreparedKernel.build_count == builds_before
-        assert PreparedKernel.plane_build_count == planes_before
-
-    def test_tokens_per_forward_validation(self, flexiq_runtime):
-        with pytest.raises(ValueError):
-            RuntimeGenerationBackend(
-                RuntimeExecutor(flexiq_runtime), tokens_per_forward=0
-            )
 
 
 # ----------------------------------------------------------------------

@@ -299,6 +299,18 @@ class TestPreemption:
             engine.preempt_server(7, 1.0)
         engine.finish()
 
+    @pytest.mark.parametrize("server", [0.9, 1.5])
+    def test_a_fractional_server_is_refused(self, server):
+        """``int()`` used to truncate the id: ``preempt_server(0.9, t)`` rewound
+        server 0's batches, ``1.5`` server 1's."""
+        engine = self._start()
+        engine.step()
+        engine.step()
+        with pytest.raises(ValueError, match=f"server must be an integer.*{server}"):
+            engine.preempt_server(server, 0.5, policy=RequeueAtHeadMigration())
+        # Nothing was rewound: both first batches still finish at 1.0.
+        assert (engine.finish().latencies == 1.0).all()
+
     def test_scheduled_path_migrates_through_the_scheduler(self):
         """Migrants re-enter EDF ordering by their (unchanged) deadlines."""
         engine = ServingEngine(

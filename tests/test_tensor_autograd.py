@@ -74,9 +74,6 @@ class TestElementwiseGradients:
     def test_tanh(self):
         check_gradient(lambda x: x.tanh(), (3, 3))
 
-    def test_sigmoid(self):
-        check_gradient(lambda x: x.sigmoid(), (5,))
-
     def test_relu(self):
         # Offset away from 0 to avoid the kink in finite differences.
         check_gradient(lambda x: (x + 5.0).relu(), (4, 4))
@@ -256,8 +253,6 @@ class TestGraphMechanics:
     def test_constructors(self):
         assert Tensor.zeros((2, 2)).data.sum() == 0
         assert Tensor.ones((2, 2)).data.sum() == 4
-        r = Tensor.randn((3, 3), rng=np.random.default_rng(0))
-        assert r.shape == (3, 3)
 
     def test_comparisons_no_grad(self):
         x = Tensor(np.array([1.0, -1.0]), requires_grad=True)

@@ -10,7 +10,7 @@ from repro.nn.layers import Linear
 from repro.nn.module import Module, Parameter
 from repro.tensor import Tensor, functional as F
 from repro.train.loop import TrainingConfig, evaluate_accuracy, train_classifier
-from repro.train.optim import SGD, CosineLR, StepLR
+from repro.train.optim import SGD, StepLR
 
 
 class Quadratic(Module):
@@ -88,18 +88,7 @@ class TestSchedulers:
             sched.step()
             lrs.append(opt.lr)
         np.testing.assert_allclose(lrs, [1.0, 0.1, 0.1, 0.01])
-        assert sched.current_lr == pytest.approx(0.01)
-
-    def test_cosine_lr_decays_to_min(self):
-        model = Quadratic(np.array([1.0]))
-        opt = SGD(model.parameters(), lr=1.0)
-        sched = CosineLR(opt, total_epochs=10, min_lr=0.05)
-        values = []
-        for _ in range(10):
-            sched.step()
-            values.append(opt.lr)
-        assert values[-1] == pytest.approx(0.05, abs=1e-6)
-        assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
+        assert opt.lr == pytest.approx(0.01)
 
 
 @pytest.fixture(scope="module")
