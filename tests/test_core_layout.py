@@ -11,7 +11,12 @@ from repro.core.layout import (
     build_channel_layout,
     build_layout_plan,
 )
+from repro.core.runtime import FlexiQConv2d
 from repro.core.selection import ChannelSelection, SelectionConfig, greedy_selection
+from repro.nn.layers import Conv2d
+from repro.quant.qmodules import QuantLinear
+from repro.tensor import Tensor
+from tests.test_core_runtime import calibrated_flexiq_linear, plan_for
 from tests.test_core_selection import LAYERS, make_scores
 
 
@@ -84,3 +89,49 @@ class TestLayoutPlan:
         selections = nested_selections()
         plan = build_layout_plan(selections, residual_layers=["layer_a", "layer_b"])
         assert len(plan.residual_reorder_layers) == 2
+
+
+class TestWeightReordering:
+    """Step 1/2 of the paper's layout procedure: a configured layer permutes
+    its input features and weight columns by the layout order together, so a
+    permuted layout computes what the identity layout computes.  Checked on
+    the prepared kernel (layout folded into its planes) and on the reference
+    path, with every channel at 8 bits and with every channel at 4 bits."""
+
+    @staticmethod
+    def _assert_permutation_preserves_output(layer, x, atol):
+        channels = layer.feature_channels
+        plan = plan_for(layer)
+        order = np.random.default_rng(3).permutation(channels)
+        for use_prepared in (True, False):
+            layer.use_prepared = use_prepared
+            for boundary in (0, channels):
+                outputs = []
+                for layout_order in (np.arange(channels), order):
+                    layout = ChannelLayout("layer", layout_order, {1.0: channels})
+                    layer.configure(layout, plan, group_size=1)
+                    layer.set_boundary(boundary)
+                    outputs.append(layer(x).data.copy())
+                np.testing.assert_allclose(outputs[1], outputs[0], atol=atol)
+
+    def test_linear_permutation_preserves_output(self):
+        source, layer, data = calibrated_flexiq_linear(seed=4)
+        x = Tensor(data[:6])
+        self._assert_permutation_preserves_output(layer, x, atol=1e-5)
+        # With every channel at 8 bits, the permuted layer is the int8 layer.
+        reference = QuantLinear(source)
+        reference(Tensor(data))
+        reference.freeze()
+        layer.set_boundary(0)
+        np.testing.assert_allclose(layer(x).data, reference(x).data, atol=1e-5)
+
+    def test_conv_permutation_preserves_output(self):
+        rng = np.random.default_rng(1)
+        source = Conv2d(6, 4, 3, padding=1, rng=rng)
+        scales = np.repeat([0.2, 1.0, 2.0], 2).astype(np.float32)
+        source.weight.data = source.weight.data * scales[None, :, None, None]
+        layer = FlexiQConv2d(source)
+        data = (rng.normal(size=(8, 6, 5, 5)) * scales[None, :, None, None]).astype(np.float32)
+        layer(Tensor(data))
+        layer.freeze()
+        self._assert_permutation_preserves_output(layer, Tensor(data[:2]), atol=1e-4)

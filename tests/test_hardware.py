@@ -136,6 +136,39 @@ class TestGpuLatencyModel:
         nothing = model.model_latency(ops, "flexiq", 0.0)
         assert partial < nothing
 
+    @staticmethod
+    def _breakdown(model, ops, mode, four_bit_ratio=0.0):
+        """Each op billed as ``model_latency`` specifies: float ops in fp16,
+        non-quantizable GEMMs at 8 bits (fp16 in fp16 mode), the rest in
+        ``mode``."""
+
+        def bill(op):
+            if op.kind == "float":
+                return model.float_op_latency(op)
+            if not op.quantizable:
+                return model.gemm_latency(op, "fp16" if mode == "fp16" else "int8")
+            if mode != "flexiq":
+                return model.gemm_latency(op, mode)
+            return model.gemm_latency(op, mode, four_bit_ratio=four_bit_ratio)
+
+        return {op.name: bill(op) for op in ops}
+
+    def test_latency_breakdown_sums_to_total(self, model, ops):
+        breakdown = self._breakdown(model, ops, "int8")
+        assert sum(breakdown.values()) == pytest.approx(
+            model.model_latency(ops, "int8"), rel=1e-6
+        )
+
+    @pytest.mark.parametrize("mode", ["fp16", "int8", "int4", "flexiq"])
+    def test_breakdown_is_the_model_latency_exactly(self, mode):
+        # Non-quantizable GEMMs run in fp16 in fp16 mode: model_latency
+        # bills each op as the breakdown does.
+        model = GpuLatencyModel("a6000")
+        ops = model_ops("vit_base", 8)
+        breakdown = self._breakdown(model, ops, mode, 0.25)
+        assert list(breakdown) == [op.name for op in ops]
+        assert sum(breakdown.values()) == model.model_latency(ops, mode, 0.25)
+
     def test_unknown_mode_raises(self, model, ops):
         with pytest.raises(ValueError):
             model.gemm_latency(ops[1], "int2")

@@ -218,6 +218,26 @@ class TestQuantizeModel:
         assert len(iter_quantized_layers(quantized)) == 3
         assert len(iter_quantizable_layers(quantized)) == 0
 
+    @pytest.mark.parametrize("flexiq", [False, True], ids=["quant", "flexiq"])
+    def test_layer_types_pick_each_replacement(self, flexiq):
+        """``layer_types`` names the (Linear, Conv2d) replacement classes; the
+        bit widths, calibration and uniform forward do not depend on the pair."""
+        from repro.core.runtime import FlexiQConv2d, FlexiQLinear
+
+        linear_type, conv_type = (FlexiQLinear, FlexiQConv2d) if flexiq else (QuantLinear, QuantConv2d)
+        model = SmallNet.build()
+        quantized = quantize_model(
+            model, 4, calibration_batches=self._calibration(), layer_types=(linear_type, conv_type)
+        )
+        default = quantize_model(model, 4, calibration_batches=self._calibration())
+        layers = iter_quantized_layers(quantized)
+        assert [type(layer) for _, layer in layers] == [conv_type, linear_type, linear_type]
+        for (name, layer), (ref_name, ref) in zip(layers, iter_quantized_layers(default)):
+            assert name == ref_name and layer.weight_bits == ref.weight_bits
+            np.testing.assert_array_equal(layer.act_qparams.scale, ref.act_qparams.scale)
+        x = Tensor(self._calibration()[0][:2])
+        np.testing.assert_array_equal(quantized(x).data, default(x).data)
+
     def test_original_model_untouched(self):
         model = SmallNet.build()
         quantize_model(model, 8, calibration_batches=self._calibration())
