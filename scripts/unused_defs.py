@@ -1,6 +1,6 @@
 """Report ``src/`` definitions that nothing but a test calls.
 
-    python3 scripts/unused_defs.py [--root DIR]
+    python3 scripts/unused_defs.py
 
 Every function, method and class defined under ``src/`` is looked up in one
 word count over the ``.py`` files of ``src``, ``bench``, ``examples``,
@@ -16,7 +16,6 @@ now used elsewhere (its reason no longer holds, so the entry goes); else 0.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import re
 import sys
@@ -24,6 +23,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "bench", "examples", "benchmarks", "scripts")
 
 KEEP: Dict[str, str] = {
@@ -64,11 +64,8 @@ def scan(root: Path) -> Tuple[List[Tuple[str, str, int]], List[str]]:
     return unused, stale
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
-    args = parser.parse_args(argv)
-    unused, stale = scan(args.root)
+def main() -> int:
+    unused, stale = scan(ROOT)
     for name, path, line in unused:
         print(f"{path}:{line}: {name} is used nowhere outside tests/")
     for name in stale:

@@ -233,7 +233,7 @@ class Batch:
     start_time: float
     size: int
     indices: np.ndarray
-    requests: Optional[Sequence[Request]] = None
+    requests: Sequence[Request]
     server: int = 0
 
 

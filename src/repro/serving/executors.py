@@ -26,7 +26,7 @@ own copy of the weights.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -52,44 +52,29 @@ class ModeledExecutor:
 class RuntimeExecutor:
     """Real batched forwards through a prepared FlexiQ runtime.
 
-    Request payloads are stacked into one input batch; requests without a
-    payload use ``default_input`` (a single sample, e.g. one ``(C, H, W)``
-    image), so modeled-style traces can also drive real execution.  The
-    reported service time is the measured wall-clock duration of the batch
-    forward; the engine advances its simulated clock by it, which makes
-    queueing behave as if the accelerator really took that long.
+    Request payloads (one sample each, e.g. one ``(C, H, W)`` image) are
+    stacked into one input batch.  The reported service time is the
+    measured wall-clock duration of the batch forward; the engine advances
+    its simulated clock by it, which makes queueing behave as if the
+    accelerator really took that long.
 
     ``mode`` is honoured the way the fixed deployments of Figure 8 define
     it: ``"int8"`` forces ratio 0.0 and ``"int4"`` forces ratio 1.0, while
     ``"flexiq"`` runs at the policy-selected ratio.
     """
 
-    def __init__(
-        self,
-        runtime: "FlexiQModel",
-        default_input: Optional[np.ndarray] = None,
-    ) -> None:
+    def __init__(self, runtime: "FlexiQModel") -> None:
         self.runtime = runtime
-        self.default_input = (
-            np.asarray(default_input, dtype=np.float32)
-            if default_input is not None
-            else None
-        )
         self.batches_executed = 0
         self.requests_executed = 0
         self.ratio_switches = 0
 
     def _batch_input(self, batch: Batch) -> np.ndarray:
         samples = []
-        requests = batch.requests if batch.requests is not None else [None] * batch.size
-        for position, request in enumerate(requests):
-            payload = request.payload if request is not None else None
+        for position, request in enumerate(batch.requests):
+            payload = request.payload
             if payload is None:
-                payload = self.default_input
-            if payload is None:
-                raise ValueError(
-                    "request has no payload and RuntimeExecutor has no default_input"
-                )
+                raise ValueError(f"request at batch position {position} has no payload")
             shape = np.shape(payload)
             if not samples:
                 first_shape = shape

@@ -37,8 +37,7 @@ Requests opt in through the :class:`~repro.serving.engine.Request`
 generation profile: ``prefill_tokens`` (prompt length) and
 ``max_new_tokens`` (tokens to generate, counting the one the prefill
 emits — ``max_new_tokens=1`` is a prefill-only request with zero decode
-steps).  Costs come from a :class:`GenerationBackend`:
-:class:`ModeledGenerationBackend` uses the
+steps).  Costs come from :class:`ModeledGenerationBackend`, which uses the
 :class:`~repro.serving.simulator.ServiceTimeModel` prefill/decode split
 (prefill scales with prompt tokens, decode with batch width per step).
 
@@ -226,20 +225,8 @@ class TokenBudgetAdmission:
 
 
 # ----------------------------------------------------------------------
-# Generation backends (what one iteration costs)
+# Generation backend (what one iteration costs)
 # ----------------------------------------------------------------------
-class GenerationBackend(Protocol):
-    """Cost model of the two generation phases, per server."""
-
-    def prefill_seconds(self, prompt_tokens: int, mode: str, ratio: float) -> float:
-        """Seconds to prefill one ``prompt_tokens``-token prompt."""
-        ...
-
-    def decode_seconds(self, width: int, mode: str, ratio: float) -> float:
-        """Seconds for one decode step over ``width`` live sequences."""
-        ...
-
-
 class ModeledGenerationBackend:
     """Analytic prefill/decode costs from a :class:`ServiceTimeModel`."""
 
@@ -466,7 +453,7 @@ class _GenSession:
 class IterationScheduler:
     """Continuous batching: a decode loop with per-iteration admission.
 
-    ``backend`` is one :class:`GenerationBackend` shared by every server
+    ``backend`` is one :class:`ModeledGenerationBackend` shared by every server
     or a list of exactly ``num_servers`` backends (one prepared runtime
     each, like the engine's per-server executors).  ``admission`` picks
     the joiners at each boundary (default :class:`FcfsAdmission`);
@@ -484,7 +471,7 @@ class IterationScheduler:
 
     def __init__(
         self,
-        backend: Union[GenerationBackend, Sequence[GenerationBackend]],
+        backend: Union[ModeledGenerationBackend, Sequence[ModeledGenerationBackend]],
         max_batch: int = 8,
         admission: Optional[AdmissionPolicy] = None,
         policy=None,
@@ -985,7 +972,7 @@ class IterationScheduler:
 # ----------------------------------------------------------------------
 def run_to_completion(
     requests: Sequence[Request],
-    backend: GenerationBackend,
+    backend: ModeledGenerationBackend,
     max_batch: int = 8,
     policy=None,
     mode: str = "flexiq",

@@ -407,15 +407,18 @@ class TestRuntimeExecutor:
         for ratio in ratios:
             runtime.forward_batch(tiny_dataset.test_images[:1], ratio=ratio)
 
-        executor = RuntimeExecutor(runtime, default_input=tiny_dataset.test_images[0])
+        executor = RuntimeExecutor(runtime)
         engine = ServingEngine(BatchingConfig(max_batch=4))
         engine.register("conv", executor, policy=RoundRobinRatioPolicy(ratios))
         # Spread arrivals so the engine forms several small batches.
         trace = RequestTrace(arrival_times=np.linspace(0.0, 0.01, 12), duration=0.01)
+        requests = requests_from_trace(
+            trace, model="conv", payloads=tiny_dataset.test_images[:1]
+        )
 
         builds_before = PreparedKernel.build_count
         planes_before = PreparedKernel.plane_build_count
-        outcome = engine.run(requests=requests_from_trace(trace, model="conv"))
+        outcome = engine.run(requests=requests)
 
         assert PreparedKernel.build_count == builds_before, (
             "serving must not rebuild prepared kernels"
@@ -429,11 +432,12 @@ class TestRuntimeExecutor:
         assert np.all(outcome.latencies > 0)
 
     def test_mode_overrides_ratio(self, flexiq_runtime, mlp_dataset):
-        executor = RuntimeExecutor(flexiq_runtime, default_input=mlp_dataset.test_images[0])
+        executor = RuntimeExecutor(flexiq_runtime)
         engine = ServingEngine(BatchingConfig(max_batch=4))
         engine.register("mlp", executor, policy=FixedRatioPolicy(0.5), mode="int4")
         trace = RequestTrace(arrival_times=np.zeros(4), duration=0.0)
-        outcome = engine.run(requests=requests_from_trace(trace, model="mlp"))
+        requests = requests_from_trace(trace, model="mlp", payloads=mlp_dataset.test_images[:1])
+        outcome = engine.run(requests=requests)
         # "int4" pins the runtime to ratio 1.0 regardless of the policy, and
         # the batch records report the executed (pinned) ratio.
         assert flexiq_runtime.current_ratio == 1.0
@@ -462,17 +466,17 @@ class TestRuntimeExecutor:
         executor = RuntimeExecutor(flexiq_runtime)
         engine = ServingEngine()
         engine.register("mlp", executor)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="position 0 has no payload"):
             engine.run(requests=[Request(0.0, model="mlp")])
 
     def test_mismatched_payload_shapes_name_the_position(self, flexiq_runtime, mlp_dataset):
         image = mlp_dataset.test_images[0]
-        executor = RuntimeExecutor(flexiq_runtime, default_input=image)
+        executor = RuntimeExecutor(flexiq_runtime)
         engine = ServingEngine(BatchingConfig(max_batch=4))
         engine.register("mlp", executor)
         requests = [
             Request(0.0, model="mlp", payload=image),
-            Request(0.0, model="mlp"),  # default_input: same shape
+            Request(0.0, model="mlp", payload=image),
             Request(0.0, model="mlp", payload=image[:, :-1]),
         ]
         with pytest.raises(ValueError) as raised:
@@ -483,7 +487,7 @@ class TestRuntimeExecutor:
 
     def test_batch_is_stacked_and_cast_once(self, flexiq_runtime, mlp_dataset):
         image = mlp_dataset.test_images[0]
-        executor = RuntimeExecutor(flexiq_runtime, default_input=image)
+        executor = RuntimeExecutor(flexiq_runtime)
         requests = [
             Request(0.0, model="mlp", payload=image.astype(np.float64)),
             Request(0.0, model="mlp", payload=image.tolist()),
@@ -501,16 +505,20 @@ class TestRuntimeExecutor:
         engine = ServingEngine(BatchingConfig(max_batch=4))
         engine.register(
             "mlp",
-            RuntimeExecutor(flexiq_runtime, default_input=mlp_dataset.test_images[0]),
+            RuntimeExecutor(flexiq_runtime),
             policy=FixedRatioPolicy(0.25),
         )
         engine.register(
             "conv",
-            RuntimeExecutor(flexiq_conv_runtime, default_input=tiny_dataset.test_images[0]),
+            RuntimeExecutor(flexiq_conv_runtime),
             policy=FixedRatioPolicy(1.0),
         )
         requests = [
-            Request(arrival_time=0.001 * i, model=("mlp" if i % 2 else "conv"))
+            Request(
+                arrival_time=0.001 * i,
+                model=("mlp" if i % 2 else "conv"),
+                payload=(mlp_dataset if i % 2 else tiny_dataset).test_images[0],
+            )
             for i in range(16)
         ]
         outcome = engine.run(requests=requests)
@@ -530,10 +538,14 @@ class TestRuntimeExecutor:
         engine.register("modeled", ModeledExecutor(service_model), mode="int8")
         engine.register(
             "real",
-            RuntimeExecutor(flexiq_runtime, default_input=mlp_dataset.test_images[0]),
+            RuntimeExecutor(flexiq_runtime),
         )
         requests = [
-            Request(arrival_time=0.002 * i, model=("modeled" if i % 2 else "real"))
+            Request(
+                arrival_time=0.002 * i,
+                model=("modeled" if i % 2 else "real"),
+                payload=mlp_dataset.test_images[0],
+            )
             for i in range(12)
         ]
         outcome = engine.run(requests=requests)
@@ -719,15 +731,12 @@ class TestMultiServer:
         self, flexiq_runtime, mlp_dataset
     ):
         """K RuntimeExecutors behind one endpoint: both servers serve batches."""
-        default_input = mlp_dataset.test_images[0]
-        executors = [
-            RuntimeExecutor(flexiq_runtime, default_input=default_input)
-            for _ in range(2)
-        ]
+        executors = [RuntimeExecutor(flexiq_runtime) for _ in range(2)]
         engine = ServingEngine(BatchingConfig(max_batch=2), num_servers=2)
         engine.register("mlp", executors, policy=FixedRatioPolicy(0.5))
         trace = RequestTrace(arrival_times=np.zeros(8), duration=0.0)
-        outcome = engine.run(requests=requests_from_trace(trace, model="mlp"))
+        requests = requests_from_trace(trace, model="mlp", payloads=mlp_dataset.test_images[:1])
+        outcome = engine.run(requests=requests)
         assert outcome.latencies.size == 8
         assert {record.server for record in outcome.batch_records} == {0, 1}
         assert all(ex.batches_executed > 0 for ex in executors)

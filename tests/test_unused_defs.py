@@ -1,7 +1,8 @@
 """``scripts/unused_defs.py``: the scan that keeps test-only surface out of ``src/``.
 
 The repository itself must pass; on a planted tree an unused definition is
-reported and a ``KEEP`` entry whose name is used elsewhere fails the run.
+reported and a ``KEEP`` entry whose name is used elsewhere is reported stale;
+``main`` exits 1 on either.
 """
 
 from __future__ import annotations
@@ -37,22 +38,20 @@ def planted(tmp_path):
 
 
 def test_this_repository_passes(capsys):
-    assert unused_defs.main(["--root", str(ROOT)]) == 0, capsys.readouterr().out
+    assert unused_defs.main() == 0, capsys.readouterr().out
     assert len(unused_defs.KEEP) <= 7
     assert all(reason.strip() for reason in unused_defs.KEEP.values())
 
 
-def test_a_planted_unused_def_is_reported(planted, monkeypatch, capsys):
+def test_a_planted_unused_def_is_reported(planted, monkeypatch):
     monkeypatch.setattr(unused_defs, "KEEP", {})
-    assert unused_defs.main(["--root", str(planted)]) == 1
-    out = capsys.readouterr().out
-    assert "src/pkg/mod.py:5: Lonely" in out and "src/pkg/mod.py:6: helper" in out
-    assert ": used " not in out and "__call__" not in out
+    unused, stale = unused_defs.scan(planted)
+    assert unused == [("Lonely", "src/pkg/mod.py", 5), ("helper", "src/pkg/mod.py", 6)]
+    assert stale == []
 
 
-def test_a_stale_keep_entry_fails_the_run(planted, monkeypatch, capsys):
+def test_a_stale_keep_entry_fails_the_run(planted, monkeypatch):
     monkeypatch.setattr(unused_defs, "KEEP", {"Lonely": "r", "helper": "r"})
-    assert unused_defs.main(["--root", str(planted)]) == 0
+    assert unused_defs.scan(planted) == ([], [])
     monkeypatch.setattr(unused_defs, "KEEP", {"Lonely": "r", "helper": "r", "used": "r"})
-    assert unused_defs.main(["--root", str(planted)]) == 1
-    assert "KEEP['used'] is stale" in capsys.readouterr().out
+    assert unused_defs.scan(planted) == ([], ["used"])
