@@ -1,9 +1,9 @@
 """repro.obs — observability for the serving stack: traces, metrics, SLOs.
 
-A cross-cutting, opt-in subsystem wired through the engine, cluster,
-generation and resilience layers.  Engines run bit-identically with it
-disabled (``tracer=None`` everywhere); enabled, it answers *why* a p99
-breached or an attainment SLO dipped, not just *that* it did.
+A cross-cutting, opt-in subsystem wired through the engine, cluster and
+resilience layers.  Engines run bit-identically with it disabled
+(``tracer=None`` everywhere); enabled, it answers *why* a p99 breached or an
+attainment SLO dipped, not just *that* it did.
 
 Span taxonomy
 -------------
@@ -16,7 +16,6 @@ kind         shape      meaning
 ===========  =========  ===========================================================
 ``queued``    duration  request waiting: arrival → batch start (or drop time)
 ``execute``   duration  a batch occupying a server: start → finish
-``iteration`` duration  one generation iteration (continuous batching)
 ``preempted`` duration  a killed execution, truncated at the kill instant
 ``served``    instant   terminal: request completed (value = latency)
 ``dropped``   instant   terminal: request expired in queue (value = wait)
@@ -36,8 +35,8 @@ Exporter formats
 * **Chrome/Perfetto trace-event JSON**
   (:func:`~repro.obs.export.to_chrome_trace`): ``{"traceEvents": [...]}``
   with microsecond timestamps.  Process 0 ("servers") renders per-server
-  swimlanes of execute/iteration/preempted spans plus fault, scale and
-  alert markers from the cluster timeline; process 1 ("requests") holds
+  swimlanes of execute/preempted spans plus fault, scale and alert
+  markers from the cluster timeline; process 1 ("requests") holds
   per-request queued spans and terminal/hop instants.  Load the file at
   https://ui.perfetto.dev or ``chrome://tracing``.
 * **Prometheus text exposition** and **JSON snapshots**
@@ -57,7 +56,7 @@ land on the merged timeline next to scale/fault events and can feed the
 predictive autoscaler.
 """
 
-from .export import to_chrome_trace, validate_chrome_trace, write_chrome_trace
+from .export import to_chrome_trace, validate_chrome_trace
 from .registry import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -81,7 +80,6 @@ from .tracing import (
     SPAN_CANCELLED,
     SPAN_DROPPED,
     SPAN_EXECUTE,
-    SPAN_ITERATION,
     SPAN_MIGRATE,
     SPAN_PREEMPTED,
     SPAN_QUEUED,
@@ -104,7 +102,6 @@ __all__ = [
     "SPAN_CANCELLED",
     "SPAN_DROPPED",
     "SPAN_EXECUTE",
-    "SPAN_ITERATION",
     "SPAN_MIGRATE",
     "SPAN_PREEMPTED",
     "SPAN_QUEUED",
@@ -120,5 +117,4 @@ __all__ = [
     "registry_from_engine",
     "to_chrome_trace",
     "validate_chrome_trace",
-    "write_chrome_trace",
 ]

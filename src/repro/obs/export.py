@@ -3,9 +3,9 @@
 The exporter maps the span taxonomy onto the Chrome trace-event format
 (loadable in ``chrome://tracing`` and https://ui.perfetto.dev):
 
-* **pid 0 — "servers"**: one thread lane per server.  ``execute``,
-  ``iteration`` and ``preempted`` spans become complete-duration ``"X"``
-  events, so the run renders as per-server swimlanes of batch work.
+* **pid 0 — "servers"**: one thread lane per server.  ``execute`` and
+  ``preempted`` spans become complete-duration ``"X"`` events, so the run
+  renders as per-server swimlanes of batch work.
   Fault and scale events from the merged cluster timeline land as
   instant ``"i"`` markers on the affected server's lane; SLO alerts land
   on a dedicated ``control`` lane after the last server.
@@ -29,6 +29,8 @@ from .tracing import (
     DURATION_KINDS,
     KIND_NAMES,
     SPAN_CANCELLED,
+    SPAN_EXECUTE,
+    SPAN_PREEMPTED,
     SpanStore,
     Tracer,
 )
@@ -37,7 +39,7 @@ _US = 1e6
 _SERVER_PID = 0
 _REQUEST_PID = 1
 #: Span kinds drawn on server lanes; the rest belong to request lanes.
-_SERVER_LANE_KINDS = frozenset((1, 2, 3))  # execute, iteration, preempted
+_SERVER_LANE_KINDS = frozenset((SPAN_EXECUTE, SPAN_PREEMPTED))
 
 
 def to_chrome_trace(
@@ -162,13 +164,6 @@ def _timeline_marker(event, control_lane: int) -> Optional[Dict]:
         "ts": float(time) * _US,
         "args": args,
     }
-
-
-def write_chrome_trace(path, source, timeline=(), server_names=None) -> None:
-    """Serialize :func:`to_chrome_trace` output to ``path`` as JSON."""
-    trace = to_chrome_trace(source, timeline=timeline, server_names=server_names)
-    with open(path, "w") as handle:
-        json.dump(trace, handle)
 
 
 def validate_chrome_trace(trace: Dict) -> None:

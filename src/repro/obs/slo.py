@@ -32,6 +32,8 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.serving.core import check_integer
+
 
 @dataclass(frozen=True)
 class SloObjective:
@@ -67,7 +69,11 @@ class BurnRateRule:
     def __post_init__(self) -> None:
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
-        if not 0 < self.fast_windows <= self.slow_windows:
+        # Window counts slice the history: a fractional one failed at the
+        # first window close.
+        for name in ("fast_windows", "slow_windows"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), 1))
+        if not self.fast_windows <= self.slow_windows:
             raise ValueError("need 0 < fast_windows <= slow_windows")
 
 

@@ -17,13 +17,13 @@ The serving layers record *what happened to each request* as typed spans
 * **Head-based sampling.**  ``sample_rate`` decides *per request*, by a
   deterministic integer hash of the request slot, whether its per-request
   spans (queued / served) are recorded — the same request samples
-  identically on every loop and across reruns.  Batch-level spans
-  (execute / iteration) are always recorded when tracing is on: they are
-  O(batches), they are the per-server swimlanes, and they cost nothing per
-  request.  Drops and deadline misses override the sampling decision
-  (``sample_drops`` / ``sample_deadline_misses``; a dropped request that
-  carried a deadline missed it): the requests worth debugging are exactly
-  the ones a uniform sample would usually miss.
+  identically on every loop and across reruns.  Execute spans are always
+  recorded when tracing is on: they are O(batches), they are the per-server
+  swimlanes, and they cost nothing per request.  Drops and deadline misses
+  override the sampling decision (``sample_drops`` /
+  ``sample_deadline_misses``; a dropped request that carried a deadline
+  missed it): the requests worth debugging are exactly the ones a uniform
+  sample would usually miss.
 
 Preemption support keeps the terminal-conservation invariant (every
 traced request ends in *exactly one* live terminal span): when a batch is
@@ -46,21 +46,20 @@ import numpy as np
 # ----------------------------------------------------------------------
 SPAN_QUEUED = 0      # request waiting: [arrival, batch start)
 SPAN_EXECUTE = 1     # batch executing on a server: [start, finish]
-SPAN_ITERATION = 2   # one generation iteration on a server: [start, finish]
-SPAN_PREEMPTED = 3   # killed execution: [start, kill] (rewritten EXECUTE)
-SPAN_SERVED = 4      # terminal instant: request completed (value = latency)
-SPAN_DROPPED = 5     # terminal instant: request expired (value = wait)
-SPAN_MIGRATE = 6     # hop instant: first requeue off a preempted server
-SPAN_RETRY = 7       # hop instant: repeat requeue (request migrated before)
-SPAN_CANCELLED = 8   # retracted row (a terminal undone by preemption)
+SPAN_PREEMPTED = 2   # killed execution: [start, kill] (rewritten EXECUTE)
+SPAN_SERVED = 3      # terminal instant: request completed (value = latency)
+SPAN_DROPPED = 4     # terminal instant: request expired (value = wait)
+SPAN_MIGRATE = 5     # hop instant: first requeue off a preempted server
+SPAN_RETRY = 6       # hop instant: repeat requeue (request migrated before)
+SPAN_CANCELLED = 7   # retracted row (a terminal undone by preemption)
 
 KIND_NAMES = (
-    "queued", "execute", "iteration", "preempted", "served", "dropped",
-    "migrate", "retry", "cancelled",
+    "queued", "execute", "preempted", "served", "dropped", "migrate", "retry",
+    "cancelled",
 )
 TERMINAL_KINDS = (SPAN_SERVED, SPAN_DROPPED)
 #: Spans with duration (exported as Chrome "X" events; the rest are instants).
-DURATION_KINDS = (SPAN_QUEUED, SPAN_EXECUTE, SPAN_ITERATION, SPAN_PREEMPTED)
+DURATION_KINDS = (SPAN_QUEUED, SPAN_EXECUTE, SPAN_PREEMPTED)
 
 _HASH_MULT = 2654435761      # Knuth's multiplicative hash constant
 _HASH_MOD = 1 << 32
@@ -88,18 +87,6 @@ class SpanStore:
 
     def __len__(self) -> int:
         return self._rows
-
-    def append(
-        self,
-        kind: int,
-        request: int,
-        server: int,
-        start: float,
-        end: float,
-        value: float,
-    ) -> int:
-        """Append one span; returns its (stable) row index."""
-        return self.append_rows((kind, request, server, start, end, value))
 
     def append_rows(self, columns: Sequence) -> int:
         """Append rows handed over as their six columns, each a sequence or
@@ -157,13 +144,12 @@ def _pairs(terminal: int, slots, servers, arrivals, waited, ends) -> tuple:
 class Tracer:
     """Low-overhead request-lifecycle tracer (engine / scheduler hook).
 
-    Attach one to a :class:`~repro.serving.engine.ServingEngine`,
-    :class:`~repro.serving.cluster.ClusterEngine` or
-    :class:`~repro.serving.generation.IterationScheduler` via their
-    ``tracer`` parameter.  ``sample_rate`` head-samples per-request spans
-    (batch/iteration spans are always kept); ``sample_drops`` and
-    ``sample_deadline_misses`` force-trace the interesting requests
-    regardless of the sampling decision.  Everything is opt-in: engines
+    Attach one to a :class:`~repro.serving.engine.ServingEngine` or
+    :class:`~repro.serving.cluster.ClusterEngine` via their ``tracer``
+    parameter.  ``sample_rate`` head-samples per-request spans (execute
+    spans are always kept); ``sample_drops`` and ``sample_deadline_misses``
+    force-trace the interesting requests regardless of the sampling
+    decision.  Everything is opt-in: engines
     built without a tracer take a single ``is None`` branch per batch.
 
     **Spans are settled on read.**  :meth:`on_batch` and :meth:`on_batches`
@@ -217,8 +203,7 @@ class Tracer:
         self._riders: List[tuple] = []
         # Live terminal row per traced slot.
         self._terminal_row: Dict[int, int] = {}
-        # Execute/iteration span row per record ``row`` id, for preemption
-        # rewrite.
+        # Execute span row per record ``row`` id, for preemption rewrite.
         self._record_row: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -305,16 +290,6 @@ class Tracer:
         served = first + batch + 2 * np.arange(1, len(hits) + 1)
         self._terminal_row.update(zip(traced.tolist(), served.tolist()))
 
-    def _terminals(self, terminal, slots, server, arrivals, waited, ends) -> None:
-        """Write the (queued, ``terminal``) pairs of ``slots`` (see
-        :func:`_pairs`) and make each request's terminal its live one."""
-        first = self.store.append_rows(
-            _pairs(terminal, slots, server, arrivals, waited, ends)
-        )
-        self._terminal_row.update(
-            zip(slots.tolist(), range(first + 1, first + 2 * len(slots), 2))
-        )
-
     def on_drop(
         self,
         slots: np.ndarray,
@@ -322,7 +297,8 @@ class Tracer:
         time: float,
         deadlines: Optional[np.ndarray] = None,
     ) -> None:
-        """Expired requests: queued span + dropped terminal per traced request.
+        """Expired requests: queued span + dropped terminal per traced request,
+        each terminal its request's live one.
 
         ``deadlines`` (absolute, ``nan`` = none) force-traces, under
         ``sample_deadline_misses``, every dropped request that carried one:
@@ -336,13 +312,16 @@ class Tracer:
             if deadlines is not None and self.sample_deadline_misses:
                 mask |= ~np.isnan(deadlines)
         if mask.any():
-            time = float(time)
-            self._terminals(
-                SPAN_DROPPED, slots[mask], -1, np.asarray(arrivals)[mask], time, time
+            time, slots = float(time), slots[mask]
+            first = self.store.append_rows(
+                _pairs(SPAN_DROPPED, slots, -1, np.asarray(arrivals)[mask], time, time)
+            )
+            self._terminal_row.update(
+                zip(slots.tolist(), range(first + 1, first + 2 * len(slots), 2))
             )
 
     def on_preempt(self, record, slots: Sequence[int], time: float) -> None:
-        """A batch/iteration was rewound: rewrite its span, retract terminals.
+        """A batch was rewound: rewrite its span, retract terminals.
 
         The execute span becomes ``preempted``, truncated to the kill
         instant (zero-length for batches that had not started); victims'
@@ -373,42 +352,6 @@ class Tracer:
             np.where(prior > 0, SPAN_RETRY, SPAN_MIGRATE), slots, int(server),
             time, time, prior + 1.0,
         ))
-
-    def on_iteration(self, record) -> None:
-        """One generation iteration (value = tokens emitted)."""
-        row = self.store.append(
-            SPAN_ITERATION, -1, record.server, record.start, record.finish,
-            float(getattr(record, "tokens", 0)),
-        )
-        self._record_row[record.row] = row
-
-    def on_served(
-        self,
-        slots: Sequence[int],
-        arrivals: Sequence[float],
-        finishes: Sequence[float],
-        server: int,
-        deadlines: Optional[Sequence[float]] = None,
-    ) -> None:
-        """Terminal instants for sequences retired outside a batch record.
-
-        The generation loop's counterpart to the tail of :meth:`on_batch`:
-        sequences finish at their own last-token time inside an iteration,
-        so their terminals carry individual finishes.  Sampling (and the
-        deadline-miss override) applies per slot as everywhere else.
-        """
-        slots = np.asarray(slots)
-        finishes = np.asarray(finishes, dtype=np.float64)
-        mask = self.sample_mask(slots)
-        if deadlines is not None and self.sample_deadline_misses:
-            deadlines = np.asarray(deadlines, dtype=np.float64)
-            mask |= ~np.isnan(deadlines) & (finishes > deadlines)
-        if mask.any():
-            self._terminals(
-                SPAN_SERVED, slots[mask], int(server),
-                np.asarray(arrivals, dtype=np.float64)[mask], finishes[mask],
-                finishes[mask],
-            )
 
     # ------------------------------------------------------------------
     # Queries

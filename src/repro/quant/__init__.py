@@ -12,7 +12,6 @@ from repro.quant.quantizers import (
     dequantize,
     fake_quantize,
     quantize,
-    quantization_error,
 )
 from repro.quant.qmodules import QuantConv2d, QuantLinear, QuantizedLayer
 from repro.quant.qmodel import (
@@ -34,7 +33,6 @@ __all__ = [
     "dequantize",
     "fake_quantize",
     "iter_quantizable_layers",
-    "quantization_error",
     "quantize",
     "quantize_model",
 ]

@@ -127,13 +127,6 @@ def dequantize(q: np.ndarray, qparams: QuantParams) -> np.ndarray:
     return (q.astype(np.float32) * scale).astype(np.float32)
 
 
-def quantization_error(values: np.ndarray, qparams: QuantParams) -> float:
-    """Mean absolute error introduced by quantize/dequantize round trip."""
-    values = np.asarray(values, dtype=np.float32)
-    reconstructed = dequantize(quantize(values, qparams), qparams)
-    return float(np.mean(np.abs(values - reconstructed)))
-
-
 def _ste_round(x: Tensor) -> Tensor:
     """Round with a straight-through gradient (identity in the backward pass)."""
     data = np.round(x.data)

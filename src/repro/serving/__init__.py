@@ -25,8 +25,9 @@ run from; result records, protocols and helpers import from their module.
 * :mod:`~repro.serving.resilience` -- fault schedules, preemption and
   migration policies, warm spares, step checkpoints.
 * :mod:`~repro.serving.generation` -- :class:`IterationScheduler`
-  (continuous batching), admission policies, the modeled generation
-  backend, :func:`run_to_completion`.
+  (continuous batching on one FIFO server, bypassing the engine),
+  admission policies, the modeled generation backend,
+  :func:`run_to_completion`.
 * :mod:`~repro.serving.simulator` -- :class:`ServiceTimeModel`, the
   analytic batch cost behind :class:`ModeledExecutor` (Figures 8/9 run on
   the engine itself; :mod:`~repro.serving.adaptation` scores an adaptive

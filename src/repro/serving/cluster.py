@@ -47,6 +47,7 @@ latencies); see ``tests/test_serving_cluster.py``.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple, Union
@@ -1374,7 +1375,9 @@ class ClusterEngine:
         """Apply one autoscaling decision at a window boundary."""
         active = self.engine.active_servers
         stats = self.telemetry.cluster_window(window, active_servers=active)
-        target = int(self.autoscaler.decide(stats, len(active)))
+        # Any whole number: the answer is clamped to the cluster below.
+        answer = self.autoscaler.decide(stats, len(active))
+        target = check_integer("autoscaler target", answer, -math.inf)
         target = max(self.min_servers, min(target, len(self.specs)))
         if target == len(active):
             return

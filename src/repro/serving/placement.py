@@ -69,6 +69,7 @@ from typing import (
     runtime_checkable,
 )
 
+from repro.serving.core import check_integer
 from repro.serving.telemetry import fold_rate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -429,7 +430,9 @@ class ModelAffinityPlacer:
         within: Optional[Placer] = None,
     ) -> None:
         self.affinity = {
-            str(model): sorted({int(s) for s in servers})
+            str(model): sorted(
+                {check_integer("affine server id", s, 0) for s in servers}
+            )
             for model, servers in affinity.items()
         }
         self.within = within if within is not None else FreeClockPlacer()

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 import numpy as np
 
 from repro.data.traces import RequestTrace
-from repro.serving.core import check_positive, check_ratio
+from repro.serving.core import check_integer, check_positive, check_ratio
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.controller import AdaptiveRatioController
@@ -152,7 +152,8 @@ class QueueDepthRatioPolicy:
         if not thresholds:
             raise ValueError("thresholds must be non-empty")
         self.thresholds = sorted(
-            (int(depth), check_ratio(ratio)) for depth, ratio in thresholds.items()
+            (check_integer("queue depth threshold", depth, 0), check_ratio(ratio))
+            for depth, ratio in thresholds.items()
         )
         self.base_ratio = check_ratio(base_ratio)
 
@@ -191,13 +192,15 @@ class DecodePressureRatioPolicy:
         waiting_weight: float = 0.0,
         queue_depth_fallback: int = 8,
     ) -> None:
-        if pressure_threshold < 1:
-            raise ValueError("pressure_threshold must be >= 1 tokens")
-        self.pressure_threshold = int(pressure_threshold)
+        self.pressure_threshold = check_integer(
+            "pressure_threshold", pressure_threshold, 1
+        )
         self.base_ratio = check_ratio(base_ratio)
         self.high_ratio = check_ratio(high_ratio)
         self.waiting_weight = float(waiting_weight)
-        self.queue_depth_fallback = int(queue_depth_fallback)
+        self.queue_depth_fallback = check_integer(
+            "queue_depth_fallback", queue_depth_fallback, 0
+        )
         self.switches = 0
         self._last: Optional[float] = None
 

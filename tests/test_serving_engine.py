@@ -23,8 +23,10 @@ import pytest
 from repro.core.controller import AdaptiveRatioController, build_profile_from_latency_fn
 from repro.core.prepared import PreparedKernel
 from repro.data.traces import FluctuatingTrace, PoissonTrace, RequestTrace
+from repro.obs import BurnRateRule
 from repro.serving.adaptation import _effective_accuracy
 from repro.serving import resilience
+from repro.serving.cluster import ClusterEngine, ServerSpec
 from repro.serving.engine import (
     Batch,
     BatchingConfig,
@@ -33,6 +35,7 @@ from repro.serving.engine import (
     requests_from_trace,
 )
 from repro.serving.executors import ModeledExecutor, RuntimeExecutor
+from repro.serving.placement import ModelAffinityPlacer
 from repro.serving.policies import (
     AdaptiveRatioPolicy,
     DecodePressureRatioPolicy,
@@ -44,6 +47,7 @@ from repro.serving.policies import (
 )
 from repro.serving.schedulers import EdfScheduler, FifoScheduler, PriorityScheduler
 from repro.serving.simulator import ServiceTimeModel
+from repro.serving.telemetry import TelemetryBus
 from repro.tensor import Tensor
 
 
@@ -1293,29 +1297,8 @@ def _stepped_once(service_model):
     return engine
 
 
-def _preempt_generation(service_model, time):
-    from repro.serving.generation import IterationScheduler, ModeledGenerationBackend
-
-    scheduler = IterationScheduler(ModeledGenerationBackend(service_model), max_batch=2)
-    scheduler.start(
-        [Request(0.0, "m", prefill_tokens=16, max_new_tokens=4) for _ in range(3)]
-    )
-    scheduler.step()
-    try:
-        scheduler.preempt_server(0, time)
-    finally:
-        # nan used to poison the server's clock: finish() never returned.
-        # The refused call left the session as it was, so it still ends.
-        for _ in range(100):
-            if scheduler.step() is None:
-                break
-        else:
-            pytest.fail("the session no longer drains")
-
-
 #: field named by the error -> a call handing it ``bad``.
 NON_FINITE = {
-    "preemption time": _preempt_generation,
     "preemption time (engine)": lambda model, bad: _stepped_once(
         model
     ).preempt_server(0, time=bad),
@@ -1338,6 +1321,21 @@ NON_FINITE = {
 }
 
 
+def _autoscaled_to(service_model, target):
+    """A two-server cluster whose autoscaler answers ``target`` every window."""
+
+    class Fixed:
+        def decide(self, stats, active):
+            return target
+
+    cluster = ClusterEngine(
+        [ServerSpec(f"s{i}", 100.0, service_model=service_model) for i in range(2)],
+        window=0.1, autoscaler=Fixed(),
+    )
+    cluster.register("m")
+    return cluster.run(requests=[Request(0.05 * i, model="m") for i in range(8)])
+
+
 def _generation(service_model, **settings):
     from repro.serving.generation import IterationScheduler, ModeledGenerationBackend
 
@@ -1349,7 +1347,6 @@ NON_INTEGER = {
     "num_servers": lambda model, bad: ServingEngine(num_servers=bad),
     "server": lambda model, bad: _stepped_once(model).set_active_servers([0, bad]),
     "max_batch": lambda model, bad: _generation(model, max_batch=bad),
-    "num_servers (generation)": lambda model, bad: _generation(model, num_servers=bad),
     "max_new_tokens": lambda model, bad: _generation(model).start(
         [Request(0.0, "m", prefill_tokens=4, max_new_tokens=bad)]
     ),
@@ -1359,6 +1356,31 @@ NON_INTEGER = {
     "priorities": lambda model, bad: requests_from_trace(
         RequestTrace(np.zeros(2), 1.0), priorities=[bad]
     ),
+    # BurnRateRule(fast_windows=1.5) used to be accepted and to fail the
+    # first window close with "slice indices must be integers".
+    "fast_windows": lambda model, bad: BurnRateRule(1.0, fast_windows=bad, slow_windows=2),
+    "num_servers (telemetry)": lambda model, bad: TelemetryBus(1.0, num_servers=bad),
+    "spare server id": lambda model, bad: resilience.WarmSparePool([bad]),
+    "affine server id": lambda model, bad: ModelAffinityPlacer({"m": [bad]}),
+    "queue depth threshold": lambda model, bad: QueueDepthRatioPolicy({bad: 0.5}),
+    "pressure_threshold": lambda model, bad: DecodePressureRatioPolicy(bad),
+    "queue_depth_fallback": lambda model, bad: DecodePressureRatioPolicy(
+        900, queue_depth_fallback=bad
+    ),
+    "autoscaler target": lambda model, bad: _autoscaled_to(model, bad),
+}
+
+#: field -> its least value, at the sites that used to call ``int()``; three
+#: of them (affine server id, queue depth threshold, queue_depth_fallback)
+#: accepted a negative.
+MINIMUM = {
+    "fast_windows": 1,
+    "num_servers (telemetry)": 1,
+    "spare server id": 0,
+    "affine server id": 0,
+    "queue depth threshold": 0,
+    "pressure_threshold": 1,
+    "queue_depth_fallback": 0,
 }
 
 
@@ -1368,6 +1390,14 @@ class TestHostileInput:
         name = field.partition(" (")[0]
         with pytest.raises(ValueError, match=rf"{name} must be .*integer.*1\.5"):
             NON_INTEGER[field](service_model, 1.5)
+
+    @pytest.mark.parametrize("field", MINIMUM)
+    def test_an_integer_below_the_minimum_is_refused(self, service_model, field):
+        name, least = field.partition(" (")[0], MINIMUM[field]
+        message = rf"{name} must be an integer >= {least} \(got {least - 1}\)"
+        with pytest.raises(ValueError, match=message):
+            NON_INTEGER[field](service_model, least - 1)
+        NON_INTEGER[field](service_model, least)
 
     @pytest.mark.parametrize("bad", [float("nan"), 2.0, -0.1, float("inf")])
     def test_a_ratio_is_finite_and_in_the_unit_interval(self, service_model, bad):
@@ -1478,8 +1508,6 @@ class TestHostileInput:
     def test_a_deadline_earlier_than_its_arrival_is_legal_and_is_one_miss(
         self, service_model
     ):
-        from repro.serving.telemetry import TelemetryBus
-
         bus = TelemetryBus(window=1.0, num_servers=1)
         engine = ServingEngine(BatchingConfig(max_batch=4), telemetry=bus)
         engine.register("m", ModeledExecutor(service_model), mode="int8")
