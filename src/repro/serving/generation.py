@@ -24,11 +24,13 @@ and a cursor marks the first sequence no iteration start has reached yet.
 Iteration starts never move backwards, so each iteration advances the
 cursor past the sequences that have arrived by its start onto the *arrived
 queue*, a list in slot order — which is queue order — and hands that list
-to the admission policy as it stands; joiners leave it.  The loop costs
-O(running batch + queue depth) per iteration, whatever the length of the
-trace.  The specification this is tested against is the naive one: scan
-every waiting sequence, keep the arrived ones, sort
-(``tests/test_serving_generation.py``).
+to the admission policy as it stands; joiners leave it.  A running
+sequence's tokens are fixed by the iteration it joined and the iteration
+end times, so the loop touches a sequence only when it joins and when it
+retires: an iteration costs O(joins + retirements + queue depth), whatever
+the batch width or the trace length.  The specification this is tested
+against is the naive one: scan every waiting sequence, keep the arrived
+ones, sort (``tests/test_serving_generation.py``).
 
 Requests opt in through the :class:`~repro.serving.engine.Request`
 generation profile: ``prefill_tokens`` (prompt length) and
@@ -52,7 +54,7 @@ removes (see ``examples/continuous_batching.py``).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -78,8 +80,12 @@ _MODE = "flexiq"
 class SequenceState:
     """One generating request's progress through the iteration loop.
 
-    ``generated`` counts emitted tokens (the prefill's first token
-    included); ``token_times`` timestamps each of them.
+    The scheduler writes ``joined`` (the iteration it joined in, ``None``
+    while it waits), ``first`` (its prefill token's time) and ``ends`` (the
+    session's iteration end times, one list for every sequence).  The rest
+    is derived and read-only: ``generated`` counts emitted tokens (the
+    prefill's included), ``token_times`` is a new list of their times on
+    every read, and ``finish_time`` the last once all are out, else ``None``.
     """
 
     request: Request
@@ -87,9 +93,28 @@ class SequenceState:
     arrival: float
     prompt_tokens: int
     max_new_tokens: int
-    generated: int = 0
-    token_times: List[float] = field(default_factory=list)
-    finish_time: Optional[float] = None
+    joined: Optional[int] = None
+    first: float = 0.0
+    ends: Sequence[float] = ()
+
+    @property
+    def generated(self) -> int:
+        if self.joined is None:
+            return 0
+        return min(self.max_new_tokens, 1 + len(self.ends) - self.joined)
+
+    @property
+    def token_times(self) -> List[float]:
+        joined = self.joined
+        if joined is None:
+            return []
+        return [self.first, *self.ends[joined : joined + self.generated - 1]]
+
+    @property
+    def finish_time(self) -> Optional[float]:
+        if self.generated < self.max_new_tokens:  # 0 while waiting
+            return None
+        return self.token_times[-1]
 
     @property
     def footprint(self) -> int:
@@ -335,13 +360,20 @@ class _GenSession:
     start, appending them to ``arrived``, and hands that queue to the
     admission policy; joiners leave it.  Starts never move backwards, so
     every sequence in ``arrived`` has arrived by the start at hand.
+
+    ``ends`` holds each iteration's end time (what every sequence derives
+    its tokens from), ``in_flight`` the running batch's token footprint and
+    ``retiring`` each iteration's sequences that emit their last token in it.
     """
 
-    def __init__(self, sequences: List[SequenceState]) -> None:
+    def __init__(self, sequences: List[SequenceState], ends: List[float]) -> None:
         self.sequences = sequences
+        self.ends = ends
         self.pos = 0
         self.arrived: List[SequenceState] = []
         self.running: List[SequenceState] = []
+        self.in_flight = 0
+        self.retiring: Dict[int, List[SequenceState]] = {}
         self.free_at = 0.0
         self.busy = 0.0
         self.iterations: List[IterationRecord] = []
@@ -399,15 +431,16 @@ class IterationScheduler:
             return [0] * count if values is None else values.tolist()
 
         arrivals = store.arrivals
+        ends: List[float] = []
         sequences = [
-            SequenceState(store.request(slot), slot, arrival, prompt, new)
+            SequenceState(store.request(slot), slot, arrival, prompt, new, ends=ends)
             for slot, (arrival, prompt, new) in enumerate(zip(
                 arrivals.tolist(), column("prefill_tokens"), column("max_new_tokens")
             ))
         ]
         horizon = float(arrivals[-1]) if count else 0.0
         self.policy.on_run_start(RequestTrace(arrivals, horizon))
-        self._session = _GenSession(sequences)
+        self._session = _GenSession(sequences, ends)
 
     def step(self) -> Optional[IterationRecord]:
         """Run the next iteration; ``None`` when done.
@@ -462,7 +495,8 @@ class IterationScheduler:
         backend = self.backend
         candidates = self._candidates(s, start)
         running = s.running
-        free_slots = self.max_batch - len(running)
+        width = len(running)
+        free_slots = self.max_batch - width
         joiners: List[SequenceState] = []
         if free_slots > 0 and candidates:
             joiners = list(self.admission.admit(candidates, running, free_slots))
@@ -485,14 +519,11 @@ class IterationScheduler:
             # head, exactly like the engine's at-least-one batch rule.
             joiners = [candidates[0]]
 
-        # One pass on each side of the boundary feeds the policy: the
-        # running batch's token footprint, then the joiners' prefills and
-        # how many of them decode this iteration.
-        in_flight = 0
-        for seq in running:
-            in_flight += seq.prompt_tokens + seq.generated
+        # The joiners' prefills and how many of them decode this iteration
+        # feed the policy; every running sequence decodes.
+        prefills = len(joiners)
         prefill_tokens = 0
-        decode_width = len(running)
+        decode_width = width
         for seq in joiners:
             prefill_tokens += seq.prompt_tokens
             decode_width += seq.max_new_tokens > 1
@@ -502,45 +533,44 @@ class IterationScheduler:
         # builds its context: once per iteration, keywords cost as much as
         # the policy they feed.  No model name, server 0, no bus, one server.
         context = PolicyContext(
-            start, queue_depth, len(running) + len(joiners), "", 0, None, 1,
+            start, queue_depth, width + prefills, "", 0, None, 1,
             GenerationStepContext(
-                iteration, decode_width, len(joiners), prefill_tokens, in_flight,
-                queue_depth - len(joiners),
+                iteration, decode_width, prefills, prefill_tokens, s.in_flight,
+                queue_depth - prefills,
             ),
         )
         ratio = float(self.policy.select(context))
 
+        t = start
         if joiners:
             joined = {seq.slot for seq in joiners}
             s.arrived = [seq for seq in s.arrived if seq.slot not in joined]
-            running = running + joiners  # the batch, in running order
+            retiring = s.retiring
+            for seq in joiners:
+                t += backend.prefill_seconds(seq.prompt_tokens, _MODE, ratio)
+                seq.joined = iteration
+                seq.first = t
+                s.in_flight += seq.prompt_tokens + 1
+                last = iteration + max(0, seq.max_new_tokens - 2)  # its last token
+                retiring.setdefault(last, []).append(seq)
+            running.extend(joiners)  # the batch, in running order
 
-        t = start
-        for seq in joiners:
-            t += backend.prefill_seconds(seq.prompt_tokens, _MODE, ratio)
-            seq.generated = 1
-            seq.token_times.append(t)
+        if decode_width:
+            t += backend.decode_seconds(decode_width, _MODE, ratio)
+            s.in_flight += decode_width
+        s.ends.append(t)
 
-        decoders = [seq for seq in running if seq.generated < seq.max_new_tokens]
-        if decoders:
-            t += backend.decode_seconds(len(decoders), _MODE, ratio)
-            for seq in decoders:
-                seq.generated += 1
-                seq.token_times.append(t)
+        retirees = s.retiring.pop(iteration, None)
+        if retirees:  # the survivors, in running order, are the new batch
+            gone = {seq.slot for seq in retirees}
+            for seq in retirees:
+                s.in_flight -= seq.prompt_tokens + seq.max_new_tokens
+            s.running = [seq for seq in running if seq.slot not in gone]
 
-        # One retire scan, in running order: the survivors are the new batch.
-        survivors: List[SequenceState] = []
-        for seq in running:
-            if seq.generated < seq.max_new_tokens:
-                survivors.append(seq)
-            else:
-                seq.finish_time = seq.token_times[-1]
-        s.running = survivors
-
-        size = len(joiners) + len(decoders)
+        size = prefills + decode_width
         record = IterationRecord(  # positionally, in field order
-            start, t, size, ratio, queue_depth, iteration, len(joiners),
-            len(decoders), size,
+            start, t, size, ratio, queue_depth, iteration, prefills,
+            decode_width, size,
         )
         s.iterations.append(record)
         s.busy += t - start
@@ -553,6 +583,7 @@ class IterationScheduler:
     def _finalize(self, s: _GenSession) -> GenerationResult:
         responses = []
         for seq in s.sequences:
+            finish = seq.finish_time
             responses.append(
                 GenerationResponse(
                     request_id=(
@@ -563,12 +594,8 @@ class IterationScheduler:
                     arrival_time=seq.arrival,
                     prompt_tokens=seq.prompt_tokens,
                     max_new_tokens=seq.max_new_tokens,
-                    token_times=list(seq.token_times),
-                    finish_time=(
-                        seq.finish_time
-                        if seq.finish_time is not None
-                        else float("nan")
-                    ),
+                    token_times=seq.token_times,
+                    finish_time=float("nan") if finish is None else finish,
                 )
             )
         last_arrival = max((seq.arrival for seq in s.sequences), default=0.0)

@@ -197,7 +197,11 @@ class DecodePressureRatioPolicy:
         )
         self.base_ratio = check_ratio(base_ratio)
         self.high_ratio = check_ratio(high_ratio)
-        self.waiting_weight = float(waiting_weight)
+        # A NaN weight would never reach the threshold (the policy pins
+        # base_ratio); a negative one would make a longer queue less pressure.
+        self.waiting_weight = check_positive(
+            "waiting_weight", waiting_weight, allow_zero=True
+        )
         self.queue_depth_fallback = check_integer(
             "queue_depth_fallback", queue_depth_fallback, 0
         )

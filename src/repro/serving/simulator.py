@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.hardware.gpu import GpuLatencyModel
 from repro.hardware.workloads import model_ops
-from repro.serving.core import check_ratio
+from repro.serving.core import check_integer, check_positive, check_ratio
 
 
 class ServiceTimeModel:
@@ -54,15 +54,21 @@ class ServiceTimeModel:
     ) -> None:
         self.model_name = model_name
         self.latency_model = latency_model or GpuLatencyModel(gpu)
-        self.anchor_batches = sorted(set(int(b) for b in anchor_batches))
-        if prefill_tokens_per_sample < 1:
-            raise ValueError("prefill_tokens_per_sample must be >= 1")
-        self.prefill_tokens_per_sample = int(prefill_tokens_per_sample)
+        # Every argument is refused here, not at the first batch that reads
+        # it: a NaN fraction makes every decode step NaN seconds long.
+        self.anchor_batches = sorted(
+            {check_integer("anchor batch", b, 1) for b in anchor_batches}
+        )
+        if not self.anchor_batches:
+            raise ValueError("anchor_batches must name at least one batch size")
+        self.prefill_tokens_per_sample = check_integer(
+            "prefill_tokens_per_sample", prefill_tokens_per_sample, 1
+        )
         if decode_token_fraction is None:
             decode_token_fraction = 1.0 / self.prefill_tokens_per_sample
-        if decode_token_fraction <= 0:
-            raise ValueError("decode_token_fraction must be > 0")
-        self.decode_token_fraction = float(decode_token_fraction)
+        self.decode_token_fraction = check_positive(
+            "decode_token_fraction", decode_token_fraction
+        )
         # Anchor latencies per (mode, ratio).  The ratio is keyed as the
         # float itself: rounding it (the seed used ``f"{ratio:.3f}"``) made
         # distinct ratios within 5e-4 return each other's latencies.

@@ -16,6 +16,7 @@ from repro.serving import (
     IterationScheduler,
     ModeledGenerationBackend,
     PrefillPriorityAdmission,
+    Request,
     ServiceTimeModel,
     requests_from_trace,
 )
@@ -73,3 +74,48 @@ def test_generation_pays_per_iteration_not_per_trace_length():
     does not raise the calls per iteration."""
     counts = [_calls_per_iteration(seconds) for seconds in (1.0, 2.0, 4.0)]
     assert counts == sorted(counts, reverse=True), counts
+
+
+def _calls_per_decode_iteration(width: int, steps: int = 30) -> int:
+    """Calls ``steps`` decode-only iterations make over a batch ``width``
+    sequences wide: every sequence joins in the first iteration and none
+    retires before the last counted one (the cost model is warmed by one
+    run of the same requests first)."""
+    requests = [
+        Request(0.0, "m", request_id=i, prefill_tokens=32, max_new_tokens=steps + 5)
+        for i in range(width)
+    ]
+    scheduler = IterationScheduler(
+        ModeledGenerationBackend(
+            ServiceTimeModel("vit_base", gpu="a6000", decode_token_fraction=DECODE_FRACTION)
+        ),
+        max_batch=width,
+        policy=DecodePressureRatioPolicy(pressure_threshold=PRESSURE_THRESHOLD),
+    )
+    scheduler.run(requests)
+    scheduler.start(requests)
+    assert scheduler.step().prefills == width
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        records = [scheduler.step() for _ in range(steps)]
+    finally:
+        sys.setprofile(None)
+    assert all(r.prefills == 0 and r.decode_width == width for r in records)
+    scheduler.finish()
+    return calls
+
+
+def test_decode_iteration_cost_does_not_grow_with_batch_width():
+    """A decode iteration touches no sequence: the running sequences'
+    tokens are derived from the iteration they joined and the iteration
+    end times, so 30 decode-only iterations make the same calls whatever
+    the batch width."""
+    counts = [_calls_per_decode_iteration(width) for width in (1, 2, 4, 8, 16)]
+    assert len(set(counts)) == 1, counts

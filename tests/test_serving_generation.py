@@ -127,6 +127,17 @@ class TestPrefillDecodeSplit:
             ServiceTimeModel("vit_base", prefill_tokens_per_sample=0)
         with pytest.raises(ValueError):
             ServiceTimeModel("vit_base", decode_token_fraction=0.0)
+        # Each refused in the constructor, not at the first batch.
+        with pytest.raises(ValueError, match="decode_token_fraction"):
+            ServiceTimeModel("vit_base", decode_token_fraction=float("nan"))
+        with pytest.raises(ValueError, match="prefill_tokens_per_sample"):
+            ServiceTimeModel("vit_base", prefill_tokens_per_sample=1.5)
+        with pytest.raises(ValueError, match="anchor_batches"):
+            ServiceTimeModel("vit_base", anchor_batches=())
+        with pytest.raises(ValueError, match="anchor batch"):
+            ServiceTimeModel("vit_base", anchor_batches=(0, 8))
+        with pytest.raises(ValueError, match="anchor batch"):
+            ServiceTimeModel("vit_base", anchor_batches=(1, 1.5))
 
 
 # ----------------------------------------------------------------------
@@ -405,6 +416,54 @@ class TestMidSequenceRatio:
     def test_validation(self):
         with pytest.raises(ValueError):
             DecodePressureRatioPolicy(pressure_threshold=0)
+
+    @pytest.mark.parametrize("weight", [float("nan"), -1.0, float("inf")])
+    def test_a_waiting_weight_that_is_no_pressure_is_refused(self, weight):
+        # A NaN weight never reaches the threshold (the policy would pin
+        # base_ratio); a negative one makes a longer queue less pressure.
+        with pytest.raises(ValueError, match="waiting_weight"):
+            DecodePressureRatioPolicy(pressure_threshold=900, waiting_weight=weight)
+        assert DecodePressureRatioPolicy(900, waiting_weight=0).waiting_weight == 0.0
+
+
+# ----------------------------------------------------------------------
+# Derived progress: a sequence's tokens are read, never stored
+# ----------------------------------------------------------------------
+class TestDerivedProgress:
+    def test_a_response_owns_its_token_times(self, backend):
+        requests = gen_requests([(0.0, 64, 5), (0.0, 32, 5), (0.01, 96, 3)])
+        result = IterationScheduler(backend, max_batch=4).run(requests)
+        before = [list(r.token_times) for r in result.responses]
+        stream = result.streaming()
+        result.responses[0].token_times.append(99.0)
+        assert [r.token_times for r in result.responses[1:]] == before[1:]
+        result.responses[0].token_times.pop()
+        assert result.streaming() == stream
+
+    def test_every_read_of_token_times_is_a_new_list(self, backend):
+        scheduler = IterationScheduler(backend, max_batch=4)
+        scheduler.start(gen_requests([(0.0, 64, 5), (0.0, 32, 3)]))
+        scheduler.step()
+        scheduler.step()
+        for seq in scheduler._session.sequences:
+            first, second = seq.token_times, seq.token_times
+            assert first == second and first is not second
+            first.append(99.0)
+            assert seq.token_times == second
+        scheduler.finish()
+
+    def test_a_sequence_that_never_joined_reads_nothing(self, backend):
+        seq = SequenceState(
+            request=None, slot=0, arrival=0.0, prompt_tokens=8, max_new_tokens=3,
+        )
+        assert (seq.generated, seq.token_times, seq.finish_time) == (0, [], None)
+        assert seq.footprint == 8
+        scheduler = IterationScheduler(backend, max_batch=1)
+        scheduler.start(gen_requests([(0.0, 64, 5), (0.0, 32, 3)]))
+        scheduler.step()
+        waiting = scheduler._session.sequences[1]
+        assert (waiting.generated, waiting.token_times, waiting.finish_time) == (0, [], None)
+        scheduler.finish()
 
 
 # ----------------------------------------------------------------------
