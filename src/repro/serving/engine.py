@@ -1133,7 +1133,6 @@ class ServingEngine:
                 slot=slot,
                 arrival=arrival,
                 deadline=deadline,
-                request=s.store.request(slot),
                 migrations=s.migrations.get(slot, 0),
                 progress=s.checkpoints.get(slot, 0.0),
             )

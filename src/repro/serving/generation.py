@@ -32,6 +32,10 @@ the batch width or the trace length.  The specification this is tested
 against is the naive one: scan every waiting sequence, keep the arrived
 ones, sort (``tests/test_serving_generation.py``).
 
+The backend memoizes its prices: an iteration's price is one call that
+reads a dict, and the service model is asked only for a price the backend
+has not quoted before.
+
 Requests opt in through the :class:`~repro.serving.engine.Request`
 generation profile: ``prefill_tokens`` (prompt length) and
 ``max_new_tokens`` (tokens to generate, counting the one the prefill
@@ -60,7 +64,12 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from repro.data.traces import RequestTrace
-from repro.serving.core import RequestStore, check_arrivals, check_integer
+from repro.serving.core import (
+    RequestStore,
+    check_arrivals,
+    check_integer,
+    check_ratio,
+)
 from repro.serving.engine import Request
 from repro.serving.metrics import streaming_summary
 from repro.serving.policies import (
@@ -226,16 +235,39 @@ class TokenBudgetAdmission:
 # Generation backend (what one iteration costs)
 # ----------------------------------------------------------------------
 class ModeledGenerationBackend:
-    """Analytic prefill/decode costs from a :class:`ServiceTimeModel`."""
+    """Analytic prefill/decode costs from a :class:`ServiceTimeModel`.
+
+    Each method memoizes its prices for the backend's lifetime, keyed by
+    its arguments, and asks the service model only on a miss.  A price is
+    a pure function of the model, so ``service_model`` is read-only.
+    """
 
     def __init__(self, service_model) -> None:
-        self.service_model = service_model
+        self._service_model = service_model
+        self._prefill: Dict[Tuple[int, str, float], float] = {}
+        self._decode: Dict[Tuple[int, str, float], float] = {}
+
+    @property
+    def service_model(self):
+        return self._service_model
 
     def prefill_seconds(self, prompt_tokens: int, mode: str, ratio: float) -> float:
-        return self.service_model.prefill_latency(prompt_tokens, mode, ratio)
+        key = (prompt_tokens, mode, ratio)
+        try:
+            return self._prefill[key]
+        except KeyError:
+            price = self._service_model.prefill_latency(prompt_tokens, mode, ratio)
+            self._prefill[key] = price
+            return price
 
     def decode_seconds(self, width: int, mode: str, ratio: float) -> float:
-        return self.service_model.decode_latency(width, mode, ratio)
+        key = (width, mode, ratio)
+        try:
+            return self._decode[key]
+        except KeyError:
+            price = self._service_model.decode_latency(width, mode, ratio)
+            self._decode[key] = price
+            return price
 
 
 # ----------------------------------------------------------------------
@@ -361,9 +393,10 @@ class _GenSession:
     admission policy; joiners leave it.  Starts never move backwards, so
     every sequence in ``arrived`` has arrived by the start at hand.
 
-    ``ends`` holds each iteration's end time (what every sequence derives
-    its tokens from), ``in_flight`` the running batch's token footprint and
-    ``retiring`` each iteration's sequences that emit their last token in it.
+    ``ends`` holds each iteration's end time, what every sequence derives its
+    tokens from, beside the ``iterations`` records.  ``in_flight`` is the
+    running batch's token footprint and ``retiring`` each iteration's
+    sequences that emit their last token in it.
     """
 
     def __init__(self, sequences: List[SequenceState], ends: List[float]) -> None:
@@ -389,11 +422,13 @@ class IterationScheduler:
     ``admission`` picks the joiners at each boundary (default
     :class:`FcfsAdmission`) from the arrived queue in FIFO order.
     ``policy`` selects the 4-bit ratio once per iteration and receives the
-    generation step context, so precision can switch mid-sequence.
+    generation step context, so precision can switch mid-sequence; every
+    ratio it returns is checked, priced or not.
 
     Drive it like the engine: :meth:`run` for a whole request list, or
     :meth:`start` / :meth:`step` / :meth:`finish` to read the session
-    between iterations.
+    between iterations; :meth:`finish` drains the loop without going
+    through :meth:`step`.
     """
 
     def __init__(
@@ -443,26 +478,16 @@ class IterationScheduler:
         self._session = _GenSession(sequences, ends)
 
     def step(self) -> Optional[IterationRecord]:
-        """Run the next iteration; ``None`` when done.
-
-        A busy server starts at its own clock; an idle one with an empty
-        queue waits for the next arrival.
-        """
+        """Run the next iteration and return its record; ``None`` when done."""
         s = self._require_session()
-        start = s.free_at
-        if not s.running and not s.arrived:
-            if s.pos == len(s.sequences):
-                return None
-            ready = s.sequences[s.pos].arrival
-            if ready > start:  # max(), keeping its tie result
-                start = ready
-        return self._iterate(s, start)
+        return s.iterations[-1] if self._iterate(s) else None
 
     def finish(self) -> GenerationResult:
         """Drain every sequence, close the session, return the result."""
         s = self._require_session()
+        iterate = self._iterate
         try:
-            while self.step() is not None:
+            while iterate(s):
                 pass
         finally:
             self._session = None
@@ -491,10 +516,23 @@ class IterationScheduler:
         s.pos = pos
         return arrived
 
-    def _iterate(self, s: _GenSession, start: float) -> IterationRecord:
+    def _iterate(self, s: _GenSession) -> bool:
+        """Run the session's next iteration and record it; ``False`` when
+        every sequence is done.
+
+        A busy server starts at its own clock; an idle one with an empty
+        queue waits for the next arrival.
+        """
+        start = s.free_at
+        running = s.running
+        if not running and not s.arrived:
+            if s.pos == len(s.sequences):
+                return False
+            ready = s.sequences[s.pos].arrival
+            if ready > start:  # max(), keeping its tie result
+                start = ready
         backend = self.backend
         candidates = self._candidates(s, start)
-        running = s.running
         width = len(running)
         free_slots = self.max_batch - width
         joiners: List[SequenceState] = []
@@ -540,12 +578,14 @@ class IterationScheduler:
             ),
         )
         ratio = float(self.policy.select(context))
+        if not 0.0 <= ratio <= 1.0:  # every ratio, priced or not; NaN too
+            check_ratio(ratio)  # raises its error
 
         t = start
+        retiring = s.retiring
         if joiners:
             joined = {seq.slot for seq in joiners}
             s.arrived = [seq for seq in s.arrived if seq.slot not in joined]
-            retiring = s.retiring
             for seq in joiners:
                 t += backend.prefill_seconds(seq.prompt_tokens, _MODE, ratio)
                 seq.joined = iteration
@@ -560,22 +600,22 @@ class IterationScheduler:
             s.in_flight += decode_width
         s.ends.append(t)
 
-        retirees = s.retiring.pop(iteration, None)
-        if retirees:  # the survivors, in running order, are the new batch
+        if iteration in retiring:
+            retirees = retiring.pop(iteration)
             gone = {seq.slot for seq in retirees}
             for seq in retirees:
                 s.in_flight -= seq.prompt_tokens + seq.max_new_tokens
+            # The survivors, in running order, are the new batch.
             s.running = [seq for seq in running if seq.slot not in gone]
 
         size = prefills + decode_width
-        record = IterationRecord(  # positionally, in field order
+        s.iterations.append(IterationRecord(  # positionally, in field order
             start, t, size, ratio, queue_depth, iteration, prefills,
             decode_width, size,
-        )
-        s.iterations.append(record)
+        ))
         s.busy += t - start
         s.free_at = t
-        return record
+        return True
 
     # ------------------------------------------------------------------
     # Finalization

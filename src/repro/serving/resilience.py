@@ -86,7 +86,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         BatchExecution,
         BatchRecord,
         Executor,
-        Request,
     )
 
 
@@ -385,21 +384,17 @@ class Migrant:
 
     ``slot`` is the engine's stable admission slot, ``arrival`` the original
     arrival time (latency is always charged from it — migration shows up as
-    response time, never hides), ``deadline``/``request`` carry the
-    request's scheduler metadata (``request`` is the caller's object where
-    there is one, a view materialized from the session's store otherwise —
-    a bare trace's request has only its arrival), and ``migrations`` counts
-    moves *before* this preemption.  ``progress`` is the fraction of the request's service
-    already completed and checkpointed (0.0 without a
-    :class:`CheckpointPolicy`): a migrant with ``progress > 0`` resumes with
-    only ``1 - progress`` of its service demand, which migration policies
-    may weigh when planning.
+    response time, never hides), ``deadline`` its deadline (``None``: it has
+    none) and ``migrations`` counts moves *before* this preemption.
+    ``progress`` is the fraction of the request's service already completed
+    and checkpointed (0.0 without a :class:`CheckpointPolicy`): a migrant
+    with ``progress > 0`` resumes with only ``1 - progress`` of its service
+    demand, which migration policies may weigh when planning.
     """
 
     slot: int
     arrival: float
     deadline: Optional[float] = None
-    request: Optional["Request"] = None
     migrations: int = 0
     progress: float = 0.0
 

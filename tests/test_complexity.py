@@ -3,12 +3,15 @@
 A claim here says how a loop's work grows with its input.  The test counts
 the Python and C function calls the loop makes (the ``call`` and ``c_call``
 events of ``sys.setprofile``) on inputs of growing size, so it holds on any
-machine under any load.
+machine under any load.  Where a count is pinned, a change that raises it
+fails with the ten call sites that made the most calls.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
+from typing import Callable, Tuple
 
 from repro.data.traces import PoissonTrace
 from repro.serving import (
@@ -32,11 +35,45 @@ DECODE_FRACTION = 0.05
 PRESSURE_THRESHOLD = 900
 WAITING_WEIGHT = 64.0
 
+#: Calls of the 30-step decode-only probe at every batch width.
+DECODE_PROBE_CALLS = 484
+#: Ceiling on calls per iteration over the 4 s mix.
+MIX_CALLS_PER_ITERATION = 20.3
 
-def _calls_per_iteration(duration: float) -> float:
+
+def count_calls(fn: Callable[[], object]) -> Tuple[int, Counter]:
+    """The Python and C calls ``fn()`` makes: the total and a ``Counter``
+    keyed by call site (``caller file:line -> callee``)."""
+    sites: Counter = Counter()
+
+    def count(frame, event, arg):
+        if event == "call":
+            caller, callee = frame.f_back, frame.f_code.co_qualname
+        elif event == "c_call":
+            caller, callee = frame, getattr(arg, "__qualname__", repr(arg))
+        else:
+            return
+        where = caller.f_code.co_filename.rsplit("/", 1)[-1]
+        sites[f"{where}:{caller.f_lineno} -> {callee}"] += 1
+
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return sum(sites.values()), sites
+
+
+def top_sites(sites: Counter, label: str = "") -> str:
+    """The ten call sites with the most calls, one a line."""
+    lines = [f"{calls:8d}  {site}" for site, calls in sites.most_common(10)]
+    return "\n".join([f"top call sites {label}".rstrip(), *lines])
+
+
+def _calls_per_iteration(duration: float) -> Tuple[float, Counter]:
     """Calls one ``IterationScheduler.run`` over a ``duration``-second trace
-    makes per iteration, after a five-request warm-up run (the cost model
-    memoizes each latency on first use)."""
+    makes per iteration, and their sites, after a five-request warm-up run
+    (the cost model memoizes each latency on first use)."""
     trace = PoissonTrace(RATE, duration=duration, seed=SEED).generate()
     requests = requests_from_trace(
         trace, model="m",
@@ -53,30 +90,31 @@ def _calls_per_iteration(duration: float) -> float:
         ),
     )
     scheduler.run(requests[:5])
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" or event == "c_call":
-            calls += 1
-
-    sys.setprofile(count)
-    try:
-        result = scheduler.run(requests)
-    finally:
-        sys.setprofile(None)
-    return calls / len(result.iterations)
+    results = []
+    calls, sites = count_calls(lambda: results.append(scheduler.run(requests)))
+    return calls / len(results[0].iterations), sites
 
 
 def test_generation_pays_per_iteration_not_per_trace_length():
-    """``IterationScheduler`` does O(running batch + queue depth) work per
-    iteration, whatever the length of the trace: doubling the trace twice
-    does not raise the calls per iteration."""
-    counts = [_calls_per_iteration(seconds) for seconds in (1.0, 2.0, 4.0)]
-    assert counts == sorted(counts, reverse=True), counts
+    """``IterationScheduler`` does O(joins + retirements + queue depth) work
+    per iteration, whatever the length of the trace: doubling the trace
+    twice does not raise the calls per iteration."""
+    measured = [_calls_per_iteration(seconds) for seconds in (1.0, 2.0, 4.0)]
+    counts = [calls for calls, _ in measured]
+    assert counts == sorted(counts, reverse=True), "\n".join(
+        [str(counts), *(top_sites(sites, f"at {s:g} s") for s, (_, sites) in
+                        zip((1.0, 2.0, 4.0), measured))]
+    )
 
 
-def _calls_per_decode_iteration(width: int, steps: int = 30) -> int:
+def test_generation_calls_per_iteration_are_pinned():
+    """An iteration over the mix reads each price from the backend's memo
+    with one call: the calls per iteration stay under the pinned ceiling."""
+    calls, sites = _calls_per_iteration(4.0)
+    assert calls <= MIX_CALLS_PER_ITERATION, f"{calls:.2f}\n{top_sites(sites)}"
+
+
+def _calls_per_decode_iteration(width: int, steps: int = 30) -> Tuple[int, Counter]:
     """Calls ``steps`` decode-only iterations make over a batch ``width``
     sequences wide: every sequence joins in the first iteration and none
     retires before the last counted one (the cost model is warmed by one
@@ -95,27 +133,22 @@ def _calls_per_decode_iteration(width: int, steps: int = 30) -> int:
     scheduler.run(requests)
     scheduler.start(requests)
     assert scheduler.step().prefills == width
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" or event == "c_call":
-            calls += 1
-
-    sys.setprofile(count)
-    try:
-        records = [scheduler.step() for _ in range(steps)]
-    finally:
-        sys.setprofile(None)
+    records = []
+    calls, sites = count_calls(
+        lambda: records.extend([scheduler.step() for _ in range(steps)])
+    )
     assert all(r.prefills == 0 and r.decode_width == width for r in records)
     scheduler.finish()
-    return calls
+    return calls, sites
 
 
 def test_decode_iteration_cost_does_not_grow_with_batch_width():
     """A decode iteration touches no sequence: the running sequences'
     tokens are derived from the iteration they joined and the iteration
     end times, so 30 decode-only iterations make the same calls whatever
-    the batch width."""
-    counts = [_calls_per_decode_iteration(width) for width in (1, 2, 4, 8, 16)]
-    assert len(set(counts)) == 1, counts
+    the batch width -- exactly the pinned count."""
+    for width in (1, 2, 4, 8, 16):
+        calls, sites = _calls_per_decode_iteration(width)
+        assert calls == DECODE_PROBE_CALLS, (
+            f"width {width}: {calls} calls\n{top_sites(sites)}"
+        )

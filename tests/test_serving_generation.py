@@ -14,7 +14,8 @@ of the whole waiting set, on generated runs (``TestReadyQueueAgainstSpec``),
 and each iteration those runs execute against a naive restatement of it
 (joiners, prefill costs in joiner order, one decode, retirees in running
 order); its cost is gated by counted calls, not wall-clock
-(``tests/test_complexity.py``).
+(``tests/test_complexity.py``).  ``TestIterationRecords`` checks the
+records a run keeps and the backend's price memo.
 """
 
 from __future__ import annotations
@@ -425,6 +426,25 @@ class TestMidSequenceRatio:
             DecodePressureRatioPolicy(pressure_threshold=900, waiting_weight=weight)
         assert DecodePressureRatioPolicy(900, waiting_weight=0).waiting_weight == 0.0
 
+    @pytest.mark.parametrize("ratio", [math.nan, 1.5, -0.1])
+    def test_an_unpriced_ratio_is_refused(self, backend, ratio):
+        # An empty prompt that emits only its prefill token costs nothing, so
+        # no price is read: the ratio is refused all the same.
+        scheduler = IterationScheduler(backend, policy=_Answering(ratio))
+        with pytest.raises(ValueError, match="ratio"):
+            scheduler.run(gen_requests([(0.0, 0, 1)]))
+
+
+class _Answering(FixedRatioPolicy):
+    """Answers ``answer``, whatever it is."""
+
+    def __init__(self, answer):
+        super().__init__(0.0)
+        self.answer = answer
+
+    def select(self, context):
+        return self.answer
+
 
 # ----------------------------------------------------------------------
 # Derived progress: a sequence's tokens are read, never stored
@@ -464,6 +484,77 @@ class TestDerivedProgress:
         waiting = scheduler._session.sequences[1]
         assert (waiting.generated, waiting.token_times, waiting.finish_time) == (0, [], None)
         scheduler.finish()
+
+
+# ----------------------------------------------------------------------
+# Iteration records and the backend's price memo
+# ----------------------------------------------------------------------
+def pressure_scheduler(backend, max_batch=4):
+    return IterationScheduler(
+        backend, max_batch=max_batch, admission=PrefillPriorityAdmission(),
+        policy=DecodePressureRatioPolicy(pressure_threshold=900, waiting_weight=64.0),
+    )
+
+
+def outcome_bytes(result):
+    """Every iteration, response, duration and busy time, as exact text."""
+    return repr((
+        result.iterations, result.responses, result.duration,
+        result.server_busy_times,
+    ))
+
+
+class TestIterationRecords:
+    def test_the_result_keeps_the_records_step_returned(self, backend):
+        scheduler = pressure_scheduler(backend)
+        scheduler.start(mixed_trace(rate=200, duration=0.5))
+        stepped = [scheduler.step() for _ in range(7)]
+        iterations = scheduler.finish().iterations
+        assert type(iterations) is list and len(iterations) > 7
+        assert all(kept is record for kept, record in zip(iterations, stepped))
+        assert [record.iteration for record in iterations] == list(range(len(iterations)))
+
+    def test_run_to_completion_returns_a_list(self, backend):
+        result = run_to_completion(mixed_trace(duration=0.5), backend, max_batch=4)
+        assert type(result.iterations) is list and result.iterations
+
+    def test_a_warm_backend_asks_the_model_nothing(self, gen_model, monkeypatch):
+        backend = ModeledGenerationBackend(gen_model)
+        requests = mixed_trace(duration=0.5)
+        cold = pressure_scheduler(backend).run(requests)
+
+        def unpriced(*args):
+            raise AssertionError(f"a warm backend priced {args} again")
+
+        monkeypatch.setattr(gen_model, "prefill_latency", unpriced)
+        monkeypatch.setattr(gen_model, "decode_latency", unpriced)
+        warm = pressure_scheduler(backend).run(requests)
+        assert outcome_bytes(warm) == outcome_bytes(cold)
+
+    def test_every_price_goes_through_the_backend_methods(self, gen_model):
+        # A wrapper on the instance's methods sees every price an iteration
+        # pays, memoized or not: one per prefill, one per decode step.
+        backend = ModeledGenerationBackend(gen_model)
+        seen = {"prefill_seconds": 0, "decode_seconds": 0}
+        for name in seen:
+            method = getattr(backend, name)
+
+            def counted(*args, name=name, method=method):
+                seen[name] += 1
+                return method(*args)
+
+            setattr(backend, name, counted)
+        result = pressure_scheduler(backend).run(mixed_trace(duration=0.5))
+        assert seen == {
+            "prefill_seconds": sum(record.prefills for record in result.iterations),
+            "decode_seconds": sum(1 for record in result.iterations if record.decode_width),
+        }
+
+    def test_the_service_model_is_read_only(self, gen_model):
+        backend = ModeledGenerationBackend(gen_model)
+        assert backend.service_model is gen_model
+        with pytest.raises(AttributeError):
+            backend.service_model = ServiceTimeModel("vit_base", gpu="a6000")
 
 
 # ----------------------------------------------------------------------
