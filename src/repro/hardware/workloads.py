@@ -11,7 +11,7 @@ the GPU/NPU latency models consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, Dict, List
 
 
 @dataclass(frozen=True)
@@ -319,21 +319,24 @@ def resnet34_ops(batch: int, image: int = 224) -> List[LayerOp]:
     return resnet_ops(batch, stage_blocks=(3, 4, 6, 3), image=image, bottleneck=False)
 
 
+#: Builder of each registry model's paper-scale layer operations, by name.
+_SHAPES: Dict[str, Callable[[int], List[LayerOp]]] = {
+    "vit_base": vit_ops,
+    "deit_base": deit_base_ops,
+    "vit_small": vit_small_ops,
+    "deit_small": vit_small_ops,
+    "swin_small": swin_ops,
+    "swin_base": lambda batch: swin_ops(batch, embed_dim=128),
+    "resnet18": resnet_ops,
+    "resnet34": resnet34_ops,
+    "resnet50": resnet50_ops,
+    "resnet20": lambda batch: resnet_ops(batch, stage_blocks=(3, 3, 3), image=32),
+    "mobilenet_v2": lambda batch: resnet_ops(batch, stage_blocks=(1, 2, 3, 4), image=224),
+}
+
+
 def model_ops(model_name: str, batch: int) -> List[LayerOp]:
     """Paper-scale layer operations for a registry model name."""
-    builders = {
-        "vit_base": lambda: vit_ops(batch),
-        "deit_base": lambda: deit_base_ops(batch),
-        "vit_small": lambda: vit_small_ops(batch),
-        "deit_small": lambda: vit_small_ops(batch),
-        "swin_small": lambda: swin_ops(batch),
-        "swin_base": lambda: swin_ops(batch, embed_dim=128),
-        "resnet18": lambda: resnet_ops(batch),
-        "resnet34": lambda: resnet34_ops(batch),
-        "resnet50": lambda: resnet50_ops(batch),
-        "resnet20": lambda: resnet_ops(batch, stage_blocks=(3, 3, 3), image=32),
-        "mobilenet_v2": lambda: resnet_ops(batch, stage_blocks=(1, 2, 3, 4), image=224),
-    }
-    if model_name not in builders:
+    if model_name not in _SHAPES:
         raise KeyError(f"no workload shapes registered for {model_name!r}")
-    return builders[model_name]()
+    return _SHAPES[model_name](batch)

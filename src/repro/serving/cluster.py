@@ -899,30 +899,21 @@ class ClusterEngine:
         measured at) — so a named placer resolved before :meth:`register`
         still estimates the precision that actually runs.
 
-        Each estimator is a pure table: ``estimate_batch_seconds`` is asked
-        once per distinct ``(batch size, resolved mode)`` of the spec's
-        current ``service_model`` and the float is kept, so a placer scoring
-        every candidate server for every batch pays a dict lookup, not the
-        latency model.
+        An estimator keeps nothing: it reads the price table of the spec's
+        current ``service_model`` (``batch_latency``), so scoring a server
+        costs a table read and the model computes each size once, whoever
+        else reads it.
         """
 
         registered = self._estimator_mode
 
         def estimator(spec: ServerSpec) -> ServiceEstimator:
-            model, table = spec.service_model, {}
-
             def estimate(batch: int) -> float:
-                nonlocal model, table
-                if spec.service_model is not model:  # rebound: start over
-                    model, table = spec.service_model, {}
                 resolved = mode if mode is not None else registered[0]
-                key = (batch, resolved)
-                seconds = table.get(key)
-                if seconds is None:
-                    seconds = table[key] = spec.estimate_batch_seconds(
-                        batch, mode=resolved
-                    )
-                return seconds
+                model = spec.service_model
+                if model is None:
+                    return spec.estimate_batch_seconds(batch, mode=resolved)
+                return model.batch_latency(batch, resolved)
 
             return estimate
 

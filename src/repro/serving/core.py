@@ -54,7 +54,7 @@ from heapq import heapify, heapreplace
 from itertools import compress
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -693,8 +693,8 @@ class FifoSweep:
     expired-prefix drop predicate (``start - arrival > drop_after``
     re-applied exactly at the searchsorted boundary), same at-least-one
     batch rule, and ``finish = start + service`` with the *same* service
-    times (``latency_tables[server][size]`` must be the executor's
-    ``batch_latency`` evaluated per size).  ``advance`` mutates
+    times (``latency_tables[server]`` is the server's model's price table,
+    ``ServiceTimeModel.table``, held, not copied).  ``advance`` mutates
     ``free_at``/``busy`` in place, exactly as the object loop leaves them.
 
     The pending arrivals are ``arr``, one ``array("d")`` (8 bytes each,
@@ -737,7 +737,7 @@ class FifoSweep:
 
     def advance(
         self, free_at: List[float], busy: List[float], active: Sequence[int],
-        latency_tables: Dict[int, Sequence[float]], max_batch: int,
+        latency_tables: Dict[int, Mapping[int, float]], max_batch: int,
         drop_after: Optional[float], limit: Optional[int] = None,
     ) -> int:
         """Dispatch pending arrivals, by the rules in the class docstring,

@@ -592,11 +592,11 @@ class _Session:
         self.ledger = BatchLedger()
         # For ResponseView: each drop cohort's (slots, time).
         self.drops: List[Tuple[np.ndarray, float]] = []
-        # The sweep while it dispatches the batches, its per-server
-        # service-time tables; which kernel dispatched (None until the first
-        # dispatch decides) and why.
+        # The sweep while it dispatches the batches, each server's price
+        # table (its model's, held); which kernel dispatched (None until the
+        # first dispatch decides) and why.
         self.sweep: Optional[FifoSweep] = None
-        self.tables: Dict[int, List[float]] = {}
+        self.tables: Dict[int, Dict[int, float]] = {}
         self.kernel: Optional[str] = None
         self.reason: Optional[str] = None
         # Per-slot move counts and the run total (resilience accounting).
@@ -1330,19 +1330,14 @@ class ServingEngine:
             # every row the sweep writes is billed to this cohort.
             s.ledger.cohort = (model, endpoint.mode, float(endpoint.policy.ratio))
             s.kernel, s.sweep = "sweep", FifoSweep(s.pend_arrivals, s.ledger)
-        # One service-time table per active server, as long as the largest
-        # batch the requests so far can form: for a fixed mode/ratio the modeled
-        # (and memoised) ``batch_latency`` is a function of the size alone.
+        # Each active server's price table for the cohort's (mode, ratio),
+        # holding every batch the requests so far can form.
         _, mode, ratio = s.ledger.cohort
         size_cap = min(int(self.batching.max_batch), len(s.store))
         for server in s.active:
-            table = s.tables.setdefault(server, [0.0])
-            if len(table) <= size_cap:
-                latency = endpoint.executors[server].service_model.batch_latency
-                table.extend(
-                    float(latency(size, mode, ratio))
-                    for size in range(len(table), size_cap + 1)
-                )
+            s.tables[server] = endpoint.executors[server].service_model.table(
+                mode, ratio, range(1, size_cap + 1)
+            )
         return s.sweep
 
     def _trace_sweep(self, s: _Session) -> None:

@@ -32,9 +32,9 @@ the batch width or the trace length.  The specification this is tested
 against is the naive one: scan every waiting sequence, keep the arrived
 ones, sort (``tests/test_serving_generation.py``).
 
-The backend memoizes its prices: an iteration's price is one call that
-reads a dict, and the service model is asked only for a price the backend
-has not quoted before.
+A price is one call into the service model, which reads its price table
+for the iteration's (mode, ratio); the model computes a size only the first
+time anybody asks for it.
 
 Requests opt in through the :class:`~repro.serving.engine.Request`
 generation profile: ``prefill_tokens`` (prompt length) and
@@ -237,37 +237,21 @@ class TokenBudgetAdmission:
 class ModeledGenerationBackend:
     """Analytic prefill/decode costs from a :class:`ServiceTimeModel`.
 
-    Each method memoizes its prices for the backend's lifetime, keyed by
-    its arguments, and asks the service model only on a miss.  A price is
-    a pure function of the model, so ``service_model`` is read-only.
+    ``prefill_seconds`` and ``decode_seconds`` are the model's own
+    ``prefill_latency`` and ``decode_latency``, bound here: a price is one
+    call that reads the model's price table for (mode, ratio), and the
+    backend keeps nothing of its own.  ``service_model`` is read-only, since
+    the two methods are bound to it.
     """
 
     def __init__(self, service_model) -> None:
         self._service_model = service_model
-        self._prefill: Dict[Tuple[int, str, float], float] = {}
-        self._decode: Dict[Tuple[int, str, float], float] = {}
+        self.prefill_seconds = service_model.prefill_latency
+        self.decode_seconds = service_model.decode_latency
 
     @property
     def service_model(self):
         return self._service_model
-
-    def prefill_seconds(self, prompt_tokens: int, mode: str, ratio: float) -> float:
-        key = (prompt_tokens, mode, ratio)
-        try:
-            return self._prefill[key]
-        except KeyError:
-            price = self._service_model.prefill_latency(prompt_tokens, mode, ratio)
-            self._prefill[key] = price
-            return price
-
-    def decode_seconds(self, width: int, mode: str, ratio: float) -> float:
-        key = (width, mode, ratio)
-        try:
-            return self._decode[key]
-        except KeyError:
-            price = self._service_model.decode_latency(width, mode, ratio)
-            self._decode[key] = price
-            return price
 
 
 # ----------------------------------------------------------------------

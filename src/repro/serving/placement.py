@@ -150,7 +150,8 @@ def _validated_speeds(speeds: Sequence[float]) -> List[float]:
 #: placer calls it once per candidate server per batch and never memoises
 #: the answer, so a caller's estimator may be stateful (a live measurement, a
 #: degradation factor); the ones :meth:`repro.serving.cluster.ClusterEngine.
-#: batch_estimators` builds are pure tables and cost a dict lookup.
+#: batch_estimators` builds keep nothing and read the server's model's price
+#: table (``ServiceTimeModel.table``).
 ServiceEstimator = Callable[[int], float]
 
 

@@ -12,29 +12,31 @@ queueing delay plus the service time of the batch it rode in.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.hardware.gpu import GpuLatencyModel
-from repro.hardware.workloads import model_ops
+from repro.hardware.workloads import _SHAPES, model_ops
 from repro.serving.core import check_integer, check_positive, check_ratio
 
 
 class ServiceTimeModel:
     """Maps (mode, 4-bit ratio, batch size) to a batch service time.
 
-    Latency is precomputed from the hardware model at a set of anchor batch
-    sizes and linearly interpolated in between, so the discrete-event loop
-    stays cheap even for millions of requests.  Batch sizes beyond the
-    largest anchor are computed exactly from the hardware model and cached
-    on demand (``np.interp`` would silently clamp them to the last anchor's
-    latency, under-reporting service time for ``max_batch`` above the
-    anchor range).
+    Every price is in one table per (mode, ratio), batch size -> seconds,
+    filled on demand (:meth:`table`): a size is computed the first time
+    anybody asks for it, by linear interpolation between the hardware
+    model's latencies at the anchor batch sizes (computed once per (mode,
+    ratio)), or past the last anchor as the exact hardware-model latency
+    (``np.interp`` would clamp it, under-reporting ``max_batch`` above the
+    anchors).  Every reader -- executors, the engine's sweep, the cluster's
+    placement estimators, generation -- holds that table or reads it
+    through the price methods; none keeps a memo of its own.
 
     For autoregressive workloads the model also exposes a prefill-vs-decode
-    cost split (:meth:`prefill_latency` / :meth:`decode_latency`) built on
-    the same anchors: a prefill processes a whole prompt in parallel, so its
+    cost split (:meth:`prefill_latency` / :meth:`decode_latency`) read from
+    the same table: a prefill processes a whole prompt in parallel, so its
     cost scales with prompt tokens (``prefill_tokens_per_sample`` tokens
     cost one batch-1 forward); a decode step processes one token per live
     sequence, so its cost scales with the batch *width* and is a
@@ -52,10 +54,15 @@ class ServiceTimeModel:
         prefill_tokens_per_sample: int = 64,
         decode_token_fraction: Optional[float] = None,
     ) -> None:
-        self.model_name = model_name
-        self.latency_model = latency_model or GpuLatencyModel(gpu)
         # Every argument is refused here, not at the first batch that reads
         # it: a NaN fraction makes every decode step NaN seconds long.
+        if model_name not in _SHAPES:
+            raise ValueError(
+                f"unknown model {model_name!r}; known models: "
+                f"{', '.join(sorted(_SHAPES))}"
+            )
+        self.model_name = model_name
+        self.latency_model = latency_model or GpuLatencyModel(gpu)
         self.anchor_batches = sorted(
             {check_integer("anchor batch", b, 1) for b in anchor_batches}
         )
@@ -69,46 +76,52 @@ class ServiceTimeModel:
         self.decode_token_fraction = check_positive(
             "decode_token_fraction", decode_token_fraction
         )
-        # Anchor latencies per (mode, ratio).  The ratio is keyed as the
+        # Anchor latencies and price tables by (mode, ratio), the ratio as the
         # float itself: rounding it (the seed used ``f"{ratio:.3f}"``) made
         # distinct ratios within 5e-4 return each other's latencies.
-        self._cache: Dict[Tuple[str, float], np.ndarray] = {}
-        # batch_latency results.  The anchors above never change once
-        # built, so a latency is a pure function of its arguments.  One
-        # entry per distinct (batch_size, mode, ratio) asked for.
-        self._latencies: Dict[Tuple[int, str, float], float] = {}
+        self._anchors: Dict[Tuple[str, float], np.ndarray] = {}
+        self._tables: Dict[Tuple[str, float], Dict[int, float]] = {}
 
-    def _anchor_latencies(self, mode: str, ratio: float) -> np.ndarray:
+    def _latency(self, batch: int, mode: str, ratio: float) -> float:
+        """The hardware model's latency for one ``batch``-sized forward."""
+        ops = model_ops(self.model_name, batch)
+        return self.latency_model.model_latency(ops, mode, four_bit_ratio=ratio)
+
+    def table(
+        self, mode: str, ratio: float, sizes: Iterable[int] = ()
+    ) -> Dict[int, float]:
+        """The (mode, ratio) price table, holding at least ``sizes``: the
+        same dict on every call, which only ever gains entries.  The ratio is
+        checked when first seen and a size when first computed, so reading a
+        price already in the table costs nothing."""
         key = (mode, ratio)
-        if key not in self._cache:
-            values = []
-            for batch in self.anchor_batches:
-                ops = model_ops(self.model_name, batch)
-                values.append(
-                    self.latency_model.model_latency(ops, mode, four_bit_ratio=ratio)
-                )
-            self._cache[key] = np.asarray(values)
-        return self._cache[key]
+        table = self._tables.get(key)
+        if table is None:
+            check_ratio(ratio)  # a nan would become every later clock
+            table = self._tables[key] = {}
+        last = self.anchor_batches[-1]
+        for size in sizes:
+            if size not in table:
+                size = check_integer("batch size", size, 1)
+                if size > last:
+                    table[size] = float(self._latency(size, mode, ratio))
+                else:
+                    anchors = self._anchors.get(key)
+                    if anchors is None:
+                        anchors = self._anchors[key] = np.asarray(
+                            [self._latency(b, mode, ratio) for b in self.anchor_batches]
+                        )
+                    table[size] = float(np.interp(size, self.anchor_batches, anchors))
+        return table
 
     def batch_latency(self, batch_size: int, mode: str, ratio: float = 0.0) -> float:
-        """Service time (seconds) for one batch."""
-        if batch_size <= 0:
-            return 0.0
-        key = (batch_size, mode, ratio)
-        latency = self._latencies.get(key)
-        if latency is None:
-            check_ratio(ratio)  # on a miss only: a nan would become every later clock
-            if batch_size > self.anchor_batches[-1]:
-                # Exact (non-interpolated) hardware-model latency.
-                ops = model_ops(self.model_name, int(batch_size))
-                latency = float(
-                    self.latency_model.model_latency(ops, mode, four_bit_ratio=ratio)
-                )
-            else:
-                anchors = self._anchor_latencies(mode, ratio)
-                latency = float(np.interp(batch_size, self.anchor_batches, anchors))
-            self._latencies[key] = latency
-        return latency
+        """Service time (seconds) for one batch; nothing for an empty one."""
+        try:
+            return self._tables[mode, ratio][batch_size]
+        except KeyError:
+            if batch_size <= 0:
+                return 0.0
+            return self.table(mode, ratio, (batch_size,))[batch_size]
 
     def prefill_latency(
         self, prompt_tokens: int, mode: str, ratio: float = 0.0
@@ -121,10 +134,14 @@ class ServiceTimeModel:
         sub-linear batching efficiency applied.  Zero-length prompts (pure
         decode continuations) cost nothing.
         """
-        if prompt_tokens <= 0:
-            return 0.0
-        equivalent = -(-int(prompt_tokens) // self.prefill_tokens_per_sample)
-        return self.batch_latency(equivalent, mode, ratio)
+        equivalent = -(-prompt_tokens // self.prefill_tokens_per_sample)
+        try:
+            return self._tables[mode, ratio][equivalent]
+        except KeyError:
+            if prompt_tokens <= 0:
+                return 0.0
+            check_integer("prompt_tokens", prompt_tokens, 1)
+            return self.table(mode, ratio, (equivalent,))[equivalent]
 
     def decode_latency(self, width: int, mode: str, ratio: float = 0.0) -> float:
         """Seconds for one decode step over ``width`` live sequences.
@@ -133,6 +150,10 @@ class ServiceTimeModel:
         forward at per-token compute: ``decode_token_fraction`` of the
         equally-wide one-shot batch latency.  An empty step costs nothing.
         """
-        if width <= 0:
-            return 0.0
-        return self.batch_latency(int(width), mode, ratio) * self.decode_token_fraction
+        try:
+            return self._tables[mode, ratio][width] * self.decode_token_fraction
+        except KeyError:
+            if width <= 0:
+                return 0.0
+            check_integer("width", width, 1)
+            return self.table(mode, ratio, (width,))[width] * self.decode_token_fraction

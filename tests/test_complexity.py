@@ -15,11 +15,15 @@ from typing import Callable, Tuple
 
 from repro.data.traces import PoissonTrace
 from repro.serving import (
+    BatchingConfig,
+    ClusterEngine,
     DecodePressureRatioPolicy,
+    EdfScheduler,
     IterationScheduler,
     ModeledGenerationBackend,
     PrefillPriorityAdmission,
     Request,
+    ServerSpec,
     ServiceTimeModel,
     requests_from_trace,
 )
@@ -39,6 +43,8 @@ WAITING_WEIGHT = 64.0
 DECODE_PROBE_CALLS = 484
 #: Ceiling on calls per iteration over the 4 s mix.
 MIX_CALLS_PER_ITERATION = 20.3
+#: Ceiling on calls per batch of the small EDF + ``least_work`` cluster run.
+CLUSTER_CALLS_PER_BATCH = 70.4
 
 
 def count_calls(fn: Callable[[], object]) -> Tuple[int, Counter]:
@@ -73,7 +79,7 @@ def top_sites(sites: Counter, label: str = "") -> str:
 def _calls_per_iteration(duration: float) -> Tuple[float, Counter]:
     """Calls one ``IterationScheduler.run`` over a ``duration``-second trace
     makes per iteration, and their sites, after a five-request warm-up run
-    (the cost model memoizes each latency on first use)."""
+    (the model computes each price on first use)."""
     trace = PoissonTrace(RATE, duration=duration, seed=SEED).generate()
     requests = requests_from_trace(
         trace, model="m",
@@ -108,7 +114,7 @@ def test_generation_pays_per_iteration_not_per_trace_length():
 
 
 def test_generation_calls_per_iteration_are_pinned():
-    """An iteration over the mix reads each price from the backend's memo
+    """An iteration over the mix reads each price from the model's table
     with one call: the calls per iteration stay under the pinned ceiling."""
     calls, sites = _calls_per_iteration(4.0)
     assert calls <= MIX_CALLS_PER_ITERATION, f"{calls:.2f}\n{top_sites(sites)}"
@@ -152,3 +158,32 @@ def test_decode_iteration_cost_does_not_grow_with_batch_width():
         assert calls == DECODE_PROBE_CALLS, (
             f"width {width}: {calls} calls\n{top_sites(sites)}"
         )
+
+
+def _calls_per_cluster_batch() -> Tuple[float, Counter]:
+    """Calls one ``ClusterEngine.run`` makes per batch, and their sites: EDF
+    (every request has a deadline), the ``least_work`` placer scoring three
+    servers with the cluster's estimators, and a ``ModeledExecutor`` per
+    server, after a warm-up run of the same requests (each price is
+    computed on first use)."""
+    trace = PoissonTrace(600, duration=1.0, seed=SEED).generate()
+    requests = requests_from_trace(trace, model="m", deadlines=[0.05, 0.2])
+    cluster = ClusterEngine(
+        [ServerSpec(f"s{i}", 100.0, service_model=ServiceTimeModel()) for i in range(3)],
+        batching=BatchingConfig(max_batch=8),
+        scheduler=EdfScheduler(),
+        placer="least_work",
+    )
+    cluster.register("m", mode="int8")
+    cluster.run(requests=requests)
+    results = []
+    calls, sites = count_calls(lambda: results.append(cluster.run(requests=requests)))
+    return calls / len(results[0].result.batch_records), sites
+
+
+def test_cluster_calls_per_batch_are_pinned():
+    """A placed, EDF-scheduled batch on the cluster reads every price it
+    scores or serves from the model's table with one call: the calls per
+    batch stay under the pinned ceiling."""
+    calls, sites = _calls_per_cluster_batch()
+    assert calls <= CLUSTER_CALLS_PER_BATCH, f"{calls:.2f}\n{top_sites(sites)}"

@@ -8,8 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.controller import AdaptiveRatioController, build_profile_from_latency_fn
 from repro.data.traces import FluctuatingTrace, PoissonTrace, RequestTrace
+from repro.hardware.gpu import GpuLatencyModel
+from repro.hardware.workloads import model_ops
 from repro.serving.adaptation import _effective_accuracy
-from repro.serving.engine import BatchingConfig, ServingEngine
+from repro.serving.cluster import ClusterEngine, ServerSpec
+from repro.serving.engine import BatchingConfig, ServingEngine, requests_from_trace
+from repro.serving.generation import IterationScheduler, ModeledGenerationBackend
 from repro.serving.executors import ModeledExecutor
 from repro.serving.metrics import (
     attainment_within,
@@ -254,6 +258,112 @@ class TestServiceTimeModelRegressions:
         monkeypatch.setattr(np, "interp", interp)
         for lookup, value in by_lookup.items():
             assert ServiceTimeModel("vit_base", gpu="a6000").batch_latency(*lookup) == value
+
+
+class CountingLatency(GpuLatencyModel):
+    """An A6000 latency model that records what it computes: (the
+    batch's MACs, which name its size, mode, ratio) per evaluation."""
+
+    def __init__(self):
+        super().__init__("a6000")
+        self.computed = []
+
+    def model_latency(self, ops, mode, four_bit_ratio=0.0, **kwargs):
+        self.computed.append((sum(op.macs for op in ops), mode, four_bit_ratio))
+        return super().model_latency(ops, mode, four_bit_ratio=four_bit_ratio, **kwargs)
+
+
+class TestOnePriceTable:
+    """Every reader of a model's prices reads its one table per (mode,
+    ratio): the sweep, the object loop, the cluster's placer and executors
+    and generation.  Anchors (1, 4) and batches up to 8, so sizes 5-8 are
+    exact hardware-model latencies, computed per size."""
+
+    ANCHORS = (1, 4)
+    TRACE = PoissonTrace(1500, duration=0.4, seed=3).generate()
+
+    def _engine_run(self, model, columnar, tables=None):
+        engine = ServingEngine(
+            BatchingConfig(max_batch=8), num_servers=2, columnar=columnar
+        )
+        engine.register(
+            "m", ModeledExecutor(model), policy=FixedRatioPolicy(0.5), mode="flexiq"
+        )
+        engine.start(self.TRACE)
+        engine.step()
+        if tables is not None:
+            tables.update(engine._session.tables)
+        return engine.finish()
+
+    def _cluster_run(self, model):
+        cluster = ClusterEngine(
+            [ServerSpec(f"s{i}", speed=1.0, service_model=model) for i in range(2)],
+            batching=BatchingConfig(max_batch=8),
+            placer="least_work",
+        )
+        cluster.register("m", mode="flexiq", policy=FixedRatioPolicy(0.5))
+        return cluster.run(self.TRACE)
+
+    def _generation_run(self, model):
+        requests = requests_from_trace(
+            PoissonTrace(60, duration=0.5, seed=4).generate(), model="m",
+            prefill_tokens=[32, 300, 96], max_new_tokens=[3, 6, 2],
+        )
+        return IterationScheduler(
+            ModeledGenerationBackend(model), max_batch=8,
+            policy=FixedRatioPolicy(0.25),
+        ).run(requests)
+
+    @staticmethod
+    def _outcome(sweep, objects, cluster, generation):
+        return (
+            sweep.request_latencies.tolist(), list(sweep.batch_records),
+            objects.request_latencies.tolist(), list(objects.batch_records),
+            cluster.to_json(), generation.iterations, generation.responses,
+        )
+
+    def test_four_readers_share_one_table_and_compute_each_price_once(self):
+        latency = CountingLatency()
+        shared = ServiceTimeModel(anchor_batches=self.ANCHORS, latency_model=latency)
+        tables = {}
+        sweep = self._engine_run(shared, columnar=True, tables=tables)
+        objects = self._engine_run(shared, columnar=False)
+        cluster = self._cluster_run(shared)
+        generation = self._generation_run(shared)
+        assert (sweep.kernel, objects.kernel) == ("sweep", "object")
+
+        # The sweep holds the model's table, not a copy of it.
+        assert set(tables) == {0, 1}
+        assert all(table is shared.table("flexiq", 0.5) for table in tables.values())
+
+        # Each price was computed once over all four readers: every anchor
+        # set once per (mode, ratio), every exact size once.
+        computed = latency.computed
+        assert len(computed) == len(set(computed))
+        macs = {
+            sum(op.macs for op in model_ops("vit_base", size)): size
+            for size in range(1, 9)
+        }
+        by_cohort = {}
+        for work, mode, ratio in computed:
+            by_cohort.setdefault((mode, ratio), []).append(macs[work])
+        # Placement scores at ratio 0.0; the executors serve at 0.5 and
+        # generation at 0.25.  A prompt of 300 tokens is an exact size 5.
+        assert set(by_cohort) == {("flexiq", 0.5), ("flexiq", 0.0), ("flexiq", 0.25)}
+        for cohort, sizes in by_cohort.items():
+            assert sizes[:2] == [1, 4]  # the anchors, first and once
+            assert sizes[2:] and all(size > 4 for size in sizes[2:])
+            assert set(sizes[2:]) <= set(shared.table(*cohort))
+
+        # And every reader saw what it sees on a model of its own.
+        fresh = [ServiceTimeModel(anchor_batches=self.ANCHORS) for _ in range(4)]
+        alone = self._outcome(
+            self._engine_run(fresh[0], columnar=True),
+            self._engine_run(fresh[1], columnar=False),
+            self._cluster_run(fresh[2]),
+            self._generation_run(fresh[3]),
+        )
+        assert self._outcome(sweep, objects, cluster, generation) == alone
 
 
 class TestMetricsRegressions:

@@ -217,22 +217,25 @@ class TestPlacement:
         assert placer_cls([2.0, 2.0, 2.0, 2.0], estimators=flat).place(context) == 0
 
     def test_named_placer_asks_the_latency_model_once_per_batch_size(self):
-        """A count, not a timing: ``batch_latency`` calls from ``least_work``.
+        """A count, not a timing: the prices ``least_work`` makes a model
+        compute (its table misses).
 
-        Cluster-built estimators are tables, so a run asks each server's
-        model once per distinct (batch size, mode) however many batches it
-        places; the servers *execute* on another model so that only
-        placement reaches the counting one.
+        Cluster-built estimators read the model's price table, so a run
+        makes each server's model compute each distinct (batch size, mode)
+        once however many batches it places; the servers *execute* on
+        another model so that only placement reaches the counting one.
         """
 
         class CountingModel(ServiceTimeModel):
             def __init__(self):
                 super().__init__()
-                self.asked = []
+                self.asked = []  # (size, mode) of each price computed
 
-            def batch_latency(self, batch_size, mode, ratio=0.0):
-                self.asked.append((batch_size, mode))
-                return super().batch_latency(batch_size, mode, ratio)
+            def table(self, mode, ratio, sizes=()):
+                sizes = list(sizes)
+                held = super().table(mode, ratio)
+                self.asked.extend((size, mode) for size in sizes if size not in held)
+                return super().table(mode, ratio, sizes)
 
         models = [CountingModel() for _ in range(3)]
         executing = ModeledExecutor(ServiceTimeModel())

@@ -24,6 +24,7 @@ from repro.core.controller import AdaptiveRatioController, build_profile_from_la
 from repro.core.prepared import PreparedKernel
 from repro.data.traces import FluctuatingTrace, PoissonTrace, RequestTrace
 from repro.obs import BurnRateRule
+from repro.hardware.gpu import GpuLatencyModel
 from repro.serving.adaptation import _effective_accuracy
 from repro.serving import resilience
 from repro.serving.cluster import ClusterEngine, ServerSpec
@@ -1368,6 +1369,12 @@ NON_INTEGER = {
         900, queue_depth_fallback=bad
     ),
     "autoscaler target": lambda model, bad: _autoscaled_to(model, bad),
+    # A price used to interpolate 1.5, or to price int(1.5).  A prompt is
+    # checked on a table miss: a fresh model, since ceil(1.5 / 64) is a size
+    # the shared one has priced.
+    "batch size": lambda model, bad: model.batch_latency(bad, "int8"),
+    "prompt_tokens": lambda model, bad: ServiceTimeModel().prefill_latency(bad, "int8"),
+    "width": lambda model, bad: model.decode_latency(bad, "int8"),
 }
 
 #: field -> its least value, at the sites that used to call ``int()``; three
@@ -1417,14 +1424,58 @@ class TestHostileInput:
         ):
             with pytest.raises(ValueError, match=message):
                 build()
-        # A nan latency used to become every later clock.  Checked on a memo
-        # miss, so nothing is memoised for it and a known key pays nothing.
+        # A nan latency used to become every later clock.  Checked when the
+        # (mode, ratio) is first seen, so no table is made for it (asking for
+        # its table still raises) and a known price pays nothing.
         known = service_model.batch_latency(2, "flexiq", 0.5)
-        memo = dict(service_model._latencies)
+        table = dict(service_model.table("flexiq", 0.5))
         with pytest.raises(ValueError, match=message):
             service_model.batch_latency(2, "flexiq", bad)
-        assert service_model._latencies == memo
+        with pytest.raises(ValueError, match=message):
+            service_model.table("flexiq", bad)
+        assert service_model.table("flexiq", 0.5) == table
         assert service_model.batch_latency(2, "flexiq", 0.5) == known
+
+    @pytest.mark.parametrize("price, name, bad", [
+        ("batch_latency", "batch size", float("nan")),  # returned nan, memoised
+        ("batch_latency", "batch size", 2.5),  # an interpolated price
+        ("batch_latency", "batch size", float("inf")),  # OverflowError
+        ("prefill_latency", "prompt_tokens", float("nan")),  # int()'s error
+        ("prefill_latency", "prompt_tokens", float("inf")),  # OverflowError
+        ("decode_latency", "width", float("nan")),  # int()'s error
+        ("decode_latency", "width", 2.5),  # priced width 2
+        ("decode_latency", "width", float("inf")),  # OverflowError
+    ])
+    def test_a_price_is_for_a_whole_size(self, service_model, price, name, bad):
+        # Refused on a table miss, whether the (mode, ratio) table is new
+        # or holds other sizes, and nothing is added to the table for it.
+        with pytest.raises(
+            ValueError, match=rf"{name} must be an integer >= 1 \(got {bad!r}\)"
+        ):
+            getattr(service_model, price)(bad, "flexiq", 0.25)
+        service_model.batch_latency(2, "flexiq", 0.25)
+        table = dict(service_model.table("flexiq", 0.25))
+        with pytest.raises(ValueError, match=rf"{name} must be an integer"):
+            getattr(service_model, price)(bad, "flexiq", 0.25)
+        assert service_model.table("flexiq", 0.25) == table
+
+    def test_an_unknown_model_is_refused_before_any_latency(self):
+        # ServiceTimeModel("nope") used to build, and its first batch failed
+        # deep inside with "no workload shapes registered for 'nope'".
+        class Counting(GpuLatencyModel):
+            calls = 0
+
+            def model_latency(self, *args, **kwargs):
+                Counting.calls += 1
+                return super().model_latency(*args, **kwargs)
+
+        with pytest.raises(
+            ValueError, match=r"unknown model 'nope'; known models: .*\bvit_base\b"
+        ):
+            ServiceTimeModel("nope", latency_model=Counting("a6000"))
+        assert Counting.calls == 0
+        ServiceTimeModel("resnet18", latency_model=Counting("a6000"))
+        assert Counting.calls == 0  # nothing is priced before it is asked for
 
     @pytest.mark.parametrize("window", [0.0, -1.0, float("nan"), float("inf")])
     def test_control_window_is_finite_and_positive(self, window):
