@@ -14,9 +14,9 @@ production serving system that decides what the cluster looks like:
   are resolved by name (``"free_clock"``, ``"least_work"``, ``"weighted"``)
   with speeds taken from the specs, or passed as instances.
 * **Telemetry** — every :class:`ClusterEngine` owns a
-  :class:`~repro.serving.telemetry.TelemetryBus`; the engine publishes
-  per-batch/per-drop events into it and policies read it through
-  :class:`~repro.serving.policies.PolicyContext`.
+  :class:`~repro.serving.telemetry.TelemetryBus`; it reads the engine's
+  batch ledger when read (drops are handed to it) and policies read it
+  through :class:`~repro.serving.policies.PolicyContext`.
 * :class:`Autoscaler` — a window-boundary policy deciding how many servers
   stay active.  :class:`QueueDepthAutoscaler` and
   :class:`SloLatencyAutoscaler` implement hysteresis-based scaling on queue
@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -192,6 +193,20 @@ class ServerSpec:
                 + transfer
             )
         return batch_size / self.speed * residual + transfer
+
+
+def _table_reader(model: ServiceTimeModel, mode: str) -> ServiceEstimator:
+    """An estimator subscripting ``model``'s (mode, ratio 0.0) price table,
+    which the model fills on a miss; it never holds the cluster (no cycle)."""
+    table = model.table(mode, 0.0)
+
+    def estimate(batch: int) -> float:
+        try:
+            return table[batch]
+        except KeyError:
+            return model.batch_latency(batch, mode)
+
+    return estimate
 
 
 def _measured_speed(
@@ -843,12 +858,13 @@ class ClusterEngine:
         )
         # Execution modes seen at register() time, and the mode
         # batch_estimators scores with — the registered one when they all
-        # agree, else the "int8" reference — read lazily (placers are built
-        # before registration happens) from a one-item list: an estimator
-        # holding the cluster would close a cycle (engine -> placer), and a
-        # finished cluster would wait for a full garbage collection.
+        # agree, else the "int8" reference.  Named placers are built before
+        # registration happens: the cluster keeps their estimator lists and
+        # register() rebinds them in place.  An estimator holds a model and
+        # its table only, so nothing in a list refers back to the cluster.
         self._registered_modes: set = set()
-        self._estimator_mode = ["int8"]
+        self._estimator_mode = "int8"
+        self._estimator_lists: List[List[ServiceEstimator]] = []
         # Opt-in observability (duck-typed; see repro.obs): a request
         # tracer threaded into the engine, and an SLO burn-rate monitor
         # evaluated at window boundaries.
@@ -890,34 +906,31 @@ class ClusterEngine:
         """Per-server batch-size-aware service-time estimators.
 
         One callable per spec mapping a batch size to estimated service
-        seconds via the spec's own latency backend (falling back to the
-        scalar speed for executor-only specs) — what the named speed-aware
-        placers score with instead of the reference-batch scalar.  With
-        ``mode=None`` the execution mode is resolved *lazily* per call: the
-        mode the cluster's endpoints registered when they all agree, else
-        the ``"int8"`` reference (the same convention the spec speeds are
-        measured at) — so a named placer resolved before :meth:`register`
-        still estimates the precision that actually runs.
-
-        An estimator keeps nothing: it reads the price table of the spec's
-        current ``service_model`` (``batch_latency``), so scoring a server
-        costs a table read and the model computes each size once, whoever
-        else reads it.
+        seconds via the spec's own latency backend — what the named
+        speed-aware placers score with instead of the reference-batch
+        scalar.  For a spec with a ``service_model`` it reads that model's
+        (mode, ratio 0.0) price table, which it holds (:func:`_table_reader`),
+        so the model computes each size once, whoever else reads it; an
+        executor-only spec falls back to its scalar speed.  ``mode=None``
+        scores the mode the cluster's endpoints registered when they all
+        agree, else the ``"int8"`` reference (the convention the spec speeds
+        are measured at); the named placers' estimators are rebound whenever
+        :meth:`register` changes it, so a placer resolved before
+        registration still estimates the precision that actually runs.
         """
+        resolved = self._estimator_mode if mode is None else mode
+        return [
+            partial(spec.estimate_batch_seconds, mode=resolved)
+            if spec.service_model is None
+            else _table_reader(spec.service_model, resolved)
+            for spec in self.specs
+        ]
 
-        registered = self._estimator_mode
-
-        def estimator(spec: ServerSpec) -> ServiceEstimator:
-            def estimate(batch: int) -> float:
-                resolved = mode if mode is not None else registered[0]
-                model = spec.service_model
-                if model is None:
-                    return spec.estimate_batch_seconds(batch, mode=resolved)
-                return model.batch_latency(batch, resolved)
-
-            return estimate
-
-        return [estimator(spec) for spec in self.specs]
+    def _scored(self, kind: type) -> Placer:
+        """A named speed-aware placer, its estimators rebound by register()."""
+        placer = kind(self.speeds, estimators=self.batch_estimators())
+        self._estimator_lists.append(placer.estimators)
+        return placer
 
     def resolve_placer(self, placer: Union[Placer, str, None]) -> Optional[Placer]:
         if placer is None:
@@ -926,23 +939,14 @@ class ClusterEngine:
             if placer == "free_clock":
                 return FreeClockPlacer()
             if placer == "least_work":
-                return LeastOutstandingWorkPlacer(
-                    self.speeds, estimators=self.batch_estimators()
-                )
+                return self._scored(LeastOutstandingWorkPlacer)
             if placer == "weighted":
-                return WeightedSpeedPlacer(
-                    self.speeds, estimators=self.batch_estimators()
-                )
+                return self._scored(WeightedSpeedPlacer)
             if placer == "predictive":
-                return PredictivePlacer(
-                    self.speeds, estimators=self.batch_estimators()
-                )
+                return self._scored(PredictivePlacer)
             if placer == "spread":
                 return SpreadPlacer(
-                    self.topology,
-                    within=WeightedSpeedPlacer(
-                        self.speeds, estimators=self.batch_estimators()
-                    ),
+                    self.topology, within=self._scored(WeightedSpeedPlacer)
                 )
             raise ValueError(
                 f"unknown placer {placer!r}; named placers: {', '.join(_PLACERS)}"
@@ -977,7 +981,9 @@ class ClusterEngine:
         faults can stretch the server's service times at run time.
         """
         self._registered_modes.add(mode)
-        self._estimator_mode[0] = mode if len(self._registered_modes) == 1 else "int8"
+        self._estimator_mode = mode if len(self._registered_modes) == 1 else "int8"
+        for estimators in self._estimator_lists:
+            estimators[:] = self.batch_estimators()
         if executors is None:
             executors = [spec.build_executor() for spec in self.specs]
         executors = list(executors)

@@ -651,6 +651,30 @@ class BatchLedger(_SequenceABC):
         self.removed += len(victims)
         return victims
 
+    def first_at(self, row_id: int) -> int:
+        """The index of the first row whose id is ``row_id`` or later."""
+        return row_id if self.ids is None else bisect_left(self.ids, row_id)
+
+    def since(self, row_id: int) -> Tuple[np.ndarray, ...]:
+        """The rows with id ``row_id`` on, as arrays: ids, the five ``lists``
+        columns, ratios and the riders end to end (seated ones: a sweep
+        seats its riders when it closes)."""
+        ids, riders, cohort = self.ids, self.riders, self.cohort
+        first = self.first_at(row_id)
+        chunk = first - len(self) + len(riders)  # only chunk 0 holds many rows
+        slots = (
+            np.concatenate(riders[chunk:]) if first and chunk > 0
+            else self._riders()[int(np.sum(self.lists[2][:first])):]
+        )
+        ratios = np.float64(cohort[2]) if type(cohort) is not list else np.array(
+            [ratio for _, _, ratio in cohort[first:]], dtype=np.float64
+        )
+        ids = np.arange(first, len(self)) if ids is None else np.array(ids[first:])
+        columns = (np.array(column[first:], dtype) for column, dtype in zip(
+            self.lists, (np.float64,) * 2 + (np.int64,) * 3
+        ))
+        return (ids, *columns, ratios, slots)
+
     def served_by(self, count: int) -> np.ndarray:
         """Slot (of ``count``) → index of the row it rides in, -1: in none."""
         served_by = np.full(count, -1, dtype=np.intp)

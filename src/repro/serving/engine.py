@@ -32,10 +32,12 @@ ratio it runs at are pluggable:
   telemetry) through one ``select(context)`` signature (see
   :mod:`repro.serving.policies`).
 
-An engine given a :class:`~repro.serving.telemetry.TelemetryBus` publishes
-per-batch and per-drop events to it, and :meth:`ServingEngine.
-set_active_servers` lets a control plane grow/shrink the serving set at run
-time — the hooks :mod:`repro.serving.cluster` builds elastic autoscaling on.
+An engine given a :class:`~repro.serving.telemetry.TelemetryBus` binds it to
+each session's ledger and store at :meth:`ServingEngine.start` (the bus
+catches up from them in bulk when read; only drops are handed to it as they
+happen), and :meth:`ServingEngine.set_active_servers` lets a control plane
+grow/shrink the serving set at run time — the hooks
+:mod:`repro.serving.cluster` builds elastic autoscaling on.
 
 Admission is incremental: :meth:`ServingEngine.start` opens a session,
 :meth:`ServingEngine.submit` pushes requests while the engine runs,
@@ -692,8 +694,9 @@ class ServingEngine:
         # seed rule, bit-identical); a Placer generalizes server selection
         # for heterogeneous clusters (see repro.serving.placement).
         self.placer = placer
-        # Optional telemetry bus: receives per-batch/per-drop events for the
-        # cluster control plane (see repro.serving.telemetry).
+        # Optional telemetry bus for the cluster control plane: bound to each
+        # session's ledger and store, it reads batches from them when asked
+        # and receives drops as they happen (see repro.serving.telemetry).
         self.telemetry = telemetry
         # Optional request-lifecycle tracer (duck-typed; see repro.obs): the
         # on_* hooks (on_batches: a run of the sweep's rows), wants_deadlines
@@ -879,6 +882,8 @@ class ServingEngine:
         self._session = _Session(
             self.num_servers, store, run_duration, record_responses
         )
+        if self.telemetry is not None:
+            self.telemetry.bind(self._session.ledger, store)
 
     def submit(self, requests: Union[Request, Sequence[Request]]) -> None:
         """Push requests into the open session (streaming admission).
@@ -1087,6 +1092,8 @@ class ServingEngine:
         # The server's clock rewinds to the preemption point (or the finish
         # of a still-running batch it was allowed to drain).
         s.free_at[server] = max([time] + finishes[on_server & ~gone].tolist())
+        if self.telemetry is not None:
+            self.telemetry.catch_up()  # it adds the victims before they go
         victims = ledger.remove(np.flatnonzero(gone).tolist())
 
         migrant_slots: List[int] = []
@@ -1111,16 +1118,7 @@ class ServingEngine:
                         # latest checkpoint is ever restored.
                         s.transfer_costs[slot] = float(restore(s.checkpoints[slot]))
             if self.telemetry is not None:
-                deadline_total, deadline_met = self._deadline_counts(
-                    self._slot_deadlines(s, slots), record.finish
-                )
-                self.telemetry.unrecord_batch(
-                    record,
-                    latencies=record.finish - s.store.arrivals[slots],
-                    deadline_total=deadline_total,
-                    deadline_met=deadline_met,
-                    kill_time=time,
-                )
+                self.telemetry.unrecord_batch(record, slots, kill_time=time)
             if self.tracer is not None:
                 self.tracer.on_preempt(record, slots, time)
             s.store.status[slots] = PENDING
@@ -1195,24 +1193,6 @@ class ServingEngine:
         )
 
     @staticmethod
-    def _deadline_counts(batch: Optional[np.ndarray], finish: float) -> Tuple[int, int]:
-        """(deadline-carrying, met-by-``finish``) counts over a batch's deadlines.
-
-        ``batch`` is :meth:`_slot_deadlines` of the batch.  The one
-        definition of the deadline arithmetic telemetry records — and, on
-        preemption, un-records: both must count identically or a rewound
-        batch would leave phantom attainment in its window.
-        """
-        total = met = 0
-        if batch is not None:
-            for deadline in batch.tolist():
-                if deadline == deadline:  # false only for nan, "no deadline"
-                    total += 1
-                    if finish <= deadline:
-                        met += 1
-        return total, met
-
-    @staticmethod
     def _slot_deadlines(s: _Session, slots: np.ndarray) -> Optional[np.ndarray]:
         """Absolute deadlines for ``slots`` (``nan`` = none), or ``None``.
 
@@ -1282,9 +1262,10 @@ class ServingEngine:
         results, slower).  Eligible: a columnar-enabled engine, FIFO with the
         seed argmin-free-clock dispatch, one model, stateless modeled
         executors, a fixed-ratio policy — and, ``stepping`` a batch per call,
-        no telemetry bus: nothing per batch exists for its hooks (a whole
-        sweep ingests in bulk).  A tracer takes the sweep's rows as the object
-        loops hand it theirs (:meth:`_trace_sweep`), so it is no clause.
+        no telemetry bus: the bus reads rows with their riders, which a sweep
+        seats when it closes (a whole sweep closes before anyone reads).  A
+        tracer takes the sweep's rows as the object loops hand it theirs
+        (:meth:`_trace_sweep`), so it is no clause.
         """
         from repro.serving.executors import ModeledExecutor
         from repro.serving.policies import FixedRatioPolicy
@@ -1368,9 +1349,10 @@ class ServingEngine:
             row, position = rows, hi
         s.traced = (row, len(sweep.drop_rows), position)
 
-    def _sweep_rows(self, s: _Session) -> FifoSweep:
-        """Close the sweep, either way off it: from now on ``pos``, the drops,
-        the store's ``status`` and the riders of the rows it wrote are exact."""
+    def _sweep_rows(self, s: _Session) -> None:
+        """Close the sweep, either way off it: from now on ``pos``, the drops
+        (the bus has each cohort, as the object loops hand it theirs), the
+        store's ``status`` and the riders of the rows it wrote are exact."""
         if self.tracer is not None:
             self._trace_sweep(s)
         run, s.sweep = s.sweep.close(), None
@@ -1381,28 +1363,18 @@ class ServingEngine:
         status[slots if s.reordered else slice(s.pos)] = SERVED
         for lo, hi, time in zip(run.drop_los, run.drop_his, run.drop_times):
             status[slots[lo:hi]] = DROPPED
+            if self.telemetry is not None:
+                self.telemetry.record_drops(time, slots[lo:hi])
             if s.record_responses:
                 s.drops.append((slots[lo:hi].copy(), time))
         if s.reordered:  # the riders are seated by position
             s.ledger.riders = [slots[run.survived]]
-        return run
 
     def _leave_sweep(self, s: _Session, reason: str) -> None:
         """Take the session off the sweep, for good, for ``reason``: its rows
         are where the object loops append, which dispatch from here."""
         self._sweep_rows(s)
         s.kernel, s.reason = "sweep+object", reason
-
-    def _sweep_epilogue(self, s: _Session) -> None:
-        """Close a session the sweep served to the end, stepped or whole:
-        telemetry ingests the run in bulk (mirroring the object loops'
-        hooks), by position."""
-        run = self._sweep_rows(s)
-        if self.telemetry is not None:
-            deadlines = s.store.deadlines
-            if s.reordered and deadlines is not None:
-                deadlines = deadlines[s.pend_slots[: s.pos]]  # held by row
-            self.telemetry.ingest_columnar(run, s.pend_arrivals, deadlines)
 
     # ------------------------------------------------------------------
     # FIFO fast path (bit-identical to the seed loop at num_servers=1)
@@ -1664,7 +1636,6 @@ class ServingEngine:
         if execution.ratio is not None:
             ratio = float(execution.ratio)
         finish = start + service_time
-        arrivals = s.store.arrivals[slots]
         s.store.status[slots] = SERVED
         # FIFO-path slots are views into pend_slots; the row keeps a copy so a
         # superseded pending array (streaming submit, migration requeue) is
@@ -1674,22 +1645,15 @@ class ServingEngine:
             queue_depth, slots.copy() if slots.base is not None else slots,
             execution.outputs if s.record_responses else None,
         )
-        deadlines = self._slot_deadlines(s, slots)  # read once for both
-        if self.telemetry is not None:
-            deadline_total, deadline_met = self._deadline_counts(deadlines, finish)
-            self.telemetry.record_batch(
-                record,
-                queue_depth=queue_depth,
-                latencies=finish - arrivals,
-                deadline_total=deadline_total,
-                deadline_met=deadline_met,
-            )
         if self.tracer is not None:
             self.tracer.on_batch(
                 record,
                 slots,
-                arrivals,
-                deadlines=deadlines if self.tracer.wants_deadlines else None,
+                s.store.arrivals[slots],
+                deadlines=(
+                    self._slot_deadlines(s, slots) if self.tracer.wants_deadlines
+                    else None
+                ),
             )
         s.busy[server] += service_time
         s.free_at[server] = finish
@@ -1703,17 +1667,13 @@ class ServingEngine:
             for slot in slots:
                 s.checkpoints.pop(int(slot), None)
                 s.transfer_costs.pop(int(slot), None)
-        deadlines = self._slot_deadlines(s, slots)
         if self.telemetry is not None:
-            misses = (
-                0 if deadlines is None
-                else int(np.count_nonzero(~np.isnan(deadlines)))
-            )
-            self.telemetry.record_drops(start, len(slots), deadline_misses=misses)
+            self.telemetry.record_drops(start, slots)
         if self.tracer is not None:
             self.tracer.on_drop(
                 slots, s.store.arrivals[slots], start,
-                deadlines if self.tracer.wants_deadlines else None,
+                self._slot_deadlines(s, slots) if self.tracer.wants_deadlines
+                else None,
             )
         if s.record_responses:
             # A copy, as for a row's riders: FIFO-path slots view pend_slots.
@@ -1731,7 +1691,9 @@ class ServingEngine:
             last_arrival = float(arrivals[-1]) if len(arrivals) else 0.0
             duration = max(max(s.free_at), last_arrival)
         if s.sweep is not None:
-            self._sweep_epilogue(s)
+            self._sweep_rows(s)
+        if self.telemetry is not None:
+            self.telemetry.bind()  # the session's last rows, then let it go
         served_by = s.ledger.served_by(len(s.store))
         # The same elementwise ``finish - arrival`` whichever loop ran; a
         # dropped slot (-1) reads the nan behind the last finish.

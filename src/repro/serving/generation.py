@@ -125,11 +125,6 @@ class SequenceState:
             return None
         return self.token_times[-1]
 
-    @property
-    def footprint(self) -> int:
-        """Token footprint in the running batch (prompt + generated)."""
-        return self.prompt_tokens + self.generated
-
 
 # ----------------------------------------------------------------------
 # Admission policies (who joins the running batch at a boundary)
@@ -138,8 +133,11 @@ class AdmissionPolicy(Protocol):
     """Picks which waiting sequences join the running batch this iteration.
 
     ``waiting`` is the arrived queue in admission order (arrival, slot);
-    ``running`` the current batch members; ``slots`` the free batch slots.
-    Both are the scheduler's own lists: read them, do not modify them.
+    ``running`` the current batch members; ``slots`` the free batch slots;
+    ``in_flight`` the running batch's token footprint (the sum of its
+    members' ``prompt_tokens + generated``, a running total the session
+    keeps).  Both lists are the scheduler's own: read them, do not modify
+    them.
     Return at most ``slots`` members of ``waiting``; the returned *order*
     is the prefill order.  When the running batch is empty and nothing is
     admitted, the scheduler force-admits the queue head (a starving server
@@ -152,6 +150,7 @@ class AdmissionPolicy(Protocol):
         waiting: Sequence[SequenceState],
         running: Sequence[SequenceState],
         slots: int,
+        in_flight: int,
     ) -> Sequence[SequenceState]:
         ...
 
@@ -164,6 +163,7 @@ class FcfsAdmission:
         waiting: Sequence[SequenceState],
         running: Sequence[SequenceState],
         slots: int,
+        in_flight: int,
     ) -> Sequence[SequenceState]:
         return list(waiting[:slots])
 
@@ -182,6 +182,7 @@ class PrefillPriorityAdmission:
         waiting: Sequence[SequenceState],
         running: Sequence[SequenceState],
         slots: int,
+        in_flight: int,
     ) -> Sequence[SequenceState]:
         if slots <= 0:
             return []
@@ -218,9 +219,9 @@ class TokenBudgetAdmission:
         waiting: Sequence[SequenceState],
         running: Sequence[SequenceState],
         slots: int,
+        in_flight: int,
     ) -> Sequence[SequenceState]:
-        ordered = self.within.admit(waiting, running, slots)
-        in_flight = sum(seq.footprint for seq in running)
+        ordered = self.within.admit(waiting, running, slots, in_flight)
         chosen: List[SequenceState] = []
         for seq in ordered:
             cost = seq.prompt_tokens + max(1, seq.generated)
@@ -521,7 +522,9 @@ class IterationScheduler:
         free_slots = self.max_batch - width
         joiners: List[SequenceState] = []
         if free_slots > 0 and candidates:
-            joiners = list(self.admission.admit(candidates, running, free_slots))
+            joiners = list(
+                self.admission.admit(candidates, running, free_slots, s.in_flight)
+            )
             allowed = {seq.slot for seq in candidates}
             seen: set = set()
             for seq in joiners:

@@ -32,7 +32,9 @@ class ServiceTimeModel:
     (``np.interp`` would clamp it, under-reporting ``max_batch`` above the
     anchors).  Every reader -- executors, the engine's sweep, the cluster's
     placement estimators, generation -- holds that table or reads it
-    through the price methods; none keeps a memo of its own.
+    through the price methods; none keeps a memo of its own.  A table is an
+    exact ``dict`` on purpose: CPython specializes only those subscripts, so
+    a subclass (a ``__missing__`` hook) slows every read in the sweep.
 
     For autoregressive workloads the model also exposes a prefill-vs-decode
     cost split (:meth:`prefill_latency` / :meth:`decode_latency`) read from
@@ -132,16 +134,19 @@ class ServiceTimeModel:
         ``ceil(tokens / prefill_tokens_per_sample)`` one-shot samples —
         compute scales with prompt length, with the hardware model's own
         sub-linear batching efficiency applied.  Zero-length prompts (pure
-        decode continuations) cost nothing.
+        decode continuations) cost nothing.  Only an ``int`` prompt reads the
+        table unchecked: a fraction rounds up to a size the table may hold.
         """
         equivalent = -(-prompt_tokens // self.prefill_tokens_per_sample)
         try:
-            return self._tables[mode, ratio][equivalent]
+            if type(prompt_tokens) is int:
+                return self._tables[mode, ratio][equivalent]
         except KeyError:
-            if prompt_tokens <= 0:
-                return 0.0
-            check_integer("prompt_tokens", prompt_tokens, 1)
-            return self.table(mode, ratio, (equivalent,))[equivalent]
+            pass
+        if prompt_tokens <= 0:
+            return 0.0
+        check_integer("prompt_tokens", prompt_tokens, 1)
+        return self.table(mode, ratio, (equivalent,))[equivalent]
 
     def decode_latency(self, width: int, mode: str, ratio: float = 0.0) -> float:
         """Seconds for one decode step over ``width`` live sequences.

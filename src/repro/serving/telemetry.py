@@ -4,41 +4,45 @@ The engine's :class:`~repro.serving.engine.EngineResult` summarizes a whole
 run; control-plane components (autoscalers, per-server ratio policies,
 operators reading a timeline) instead need *windowed, per-server* signals
 while the run is still in flight.  A :class:`TelemetryBus` attached to a
-:class:`~repro.serving.engine.ServingEngine` receives one event per executed
-batch and per drop and aggregates them into one :class:`WindowStats` cell per
-(server, control window).
+:class:`~repro.serving.engine.ServingEngine` reads the session's
+:class:`~repro.serving.core.BatchLedger` and
+:class:`~repro.serving.core.RequestStore` (the engine binds them at
+``start()``) and aggregates them into one :class:`WindowStats` cell per
+(server, control window).  Nothing is pushed per batch: before any query,
+any rewind and the session's end the bus *catches up*, ingesting the rows
+written since its cursor in bulk, whichever loop wrote them.
 
 The count schema
 ----------------
-What a cell stores is declared once, on :class:`WindowStats`.  The hooks add
-to it (an event lands in the window its timestamp falls in — a batch by its
-*start*, so its busy seconds sit where the dispatch decision was made), a
-rewind subtracts exactly what its hook added, ``ingest_columnar`` fills the
-same fields for a whole columnar run, a cluster window is the sum of its
-cells, and every reported value (``utilization``, ``mean_queue_depth``,
-``executed_ratio``, ``served_rate``, ``slo_attainment``, ``latencies`` and
-their percentiles, ``summary()``) is computed from these:
+What a cell stores is declared once, on :class:`WindowStats`.  A batch lands
+in the window its *start* falls in (its busy seconds sit where the dispatch
+decision was made), a drop at its time; a rewind subtracts exactly what the
+catch-up added, a cluster window is the sum of its cells, and every reported
+value (``utilization``, ``mean_queue_depth``, ``executed_ratio``,
+``served_rate``, ``slo_attainment``, ``latencies`` and their percentiles,
+``summary()``) is computed from these:
 
 ===================  ========  ==============================================
 field                unit      added by
 ===================  ========  ==============================================
-``served``           requests  ``record_batch``: batch size
-``batches``          batches   ``record_batch``
-``busy_time``        seconds   ``record_batch``: finish - start (a rewind
+``served``           requests  ``catch_up``: batch size
+``batches``          batches   ``catch_up``
+``busy_time``        seconds   ``catch_up``: finish - start (a rewind
                                leaves the seconds spent before the kill)
-``ratio_weight``     requests  ``record_batch``: executed 4-bit ratio x size
-``queue_depth_sum``  requests  ``record_batch``: depth when the batch formed
+``ratio_weight``     requests  ``catch_up``: executed 4-bit ratio x size
+``queue_depth_sum``  requests  ``catch_up``: depth when the batch formed
 ``drops``            requests  ``record_drops`` (the ``CLUSTER`` cell)
-``deadline_total``   requests  ``record_batch``, and ``record_drops``: an
+``deadline_total``   requests  ``catch_up``, and ``record_drops``: an
                                expired deadline-carrying request is a miss
-``deadline_met``     requests  ``record_batch``
-``latency_parts``    seconds   ``record_batch``: one sample array per batch
+``deadline_met``     requests  ``catch_up``
+``latency_parts``    seconds   ``catch_up``: one sample array per cell,
+                               each sample beside its row's id
 ===================  ========  ==============================================
 
 Scale, fault and alert events share one :meth:`TelemetryBus.timeline`.
 Ratio policies reach the bus through
 :attr:`repro.serving.policies.PolicyContext.telemetry`; it is opt-in — an
-engine without one skips every hook.
+engine without one pays nothing for it.
 """
 
 from __future__ import annotations
@@ -48,11 +52,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.serving.core import FifoSweep, check_integer, check_positive
+from repro.serving.core import check_integer, check_positive
 from repro.serving.metrics import latency_percentile, summarize_latencies
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serving.engine import BatchRecord
+    from repro.serving.core import BatchLedger, BatchRecord, RequestStore
     from repro.serving.resilience import FaultEvent
 
 # Server id used for events not attributable to one server (queue-side drops).
@@ -87,38 +91,39 @@ class ScaleEvent:
 
 
 def _count(zero):
-    """An additive field: hooks add to it, rewinds subtract, cells sum."""
+    """An additive field: the catch-up adds to it, rewinds subtract, cells sum."""
     return field(default=zero, metadata={"role": "count"})
 
 
 class Samples:
-    """One sample field of a cell: an array per batch, in event order.
+    """One sample field of a cell: arrays in event order.
 
-    Each array sits under the owner a rewind finds it by (the batch's row
-    id; ``None`` once bulk-ingested or joined).  Two
-    parallel lists, so recording a batch allocates no container — a tuple
-    per batch is one more object for every collector pass to visit.
+    Each array sits beside the owners a rewind finds its samples by: an
+    array holding each sample's row id, or ``None`` (a joined snapshot, a
+    hand-built cell).  Two parallel lists, one entry per catch-up that
+    reached the cell.
     """
 
     __slots__ = ("owners", "arrays")
 
     def __init__(self, arrays: Sequence[np.ndarray] = ()) -> None:
         self.arrays = list(arrays)
-        self.owners: List[object] = [None] * len(self.arrays)
+        self.owners: List[Optional[np.ndarray]] = [None] * len(self.arrays)
 
-    def record(self, sign: int, owner, values: np.ndarray) -> None:
-        """Add (``sign`` +1) or rewind (-1) the samples of one owner."""
-        if not len(values):
-            return
-        if sign > 0:
-            self.owners.append(owner)
-            self.arrays.append(values)
-            return
+    def add(self, owners: np.ndarray, values: np.ndarray) -> None:
+        """Append ``values``, sample ``i`` owned by row ``owners[i]``."""
+        self.owners.append(owners)
+        self.arrays.append(values)
+
+    def cut(self, owner: int) -> None:
+        """Remove the samples of row ``owner`` (it was rewound)."""
         for index in range(len(self.owners) - 1, -1, -1):
-            if self.owners[index] == owner:
-                del self.owners[index], self.arrays[index]
+            held = self.owners[index]
+            if held is not None and (gone := held == owner).any():
+                keep = ~gone
+                self.owners[index] = held[keep]
+                self.arrays[index] = self.arrays[index][keep]
                 return
-        # The one tolerated miss: a bus attached mid-run never saw the owner.
 
     def extend(self, other: "Samples") -> None:
         self.owners += other.owners
@@ -226,19 +231,28 @@ _COUNTS, _SAMPLES = (
 ServerWindowStats = ClusterWindowStats = WindowStats
 
 
-def _add_column(cells, name: str, index: np.ndarray, weights=None) -> None:
-    """``cell.name +=`` its share of a column, summed left to right."""
-    sums = np.bincount(index, weights=weights, minlength=len(cells)).tolist()
-    for cell, value in zip(cells, sums):
-        held = getattr(cell, name)
-        setattr(cell, name, held + type(held)(value))
+def _deadline_hits(due: np.ndarray, finish) -> Tuple[np.ndarray, np.ndarray]:
+    """Which requests carry a deadline, and which met it by ``finish``: the
+    one deadline rule the catch-up adds by and a rewind subtracts by (nan,
+    "no deadline", compares False, so it is neither carried nor met)."""
+    return ~np.isnan(due), finish <= due
+
+
+def _add(cells, name: str, index: np.ndarray, values) -> None:
+    """``cells[index[i]].name += values[i]`` for each ``i`` in order, from
+    what each cell holds: a float field sums in exactly the order of adding
+    each row as it ran (``np.add.at`` is unbuffered and sequential)."""
+    held = np.array([getattr(cell, name) for cell in cells])
+    np.add.at(held, index, values)
+    for cell, value in zip(cells, held.tolist()):
+        setattr(cell, name, value)
 
 
 class TelemetryBus:
     """Windowed per-server aggregation of serving events.
 
     ``window`` is the control-window length in simulation seconds; the
-    module docstring lists what a cell holds and which hook fills it.
+    module docstring lists what a cell holds and which reader fills it.
     """
 
     def __init__(self, window: float = 1.0, num_servers: int = 1) -> None:
@@ -250,9 +264,10 @@ class TelemetryBus:
         self.reset()
 
     # ------------------------------------------------------------------
-    # Recording (called by the engine / control plane)
+    # Reading the session (bound by the engine)
     # ------------------------------------------------------------------
     def reset(self) -> None:
+        """Forget every cell and event, and the session being read."""
         self._cells: Dict[Tuple[int, int], WindowStats] = {}
         for log in (self.scale_events, self.fault_events, self.alert_events):
             log.clear()
@@ -261,7 +276,60 @@ class TelemetryBus:
         # result until the next append.
         self._timeline: List[Tuple[float, int, object]] = []
         self._timeline_sorted: Optional[List[object]] = None
-        self.last_window = -1
+        self._last_window = -1
+        self._ledger: Optional["BatchLedger"] = None
+        self._store: Optional["RequestStore"] = None
+        self._cursor = self._peeked = 0
+
+    def bind(
+        self,
+        ledger: Optional["BatchLedger"] = None,
+        store: Optional["RequestStore"] = None,
+    ) -> None:
+        """Catch up with the session being read, then read ``ledger`` (whose
+        riders are slots of ``store``) from its next row on; ``bind()``
+        only catches up and lets the session go."""
+        self.catch_up()
+        self._ledger, self._store = ledger, store
+        self._cursor = self._peeked = (
+            0 if ledger is None else len(ledger) + ledger.removed
+        )
+
+    def catch_up(self) -> None:
+        """Ingest the rows the bound ledger gained since the cursor (the
+        next row id; row ids only grow).  A rewind must come after it: a row
+        cut out of the ledger unread would be subtracted, never added."""
+        ledger = self._ledger
+        if ledger is None or len(ledger.lists[0]) + ledger.removed == self._cursor:
+            return
+        ids, starts, finishes, sizes, servers, depths, ratios, slots = ledger.since(
+            self._cursor
+        )
+        self._cursor = len(ledger) + ledger.removed
+        windows = (starts / self.window).astype(np.int64)
+        codes, row_cell = np.unique((servers << 32) | windows, return_inverse=True)
+        cells = [self._cell(code >> 32, code & 0xFFFFFFFF) for code in codes.tolist()]
+        _add(cells, "served", row_cell, sizes)
+        _add(cells, "batches", row_cell, 1)
+        _add(cells, "busy_time", row_cell, finishes - starts)
+        _add(cells, "ratio_weight", row_cell, ratios * sizes)
+        _add(cells, "queue_depth_sum", row_cell, depths)
+        request_cell = np.repeat(row_cell, sizes)
+        finishes = np.repeat(finishes, sizes)
+        deadlines = self._store.deadlines
+        if deadlines is not None:
+            carried, met = _deadline_hits(deadlines[slots], finishes)
+            _add(cells, "deadline_total", request_cell[carried], 1)
+            _add(cells, "deadline_met", request_cell[met], 1)
+        # Each cell's samples, in row order: one part per cell.
+        order = np.argsort(request_cell, kind="stable")
+        ends = np.cumsum(np.bincount(request_cell, minlength=len(cells)))[:-1]
+        latencies = (finishes - self._store.arrivals[slots])[order]
+        owners = np.repeat(ids, sizes)[order]
+        for cell, owned, part in zip(
+            cells, np.split(owners, ends), np.split(latencies, ends)
+        ):
+            cell.latency_parts.add(owned, part)
 
     def window_index(self, time: float) -> int:
         return int(time / self.window)
@@ -271,73 +339,59 @@ class TelemetryBus:
         cell = self._cells.get(key)
         if cell is None:
             cell = self._cells[key] = WindowStats(key[0], key[1], self.window)
-        if window > self.last_window:
-            self.last_window = int(window)
+        if window > self._last_window:
+            self._last_window = int(window)
         return cell
 
-    def record_batch(
-        self,
-        record: "BatchRecord",
-        queue_depth: int = 0,
-        latencies: Optional[np.ndarray] = None,
-        deadline_total: int = 0,
-        deadline_met: int = 0,
-    ) -> None:
-        """Account one executed batch (engine hook)."""
-        self._batch(
-            1, record, record.start, queue_depth, latencies, deadline_total,
-            deadline_met,
-        )
+    @property
+    def last_window(self) -> int:
+        """The latest window any cell is in (-1: none yet), unread rows
+        included: a peek at each row's start once, not a catch-up, since
+        :class:`~repro.serving.placement.PredictivePlacer` reads it often."""
+        ledger = self._ledger
+        if ledger is not None and len(ledger.lists[0]) + ledger.removed != self._peeked:
+            starts = ledger.lists[0][ledger.first_at(self._peeked):]
+            self._peeked = len(ledger.lists[0]) + ledger.removed
+            if len(starts):
+                window = int(max(starts) / self.window)
+                self._last_window = max(self._last_window, window)
+        return self._last_window
 
     def unrecord_batch(
-        self,
-        record: "BatchRecord",
-        latencies: Optional[np.ndarray] = None,
-        deadline_total: int = 0,
-        deadline_met: int = 0,
+        self, record: "BatchRecord", slots: np.ndarray,
         kill_time: Optional[float] = None,
     ) -> None:
-        """Reverse one :meth:`record_batch` (the batch was preempted).
-
-        The exact inverse arithmetic: the queue depth comes from the record
-        (``BatchRecord.queue_depth``) and the samples removed are the ones
-        recorded under this record's ``row``.  ``kill_time`` is the
-        preemption instant: busy seconds the server really spent before it
-        ([start, kill_time), wasted work) stay accounted, matching the
-        engine's busy-time bill.
-        """
+        """Subtract a preempted batch (``slots`` rode in it) after a
+        catch-up: the exact inverse arithmetic, and the samples held under
+        its ``row``.  Busy seconds before ``kill_time`` (wasted work) stay
+        accounted, matching the engine's busy-time bill."""
+        self.catch_up()
         killed_from = (
             record.start if kill_time is None else max(record.start, kill_time)
         )
-        self._batch(
-            -1, record, killed_from, record.queue_depth, latencies,
-            deadline_total, deadline_met,
-        )
-
-    def _batch(
-        self, sign, record, busy_from, queue_depth, latencies, deadline_total,
-        deadline_met,
-    ) -> None:
-        # Runs once per batch: plain attribute arithmetic.  Multiplying by
-        # +-1 is exact, so a rewind is the bit-exact inverse of its record.
         cell = self._cell(record.server, self.window_index(record.start))
-        cell.served += sign * record.size
-        cell.batches += sign
-        cell.busy_time += sign * (record.finish - busy_from)
-        cell.ratio_weight += sign * (record.ratio * record.size)
-        cell.queue_depth_sum += sign * int(queue_depth)
-        cell.deadline_total += sign * int(deadline_total)
-        cell.deadline_met += sign * int(deadline_met)
-        if latencies is not None:
-            cell.latency_parts.record(sign, record.row, latencies)
+        cell.served -= record.size
+        cell.batches -= 1
+        cell.busy_time -= record.finish - killed_from
+        cell.ratio_weight -= record.ratio * record.size
+        cell.queue_depth_sum -= record.queue_depth
+        deadlines = self._store.deadlines
+        if deadlines is not None:
+            carried, met = _deadline_hits(deadlines[slots], record.finish)
+            cell.deadline_total -= int(np.count_nonzero(carried))
+            cell.deadline_met -= int(np.count_nonzero(met))
+        cell.latency_parts.cut(record.row)
 
-    def record_drops(
-        self, time: float, count: int, deadline_misses: int = 0
-    ) -> None:
-        """Account expired requests (queue-side, not owned by any server)."""
+    def record_drops(self, time: float, slots: np.ndarray) -> None:
+        """Account the bound store's requests ``slots``, expired at ``time``
+        (queue-side, not owned by any server): each deadline it carried is
+        a miss."""
         cell = self._cell(CLUSTER, self.window_index(time))
-        cell.drops += int(count)
-        cell.deadline_total += int(deadline_misses)
+        cell.drops += len(slots)
+        deadlines = self._store.deadlines
+        if deadlines is not None:
+            carried, _ = _deadline_hits(deadlines[slots], time)
+            cell.deadline_total += int(np.count_nonzero(carried))
 
     def record_scale_event(self, event: ScaleEvent) -> None:
         self._event(self.scale_events, event)
@@ -377,75 +431,11 @@ class TelemetryBus:
         return list(self._timeline_sorted)
 
     # ------------------------------------------------------------------
-    # Bulk ingestion (columnar fast path)
-    # ------------------------------------------------------------------
-    def ingest_columnar(
-        self,
-        run: FifoSweep,
-        arrivals: np.ndarray,
-        deadlines: Optional[np.ndarray],
-    ) -> None:
-        """Bulk-ingest a closed sweep into the same cells the hooks fill.
-
-        Equivalent to :meth:`record_batch` once per batch in chronological
-        order followed by :meth:`record_drops` per drop cohort: integer
-        counts sum exactly, float ones (busy seconds, ratio weight) in the
-        identical left-to-right order (``np.bincount`` sums sequentially),
-        so every cell is bit-identical to the per-event hooks'.  ``arrivals``
-        and ``deadlines`` (``None``: nobody carries one) are by position, like
-        ``run.survived``; a cell's latencies become one owner-less part, in
-        batch order.
-        """
-        ledger = run.ledger
-        starts, finishes, sizes = ledger.starts, ledger.finishes, ledger.sizes
-        if starts.size:
-            windows = (starts / self.window).astype(np.int64)
-            codes = (ledger.servers << 32) | windows
-            uniq, batch_cell = np.unique(codes, return_inverse=True)
-            cells = [
-                self._cell(code >> 32, code & 0xFFFFFFFF) for code in uniq.tolist()
-            ]
-            request_cell = np.repeat(batch_cell, sizes)
-            ratios = np.asarray(ledger.ratios, dtype=np.float64)
-            _add_column(cells, "served", batch_cell, sizes)
-            _add_column(cells, "batches", batch_cell)
-            _add_column(cells, "busy_time", batch_cell, finishes - starts)
-            _add_column(cells, "ratio_weight", batch_cell, ratios * sizes)
-            _add_column(cells, "queue_depth_sum", batch_cell, ledger.queue_depths)
-            # The served requests, which is batch order: FIFO serves in
-            # arrival order.  Without drops that is everybody, uncopied.
-            served = run.survived if run.dropped else slice(None)
-            finishes = np.repeat(finishes, sizes)
-            if deadlines is not None:
-                due = deadlines[served]
-                # nan compares False: no deadline is neither carried nor met.
-                _add_column(cells, "deadline_total", request_cell, ~np.isnan(due))
-                _add_column(cells, "deadline_met", request_cell, finishes <= due)
-            ordered = (finishes - arrivals[served])[
-                np.argsort(request_cell, kind="stable")
-            ]
-            ends = np.cumsum(np.bincount(request_cell, minlength=len(cells)))
-            for cell, part in zip(cells, np.split(ordered, ends[:-1])):
-                cell.latency_parts.record(1, None, part)
-        if run.dropped:
-            windows = (np.asarray(run.drop_times) / self.window).astype(np.int64)
-            los, his = np.asarray(run.drop_los), np.asarray(run.drop_his)
-            uniq, drop_cell = np.unique(windows, return_inverse=True)
-            cells = [self._cell(CLUSTER, window) for window in uniq.tolist()]
-            _add_column(cells, "drops", drop_cell, his - los)
-            if deadlines is not None:
-                # Each cohort's deadline-carrying members: all of them missed.
-                carrying = np.concatenate(([0], np.cumsum(~np.isnan(deadlines))))
-                _add_column(
-                    cells, "deadline_total", drop_cell,
-                    carrying[his] - carrying[los],
-                )
-
-    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def server_window(self, server: int, window: int) -> ServerWindowStats:
         """Stats of one server over one window (zeros when nothing happened)."""
+        self.catch_up()
         cell = self._cells.get((int(server), int(window)))
         if cell is None:
             return WindowStats(int(server), int(window), self.window)
@@ -467,6 +457,7 @@ class TelemetryBus:
         batch in the window.  A cell read, cheap enough to call per batch
         (:class:`~repro.serving.placement.PredictivePlacer` does).
         """
+        self.catch_up()
         cell = self._cells.get((int(server), int(window)))
         if cell is None or cell.busy_time <= 0:
             return float("nan")
@@ -478,6 +469,7 @@ class TelemetryBus:
         0.0 for windows without batches (no congestion signal is no
         congestion).  Cheap like :meth:`measured_rate`.
         """
+        self.catch_up()
         cell = self._cells.get((int(server), int(window)))
         return 0.0 if cell is None else cell.mean_queue_depth
 
@@ -488,6 +480,7 @@ class TelemetryBus:
         global rate cannot tell a hot server from an idle one).  Cheap like
         :meth:`measured_rate`.
         """
+        self.catch_up()
         cell = self._cells.get((int(server), int(window)))
         return 0.0 if window < 0 or cell is None else cell.served_rate
 
@@ -500,6 +493,7 @@ class TelemetryBus:
         actually available (idle *inactive* servers should not dilute it);
         when omitted, all ``num_servers`` are assumed active.
         """
+        self.catch_up()
         window = int(window)
         active = (
             range(self.num_servers)

@@ -25,6 +25,7 @@ from repro.serving import (
     Request,
     ServerSpec,
     ServiceTimeModel,
+    SloLatencyAutoscaler,
     requests_from_trace,
 )
 
@@ -44,7 +45,7 @@ DECODE_PROBE_CALLS = 484
 #: Ceiling on calls per iteration over the 4 s mix.
 MIX_CALLS_PER_ITERATION = 20.3
 #: Ceiling on calls per batch of the small EDF + ``least_work`` cluster run.
-CLUSTER_CALLS_PER_BATCH = 70.4
+CLUSTER_CALLS_PER_BATCH = 55.9
 
 
 def count_calls(fn: Callable[[], object]) -> Tuple[int, Counter]:
@@ -160,21 +161,28 @@ def test_decode_iteration_cost_does_not_grow_with_batch_width():
         )
 
 
-def _calls_per_cluster_batch() -> Tuple[float, Counter]:
-    """Calls one ``ClusterEngine.run`` makes per batch, and their sites: EDF
-    (every request has a deadline), the ``least_work`` placer scoring three
-    servers with the cluster's estimators, and a ``ModeledExecutor`` per
-    server, after a warm-up run of the same requests (each price is
-    computed on first use)."""
+def _cluster(placer: str = "least_work", **control) -> Tuple[ClusterEngine, list]:
+    """EDF (every request has a deadline), a named placer (``least_work``)
+    scoring three servers with the cluster's estimators and a
+    ``ModeledExecutor`` per server, over a second of requests."""
     trace = PoissonTrace(600, duration=1.0, seed=SEED).generate()
     requests = requests_from_trace(trace, model="m", deadlines=[0.05, 0.2])
     cluster = ClusterEngine(
         [ServerSpec(f"s{i}", 100.0, service_model=ServiceTimeModel()) for i in range(3)],
         batching=BatchingConfig(max_batch=8),
         scheduler=EdfScheduler(),
-        placer="least_work",
+        placer=placer,
+        **control,
     )
     cluster.register("m", mode="int8")
+    return cluster, requests
+
+
+def _calls_per_cluster_batch() -> Tuple[float, Counter]:
+    """Calls one ``ClusterEngine.run`` of :func:`_cluster` makes per batch,
+    and their sites, after a warm-up run of the same requests (each price is
+    computed on first use)."""
+    cluster, requests = _cluster()
     cluster.run(requests=requests)
     results = []
     calls, sites = count_calls(lambda: results.append(cluster.run(requests=requests)))
@@ -187,3 +195,60 @@ def test_cluster_calls_per_batch_are_pinned():
     batch stay under the pinned ceiling."""
     calls, sites = _calls_per_cluster_batch()
     assert calls <= CLUSTER_CALLS_PER_BATCH, f"{calls:.2f}\n{top_sites(sites)}"
+
+
+def test_a_cluster_batch_makes_no_telemetry_call():
+    """The bus reads the session's ledger when it is read, not per batch:
+    over a cluster run whose autoscaler reads it at every window boundary,
+    the engine's ``step()`` calls nothing in ``telemetry.py``; the window
+    reads between steps are where the bus catches up."""
+    cluster, requests = _cluster(
+        window=0.1, autoscaler=SloLatencyAutoscaler(slo_seconds=0.05),
+        min_servers=1, initial_servers=2,
+    )
+    engine, stepping = cluster.engine, [False]
+    in_steps, elsewhere = Counter(), Counter()
+    step = engine.step
+
+    def flagged_step():
+        stepping[0] = True
+        try:
+            return step()
+        finally:
+            stepping[0] = False
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith("telemetry.py"):
+            (in_steps if stepping[0] else elsewhere)[frame.f_code.co_qualname] += 1
+
+    engine.step = flagged_step
+    sys.setprofile(count)
+    try:
+        outcome = cluster.run(requests=requests)
+    finally:
+        sys.setprofile(None)
+    batches = len(outcome.result.batch_records)
+    assert batches > 200 and len(outcome.telemetry.cluster_series()) == 10
+    assert not in_steps, in_steps.most_common(10)
+    assert elsewhere["TelemetryBus.catch_up"] >= 10
+
+
+def test_a_predictive_placer_has_the_ledger_read_once_a_window():
+    """``PredictivePlacer`` asks the bus for its last window at every batch
+    and for a server's rates when a window completes: the bus reads the
+    ledger's new rows (``BatchLedger.since``) once per completed window,
+    not once per batch."""
+    cluster, requests = _cluster("predictive", window=0.1)
+    reads = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_qualname == "BatchLedger.since":
+            reads[frame.f_code.co_qualname] += 1
+
+    sys.setprofile(count)
+    try:
+        outcome = cluster.run(requests=requests)
+    finally:
+        sys.setprofile(None)
+    assert len(outcome.result.batch_records) > 200
+    assert 0 < reads["BatchLedger.since"] <= len(outcome.telemetry.cluster_series()) + 1

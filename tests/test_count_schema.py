@@ -10,8 +10,10 @@ file pins that three ways:
   unified (``tests/goldens/count_schema.json``): exports, run reports and
   every window-stat field bit-identical;
 * **generated** — ``ClusterEngine`` configurations where result totals ==
-  telemetry totals == registry samples == live terminal spans, and the
-  columnar sweep fills the same cells as the object loop;
+  telemetry totals == registry samples == live terminal spans, the
+  columnar sweep fills the same cells as the object loop, and the bus's
+  catch-up from the ledger fills every cell exactly as adding each batch as
+  it ran did (a test-local eager oracle on the tracer hooks);
 * **named regressions** — a registry built from a fast-path result touches no
   per-batch object; a rewound batch removes its own samples.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,17 +51,20 @@ from repro.serving import (
     FaultSchedule,
     FixedRatioPolicy,
     ModeledExecutor,
+    PriorityScheduler,
     Request,
     RequeueAtHeadMigration,
     ServerSpec,
     ServiceTimeModel,
     ServingEngine,
     SloLatencyAutoscaler,
+    StepCheckpoint,
     TelemetryBus,
     requests_from_trace,
 )
-from repro.serving.core import BatchLedger
-from repro.serving.engine import BatchRecord
+from repro.serving.cluster import _PLACERS
+from repro.serving.core import BatchLedger, RequestStore
+from repro.serving.telemetry import CLUSTER
 
 # A numpy RuntimeWarning (invalid value, overflow, divide) is a failure.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -409,6 +415,226 @@ class TestCountsAgreeAcrossRepresentations:
 
 
 # ----------------------------------------------------------------------
+# Generated: the bus's catch-up == adding each batch as it ran
+# ----------------------------------------------------------------------
+COUNT_FIELDS = (
+    "served", "batches", "busy_time", "ratio_weight", "queue_depth_sum",
+    "drops", "deadline_total", "deadline_met",
+)
+
+
+class EagerTelemetry:
+    """The oracle: telemetry added a batch at a time as each one runs, is
+    rewound or drops, in plain per-event arithmetic.  It rides on the
+    engine's tracer hooks, which see exactly those events in exactly that
+    order."""
+
+    wants_deadlines = True
+
+    def __init__(self, window):
+        self.window = window
+        self.reset()
+
+    def reset(self):
+        self.cells, self.counts, self.last_window = {}, {}, -1
+
+    def _cell(self, server, start):
+        window = int(start / self.window)
+        self.last_window = max(self.last_window, window)
+        if (server, window) not in self.cells:
+            self.cells[server, window] = {
+                **dict.fromkeys(COUNT_FIELDS, 0), "busy_time": 0.0,
+                "ratio_weight": 0.0, "parts": [],
+            }
+        return self.cells[server, window]
+
+    def _batch(self, sign, record, busy_from, latencies, deadline_total, deadline_met):
+        cell = self._cell(record.server, record.start)
+        cell["served"] += sign * record.size
+        cell["batches"] += sign
+        cell["busy_time"] += sign * (record.finish - busy_from)
+        cell["ratio_weight"] += sign * (record.ratio * record.size)
+        cell["queue_depth_sum"] += sign * int(record.queue_depth)
+        cell["deadline_total"] += sign * int(deadline_total)
+        cell["deadline_met"] += sign * int(deadline_met)
+        parts = cell["parts"]
+        if sign > 0:
+            parts.append((record.row, latencies))
+        else:
+            index = max(i for i, (row, _) in enumerate(parts) if row == record.row)
+            del parts[index]
+
+    def on_batch(self, record, slots, arrivals, deadlines=None):
+        total = met = 0
+        for deadline in [] if deadlines is None else deadlines.tolist():
+            if deadline == deadline:  # false only for nan, "no deadline"
+                total += 1
+                if record.finish <= deadline:
+                    met += 1
+        self.counts[record.row] = total, met
+        self._batch(1, record, record.start, record.finish - arrivals, total, met)
+
+    def on_batches(self, ledger, row, rows, slots, arrivals, due):
+        at = 0
+        for index in range(row, rows):
+            record = ledger[index]
+            cut = slice(at, at + record.size)
+            at += record.size
+            self.on_batch(record, slots[cut], arrivals[cut], None if due is None else due[cut])
+
+    def on_preempt(self, record, slots, time):
+        total, met = self.counts.pop(record.row)
+        self._batch(-1, record, max(record.start, time), None, total, met)
+
+    def on_drop(self, slots, arrivals, time, deadlines=None):
+        cell = self._cell(CLUSTER, time)
+        cell["drops"] += len(slots)
+        if deadlines is not None:
+            cell["deadline_total"] += int(np.count_nonzero(~np.isnan(deadlines)))
+
+    def on_requeue(self, slots, priors, time, server):
+        pass
+
+    def settle(self):
+        pass
+
+
+def assert_bus_equals_oracle(bus, oracle):
+    """Every cell, field by field (floats by ``float.hex``), samples in order."""
+    assert bus.last_window == oracle.last_window  # a peek: no catch-up yet
+    bus.server_window(0, 0)  # a read: the bus catches up
+    assert bus.last_window == oracle.last_window
+    assert sorted(bus._cells) == sorted(oracle.cells)
+    for key, cell in bus._cells.items():
+        want = oracle.cells[key]
+        assert [_exact(getattr(cell, name)) for name in COUNT_FIELDS] == [
+            _exact(want[name]) for name in COUNT_FIELDS
+        ], key
+        samples = [part for _, part in want["parts"]]
+        want_latencies = np.concatenate(samples) if samples else np.zeros(0)
+        assert [x.hex() for x in cell.latencies.tolist()] == [
+            x.hex() for x in want_latencies.tolist()
+        ], key
+
+
+class ReadsTheBus:
+    """A ratio policy that reads ``context.telemetry`` at every batch, and
+    checks it against the oracle there (which has seen every earlier batch)."""
+
+    def __init__(self, oracle):
+        self.oracle, self.reads = oracle, 0
+
+    def on_run_start(self, trace):
+        pass
+
+    def select(self, context):
+        assert_bus_equals_oracle(context.telemetry, self.oracle)
+        self.reads += 1
+        return 0.25 * (context.server % 3)
+
+
+@st.composite
+def catch_up_cases(draw):
+    case = draw(cluster_cases())
+    servers = case["num_servers"]
+    return dict(
+        case,
+        scheduler=draw(st.sampled_from(["fifo", "priority", "edf"])),
+        placer=draw(st.sampled_from([None, *_PLACERS])),
+        speeds=draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=servers,
+                             max_size=servers)),
+        checkpoint=draw(st.booleans()),
+        autoscaler=servers > 1 and draw(st.booleans()),
+        reader=draw(st.booleans()),
+        # Without responses to record, an eligible run is a whole sweep.
+        record_responses=draw(st.booleans()),
+        read_every=draw(st.integers(1, 5)),
+        # A longer window holds more rows per cell, spread over more reads.
+        window=draw(st.sampled_from([WINDOW, 0.05])),
+    )
+
+
+def _catch_up_cluster(case, oracle):
+    crash = case["crash"]
+    scheduler = {"fifo": None, "priority": PriorityScheduler(), "edf": EdfScheduler()}
+    cluster = ClusterEngine(
+        [
+            ServerSpec(name=f"s{i}", speed=speed, service_model=ServiceTimeModel())
+            for i, speed in enumerate(case["speeds"])
+        ],
+        BatchingConfig(case["max_batch"], case["drop_after"]),
+        scheduler=scheduler[case["scheduler"]],
+        placer=case["placer"],
+        window=case["window"],
+        fault_schedule=(
+            None if crash is None else FaultSchedule.single_crash(crash[0], at=crash[1])
+        ),
+        migration=None if crash is None else RequeueAtHeadMigration(delay=0.001),
+        checkpoint=StepCheckpoint(steps=4) if case["checkpoint"] else None,
+        autoscaler=(
+            SloLatencyAutoscaler(slo_seconds=0.01, patience=1)
+            if case["autoscaler"] else None
+        ),
+        min_servers=1,
+        tracer=oracle,
+    )
+    policy = ReadsTheBus(oracle) if case["reader"] else FixedRatioPolicy(0.5)
+    cluster.register("m", policy=policy)
+    slos = case["slos"]
+    requests = [
+        Request(
+            arrival, "m", request_id=number, priority=number % 3,
+            deadline=None if slos is None else arrival + slos[number % len(slos)],
+        )
+        for number, arrival in enumerate(case["arrivals"])
+    ]
+    return cluster, policy, requests
+
+
+class TestTheCatchUpEqualsAddingEachBatch:
+    """The bus reads the ledger in bulk when read; every cell must equal the
+    per-batch arithmetic it replaced, bit for bit, however the rows fall
+    between catch-ups and whatever was rewound."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(catch_up_cases())
+    def test_a_cluster_run(self, case):
+        oracle = EagerTelemetry(case["window"])
+        cluster, policy, requests = _catch_up_cluster(case, oracle)
+        outcome = cluster.run(
+            requests=requests, record_responses=case["record_responses"]
+        )
+        assert_bus_equals_oracle(outcome.telemetry, oracle)
+        if case["reader"]:  # rewound batches were read for too
+            assert policy.reads >= len(outcome.result.batch_records)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(catch_up_cases())
+    def test_a_read_after_every_step(self, case):
+        """The cluster's engine stepped by hand: a read after every batch (or
+        every second or third, so a cell takes rows over several catch-ups),
+        and with a crash a rewind with migration, unread rows and all, once
+        the clock passes it."""
+        oracle = EagerTelemetry(case["window"])
+        cluster, _, requests = _catch_up_cluster(case, oracle)
+        engine, bus, crash = cluster.engine, cluster.telemetry, case["crash"]
+        engine.start(requests=requests)
+        steps = 0
+        while (record := engine.step()) is not None:
+            steps += 1
+            if crash is not None and record.start >= crash[1]:
+                engine.preempt_server(
+                    crash[0], crash[1], policy=RequeueAtHeadMigration(delay=0.001),
+                    checkpoint=StepCheckpoint(steps=4) if case["checkpoint"] else None,
+                )
+                crash = None
+            if steps % case["read_every"] == 0:
+                assert_bus_equals_oracle(bus, oracle)
+        engine.finish()
+        assert_bus_equals_oracle(bus, oracle)
+
+
+# ----------------------------------------------------------------------
 # Named regressions
 # ----------------------------------------------------------------------
 def _fifo_engine(columnar):
@@ -461,55 +687,91 @@ class TestRegistryReadsColumns:
         assert fast.to_json() == slow.to_json()
 
 
-def _record(start, size, server=0, row=0):
-    return BatchRecord("m", start, start + 0.01, size, 0.5, "flexiq", server, 0, row)
+def session(arrivals, deadlines=None):
+    """An empty ledger and a store of requests at ``arrivals`` (sorted)."""
+    return BatchLedger(), RequestStore.from_requests([
+        Request(
+            arrival, "m", request_id=number,
+            deadline=None if deadlines is None else deadlines[number],
+        )
+        for number, arrival in enumerate(arrivals)
+    ])
+
+
+def bound_bus(arrivals, deadlines=None, window=1.0, num_servers=1):
+    """A bus bound to a fresh :func:`session`, as the engine binds one at
+    ``start()``; returns it and the ledger."""
+    ledger, store = session(arrivals, deadlines)
+    bus = TelemetryBus(window=window, num_servers=num_servers)
+    bus.bind(ledger, store)
+    return bus, ledger
+
+
+def append(ledger, start, slots, server=0, finish=None):
+    """One batch of ``slots``, from ``start`` to ``finish`` (or 10 ms on)."""
+    finish = start + 0.01 if finish is None else finish
+    ledger.append(
+        "m", start, finish, len(slots), 0.5, "flexiq", server, 0,
+        np.asarray(slots, dtype=np.intp),
+    )
+
+
+def rewind(bus, ledger, index, kill_time=None):
+    """Cut ledger row ``index`` and subtract it, as ``preempt_server`` does:
+    the bus catches up before the row leaves the ledger."""
+    bus.catch_up()
+    [(record, slots)] = ledger.remove([index])
+    bus.unrecord_batch(record, slots, kill_time=kill_time)
 
 
 class TestRewindRemovesItsOwnSamples:
+    # Dyadic times, so every latency is exact: 0.75 - 0.5 is 0.25.
+    ARRIVALS = [0.25, 0.25, 0.5, 0.5, 0.625]
+
     def test_equal_latencies_in_one_cell(self):
-        bus = TelemetryBus(window=1.0)
-        first, second, third = (
-            _record(0.1, 2, row=0), _record(0.2, 1, row=1), _record(0.3, 2, row=2)
-        )
-        bus.record_batch(first, latencies=np.asarray([0.1, 0.3]))
-        bus.record_batch(second, latencies=np.asarray([0.2]))
-        bus.record_batch(third, latencies=np.asarray([0.1, 0.3]))
+        bus, ledger = bound_bus(self.ARRIVALS)
+        append(ledger, 0.7, [2, 0], finish=0.75)
+        append(ledger, 0.7, [4], finish=0.75)
+        append(ledger, 0.7, [3, 1], finish=0.75)
         # Bit-equal to the first batch's samples; only the third's own go.
-        bus.unrecord_batch(third, latencies=np.asarray([0.1, 0.3]))
+        rewind(bus, ledger, 2)
         stats = bus.server_window(0, 0)
-        assert stats.latencies.tolist() == [0.1, 0.3, 0.2]
+        assert stats.latencies.tolist() == [0.25, 0.5, 0.125]
         assert (stats.served, stats.batches) == (3, 2)
-        bus.unrecord_batch(first, latencies=np.asarray([0.1, 0.3]))
-        assert bus.server_window(0, 0).latencies.tolist() == [0.2]
+        rewind(bus, ledger, 0)
+        assert bus.server_window(0, 0).latencies.tolist() == [0.125]
 
     def test_of_two_field_equal_records_the_one_with_the_row_id_goes(self):
         """Two batches with every field equal but the row id (two servers'
         worth of identical work filed under one server, say): the bus finds a
         batch by its row id, not by what it looks like or which object it is."""
-        bus = TelemetryBus(window=1.0)
-        first, second = _record(0.1, 2, row=0), _record(0.1, 2, row=1)
-        assert first != second and first == _record(0.1, 2, row=0)
-        bus.record_batch(first, latencies=np.asarray([0.1, 0.3]))
-        bus.record_batch(second, latencies=np.asarray([0.2, 0.4]))
-        # A view of row 0 built anew, as ``ledger[i]`` builds them.
-        bus.unrecord_batch(_record(0.1, 2, row=0), latencies=np.asarray([0.1, 0.3]))
-        assert bus.server_window(0, 0).latencies.tolist() == [0.2, 0.4]
+        bus, ledger = bound_bus(self.ARRIVALS)
+        append(ledger, 0.7, [2, 0], finish=0.75)
+        append(ledger, 0.7, [4, 2], finish=0.75)
+        assert ledger[0] != ledger[1]
+        assert replace(ledger[0], row=1) == ledger[1]
+        rewind(bus, ledger, 0)
+        assert bus.server_window(0, 0).latencies.tolist() == [0.125, 0.25]
 
     def test_a_bus_attached_mid_run_never_saw_the_record(self):
+        ledger, store = session(self.ARRIVALS)
+        append(ledger, 0.7, [2, 0], finish=0.75)
         bus = TelemetryBus(window=1.0)
-        seen, unseen = _record(0.1, 2, row=0), _record(0.2, 2, row=1)
-        bus.record_batch(seen, latencies=np.asarray([0.1, 0.3]))
+        bus.bind(ledger, store)  # reads from the next row on
+        append(ledger, 0.7, [3, 1], finish=0.75)
         # The one tolerated miss: bit-equal samples of another batch stay.
-        bus.unrecord_batch(unseen, latencies=np.asarray([0.1, 0.3]))
-        assert bus.server_window(0, 0).latencies.tolist() == [0.1, 0.3]
+        rewind(bus, ledger, 0)
+        assert bus.server_window(0, 0).latencies.tolist() == [0.25, 0.5]
 
     def test_a_returned_snapshot_does_not_follow_the_bus(self):
-        bus = TelemetryBus(window=1.0, num_servers=2)
-        bus.record_batch(_record(0.1, 2), latencies=np.asarray([0.1, 0.3]))
+        deadlines = [None, None, None, 0.5, None]
+        bus, ledger = bound_bus(self.ARRIVALS, deadlines, num_servers=2)
+        append(ledger, 0.1, [0, 1])
         server, cluster = bus.server_window(0, 0), bus.cluster_window(0)
         before = (window_view(server), window_view(cluster, cluster=True))
-        bus.record_batch(_record(0.4, 1), latencies=np.asarray([0.2]))
-        bus.record_drops(0.5, 3, deadline_misses=1)
+        append(ledger, 0.4, [2])
+        bus.record_drops(0.5, np.array([3, 4]))
+        assert (bus.cluster_window(0).drops, bus.cluster_window(0).deadline_total) == (2, 1)
         assert (window_view(server), window_view(cluster, cluster=True)) == before
         assert bus.cluster_window(0).served == 3
 

@@ -57,6 +57,7 @@ from repro.serving.resilience import (
 from repro.serving.simulator import ServiceTimeModel
 from repro.serving.telemetry import ScaleEvent, TelemetryBus
 from test_cluster_day import FULL_SCALE, _engine as day_engine, diurnal_day
+from test_count_schema import bound_bus, rewind, session
 from test_serving_engine import seed_serving_run
 
 # A numpy RuntimeWarning (invalid value, overflow, divide) is a failure.
@@ -745,18 +746,24 @@ def _bus_with_window(window, *, served, met, drops=0, latencies=()):
 
 
 def _record_window(bus, window, *, served, met, drops=0, latencies=()):
-    start = window * bus.window + 0.1
-    record = BatchRecord(
-        "m", start, start + 0.1, served, 0.5, "flexiq", 0, 0
-    )
-    bus.record_batch(
-        record,
-        latencies=np.asarray(latencies if len(latencies) else [0.01] * served),
-        deadline_total=served,
-        deadline_met=met,
-    )
+    """One batch of ``served`` deadline-carrying requests, the first ``met``
+    of them in time, and ``drops`` more that expired at its start, read by
+    ``bus`` from a session of its own."""
+    start = window * bus.window + 0.6
+    finish = start + 0.1
+    latencies = np.asarray(latencies if len(latencies) else [0.01] * served)
+    arrivals = np.concatenate([finish - latencies, np.full(drops, start - 0.05)])
+    deadlines = np.concatenate([
+        np.where(np.arange(served) < met, finish, start), np.full(drops, start),
+    ])
+    # The store sorts by arrival; each request's slot is its rank.
+    order = np.argsort(arrivals, kind="stable")
+    slots = np.argsort(order)
+    ledger, store = session(arrivals[order], deadlines[order])
+    bus.bind(ledger, store)
+    ledger.append("m", start, finish, served, 0.5, "flexiq", 0, 0, slots[:served])
     if drops:
-        bus.record_drops(start, drops, deadline_misses=drops)
+        bus.record_drops(start, slots[served:])
     return bus
 
 
@@ -908,9 +915,8 @@ class TestSloMonitor:
 # ----------------------------------------------------------------------
 class TestTimelineCacheInvalidation:
     def test_rewinds_never_stale_the_cached_timeline(self):
-        bus = TelemetryBus(window=1.0, num_servers=2)
-        record = BatchRecord("m", 0.5, 0.7, 4, 0.5, "flexiq", 0, 3)
-        bus.record_batch(record, latencies=np.asarray([0.1] * 4))
+        bus, ledger = bound_bus([0.4] * 4, num_servers=2)
+        ledger.append("m", 0.5, 0.7, 4, 0.5, "flexiq", 0, 3, np.arange(4))
         bus.record_scale_event(
             ScaleEvent(time=1.0, action="add", server=1, active_after=2)
         )
@@ -919,7 +925,7 @@ class TestTimelineCacheInvalidation:
         assert [e.time for e in first] == [0.4, 1.0]
         # Rewinds (the preemption paths) touch cells only; the cached
         # timeline must remain correct — and identical — afterwards.
-        bus.unrecord_batch(record, latencies=np.asarray([0.1] * 4))
+        rewind(bus, ledger, 0)
         assert bus.timeline() == first
         stats = bus.server_window(0, 0)
         assert stats.served == 0 and stats.latencies.size == 0

@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.controller import AdaptiveRatioController, build_profile_from_latency_fn
 from repro.data.traces import PoissonTrace, RequestTrace, SpikeTrace, merge_traces
+from repro.hardware.gpu import GpuLatencyModel
 from repro.hardware.npu import NpuConfig, NpuLatencyModel, NpuServiceAdapter
 from repro.serving import (
     BatchingConfig,
@@ -218,26 +219,31 @@ class TestPlacement:
 
     def test_named_placer_asks_the_latency_model_once_per_batch_size(self):
         """A count, not a timing: the prices ``least_work`` makes a model
-        compute (its table misses).
+        compute.
 
         Cluster-built estimators read the model's price table, so a run
         makes each server's model compute each distinct (batch size, mode)
         once however many batches it places; the servers *execute* on
-        another model so that only placement reaches the counting one.
+        another model so that only placement reaches the counting one.  With
+        one anchor every size is an exact hardware-model latency, so each
+        price computed is one call the latency model records.
         """
 
-        class CountingModel(ServiceTimeModel):
+        class CountingLatency(GpuLatencyModel):
             def __init__(self):
-                super().__init__()
-                self.asked = []  # (size, mode) of each price computed
+                super().__init__("a6000")
+                self.asked = []  # (work, mode) of each price computed
 
-            def table(self, mode, ratio, sizes=()):
-                sizes = list(sizes)
-                held = super().table(mode, ratio)
-                self.asked.extend((size, mode) for size in sizes if size not in held)
-                return super().table(mode, ratio, sizes)
+            def model_latency(self, ops, mode, four_bit_ratio=0.0, **kwargs):
+                self.asked.append((sum(op.macs for op in ops), mode))
+                return super().model_latency(
+                    ops, mode, four_bit_ratio=four_bit_ratio, **kwargs
+                )
 
-        models = [CountingModel() for _ in range(3)]
+        models = [
+            ServiceTimeModel(anchor_batches=(1,), latency_model=CountingLatency())
+            for _ in range(3)
+        ]
         executing = ModeledExecutor(ServiceTimeModel())
         cluster = ClusterEngine(
             [
@@ -251,13 +257,14 @@ class TestPlacement:
         trace = PoissonTrace(2000, duration=1.0, seed=2).generate()
         result = cluster.run(trace)
         assert len(result.result.batch_records) > 100
-        for model in models:
-            assert len(set(model.asked)) > 1  # several sizes were scored ...
-            assert len(model.asked) == len(set(model.asked))  # ... once each
-            assert {mode for _, mode in model.asked} == {"int8"}
-        first = [list(model.asked) for model in models]
+        asked = [model.latency_model.asked for model in models]
+        for computed in asked:
+            assert len(set(computed)) > 1  # several sizes were scored ...
+            assert len(computed) == len(set(computed))  # ... once each
+            assert {mode for _, mode in computed} == {"int8"}
+        first = [list(computed) for computed in asked]
         cluster.run(trace)
-        assert [model.asked for model in models] == first  # and never again
+        assert asked == first  # and never again
 
     def test_user_estimators_are_asked_every_time(self):
         # A caller's estimator may be stateful: the placer must not cache it.

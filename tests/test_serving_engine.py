@@ -1343,6 +1343,12 @@ def _generation(service_model, **settings):
     return IterationScheduler(ModeledGenerationBackend(service_model), **settings)
 
 
+def _priced(model, size):
+    """``model`` once it has priced batch ``size`` at int8."""
+    model.batch_latency(size, "int8")
+    return model
+
+
 #: field named by the error -> a call handing it 1.5, which ``int()`` made 1.
 NON_INTEGER = {
     "num_servers": lambda model, bad: ServingEngine(num_servers=bad),
@@ -1370,10 +1376,14 @@ NON_INTEGER = {
     ),
     "autoscaler target": lambda model, bad: _autoscaled_to(model, bad),
     # A price used to interpolate 1.5, or to price int(1.5).  A prompt is
-    # checked on a table miss: a fresh model, since ceil(1.5 / 64) is a size
-    # the shared one has priced.
+    # refused whatever the table holds: ceil(1.5 / 64) is size 1, which a
+    # warmed model has priced (it used to return that price) and a fresh
+    # one has not.
     "batch size": lambda model, bad: model.batch_latency(bad, "int8"),
     "prompt_tokens": lambda model, bad: ServiceTimeModel().prefill_latency(bad, "int8"),
+    "prompt_tokens (size 1 priced)": lambda model, bad: _priced(
+        ServiceTimeModel(), 1
+    ).prefill_latency(bad, "int8"),
     "width": lambda model, bad: model.decode_latency(bad, "int8"),
 }
 

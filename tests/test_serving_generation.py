@@ -306,9 +306,9 @@ class TestAdmission:
         full = sorted(range(len(waiting)), key=lambda i: (waiting[i].prompt_tokens, i))
         for slots in range(1, len(waiting) + 2):
             # Same (prompt_tokens, queue position) order as a full sort.
-            assert [s.slot for s in policy.admit(waiting, [], slots)] == full[:slots]
-        assert policy.admit(waiting, [], 0) == []
-        assert policy.admit(waiting, [], -3) == []
+            assert [s.slot for s in policy.admit(waiting, [], slots, 0)] == full[:slots]
+        assert policy.admit(waiting, [], 0, 0) == []
+        assert policy.admit(waiting, [], -3, 0) == []
 
     def test_token_budget_caps_batch_footprint(self, backend):
         # Budget fits one 64-token sequence (+ its generated tokens) but
@@ -355,7 +355,7 @@ class TestAdmission:
 
     def test_bad_admission_policy_rejected(self, backend):
         class Overcommit:
-            def admit(self, waiting, running, slots):
+            def admit(self, waiting, running, slots, in_flight):
                 return list(waiting)  # ignores the slot cap
 
         requests = gen_requests([(0.0, 64, 2)] * 3)
@@ -477,7 +477,6 @@ class TestDerivedProgress:
             request=None, slot=0, arrival=0.0, prompt_tokens=8, max_new_tokens=3,
         )
         assert (seq.generated, seq.token_times, seq.finish_time) == (0, [], None)
-        assert seq.footprint == 8
         scheduler = IterationScheduler(backend, max_batch=1)
         scheduler.start(gen_requests([(0.0, 64, 5), (0.0, 32, 3)]))
         scheduler.step()
@@ -613,9 +612,10 @@ def spec_iteration(session, scheduler, candidates):
     """
     running = list(session.running)
     free = scheduler.max_batch - len(running)
+    in_flight = sum(seq.prompt_tokens + seq.generated for seq in running)
     joiners = []
     if free > 0 and candidates:
-        joiners = list(scheduler.admission.admit(candidates, running, free))
+        joiners = list(scheduler.admission.admit(candidates, running, free, in_flight))
     if not running and not joiners and candidates:
         joiners = [candidates[0]]  # the starvation guard
     members = running + joiners
@@ -628,7 +628,7 @@ def spec_iteration(session, scheduler, candidates):
             decode_width=len(decoders),
             prefill_requests=len(joiners),
             prefill_tokens=sum(seq.prompt_tokens for seq in joiners),
-            tokens_in_flight=sum(seq.prompt_tokens + seq.generated for seq in running),
+            tokens_in_flight=in_flight,
             waiting=len(candidates) - len(joiners),
         ),
     )
@@ -785,8 +785,8 @@ class _RecordingAdmission(FcfsAdmission):
     def __init__(self):
         self.joined = []
 
-    def admit(self, waiting, running, slots):
-        joiners = super().admit(waiting, running, slots)
+    def admit(self, waiting, running, slots, in_flight):
+        joiners = super().admit(waiting, running, slots, in_flight)
         self.joined.extend(seq.slot for seq in joiners)
         return joiners
 

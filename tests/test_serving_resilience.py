@@ -843,15 +843,15 @@ class TestPlacementEstimates:
         though named placers are resolved before register()."""
         spec = gpu_server("g", "vit_base", gpu="a6000")
         cluster = ClusterEngine([spec], placer="weighted")
-        estimator = cluster.batch_estimators()[0]
+        estimators = cluster.engine.placer.estimators
         cluster.register("m", mode="int4")
-        assert estimator(32) == pytest.approx(
+        assert estimators[0](32) == pytest.approx(
             spec.service_model.batch_latency(32, "int4")
         )
         # A second endpoint in a different mode falls back to the int8
         # reference (the convention the spec speeds are measured at).
         cluster.register("n", mode="fp16")
-        assert estimator(32) == pytest.approx(
+        assert estimators[0](32) == pytest.approx(
             spec.service_model.batch_latency(32, "int8")
         )
 
