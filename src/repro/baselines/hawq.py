@@ -26,7 +26,6 @@ from repro.quant.qmodel import (
     default_forward,
     greedy_average_bits,
     iter_quantized_layers,
-    model_average_bits,
     quantize_model,
     recalibrate_model,
 )
@@ -40,10 +39,6 @@ class HawqResult:
     model: Module
     layer_bits: Dict[str, int]
     sensitivities: Dict[str, float]
-
-    def average_bits(self) -> float:
-        """Parameter-weighted average weight bitwidth."""
-        return model_average_bits(self.model)
 
 
 def layer_sensitivities(

@@ -24,7 +24,6 @@ from repro.nn.module import Module
 from repro.quant.qmodel import (
     greedy_average_bits,
     iter_quantized_layers,
-    model_average_bits,
     quantize_model,
 )
 from repro.quant.quantizers import QuantParams
@@ -58,10 +57,6 @@ class PTMQModel:
             layer.weight_qparams = params["weight"]
             layer.act_qparams = params["act"]
             self.layer_bits[name] = bits
-
-    def average_bits(self) -> float:
-        """Parameter-weighted average weight bitwidth of the current assignment."""
-        return model_average_bits(self.model)
 
     def accuracy(self, dataset: SyntheticImageDataset) -> float:
         return evaluate_accuracy(self.model, dataset)

@@ -116,10 +116,6 @@ class SyntheticImageDataset:
                 self.test_labels[start : start + batch_size],
             )
 
-    def calibration_batch(self, size: int) -> np.ndarray:
-        """Return the first ``size`` training images for range calibration."""
-        return self.train_images[:size]
-
 
 DATASET_REGISTRY: Dict[str, DatasetConfig] = {
     # CIFAR-10 stand-in: small images, fewer samples.

@@ -32,16 +32,6 @@ class KernelStats:
     weight_bytes: int = 0
     activation_bytes: int = 0
 
-    def merge(self, other: "KernelStats") -> "KernelStats":
-        return KernelStats(
-            mma_int8=self.mma_int8 + other.mma_int8,
-            mma_int4=self.mma_int4 + other.mma_int4,
-            shift_accumulates=self.shift_accumulates + other.shift_accumulates,
-            dynamic_or_reductions=self.dynamic_or_reductions + other.dynamic_or_reductions,
-            weight_bytes=self.weight_bytes + other.weight_bytes,
-            activation_bytes=self.activation_bytes + other.activation_bytes,
-        )
-
 
 def mixed_gemm_reference(
     q_x: np.ndarray,

@@ -168,17 +168,6 @@ class NpuLatencyModel:
         """Adapt this NPU model to the GPU-style serving latency interface."""
         return NpuServiceAdapter(self)
 
-    def utilization(self, op: LayerOp, four_bit_ratio: float = 0.0) -> float:
-        """Fraction of peak MAC throughput achieved on an op."""
-        cfg = self.config
-        cycles = self.op_cycles(op, four_bit_ratio)
-        peak_macs_per_cycle = cfg.array_rows * cfg.array_cols * (
-            1.0 + min(max(four_bit_ratio, 0.0), 1.0)
-        )
-        if cycles <= 0:
-            return 0.0
-        return min(op.macs / (cycles * peak_macs_per_cycle), 1.0)
-
 
 class NpuServiceAdapter:
     """Mode-aware facade over :class:`NpuLatencyModel` for the serving layer.

@@ -55,10 +55,6 @@ class LayerOp:
         """Multiply-accumulate count of the op."""
         return int(self.m) * int(self.n) * int(self.k)
 
-    @property
-    def flops(self) -> int:
-        return 2 * self.macs
-
 
 # ----------------------------------------------------------------------
 # Transformers

@@ -221,13 +221,6 @@ class Identity(Module):
         return x
 
 
-class Flatten(Module):
-    """Flatten all dimensions after the batch dimension."""
-
-    def forward(self, x: TensorOrArray) -> TensorOrArray:
-        return x.reshape(x.shape[0], -1)
-
-
 class GlobalAvgPool2d(Module):
     def forward(self, x: TensorOrArray) -> TensorOrArray:
         return F.global_avg_pool2d(x)

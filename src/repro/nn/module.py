@@ -140,9 +140,6 @@ class Module:
         for param in self.parameters():
             param.zero_grad()
 
-    def num_parameters(self) -> int:
-        return int(sum(p.size for p in self.parameters()))
-
     # ------------------------------------------------------------------
     # State (de)serialisation
     # ------------------------------------------------------------------

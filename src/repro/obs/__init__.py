@@ -28,7 +28,7 @@ Every traced request ends in **exactly one** live terminal span, even
 across preemption, migration and checkpointed re-execution — the chaos
 suite asserts this conservation invariant.  Head-based sampling
 (``sample_rate``) decides per request by a deterministic slot hash;
-drops and deadline misses are always sampled by default.
+drops and deadline misses are always traced.
 
 Exporter formats
 ----------------
@@ -39,9 +39,8 @@ Exporter formats
   markers from the cluster timeline; process 1 ("requests") holds
   per-request queued spans and terminal/hop instants.  Load the file at
   https://ui.perfetto.dev or ``chrome://tracing``.
-* **Prometheus text exposition** and **JSON snapshots**
-  (:func:`~repro.obs.registry.prometheus_exposition`,
-  :func:`~repro.obs.registry.json_snapshot`) of a
+* **Prometheus text exposition**
+  (:func:`~repro.obs.registry.prometheus_exposition`) of a
   :class:`~repro.obs.registry.MetricsRegistry`.  Which run metrics exist
   and where each value is read from is one table,
   ``repro.obs.registry.ENGINE_METRICS`` / ``CLUSTER_METRICS``
@@ -52,8 +51,7 @@ Exporter formats
 SLO monitoring (:class:`~repro.obs.slo.SloMonitor`) evaluates
 multi-window burn-rate rules over attainment and latency objectives at
 cluster window boundaries; fired :class:`~repro.obs.slo.AlertEvent`\\ s
-land on the merged timeline next to scale/fault events and can feed the
-predictive autoscaler.
+land on the merged timeline next to scale/fault events.
 """
 
 from .export import to_chrome_trace, validate_chrome_trace
@@ -63,7 +61,6 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    json_snapshot,
     prometheus_exposition,
     registry_from_cluster,
     registry_from_engine,
@@ -111,7 +108,6 @@ __all__ = [
     "SloObjective",
     "SpanStore",
     "Tracer",
-    "json_snapshot",
     "prometheus_exposition",
     "registry_from_cluster",
     "registry_from_engine",

@@ -4,13 +4,10 @@
 layers' telemetry and external consumers.  Instruments follow the
 Prometheus data model — a metric has a name, help text and a fixed label
 schema; each distinct label-value combination is an independent child —
-and two exporters serialize a registry snapshot:
-
-* :func:`prometheus_exposition` — Prometheus text exposition format
-  (``# HELP`` / ``# TYPE`` headers, escaped label values, cumulative
-  histogram buckets with ``+Inf``/``_sum``/``_count``), scrapeable as a
-  ``/metrics`` payload.
-* :func:`json_snapshot` — a plain-dict snapshot for report pipelines.
+and :func:`prometheus_exposition` serializes a registry snapshot in the
+Prometheus text exposition format (``# HELP`` / ``# TYPE`` headers, escaped
+label values, cumulative histogram buckets with ``+Inf``/``_sum``/
+``_count``), scrapeable as a ``/metrics`` payload.
 
 :func:`registry_from_engine` / :func:`registry_from_cluster` populate a
 registry from finished runs, so ``EngineResult`` / ``ClusterResult``
@@ -239,35 +236,6 @@ def prometheus_exposition(registry: MetricsRegistry) -> str:
                 labels = _label_str(metric.labelnames, key)
                 lines.append(f"{metric.name}{labels} {_format_value(value)}")
     return "\n".join(lines) + "\n"
-
-
-def json_snapshot(registry: MetricsRegistry) -> Dict:
-    """Serialize a registry as a plain JSON-ready dict."""
-    out: Dict[str, Dict] = {}
-    for metric in registry.metrics():
-        entry: Dict = {
-            "type": metric.kind,
-            "help": metric.help,
-            "labelnames": list(metric.labelnames),
-        }
-        if metric.kind == "histogram":
-            entry["buckets"] = list(metric.buckets)
-            entry["samples"] = [
-                {
-                    "labels": dict(zip(metric.labelnames, key)),
-                    "counts": cells[: len(metric.buckets) + 1],
-                    "sum": cells[-1],
-                    "count": float(sum(cells[: len(metric.buckets) + 1])),
-                }
-                for key, cells in metric.samples()
-            ]
-        else:
-            entry["samples"] = [
-                {"labels": dict(zip(metric.labelnames, key)), "value": value}
-                for key, value in metric.samples()
-            ]
-        out[metric.name] = entry
-    return out
 
 
 # ----------------------------------------------------------------------

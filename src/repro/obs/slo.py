@@ -18,10 +18,9 @@ closed :class:`~repro.serving.telemetry.TelemetryBus` windows at
   exceeded ``latency_slo_seconds`` (drops count as violations).
 
 Fired alerts become :class:`AlertEvent`\\ s on the merged cluster
-timeline next to scale and fault events, and can feed
-``PredictiveFaultAutoscaler.observe_alerts`` as a scale-up signal.
-Alerts are edge-triggered: a rule re-fires only after its fast-window
-burn has dropped back below threshold.
+timeline next to scale and fault events.  Alerts are edge-triggered: a
+rule re-fires only after its fast-window burn has dropped back below
+threshold.
 """
 
 from __future__ import annotations

@@ -19,11 +19,9 @@ The serving layers record *what happened to each request* as typed spans
   spans (queued / served) are recorded — the same request samples
   identically on every loop and across reruns.  Execute spans are always
   recorded when tracing is on: they are O(batches), they are the per-server
-  swimlanes, and they cost nothing per request.  Drops and deadline misses
-  override the sampling decision (``sample_drops`` /
-  ``sample_deadline_misses``; a dropped request that carried a deadline
-  missed it): the requests worth debugging are exactly the ones a uniform
-  sample would usually miss.
+  swimlanes, and they cost nothing per request.  Every drop and every
+  deadline miss is traced whatever the sampling decision: the requests
+  worth debugging are exactly the ones a uniform sample would usually miss.
 
 Preemption support keeps the terminal-conservation invariant (every
 traced request ends in *exactly one* live terminal span): when a batch is
@@ -147,10 +145,9 @@ class Tracer:
     Attach one to a :class:`~repro.serving.engine.ServingEngine` or
     :class:`~repro.serving.cluster.ClusterEngine` via their ``tracer``
     parameter.  ``sample_rate`` head-samples per-request spans (execute
-    spans are always kept); ``sample_drops`` and ``sample_deadline_misses``
-    force-trace the interesting requests regardless of the sampling
-    decision.  Everything is opt-in: engines
-    built without a tracer take a single ``is None`` branch per batch.
+    spans, drops and deadline misses are always kept).  Everything is
+    opt-in: engines built without a tracer take a single ``is None`` branch
+    per batch.
 
     **Spans are settled on read.**  :meth:`on_batch` and :meth:`on_batches`
     only park their batches; :meth:`settle` writes the spans of all of them
@@ -160,17 +157,10 @@ class Tracer:
     ``ServingEngine.finish()`` calls it before the session closes.
     """
 
-    def __init__(
-        self,
-        sample_rate: float = 1.0,
-        sample_drops: bool = True,
-        sample_deadline_misses: bool = True,
-    ) -> None:
+    def __init__(self, sample_rate: float = 1.0) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError("sample_rate must be in [0, 1]")
         self.sample_rate = float(sample_rate)
-        self.sample_drops = bool(sample_drops)
-        self.sample_deadline_misses = bool(sample_deadline_misses)
         self._threshold = int(self.sample_rate * _HASH_MOD)
         self.reset()
 
@@ -179,8 +169,9 @@ class Tracer:
     # ------------------------------------------------------------------
     @property
     def wants_deadlines(self) -> bool:
-        """Whether hooks should pass deadline columns (miss-forced sampling)."""
-        return self.sample_deadline_misses and self.sample_rate < 1.0
+        """Whether batch hooks should pass deadline columns (a sampled-out
+        request that misses its deadline is traced anyway)."""
+        return self.sample_rate < 1.0
 
     def sample_mask(self, slots: np.ndarray) -> np.ndarray:
         """Deterministic head-sampling decision per slot (vectorized)."""
@@ -266,7 +257,7 @@ class Tracer:
         arrivals = np.concatenate([park[1] for park in riders])
         batch = np.repeat(np.arange(len(sizes)), sizes)  # each rider's batch
         mask = self.sample_mask(slots)
-        if self.sample_deadline_misses and any(park[2] is not None for park in riders):
+        if any(park[2] is not None for park in riders):
             deadlines = np.concatenate([
                 np.full(len(park[0]), np.nan) if park[2] is None else park[2]
                 for park in riders
@@ -290,31 +281,14 @@ class Tracer:
         served = first + batch + 2 * np.arange(1, len(hits) + 1)
         self._terminal_row.update(zip(traced.tolist(), served.tolist()))
 
-    def on_drop(
-        self,
-        slots: np.ndarray,
-        arrivals: np.ndarray,
-        time: float,
-        deadlines: Optional[np.ndarray] = None,
-    ) -> None:
-        """Expired requests: queued span + dropped terminal per traced request,
-        each terminal its request's live one.
-
-        ``deadlines`` (absolute, ``nan`` = none) force-traces, under
-        ``sample_deadline_misses``, every dropped request that carried one:
-        it missed it.
-        """
+    def on_drop(self, slots: np.ndarray, arrivals: np.ndarray, time: float) -> None:
+        """Expired requests: queued span + dropped terminal per request (every
+        drop is traced), each terminal its request's live one."""
         slots = np.asarray(slots)
-        if self.sample_drops:
-            mask = np.ones(len(slots), dtype=bool)
-        else:
-            mask = self.sample_mask(slots)
-            if deadlines is not None and self.sample_deadline_misses:
-                mask |= ~np.isnan(deadlines)
-        if mask.any():
-            time, slots = float(time), slots[mask]
+        if len(slots):
+            time = float(time)
             first = self.store.append_rows(
-                _pairs(SPAN_DROPPED, slots, -1, np.asarray(arrivals)[mask], time, time)
+                _pairs(SPAN_DROPPED, slots, -1, np.asarray(arrivals), time, time)
             )
             self._terminal_row.update(
                 zip(slots.tolist(), range(first + 1, first + 2 * len(slots), 2))

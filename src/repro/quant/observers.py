@@ -29,10 +29,6 @@ class TensorRange:
         """Symmetric range radius max(|low|, |high|)."""
         return np.maximum(np.abs(self.low), np.abs(self.high))
 
-    def widened(self, factor: float) -> "TensorRange":
-        """Return a range widened symmetrically by ``factor``."""
-        return TensorRange(low=self.low * factor, high=self.high * factor)
-
 
 def _reduce_axes(shape_len: int, channel_axis: Optional[int]) -> Optional[Tuple[int, ...]]:
     if channel_axis is None:

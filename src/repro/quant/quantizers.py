@@ -48,10 +48,6 @@ class QuantParams:
         shape[self.channel_axis] = -1
         return self.scale.reshape(shape)
 
-    def with_bits(self, bits: int) -> "QuantParams":
-        """Same scale grid, different target bitwidth."""
-        return QuantParams(self.scale.copy(), bits, self.channel_axis)
-
 
 def compute_qparams(
     value_range: TensorRange,

@@ -12,7 +12,7 @@ run from; result records, protocols and helpers import from their module.
   :func:`requests_from_trace`.
 * :mod:`~repro.serving.core` -- columnar :class:`RequestStore` and its
   ``LazyRequests`` view, the batch ledger and the resumable FIFO sweep.
-* :mod:`~repro.serving.schedulers` -- queue order: FIFO, priority, EDF.
+* :mod:`~repro.serving.schedulers` -- queue order: FIFO, EDF.
 * :mod:`~repro.serving.executors` -- what a batch costs:
   :class:`ModeledExecutor` (analytic) or :class:`RuntimeExecutor` (real
   prepared-kernel forwards of one-shot image batches).
@@ -21,7 +21,7 @@ run from; result records, protocols and helpers import from their module.
 * :mod:`~repro.serving.placement`, :mod:`~repro.serving.telemetry`,
   :mod:`~repro.serving.cluster` -- server choice, windowed telemetry,
   :class:`ClusterEngine` over heterogeneous :class:`ServerSpec` servers,
-  topology and autoscalers.
+  topology and the SLO autoscaler.
 * :mod:`~repro.serving.resilience` -- fault schedules, preemption and
   migration policies, warm spares, step checkpoints.
 * :mod:`~repro.serving.generation` -- :class:`IterationScheduler`
@@ -46,8 +46,6 @@ from repro.serving.engine import (
 from repro.serving.cluster import (
     ClusterEngine,
     ClusterTopology,
-    PredictiveFaultAutoscaler,
-    QueueDepthAutoscaler,
     ServerSpec,
     SloLatencyAutoscaler,
     gpu_server,
@@ -59,13 +57,11 @@ from repro.serving.generation import (
     IterationScheduler,
     ModeledGenerationBackend,
     PrefillPriorityAdmission,
-    TokenBudgetAdmission,
     run_to_completion,
 )
 from repro.serving.placement import (
     FreeClockPlacer,
     LeastOutstandingWorkPlacer,
-    ModelAffinityPlacer,
     PlacementContext,
     PredictivePlacer,
     SpreadPlacer,
@@ -91,7 +87,7 @@ from repro.serving.policies import (
     RoundRobinRatioPolicy,
 )
 from repro.serving.telemetry import ClusterWindowStats, ScaleEvent, TelemetryBus
-from repro.serving.schedulers import EdfScheduler, FifoScheduler, PriorityScheduler
+from repro.serving.schedulers import EdfScheduler, FifoScheduler
 from repro.serving.simulator import ServiceTimeModel
 from repro.serving.metrics import streaming_summary, summarize_migrations
 
@@ -114,17 +110,13 @@ __all__ = [
     "IterationScheduler",
     "LeastOutstandingWorkPlacer",
     "Migrant",
-    "ModelAffinityPlacer",
     "ModeledExecutor",
     "ModeledGenerationBackend",
     "PerServerAdaptiveRatioPolicy",
     "PlacementContext",
     "PolicyContext",
-    "PredictiveFaultAutoscaler",
     "PredictivePlacer",
     "PrefillPriorityAdmission",
-    "PriorityScheduler",
-    "QueueDepthAutoscaler",
     "QueueDepthRatioPolicy",
     "RedistributeMigration",
     "Request",
@@ -140,7 +132,6 @@ __all__ = [
     "SpreadPlacer",
     "StepCheckpoint",
     "TelemetryBus",
-    "TokenBudgetAdmission",
     "WarmSparePool",
     "WeightedSpeedPlacer",
     "gpu_server",

@@ -18,21 +18,17 @@ production serving system that decides what the cluster looks like:
   batch ledger when read (drops are handed to it) and policies read it
   through :class:`~repro.serving.policies.PolicyContext`.
 * :class:`Autoscaler` — a window-boundary policy deciding how many servers
-  stay active.  :class:`QueueDepthAutoscaler` and
-  :class:`SloLatencyAutoscaler` implement hysteresis-based scaling on queue
-  depth and windowed latency percentiles;
-  :class:`PredictiveFaultAutoscaler` additionally watches per-server
-  telemetry trends and provisions *before* the SLO window breaks.  Scale
-  decisions are applied via
+  stay active.  :class:`SloLatencyAutoscaler` implements hysteresis-based
+  scaling on windowed latency percentiles and drops.  Scale decisions are
+  applied via
   :meth:`~repro.serving.engine.ServingEngine.set_active_servers` and
   recorded as :class:`~repro.serving.telemetry.ScaleEvent` in the timeline.
 * **Failure domains** — every spec carries a ``zone``/``rack`` identity;
   :class:`ClusterTopology` groups servers by the failure domain they share
   fate with.  Domain-scoped faults (``zone_outage``, ``rack_slowdown``)
-  expand to per-server events against the topology,
+  expand to per-server events against the topology, and
   :class:`~repro.serving.placement.SpreadPlacer` keeps load from
-  concentrating in one domain, and with ``min_domains`` set the autoscaler
-  never parks a model's way down to a single domain.
+  concentrating in one domain.
 * **Warm spares** — a :class:`~repro.serving.resilience.WarmSparePool`
   holds pre-replicated standby servers out of the ordinary active set; a
   crash of an active server *promotes* the fastest healthy spare with only
@@ -71,7 +67,6 @@ from repro.serving.metrics import attainment_within, latency_percentile
 from repro.serving.placement import (
     FreeClockPlacer,
     LeastOutstandingWorkPlacer,
-    ModelAffinityPlacer,
     Placer,
     PredictivePlacer,
     ServiceEstimator,
@@ -88,12 +83,7 @@ from repro.serving.resilience import (
 )
 from repro.serving.schedulers import Scheduler
 from repro.serving.simulator import ServiceTimeModel
-from repro.serving.telemetry import (
-    ClusterWindowStats,
-    ScaleEvent,
-    TelemetryBus,
-    fold_rate,
-)
+from repro.serving.telemetry import ClusterWindowStats, ScaleEvent, TelemetryBus
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +108,8 @@ class ServerSpec:
     are untouched; :class:`ClusterTopology` derives the domain map.
 
     ``health`` / ``slow_factor`` are run-time state maintained by the fault
-    plane (:mod:`repro.serving.resilience`): ``"healthy"`` serves at nominal
+    plane (:mod:`repro.serving.resilience`), not constructor options: every
+    spec starts ``"healthy"`` at factor 1.  ``"healthy"`` serves at nominal
     speed, ``"degraded"`` serves with service times inflated by
     ``slow_factor``, and ``"failed"`` serves nothing (the control plane
     keeps it out of the active set until it recovers).  A
@@ -132,8 +123,8 @@ class ServerSpec:
     device: str = ""
     zone: str = ""
     rack: str = ""
-    health: str = "healthy"
-    slow_factor: float = 1.0
+    health: str = field(default="healthy", init=False)
+    slow_factor: float = field(default=1.0, init=False)
 
     def __post_init__(self) -> None:
         check_positive("speed (requests/second)", self.speed)
@@ -164,35 +155,12 @@ class ServerSpec:
             return self.executor
         return ModeledExecutor(self.service_model)
 
-    def estimate_batch_seconds(
-        self,
-        batch_size: int,
-        mode: str = "int8",
-        ratio: float = 0.0,
-        residual: float = 1.0,
-        transfer: float = 0.0,
-    ) -> float:
+    def estimate_batch_seconds(self, batch_size: int, mode: str = "int8") -> float:
         """Estimated service seconds for one batch (speed fallback without
-        a service model).
-
-        ``residual`` scales the estimate for partially-checkpointed work: a
-        migrated cohort whose largest surviving demand is ``1 - progress``
-        costs only that fraction of the full batch (see
-        :class:`~repro.serving.resilience.CheckpointPolicy`).  ``transfer``
-        adds the cohort's checkpoint-restore seconds on top (see
-        :meth:`~repro.serving.resilience.StepCheckpoint.restore_seconds`) —
-        a migrated batch is cheap to *re-execute* but not free to *land*.
-        """
-        if not 0 < residual <= 1:
-            raise ValueError("residual must be in (0, 1]")
-        if transfer < 0:
-            raise ValueError("transfer must be >= 0 seconds")
+        a service model)."""
         if self.service_model is not None:
-            return (
-                self.service_model.batch_latency(batch_size, mode, ratio) * residual
-                + transfer
-            )
-        return batch_size / self.speed * residual + transfer
+            return self.service_model.batch_latency(batch_size, mode)
+        return batch_size / self.speed
 
 
 def _table_reader(model: ServiceTimeModel, mode: str) -> ServiceEstimator:
@@ -291,8 +259,8 @@ class ClusterTopology:
     ``"rack:<name>"`` when it only has a rack, and ``"server:<id>"`` when it
     declared neither (an undeclared server is its own island, which keeps
     domain-unaware clusters behaving exactly as before).  The spread placer,
-    domain-aware autoscaling and :meth:`~repro.serving.resilience.
-    FaultSchedule.expand` all consume this map.
+    warm-spare promotion and :meth:`~repro.serving.resilience.
+    FaultSchedule.expand` consume this map.
     """
 
     zone_by_server: Tuple[str, ...]
@@ -308,10 +276,6 @@ class ClusterTopology:
             zone_by_server=tuple(str(spec.zone) for spec in specs),
             rack_by_server=tuple(str(spec.rack) for spec in specs),
         )
-
-    @property
-    def num_servers(self) -> int:
-        return len(self.zone_by_server)
 
     def domain_of(self, server: int) -> str:
         """The server's finest failure-domain label (always non-empty)."""
@@ -339,36 +303,6 @@ class ClusterTopology:
             if rack == str(name)
         ]
 
-    @property
-    def zones(self) -> Dict[str, List[int]]:
-        """Declared zones and their member servers (insertion order)."""
-        groups: Dict[str, List[int]] = {}
-        for server, zone in enumerate(self.zone_by_server):
-            if zone:
-                groups.setdefault(zone, []).append(server)
-        return groups
-
-    @property
-    def racks(self) -> Dict[str, List[int]]:
-        """Declared racks and their member servers (insertion order)."""
-        groups: Dict[str, List[int]] = {}
-        for server, rack in enumerate(self.rack_by_server):
-            if rack:
-                groups.setdefault(rack, []).append(server)
-        return groups
-
-    @property
-    def domains(self) -> Dict[str, List[int]]:
-        """Every failure domain and its member servers."""
-        groups: Dict[str, List[int]] = {}
-        for server in range(self.num_servers):
-            groups.setdefault(self.domain_of(server), []).append(server)
-        return groups
-
-    @property
-    def num_domains(self) -> int:
-        return len(self.domains)
-
 
 # ----------------------------------------------------------------------
 # Autoscalers
@@ -391,17 +325,34 @@ class Autoscaler(Protocol):
         ...
 
 
-class _CalmStreak:
-    """The hysteresis every autoscaler here shares: one streak rule.
+@dataclass
+class SloLatencyAutoscaler:
+    """Scale on a windowed latency-percentile SLO with hysteresis.
 
-    A breach scales **up** by ``step`` at once; ``patience`` consecutive
-    calm windows scale **down** by ``step``; any other window breaks the
-    streak.  The class holding it declares ``patience``, ``step`` and
-    ``_calm_windows`` as dataclass fields and calls
-    ``_check_streak()`` from ``__post_init__``.
+    Scale **up** by ``step`` when the window's ``percentile`` response time
+    exceeds ``slo_seconds`` — or when the window *dropped* requests: a
+    mass-dropping cluster can show healthy served-latency percentiles
+    precisely because the queue is being culled, so drops are treated as the
+    strongest breach signal.  Scale **down** by ``step`` after ``patience``
+    consecutive calm windows: nothing was dropped and the percentile sits
+    below ``slo_seconds * headroom`` (spare capacity) — so the cluster sheds
+    servers only when the SLO is met with margin.  Any other window breaks
+    the streak; windows with no completed responses and no drops leave the
+    size (and the streak) unchanged.
     """
 
-    def _check_streak(self) -> None:
+    slo_seconds: float
+    percentile: float = 99.0
+    headroom: float = 0.5
+    patience: int = 2
+    step: int = 1
+    _calm_windows: int = field(default=0, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        check_positive("slo_seconds", self.slo_seconds)
+        check_percentile(self.percentile)
+        if not 0 < self.headroom <= 1:
+            raise ValueError("headroom must be in (0, 1]")
         self.patience = check_integer("patience", self.patience, 1)
         self.step = check_integer("step", self.step, 1)
 
@@ -419,71 +370,6 @@ class _CalmStreak:
         self._calm_windows = 0
         return active - self.step
 
-
-@dataclass
-class QueueDepthAutoscaler(_CalmStreak):
-    """Scale on queue depth with hysteresis.
-
-    Scale **up** by ``step`` whenever the window's mean queue depth exceeds
-    ``scale_up_depth``.  Scale **down** only after ``patience`` consecutive
-    windows below ``scale_down_depth`` — the hysteresis that stops the
-    cluster from flapping on a bursty trace.  The asymmetric thresholds
-    (up >> down) are the second half of the hysteresis band.
-    """
-
-    scale_up_depth: float = 64.0
-    scale_down_depth: float = 8.0
-    patience: int = 2
-    step: int = 1
-    _calm_windows: int = field(default=0, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        # A nan threshold fails every comparison: the cluster would never scale.
-        if not (np.isfinite(self.scale_up_depth) and np.isfinite(self.scale_down_depth)):
-            raise ValueError(
-                "scale_up_depth and scale_down_depth must be finite (got "
-                f"{self.scale_up_depth!r}, {self.scale_down_depth!r})"
-            )
-        if self.scale_down_depth > self.scale_up_depth:
-            raise ValueError("scale_down_depth must not exceed scale_up_depth")
-        self._check_streak()
-
-    def decide(self, stats: ClusterWindowStats, active: int) -> int:
-        depth = stats.mean_queue_depth
-        return self._streak(
-            active, depth > self.scale_up_depth, depth < self.scale_down_depth
-        )
-
-
-@dataclass
-class SloLatencyAutoscaler(_CalmStreak):
-    """Scale on a windowed latency-percentile SLO with hysteresis.
-
-    Scale **up** when the window's ``percentile`` response time exceeds
-    ``slo_seconds`` — or when the window *dropped* requests: a mass-dropping
-    cluster can show healthy served-latency percentiles precisely because
-    the queue is being culled, so drops are treated as the strongest breach
-    signal.  Scale **down** after ``patience`` consecutive windows in which
-    nothing was dropped and the percentile sits below ``slo_seconds *
-    headroom`` (spare capacity) — so the cluster sheds servers only when
-    the SLO is met with margin.  Windows with no completed responses and no
-    drops leave the size unchanged.
-    """
-
-    slo_seconds: float
-    percentile: float = 99.0
-    headroom: float = 0.5
-    patience: int = 2
-    step: int = 1
-    _calm_windows: int = field(default=0, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        check_positive("slo_seconds", self.slo_seconds)
-        check_percentile(self.percentile)
-        if not 0 < self.headroom <= 1:
-            raise ValueError("headroom must be in (0, 1]")
-        self._check_streak()
-
     def decide(self, stats: ClusterWindowStats, active: int) -> int:
         if stats.drops > 0:
             return self._streak(active, breach=True)
@@ -495,115 +381,6 @@ class SloLatencyAutoscaler(_CalmStreak):
             observed > self.slo_seconds,
             observed < self.slo_seconds * self.headroom,
         )
-
-
-@dataclass
-class PredictiveFaultAutoscaler(SloLatencyAutoscaler):
-    """Provision *ahead of* predicted degradation from telemetry trends.
-
-    The reactive autoscalers wait for a breach — a blown percentile or a
-    dropped request — which under a fault means a whole SLO window of damage
-    is already done before capacity moves.  This policy watches the same
-    per-server served-per-busy-second signal
-    :class:`~repro.serving.placement.PredictivePlacer` forecasts with
-    (:func:`~repro.serving.telemetry.fold_rate`, weight ``alpha``) and
-    scales **up** the moment a server's newest windowed rate *collapses*
-    below ``collapse_ratio`` of its forecast (a slowdown fault, thermal
-    throttle or failing link shows up there one window after onset,
-    typically before the cluster percentile breaks).  Otherwise it decides
-    as :class:`SloLatencyAutoscaler`: the breach signals remain as the
-    reactive backstop, and scale-down keeps the same hysteresis.
-
-    The control plane hands the policy its
-    :class:`~repro.serving.telemetry.TelemetryBus` through :meth:`attach`
-    (called by :meth:`ClusterEngine.run`); without a bus the policy degrades
-    to the reactive behaviour.  When a collapse triggered the decision,
-    ``last_reason`` names the collapsed servers and the control plane
-    appends it to the scale event's audit line.
-    """
-
-    collapse_ratio: float = 0.6
-    alpha: float = 0.5
-    _ewma: Dict[int, float] = field(default_factory=dict, init=False, repr=False)
-    _telemetry: Optional[TelemetryBus] = field(
-        default=None, init=False, repr=False
-    )
-    _pending_alerts: List[object] = field(
-        default_factory=list, init=False, repr=False
-    )
-    last_reason: str = field(default="", init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0 < self.collapse_ratio < 1:
-            raise ValueError("collapse_ratio must be in (0, 1)")
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-
-    def attach(self, telemetry: TelemetryBus) -> None:
-        """Receive the cluster's telemetry bus (control-plane hook)."""
-        self._telemetry = telemetry
-
-    def reset(self) -> None:
-        """Clear forecasts and hysteresis (called by the control plane per run)."""
-        super().reset()
-        self._ewma.clear()
-        self._pending_alerts.clear()
-        self.last_reason = ""
-
-    def observe_alerts(self, alerts: Sequence[object]) -> None:
-        """Receive freshly fired SLO burn-rate alerts (control-plane hook).
-
-        Page-severity alerts (:class:`repro.obs.slo.AlertEvent`, duck-typed)
-        queue as a scale-up trigger consumed by the next :meth:`decide` —
-        the burn-rate signal sees a budget-torching incident across the
-        whole error budget, which the single-window percentile check can
-        miss when each window is individually borderline.  Never called on
-        clusters without an SLO monitor, leaving behaviour unchanged.
-        """
-        self._pending_alerts.extend(
-            alert for alert in alerts
-            if getattr(alert, "severity", "page") == "page"
-        )
-
-    def _collapsed_servers(self, window: int) -> List[int]:
-        """Fold the window into the forecasts; return servers that collapsed."""
-        bus = self._telemetry
-        collapsed: List[int] = []
-        if bus is None or window < 0:
-            return collapsed
-        for server in range(bus.num_servers):
-            rate = bus.measured_rate(server, window)
-            forecast = self._ewma.get(server, float("nan"))
-            if rate < self.collapse_ratio * forecast:  # false on either nan
-                collapsed.append(server)
-            # The degraded rate still folds in (slowly, via the EWMA): the
-            # policy must also notice when the server *recovers*.
-            self._ewma[server] = fold_rate(forecast, rate, self.alpha)
-        return collapsed
-
-    def decide(self, stats: ClusterWindowStats, active: int) -> int:
-        self.last_reason = ""
-        if self._pending_alerts:
-            alert = self._pending_alerts[0]
-            self._pending_alerts.clear()
-            # Fold the window into the forecasts even when the alert
-            # preempts the collapse check: recovery tracking must not stall.
-            self._collapsed_servers(stats.window)
-            self.last_reason = (
-                "slo burn-rate alert: "
-                f"{getattr(alert, 'objective', 'objective')} burning at "
-                f"{getattr(alert, 'burn_fast', 0.0):.1f}x budget"
-            )
-            return self._streak(active, breach=True)
-        collapsed = self._collapsed_servers(stats.window)
-        if collapsed:
-            self.last_reason = (
-                "predicted degradation: served-per-busy-second collapsed on "
-                f"server(s) {collapsed}"
-            )
-            return self._streak(active, breach=True)
-        return super().decide(stats, active)
 
 
 # ----------------------------------------------------------------------
@@ -630,11 +407,6 @@ class ClusterResult:
     def migrated(self) -> int:
         """Requests moved off failed/deactivated servers and re-served."""
         return self.result.migrated
-
-    @property
-    def promotions(self) -> List[ScaleEvent]:
-        """Warm-spare activations (scale events with action ``"promote"``)."""
-        return [event for event in self.scale_events if event.action == "promote"]
 
     def timeline(self) -> List[object]:
         """Scale, fault *and* alert events merged in deterministic time order."""
@@ -746,10 +518,7 @@ class ClusterEngine:
     ``startup_delay`` seconds after the decision (provisioning lag).
     Scale-up activates the fastest parked *healthy* server, scale-down
     parks the slowest active one, and every decision lands in the telemetry
-    timeline.  Under a :class:`~repro.serving.placement.ModelAffinityPlacer`
-    scale-down additionally respects per-model floors: a model's last
-    active affine server is never parked (override the default floor of one
-    per affinity model with ``model_floors``).
+    timeline.
 
     A ``fault_schedule`` (:class:`~repro.serving.resilience.FaultSchedule`)
     injects crashes, slowdowns and recoveries at window boundaries; a
@@ -765,8 +534,6 @@ class ClusterEngine:
     specs as standbys: they start parked, ordinary scale-up skips them, and
     a crash of an active server promotes one with the pool's
     ``promotion_latency`` instead of the cold ``startup_delay``.
-    ``min_domains`` makes scale-down refuse to shrink the active set (and
-    each affinity model's active set) below that many failure domains.
     Without a migration policy a crash drops its victims (lost work);
     without a fault schedule this class behaves exactly as before.
     """
@@ -784,9 +551,7 @@ class ClusterEngine:
         startup_delay: float = 0.0,
         fault_schedule: Optional[FaultSchedule] = None,
         migration: Optional[MigrationPolicy] = None,
-        model_floors: Optional[Dict[str, int]] = None,
         warm_spares: Optional[WarmSparePool] = None,
-        min_domains: Optional[int] = None,
         checkpoint: Optional[CheckpointPolicy] = None,
         columnar: bool = True,
         tracer=None,
@@ -814,9 +579,6 @@ class ClusterEngine:
             s for s in range(len(self.specs)) if s not in self._spare_ids
         ]
         self._promoted: Set[int] = set()
-        self.min_domains = (
-            None if min_domains is None else check_integer("min_domains", min_domains, 1)
-        )
         self.checkpoint = checkpoint
         self.min_servers = check_integer("min_servers", min_servers, 1)
         if self.min_servers > len(self.specs):
@@ -844,7 +606,6 @@ class ClusterEngine:
                         f"cluster has {len(self.specs)} servers"
                     )
         self.migration = migration
-        self.model_floors = dict(model_floors) if model_floors is not None else None
         # Per-run fault cursor (the schedule's events not yet applied, in
         # schedule order); rebuilt by run() so one immutable schedule drives
         # any number of replays.
@@ -880,21 +641,6 @@ class ClusterEngine:
             columnar=columnar,
             tracer=tracer,
         )
-        if self.model_floors is not None:
-            # Floors only act through affinity scale-down; accepting them
-            # anywhere else would silently configure nothing.
-            affinity = self._affinity_placer()
-            if affinity is None:
-                raise ValueError(
-                    "model_floors requires a ModelAffinityPlacer (floors act "
-                    "on a model's affine server set)"
-                )
-            unknown = set(self.model_floors) - set(affinity.affinity)
-            if unknown:
-                raise ValueError(
-                    "model_floors names models absent from the affinity map: "
-                    f"{sorted(unknown)}"
-                )
 
     @property
     def speeds(self) -> List[float]:
@@ -952,13 +698,6 @@ class ClusterEngine:
                 f"unknown placer {placer!r}; named placers: {', '.join(_PLACERS)}"
             )
         return placer
-
-    def _affinity_placer(self) -> Optional[ModelAffinityPlacer]:
-        """The cluster's affinity placer, unwrapping one spread layer."""
-        placer = self.engine.placer
-        if isinstance(placer, SpreadPlacer):
-            placer = placer.within
-        return placer if isinstance(placer, ModelAffinityPlacer) else None
 
     # ------------------------------------------------------------------
     # Registry
@@ -1018,18 +757,10 @@ class ClusterEngine:
         """
         if (trace is None) == (requests is None):
             raise ValueError("provide exactly one of trace or requests")
-        self.telemetry.reset()
-        if self.tracer is not None and hasattr(self.tracer, "reset"):
-            self.tracer.reset()
         if self.slo_monitor is not None:
             self.slo_monitor.reset()
-        if self.autoscaler is not None:
-            if hasattr(self.autoscaler, "attach"):
-                # Telemetry-driven policies (PredictiveFaultAutoscaler) read
-                # per-server windows straight off the bus.
-                self.autoscaler.attach(self.telemetry)
-            if hasattr(self.autoscaler, "reset"):
-                self.autoscaler.reset()
+        if self.autoscaler is not None and hasattr(self.autoscaler, "reset"):
+            self.autoscaler.reset()
         self._faults = (
             deque(self.fault_schedule) if self.fault_schedule is not None else None
         )
@@ -1125,10 +856,9 @@ class ClusterEngine:
         Faults that strike strictly *before* the boundary leave the per-run
         cursor here — a fault strikes mid-window but lands when the window
         closes (firing it at its own timestamp, mid-window, is not the
-        model).  The SLO monitor reads the
-        just-closed window next (alerts land on the timeline beside the
-        faults that caused them), and the autoscaler decides last — with
-        any fresh alerts already visible as an input signal.
+        model).  The SLO monitor reads the just-closed window next (alerts
+        land on the timeline beside the faults that caused them), and the
+        autoscaler decides last.
         """
         faults = self._faults
         if faults is not None:
@@ -1140,10 +870,6 @@ class ClusterEngine:
             )
             for alert in alerts:
                 self.telemetry.record_alert_event(alert)
-            if alerts and self.autoscaler is not None and hasattr(
-                self.autoscaler, "observe_alerts"
-            ):
-                self.autoscaler.observe_alerts(alerts)
         if self.autoscaler is not None:
             self._autoscale(window, boundary)
 
@@ -1311,63 +1037,6 @@ class ClusterEngine:
                 ScaleEvent(boundary, action, server, len(new_active), reason)
             )
 
-    def _floor_blocked(self, server: int, remaining: set) -> bool:
-        """Would parking ``server`` drop a model below its affinity floor?
-
-        Floors default to one active server per model named in a
-        :class:`~repro.serving.placement.ModelAffinityPlacer`'s map (so an
-        autoscaler can never scale a model's last server to zero);
-        ``model_floors`` overrides per model.
-        """
-        placer = self._affinity_placer()
-        if placer is None:
-            return False
-        floors = (
-            self.model_floors
-            if self.model_floors is not None
-            else {model: 1 for model in placer.affinity}
-        )
-        for model, allowed in placer.affinity.items():
-            floor = floors.get(model, 1)
-            if server in allowed:
-                left = sum(
-                    1 for other in remaining if other in allowed and other != server
-                )
-                if left < floor:
-                    return True
-        return False
-
-    def _domain_blocked(self, server: int, remaining: set) -> bool:
-        """Would parking ``server`` drop failure-domain diversity too low?
-
-        With ``min_domains`` set, scale-down keeps the active set — and each
-        affinity model's active subset — spread over at least that many
-        failure domains (clamped to however many domains actually exist), so
-        the autoscaler can never concentrate a model into one zone.
-        """
-        if self.min_domains is None:
-            return False
-        topology = self.topology
-        left = {
-            topology.domain_of(other) for other in remaining if other != server
-        }
-        if len(left) < min(self.min_domains, topology.num_domains):
-            return True
-        placer = self._affinity_placer()
-        if placer is not None:
-            for allowed in placer.affinity.values():
-                if server not in allowed:
-                    continue
-                model_left = {
-                    topology.domain_of(other)
-                    for other in remaining
-                    if other in allowed and other != server
-                }
-                model_total = {topology.domain_of(s) for s in allowed}
-                if len(model_left) < min(self.min_domains, len(model_total)):
-                    return True
-        return False
-
     def _autoscale(self, window: int, boundary: float) -> None:
         """Apply one autoscaling decision at a window boundary."""
         active = self.engine.active_servers
@@ -1389,9 +1058,6 @@ class ClusterEngine:
             f"window {window}: depth={stats.mean_queue_depth:.1f}, "
             f"p99={p99}, drops={stats.drops}"
         )
-        predicted = getattr(self.autoscaler, "last_reason", "")
-        if predicted:
-            reason = f"{reason}; {predicted}"
         order = sorted(
             range(len(self.specs)), key=lambda s: (-self.specs[s].speed, s)
         )
@@ -1407,17 +1073,6 @@ class ClusterEngine:
                 and self.specs[s].available
                 and (s not in self._spare_ids or s in self._promoted)
             ]
-            if self.min_domains is not None:
-                # Prefer waking under-represented domains, so scale-up
-                # rebuilds diversity before it adds depth.
-                presence = {
-                    domain: 0 for domain in self.topology.domains
-                }
-                for s in active:
-                    presence[self.topology.domain_of(s)] += 1
-                parked.sort(
-                    key=lambda s: presence[self.topology.domain_of(s)]
-                )
             added = parked[: target - len(active)]
             if not added:
                 return
@@ -1426,20 +1081,9 @@ class ClusterEngine:
                 available_from=boundary + self.startup_delay,
             )
         else:
-            removable = [s for s in reversed(order) if s in active]
-            removed: List[int] = []
-            remaining = set(active)
-            for server in removable:
-                if len(removed) == len(active) - target:
-                    break
-                if self._floor_blocked(server, remaining):
-                    continue
-                if self._domain_blocked(server, remaining):
-                    continue
-                removed.append(server)
-                remaining.discard(server)
-            if not removed:
-                return
+            removed = [s for s in reversed(order) if s in active][
+                : len(active) - target
+            ]
             self._rescale(
                 boundary, "remove", removed,
                 sorted(s for s in active if s not in removed), reason,

@@ -17,13 +17,13 @@ ratio it runs at are pluggable:
   owning an independent prepared-kernel cache).
 * :class:`~repro.serving.schedulers.Scheduler` — the queue discipline.
   The default is FIFO (the seed behaviour, served by a fast array path);
-  :class:`~repro.serving.schedulers.PriorityScheduler` and the SLO-aware
-  :class:`~repro.serving.schedulers.EdfScheduler` reorder queued requests by
-  per-request ``priority``/``deadline`` fields.
+  the SLO-aware :class:`~repro.serving.schedulers.EdfScheduler` reorders
+  queued requests by their ``deadline`` (a scheduler's keys may read
+  ``priority`` too).
 * :class:`~repro.serving.placement.Placer` — which server the next batch
   runs on.  ``placer=None`` keeps the seed argmin-free-clock dispatch
   (inlined, bit-identical); heterogeneous clusters plug in least-work,
-  weighted-by-speed or model-affinity placement (see
+  weighted-by-speed, predictive or domain-spread placement (see
   :mod:`repro.serving.placement` and :mod:`repro.serving.cluster`).
 * :class:`RatioPolicy` — picks the 4-bit ratio for each batch.  Policies see
   a :class:`~repro.serving.policies.PolicyContext` (start time, queue depth,
@@ -155,8 +155,9 @@ class Request:
     ``payload`` carries the actual model input for real execution (a single
     sample, e.g. a ``(C, H, W)`` image); modeled execution needs only the
     arrival time.  ``request_id`` defaults to the admission index.
-    ``priority`` (higher serves first) and ``deadline`` (absolute time by
-    which the response should finish) are read by the non-FIFO schedulers;
+    ``priority`` (higher is more urgent) and ``deadline`` (absolute time by
+    which the response should finish) are what non-FIFO schedulers key on
+    (:class:`~repro.serving.schedulers.EdfScheduler` reads the deadline);
     FIFO ignores both.  A deadline before the arrival is legal (a relative
     SLO of 0 makes one): one miss in ``deadline_attainment()`` and telemetry.
 
@@ -435,18 +436,6 @@ class EngineResult:
             return 0.0
         return len(self.latencies) / self.duration
 
-    def for_model(self, name: str) -> np.ndarray:
-        """Served latencies of one registered model, in admission order."""
-        served = ~np.isnan(self.request_latencies)
-        if self.request_models is None:
-            # A single-model session: one model ran every batch there is.
-            records = self.batch_records
-            if len(records) and records[0].model != name:
-                return np.zeros(0, dtype=np.float64)
-            return self.request_latencies[served]
-        mask = served & (np.asarray(self.request_models) == name)
-        return self.request_latencies[mask]
-
     def deadline_attainment(self) -> float:
         """Fraction of deadline-carrying requests that met their deadline.
 
@@ -699,9 +688,10 @@ class ServingEngine:
         # and receives drops as they happen (see repro.serving.telemetry).
         self.telemetry = telemetry
         # Optional request-lifecycle tracer (duck-typed; see repro.obs): the
-        # on_* hooks (on_batches: a run of the sweep's rows), wants_deadlines
-        # and settle().  None keeps every hot path on a single is-None branch
-        # per batch, preserving bit-identity with the untraced engine.
+        # on_* hooks (on_batches: a run of the sweep's rows), wants_deadlines,
+        # settle() and reset() (at every start()).  None keeps every hot path
+        # on a single is-None branch per batch, preserving bit-identity with
+        # the untraced engine.
         self.tracer = tracer
         self._fifo = scheduler is None or isinstance(scheduler, FifoScheduler)
         self._endpoints: Dict[str, _Endpoint] = {}
@@ -882,8 +872,13 @@ class ServingEngine:
         self._session = _Session(
             self.num_servers, store, run_duration, record_responses
         )
+        # A session starts its bus and tracer empty: a reused engine must
+        # not add this session's counts and spans to the last one's.
         if self.telemetry is not None:
+            self.telemetry.reset()
             self.telemetry.bind(self._session.ledger, store)
+        if self.tracer is not None:
+            self.tracer.reset()
 
     def submit(self, requests: Union[Request, Sequence[Request]]) -> None:
         """Push requests into the open session (streaming admission).
@@ -1344,8 +1339,8 @@ class ServingEngine:
             if rows > row:
                 self.tracer.on_batches(s.ledger, row, rows, *riders(position, lo))
             if hi > lo:
-                slots, arrived, due = riders(lo, hi)
-                self.tracer.on_drop(slots, arrived, time, due)
+                slots = s.pend_slots[lo:hi]
+                self.tracer.on_drop(slots, arrivals[slots], time)
             row, position = rows, hi
         s.traced = (row, len(sweep.drop_rows), position)
 
@@ -1449,7 +1444,7 @@ class ServingEngine:
             return record
 
     # ------------------------------------------------------------------
-    # Scheduled path (priority / EDF / custom disciplines)
+    # Scheduled path (EDF / custom disciplines)
     # ------------------------------------------------------------------
     def _step_scheduled(self, s: _Session) -> Optional[BatchRecord]:
         max_batch = self.batching.max_batch
@@ -1474,7 +1469,7 @@ class ServingEngine:
                 return None
             # Admission and expiry run against the earliest-free active
             # clock *before* placement: admitting can reorder the queue
-            # head (EDF/priority) and expiry can remove it, and the placer
+            # head (EDF) and expiry can remove it, and the placer
             # must see the head that will actually lead the batch.  With
             # ``placer=None`` the dispatched server IS the earliest-free
             # one, so this is exactly the seed arithmetic (``max`` spelled
@@ -1670,11 +1665,7 @@ class ServingEngine:
         if self.telemetry is not None:
             self.telemetry.record_drops(start, slots)
         if self.tracer is not None:
-            self.tracer.on_drop(
-                slots, s.store.arrivals[slots], start,
-                self._slot_deadlines(s, slots) if self.tracer.wants_deadlines
-                else None,
-            )
+            self.tracer.on_drop(slots, s.store.arrivals[slots], start)
         if s.record_responses:
             # A copy, as for a row's riders: FIFO-path slots view pend_slots.
             s.drops.append((slots.copy() if slots.base is not None else slots, start))

@@ -14,9 +14,7 @@ and queued requests join it (continuous batching), under a pluggable
 * :class:`FcfsAdmission` — join in queue order (arrival, then slot: the
   engine's FIFO queue order);
 * :class:`PrefillPriorityAdmission` — shortest prompt first, minimizing
-  the prefill time the running batch stalls for (TTFT-greedy);
-* :class:`TokenBudgetAdmission` — cap the batch's token footprint
-  (prompt + generated tokens per sequence), the KV-cache-bound regime.
+  the prefill time the running batch stalls for (TTFT-greedy).
 
 One FIFO server serves the session.  Its requests are held as one
 :class:`~repro.serving.core.RequestStore`, whose slots are in arrival order,
@@ -192,44 +190,6 @@ class PrefillPriorityAdmission:
             key=lambda i: (waiting[i].prompt_tokens, i),
         )
         return [waiting[i] for i in ranked]
-
-
-class TokenBudgetAdmission:
-    """Cap the running batch's token footprint at ``budget_tokens``.
-
-    The KV-cache-bound regime: every running sequence occupies
-    ``prompt_tokens + generated`` tokens of state, and a joiner is
-    admitted only while the batch's total footprint (with the joiner's
-    prompt plus its first token) stays within budget.  Admission stops at
-    the first candidate that does not fit (head-blocking, preserving the
-    inner ordering's fairness).  ``within`` supplies the candidate order —
-    FCFS by default, composable with :class:`PrefillPriorityAdmission`.
-    The scheduler's force-admit still applies: a prompt larger than the
-    whole budget serves alone rather than starving forever.
-    """
-
-    def __init__(
-        self, budget_tokens: int, within: Optional[AdmissionPolicy] = None
-    ) -> None:
-        self.budget_tokens = check_integer("budget_tokens", budget_tokens, 1)
-        self.within = within if within is not None else FcfsAdmission()
-
-    def admit(
-        self,
-        waiting: Sequence[SequenceState],
-        running: Sequence[SequenceState],
-        slots: int,
-        in_flight: int,
-    ) -> Sequence[SequenceState]:
-        ordered = self.within.admit(waiting, running, slots, in_flight)
-        chosen: List[SequenceState] = []
-        for seq in ordered:
-            cost = seq.prompt_tokens + max(1, seq.generated)
-            if in_flight + cost > self.budget_tokens:
-                break
-            in_flight += cost
-            chosen.append(seq)
-        return chosen
 
 
 # ----------------------------------------------------------------------

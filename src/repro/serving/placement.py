@@ -9,7 +9,7 @@ so it keeps winning batches that a busy fast server would nevertheless have
 engine keeps its invariants (the placer only picks *which* server runs the
 next batch; admission, batching and scheduling are unchanged).
 
-Four disciplines ship with the engine:
+Five disciplines ship with the engine:
 
 * :class:`FreeClockPlacer` — argmin over free clocks; the seed behaviour and
   the compatibility default (an engine built with ``placer=None`` takes the
@@ -23,16 +23,12 @@ Four disciplines ship with the engine:
   weighted free clock): ``max(free_at, now) + batch_hint / speed``.  The
   scheduling-theory ECT rule; differs from least-work in charging the wait
   until the server frees, not just the work itself.
-* :class:`ModelAffinityPlacer` — partitioned / affinity placement: each model
-  is restricted to a subset of servers (e.g. models pinned to the accelerators
-  holding their weights), with any placer as the rule within the subset.
 * :class:`SpreadPlacer` — failure-domain-aware placement: wraps any placer
   and steers each batch toward the least-loaded *domain* (zone, falling back
   to rack, falling back to the server itself — see
   :class:`~repro.serving.cluster.ClusterTopology`) so replicas of a model's
   working set spread across domains and a single zone outage cannot strand
-  the whole fleet's backlog.  ``max_domain_share`` optionally hard-bounds how
-  much of the cluster backlog one domain may concentrate.
+  the whole fleet's backlog.
 * :class:`PredictivePlacer` — telemetry-driven placement: instead of trusting
   nominal speeds, it forecasts each server's service capacity (EWMA over the
   windowed served-per-busy-second rates the
@@ -69,7 +65,6 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.serving.core import check_integer
 from repro.serving.telemetry import fold_rate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -267,7 +262,7 @@ class PredictivePlacer(_SpeedScoredPlacer):
 
         score(s) = max(free_at[s], now)
                  + service_seconds(s, hint) * (nominal_rate[s] / forecast_rate[s])
-                 + depth_weight * depth_trend[s] / forecast_rate[s]
+                 + DEPTH_WEIGHT * depth_trend[s] / forecast_rate[s]
 
     i.e. the batch-size-aware estimate is *re-scaled by the measured
     degradation* and penalized by forecasted congestion.  Servers without
@@ -275,25 +270,20 @@ class PredictivePlacer(_SpeedScoredPlacer):
     speeds — the placer then behaves exactly like
     :class:`WeightedSpeedPlacer`.
 
-    ``alpha`` is the EWMA weight of the newest window.  Forecasts fold in
+    ``ALPHA`` is the EWMA weight of the newest window.  Forecasts fold in
     incrementally (each window is visited once per server), so per-batch
     placement stays O(active servers).
     """
+
+    ALPHA = 0.5
+    DEPTH_WEIGHT = 0.1
 
     def __init__(
         self,
         speeds: Sequence[float],
         estimators: Optional[Sequence[ServiceEstimator]] = None,
-        alpha: float = 0.5,
-        depth_weight: float = 0.1,
     ) -> None:
         super().__init__(speeds, estimators)
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        if depth_weight < 0:
-            raise ValueError("depth_weight must be >= 0")
-        self.alpha = float(alpha)
-        self.depth_weight = float(depth_weight)
         # server -> [last folded window, rate EWMA (nan = none), depth EWMA]
         self._trends: Dict[int, List[float]] = {}
 
@@ -309,13 +299,11 @@ class PredictivePlacer(_SpeedScoredPlacer):
         state = self._trends.get(server)
         if state is None or state[0] > completed:
             state = self._trends[server] = [-1.0, float("nan"), 0.0]
-        last = int(state[0])
+        last, alpha = int(state[0]), self.ALPHA
         for window in range(last + 1, completed + 1):
-            state[1] = fold_rate(
-                state[1], bus.measured_rate(server, window), self.alpha
-            )
+            state[1] = fold_rate(state[1], bus.measured_rate(server, window), alpha)
             depth = bus.mean_depth(server, window)
-            state[2] = self.alpha * depth + (1 - self.alpha) * state[2]
+            state[2] = alpha * depth + (1 - alpha) * state[2]
         state[0] = float(completed)
         return state[1], state[2]
 
@@ -334,7 +322,7 @@ class PredictivePlacer(_SpeedScoredPlacer):
             if not rate > 0:  # nan or zero: no history yet, trust nominal
                 rate = nominal
             estimate = self.service_seconds(server, hint) * (nominal / rate)
-            pressure = self.depth_weight * depth / rate
+            pressure = self.DEPTH_WEIGHT * depth / rate
             return (
                 max(context.free_at[server], now) + estimate + pressure,
                 -rate,
@@ -354,30 +342,13 @@ class SpreadPlacer:
     more active servers, then the lexically first name, so the choice is
     deterministic.  Within the chosen domain, ``within`` decides (free-clock
     by default), so any speed-aware placer becomes spread-aware by wrapping.
-
-    ``max_domain_share`` (in ``(0, 1]``) additionally excludes any domain
-    already holding more than that share of the *total* cluster backlog —
-    a hard anti-concentration bound: even if a domain's per-server backlog
-    looks cheap (it has many servers), it cannot keep absorbing work once
-    it concentrates that fraction of the fleet's outstanding seconds.  The
-    bound is waived when it would exclude every domain (an idle cluster has
-    no backlog to share) and whenever only one domain is active — the
-    placer never stalls the queue.
     """
 
     def __init__(
-        self,
-        topology: "ClusterTopology",
-        within: Optional[Placer] = None,
-        max_domain_share: Optional[float] = None,
+        self, topology: "ClusterTopology", within: Optional[Placer] = None
     ) -> None:
-        if max_domain_share is not None and not 0 < max_domain_share <= 1:
-            raise ValueError("max_domain_share must be in (0, 1]")
         self.topology = topology
         self.within = within if within is not None else FreeClockPlacer()
-        self.max_domain_share = (
-            float(max_domain_share) if max_domain_share is not None else None
-        )
 
     def place(self, context: PlacementContext) -> int:
         domains: Dict[str, List[int]] = {}
@@ -391,57 +362,13 @@ class SpreadPlacer:
                 )
                 for name, servers in domains.items()
             }
-            candidates = dict(domains)
-            if self.max_domain_share is not None:
-                total = sum(backlog.values())
-                if total > 0:
-                    bounded = {
-                        name: servers
-                        for name, servers in domains.items()
-                        if backlog[name] / total <= self.max_domain_share
-                    }
-                    if bounded:  # waived rather than stalling the queue
-                        candidates = bounded
             chosen = min(
-                candidates,
+                domains,
                 key=lambda name: (
-                    backlog[name] / len(candidates[name]),
-                    -len(candidates[name]),
+                    backlog[name] / len(domains[name]),
+                    -len(domains[name]),
                     name,
                 ),
             )
-            context = replace(context, active=candidates[chosen])
-        return self.within.place(context)
-
-
-class ModelAffinityPlacer:
-    """Partitioned placement: each model restricted to its affine servers.
-
-    ``affinity`` maps model name to the server ids allowed to serve it
-    (models absent from the map may use any server).  Within the allowed
-    set, ``within`` decides (free-clock by default).  If none of a model's
-    affine servers is currently active — e.g. the autoscaler parked them —
-    the restriction is waived rather than stalling the queue, so requests
-    are always serviceable.
-    """
-
-    def __init__(
-        self,
-        affinity: Dict[str, Sequence[int]],
-        within: Optional[Placer] = None,
-    ) -> None:
-        self.affinity = {
-            str(model): sorted(
-                {check_integer("affine server id", s, 0) for s in servers}
-            )
-            for model, servers in affinity.items()
-        }
-        self.within = within if within is not None else FreeClockPlacer()
-
-    def place(self, context: PlacementContext) -> int:
-        allowed = self.affinity.get(context.model)
-        if allowed is not None:
-            restricted = [server for server in context.active if server in allowed]
-            if restricted:
-                context = replace(context, active=restricted)
+            context = replace(context, active=domains[chosen])
         return self.within.place(context)

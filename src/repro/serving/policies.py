@@ -179,9 +179,8 @@ class DecodePressureRatioPolicy:
     *different* precisions depending on the load its server was under at
     each step.  Pressure counts ``tokens_in_flight`` plus
     ``prefill_tokens`` about to join, plus ``waiting * waiting_weight``
-    (each queued sequence's expected footprint).  On one-shot batch paths
-    (no generation context) it falls back to queue depth against
-    ``queue_depth_fallback``.
+    (each queued sequence's expected footprint).  A batch with no generation
+    context (a one-shot engine) is refused: the policy has nothing to read.
     """
 
     def __init__(
@@ -190,7 +189,6 @@ class DecodePressureRatioPolicy:
         base_ratio: float = 0.0,
         high_ratio: float = 1.0,
         waiting_weight: float = 0.0,
-        queue_depth_fallback: int = 8,
     ) -> None:
         self.pressure_threshold = check_integer(
             "pressure_threshold", pressure_threshold, 1
@@ -202,9 +200,6 @@ class DecodePressureRatioPolicy:
         self.waiting_weight = check_positive(
             "waiting_weight", waiting_weight, allow_zero=True
         )
-        self.queue_depth_fallback = check_integer(
-            "queue_depth_fallback", queue_depth_fallback, 0
-        )
         self.switches = 0
         self._last: Optional[float] = None
 
@@ -214,16 +209,18 @@ class DecodePressureRatioPolicy:
 
     def select(self, context: PolicyContext) -> float:
         generation = context.generation
-        if generation is not None:
-            pressure = (
-                generation.tokens_in_flight
-                + generation.prefill_tokens
-                + generation.waiting * self.waiting_weight
+        if generation is None:
+            raise ValueError(
+                "DecodePressureRatioPolicy reads decode pressure and serves "
+                "generation runs only (IterationScheduler); this batch has "
+                "no generation context"
             )
-            loaded = pressure >= self.pressure_threshold
-        else:
-            loaded = context.queue_depth >= self.queue_depth_fallback
-        ratio = self.high_ratio if loaded else self.base_ratio
+        pressure = (
+            generation.tokens_in_flight
+            + generation.prefill_tokens
+            + generation.waiting * self.waiting_weight
+        )
+        ratio = self.high_ratio if pressure >= self.pressure_threshold else self.base_ratio
         if self._last is not None and ratio != self._last:
             self.switches += 1
         self._last = ratio

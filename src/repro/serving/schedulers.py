@@ -12,14 +12,12 @@ session's :class:`~repro.serving.core.RequestStore` to sortable discipline
 keys, read straight from the store's columns (no ``Request`` objects).  Every
 queue sorts on ``(key, arrival, admission slot)``, so requests with equal
 keys always serve FIFO by arrival (regardless of the order they were pushed through streaming
-``submit()``).  Three disciplines ship with the engine:
+``submit()``).  Two disciplines ship with the engine:
 
 * :class:`FifoScheduler` — arrival order; the seed behaviour.  A
   ``ServingEngine`` built with ``scheduler=None`` (or an explicit
   ``FifoScheduler``) takes the fast array path, which is bit-identical to
   the seed simulator at ``num_servers=1``.
-* :class:`PriorityScheduler` — higher :attr:`Request.priority` first,
-  FIFO within a priority class.
 * :class:`EdfScheduler` — earliest :attr:`Request.deadline` first
   (earliest-deadline-first, the classic SLO-aware discipline); requests
   without a deadline sort last, FIFO among themselves.  Under overload
@@ -42,8 +40,7 @@ Schedulers also order **migrated** work: when the resilience plane
 (:mod:`repro.serving.resilience`) preempts a failing server's batches, the
 requeued requests re-enter admission gated by their migration-ready time
 and are then re-ranked by the same keys as fresh requests — an EDF queue
-re-sorts migrants by their (unchanged) deadlines, a priority queue by their
-priorities.  Equal keys tie-break on the migration-ready time (a migrant's
+re-sorts migrants by their (unchanged) deadlines.  Equal keys tie-break on the migration-ready time (a migrant's
 pend key, which stands in for its arrival), then the admission slot.  No
 scheduler needs migration-specific code.
 """
@@ -79,15 +76,6 @@ class FifoScheduler:
 
     def keys(self, store: RequestStore, slots: np.ndarray) -> List[Tuple]:
         return [()] * len(slots)  # the arrival tie-breaker IS the discipline
-
-
-class PriorityScheduler:
-    """Strict priority: higher ``Request.priority`` first, FIFO within."""
-
-    def keys(self, store: RequestStore, slots: np.ndarray) -> List[Tuple]:
-        if store.priorities is None:
-            return [(0,)] * len(slots)
-        return [(p,) for p in (-store.priorities[slots]).tolist()]
 
 
 class EdfScheduler:

@@ -68,9 +68,8 @@ def fold_rate(forecast: float, rate: float, alpha: float) -> float:
 
     ``rate`` is a :meth:`TelemetryBus.measured_rate` reading: ``nan`` (an
     idle window, no capacity signal) leaves ``forecast`` as it is, and a
-    ``nan`` forecast (no history yet) becomes ``rate``.  The one forecast
-    :class:`~repro.serving.placement.PredictivePlacer` places by and
-    :class:`~repro.serving.cluster.PredictiveFaultAutoscaler` scales by.
+    ``nan`` forecast (no history yet) becomes ``rate``.  The forecast
+    :class:`~repro.serving.placement.PredictivePlacer` places by.
     """
     if rate != rate:
         return forecast

@@ -10,7 +10,7 @@ model zoo in :mod:`repro.nn` is sized so that end-to-end experiments stay
 fast on a CPU.
 """
 
-from repro.tensor.tensor import Tensor, TensorOrArray, no_grad, is_grad_enabled
+from repro.tensor.tensor import Tensor, TensorOrArray, no_grad
 from repro.tensor import functional
 
-__all__ = ["Tensor", "TensorOrArray", "functional", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "TensorOrArray", "functional", "no_grad"]

@@ -24,11 +24,6 @@ TensorOrArray = Union["Tensor", np.ndarray]
 _GRAD_ENABLED = True
 
 
-def is_grad_enabled() -> bool:
-    """Return whether operations currently record gradient information."""
-    return _GRAD_ENABLED
-
-
 @contextlib.contextmanager
 def no_grad() -> Iterator[None]:
     """Context manager that disables graph recording (like ``torch.no_grad``)."""
@@ -101,10 +96,6 @@ class Tensor:
     @property
     def T(self) -> "Tensor":
         return self.transpose()
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
 
     def item(self) -> float:
         return float(self.data.item())

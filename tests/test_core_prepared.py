@@ -651,7 +651,8 @@ class TestPreparedKernelInternals:
         plan = plan_for(layer)
         assert plan.act_shift.max() > 0
         layer.configure(shuffled_layout(16), plan, group_size=4)
-        layer.act_qparams = layer.act_qparams.with_bits(4)
+        act = layer.act_qparams
+        layer.act_qparams = QuantParams(act.scale.copy(), 4, act.channel_axis)
         x = Tensor(data[:8])
         layer.set_boundary(0)
         fast = layer(x).data

@@ -256,7 +256,7 @@ class TestFlexiQModelWrapper:
 def _grouped_conv_net():
     """A small tree whose first layer is a grouped convolution (it stays at
     8 bits and runs the uniform kernel, which calls ``F.conv2d``)."""
-    from repro.nn.layers import BatchNorm2d, Flatten, GlobalAvgPool2d, ReLU6
+    from repro.nn.layers import BatchNorm2d, GlobalAvgPool2d, ReLU6
     from repro.nn.module import Sequential
 
     rng = np.random.default_rng(0)
@@ -264,7 +264,7 @@ def _grouped_conv_net():
         Conv2d(3, 6, 3, padding=1, groups=3, rng=rng), BatchNorm2d(6), ReLU6(),
         Conv2d(6, 8, 3, padding=1, rng=rng), ReLU6(),
         Conv2d(8, 8, 3, padding=1, bias=False, rng=rng),
-        GlobalAvgPool2d(), Flatten(), Linear(8, 10, rng=rng),
+        GlobalAvgPool2d(), Linear(8, 10, rng=rng),
     )
 
 

@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from priority_scheduler import PriorityScheduler
 from test_examples import load_example
 
 from repro.data.traces import DiurnalTrace, PoissonTrace
@@ -38,7 +39,6 @@ from repro.obs import (
     SloMonitor,
     SloObjective,
     Tracer,
-    json_snapshot,
     prometheus_exposition,
     registry_from_cluster,
     registry_from_engine,
@@ -51,7 +51,6 @@ from repro.serving import (
     FaultSchedule,
     FixedRatioPolicy,
     ModeledExecutor,
-    PriorityScheduler,
     Request,
     RequeueAtHeadMigration,
     ServerSpec,
@@ -109,6 +108,36 @@ def window_view(stats, cluster: bool = False) -> dict:
     view["latency_p99"] = _exact(stats.latency_percentile(99))
     view["summary"] = {key: _exact(v) for key, v in stats.summary().items()}
     return view
+
+
+def json_snapshot(registry) -> dict:
+    """A registry as a plain JSON-ready dict: every metric's type, help,
+    label names and samples (a histogram's cells as counts, sum, count)."""
+    out = {}
+    for metric in registry.metrics():
+        entry = {
+            "type": metric.kind,
+            "help": metric.help,
+            "labelnames": list(metric.labelnames),
+        }
+        if metric.kind == "histogram":
+            entry["buckets"] = list(metric.buckets)
+            entry["samples"] = [
+                {
+                    "labels": dict(zip(metric.labelnames, key)),
+                    "counts": cells[: len(metric.buckets) + 1],
+                    "sum": cells[-1],
+                    "count": float(sum(cells[: len(metric.buckets) + 1])),
+                }
+                for key, cells in metric.samples()
+            ]
+        else:
+            entry["samples"] = [
+                {"labels": dict(zip(metric.labelnames, key)), "value": value}
+                for key, value in metric.samples()
+            ]
+        out[metric.name] = entry
+    return out
 
 
 def run_view(outcome, tracer, per_server: bool = True) -> dict:
@@ -433,6 +462,9 @@ class EagerTelemetry:
 
     def __init__(self, window):
         self.window = window
+        # Each slot's deadline (``nan`` = none), or None when no request has
+        # one: a drop hook is handed slots only.
+        self.deadlines = None
         self.reset()
 
     def reset(self):
@@ -486,11 +518,12 @@ class EagerTelemetry:
         total, met = self.counts.pop(record.row)
         self._batch(-1, record, max(record.start, time), None, total, met)
 
-    def on_drop(self, slots, arrivals, time, deadlines=None):
+    def on_drop(self, slots, arrivals, time):
         cell = self._cell(CLUSTER, time)
         cell["drops"] += len(slots)
-        if deadlines is not None:
-            cell["deadline_total"] += int(np.count_nonzero(~np.isnan(deadlines)))
+        if self.deadlines is not None:
+            dropped = self.deadlines[np.asarray(slots)]
+            cell["deadline_total"] += int(np.count_nonzero(~np.isnan(dropped)))
 
     def on_requeue(self, slots, priors, time, server):
         pass
@@ -588,6 +621,7 @@ def _catch_up_cluster(case, oracle):
         )
         for number, arrival in enumerate(case["arrivals"])
     ]
+    oracle.deadlines = RequestStore.from_requests(requests).deadlines
     return cluster, policy, requests
 
 
@@ -637,6 +671,55 @@ class TestTheCatchUpEqualsAddingEachBatch:
 # ----------------------------------------------------------------------
 # Named regressions
 # ----------------------------------------------------------------------
+class TestAReusedEngineCountsEachSessionOnce:
+    """Each session starts its engine's bus and tracer empty: the second
+    run's telemetry and spans are its own, not added to the first's."""
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_two_sessions_on_one_engine(self, columnar):
+        requests = requests_from_trace(PoissonTrace(200, 1.0, seed=1).generate(), model="m")
+        bus, tracer = TelemetryBus(window=0.25, num_servers=2), Tracer()
+        engine = ServingEngine(
+            BatchingConfig(8), num_servers=2, telemetry=bus, tracer=tracer,
+            columnar=columnar,
+        )
+        engine.register("m", ModeledExecutor(ServiceTimeModel()))
+        for _ in range(2):
+            result = engine.run(requests=requests)
+            assert result.to_json()["served"] == 191
+            assert sum(stats.served for stats in bus.cluster_series()) == 191
+            assert sum(stats.batches for stats in bus.cluster_series()) == len(
+                result.batch_records
+            )
+            terminals = tracer.terminal_requests()
+            assert sorted(terminals) == list(range(len(requests)))
+            assert set(terminals.values()) == {1}
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_two_runs_on_one_cluster(self, columnar):
+        """The cluster resets nothing of its own: its engine's session start
+        empties the bus (windows and scale events) and the tracer."""
+        requests = requests_from_trace(PoissonTrace(2000, 1.0, seed=1).generate(), model="m")
+        tracer, model = Tracer(), ServiceTimeModel()
+        cluster = ClusterEngine(
+            [ServerSpec(f"s{i}", 100.0, service_model=model) for i in range(3)],
+            BatchingConfig(8), window=0.25, initial_servers=1,
+            autoscaler=SloLatencyAutoscaler(slo_seconds=0.001, patience=1),
+            tracer=tracer, columnar=columnar,
+        )
+        cluster.register("m")
+        for _ in range(2):
+            result = cluster.run(requests=requests)
+            served = result.result.to_json()["served"]
+            assert served == 2021
+            bus = cluster.telemetry
+            assert sum(stats.served for stats in bus.cluster_series()) == served
+            assert len(result.scale_events) == len(bus.scale_events) == 2
+            terminals = tracer.terminal_requests()
+            assert sorted(terminals) == list(range(len(requests)))
+            assert set(terminals.values()) == {1}
+
+
 def _fifo_engine(columnar):
     engine = ServingEngine(
         BatchingConfig(max_batch=8, drop_after=0.02), num_servers=3,

@@ -94,10 +94,6 @@ class TestSyntheticImages:
         images, labels = next(iter(ds.test_batches(16)))
         np.testing.assert_array_equal(labels, ds.test_labels[:16])
 
-    def test_calibration_batch(self):
-        ds = build_dataset("synthetic-cifar10")
-        assert ds.calibration_batch(10).shape[0] == 10
-
     def test_build_dataset_cached(self):
         assert build_dataset("synthetic-cifar10") is build_dataset("synthetic-cifar10")
         assert build_dataset("synthetic-cifar10", cached=False) is not build_dataset(

@@ -72,9 +72,9 @@ class TestWorkloads:
     def test_residual_reorder_flags_present_in_resnet(self):
         assert any(op.residual_reorder for op in resnet_ops(batch=1))
 
-    def test_layerop_flops(self):
+    def test_layerop_macs(self):
         op = LayerOp("x", m=2, n=3, k=4)
-        assert op.macs == 24 and op.flops == 48
+        assert op.macs == 24
 
 
 class TestGpuLatencyModel:
@@ -209,11 +209,6 @@ class TestNpuModel:
 
     def test_channel_group_constraint(self, npu):
         assert NpuConfig().channel_group_for(4) == 64
-
-    def test_utilization_bounded(self, npu):
-        op = LayerOp("c", m=196, n=64, k=576, feature_channels=64)
-        for ratio in (0.0, 0.5, 1.0):
-            assert 0.0 < npu.utilization(op, ratio) <= 1.0
 
     def test_residual_reorder_overhead_charged(self, npu):
         op_plain = LayerOp("a", m=196, n=64, k=576, feature_channels=64)

@@ -9,7 +9,6 @@ from repro.nn.layers import (
     BatchNorm2d,
     Conv2d,
     Dropout,
-    Flatten,
     GELU,
     GlobalAvgPool2d,
     Identity,
@@ -40,7 +39,7 @@ class TestLinear:
     def test_no_bias(self):
         layer = Linear(4, 4, bias=False, rng=np.random.default_rng(0))
         assert layer.bias is None
-        assert layer.num_parameters() == 16
+        assert sum(p.size for p in layer.parameters()) == 16
 
     def test_feature_channels_is_input_dim(self):
         assert Linear(7, 3, rng=np.random.default_rng(0)).feature_channels == 7
@@ -214,10 +213,6 @@ class TestSimpleLayers:
         x = Tensor(np.ones(3, dtype=np.float32))
         assert Identity()(x) is x
 
-    def test_flatten(self):
-        x = Tensor(np.zeros((2, 3, 4, 4), dtype=np.float32))
-        assert Flatten()(x).shape == (2, 48)
-
     def test_pooling_layers(self):
         x = Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
         assert GlobalAvgPool2d()(x).shape == (1, 1)
@@ -280,11 +275,10 @@ NDARRAY_LEAVES = {
     "relu6": (ReLU6, IMAGE),
     "gelu": (GELU, TOKENS),
     "identity": (Identity, TOKENS),
-    "flatten": (Flatten, IMAGE),
     "global_avg_pool": (GlobalAvgPool2d, IMAGE),
     "dropout_eval": (lambda: Dropout(0.5).eval(), TOKENS),
     "sequential": (
-        lambda: Sequential(_eval_batchnorm(), ReLU6(), Flatten()), IMAGE
+        lambda: Sequential(_eval_batchnorm(), ReLU6(), GlobalAvgPool2d()), IMAGE
     ),
 }
 

@@ -49,7 +49,7 @@ class TestRegistration:
     def test_parameter_count(self):
         net = Net()
         expected = 2 * (4 * 4 + 4) + (4 * 2 + 2) + 1
-        assert net.num_parameters() == expected
+        assert sum(p.size for p in net.parameters()) == expected
 
     def test_named_modules_paths(self):
         net = Net()

@@ -31,7 +31,6 @@ from repro.obs import (
     SloObjective,
     SpanStore,
     Tracer,
-    json_snapshot,
     prometheus_exposition,
     registry_from_cluster,
     registry_from_engine,
@@ -112,12 +111,10 @@ class TestTracer:
 
     @pytest.mark.parametrize("columnar", [True, False])
     def test_a_dropped_request_with_a_deadline_missed_it(self, columnar):
-        """Unsampled, drops not forced: every drop carried a deadline it
-        missed, so ``sample_deadline_misses`` traces each one."""
+        """Unsampled: every drop is traced (it carried a deadline it missed),
+        and no served request missed its deadline, so none is."""
         trace = PoissonTrace(5000, 0.3, seed=5).generate()
-        tracer = Tracer(
-            sample_rate=0.0, sample_drops=False, sample_deadline_misses=True
-        )
+        tracer = Tracer(sample_rate=0.0)
         engine = ServingEngine(
             BatchingConfig(max_batch=4, drop_after=0.01), columnar=columnar,
             tracer=tracer,
@@ -155,7 +152,7 @@ class TestTracer:
         )
 
     def test_sample_rate_zero_keeps_batch_spans_only(self):
-        tracer = Tracer(sample_rate=0.0, sample_drops=False)
+        tracer = Tracer(sample_rate=0.0)
         _engine(tracer).run(_trace(), model="m")
         counts = tracer.span_counts()
         assert counts["execute"] > 0
@@ -233,7 +230,6 @@ def _traced_drives(draw):
         max_batch=draw(st.integers(1, 5)),
         drop_after=draw(st.sampled_from([None, 0.004])),
         sample_rate=draw(st.sampled_from([1.0, 0.2])),
-        sample_drops=draw(st.booleans()),
         drive=draw(st.sampled_from(["whole", "responses", "in order", "shuffled"])),
         order=draw(st.permutations(range(count))),
         chunks=draw(st.lists(st.integers(1, 8), min_size=1, max_size=8)),
@@ -253,9 +249,7 @@ class TestTheSweepWritesTheObjectLoopsSpans:
     def _engines(case):
         pairs = []
         for columnar in (True, False):
-            tracer = Tracer(
-                sample_rate=case["sample_rate"], sample_drops=case["sample_drops"]
-            )
+            tracer = Tracer(sample_rate=case["sample_rate"])
             engine = ServingEngine(
                 BatchingConfig(max_batch=case["max_batch"], drop_after=case["drop_after"]),
                 num_servers=case["num_servers"], columnar=columnar, tracer=tracer,
@@ -326,7 +320,7 @@ class EagerTracer(Tracer):
         ))
         self._record_row[record.row] = row
         mask = self.sample_mask(slots)
-        if deadlines is not None and self.sample_deadline_misses:
+        if deadlines is not None:
             mask |= ~np.isnan(deadlines) & (record.finish > deadlines)
         if not mask.any():
             return
@@ -351,8 +345,6 @@ def _hook_scripts(draw):
     """
     return dict(
         sample_rate=draw(st.sampled_from([0.0, 0.3, 1.0])),
-        sample_drops=draw(st.booleans()),
-        sample_deadline_misses=draw(st.booleans()),
         requests=draw(st.integers(1, 40)),
         ops=draw(
             st.lists(
@@ -431,11 +423,8 @@ class TestParkedBatchesAgainstEagerHook:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(_hook_scripts())
     def test_same_spans_and_bookkeeping(self, case):
-        settings_ = dict(
-            sample_rate=case["sample_rate"], sample_drops=case["sample_drops"],
-            sample_deadline_misses=case["sample_deadline_misses"],
-        )
-        eager, parked = EagerTracer(**settings_), Tracer(**settings_)
+        rate = case["sample_rate"]
+        eager, parked = EagerTracer(rate), Tracer(rate)
         eager_records = self._play(eager, case, read_between=False)
         parked_records = self._play(parked, case, read_between=case["read_between"])
         want, got = eager.spans(), parked.spans()
@@ -500,6 +489,16 @@ class TestSpanStore:
         # A copy: the table does not move under a reader.
         columns["kind"][0] = SPAN_CANCELLED
         assert store.columns()["kind"][0] == SPAN_EXECUTE
+
+
+def _events(change):
+    """A one-span trace behind a metadata event, ``change`` applied to the
+    span (a ``None`` value deletes the key)."""
+    span = {"name": "batch", "ph": "X", "pid": 0, "tid": 0, "ts": 1.0, "dur": 2.0}
+    span.update(change)
+    span = {key: value for key, value in span.items() if value is not None}
+    meta = {"name": "process_name", "ph": "M", "pid": 0, "args": {"name": "m"}}
+    return {"traceEvents": [meta, span]}
 
 
 # ----------------------------------------------------------------------
@@ -608,6 +607,33 @@ class TestChromeTraceExport:
                 ]}
             )
 
+    @pytest.mark.parametrize("trace, message", [
+        ([], "trace must be a dict"),
+        ({"traceEvents": "nope"}, "trace.traceEvents must be a list"),
+        ({"traceEvents": [[]]}, r"traceEvents\[0\] is not an object"),
+        ({"traceEvents": [{"ph": "X", "pid": 0}]}, r"traceEvents\[0\] missing 'name'"),
+        ({"traceEvents": [{"name": "x", "pid": 0}]}, r"traceEvents\[0\] missing 'ph'"),
+        ({"traceEvents": [{"name": "x", "ph": "X"}]}, r"traceEvents\[0\] missing 'pid'"),
+        (_events({"ph": "Q"}), r"traceEvents\[1\] has unsupported phase 'Q'"),
+        (_events({"ts": -1.0}), r"traceEvents\[1\] has invalid ts -1\.0"),
+        (_events({"ts": "0"}), r"traceEvents\[1\] has invalid ts '0'"),
+        (_events({"tid": None}), r"traceEvents\[1\] missing 'tid'"),
+        (_events({"dur": float("inf")}), r"traceEvents\[1\] has invalid dur inf"),
+        (_events({"ph": "i", "s": "x"}), r"traceEvents\[1\] instant missing scope"),
+        (_events({"args": {"ratio": np.float32(0.5)}}), "not JSON-serializable"),
+        (_events({"args": {"ratio": float("nan")}}), "not JSON-serializable"),
+    ], ids=[
+        "not a dict", "events not a list", "event not an object", "no name",
+        "no ph", "no pid", "phase", "negative ts", "string ts", "no tid",
+        "infinite dur", "instant scope", "numpy scalar", "nan arg",
+    ])
+    def test_the_validator_names_each_violation(self, trace, message):
+        """Each rule of the format subset the exporter writes, on an event
+        after a valid metadata event (which needs no ``ts``)."""
+        validate_chrome_trace(_events({}))
+        with pytest.raises(ValueError, match=message):
+            validate_chrome_trace(trace)
+
 
 # ----------------------------------------------------------------------
 # Metrics registry + exporters
@@ -660,16 +686,6 @@ class TestMetricsRegistry:
         assert metrics[("h_bucket", ('le="+Inf"',))] == 1.0
         assert metrics[("h_count", ())] == 1.0
         assert metrics[("h_sum", ())] == pytest.approx(0.5)
-
-    def test_json_snapshot_round_trips(self):
-        registry = MetricsRegistry()
-        registry.counter("c", "C.", ("k",)).labels(k="v").inc()
-        registry.histogram("h", "H.", buckets=(1.0,)).observe(0.5)
-        snapshot = json.loads(json.dumps(json_snapshot(registry)))
-        assert snapshot["c"]["samples"][0] == {
-            "labels": {"k": "v"}, "value": 1.0
-        }
-        assert snapshot["h"]["samples"][0]["count"] == 1.0
 
     def test_registry_from_engine_and_result_to_json(self):
         result = _engine(None).run(_trace(), model="m")
@@ -888,26 +904,6 @@ class TestSloMonitor:
             "repro_slo_alerts_total",
             ('objective="att"', 'severity="page"'),
         )] >= 1.0
-
-    def test_autoscaler_consumes_alert_signal(self):
-        from repro.serving.cluster import PredictiveFaultAutoscaler
-
-        scaler = PredictiveFaultAutoscaler(slo_seconds=1.0)
-        monitor = SloMonitor(
-            objectives=[SloObjective("att", target=0.99)],
-            rules=[BurnRateRule(threshold=2.0, fast_windows=1, slow_windows=1,
-                                severity="page")],
-        )
-        bus = _bus_with_window(0, served=100, met=50)
-        alerts = monitor.evaluate(bus, 0, [0])
-        assert alerts
-        scaler.observe_alerts(alerts)
-        stats = bus.cluster_window(0, [0])
-        decided = scaler.decide(stats, active=2)
-        assert decided == 3
-        assert "burn-rate" in scaler.last_reason
-        # The signal is consumed: the next window decides normally.
-        assert scaler.decide(stats, active=2) != 3 or not scaler.last_reason
 
 
 # ----------------------------------------------------------------------

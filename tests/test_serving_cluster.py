@@ -34,11 +34,9 @@ from repro.serving import (
     FixedRatioPolicy,
     FreeClockPlacer,
     LeastOutstandingWorkPlacer,
-    ModelAffinityPlacer,
     ModeledExecutor,
     PerServerAdaptiveRatioPolicy,
     PlacementContext,
-    QueueDepthAutoscaler,
     Request,
     ServingEngine,
     SloLatencyAutoscaler,
@@ -48,13 +46,23 @@ from repro.serving import (
     npu_server,
     requests_from_trace,
 )
-from repro.serving.cluster import PredictiveFaultAutoscaler, ServerSpec
+from repro.serving.cluster import ServerSpec
 from repro.serving.simulator import ServiceTimeModel
 from repro.serving.telemetry import CLUSTER, ScaleEvent
 from test_serving_engine import seed_serving_run
 
 
 NPU_BIG = NpuConfig(array_rows=64, array_cols=64, clock_mhz=800.0)
+
+
+class PinByModel:
+    """Places every batch of a model on that model's one server."""
+
+    def __init__(self, servers):
+        self.servers = servers
+
+    def place(self, context):
+        return self.servers[context.model]
 
 
 @pytest.fixture(scope="module")
@@ -315,32 +323,13 @@ class TestPlacement:
         with pytest.raises(ValueError, match=f"placer returned server {choice},"):
             engine.run(requests=[Request(0.0, model="m")])
 
-    def test_model_affinity_partitions_servers(self, service_model):
-        fast = ServiceTimeModel("vit_base", gpu="l40s", anchor_batches=(1, 16, 64))
-        placer = ModelAffinityPlacer({"a": [0, 1], "b": [2]})
-        engine = ServingEngine(
-            BatchingConfig(max_batch=16), num_servers=3, placer=placer
-        )
-        engine.register("a", ModeledExecutor(service_model), mode="int8")
-        engine.register("b", ModeledExecutor(fast), mode="int8")
-        requests = [
-            Request(arrival_time=0.0005 * i, model=("a" if i % 2 else "b"))
-            for i in range(400)
-        ]
-        outcome = engine.run(requests=requests)
-        servers_by_model = {"a": set(), "b": set()}
-        for record in outcome.batch_records:
-            servers_by_model[record.model].add(record.server)
-        assert servers_by_model["a"] <= {0, 1}
-        assert servers_by_model["b"] == {2}
-
     def test_affinity_holds_across_drop_boundary(self, service_model):
         """Regression: the placer used to be consulted before the drop_after
         filter, so a batch whose expired head belonged to another model
         could run outside its own model's partition."""
         from repro.serving import EdfScheduler
 
-        placer = ModelAffinityPlacer({"a": [0], "b": [1]})
+        placer = PinByModel({"a": 0, "b": 1})
         engine = ServingEngine(
             BatchingConfig(max_batch=8, drop_after=0.02),
             num_servers=2,
@@ -364,7 +353,7 @@ class TestPlacement:
             assert record.server == (0 if record.model == "a" else 1)
 
     def test_fifo_affinity_holds_across_drop_boundary(self, service_model):
-        placer = ModelAffinityPlacer({"a": [0], "b": [1]})
+        placer = PinByModel({"a": 0, "b": 1})
         engine = ServingEngine(
             BatchingConfig(max_batch=8, drop_after=0.02),
             num_servers=2,
@@ -414,14 +403,6 @@ class TestPlacement:
         assert fifo.dropped == 1
         assert edf.dropped == 1
         assert edf.latencies.size == 0
-
-    def test_affinity_waived_when_partition_inactive(self):
-        placer = ModelAffinityPlacer({"a": [2]})
-        context = PlacementContext(
-            time=0.0, free_at=[0.0, 0.0, 0.0], active=[0, 1], model="a"
-        )
-        # Server 2 is parked: the restriction must not stall the queue.
-        assert placer.place(context) in (0, 1)
 
     def test_scheduled_path_supports_placement(self, mixed_specs):
         """Placer + non-FIFO scheduler compose (EDF on a mixed cluster)."""
@@ -646,7 +627,7 @@ class TestPerServerAdaptation:
             control_window=1.0,
         )
         # Pin the heavy model to server 0 and a trickle to server 1.
-        placer = ModelAffinityPlacer({"hot": [0], "cold": [1]})
+        placer = PinByModel({"hot": 0, "cold": 1})
         telemetry = TelemetryBus(window=1.0, num_servers=2)
         engine = ServingEngine(
             BatchingConfig(max_batch=64),
@@ -724,22 +705,6 @@ def _stats(depth=0.0, latencies=(), window=0, drops=0):
 
 
 class TestAutoscalerPolicies:
-    def test_queue_depth_hysteresis(self):
-        scaler = QueueDepthAutoscaler(
-            scale_up_depth=64, scale_down_depth=8, patience=2
-        )
-        assert scaler.decide(_stats(depth=100), 1) == 2       # hot -> up
-        assert scaler.decide(_stats(depth=30), 2) == 2        # in band -> hold
-        assert scaler.decide(_stats(depth=2), 2) == 2         # calm 1/2 -> hold
-        assert scaler.decide(_stats(depth=2), 2) == 1         # calm 2/2 -> down
-        assert scaler.decide(_stats(depth=2), 1) == 1         # calm streak restarts
-        # A hot or in-band window resets the calm streak.
-        assert scaler.decide(_stats(depth=100), 1) == 2       # hot: calm -> 0
-        assert scaler.decide(_stats(depth=2), 2) == 2         # calm 1/2
-        assert scaler.decide(_stats(depth=30), 2) == 2        # in band: calm -> 0
-        assert scaler.decide(_stats(depth=2), 2) == 2         # calm 1/2 again
-        assert scaler.decide(_stats(depth=2), 2) == 1         # calm 2/2 -> down
-
     def test_slo_latency_hysteresis(self):
         scaler = SloLatencyAutoscaler(
             slo_seconds=0.5, percentile=99, headroom=0.5, patience=2
@@ -768,54 +733,31 @@ class TestAutoscalerPolicies:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            QueueDepthAutoscaler(scale_up_depth=4, scale_down_depth=8)
-        with pytest.raises(ValueError):
             SloLatencyAutoscaler(slo_seconds=0.0)
         with pytest.raises(ValueError):
             SloLatencyAutoscaler(slo_seconds=1.0, headroom=0.0)
 
-    @pytest.mark.parametrize("scaler", [SloLatencyAutoscaler, PredictiveFaultAutoscaler])
     @pytest.mark.parametrize("slo", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_the_slo_must_be_finite_and_positive(self, scaler, slo):
+    def test_the_slo_must_be_finite_and_positive(self, slo):
         """``nan <= 0`` is false: a NaN SLO used to pass, and then no window's
         percentile ever exceeded it, so the cluster never scaled up."""
         with pytest.raises(ValueError, match="slo_seconds must be a finite number > 0"):
-            scaler(slo_seconds=slo)
+            SloLatencyAutoscaler(slo_seconds=slo)
 
-    @pytest.mark.parametrize("scaler", [SloLatencyAutoscaler, PredictiveFaultAutoscaler])
     @pytest.mark.parametrize("percentile", [-1.0, 101.0, float("nan")])
-    def test_the_percentile_must_be_in_0_to_100(self, scaler, percentile):
+    def test_the_percentile_must_be_in_0_to_100(self, percentile):
         """Refused at construction, not at the first window close."""
         with pytest.raises(ValueError, match=r"percentile must be a finite number in \[0, 100\]"):
-            scaler(slo_seconds=0.1, percentile=percentile)
+            SloLatencyAutoscaler(slo_seconds=0.1, percentile=percentile)
 
-
-    def test_queue_depth_thresholds_must_be_finite(self):
-        """A nan threshold fails every comparison: the scaler used to
-        construct and then never scale."""
-        nan = float("nan")
-        with pytest.raises(ValueError, match="must be finite"):
-            QueueDepthAutoscaler(scale_up_depth=nan, scale_down_depth=nan)
-        with pytest.raises(ValueError, match="must be finite"):
-            QueueDepthAutoscaler(scale_up_depth=nan)
-
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda **streak: QueueDepthAutoscaler(**streak),
-            lambda **streak: SloLatencyAutoscaler(slo_seconds=0.1, **streak),
-            lambda **streak: PredictiveFaultAutoscaler(slo_seconds=0.1, **streak),
-        ],
-        ids=["queue_depth", "slo_latency", "predictive_fault"],
-    )
     @pytest.mark.parametrize(
         "streak",
         [dict(patience=2.5, step=1.5), dict(patience=2.5), dict(step=1.5)],
     )
-    def test_patience_and_step_must_be_whole_numbers(self, build, streak):
+    def test_patience_and_step_must_be_whole_numbers(self, streak):
         """``int(active + 1.5)`` would truncate a fractional step at scale time."""
         with pytest.raises(ValueError, match="must be an integer >= 1"):
-            build(**streak)
+            SloLatencyAutoscaler(slo_seconds=0.1, **streak)
 
 
 def _reference_streak(signals, patience, step, active):
@@ -836,18 +778,16 @@ def _reference_streak(signals, patience, step, active):
     return sizes
 
 
-_DEPTHS = [0.0, 4.0, 8.0, 30.0, 64.0, 100.0]
 _LATENCIES = [0.01, 0.04, 0.05, 0.06, 0.2]
 
 
 @st.composite
 def _windows(draw):
-    """Window stats with depths and latencies on and around the thresholds
-    (up 64 / down 8; SLO 0.1 with headroom 0.5), some dropping, some empty."""
+    """Window stats with latencies on and around the thresholds (SLO 0.1
+    with headroom 0.5), some dropping, some empty."""
     count = draw(st.integers(1, 30))
     return [
         _stats(
-            depth=draw(st.sampled_from(_DEPTHS)),
             latencies=draw(st.lists(st.sampled_from(_LATENCIES), max_size=4)),
             window=window,
             drops=draw(st.sampled_from([0, 0, 0, 3])),
@@ -865,17 +805,7 @@ def _decisions(scaler, windows, active=10):
 
 
 class TestOneHysteresis:
-    """Every autoscaler runs the one calm-window streak."""
-
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(windows=_windows(), patience=st.integers(1, 4), step=st.integers(1, 3))
-    def test_predictive_without_signals_is_the_slo_scaler(self, windows, patience, step):
-        slo = SloLatencyAutoscaler(slo_seconds=0.1, patience=patience, step=step)
-        predictive = PredictiveFaultAutoscaler(
-            slo_seconds=0.1, patience=patience, step=step
-        )
-        assert _decisions(predictive, windows) == _decisions(slo, windows)
-        assert predictive.last_reason == ""
+    """The autoscaler runs the one calm-window streak."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(windows=_windows(), patience=st.integers(1, 4), step=st.integers(1, 3))
@@ -889,27 +819,13 @@ class TestOneHysteresis:
             worst = max(latencies)  # the 100th percentile
             return "up" if worst > 0.1 else "calm" if worst < 0.05 else "hold"
 
-        def depth_signal(stats):
-            depth = stats.mean_queue_depth
-            return "up" if depth > 64.0 else "calm" if depth < 8.0 else "hold"
-
-        scalers = [
-            (QueueDepthAutoscaler(64.0, 8.0, patience=patience, step=step), depth_signal),
-            (SloLatencyAutoscaler(0.1, 100.0, 0.5, patience, step), slo_signal),
-            (
-                PredictiveFaultAutoscaler(
-                    slo_seconds=0.1, percentile=100.0, patience=patience, step=step
-                ),
-                slo_signal,
-            ),
-        ]
-        for scaler, signal in scalers:
-            expected = _reference_streak(
-                [signal(stats) for stats in windows], patience, step, 10
-            )
-            assert _decisions(scaler, windows) == expected
-            scaler.reset()
-            assert _decisions(scaler, windows) == expected
+        scaler = SloLatencyAutoscaler(0.1, 100.0, 0.5, patience, step)
+        expected = _reference_streak(
+            [slo_signal(stats) for stats in windows], patience, step, 10
+        )
+        assert _decisions(scaler, windows) == expected
+        scaler.reset()
+        assert _decisions(scaler, windows) == expected
 
 
 class TestElasticCluster:
@@ -1037,7 +953,7 @@ class TestElasticCluster:
             ClusterEngine(mixed_specs, startup_delay=-1.0)
 
     @pytest.mark.parametrize(
-        "name, value", [("min_servers", 1.5), ("initial_servers", 2.7), ("min_domains", 1.5)]
+        "name, value", [("min_servers", 1.5), ("initial_servers", 2.7)]
     )
     def test_fractional_counts_are_refused(self, mixed_specs, name, value):
         """``int()`` used to truncate each count (1.5 -> 1, 2.7 -> 2)."""
@@ -1050,14 +966,15 @@ class TestElasticCluster:
         requests = self._spike_requests()
         cluster = self._cluster(
             k=3,
-            autoscaler=QueueDepthAutoscaler(
-                scale_up_depth=64, scale_down_depth=8, patience=2
+            autoscaler=SloLatencyAutoscaler(
+                slo_seconds=0.15, headroom=0.3, patience=2
             ),
             min_servers=1,
             window=0.5,
         )
         first = cluster.run(requests=requests, record_responses=False)
         second = cluster.run(requests=requests, record_responses=False)
+        assert first.scale_events
         assert [
             (event.time, event.action, event.server)
             for event in first.scale_events
@@ -1071,13 +988,35 @@ class TestElasticCluster:
         requests = self._spike_requests()
         auto = self._cluster(
             k=3,
-            autoscaler=QueueDepthAutoscaler(
-                scale_up_depth=64, scale_down_depth=8, patience=1
+            autoscaler=SloLatencyAutoscaler(
+                slo_seconds=0.03, headroom=0.3, patience=1
             ),
             min_servers=2,
             window=0.5,
         ).run(requests=requests, record_responses=False)
+        # The spike adds a third server and calm windows take it away again,
+        # then keep asking for fewer: the floor holds the last two.
+        assert [event.action for event in auto.scale_events] == ["add", "remove"]
         assert all(event.active_after >= 2 for event in auto.scale_events)
+
+    def test_scale_up_wakes_the_fastest_parked_server(self):
+        """Parked: s1 (speed 90) and s2 (speed 10); scale-up takes s1."""
+        specs = [
+            ServerSpec(name, speed, executor=ModeledExecutor(ServiceTimeModel()))
+            for name, speed in (("s0", 100.0), ("s1", 90.0), ("s2", 10.0))
+        ]
+        cluster = ClusterEngine(
+            specs,
+            BatchingConfig(max_batch=4),
+            # Every served request takes longer than 1 ms: each window breaches.
+            autoscaler=SloLatencyAutoscaler(slo_seconds=0.001),
+            min_servers=1,
+            window=0.1,
+        )
+        cluster.register("m", mode="int8")
+        outcome = cluster.run(trace=PoissonTrace(3000, duration=0.6, seed=4).generate())
+        added = [e.server for e in outcome.scale_events if e.action == "add"]
+        assert added[:2] == [1, 2]
 
     def test_heterogeneous_scale_order_fastest_first(self, mixed_specs):
         """Scale-up wakes the fastest parked server (the GPU last parked)."""
@@ -1086,8 +1025,8 @@ class TestElasticCluster:
             mixed_specs,
             BatchingConfig(max_batch=64),
             placer="weighted",
-            autoscaler=QueueDepthAutoscaler(
-                scale_up_depth=32, scale_down_depth=4, patience=2
+            autoscaler=SloLatencyAutoscaler(
+                slo_seconds=0.03, headroom=0.3, patience=2
             ),
             min_servers=1,
             window=0.5,

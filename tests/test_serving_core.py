@@ -38,10 +38,11 @@ from repro.serving.resilience import (
     FaultSchedule,
     RequeueAtHeadMigration,
 )
-from repro.serving.schedulers import EdfScheduler, FifoScheduler, PriorityScheduler
+from repro.serving.schedulers import EdfScheduler, FifoScheduler
 from repro.serving.simulator import ServiceTimeModel
 from repro.serving.telemetry import TelemetryBus
-from test_serving_engine import seed_serving_run
+from priority_scheduler import PriorityScheduler
+from test_serving_engine import seed_serving_run, served_latencies
 
 
 SERVICE_MODEL = ServiceTimeModel()
@@ -964,7 +965,7 @@ class TestOneBatchLedger:
         assert {ratio for model, ratio in zip(models, ratios) if model == "m"} == {0.5}
         cycle = [ratio for model, ratio in zip(models, ratios) if model == "n"]
         assert cycle == [0.0, 1.0] * (len(cycle) // 2) + [0.0] * (len(cycle) % 2)
-        assert len(result.for_model("n")) == 8
+        assert len(served_latencies(result, "n")) == 8
 
 
 class TestTelemetryIncremental:

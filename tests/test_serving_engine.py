@@ -16,10 +16,12 @@ Covers three layers:
 from __future__ import annotations
 
 import bisect
+import re
 
 import numpy as np
 import pytest
 
+from priority_scheduler import PriorityScheduler
 from repro.core.controller import AdaptiveRatioController, build_profile_from_latency_fn
 from repro.core.prepared import PreparedKernel
 from repro.data.traces import FluctuatingTrace, PoissonTrace, RequestTrace
@@ -36,7 +38,6 @@ from repro.serving.engine import (
     requests_from_trace,
 )
 from repro.serving.executors import ModeledExecutor, RuntimeExecutor
-from repro.serving.placement import ModelAffinityPlacer
 from repro.serving.policies import (
     AdaptiveRatioPolicy,
     DecodePressureRatioPolicy,
@@ -46,10 +47,17 @@ from repro.serving.policies import (
     RatioSchedulePolicy,
     RoundRobinRatioPolicy,
 )
-from repro.serving.schedulers import EdfScheduler, FifoScheduler, PriorityScheduler
+from repro.serving.schedulers import EdfScheduler, FifoScheduler
 from repro.serving.simulator import ServiceTimeModel
 from repro.serving.telemetry import TelemetryBus
 from repro.tensor import Tensor
+
+
+def served_latencies(result, model):
+    """Served latencies of one model of a multi-model run, in admission
+    order: ``request_latencies`` where ``request_models`` names it."""
+    latencies = result.request_latencies
+    return latencies[~np.isnan(latencies) & (np.asarray(result.request_models) == model)]
 
 
 # ----------------------------------------------------------------------
@@ -344,9 +352,9 @@ class TestServingEngineApi:
         for record in outcome.batch_records:
             assert record.model in ("a", "b")
         served_models = [r.model for r in outcome.responses]
-        assert outcome.for_model("a").size == sum(m == "a" for m in served_models)
-        assert outcome.for_model("b").size == sum(m == "b" for m in served_models)
-        assert outcome.for_model("a").size + outcome.for_model("b").size == 300
+        assert served_latencies(outcome, "a").size == sum(m == "a" for m in served_models)
+        assert served_latencies(outcome, "b").size == sum(m == "b" for m in served_models)
+        assert served_latencies(outcome, "a").size + served_latencies(outcome, "b").size == 300
         # Per-batch request counts add up too.
         assert sum(outcome.batch_sizes) == 300
 
@@ -528,8 +536,8 @@ class TestRuntimeExecutor:
         ]
         outcome = engine.run(requests=requests)
 
-        assert outcome.for_model("mlp").size == 8
-        assert outcome.for_model("conv").size == 8
+        assert served_latencies(outcome, "mlp").size == 8
+        assert served_latencies(outcome, "conv").size == 8
         for record in outcome.batch_records:
             expected_ratio = 0.25 if record.model == "mlp" else 1.0
             assert record.ratio == expected_ratio
@@ -554,8 +562,8 @@ class TestRuntimeExecutor:
             for i in range(12)
         ]
         outcome = engine.run(requests=requests)
-        assert outcome.for_model("modeled").size == 6
-        assert outcome.for_model("real").size == 6
+        assert served_latencies(outcome, "modeled").size == 6
+        assert served_latencies(outcome, "real").size == 6
         assert outcome.dropped == 0
 
 
@@ -620,17 +628,17 @@ class TestDropBackfill:
                 assert np.isnan(outcome.request_latencies[i])
             else:
                 assert response.finish_time >= response.start_time
-        # for_model only reports served latencies; served + dropped covers
+        # Served latencies leave the drops out; served + dropped covers
         # every admitted request.
-        served = outcome.for_model("a").size + outcome.for_model("b").size
+        served = served_latencies(outcome, "a").size + served_latencies(outcome, "b").size
         assert served + outcome.dropped == len(requests)
         per_model_dropped = {
             m: sum(1 for r in dropped_responses if r.model == m) for m in ("a", "b")
         }
-        assert outcome.for_model("a").size + per_model_dropped["a"] == sum(
+        assert served_latencies(outcome, "a").size + per_model_dropped["a"] == sum(
             1 for r in requests if r.model == "a"
         )
-        assert outcome.for_model("b").size + per_model_dropped["b"] == sum(
+        assert served_latencies(outcome, "b").size + per_model_dropped["b"] == sum(
             1 for r in requests if r.model == "b"
         )
 
@@ -875,8 +883,8 @@ class TestSchedulers:
         assert sum(outcome.batch_sizes) == 300
         for record in outcome.batch_records:
             assert record.model in ("a", "b")
-        assert outcome.for_model("a").size == 150
-        assert outcome.for_model("b").size == 150
+        assert served_latencies(outcome, "a").size == 150
+        assert served_latencies(outcome, "b").size == 150
 
 
 # ----------------------------------------------------------------------
@@ -1319,6 +1327,31 @@ NON_FINITE = {
     "promotion_latency": lambda model, bad: resilience.WarmSparePool(
         [1], promotion_latency=bad
     ),
+    "duration": lambda model, bad: _seed_engine(model).run(
+        requests=[Request(0.0, model="m")], duration=bad
+    ),
+    "window (telemetry)": lambda model, bad: TelemetryBus(bad),
+    "startup_delay": lambda model, bad: ClusterEngine(
+        [ServerSpec("s", 100.0, service_model=model)], startup_delay=bad
+    ),
+}
+
+
+def _seed_engine(service_model):
+    engine = ServingEngine(BatchingConfig(max_batch=4))
+    engine.register("m", ModeledExecutor(service_model), mode="int8")
+    return engine
+
+
+#: a quantity whose error names its unit -> a call handing it ``bad``.
+NON_FINITE_WITH_UNIT = {
+    "speed (requests/second)": lambda model, bad: ServerSpec("s", bad, service_model=model),
+    "transfer_cost (seconds)": lambda model, bad: resilience.StepCheckpoint(
+        transfer_cost=bad
+    ),
+    "transfer_per_step (seconds)": lambda model, bad: resilience.StepCheckpoint(
+        transfer_per_step=bad
+    ),
 }
 
 
@@ -1368,12 +1401,8 @@ NON_INTEGER = {
     "fast_windows": lambda model, bad: BurnRateRule(1.0, fast_windows=bad, slow_windows=2),
     "num_servers (telemetry)": lambda model, bad: TelemetryBus(1.0, num_servers=bad),
     "spare server id": lambda model, bad: resilience.WarmSparePool([bad]),
-    "affine server id": lambda model, bad: ModelAffinityPlacer({"m": [bad]}),
     "queue depth threshold": lambda model, bad: QueueDepthRatioPolicy({bad: 0.5}),
     "pressure_threshold": lambda model, bad: DecodePressureRatioPolicy(bad),
-    "queue_depth_fallback": lambda model, bad: DecodePressureRatioPolicy(
-        900, queue_depth_fallback=bad
-    ),
     "autoscaler target": lambda model, bad: _autoscaled_to(model, bad),
     # A price used to interpolate 1.5, or to price int(1.5).  A prompt is
     # refused whatever the table holds: ceil(1.5 / 64) is size 1, which a
@@ -1385,19 +1414,31 @@ NON_INTEGER = {
         ServiceTimeModel(), 1
     ).prefill_latency(bad, "int8"),
     "width": lambda model, bad: model.decode_latency(bad, "int8"),
+    "slow_windows": lambda model, bad: BurnRateRule(1.0, fast_windows=1, slow_windows=bad),
+    "anchor batch": lambda model, bad: ServiceTimeModel(anchor_batches=(bad, 8)),
+    "chunk": lambda model, bad: resilience.RedistributeMigration(chunk=bad),
+    "prefill_tokens": lambda model, bad: _generation(model).start(
+        [Request(0.0, "m", prefill_tokens=bad, max_new_tokens=2)]
+    ),
 }
 
-#: field -> its least value, at the sites that used to call ``int()``; three
-#: of them (affine server id, queue depth threshold, queue_depth_fallback)
-#: accepted a negative.
+#: field -> its least value, at the sites that used to call ``int()``; one of
+#: them (queue depth threshold) accepted a negative.  A price's size is not
+#: here: an empty batch, prompt or step costs nothing.
 MINIMUM = {
+    "num_servers": 1,
+    "server": 0,
+    "max_batch": 1,
+    "max_new_tokens": 1,
     "fast_windows": 1,
     "num_servers (telemetry)": 1,
     "spare server id": 0,
-    "affine server id": 0,
     "queue depth threshold": 0,
     "pressure_threshold": 1,
-    "queue_depth_fallback": 0,
+    "slow_windows": 1,
+    "anchor batch": 1,
+    "chunk": 1,
+    "prefill_tokens": 0,
 }
 
 
@@ -1415,6 +1456,19 @@ class TestHostileInput:
         with pytest.raises(ValueError, match=message):
             NON_INTEGER[field](service_model, least - 1)
         NON_INTEGER[field](service_model, least)
+
+    @pytest.mark.parametrize(
+        "state", [dict(health="bogus"), dict(slow_factor=float("nan"))],
+        ids=["health", "slow_factor"],
+    )
+    def test_a_server_spec_takes_no_fault_state(self, service_model, state):
+        """``health`` and ``slow_factor`` are the fault plane's run-time state:
+        ``health="bogus"`` used to build an ``available`` server, and a NaN
+        factor was kept.  Every spec starts healthy at factor 1."""
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            ServerSpec("a", 1.0, service_model, **state)
+        spec = ServerSpec("a", 1.0, service_model)
+        assert (spec.health, spec.slow_factor, spec.available) == ("healthy", 1.0, True)
 
     @pytest.mark.parametrize("bad", [float("nan"), 2.0, -0.1, float("inf")])
     def test_a_ratio_is_finite_and_in_the_unit_interval(self, service_model, bad):
@@ -1596,6 +1650,17 @@ class TestHostileInput:
             ValueError, match=rf"{name} must be a finite number .*got {bad!r}"
         ):
             NON_FINITE[field](service_model, bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("field", NON_FINITE_WITH_UNIT)
+    def test_a_quantity_with_a_unit_is_finite_and_not_negative(
+        self, service_model, field, bad
+    ):
+        # The message names the unit, so the table above cannot match it.
+        with pytest.raises(
+            ValueError, match=rf"{re.escape(field)} must be a finite number .*got {bad!r}"
+        ):
+            NON_FINITE_WITH_UNIT[field](service_model, bad)
 
     def test_unsorted_store_is_refused(self):
         from repro.serving.core import RequestStore

@@ -32,13 +32,14 @@ from repro.serving import (
     FcfsAdmission,
     FifoScheduler,
     IterationScheduler,
+    ModeledExecutor,
     ModeledGenerationBackend,
     PolicyContext,
     PrefillPriorityAdmission,
     Request,
     RequestStore,
     ServiceTimeModel,
-    TokenBudgetAdmission,
+    ServingEngine,
     requests_from_trace,
     run_to_completion,
     streaming_summary,
@@ -47,6 +48,28 @@ from repro.serving.generation import SequenceState
 from repro.serving.metrics import latency_percentiles
 from repro.serving.policies import FixedRatioPolicy, GenerationStepContext
 from test_examples import load_example
+
+
+class TokenBudgetAdmission:
+    """A test admission that can admit fewer sequences than there are free
+    slots, or none: candidates in ``within``'s order (FCFS by default)
+    join while the running batch's token footprint, with the joiner's
+    prompt plus its first token, stays within ``budget_tokens``.  Admission
+    stops at the first candidate that does not fit."""
+
+    def __init__(self, budget_tokens, within=None):
+        self.budget_tokens = budget_tokens
+        self.within = within if within is not None else FcfsAdmission()
+
+    def admit(self, waiting, running, slots, in_flight):
+        chosen = []
+        for seq in self.within.admit(waiting, running, slots, in_flight):
+            cost = seq.prompt_tokens + max(1, seq.generated)
+            if in_flight + cost > self.budget_tokens:
+                break
+            in_flight += cost
+            chosen.append(seq)
+        return chosen
 
 
 @pytest.fixture(scope="module")
@@ -310,8 +333,8 @@ class TestAdmission:
         assert policy.admit(waiting, [], 0, 0) == []
         assert policy.admit(waiting, [], -3, 0) == []
 
-    def test_token_budget_caps_batch_footprint(self, backend):
-        # Budget fits one 64-token sequence (+ its generated tokens) but
+    def test_a_short_admission_leaves_slots_free(self, backend):
+        # The budget fits one 64-token sequence (+ its generated tokens) but
         # not two, so the second waits for the first to retire even
         # though a batch slot is free.
         requests = gen_requests([(0.0, 64, 4), (0.0, 64, 4)])
@@ -323,7 +346,7 @@ class TestAdmission:
         first, second = result.responses
         assert second.token_times[0] > first.finish_time
 
-    def test_token_budget_force_admits_oversized_prompt(self, backend):
+    def test_an_empty_batch_force_admits_the_queue_head(self, backend):
         # A prompt larger than the whole budget still serves (alone): the
         # starvation guard admits the queue head into an empty batch.
         requests = gen_requests([(0.0, 512, 2)])
@@ -331,27 +354,6 @@ class TestAdmission:
             backend, admission=TokenBudgetAdmission(100)
         ).run(requests)
         assert result.responses[0].finished
-
-    def test_token_budget_composes_with_prefill_priority(self, backend):
-        policy = TokenBudgetAdmission(200, within=PrefillPriorityAdmission())
-        requests = gen_requests([(0.0, 150, 4), (0.0, 32, 4)])
-        result = IterationScheduler(
-            backend, max_batch=8, admission=policy
-        ).run(requests)
-        by_id = {r.request_id: r for r in result.responses}
-        # The short prompt is ordered first by the inner policy and fits;
-        # the 150-token one would blow the budget alongside it and waits.
-        assert by_id[1].ttft < by_id[0].ttft
-
-    def test_token_budget_validation(self):
-        with pytest.raises(ValueError):
-            TokenBudgetAdmission(0)
-
-    @pytest.mark.parametrize("budget", [2.5, 100.9])
-    def test_a_fractional_token_budget_is_refused(self, budget):
-        """``int()`` used to truncate it: ``TokenBudgetAdmission(2.5)`` capped at 2."""
-        with pytest.raises(ValueError, match=f"budget_tokens must be an integer.*{budget}"):
-            TokenBudgetAdmission(budget)
 
     def test_bad_admission_policy_rejected(self, backend):
         class Overcommit:
@@ -406,13 +408,16 @@ class TestMidSequenceRatio:
         IterationScheduler(backend, policy=policy).run(requests)
         assert policy.switches == 0  # threshold unreachable: no switches
 
-    def test_queue_depth_fallback_without_generation_context(self):
-        policy = DecodePressureRatioPolicy(
-            pressure_threshold=100, queue_depth_fallback=4
-        )
-        assert policy.select(PolicyContext(time=0.0, queue_depth=2)) == 0.0
-        assert policy.select(PolicyContext(time=0.0, queue_depth=9)) == 1.0
-        assert policy.switches == 1
+    def test_a_batch_without_generation_context_is_refused(self, gen_model):
+        """The policy reads decode pressure; a one-shot engine's batch has
+        none, and its queue depth used to stand in for it."""
+        policy = DecodePressureRatioPolicy(pressure_threshold=100)
+        with pytest.raises(ValueError, match="generation runs only"):
+            policy.select(PolicyContext(time=0.0, queue_depth=9))
+        engine = ServingEngine()
+        engine.register("m", ModeledExecutor(gen_model), policy=policy)
+        with pytest.raises(ValueError, match="no generation context"):
+            engine.run(requests=[Request(0.0, "m")])
 
     def test_validation(self):
         with pytest.raises(ValueError):

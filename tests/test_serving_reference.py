@@ -16,13 +16,14 @@ import random
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from priority_scheduler import PriorityScheduler
 from reference_sim import SpecCrash, SpecRequest, reference_run
 from repro.serving.core import PENDING, SERVED
 from repro.serving.engine import BatchingConfig, Request, ServingEngine
 from repro.serving.executors import ModeledExecutor
 from repro.serving.policies import FixedRatioPolicy
 from repro.serving.resilience import RequeueAtHeadMigration
-from repro.serving.schedulers import EdfScheduler, FifoScheduler, PriorityScheduler
+from repro.serving.schedulers import EdfScheduler, FifoScheduler
 from repro.serving.simulator import ServiceTimeModel
 
 SERVICE_MODEL = ServiceTimeModel()
