@@ -31,7 +31,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.core import check_integer
+from repro.serving.core import check_integer, check_positive
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ class BurnRateRule:
     severity: str = "page"
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        # ``burn >= nan`` is never true: a NaN threshold would never fire.
+        check_positive("threshold", self.threshold)
         # Window counts slice the history: a fractional one failed at the
         # first window close.
         for name in ("fast_windows", "slow_windows"):

@@ -4,12 +4,13 @@ The engine (:mod:`repro.serving.engine`) gives K server clocks one queue and
 pluggable dispatch; this module is the layer *above* it — the part of a
 production serving system that decides what the cluster looks like:
 
-* :class:`ServerSpec` — one server's identity: a latency backend derived
-  from the :mod:`repro.hardware` GPU/NPU models (or a real executor) plus a
-  scalar ``speed`` (requests/second at a reference batch) that placement
-  weighs.  :func:`gpu_server` and :func:`npu_server` build specs straight
-  from the device catalogs, so a cluster can mix e.g. one fast GPU with two
-  slow NPUs.
+* :class:`ServerSpec` — one server's identity: a service model derived
+  from the :mod:`repro.hardware` GPU/NPU models plus a scalar ``speed``
+  (requests/second at a reference batch) that placement weighs.
+  :func:`gpu_server` and :func:`npu_server` build specs straight from the
+  device catalogs, so a cluster can mix e.g. one fast GPU with two slow
+  NPUs.  Real execution plugs in per model, through
+  :meth:`ClusterEngine.register`'s ``executors``.
 * **Placement** — :class:`~repro.serving.placement.Placer` implementations
   are resolved by name (``"free_clock"``, ``"least_work"``, ``"weighted"``)
   with speeds taken from the specs, or passed as instances.
@@ -46,7 +47,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -93,13 +93,14 @@ from repro.serving.telemetry import ClusterWindowStats, ScaleEvent, TelemetryBus
 class ServerSpec:
     """One server of a (possibly heterogeneous) cluster.
 
-    ``service_model`` is the analytic latency backend for modeled execution;
-    ``executor`` optionally overrides it with any
-    :class:`~repro.serving.engine.Executor` (e.g. a
-    :class:`~repro.serving.executors.RuntimeExecutor` owning real prepared
-    kernels).  ``speed`` is the server's serving rate in requests/second at
-    the reference batch — only the *ratios* between specs matter, and the
-    speed-aware placers consume them verbatim.
+    ``service_model`` is the analytic latency backend: it executes the
+    server's batches unless :meth:`ClusterEngine.register` is handed
+    ``executors`` (e.g. :class:`~repro.serving.executors.RuntimeExecutor`\\ s
+    owning real prepared kernels), and the named placers always estimate
+    with it.  A spec without one is refused.  ``speed`` is the server's
+    serving rate in requests/second at the reference batch — only the
+    *ratios* between specs matter, and the speed-aware placers consume them
+    verbatim.
 
     ``zone`` / ``rack`` are the server's failure-domain identity: servers
     sharing a zone (or, absent zones, a rack) share fate under correlated
@@ -119,7 +120,6 @@ class ServerSpec:
     name: str
     speed: float
     service_model: Optional[ServiceTimeModel] = None
-    executor: Optional[Executor] = None
     device: str = ""
     zone: str = ""
     rack: str = ""
@@ -128,8 +128,8 @@ class ServerSpec:
 
     def __post_init__(self) -> None:
         check_positive("speed (requests/second)", self.speed)
-        if self.service_model is None and self.executor is None:
-            raise ValueError("a ServerSpec needs a service_model or an executor")
+        if self.service_model is None:
+            raise ValueError("a ServerSpec needs a service_model")
 
     @property
     def available(self) -> bool:
@@ -151,16 +151,7 @@ class ServerSpec:
 
     def build_executor(self) -> Executor:
         """The executor serving this server's batches."""
-        if self.executor is not None:
-            return self.executor
         return ModeledExecutor(self.service_model)
-
-    def estimate_batch_seconds(self, batch_size: int, mode: str = "int8") -> float:
-        """Estimated service seconds for one batch (speed fallback without
-        a service model)."""
-        if self.service_model is not None:
-            return self.service_model.batch_latency(batch_size, mode)
-        return batch_size / self.speed
 
 
 def _table_reader(model: ServiceTimeModel, mode: str) -> ServiceEstimator:
@@ -654,10 +645,9 @@ class ClusterEngine:
         One callable per spec mapping a batch size to estimated service
         seconds via the spec's own latency backend — what the named
         speed-aware placers score with instead of the reference-batch
-        scalar.  For a spec with a ``service_model`` it reads that model's
-        (mode, ratio 0.0) price table, which it holds (:func:`_table_reader`),
-        so the model computes each size once, whoever else reads it; an
-        executor-only spec falls back to its scalar speed.  ``mode=None``
+        scalar.  Each reads its spec's model's (mode, ratio 0.0) price
+        table, which it holds (:func:`_table_reader`), so the model computes
+        each size once, whoever else reads it.  ``mode=None``
         scores the mode the cluster's endpoints registered when they all
         agree, else the ``"int8"`` reference (the convention the spec speeds
         are measured at); the named placers' estimators are rebound whenever
@@ -665,12 +655,7 @@ class ClusterEngine:
         registration still estimates the precision that actually runs.
         """
         resolved = self._estimator_mode if mode is None else mode
-        return [
-            partial(spec.estimate_batch_seconds, mode=resolved)
-            if spec.service_model is None
-            else _table_reader(spec.service_model, resolved)
-            for spec in self.specs
-        ]
+        return [_table_reader(spec.service_model, resolved) for spec in self.specs]
 
     def _scored(self, kind: type) -> Placer:
         """A named speed-aware placer, its estimators rebound by register()."""

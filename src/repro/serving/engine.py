@@ -27,7 +27,7 @@ ratio it runs at are pluggable:
   :mod:`repro.serving.placement` and :mod:`repro.serving.cluster`).
 * :class:`RatioPolicy` — picks the 4-bit ratio for each batch.  Policies see
   a :class:`~repro.serving.policies.PolicyContext` (start time, queue depth,
-  batch size, server, and — when the engine carries a
+  server, and — when the engine carries a
   :class:`~repro.serving.telemetry.TelemetryBus` — the windowed per-server
   telemetry) through one ``select(context)`` signature (see
   :mod:`repro.serving.policies`).
@@ -598,11 +598,6 @@ class _Session:
         # _execute only looks at it when non-empty, keeping the seed
         # arithmetic untouched.
         self.checkpoints: Dict[int, float] = {}
-        # Per-slot checkpoint-restore cost in seconds (state transfer to the
-        # resuming server; see StepCheckpoint.restore_seconds).  Paid once,
-        # by the first batch that consumes the slot's checkpoint.  Empty
-        # unless a checkpoint policy prices restores.
-        self.transfer_costs: Dict[int, float] = {}
         self.dropped = 0
         self.free_at: List[float] = [0.0] * num_servers
         self.busy: List[float] = [0.0] * num_servers
@@ -1098,20 +1093,12 @@ class ServingEngine:
             s.busy[server] -= record.finish - max(record.start, time)
             fraction = checkpointed_fraction(checkpoint, record, time)
             if fraction > 0.0:
-                restore = getattr(checkpoint, "restore_seconds", None)
-                for slot in slots:
-                    slot = int(slot)
+                for slot in slots.tolist():
                     done = s.checkpoints.get(slot, 0.0)
                     # Progress compounds: a re-migrated request already
                     # resumed from `done`, so the new checkpoints cover a
                     # fraction of the *residual* work only.
                     s.checkpoints[slot] = done + (1.0 - done) * fraction
-                    if restore is not None:
-                        # Restoring this checkpoint on another server is not
-                        # free: the resuming batch pays the transfer (see
-                        # _execute).  Re-priced on re-migration — only the
-                        # latest checkpoint is ever restored.
-                        s.transfer_costs[slot] = float(restore(s.checkpoints[slot]))
             if self.telemetry is not None:
                 self.telemetry.unrecord_batch(record, slots, kill_time=time)
             if self.tracer is not None:
@@ -1122,16 +1109,9 @@ class ServingEngine:
         rows = np.asarray(migrant_slots, dtype=np.intp)
         deadlines = self._slot_deadlines(s, rows)
         migrants = [
-            Migrant(
-                slot=slot,
-                arrival=arrival,
-                deadline=deadline,
-                migrations=s.migrations.get(slot, 0),
-                progress=s.checkpoints.get(slot, 0.0),
-            )
-            for slot, arrival, deadline in zip(
+            Migrant(slot, deadline, s.migrations.get(slot, 0))
+            for slot, deadline in zip(
                 migrant_slots,
-                s.store.arrivals[rows].tolist(),
                 repeat(None) if deadlines is None
                 # nan is the column's "no deadline"; a Migrant spells it None.
                 else [None if d != d else d for d in deadlines.tolist()],
@@ -1232,11 +1212,11 @@ class ServingEngine:
         return at
 
     def _select_server(
-        self, s: _Session, time: float, model: str, pending: int, arrived: int
+        self, s: _Session, time: float, model: str, arrived: int
     ) -> int:
         """Pick the server for the next batch via the configured placer."""
         context = PlacementContext(  # positionally, in field order
-            time, s.free_at, s.active, model, pending,
+            time, s.free_at, s.active, model,
             max(1, min(arrived, self.batching.max_batch)), self.telemetry,
         )
         server = self.placer.place(context)
@@ -1398,9 +1378,7 @@ class ServingEngine:
                 # servers by up to max_batch x.
                 est_start = max(s.free_at[server], first_arrival)
                 arrived = bisect.bisect_right(arrivals, est_start, lo=index) - index
-                server = self._select_server(
-                    s, first_arrival, head_model, num_requests - index, arrived
-                )
+                server = self._select_server(s, first_arrival, head_model, arrived)
             start = max(s.free_at[server], first_arrival)
             # All requests that have arrived by the time the server starts.
             end_index = bisect.bisect_right(arrivals, start, lo=index)
@@ -1526,10 +1504,7 @@ class ServingEngine:
             head_id = queue[0][3]
             head_model = store.model_names[head_id]
             if self.placer is not None:
-                pending = len(queue) + (len(pend_arrivals) - end_index)
-                server = self._select_server(
-                    s, start, head_model, pending, len(queue)
-                )
+                server = self._select_server(s, start, head_model, len(queue))
                 placed = free_at[server]
                 if placed > start:
                     # The placed server frees later than the earliest-free
@@ -1589,10 +1564,7 @@ class ServingEngine:
         batch_size = len(slots)
         # Both built positionally, in field order: once per batch, a keyword
         # call costs as much as the policy it feeds.
-        context = PolicyContext(
-            start, queue_depth, batch_size, head_model, server, self.telemetry,
-            len(s.active),
-        )
+        context = PolicyContext(start, queue_depth, server, self.telemetry)
         ratio = float(endpoint.policy.select(context))
         batch = Batch(
             head_model, start, batch_size, slots, LazyRequests(s.store, slots), server
@@ -1612,19 +1584,6 @@ class ServingEngine:
                 )
             if residual < 1.0:
                 service_time *= residual
-                if s.transfer_costs:
-                    # Checkpoint restores happen in parallel across the
-                    # cohort (each migrant streams its own state), so the
-                    # batch stalls for the slowest transfer — the same
-                    # largest-member convention as the residual above.  A
-                    # full re-execution (residual == 1.0) restores nothing
-                    # and pays nothing.
-                    service_time += max(
-                        s.transfer_costs.pop(int(slot), 0.0) for slot in slots
-                    )
-        if s.transfer_costs:
-            for slot in slots:
-                s.transfer_costs.pop(int(slot), None)
         # Record the ratio the batch actually ran at, which executors may
         # override (mode pinning); metrics built on batch_ratios must
         # reflect executed configurations, not requested ones.
@@ -1658,10 +1617,9 @@ class ServingEngine:
         """Expire ``slots`` (waited beyond ``drop_after``) at time ``start``."""
         s.dropped += len(slots)
         s.store.status[slots] = DROPPED
-        if s.checkpoints or s.transfer_costs:
+        if s.checkpoints:
             for slot in slots:
                 s.checkpoints.pop(int(slot), None)
-                s.transfer_costs.pop(int(slot), None)
         if self.telemetry is not None:
             self.telemetry.record_drops(start, slots)
         if self.tracer is not None:

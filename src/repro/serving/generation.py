@@ -131,11 +131,8 @@ class AdmissionPolicy(Protocol):
     """Picks which waiting sequences join the running batch this iteration.
 
     ``waiting`` is the arrived queue in admission order (arrival, slot);
-    ``running`` the current batch members; ``slots`` the free batch slots;
-    ``in_flight`` the running batch's token footprint (the sum of its
-    members' ``prompt_tokens + generated``, a running total the session
-    keeps).  Both lists are the scheduler's own: read them, do not modify
-    them.
+    ``running`` the current batch members; ``slots`` the free batch slots.
+    Both lists are the scheduler's own: read them, do not modify them.
     Return at most ``slots`` members of ``waiting``; the returned *order*
     is the prefill order.  When the running batch is empty and nothing is
     admitted, the scheduler force-admits the queue head (a starving server
@@ -148,7 +145,6 @@ class AdmissionPolicy(Protocol):
         waiting: Sequence[SequenceState],
         running: Sequence[SequenceState],
         slots: int,
-        in_flight: int,
     ) -> Sequence[SequenceState]:
         ...
 
@@ -161,7 +157,6 @@ class FcfsAdmission:
         waiting: Sequence[SequenceState],
         running: Sequence[SequenceState],
         slots: int,
-        in_flight: int,
     ) -> Sequence[SequenceState]:
         return list(waiting[:slots])
 
@@ -180,7 +175,6 @@ class PrefillPriorityAdmission:
         waiting: Sequence[SequenceState],
         running: Sequence[SequenceState],
         slots: int,
-        in_flight: int,
     ) -> Sequence[SequenceState]:
         if slots <= 0:
             return []
@@ -482,9 +476,7 @@ class IterationScheduler:
         free_slots = self.max_batch - width
         joiners: List[SequenceState] = []
         if free_slots > 0 and candidates:
-            joiners = list(
-                self.admission.admit(candidates, running, free_slots, s.in_flight)
-            )
+            joiners = list(self.admission.admit(candidates, running, free_slots))
             allowed = {seq.slot for seq in candidates}
             seen: set = set()
             for seq in joiners:
@@ -504,8 +496,8 @@ class IterationScheduler:
             # head, exactly like the engine's at-least-one batch rule.
             joiners = [candidates[0]]
 
-        # The joiners' prefills and how many of them decode this iteration
-        # feed the policy; every running sequence decodes.
+        # The joiners' prompt tokens feed the policy.  Every running
+        # sequence decodes, and so does each joiner with a second token due.
         prefills = len(joiners)
         prefill_tokens = 0
         decode_width = width
@@ -516,13 +508,10 @@ class IterationScheduler:
         queue_depth = len(candidates)
         # Both built positionally, in field order, as ServingEngine._execute
         # builds its context: once per iteration, keywords cost as much as
-        # the policy they feed.  No model name, server 0, no bus, one server.
+        # the policy they feed.  Server 0, no bus.
         context = PolicyContext(
-            start, queue_depth, width + prefills, "", 0, None, 1,
-            GenerationStepContext(
-                iteration, decode_width, prefills, prefill_tokens, s.in_flight,
-                queue_depth - prefills,
-            ),
+            start, queue_depth, 0, None,
+            GenerationStepContext(prefill_tokens, s.in_flight, queue_depth - prefills),
         )
         ratio = float(self.policy.select(context))
         if not 0.0 <= ratio <= 1.0:  # every ratio, priced or not; NaN too

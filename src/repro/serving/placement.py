@@ -41,8 +41,8 @@ Per-server speeds are expressed in requests/second at a reference batch size
 (see :meth:`repro.serving.cluster.ServerSpec.speed`); only their *ratios*
 matter to the placers.  The speed-aware placers optionally take per-server
 ``estimators`` — callables mapping a batch size to estimated service seconds
-(e.g. :meth:`repro.serving.cluster.ServerSpec.estimate_batch_seconds`) — in
-which case scoring uses real batch-size-aware service-time estimates instead
+(e.g. :meth:`repro.serving.cluster.ClusterEngine.batch_estimators`, which
+read each server's price table) — in which case scoring uses real batch-size-aware service-time estimates instead
 of the scalar reference-batch speed (batching amortizes per-batch overhead,
 so ``latency(b) / b`` falls with ``b``; a scalar speed misprices small and
 large batches alike).  :meth:`repro.serving.cluster.ClusterEngine.
@@ -80,9 +80,9 @@ class PlacementContext:
     batch (the earliest possible service start).  ``free_at`` holds every
     server's clock (indexable by server id, including inactive servers);
     ``active`` lists the ids eligible for placement, ascending.  ``model`` is
-    the model the batch will serve, ``pending`` counts requests known to be
-    waiting, and ``batch_hint`` estimates how many will ride in the batch
-    (pending requests arrived by ``time``, capped at ``max_batch``) — an
+    the model the batch will serve, and ``batch_hint`` estimates how many
+    requests will ride in the batch (those arrived by the earliest service
+    start, capped at ``max_batch``) — an
     estimate only, since the batch is formed *after* the server is chosen
     and later arrivals may still join it.  ``telemetry`` is the engine's
     :class:`~repro.serving.telemetry.TelemetryBus` when one is attached
@@ -94,7 +94,6 @@ class PlacementContext:
     free_at: Sequence[float]
     active: Sequence[int]
     model: str = ""
-    pending: int = 0
     batch_hint: int = 1
     telemetry: Optional["TelemetryBus"] = None
 

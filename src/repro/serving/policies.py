@@ -4,8 +4,8 @@ Every policy implements the :class:`~repro.serving.engine.RatioPolicy`
 protocol: the engine shows it the model's admitted trace once per run
 (:meth:`on_run_start`) and then asks for a ratio per batch with one
 signature, ``select(context: PolicyContext)``.  The context carries the
-batch start time plus queue depth, batch size, model name, server index,
-the telemetry bus and (on generation runs) the decode step, so fixed-ratio,
+batch start time plus queue depth, server index, the telemetry bus and (on
+generation runs) the decode pressure, so fixed-ratio,
 schedule-driven, controller-driven and load-driven deployments are
 interchangeable under one engine — what the seed spread across its
 simulator's ``ratio`` vs ``ratio_schedule`` arguments and a second, adaptive
@@ -29,22 +29,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class GenerationStepContext:
-    """Per-iteration generation state handed to ratio policies.
+    """Per-iteration decode pressure handed to ratio policies.
 
     Built by the :class:`~repro.serving.generation.IterationScheduler` once
     per decode iteration and attached to :attr:`PolicyContext.generation`,
-    so a policy can switch precision *mid-sequence*: ``iteration`` is the
-    server's 0-based iteration count, ``decode_width`` the live sequences
-    decoding this step, ``prefill_requests``/``prefill_tokens`` the joiners
-    being prefilled first (and their total prompt tokens),
-    ``tokens_in_flight`` the token footprint of the running batch (prompt +
-    generated so far), and ``waiting`` the queued sequences that have
-    arrived but not yet joined.  ``None`` on the one-shot batch paths.
+    so a policy can switch precision *mid-sequence*: ``prefill_tokens`` is
+    the joiners' total prompt tokens (prefilled first), ``tokens_in_flight``
+    the token footprint of the running batch (prompt + generated so far),
+    and ``waiting`` the queued sequences that have arrived but not joined.
+    ``None`` on the one-shot batch paths.
     """
 
-    iteration: int = 0
-    decode_width: int = 0
-    prefill_requests: int = 0
     prefill_tokens: int = 0
     tokens_in_flight: int = 0
     waiting: int = 0
@@ -57,14 +52,13 @@ class PolicyContext:
     ``time`` is the batch service start (simulation seconds).
     ``queue_depth`` counts the requests that have arrived and are still
     waiting when the batch forms (including the ones about to ride in it),
-    ``batch_size`` is the size of the batch being launched, and
-    ``model``/``server`` identify the endpoint and accelerator.
+    and ``server`` is the accelerator it runs on.  A policy serves the one
+    model it was registered with, so the context names no model.
 
     When the engine carries a :class:`~repro.serving.telemetry.TelemetryBus`
     it is exposed as ``telemetry`` (``None`` otherwise), giving policies
     windowed *per-server* signals — served rate, utilization, queue depth —
-    instead of only the instantaneous ones; ``num_active`` is the current
-    size of the active server set (elastic clusters shrink/grow it).
+    instead of only the instantaneous ones.
 
     On iteration-level generation runs ``generation`` carries the decode
     step's :class:`GenerationStepContext` (``None`` on one-shot batch
@@ -73,11 +67,8 @@ class PolicyContext:
 
     time: float
     queue_depth: int = 0
-    batch_size: int = 0
-    model: str = ""
     server: int = 0
     telemetry: Optional["TelemetryBus"] = None
-    num_active: int = 0
     generation: Optional[GenerationStepContext] = None
 
 
@@ -171,32 +162,27 @@ class QueueDepthRatioPolicy:
 class DecodePressureRatioPolicy:
     """Mid-sequence precision switching driven by decode pressure.
 
-    A policy for iteration-level generation runs: when the
-    token footprint of the running batch plus the queued backlog exceeds
-    ``pressure_threshold`` tokens, the iteration runs at ``high_ratio``
-    (cheaper, more 4-bit); once pressure drains it returns to
-    ``base_ratio`` — so a single sequence's tokens can be generated at
-    *different* precisions depending on the load its server was under at
-    each step.  Pressure counts ``tokens_in_flight`` plus
+    A policy for iteration-level generation runs: when the token footprint
+    of the running batch plus the queued backlog exceeds
+    ``pressure_threshold`` tokens, the iteration runs all-4-bit
+    (``PRESSED_RATIO``, cheaper); once pressure drains it returns to
+    all-8-bit (``BASE_RATIO``) — so a single sequence's tokens can be
+    generated at *different* precisions depending on the load its server
+    was under at each step.  Pressure counts ``tokens_in_flight`` plus
     ``prefill_tokens`` about to join, plus ``waiting * waiting_weight``
     (each queued sequence's expected footprint).  A batch with no generation
     context (a one-shot engine) is refused: the policy has nothing to read.
     """
 
-    def __init__(
-        self,
-        pressure_threshold: int,
-        base_ratio: float = 0.0,
-        high_ratio: float = 1.0,
-        waiting_weight: float = 0.0,
-    ) -> None:
+    BASE_RATIO = 0.0
+    PRESSED_RATIO = 1.0
+
+    def __init__(self, pressure_threshold: int, waiting_weight: float = 0.0) -> None:
         self.pressure_threshold = check_integer(
             "pressure_threshold", pressure_threshold, 1
         )
-        self.base_ratio = check_ratio(base_ratio)
-        self.high_ratio = check_ratio(high_ratio)
         # A NaN weight would never reach the threshold (the policy pins
-        # base_ratio); a negative one would make a longer queue less pressure.
+        # BASE_RATIO); a negative one would make a longer queue less pressure.
         self.waiting_weight = check_positive(
             "waiting_weight", waiting_weight, allow_zero=True
         )
@@ -220,7 +206,10 @@ class DecodePressureRatioPolicy:
             + generation.prefill_tokens
             + generation.waiting * self.waiting_weight
         )
-        ratio = self.high_ratio if pressure >= self.pressure_threshold else self.base_ratio
+        ratio = (
+            self.PRESSED_RATIO if pressure >= self.pressure_threshold
+            else self.BASE_RATIO
+        )
         if self._last is not None and ratio != self._last:
             self.switches += 1
         self._last = ratio

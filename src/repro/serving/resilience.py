@@ -48,8 +48,8 @@ lost work.  Three pieces make the serving stack survive faults:
   so the migrated victims land on restored capacity immediately.
 * **Partial-batch checkpointing** — a :class:`CheckpointPolicy`
   (:class:`StepCheckpoint`) lets ``preempt_server`` record how much of a
-  killed batch's service had been checkpointed; migrants carry the
-  surviving ``progress`` and a re-executed cohort pays only its largest
+  killed batch's service had been checkpointed; the engine keeps each
+  victim's surviving share, and a re-executed cohort pays only its largest
   residual demand instead of restarting from zero.
 
 Everything here is opt-in: an engine that never calls ``preempt_server`` and
@@ -382,21 +382,15 @@ class DegradableExecutor:
 class Migrant:
     """One request preempted off a failing/deactivated server.
 
-    ``slot`` is the engine's stable admission slot, ``arrival`` the original
-    arrival time (latency is always charged from it — migration shows up as
-    response time, never hides), ``deadline`` its deadline (``None``: it has
-    none) and ``migrations`` counts moves *before* this preemption.
-    ``progress`` is the fraction of the request's service already completed
-    and checkpointed (0.0 without a :class:`CheckpointPolicy`): a migrant
-    with ``progress > 0`` resumes with only ``1 - progress`` of its service
-    demand, which migration policies may weigh when planning.
+    ``slot`` is the engine's stable admission slot, ``deadline`` its
+    deadline (``None``: it has none) and ``migrations`` counts moves
+    *before* this preemption.  Latency is always charged from the original
+    arrival, so migration shows up as response time, never hides.
     """
 
     slot: int
-    arrival: float
     deadline: Optional[float] = None
     migrations: int = 0
-    progress: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -534,6 +528,7 @@ class CheckpointPolicy(Protocol):
     and, when a migrated cohort re-executes, scales the batch's service
     time by the cohort's largest residual demand (a batch runs its members'
     remaining steps jointly, so one fresh rider costs the full batch).
+    Restoring the saved work costs nothing on top.
     """
 
     def completed_fraction(self, record: "BatchRecord", time: float) -> float:
@@ -550,30 +545,12 @@ class StepCheckpoint:
     partial step in flight is lost, exactly like an un-checkpointed batch
     loses everything).  ``steps=1`` checkpoints nothing — the fraction is
     always 0 — which makes the degenerate policy equivalent to no policy.
-
-    Restoring a checkpoint on the resuming server is optionally *priced*:
-    ``transfer_cost`` is a flat per-restore charge (seconds — moving the
-    model/KV state to the new server), ``transfer_per_step`` adds a charge
-    per checkpointed step actually being restored (state grows with saved
-    progress).  :meth:`restore_seconds` turns a migrant's surviving
-    progress fraction into that charge; the engine records it per victim
-    and the first batch that *consumes* the checkpoint pays the cohort's
-    largest transfer alongside its residual re-execution (see
-    ``ServingEngine._execute``).  Both default to 0.0 — the free-restore
-    seed behaviour.
     """
 
     steps: int = 4
-    transfer_cost: float = 0.0
-    transfer_per_step: float = 0.0
 
     def __post_init__(self) -> None:
-        if check_positive("steps", self.steps) < 1:
-            raise ValueError(f"steps must be >= 1 (got {self.steps!r})")
-        check_positive("transfer_cost (seconds)", self.transfer_cost, allow_zero=True)
-        check_positive(
-            "transfer_per_step (seconds)", self.transfer_per_step, allow_zero=True
-        )
+        check_integer("steps", self.steps, 1)
 
     def completed_fraction(self, record: "BatchRecord", time: float) -> float:
         span = record.finish - record.start
@@ -582,21 +559,6 @@ class StepCheckpoint:
             return 0.0
         crossed = int(self.steps * min(elapsed / span, 1.0))
         return min(crossed, self.steps - 1) / self.steps
-
-    def restore_seconds(self, progress: float) -> float:
-        """Seconds to restore a checkpoint holding ``progress`` of the work.
-
-        Zero when there is nothing to restore (``progress <= 0``); otherwise
-        the flat ``transfer_cost`` plus ``transfer_per_step`` for each
-        checkpointed step the progress fraction represents (rounded to the
-        nearest step — compounded re-migration fractions may fall between
-        step boundaries).
-        """
-        if progress <= 0.0:
-            return 0.0
-        return self.transfer_cost + self.transfer_per_step * round(
-            progress * self.steps
-        )
 
 
 def checkpointed_fraction(

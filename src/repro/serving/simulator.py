@@ -39,13 +39,15 @@ class ServiceTimeModel:
     For autoregressive workloads the model also exposes a prefill-vs-decode
     cost split (:meth:`prefill_latency` / :meth:`decode_latency`) read from
     the same table: a prefill processes a whole prompt in parallel, so its
-    cost scales with prompt tokens (``prefill_tokens_per_sample`` tokens
-    cost one batch-1 forward); a decode step processes one token per live
-    sequence, so its cost scales with the batch *width* and is a
+    cost scales with prompt tokens (``TOKENS_PER_SAMPLE`` tokens cost one
+    batch-1 forward); a decode step processes one token per live sequence,
+    so its cost scales with the batch *width* and is a
     ``decode_token_fraction`` of the equally-wide one-shot forward
-    (compute per token, defaulting to ``1 / prefill_tokens_per_sample``).
+    (compute per token, defaulting to ``1 / TOKENS_PER_SAMPLE``).
     One-shot classification runs never touch either method.
     """
+
+    TOKENS_PER_SAMPLE = 64
 
     def __init__(
         self,
@@ -53,7 +55,6 @@ class ServiceTimeModel:
         gpu: str = "a6000",
         anchor_batches: Sequence[int] = (1, 8, 16, 32, 64, 128),
         latency_model: Optional[GpuLatencyModel] = None,
-        prefill_tokens_per_sample: int = 64,
         decode_token_fraction: Optional[float] = None,
     ) -> None:
         # Every argument is refused here, not at the first batch that reads
@@ -70,11 +71,8 @@ class ServiceTimeModel:
         )
         if not self.anchor_batches:
             raise ValueError("anchor_batches must name at least one batch size")
-        self.prefill_tokens_per_sample = check_integer(
-            "prefill_tokens_per_sample", prefill_tokens_per_sample, 1
-        )
         if decode_token_fraction is None:
-            decode_token_fraction = 1.0 / self.prefill_tokens_per_sample
+            decode_token_fraction = 1.0 / self.TOKENS_PER_SAMPLE
         self.decode_token_fraction = check_positive(
             "decode_token_fraction", decode_token_fraction
         )
@@ -131,13 +129,13 @@ class ServiceTimeModel:
         """Seconds to prefill one ``prompt_tokens``-token prompt.
 
         The prompt is processed in parallel like a batch of
-        ``ceil(tokens / prefill_tokens_per_sample)`` one-shot samples —
+        ``ceil(tokens / TOKENS_PER_SAMPLE)`` one-shot samples —
         compute scales with prompt length, with the hardware model's own
         sub-linear batching efficiency applied.  Zero-length prompts (pure
         decode continuations) cost nothing.  Only an ``int`` prompt reads the
         table unchecked: a fraction rounds up to a size the table may hold.
         """
-        equivalent = -(-prompt_tokens // self.prefill_tokens_per_sample)
+        equivalent = -(-prompt_tokens // self.TOKENS_PER_SAMPLE)
         try:
             if type(prompt_tokens) is int:
                 return self._tables[mode, ratio][equivalent]

@@ -34,6 +34,7 @@ from repro.serving import (
     FaultSchedule,
     RequeueAtHeadMigration,
     ServerSpec,
+    ServiceTimeModel,
     StepCheckpoint,
 )
 
@@ -41,6 +42,7 @@ NUM_SERVERS = 4
 DURATION = 4.0
 WINDOW = 0.25
 SEEDS = (0, 1, 2, 3, 4)
+SERVICE_MODEL = ServiceTimeModel()
 
 
 class FixedExecutor:
@@ -106,7 +108,7 @@ def run_chaos(seed: int, tracer=None):
         ServerSpec(
             name=f"g{i}",
             speed=1000.0,
-            executor=FixedExecutor(0.02),
+            service_model=SERVICE_MODEL,
             zone="AB"[i % 2],
         )
         for i in range(NUM_SERVERS)
@@ -121,7 +123,9 @@ def run_chaos(seed: int, tracer=None):
         window=WINDOW,
         tracer=tracer,
     )
-    cluster.register("m", mode="int8")
+    # The spread placer estimates with the specs' model; batches run fixed.
+    executors = [FixedExecutor(0.02) for _ in specs]
+    cluster.register("m", mode="int8", executors=executors)
     trace = DiurnalTrace(
         night_rate=200.0,
         peak_rate=800.0,

@@ -45,7 +45,7 @@ DECODE_PROBE_CALLS = 484
 #: Ceiling on calls per iteration over the 4 s mix.
 MIX_CALLS_PER_ITERATION = 20.3
 #: Ceiling on calls per batch of the small EDF + ``least_work`` cluster run.
-CLUSTER_CALLS_PER_BATCH = 55.9
+CLUSTER_CALLS_PER_BATCH = 52.9
 
 
 def count_calls(fn: Callable[[], object]) -> Tuple[int, Counter]:

@@ -794,6 +794,13 @@ class TestSloMonitor:
         with pytest.raises(ValueError):
             SloMonitor(objectives=[])
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_a_threshold_no_burn_can_reach_is_refused(self, threshold):
+        # BurnRateRule(nan) used to be accepted, and ``burn >= nan`` is
+        # false: the rule never fired.
+        with pytest.raises(ValueError, match="threshold must be a finite number > 0"):
+            BurnRateRule(threshold=threshold)
+
     def test_a_monitor_needs_a_rule(self):
         with pytest.raises(ValueError, match="need at least one burn-rate rule"):
             SloMonitor(objectives=[SloObjective("att", target=0.99)], rules=())
@@ -866,8 +873,7 @@ class TestSloMonitor:
 
     def test_cluster_run_places_alerts_on_timeline(self):
         specs = [
-            ServerSpec(name=f"g{i}", speed=1000.0,
-                       executor=ModeledExecutor(ServiceTimeModel()))
+            ServerSpec(name=f"g{i}", speed=1000.0, service_model=ServiceTimeModel())
             for i in range(2)
         ]
         monitor = SloMonitor(

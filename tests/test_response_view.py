@@ -193,7 +193,7 @@ def crash_requeue_twice():
     """Three crashes: the last lands on the server that took the first one's
     migrants (two moves); the middle one's victims move once."""
     specs = [
-        ServerSpec(name=f"g{i}", speed=1.0, executor=FixedExecutor(1.0))
+        ServerSpec(name=f"g{i}", speed=1.0, service_model=ServiceTimeModel())
         for i in range(4)
     ]
     cluster = ClusterEngine(
@@ -209,7 +209,7 @@ def crash_requeue_twice():
         migration=RequeueAtHeadMigration(delay=0.6),
         window=0.25,
     )
-    cluster.register("m", mode="int8")
+    cluster.register("m", mode="int8", executors=[FixedExecutor(1.0) for _ in specs])
     requests = [Request(arrival_time=0.0, model="m", request_id=i) for i in range(12)]
     return cluster.run(requests=requests).result
 

@@ -115,15 +115,10 @@ class TestServerSpec:
     def test_spec_validation(self, service_model):
         with pytest.raises(ValueError):
             ServerSpec(name="bad-speed", speed=-1.0, service_model=service_model)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs a service_model"):
             ServerSpec(name="no-backend", speed=1.0)
         spec = ServerSpec(name="ok", speed=2.0, service_model=service_model)
         assert isinstance(spec.build_executor(), ModeledExecutor)
-        # Without a service model, estimates fall back to the speed scalar.
-        executor_spec = ServerSpec(
-            name="real", speed=10.0, executor=ModeledExecutor(service_model)
-        )
-        assert executor_spec.estimate_batch_seconds(5) == pytest.approx(0.5)
 
 
 # ----------------------------------------------------------------------
@@ -255,13 +250,13 @@ class TestPlacement:
         executing = ModeledExecutor(ServiceTimeModel())
         cluster = ClusterEngine(
             [
-                ServerSpec(f"s{i}", speed=1.0, service_model=model, executor=executing)
+                ServerSpec(f"s{i}", speed=1.0, service_model=model)
                 for i, model in enumerate(models)
             ],
             batching=BatchingConfig(max_batch=8),
             placer="least_work",
         )
-        cluster.register("m", mode="int8")
+        cluster.register("m", mode="int8", executors=[executing] * len(models))
         trace = PoissonTrace(2000, duration=1.0, seed=2).generate()
         result = cluster.run(trace)
         assert len(result.result.batch_records) > 100
@@ -519,14 +514,14 @@ class TestTelemetry:
                 pass
 
             def select(self, context):
-                seen.append((context.telemetry, context.num_active))
+                seen.append(context.telemetry)
                 return 0.0
 
         telemetry = TelemetryBus(window=1.0, num_servers=1)
         engine = ServingEngine(telemetry=telemetry)
         engine.register("m", ModeledExecutor(service_model), policy=Spy())
         engine.run(requests=[Request(0.0, model="m")])
-        assert seen == [(telemetry, 1)]
+        assert seen == [telemetry]
 
     def test_scale_events_recorded(self):
         bus = TelemetryBus(window=1.0, num_servers=2)
@@ -1002,7 +997,7 @@ class TestElasticCluster:
     def test_scale_up_wakes_the_fastest_parked_server(self):
         """Parked: s1 (speed 90) and s2 (speed 10); scale-up takes s1."""
         specs = [
-            ServerSpec(name, speed, executor=ModeledExecutor(ServiceTimeModel()))
+            ServerSpec(name, speed, service_model=ServiceTimeModel())
             for name, speed in (("s0", 100.0), ("s1", 90.0), ("s2", 10.0))
         ]
         cluster = ClusterEngine(

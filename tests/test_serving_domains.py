@@ -35,6 +35,7 @@ from repro.serving import (
     RequeueAtHeadMigration,
     ScaleEvent,
     ServerSpec,
+    ServiceTimeModel,
     ServingEngine,
     SloLatencyAutoscaler,
     SpreadPlacer,
@@ -57,14 +58,25 @@ class FixedExecutor:
         return BatchExecution(service_time=self.seconds)
 
 
-def fixed_spec(name, speed=1000.0, seconds=0.01, zone="", rack=""):
+#: Every fixed spec's model: the named placers estimate with it, while the
+#: batches run on the fixed executors that ``register_fixed`` registers.
+SERVICE_MODEL = ServiceTimeModel()
+
+
+def fixed_spec(name, speed=1000.0, zone="", rack=""):
     return ServerSpec(
         name=name,
         speed=speed,
-        executor=FixedExecutor(seconds),
+        service_model=SERVICE_MODEL,
         zone=zone,
         rack=rack,
     )
+
+
+def register_fixed(cluster, seconds=0.01):
+    """Register model ``m`` at int8, every server taking ``seconds`` a batch."""
+    executors = [FixedExecutor(seconds) for _ in cluster.specs]
+    cluster.register("m", mode="int8", executors=executors)
 
 
 def conserve(result, admitted: int) -> None:
@@ -265,7 +277,7 @@ class TestSpreadPlacer:
         """Under spread placement neither zone swallows the whole stream."""
         specs = [fixed_spec(f"s{i}", zone="AB"[i // 2]) for i in range(4)]
         cluster = ClusterEngine(specs, BatchingConfig(max_batch=8), placer="spread")
-        cluster.register("m", mode="int8")
+        register_fixed(cluster)
         trace = PoissonTrace(2000, duration=1.0, seed=3).generate()
         result = cluster.run(trace=trace)
         by_zone = {"A": 0, "B": 0}
@@ -313,7 +325,7 @@ class TestWarmSpares:
             migration=RequeueAtHeadMigration(delay=0.001),
             window=0.25,
         )
-        cluster.register("m", mode="int8")
+        register_fixed(cluster)
         trace = PoissonTrace(1200, duration=2.0, seed=9).generate()
         return cluster.run(trace=trace)
 
@@ -362,7 +374,7 @@ class TestWarmSpares:
             warm_spares=WarmSparePool([2]),
             window=0.1,
         )
-        cluster.register("m", mode="int8")
+        register_fixed(cluster)
         trace = PoissonTrace(3000, duration=1.0, seed=4).generate()
         outcome = cluster.run(trace=trace)
         added = [e.server for e in outcome.scale_events if e.action == "add"]
@@ -377,7 +389,7 @@ class TestWarmSpares:
             BatchingConfig(max_batch=8),
             warm_spares=WarmSparePool([1]),
         )
-        cluster.register("m", mode="int8")
+        register_fixed(cluster)
         trace = PoissonTrace(500, duration=0.5, seed=2).generate()
         outcome = cluster.run(trace=trace)
         assert outcome.initial_active == 1
@@ -432,6 +444,27 @@ class TestCheckpointing:
         assert fresh.latencies.max() == pytest.approx(1.5)   # 0.5 + full 1.0
         assert resumed.latencies.max() == pytest.approx(1.0)  # 0.5 + residual 0.5
         assert resumed.migrated == fresh.migrated == 4
+
+    def test_a_custom_checkpoint_policy_is_honoured(self):
+        # Any object with completed_fraction is a CheckpointPolicy.
+        class HalfCheckpoint:
+            def completed_fraction(self, record, time):
+                return 0.5
+
+        result = self._preempt(HalfCheckpoint())
+        conserve(result, 4)
+        assert result.latencies.max() == pytest.approx(1.0)  # 0.5 + residual 0.5
+
+    @pytest.mark.parametrize("fraction", [1.0, -0.25, float("nan")])
+    def test_a_fraction_outside_the_unit_interval_is_refused(self, fraction):
+        # Saving all of a batch, less than none of it, or NaN of it would
+        # leave a residual that is zero, longer than the batch, or NaN.
+        class BadCheckpoint:
+            def completed_fraction(self, record, time):
+                return fraction
+
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\)"):
+            self._preempt(BadCheckpoint())
 
     def test_checkpoint_before_any_step_changes_nothing(self):
         # Killed before the first checkpoint boundary: nothing survives.
@@ -566,7 +599,7 @@ class TestTimelineEdgeCases:
             migration=RequeueAtHeadMigration(),
             window=0.25,
         )
-        cluster.register("m", mode="int8")
+        register_fixed(cluster)
         trace = PoissonTrace(400, duration=0.2, seed=8).generate()
         outcome = cluster.run(trace=trace)
         assert [e.kind for e in outcome.fault_events] == ["crash"]
@@ -576,7 +609,7 @@ class TestTimelineEdgeCases:
     def test_crash_mid_drain_requeues_and_serves_migrants(self):
         """The trailing fault hits while the victim still has queued work:
         the step loop re-enters and the migrants finish on the survivor."""
-        specs = [fixed_spec("g0", seconds=1.0), fixed_spec("g1", seconds=1.0)]
+        specs = [fixed_spec("g0"), fixed_spec("g1")]
         cluster = ClusterEngine(
             specs,
             BatchingConfig(max_batch=2),
@@ -584,7 +617,7 @@ class TestTimelineEdgeCases:
             migration=RequeueAtHeadMigration(),
             window=0.25,
         )
-        cluster.register("m", mode="int8")
+        register_fixed(cluster, seconds=1.0)
         requests = [
             Request(arrival_time=0.0, model="m", request_id=i) for i in range(4)
         ]
@@ -601,7 +634,7 @@ class TestTimelineEdgeCases:
         """A trailing fault lands at its own window's end without moving
         the window the step loop has open: window 0 still closes at 0.25
         when the migrants' first batch starts, not at the fault's window."""
-        specs = [fixed_spec(f"g{i}", seconds=1.0) for i in range(3)]
+        specs = [fixed_spec(f"g{i}") for i in range(3)]
         cluster = ClusterEngine(
             specs,
             BatchingConfig(max_batch=2),
@@ -612,7 +645,7 @@ class TestTimelineEdgeCases:
             startup_delay=0.1,
             window=0.25,
         )
-        cluster.register("m", mode="int8")
+        register_fixed(cluster, seconds=1.0)
         requests = [
             Request(arrival_time=0.0, model="m", request_id=i) for i in range(4)
         ]
@@ -634,7 +667,7 @@ class TestTimelineEdgeCases:
             migration=RequeueAtHeadMigration(),
             window=0.25,
         )
-        cluster.register("m", mode="int8")
+        register_fixed(cluster)
         trace = PoissonTrace(800, duration=1.0, seed=5).generate()
         outcome = cluster.run(trace=trace)
         timeline = outcome.timeline()
@@ -660,7 +693,7 @@ class TestTopologyAwarePromotion:
             migration=RequeueAtHeadMigration(delay=0.001),
             window=0.1,
         )
-        cluster.register("m", mode="int8")
+        register_fixed(cluster)
         trace = PoissonTrace(800, duration=1.0, seed=11).generate()
         outcome = cluster.run(trace=trace)
         promotions = [e for e in outcome.scale_events if e.action == "promote"]
@@ -708,72 +741,3 @@ class TestTopologyAwarePromotion:
             ]
         )
         assert event.server == 3
-
-
-# ----------------------------------------------------------------------
-# Checkpoint transfer pricing (PR 7 satellite)
-# ----------------------------------------------------------------------
-class TestCheckpointTransferCost:
-    def test_restore_seconds_arithmetic(self):
-        policy = StepCheckpoint(steps=4, transfer_cost=0.1, transfer_per_step=0.05)
-        assert policy.restore_seconds(0.0) == 0.0
-        assert policy.restore_seconds(-1.0) == 0.0
-        assert policy.restore_seconds(0.5) == pytest.approx(0.1 + 2 * 0.05)
-        assert policy.restore_seconds(0.75) == pytest.approx(0.1 + 3 * 0.05)
-        # A free checkpoint (the default) prices every restore at zero.
-        assert StepCheckpoint(steps=4).restore_seconds(0.5) == 0.0
-        with pytest.raises(ValueError):
-            StepCheckpoint(steps=4, transfer_cost=-0.1)
-        with pytest.raises(ValueError):
-            StepCheckpoint(steps=4, transfer_per_step=-0.1)
-
-    def _preempt(self, checkpoint, kill_at=0.5):
-        engine = ServingEngine(BatchingConfig(max_batch=4), num_servers=2)
-        engine.register("m", FixedExecutor(1.0), mode="int8")
-        engine.start(
-            requests=[
-                Request(arrival_time=0.0, model="m", request_id=i)
-                for i in range(4)
-            ]
-        )
-        engine.step()
-        engine.preempt_server(
-            0,
-            kill_at,
-            policy=RequeueAtHeadMigration(),
-            kill_running=True,
-            checkpoint=checkpoint,
-        )
-        engine.set_active_servers([1])
-        return engine.finish()
-
-    def test_migrant_cohort_pays_transfer_on_resume(self):
-        # Killed at 0.5 of a 1.0s batch with 4 steps: 0.5 residual plus the
-        # cohort's restore cost (parallel restore: one transfer for the
-        # whole cohort, like the largest-residual convention).
-        priced = self._preempt(StepCheckpoint(steps=4, transfer_cost=0.2))
-        free = self._preempt(StepCheckpoint(steps=4))
-        conserve(priced, 4)
-        assert free.latencies.max() == pytest.approx(1.0)    # 0.5 + 0.5
-        assert priced.latencies.max() == pytest.approx(1.2)  # ... + 0.2
-        assert priced.migrated == free.migrated == 4
-
-    def test_full_reexecution_pays_no_transfer(self):
-        # Killed before any checkpoint step: nothing restores, so nothing
-        # transfers — the run matches the checkpoint-free baseline exactly.
-        priced = self._preempt(
-            StepCheckpoint(steps=4, transfer_cost=0.2), kill_at=0.2
-        )
-        plain = self._preempt(None, kill_at=0.2)
-        np.testing.assert_allclose(priced.latencies, plain.latencies)
-
-    def test_custom_checkpoint_without_pricing_still_works(self):
-        # Duck-typed composition: a CheckpointPolicy that never heard of
-        # restore_seconds keeps its seed behaviour (free restores).
-        class HalfCheckpoint:
-            def completed_fraction(self, record, time):
-                return 0.5
-
-        result = self._preempt(HalfCheckpoint())
-        conserve(result, 4)
-        assert result.latencies.max() == pytest.approx(1.0)

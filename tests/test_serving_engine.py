@@ -1114,17 +1114,16 @@ class TestPolicyContext:
                 pass
 
             def select(self, context):
-                seen.append((context.queue_depth, context.batch_size, context.model))
+                seen.append(context.queue_depth)
                 return 0.0
 
         engine = ServingEngine(BatchingConfig(max_batch=4))
         engine.register("m", ModeledExecutor(service_model), policy=Spy(), mode="flexiq")
         trace = RequestTrace(arrival_times=np.zeros(10), duration=0.0)
-        engine.run(trace=trace)
+        result = engine.run(trace=trace)
         # 10 simultaneous arrivals, max_batch 4: queue depths 10, 6, 2.
-        assert [d for d, _, _ in seen] == [10, 6, 2]
-        assert [b for _, b, _ in seen] == [4, 4, 2]
-        assert all(m == "m" for _, _, m in seen)
+        assert seen == [10, 6, 2]
+        assert result.batch_sizes == [4, 4, 2]
 
     def test_queue_depth_policy_sheds_accuracy_under_backlog(self, service_model):
         policy = QueueDepthRatioPolicy({16: 0.5, 64: 1.0}, base_ratio=0.0)
@@ -1323,7 +1322,6 @@ NON_FINITE = {
         resilience.DropExpiredMigration(bad)
     ),
     "stagger": lambda model, bad: resilience.RedistributeMigration(stagger=bad),
-    "steps": lambda model, bad: resilience.StepCheckpoint(steps=bad),
     "promotion_latency": lambda model, bad: resilience.WarmSparePool(
         [1], promotion_latency=bad
     ),
@@ -1346,12 +1344,6 @@ def _seed_engine(service_model):
 #: a quantity whose error names its unit -> a call handing it ``bad``.
 NON_FINITE_WITH_UNIT = {
     "speed (requests/second)": lambda model, bad: ServerSpec("s", bad, service_model=model),
-    "transfer_cost (seconds)": lambda model, bad: resilience.StepCheckpoint(
-        transfer_cost=bad
-    ),
-    "transfer_per_step (seconds)": lambda model, bad: resilience.StepCheckpoint(
-        transfer_per_step=bad
-    ),
 }
 
 
@@ -1420,6 +1412,8 @@ NON_INTEGER = {
     "prefill_tokens": lambda model, bad: _generation(model).start(
         [Request(0.0, "m", prefill_tokens=bad, max_new_tokens=2)]
     ),
+    # StepCheckpoint(steps=1.5) used to be accepted (a sign test only).
+    "steps": lambda model, bad: resilience.StepCheckpoint(steps=bad),
 }
 
 #: field -> its least value, at the sites that used to call ``int()``; one of
@@ -1439,6 +1433,7 @@ MINIMUM = {
     "anchor batch": 1,
     "chunk": 1,
     "prefill_tokens": 0,
+    "steps": 1,
 }
 
 
@@ -1483,8 +1478,6 @@ class TestHostileInput:
         for build in (
             lambda: QueueDepthRatioPolicy({1: bad}),
             lambda: QueueDepthRatioPolicy({1: 0.5}, base_ratio=bad),
-            lambda: DecodePressureRatioPolicy(5, high_ratio=bad),
-            lambda: DecodePressureRatioPolicy(5, base_ratio=bad),
         ):
             with pytest.raises(ValueError, match=message):
                 build()
@@ -1650,6 +1643,14 @@ class TestHostileInput:
             ValueError, match=rf"{name} must be a finite number .*got {bad!r}"
         ):
             NON_FINITE[field](service_model, bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_a_non_finite_step_count_is_refused(self, bad):
+        # A count of checkpoints is a whole number; NaN and inf are none.
+        with pytest.raises(
+            ValueError, match=rf"steps must be an integer >= 1 \(got {bad!r}\)"
+        ):
+            resilience.StepCheckpoint(steps=bad)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     @pytest.mark.parametrize("field", NON_FINITE_WITH_UNIT)

@@ -61,9 +61,10 @@ class TokenBudgetAdmission:
         self.budget_tokens = budget_tokens
         self.within = within if within is not None else FcfsAdmission()
 
-    def admit(self, waiting, running, slots, in_flight):
+    def admit(self, waiting, running, slots):
+        in_flight = sum(seq.prompt_tokens + seq.generated for seq in running)
         chosen = []
-        for seq in self.within.admit(waiting, running, slots, in_flight):
+        for seq in self.within.admit(waiting, running, slots):
             cost = seq.prompt_tokens + max(1, seq.generated)
             if in_flight + cost > self.budget_tokens:
                 break
@@ -141,21 +142,18 @@ class TestPrefillDecodeSplit:
         )
 
     def test_decode_fraction_defaults_to_token_share(self):
-        model = ServiceTimeModel(
-            "vit_base", gpu="a6000", prefill_tokens_per_sample=32
-        )
-        assert model.decode_token_fraction == pytest.approx(1.0 / 32)
+        model = ServiceTimeModel("vit_base", gpu="a6000")
+        assert model.decode_token_fraction == 1.0 / 64
+        # A prompt of 64 tokens costs one batch-1 forward, 65 cost two.
+        assert model.prefill_latency(64, "int8") == model.batch_latency(1, "int8")
+        assert model.prefill_latency(65, "int8") == model.batch_latency(2, "int8")
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ServiceTimeModel("vit_base", prefill_tokens_per_sample=0)
         with pytest.raises(ValueError):
             ServiceTimeModel("vit_base", decode_token_fraction=0.0)
         # Each refused in the constructor, not at the first batch.
         with pytest.raises(ValueError, match="decode_token_fraction"):
             ServiceTimeModel("vit_base", decode_token_fraction=float("nan"))
-        with pytest.raises(ValueError, match="prefill_tokens_per_sample"):
-            ServiceTimeModel("vit_base", prefill_tokens_per_sample=1.5)
         with pytest.raises(ValueError, match="anchor_batches"):
             ServiceTimeModel("vit_base", anchor_batches=())
         with pytest.raises(ValueError, match="anchor batch"):
@@ -329,9 +327,9 @@ class TestAdmission:
         full = sorted(range(len(waiting)), key=lambda i: (waiting[i].prompt_tokens, i))
         for slots in range(1, len(waiting) + 2):
             # Same (prompt_tokens, queue position) order as a full sort.
-            assert [s.slot for s in policy.admit(waiting, [], slots, 0)] == full[:slots]
-        assert policy.admit(waiting, [], 0, 0) == []
-        assert policy.admit(waiting, [], -3, 0) == []
+            assert [s.slot for s in policy.admit(waiting, [], slots)] == full[:slots]
+        assert policy.admit(waiting, [], 0) == []
+        assert policy.admit(waiting, [], -3) == []
 
     def test_a_short_admission_leaves_slots_free(self, backend):
         # The budget fits one 64-token sequence (+ its generated tokens) but
@@ -357,7 +355,7 @@ class TestAdmission:
 
     def test_bad_admission_policy_rejected(self, backend):
         class Overcommit:
-            def admit(self, waiting, running, slots, in_flight):
+            def admit(self, waiting, running, slots):
                 return list(waiting)  # ignores the slot cap
 
         requests = gen_requests([(0.0, 64, 2)] * 3)
@@ -419,6 +417,26 @@ class TestMidSequenceRatio:
         with pytest.raises(ValueError, match="no generation context"):
             engine.run(requests=[Request(0.0, "m")])
 
+    def test_pressure_at_the_threshold_runs_all_4bit(self):
+        """Pressure is in-flight plus prefill tokens plus weighted waiters;
+        reaching the threshold presses, one token below does not."""
+        policy = DecodePressureRatioPolicy(pressure_threshold=100, waiting_weight=10.0)
+        policy.on_run_start(None)
+
+        def select(tokens_in_flight, prefill_tokens=0, waiting=0):
+            generation = GenerationStepContext(
+                prefill_tokens=prefill_tokens,
+                tokens_in_flight=tokens_in_flight,
+                waiting=waiting,
+            )
+            return policy.select(PolicyContext(time=0.0, generation=generation))
+
+        assert select(99) == DecodePressureRatioPolicy.BASE_RATIO == 0.0
+        assert select(60, prefill_tokens=20, waiting=2) == 1.0
+        assert select(60, prefill_tokens=20, waiting=1) == 0.0
+        assert select(100) == DecodePressureRatioPolicy.PRESSED_RATIO == 1.0
+        assert policy.switches == 3
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DecodePressureRatioPolicy(pressure_threshold=0)
@@ -426,7 +444,7 @@ class TestMidSequenceRatio:
     @pytest.mark.parametrize("weight", [float("nan"), -1.0, float("inf")])
     def test_a_waiting_weight_that_is_no_pressure_is_refused(self, weight):
         # A NaN weight never reaches the threshold (the policy would pin
-        # base_ratio); a negative one makes a longer queue less pressure.
+        # BASE_RATIO); a negative one makes a longer queue less pressure.
         with pytest.raises(ValueError, match="waiting_weight"):
             DecodePressureRatioPolicy(pressure_threshold=900, waiting_weight=weight)
         assert DecodePressureRatioPolicy(900, waiting_weight=0).waiting_weight == 0.0
@@ -620,18 +638,15 @@ def spec_iteration(session, scheduler, candidates):
     in_flight = sum(seq.prompt_tokens + seq.generated for seq in running)
     joiners = []
     if free > 0 and candidates:
-        joiners = list(scheduler.admission.admit(candidates, running, free, in_flight))
+        joiners = list(scheduler.admission.admit(candidates, running, free))
     if not running and not joiners and candidates:
         joiners = [candidates[0]]  # the starvation guard
     members = running + joiners
     prefilled = {seq.slot: max(seq.generated, 1) for seq in members}
     decoders = [seq for seq in members if prefilled[seq.slot] < seq.max_new_tokens]
     context = (
-        len(candidates), len(members), 1,
+        len(candidates),
         GenerationStepContext(
-            iteration=len(session.iterations),
-            decode_width=len(decoders),
-            prefill_requests=len(joiners),
             prefill_tokens=sum(seq.prompt_tokens for seq in joiners),
             tokens_in_flight=in_flight,
             waiting=len(candidates) - len(joiners),
@@ -653,8 +668,8 @@ def check_iteration(record, policy, backend, expected):
     returns the survivors' slots in running order."""
     members, prefillers, decoders, prefilled, context = expected
     seen = policy.context
-    assert (seen.queue_depth, seen.batch_size, seen.num_active, seen.generation) == context
-    assert (seen.time, seen.server) == (record.start, 0)
+    assert (seen.queue_depth, seen.generation) == context
+    assert (seen.time, seen.server, seen.telemetry) == (record.start, 0, None)
     finish = record.start
     for seq in prefillers:
         finish += backend.prefill_seconds(seq.prompt_tokens, "flexiq", record.ratio)
@@ -790,8 +805,8 @@ class _RecordingAdmission(FcfsAdmission):
     def __init__(self):
         self.joined = []
 
-    def admit(self, waiting, running, slots, in_flight):
-        joiners = super().admit(waiting, running, slots, in_flight)
+    def admit(self, waiting, running, slots):
+        joiners = super().admit(waiting, running, slots)
         self.joined.extend(seq.slot for seq in joiners)
         return joiners
 

@@ -423,7 +423,7 @@ class TestPreemption:
 class TestMigrationPolicies:
     def _migrants(self, deadlines):
         return [
-            Migrant(slot=i, arrival=0.0, deadline=deadline)
+            Migrant(slot=i, deadline=deadline)
             for i, deadline in enumerate(deadlines)
         ]
 
@@ -830,10 +830,14 @@ class TestAcceptance:
 # ----------------------------------------------------------------------
 # Correlated failures (satellite)
 # ----------------------------------------------------------------------
-def _fixed_spec(name, seconds=1.0, zone=""):
-    return ServerSpec(
-        name=name, speed=1000.0, executor=FixedExecutor(seconds), zone=zone
-    )
+def _fixed_spec(name):
+    return ServerSpec(name=name, speed=1000.0, service_model=ServiceTimeModel())
+
+
+def _register_fixed(cluster, seconds=1.0):
+    """Register model ``m`` at int8, every server taking ``seconds`` a batch."""
+    executors = [FixedExecutor(seconds) for _ in cluster.specs]
+    cluster.register("m", mode="int8", executors=executors)
 
 
 class TestCorrelatedFailures:
@@ -854,7 +858,7 @@ class TestCorrelatedFailures:
             migration=RequeueAtHeadMigration(delay=0.1),
             window=0.25,
         )
-        cluster.register("m", mode="int8")
+        _register_fixed(cluster)
         requests = [
             Request(arrival_time=0.0, model="m", request_id=i) for i in range(8)
         ]
@@ -890,7 +894,7 @@ class TestCorrelatedFailures:
             migration=RequeueAtHeadMigration(delay=0.6),
             window=0.25,
         )
-        cluster.register("m", mode="int8")
+        _register_fixed(cluster)
         requests = [
             Request(arrival_time=0.0, model="m", request_id=i) for i in range(8)
         ]
