@@ -115,7 +115,7 @@ def main() -> None:
     deployments = [
         ("INT8 fixed", FixedRatioPolicy(0.0)),
         ("INT4 fixed", FixedRatioPolicy(1.0)),
-        ("queue-aware", QueueDepthRatioPolicy({32: 0.5, 128: 1.0}, base_ratio=0.0)),
+        ("queue-aware", QueueDepthRatioPolicy({32: 0.5, 128: 1.0})),
     ]
     rows = []
     for label, policy in deployments:

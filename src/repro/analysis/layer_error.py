@@ -19,15 +19,13 @@ from repro.tensor import Tensor, no_grad
 
 
 def _capture_inputs(
-    model: Module, layer_names: Sequence[str], batch: np.ndarray,
-    forward_fn=None,
+    model: Module, layer_names: Sequence[str], batch: np.ndarray
 ) -> Dict[str, np.ndarray]:
     """Run the model at its current (8-bit) setting and capture layer inputs."""
-    forward_fn = forward_fn or (lambda m, data: m(Tensor(data)))
     wrappers = capture_layer_io(model, layer_names)
     try:
         with no_grad():
-            forward_fn(model, batch)
+            model(Tensor(batch))
         return {
             name: wrapper.last_input
             for name, wrapper in wrappers.items()
@@ -46,23 +44,20 @@ def layer_output_errors(
     runtime: FlexiQModel,
     batch: np.ndarray,
     ratios: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
-    layer_names: Optional[Sequence[str]] = None,
-    norm: str = "l2",
-    include_uniform_int4: bool = True,
-    forward_fn=None,
 ) -> Dict[str, Dict[str, float]]:
-    """Figure 14: normalised per-layer output distance to the 8-bit output.
+    """Figure 14: normalised per-layer L2 output distance to the 8-bit output.
 
-    Returns ``{layer: {"int4": d, "flexiq_25": d, ...}}`` where each distance
-    is normalised by the norm of the layer's 8-bit output.
+    Returns ``{layer: {"int4": d, "flexiq_25": d, ...}}`` for every layer of
+    the layout plan, where each distance is normalised by the norm of the
+    layer's 8-bit output.
     """
     model = runtime.model
-    names = list(layer_names) if layer_names is not None else [
+    names = [
         name for name, _ in runtime.flexiq_layers()
         if name in runtime.layout_plan.layouts
     ]
     runtime.set_ratio(0.0)
-    inputs = _capture_inputs(model, names, batch, forward_fn=forward_fn)
+    inputs = _capture_inputs(model, names, batch)
 
     results: Dict[str, Dict[str, float]] = {}
     for name in names:
@@ -70,18 +65,16 @@ def layer_output_errors(
             continue
         layer = model.get_submodule(name)
         reference = _layer_output(layer, inputs[name])
-        ref_norm = _norm(reference, norm)
-        entry: Dict[str, float] = {}
-
-        if include_uniform_int4:
-            entry["int4"] = _distance(
-                _uniform_int4_output(layer, inputs[name]), reference, norm
+        ref_norm = _norm(reference, "l2")
+        entry: Dict[str, float] = {
+            "int4": _distance(
+                _uniform_int4_output(layer, inputs[name]), reference, "l2"
             ) / ref_norm
-
+        }
         for ratio in ratios:
             layer.set_ratio(ratio)
             entry[f"flexiq_{int(round(ratio * 100))}"] = _distance(
-                _layer_output(layer, inputs[name]), reference, norm
+                _layer_output(layer, inputs[name]), reference, "l2"
             ) / ref_norm
         layer.set_boundary(0)
         results[name] = entry
@@ -95,7 +88,6 @@ def selection_layer_errors(
     ratios: Sequence[float] = (0.25, 0.5, 0.75),
     layer_names: Optional[Sequence[str]] = None,
     norm: str = "l1",
-    forward_fn=None,
 ) -> Dict[str, Dict[str, Dict[float, float]]]:
     """Table 6: per-layer errors of different selection algorithms.
 
@@ -110,7 +102,6 @@ def selection_layer_errors(
     Returns ``{layer: {algorithm: {ratio: normalised error}}}``.
     """
     results: Dict[str, Dict[str, Dict[float, float]]] = {}
-    forward_fn = forward_fn or (lambda m, data: m(Tensor(data)))
     for algorithm, runtime in runtimes.items():
         model = runtime.model
         names = list(layer_names) if layer_names is not None else [
@@ -122,14 +113,14 @@ def selection_layer_errors(
         wrappers = capture_layer_io(model, names)
         try:
             with no_grad():
-                forward_fn(model, batch)
+                model(Tensor(batch))
             reference = {
                 name: wrapper.last_output.copy() for name, wrapper in wrappers.items()
             }
             for ratio in ratios:
                 runtime.set_ratio(ratio)
                 with no_grad():
-                    forward_fn(model, batch)
+                    model(Tensor(batch))
                 for name, wrapper in wrappers.items():
                     ref = reference[name]
                     error = _distance(wrapper.last_output, ref, norm) / _norm(ref, norm)

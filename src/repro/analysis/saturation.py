@@ -10,7 +10,7 @@ bit), and that saturated channels end up de-prioritised by the selection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -35,9 +35,9 @@ class SaturationProfile:
     def num_channels(self) -> int:
         return len(self.static_shift)
 
-    def fraction_saturated_channels(self, threshold: float = 0.0) -> float:
-        """Fraction of channels with any saturation above ``threshold``."""
-        return float(np.mean(self.saturated_fraction > threshold))
+    def fraction_saturated_channels(self) -> float:
+        """Fraction of channels with any saturation."""
+        return float(np.mean(self.saturated_fraction > 0.0))
 
     def saturation_depth(self) -> np.ndarray:
         """How many bits short the static window is, per channel (>= 0)."""
@@ -47,10 +47,8 @@ class SaturationProfile:
 def saturation_profiles(
     model: Module,
     evaluation_batch: np.ndarray,
-    layer_names: Optional[List[str]] = None,
-    low_bits: int = 4,
 ) -> Dict[str, SaturationProfile]:
-    """Measure activation saturation of static extraction windows.
+    """Measure activation saturation of static 4-bit extraction windows.
 
     The model must be a calibrated quantized model; ``evaluation_batch`` is a
     set of inputs *not* used for calibration (the paper uses 1024 samples).
@@ -58,7 +56,7 @@ def saturation_profiles(
     targets = [
         name
         for name, layer in iter_quantized_layers(model)
-        if (layer_names is None or name in layer_names) and layer.weight_qparams is not None
+        if layer.weight_qparams is not None
     ]
     wrappers = capture_layer_io(model, targets)
     try:
@@ -85,7 +83,7 @@ def saturation_profiles(
                 layer.act_qparams.qmax,
             )
             static_shift = extraction_shift(
-                act_max_q, high_bits=layer.act_qparams.bits, low_bits=low_bits
+                act_max_q, high_bits=layer.act_qparams.bits
             )
             # What the evaluation data actually needs.
             observed_q = np.clip(
@@ -94,7 +92,7 @@ def saturation_profiles(
                 layer.act_qparams.qmax,
             )
             optimal_shift = extraction_shift(
-                observed_q, high_bits=layer.act_qparams.bits, low_bits=low_bits
+                observed_q, high_bits=layer.act_qparams.bits
             )
             # Per-channel saturation fraction of the quantized activations.
             q_act = quantize(captured, layer.act_qparams)
@@ -104,7 +102,7 @@ def saturation_profiles(
                 q_per_channel = q_act.reshape(-1, channels).T
             saturated = np.asarray(
                 [
-                    saturation_fraction(q_per_channel[c], static_shift[c], low_bits)
+                    saturation_fraction(q_per_channel[c], static_shift[c])
                     for c in range(channels)
                 ]
             )

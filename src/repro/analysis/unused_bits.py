@@ -9,7 +9,7 @@ fraction of channels is lowered to 4-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -33,14 +33,14 @@ class UnusedBitProfile:
     weight_unused: np.ndarray  # per-channel unused magnitude bits (weights)
     act_unused: np.ndarray     # per-channel unused magnitude bits (activations)
 
-    def histogram(self, which: str = "weight", max_bits: int = 4) -> Dict[int, float]:
-        """Fraction of channels with 0, 1, ..., >=max_bits unused bits."""
+    def histogram(self, which: str = "weight") -> Dict[int, float]:
+        """Fraction of channels with 0, 1, 2, 3, >=4 unused bits."""
         values = self.weight_unused if which == "weight" else self.act_unused
         total = max(len(values), 1)
         hist = {}
-        for bits in range(max_bits):
+        for bits in range(4):
             hist[bits] = float(np.count_nonzero(values == bits)) / total
-        hist[max_bits] = float(np.count_nonzero(values >= max_bits)) / total
+        hist[4] = float(np.count_nonzero(values >= 4)) / total
         return hist
 
     def fraction_with_unused(self) -> float:
@@ -64,14 +64,10 @@ def layer_unused_bit_profile(name: str, layer: QuantizedLayer) -> UnusedBitProfi
     )
 
 
-def model_unused_bit_profiles(
-    model: Module, layer_names: Optional[List[str]] = None
-) -> Dict[str, UnusedBitProfile]:
-    """Unused-bit profiles for every (or the selected) quantized layer."""
+def model_unused_bit_profiles(model: Module) -> Dict[str, UnusedBitProfile]:
+    """Unused-bit profiles for every calibrated quantized layer."""
     profiles: Dict[str, UnusedBitProfile] = {}
     for name, layer in iter_quantized_layers(model):
-        if layer_names is not None and name not in layer_names:
-            continue
         if layer.weight_qparams is None:
             continue
         profiles[name] = layer_unused_bit_profile(name, layer)
@@ -81,12 +77,11 @@ def model_unused_bit_profiles(
 def bit_extraction_error_comparison(
     layer: QuantizedLayer,
     low_ratio: float = 0.5,
-    low_bits: int = 4,
 ) -> Dict[str, float]:
     """Figure 1 (right): weight quantization error with vs without extraction.
 
     Lowers the ``low_ratio`` fraction of feature channels with the smallest
-    value ranges to ``low_bits`` and reports the mean absolute reconstruction
+    value ranges to 4 bits and reports the mean absolute reconstruction
     error (relative to the float weights) for
 
     * ``"uniform"`` -- naive lowering that always keeps the top bits, and
@@ -107,13 +102,13 @@ def bit_extraction_error_comparison(
     errors = {"uniform": 0.0, "flexiq": 0.0}
     count = 0
     high_bits = layer.weight_qparams.bits
-    shifts = extraction_shift(channel_max, high_bits=high_bits, low_bits=low_bits)
+    shifts = extraction_shift(channel_max, high_bits=high_bits)
     for channel in selected:
         q_channel = q_matrix[:, channel, :]
-        naive = lower_bitwidth_naive(q_channel, high_bits, low_bits)
-        naive_reconstructed = naive.astype(np.float64) * (1 << (high_bits - low_bits))
+        naive = lower_bitwidth_naive(q_channel, high_bits, 4)
+        naive_reconstructed = naive.astype(np.float64) * (1 << (high_bits - 4))
         flexi = raise_bits(
-            lower_bits(q_channel, shifts[channel], low_bits), shifts[channel]
+            lower_bits(q_channel, shifts[channel]), shifts[channel]
         )
         errors["uniform"] += float(np.abs(q_channel - naive_reconstructed).mean())
         errors["flexiq"] += float(np.abs(q_channel - flexi).mean())

@@ -42,10 +42,9 @@ def anyprecision_finetune(
     dataset: SyntheticImageDataset,
     calibration: np.ndarray,
     config: AnyPrecisionConfig = AnyPrecisionConfig(),
-    calibration_batch_size: int = 32,
 ) -> Module:
     """Jointly train one quantized model for all configured bitwidths."""
-    batches = calibration_batches(calibration, calibration_batch_size)
+    batches = calibration_batches(calibration, 32)
     quantized = quantize_model(model, weight_bits=8, act_bits=8, calibration_batches=batches)
     bit_choices = sorted(config.bit_choices, reverse=True)
 

@@ -15,14 +15,13 @@ average bitwidth -- which is what the Table 5 comparison exercises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.data.calibration import calibration_batches
 from repro.nn.module import Module
 from repro.quant.qmodel import (
-    ForwardFn,
     default_forward,
     greedy_average_bits,
     iter_quantized_layers,
@@ -41,33 +40,24 @@ class HawqResult:
     sensitivities: Dict[str, float]
 
 
-def layer_sensitivities(
-    model: Module,
-    calibration: np.ndarray,
-    low_bits: int = 4,
-    high_bits: int = 8,
-    forward_fn: Optional[ForwardFn] = None,
-    batch_size: int = 32,
-) -> Dict[str, float]:
+def layer_sensitivities(model: Module, calibration: np.ndarray) -> Dict[str, float]:
     """Per-layer sensitivity: output distortion when only that layer is 4-bit."""
-    forward_fn = forward_fn or default_forward
-    batches = calibration_batches(calibration, batch_size)
+    batches = calibration_batches(calibration, 32)
 
     def calibrated() -> Module:
-        return quantize_model(model, weight_bits=high_bits, act_bits=high_bits,
-                              calibration_batches=batches, forward_fn=forward_fn)
+        return quantize_model(model, weight_bits=8, act_bits=8, calibration_batches=batches)
 
     reference_model = calibrated()
-    samples = calibration[:batch_size]
+    samples = calibration[:32]
     with no_grad():
-        reference = forward_fn(reference_model, samples).data.copy()
+        reference = default_forward(reference_model, samples).data.copy()
 
     sensitivities: Dict[str, float] = {}
     for name, layer in iter_quantized_layers(reference_model):
         probe = calibrated()
-        recalibrate_model(probe, batches, {name: low_bits}, forward_fn=forward_fn)
+        recalibrate_model(probe, batches, {name: 4})
         with no_grad():
-            perturbed = forward_fn(probe, samples).data
+            perturbed = default_forward(probe, samples).data
         distortion = float(np.linalg.norm(perturbed - reference))
         sensitivities[name] = distortion / max(layer._weight_reference().size, 1)
     return sensitivities
@@ -77,27 +67,18 @@ def hawq_layerwise_quantize(
     model: Module,
     calibration: np.ndarray,
     target_average_bits: float = 6.0,
-    low_bits: int = 4,
-    high_bits: int = 8,
-    forward_fn: Optional[ForwardFn] = None,
-    batch_size: int = 32,
-    first_last_bits: int = 8,
 ) -> HawqResult:
-    """Assign per-layer bitwidths to hit a target average bitwidth.
+    """Assign per-layer bitwidths (4 or 8) to hit a target average bitwidth.
 
-    Layers are sorted by ascending sensitivity and flipped to ``low_bits``
-    until the parameter-weighted average bitwidth reaches the target, the
-    HAWQ-v3 integer-programming objective solved greedily.  The first and
-    last layers stay at ``first_last_bits`` and count at that width.
+    Layers are sorted by ascending sensitivity and flipped to 4 bits until
+    the parameter-weighted average bitwidth reaches the target, the HAWQ-v3
+    integer-programming objective solved greedily.  The first and last
+    layers stay at 8 bits and count at that width.
     """
-    sensitivities = layer_sensitivities(
-        model, calibration, low_bits=low_bits, high_bits=high_bits,
-        forward_fn=forward_fn, batch_size=batch_size,
-    )
-    batches = calibration_batches(calibration, batch_size)
+    sensitivities = layer_sensitivities(model, calibration)
+    batches = calibration_batches(calibration, 32)
     quantized = quantize_model(
-        model, weight_bits=high_bits, act_bits=high_bits, calibration_batches=batches,
-        first_last_bits=first_last_bits, forward_fn=forward_fn,
+        model, weight_bits=8, act_bits=8, calibration_batches=batches
     )
 
     layers = iter_quantized_layers(quantized)
@@ -106,10 +87,10 @@ def hawq_layerwise_quantize(
         {name: layer._weight_reference().size for name, layer in layers},
         initial,
         sorted(initial, key=lambda name: sensitivities.get(name, np.inf)),
-        low_bits,
+        4,
         target_average_bits,
     )
     # Apply the assignment and re-calibrate the flipped layers.
     flipped = {name: bits for name, bits in layer_bits.items() if bits != initial[name]}
-    recalibrate_model(quantized, batches, flipped, forward_fn=forward_fn)
+    recalibrate_model(quantized, batches, flipped)
     return HawqResult(model=quantized, layer_bits=layer_bits, sensitivities=sensitivities)

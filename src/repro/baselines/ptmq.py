@@ -14,7 +14,7 @@ reproduction keeps the same two defining properties:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -66,7 +66,6 @@ def ptmq_quantize(
     model: Module,
     calibration: np.ndarray,
     bit_choices: Sequence[int] = (4, 6, 8),
-    calibration_batch_size: int = 32,
 ) -> PTMQModel:
     """Calibrate one model with scale sets for every bitwidth in ``bit_choices``.
 
@@ -75,7 +74,7 @@ def ptmq_quantize(
     """
     quantized = quantize_model(
         model, weight_bits=max(bit_choices), act_bits=max(bit_choices),
-        calibration_batches=calibration_batches(calibration, calibration_batch_size),
+        calibration_batches=calibration_batches(calibration, 32),
     )
 
     scale_sets: Dict[int, Dict[str, Dict[str, QuantParams]]] = {}
@@ -100,20 +99,15 @@ def ptmq_quantize(
 def ptmq_average_bit_assignment(
     ptmq: PTMQModel,
     target_average_bits: float,
-    sensitivities: Optional[Dict[str, float]] = None,
 ) -> Dict[str, int]:
     """Greedy layer-wise assignment hitting a target average bitwidth.
 
-    Layers are flipped from the highest to the lowest calibrated bitwidth in
-    ascending order of ``sensitivities`` (defaulting to parameter count,
-    i.e. large layers first, which maximises the bitwidth reduction per flip).
+    Layers are flipped from the highest to the lowest calibrated bitwidth,
+    large layers first, which maximises the bitwidth reduction per flip.
     """
     layers = iter_quantized_layers(ptmq.model)
     sizes = {name: layer._weight_reference().size for name, layer in layers}
-    if sensitivities is None:
-        order = sorted(sizes, key=lambda name: -sizes[name])
-    else:
-        order = sorted(sensitivities, key=lambda name: sensitivities[name])
+    order = sorted(sizes, key=lambda name: -sizes[name])
     # First/last layers stay at the highest precision.
     return greedy_average_bits(
         sizes, dict.fromkeys(sizes, max(ptmq.bit_choices)), order,

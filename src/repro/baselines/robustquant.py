@@ -47,14 +47,13 @@ def robustquant_finetune(
     dataset: SyntheticImageDataset,
     calibration: np.ndarray,
     config: RobustQuantConfig = RobustQuantConfig(),
-    calibration_batch_size: int = 32,
 ) -> Module:
     """Finetune ``model`` to be robust across the configured bitwidths.
 
     Returns a calibrated quantized model whose ``qat_bits``/``weight_bits``
     can then be set to any of the supported precisions at run time.
     """
-    batches = calibration_batches(calibration, calibration_batch_size)
+    batches = calibration_batches(calibration, 32)
     quantized = quantize_model(model, weight_bits=8, act_bits=8, calibration_batches=batches)
 
     def batch_loss(images: np.ndarray, labels: np.ndarray, rng: np.random.Generator) -> Tensor:
@@ -71,7 +70,6 @@ def evaluate_at_bits(
     dataset: SyntheticImageDataset,
     bits: int,
     calibration: np.ndarray,
-    calibration_batch_size: int = 32,
 ) -> float:
     """Accuracy (%) of a RobustQuant/AnyPrecision model evaluated at ``bits``.
 
@@ -81,7 +79,7 @@ def evaluate_at_bits(
     Before returning, the grid is re-derived at each layer's original width
     (these models quantize weights and activations at one width).
     """
-    batches = calibration_batches(calibration, calibration_batch_size)
+    batches = calibration_batches(calibration, 32)
     original = {name: layer.weight_bits for name, layer in iter_quantized_layers(quantized)}
     recalibrate_model(quantized, batches, dict.fromkeys(original, bits))
     accuracy = evaluate_accuracy(quantized, dataset)

@@ -17,19 +17,14 @@ def quantize_uniform(
     model: Module,
     bits: int,
     calibration_batches: Iterable[np.ndarray],
-    first_last_bits: int = 8,
 ) -> Module:
     """Quantize every layer uniformly to ``bits`` (channel-wise weights).
 
-    The first and last layers stay at ``first_last_bits`` following the
-    convention used throughout the paper's evaluation.
+    The first and last layers stay at 8 bits, following the convention used
+    throughout the paper's evaluation.
     """
     return quantize_model(
-        model,
-        weight_bits=bits,
-        act_bits=bits,
-        calibration_batches=calibration_batches,
-        first_last_bits=first_last_bits,
+        model, weight_bits=bits, act_bits=bits, calibration_batches=calibration_batches
     )
 
 
@@ -38,11 +33,10 @@ def uniform_accuracy_sweep(
     dataset: SyntheticImageDataset,
     calibration: np.ndarray,
     bit_widths: Sequence[int] = (4, 8),
-    batch_size: int = 32,
 ) -> Dict[int, float]:
     """Accuracy (%) of the model quantized uniformly at each bitwidth."""
     results: Dict[int, float] = {}
-    batches = calibration_batches(calibration, batch_size)
+    batches = calibration_batches(calibration, 32)
     for bits in bit_widths:
         quantized = quantize_uniform(model, bits, batches)
         results[int(bits)] = evaluate_accuracy(quantized, dataset)

@@ -22,7 +22,6 @@ Terminology used throughout this module:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -64,21 +63,16 @@ def extraction_shift(
 
 
 def dynamic_extraction_shift(
-    q_values: np.ndarray, high_bits: int = 8, low_bits: int = 4, axis: Optional[int] = None
+    q_values: np.ndarray, high_bits: int = 8, low_bits: int = 4
 ) -> np.ndarray:
     """Extraction position computed from the actual runtime values.
 
     Mirrors the hardware trick described in the paper: OR all values in the
     channel group together to find the highest set bit, then place the
-    extraction window right below it.  ``axis`` selects the reduction axis
-    (``None`` reduces over everything).
+    extraction window right below it.
     """
-    q_values = np.asarray(q_values)
-    magnitudes = np.abs(q_values.astype(np.int64))
-    if axis is None:
-        max_abs = magnitudes.max() if magnitudes.size else 0
-    else:
-        max_abs = magnitudes.max(axis=axis)
+    magnitudes = np.abs(np.asarray(q_values).astype(np.int64))
+    max_abs = magnitudes.max() if magnitudes.size else 0
     return extraction_shift(np.asarray(max_abs), high_bits=high_bits, low_bits=low_bits)
 
 
@@ -130,11 +124,9 @@ def raise_bits(q_low: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return (np.asarray(q_low, dtype=np.float64) * factor).astype(np.int32)
 
 
-def saturation_fraction(
-    q_high: np.ndarray, shift: np.ndarray, low_bits: int = 4
-) -> float:
-    """Fraction of values that saturate the low-bit window under ``shift``."""
-    qmin, qmax = int_range(low_bits)
+def saturation_fraction(q_high: np.ndarray, shift: np.ndarray) -> float:
+    """Fraction of values that saturate the 4-bit window under ``shift``."""
+    qmin, qmax = int_range(4)
     q_high = np.asarray(q_high, dtype=np.float64)
     factor = np.power(2.0, np.asarray(shift, dtype=np.float64))
     lowered = np.round(q_high / factor)

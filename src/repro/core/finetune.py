@@ -52,14 +52,12 @@ def dual_bitwidth_loss(
     labels: np.ndarray,
     soft_labels: np.ndarray,
     config: FinetuneConfig,
-    forward_fn: Optional[ForwardFn] = None,
 ) -> Tensor:
     """Compute Equation (3) for one batch (returns a differentiable scalar)."""
-    forward_fn = forward_fn or default_forward
 
     def bitwidth_loss(bits: int) -> Tensor:
         set_qat_bits(model, bits)
-        logits = forward_fn(model, images)
+        logits = default_forward(model, images)
         hard = F.cross_entropy(logits, labels)
         soft = F.soft_cross_entropy(logits, soft_labels)
         return hard + soft

@@ -22,7 +22,7 @@ charge the paper's reorder overhead for them.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -56,11 +56,10 @@ class ChannelLayout:
 
 @dataclass
 class LayoutPlan:
-    """Layouts for every FlexiQ layer plus residual-reorder bookkeeping."""
+    """Layouts for every FlexiQ layer."""
 
     layouts: Dict[str, ChannelLayout]
     ratios: List[float]
-    residual_reorder_layers: List[str] = field(default_factory=list)
 
     def layout_for(self, layer_name: str) -> ChannelLayout:
         return self.layouts[layer_name]
@@ -100,10 +99,7 @@ def build_channel_layout(
     return ChannelLayout(layer_name=layer_name, order=order, boundaries=boundaries)
 
 
-def build_layout_plan(
-    selections: Dict[float, ChannelSelection],
-    residual_layers: Optional[Sequence[str]] = None,
-) -> LayoutPlan:
+def build_layout_plan(selections: Dict[float, ChannelSelection]) -> LayoutPlan:
     """Build layouts for all layers appearing in the (nested) selections.
 
     Parameters
@@ -111,9 +107,6 @@ def build_layout_plan(
     selections:
         Mapping from target 4-bit ratio to the :class:`ChannelSelection`
         produced for that ratio.  Selections must be nested.
-    residual_layers:
-        Names of layers whose outputs feed residual connections and therefore
-        need a runtime reorder operator (step 3 of the paper's procedure).
     """
     if not selections:
         raise ValueError("at least one selection is required")
@@ -122,8 +115,4 @@ def build_layout_plan(
     layouts = {
         name: build_channel_layout(name, selections, ratios) for name in layer_names
     }
-    return LayoutPlan(
-        layouts=layouts,
-        ratios=ratios,
-        residual_reorder_layers=list(residual_layers or []),
-    )
+    return LayoutPlan(layouts=layouts, ratios=ratios)

@@ -77,16 +77,12 @@ class FlexiQPipeline:
         calibration_data: np.ndarray,
         config: FlexiQConfig = FlexiQConfig(),
         forward_fn: Optional[ForwardFn] = None,
-        calibration_batch_size: int = 32,
-        float_model: Optional[Module] = None,
         finetune_dataset: Optional[SyntheticImageDataset] = None,
     ) -> None:
-        self.float_model = float_model if float_model is not None else model
         self.source_model = model
         self.calibration_data = np.asarray(calibration_data)
         self.config = config
         self.forward_fn: ForwardFn = forward_fn or default_forward
-        self.calibration_batch_size = calibration_batch_size
         self.finetune_dataset = finetune_dataset
         # Populated by run().
         self.quantized_model: Optional[Module] = None
@@ -209,7 +205,7 @@ class FlexiQPipeline:
     def run(self) -> FlexiQModel:
         """Execute the full pipeline and return the runtime model."""
         config = self.config
-        batches = calibration_batches(self.calibration_data, self.calibration_batch_size)
+        batches = calibration_batches(self.calibration_data, 32)
         model = quantize_model(
             self.source_model,
             weight_bits=config.high_bits,
@@ -224,7 +220,7 @@ class FlexiQPipeline:
             if self.finetune_dataset is None:
                 raise ValueError("finetune=True requires a finetune_dataset")
             finetune_quantized_model(
-                model, self.float_model, self.finetune_dataset, config.finetune_config
+                model, self.source_model, self.finetune_dataset, config.finetune_config
             )
             refresh_quantization(model, batches, forward_fn=self.forward_fn)
 
@@ -297,14 +293,12 @@ class FlexiQPipeline:
 def evaluate_ratio_sweep(
     runtime: FlexiQModel,
     dataset: SyntheticImageDataset,
-    ratios: Optional[Sequence[float]] = None,
-    batch_size: int = 64,
 ) -> Dict[float, float]:
     """Accuracy (%) of a FlexiQ runtime at each available 4-bit ratio."""
     from repro.train.loop import evaluate_accuracy
 
     results: Dict[float, float] = {}
-    for ratio in ratios if ratios is not None else runtime.available_ratios:
+    for ratio in runtime.available_ratios:
         runtime.set_ratio(ratio)
-        results[float(ratio)] = evaluate_accuracy(runtime.model, dataset, batch_size=batch_size)
+        results[float(ratio)] = evaluate_accuracy(runtime.model, dataset)
     return results

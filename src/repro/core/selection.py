@@ -174,14 +174,13 @@ def random_selection(
     target_ratio: float,
     config: SelectionConfig = SelectionConfig(),
     base: Optional[ChannelSelection] = None,
-    fixed_high: Optional[Dict[str, np.ndarray]] = None,
     seed: Optional[int] = None,
 ) -> ChannelSelection:
     """Select channel groups uniformly at random until the target is met."""
     layers = base.layers if base is not None else build_layer_groups(scores, config.group_size)
     rng = np.random.default_rng(config.seed if seed is None else seed)
     selection = _seed_selection(layers, target_ratio, base)
-    _fill_to_target(selection, rng, weighted=False, fixed_high=fixed_high)
+    _fill_to_target(selection, rng, weighted=False, fixed_high=None)
     return selection
 
 

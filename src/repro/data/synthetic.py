@@ -139,15 +139,12 @@ DATASET_REGISTRY: Dict[str, DatasetConfig] = {
 _DATASET_CACHE: Dict[str, SyntheticImageDataset] = {}
 
 
-def build_dataset(name: str, cached: bool = True) -> SyntheticImageDataset:
-    """Build (or fetch from cache) a registered synthetic dataset."""
+def build_dataset(name: str) -> SyntheticImageDataset:
+    """Build a registered synthetic dataset once; later calls share it."""
     if name not in DATASET_REGISTRY:
         raise KeyError(
             f"unknown dataset {name!r}; available: {', '.join(sorted(DATASET_REGISTRY))}"
         )
-    if cached and name in _DATASET_CACHE:
-        return _DATASET_CACHE[name]
-    dataset = SyntheticImageDataset(DATASET_REGISTRY[name])
-    if cached:
-        _DATASET_CACHE[name] = dataset
-    return dataset
+    if name not in _DATASET_CACHE:
+        _DATASET_CACHE[name] = SyntheticImageDataset(DATASET_REGISTRY[name])
+    return _DATASET_CACHE[name]

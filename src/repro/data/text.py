@@ -79,6 +79,6 @@ class SyntheticTextCorpus:
         ]
 
 
-def build_text_corpus(seed: int = 23) -> SyntheticTextCorpus:
+def build_text_corpus() -> SyntheticTextCorpus:
     """Build the default case-study corpus."""
-    return SyntheticTextCorpus(TextCorpusConfig(seed=seed))
+    return SyntheticTextCorpus(TextCorpusConfig())

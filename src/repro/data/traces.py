@@ -24,6 +24,15 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 
+def _positive(name: str, value: float) -> float:
+    """``value`` as a float; refuse NaN, inf, zero and a negative, naming the
+    field (``nan <= 0`` is false, so a bare sign test lets NaN through)."""
+    number = float(value)
+    if not np.isfinite(number) or number <= 0:
+        raise ValueError(f"{name} must be a finite number > 0 (got {value!r})")
+    return number
+
+
 @dataclass
 class RequestTrace:
     """A concrete sequence of request arrival timestamps (seconds)."""
@@ -84,12 +93,8 @@ class PoissonTrace:
     """Generate open-loop Poisson arrivals at a constant average rate."""
 
     def __init__(self, rate_per_second: float, duration: float, seed: int = 0) -> None:
-        if rate_per_second <= 0:
-            raise ValueError("rate must be positive")
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        self.rate = float(rate_per_second)
-        self.duration = float(duration)
+        self.rate = _positive("rate_per_second", rate_per_second)
+        self.duration = _positive("duration", duration)
         self.seed = int(seed)
 
     def generate(self) -> RequestTrace:
@@ -130,6 +135,12 @@ class FluctuatingTrace:
     _cache: Optional[Tuple[Tuple[float, float, int, int], List[float]]] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        for name in ("min_rate", "peak_ratio", "duration"):
+            _positive(name, getattr(self, name))
+        if not self.num_phases >= 1:
+            raise ValueError(f"num_phases must be at least 1 (got {self.num_phases!r})")
 
     def phase_rates(self) -> List[float]:
         """Return the per-phase average rates (requests/second)."""
@@ -216,10 +227,12 @@ class DiurnalTrace:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.night_rate <= 0 or self.peak_rate < self.night_rate:
+        for name in ("night_rate", "peak_rate", "duration", "period"):
+            _positive(name, getattr(self, name))
+        if self.peak_rate < self.night_rate:
             raise ValueError("need 0 < night_rate <= peak_rate")
-        if self.duration <= 0 or self.period <= 0 or self.num_phases < 1:
-            raise ValueError("duration, period and num_phases must be positive")
+        if not self.num_phases >= 1:
+            raise ValueError(f"num_phases must be at least 1 (got {self.num_phases!r})")
 
     def rate_at(self, time: float) -> float:
         """Instantaneous arrival rate of the cycle (requests/second)."""
@@ -268,10 +281,10 @@ class SpikeTrace:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.base_rate <= 0 or self.spike_rate < self.base_rate:
+        for name in ("base_rate", "spike_rate", "duration", "spike_duration"):
+            _positive(name, getattr(self, name))
+        if self.spike_rate < self.base_rate:
             raise ValueError("need 0 < base_rate <= spike_rate")
-        if self.duration <= 0 or self.spike_duration <= 0:
-            raise ValueError("duration and spike_duration must be positive")
         if not 0 <= self.spike_start <= self.duration:
             raise ValueError("spike_start must lie within the trace")
 
@@ -301,22 +314,19 @@ class SpikeTrace:
         )
 
 
-def merge_traces(*traces: RequestTrace, duration: Optional[float] = None) -> RequestTrace:
+def merge_traces(*traces: RequestTrace) -> RequestTrace:
     """Superimpose arrival processes (Poisson processes add rates).
 
-    ``duration`` defaults to the longest input's; descriptions are joined
-    with ``" + "``.
+    The merged trace lasts as long as the longest input; descriptions are
+    joined with ``" + "``.
     """
     if not traces:
         raise ValueError("merge_traces needs at least one trace")
     times = np.sort(
         np.concatenate([np.asarray(t.arrival_times, dtype=np.float64) for t in traces])
     )
-    merged_duration = (
-        max(t.duration for t in traces) if duration is None else float(duration)
-    )
     return RequestTrace(
         arrival_times=times,
-        duration=merged_duration,
+        duration=max(t.duration for t in traces),
         description=" + ".join(t.description for t in traces if t.description),
     )

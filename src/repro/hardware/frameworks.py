@@ -63,21 +63,20 @@ def framework_latency(
     raise ValueError(f"unknown framework {framework!r}")
 
 
-def framework_comparison(
-    model: GpuLatencyModel,
-    ops: Sequence[LayerOp],
-    frameworks: Sequence[str] = (
-        "cutlass_int8",
-        "tensorrt_int8",
-        "custom_int8",
-        "flexiq",
-        "custom_int4",
-        "cutlass_int4",
-        "tensorrt_int4_weight_only",
-    ),
-) -> Dict[str, float]:
+FRAMEWORKS = (
+    "cutlass_int8",
+    "tensorrt_int8",
+    "custom_int8",
+    "flexiq",
+    "custom_int4",
+    "cutlass_int4",
+    "tensorrt_int4_weight_only",
+)
+
+
+def framework_comparison(model: GpuLatencyModel, ops: Sequence[LayerOp]) -> Dict[str, float]:
     """Latency of every framework baseline, keyed by framework name."""
-    return {name: framework_latency(model, ops, name) for name in frameworks}
+    return {name: framework_latency(model, ops, name) for name in FRAMEWORKS}
 
 
 def _adjusted(

@@ -30,7 +30,7 @@ from repro.hardware.devices import GpuSpec, get_gpu
 from repro.hardware.workloads import LayerOp
 
 
-@dataclass
+@dataclass(frozen=True)
 class GpuModelConfig:
     """Tunable constants of the latency model."""
 
@@ -48,13 +48,10 @@ class GpuModelConfig:
 class GpuLatencyModel:
     """Latency estimates for whole models and individual GEMMs on a GPU."""
 
-    def __init__(
-        self,
-        gpu: str | GpuSpec = "a6000",
-        config: GpuModelConfig = GpuModelConfig(),
-    ) -> None:
+    config = GpuModelConfig()
+
+    def __init__(self, gpu: str | GpuSpec = "a6000") -> None:
         self.spec = gpu if isinstance(gpu, GpuSpec) else get_gpu(gpu)
-        self.config = config
 
     # ------------------------------------------------------------------
     # Per-op latency

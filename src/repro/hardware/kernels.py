@@ -39,12 +39,11 @@ def mixed_gemm_reference(
     boundary: int,
     act_shift: np.ndarray,
     weight_shift: np.ndarray,
-    low_bits: int = 4,
 ) -> np.ndarray:
     """Reference mixed-precision GEMM: ``q_x @ q_w.T`` with a 4-bit prefix.
 
     ``q_x``: (rows, K) int activations; ``q_w``: (N, K) int weights;
-    the first ``boundary`` columns use extracted ``low_bits`` values with the
+    the first ``boundary`` columns use extracted 4-bit values with the
     given per-channel shifts, the remainder full 8-bit values.
     """
     q_x = np.asarray(q_x, dtype=np.int64)
@@ -53,8 +52,8 @@ def mixed_gemm_reference(
     if boundary > 0:
         a_shift = np.asarray(act_shift[:boundary], dtype=np.int64)
         w_shift = np.asarray(weight_shift[:boundary], dtype=np.int64)
-        x_low = lower_bits(q_x[:, :boundary], a_shift[None, :], low_bits).astype(np.int64)
-        w_low = lower_bits(q_w[:, :boundary], w_shift[None, :], low_bits).astype(np.int64)
+        x_low = lower_bits(q_x[:, :boundary], a_shift[None, :]).astype(np.int64)
+        w_low = lower_bits(q_w[:, :boundary], w_shift[None, :]).astype(np.int64)
         shifted_x = x_low << a_shift[None, :]
         shifted_w = w_low << w_shift[None, :]
         acc += shifted_x @ shifted_w.T
@@ -72,12 +71,13 @@ class MixedPrecisionGemm:
     accumulator; 8-bit groups accumulate directly.
     """
 
-    def __init__(self, group_size: int = 32, low_bits: int = 4, high_bits: int = 8) -> None:
+    low_bits = 4
+    high_bits = 8
+
+    def __init__(self, group_size: int = 32) -> None:
         if group_size <= 0:
             raise ValueError("group_size must be positive")
         self.group_size = group_size
-        self.low_bits = low_bits
-        self.high_bits = high_bits
         self.stats = KernelStats()
 
     def __call__(

@@ -136,7 +136,6 @@ class NpuLatencyModel:
         four_bit_ratio: float = 0.0,
         per_layer_ratio: Optional[Dict[str, float]] = None,
         include_non_quantizable: bool = False,
-        low_bits: int = 4,
     ) -> float:
         """Latency (seconds) of a model at a given 4-bit channel ratio.
 
@@ -157,7 +156,7 @@ class NpuLatencyModel:
             )
             if not op.quantizable:
                 ratio = 0.0
-            total += self.op_latency(op, four_bit_ratio=ratio, low_bits=low_bits)
+            total += self.op_latency(op, four_bit_ratio=ratio)
         return total
 
     def ratio_switch_latency(self) -> float:

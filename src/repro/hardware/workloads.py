@@ -64,21 +64,21 @@ def vit_ops(
     embed_dim: int = 768,
     depth: int = 12,
     num_heads: int = 12,
-    mlp_ratio: float = 4.0,
-    tokens: int = 197,
-    patch: int = 16,
-    image: int = 224,
 ) -> List[LayerOp]:
-    """Layer operations of a ViT/DeiT encoder (defaults = ViT-Base)."""
+    """Layer operations of a ViT/DeiT encoder (defaults = ViT-Base).
+
+    Every variant sees a 224x224 image as 14x14 patches of 16x16 plus a class
+    token (197 tokens), with an MLP four times the embedding wide.
+    """
     ops: List[LayerOp] = []
-    grid = image // patch
+    grid, patch, tokens = 224 // 16, 16, 197
     ops.append(
         LayerOp(
             name="patch_embed", m=batch * grid * grid, n=embed_dim,
             k=3 * patch * patch, quantizable=False, feature_channels=3,
         )
     )
-    hidden = int(embed_dim * mlp_ratio)
+    hidden = embed_dim * 4
     rows = batch * tokens
     head_dim = embed_dim // num_heads
     for block in range(depth):
@@ -146,17 +146,14 @@ def deit_base_ops(batch: int) -> List[LayerOp]:
     return vit_ops(batch, embed_dim=768, depth=12, num_heads=12)
 
 
-def swin_ops(
-    batch: int,
-    embed_dim: int = 96,
-    depths: tuple = (2, 2, 18, 2),
-    image: int = 224,
-    window: int = 7,
-    mlp_ratio: float = 4.0,
-) -> List[LayerOp]:
-    """Layer operations of a Swin transformer (defaults = Swin-Small)."""
+def swin_ops(batch: int, embed_dim: int = 96) -> List[LayerOp]:
+    """Layer operations of a Swin transformer (defaults = Swin-Small).
+
+    Small and Base share the stage depths (2, 2, 18, 2), the 224x224 image,
+    the 7x7 window and an MLP four times the stage width.
+    """
     ops: List[LayerOp] = []
-    grid = image // 4
+    grid, window, depths = 224 // 4, 7, (2, 2, 18, 2)
     dim = embed_dim
     ops.append(
         LayerOp(
@@ -167,7 +164,7 @@ def swin_ops(
     for stage, depth in enumerate(depths):
         tokens = grid * grid
         rows = batch * tokens
-        hidden = int(dim * mlp_ratio)
+        hidden = dim * 4
         heads = dim // 32
         for block in range(depth):
             prefix = f"stage{stage}.block{block}"

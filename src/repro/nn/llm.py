@@ -99,13 +99,13 @@ class TinyDecoderLM(Module):
         n, t, v = logits.shape
         return F.cross_entropy(logits.reshape(n * t, v), targets.reshape(-1))
 
-    def perplexity(self, token_ids: np.ndarray, batch_size: int = 16) -> float:
-        """Corpus perplexity = exp(mean next-token NLL)."""
+    def perplexity(self, token_ids: np.ndarray) -> float:
+        """Corpus perplexity = exp(mean next-token NLL), 16 sequences a batch."""
         token_ids = np.asarray(token_ids)
         total_nll = 0.0
         total_tokens = 0
-        for start in range(0, len(token_ids), batch_size):
-            batch = token_ids[start : start + batch_size]
+        for start in range(0, len(token_ids), 16):
+            batch = token_ids[start : start + 16]
             nll = self.loss(batch).item()
             count = batch.shape[0] * (batch.shape[1] - 1)
             total_nll += nll * count

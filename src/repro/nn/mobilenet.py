@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -62,22 +62,20 @@ class MobileNetV2(Module):
     def __init__(
         self,
         num_classes: int = 10,
-        in_channels: int = 3,
         width: int = 8,
-        stage_config: Optional[Sequence[Tuple[int, int, int, int]]] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
         # (expand_ratio, out_channels, num_blocks, stride) per stage.
-        stage_config = stage_config or [
+        stage_config = [
             (1, width, 1, 1),
             (4, width * 2, 2, 2),
             (4, width * 4, 2, 2),
             (4, width * 8, 2, 1),
         ]
         self.stem = Sequential(
-            Conv2d(in_channels, width, 3, stride=1, padding=1, bias=False, rng=rng),
+            Conv2d(3, width, 3, stride=1, padding=1, bias=False, rng=rng),
             BatchNorm2d(width),
             ReLU6(),
         )

@@ -32,8 +32,8 @@ from repro.tensor import Tensor
 class Parameter(Tensor):
     """A tensor that is registered as a learnable parameter of a module."""
 
-    def __init__(self, data, requires_grad: bool = True, name: Optional[str] = None):
-        super().__init__(data, requires_grad=requires_grad, name=name)
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
 
 
 class Module:

@@ -122,8 +122,9 @@ class ResNet(Module):
         Number of residual blocks per stage.
     stage_channels:
         Base channel count per stage (before block expansion).
-    num_classes, in_channels, image_size:
-        Input/output dimensions of the classifier.
+    num_classes:
+        Output dimension of the classifier (the input is an RGB image, and
+        the stem is as wide as the first stage).
     """
 
     def __init__(
@@ -132,14 +133,12 @@ class ResNet(Module):
         stage_blocks: Sequence[int],
         stage_channels: Sequence[int],
         num_classes: int = 10,
-        in_channels: int = 3,
-        stem_channels: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
-        stem_channels = stem_channels or stage_channels[0]
-        self.stem = conv_bn_relu(in_channels, stem_channels, 3, stride=1, rng=rng)
+        stem_channels = stage_channels[0]
+        self.stem = conv_bn_relu(3, stem_channels, 3, stride=1, rng=rng)
         self.stages = ModuleList()
         in_ch = stem_channels
         for stage_index, (blocks, channels) in enumerate(

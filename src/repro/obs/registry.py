@@ -140,29 +140,20 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[str, _Metric] = {}
 
-    def counter(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> Counter:
+    def counter(self, name: str, help: str, labelnames: Sequence[str]) -> Counter:
         return self._get_or_create(Counter, name, help, labelnames)
 
-    def gauge(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> Gauge:
+    def gauge(self, name: str, help: str, labelnames: Sequence[str]) -> Gauge:
         return self._get_or_create(Gauge, name, help, labelnames)
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-    ) -> Histogram:
-        return self._get_or_create(Histogram, name, help, labelnames, buckets)
+    def histogram(self, name: str, help: str, labelnames: Sequence[str]) -> Histogram:
+        """A histogram over ``DEFAULT_LATENCY_BUCKETS``."""
+        return self._get_or_create(Histogram, name, help, labelnames)
 
-    def _get_or_create(self, cls, name, help, labelnames, *args):
+    def _get_or_create(self, cls, name, help, labelnames):
         existing = self._metrics.get(name)
         if existing is None:
-            existing = self._metrics[name] = cls(name, help, labelnames, *args)
+            existing = self._metrics[name] = cls(name, help, labelnames)
         elif not isinstance(existing, cls):
             raise ValueError(
                 f"metric {name!r} already registered as {existing.kind}"
@@ -300,33 +291,24 @@ CLUSTER_METRICS = (
 _VERBS = {"counter": "inc", "gauge": "set", "histogram": "observe_many"}
 
 
-def _populate(registry: MetricsRegistry, table, subject, buckets) -> None:
+def _populate(registry: MetricsRegistry, table, subject) -> None:
     for name, kind, help, labelnames, source in table:
-        extra = (buckets,) if kind == "histogram" else ()
-        metric = getattr(registry, kind)(name, help, labelnames, *extra)
+        metric = getattr(registry, kind)(name, help, labelnames)
         value = source(subject)
         for key, amount in (value if labelnames else {(): value}).items():
             child = metric.labels(**dict(zip(labelnames, key)))
             getattr(child, _VERBS[kind])(amount)
 
 
-def registry_from_engine(
-    result,
-    registry: Optional[MetricsRegistry] = None,
-    buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-) -> MetricsRegistry:
-    """Populate a registry from an ``EngineResult`` (``ENGINE_METRICS``)."""
-    registry = registry or MetricsRegistry()
-    _populate(registry, ENGINE_METRICS, result, buckets)
+def registry_from_engine(result) -> MetricsRegistry:
+    """A registry populated from an ``EngineResult`` (``ENGINE_METRICS``)."""
+    registry = MetricsRegistry()
+    _populate(registry, ENGINE_METRICS, result)
     return registry
 
 
-def registry_from_cluster(
-    outcome,
-    registry: Optional[MetricsRegistry] = None,
-    buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-) -> MetricsRegistry:
-    """Populate a registry from a ``ClusterResult`` (both tables)."""
-    registry = registry_from_engine(outcome.result, registry, buckets)
-    _populate(registry, CLUSTER_METRICS, outcome, buckets)
+def registry_from_cluster(outcome) -> MetricsRegistry:
+    """A registry populated from a ``ClusterResult`` (both tables)."""
+    registry = registry_from_engine(outcome.result)
+    _populate(registry, CLUSTER_METRICS, outcome)
     return registry

@@ -6,7 +6,8 @@ Two observers are provided, mirroring the paper's setup (Section 8.1):
 * :class:`EmaMinMaxObserver` -- exponential moving average of per-batch
   min/max with momentum 0.99, used for activations.
 
-Both can track statistics per tensor or per channel along a chosen axis.
+The min/max observer tracks statistics per tensor or per channel along a
+chosen axis; the EMA observer per tensor.
 """
 
 from __future__ import annotations
@@ -71,12 +72,12 @@ class MinMaxObserver:
 
 
 class EmaMinMaxObserver:
-    """Exponential-moving-average min/max observer (momentum 0.99 by default)."""
+    """Per-tensor exponential-moving-average min/max observer (momentum 0.99
+    by default)."""
 
-    def __init__(self, channel_axis: Optional[int] = None, momentum: float = 0.99) -> None:
+    def __init__(self, momentum: float = 0.99) -> None:
         if not 0.0 < momentum < 1.0:
             raise ValueError("momentum must lie in (0, 1)")
-        self.channel_axis = channel_axis
         self.momentum = float(momentum)
         self._low: Optional[np.ndarray] = None
         self._high: Optional[np.ndarray] = None
@@ -87,13 +88,8 @@ class EmaMinMaxObserver:
 
     def observe(self, values: np.ndarray) -> None:
         values = np.asarray(values)
-        axes = _reduce_axes(values.ndim, self.channel_axis)
-        if axes is None:
-            batch_low = np.asarray(values.min(), dtype=np.float32).reshape(1)
-            batch_high = np.asarray(values.max(), dtype=np.float32).reshape(1)
-        else:
-            batch_low = values.min(axis=axes).astype(np.float32)
-            batch_high = values.max(axis=axes).astype(np.float32)
+        batch_low = np.asarray(values.min(), dtype=np.float32).reshape(1)
+        batch_high = np.asarray(values.max(), dtype=np.float32).reshape(1)
         if self._low is None:
             self._low, self._high = batch_low.copy(), batch_high.copy()
         else:

@@ -67,9 +67,8 @@ def quantize_model(
     first_last_bits: int = 8,
     layer_types: Tuple[type, type] = (QuantLinear, QuantConv2d),
     forward_fn: Optional[ForwardFn] = None,
-    inplace: bool = False,
 ) -> Module:
-    """Quantize all Linear/Conv2d layers of ``model``.
+    """Quantize all Linear/Conv2d layers of a deep copy of ``model``.
 
     Parameters
     ----------
@@ -89,12 +88,10 @@ def quantize_model(
         How to feed a raw input batch to the model.  Defaults to wrapping the
         batch in a :class:`Tensor` (vision models); the LLM case study passes
         token ids straight through.
-    inplace:
-        Mutate ``model`` instead of deep-copying it first.
     """
     act_bits = act_bits if act_bits is not None else weight_bits
     linear_type, conv_type = layer_types
-    target = model if inplace else copy.deepcopy(model)
+    target = copy.deepcopy(model)
 
     layers = iter_quantizable_layers(target)
     if not layers:

@@ -53,12 +53,12 @@ def compute_qparams(
     value_range: TensorRange,
     bits: int,
     channel_axis: Optional[int] = None,
-    eps: float = 1e-8,
 ) -> QuantParams:
-    """Derive symmetric quantization parameters from an observed range."""
+    """Derive symmetric quantization parameters from an observed range (the
+    scale is floored at 1e-8, so an all-zero channel still divides)."""
     _, qmax = int_range(bits)
     scale = value_range.max_abs.astype(np.float32) / qmax
-    scale = np.maximum(scale, eps)
+    scale = np.maximum(scale, 1e-8)
     return QuantParams(scale=scale, bits=bits, channel_axis=channel_axis)
 
 

@@ -168,40 +168,34 @@ def _table_reader(model: ServiceTimeModel, mode: str) -> ServiceEstimator:
     return estimate
 
 
-def _measured_speed(
-    service_model: ServiceTimeModel, reference_batch: int, mode: str
-) -> float:
-    latency = service_model.batch_latency(reference_batch, mode)
+def _measured_speed(service_model: ServiceTimeModel) -> float:
+    """Requests per second at the reference point: a batch of 64 in int8."""
+    latency = service_model.batch_latency(64, "int8")
     if latency <= 0:
         raise ValueError("reference batch latency must be positive")
-    return reference_batch / latency
+    return 64 / latency
 
 
 def gpu_server(
     name: str,
     model_name: str = "vit_base",
     gpu: str = "a6000",
-    anchor_batches: Sequence[int] = (1, 8, 16, 32, 64, 128),
-    reference_batch: int = 64,
-    mode: str = "int8",
     zone: str = "",
-    rack: str = "",
 ) -> ServerSpec:
     """A GPU-backed server profile from the :mod:`repro.hardware.gpu` model.
 
-    ``speed`` is measured from the device's own latency model at
-    ``reference_batch`` in ``mode`` — the number placement weighs, derived
-    rather than guessed.  ``zone``/``rack`` declare the server's failure
-    domain (see :class:`ClusterTopology`).
+    ``speed`` is measured from the device's own latency model at a batch of
+    64 in int8 — the number placement weighs, derived rather than guessed.
+    ``zone`` declares the server's failure domain (see
+    :class:`ClusterTopology`; a rack is set on the :class:`ServerSpec`).
     """
-    service = ServiceTimeModel(model_name, gpu=gpu, anchor_batches=anchor_batches)
+    service = ServiceTimeModel(model_name, gpu=gpu)
     return ServerSpec(
         name=name,
-        speed=_measured_speed(service, reference_batch, mode),
+        speed=_measured_speed(service),
         service_model=service,
         device=f"gpu:{gpu}",
         zone=zone,
-        rack=rack,
     )
 
 
@@ -209,11 +203,6 @@ def npu_server(
     name: str,
     model_name: str = "vit_base",
     config: Optional[NpuConfig] = None,
-    anchor_batches: Sequence[int] = (1, 8, 16, 32, 64, 128),
-    reference_batch: int = 64,
-    mode: str = "int8",
-    zone: str = "",
-    rack: str = "",
 ) -> ServerSpec:
     """An NPU-backed server profile from the :mod:`repro.hardware.npu` model.
 
@@ -224,16 +213,9 @@ def npu_server(
     scaled-up :class:`~repro.hardware.npu.NpuConfig` for a merely-slow tier.
     """
     adapter = NpuLatencyModel(config or NpuConfig()).as_service_backend()
-    service = ServiceTimeModel(
-        model_name, anchor_batches=anchor_batches, latency_model=adapter
-    )
+    service = ServiceTimeModel(model_name, latency_model=adapter)
     return ServerSpec(
-        name=name,
-        speed=_measured_speed(service, reference_batch, mode),
-        service_model=service,
-        device="npu",
-        zone=zone,
-        rack=rack,
+        name=name, speed=_measured_speed(service), service_model=service, device="npu"
     )
 
 
@@ -637,9 +619,7 @@ class ClusterEngine:
     def speeds(self) -> List[float]:
         return [spec.speed for spec in self.specs]
 
-    def batch_estimators(
-        self, mode: Optional[str] = None
-    ) -> List[ServiceEstimator]:
+    def batch_estimators(self) -> List[ServiceEstimator]:
         """Per-server batch-size-aware service-time estimators.
 
         One callable per spec mapping a batch size to estimated service
@@ -647,15 +627,17 @@ class ClusterEngine:
         speed-aware placers score with instead of the reference-batch
         scalar.  Each reads its spec's model's (mode, ratio 0.0) price
         table, which it holds (:func:`_table_reader`), so the model computes
-        each size once, whoever else reads it.  ``mode=None``
-        scores the mode the cluster's endpoints registered when they all
-        agree, else the ``"int8"`` reference (the convention the spec speeds
-        are measured at); the named placers' estimators are rebound whenever
+        each size once, whoever else reads it.  They score the mode the
+        cluster's endpoints registered when they all agree, else the
+        ``"int8"`` reference (the convention the spec speeds are measured
+        at); the named placers' estimators are rebound whenever
         :meth:`register` changes it, so a placer resolved before
         registration still estimates the precision that actually runs.
         """
-        resolved = self._estimator_mode if mode is None else mode
-        return [_table_reader(spec.service_model, resolved) for spec in self.specs]
+        return [
+            _table_reader(spec.service_model, self._estimator_mode)
+            for spec in self.specs
+        ]
 
     def _scored(self, kind: type) -> Placer:
         """A named speed-aware placer, its estimators rebound by register()."""
@@ -730,7 +712,6 @@ class ClusterEngine:
         trace: Optional[RequestTrace] = None,
         requests: Optional[Sequence[Request]] = None,
         model: Optional[str] = None,
-        duration: Optional[float] = None,
         record_responses: Optional[bool] = None,
     ) -> ClusterResult:
         """Serve a trace/request list under the control plane.
@@ -761,7 +742,6 @@ class ClusterEngine:
             trace=trace,
             requests=requests,
             model=model,
-            duration=duration,
             record_responses=record_responses,
         )
         if self.autoscaler is not None:

@@ -738,7 +738,6 @@ class ServingEngine:
         trace: Optional[RequestTrace] = None,
         requests: Optional[Sequence[Request]] = None,
         model: Optional[str] = None,
-        duration: Optional[float] = None,
         record_responses: Optional[bool] = None,
     ) -> EngineResult:
         """Serve a trace or an explicit request list to completion.
@@ -747,13 +746,13 @@ class ServingEngine:
         with everything admitted up front, then :meth:`finish` (which steps
         until the queue drains).  Exactly one of ``trace`` and ``requests``
         must be given.  ``model`` names the endpoint a trace targets
-        (optional when only one is registered).  ``duration`` sets the
-        result's time span for throughput; it defaults to the trace
-        duration, or to the makespan (time until the last batch finishes)
-        for explicit request lists.  ``record_responses`` makes the result
-        readable request by request (``result.responses``, a view, and
-        ``deadline_attainment()``) and builds no object per request; it is on
-        by default for explicit requests, off for traces (latency arrays only).
+        (optional when only one is registered).  The result's time span for
+        throughput is the trace's duration, or the makespan (time until the
+        last batch finishes) for explicit request lists.  ``record_responses``
+        makes the result readable request by request (``result.responses``, a
+        view, and ``deadline_attainment()``) and builds no object per request;
+        it is on by default for explicit requests, off for traces (latency
+        arrays only).
         """
         if (trace is None) == (requests is None):
             raise ValueError("provide exactly one of trace or requests")
@@ -761,7 +760,6 @@ class ServingEngine:
             trace=trace,
             requests=requests,
             model=model,
-            duration=duration,
             record_responses=record_responses,
         )
         return self.finish()
@@ -774,7 +772,6 @@ class ServingEngine:
         trace: Optional[RequestTrace] = None,
         requests: Optional[Sequence[Request]] = None,
         model: Optional[str] = None,
-        duration: Optional[float] = None,
         record_responses: Optional[bool] = None,
     ) -> None:
         """Open a serving session.
@@ -812,7 +809,7 @@ class ServingEngine:
             # are aliased, and every other column stays implicit: a trace
             # session allocates no per-request metadata.
             store = RequestStore.from_trace(trace, model=model)
-            run_duration = trace.duration if duration is None else duration
+            run_duration = trace.duration
         else:
             if model is not None and model not in self._endpoints:
                 raise KeyError(f"model {model!r} is not registered")
@@ -833,10 +830,10 @@ class ServingEngine:
                         f"{name!r}; omit model= for multi-model "
                         "request lists"
                     )
-            # Without an explicit duration the run spans until the last batch
-            # finishes (makespan, filled in by finish()); policies windowing
-            # over admissions see the arrival horizon.
-            run_duration = duration
+            # A request list spans until the last batch finishes (makespan,
+            # filled in by finish()); policies windowing over admissions see
+            # the arrival horizon.
+            run_duration = None
         if run_duration is not None:
             run_duration = check_positive("duration", run_duration, allow_zero=True)
 

@@ -224,11 +224,6 @@ class IterationRecord:
     finish: float
     size: int
     ratio: float
-    queue_depth: int = 0
-    iteration: int = 0
-    prefills: int = 0
-    decode_width: int = 0
-    tokens: int = 0
 
 
 @dataclass
@@ -545,10 +540,7 @@ class IterationScheduler:
             s.running = [seq for seq in running if seq.slot not in gone]
 
         size = prefills + decode_width
-        s.iterations.append(IterationRecord(  # positionally, in field order
-            start, t, size, ratio, queue_depth, iteration, prefills,
-            decode_width, size,
-        ))
+        s.iterations.append(IterationRecord(start, t, size, ratio))
         s.busy += t - start
         s.free_at = t
         return True
@@ -617,7 +609,6 @@ def run_to_completion(
     responses: List[GenerationResponse] = []
     iterations: List[IterationRecord] = []
     pos = 0
-    batch_index = 0
     while pos < len(ordered):
         start = max(free_at, float(arrivals[pos]))
         end = pos + 1
@@ -629,11 +620,9 @@ def run_to_completion(
 
         t = start
         token_times: List[List[float]] = [[] for _ in members]
-        tokens = 0
         for position, request in enumerate(members):
             t += backend.prefill_seconds(request.prefill_tokens, _MODE, ratio)
             token_times[position].append(t)
-            tokens += 1
         for _ in range(steps):
             # Padded decode: the step runs at full batch width even when
             # members have finished — the run-to-completion inefficiency.
@@ -641,7 +630,6 @@ def run_to_completion(
             for position, request in enumerate(members):
                 if len(token_times[position]) < request.max_new_tokens:
                     token_times[position].append(t)
-                    tokens += 1
         for position, request in enumerate(members):
             responses.append(
                 GenerationResponse(
@@ -658,22 +646,11 @@ def run_to_completion(
                 )
             )
         iterations.append(
-            IterationRecord(
-                start=start,
-                finish=t,
-                size=width * (1 + steps),
-                ratio=ratio,
-                queue_depth=len(ordered) - pos,
-                iteration=batch_index,
-                prefills=width,
-                decode_width=width,
-                tokens=tokens,
-            )
+            IterationRecord(start=start, finish=t, size=width * (1 + steps), ratio=ratio)
         )
         busy += t - start
         free_at = t
         pos = end
-        batch_index += 1
 
     last_arrival = float(arrivals[-1]) if len(arrivals) else 0.0
     return GenerationResult(

@@ -132,27 +132,24 @@ class QueueDepthRatioPolicy:
 
     ``thresholds`` maps minimum queue depth to the ratio used at or above
     that depth; the highest satisfied threshold wins.  Depths below every
-    threshold use ``base_ratio``.
+    threshold run all-8-bit (``BASE_RATIO``).
     """
 
-    def __init__(
-        self,
-        thresholds: Dict[int, float],
-        base_ratio: float = 0.0,
-    ) -> None:
+    BASE_RATIO = 0.0
+
+    def __init__(self, thresholds: Dict[int, float]) -> None:
         if not thresholds:
             raise ValueError("thresholds must be non-empty")
         self.thresholds = sorted(
             (check_integer("queue depth threshold", depth, 0), check_ratio(ratio))
             for depth, ratio in thresholds.items()
         )
-        self.base_ratio = check_ratio(base_ratio)
 
     def on_run_start(self, trace: RequestTrace) -> None:
         pass
 
     def select(self, context: PolicyContext) -> float:
-        ratio = self.base_ratio
+        ratio = self.BASE_RATIO
         for depth, depth_ratio in self.thresholds:
             if context.queue_depth >= depth:
                 ratio = depth_ratio

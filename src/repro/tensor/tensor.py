@@ -53,15 +53,10 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A NumPy-backed tensor with reverse-mode automatic differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
     __array_priority__ = 100  # ensure ndarray + Tensor dispatches to Tensor
 
-    def __init__(
-        self,
-        data: ArrayLike,
-        requires_grad: bool = False,
-        name: Optional[str] = None,
-    ) -> None:
+    def __init__(self, data: ArrayLike, requires_grad: bool = False) -> None:
         if isinstance(data, Tensor):
             data = data.data
         array = np.asarray(data)
@@ -72,7 +67,6 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
-        self.name = name
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -145,15 +139,13 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self, grad: Optional[ArrayLike] = None) -> None:
-        """Backpropagate from this tensor through the recorded graph."""
+    def backward(self) -> None:
+        """Backpropagate from this scalar tensor through the recorded graph."""
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
-        if grad is None:
-            if self.data.size != 1:
-                raise RuntimeError("grad must be provided for non-scalar tensors")
-            grad = np.ones_like(self.data, dtype=np.float32)
-        grad = np.asarray(grad, dtype=np.float32).reshape(self.data.shape)
+        if self.data.size != 1:
+            raise RuntimeError("backward() starts from a scalar tensor")
+        grad = np.ones_like(self.data, dtype=np.float32)
 
         # Topological order of the graph reachable from this tensor.
         order: List[Tensor] = []
@@ -400,11 +392,11 @@ class Tensor:
                 count *= self.shape[ax]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def var(self, axis=None, keepdims: bool = False, eps: float = 0.0) -> "Tensor":
+    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
         mean = self.mean(axis=axis, keepdims=True)
         centered = self - mean
         squared = centered * centered
-        return squared.mean(axis=axis, keepdims=keepdims) + eps
+        return squared.mean(axis=axis, keepdims=keepdims)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         data = self.data.max(axis=axis, keepdims=keepdims)
@@ -504,14 +496,3 @@ class Tensor:
             return tuple(np.take(grad, i, axis=axis) for i in range(len(tensors)))
 
         return Tensor._make(data, tuple(tensors), backward)
-
-    # ------------------------------------------------------------------
-    # Convenience constructors
-    # ------------------------------------------------------------------
-    @staticmethod
-    def zeros(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=np.float32), requires_grad=requires_grad)

@@ -4,7 +4,7 @@ recipe shares (each supplies only its per-batch loss), and the LM loop."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
 import numpy as np
 
@@ -36,15 +36,14 @@ class TrainingConfig:
     log_every: int = 0  # 0 disables progress printing
 
 
-def evaluate_accuracy(
-    model: Module, dataset: SyntheticImageDataset, batch_size: int = 64
-) -> float:
-    """Top-1 accuracy of ``model`` on the dataset's test split (in percent)."""
+def evaluate_accuracy(model: Module, dataset: SyntheticImageDataset) -> float:
+    """Top-1 accuracy of ``model`` on the dataset's test split (in percent),
+    64 images a batch."""
     model.eval()
     correct = 0
     total = 0
     with no_grad():
-        for images, labels in dataset.test_batches(batch_size):
+        for images, labels in dataset.test_batches(64):
             logits = model(Tensor(images))
             correct += int((logits.data.argmax(axis=-1) == labels).sum())
             total += len(labels)
@@ -100,12 +99,11 @@ def train_classifier(
     model: Module,
     dataset: SyntheticImageDataset,
     config: TrainingConfig = TrainingConfig(),
-    loss_fn: Optional[Callable[[Tensor, np.ndarray], Tensor]] = None,
 ) -> List[float]:
     """Train ``model`` on the dataset's train split; return per-epoch losses."""
-    loss_fn = loss_fn or F.cross_entropy
     return sgd_epochs(
-        model, dataset, config, lambda images, labels, rng: loss_fn(model(Tensor(images)), labels)
+        model, dataset, config,
+        lambda images, labels, rng: F.cross_entropy(model(Tensor(images)), labels),
     )
 
 
@@ -113,13 +111,11 @@ def train_language_model(
     model: Module,
     batches: List[np.ndarray],
     epochs: int = 4,
-    learning_rate: float = 0.1,
-    momentum: float = 0.9,
-    seed: int = 0,
 ) -> List[float]:
-    """Train a :class:`repro.nn.llm.TinyDecoderLM` on token-id batches."""
-    optimizer = SGD(model.parameters(), lr=learning_rate, momentum=momentum)
-    rng = np.random.default_rng(seed)
+    """Train a :class:`repro.nn.llm.TinyDecoderLM` on token-id batches with
+    SGD (learning rate 0.1, momentum 0.9)."""
+    optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9)
+    rng = np.random.default_rng(0)
     epoch_losses: List[float] = []
     model.train()
     for _ in range(epochs):

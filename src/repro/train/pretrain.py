@@ -44,7 +44,6 @@ def _cache_path(spec: ModelSpec, epochs: int, cache_dir: Path) -> Path:
 def pretrain_model(
     name: str,
     epochs: Optional[int] = None,
-    seed: int = 0,
     cache_dir: Optional[Path] = None,
     force: bool = False,
 ) -> Module:
@@ -59,7 +58,7 @@ def pretrain_model(
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = _cache_path(spec, epochs, cache_dir)
 
-    model = spec.build(seed=seed)
+    model = spec.build()
     memory_key = (spec.name, epochs)
     if not force and memory_key in _MEMORY_CACHE:
         model.load_state_dict(_MEMORY_CACHE[memory_key])
@@ -79,16 +78,16 @@ def pretrain_model(
 
     if spec.family == "llm":
         corpus = build_text_corpus()
-        batches = corpus.train_batches(batch_size=16, rng=np.random.default_rng(seed))
-        train_language_model(model, batches, epochs=epochs, seed=seed)
+        batches = corpus.train_batches(batch_size=16, rng=np.random.default_rng(0))
+        train_language_model(model, batches, epochs=epochs)
     else:
         dataset = build_dataset(spec.dataset)
-        config = TrainingConfig(epochs=epochs, seed=seed)
+        config = TrainingConfig(epochs=epochs)
         train_classifier(model, dataset, config)
 
     # Give the checkpoint the per-channel weight-range diversity of real
     # pre-trained models (function-preserving, see repro.nn.rebalance).
-    rebalance_channel_scales(model, sigma=REBALANCE_SIGMA, seed=seed + 977)
+    rebalance_channel_scales(model, sigma=REBALANCE_SIGMA, seed=977)
 
     state = model.state_dict()
     np.savez(path, **state)
@@ -106,9 +105,9 @@ def default_epochs(spec: ModelSpec) -> int:
     return 8
 
 
-def get_pretrained(name: str, epochs: Optional[int] = None, seed: int = 0) -> Module:
+def get_pretrained(name: str) -> Module:
     """Return the cached pre-trained model (training it on first use)."""
-    return pretrain_model(name, epochs=epochs, seed=seed)
+    return pretrain_model(name)
 
 
 def get_dataset_for(name: str) -> SyntheticImageDataset:

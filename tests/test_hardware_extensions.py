@@ -123,12 +123,13 @@ class TestNpuLowPrecisionExtension:
         ideal_two_bit = npu.op_cycles(narrow, four_bit_ratio=0.0) / 4
         assert cycles_2 > ideal_two_bit
 
-    def test_model_latency_with_two_bit_mode(self, npu):
-        ops = resnet_ops(batch=1)
-        four = npu.model_latency(ops, four_bit_ratio=1.0, low_bits=4)
-        two = npu.model_latency(ops, four_bit_ratio=1.0, low_bits=2)
-        eight = npu.model_latency(ops, four_bit_ratio=0.0)
+    def test_two_bit_mode_is_faster_on_every_model_op(self, npu):
+        ops = [op for op in resnet_ops(batch=1) if op.kind != "float" and op.quantizable]
+        four = sum(npu.op_latency(op, four_bit_ratio=1.0) for op in ops)
+        two = sum(npu.op_latency(op, four_bit_ratio=1.0, low_bits=2) for op in ops)
+        eight = sum(npu.op_latency(op, four_bit_ratio=0.0) for op in ops)
         assert two < four < eight
+        assert four == pytest.approx(npu.model_latency(ops, four_bit_ratio=1.0))
 
     def test_low_bits_validation(self, npu):
         op = LayerOp("x", m=8, n=32, k=64, feature_channels=64)

@@ -66,7 +66,7 @@ class TestTrainingOnCorpus:
         test = corpus.test_sequences()
         before = model.perplexity(test)
         batches = corpus.train_batches(batch_size=16, rng=np.random.default_rng(0))
-        losses = train_language_model(model, batches, epochs=3, learning_rate=0.15)
+        losses = train_language_model(model, batches, epochs=3)
         after = model.perplexity(test)
         assert after < before * 0.9
         assert losses[-1] < losses[0]

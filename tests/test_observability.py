@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.traces import PoissonTrace
 from repro.obs import (
+    DEFAULT_LATENCY_BUCKETS,
     KIND_NAMES,
     SPAN_CANCELLED,
     SPAN_DROPPED,
@@ -648,40 +649,44 @@ class TestMetricsRegistry:
         assert dict(counter.samples()) == {("a",): 3.0, ("b",): 1.0}
         with pytest.raises(ValueError):
             counter.labels(model="a").inc(-1)
-        gauge = registry.gauge("active", "Active servers.")
+        gauge = registry.gauge("active", "Active servers.", ())
         gauge.set(4)
         gauge.set(2)
         assert dict(gauge.samples()) == {(): 2.0}
-        hist = registry.histogram("lat", "Latency.", buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 5.0):
+        hist = registry.histogram("lat", "Latency.", ())
+        assert hist.buckets == DEFAULT_LATENCY_BUCKETS
+        for value in (0.05, 0.5, 50.0):
             hist.observe(value)
         cells = dict(hist.samples())[()]
-        assert cells[:3] == [1.0, 1.0, 1.0]  # per-bucket + overflow
-        assert cells[-1] == pytest.approx(5.55)
+        # A value on a bound counts in that bucket; 50 s overflows.
+        assert [index for index, count in enumerate(cells[:-1]) if count] == [3, 6, 11]
+        assert cells[:-1].count(1.0) == 3  # per-bucket + overflow
+        assert cells[-1] == pytest.approx(50.55)
 
     def test_get_or_create_checks_type_and_labels(self):
         registry = MetricsRegistry()
         registry.counter("x", "a counter", ("k",))
-        assert registry.counter("x", labelnames=("k",)) is not None
+        assert registry.counter("x", "", ("k",)) is not None
         with pytest.raises(ValueError):
-            registry.gauge("x")
+            registry.gauge("x", "", ())
         with pytest.raises(ValueError):
-            registry.counter("x", labelnames=("other",))
+            registry.counter("x", "", ("other",))
         with pytest.raises(ValueError):
-            registry.counter("x").inc()  # labels required
+            registry.counter("x", "", ()).inc()  # labels required
 
     def test_prometheus_exposition_parses(self):
         registry = MetricsRegistry()
         registry.counter("a_total", "Help with spaces.", ("l",)).labels(
             l='with"quote'
         ).inc(3)
-        registry.histogram("h", "Hist.", buckets=(0.1, 1.0)).observe(0.5)
+        registry.histogram("h", "Hist.", ()).observe(0.5)
         text = prometheus_exposition(registry)
         assert text.endswith("\n")
         metrics = _parse_exposition(text)
         assert metrics[("a_total", ('l="with\\"quote"',))] == 3.0
         # Histogram buckets are cumulative and capped by +Inf == count.
-        assert metrics[("h_bucket", ('le="0.1"',))] == 0.0
+        assert metrics[("h_bucket", ('le="0.25"',))] == 0.0
+        assert metrics[("h_bucket", ('le="0.5"',))] == 1.0
         assert metrics[("h_bucket", ('le="1"',))] == 1.0
         assert metrics[("h_bucket", ('le="+Inf"',))] == 1.0
         assert metrics[("h_count", ())] == 1.0

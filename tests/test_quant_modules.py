@@ -282,10 +282,11 @@ class TestQuantizeModel:
         with pytest.raises(ValueError):
             calibrate_model(quantized, [])
 
-    def test_inplace_quantization(self):
+    def test_the_float_model_is_left_untouched(self):
         model = SmallNet.build()
-        quantize_model(model, 8, calibration_batches=self._calibration(), inplace=True)
-        assert len(iter_quantized_layers(model)) == 3
+        quantized = quantize_model(model, 8, calibration_batches=self._calibration())
+        assert len(iter_quantized_layers(quantized)) == 3
+        assert iter_quantized_layers(model) == []
 
     def test_no_quantizable_layers_raises(self):
         from repro.nn.layers import ReLU

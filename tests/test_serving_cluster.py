@@ -146,12 +146,12 @@ class TestPlacement:
     def test_single_server_cluster_bit_identical_to_seed(self, service_model):
         """A 1-GPU ClusterEngine (no placer/autoscaler) == seed simulator."""
         trace = PoissonTrace(1800, duration=2.0, seed=17).generate()
-        spec = gpu_server("g", "vit_base", gpu="a6000", anchor_batches=(1, 16, 64, 128))
+        spec = gpu_server("g", "vit_base", gpu="a6000")
         cluster = ClusterEngine([spec], BatchingConfig(max_batch=128))
         cluster.register("m", mode="int8")
         outcome = cluster.run(trace=trace)
         seed_latencies, _, _ = seed_serving_run(
-            ServiceTimeModel("vit_base", gpu="a6000", anchor_batches=(1, 16, 64, 128)),
+            ServiceTimeModel("vit_base", gpu="a6000"),
             BatchingConfig(max_batch=128),
             trace,
             "int8",
@@ -588,7 +588,7 @@ def test_non_finite_or_non_positive_numbers_rejected_where_they_enter(
         "cluster window": lambda: ClusterEngine([spec()], window=value),
         "speed": lambda: spec(speed=value),
         "startup_delay": lambda: ClusterEngine([spec()], startup_delay=value),
-        "duration": lambda: cluster.run(trace, duration=value),
+        "duration": lambda: cluster.run(RequestTrace(trace.arrival_times, duration=value)),
     }[field]
     name = field.split()[-1]
     with pytest.raises(ValueError, match=f"{name}.*{re.escape(repr(value))}"):

@@ -348,7 +348,7 @@ class TestOneRequestRepresentation:
             if case["scheduler"] is FifoScheduler:
                 # A trace carries arrivals only, which is all FIFO reads.
                 forms["trace"] = lambda engine: engine.start(
-                    trace=trace, model=case["models"][0], duration=None, **recording
+                    trace=trace, model=case["models"][0], **recording
                 )
 
         reference, _ = self._serve(case, as_list)

@@ -114,8 +114,8 @@ class TestClusterTopology:
             ClusterTopology(zone_by_server=("a",), rack_by_server=())
 
     def test_gpu_server_carries_domain_identity(self):
-        spec = gpu_server("g", "vit_base", gpu="a6000", zone="eu-1", rack="r7")
-        assert (spec.zone, spec.rack) == ("eu-1", "r7")
+        spec = gpu_server("g", "vit_base", gpu="a6000", zone="eu-1")
+        assert (spec.zone, spec.rack) == ("eu-1", "")
 
 
 # ----------------------------------------------------------------------

@@ -1126,7 +1126,7 @@ class TestPolicyContext:
         assert result.batch_sizes == [4, 4, 2]
 
     def test_queue_depth_policy_sheds_accuracy_under_backlog(self, service_model):
-        policy = QueueDepthRatioPolicy({16: 0.5, 64: 1.0}, base_ratio=0.0)
+        policy = QueueDepthRatioPolicy({16: 0.5, 64: 1.0})
         engine = ServingEngine(BatchingConfig(max_batch=8))
         engine.register("m", ModeledExecutor(service_model), policy=policy, mode="flexiq")
         # A burst of 100 simultaneous requests, then a trickle.
@@ -1326,7 +1326,7 @@ NON_FINITE = {
         [1], promotion_latency=bad
     ),
     "duration": lambda model, bad: _seed_engine(model).run(
-        requests=[Request(0.0, model="m")], duration=bad
+        trace=RequestTrace(np.zeros(1), duration=bad)
     ),
     "window (telemetry)": lambda model, bad: TelemetryBus(bad),
     "startup_delay": lambda model, bad: ClusterEngine(
@@ -1475,12 +1475,8 @@ class TestHostileInput:
             RoundRobinRatioPolicy([0.5, bad])
         # The load-driven policies used to accept it and fail at the first
         # batch's latency lookup, in both loops.
-        for build in (
-            lambda: QueueDepthRatioPolicy({1: bad}),
-            lambda: QueueDepthRatioPolicy({1: 0.5}, base_ratio=bad),
-        ):
-            with pytest.raises(ValueError, match=message):
-                build()
+        with pytest.raises(ValueError, match=message):
+            QueueDepthRatioPolicy({1: bad})
         # A nan latency used to become every later clock.  Checked when the
         # (mode, ratio) is first seen, so no table is made for it (asking for
         # its table still raises) and a known price pays nothing.

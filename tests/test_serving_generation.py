@@ -21,6 +21,7 @@ records a run keeps and the backend's price memo.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -112,6 +113,14 @@ def mixed_trace(rate=120, duration=1.5, seed=7):
     )
 
 
+def decode_widths(result):
+    """Each iteration's decode width, read off the token streams: a decoding
+    sequence emits one token at its iteration's finish (a stream's first
+    token is its prefill's)."""
+    stamps = Counter(t for response in result.responses for t in response.token_times[1:])
+    return [stamps[record.finish] for record in result.iterations]
+
+
 # ----------------------------------------------------------------------
 # Prefill/decode cost split on the service-time model
 # ----------------------------------------------------------------------
@@ -188,9 +197,10 @@ class TestIterationScheduler:
         (response,) = result.responses
         assert response.tokens == 1
         assert response.finished
-        assert len(result.iterations) == 1
-        assert result.iterations[0].prefills == 1
-        assert result.iterations[0].decode_width == 0
+        (record,) = result.iterations
+        # One prefill and no decode step: the only token is the prefill's.
+        assert record.size == 1
+        assert response.token_times == [record.finish]
 
     def test_finished_leave_and_queued_join_at_boundaries(self, backend):
         # A short sequence retires mid-run and a late arrival takes its
@@ -207,7 +217,7 @@ class TestIterationScheduler:
         # The late arrival finished long before the long sequence did:
         # it joined a running batch instead of waiting behind it.
         assert late.finish_time < long.finish_time
-        widths = [record.decode_width for record in result.iterations]
+        widths = decode_widths(result)
         assert max(widths) == 2
         assert 1 in widths  # the batch really shrank when members left
 
@@ -277,8 +287,11 @@ class TestIterationScheduler:
         requests = gen_requests([(0.001, 32, 2), (0.0, 64, 6), (0.0, 32, 2)])
         result = run_to_completion(requests, backend, max_batch=2)
         first, second = result.iterations
-        assert (first.start, first.prefills, first.queue_depth) == (0.0, 2, 3)
-        assert (second.start, second.prefills, second.queue_depth) == (first.finish, 1, 1)
+        assert (first.start, second.start) == (0.0, first.finish)
+        # Requests 1 and 2 prefilled in the first batch, request 0 in the second.
+        assert [response.token_times[0] < first.finish for response in result.responses] == [
+            True, True, False,
+        ]
         assert [record.ratio for record in result.iterations] == [0.0, 0.0]
         assert [response.request_id for response in result.responses] == [1, 2, 0]
         assert result.responses[2].token_times[0] > first.finish
@@ -340,7 +353,7 @@ class TestAdmission:
             backend, max_batch=8, admission=TokenBudgetAdmission(100)
         ).run(requests)
         assert all(r.finished for r in result.responses)
-        assert max(record.decode_width for record in result.iterations) == 1
+        assert max(decode_widths(result)) == 1
         first, second = result.responses
         assert second.token_times[0] > first.finish_time
 
@@ -534,7 +547,6 @@ class TestIterationRecords:
         iterations = scheduler.finish().iterations
         assert type(iterations) is list and len(iterations) > 7
         assert all(kept is record for kept, record in zip(iterations, stepped))
-        assert [record.iteration for record in iterations] == list(range(len(iterations)))
 
     def test_run_to_completion_returns_a_list(self, backend):
         result = run_to_completion(mixed_trace(duration=0.5), backend, max_batch=4)
@@ -568,8 +580,8 @@ class TestIterationRecords:
             setattr(backend, name, counted)
         result = pressure_scheduler(backend).run(mixed_trace(duration=0.5))
         assert seen == {
-            "prefill_seconds": sum(record.prefills for record in result.iterations),
-            "decode_seconds": sum(1 for record in result.iterations if record.decode_width),
+            "prefill_seconds": len(result.responses),
+            "decode_seconds": sum(1 for width in decode_widths(result) if width),
         }
 
     def test_the_service_model_is_read_only(self, gen_model):
@@ -675,8 +687,7 @@ def check_iteration(record, policy, backend, expected):
         finish += backend.prefill_seconds(seq.prompt_tokens, "flexiq", record.ratio)
     if decoders:
         finish += backend.decode_seconds(len(decoders), "flexiq", record.ratio)
-    assert (record.prefills, record.decode_width) == (len(prefillers), len(decoders))
-    assert record.size == record.tokens == len(prefillers) + len(decoders)
+    assert record.size == len(prefillers) + len(decoders)
     assert record.finish == finish
     decoding = {seq.slot for seq in decoders}
     for seq in members:
@@ -725,7 +736,6 @@ def run_against_spec(backend, profiles, max_batch, admission):
         assert record.start == start >= latest_start
         latest_start = start
         assert [seq.slot for seq in watched.candidates] == [seq.slot for seq in candidates]
-        assert record.queue_depth == len(candidates)
         survivors = check_iteration(record, watched.policy, watched.backend, iteration)
         # The survivors kept their running order.
         assert [seq.slot for seq in session.running] == survivors
@@ -894,15 +904,17 @@ class TestOneServerCursor:
         result = run_against_spec(backend, profiles, max_batch=2, admission="fcfs")
         first, second = result.iterations[:2]
         assert first.finish > 0.001  # it arrived while the first one ran
-        assert (first.prefills, first.queue_depth) == (1, 1)
-        assert (second.start, second.prefills, second.queue_depth) == (first.finish, 1, 1)
+        # One prefill and its first decode, then the arrival's prefill and
+        # two decoders.
+        assert first.size == 2
+        assert (second.start, second.size) == (first.finish, 3)
 
     def test_an_idle_server_starts_at_the_next_arrival(self, backend):
         profiles = [(0.0, 32, 1), (5.0, 32, 1)]
         result = run_against_spec(backend, profiles, max_batch=4, admission="fcfs")
         first, second = result.iterations
         assert first.finish < 5.0
-        assert (second.start, second.queue_depth) == (5.0, 1)
+        assert (second.start, second.size) == (5.0, 1)
         assert result.duration == second.finish
 
     def test_a_rerun_starts_from_a_fresh_cursor(self, backend):

@@ -250,10 +250,6 @@ class TestGraphMechanics:
         x = Tensor(np.ones(3, dtype=np.float64))
         assert x.dtype == np.float32
 
-    def test_constructors(self):
-        assert Tensor.zeros((2, 2)).data.sum() == 0
-        assert Tensor.ones((2, 2)).data.sum() == 4
-
     def test_comparisons_no_grad(self):
         x = Tensor(np.array([1.0, -1.0]), requires_grad=True)
         mask = x > 0

@@ -2,7 +2,8 @@
 
 The repository itself must pass; on a planted tree an unused definition is
 reported and a ``KEEP`` entry whose name is used elsewhere is reported stale;
-``main`` exits 1 on either.  Only code refers to a definition: a name, an
+``main`` exits 1 on either.  The parameter pass reports a defaulted
+parameter that only ``tests/`` passes, and a stale ``PARAM_KEEP`` entry.  Only code refers to a definition: a name, an
 attribute, an import or a string constant such as ``getattr``'s; a docstring,
 a comment, a re-export or an ``__all__`` entry does not.
 """
@@ -43,6 +44,8 @@ def test_this_repository_passes(capsys):
     assert unused_defs.main() == 0, capsys.readouterr().out
     assert len(unused_defs.KEEP) <= 6
     assert all(reason.strip() for reason in unused_defs.KEEP.values())
+    assert len(unused_defs.PARAM_KEEP) <= 15
+    assert all(reason.strip() for reason in unused_defs.PARAM_KEEP.values())
 
 
 def test_a_planted_unused_def_is_reported(planted, monkeypatch):
@@ -168,3 +171,126 @@ def test_an_all_entry_is_not_a_use(planted, monkeypatch):
         "__all__ = [\"helper\"]\n__all__ += [\"Lonely\"]\n"
     )
     assert unused_defs.scan(planted) == ([("helper", "src/pkg/mod.py", 6)], [])
+
+
+# ----------------------------------------------------------------------
+# The parameter pass
+# ----------------------------------------------------------------------
+KNOBS = (
+    "def tune(x, level=1, *, mode=\"a\"):\n    return x\n\n\n"
+    "class Knob:\n    def __init__(self, size, scale=2.0):\n        self.size = size\n\n"
+    "    def turn(self, by=1):\n        return by\n\n"
+    "    def _hidden(self, flag=False):\n        return flag\n\n\n"
+    "def _private(flag=False):\n    return flag\n"
+)
+
+
+@pytest.fixture
+def knobs(planted, monkeypatch):
+    """``tune``, ``Knob`` and ``Knob.turn`` are called from an example with
+    no option; ``tests/`` passes every one of them."""
+    monkeypatch.setattr(unused_defs, "PARAM_KEEP", {})
+    (planted / "src" / "pkg" / "knobs.py").write_text(KNOBS)
+    (planted / "examples" / "knobs_demo.py").write_text(
+        "from pkg.knobs import Knob, tune\n\ntune(0)\nKnob(3).turn()\n"
+    )
+    (planted / "tests" / "test_knobs.py").write_text(
+        "from pkg.knobs import Knob, _private, tune\n\n"
+        "tune(0, 2, mode=\"b\")\nKnob(3, scale=1.0).turn(by=2)\n"
+        "Knob(3)._hidden(flag=True)\n_private(flag=True)\n"
+    )
+    return planted
+
+
+ALL_KNOBS = [
+    ("tune.level", "src/pkg/knobs.py", 1),
+    ("tune.mode", "src/pkg/knobs.py", 1),
+    ("Knob.scale", "src/pkg/knobs.py", 6),
+    ("Knob.turn.by", "src/pkg/knobs.py", 9),
+]
+
+
+def test_a_parameter_only_tests_pass_is_reported(knobs):
+    """Private functions and methods are not checked; an ``__init__`` is
+    keyed by its class, a method by ``Class.method``."""
+    assert unused_defs.scan_parameters(knobs) == (ALL_KNOBS, [])
+
+
+def test_a_function_with_no_call_site_is_not_checked(knobs):
+    """A function only referred to as a value (a callback, a table entry)
+    has no call whose arguments could be read."""
+    (knobs / "examples" / "knobs_demo.py").write_text(
+        "from pkg.knobs import Knob, tune\n\nHANDLERS = [tune, Knob]\n"
+    )
+    assert unused_defs.scan_parameters(knobs) == ([], [])
+
+
+@pytest.mark.parametrize("call, cleared", [
+    ("tune(0, level=2)", "tune.level"),
+    ("tune(0, 2)", "tune.level"),
+    ("tune(0, mode='b')", "tune.mode"),
+    ("Knob(3, 1.0)", "Knob.scale"),
+    ("Knob(3).turn(2)", "Knob.turn.by"),
+    ("functools.partial(tune, level=2)(0)", "tune.level"),
+], ids=["keyword", "position", "keyword-only", "init position", "method position", "partial"])
+def test_passing_it_outside_tests_clears_it(knobs, call, cleared):
+    """By keyword, or by position with ``self`` left out of the count."""
+    (knobs / "examples" / "more.py").write_text(f"import functools\n\n{call}\n")
+    unpassed, stale = unused_defs.scan_parameters(knobs)
+    assert unpassed == [entry for entry in ALL_KNOBS if entry[0] != cleared]
+    assert stale == []
+
+
+@pytest.mark.parametrize("call", ["tune(*args)", "tune(0, **options)"], ids=["*", "**"])
+def test_a_splat_passes_every_parameter(knobs, call):
+    (knobs / "examples" / "more.py").write_text(call + "\n")
+    unpassed, _ = unused_defs.scan_parameters(knobs)
+    assert [key for key, _, _ in unpassed] == ["Knob.scale", "Knob.turn.by"]
+
+
+def test_a_passing_call_in_src_counts(knobs):
+    """Library code is a caller like any other scanned tree."""
+    (knobs / "src" / "pkg" / "user.py").write_text(
+        "from pkg.knobs import Knob\n\n\ndef build():\n    return Knob(1, scale=0.5)\n"
+    )
+    unpassed, _ = unused_defs.scan_parameters(knobs)
+    assert "Knob.scale" not in [key for key, _, _ in unpassed]
+
+
+def test_a_kept_parameter_is_not_reported(knobs, monkeypatch):
+    monkeypatch.setattr(unused_defs, "PARAM_KEEP", {"tune.mode": "r", "Knob.scale": "r"})
+    assert unused_defs.scan_parameters(knobs) == (
+        [ALL_KNOBS[0], ALL_KNOBS[3]], [],
+    )
+
+
+@pytest.mark.parametrize("keep, line", [
+    ({"tune.mode": "r", "Knob.scale": "r", "Knob.turn.by": "r"},
+     "src/pkg/knobs.py:1: tune.level is passed nowhere outside tests/"),
+    (dict.fromkeys(["tune.level", "tune.mode", "Knob.scale", "Knob.turn.by", "tune.gone"], "r"),
+     "PARAM_KEEP['tune.gone'] is stale: the parameter is passed (or gone)"),
+], ids=["unpassed", "stale"])
+def test_main_fails_on_an_unpassed_parameter_or_a_stale_entry(
+    knobs, monkeypatch, capsys, keep, line
+):
+    """With every finding listed the run passes; an unlisted parameter, or
+    a ``PARAM_KEEP`` entry whose parameter is gone, fails it."""
+    monkeypatch.setattr(unused_defs, "ROOT", knobs)
+    monkeypatch.setattr(unused_defs, "KEEP", dict.fromkeys(
+        ["Lonely", "helper", "_hidden", "_private"], "r"
+    ))
+    monkeypatch.setattr(unused_defs, "PARAM_KEEP", dict.fromkeys(
+        ["tune.level", "tune.mode", "Knob.scale", "Knob.turn.by"], "r"
+    ))
+    assert unused_defs.main() == 0, capsys.readouterr().out
+    monkeypatch.setattr(unused_defs, "PARAM_KEEP", keep)
+    assert unused_defs.main() == 1
+    assert capsys.readouterr().out.splitlines() == [line]
+
+
+def test_a_keep_entry_for_a_now_passed_parameter_is_stale(knobs, monkeypatch):
+    monkeypatch.setattr(unused_defs, "PARAM_KEEP", {"tune.level": "r"})
+    (knobs / "examples" / "more.py").write_text("tune(0, level=3)\n")
+    unpassed, stale = unused_defs.scan_parameters(knobs)
+    assert stale == ["tune.level"]
+    assert [key for key, _, _ in unpassed] == ["tune.mode", "Knob.scale", "Knob.turn.by"]
