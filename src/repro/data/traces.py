@@ -23,14 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-
-def _positive(name: str, value: float) -> float:
-    """``value`` as a float; refuse NaN, inf, zero and a negative, naming the
-    field (``nan <= 0`` is false, so a bare sign test lets NaN through)."""
-    number = float(value)
-    if not np.isfinite(number) or number <= 0:
-        raise ValueError(f"{name} must be a finite number > 0 (got {value!r})")
-    return number
+from repro.checks import check_positive
 
 
 @dataclass
@@ -93,8 +86,8 @@ class PoissonTrace:
     """Generate open-loop Poisson arrivals at a constant average rate."""
 
     def __init__(self, rate_per_second: float, duration: float, seed: int = 0) -> None:
-        self.rate = _positive("rate_per_second", rate_per_second)
-        self.duration = _positive("duration", duration)
+        self.rate = check_positive("rate_per_second", rate_per_second)
+        self.duration = check_positive("duration", duration)
         self.seed = int(seed)
 
     def generate(self) -> RequestTrace:
@@ -138,7 +131,7 @@ class FluctuatingTrace:
 
     def __post_init__(self) -> None:
         for name in ("min_rate", "peak_ratio", "duration"):
-            _positive(name, getattr(self, name))
+            check_positive(name, getattr(self, name))
         if not self.num_phases >= 1:
             raise ValueError(f"num_phases must be at least 1 (got {self.num_phases!r})")
 
@@ -228,7 +221,7 @@ class DiurnalTrace:
 
     def __post_init__(self) -> None:
         for name in ("night_rate", "peak_rate", "duration", "period"):
-            _positive(name, getattr(self, name))
+            check_positive(name, getattr(self, name))
         if self.peak_rate < self.night_rate:
             raise ValueError("need 0 < night_rate <= peak_rate")
         if not self.num_phases >= 1:
@@ -282,7 +275,7 @@ class SpikeTrace:
 
     def __post_init__(self) -> None:
         for name in ("base_rate", "spike_rate", "duration", "spike_duration"):
-            _positive(name, getattr(self, name))
+            check_positive(name, getattr(self, name))
         if self.spike_rate < self.base_rate:
             raise ValueError("need 0 < base_rate <= spike_rate")
         if not 0 <= self.spike_start <= self.duration:

@@ -31,7 +31,8 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.core import check_integer, check_positive
+from repro.checks import check_positive
+from repro.serving.core import check_integer
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,17 @@ The serving layers record *what happened to each request* as typed spans
   end, value) growing by doubling, not span objects — the structure-of-
   arrays discipline of :class:`~repro.serving.core.RequestStore`.
 
-* **One writer.**  The object loops park a batch per :meth:`Tracer.on_batch`,
-  the columnar sweep a run of ledger rows per :meth:`Tracer.on_batches`
-  (each drop cohort goes to :meth:`Tracer.on_drop` in its place), and
-  :meth:`Tracer.settle` writes all of their spans: a session's spans are the
-  same rows, in the same order, whichever loop served it.
+* **One writer, reading the ledger.**  The engine binds the tracer to its
+  session's :class:`~repro.serving.core.BatchLedger` and
+  :class:`~repro.serving.core.RequestStore` at ``start()``
+  (:meth:`Tracer.bind`), as it binds the telemetry bus, and hands it no
+  batch: :meth:`Tracer.settle` writes the spans of the rows past its cursor
+  in bulk before any read, any other hook, any rewind (``preempt_server``
+  settles before ``ledger.remove``) and at ``finish()``, whichever loop
+  wrote them.  Drop cohorts arrive as they happen, each written behind
+  exactly the rows that went before it (on the sweep, ``FifoSweep.
+  drop_rows``), so a session's spans are the same rows, in the same order,
+  whichever loop served it.  Nothing catches up once per batch.
 
 * **Head-based sampling.**  ``sample_rate`` decides *per request*, by a
   deterministic integer hash of the request slot, whether its per-request
@@ -35,9 +41,12 @@ through a later serve or drop.  Requeue decisions land as ``migrate``
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.serving.core import BatchLedger, RequestStore
 
 # ----------------------------------------------------------------------
 # Span taxonomy (integer codes — the `kind` column)
@@ -147,14 +156,13 @@ class Tracer:
     parameter.  ``sample_rate`` head-samples per-request spans (execute
     spans, drops and deadline misses are always kept).  Everything is
     opt-in: engines built without a tracer take a single ``is None`` branch
-    per batch.
+    per drop cohort and rewind.
 
-    **Spans are settled on read.**  :meth:`on_batch` and :meth:`on_batches`
-    only park their batches; :meth:`settle` writes the spans of all of them
-    (sampling hash and deadline-miss mask computed once, rows in the order a
-    batch-at-a-time hook would append them) when anything reads or writes
-    spans — :attr:`store`, every query, every other hook — and
-    ``ServingEngine.finish()`` calls it before the session closes.
+    **Spans are settled on read.**  :meth:`settle` writes the spans of the
+    bound ledger's new rows (sampling hash and deadline-miss mask computed
+    once, rows in the order a batch-at-a-time hook would append them) when
+    anything reads or writes spans — :attr:`store`, every query, every
+    hook — and when the engine binds the next session or none.
     """
 
     def __init__(self, sample_rate: float = 1.0) -> None:
@@ -167,12 +175,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    @property
-    def wants_deadlines(self) -> bool:
-        """Whether batch hooks should pass deadline columns (a sampled-out
-        request that misses its deadline is traced anyway)."""
-        return self.sample_rate < 1.0
-
     def sample_mask(self, slots: np.ndarray) -> np.ndarray:
         """Deterministic head-sampling decision per slot (vectorized)."""
         if self.sample_rate >= 1.0:
@@ -185,89 +187,76 @@ class Tracer:
         return hashed < np.uint64(self._threshold)
 
     def reset(self) -> None:
-        """Drop all recorded spans and bookkeeping (fresh run)."""
+        """Drop all recorded spans and bookkeeping, and the session being
+        read (fresh run)."""
         self._store = SpanStore()
-        # Parked batches, not written yet (see settle): per batch its record
-        # row id, server, start, finish and size; per park its riders'
-        # (slots, arrivals, deadlines or None).
-        self._heads: tuple = ([], [], [], [], [])
-        self._riders: List[tuple] = []
         # Live terminal row per traced slot.
         self._terminal_row: Dict[int, int] = {}
         # Execute span row per record ``row`` id, for preemption rewrite.
         self._record_row: Dict[int, int] = {}
+        self._ledger: Optional["BatchLedger"] = None
+        self._requests: Optional["RequestStore"] = None
+        self._cursor = 0
 
     # ------------------------------------------------------------------
-    # Engine hooks
+    # Reading the session (bound by the engine)
     # ------------------------------------------------------------------
-    def on_batch(
+    def bind(
         self,
-        record,
-        slots: np.ndarray,
-        arrivals: np.ndarray,
-        deadlines: Optional[np.ndarray] = None,
+        ledger: Optional["BatchLedger"] = None,
+        store: Optional["RequestStore"] = None,
     ) -> None:
-        """One executed batch: execute span + sampled per-request spans.
-
-        ``record`` is any object with ``server``/``start``/``finish``/``row``
-        attributes (:class:`~repro.serving.engine.BatchRecord`);
-        ``deadlines`` (absolute, ``nan`` = none) enables forced sampling
-        of deadline-missing requests.  The spans are written by
-        :meth:`settle`.
-        """
-        rows, servers, starts, finishes, sizes = self._heads
-        rows.append(record.row)
-        servers.append(record.server)
-        starts.append(record.start)
-        finishes.append(record.finish)
-        sizes.append(len(slots))
-        self._riders.append((slots, arrivals, deadlines))
-
-    def on_batches(
-        self, ledger, lo: int, hi: int, slots: np.ndarray, arrivals: np.ndarray,
-        deadlines: Optional[np.ndarray] = None,
-    ) -> None:
-        """Rows ``lo``..``hi`` of a :class:`~repro.serving.core.BatchLedger`
-        no row was removed from yet (a row's id is its index), as that many
-        :meth:`on_batch` calls: ``slots`` (with their ``arrivals`` and
-        ``deadlines``) ride in them in order, each row seating its size."""
-        starts, finishes, sizes, servers, _ = ledger.lists
-        columns = (range(len(starts)), servers, starts, finishes, sizes)
-        for held, column in zip(self._heads, columns):
-            held.extend(column[lo:hi])
-        self._riders.append((slots, arrivals, deadlines))
-
-    @property
-    def store(self) -> SpanStore:
-        """The recorded spans, parked batches included."""
+        """Write the spans of the session being read, then read ``ledger``
+        (whose riders are slots of ``store``) from its next row on;
+        ``bind()`` only writes and lets the session go."""
         self.settle()
-        return self._store
+        self._ledger, self._requests = ledger, store
+        self._cursor = 0 if ledger is None else len(ledger) + ledger.removed
 
-    def settle(self) -> None:
-        """Write the spans of every parked batch, in parking order: a batch's
-        execute row, then a queued and a served row per traced rider."""
-        riders = self._riders
-        if not riders:
+    def settle(self, drops: Sequence[tuple] = ()) -> None:
+        """Write the spans of the bound ledger's rows past the cursor (the
+        next row id; row ids only grow), in row order: a batch's execute
+        row, then a queued and a served row per traced rider.  A rewind must
+        come after it: a row cut out of the ledger unread is never traced.
+
+        ``drops`` are cohorts ``(row, slots, arrivals, time)``, in order,
+        that expired when the ledger held the rows with ids below ``row``:
+        each is written (as :meth:`on_drop` writes one) behind those rows."""
+        ledger, cursor = self._ledger, self._cursor
+        end = cursor if ledger is None else len(ledger.lists[0]) + ledger.removed
+        if end == cursor and not drops:
             return
-        rows, servers, starts, finishes, sizes = self._heads
-        self._heads, self._riders = ([], [], [], [], []), []
-        servers, sizes = np.array(servers, np.int64), np.array(sizes, np.int64)
-        starts, finishes = np.array(starts, float), np.array(finishes, float)
-        slots = np.concatenate([park[0] for park in riders])
-        arrivals = np.concatenate([park[1] for park in riders])
+        ids, starts, finishes, sizes, servers, _, _, slots = (
+            ledger.since(cursor) if end > cursor else (np.zeros(0, np.int64),) * 8
+        )
+        self._cursor = end
+        cuts = [0, *np.searchsorted(ids, [drop[0] for drop in drops]).tolist(), len(ids)]
+        seats = np.concatenate(([0], np.cumsum(sizes)))
+        for k, drop in enumerate([*drops, None]):
+            lo, hi = cuts[k], cuts[k + 1]
+            if hi > lo:
+                self._batches(
+                    ids[lo:hi], servers[lo:hi], starts[lo:hi], finishes[lo:hi],
+                    sizes[lo:hi], slots[seats[lo]:seats[hi]],
+                )
+            if drop is not None:
+                self._drop(*drop[1:])
+
+    def _batches(self, ids, servers, starts, finishes, sizes, slots) -> None:
+        """The spans of a run of ledger rows (``slots`` ride in them in
+        order, each row seating its size)."""
+        requests = self._requests
         batch = np.repeat(np.arange(len(sizes)), sizes)  # each rider's batch
         mask = self.sample_mask(slots)
-        if any(park[2] is not None for park in riders):
-            deadlines = np.concatenate([
-                np.full(len(park[0]), np.nan) if park[2] is None else park[2]
-                for park in riders
-            ])
-            mask |= ~np.isnan(deadlines) & (finishes[batch] > deadlines)
+        if requests.deadlines is not None and self.sample_rate < 1.0:
+            # A sampled-out request that misses its deadline is traced anyway.
+            due = requests.deadlines[slots]
+            mask |= ~np.isnan(due) & (finishes[batch] > due)
         hits = np.flatnonzero(mask)
         batch, traced = batch[hits], slots[hits]
         pairs = _pairs(
-            SPAN_SERVED, traced, servers[batch], arrivals[hits], starts[batch],
-            finishes[batch],
+            SPAN_SERVED, traced, servers[batch], requests.arrivals[traced],
+            starts[batch], finishes[batch],
         )
         # Each execute row goes in ahead of the pairs of its traced riders.
         at = 2 * np.searchsorted(batch, np.arange(len(sizes)))
@@ -276,23 +265,41 @@ class Tracer:
             np.insert(column, at, head) for column, head in zip(pairs, executes)
         ])
         self._record_row.update(
-            zip(rows, (first + at + np.arange(len(at))).tolist())
+            zip(ids.tolist(), (first + at + np.arange(len(at))).tolist())
         )
         served = first + batch + 2 * np.arange(1, len(hits) + 1)
         self._terminal_row.update(zip(traced.tolist(), served.tolist()))
 
+    def _drop(self, slots, arrivals, time: float) -> None:
+        slots, time = np.asarray(slots), float(time)
+        first = self._store.append_rows(
+            _pairs(SPAN_DROPPED, slots, -1, np.asarray(arrivals), time, time)
+        )
+        self._terminal_row.update(
+            zip(slots.tolist(), range(first + 1, first + 2 * len(slots), 2))
+        )
+
+    # ------------------------------------------------------------------
+    # Engine hooks
+    # ------------------------------------------------------------------
+    def on_batch(self, *args) -> None:
+        """No loop calls it: the tracer reads the ledger it is bound to.  It
+        stays because ``bench/day.py``'s traced run wraps this name, and it
+        goes when that run stops wrapping it (ROADMAP 1-I)."""
+        raise RuntimeError("Tracer.on_batch is gone: bind() the tracer to a ledger")
+
+    @property
+    def store(self) -> SpanStore:
+        """The recorded spans, the bound ledger's unread rows included."""
+        self.settle()
+        return self._store
+
     def on_drop(self, slots: np.ndarray, arrivals: np.ndarray, time: float) -> None:
-        """Expired requests: queued span + dropped terminal per request (every
-        drop is traced), each terminal its request's live one."""
-        slots = np.asarray(slots)
+        """Expired requests, behind every row the ledger holds: queued span
+        + dropped terminal per request (every drop is traced), each terminal
+        its request's live one."""
         if len(slots):
-            time = float(time)
-            first = self.store.append_rows(
-                _pairs(SPAN_DROPPED, slots, -1, np.asarray(arrivals), time, time)
-            )
-            self._terminal_row.update(
-                zip(slots.tolist(), range(first + 1, first + 2 * len(slots), 2))
-            )
+            self.settle([(np.inf, slots, arrivals, time)])
 
     def on_preempt(self, record, slots: Sequence[int], time: float) -> None:
         """A batch was rewound: rewrite its span, retract terminals.

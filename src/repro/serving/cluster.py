@@ -53,7 +53,8 @@ import numpy as np
 
 from repro.data.traces import RequestTrace
 from repro.hardware.npu import NpuConfig, NpuLatencyModel
-from repro.serving.core import check_integer, check_percentile, check_positive
+from repro.checks import check_positive
+from repro.serving.core import check_integer, check_percentile
 from repro.serving.engine import (
     BatchingConfig,
     EngineResult,

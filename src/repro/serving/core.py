@@ -64,7 +64,6 @@ __all__ = [
     "BatchLedger",
     "FifoSweep",
     "check_arrivals",
-    "check_positive",
     "check_integer",
     "check_percentile",
     "check_ratio",
@@ -115,19 +114,6 @@ def check_arrivals(arrivals: Sequence[float], ascending: bool = False) -> None:
                 f"at {float(column[index])!r}, before request {index - 1} "
                 f"({float(column[index - 1])!r})"
             )
-
-
-def check_positive(name: str, value: float, allow_zero: bool = False) -> float:
-    """``value`` as a float; refuse NaN, inf, a negative and (unless allowed) zero.
-
-    ``nan <= 0`` is false, so a bare sign test lets a NaN window or speed
-    through to divide every timestamp by it.
-    """
-    number = float(value)
-    if not np.isfinite(number) or number < 0 or (number == 0 and not allow_zero):
-        bound = ">= 0" if allow_zero else "> 0"
-        raise ValueError(f"{name} must be a finite number {bound} (got {value!r})")
-    return number
 
 
 def check_percentile(percentile: float) -> float:

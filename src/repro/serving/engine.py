@@ -100,6 +100,7 @@ from typing import (
 
 import numpy as np
 
+from repro.checks import check_positive
 from repro.data.traces import RequestTrace
 from repro.serving.core import (
     BatchLedger,
@@ -111,7 +112,6 @@ from repro.serving.core import (
     RequestStore,
     SERVED,
     check_integer,
-    check_positive,
     grow_column,
 )
 from repro.serving.metrics import (
@@ -616,9 +616,6 @@ class _Session:
         self.pos = 0
         # Set once a merge reorders the queue: positions are no longer rows.
         self.reordered = False
-        # What the sweep handed the tracer so far: ledger rows, drop
-        # cohorts, positions (see ServingEngine._trace_sweep).
-        self.traced = (0, 0, 0)
         # Where the pend arrays grow (core.grow_column).
         self.buffers: Dict[str, np.ndarray] = {}
         # Scheduled path only: admitted-but-unserved requests, a heap of
@@ -682,11 +679,11 @@ class ServingEngine:
         # session's ledger and store, it reads batches from them when asked
         # and receives drops as they happen (see repro.serving.telemetry).
         self.telemetry = telemetry
-        # Optional request-lifecycle tracer (duck-typed; see repro.obs): the
-        # on_* hooks (on_batches: a run of the sweep's rows), wants_deadlines,
-        # settle() and reset() (at every start()).  None keeps every hot path
-        # on a single is-None branch per batch, preserving bit-identity with
-        # the untraced engine.
+        # Optional request-lifecycle tracer (duck-typed; see repro.obs): bound
+        # to each session's ledger and store like the bus, it reads batches
+        # from them when it settles (on a read, before a rewind, at the end)
+        # and receives drop cohorts, rewinds and requeues as they happen.
+        # No batch path calls it.
         self.tracer = tracer
         self._fifo = scheduler is None or isinstance(scheduler, FifoScheduler)
         self._endpoints: Dict[str, _Endpoint] = {}
@@ -871,6 +868,7 @@ class ServingEngine:
             self.telemetry.bind(self._session.ledger, store)
         if self.tracer is not None:
             self.tracer.reset()
+            self.tracer.bind(self._session.ledger, store)
 
     def submit(self, requests: Union[Request, Sequence[Request]]) -> None:
         """Push requests into the open session (streaming admission).
@@ -915,12 +913,18 @@ class ServingEngine:
         if sweep is None and session.kernel is None:
             sweep = self._decide_sweep(session, stepping=True)
         if sweep is not None:
+            cohorts = None if self.tracer is None else len(sweep.drop_rows)
             went = sweep.advance(
                 session.free_at, session.busy, session.active, session.tables,
                 self.batching.max_batch, self.batching.drop_after, 1,
             )
-            if self.tracer is not None:
-                self._trace_sweep(session)
+            if cohorts is not None:
+                if went:  # the tracer reads the row before the sweep closes
+                    size = session.ledger.lists[2][-1]
+                    session.ledger.riders.append(
+                        session.pend_slots[sweep.pos - size:sweep.pos].copy()
+                    )
+                self._trace_drops(session, sweep, cohorts)
             return session.ledger[-1] if went else None
         if self._fifo:
             return self._step_fifo(session)
@@ -943,16 +947,15 @@ class ServingEngine:
             if sweep is None and session.kernel is None:
                 sweep = self._decide_sweep(session, session.record_responses)
             if sweep is not None and not session.record_responses:
+                cohorts = len(sweep.drop_rows)
                 sweep.advance(
                     session.free_at, session.busy, session.active, session.tables,
                     self.batching.max_batch, self.batching.drop_after,
                 )
-            while self.step() is not None:
-                pass
-            if self.tracer is not None:
-                # A tracer may defer span writing (repro.obs.Tracer parks
-                # its batches); the run pays for its spans before it ends.
-                self.tracer.settle()
+                self._sweep_rows(session, cohorts)
+            else:
+                while self.step() is not None:
+                    pass
         finally:
             self._session = None
         return self._finalize(session)
@@ -1081,6 +1084,8 @@ class ServingEngine:
         s.free_at[server] = max([time] + finishes[on_server & ~gone].tolist())
         if self.telemetry is not None:
             self.telemetry.catch_up()  # it adds the victims before they go
+        if self.tracer is not None:
+            self.tracer.settle()  # it traces them before they go
         victims = ledger.remove(np.flatnonzero(gone).tolist())
 
         migrant_slots: List[int] = []
@@ -1236,8 +1241,9 @@ class ServingEngine:
         executors, a fixed-ratio policy — and, ``stepping`` a batch per call,
         no telemetry bus: the bus reads rows with their riders, which a sweep
         seats when it closes (a whole sweep closes before anyone reads).  A
-        tracer takes the sweep's rows as the object loops hand it theirs
-        (:meth:`_trace_sweep`), so it is no clause.
+        tracer reads the same ledger, but a stepped sweep seats each row's
+        riders as it goes when traced and hands each drop cohort in its place
+        (:meth:`_trace_drops`), so it is no clause.
         """
         from repro.serving.executors import ModeledExecutor
         from repro.serving.policies import FixedRatioPolicy
@@ -1293,40 +1299,25 @@ class ServingEngine:
             )
         return s.sweep
 
-    def _trace_sweep(self, s: _Session) -> None:
-        """Hand the tracer what the sweep did since the last call, as the
-        object loops hand it theirs: each run of rows (``on_batches``), then
-        the drop cohort behind it (``on_drop``)."""
-        sweep, arrivals = s.sweep, s.store.arrivals
-        deadlines = s.store.deadlines if self.tracer.wants_deadlines else None
+    def _trace_drops(self, s: _Session, sweep: FifoSweep, first: int) -> None:
+        """Hand the tracer the sweep's drop cohorts from ``first`` on, each
+        behind the rows that went before it (``FifoSweep.drop_rows``); the
+        rows are read from the ledger, so their riders must be seated."""
+        arrivals, cohorts = s.store.arrivals, []
+        for row, lo, hi, time in zip(
+            sweep.drop_rows[first:], sweep.drop_los[first:],
+            sweep.drop_his[first:], sweep.drop_times[first:],
+        ):
+            slots = s.pend_slots[lo:hi]
+            cohorts.append((row, slots, arrivals[slots], time))
+        if cohorts:
+            self.tracer.settle(cohorts)
 
-        def riders(first, last):  # positions first..last
-            slots = s.pend_slots[first:last]
-            due = None if deadlines is None else deadlines[slots]
-            return slots, arrivals[slots], due
-
-        row, cohort, position = s.traced
-        # A cohort went when the ledger held ``rows`` rows; the rows after the
-        # last one seat everybody up to ``pos``.
-        cuts = list(zip(
-            sweep.drop_rows[cohort:], sweep.drop_los[cohort:],
-            sweep.drop_his[cohort:], sweep.drop_times[cohort:],
-        )) + [(len(s.ledger), sweep.pos, sweep.pos, None)]
-        for rows, lo, hi, time in cuts:
-            if rows > row:
-                self.tracer.on_batches(s.ledger, row, rows, *riders(position, lo))
-            if hi > lo:
-                slots = s.pend_slots[lo:hi]
-                self.tracer.on_drop(slots, arrivals[slots], time)
-            row, position = rows, hi
-        s.traced = (row, len(sweep.drop_rows), position)
-
-    def _sweep_rows(self, s: _Session) -> None:
+    def _sweep_rows(self, s: _Session, traced: int) -> None:
         """Close the sweep, either way off it: from now on ``pos``, the drops
-        (the bus has each cohort, as the object loops hand it theirs), the
-        store's ``status`` and the riders of the rows it wrote are exact."""
-        if self.tracer is not None:
-            self._trace_sweep(s)
+        (the bus has each cohort, as the object loops hand it theirs; the
+        tracer has the first ``traced`` and gets the rest), the store's
+        ``status`` and the riders of the rows it wrote are exact."""
         run, s.sweep = s.sweep.close(), None
         s.pos, s.dropped = run.pos, run.dropped
         slots = s.pend_slots[: s.pos]
@@ -1341,11 +1332,13 @@ class ServingEngine:
                 s.drops.append((slots[lo:hi].copy(), time))
         if s.reordered:  # the riders are seated by position
             s.ledger.riders = [slots[run.survived]]
+        if self.tracer is not None:
+            self._trace_drops(s, run, traced)
 
     def _leave_sweep(self, s: _Session, reason: str) -> None:
         """Take the session off the sweep, for good, for ``reason``: its rows
         are where the object loops append, which dispatch from here."""
-        self._sweep_rows(s)
+        self._sweep_rows(s, len(s.sweep.drop_rows))
         s.kernel, s.reason = "sweep+object", reason
 
     # ------------------------------------------------------------------
@@ -1596,16 +1589,6 @@ class ServingEngine:
             queue_depth, slots.copy() if slots.base is not None else slots,
             execution.outputs if s.record_responses else None,
         )
-        if self.tracer is not None:
-            self.tracer.on_batch(
-                record,
-                slots,
-                s.store.arrivals[slots],
-                deadlines=(
-                    self._slot_deadlines(s, slots) if self.tracer.wants_deadlines
-                    else None
-                ),
-            )
         s.busy[server] += service_time
         s.free_at[server] = finish
         return record
@@ -1637,9 +1620,11 @@ class ServingEngine:
             last_arrival = float(arrivals[-1]) if len(arrivals) else 0.0
             duration = max(max(s.free_at), last_arrival)
         if s.sweep is not None:
-            self._sweep_rows(s)
+            self._sweep_rows(s, len(s.sweep.drop_rows))
         if self.telemetry is not None:
             self.telemetry.bind()  # the session's last rows, then let it go
+        if self.tracer is not None:
+            self.tracer.bind()
         served_by = s.ledger.served_by(len(s.store))
         # The same elementwise ``finish - arrival`` whichever loop ran; a
         # dropped slot (-1) reads the nan behind the last finish.

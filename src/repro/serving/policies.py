@@ -20,7 +20,8 @@ from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 import numpy as np
 
 from repro.data.traces import RequestTrace
-from repro.serving.core import check_integer, check_positive, check_ratio
+from repro.checks import check_positive
+from repro.serving.core import check_integer, check_ratio
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.controller import AdaptiveRatioController

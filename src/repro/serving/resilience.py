@@ -78,7 +78,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Protocol, Sequence, TYPE_CHECKING, Tuple
 
-from repro.serving.core import check_integer, check_positive
+from repro.checks import check_positive
+from repro.serving.core import check_integer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.engine import (

@@ -18,7 +18,8 @@ import numpy as np
 
 from repro.hardware.gpu import GpuLatencyModel
 from repro.hardware.workloads import _SHAPES, model_ops
-from repro.serving.core import check_integer, check_positive, check_ratio
+from repro.checks import check_positive
+from repro.serving.core import check_integer, check_ratio
 
 
 class ServiceTimeModel:

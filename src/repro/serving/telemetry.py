@@ -52,7 +52,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.serving.core import check_integer, check_positive
+from repro.checks import check_positive
+from repro.serving.core import check_integer
 from repro.serving.metrics import latency_percentile, summarize_latencies
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -14,6 +14,7 @@ from collections import Counter
 from typing import Callable, Tuple
 
 from repro.data.traces import PoissonTrace
+from repro.obs import Tracer
 from repro.serving import (
     BatchingConfig,
     ClusterEngine,
@@ -46,6 +47,8 @@ DECODE_PROBE_CALLS = 484
 MIX_CALLS_PER_ITERATION = 20.3
 #: Ceiling on calls per batch of the small EDF + ``least_work`` cluster run.
 CLUSTER_CALLS_PER_BATCH = 52.9
+#: The same ceiling with a 1%-sampled tracer on the run.
+TRACED_CLUSTER_CALLS_PER_BATCH = 53.4
 
 
 def count_calls(fn: Callable[[], object]) -> Tuple[int, Counter]:
@@ -178,11 +181,11 @@ def _cluster(placer: str = "least_work", **control) -> Tuple[ClusterEngine, list
     return cluster, requests
 
 
-def _calls_per_cluster_batch() -> Tuple[float, Counter]:
+def _calls_per_cluster_batch(**control) -> Tuple[float, Counter]:
     """Calls one ``ClusterEngine.run`` of :func:`_cluster` makes per batch,
     and their sites, after a warm-up run of the same requests (each price is
     computed on first use)."""
-    cluster, requests = _cluster()
+    cluster, requests = _cluster(**control)
     cluster.run(requests=requests)
     results = []
     calls, sites = count_calls(lambda: results.append(cluster.run(requests=requests)))
@@ -231,6 +234,41 @@ def test_a_cluster_batch_makes_no_telemetry_call():
     assert batches > 200 and len(outcome.telemetry.cluster_series()) == 10
     assert not in_steps, in_steps.most_common(10)
     assert elsewhere["TelemetryBus.catch_up"] >= 10
+
+
+def test_a_traced_cluster_batch_makes_no_tracer_call():
+    """The tracer reads the session's ledger when it settles, not per batch:
+    over a traced cluster run that drops and rewinds nothing (a drop cohort
+    or a rewind is still handed over as it happens), the engine's
+    ``step()`` calls nothing in ``tracing.py``, and a traced batch stays
+    under its pinned calls."""
+    cluster, requests = _cluster(tracer=Tracer(sample_rate=0.01))
+    engine, stepping = cluster.engine, [False]
+    in_steps, elsewhere = Counter(), Counter()
+    step = engine.step
+
+    def flagged_step():
+        stepping[0] = True
+        try:
+            return step()
+        finally:
+            stepping[0] = False
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith("tracing.py"):
+            (in_steps if stepping[0] else elsewhere)[frame.f_code.co_qualname] += 1
+
+    engine.step = flagged_step
+    sys.setprofile(count)
+    try:
+        outcome = cluster.run(requests=requests)
+    finally:
+        sys.setprofile(None)
+    assert len(outcome.result.batch_records) > 200
+    assert not in_steps, in_steps.most_common(10)
+    assert elsewhere["Tracer.settle"] >= 1 and len(cluster.tracer.store) > 0
+    calls, sites = _calls_per_cluster_batch(tracer=Tracer(sample_rate=0.01))
+    assert calls <= TRACED_CLUSTER_CALLS_PER_BATCH, f"{calls:.2f}\n{top_sites(sites)}"
 
 
 def test_a_predictive_placer_has_the_ledger_read_once_a_window():

@@ -12,8 +12,9 @@ file pins that three ways:
 * **generated** — ``ClusterEngine`` configurations where result totals ==
   telemetry totals == registry samples == live terminal spans, the
   columnar sweep fills the same cells as the object loop, and the bus's
-  catch-up from the ledger fills every cell exactly as adding each batch as
-  it ran did (a test-local eager oracle on the tracer hooks);
+  catch-up and the tracer's settle from the ledger fill every cell and span
+  row exactly as adding each batch as it ran did (test-local eager oracles,
+  fed the ledger a row at a time);
 * **named regressions** — a registry built from a fast-path result touches no
   per-batch object; a rewound batch removes its own samples.
 """
@@ -35,6 +36,9 @@ from test_examples import load_example
 
 from repro.data.traces import DiurnalTrace, PoissonTrace
 from repro.obs import (
+    SPAN_EXECUTE,
+    SPAN_QUEUED,
+    SPAN_SERVED,
     BurnRateRule,
     SloMonitor,
     SloObjective,
@@ -453,17 +457,14 @@ COUNT_FIELDS = (
 
 
 class EagerTelemetry:
-    """The oracle: telemetry added a batch at a time as each one runs, is
-    rewound or drops, in plain per-event arithmetic.  It rides on the
-    engine's tracer hooks, which see exactly those events in exactly that
-    order."""
-
-    wants_deadlines = True
+    """The telemetry oracle: counts added a batch at a time as each one runs,
+    is rewound or drops, in plain per-event arithmetic (:class:`Observers`
+    hands it each event in the order it happened)."""
 
     def __init__(self, window):
         self.window = window
         # Each slot's deadline (``nan`` = none), or None when no request has
-        # one: a drop hook is handed slots only.
+        # one: a drop is handed slots only.
         self.deadlines = None
         self.reset()
 
@@ -496,7 +497,7 @@ class EagerTelemetry:
             index = max(i for i, (row, _) in enumerate(parts) if row == record.row)
             del parts[index]
 
-    def on_batch(self, record, slots, arrivals, deadlines=None):
+    def add_batch(self, record, slots, arrivals, deadlines=None):
         total = met = 0
         for deadline in [] if deadlines is None else deadlines.tolist():
             if deadline == deadline:  # false only for nan, "no deadline"
@@ -505,14 +506,6 @@ class EagerTelemetry:
                     met += 1
         self.counts[record.row] = total, met
         self._batch(1, record, record.start, record.finish - arrivals, total, met)
-
-    def on_batches(self, ledger, row, rows, slots, arrivals, due):
-        at = 0
-        for index in range(row, rows):
-            record = ledger[index]
-            cut = slice(at, at + record.size)
-            at += record.size
-            self.on_batch(record, slots[cut], arrivals[cut], None if due is None else due[cut])
 
     def on_preempt(self, record, slots, time):
         total, met = self.counts.pop(record.row)
@@ -525,15 +518,121 @@ class EagerTelemetry:
             dropped = self.deadlines[np.asarray(slots)]
             cell["deadline_total"] += int(np.count_nonzero(~np.isnan(dropped)))
 
-    def on_requeue(self, slots, priors, time, server):
-        pass
 
-    def settle(self):
-        pass
+class EagerTracer(Tracer):
+    """The span oracle: a ``Tracer`` that is handed each batch and writes its
+    spans at once (the per-batch hook as it was before the tracer read the
+    ledger).  Never bound, so its own reads write nothing."""
+
+    def add_batch(self, record, slots, arrivals, deadlines=None):
+        store = self.store
+        row = store.append_rows((
+            SPAN_EXECUTE, -1, record.server, record.start, record.finish,
+            float(len(slots)),
+        ))
+        self._record_row[record.row] = row
+        mask = self.sample_mask(slots)
+        if deadlines is not None:
+            mask |= ~np.isnan(deadlines) & (record.finish > deadlines)
+        if not mask.any():
+            return
+        start, finish, server = record.start, record.finish, record.server
+        for slot, arrival in zip(
+            np.asarray(slots)[mask].tolist(), np.asarray(arrivals)[mask].tolist()
+        ):
+            store.append_rows((SPAN_QUEUED, slot, server, arrival, start, start - arrival))
+            self._terminal_row[slot] = store.append_rows((
+                SPAN_SERVED, slot, server, finish, finish, finish - arrival
+            ))
 
 
-def assert_bus_equals_oracle(bus, oracle):
-    """Every cell, field by field (floats by ``float.hex``), samples in order."""
+class Observers(Tracer):
+    """The tracer under test, with both oracles riding on its hooks.
+
+    Before every hook the engine calls, and before every check,
+    :meth:`feed` hands :class:`EagerTelemetry` and :class:`EagerTracer` the
+    bound ledger's new rows a row at a time (each drop cohort in its place),
+    so the oracles see every batch, drop and rewind in the order it
+    happened, while the bus and this tracer read the same rows in bulk."""
+
+    def __init__(self, window, sample_rate):
+        self.telemetry = EagerTelemetry(window)
+        self.spans_oracle = EagerTracer(sample_rate)
+        super().__init__(sample_rate)
+
+    def reset(self):
+        super().reset()
+        self.telemetry.reset()
+        self.spans_oracle.reset()
+        self.read = None  # (ledger, store, next row id)
+
+    def feed(self, below=math.inf):
+        """Hand the oracles each unseen row of the bound ledger, in order,
+        up to (not including) row id ``below``."""
+        if self.read is None:
+            return
+        ledger, store, cursor = self.read
+        # Every row's riders end to end (a sweep's chunk is a mask).
+        riders = np.concatenate([np.zeros(0, np.intp)] + [
+            np.flatnonzero(chunk) if chunk.dtype == bool else chunk
+            for chunk in ledger.riders
+        ])
+        seats = np.concatenate(([0], np.cumsum(ledger.sizes)))
+        for index in range(ledger.first_at(cursor), len(ledger)):
+            record = ledger[index]
+            if record.row >= below:
+                break
+            slots = riders[seats[index]:seats[index + 1]]
+            due = None if store.deadlines is None else store.deadlines[slots]
+            for oracle in (self.telemetry, self.spans_oracle):
+                oracle.add_batch(record, slots, store.arrivals[slots], due)
+            cursor = record.row + 1
+        self.read = ledger, store, cursor
+
+    def bind(self, ledger=None, store=None):
+        self.feed()
+        super().bind(ledger, store)
+        if ledger is not None:
+            self.read = ledger, store, len(ledger) + ledger.removed
+            self.telemetry.deadlines = store.deadlines
+
+    def settle(self, drops=()):
+        for row, slots, arrivals, time in drops:
+            self.feed(below=row)
+            for oracle in (self.telemetry, self.spans_oracle):
+                oracle.on_drop(slots, arrivals, time)
+        self.feed()
+        super().settle(drops)
+
+    def on_preempt(self, record, slots, time):
+        self.feed()  # nothing: the engine settled before the row went
+        for oracle in (self.telemetry, self.spans_oracle):
+            oracle.on_preempt(record, slots, time)
+        super().on_preempt(record, slots, time)
+
+    def on_requeue(self, slots, prior_migrations, time, server):
+        self.feed()
+        self.spans_oracle.on_requeue(slots, prior_migrations, time, server)
+        super().on_requeue(slots, prior_migrations, time, server)
+
+
+def assert_spans_equal(got, want):
+    """Two tracers hold the same span rows, bookkeeping and terminals."""
+    got_spans, want_spans = got.spans(), want.spans()
+    for name in want_spans:
+        np.testing.assert_array_equal(got_spans[name], want_spans[name], err_msg=name)
+    assert got._record_row == want._record_row
+    assert got._terminal_row == want._terminal_row
+    terminals = got.terminal_requests()
+    assert terminals == want.terminal_requests()
+    assert all(live == 1 for live in terminals.values())
+
+
+def assert_bus_equals_oracle(bus, observers):
+    """Every cell, field by field (floats by ``float.hex``), samples in order,
+    against the telemetry oracle once it has seen every row so far."""
+    observers.feed()
+    oracle = observers.telemetry
     assert bus.last_window == oracle.last_window  # a peek: no catch-up yet
     bus.server_window(0, 0)  # a read: the bus catches up
     assert bus.last_window == oracle.last_window
@@ -584,6 +683,8 @@ def catch_up_cases(draw):
         read_every=draw(st.integers(1, 5)),
         # A longer window holds more rows per cell, spread over more reads.
         window=draw(st.sampled_from([WINDOW, 0.05])),
+        # Below 1, a sampled-out request that misses its deadline is traced.
+        sample_rate=draw(st.sampled_from([1.0, 0.3])),
     )
 
 
@@ -621,24 +722,25 @@ def _catch_up_cluster(case, oracle):
         )
         for number, arrival in enumerate(case["arrivals"])
     ]
-    oracle.deadlines = RequestStore.from_requests(requests).deadlines
     return cluster, policy, requests
 
 
 class TestTheCatchUpEqualsAddingEachBatch:
-    """The bus reads the ledger in bulk when read; every cell must equal the
-    per-batch arithmetic it replaced, bit for bit, however the rows fall
-    between catch-ups and whatever was rewound."""
+    """The bus and the tracer read the ledger in bulk when read; every cell
+    and every span row must equal the per-batch arithmetic they replaced,
+    bit for bit, however the rows fall between catch-ups and whatever was
+    rewound."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(catch_up_cases())
     def test_a_cluster_run(self, case):
-        oracle = EagerTelemetry(case["window"])
+        oracle = Observers(case["window"], case["sample_rate"])
         cluster, policy, requests = _catch_up_cluster(case, oracle)
         outcome = cluster.run(
             requests=requests, record_responses=case["record_responses"]
         )
         assert_bus_equals_oracle(outcome.telemetry, oracle)
+        assert_spans_equal(oracle, oracle.spans_oracle)
         if case["reader"]:  # rewound batches were read for too
             assert policy.reads >= len(outcome.result.batch_records)
 
@@ -649,7 +751,7 @@ class TestTheCatchUpEqualsAddingEachBatch:
         every second or third, so a cell takes rows over several catch-ups),
         and with a crash a rewind with migration, unread rows and all, once
         the clock passes it."""
-        oracle = EagerTelemetry(case["window"])
+        oracle = Observers(case["window"], case["sample_rate"])
         cluster, _, requests = _catch_up_cluster(case, oracle)
         engine, bus, crash = cluster.engine, cluster.telemetry, case["crash"]
         engine.start(requests=requests)
@@ -664,8 +766,10 @@ class TestTheCatchUpEqualsAddingEachBatch:
                 crash = None
             if steps % case["read_every"] == 0:
                 assert_bus_equals_oracle(bus, oracle)
+                assert_spans_equal(oracle, oracle.spans_oracle)
         engine.finish()
         assert_bus_equals_oracle(bus, oracle)
+        assert_spans_equal(oracle, oracle.spans_oracle)
 
 
 # ----------------------------------------------------------------------

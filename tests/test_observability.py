@@ -57,7 +57,7 @@ from repro.serving.resilience import (
 from repro.serving.simulator import ServiceTimeModel
 from repro.serving.telemetry import ScaleEvent, TelemetryBus
 from test_cluster_day import FULL_SCALE, _engine as day_engine, diurnal_day
-from test_count_schema import bound_bus, rewind, session
+from test_count_schema import EagerTracer, append, bound_bus, rewind, session
 from test_serving_engine import seed_serving_run
 
 # A numpy RuntimeWarning (invalid value, overflow, divide) is a failure.
@@ -305,36 +305,6 @@ class TestTheSweepWritesTheObjectLoopsSpans:
         assert swept_tracer.terminal_requests() == stepped_tracer.terminal_requests()
 
 
-class EagerTracer(Tracer):
-    """``Tracer`` with the ``on_batch`` that wrote its spans at once.
-
-    The reference for :class:`TestParkedBatchesAgainstEagerHook`: a copy of
-    the hook as it was before ``on_batch`` parked its arguments for
-    ``settle()``.
-    """
-
-    def on_batch(self, record, slots, arrivals, deadlines=None):
-        store = self.store
-        row = store.append_rows((
-            SPAN_EXECUTE, -1, record.server, record.start, record.finish,
-            float(len(slots)),
-        ))
-        self._record_row[record.row] = row
-        mask = self.sample_mask(slots)
-        if deadlines is not None:
-            mask |= ~np.isnan(deadlines) & (record.finish > deadlines)
-        if not mask.any():
-            return
-        start, finish, server = record.start, record.finish, record.server
-        for slot, arrival in zip(
-            np.asarray(slots)[mask].tolist(), np.asarray(arrivals)[mask].tolist()
-        ):
-            store.append_rows((SPAN_QUEUED, slot, server, arrival, start, start - arrival))
-            self._terminal_row[slot] = store.append_rows((
-                SPAN_SERVED, slot, server, finish, finish, finish - arrival
-            ))
-
-
 @st.composite
 def _hook_scripts(draw):
     """Tracer settings plus a script of hook calls over a small world.
@@ -357,42 +327,52 @@ def _hook_scripts(draw):
             )
         ),
         read_between=draw(st.booleans()),
+        deadlines=draw(st.booleans()),
     )
 
 
 class TestParkedBatchesAgainstEagerHook:
-    """Parking ``on_batch`` is invisible: same rows, same bookkeeping."""
+    """Reading batches from the ledger is invisible: the same rows and the
+    same bookkeeping as writing each batch's spans as it runs."""
 
     @staticmethod
     def _play(tracer, case, read_between):
-        """Drive ``tracer`` through the script; every request ends terminal."""
+        """Drive ``tracer`` through the script; every request ends terminal.
+        An :class:`EagerTracer` is handed each batch as it runs; any other
+        tracer reads the batches from the session's ledger."""
         count = case["requests"]
         arrivals = np.arange(count) * 0.001
         deadlines = np.where(np.arange(count) % 3 == 0, np.nan, arrivals + 0.004)
+        ledger, store = session(
+            arrivals, [None if d != d else d for d in deadlines]
+            if case["deadlines"] else None,
+        )
+        eager = isinstance(tracer, EagerTracer)
+        if not eager:
+            tracer.bind(ledger, store)
         pending = list(range(count))
         served = []  # (record, slots) still standing
         records = []  # every record; bookkeeping is keyed by its row id
         moves = {}
         clock = 0.0
 
-        def batch(size, server, with_deadlines):
+        def batch(size, server):
             nonlocal clock
             slots = np.asarray([pending.pop(0) for _ in range(size)], dtype=np.intp)
             clock += 0.002
-            record = BatchRecord(
-                "m", clock, clock + 0.003, size, 0.5, "flexiq", server, len(slots),
-                len(records),
-            )
+            append(ledger, clock, slots, server, finish=clock + 0.003)
+            record = ledger[-1]
             records.append(record)
             served.append((record, slots))
-            tracer.on_batch(
-                record, slots, arrivals[slots],
-                deadlines=deadlines[slots] if with_deadlines else None,
-            )
+            if eager:
+                tracer.add_batch(
+                    record, slots, arrivals[slots],
+                    deadlines[slots] if case["deadlines"] else None,
+                )
 
         for kind, a, b, flag in case["ops"]:
             if kind == "batch" and pending:
-                batch(min(1 + a % 4, len(pending)), b % 3, flag)
+                batch(min(1 + a % 4, len(pending)), b % 3)
             elif kind == "drop" and pending:
                 slots = np.asarray(
                     [pending.pop(0) for _ in range(min(1 + a % 3, len(pending)))]
@@ -400,6 +380,8 @@ class TestParkedBatchesAgainstEagerHook:
                 tracer.on_drop(slots, arrivals[slots], clock + 0.001)
             elif kind == "preempt" and served:
                 record, slots = served.pop(a % len(served))
+                tracer.settle()  # as preempt_server: traced before the row goes
+                ledger.remove([ledger.first_at(record.row)])
                 tracer.on_preempt(record, slots, record.start + 0.001)
                 requeued = slots.tolist()[: 1 + b % len(slots)] if flag else []
                 lost = np.asarray(
@@ -418,7 +400,7 @@ class TestParkedBatchesAgainstEagerHook:
             if read_between:
                 tracer.spans()
         while pending:
-            batch(min(4, len(pending)), 0, True)
+            batch(min(4, len(pending)), 0)
         return records
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -443,15 +425,16 @@ class TestParkedBatchesAgainstEagerHook:
 
 class TestAPreemptedBatchIsFoundByItsRowId:
     def test_of_two_field_equal_records_the_right_span_is_rewritten(self):
+        ledger, store = session([0.1, 0.1])
         tracer = Tracer()
-        first, second = (
-            BatchRecord("m", 0.5, 0.7, 1, 0.5, "flexiq", 0, 1, row) for row in (0, 1)
-        )
-        for slot, record in enumerate((first, second)):
-            tracer.on_batch(record, np.asarray([slot]), np.asarray([0.1]))
+        tracer.bind(ledger, store)
+        for slot in (0, 1):  # every field equal but the row id
+            append(ledger, 0.5, [slot], finish=0.7)
+        tracer.settle()  # as preempt_server: traced before the row goes
+        ledger.remove([1])
         # A view of row 1 built anew, as ``ledger[i]`` builds them.
         tracer.on_preempt(
-            BatchRecord("m", 0.5, 0.7, 1, 0.5, "flexiq", 0, 1, 1), [1], 0.6
+            BatchRecord("m", 0.5, 0.7, 1, 0.5, "flexiq", 0, 0, 1), [1], 0.6
         )
         spans = tracer.spans()
         batches = np.isin(spans["kind"], (SPAN_EXECUTE, SPAN_PREEMPTED))
