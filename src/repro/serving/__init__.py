@@ -68,7 +68,6 @@ from repro.serving.placement import (
     WeightedSpeedPlacer,
 )
 from repro.serving.resilience import (
-    DegradableExecutor,
     DropExpiredMigration,
     FaultEvent,
     FaultSchedule,
@@ -98,7 +97,6 @@ __all__ = [
     "ClusterTopology",
     "ClusterWindowStats",
     "DecodePressureRatioPolicy",
-    "DegradableExecutor",
     "DropExpiredMigration",
     "EdfScheduler",
     "FaultEvent",

@@ -76,7 +76,6 @@ from repro.serving.placement import (
 )
 from repro.serving.resilience import (
     CheckpointPolicy,
-    DegradableExecutor,
     FaultEvent,
     FaultSchedule,
     MigrationPolicy,
@@ -109,13 +108,13 @@ class ServerSpec:
     no declared domain, every server its own island — so existing configs
     are untouched; :class:`ClusterTopology` derives the domain map.
 
-    ``health`` / ``slow_factor`` are run-time state maintained by the fault
-    plane (:mod:`repro.serving.resilience`), not constructor options: every
-    spec starts ``"healthy"`` at factor 1.  ``"healthy"`` serves at nominal
-    speed, ``"degraded"`` serves with service times inflated by
-    ``slow_factor``, and ``"failed"`` serves nothing (the control plane
-    keeps it out of the active set until it recovers).  A
-    :class:`ClusterEngine` given a fault schedule resets both per run.
+    ``failed`` is run-time state kept by the fault plane
+    (:mod:`repro.serving.resilience`), not a constructor option: a crash
+    sets it and a recovery clears it, and a failed server serves nothing
+    (the control plane keeps it out of the active set until it recovers).
+    :meth:`ClusterEngine.run` clears it at the start of every run.  A
+    slowdown is not spec state: the fault plane writes its factor into the
+    engine session (:meth:`~repro.serving.engine.ServingEngine.slow_server`).
     """
 
     name: str
@@ -124,35 +123,12 @@ class ServerSpec:
     device: str = ""
     zone: str = ""
     rack: str = ""
-    health: str = field(default="healthy", init=False)
-    slow_factor: float = field(default=1.0, init=False)
+    failed: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         check_positive("speed (requests/second)", self.speed)
         if self.service_model is None:
             raise ValueError("a ServerSpec needs a service_model")
-
-    @property
-    def available(self) -> bool:
-        """Whether the server may hold a place in the active set."""
-        return self.health != "failed"
-
-    def fail(self) -> None:
-        self.health = "failed"
-
-    def degrade(self, factor: float) -> None:
-        if factor <= 1.0:
-            raise ValueError("a slowdown needs factor > 1")
-        self.health = "degraded"
-        self.slow_factor = float(factor)
-
-    def recover(self) -> None:
-        self.health = "healthy"
-        self.slow_factor = 1.0
-
-    def build_executor(self) -> Executor:
-        """The executor serving this server's batches."""
-        return ModeledExecutor(self.service_model)
 
 
 def _table_reader(model: ServiceTimeModel, mode: str) -> ServiceEstimator:
@@ -584,13 +560,6 @@ class ClusterEngine:
         # schedule order); rebuilt by run() so one immutable schedule drives
         # any number of replays.
         self._faults: Optional[deque] = None
-        # Per-server degradable executor wrappers (slowdown faults): one
-        # list per server, one wrapper per registered model on it.  Only
-        # populated when a fault schedule exists, so the default path keeps
-        # the executors untouched.
-        self._degraders: Optional[List[List[DegradableExecutor]]] = (
-            [[] for _ in self.specs] if fault_schedule is not None else None
-        )
         # Execution modes seen at register() time, and the mode
         # batch_estimators scores with — the registered one when they all
         # agree, else the "int8" reference.  Named placers are built before
@@ -682,28 +651,17 @@ class ClusterEngine:
         By default each server executes through its own spec's backend
         (heterogeneous service times); pass ``executors`` to override, e.g.
         with per-server :class:`~repro.serving.executors.RuntimeExecutor`
-        instances owning real prepared-kernel caches.  With a fault
-        schedule every executor is wrapped in a
-        :class:`~repro.serving.resilience.DegradableExecutor` so slowdown
-        faults can stretch the server's service times at run time.
+        instances owning real prepared-kernel caches.  Slowdown faults
+        stretch whatever executes: the engine multiplies each server's
+        service times by its factor (:meth:`ServingEngine.slow_server`).
         """
         self._registered_modes.add(mode)
         self._estimator_mode = mode if len(self._registered_modes) == 1 else "int8"
         for estimators in self._estimator_lists:
             estimators[:] = self.batch_estimators()
         if executors is None:
-            executors = [spec.build_executor() for spec in self.specs]
-        executors = list(executors)
-        if self._degraders is not None:
-            if len(executors) != len(self.specs):
-                raise ValueError(
-                    f"got {len(executors)} executors for {len(self.specs)} servers"
-                )
-            executors = [DegradableExecutor(executor) for executor in executors]
-            for server, wrapper in enumerate(executors):
-                wrapper.factor = self.specs[server].slow_factor
-                self._degraders[server].append(wrapper)
-        self.engine.register(name, executors, policy=policy, mode=mode)
+            executors = [ModeledExecutor(spec.service_model) for spec in self.specs]
+        self.engine.register(name, list(executors), policy=policy, mode=mode)
 
     # ------------------------------------------------------------------
     # Driving a run
@@ -732,13 +690,10 @@ class ClusterEngine:
             deque(self.fault_schedule) if self.fault_schedule is not None else None
         )
         self._promoted.clear()
-        if self.fault_schedule is not None:
-            # Deterministic repeat runs: faults re-play from a clean slate.
-            for spec in self.specs:
-                spec.recover()
-            for wrappers in self._degraders:
-                for wrapper in wrappers:
-                    wrapper.factor = 1.0
+        # Deterministic repeat runs: faults re-play from a clean slate (the
+        # session's slowdown factors start at 1).
+        for spec in self.specs:
+            spec.failed = False
         self.engine.start(
             trace=trace,
             requests=requests,
@@ -858,7 +813,7 @@ class ClusterEngine:
                         for s in range(len(self.specs))
                         if s not in active
                         and s != event.server
-                        and self.specs[s].available
+                        and not self.specs[s].failed
                     ),
                     key=lambda s: (-self.specs[s].speed, s),
                 )
@@ -888,21 +843,15 @@ class ClusterEngine:
                 self.engine.set_active_servers(
                     [server for server in active if server != event.server]
                 )
-            spec.fail()
+            spec.failed = True
         elif event.kind == "slowdown":
-            # A slowdown against a crashed server must not resurrect it
-            # (degrade() would flip health to "degraded" and the autoscaler
-            # would wake it); the event is recorded but changes nothing
-            # until the recovery fault lands.
-            if spec.health != "failed":
-                spec.degrade(event.factor)
-                for wrapper in self._degraders[event.server]:
-                    wrapper.factor = float(event.factor)
+            # A slowdown against a crashed server is recorded but changes
+            # nothing: the recovery that revives the server also clears it.
+            if not spec.failed:
+                self.engine.slow_server(event.server, event.factor)
         else:  # recover
-            was_failed = spec.health == "failed"
-            spec.recover()
-            for wrapper in self._degraders[event.server]:
-                wrapper.factor = 1.0
+            was_failed, spec.failed = spec.failed, False
+            self.engine.slow_server(event.server, 1.0)
             # Without an autoscaler nobody else would re-admit the server;
             # with one, it simply becomes eligible for the next scale-up.
             if was_failed and self.autoscaler is None and event.server not in active:
@@ -937,7 +886,7 @@ class ClusterEngine:
                 if s not in self._promoted
                 and s not in active
                 and s != crashed
-                and self.specs[s].available
+                and not self.specs[s].failed
             ),
             key=lambda s: (
                 self.topology.domain_of(s) == failed_domain,
@@ -1036,7 +985,7 @@ class ClusterEngine:
                 s
                 for s in order
                 if s not in active
-                and self.specs[s].available
+                and not self.specs[s].failed
                 and (s not in self._spare_ids or s in self._promoted)
             ]
             added = parked[: target - len(active)]

@@ -35,9 +35,11 @@ ratio it runs at are pluggable:
 An engine given a :class:`~repro.serving.telemetry.TelemetryBus` binds it to
 each session's ledger and store at :meth:`ServingEngine.start` (the bus
 catches up from them in bulk when read; only drops are handed to it as they
-happen), and :meth:`ServingEngine.set_active_servers` lets a control plane
-grow/shrink the serving set at run time — the hooks
-:mod:`repro.serving.cluster` builds elastic autoscaling on.
+happen), :meth:`ServingEngine.set_active_servers` lets a control plane
+grow/shrink the serving set at run time and
+:meth:`ServingEngine.slow_server` stretch one server's service times — the
+hooks :mod:`repro.serving.cluster` builds elastic autoscaling and slowdown
+faults on.
 
 Admission is incremental: :meth:`ServingEngine.start` opens a session,
 :meth:`ServingEngine.submit` pushes requests while the engine runs,
@@ -601,6 +603,8 @@ class _Session:
         self.dropped = 0
         self.free_at: List[float] = [0.0] * num_servers
         self.busy: List[float] = [0.0] * num_servers
+        # Each server's service-time factor (ServingEngine.slow_server).
+        self.slowdown: List[float] = [1.0] * num_servers
         # Servers eligible for new batches (ascending ids).  The control
         # plane shrinks/grows this set at window boundaries (elastic
         # autoscaling); a deactivated server finishes its running batch but
@@ -974,6 +978,15 @@ class ServingEngine:
             raise RuntimeError("no serving session open; call start() (or run())")
         return self._session
 
+    def _server_id(self, server) -> int:
+        """``server`` as the id of one of this engine's servers."""
+        server = check_integer("server", server, 0)
+        if server >= self.num_servers:
+            raise ValueError(
+                f"server {server} out of range (num_servers={self.num_servers})"
+            )
+        return server
+
     # ------------------------------------------------------------------
     # Elasticity (cluster control plane)
     # ------------------------------------------------------------------
@@ -997,13 +1010,9 @@ class ServingEngine:
         retroactively serve the past.
         """
         session = self._require_session()
-        active = sorted({check_integer("server", server, 0) for server in servers})
+        active = sorted({self._server_id(server) for server in servers})
         if not active:
             raise ValueError("at least one server must stay active")
-        if active[-1] >= self.num_servers:
-            raise ValueError(
-                f"server {active[-1]} out of range (num_servers={self.num_servers})"
-            )
         if available_from is not None:
             available_from = check_positive(
                 "available_from", available_from, allow_zero=True
@@ -1015,6 +1024,19 @@ class ServingEngine:
                         session.free_at[server], available_from
                     )
         session.active = active
+        if session.sweep is not None:
+            self._decide_sweep(session, stepping=False)
+
+    def slow_server(self, server: int, factor: float) -> None:
+        """Multiply ``server``'s service times by ``factor`` from its next
+        batch on (a slowdown fault: a degraded-but-correct accelerator, so
+        outputs and executed ratios are untouched); 1.0 is nominal speed."""
+        session = self._require_session()
+        server = self._server_id(server)
+        factor = float(factor)
+        if not 1.0 <= factor < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"factor must be a finite number >= 1 (got {factor!r})")
+        session.slowdown[server] = factor
         if session.sweep is not None:
             self._decide_sweep(session, stepping=False)
 
@@ -1064,12 +1086,8 @@ class ServingEngine:
         from repro.serving.resilience import Migrant, Preemption, checkpointed_fraction
 
         s = self._require_session()
-        server = check_integer("server", server, 0)
+        server = self._server_id(server)
         time = check_positive("preemption time", time, allow_zero=True)
-        if server >= self.num_servers:
-            raise ValueError(
-                f"server {server} out of range (num_servers={self.num_servers})"
-            )
         ledger = s.ledger
         on_server, finishes = ledger.servers == server, ledger.finishes
         gone = on_server & (finishes > time)
@@ -1238,12 +1256,13 @@ class ServingEngine:
         short fixed reason; anything else takes the object loops (identical
         results, slower).  Eligible: a columnar-enabled engine, FIFO with the
         seed argmin-free-clock dispatch, one model, stateless modeled
-        executors, a fixed-ratio policy — and, ``stepping`` a batch per call,
-        no telemetry bus: the bus reads rows with their riders, which a sweep
-        seats when it closes (a whole sweep closes before anyone reads).  A
-        tracer reads the same ledger, but a stepped sweep seats each row's
-        riders as it goes when traced and hands each drop cohort in its place
-        (:meth:`_trace_drops`), so it is no clause.
+        executors on servers at nominal speed (the sweep prices a batch from
+        the model's table alone), a fixed-ratio policy — and, ``stepping`` a
+        batch per call, no telemetry bus: the bus reads rows with their
+        riders, which a sweep seats when it closes (a whole sweep closes
+        before anyone reads).  A tracer reads the same ledger, but a stepped
+        sweep seats each row's riders as it goes when traced and hands each
+        drop cohort in its place (:meth:`_trace_drops`), so it is no clause.
         """
         from repro.serving.executors import ModeledExecutor
         from repro.serving.policies import FixedRatioPolicy
@@ -1261,7 +1280,9 @@ class ServingEngine:
         if type(endpoint.policy) is not FixedRatioPolicy:
             return "policy"
         if not all(
-            type(endpoint.executors[server]) is ModeledExecutor for server in s.active
+            type(endpoint.executors[server]) is ModeledExecutor
+            and s.slowdown[server] == 1.0
+            for server in s.active
         ):
             return "executor"
         if stepping and self.telemetry is not None:
@@ -1271,8 +1292,9 @@ class ServingEngine:
     def _decide_sweep(self, s: _Session, stepping: bool) -> Optional[FifoSweep]:
         """Decide whether the sweep serves the session: at its first dispatch,
         and again when a call can change the answer while it rides (submit:
-        another model; set_active_servers: another executor).  Returns the
-        sweep, or ``None``: the object loops, for good."""
+        another model; set_active_servers: another executor; slow_server: a
+        slowed server).  Returns the sweep, or ``None``: the object loops, for
+        good."""
         if not len(s.store):
             return None  # nothing to dispatch, nothing to decide yet
         reason = self._fast_eligible(s, stepping)
@@ -1560,7 +1582,7 @@ class ServingEngine:
             head_model, start, batch_size, slots, LazyRequests(s.store, slots), server
         )
         execution = endpoint.executors[server].execute(batch, endpoint.mode, ratio)
-        service_time = float(execution.service_time)
+        service_time = float(execution.service_time) * s.slowdown[server]
         if s.checkpoints:
             # Partial-batch checkpointing: a batch executes its members'
             # remaining steps jointly, so the cohort pays its *largest*

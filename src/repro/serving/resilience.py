@@ -8,13 +8,14 @@ lost work.  Three pieces make the serving stack survive faults:
   ``crash``, a ``slowdown`` by a factor, or a ``recover``) against one
   server; a :class:`FaultSchedule` is the validated, time-ordered script a
   :class:`~repro.serving.cluster.ClusterEngine` applies at telemetry window
-  boundaries.  Per-server health lands in
-  :class:`~repro.serving.cluster.ServerSpec` state (``health`` /
-  ``slow_factor``) and every applied fault is surfaced on the
+  boundaries.  A crash marks the server's
+  :class:`~repro.serving.cluster.ServerSpec` ``failed`` until it recovers;
+  a slowdown sets the server's service-time factor in the engine session
+  (:meth:`~repro.serving.engine.ServingEngine.slow_server`), which
+  multiplies every batch the server runs until recovery resets it to 1.
+  Every applied fault is surfaced on the
   :class:`~repro.serving.telemetry.TelemetryBus` timeline next to the scale
-  events.  Slowdowns act through :class:`DegradableExecutor`, a transparent
-  per-server executor wrapper whose service-time factor the control plane
-  adjusts at run time.
+  events.
 * **Preemption & migration** — when a server crashes (or, with a migration
   policy configured, is deactivated by the autoscaler), the engine's
   :meth:`~repro.serving.engine.ServingEngine.preempt_server` rewinds the
@@ -75,19 +76,14 @@ Three migration policies ship with the module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Protocol, Sequence, TYPE_CHECKING, Tuple
 
 from repro.checks import check_positive
 from repro.serving.core import check_integer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serving.engine import (
-        Batch,
-        BatchExecution,
-        BatchRecord,
-        Executor,
-    )
+    from repro.serving.engine import BatchRecord
 
 
 FAULT_KINDS = ("crash", "slowdown", "recover")
@@ -352,28 +348,6 @@ class FaultSchedule:
                 raise ValueError("recover_at must come after the slowdown")
             events.append(FaultEvent(time=recover_at, kind="rack_recover", rack=rack))
         return cls(events)
-
-
-class DegradableExecutor:
-    """Executor wrapper whose service times the fault plane can inflate.
-
-    ``factor`` starts at 1.0 (transparent); a slowdown fault raises it and a
-    recovery resets it.  Outputs and executed-ratio overrides pass through
-    untouched — only the reported service time stretches, which is exactly
-    what a degraded-but-correct accelerator looks like from the queue.
-    """
-
-    def __init__(self, inner: "Executor") -> None:
-        self.inner = inner
-        self.factor = 1.0
-
-    def execute(self, batch: "Batch", mode: str, ratio: float) -> "BatchExecution":
-        execution = self.inner.execute(batch, mode, ratio)
-        if self.factor != 1.0:
-            execution = replace(
-                execution, service_time=execution.service_time * self.factor
-            )
-        return execution
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,8 @@ from repro.serving import (
     ClusterEngine,
     DecodePressureRatioPolicy,
     EdfScheduler,
+    FaultEvent,
+    FaultSchedule,
     IterationScheduler,
     ModeledGenerationBackend,
     PrefillPriorityAdmission,
@@ -49,6 +51,8 @@ MIX_CALLS_PER_ITERATION = 20.3
 CLUSTER_CALLS_PER_BATCH = 52.9
 #: The same ceiling with a 1%-sampled tracer on the run.
 TRACED_CLUSTER_CALLS_PER_BATCH = 53.4
+#: The same ceiling, windows of 0.1 s, with server 0 slowed x3 for 0.4 s.
+FAULTED_CLUSTER_CALLS_PER_BATCH = 55.6
 
 
 def count_calls(fn: Callable[[], object]) -> Tuple[int, Counter]:
@@ -192,6 +196,34 @@ def _calls_per_cluster_batch(**control) -> Tuple[float, Counter]:
     return calls / len(results[0].result.batch_records), sites
 
 
+def _calls_in_steps(cluster: ClusterEngine, requests: list, filename: str):
+    """One ``cluster.run`` over ``requests``: its outcome and the calls into
+    ``filename``'s functions made inside the engine's ``step()`` and
+    elsewhere, each a ``Counter`` keyed by qualified name."""
+    engine, stepping = cluster.engine, [False]
+    in_steps, elsewhere = Counter(), Counter()
+    step = engine.step
+
+    def flagged_step():
+        stepping[0] = True
+        try:
+            return step()
+        finally:
+            stepping[0] = False
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith(filename):
+            (in_steps if stepping[0] else elsewhere)[frame.f_code.co_qualname] += 1
+
+    engine.step = flagged_step
+    sys.setprofile(count)
+    try:
+        outcome = cluster.run(requests=requests)
+    finally:
+        sys.setprofile(None)
+    return outcome, in_steps, elsewhere
+
+
 def test_cluster_calls_per_batch_are_pinned():
     """A placed, EDF-scheduled batch on the cluster reads every price it
     scores or serves from the model's table with one call: the calls per
@@ -209,31 +241,31 @@ def test_a_cluster_batch_makes_no_telemetry_call():
         window=0.1, autoscaler=SloLatencyAutoscaler(slo_seconds=0.05),
         min_servers=1, initial_servers=2,
     )
-    engine, stepping = cluster.engine, [False]
-    in_steps, elsewhere = Counter(), Counter()
-    step = engine.step
-
-    def flagged_step():
-        stepping[0] = True
-        try:
-            return step()
-        finally:
-            stepping[0] = False
-
-    def count(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.endswith("telemetry.py"):
-            (in_steps if stepping[0] else elsewhere)[frame.f_code.co_qualname] += 1
-
-    engine.step = flagged_step
-    sys.setprofile(count)
-    try:
-        outcome = cluster.run(requests=requests)
-    finally:
-        sys.setprofile(None)
+    outcome, in_steps, elsewhere = _calls_in_steps(cluster, requests, "telemetry.py")
     batches = len(outcome.result.batch_records)
     assert batches > 200 and len(outcome.telemetry.cluster_series()) == 10
     assert not in_steps, in_steps.most_common(10)
     assert elsewhere["TelemetryBus.catch_up"] >= 10
+
+
+def test_a_faulted_cluster_batch_makes_no_resilience_call():
+    """A slowdown is a factor the engine multiplies, not a wrapper around
+    the executor: over a cluster run that slows server 0 x3 from 0.3 s to
+    0.7 s, the engine's ``step()`` calls nothing in ``resilience.py``, and a
+    faulted batch stays under its pinned calls."""
+    slowdown = FaultSchedule(
+        [
+            FaultEvent(time=0.3, server=0, kind="slowdown", factor=3.0),
+            FaultEvent(time=0.7, server=0, kind="recover"),
+        ]
+    )
+    cluster, requests = _cluster(window=0.1, fault_schedule=slowdown)
+    outcome, in_steps, _ = _calls_in_steps(cluster, requests, "resilience.py")
+    assert len(outcome.result.batch_records) > 200
+    assert [event.kind for event in outcome.fault_events] == ["slowdown", "recover"]
+    assert not in_steps, in_steps.most_common(10)
+    calls, sites = _calls_per_cluster_batch(window=0.1, fault_schedule=slowdown)
+    assert calls <= FAULTED_CLUSTER_CALLS_PER_BATCH, f"{calls:.2f}\n{top_sites(sites)}"
 
 
 def test_a_traced_cluster_batch_makes_no_tracer_call():
@@ -243,27 +275,7 @@ def test_a_traced_cluster_batch_makes_no_tracer_call():
     ``step()`` calls nothing in ``tracing.py``, and a traced batch stays
     under its pinned calls."""
     cluster, requests = _cluster(tracer=Tracer(sample_rate=0.01))
-    engine, stepping = cluster.engine, [False]
-    in_steps, elsewhere = Counter(), Counter()
-    step = engine.step
-
-    def flagged_step():
-        stepping[0] = True
-        try:
-            return step()
-        finally:
-            stepping[0] = False
-
-    def count(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.endswith("tracing.py"):
-            (in_steps if stepping[0] else elsewhere)[frame.f_code.co_qualname] += 1
-
-    engine.step = flagged_step
-    sys.setprofile(count)
-    try:
-        outcome = cluster.run(requests=requests)
-    finally:
-        sys.setprofile(None)
+    outcome, in_steps, elsewhere = _calls_in_steps(cluster, requests, "tracing.py")
     assert len(outcome.result.batch_records) > 200
     assert not in_steps, in_steps.most_common(10)
     assert elsewhere["Tracer.settle"] >= 1 and len(cluster.tracer.store) > 0

@@ -118,7 +118,10 @@ class TestServerSpec:
         with pytest.raises(ValueError, match="needs a service_model"):
             ServerSpec(name="no-backend", speed=1.0)
         spec = ServerSpec(name="ok", speed=2.0, service_model=service_model)
-        assert isinstance(spec.build_executor(), ModeledExecutor)
+        cluster = ClusterEngine([spec])
+        cluster.register("m", mode="int8")
+        (record,) = cluster.run(requests=[Request(0.0, "m")]).result.batch_records
+        assert record.finish == service_model.batch_latency(1, "int8")
 
 
 # ----------------------------------------------------------------------

@@ -748,6 +748,30 @@ class TestKernelAccounting:
         for got, want in zip(swept.responses, stepped.responses):
             assert repr(got) == repr(want)
 
+    @pytest.mark.parametrize("steps", [0, 2], ids=["before-dispatch", "mid-stream"])
+    def test_the_sweep_never_prices_a_slowed_server(self, steps):
+        """The sweep prices a batch from the model's table alone: a server
+        slowed before the first dispatch keeps the session off the sweep, and
+        one slowed mid-stream takes it off; either way the batches are the
+        object loop's."""
+        def serve(columnar):
+            engine = _engine(columnar, num_servers=2, max_batch=2)
+            engine.start(requests=self._requests())
+            first = [engine.step() for _ in range(steps)]
+            engine.slow_server(0, 3.0)
+            return first, engine.finish()
+
+        (first, swept), (_, stepped) = serve(True), serve(False)
+        kernel = "sweep+object" if steps else "object"
+        assert (swept.kernel, swept.kernel_reason) == (kernel, "executor")
+        assert swept.batch_records[:steps] == first
+        _assert_results_identical(swept, stepped)
+        price = SERVICE_MODEL.table("flexiq", 0.5, (1, 2))  # _engine's endpoint
+        assert any(
+            r.finish == r.start + price[r.size] * 3.0
+            for r in swept.batch_records[steps:] if r.server == 0
+        )
+
     def test_a_reordered_queue_under_a_tracer_or_a_bus(self):
         """Submitted late half first, never stepped: the sweep hands the
         tracer each position's slot, and the bus only counts, reading arrivals

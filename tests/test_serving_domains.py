@@ -603,7 +603,7 @@ class TestTimelineEdgeCases:
         trace = PoissonTrace(400, duration=0.2, seed=8).generate()
         outcome = cluster.run(trace=trace)
         assert [e.kind for e in outcome.fault_events] == ["crash"]
-        assert cluster.specs[0].health == "failed"
+        assert cluster.specs[0].failed
         conserve(outcome.result, outcome.result.request_latencies.size)
 
     def test_crash_mid_drain_requeues_and_serves_migrants(self):

@@ -1317,6 +1317,7 @@ NON_FINITE = {
     "factor": lambda model, bad: resilience.FaultEvent(
         1.0, server=0, kind="slowdown", factor=bad
     ),
+    "factor (engine)": lambda model, bad: _stepped_once(model).slow_server(0, bad),
     "migration delay": lambda model, bad: resilience.RequeueAtHeadMigration(bad),
     "migration delay (drop-expired)": lambda model, bad: (
         resilience.DropExpiredMigration(bad)
@@ -1378,6 +1379,7 @@ def _priced(model, size):
 NON_INTEGER = {
     "num_servers": lambda model, bad: ServingEngine(num_servers=bad),
     "server": lambda model, bad: _stepped_once(model).set_active_servers([0, bad]),
+    "server (slowdown)": lambda model, bad: _stepped_once(model).slow_server(bad, 2.0),
     "max_batch": lambda model, bad: _generation(model, max_batch=bad),
     "max_new_tokens": lambda model, bad: _generation(model).start(
         [Request(0.0, "m", prefill_tokens=4, max_new_tokens=bad)]
@@ -1422,6 +1424,7 @@ NON_INTEGER = {
 MINIMUM = {
     "num_servers": 1,
     "server": 0,
+    "server (slowdown)": 0,
     "max_batch": 1,
     "max_new_tokens": 1,
     "fast_windows": 1,
@@ -1453,17 +1456,31 @@ class TestHostileInput:
         NON_INTEGER[field](service_model, least)
 
     @pytest.mark.parametrize(
-        "state", [dict(health="bogus"), dict(slow_factor=float("nan"))],
-        ids=["health", "slow_factor"],
+        "state", [dict(failed=True), dict(slow_factor=float("nan"))],
+        ids=["failed", "slow_factor"],
     )
     def test_a_server_spec_takes_no_fault_state(self, service_model, state):
-        """``health`` and ``slow_factor`` are the fault plane's run-time state:
-        ``health="bogus"`` used to build an ``available`` server, and a NaN
-        factor was kept.  Every spec starts healthy at factor 1."""
+        """``failed`` is the fault plane's run-time state and a slowdown's
+        factor is the engine session's: a spec used to take a bogus health
+        and keep a NaN factor.  Every spec starts not failed."""
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             ServerSpec("a", 1.0, service_model, **state)
-        spec = ServerSpec("a", 1.0, service_model)
-        assert (spec.health, spec.slow_factor, spec.available) == ("healthy", 1.0, True)
+        assert ServerSpec("a", 1.0, service_model).failed is False
+
+    def test_a_slowdown_names_a_server_and_a_factor_of_at_least_one(
+        self, service_model
+    ):
+        engine = _stepped_once(service_model)
+        with pytest.raises(ValueError, match=r"server 2 out of range \(num_servers=2\)"):
+            engine.slow_server(2, 2.0)
+        with pytest.raises(
+            ValueError, match=r"factor must be a finite number >= 1 \(got 0\.5\)"
+        ):
+            engine.slow_server(0, 0.5)
+        engine.slow_server(1, 1.0)  # nominal speed is a factor too
+        engine.abort()
+        with pytest.raises(RuntimeError, match="no serving session open"):
+            engine.slow_server(0, 2.0)
 
     @pytest.mark.parametrize("bad", [float("nan"), 2.0, -0.1, float("inf")])
     def test_a_ratio_is_finite_and_in_the_unit_interval(self, service_model, bad):

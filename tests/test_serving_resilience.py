@@ -4,7 +4,7 @@ Covers the three pieces of :mod:`repro.serving.resilience` and their engine
 and control-plane hooks:
 
 * **Fault plane** — `FaultEvent`/`FaultSchedule` validation, slowdown
-  throttling through `DegradableExecutor`, per-server health in
+  throttling through `ServingEngine.slow_server`, the `failed` flag of
   `ServerSpec`, fault events on the telemetry timeline.
 * **Preemption & migration** — `ServingEngine.preempt_server` rewinds
   unfinished batches exactly (records, latencies, responses, busy time,
@@ -37,7 +37,6 @@ from repro.serving import (
     BatchExecution,
     BatchingConfig,
     ClusterEngine,
-    DegradableExecutor,
     DropExpiredMigration,
     EdfScheduler,
     FaultEvent,
@@ -159,27 +158,49 @@ class TestFaultPlane:
                 [spec], fault_schedule=FaultSchedule.single_crash(3, at=1.0)
             )
 
-    def test_degradable_executor_stretches_service_time(self):
-        wrapper = DegradableExecutor(FixedExecutor(0.5))
-        batch = None
-        assert wrapper.execute(batch, "int8", 0.0).service_time == 0.5
-        wrapper.factor = 4.0
-        assert wrapper.execute(batch, "int8", 0.0).service_time == 2.0
-        wrapper.factor = 1.0
-        assert wrapper.execute(batch, "int8", 0.0).service_time == 0.5
+    def test_slow_server_stretches_service_time(self):
+        engine = ServingEngine(BatchingConfig(max_batch=1))
+        engine.register("m", FixedExecutor(0.5), mode="int8")
+        engine.start(
+            requests=[Request(arrival_time=0.0, model="m") for _ in range(3)]
+        )
+        durations = []
+        for factor in (1.0, 4.0, 1.0):
+            engine.slow_server(0, factor)
+            record = engine.step()
+            durations.append(record.finish - record.start)
+        assert durations == [0.5, 2.0, 0.5]
+        with pytest.raises(ValueError, match="factor"):
+            engine.slow_server(0, 0.5)
+        engine.abort()
 
-    def test_server_spec_health_state(self):
-        spec = gpu_server("g", "vit_base", gpu="a6000")
-        assert spec.health == "healthy" and spec.available
-        spec.degrade(3.0)
-        assert spec.health == "degraded" and spec.slow_factor == 3.0
-        assert spec.available
-        spec.fail()
-        assert not spec.available
-        spec.recover()
-        assert spec.health == "healthy" and spec.slow_factor == 1.0
+    def test_server_spec_failed_state(self):
+        """A crash marks its server's spec failed; a slowdown leaves the spec
+        as it was (its factor is the session's), and ``run()`` starts every
+        spec and factor afresh, so a second run repeats the first."""
+        specs = [gpu_server(f"g{i}", "vit_base", gpu="a6000") for i in range(2)]
+        schedule = FaultSchedule(
+            [
+                FaultEvent(time=0.5, server=1, kind="slowdown", factor=3.0),
+                FaultEvent(time=1.0, server=0, kind="crash"),
+            ]
+        )
+        cluster = ClusterEngine(
+            specs, BatchingConfig(max_batch=64), window=0.25,
+            fault_schedule=schedule, migration=RequeueAtHeadMigration(),
+        )
+        cluster.register("m", mode="int8")
+        assert [spec.failed for spec in specs] == [False, False]
+        trace = PoissonTrace(1500, duration=2.0, seed=11).generate()
+        rows = [
+            [(r.start, r.finish, r.size, r.server) for r in
+             cluster.run(trace=trace).result.batch_records]
+            for _ in range(2)
+        ]
+        assert [spec.failed for spec in specs] == [True, False]
+        assert rows[0] == rows[1]
         with pytest.raises(ValueError):
-            spec.degrade(1.0)
+            FaultEvent(time=1.0, server=0, kind="slowdown", factor=1.0)
 
 
 # ----------------------------------------------------------------------
@@ -559,6 +580,11 @@ class TestClusterFaults:
         assert saved.deadline_attainment() > lost.deadline_attainment()
 
     def test_slowdown_inflates_service_and_health(self):
+        """Server 0 runs at exactly 6x its price while the slowdown is
+        applied and at exactly its price otherwise.  The slowdown lands when
+        window 1.0-1.25 closes, after the first batch dispatched with a start
+        of 1.25 or later, and lifts the same way at 2.25: those two rows
+        mark the slowed stretch of the ledger."""
         schedule = FaultSchedule(
             [
                 FaultEvent(time=1.0, server=0, kind="slowdown", factor=6.0),
@@ -567,24 +593,47 @@ class TestClusterFaults:
         )
         cluster = self._cluster(k=2, fault_schedule=schedule)
         outcome = cluster.run(requests=self._requests(rate=1500))
-        records = outcome.result.batch_records
-
-        def mean_seconds_per_request(lo, hi):
-            window = [
-                r for r in records if r.server == 0 and lo <= r.start < hi and r.size
-            ]
-            return np.mean([(r.finish - r.start) / r.size for r in window])
-
-        before = mean_seconds_per_request(0.0, 1.0)
-        during = mean_seconds_per_request(1.25, 2.0)
-        after = mean_seconds_per_request(2.25, 3.0)
-        assert during > 3 * before          # the throttle really bit
-        assert after == pytest.approx(before, rel=0.5)  # and really lifted
-        assert cluster.specs[0].health == "healthy"     # recovered by run end
+        records = list(outcome.result.batch_records)
+        lands, lifts = (
+            next(i for i, r in enumerate(records) if r.start >= boundary)
+            for boundary in (1.25, 2.25)
+        )
+        slowed = 0
+        for i, r in enumerate(records):
+            table = cluster.specs[r.server].service_model.table(
+                r.mode, r.ratio, (r.size,)
+            )
+            if r.server == 0 and lands < i <= lifts:
+                slowed += 1
+                assert r.finish == r.start + table[r.size] * 6.0
+            else:
+                assert r.finish == r.start + table[r.size]
+        assert slowed > 10 and len(records) - slowed > 10
+        assert not cluster.specs[0].failed
         assert [event.kind for event in outcome.fault_events] == [
             "slowdown",
             "recover",
         ]
+
+    def test_a_slowdown_only_fifo_cluster_fails_no_executor_clause(self):
+        """The engine prices a slowdown itself, so a FIFO modeled cluster
+        whose only faults are slowdowns keeps its plain modeled executors:
+        what keeps it off the sweep is the bus it steps under."""
+        schedule = FaultSchedule(
+            [
+                FaultEvent(time=0.3, server=0, kind="slowdown", factor=3.0),
+                FaultEvent(time=0.7, server=0, kind="recover"),
+            ]
+        )
+        cluster = ClusterEngine(
+            [ServerSpec(f"s{i}", 100.0, service_model=ServiceTimeModel()) for i in range(3)],
+            BatchingConfig(max_batch=8), window=0.1, fault_schedule=schedule,
+        )
+        cluster.register("m", mode="int8")
+        outcome = cluster.run(trace=PoissonTrace(600, duration=1.0, seed=8).generate())
+        assert (outcome.result.kernel, outcome.result.kernel_reason) == (
+            "object", "telemetry"
+        )
 
     def test_crash_of_sole_active_server_wakes_a_parked_spare(self):
         """A survivable fault: the fastest healthy parked server replaces a
@@ -610,8 +659,8 @@ class TestClusterFaults:
         )
 
     def test_slowdown_cannot_resurrect_a_crashed_server(self):
-        """Regression: degrade() on a failed spec flipped health to
-        'degraded', letting the autoscaler wake a dead server."""
+        """Regression: a slowdown of a failed spec used to mark it degraded,
+        which let the autoscaler wake a dead server."""
         schedule = FaultSchedule(
             [
                 FaultEvent(time=0.5, server=2, kind="crash"),
@@ -627,7 +676,7 @@ class TestClusterFaults:
             initial_servers=2,
         )
         outcome = cluster.run(requests=self._requests(rate=4000, duration=3.0))
-        assert cluster.specs[2].health == "failed"
+        assert cluster.specs[2].failed
         # The always-scale-up autoscaler may wake server 2 *before* the
         # crash lands (boundary 0.75); after it, the slowdown must not make
         # the dead server look wakeable again.
