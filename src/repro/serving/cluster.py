@@ -675,10 +675,10 @@ class ClusterEngine:
     ) -> ClusterResult:
         """Serve a trace/request list under the control plane.
 
-        Identical surface to :meth:`ServingEngine.run`; between batches the
-        control loop closes telemetry windows, applies due fault injections
-        and applies autoscaler decisions.  Without an autoscaler and fault
-        schedule this is exactly an engine run plus telemetry.
+        Identical surface to :meth:`ServingEngine.run`; the control loop
+        advances the engine window by window (:meth:`ServingEngine.
+        advance_until`), applying due faults, SLO burn and one autoscaler
+        decision at each boundary; without any, an engine run plus telemetry.
         """
         if (trace is None) == (requests is None):
             raise ValueError("provide exactly one of trace or requests")
@@ -717,15 +717,15 @@ class ClusterEngine:
         try:
             # With no window-boundary decisions to make, the whole session
             # goes straight to finish(), which sweeps eligible FIFO sessions
-            # columnar (stepping here, with a bus attached, is the object loop).
+            # columnar (advancing here, with a bus attached, is the object loop).
             while control:
-                record = self.engine.step()
+                record = self.engine.advance_until(boundary)
                 if record is None:
                     if self._faults:
                         # Trailing faults: events after the last batch
                         # start (a server crashed in the final window)
                         # must still land.  Apply ONE event, then
-                        # re-enter the step loop: a crash may requeue
+                        # advance again: a crash may requeue
                         # migrants whose batches a *later* event should
                         # see in flight — draining the whole cursor
                         # here would apply future faults before the work

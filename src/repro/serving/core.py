@@ -574,8 +574,8 @@ class BatchLedger(_SequenceABC):
     def append(
         self, model: str, start: float, finish: float, size: int, ratio: float,
         mode: str, server: int, queue_depth: int, slots: np.ndarray, outputs=None,
-    ) -> BatchRecord:
-        """Add one row (``slots``: who rides in it); returns its record."""
+    ) -> int:
+        """Add one row (``slots``: who rides in it); its id, not a record."""
         starts, finishes, sizes, servers, depths = self.lists
         rows = len(starts)
         cohort = (model, mode, ratio)
@@ -598,9 +598,7 @@ class BatchLedger(_SequenceABC):
         servers.append(server)
         depths.append(queue_depth)
         self.riders.append(slots)
-        return BatchRecord(
-            model, start, finish, size, ratio, mode, server, queue_depth, row
-        )
+        return row
 
     def _riders(self) -> np.ndarray:
         """Every row's slots, end to end."""

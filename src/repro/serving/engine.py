@@ -43,7 +43,7 @@ faults on.
 
 Admission is incremental: :meth:`ServingEngine.start` opens a session,
 :meth:`ServingEngine.submit` pushes requests while the engine runs,
-:meth:`ServingEngine.step` executes one batch at a time, and
+:meth:`ServingEngine.step` executes one batch (``advance_until``: a segment),
 :meth:`ServingEngine.finish` drains the queue and returns the
 :class:`EngineResult`.  :meth:`ServingEngine.run` is a thin batch driver
 over exactly that lifecycle.
@@ -87,6 +87,7 @@ import bisect
 import heapq
 from dataclasses import dataclass
 from itertools import repeat
+from math import inf
 from operator import attrgetter
 from typing import (
     Any,
@@ -121,8 +122,9 @@ from repro.serving.metrics import (
     slo_attainment,
     summarize_latencies,
 )
+from repro.serving.placement import LeastOutstandingWorkPlacer, WeightedSpeedPlacer
 from repro.serving.placement import Placer, PlacementContext, earliest_free
-from repro.serving.policies import PolicyContext
+from repro.serving.policies import FixedRatioPolicy, PolicyContext
 from repro.serving.schedulers import FifoScheduler, Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -289,10 +291,19 @@ class _Endpoint:
     policy: RatioPolicy
     mode: str
 
-    @property
-    def executor(self) -> Executor:
-        """The (first) executor — the whole registration for ``num_servers=1``."""
-        return self.executors[0]
+
+def _declared(endpoint: _Endpoint) -> Tuple[Optional[float], list]:
+    """What the sweep and the scheduled loop read instead of calling: a
+    ``FixedRatioPolicy``'s ratio (``None``: call ``select``) and per server a
+    ``ModeledExecutor``'s service model (``None``: call ``execute``)."""
+    from repro.serving.executors import ModeledExecutor
+
+    policy = endpoint.policy
+    ratio = float(policy.ratio) if type(policy) is FixedRatioPolicy else None
+    return ratio, [
+        e.service_model if type(e) is ModeledExecutor else None
+        for e in endpoint.executors
+    ]
 
 
 class ResponseView(Sequence[Response]):
@@ -649,13 +660,15 @@ class ServingEngine:
         engine.start()                  # open a streaming session
         engine.submit(first_requests)   # admission while the engine runs
         engine.step()                   # execute one batch
-        engine.submit(more_requests)
+        engine.advance_until(t)         # every batch starting before t, and one more
         result = engine.finish()        # drain the queue, close the session
 
     ``scheduler`` selects the queue discipline (default FIFO); non-FIFO
     schedulers read per-request ``priority``/``deadline`` fields, which a
     trace does not carry, and therefore require explicit requests (see
-    :func:`requests_from_trace`).
+    :func:`requests_from_trace`).  One loop serves them, a segment per call:
+    it reads a fixed-ratio policy, modeled executors and a least-work or
+    weighted placer once per call instead of calling them per batch.
     """
 
     def __init__(
@@ -712,8 +725,6 @@ class ServingEngine:
         :class:`~repro.serving.executors.RuntimeExecutor` and therefore its
         own prepared-kernel cache.
         """
-        from repro.serving.policies import FixedRatioPolicy
-
         if policy is None:
             policy = FixedRatioPolicy(0.0)
         if isinstance(executor, (list, tuple)):
@@ -932,7 +943,24 @@ class ServingEngine:
             return session.ledger[-1] if went else None
         if self._fifo:
             return self._step_fifo(session)
-        return self._step_scheduled(session)
+        return self._serve_scheduled(session, -inf)
+
+    def advance_until(self, time: float) -> Optional[BatchRecord]:
+        """Serve every batch that starts before ``time`` and the first that
+        starts at or after it, and return that one's record (``None``: the
+        work ran out first): what a control plane acting at time boundaries
+        calls once per boundary (``ClusterEngine.run``)."""
+        if time != time:
+            raise ValueError("advance_until(nan): a time is needed")
+        if self._fifo:
+            record = self.step()
+            while record is not None and record.start < time:
+                record = self.step()
+            return record
+        session = self._require_session()
+        if session.kernel is None:
+            self._decide_sweep(session, stepping=True)  # records the clause
+        return self._serve_scheduled(session, time)
 
     def finish(self) -> EngineResult:
         """Drain the queue, close the session and return the result.
@@ -957,9 +985,11 @@ class ServingEngine:
                     self.batching.max_batch, self.batching.drop_after,
                 )
                 self._sweep_rows(session, cohorts)
-            else:
+            elif self._fifo:
                 while self.step() is not None:
                     pass
+            else:
+                self._serve_scheduled(session, inf)
         finally:
             self._session = None
         return self._finalize(session)
@@ -1264,9 +1294,6 @@ class ServingEngine:
         sweep seats each row's riders as it goes when traced and hands each
         drop cohort in its place (:meth:`_trace_drops`), so it is no clause.
         """
-        from repro.serving.executors import ModeledExecutor
-        from repro.serving.policies import FixedRatioPolicy
-
         if not self.columnar:
             return "columnar=False"
         if not self._fifo:
@@ -1276,12 +1303,11 @@ class ServingEngine:
         model = s.store.single_model
         if model is None:
             return "multi-model"
-        endpoint = self._endpoints[model]
-        if type(endpoint.policy) is not FixedRatioPolicy:
+        ratio, models = _declared(self._endpoints[model])
+        if ratio is None:
             return "policy"
         if not all(
-            type(endpoint.executors[server]) is ModeledExecutor
-            and s.slowdown[server] == 1.0
+            models[server] is not None and s.slowdown[server] == 1.0
             for server in s.active
         ):
             return "executor"
@@ -1305,18 +1331,18 @@ class ServingEngine:
             return None
         model = s.store.single_model
         endpoint = self._endpoints[model]
+        ratio, models = _declared(endpoint)
         if s.sweep is None:
-            # A FixedRatioPolicy returns the same ratio for every context, and
-            # ModeledExecutor never overrides it (BatchExecution.ratio is None):
-            # every row the sweep writes is billed to this cohort.
-            s.ledger.cohort = (model, endpoint.mode, float(endpoint.policy.ratio))
+            # A fixed ratio, which modeled executors never override: every row
+            # the sweep writes is billed to this cohort.
+            s.ledger.cohort = (model, endpoint.mode, ratio)
             s.kernel, s.sweep = "sweep", FifoSweep(s.pend_arrivals, s.ledger)
         # Each active server's price table for the cohort's (mode, ratio),
         # holding every batch the requests so far can form.
         _, mode, ratio = s.ledger.cohort
         size_cap = min(int(self.batching.max_batch), len(s.store))
         for server in s.active:
-            s.tables[server] = endpoint.executors[server].service_model.table(
+            s.tables[server] = models[server].table(
                 mode, ratio, range(1, size_cap + 1)
             )
         return s.sweep
@@ -1436,12 +1462,24 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # Scheduled path (EDF / custom disciplines)
     # ------------------------------------------------------------------
-    def _step_scheduled(self, s: _Session) -> Optional[BatchRecord]:
+    def _serve_scheduled(self, s: _Session, until: float) -> Optional[BatchRecord]:
+        """Serve scheduled batches until one starts at or after ``until``; its
+        record (``None``: the work ran out first) is the only one built.  A
+        batch per :meth:`step` (``-inf``), a segment per :meth:`advance_until`,
+        the rest at :meth:`finish` (``inf``).  Nothing else runs during a call,
+        so it resolves once what every batch reads (:func:`_declared`, a
+        least-work or weighted placer's ``choose``); other plug-ins are called."""
         max_batch = self.batching.max_batch
         drop_after = self.batching.drop_after
         store, free_at, pend_arrivals = s.store, s.free_at, s.pend_arrivals
         arrival_heap, status = s.arrival_heap, store.status
+        ledger, busy, slowdown, active = s.ledger, s.busy, s.slowdown, s.active
         heappush, heappop = heapq.heappush, heapq.heappop
+        placer = self.placer
+        scored = type(placer) in (LeastOutstandingWorkPlacer, WeightedSpeedPlacer)
+        choose = placer.choose if scored else None
+        endpoints = map(self._endpoints.__getitem__, store.model_names)
+        plans = [(e, *_declared(e)) for e in endpoints]  # by model id
 
         while True:
             queue, pos = s.queue, s.pos  # expiry replaces the queue list
@@ -1464,7 +1502,7 @@ class ServingEngine:
             # ``placer=None`` the dispatched server IS the earliest-free
             # one, so this is exactly the seed arithmetic (``max`` spelled
             # out: the same double).
-            server = earliest_free(free_at, s.active)
+            server = earliest_free(free_at, active)
             free = free_at[server]
             start = free if free >= head_time else head_time
             # Admit everything that has arrived by the batch start.  The
@@ -1515,8 +1553,11 @@ class ServingEngine:
             # service start).
             head_id = queue[0][3]
             head_model = store.model_names[head_id]
-            if self.placer is not None:
-                server = self._select_server(s, start, head_model, len(queue))
+            if placer is not None:
+                if choose is not None:  # the hint _select_server would give
+                    server = choose(start, free_at, active, min(len(queue), max_batch))
+                else:
+                    server = self._select_server(s, start, head_model, len(queue))
                 placed = free_at[server]
                 if placed > start:
                     # The placed server frees later than the earliest-free
@@ -1545,7 +1586,37 @@ class ServingEngine:
                 for entry in stash:
                     heappush(queue, entry)
             slots = np.array(take, dtype=np.intp)
-            return self._execute(s, server, start, head_model, slots, queue_depth)
+            size = len(take)
+
+            # Run the batch: what _execute does, with declared answers read.
+            endpoint, ratio, models = plans[head_id]
+            mode, outputs = endpoint.mode, None
+            if ratio is None:
+                ratio = float(endpoint.policy.select(
+                    PolicyContext(start, queue_depth, server, self.telemetry)
+                ))
+            if models[server] is not None:
+                service_time = float(models[server].batch_latency(size, mode, ratio))
+            else:
+                execution = endpoint.executors[server].execute(Batch(
+                    head_model, start, size, slots, LazyRequests(store, slots), server
+                ), mode, ratio)
+                service_time = float(execution.service_time)
+                if execution.ratio is not None:
+                    ratio = float(execution.ratio)
+                if s.record_responses:
+                    outputs = execution.outputs
+            service_time *= slowdown[server]
+            if s.checkpoints:
+                service_time *= self._residual(s, slots)
+            finish = start + service_time
+            status[slots] = SERVED
+            ledger.append(head_model, start, finish, size, ratio, mode, server,
+                          queue_depth, slots, outputs)
+            busy[server] += service_time
+            free_at[server] = finish
+            if start >= until:
+                return ledger[-1]
 
     def _expire_queued(self, s: _Session, start: float, drop_after: float) -> None:
         """Drop queued requests that waited beyond ``drop_after`` by ``start``.
@@ -1584,18 +1655,7 @@ class ServingEngine:
         execution = endpoint.executors[server].execute(batch, endpoint.mode, ratio)
         service_time = float(execution.service_time) * s.slowdown[server]
         if s.checkpoints:
-            # Partial-batch checkpointing: a batch executes its members'
-            # remaining steps jointly, so the cohort pays its *largest*
-            # residual demand (a single fresh member costs the full batch).
-            # Consumed either way — re-running from scratch voids the saved
-            # progress just as resuming does.
-            residual = 0.0
-            for slot in slots:
-                residual = max(
-                    residual, 1.0 - s.checkpoints.pop(int(slot), 0.0)
-                )
-            if residual < 1.0:
-                service_time *= residual
+            service_time *= self._residual(s, slots)
         # Record the ratio the batch actually ran at, which executors may
         # override (mode pinning); metrics built on batch_ratios must
         # reflect executed configurations, not requested ones.
@@ -1606,14 +1666,25 @@ class ServingEngine:
         # FIFO-path slots are views into pend_slots; the row keeps a copy so a
         # superseded pending array (streaming submit, migration requeue) is
         # not pinned alive for the whole session by its batch views.
-        record = s.ledger.append(
+        row = s.ledger.append(
             head_model, start, finish, batch_size, ratio, endpoint.mode, server,
             queue_depth, slots.copy() if slots.base is not None else slots,
             execution.outputs if s.record_responses else None,
         )
         s.busy[server] += service_time
         s.free_at[server] = finish
-        return record
+        return BatchRecord(  # positionally, in field order
+            head_model, start, finish, batch_size, ratio, endpoint.mode, server,
+            queue_depth, row,
+        )
+
+    @staticmethod
+    def _residual(s: _Session, slots: np.ndarray) -> float:
+        """The share of its service a batch still owes: its riders run their
+        remaining steps jointly, so the largest residual (checkpoints are
+        consumed either way: a rerun from scratch voids them too)."""
+        pop = s.checkpoints.pop
+        return max((1.0 - pop(int(slot), 0.0) for slot in slots), default=0.0)
 
     def _drop(self, s: _Session, slots: np.ndarray, start: float) -> None:
         """Expire ``slots`` (waited beyond ``drop_after``) at time ``start``."""

@@ -185,14 +185,21 @@ class _SpeedScoredPlacer:
         return batch_size / self.speeds[server]
 
     def place(self, context: PlacementContext) -> int:
-        now = context.time
-        hint = max(context.batch_hint, 1)
+        return self.choose(
+            context.time, context.free_at, context.active, context.batch_hint
+        )
+
+    def choose(self, now: float, free_at: Sequence[float], active: Sequence[int],
+               batch_hint: int) -> int:
+        """:meth:`place`'s rule on the context's fields (the engine's
+        scheduled loop calls it, building no context)."""
+        hint = max(batch_hint, 1)
         whole = int(hint)  # what an estimator is asked about
-        free_at, speeds, estimators = context.free_at, self.speeds, self.estimators
+        speeds, estimators = self.speeds, self.estimators
         best, best_score, best_speed = -1, 0.0, 0.0
         # One loop, no key tuples or closures: this runs per candidate server
         # per batch.  max(free, now) - now is max(free - now, 0.0) exactly.
-        for server in context.active:
+        for server in active:
             free = free_at[server]
             wait = free if free > now else now
             if estimators is not None:

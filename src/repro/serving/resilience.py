@@ -186,10 +186,11 @@ class FaultSchedule:
     boundaries: exact duplicate events, two same-instant events against the
     same server (their application order would be arbitrary), and — on fully
     server-scoped schedules — a ``recover`` for a server that never crashed
-    or slowed down, or a second ``crash`` against a server still down from
-    its first (a typo'd server id, not a scenario).  Domain-scoped events
-    defer both checks to :meth:`expand`, where the per-server script is
-    known (there a domain outage may sweep up a server already down).
+    or slowed down, or a second ``crash`` or a ``slowdown`` against a server
+    still down from its crash (a typo'd server id, not a scenario).
+    Domain-scoped events defer these checks to :meth:`expand`, where the
+    per-server script is known (there a domain outage or slowdown may sweep
+    up a server already down).
     """
 
     def __init__(self, events: Iterable[FaultEvent]) -> None:
@@ -202,7 +203,7 @@ class FaultSchedule:
         seen = set()
         instants = set()
         crashed: dict = {}  # server -> since when it has been down
-        slowed = set()
+        unhealthy = set()  # crashed or slowed, and not recovered since
         domain_scoped = False
         for event in self.events:
             key = (
@@ -225,28 +226,29 @@ class FaultSchedule:
             instants.add(instant)
             if domain_scoped:
                 continue  # per-server sequencing is checked post-expansion
-            if event.kind == "crash":
-                # A domain outage may sweep up a server that is already
-                # down; a second crash aimed at one is a typo'd id or time.
+            if event.kind != "recover":
+                # A domain outage or slowdown may sweep up a server that is
+                # already down; a crash or a slowdown aimed at one is a
+                # typo'd id or time (the slowdown would never apply).
                 if event.server in crashed and not event.domain:
                     raise ValueError(
-                        f"crash for server {event.server} at "
+                        f"{event.kind} for server {event.server} at "
                         f"t={event.time:g}, but it has been down since its "
                         f"crash at t={crashed[event.server]:g} with no "
                         "recover in between"
                     )
-                crashed.setdefault(event.server, event.time)
-            elif event.kind == "slowdown":
-                slowed.add(event.server)  # a crashed server stays crashed
+                if event.kind == "crash":
+                    crashed.setdefault(event.server, event.time)
+                unhealthy.add(event.server)
             else:  # recover: from a crash, a slowdown or both
-                if event.server not in crashed and event.server not in slowed:
+                if event.server not in unhealthy:
                     raise ValueError(
                         f"recover for server {event.server} at "
                         f"t={event.time:g}, but no earlier crash/slowdown "
                         "left it unhealthy (typo'd server id?)"
                     )
                 crashed.pop(event.server, None)
-                slowed.discard(event.server)
+                unhealthy.discard(event.server)
 
     def __len__(self) -> int:
         return len(self.events)

@@ -14,6 +14,11 @@ suites:
   vector bit for bit;
 * the merged telemetry timeline is time-ordered.
 
+Each test runs twice: FIFO over the trace, and EDF over the same arrivals as
+requests with deadlines, so the faults also land on the scheduled loop
+(crashes mid-segment, checkpointed requeues through the EDF queue, slowed
+servers priced by it).
+
 The generator lives here (not in the library): it maintains per-server
 health so it only emits legal schedules (no recover-for-healthy-server,
 no same-instant conflicts), exercising `FaultSchedule` validation with
@@ -30,18 +35,22 @@ from repro.serving import (
     BatchExecution,
     BatchingConfig,
     ClusterEngine,
+    EdfScheduler,
     FaultEvent,
     FaultSchedule,
     RequeueAtHeadMigration,
     ServerSpec,
     ServiceTimeModel,
     StepCheckpoint,
+    requests_from_trace,
 )
 
 NUM_SERVERS = 4
 DURATION = 4.0
 WINDOW = 0.25
 SEEDS = (0, 1, 2, 3, 4)
+#: The queue disciplines every test runs under.
+SCHEDULERS = ("fifo", "edf")
 SERVICE_MODEL = ServiceTimeModel()
 
 
@@ -103,7 +112,7 @@ def random_schedule(seed: int) -> FaultSchedule:
     return FaultSchedule(events)
 
 
-def run_chaos(seed: int, tracer=None):
+def run_chaos(seed: int, tracer=None, scheduler: str = "fifo"):
     specs = [
         ServerSpec(
             name=f"g{i}",
@@ -116,6 +125,7 @@ def run_chaos(seed: int, tracer=None):
     cluster = ClusterEngine(
         specs,
         BatchingConfig(max_batch=16),
+        scheduler=EdfScheduler() if scheduler == "edf" else None,
         placer="spread",
         fault_schedule=random_schedule(seed),
         migration=RequeueAtHeadMigration(delay=0.01),
@@ -134,12 +144,17 @@ def run_chaos(seed: int, tracer=None):
         num_phases=16,
         seed=seed,
     ).generate()
+    if scheduler == "edf":
+        # EDF reads deadlines, so the arrivals go in as requests.
+        requests = requests_from_trace(trace, model="m", deadlines=[0.05, 0.2])
+        return cluster.run(requests=requests, record_responses=True), trace
     return cluster.run(trace=trace, record_responses=True), trace
 
 
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_chaos_invariants(seed):
-    outcome, trace = run_chaos(seed)
+def test_chaos_invariants(seed, scheduler):
+    outcome, trace = run_chaos(seed, scheduler=scheduler)
     result = outcome.result
     admitted = len(trace.arrival_times)
     served = result.latencies.size
@@ -157,10 +172,11 @@ def test_chaos_invariants(seed):
     assert times == sorted(times)
 
 
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
 @pytest.mark.parametrize("seed", SEEDS[:2])
-def test_chaos_is_reproducible(seed):
-    first, _ = run_chaos(seed)
-    second, _ = run_chaos(seed)
+def test_chaos_is_reproducible(seed, scheduler):
+    first, _ = run_chaos(seed, scheduler=scheduler)
+    second, _ = run_chaos(seed, scheduler=scheduler)
     np.testing.assert_array_equal(first.result.latencies, second.result.latencies)
     assert first.result.dropped == second.result.dropped
     assert [
@@ -168,8 +184,9 @@ def test_chaos_is_reproducible(seed):
     ] == [(e.time, e.server, e.kind) for e in second.fault_events]
 
 
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_chaos_traces_conserve_requests(seed):
+def test_chaos_traces_conserve_requests(seed, scheduler):
     """Sampled traces conserve requests under randomized fault schedules.
 
     Every traced request must end in exactly one live terminal span
@@ -182,8 +199,8 @@ def test_chaos_traces_conserve_requests(seed):
     from repro.obs import Tracer
 
     tracer = Tracer(sample_rate=0.25)
-    outcome, trace = run_chaos(seed, tracer=tracer)
-    untraced, _ = run_chaos(seed)
+    outcome, trace = run_chaos(seed, tracer=tracer, scheduler=scheduler)
+    untraced, _ = run_chaos(seed, scheduler=scheduler)
     np.testing.assert_array_equal(
         outcome.result.request_latencies, untraced.result.request_latencies
     )

@@ -15,6 +15,7 @@ from typing import Callable, Tuple
 
 from repro.data.traces import PoissonTrace
 from repro.obs import Tracer
+from repro.serving.placement import PlacementContext, _SpeedScoredPlacer
 from repro.serving import (
     BatchingConfig,
     ClusterEngine,
@@ -48,11 +49,11 @@ DECODE_PROBE_CALLS = 484
 #: Ceiling on calls per iteration over the 4 s mix.
 MIX_CALLS_PER_ITERATION = 20.3
 #: Ceiling on calls per batch of the small EDF + ``least_work`` cluster run.
-CLUSTER_CALLS_PER_BATCH = 52.9
+CLUSTER_CALLS_PER_BATCH = 39.9
 #: The same ceiling with a 1%-sampled tracer on the run.
-TRACED_CLUSTER_CALLS_PER_BATCH = 53.4
+TRACED_CLUSTER_CALLS_PER_BATCH = 40.4
 #: The same ceiling, windows of 0.1 s, with server 0 slowed x3 for 0.4 s.
-FAULTED_CLUSTER_CALLS_PER_BATCH = 55.6
+FAULTED_CLUSTER_CALLS_PER_BATCH = 42.7
 
 
 def count_calls(fn: Callable[[], object]) -> Tuple[int, Counter]:
@@ -196,31 +197,43 @@ def _calls_per_cluster_batch(**control) -> Tuple[float, Counter]:
     return calls / len(results[0].result.batch_records), sites
 
 
-def _calls_in_steps(cluster: ClusterEngine, requests: list, filename: str):
+def _calls_in_steps(cluster: ClusterEngine, requests: list, *targets):
     """One ``cluster.run`` over ``requests``: its outcome and the calls into
-    ``filename``'s functions made inside the engine's ``step()`` and
-    elsewhere, each a ``Counter`` keyed by qualified name."""
+    ``targets`` (file names, or code objects) made inside the engine's
+    scheduled batch loop and elsewhere, each a ``Counter`` keyed by
+    qualified name.  Every batch of the run is served inside that loop,
+    whether the cluster advances it a window at a time or drains it at
+    ``finish()``."""
     engine, stepping = cluster.engine, [False]
     in_steps, elsewhere = Counter(), Counter()
-    step = engine.step
+    serve = engine._serve_scheduled
+    names = tuple(target for target in targets if isinstance(target, str))
+    codes = {target for target in targets if not isinstance(target, str)}
+    served = []
 
-    def flagged_step():
+    def flagged_serve(session, until):
         stepping[0] = True
+        before = len(session.ledger)
         try:
-            return step()
+            return serve(session, until)
         finally:
             stepping[0] = False
+            served.append(len(session.ledger) - before)
 
     def count(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.endswith(filename):
-            (in_steps if stepping[0] else elsewhere)[frame.f_code.co_qualname] += 1
+        code = frame.f_code
+        if event == "call" and (code in codes or code.co_filename.endswith(names)):
+            (in_steps if stepping[0] else elsewhere)[code.co_qualname] += 1
 
-    engine.step = flagged_step
+    engine._serve_scheduled = flagged_serve
     sys.setprofile(count)
     try:
         outcome = cluster.run(requests=requests)
     finally:
         sys.setprofile(None)
+        del engine._serve_scheduled
+    # The loop served every batch: nothing passed the counter by.
+    assert sum(served) == len(outcome.result.batch_records) > 0
     return outcome, in_steps, elsewhere
 
 
@@ -235,8 +248,8 @@ def test_cluster_calls_per_batch_are_pinned():
 def test_a_cluster_batch_makes_no_telemetry_call():
     """The bus reads the session's ledger when it is read, not per batch:
     over a cluster run whose autoscaler reads it at every window boundary,
-    the engine's ``step()`` calls nothing in ``telemetry.py``; the window
-    reads between steps are where the bus catches up."""
+    the engine's batch loop calls nothing in ``telemetry.py``; the window
+    reads between segments are where the bus catches up."""
     cluster, requests = _cluster(
         window=0.1, autoscaler=SloLatencyAutoscaler(slo_seconds=0.05),
         min_servers=1, initial_servers=2,
@@ -251,7 +264,7 @@ def test_a_cluster_batch_makes_no_telemetry_call():
 def test_a_faulted_cluster_batch_makes_no_resilience_call():
     """A slowdown is a factor the engine multiplies, not a wrapper around
     the executor: over a cluster run that slows server 0 x3 from 0.3 s to
-    0.7 s, the engine's ``step()`` calls nothing in ``resilience.py``, and a
+    0.7 s, the engine's batch loop calls nothing in ``resilience.py``, and a
     faulted batch stays under its pinned calls."""
     slowdown = FaultSchedule(
         [
@@ -271,9 +284,9 @@ def test_a_faulted_cluster_batch_makes_no_resilience_call():
 def test_a_traced_cluster_batch_makes_no_tracer_call():
     """The tracer reads the session's ledger when it settles, not per batch:
     over a traced cluster run that drops and rewinds nothing (a drop cohort
-    or a rewind is still handed over as it happens), the engine's
-    ``step()`` calls nothing in ``tracing.py``, and a traced batch stays
-    under its pinned calls."""
+    or a rewind is still handed over as it happens), the engine's batch
+    loop calls nothing in ``tracing.py``, and a traced batch stays under
+    its pinned calls."""
     cluster, requests = _cluster(tracer=Tracer(sample_rate=0.01))
     outcome, in_steps, elsewhere = _calls_in_steps(cluster, requests, "tracing.py")
     assert len(outcome.result.batch_records) > 200
@@ -281,6 +294,21 @@ def test_a_traced_cluster_batch_makes_no_tracer_call():
     assert elsewhere["Tracer.settle"] >= 1 and len(cluster.tracer.store) > 0
     calls, sites = _calls_per_cluster_batch(tracer=Tracer(sample_rate=0.01))
     assert calls <= TRACED_CLUSTER_CALLS_PER_BATCH, f"{calls:.2f}\n{top_sites(sites)}"
+
+
+def test_a_declared_batch_calls_no_plugin():
+    """A ``FixedRatioPolicy`` is its ratio, a ``ModeledExecutor`` is its
+    price table and a ``least_work`` placer is its scoring rule: over the
+    EDF cluster run, the engine's batch loop calls nothing in
+    ``policies.py`` or ``executors.py`` and builds no ``PlacementContext``
+    (the placer's ``place`` would)."""
+    cluster, requests = _cluster()
+    outcome, in_steps, _ = _calls_in_steps(
+        cluster, requests, "policies.py", "executors.py",
+        PlacementContext.__init__.__code__, _SpeedScoredPlacer.place.__code__,
+    )
+    assert len(outcome.result.batch_records) > 200
+    assert not in_steps, in_steps.most_common(10)
 
 
 def test_a_predictive_placer_has_the_ledger_read_once_a_window():

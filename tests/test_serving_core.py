@@ -930,11 +930,12 @@ class TestOneBatchLedger:
             slots = np.arange(slot, slot + size)
             outputs = [f"out{n}" for n in slots] if has_outputs else None
             start = 0.001 * slot
-            record = ledger.append(
+            row = ledger.append(
                 model, start, start + 0.01, size, ratio, "flexiq", server, size,
                 slots, outputs,
             )
-            assert record == ledger[-1]
+            record = ledger[-1]
+            assert record.row == row
             rows.append((record, slots.tolist(), outputs))
             slot += size
 

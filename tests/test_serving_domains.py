@@ -225,9 +225,9 @@ class TestScheduleValidation:
     def test_unsorted_input_is_sorted_deterministically(self):
         schedule = FaultSchedule(
             [
-                # (not a second crash: server 1 is still down from its first)
-                FaultEvent(time=2.0, server=1, kind="slowdown", factor=2.0),
-                FaultEvent(time=1.0, server=1, kind="crash"),
+                # (a second slowdown: server 1 is still slowed from its first)
+                FaultEvent(time=2.0, server=1, kind="slowdown", factor=3.0),
+                FaultEvent(time=1.0, server=1, kind="slowdown", factor=2.0),
                 FaultEvent(time=1.0, server=0, kind="crash"),
                 FaultEvent(time=3.0, server=0, kind="recover"),
                 FaultEvent(time=3.0, server=1, kind="recover"),

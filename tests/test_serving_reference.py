@@ -11,6 +11,7 @@ generated test crashes one server between two ``step()`` calls and requeues its
 riders (the reference's rules 6-8), under every discipline.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -18,13 +19,29 @@ from hypothesis import example, given, settings, strategies as st
 
 from priority_scheduler import PriorityScheduler
 from reference_sim import SpecCrash, SpecRequest, reference_run
+from repro.data.traces import PoissonTrace, RequestTrace
+from repro.obs import BurnRateRule, SloMonitor, SloObjective, Tracer
+from repro.serving.cluster import ClusterEngine, ServerSpec, SloLatencyAutoscaler
 from repro.serving.core import PENDING, SERVED
-from repro.serving.engine import BatchingConfig, Request, ServingEngine
+from repro.serving.engine import (
+    BatchExecution,
+    BatchingConfig,
+    Request,
+    ServingEngine,
+    requests_from_trace,
+)
 from repro.serving.executors import ModeledExecutor
-from repro.serving.policies import FixedRatioPolicy
-from repro.serving.resilience import RequeueAtHeadMigration
+from repro.serving.placement import earliest_free
+from repro.serving.policies import FixedRatioPolicy, QueueDepthRatioPolicy
+from repro.serving.resilience import (
+    FaultEvent,
+    FaultSchedule,
+    RequeueAtHeadMigration,
+    StepCheckpoint,
+)
 from repro.serving.schedulers import EdfScheduler, FifoScheduler
 from repro.serving.simulator import ServiceTimeModel
+from repro.serving.telemetry import Samples
 
 SERVICE_MODEL = ServiceTimeModel()
 #: Each model runs at its own ratio, so a batch billed to the wrong model shows.
@@ -544,3 +561,228 @@ class TestTheSteppedSweepMeetsTheSpecification:
             return
         for got, want in zip(swept.responses, stepped.responses):
             assert repr(got) == repr(want)
+
+
+# ----------------------------------------------------------------------
+# A segment is its steps: ``advance_until`` against ``step()``
+# ----------------------------------------------------------------------
+class SlowestIdlePlacer:
+    """A custom placer: the highest-numbered server idle at the batch's
+    time, else the earliest-free one (what no shipped placer does)."""
+
+    def place(self, context) -> int:
+        idle = [s for s in context.active if context.free_at[s] <= context.time]
+        return idle[-1] if idle else earliest_free(context.free_at, context.active)
+
+
+class LinearExecutor:
+    """A custom executor: 1 ms plus 0.5 ms a request, run one notch above
+    the policy's ratio, one output per rider."""
+
+    def execute(self, batch, mode, ratio):
+        return BatchExecution(
+            service_time=0.001 + 0.0005 * batch.size,
+            outputs=[int(slot) for slot in batch.indices],
+            ratio=min(1.0, ratio + 0.25),
+        )
+
+
+class CalledFixedRatioPolicy(FixedRatioPolicy):
+    """A fixed ratio the loop must ask for: a subclass is no declared type."""
+
+
+class CalledModeledExecutor(ModeledExecutor):
+    """Modeled prices the loop must call ``execute`` for, likewise."""
+
+
+@st.composite
+def cluster_sessions(draw):
+    """A cluster session across every axis the scheduled loop reads once per
+    segment or calls per batch, served under a control plane (an SLO
+    monitor at least) so that ``ClusterEngine.run`` advances it.  The axes
+    are drawn uniformly (hypothesis' own draws favour the first choice)."""
+    rng = draw(st.randoms(use_true_random=True))
+    crash_at = rng.randint(5, 40) * 1e-2
+    return dict(
+        seed=rng.randrange(2**16),
+        scheduler=rng.choice(["edf", "priority"]),
+        placer=rng.choice([None, "least_work", "weighted", "predictive", "custom"]),
+        policy=rng.choice(["fixed", "queue_depth"]),
+        executor=rng.choice(["modeled", "custom"]),
+        faults=rng.choice(["none", "crash", "slowdown"]),
+        server=rng.randrange(3),
+        crash_at=crash_at,
+        recover_at=crash_at + rng.choice([0.05, 0.2, 1.0]),
+        autoscale=rng.random() < 0.5,
+        drop_after=rng.choice([None, 0.02]),
+        # Windows and, when on the grid, arrivals are exact binary fractions,
+        # so batches start exactly on window boundaries.
+        window=rng.choice([1 / 32, 1 / 8]),
+        grid=rng.random() < 0.5,
+        # Where the randomly split drive cuts segments, in ms.
+        cuts=[rng.randint(1, 600) for _ in range(rng.randrange(40))],
+    )
+
+
+def _cluster_run(case, drive):
+    """``ClusterEngine.run`` of ``case`` with the engine advanced by
+    ``drive``: ``"run"`` as shipped, ``"steps"`` by ``step()`` until a batch
+    starts at or past each boundary (the primitive's specification),
+    ``"cuts"`` by the shipped primitive at every random cut as well, and
+    ``"called"`` as shipped with every plug-in a subclass of its declared
+    type, so that the loop calls the policy, the executors and the placer
+    per batch instead of reading them."""
+    called = drive == "called"
+    models = [ServiceTimeModel("vit_base"), ServiceTimeModel("resnet50")]
+    specs = [
+        ServerSpec(f"s{i}", speed, service_model=models[i % 2])
+        for i, speed in enumerate((300.0, 500.0, 800.0))
+    ]
+    faults = None
+    if case["faults"] != "none":
+        server, kind = case["server"], case["faults"]
+        faults = FaultSchedule([
+            FaultEvent(case["crash_at"], server, kind, factor=3.0),
+            FaultEvent(case["recover_at"], server, "recover"),
+        ])
+    tracer = Tracer(sample_rate=0.5)
+    cluster = ClusterEngine(
+        specs,
+        BatchingConfig(max_batch=6, drop_after=case["drop_after"]),
+        scheduler=EdfScheduler() if case["scheduler"] == "edf" else PriorityScheduler(),
+        placer=SlowestIdlePlacer() if case["placer"] == "custom" else case["placer"],
+        window=case["window"],
+        autoscaler=(
+            SloLatencyAutoscaler(slo_seconds=0.01, patience=1) if case["autoscale"] else None
+        ),
+        min_servers=1,
+        initial_servers=2 if case["autoscale"] else None,
+        fault_schedule=faults,
+        migration=RequeueAtHeadMigration(delay=0.004),
+        checkpoint=StepCheckpoint(steps=4),
+        tracer=tracer,
+        slo_monitor=SloMonitor(
+            objectives=[SloObjective("fast", target=0.9, kind="latency",
+                                     latency_slo_seconds=0.02)],
+            rules=[BurnRateRule(threshold=2.0, fast_windows=1, slow_windows=2,
+                                severity="page")],
+        ),
+    )
+    fixed = CalledFixedRatioPolicy if called else FixedRatioPolicy
+    modeled = CalledModeledExecutor if called else ModeledExecutor
+    cluster.register(
+        "m",
+        policy=(
+            fixed(0.5) if case["policy"] == "fixed"
+            else QueueDepthRatioPolicy({3: 0.5, 8: 1.0})
+        ),
+        mode="int8",
+        executors=[
+            LinearExecutor() if case["executor"] == "custom" else modeled(spec.service_model)
+            for spec in specs
+        ],
+    )
+    engine = cluster.engine
+    if called and case["placer"] in ("least_work", "weighted"):
+        kind = type(engine.placer)
+        engine.placer.__class__ = type(f"Called{kind.__name__}", (kind,), {})
+    if drive == "steps":
+        def advance_until(time):
+            record = engine.step()
+            while record is not None and record.start < time:
+                record = engine.step()
+            return record
+
+        engine.advance_until = advance_until
+    else:
+        advance = _kept_to_its_word(engine)
+        if drive == "cuts":
+            cuts = sorted(case["cuts"])
+
+            def advance_until(time):
+                while cuts and cuts[0] * 1e-3 < time:
+                    record = advance(cuts.pop(0) * 1e-3)
+                    if record is None or record.start >= time:
+                        return record
+                return advance(time)
+
+            engine.advance_until = advance_until
+        else:
+            engine.advance_until = advance
+    trace = PoissonTrace(3000, duration=0.3, seed=case["seed"]).generate()
+    if case["grid"]:
+        trace = RequestTrace(np.round(trace.arrival_times * 1024) / 1024, trace.duration)
+    requests = requests_from_trace(
+        trace, model="m", deadlines=[0.01, 0.03, None], priorities=[0, 1, 2]
+    )
+    return cluster.run(requests=requests), tracer
+
+
+def _kept_to_its_word(engine):
+    """``engine.advance_until``, checked on every call: the batches it served
+    all start before ``time`` but the last, which it returns, unless the
+    work ran out first."""
+    advance = engine.advance_until
+
+    def advance_until(time):
+        ledger = engine._session.ledger  # no rewind happens inside a call
+        before = len(ledger)
+        record = advance(time)
+        starts = ledger.lists[0][before:]
+        if record is None:
+            assert all(start < time for start in starts)
+        else:
+            assert record == ledger[-1] and record.start >= time
+            assert all(start < time for start in starts[:-1])
+        return record
+
+    return advance_until
+
+
+def _outcome(outcome, tracer):
+    """Everything a drive can change: every ledger column and rider, the
+    drop cohorts, every telemetry cell, the span columns and the events."""
+    result = outcome.result
+    ledger, responses = result.batch_records, result.responses
+    cells = {
+        key: [
+            value.joined().tolist() if isinstance(value, Samples) else value
+            for value in (getattr(cell, f.name) for f in dataclasses.fields(cell))
+        ]
+        for key, cell in outcome.telemetry._cells.items()
+    }
+    return dict(
+        columns=[column.tolist() for column in (
+            ledger.starts, ledger.finishes, ledger.sizes, ledger.servers,
+            ledger.queue_depths,
+        )],
+        ratios=ledger.ratios, ids=ledger.ids, cohort=ledger.cohort,
+        riders=[slots.tolist() for slots in ledger.row_slots()],
+        outputs=ledger.outputs,
+        served_by=responses.batch.tolist(),
+        drop_times=[t if t == t else None for t in responses.drop_times.tolist()],
+        latencies=[t if t == t else None for t in result.request_latencies.tolist()],
+        cells=cells,
+        spans={name: column.tolist() for name, column in tracer.spans().items()},
+        events=[repr(event) for event in outcome.timeline()],
+        kernel=(result.kernel, result.kernel_reason),
+        migrated=result.migrated,
+    )
+
+
+class TestASegmentIsItsSteps:
+    """``ServingEngine.advance_until(t)`` serves every batch that starts
+    before ``t`` and the first that starts at or after it.  Driving a
+    generated cluster session by it as shipped, by ``step()`` until a batch
+    starts past each boundary, by it with the segments cut at random times
+    in between, and with plug-ins the loop must call rather than read gives
+    one outcome, field by field."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(cluster_sessions())
+    def test_advancing_equals_stepping_equals_run(self, case):
+        shipped = _outcome(*_cluster_run(case, "run"))
+        assert shipped["kernel"] == ("object", "scheduler")
+        assert shipped["columns"][0]  # something was served
+        for drive in ("steps", "cuts", "called"):
+            assert _outcome(*_cluster_run(case, drive)) == shipped, drive

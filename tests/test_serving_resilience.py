@@ -143,13 +143,33 @@ class TestFaultPlane:
             ValueError, match=r"server 2 at t=3, .* crash at t=1 with no recover"
         ):
             FaultSchedule([crash(1.0), crash(3.0)])
-        # A slowdown in between does not resurrect it; a recover does.
+        # A zone slowdown that sweeps it up in between does not resurrect
+        # it; a recover does.
+        swept = FaultEvent(2.0, 2, "slowdown", factor=2.0, domain="zone:z")
         with pytest.raises(ValueError, match="server 2 at t=3"):
-            FaultSchedule(
-                [crash(1.0), FaultEvent(2.0, 2, "slowdown", factor=2.0), crash(3.0)]
-            )
+            FaultSchedule([crash(1.0), swept, crash(3.0)])
         again = FaultSchedule([crash(1.0), FaultEvent(2.0, 2, "recover"), crash(3.0)])
         assert [event.kind for event in again] == ["crash", "recover", "crash"]
+
+    def test_schedule_rejects_a_slowdown_of_a_server_still_down(self):
+        """A slowdown aimed at a crashed server would never apply (the
+        control plane skips a failed server's slowdown): a typo'd id or
+        time, refused like a second crash.  One a zone slowdown expands to
+        sweeps the down server up legally."""
+        crash = FaultEvent(time=1.0, server=2, kind="crash")
+        with pytest.raises(
+            ValueError,
+            match=r"slowdown for server 2 at t=2, .* crash at t=1 with no recover",
+        ):
+            FaultSchedule([crash, FaultEvent(2.0, 2, "slowdown", factor=2.0)])
+        swept = FaultEvent(2.0, 2, "slowdown", factor=2.0, domain="zone:z")
+        assert [event.kind for event in FaultSchedule([crash, swept])] == [
+            "crash", "slowdown",
+        ]
+        after = FaultSchedule(
+            [crash, FaultEvent(2.0, 2, "recover"), FaultEvent(3.0, 2, "slowdown", factor=2.0)]
+        )
+        assert [event.kind for event in after] == ["crash", "recover", "slowdown"]
 
     def test_schedule_rejects_unknown_server(self, service_model):
         spec = gpu_server("g", "vit_base", gpu="a6000")
@@ -660,21 +680,30 @@ class TestClusterFaults:
 
     def test_slowdown_cannot_resurrect_a_crashed_server(self):
         """Regression: a slowdown of a failed spec used to mark it degraded,
-        which let the autoscaler wake a dead server."""
+        which let the autoscaler wake a dead server.  A schedule may no
+        longer aim a slowdown at a down server, but a zone slowdown still
+        sweeps one up."""
         schedule = FaultSchedule(
             [
                 FaultEvent(time=0.5, server=2, kind="crash"),
-                FaultEvent(time=1.0, server=2, kind="slowdown", factor=8.0),
+                FaultEvent(time=1.0, kind="zone_slowdown", factor=8.0, zone="z"),
             ]
         )
-        cluster = self._cluster(
-            k=3,
+        specs = [
+            gpu_server(f"g{i}", "vit_base", gpu="a6000", zone="z" if i == 2 else "")
+            for i in range(3)
+        ]
+        cluster = ClusterEngine(
+            specs,
+            BatchingConfig(max_batch=64),
+            window=0.25,
             fault_schedule=schedule,
             migration=RequeueAtHeadMigration(delay=0.01),
             autoscaler=AlwaysGrow(),
             min_servers=1,
             initial_servers=2,
         )
+        cluster.register("m", mode="int8")
         outcome = cluster.run(requests=self._requests(rate=4000, duration=3.0))
         assert cluster.specs[2].failed
         # The always-scale-up autoscaler may wake server 2 *before* the
