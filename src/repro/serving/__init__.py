@@ -60,7 +60,6 @@ from repro.serving.generation import (
     run_to_completion,
 )
 from repro.serving.placement import (
-    FreeClockPlacer,
     LeastOutstandingWorkPlacer,
     PlacementContext,
     PredictivePlacer,
@@ -104,7 +103,6 @@ __all__ = [
     "FcfsAdmission",
     "FifoScheduler",
     "FixedRatioPolicy",
-    "FreeClockPlacer",
     "IterationScheduler",
     "LeastOutstandingWorkPlacer",
     "Migrant",

@@ -12,8 +12,8 @@ production serving system that decides what the cluster looks like:
   NPUs.  Real execution plugs in per model, through
   :meth:`ClusterEngine.register`'s ``executors``.
 * **Placement** — :class:`~repro.serving.placement.Placer` implementations
-  are resolved by name (``"free_clock"``, ``"least_work"``, ``"weighted"``)
-  with speeds taken from the specs, or passed as instances.
+  are resolved by name (``"least_work"``, ``"weighted"``, ``"predictive"``,
+  ``"spread"``) with speeds taken from the specs, or passed as instances.
 * **Telemetry** — every :class:`ClusterEngine` owns a
   :class:`~repro.serving.telemetry.TelemetryBus`; it reads the engine's
   batch ledger when read (drops are handed to it) and policies read it
@@ -66,7 +66,6 @@ from repro.serving.engine import (
 from repro.serving.executors import ModeledExecutor
 from repro.serving.metrics import attainment_within, latency_percentile
 from repro.serving.placement import (
-    FreeClockPlacer,
     LeastOutstandingWorkPlacer,
     Placer,
     PredictivePlacer,
@@ -449,7 +448,7 @@ class ClusterResult:
         ]
 
 
-_PLACERS = ("free_clock", "least_work", "weighted", "predictive", "spread")
+_PLACERS = ("least_work", "weighted", "predictive", "spread")
 
 
 class ClusterEngine:
@@ -458,9 +457,10 @@ class ClusterEngine:
     ``specs`` define the servers (order = server ids; put fast servers
     first so tie-breaks favour them).  ``placer`` is a
     :class:`~repro.serving.placement.Placer` instance or one of
-    ``"free_clock"``, ``"least_work"``, ``"weighted"``, ``"predictive"``
-    (speeds *and* batch-size-aware service estimators taken from the
-    specs); ``None`` keeps the engine's inlined seed dispatch.
+    ``"least_work"``, ``"weighted"``, ``"predictive"`` (speeds *and*
+    batch-size-aware service estimators taken from the specs) and
+    ``"spread"`` (``"weighted"`` within the least-backlogged failure
+    domain); ``None`` keeps the engine's inlined seed dispatch.
 
     With an ``autoscaler`` the run starts at ``initial_servers`` active
     (default ``min_servers``) and re-evaluates the size at every telemetry
@@ -619,8 +619,6 @@ class ClusterEngine:
         if placer is None:
             return None
         if isinstance(placer, str):
-            if placer == "free_clock":
-                return FreeClockPlacer()
             if placer == "least_work":
                 return self._scored(LeastOutstandingWorkPlacer)
             if placer == "weighted":
@@ -717,7 +715,8 @@ class ClusterEngine:
         try:
             # With no window-boundary decisions to make, the whole session
             # goes straight to finish(), which sweeps eligible FIFO sessions
-            # columnar (advancing here, with a bus attached, is the object loop).
+            # columnar.  Advancing here, with a bus attached, is one call of
+            # the session's object loop (FIFO or scheduled) per window.
             while control:
                 record = self.engine.advance_until(boundary)
                 if record is None:

@@ -695,7 +695,7 @@ class FifoSweep:
     and, once closed, the record of what it did beside ``ledger``'s rows.
 
     Bit-identical to the object loop in
-    :meth:`repro.serving.engine.ServingEngine._step_fifo` with the seed
+    :meth:`repro.serving.engine.ServingEngine._serve_fifo` with the seed
     argmin-free-clock rule, and at K=1 to the seed simulator: same ``start =
     max(free, arrival)``, same ``bisect_right`` admission boundary, same
     expired-prefix drop predicate (``start - arrival > drop_after``

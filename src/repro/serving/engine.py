@@ -115,6 +115,7 @@ from repro.serving.core import (
     RequestStore,
     SERVED,
     check_integer,
+    check_ratio,
     grow_column,
 )
 from repro.serving.metrics import (
@@ -608,7 +609,7 @@ class _Session:
         self.migrated = 0
         # Per-slot checkpointed progress fraction (partial-batch
         # checkpointing; see preempt_server).  Empty on the default paths —
-        # _execute only looks at it when non-empty, keeping the seed
+        # the object loops only look at it when non-empty, keeping the seed
         # arithmetic untouched.
         self.checkpoints: Dict[int, float] = {}
         self.dropped = 0
@@ -666,9 +667,12 @@ class ServingEngine:
     ``scheduler`` selects the queue discipline (default FIFO); non-FIFO
     schedulers read per-request ``priority``/``deadline`` fields, which a
     trace does not carry, and therefore require explicit requests (see
-    :func:`requests_from_trace`).  One loop serves them, a segment per call:
-    it reads a fixed-ratio policy, modeled executors and a least-work or
-    weighted placer once per call instead of calling them per batch.
+    :func:`requests_from_trace`).  Each discipline has one object loop, and
+    both serve a segment per call under one contract (:meth:`step`: a batch,
+    :meth:`advance_until`: up to a time, :meth:`finish`: the rest).  The
+    scheduled loop reads a fixed-ratio policy, modeled executors and a
+    least-work or weighted placer once per call instead of calling them per
+    batch; the FIFO loop calls its policy and executor for every batch.
     """
 
     def __init__(
@@ -941,9 +945,8 @@ class ServingEngine:
                     )
                 self._trace_drops(session, sweep, cohorts)
             return session.ledger[-1] if went else None
-        if self._fifo:
-            return self._step_fifo(session)
-        return self._serve_scheduled(session, -inf)
+        serve = self._serve_fifo if self._fifo else self._serve_scheduled
+        return serve(session, -inf)
 
     def advance_until(self, time: float) -> Optional[BatchRecord]:
         """Serve every batch that starts before ``time`` and the first that
@@ -952,15 +955,16 @@ class ServingEngine:
         calls once per boundary (``ClusterEngine.run``)."""
         if time != time:
             raise ValueError("advance_until(nan): a time is needed")
-        if self._fifo:
-            record = self.step()
-            while record is not None and record.start < time:
-                record = self.step()
-            return record
         session = self._require_session()
         if session.kernel is None:
-            self._decide_sweep(session, stepping=True)  # records the clause
-        return self._serve_scheduled(session, time)
+            self._decide_sweep(session, stepping=True)
+        if session.sweep is None:
+            serve = self._serve_fifo if self._fifo else self._serve_scheduled
+            return serve(session, time)
+        record = self.step()  # the stepped sweep serves a batch per step()
+        while record is not None and record.start < time:
+            record = self.step()
+        return record
 
     def finish(self) -> EngineResult:
         """Drain the queue, close the session and return the result.
@@ -970,26 +974,28 @@ class ServingEngine:
 
         A session on the columnar sweep (stepping it already, or eligible here,
         at its first dispatch) drains the rest through the same loop without a
-        batch limit — unless it records responses: then, like everything else,
-        through :meth:`step` (ROADMAP 1(a): two benchmark ratios divide by it).
+        batch limit — unless it records responses: then a batch per
+        :meth:`step` (ROADMAP 1(a): two benchmark ratios divide by it).  Any
+        other session is drained by one call of its object loop.
         """
         session = self._require_session()
         try:
             sweep = session.sweep
             if sweep is None and session.kernel is None:
                 sweep = self._decide_sweep(session, session.record_responses)
-            if sweep is not None and not session.record_responses:
+            if sweep is None:
+                serve = self._serve_fifo if self._fifo else self._serve_scheduled
+                serve(session, inf)
+            elif session.record_responses:
+                while self.step() is not None:
+                    pass
+            else:
                 cohorts = len(sweep.drop_rows)
                 sweep.advance(
                     session.free_at, session.busy, session.active, session.tables,
                     self.batching.max_batch, self.batching.drop_after,
                 )
                 self._sweep_rows(session, cohorts)
-            elif self._fifo:
-                while self.step() is not None:
-                    pass
-            else:
-                self._serve_scheduled(session, inf)
         finally:
             self._session = None
         return self._finalize(session)
@@ -1390,14 +1396,19 @@ class ServingEngine:
         s.kernel, s.reason = "sweep+object", reason
 
     # ------------------------------------------------------------------
-    # FIFO fast path (bit-identical to the seed loop at num_servers=1)
+    # FIFO object loop (bit-identical to the seed loop at num_servers=1)
     # ------------------------------------------------------------------
-    def _step_fifo(self, s: _Session) -> Optional[BatchRecord]:
+    def _serve_fifo(self, s: _Session, until: float) -> Optional[BatchRecord]:
+        """Serve FIFO batches until one starts at or after ``until``; its
+        record (``None``: the work ran out first) is the only one built —
+        :meth:`_serve_scheduled`'s contract.  The policy and the executor
+        are called for every batch (:meth:`_run_called`)."""
         max_batch = self.batching.max_batch
         drop_after = self.batching.drop_after
-        arrivals = s.pend_arrivals
-        num_requests = len(arrivals)
-        store = s.store
+        store, free_at, arrivals = s.store, s.free_at, s.pend_arrivals
+        pend_slots, status, endpoints = s.pend_slots, store.status, self._endpoints
+        ledger, busy, slowdown, active = s.ledger, s.busy, s.slowdown, s.active
+        placer, num_requests, single = self.placer, len(arrivals), store.single_model
 
         while True:
             index = s.pos
@@ -1406,18 +1417,19 @@ class ServingEngine:
             # A Python float from here on: the same double, and the clock
             # arithmetic below stays off numpy's scalar path.
             first_arrival = float(arrivals[index])
-            server = earliest_free(s.free_at, s.active)  # the seed rule
-            if self.placer is not None:
-                head_model = store.model_name(s.pend_slots[index])
+            server = earliest_free(free_at, active)  # the seed rule
+            if placer is not None:
+                head_model = store.model_name(pend_slots[index])
                 # Size hint: arrivals by the *earliest possible* service
                 # start (the earliest-free active clock), not by the head's
                 # arrival — under backlog the batch really forms then, and
                 # a head-arrival count (usually 1) would under-cost slow
                 # servers by up to max_batch x.
-                est_start = max(s.free_at[server], first_arrival)
+                est_start = max(free_at[server], first_arrival)
                 arrived = bisect.bisect_right(arrivals, est_start, lo=index) - index
                 server = self._select_server(s, first_arrival, head_model, arrived)
-            start = max(s.free_at[server], first_arrival)
+            free = free_at[server]  # ``max`` spelled out: the same double
+            start = free if free >= first_arrival else first_arrival
             # All requests that have arrived by the time the server starts.
             end_index = bisect.bisect_right(arrivals, start, lo=index)
 
@@ -1433,31 +1445,45 @@ class ServingEngine:
                     arrivals, index, end_index, start, drop_after
                 )
                 if fresh > index:
-                    self._drop(s, s.pend_slots[index:fresh], start)
+                    self._drop(s, pend_slots[index:fresh], start)
                     s.pos = fresh
                     continue
 
-            limit = min(end_index, index + max_batch)
+            limit = index + max_batch
+            if end_index < limit:
+                limit = end_index
             if limit == index:
                 limit = index + 1  # serve at least the request that triggered us
 
-            head_model = store.single_model
+            head_model = single
             batch_end = limit
             if head_model is None:
                 # Same-model batching: a batch is a FIFO run of consecutive
                 # requests for one model (batches never mix models).
-                model_ids = store.model_ids[s.pend_slots[index:limit]]
+                model_ids = store.model_ids[pend_slots[index:limit]]
                 head_model = store.model_names[model_ids[0]]
                 others = np.flatnonzero(model_ids != model_ids[0])
                 if len(others):
                     batch_end = index + int(others[0])
 
-            slots = s.pend_slots[index:batch_end]
-            record = self._execute(
-                s, server, start, head_model, slots, queue_depth=end_index - index
+            # A copy: a row must not pin a superseded pending array alive.
+            slots = pend_slots[index:batch_end].copy()
+            endpoint, queue_depth = endpoints[head_model], end_index - index
+            ratio, service_time, outputs = self._run_called(
+                s, endpoint, None, None, server, start, slots, queue_depth
             )
             s.pos = batch_end
-            return record
+            service_time *= slowdown[server]
+            if s.checkpoints:
+                service_time *= self._residual(s, slots)
+            finish = start + service_time
+            status[slots] = SERVED
+            ledger.append(head_model, start, finish, batch_end - index, ratio,
+                          endpoint.mode, server, queue_depth, slots, outputs)
+            busy[server] += service_time
+            free_at[server] = finish
+            if start >= until:
+                return ledger[-1]
 
     # ------------------------------------------------------------------
     # Scheduled path (EDF / custom disciplines)
@@ -1468,7 +1494,8 @@ class ServingEngine:
         batch per :meth:`step` (``-inf``), a segment per :meth:`advance_until`,
         the rest at :meth:`finish` (``inf``).  Nothing else runs during a call,
         so it resolves once what every batch reads (:func:`_declared`, a
-        least-work or weighted placer's ``choose``); other plug-ins are called."""
+        least-work or weighted placer's ``choose``); other plug-ins are called
+        (:meth:`_run_called`)."""
         max_batch = self.batching.max_batch
         drop_after = self.batching.drop_after
         store, free_at, pend_arrivals = s.store, s.free_at, s.pend_arrivals
@@ -1588,24 +1615,16 @@ class ServingEngine:
             slots = np.array(take, dtype=np.intp)
             size = len(take)
 
-            # Run the batch: what _execute does, with declared answers read.
+            # Run the batch: declared answers are read, the rest called.
             endpoint, ratio, models = plans[head_id]
-            mode, outputs = endpoint.mode, None
-            if ratio is None:
-                ratio = float(endpoint.policy.select(
-                    PolicyContext(start, queue_depth, server, self.telemetry)
-                ))
-            if models[server] is not None:
-                service_time = float(models[server].batch_latency(size, mode, ratio))
+            model, mode = models[server], endpoint.mode
+            if ratio is None or model is None:
+                ratio, service_time, outputs = self._run_called(
+                    s, endpoint, ratio, model, server, start, slots, queue_depth
+                )
             else:
-                execution = endpoint.executors[server].execute(Batch(
-                    head_model, start, size, slots, LazyRequests(store, slots), server
-                ), mode, ratio)
-                service_time = float(execution.service_time)
-                if execution.ratio is not None:
-                    ratio = float(execution.ratio)
-                if s.record_responses:
-                    outputs = execution.outputs
+                service_time = float(model.batch_latency(size, mode, ratio))
+                outputs = None
             service_time *= slowdown[server]
             if s.checkpoints:
                 service_time *= self._residual(s, slots)
@@ -1632,51 +1651,44 @@ class ServingEngine:
         self._drop(s, np.asarray([e[2] for e in expired], dtype=np.intp), start)
 
     # ------------------------------------------------------------------
-    # Shared batch execution
+    # The called batch (both object loops)
     # ------------------------------------------------------------------
-    def _execute(
-        self,
-        s: _Session,
-        server: int,
-        start: float,
-        head_model: str,
-        slots: np.ndarray,
-        queue_depth: int,
-    ) -> BatchRecord:
-        endpoint = self._endpoints[head_model]
-        batch_size = len(slots)
-        # Both built positionally, in field order: once per batch, a keyword
-        # call costs as much as the policy it feeds.
-        context = PolicyContext(start, queue_depth, server, self.telemetry)
-        ratio = float(endpoint.policy.select(context))
-        batch = Batch(
-            head_model, start, batch_size, slots, LazyRequests(s.store, slots), server
-        )
-        execution = endpoint.executors[server].execute(batch, endpoint.mode, ratio)
-        service_time = float(execution.service_time) * s.slowdown[server]
-        if s.checkpoints:
-            service_time *= self._residual(s, slots)
+    def _run_called(
+        self, s: _Session, endpoint: _Endpoint, ratio: Optional[float], model,
+        server: int, start: float, slots: np.ndarray, queue_depth: int,
+    ) -> Tuple[float, float, Optional[Sequence[Any]]]:
+        """The work of a batch whose plug-ins are called: the policy's
+        ``select`` (unless ``ratio`` is declared), then the executor's
+        ``execute`` (unless ``model``, the server's declared service model,
+        prices the batch), whose executed ratio overrides the selected one.
+        Returns the ratio, the service time before any slowdown or
+        checkpoint and the outputs (``None`` unless responses are kept)."""
+        mode = endpoint.mode
+        if ratio is None:
+            # Built positionally, in field order: once per batch, a keyword
+            # call costs as much as the policy it feeds.
+            ratio = float(endpoint.policy.select(
+                PolicyContext(start, queue_depth, server, self.telemetry)
+            ))
+        if model is not None:
+            return ratio, float(model.batch_latency(len(slots), mode, ratio)), None
+        execution = endpoint.executors[server].execute(Batch(
+            endpoint.name, start, len(slots), slots, LazyRequests(s.store, slots),
+            server,
+        ), mode, ratio)
+        service_time = float(execution.service_time)
+        if not 0.0 <= service_time < inf:  # NaN fails both comparisons
+            raise ValueError(
+                f"the executor of model {endpoint.name!r} on server {server} "
+                "returned a service time that is not a finite number >= 0 "
+                f"(got {service_time!r})"
+            )
         # Record the ratio the batch actually ran at, which executors may
         # override (mode pinning); metrics built on batch_ratios must
         # reflect executed configurations, not requested ones.
         if execution.ratio is not None:
-            ratio = float(execution.ratio)
-        finish = start + service_time
-        s.store.status[slots] = SERVED
-        # FIFO-path slots are views into pend_slots; the row keeps a copy so a
-        # superseded pending array (streaming submit, migration requeue) is
-        # not pinned alive for the whole session by its batch views.
-        row = s.ledger.append(
-            head_model, start, finish, batch_size, ratio, endpoint.mode, server,
-            queue_depth, slots.copy() if slots.base is not None else slots,
-            execution.outputs if s.record_responses else None,
-        )
-        s.busy[server] += service_time
-        s.free_at[server] = finish
-        return BatchRecord(  # positionally, in field order
-            head_model, start, finish, batch_size, ratio, endpoint.mode, server,
-            queue_depth, row,
-        )
+            ratio = check_ratio(execution.ratio)
+        return ratio, service_time, execution.outputs if s.record_responses else None
 
     @staticmethod
     def _residual(s: _Session, slots: np.ndarray) -> float:

@@ -501,7 +501,7 @@ class IterationScheduler:
             decode_width += seq.max_new_tokens > 1
         iteration = len(s.iterations)
         queue_depth = len(candidates)
-        # Both built positionally, in field order, as ServingEngine._execute
+        # Built positionally, in field order, as ServingEngine._run_called
         # builds its context: once per iteration, keywords cost as much as
         # the policy they feed.  Server 0, no bus.
         context = PolicyContext(

@@ -9,11 +9,10 @@ so it keeps winning batches that a busy fast server would nevertheless have
 engine keeps its invariants (the placer only picks *which* server runs the
 next batch; admission, batching and scheduling are unchanged).
 
-Five disciplines ship with the engine:
+An engine built with ``placer=None`` keeps the seed rule, inlined
+(:func:`earliest_free`; bit-identical to the seed simulator at
+``num_servers=1``).  Four placers ship with the engine:
 
-* :class:`FreeClockPlacer` — argmin over free clocks; the seed behaviour and
-  the compatibility default (an engine built with ``placer=None`` takes the
-  inlined fast path, bit-identical to the seed simulator at ``num_servers=1``).
 * :class:`LeastOutstandingWorkPlacer` — minimize the server's outstanding
   *work* (backlog seconds plus the estimated service seconds of the candidate
   batch).  Needs per-server speeds; on a mixed-speed cluster it stops feeding
@@ -122,13 +121,6 @@ def earliest_free(free_at: Sequence[float], active: Sequence[int]) -> int:
         if free_at[server] < clock:
             best, clock = server, free_at[server]
     return best
-
-
-class FreeClockPlacer:
-    """Argmin over server free clocks (the seed rule, ties to lowest id)."""
-
-    def place(self, context: PlacementContext) -> int:
-        return earliest_free(context.free_at, context.active)
 
 
 def _validated_speeds(speeds: Sequence[float]) -> List[float]:
@@ -346,15 +338,13 @@ class SpreadPlacer:
     (``sum(max(free_at[s] - now, 0)) / len(servers)``), and restricts
     placement to the least-backlogged domain — ties prefer the domain with
     more active servers, then the lexically first name, so the choice is
-    deterministic.  Within the chosen domain, ``within`` decides (free-clock
-    by default), so any speed-aware placer becomes spread-aware by wrapping.
+    deterministic.  Within the chosen domain, ``within`` decides, so any
+    speed-aware placer becomes spread-aware by wrapping.
     """
 
-    def __init__(
-        self, topology: "ClusterTopology", within: Optional[Placer] = None
-    ) -> None:
+    def __init__(self, topology: "ClusterTopology", within: Placer) -> None:
         self.topology = topology
-        self.within = within if within is not None else FreeClockPlacer()
+        self.within = within
 
     def place(self, context: PlacementContext) -> int:
         domains: Dict[str, List[int]] = {}

@@ -13,6 +13,8 @@ import sys
 from collections import Counter
 from typing import Callable, Tuple
 
+import pytest
+
 from repro.data.traces import PoissonTrace
 from repro.obs import Tracer
 from repro.serving.placement import PlacementContext, _SpeedScoredPlacer
@@ -54,6 +56,9 @@ CLUSTER_CALLS_PER_BATCH = 39.9
 TRACED_CLUSTER_CALLS_PER_BATCH = 40.4
 #: The same ceiling, windows of 0.1 s, with server 0 slowed x3 for 0.4 s.
 FAULTED_CLUSTER_CALLS_PER_BATCH = 42.7
+#: Ceiling on calls per batch of a FIFO cluster run without a placer,
+#: windows of 0.1 s, with server 1 down from 0.5 s to 0.8 s.
+FIFO_CLUSTER_CALLS_PER_BATCH = 30.2
 
 
 def count_calls(fn: Callable[[], object]) -> Tuple[int, Counter]:
@@ -169,16 +174,19 @@ def test_decode_iteration_cost_does_not_grow_with_batch_width():
         )
 
 
-def _cluster(placer: str = "least_work", **control) -> Tuple[ClusterEngine, list]:
-    """EDF (every request has a deadline), a named placer (``least_work``)
-    scoring three servers with the cluster's estimators and a
-    ``ModeledExecutor`` per server, over a second of requests."""
+def _cluster(
+    placer: str = "least_work", fifo: bool = False, **control
+) -> Tuple[ClusterEngine, list]:
+    """EDF (every request has a deadline; FIFO, which ignores them, with
+    ``fifo``), a named placer (``least_work``) scoring three servers with the
+    cluster's estimators and a ``ModeledExecutor`` per server, over a second
+    of requests."""
     trace = PoissonTrace(600, duration=1.0, seed=SEED).generate()
     requests = requests_from_trace(trace, model="m", deadlines=[0.05, 0.2])
     cluster = ClusterEngine(
         [ServerSpec(f"s{i}", 100.0, service_model=ServiceTimeModel()) for i in range(3)],
         batching=BatchingConfig(max_batch=8),
-        scheduler=EdfScheduler(),
+        scheduler=None if fifo else EdfScheduler(),
         placer=placer,
         **control,
     )
@@ -200,38 +208,43 @@ def _calls_per_cluster_batch(**control) -> Tuple[float, Counter]:
 def _calls_in_steps(cluster: ClusterEngine, requests: list, *targets):
     """One ``cluster.run`` over ``requests``: its outcome and the calls into
     ``targets`` (file names, or code objects) made inside the engine's
-    scheduled batch loop and elsewhere, each a ``Counter`` keyed by
-    qualified name.  Every batch of the run is served inside that loop,
-    whether the cluster advances it a window at a time or drains it at
-    ``finish()``."""
+    object loops (FIFO and scheduled) and elsewhere, each a ``Counter``
+    keyed by qualified name.  Every batch of the run is served inside one
+    of them, whether the cluster advances it a window at a time or drains
+    it at ``finish()``."""
     engine, stepping = cluster.engine, [False]
     in_steps, elsewhere = Counter(), Counter()
-    serve = engine._serve_scheduled
+    loops = ("_serve_fifo", "_serve_scheduled")
     names = tuple(target for target in targets if isinstance(target, str))
     codes = {target for target in targets if not isinstance(target, str)}
     served = []
 
-    def flagged_serve(session, until):
-        stepping[0] = True
-        before = len(session.ledger)
-        try:
-            return serve(session, until)
-        finally:
-            stepping[0] = False
-            served.append(len(session.ledger) - before)
+    def flagged(serve):
+        def flagged_serve(session, until):
+            stepping[0] = True
+            before = len(session.ledger)
+            try:
+                return serve(session, until)
+            finally:
+                stepping[0] = False
+                served.append(len(session.ledger) - before)
+
+        return flagged_serve
 
     def count(frame, event, arg):
         code = frame.f_code
         if event == "call" and (code in codes or code.co_filename.endswith(names)):
             (in_steps if stepping[0] else elsewhere)[code.co_qualname] += 1
 
-    engine._serve_scheduled = flagged_serve
+    for loop in loops:
+        setattr(engine, loop, flagged(getattr(engine, loop)))
     sys.setprofile(count)
     try:
         outcome = cluster.run(requests=requests)
     finally:
         sys.setprofile(None)
-        del engine._serve_scheduled
+        for loop in loops:
+            delattr(engine, loop)
     # The loop served every batch: nothing passed the counter by.
     assert sum(served) == len(outcome.result.batch_records) > 0
     return outcome, in_steps, elsewhere
@@ -245,13 +258,29 @@ def test_cluster_calls_per_batch_are_pinned():
     assert calls <= CLUSTER_CALLS_PER_BATCH, f"{calls:.2f}\n{top_sites(sites)}"
 
 
-def test_a_cluster_batch_makes_no_telemetry_call():
+def test_fifo_cluster_calls_per_batch_are_pinned():
+    """The FIFO loop serves a window's segment in one call and builds the
+    record of the batch it returns only: a FIFO cluster batch, whose policy
+    and executor are called, stays under the pinned ceiling through a
+    crash, its migrants and the recovery."""
+    calls, sites = _calls_per_cluster_batch(
+        placer=None, fifo=True, window=0.1,
+        fault_schedule=FaultSchedule.single_crash(1, at=0.5, recover_at=0.8),
+    )
+    assert calls <= FIFO_CLUSTER_CALLS_PER_BATCH, f"{calls:.2f}\n{top_sites(sites)}"
+
+
+DISCIPLINES = pytest.mark.parametrize("fifo", [False, True], ids=["edf", "fifo"])
+
+
+@DISCIPLINES
+def test_a_cluster_batch_makes_no_telemetry_call(fifo):
     """The bus reads the session's ledger when it is read, not per batch:
     over a cluster run whose autoscaler reads it at every window boundary,
     the engine's batch loop calls nothing in ``telemetry.py``; the window
     reads between segments are where the bus catches up."""
     cluster, requests = _cluster(
-        window=0.1, autoscaler=SloLatencyAutoscaler(slo_seconds=0.05),
+        fifo=fifo, window=0.1, autoscaler=SloLatencyAutoscaler(slo_seconds=0.05),
         min_servers=1, initial_servers=2,
     )
     outcome, in_steps, elsewhere = _calls_in_steps(cluster, requests, "telemetry.py")
@@ -261,37 +290,43 @@ def test_a_cluster_batch_makes_no_telemetry_call():
     assert elsewhere["TelemetryBus.catch_up"] >= 10
 
 
-def test_a_faulted_cluster_batch_makes_no_resilience_call():
+@DISCIPLINES
+def test_a_faulted_cluster_batch_makes_no_resilience_call(fifo):
     """A slowdown is a factor the engine multiplies, not a wrapper around
     the executor: over a cluster run that slows server 0 x3 from 0.3 s to
     0.7 s, the engine's batch loop calls nothing in ``resilience.py``, and a
-    faulted batch stays under its pinned calls."""
+    faulted EDF batch stays under its pinned calls."""
     slowdown = FaultSchedule(
         [
             FaultEvent(time=0.3, server=0, kind="slowdown", factor=3.0),
             FaultEvent(time=0.7, server=0, kind="recover"),
         ]
     )
-    cluster, requests = _cluster(window=0.1, fault_schedule=slowdown)
+    cluster, requests = _cluster(fifo=fifo, window=0.1, fault_schedule=slowdown)
     outcome, in_steps, _ = _calls_in_steps(cluster, requests, "resilience.py")
     assert len(outcome.result.batch_records) > 200
     assert [event.kind for event in outcome.fault_events] == ["slowdown", "recover"]
     assert not in_steps, in_steps.most_common(10)
+    if fifo:
+        return
     calls, sites = _calls_per_cluster_batch(window=0.1, fault_schedule=slowdown)
     assert calls <= FAULTED_CLUSTER_CALLS_PER_BATCH, f"{calls:.2f}\n{top_sites(sites)}"
 
 
-def test_a_traced_cluster_batch_makes_no_tracer_call():
+@DISCIPLINES
+def test_a_traced_cluster_batch_makes_no_tracer_call(fifo):
     """The tracer reads the session's ledger when it settles, not per batch:
     over a traced cluster run that drops and rewinds nothing (a drop cohort
     or a rewind is still handed over as it happens), the engine's batch
-    loop calls nothing in ``tracing.py``, and a traced batch stays under
+    loop calls nothing in ``tracing.py``, and a traced EDF batch stays under
     its pinned calls."""
-    cluster, requests = _cluster(tracer=Tracer(sample_rate=0.01))
+    cluster, requests = _cluster(fifo=fifo, tracer=Tracer(sample_rate=0.01))
     outcome, in_steps, elsewhere = _calls_in_steps(cluster, requests, "tracing.py")
     assert len(outcome.result.batch_records) > 200
     assert not in_steps, in_steps.most_common(10)
     assert elsewhere["Tracer.settle"] >= 1 and len(cluster.tracer.store) > 0
+    if fifo:
+        return
     calls, sites = _calls_per_cluster_batch(tracer=Tracer(sample_rate=0.01))
     assert calls <= TRACED_CLUSTER_CALLS_PER_BATCH, f"{calls:.2f}\n{top_sites(sites)}"
 

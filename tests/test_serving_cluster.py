@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from free_clock_placer import FreeClockPlacer
 from repro.core.controller import AdaptiveRatioController, build_profile_from_latency_fn
 from repro.data.traces import PoissonTrace, RequestTrace, SpikeTrace, merge_traces
 from repro.hardware.gpu import GpuLatencyModel
@@ -32,7 +33,6 @@ from repro.serving import (
     BatchingConfig,
     ClusterEngine,
     FixedRatioPolicy,
-    FreeClockPlacer,
     LeastOutstandingWorkPlacer,
     ModeledExecutor,
     PerServerAdaptiveRatioPolicy,

@@ -31,7 +31,6 @@ from repro.serving.engine import (
     requests_from_trace,
 )
 from repro.serving.executors import ModeledExecutor
-from repro.serving.placement import FreeClockPlacer
 from repro.serving.policies import FixedRatioPolicy, RoundRobinRatioPolicy
 from repro.serving.resilience import (
     DropExpiredMigration,
@@ -41,6 +40,7 @@ from repro.serving.resilience import (
 from repro.serving.schedulers import EdfScheduler, FifoScheduler
 from repro.serving.simulator import ServiceTimeModel
 from repro.serving.telemetry import TelemetryBus
+from free_clock_placer import FreeClockPlacer
 from priority_scheduler import PriorityScheduler
 from test_serving_engine import seed_serving_run, served_latencies
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from free_clock_placer import FreeClockPlacer
 from repro.serving import (
     BatchExecution,
     BatchingConfig,
@@ -29,7 +30,6 @@ from repro.serving import (
     ClusterTopology,
     FaultEvent,
     FaultSchedule,
-    FreeClockPlacer,
     PlacementContext,
     Request,
     RequeueAtHeadMigration,
@@ -251,7 +251,7 @@ class TestSpreadPlacer:
     )
 
     def test_picks_least_backlogged_domain(self):
-        placer = SpreadPlacer(self.topology)
+        placer = SpreadPlacer(self.topology, within=FreeClockPlacer())
         # Zone A backlogged 1.0s/server, zone B 0.1s/server.
         context = PlacementContext(
             time=0.0, free_at=[1.0, 1.0, 0.1, 0.2], active=[0, 1, 2, 3]

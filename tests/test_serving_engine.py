@@ -32,6 +32,7 @@ from repro.serving import resilience
 from repro.serving.cluster import ClusterEngine, ServerSpec
 from repro.serving.engine import (
     Batch,
+    BatchExecution,
     BatchingConfig,
     Request,
     ServingEngine,
@@ -1580,6 +1581,47 @@ class TestHostileInput:
         engine = ServingEngine(BatchingConfig(max_batch=4), scheduler=scheduler)
         engine.register("m", ModeledExecutor(service_model), mode="int8")
         return engine
+
+    def _hostile_run(self, service_model, scheduler, service_time, ratio=None):
+        """Eight requests at once on two servers, server 1 executing through
+        an executor that reports ``service_time`` and ``ratio``."""
+
+        class Hostile:
+            def execute(self, batch, mode, selected):
+                return BatchExecution(service_time, ratio=ratio)
+
+        engine = ServingEngine(
+            BatchingConfig(max_batch=4), num_servers=2, scheduler=scheduler
+        )
+        engine.register("m", [ModeledExecutor(service_model), Hostile()], mode="int8")
+        return engine.run(requests=[Request(0.0, "m", deadline=1.0)] * 8)
+
+    SERVICE_TIME = r"the executor of model 'm' on server 1 returned a service time "
+
+    @pytest.mark.parametrize("scheduler", [None, EdfScheduler()], ids=["fifo", "edf"])
+    @pytest.mark.parametrize("service_time, ratio, message", [
+        (float("nan"), None, SERVICE_TIME + r".*\(got nan\)"),
+        (-1.0, None, SERVICE_TIME + r".*\(got -1\.0\)"),
+        (float("inf"), None, SERVICE_TIME + r".*\(got inf\)"),
+        (0.01, 7.0, r"ratio must be a finite number in \[0, 1\], got 7\.0"),
+        (0.01, float("nan"), r"ratio must be a finite number in \[0, 1\], got nan"),
+    ], ids=["nan", "negative", "inf", "ratio_7", "ratio_nan"])
+    def test_a_hostile_executor_result_is_refused(
+        self, service_model, scheduler, service_time, ratio, message
+    ):
+        # Both loops used to accept it: a nan service time took every served
+        # latency out of ``latencies`` and made ``busy_time`` nan, -1.0 read
+        # as latencies of -1.0, and an executed ratio of 7.0 or nan was
+        # recorded as the batch's ratio.
+        with pytest.raises(ValueError, match=message):
+            self._hostile_run(service_model, scheduler, service_time, ratio)
+
+    @pytest.mark.parametrize("scheduler", [None, EdfScheduler()], ids=["fifo", "edf"])
+    def test_a_zero_service_time_is_legal(self, service_model, scheduler):
+        result = self._hostile_run(service_model, scheduler, 0.0, ratio=1.0)
+        assert result.batch_servers.tolist() == [0, 1]
+        assert result.batch_ratios[1] == 1.0
+        assert result.latencies[result.request_latencies == 0.0].size == 4
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_arrival_in_a_trace(self, service_model, bad):

@@ -597,15 +597,16 @@ class CalledModeledExecutor(ModeledExecutor):
 
 @st.composite
 def cluster_sessions(draw):
-    """A cluster session across every axis the scheduled loop reads once per
-    segment or calls per batch, served under a control plane (an SLO
-    monitor at least) so that ``ClusterEngine.run`` advances it.  The axes
-    are drawn uniformly (hypothesis' own draws favour the first choice)."""
+    """A cluster session across every axis an object loop reads once per
+    segment or calls per batch, under either discipline's loop, served under
+    a control plane (an SLO monitor at least) so that ``ClusterEngine.run``
+    advances it.  The axes are drawn uniformly (hypothesis' own draws favour
+    the first choice)."""
     rng = draw(st.randoms(use_true_random=True))
     crash_at = rng.randint(5, 40) * 1e-2
     return dict(
         seed=rng.randrange(2**16),
-        scheduler=rng.choice(["edf", "priority"]),
+        scheduler=rng.choice(["fifo", "edf", "priority"]),
         placer=rng.choice([None, "least_work", "weighted", "predictive", "custom"]),
         policy=rng.choice(["fixed", "queue_depth"]),
         executor=rng.choice(["modeled", "custom"]),
@@ -649,7 +650,9 @@ def _cluster_run(case, drive):
     cluster = ClusterEngine(
         specs,
         BatchingConfig(max_batch=6, drop_after=case["drop_after"]),
-        scheduler=EdfScheduler() if case["scheduler"] == "edf" else PriorityScheduler(),
+        scheduler={
+            "fifo": None, "edf": EdfScheduler(), "priority": PriorityScheduler()
+        }[case["scheduler"]],
         placer=SlowestIdlePlacer() if case["placer"] == "custom" else case["placer"],
         window=case["window"],
         autoscaler=(
@@ -770,19 +773,39 @@ def _outcome(outcome, tracer):
     )
 
 
+def _kernel(case, drive):
+    """What a ``drive`` of ``case`` must report as ``(kernel,
+    kernel_reason)``: the object loop, for the first clause against the
+    sweep -- the scheduler, or for FIFO the placer, a policy that is not a
+    ``FixedRatioPolicy`` (every plug-in is a subclass when ``"called"``), a
+    custom executor, and else the cluster's bus."""
+    if case["scheduler"] != "fifo":
+        return ("object", "scheduler")
+    if case["placer"] is not None:
+        return ("object", "placer")
+    if drive == "called" or case["policy"] != "fixed":
+        return ("object", "policy")
+    if case["executor"] == "custom":
+        return ("object", "executor")
+    return ("object", "telemetry")
+
+
 class TestASegmentIsItsSteps:
     """``ServingEngine.advance_until(t)`` serves every batch that starts
-    before ``t`` and the first that starts at or after it.  Driving a
-    generated cluster session by it as shipped, by ``step()`` until a batch
-    starts past each boundary, by it with the segments cut at random times
-    in between, and with plug-ins the loop must call rather than read gives
-    one outcome, field by field."""
+    before ``t`` and the first that starts at or after it, on the FIFO and
+    the scheduled loop alike.  Driving a generated cluster session by it as
+    shipped, by ``step()`` until a batch starts past each boundary, by it
+    with the segments cut at random times in between, and with plug-ins the
+    loop must call rather than read gives one outcome, field by field (the
+    kernel's reason aside: it names the first plug-in that is not declared)."""
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(cluster_sessions())
     def test_advancing_equals_stepping_equals_run(self, case):
         shipped = _outcome(*_cluster_run(case, "run"))
-        assert shipped["kernel"] == ("object", "scheduler")
+        assert shipped.pop("kernel") == _kernel(case, "run")
         assert shipped["columns"][0]  # something was served
         for drive in ("steps", "cuts", "called"):
-            assert _outcome(*_cluster_run(case, drive)) == shipped, drive
+            outcome = _outcome(*_cluster_run(case, drive))
+            assert outcome.pop("kernel") == _kernel(case, drive), drive
+            assert outcome == shipped, drive
